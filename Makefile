@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test race vet lint bench bench-json bench-flows bench-dtn bench-crypto fuzz soak soak-dtn soak-udp alloc-guard check
+.PHONY: build test race vet lint bench bench-json bench-flows bench-dtn bench-crypto benchmark benchmark-smoke fuzz soak soak-dtn soak-udp alloc-guard check
 
 build:
 	$(GO) build ./...
@@ -47,13 +47,30 @@ bench-json:
 bench-flows:
 	$(GO) test -run '^$$' -bench 'FlowScale' -benchtime 1x -benchmem . | $(GO) run ./cmd/benchjson -o BENCH_0006.json
 
-# Native fuzzers over the ALF wire formats. The budget is deliberately
-# small so check stays fast; raise FUZZTIME for a real session.
+# The repository's benchmark (benchmark/README.md, BENCHMARK.json): six
+# wall-clock workloads, every metric printed by name, every delivered
+# ADU checked byte for byte. About 2.5 minutes. This, not `make bench`,
+# is the source of throughput numbers.
+benchmark:
+	$(GO) run ./benchmark
+
+# A few seconds of the same harness: one short repetition of the
+# in-process datapath and of the 64k-flow shard plane, tracing off.
+# Exits non-zero if the ledger finds any ADU lost, duplicated or
+# corrupted.
+benchmark-smoke:
+	$(GO) run ./benchmark -workloads sim_clear_8k,flows_sharded_64k -reps 1 -rep-seconds 0.5 -trace 0
+
+# Native fuzzers over the ALF wire formats, and over the scheduler's
+# firing order against its sorted-slice model. The budget is
+# deliberately small so check stays fast; raise FUZZTIME for a real
+# session.
 FUZZTIME ?= 5s
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzHandlePacket$$' -fuzztime $(FUZZTIME) ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzHandleControl$$' -fuzztime $(FUZZTIME) ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzHandleCustody$$' -fuzztime $(FUZZTIME) ./internal/core
+	$(GO) test -run '^$$' -fuzz '^FuzzSchedulerOrder$$' -fuzztime $(FUZZTIME) ./internal/sim
 
 # One seeded chaos pass: every scenario x policy plus the blackout
 # shed/report assertions, and the overload family (closed-loop passes,
@@ -107,11 +124,13 @@ lint: vet
 	fi
 
 # Allocation-regression gate: the steady-state datapath
-# (send -> forward -> deliver, plus the FEC paths) must run at
+# (send -> forward -> deliver, plus the FEC paths), the receiver's gap
+# scan, and the event plane at depth (a link with a 16384-packet
+# backlog, a scheduler with 65536 armed timers) must run at
 # 0 allocs/op. The tests assert testing.AllocsPerRun == 0; the bench
 # run reports the same numbers with -benchmem for the log.
 alloc-guard:
 	$(GO) test -count=1 -run 'ZeroAlloc' -v ./internal/core
-	$(GO) test -run '^$$' -bench 'SendSteadyState|ReceivePath|FECSender|FECRepair|NetsimForward' -benchmem ./internal/core ./internal/netsim
+	$(GO) test -run '^$$' -bench 'SendSteadyState|ReceivePath|FECSender|FECRepair|NetsimForward|LinkDeepQueue|SchedulerDeep' -benchmem ./internal/core ./internal/netsim ./internal/sim
 
-check: build vet test race fuzz soak soak-dtn soak-udp alloc-guard
+check: build vet test race fuzz soak soak-dtn soak-udp alloc-guard benchmark-smoke

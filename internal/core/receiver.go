@@ -2,7 +2,7 @@ package alf
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/buf"
 	"repro/internal/cipher"
@@ -113,7 +113,8 @@ type Receiver struct {
 	anySeen   bool
 	lastCum   uint64 // last cum value reported to the sender
 
-	scan *sim.Timer
+	scan      *sim.Timer
+	scanNames []uint64 // onScan's name-ordering scratch, reused across passes
 
 	// Feedback: the periodic delivery report for the sender's rate loop
 	// (FeedbackInterval > 0). The timer runs only while the stream is
@@ -628,14 +629,17 @@ func (r *Receiver) onScan() {
 	// draw sequence), so map iteration would make runs with identical
 	// seeds diverge. Oldest names first is also the useful priority —
 	// they gate the settle frontier.
-	names := make([]uint64, 0, len(r.missings)+len(r.partials))
-	for name := range r.missings {
-		names = append(names, name)
+	names := r.scanNames[:0]
+	if len(r.missings) > 0 || len(r.partials) > 0 {
+		for name := range r.missings {
+			names = append(names, name)
+		}
+		for name := range r.partials {
+			names = append(names, name)
+		}
+		slices.Sort(names)
+		r.scanNames = names
 	}
-	for name := range r.partials {
-		names = append(names, name)
-	}
-	sort.Slice(names, func(i, j int) bool { return names[i] < names[j] })
 	for _, name := range names {
 		// A name is in exactly one of the two maps (the first fragment
 		// deletes it from missings).

@@ -2,6 +2,7 @@ package alf
 
 import (
 	"testing"
+	"time"
 
 	"repro/internal/buf"
 	"repro/internal/netsim"
@@ -112,5 +113,57 @@ func TestReceivePathZeroAlloc(t *testing.T) {
 	}
 	if delivered != int(name) {
 		t.Fatalf("delivered %d of %d", delivered, name)
+	}
+}
+
+// TestScanPassZeroAlloc extends the guard to the timer path: a gap
+// scan over one outstanding partial (not yet due a NACK, frontier
+// unchanged) orders its names in receiver-owned scratch and sends
+// nothing, so it must not allocate.
+func TestScanPassZeroAlloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race detector instrumentation allocates")
+	}
+	// Capture the first fragment of a two-fragment ADU from a sender on
+	// a scheduler of its own, so none of its timers run under the
+	// receiver's clock.
+	var first []byte
+	snd, err := NewSender(sim.NewScheduler(), func(p []byte) error {
+		if first == nil {
+			first = append([]byte(nil), p...)
+		}
+		return nil
+	}, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := snd.Send(0, xcode.SyntaxRaw, make([]byte, 2*snd.Config().MTU)); err != nil {
+		t.Fatal(err)
+	}
+
+	s := sim.NewScheduler()
+	ctrl := 0
+	rcv, err := NewReceiver(s, func([]byte) error { ctrl++; return nil },
+		Config{NackInterval: time.Millisecond, NackDelay: time.Hour, HoldTime: 2 * time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := rcv.HandlePacket(first); err != nil {
+		t.Fatal(err)
+	}
+	scan := func() {
+		if err := s.RunFor(time.Millisecond); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 4; i++ {
+		scan()
+	}
+	fired := s.Fired()
+	if allocs := testing.AllocsPerRun(100, scan); allocs != 0 {
+		t.Fatalf("gap scan over one partial allocates %v allocs/op, want 0", allocs)
+	}
+	if s.Fired()-fired < 100 || rcv.Pending() != 1 || ctrl != 0 {
+		t.Fatalf("rig broken: %d scans, %d partials, %d control messages", s.Fired()-fired, rcv.Pending(), ctrl)
 	}
 }

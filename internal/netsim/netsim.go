@@ -302,6 +302,38 @@ type LinkStats struct {
 	MaxQueue       int64 // high-water queue depth (packets awaiting serialization)
 }
 
+// pktFIFO is a queue of packets in a slice with a head index. pop
+// compacts in place once the dead prefix is at least as long as the
+// live window, so push and pop are O(1) amortized at any depth and a
+// queue in steady state reuses its backing array.
+type pktFIFO struct {
+	buf  []*Packet
+	head int
+}
+
+func (f *pktFIFO) len() int { return len(f.buf) - f.head }
+
+// live returns the queued packets, oldest first. The slice aliases the
+// queue and is invalidated by the next push or pop.
+func (f *pktFIFO) live() []*Packet { return f.buf[f.head:] }
+
+func (f *pktFIFO) push(p *Packet) { f.buf = append(f.buf, p) }
+
+// pop removes and returns the oldest packet; the queue must not be
+// empty.
+func (f *pktFIFO) pop() *Packet {
+	p := f.buf[f.head]
+	f.buf[f.head] = nil
+	f.head++
+	if f.head*2 >= len(f.buf) {
+		n := copy(f.buf, f.buf[f.head:])
+		clear(f.buf[n:])
+		f.buf = f.buf[:n]
+		f.head = 0
+	}
+	return p
+}
+
 // Link is a unidirectional point-to-point pipe.
 type Link struct {
 	net   *Network
@@ -312,8 +344,8 @@ type Link struct {
 
 	busyUntil sim.Time
 	queued    int
-	q         []*Packet // committed to serialization, FIFO (mirrors queued minus shed)
-	inBad     bool      // Gilbert–Elliott state
+	q         pktFIFO // committed to serialization, in departure order (queued plus shed)
+	inBad     bool    // Gilbert–Elliott state
 	down      bool
 	held      []*Packet // parked by HoldOnDown, FIFO
 
@@ -325,12 +357,10 @@ type Link struct {
 	// flight, and a per-packet heap entry for each would dominate the
 	// simulation. Non-monotone deliveries (reorder extra delay, a
 	// config change that shortened Delay mid-flight) fall back to
-	// per-packet events; transitHead indexes the FIFO's first live
-	// entry, compacted as it advances.
-	transit     []*Packet
-	transitHead int
-	lastDue     sim.Time
-	delTimer    *sim.Timer
+	// per-packet events.
+	transit  pktFIFO
+	lastDue  sim.Time
+	delTimer *sim.Timer
 
 	Stats LinkStats
 }
@@ -449,8 +479,9 @@ func (l *Link) shrinkToLimit() {
 		l.net.tracer.PacketDropped(l.label, "shrink", pkt.Payload)
 		l.net.putPacket(pkt)
 	}
-	for i := len(l.q) - 1; i >= 0 && l.queued+len(l.held) > limit; i-- {
-		pkt := l.q[i]
+	q := l.q.live()
+	for i := len(q) - 1; i >= 0 && l.queued+len(l.held) > limit; i-- {
+		pkt := q[i]
 		if pkt.shed {
 			continue
 		}
@@ -567,10 +598,14 @@ func (l *Link) sendRef(ref *buf.Ref, finalTo NodeID) error {
 
 // departCB pops a serialized packet off its link's queue. Static so
 // enqueue schedules it on a pooled event without a closure allocation.
+// Departure times never decrease along the queue and equal times fire
+// in schedule order, so the departing packet is always the queue's head.
 func departCB(arg any) {
 	pkt := arg.(*Packet)
 	l := pkt.link
-	l.dequeue(pkt)
+	if l.q.pop() != pkt {
+		panic("netsim: departure out of queue order")
+	}
 	if pkt.shed {
 		// Dropped by a QueueLimit shrink while waiting; the queue
 		// accounting and the drop event were settled at shrink time.
@@ -579,19 +614,6 @@ func departCB(arg any) {
 	}
 	l.queued--
 	l.depart(pkt)
-}
-
-// dequeue removes pkt from the committed-FIFO mirror. Departures fire
-// in enqueue order, so the match is at (or near, after sheds) the head.
-func (l *Link) dequeue(pkt *Packet) {
-	for i, p := range l.q {
-		if p == pkt {
-			copy(l.q[i:], l.q[i+1:])
-			l.q[len(l.q)-1] = nil
-			l.q = l.q[:len(l.q)-1]
-			return
-		}
-	}
 }
 
 // enqueue commits pkt to serialization: it departs when the link has
@@ -612,7 +634,7 @@ func (l *Link) enqueue(pkt *Packet) {
 	l.net.tracer.PacketQueued(l.label, pkt.Payload, start.Sub(now), txEnd.Sub(start))
 	l.busyUntil = txEnd
 	pkt.link = l
-	l.q = append(l.q, pkt)
+	l.q.push(pkt)
 	l.net.Sched.AtCall(txEnd, departCB, pkt)
 }
 
@@ -697,7 +719,7 @@ func deliverCB(arg any) {
 func (l *Link) schedDeliver(pkt *Packet, delay sim.Duration) {
 	pkt.link, pkt.delay = l, delay
 	due := l.net.Sched.Now().Add(delay)
-	if l.transitHead < len(l.transit) && due < l.lastDue {
+	if l.transit.len() > 0 && due < l.lastDue {
 		// Out of order with the pipe (reorder extra delay, or the
 		// configured Delay shrank under in-flight traffic): a
 		// per-packet event preserves its earlier arrival.
@@ -706,7 +728,7 @@ func (l *Link) schedDeliver(pkt *Packet, delay sim.Duration) {
 	}
 	pkt.due = due
 	l.lastDue = due
-	l.transit = append(l.transit, pkt)
+	l.transit.push(pkt)
 	if !l.delTimer.Active() {
 		l.delTimer.Reset(delay)
 	}
@@ -719,25 +741,11 @@ func (l *Link) schedDeliver(pkt *Packet, delay sim.Duration) {
 // pipe.
 func (l *Link) onDeliver() {
 	now := l.net.Sched.Now()
-	for l.transitHead < len(l.transit) {
-		pkt := l.transit[l.transitHead]
-		if pkt.due > now {
-			break
-		}
-		l.transit[l.transitHead] = nil
-		l.transitHead++
-		deliverCB(pkt)
+	for l.transit.len() > 0 && l.transit.live()[0].due <= now {
+		deliverCB(l.transit.pop())
 	}
-	// Compact once the dead prefix dominates, amortizing the copy to
-	// O(1) per delivered packet.
-	if l.transitHead > 0 && l.transitHead*2 >= len(l.transit) {
-		n := copy(l.transit, l.transit[l.transitHead:])
-		clear(l.transit[n:])
-		l.transit = l.transit[:n]
-		l.transitHead = 0
-	}
-	if l.transitHead < len(l.transit) {
-		l.delTimer.Reset(l.transit[l.transitHead].due.Sub(now))
+	if l.transit.len() > 0 {
+		l.delTimer.Reset(l.transit.live()[0].due.Sub(now))
 	}
 }
 

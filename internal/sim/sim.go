@@ -9,7 +9,6 @@
 package sim
 
 import (
-	"container/heap"
 	"errors"
 	"fmt"
 	"time"
@@ -40,14 +39,13 @@ func (t Time) String() string { return Duration(t).String() }
 var ErrStopped = errors.New("sim: scheduler stopped")
 
 // Event is a scheduled callback. It is returned by the scheduling methods
-// so the caller can cancel it before it fires.
+// so the caller can cancel it before it fires. Its firing time and
+// sequence number live in the queue slot, not here (see eventQueue).
 type Event struct {
-	at     Time
-	seq    uint64 // tie-break so equal-time events fire in schedule order
 	fn     func()
 	call   func(any) // pooled fire-and-forget form (AtCall/AfterCall)
 	arg    any
-	index  int // heap index; -1 once fired or cancelled
+	index  int // queue slot; -1 once fired or cancelled
 	cancel bool
 	pooled bool // recycled into the scheduler's freelist after firing
 }
@@ -63,34 +61,99 @@ func (e *Event) Cancel() {
 // Scheduled reports whether the event is still pending.
 func (e *Event) Scheduled() bool { return e != nil && !e.cancel && e.index >= 0 }
 
-// eventQueue implements heap.Interface ordered by (at, seq).
-type eventQueue []*Event
+// slot is one queue entry. The (at, seq) key is stored inline so the
+// sift loops compare slots without dereferencing the Event: on a queue
+// of tens of thousands of entries every such dereference is a cache
+// miss, and comparisons outnumber moves about four to one.
+type slot struct {
+	at  Time
+	seq uint64 // tie-break so equal-time events fire in schedule order
+	ev  *Event
+}
 
-func (q eventQueue) Len() int { return len(q) }
-func (q eventQueue) Less(i, j int) bool {
-	if q[i].at != q[j].at {
-		return q[i].at < q[j].at
+func (a *slot) before(b *slot) bool {
+	return a.at < b.at || (a.at == b.at && a.seq < b.seq)
+}
+
+// eventQueue is a 4-ary min-heap of slots ordered by (at, seq): half
+// the depth of a binary heap, and the four children of a slot are
+// adjacent in memory. seq is unique per scheduler, so the order is
+// total and the pop sequence does not depend on the heap's shape. Every
+// move of a slot records its new position in Event.index, which is what
+// lets Timer.Reset re-key a pending timer in place.
+type eventQueue []slot
+
+// push adds x and restores heap order.
+func (q *eventQueue) push(x slot) {
+	*q = append(*q, x)
+	q.up(len(*q)-1, x)
+}
+
+// pop removes and returns the earliest slot; the queue must not be empty.
+func (q *eventQueue) pop() slot {
+	h := *q
+	top := h[0]
+	top.ev.index = -1
+	n := len(h) - 1
+	last := h[n]
+	h[n] = slot{}
+	*q = h[:n]
+	if n > 0 {
+		q.down(0, last)
 	}
-	return q[i].seq < q[j].seq
+	return top
 }
-func (q eventQueue) Swap(i, j int) {
-	q[i], q[j] = q[j], q[i]
-	q[i].index = i
-	q[j].index = j
+
+// fix re-keys slot i to (at, seq) and restores heap order.
+func (q eventQueue) fix(i int, at Time, seq uint64) {
+	x := slot{at: at, seq: seq, ev: q[i].ev}
+	if i > 0 && x.before(&q[(i-1)/4]) {
+		q.up(i, x)
+	} else {
+		q.down(i, x)
+	}
 }
-func (q *eventQueue) Push(x any) {
-	e := x.(*Event)
-	e.index = len(*q)
-	*q = append(*q, e)
+
+// up places x at or above hole i, moving later parents down into it.
+func (q eventQueue) up(i int, x slot) {
+	for i > 0 {
+		p := (i - 1) / 4
+		if !x.before(&q[p]) {
+			break
+		}
+		q[i] = q[p]
+		q[i].ev.index = i
+		i = p
+	}
+	q[i] = x
+	x.ev.index = i
 }
-func (q *eventQueue) Pop() any {
-	old := *q
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	e.index = -1
-	*q = old[:n-1]
-	return e
+
+// down places x at or below hole i, moving the earliest child up into
+// it while that child fires before x.
+func (q eventQueue) down(i int, x slot) {
+	n := len(q)
+	for {
+		c := 4*i + 1
+		if c >= n {
+			break
+		}
+		kids := q[c:min(c+4, n)]
+		m := 0
+		for j := 1; j < len(kids); j++ {
+			if kids[j].before(&kids[m]) {
+				m = j
+			}
+		}
+		if !kids[m].before(&x) {
+			break
+		}
+		q[i] = kids[m]
+		q[i].ev.index = i
+		i = c + m
+	}
+	q[i] = x
+	x.ev.index = i
 }
 
 // Scheduler is a single-threaded discrete-event scheduler. It is not safe
@@ -125,8 +188,8 @@ func (s *Scheduler) Fired() uint64 { return s.fired }
 // until the virtual schedule needs the CPU again.
 func (s *Scheduler) NextAt() (Time, bool) {
 	for len(s.queue) > 0 {
-		if s.queue[0].cancel {
-			heap.Pop(&s.queue)
+		if s.queue[0].ev.cancel {
+			s.queue.pop()
 			continue
 		}
 		return s.queue[0].at, true
@@ -140,9 +203,9 @@ func (s *Scheduler) At(t Time, fn func()) *Event {
 	if t < s.now {
 		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, s.now))
 	}
-	e := &Event{at: t, seq: s.seq, fn: fn}
+	e := &Event{fn: fn}
+	s.queue.push(slot{at: t, seq: s.seq, ev: e})
 	s.seq++
-	heap.Push(&s.queue, e)
 	return e
 }
 
@@ -171,9 +234,9 @@ func (s *Scheduler) AtCall(t Time, fn func(any), arg any) {
 	} else {
 		e = &Event{pooled: true}
 	}
-	e.at, e.seq, e.call, e.arg = t, s.seq, fn, arg
+	e.call, e.arg = fn, arg
+	s.queue.push(slot{at: t, seq: s.seq, ev: e})
 	s.seq++
-	heap.Push(&s.queue, e)
 }
 
 // AfterCall is AtCall at Now+d. Negative d is treated as zero.
@@ -223,8 +286,8 @@ func (s *Scheduler) RunFor(d Duration) error { return s.RunUntil(s.now.Add(d)) }
 // timestamp. It reports whether an event ran.
 func (s *Scheduler) Step() bool {
 	for len(s.queue) > 0 {
-		if s.queue[0].cancel {
-			heap.Pop(&s.queue)
+		if s.queue[0].ev.cancel {
+			s.queue.pop()
 			continue
 		}
 		s.step()
@@ -234,11 +297,12 @@ func (s *Scheduler) Step() bool {
 }
 
 func (s *Scheduler) step() {
-	e := heap.Pop(&s.queue).(*Event)
+	top := s.queue.pop()
+	e := top.ev
 	if e.cancel {
 		return
 	}
-	s.now = e.at
+	s.now = top.at
 	s.fired++
 	if e.pooled {
 		// Recycle before invoking so the callback itself can schedule
@@ -305,14 +369,13 @@ func (t *Timer) Reset(d Duration) {
 	}
 	s, e := t.s, t.ev
 	e.cancel = false
-	e.at = s.now.Add(d)
-	e.seq = s.seq
-	s.seq++
+	at := s.now.Add(d)
 	if e.index >= 0 {
-		heap.Fix(&s.queue, e.index)
+		s.queue.fix(e.index, at, s.seq)
 	} else {
-		heap.Push(&s.queue, e)
+		s.queue.push(slot{at: at, seq: s.seq, ev: e})
 	}
+	s.seq++
 }
 
 // Stop disarms the timer. Stopping a stopped timer is a no-op.

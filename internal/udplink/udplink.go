@@ -258,22 +258,43 @@ func (l *Link) flush() {
 	l.out = l.out[:0]
 }
 
+// Pauses between blocking reads that keep failing: a lone failure is
+// retried at once, the second in a row waits readBackoffMin, each
+// further one twice as long, up to readBackoffMax.
+const (
+	readBackoffMin = time.Millisecond
+	readBackoffMax = 100 * time.Millisecond
+)
+
 // readLoop is the per-socket reader: one blocking receive, then an
 // immediate-deadline drain of whatever else the socket already holds,
 // up to the batch bound — the portable stand-in for recvmmsg. Exits
-// when the socket closes.
+// when the socket closes or the clock stops. A UDP socket surfaces
+// transient errors (connection-refused from ICMP) that clear on their
+// own, so any other read error keeps the reader alive; consecutive
+// ones back off, so an error that does not clear cannot spin the
+// reader.
 func (l *Link) readLoop() {
 	batch := l.clk.cfg.Batch
+	fails := 0 // consecutive failed blocking reads
 	for {
 		ref := l.clk.cfg.Pool.Get(l.clk.cfg.MTU)
 		n, _, err := l.conn.ReadFrom(ref.Bytes())
 		if err != nil {
 			ref.Release()
-			if isClosed(err) {
+			if errors.Is(err, net.ErrClosed) {
+				return
+			}
+			var ne net.Error
+			if errors.As(err, &ne) && ne.Timeout() {
+				continue
+			}
+			if fails++; fails > 1 && !l.pause(fails-1) {
 				return
 			}
 			continue
 		}
+		fails = 0
 		if !l.deliver(ref, n) {
 			return
 		}
@@ -289,7 +310,7 @@ func (l *Link) readLoop() {
 			n, _, err := l.conn.ReadFrom(ref.Bytes())
 			if err != nil {
 				ref.Release()
-				if isClosed(err) {
+				if errors.Is(err, net.ErrClosed) {
 					return
 				}
 				break // deadline: socket empty
@@ -317,18 +338,15 @@ func (l *Link) deliver(ref *buf.Ref, n int) bool {
 	}
 }
 
-// isClosed reports whether a socket error means the conn is gone (as
-// opposed to a read deadline or a transient ICMP-induced error).
-func isClosed(err error) bool {
-	if errors.Is(err, net.ErrClosed) {
+// pause is the nth pause of a run of failed reads. It reports false
+// when the clock stopped meanwhile (time to exit the reader).
+func (l *Link) pause(n int) bool {
+	t := time.NewTimer(min(readBackoffMin<<min(n-1, 10), readBackoffMax))
+	defer t.Stop()
+	select {
+	case <-t.C:
 		return true
-	}
-	var ne net.Error
-	if errors.As(err, &ne) && ne.Timeout() {
+	case <-l.clk.stopc:
 		return false
 	}
-	// Unknown persistent errors: keep the reader alive; UDP sockets
-	// surface transient errors (e.g. connection-refused from ICMP)
-	// that clear on their own.
-	return false
 }

@@ -1,7 +1,9 @@
 package udplink
 
 import (
+	"errors"
 	"net"
+	"sync"
 	"testing"
 	"time"
 
@@ -257,4 +259,136 @@ func BenchmarkUDPLoopback(b *testing.B) {
 	// The soak clock is wall time; report its elapsed as the benchmark
 	// duration so ns/op and MB/s reflect the transfer, not setup.
 	b.ReportMetric(res.Elapsed.Seconds()*1e9/float64(b.N), "wall-ns/op")
+}
+
+var errInjected = errors.New("injected read error")
+
+// readCall is one ReadFrom call on a faultyConn: when it was made and
+// what it returned.
+type readCall struct {
+	at  time.Time
+	err error
+}
+
+// faultyConn fails with a persistent (non-timeout, non-closed) error
+// every ReadFrom call for which fail, given the calls so far, says so;
+// the others read from the socket.
+type faultyConn struct {
+	net.PacketConn
+	fail  func(calls []readCall) bool
+	mu    sync.Mutex
+	calls []readCall
+}
+
+func (c *faultyConn) ReadFrom(p []byte) (n int, addr net.Addr, err error) {
+	c.mu.Lock()
+	i := len(c.calls)
+	fail := c.fail(c.calls)
+	c.calls = append(c.calls, readCall{at: time.Now()})
+	c.mu.Unlock()
+	if fail {
+		err = errInjected
+	} else {
+		n, addr, err = c.PacketConn.ReadFrom(p)
+	}
+	c.mu.Lock()
+	c.calls[i].err = err
+	c.mu.Unlock()
+	return n, addr, err
+}
+
+// runFaulty sends dgrams datagrams over loopback to a link reading
+// through a faultyConn, runs the clock until all are delivered, and
+// returns the reader's ReadFrom calls.
+func runFaulty(t *testing.T, dgrams int, fail func([]readCall) bool) []readCall {
+	t.Helper()
+	sched := sim.NewScheduler()
+	clk := NewClock(sched, Config{Pool: buf.NewPool()})
+	ca, err := net.ListenPacket("udp4", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ca.Close()
+	cb, err := net.ListenPacket("udp4", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cb.Close()
+	faulty := &faultyConn{PacketConn: cb, fail: fail}
+	la := clk.NewLink(ca, cb.LocalAddr())
+	lb := clk.NewLink(faulty, ca.LocalAddr())
+
+	got := 0
+	lb.SetHandler(func(p []byte) { got++ })
+	sched.After(0, func() {
+		for i := 0; i < dgrams; i++ {
+			_ = la.Send([]byte("ping"))
+		}
+	})
+	start := time.Now()
+	clk.Run(func() bool {
+		if time.Since(start) > 20*time.Second {
+			t.Fatal("delivery did not resume after the read errors cleared")
+		}
+		return got == dgrams
+	})
+	clk.Stop()
+
+	faulty.mu.Lock()
+	defer faulty.mu.Unlock()
+	return append([]readCall(nil), faulty.calls...)
+}
+
+// TestReadLoopBacksOffOnPersistentError: a socket whose reads keep
+// failing must not spin the reader. Six failures in a row are spaced
+// by the doubling pause (0+1+2+4+8 ms between the first and the last),
+// and once reads succeed again a datagram sent meanwhile is delivered.
+func TestReadLoopBacksOffOnPersistentError(t *testing.T) {
+	const failures = 6
+	calls := runFaulty(t, 1, func(calls []readCall) bool { return len(calls) < failures })
+	if len(calls) <= failures || calls[failures-1].err != errInjected || calls[failures].err != nil {
+		t.Fatalf("reads after %d injected failures did not resume: %v", failures, calls)
+	}
+	// Sleeps never return early, so the lower bound is safe on any host.
+	if span := calls[failures-1].at.Sub(calls[0].at); span < 15*time.Millisecond {
+		t.Errorf("%d failing reads within %v: reader is not backing off", failures, span)
+	}
+	// After the failures: the blocking read that got the datagram, and
+	// at most the drain's immediate-deadline read plus the next blocking
+	// read by the time the loop saw the delivery.
+	if len(calls) > failures+3 {
+		t.Errorf("%d read attempts for %d failures and one datagram", len(calls), failures)
+	}
+}
+
+// TestReadLoopRetriesLoneErrorAtOnce: an error that is not repeated
+// (the transient ICMP kind) must not park the reader. The first read
+// and every blocking read after an empty drain fail once; each must be
+// retried without a pause. A pause is never shorter than
+// readBackoffMin, so one retry faster than that shows there is none,
+// however busy the host.
+func TestReadLoopRetriesLoneErrorAtOnce(t *testing.T) {
+	const dgrams = 8
+	calls := runFaulty(t, dgrams, func(calls []readCall) bool {
+		if len(calls) == 0 {
+			return true
+		}
+		var ne net.Error
+		return errors.As(calls[len(calls)-1].err, &ne) && ne.Timeout()
+	})
+	lone, fastest := 0, time.Duration(1<<62)
+	for i, c := range calls[:len(calls)-1] {
+		if c.err != errInjected {
+			continue
+		}
+		lone++
+		fastest = min(fastest, calls[i+1].at.Sub(c.at))
+	}
+	if lone == 0 {
+		t.Fatal("no read error was injected")
+	}
+	if fastest >= readBackoffMin {
+		t.Errorf("fastest retry of %d lone read errors took %v: the reader paused", lone, fastest)
+	}
+	t.Logf("%d lone errors over %d reads, fastest retry %v", lone, len(calls), fastest)
 }
