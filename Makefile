@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test race vet lint bench bench-json bench-flows bench-dtn bench-crypto benchmark benchmark-smoke fuzz soak soak-dtn soak-udp alloc-guard check
+.PHONY: build test race vet lint bench benchmark benchmark-smoke fuzz soak soak-dtn soak-udp alloc-guard wire-leaf check
 
 build:
 	$(GO) build ./...
@@ -27,25 +27,12 @@ race:
 vet:
 	$(GO) vet ./...
 
-# Benchmarks across the whole tree (kernels, endpoints, tracer,
-# registry). -run '^$' keeps the regular tests out of the timing run.
+# Micro-benchmarks across the whole tree (kernels, endpoints, tracer,
+# registry), for measuring while you work; throughput claims come from
+# `make benchmark`. -run '^$' keeps the regular tests out of the timing
+# run.
 bench:
 	$(GO) test -run '^$$' -bench . -benchmem ./...
-
-# Archive today's benchmark numbers as JSON (op, ns/op, allocs) for
-# cross-commit diffing: writes BENCH_<date>.json in the repo root.
-BENCH_DATE := $(shell date +%Y-%m-%d)
-bench-json:
-	$(GO) test -run '^$$' -bench . -benchmem ./... | $(GO) run ./cmd/benchjson -o BENCH_$(BENCH_DATE).json
-
-# Archive the §7 flow-scaling curve (BenchmarkFlowScale at 1/2/4/8
-# workers; 64 Ki flows per point) as BENCH_0006.json. The headline
-# vMb/s figures are virtual-time throughput — deterministic for the
-# seed, so the file diffs clean across hosts. docs/SCALING.md explains
-# how to read it. `alfbench -flows N -workers W` runs the same
-# experiment at arbitrary scale (the acceptance run is -flows 1000000).
-bench-flows:
-	$(GO) test -run '^$$' -bench 'FlowScale' -benchtime 1x -benchmem . | $(GO) run ./cmd/benchjson -o BENCH_0006.json
 
 # The repository's benchmark (benchmark/README.md, BENCHMARK.json): six
 # wall-clock workloads, every metric printed by name, every delivered
@@ -61,12 +48,14 @@ benchmark:
 benchmark-smoke:
 	$(GO) run ./benchmark -workloads sim_clear_8k,flows_sharded_64k -reps 1 -rep-seconds 0.5 -trace 0
 
-# Native fuzzers over the ALF wire formats, and over the scheduler's
-# firing order against its sorted-slice model. The budget is
-# deliberately small so check stays fast; raise FUZZTIME for a real
-# session.
+# Native fuzzers over every frame format's classifier, printers and
+# strict parsers (internal/wire), the ALF endpoints' packet handlers,
+# and the scheduler's firing order against its sorted-slice model. The
+# budget is deliberately small so check stays fast; raise FUZZTIME for
+# a real session.
 FUZZTIME ?= 5s
 fuzz:
+	$(GO) test -run '^$$' -fuzz '^FuzzPeek$$' -fuzztime $(FUZZTIME) ./internal/wire
 	$(GO) test -run '^$$' -fuzz '^FuzzHandlePacket$$' -fuzztime $(FUZZTIME) ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzHandleControl$$' -fuzztime $(FUZZTIME) ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzHandleCustody$$' -fuzztime $(FUZZTIME) ./internal/core
@@ -97,23 +86,6 @@ soak-dtn:
 soak-udp:
 	$(GO) test -count=1 -v ./internal/udplink
 
-# Archive the DTN contrast (custody vs end-to-end over three seeds) as
-# BENCH_0007.json in the repo root.
-bench-dtn:
-	$(GO) run ./cmd/alfchaos -dtn -all -json BENCH_0007.json
-
-# Archive the crypto-plane numbers as BENCH_0008.json: the fused vs
-# staged ChaCha20-Poly1305 kernels across payload sizes (internal/ilp,
-# the headline is fused/staged >= 1.3x at 1 KiB), the cipher
-# primitives, the end-to-end suite contrast (SendSteadyState cleartext
-# vs scramble vs AEAD, all 0 allocs/op), and goodput over real
-# loopback UDP sockets. -benchtime 1s keeps the numbers steady enough
-# to diff across commits on a shared machine.
-bench-crypto:
-	$(GO) test -run '^$$' -bench 'AEAD|ChaCha20Block|XORKeyStream4KB|Poly1305_4KB|SendSteadyState|UDPLoopback' -benchtime 1s -benchmem \
-		./internal/ilp ./internal/cipher ./internal/core ./internal/udplink \
-		| $(GO) run ./cmd/benchjson -o BENCH_0008.json
-
 # Static analysis beyond vet. staticcheck is not vendored; the target
 # no-ops with a notice where the binary is absent (CI installs it).
 lint: vet
@@ -133,4 +105,12 @@ alloc-guard:
 	$(GO) test -count=1 -run 'ZeroAlloc' -v ./internal/core
 	$(GO) test -run '^$$' -bench 'SendSteadyState|ReceivePath|FECSender|FECRepair|NetsimForward|LinkDeepQueue|SchedulerDeep' -benchmem ./internal/core ./internal/netsim ./internal/sim
 
-check: build vet test race fuzz soak soak-dtn soak-udp alloc-guard benchmark-smoke
+# internal/wire owns every frame format and must stay a leaf:
+# internal/tracing sniffs packets through it, and core, otp and netsim
+# all import tracing. Of this module it may import checksum and xcode
+# only.
+wire-leaf:
+	@bad=$$($(GO) list -f '{{join .Imports "\n"}}' ./internal/wire | grep '^repro/' | grep -v -x -e repro/internal/checksum -e repro/internal/xcode); \
+	if [ -n "$$bad" ]; then echo "internal/wire must stay a leaf, but imports:"; echo "$$bad"; exit 1; fi
+
+check: build vet wire-leaf test race fuzz soak soak-dtn soak-udp alloc-guard benchmark-smoke

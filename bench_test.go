@@ -503,8 +503,7 @@ func BenchmarkF9_FECRecovery(b *testing.B) {
 }
 
 // --- S1: sharded endpoint flow scaling (§7, docs/SCALING.md). ---
-// `make bench-flows` archives this family as BENCH_0006.json. The
-// headline unit is vMb/s — payload bits per *virtual* second summed
+// The headline unit is vMb/s — payload bits per *virtual* second summed
 // over all shard trunks — which is deterministic for the seed and
 // scales with the shard count on any host; ns/op and wall-clock
 // measure only what the simulation costs this machine.

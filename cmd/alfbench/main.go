@@ -133,7 +133,8 @@ func main() {
 
 // runFlowScale drives the sharded endpoint at population scale
 // (docs/SCALING.md): -workers N runs one point; -workers 0 sweeps the
-// 1/2/4/8 scaling curve archived as BENCH_0006.json.
+// 1/2/4/8 scaling curve. Its wall-clock counterpart is the benchmark's
+// flows_sharded_64k workload (BENCHMARK.json, benchmark/README.md).
 func runFlowScale() error {
 	cfg := experiments.FlowScaleConfig{
 		Flows:    *flagFlows,

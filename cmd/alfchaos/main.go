@@ -27,7 +27,7 @@
 //	                                         # delay, two 40-min blackouts, custody
 //	                                         # relays + model-based rate control
 //	alfchaos -dtn -mode aimd                 # the end-to-end baseline (collapses)
-//	alfchaos -dtn -all -json BENCH.json      # both stances x seed sweep, archived
+//	alfchaos -dtn -all                       # both stances x three seeds
 //	alfchaos -dtn -mode aimd -flightrec box.json
 //	                                         # attach the flight recorder: print
 //	                                         # the incident timeline and leave the
@@ -39,15 +39,12 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
 	"time"
 
 	alf "repro/internal/core"
-	"repro/internal/experiments"
 	"repro/internal/faults"
 	"repro/internal/faults/soak"
 	"repro/internal/metrics"
@@ -72,8 +69,7 @@ var (
 	flagShape    = flag.String("shape", "steady", "overload arrival pattern: steady, burst, flash")
 	flagMode     = flag.String("mode", "", "overload stance (closed/fixed, default closed) or DTN stance (custody/aimd, default custody)")
 
-	flagDTN  = flag.Bool("dtn", false, "run the interplanetary DTN family instead of a fault scenario")
-	flagJSON = flag.String("json", "", "with -dtn -all: archive the seed-swept contrast as JSON here")
+	flagDTN = flag.Bool("dtn", false, "run the interplanetary DTN family instead of a fault scenario")
 
 	flagFlightRec = flag.String("flightrec", "", "attach the flight recorder to a single run: print the incident timeline and write the black-box JSON dump here (ignored with -all)")
 )
@@ -371,17 +367,11 @@ func runDTN(mode string, seed int64, verbose bool) int {
 	return 0
 }
 
-// runDTNAll sweeps both stances over three seeds, summary lines only,
-// and (with -json) archives the contrast. The exit code ignores the
-// expected aimd violations — end-to-end collapse at interplanetary
-// delay is the demonstration, not a failure of the gate. A custody
-// violation still exits 1.
+// runDTNAll sweeps both stances over three seeds, summary lines only.
+// The exit code ignores the expected aimd violations — end-to-end
+// collapse at interplanetary delay is the demonstration, not a failure
+// of the gate. A custody violation still exits 1.
 func runDTNAll() int {
-	type seedPoints struct {
-		Seed   int64                  `json:"seed"`
-		Points []experiments.DTNPoint `json:"points"`
-	}
-	var archive []seedPoints
 	exit := 0
 	for seed := int64(1); seed <= 3; seed++ {
 		for _, mode := range soak.DTNModes {
@@ -396,35 +386,6 @@ func runDTNAll() int {
 				exit = 1
 			}
 		}
-		if *flagJSON != "" {
-			pts, err := experiments.RunDTNContrast(experiments.DTNConfig{Seed: seed})
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "alfchaos: %v\n", err)
-				return 2
-			}
-			archive = append(archive, seedPoints{Seed: seed, Points: pts})
-		}
-	}
-	if *flagJSON != "" {
-		doc := struct {
-			Date string       `json:"date"`
-			Go   string       `json:"go"`
-			DTN  []seedPoints `json:"dtn"`
-		}{
-			Date: time.Now().UTC().Format("2006-01-02"),
-			Go:   runtime.Version(),
-			DTN:  archive,
-		}
-		data, err := json.MarshalIndent(doc, "", "  ")
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "alfchaos: %v\n", err)
-			return 2
-		}
-		if err := os.WriteFile(*flagJSON, append(data, '\n'), 0o644); err != nil {
-			fmt.Fprintf(os.Stderr, "alfchaos: %v\n", err)
-			return 2
-		}
-		fmt.Printf("dtn contrast archived to %s\n", *flagJSON)
 	}
 	return exit
 }

@@ -210,6 +210,9 @@ func runScenario(reg *metrics.Registry, rec *telemetry.Recorder) (string, error)
 		RateBps:  *flagRate * 0.95, // pace just under the wire
 		Metrics:  reg,
 	}
+	if *flagKey != 0 {
+		cfg.Suite = alf.SuiteScramble
+	}
 	snd, err := alf.NewSender(sched, ab.Send, cfg)
 	if err != nil {
 		return "", err

@@ -3,8 +3,8 @@
 // it to watch fragmentation, loss, NACK recovery, FEC parity, and
 // heartbeats interact.
 //
-// Beyond the per-packet view (internal/trace), the run is also
-// recorded by the span tracer (internal/tracing), so the same
+// Beyond the per-packet view (logger.go, over wire.Describe), the run
+// is also recorded by the span tracer (internal/tracing), so the same
 // execution can be rendered as reconstructed ADU lifecycles:
 //
 //	alftrace                          # defaults: 6 ADUs, 10% loss
@@ -25,7 +25,6 @@ import (
 	alf "repro/internal/core"
 	"repro/internal/netsim"
 	"repro/internal/sim"
-	"repro/internal/trace"
 	"repro/internal/tracing"
 	"repro/internal/xcode"
 )
@@ -66,8 +65,7 @@ func run(opts options, w io.Writer) error {
 	if !opts.packets {
 		packetOut = io.Discard
 	}
-	logger := trace.New(packetOut, sched)
-	logger.Limit = opts.limit
+	lg := &logger{w: packetOut, sched: sched, limit: opts.limit}
 
 	cfg := alf.Config{
 		MTU:          512 + alf.HeaderSize,
@@ -77,20 +75,18 @@ func run(opts options, w io.Writer) error {
 		Tracer:       tracer,
 	}
 	if opts.encrypt {
-		cfg.Key = 0xC0FFEE
+		cfg.Suite, cfg.Key = alf.SuiteScramble, 0xC0FFEE
 	}
-	snd, err := alf.NewSender(sched, logger.WrapSend("snd", trace.ALF, fwd.Send), cfg)
+	snd, err := alf.NewSender(sched, lg.wrapSend("snd", fwd.Send), cfg)
 	if err != nil {
 		return err
 	}
-	rcv, err := alf.NewReceiver(sched, logger.WrapSend("rcv", trace.ALF, rev.Send), cfg)
+	rcv, err := alf.NewReceiver(sched, lg.wrapSend("rcv", rev.Send), cfg)
 	if err != nil {
 		return err
 	}
-	a.SetHandler(logger.WrapHandler("snd", trace.ALF,
-		func(p *netsim.Packet) { snd.HandleControl(p.Payload) }))
-	b.SetHandler(logger.WrapHandler("rcv", trace.ALF,
-		func(p *netsim.Packet) { rcv.HandlePacket(p.Payload) }))
+	a.SetHandler(lg.wrapHandler("snd", func(p *netsim.Packet) { snd.HandleControl(p.Payload) }))
+	b.SetHandler(lg.wrapHandler("rcv", func(p *netsim.Packet) { rcv.HandlePacket(p.Payload) }))
 
 	delivered := 0
 	rcv.OnADU = func(adu alf.ADU) {

@@ -29,18 +29,19 @@
 // view, and a trunk, with cross-shard effects confined to a
 // control-directive queue applied at barriers — so the worker count
 // never changes results, only wall-clock. docs/SCALING.md documents
-// that contract and the archived scaling curve (BENCH_0006.json).
+// that contract and the scaling curve.
 //
 // The root package holds the benchmark suite (bench_test.go), one
 // benchmark per table or figure in DESIGN.md, plus BenchmarkFlowScale,
 // the §7 flow-scaling curve. The library lives under internal/;
-// runnable demos live under examples/. Five commands ship with it:
+// runnable demos live under examples/. Four commands ship with it:
 // cmd/alfbench regenerates the paper's tables and figures and drives
 // the sharded endpoint at scale (-flows), cmd/alfstat runs a measured
 // ALF-vs-ordered-transport scenario and prints the metric tree,
 // cmd/alfchaos runs fault and overload scenarios against soak
-// invariants, cmd/alftrace decodes a simulated run packet by packet,
-// and cmd/benchjson archives benchmark output as JSON.
-// docs/ARCHITECTURE.md maps every package to the paper section it
-// reproduces.
+// invariants, and cmd/alftrace decodes a simulated run packet by
+// packet. Wall-clock throughput comes from the benchmark (go run
+// ./benchmark; BENCHMARK.json declares it, benchmark/README.md reads
+// it). docs/ARCHITECTURE.md maps every package to the paper section
+// it reproduces.
 package repro

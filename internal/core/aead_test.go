@@ -9,6 +9,7 @@ import (
 	"repro/internal/buf"
 	"repro/internal/netsim"
 	"repro/internal/sim"
+	"repro/internal/wire"
 	"repro/internal/xcode"
 )
 
@@ -60,9 +61,9 @@ func TestAEADMultiFragment(t *testing.T) {
 func TestAEADWireIsCiphertext(t *testing.T) {
 	s := sim.NewScheduler()
 	data := payload(4096, 9)
-	var wire [][]byte
+	var sent [][]byte
 	snd, err := NewSender(s, func(p []byte) error {
-		wire = append(wire, append([]byte(nil), p...))
+		sent = append(sent, append([]byte(nil), p...))
 		return nil
 	}, aeadCfg())
 	if err != nil {
@@ -71,18 +72,18 @@ func TestAEADWireIsCiphertext(t *testing.T) {
 	if _, err := snd.Send(0, xcode.SyntaxRaw, data); err != nil {
 		t.Fatal(err)
 	}
-	for _, pkt := range wire {
-		h, err := parseHeader(pkt)
+	for _, pkt := range sent {
+		h, err := wire.ParseHeader(pkt)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if h.Flags&flagAEAD == 0 {
-			t.Fatal("fragment missing flagAEAD")
+		if h.Flags&wire.FlagAEAD == 0 {
+			t.Fatal("fragment missing wire.FlagAEAD")
 		}
 		if h.ADUCheck != 0 {
 			t.Errorf("ADUCheck = %#x, want 0 under AEAD", h.ADUCheck)
 		}
-		if h.Flags&flagParity != 0 || h.FragLen == 0 {
+		if h.Flags&wire.FlagParity != 0 || h.FragLen == 0 {
 			continue
 		}
 		ct := pkt[HeaderSize : HeaderSize+h.FragLen]
@@ -107,7 +108,7 @@ func TestAEADCorruptionDroppedAndRecovered(t *testing.T) {
 	inner := p.rcv
 	seen := 0
 	reinstallReceiver(p, func(pkt []byte) {
-		if h, err := parseHeader(pkt); err == nil && h.Flags&flagParity == 0 && h.FragLen > 0 {
+		if h, err := wire.ParseHeader(pkt); err == nil && h.Flags&wire.FlagParity == 0 && h.FragLen > 0 {
 			if seen == 1 && !corrupted {
 				pkt[HeaderSize+3] ^= 0x40
 				corrupted = true
@@ -151,7 +152,7 @@ func TestAEADTamperedTagRejected(t *testing.T) {
 	done := false
 	inner := p.rcv
 	reinstallReceiver(p, func(pkt []byte) {
-		if h, err := parseHeader(pkt); err == nil && !done && h.FragLen > 0 {
+		if h, err := wire.ParseHeader(pkt); err == nil && !done && h.FragLen > 0 {
 			pkt[HeaderSize+h.FragLen] ^= 0x01 // first tag byte
 			done = true
 		}
@@ -180,7 +181,7 @@ func TestAEADFECReconstruct(t *testing.T) {
 	inner := p.rcv
 	dataIdx := 0
 	reinstallReceiver(p, func(pkt []byte) {
-		if h, err := parseHeader(pkt); err == nil && h.Flags&flagParity == 0 && h.FragLen > 0 {
+		if h, err := wire.ParseHeader(pkt); err == nil && h.Flags&wire.FlagParity == 0 && h.FragLen > 0 {
 			if dataIdx%4 == 1 { // drop the second fragment of each group
 				dataIdx++
 				return
@@ -217,7 +218,7 @@ func TestAEADTamperedParityRejected(t *testing.T) {
 	inner := p.rcv
 	tampered := 0
 	reinstallReceiver(p, func(pkt []byte) {
-		if h, err := parseHeader(pkt); err == nil && h.Flags&flagParity != 0 {
+		if h, err := wire.ParseHeader(pkt); err == nil && h.Flags&wire.FlagParity != 0 {
 			pkt[HeaderSize] ^= 0x80
 			tampered++
 		}
@@ -243,54 +244,50 @@ func TestAEADTamperedParityRejected(t *testing.T) {
 	}
 }
 
-// TestAEADSuiteMismatch: fragments from a cleartext sender must be
-// dropped by an AEAD receiver (unauthenticated input), and AEAD
-// fragments by a cleartext receiver (unverifiable).
+// TestAEADSuiteMismatch: a receiver opens payloads with its own
+// configured suite and drops every fragment whose header names another,
+// for all ordered pairs of distinct suites — cleartext aimed at an
+// enciphered stream is unauthenticated input, and a fragment of another
+// cipher cannot be opened at all. FEC is on so parity fragments cross
+// too.
 func TestAEADSuiteMismatch(t *testing.T) {
-	s := sim.NewScheduler()
-	var pkts [][]byte
-	snd, err := NewSender(s, func(p []byte) error {
-		pkts = append(pkts, append([]byte(nil), p...))
-		return nil
-	}, Config{Policy: NoRetransmit})
-	if err != nil {
-		t.Fatal(err)
+	cfgs := []Config{
+		{Suite: SuiteNone},
+		{Suite: SuiteScramble, Key: 5},
+		{Suite: SuiteAEAD, Key: 5},
 	}
-	snd.Send(0, xcode.SyntaxRaw, payload(100, 1))
+	for _, from := range cfgs {
+		for _, to := range cfgs {
+			if from.Suite == to.Suite {
+				continue
+			}
+			from.FECGroup, to.FECGroup = 2, 2
+			s := sim.NewScheduler()
+			var pkts [][]byte
+			snd, err := NewSender(s, func(p []byte) error {
+				pkts = append(pkts, append([]byte(nil), p...))
+				return nil
+			}, from)
+			if err != nil {
+				t.Fatal(err)
+			}
+			snd.Send(0, xcode.SyntaxRaw, payload(3000, 1))
 
-	rcv, err := NewReceiver(s, nil, Config{Policy: NoRetransmit, Suite: SuiteAEAD, Key: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, pkt := range pkts {
-		if err := rcv.HandlePacket(pkt); !errors.Is(err, ErrBadHeader) {
-			t.Fatalf("cleartext fragment on AEAD stream: err = %v", err)
+			rcv, err := NewReceiver(s, nil, to)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rcv.OnADU = func(ADU) { t.Errorf("%v receiver delivered an ADU sent under %v", to.Suite, from.Suite) }
+			for _, pkt := range pkts {
+				if err := rcv.HandlePacket(pkt); !errors.Is(err, ErrBadHeader) {
+					t.Fatalf("%v fragment on a %v stream: err = %v", from.Suite, to.Suite, err)
+				}
+			}
+			st := rcv.Stats
+			if st.HeaderDrops != int64(len(pkts)) || st.Fragments != 0 || st.ParityFrags != 0 || st.WireBytes != 0 {
+				t.Errorf("%v -> %v: %d fragments sent, stats %+v", from.Suite, to.Suite, len(pkts), st)
+			}
 		}
-	}
-	if rcv.Stats.Fragments != 0 {
-		t.Fatal("AEAD receiver accepted a cleartext fragment")
-	}
-
-	pkts = nil
-	asnd, err := NewSender(s, func(p []byte) error {
-		pkts = append(pkts, append([]byte(nil), p...))
-		return nil
-	}, Config{Policy: NoRetransmit, Suite: SuiteAEAD, Key: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	asnd.Send(0, xcode.SyntaxRaw, payload(100, 1))
-	crcv, err := NewReceiver(s, nil, Config{Policy: NoRetransmit})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, pkt := range pkts {
-		if err := crcv.HandlePacket(pkt); !errors.Is(err, ErrBadHeader) {
-			t.Fatalf("AEAD fragment on cleartext stream: err = %v", err)
-		}
-	}
-	if crcv.Stats.Fragments != 0 {
-		t.Fatal("cleartext receiver accepted an AEAD fragment")
 	}
 }
 

@@ -55,8 +55,13 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/sim"
 	"repro/internal/tracing"
+	"repro/internal/wire"
 	"repro/internal/xcode"
 )
+
+// HeaderSize is the DATA fragment header length (see internal/wire for
+// the layout); Config.MTU counts it.
+const HeaderSize = wire.HeaderSize
 
 // Policy selects the loss-recovery scheme for a stream (§5).
 type Policy uint8
@@ -124,7 +129,7 @@ func (a *ADU) Release() {
 var (
 	ErrADUTooLarge  = errors.New("alf: ADU exceeds MaxADU")
 	ErrBufferLimit  = errors.New("alf: sender retention buffer full")
-	ErrBadHeader    = errors.New("alf: malformed or corrupt header")
+	ErrBadHeader    = wire.ErrBadHeader
 	ErrWrongStream  = errors.New("alf: fragment for another stream")
 	ErrNameOrder    = errors.New("alf: ADU names must be assigned by the sender")
 	ErrMTUTooSmall  = errors.New("alf: MTU leaves no fragment payload")
@@ -157,19 +162,21 @@ type Config struct {
 	RateBps float64
 	// Policy selects loss recovery (default SenderBuffered).
 	Policy Policy
-	// Key enables encryption when non-zero. Each ADU is enciphered
-	// under (Key, Name) with a position-addressable keystream, so ADUs
-	// and fragments decrypt in any order. Which cipher runs is chosen
-	// by Suite; under SuiteAEAD the 256-bit ChaCha20 key is expanded
+	// Key is the stream key of an enciphering Suite: non-zero under
+	// SuiteScramble and SuiteAEAD, zero under SuiteNone (Validate rejects
+	// a key that no cipher would use rather than send cleartext
+	// silently). Each ADU is enciphered under (Key, Name) with a
+	// position-addressable keystream, so ADUs and fragments decrypt in
+	// any order. Under SuiteAEAD the 256-bit ChaCha20 key is expanded
 	// from this seed (cipher.ExpandKey).
 	Key uint64
-	// Suite selects the cipher stage. The zero value (SuiteAuto) keeps
-	// the historical behavior — scramble keystream when Key != 0,
-	// cleartext otherwise. SuiteAEAD switches the datapath to fused
+	// Suite selects the cipher stage; the zero value is SuiteNone,
+	// cleartext. SuiteAEAD switches the datapath to fused
 	// ChaCha20-Poly1305: fragments carry a 16-byte tag after the
 	// ciphertext, the tag replaces the Internet checksum as the
 	// integrity pass, and corrupt fragments are dropped and recovered
-	// like losses. Both ends must agree.
+	// like losses. Both ends must agree: a receiver drops every fragment
+	// whose header names another suite.
 	Suite CipherSuite
 	// NackDelay is how long the receiver waits after first noticing a
 	// gap before requesting recovery, to let reordering settle
@@ -302,9 +309,10 @@ type Config struct {
 	// look stale and the model could never form). Informational
 	// otherwise — the protocol measures, it does not assume (§3).
 	PathRTT sim.Duration
-	// aeadKey is the expanded ChaCha20 key, precomputed by fill when
-	// Suite resolves to SuiteAEAD so the per-fragment path never
-	// re-expands it.
+	// suite is Suite's row of the cipher-suite table (crypto.go) and
+	// aeadKey the ChaCha20 key expanded from Key; fill sets both, so the
+	// per-fragment path neither looks a suite up nor re-expands a key.
+	suite   *suiteOps
 	aeadKey cipher.Key
 
 	// RecoveryFrac caps recovery traffic: retransmissions (SenderBuffered
@@ -393,13 +401,12 @@ func (c *Config) Validate() error {
 				ErrConfig, wr.StaleAfter, c.PathRTT)
 		}
 	}
-	switch c.Suite {
-	case SuiteAuto, SuiteNone, SuiteScramble, SuiteAEAD:
-	default:
+	if int(c.Suite) >= len(suites) {
 		return fmt.Errorf("%w: unknown cipher suite %d", ErrConfig, c.Suite)
 	}
-	if (c.Suite == SuiteScramble || c.Suite == SuiteAEAD) && c.Key == 0 {
-		return fmt.Errorf("%w: suite %v requires a non-zero Key", ErrConfig, c.Suite)
+	if (c.Suite == SuiteNone) != (c.Key == 0) {
+		return fmt.Errorf("%w: suite %v with Key %#x; a key needs an enciphering suite and an enciphering suite a non-zero key",
+			ErrConfig, c.Suite, c.Key)
 	}
 	if c.Suite == SuiteAEAD && c.MaxADU > aeadMaxADU {
 		return fmt.Errorf("%w: MaxADU %d exceeds the AEAD counter-domain limit %d",
@@ -413,13 +420,7 @@ func (c *Config) Validate() error {
 }
 
 func (c *Config) fill() {
-	if c.Suite == SuiteAuto {
-		if c.Key != 0 {
-			c.Suite = SuiteScramble
-		} else {
-			c.Suite = SuiteNone
-		}
-	}
+	c.suite = &suites[c.Suite]
 	if c.Suite == SuiteAEAD {
 		c.aeadKey = cipher.ExpandKey(c.Key)
 	}
@@ -474,15 +475,11 @@ func (c *Config) fill() {
 }
 
 // fragPayload returns the usable payload bytes per fragment: the MTU
-// minus the header (and, under SuiteAEAD, the per-fragment tag),
-// rounded down to a multiple of 8 (the fused-kernel alignment unit)
-// and capped at what the 16-bit wire length field can carry.
+// minus the header and the suite's per-fragment trailer, rounded down
+// to a multiple of 8 (the fused-kernel alignment unit) and capped at
+// what the 16-bit wire length field can carry.
 func (c *Config) fragPayload() int {
-	budget := c.MTU - HeaderSize
-	if c.Suite == SuiteAEAD {
-		budget -= aeadTagSize
-	}
-	fp := budget &^ 7
+	fp := (c.MTU - HeaderSize - c.suite.flags.Trailer()) &^ 7
 	if fp > 0xFFF8 {
 		fp = 0xFFF8
 	}

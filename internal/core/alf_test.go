@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/netsim"
 	"repro/internal/sim"
+	"repro/internal/wire"
 	"repro/internal/xcode"
 )
 
@@ -178,8 +179,8 @@ func TestLossOfFragmentLosesWholeADUOnly(t *testing.T) {
 	dropOne := true
 	var snd *Sender
 	send := func(pkt []byte) error {
-		if dropOne && PacketType(pkt) == 1 {
-			h, err := parseHeader(pkt)
+		if dropOne && wire.TypeOf(pkt) == wire.TypeData {
+			h, err := wire.ParseHeader(pkt)
 			if err == nil && h.Name == 5 && h.FragOff == 256 {
 				dropOne = false
 				return nil
@@ -221,7 +222,7 @@ func TestLossOfFragmentLosesWholeADUOnly(t *testing.T) {
 }
 
 func TestEncryptedStream(t *testing.T) {
-	cfg := Config{Key: 0xDEADBEEF, MTU: 256 + HeaderSize}
+	cfg := Config{Suite: SuiteScramble, Key: 0xDEADBEEF, MTU: 256 + HeaderSize}
 	p := newPair(t, netsim.LinkConfig{Delay: time.Millisecond,
 		ReorderProb: 0.3, ReorderDelay: 3 * time.Millisecond}, cfg, 5)
 	const n = 50
@@ -242,18 +243,18 @@ func TestEncryptedStream(t *testing.T) {
 func TestEncryptionActuallyCiphers(t *testing.T) {
 	// Sniff the wire: payload bytes must not equal the plaintext.
 	s := sim.NewScheduler()
-	cfg := Config{Key: 123}
-	var wire []byte
+	cfg := Config{Suite: SuiteScramble, Key: 123}
+	var onWire []byte
 	snd, _ := NewSender(s, func(pkt []byte) error {
-		if PacketType(pkt) == 1 {
-			wire = append([]byte(nil), pkt[HeaderSize:]...)
+		if wire.TypeOf(pkt) == wire.TypeData {
+			onWire = append([]byte(nil), pkt[HeaderSize:]...)
 		}
 		return nil
 	}, cfg)
 	data := payload(64, 9)
 	snd.Send(0, xcode.SyntaxRaw, data)
 	s.Run()
-	if bytes.Equal(wire, data) {
+	if bytes.Equal(onWire, data) {
 		t.Error("payload traveled in cleartext despite Key")
 	}
 }
@@ -401,7 +402,7 @@ func TestPacingSpacesFragments(t *testing.T) {
 	var times []sim.Time
 	cfg := Config{RateBps: 8e6, MTU: 1000 + HeaderSize} // ~1ms per ~1KB fragment
 	snd, _ := NewSender(s, func(pkt []byte) error {
-		if PacketType(pkt) == 1 {
+		if wire.TypeOf(pkt) == wire.TypeData {
 			times = append(times, s.Now())
 		}
 		return nil
@@ -428,7 +429,7 @@ func TestSetRateTakesEffect(t *testing.T) {
 	var times []sim.Time
 	cfg := Config{MTU: 1000 + HeaderSize}
 	snd, _ := NewSender(s, func(pkt []byte) error {
-		if PacketType(pkt) == 1 {
+		if wire.TypeOf(pkt) == wire.TypeData {
 			times = append(times, s.Now())
 		}
 		return nil
@@ -517,7 +518,7 @@ func TestHeaderCorruptionDropped(t *testing.T) {
 	rcv, _ := NewReceiver(s, nil, Config{})
 	// Valid-ish header with flipped bit.
 	snd, _ := NewSender(s, func(pkt []byte) error {
-		if PacketType(pkt) != 1 {
+		if wire.TypeOf(pkt) != wire.TypeData {
 			return nil
 		}
 		bad := append([]byte(nil), pkt...)
@@ -546,9 +547,9 @@ func TestRuntimeShortPacket(t *testing.T) {
 }
 
 func TestControlRoundtrip(t *testing.T) {
-	c := &control{Stream: 3, Cum: 12345, Nacks: []uint64{1, 5, 9}}
-	enc := encodeControl(c)
-	got, err := parseControl(enc)
+	c := &wire.Control{Stream: 3, Cum: 12345, Nacks: []uint64{1, 5, 9}}
+	enc := wire.EncodeControl(c)
+	got, err := wire.ParseControl(enc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -557,20 +558,20 @@ func TestControlRoundtrip(t *testing.T) {
 	}
 	// Corruption detected.
 	enc[5] ^= 1
-	if _, err := parseControl(enc); err == nil {
+	if _, err := wire.ParseControl(enc); err == nil {
 		t.Error("corrupt control accepted")
 	}
 }
 
 func TestHeaderRoundtrip(t *testing.T) {
-	h := header{
+	h := wire.Header{
 		Stream: 9, Name: 1 << 40, Tag: 0xFFFFFFFFFFFFFFFF,
-		Syntax: xcode.SyntaxXDR, Flags: flagEnciphered,
+		Syntax: xcode.SyntaxXDR, Flags: wire.FlagEnciphered,
 		TotalLen: 1 << 20, FragOff: 4096, FragLen: 1024, ADUCheck: 0xBEEF,
 	}
 	buf := make([]byte, HeaderSize+1024)
-	putHeader(buf, &h)
-	got, err := parseHeader(buf)
+	wire.PutHeader(buf, &h)
+	got, err := wire.ParseHeader(buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -580,9 +581,9 @@ func TestHeaderRoundtrip(t *testing.T) {
 }
 
 func TestPacketType(t *testing.T) {
-	if PacketType([]byte{1, 0}) != 1 || PacketType([]byte{2}) != 2 ||
-		PacketType([]byte{9}) != 0 || PacketType(nil) != 0 {
-		t.Error("PacketType misclassifies")
+	if wire.TypeOf([]byte{1, 0}) != wire.TypeData || wire.TypeOf([]byte{2}) != wire.TypeCtrl ||
+		wire.TypeOf([]byte{9}) != 0 || wire.TypeOf(nil) != 0 {
+		t.Error("TypeOf misclassifies")
 	}
 }
 
@@ -597,6 +598,7 @@ func TestPolicyString(t *testing.T) {
 
 func TestHostileLinkEndToEnd(t *testing.T) {
 	cfg := Config{
+		Suite:        SuiteScramble,
 		Key:          0x1234,
 		MTU:          512 + HeaderSize,
 		NackDelay:    5 * time.Millisecond,
@@ -638,7 +640,7 @@ func TestLossesExpressedInADUNames(t *testing.T) {
 	}
 	var rcv *Receiver
 	snd, _ := NewSender(s, func(pkt []byte) error {
-		h, err := parseHeader(pkt)
+		h, err := wire.ParseHeader(pkt)
 		if err == nil && h.Name == 1 {
 			return nil // ADU 1 never arrives, ever
 		}

@@ -41,6 +41,8 @@ func TestConfigValidateRejections(t *testing.T) {
 		{"RecoveryFrac above 1", Config{RecoveryFrac: 2}, "RecoveryFrac"},
 		{"controller without feedback", Config{RateBps: 1e6, Controller: &AIMD{}}, "FeedbackInterval"},
 		{"controller without pacing", Config{FeedbackInterval: 50 * time.Millisecond, Controller: &AIMD{}}, "RateBps"},
+		{"key without an enciphering suite", Config{Key: 0xC0FFEE}, "Key"},
+		{"enciphering suite without a key", Config{Suite: SuiteScramble}, "Key"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -4,6 +4,9 @@ import (
 	"encoding/binary"
 
 	"repro/internal/cipher"
+	"repro/internal/ilp"
+	"repro/internal/scramble"
+	"repro/internal/wire"
 )
 
 // CipherSuite selects the data-manipulation cipher stage for a stream
@@ -14,12 +17,9 @@ import (
 type CipherSuite uint8
 
 const (
-	// SuiteAuto (the zero value) keeps the legacy behavior: the
-	// scramble keystream when Config.Key is non-zero, cleartext
-	// otherwise. fill resolves it to one of the concrete suites.
-	SuiteAuto CipherSuite = iota
-	// SuiteNone sends cleartext; integrity is the Internet checksum.
-	SuiteNone
+	// SuiteNone (the zero value) sends cleartext; integrity is the
+	// Internet checksum. Config.Key must be zero.
+	SuiteNone CipherSuite = iota
 	// SuiteScramble is the xorshift64* simulation keystream (see
 	// internal/scramble): a stand-in cipher that exercises the fused
 	// datapath shape. Integrity is still the Internet checksum.
@@ -40,8 +40,6 @@ const (
 // String returns the suite name.
 func (cs CipherSuite) String() string {
 	switch cs {
-	case SuiteAuto:
-		return "auto"
 	case SuiteNone:
 		return "none"
 	case SuiteScramble:
@@ -53,9 +51,121 @@ func (cs CipherSuite) String() string {
 	}
 }
 
-// aeadTagSize is the per-fragment Poly1305 tag appended after the
-// ciphertext on SuiteAEAD wire fragments.
-const aeadTagSize = cipher.TagSize
+// suiteOps is one row of the cipher-suite table: everything the
+// datapath knows about a CipherSuite. fill resolves Config.Suite to its
+// row once, and the sender's packetize loop and the receiver's place
+// call go through it, so neither names a suite. Every function takes
+// the ADU's name and the fragment's byte offset within the ADU: each
+// suite's keystream is addressed by (key, name, offset), which is what
+// lets fragments be sealed and opened in any order.
+type suiteOps struct {
+	// flags are the wire.SuiteMask bits every fragment carries; the
+	// receiver drops a fragment whose bits differ from its own suite's.
+	// flags.Trailer() is how many bytes follow each payload on the wire.
+	flags wire.Flags
+	// aduCheck says the header's ADU-checksum field is in use: seal and
+	// open return partial sums, and the receiver folds and compares
+	// them when the ADU completes.
+	aduCheck bool
+	// seal is the sender's fused pass over one fragment: src is
+	// plaintext, dst receives len(src) wire bytes followed by the
+	// trailer. It returns the fragment's partial plaintext checksum.
+	seal func(c *Config, name uint64, off int, dst, src []byte) uint64
+	// sealParity fills the trailer of an FEC parity blob whose payload
+	// (the XOR of its group's wire payloads) is blob[:n]. Like
+	// openParity it is nil, and never called, when there is no trailer.
+	sealParity func(c *Config, name uint64, off int, blob []byte, n int)
+	// open is the receiver's fused pass: src is a fragment's wire
+	// payload, dst its place in the reassembly buffer. It returns the
+	// partial plaintext checksum and whether tag, the fragment's
+	// trailer, verifies. A nil tag means src was rebuilt from FEC
+	// parity: there is no trailer, and nothing to verify — the parity
+	// blob and every surviving member were verified on arrival and XOR
+	// is the only arithmetic between them.
+	open func(c *Config, name uint64, off int, dst, src, tag []byte) (uint64, bool)
+	// openParity verifies a parity blob's trailer.
+	openParity func(c *Config, name uint64, off int, blob, tag []byte) bool
+	// rekey XORs the keystream for ADU offsets [off, off+len(b)) into
+	// b, turning plaintext back into wire bytes (or the reverse). FEC
+	// reconstruction uses it to fold surviving members, held as
+	// plaintext, out of the parity without a scratch copy.
+	rekey func(c *Config, name uint64, off int, b []byte)
+}
+
+// suites is the table, indexed by CipherSuite.
+var suites = [...]suiteOps{
+	SuiteNone: {
+		aduCheck: true,
+		seal: func(_ *Config, _ uint64, _ int, dst, src []byte) uint64 {
+			return ilp.FusedCopySum(dst, src)
+		},
+		open: func(_ *Config, _ uint64, _ int, dst, src, _ []byte) (uint64, bool) {
+			return ilp.FusedCopySum(dst, src), true
+		},
+		rekey: func(*Config, uint64, int, []byte) {},
+	},
+	SuiteScramble: {
+		flags:    wire.FlagEnciphered,
+		aduCheck: true,
+		seal: func(c *Config, name uint64, off int, dst, src []byte) uint64 {
+			return ilp.FusedEncryptCopySum(dst, src, c.Key^name, off)
+		},
+		open: func(c *Config, name uint64, off int, dst, src, _ []byte) (uint64, bool) {
+			return ilp.FusedDecryptCopySum(dst, src, c.Key^name, off), true
+		},
+		rekey: func(c *Config, name uint64, off int, b []byte) {
+			scramble.XORAt(c.Key^name, off, b)
+		},
+	},
+	// SuiteAEAD: each fragment's ciphertext is produced straight into
+	// its wire buffer while the Poly1305 accumulator runs in the same
+	// fused loop (one load and one store per word, §6), and the tag
+	// lands right after the ciphertext. FEC parity is the XOR of the
+	// group's ciphertexts — not the tags — and carries its own tag over
+	// the blob, so a reconstructed fragment is authenticated
+	// transitively. There is no ADU checksum: the tags are the
+	// integrity pass.
+	SuiteAEAD: {
+		flags: wire.FlagAEAD,
+		seal: func(c *Config, name uint64, off int, dst, src []byte) uint64 {
+			nonce := aeadNonce(c.StreamID, name)
+			mac := newTagMAC(&c.aeadKey, &nonce, tagCtrData+uint32(off/8))
+			n := ilp.FusedEncryptCopyMAC(dst, src, &c.aeadKey, &nonce, off, &mac)
+			mac.Sum(dst[n : n+wire.TagSize])
+			return 0
+		},
+		sealParity: func(c *Config, name uint64, off int, blob []byte, n int) {
+			nonce := aeadNonce(c.StreamID, name)
+			mac := newTagMAC(&c.aeadKey, &nonce, tagCtrParity+uint32(off/8))
+			mac.Update(blob[:n])
+			mac.Sum(blob[n : n+wire.TagSize])
+		},
+		// The plaintext lands in the reassembly buffer before the
+		// verdict, which is safe because the caller accounts the range
+		// as received only on success — a forged fragment leaves no
+		// trace and the range stays recoverable.
+		open: func(c *Config, name uint64, off int, dst, src, tag []byte) (uint64, bool) {
+			nonce := aeadNonce(c.StreamID, name)
+			if tag == nil {
+				ilp.FusedDecryptCopyVerify(dst, src, &c.aeadKey, &nonce, off, nil)
+				return 0, true
+			}
+			mac := newTagMAC(&c.aeadKey, &nonce, tagCtrData+uint32(off/8))
+			ilp.FusedDecryptCopyVerify(dst, src, &c.aeadKey, &nonce, off, &mac)
+			return 0, mac.Verify(tag)
+		},
+		openParity: func(c *Config, name uint64, off int, blob, tag []byte) bool {
+			nonce := aeadNonce(c.StreamID, name)
+			mac := newTagMAC(&c.aeadKey, &nonce, tagCtrParity+uint32(off/8))
+			mac.Update(blob)
+			return mac.Verify(tag)
+		},
+		rekey: func(c *Config, name uint64, off int, b []byte) {
+			nonce := aeadNonce(c.StreamID, name)
+			cipher.XORKeyStream(&c.aeadKey, &nonce, off, b, b)
+		},
+	},
+}
 
 // ChaCha20 block-counter domains. The payload keystream for an ADU
 // starts at counter 1 (aeadOff in internal/ilp), growing upward by one

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/sim"
+	"repro/internal/wire"
 	"repro/internal/xcode"
 )
 
@@ -239,12 +240,12 @@ func TestNackDueOverflow(t *testing.T) {
 // trailing checksum must stay 16-bit aligned or verification can never
 // pass), and rejection of corruption.
 func TestCustodyAckWire(t *testing.T) {
-	ca := CustodyAck{Stream: 3, Relay: 7, Cum: 42, Names: []uint64{50, 99, 1 << 40}}
-	pkt := EncodeCustody(&ca)
+	ca := wire.CustodyAck{Stream: 3, Relay: 7, Cum: 42, Names: []uint64{50, 99, 1 << 40}}
+	pkt := wire.EncodeCustody(&ca)
 	if len(pkt)%2 != 0 {
 		t.Fatalf("CA frame length %d is odd; checksum slot unaligned", len(pkt))
 	}
-	got, err := ParseCustody(pkt)
+	got, err := wire.ParseCustody(pkt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,22 +256,22 @@ func TestCustodyAckWire(t *testing.T) {
 		t.Fatalf("names round trip: %v", got.Names)
 	}
 	// Empty names and zero cum: minimum frame.
-	min := EncodeCustody(&CustodyAck{})
-	if len(min) != custodyAckMin {
-		t.Fatalf("minimum CA frame is %d bytes, want %d", len(min), custodyAckMin)
+	min := wire.EncodeCustody(&wire.CustodyAck{})
+	if len(min) != 16 {
+		t.Fatalf("minimum CA frame is %d bytes, want %d", len(min), 16)
 	}
-	if _, err := ParseCustody(min); err != nil {
+	if _, err := wire.ParseCustody(min); err != nil {
 		t.Fatal(err)
 	}
 	// Every single-bit corruption must be rejected.
 	for bit := 0; bit < len(pkt)*8; bit++ {
 		mut := append([]byte(nil), pkt...)
 		mut[bit/8] ^= 1 << uint(bit%8)
-		if _, err := ParseCustody(mut); err == nil {
+		if _, err := wire.ParseCustody(mut); err == nil {
 			t.Fatalf("bit-%d corruption accepted", bit)
 		}
 	}
-	if _, err := ParseCustody(nil); err == nil {
+	if _, err := wire.ParseCustody(nil); err == nil {
 		t.Fatal("nil packet accepted")
 	}
 }
@@ -290,7 +291,7 @@ func TestSenderCustodyRelease(t *testing.T) {
 		}
 	}
 	// Frontier 1 (releases name 0) plus name 2 out of order.
-	ack := EncodeCustody(&CustodyAck{Stream: 0, Cum: 1, Names: []uint64{2}})
+	ack := wire.EncodeCustody(&wire.CustodyAck{Stream: 0, Cum: 1, Names: []uint64{2}})
 	if err := snd.HandleControl(ack); err != nil {
 		t.Fatal(err)
 	}
@@ -303,12 +304,12 @@ func TestSenderCustodyRelease(t *testing.T) {
 	}
 	// NACK for the custody-released name: suppressed. For the retained
 	// name: answered.
-	snd.HandleControl(encodeControl(&control{Stream: 0, Nacks: []uint64{2}}))
+	snd.HandleControl(wire.EncodeControl(&wire.Control{Stream: 0, Nacks: []uint64{2}}))
 	if snd.Stats.CustodyNacks != 1 || snd.Stats.ResentADUs != 0 {
 		t.Fatalf("CustodyNacks=%d ResentADUs=%d after NACK for released name, want 1 and 0",
 			snd.Stats.CustodyNacks, snd.Stats.ResentADUs)
 	}
-	snd.HandleControl(encodeControl(&control{Stream: 0, Nacks: []uint64{1}}))
+	snd.HandleControl(wire.EncodeControl(&wire.Control{Stream: 0, Nacks: []uint64{1}}))
 	if snd.Stats.ResentADUs != 1 {
 		t.Fatalf("ResentADUs=%d after NACK for retained name, want 1", snd.Stats.ResentADUs)
 	}
@@ -316,7 +317,7 @@ func TestSenderCustodyRelease(t *testing.T) {
 	// Without the opt-in, the same ack must release nothing.
 	snd2, _ := NewSender(s, func([]byte) error { return nil }, Config{})
 	snd2.Send(0, xcode.SyntaxRaw, make([]byte, 100))
-	snd2.HandleControl(EncodeCustody(&CustodyAck{Stream: 0, Cum: 10}))
+	snd2.HandleControl(wire.EncodeCustody(&wire.CustodyAck{Stream: 0, Cum: 10}))
 	if got := snd2.BufferedADUs(); got != 1 {
 		t.Fatalf("custody ack released retention without Config.Custody: %d buffered", got)
 	}

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/netsim"
 	"repro/internal/sim"
+	"repro/internal/wire"
 	"repro/internal/xcode"
 )
 
@@ -17,7 +18,7 @@ type fecRig struct {
 	snd   *Sender
 	rcv   *Receiver
 	adus  []ADU
-	drop  func(h *header) bool
+	drop  func(h *wire.Header) bool
 }
 
 func newFECRig(t *testing.T, cfg Config, linkCfg netsim.LinkConfig, seed int64) *fecRig {
@@ -30,8 +31,8 @@ func newFECRig(t *testing.T, cfg Config, linkCfg netsim.LinkConfig, seed int64) 
 
 	r := &fecRig{sched: s}
 	send := func(pkt []byte) error {
-		if r.drop != nil && PacketType(pkt) == 1 {
-			if h, err := parseHeader(pkt); err == nil && r.drop(&h) {
+		if r.drop != nil && wire.TypeOf(pkt) == wire.TypeData {
+			if h, err := wire.ParseHeader(pkt); err == nil && r.drop(&h) {
 				return nil
 			}
 		}
@@ -83,8 +84,8 @@ func TestFECRecoversSingleLossWithoutRetransmission(t *testing.T) {
 	r := newFECRig(t, cfg, netsim.LinkConfig{Delay: time.Millisecond}, 1)
 	// Drop the second data fragment (offset 256) of ADU 0, once.
 	dropped := false
-	r.drop = func(h *header) bool {
-		if !dropped && h.Flags&flagParity == 0 && h.Name == 0 && h.FragOff == 256 {
+	r.drop = func(h *wire.Header) bool {
+		if !dropped && h.Flags&wire.FlagParity == 0 && h.Name == 0 && h.FragOff == 256 {
 			dropped = true
 			return true
 		}
@@ -117,8 +118,8 @@ func TestFECRecoversLastShortFragment(t *testing.T) {
 	r := newFECRig(t, cfg, netsim.LinkConfig{Delay: time.Millisecond}, 1)
 	// ADU of 1000 bytes -> fragments 256,256,256,232; drop the short one.
 	dropped := false
-	r.drop = func(h *header) bool {
-		if !dropped && h.Flags&flagParity == 0 && h.FragOff == 768 {
+	r.drop = func(h *wire.Header) bool {
+		if !dropped && h.Flags&wire.FlagParity == 0 && h.FragOff == 768 {
 			dropped = true
 			return true
 		}
@@ -137,14 +138,14 @@ func TestFECRecoversLastShortFragment(t *testing.T) {
 
 func TestFECWithEncryption(t *testing.T) {
 	cfg := Config{
-		FECGroup: 2, MTU: 512 + HeaderSize, Key: 0xABCD,
+		FECGroup: 2, MTU: 512 + HeaderSize, Suite: SuiteScramble, Key: 0xABCD,
 		NackDelay: 5 * time.Millisecond, NackInterval: 5 * time.Millisecond,
 	}
 	r := newFECRig(t, cfg, netsim.LinkConfig{Delay: time.Millisecond}, 1)
 	dropped := 0
-	r.drop = func(h *header) bool {
+	r.drop = func(h *wire.Header) bool {
 		// Drop one data fragment per ADU (the first of group 2).
-		if h.Flags&flagParity == 0 && h.FragOff == 1024 && dropped < 5 {
+		if h.Flags&wire.FlagParity == 0 && h.FragOff == 1024 && dropped < 5 {
 			dropped++
 			return true
 		}
@@ -177,9 +178,9 @@ func TestFECDoubleGroupLossFallsBackToNack(t *testing.T) {
 	}
 	r := newFECRig(t, cfg, netsim.LinkConfig{Delay: time.Millisecond}, 1)
 	drops := 0
-	r.drop = func(h *header) bool {
+	r.drop = func(h *wire.Header) bool {
 		// Lose two data fragments of the same group, first time around.
-		if h.Flags&flagParity == 0 && (h.FragOff == 0 || h.FragOff == 256) && drops < 2 {
+		if h.Flags&wire.FlagParity == 0 && (h.FragOff == 0 || h.FragOff == 256) && drops < 2 {
 			drops++
 			return true
 		}
@@ -199,7 +200,7 @@ func TestFECDoubleGroupLossFallsBackToNack(t *testing.T) {
 func TestFECParityLossHarmless(t *testing.T) {
 	cfg := Config{FECGroup: 4, MTU: 256 + HeaderSize}
 	r := newFECRig(t, cfg, netsim.LinkConfig{Delay: time.Millisecond}, 1)
-	r.drop = func(h *header) bool { return h.Flags&flagParity != 0 }
+	r.drop = func(h *wire.Header) bool { return h.Flags&wire.FlagParity != 0 }
 	data := payload(4096, 3)
 	r.snd.Send(0, xcode.SyntaxRaw, data)
 	r.sched.Run()
@@ -308,7 +309,7 @@ func BenchmarkHandlePacketDataPath(b *testing.B) {
 	var pkts [][]byte
 	const pool = 512
 	snd, _ := NewSender(s, func(p []byte) error {
-		if PacketType(p) == 1 {
+		if wire.TypeOf(p) == wire.TypeData {
 			pkts = append(pkts, append([]byte(nil), p...))
 		}
 		return nil
@@ -341,9 +342,9 @@ func BenchmarkHandlePacketEncrypted(b *testing.B) {
 	s := sim.NewScheduler()
 	var pkts [][]byte
 	const pool = 512
-	cfg := Config{MTU: 1024 + HeaderSize, Key: 99}
+	cfg := Config{MTU: 1024 + HeaderSize, Suite: SuiteScramble, Key: 99}
 	snd, _ := NewSender(s, func(p []byte) error {
-		if PacketType(p) == 1 {
+		if wire.TypeOf(p) == wire.TypeData {
 			pkts = append(pkts, append([]byte(nil), p...))
 		}
 		return nil

@@ -5,6 +5,7 @@ import (
 	"testing/quick"
 
 	"repro/internal/sim"
+	"repro/internal/wire"
 	"repro/internal/xcode"
 )
 
@@ -80,7 +81,7 @@ func TestForgedControlCannotInflateState(t *testing.T) {
 	snd.Send(0, xcode.SyntaxRaw, payload(100, 1))
 	before := snd.BufferedBytes()
 	// A forged NACK for a name far in the future.
-	forged := encodeControl(&control{Stream: 0, Cum: 0, Nacks: []uint64{999999}})
+	forged := wire.EncodeControl(&wire.Control{Stream: 0, Cum: 0, Nacks: []uint64{999999}})
 	if err := snd.HandleControl(forged); err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +94,7 @@ func TestForgedControlCannotInflateState(t *testing.T) {
 	// A forged cum beyond everything releases the buffer — that is the
 	// protocol's trust model (control channel is trusted); verify it is
 	// at least bounded and non-panicking.
-	forged2 := encodeControl(&control{Stream: 0, Cum: 1 << 60})
+	forged2 := wire.EncodeControl(&wire.Control{Stream: 0, Cum: 1 << 60})
 	snd.HandleControl(forged2)
 	if snd.BufferedBytes() != 0 {
 		t.Error("cum release failed")
@@ -105,12 +106,12 @@ func TestForgedControlCannotInflateState(t *testing.T) {
 func TestReceiverMemoryBounded(t *testing.T) {
 	s := sim.NewScheduler()
 	rcv, _ := NewReceiver(s, nil, Config{MaxADU: 1 << 16})
-	h := header{
+	h := wire.Header{
 		Stream: 0, Name: 0, Tag: 0, Syntax: xcode.SyntaxRaw,
 		TotalLen: 1 << 30, FragOff: 0, FragLen: 8,
 	}
 	pkt := make([]byte, HeaderSize+8)
-	putHeader(pkt, &h)
+	wire.PutHeader(pkt, &h)
 	if err := rcv.HandlePacket(pkt); err == nil {
 		t.Error("1 GiB ADU claim accepted against a 64 KiB limit")
 	}
@@ -128,10 +129,10 @@ func TestInconsistentFragmentsRejected(t *testing.T) {
 	s := sim.NewScheduler()
 	rcv, _ := NewReceiver(s, nil, Config{})
 	mk := func(total, off, n int, tag uint64) []byte {
-		h := header{Stream: 0, Name: 5, Tag: tag, Syntax: xcode.SyntaxRaw,
+		h := wire.Header{Stream: 0, Name: 5, Tag: tag, Syntax: xcode.SyntaxRaw,
 			TotalLen: total, FragOff: off, FragLen: n}
 		pkt := make([]byte, HeaderSize+n)
-		putHeader(pkt, &h)
+		wire.PutHeader(pkt, &h)
 		return pkt
 	}
 	if err := rcv.HandlePacket(mk(1000, 0, 100, 1)); err != nil {
@@ -154,12 +155,12 @@ func TestNameWindowRejectsImplausibleNames(t *testing.T) {
 	// far ahead rather than record a gigantic gap.
 	s := sim.NewScheduler()
 	rcv, _ := NewReceiver(s, nil, Config{})
-	h := header{
+	h := wire.Header{
 		Stream: 0, Name: 1 << 42, Tag: 0, Syntax: xcode.SyntaxRaw,
 		TotalLen: 8, FragOff: 0, FragLen: 8,
 	}
 	pkt := make([]byte, HeaderSize+8)
-	putHeader(pkt, &h)
+	wire.PutHeader(pkt, &h)
 	if err := rcv.HandlePacket(pkt); err == nil {
 		t.Fatal("implausible name accepted")
 	}
@@ -170,7 +171,7 @@ func TestNameWindowRejectsImplausibleNames(t *testing.T) {
 		t.Error("state created for implausible name")
 	}
 	// Same for heartbeats.
-	if err := rcv.HandlePacket(encodeHeartbeat(0, 1<<42)); err == nil {
+	if err := rcv.HandlePacket(wire.EncodeHeartbeat(0, 1<<42)); err == nil {
 		t.Fatal("implausible heartbeat extent accepted")
 	}
 }
@@ -186,8 +187,8 @@ func corpusPackets() [][]byte {
 	}, Config{MTU: 128 + HeaderSize, FECGroup: 2})
 	snd.Send(3, xcode.SyntaxRaw, payload(300, 9))
 	pkts = append(pkts,
-		encodeHeartbeat(0, 4),
-		encodeControl(&control{Stream: 0, Cum: 2, Nacks: []uint64{2, 3}}))
+		wire.EncodeHeartbeat(0, 4),
+		wire.EncodeControl(&wire.Control{Stream: 0, Cum: 2, Nacks: []uint64{2, 3}}))
 	return pkts
 }
 
@@ -247,9 +248,9 @@ func FuzzHandleControl(f *testing.F) {
 // forged or corrupt frame must never grow state or resurrect a
 // released ADU.
 func FuzzHandleCustody(f *testing.F) {
-	f.Add(EncodeCustody(&CustodyAck{Stream: 0, Cum: 1, Names: []uint64{1}}))
-	f.Add(EncodeCustody(&CustodyAck{Stream: 0, Relay: 3, Cum: 0, Names: []uint64{0, 2, 1 << 40}}))
-	f.Add(EncodeCustody(&CustodyAck{Stream: 9, Cum: 5}))
+	f.Add(wire.EncodeCustody(&wire.CustodyAck{Stream: 0, Cum: 1, Names: []uint64{1}}))
+	f.Add(wire.EncodeCustody(&wire.CustodyAck{Stream: 0, Relay: 3, Cum: 0, Names: []uint64{0, 2, 1 << 40}}))
+	f.Add(wire.EncodeCustody(&wire.CustodyAck{Stream: 9, Cum: 5}))
 	f.Add([]byte{5})
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, pkt []byte) {

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/netsim"
 	"repro/internal/sim"
+	"repro/internal/wire"
 	"repro/internal/xcode"
 )
 
@@ -111,7 +112,7 @@ func TestHeartbeatBackoffCapsProbeRate(t *testing.T) {
 	s := sim.NewScheduler()
 	var times []sim.Time
 	snd, err := NewSender(s, func(p []byte) error {
-		if PacketType(p) == 3 {
+		if wire.TypeOf(p) == wire.TypeHB {
 			times = append(times, s.Now())
 		}
 		return nil
@@ -158,7 +159,7 @@ func TestHeartbeatLimitStillSilencesDeadPath(t *testing.T) {
 	s := sim.NewScheduler()
 	sent := 0
 	snd, err := NewSender(s, func(p []byte) error {
-		if PacketType(p) == 3 {
+		if wire.TypeOf(p) == wire.TypeHB {
 			sent++
 		}
 		return nil

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/buf"
 	"repro/internal/sim"
+	"repro/internal/wire"
 	"repro/internal/xcode"
 )
 
@@ -25,10 +26,10 @@ func pacerRig(t *testing.T, cfg Config, zeroCopy bool) (*sim.Scheduler, *Sender,
 	s := sim.NewScheduler()
 	log := &[]emission{}
 	record := func(p []byte) {
-		if len(p) == 0 || p[0] != typeData {
+		if wire.TypeOf(p) != wire.TypeData {
 			return // heartbeats are control-plane, not paced
 		}
-		h, err := parseHeader(p)
+		h, err := wire.ParseHeader(p)
 		if err != nil {
 			t.Fatalf("sink got malformed data packet: %v", err)
 		}
@@ -170,13 +171,13 @@ func TestFeedbackShedZeroAlloc(t *testing.T) {
 		t.Fatal("rig not backlogged")
 	}
 
-	var fb [feedbackSize]byte
+	var fb [wire.FeedbackSize]byte
 	seq := uint32(0)
-	wire := uint64(0)
+	recvd := uint64(0)
 	iter := func() {
 		seq++
-		wire += 1000
-		if err := snd.HandleControl(encodeFeedback(fb[:], 0, seq, wire, wire)); err != nil {
+		recvd += 1000
+		if err := snd.HandleControl(wire.EncodeFeedback(fb[:], 0, seq, recvd, recvd)); err != nil {
 			t.Fatal(err)
 		}
 		if _, err := snd.SendClass(7, xcode.SyntaxRaw, data, Droppable); !errors.Is(err, ErrShed) {
@@ -206,7 +207,7 @@ func TestReceiverFeedbackZeroAlloc(t *testing.T) {
 	// goes through encodeControl, a (pre-existing) allocating path that
 	// is not under test here.
 	rcv, err := NewReceiver(s, func(p []byte) error {
-		if len(p) > 0 && p[0] == typeFB {
+		if wire.TypeOf(p) == wire.TypeFB {
 			reports++
 		}
 		return nil

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/netsim"
 	"repro/internal/sim"
+	"repro/internal/wire"
 	"repro/internal/xcode"
 )
 
@@ -30,8 +31,8 @@ func newDropRig(t *testing.T, cfg Config, always, once map[uint64]bool) *dropRig
 	p := &pair{sched: s, net: n, ab: ab, ba: ba}
 	d := &dropRig{pair: p, dropped: map[uint64]int{}}
 	send := func(pkt []byte) error {
-		if PacketType(pkt) == 1 {
-			if h, err := parseHeader(pkt); err == nil {
+		if wire.TypeOf(pkt) == wire.TypeData {
+			if h, err := wire.ParseHeader(pkt); err == nil {
 				if always[h.Name] || (once[h.Name] && d.dropped[h.Name] == 0) {
 					d.dropped[h.Name]++
 					return nil
@@ -148,7 +149,7 @@ func TestNoRetransmitLossAccounting(t *testing.T) {
 	// A forged NACK (a confused or malicious peer) must be ignored
 	// without touching the resend or unfilled counters.
 	d.sched.After(20*time.Millisecond, func() {
-		d.snd.HandleControl(encodeControl(&control{Stream: cfg.StreamID, Nacks: []uint64{2}}))
+		d.snd.HandleControl(wire.EncodeControl(&wire.Control{Stream: cfg.StreamID, Nacks: []uint64{2}}))
 	})
 	d.sched.Run()
 

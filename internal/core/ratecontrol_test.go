@@ -7,29 +7,30 @@ import (
 
 	"repro/internal/netsim"
 	"repro/internal/sim"
+	"repro/internal/wire"
 	"repro/internal/xcode"
 )
 
 func TestFeedbackWireRoundtrip(t *testing.T) {
-	var buf [feedbackSize]byte
-	msg := encodeFeedback(buf[:], 7, 0xDEADBEEF, 1<<40, 12345)
-	if len(msg) != feedbackSize {
-		t.Fatalf("encoded length %d, want %d", len(msg), feedbackSize)
+	var buf [wire.FeedbackSize]byte
+	msg := wire.EncodeFeedback(buf[:], 7, 0xDEADBEEF, 1<<40, 12345)
+	if len(msg) != wire.FeedbackSize {
+		t.Fatalf("encoded length %d, want %d", len(msg), wire.FeedbackSize)
 	}
-	if PacketType(msg) != typeFB {
-		t.Errorf("PacketType = %d, want %d", PacketType(msg), typeFB)
+	if wire.TypeOf(msg) != wire.TypeFB {
+		t.Errorf("TypeOf = %d, want %d", wire.TypeOf(msg), wire.TypeFB)
 	}
-	stream, seq, wire, good, err := parseFeedback(msg)
+	stream, seq, recvd, good, err := wire.ParseFeedback(msg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stream != 7 || seq != 0xDEADBEEF || wire != 1<<40 || good != 12345 {
-		t.Errorf("roundtrip = (%d, %d, %d, %d)", stream, seq, wire, good)
+	if stream != 7 || seq != 0xDEADBEEF || recvd != 1<<40 || good != 12345 {
+		t.Errorf("roundtrip = (%d, %d, %d, %d)", stream, seq, recvd, good)
 	}
 
 	// Any single-byte corruption must be rejected by the checksum.
 	msg[9] ^= 0x40
-	if _, _, _, _, err := parseFeedback(msg); !errors.Is(err, ErrBadHeader) {
+	if _, _, _, _, err := wire.ParseFeedback(msg); !errors.Is(err, ErrBadHeader) {
 		t.Errorf("corrupt feedback parsed: %v", err)
 	}
 }
@@ -91,9 +92,9 @@ func TestFeedbackStaleSequenceIgnored(t *testing.T) {
 		FeedbackInterval: 50 * time.Millisecond,
 		Controller:       &AIMD{Floor: 1e5, Ceil: 1e7},
 	})
-	var buf [feedbackSize]byte
-	report := func(seq uint32, wire uint64) error {
-		return snd.HandleControl(encodeFeedback(buf[:], 0, seq, wire, wire))
+	var buf [wire.FeedbackSize]byte
+	report := func(seq uint32, recvd uint64) error {
+		return snd.HandleControl(wire.EncodeFeedback(buf[:], 0, seq, recvd, recvd))
 	}
 
 	if err := report(5, 1000); err != nil {
@@ -130,9 +131,9 @@ func TestFeedbackStaleSequenceIgnored(t *testing.T) {
 func TestFeedbackWrongStreamAndCorrupt(t *testing.T) {
 	snd := feedbackSender(t, Config{StreamID: 3, Policy: NoRetransmit, RateBps: 1e6,
 		FeedbackInterval: 50 * time.Millisecond})
-	var buf [feedbackSize]byte
+	var buf [wire.FeedbackSize]byte
 
-	msg := encodeFeedback(buf[:], 9, 1, 100, 100)
+	msg := wire.EncodeFeedback(buf[:], 9, 1, 100, 100)
 	if err := snd.HandleControl(msg); !errors.Is(err, ErrWrongStream) {
 		t.Errorf("wrong-stream feedback: %v", err)
 	}
@@ -140,7 +141,7 @@ func TestFeedbackWrongStreamAndCorrupt(t *testing.T) {
 		t.Errorf("wrong-stream report counted")
 	}
 
-	msg = encodeFeedback(buf[:], 3, 1, 100, 100)
+	msg = wire.EncodeFeedback(buf[:], 3, 1, 100, 100)
 	msg[6] ^= 0xFF
 	if err := snd.HandleControl(msg); !errors.Is(err, ErrBadHeader) {
 		t.Errorf("corrupt feedback: %v", err)
@@ -198,8 +199,8 @@ func TestShedOnReportedLoss(t *testing.T) {
 	if _, err := snd.Send(1, xcode.SyntaxRaw, data); err != nil {
 		t.Fatal(err)
 	}
-	var buf [feedbackSize]byte
-	if err := snd.HandleControl(encodeFeedback(buf[:], 0, 1, 0, 0)); err != nil {
+	var buf [wire.FeedbackSize]byte
+	if err := snd.HandleControl(wire.EncodeFeedback(buf[:], 0, 1, 0, 0)); err != nil {
 		t.Fatal(err)
 	}
 

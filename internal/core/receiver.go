@@ -5,10 +5,9 @@ import (
 	"slices"
 
 	"repro/internal/buf"
-	"repro/internal/cipher"
 	"repro/internal/ilp"
-	"repro/internal/scramble"
 	"repro/internal/sim"
+	"repro/internal/wire"
 	"repro/internal/xcode"
 )
 
@@ -25,7 +24,7 @@ type ReceiverStats struct {
 	ADUsLost      int64 // given up and reported to the application
 	OutOfOrder    int64 // ADUs delivered while a lower name was unsettled
 	ChecksumFails int64 // complete ADUs whose checksum failed
-	AuthFails     int64 // SuiteAEAD fragments whose Poly1305 tag failed
+	AuthFails     int64 // fragments whose authentication tag failed
 	NacksSent     int64 // recovery requests (ADU names, total)
 	CtrlSent      int64 // control messages
 	Heartbeats    int64 // sender extent declarations processed
@@ -45,7 +44,6 @@ type ReceiverStats struct {
 type partial struct {
 	tag       uint64
 	syntax    xcode.SyntaxID
-	flags     byte
 	check     uint16
 	total     int
 	ref       *buf.Ref // pooled reassembly buffer; buf aliases it
@@ -124,7 +122,7 @@ type Receiver struct {
 	fb         *sim.Timer
 	fbSeq      uint32
 	lastFBWire int64
-	fbScratch  [feedbackSize]byte
+	fbScratch  [wire.FeedbackSize]byte
 
 	m recvMetrics
 
@@ -175,10 +173,10 @@ func (r *Receiver) Missing() int { return len(r.missings) }
 // HandlePacket processes one arriving wire packet (DATA fragment or
 // heartbeat; CTRL is ignored here — control flows to the Sender).
 func (r *Receiver) HandlePacket(pkt []byte) error {
-	if len(pkt) > 0 && pkt[0] == typeHB {
+	if wire.TypeOf(pkt) == wire.TypeHB {
 		return r.handleHeartbeat(pkt)
 	}
-	h, err := parseHeader(pkt)
+	h, err := wire.ParseHeader(pkt)
 	if err != nil {
 		r.Stats.HeaderDrops++
 		return err
@@ -186,10 +184,13 @@ func (r *Receiver) HandlePacket(pkt []byte) error {
 	if h.Stream != r.cfg.StreamID {
 		return ErrWrongStream
 	}
-	if (h.Flags&flagAEAD != 0) != (r.cfg.Suite == SuiteAEAD) {
-		// Suites must agree end to end: a cleartext fragment arriving on
-		// an AEAD stream is unauthenticated input, and an AEAD fragment
-		// on a legacy stream cannot be verified.
+	ops := r.cfg.suite
+	if h.Flags&wire.SuiteMask != ops.flags {
+		// Suites must agree end to end, and it is this end's configured
+		// suite that opens the payload, never the one the packet claims:
+		// a cleartext fragment arriving on an enciphered stream is
+		// unauthenticated input, and a fragment of another suite cannot
+		// be opened at all.
 		r.Stats.HeaderDrops++
 		return fmt.Errorf("%w: cipher-suite flag mismatch", ErrBadHeader)
 	}
@@ -234,11 +235,10 @@ func (r *Receiver) HandlePacket(pkt []byte) error {
 		return ErrInconsistent
 	}
 	payload := pkt[HeaderSize : HeaderSize+h.FragLen]
-	aead := h.Flags&flagAEAD != 0
+	tag := pkt[HeaderSize+h.FragLen : HeaderSize+h.FragLen+h.Flags.Trailer()]
 
-	if h.Flags&flagParity != 0 {
-		if aead && !r.verifyParityTag(h.Name, h.FragOff, payload,
-			pkt[HeaderSize+h.FragLen:HeaderSize+h.FragLen+aeadTagSize]) {
+	if h.Flags&wire.FlagParity != 0 {
+		if len(tag) > 0 && !ops.openParity(&r.cfg, h.Name, h.FragOff, payload, tag) {
 			r.Stats.AuthFails++
 			return ErrAuthFail
 		}
@@ -253,18 +253,13 @@ func (r *Receiver) HandlePacket(pkt []byte) error {
 		r.Stats.DupFragments++
 		return nil
 	}
-	if aead {
-		if !r.placeAEAD(h.Name, p, h.FragOff, payload,
-			pkt[HeaderSize+h.FragLen:HeaderSize+h.FragLen+aeadTagSize]) {
-			// A fragment that fails authentication is a lost fragment:
-			// its range stays unaccounted (the plaintext bytes written
-			// into the reassembly buffer are dead until a verified copy
-			// overwrites them) and recovery re-requests the ADU.
-			r.Stats.AuthFails++
-			return ErrAuthFail
-		}
-	} else {
-		r.placeFragment(h.Name, p, h.FragOff, payload)
+	if !r.place(h.Name, p, h.FragOff, payload, tag) {
+		// A fragment that fails authentication is a lost fragment: its
+		// range stays unaccounted (the plaintext bytes written into the
+		// reassembly buffer are dead until a verified copy overwrites
+		// them) and recovery re-requests the ADU.
+		r.Stats.AuthFails++
+		return ErrAuthFail
 	}
 	r.Stats.Fragments++
 	r.Stats.FragmentBytes += int64(h.FragLen)
@@ -283,7 +278,7 @@ func (r *Receiver) HandlePacket(pkt []byte) error {
 
 // getPartial returns reassembly state for a new ADU: a recycled struct
 // (maps cleared on recycle) around a pooled buffer sized to the ADU.
-func (r *Receiver) getPartial(h *header) *partial {
+func (r *Receiver) getPartial(h *wire.Header) *partial {
 	var p *partial
 	if n := len(r.freeParts); n > 0 {
 		p = r.freeParts[n-1]
@@ -296,7 +291,6 @@ func (r *Receiver) getPartial(h *header) *partial {
 	*p = partial{
 		tag:       h.Tag,
 		syntax:    h.Syntax,
-		flags:     h.Flags &^ flagParity,
 		check:     h.ADUCheck,
 		total:     h.TotalLen,
 		ref:       ref,
@@ -321,58 +315,21 @@ func (r *Receiver) putPartial(p *partial) {
 	r.freeParts = append(r.freeParts, p)
 }
 
-// placeFragment runs the stage-one single data pass: place the fragment
-// (or a reconstructed one), decipher it, and extend the ADU checksum —
-// fused (§6).
-func (r *Receiver) placeFragment(name uint64, p *partial, off int, payload []byte) {
-	p.got[off] = len(payload)
-	if p.flags&flagEnciphered != 0 {
-		p.sum += ilp.FusedDecryptCopySum(p.buf[off:off+len(payload)], payload, r.cfg.Key^name, off)
-	} else {
-		p.sum += ilp.FusedCopySum(p.buf[off:off+len(payload)], payload)
-	}
-	p.gotBytes += len(payload)
-	r.m.ilpBytes.Add(int64(len(payload)))
-}
-
-// placeAEAD runs the SuiteAEAD stage-one pass for a data fragment:
-// decrypt-and-place fused with the Poly1305 accumulation over the
-// ciphertext, then verify the fragment's tag. The plaintext lands in
-// the reassembly buffer before the verdict, which is safe because the
-// range is only accounted as received on success — a forged fragment
-// leaves no trace in got/gotBytes and the range stays recoverable.
-func (r *Receiver) placeAEAD(name uint64, p *partial, off int, payload, tag []byte) bool {
-	nonce := aeadNonce(r.cfg.StreamID, name)
-	mac := newTagMAC(&r.cfg.aeadKey, &nonce, tagCtrData+uint32(off/8))
-	ilp.FusedDecryptCopyVerify(p.buf[off:off+len(payload)], payload, &r.cfg.aeadKey, &nonce, off, &mac)
-	if !mac.Verify(tag) {
+// place runs the stage-one single data pass: the stream's cipher
+// suite places the fragment (or a reconstructed one, tag nil) in the
+// reassembly buffer, deciphers it, and extends the ADU checksum or
+// verifies the fragment's tag — fused (§6). The range is accounted as
+// received only when that succeeds.
+func (r *Receiver) place(name uint64, p *partial, off int, payload, tag []byte) bool {
+	sum, ok := r.cfg.suite.open(&r.cfg, name, off, p.buf[off:off+len(payload)], payload, tag)
+	if !ok {
 		return false
 	}
+	p.sum += sum
 	p.got[off] = len(payload)
 	p.gotBytes += len(payload)
 	r.m.ilpBytes.Add(int64(len(payload)))
 	return true
-}
-
-// placeAEADRecovered places an FEC-reconstructed ciphertext fragment.
-// No tag runs here: the bytes are authenticated transitively — the
-// parity blob's own tag verified, every surviving member's tag
-// verified, and XOR is the only arithmetic between them.
-func (r *Receiver) placeAEADRecovered(name uint64, p *partial, off int, payload []byte) {
-	nonce := aeadNonce(r.cfg.StreamID, name)
-	ilp.FusedDecryptCopyVerify(p.buf[off:off+len(payload)], payload, &r.cfg.aeadKey, &nonce, off, nil)
-	p.got[off] = len(payload)
-	p.gotBytes += len(payload)
-	r.m.ilpBytes.Add(int64(len(payload)))
-}
-
-// verifyParityTag checks an FEC parity fragment's Poly1305 tag, which
-// covers the parity blob (the XOR of the group's ciphertexts) itself.
-func (r *Receiver) verifyParityTag(name uint64, off int, blob, tag []byte) bool {
-	nonce := aeadNonce(r.cfg.StreamID, name)
-	mac := newTagMAC(&r.cfg.aeadKey, &nonce, tagCtrParity+uint32(off/8))
-	mac.Update(blob)
-	return mac.Verify(tag)
 }
 
 // groupStart returns the FEC group start offset for a fragment offset.
@@ -386,7 +343,7 @@ func (r *Receiver) groupStart(off int) int {
 
 // handleParity stores an FEC parity fragment (in a pooled buffer) and
 // attempts recovery.
-func (r *Receiver) handleParity(h *header, p *partial, payload []byte) {
+func (r *Receiver) handleParity(h *wire.Header, p *partial, payload []byte) {
 	if p.parities == nil {
 		p.parities = make(map[int]*buf.Ref)
 	}
@@ -434,14 +391,13 @@ func (r *Receiver) tryReconstruct(name uint64, p *partial, gs int) {
 		return
 	}
 	// recon = parity XOR (wire bytes of every present fragment in the
-	// group), accumulated word-wise. p.buf holds plaintext, so when the
-	// stream is keyed, fold the keystream for each present fragment's
-	// positions back in after its XOR — the same bytes as re-enciphering
-	// the fragment first, without a scratch copy. Recovery-path cost
-	// only; the pooled accumulator goes straight back after placement.
+	// group), accumulated word-wise. p.buf holds plaintext, so fold the
+	// suite's keystream for each present fragment's positions back in
+	// after its XOR — the same bytes as re-enciphering the fragment
+	// first, without a scratch copy. Recovery-path cost only; the pooled
+	// accumulator goes straight back after placement.
 	recon := r.cfg.Pool.Get(parity.Len())
 	rb := recon.Bytes()
-	nonce := aeadNonce(r.cfg.StreamID, name)
 	ilp.WordCopy(rb, parity.Bytes())
 	for off := gs; off < p.total && off < gs+r.cfg.FECGroup*fp; off += fp {
 		n, have := p.got[off]
@@ -449,22 +405,10 @@ func (r *Receiver) tryReconstruct(name uint64, p *partial, gs int) {
 			continue
 		}
 		ilp.XORWords(rb, p.buf[off:off+n])
-		switch {
-		case p.flags&flagEnciphered != 0:
-			scramble.XORAt(r.cfg.Key^name, off, rb[:n])
-		case p.flags&flagAEAD != 0:
-			// p.buf holds plaintext; folding the ChaCha20 keystream back
-			// in turns the XORed plaintext into the member's ciphertext
-			// without a scratch copy, same as the scramble path.
-			cipher.XORKeyStream(&r.cfg.aeadKey, &nonce, off, rb[:n], rb[:n])
-		}
+		r.cfg.suite.rekey(&r.cfg, name, off, rb[:n])
 	}
 	r.Stats.FECRecovered++
-	if p.flags&flagAEAD != 0 {
-		r.placeAEADRecovered(name, p, missingOff, rb[:missingLen])
-	} else {
-		r.placeFragment(name, p, missingOff, rb[:missingLen])
-	}
+	r.place(name, p, missingOff, rb[:missingLen], nil)
 	recon.Release()
 }
 
@@ -474,7 +418,7 @@ func (r *Receiver) tryReconstruct(name uint64, p *partial, gs int) {
 // settle frontier so it can release retention even when earlier control
 // messages were lost.
 func (r *Receiver) handleHeartbeat(pkt []byte) error {
-	stream, next, err := parseHeartbeat(pkt)
+	stream, next, err := wire.ParseHeartbeat(pkt)
 	if err != nil {
 		r.Stats.HeaderDrops++
 		return err
@@ -500,7 +444,7 @@ func (r *Receiver) handleHeartbeat(pkt []byte) error {
 	if r.send != nil {
 		r.Stats.CtrlSent++
 		r.lastCum = r.cum
-		_ = r.send(encodeControl(&control{Stream: r.cfg.StreamID, Cum: r.cum}))
+		_ = r.send(wire.EncodeControl(&wire.Control{Stream: r.cfg.StreamID, Cum: r.cum}))
 	}
 	return nil
 }
@@ -530,9 +474,9 @@ func (r *Receiver) noteGapsUpTo(name uint64) {
 // either way.
 func (r *Receiver) complete(name uint64, p *partial) {
 	delete(r.partials, name)
-	// Under SuiteAEAD integrity was already settled per fragment by the
-	// Poly1305 tags; there is no ADU checksum to fold.
-	if p.flags&flagAEAD == 0 && ilp.FinishSum(p.sum) != p.check {
+	// A suite without an ADU checksum settled integrity per fragment, by
+	// its tags; there is nothing to fold.
+	if r.cfg.suite.aduCheck && ilp.FinishSum(p.sum) != p.check {
 		// A damaged ADU is a lost ADU (§5): discard it whole and let
 		// recovery request it again.
 		r.Stats.ChecksumFails++
@@ -578,7 +522,7 @@ func (r *Receiver) armFeedback() {
 	}
 }
 
-// onFeedback emits one delivery report (wire.go: cumulative counters,
+// onFeedback emits one delivery report (internal/wire: cumulative counters,
 // robust to report loss) and re-arms while the stream stays active.
 // A report also goes out when nothing arrived but recovery state is
 // pending — the sender then sees a zero-delivery interval, which is
@@ -596,7 +540,7 @@ func (r *Receiver) onFeedback() {
 	r.fbSeq++
 	r.Stats.FeedbackSent++
 	r.cfg.Tracer.FeedbackSent(r.cfg.StreamID, r.fbSeq, r.Stats.WireBytes)
-	_ = r.send(encodeFeedback(r.fbScratch[:], r.cfg.StreamID, r.fbSeq,
+	_ = r.send(wire.EncodeFeedback(r.fbScratch[:], r.cfg.StreamID, r.fbSeq,
 		uint64(r.Stats.WireBytes), uint64(r.Stats.DeliveredBytes)))
 	r.fb.Reset(r.cfg.FeedbackInterval)
 }
@@ -624,7 +568,7 @@ func (r *Receiver) onScan() {
 	}
 
 	// Scan in ascending name order, not map order: which names fit under
-	// maxNacksPerMsg and the order recovery requests reach the sender
+	// wire.MaxNames and the order recovery requests reach the sender
 	// both feed back into the simulation (and the shared network RNG
 	// draw sequence), so map iteration would make runs with identical
 	// seeds diverge. Oldest names first is also the useful priority —
@@ -652,7 +596,7 @@ func (r *Receiver) onScan() {
 					giveUp(name)
 				}
 			case nackDue(now, m.noticed, m.lastNack, m.nacks, r.cfg.NackDelay):
-				if len(nacks) < maxNacksPerMsg {
+				if len(nacks) < wire.MaxNames {
 					nacks = append(nacks, name)
 					m.nacks++
 					m.lastNack = now
@@ -671,7 +615,7 @@ func (r *Receiver) onScan() {
 				giveUp(name)
 			}
 		case nackDue(now, p.firstSeen, p.lastNack, p.nacks, r.cfg.NackDelay):
-			if len(nacks) < maxNacksPerMsg {
+			if len(nacks) < wire.MaxNames {
 				nacks = append(nacks, name)
 				p.nacks++
 				p.lastNack = now
@@ -687,7 +631,7 @@ func (r *Receiver) onScan() {
 		r.Stats.NacksSent += int64(len(nacks))
 		r.lastCum = r.cum
 		r.cfg.Tracer.NacksSent(r.cfg.StreamID, nacks)
-		_ = r.send(encodeControl(&control{Stream: r.cfg.StreamID, Cum: r.cum, Nacks: nacks}))
+		_ = r.send(wire.EncodeControl(&wire.Control{Stream: r.cfg.StreamID, Cum: r.cum, Nacks: nacks}))
 	}
 
 	if len(r.partials) > 0 || len(r.missings) > 0 || r.cum != r.lastCum {

@@ -5,9 +5,9 @@ import (
 	"math"
 
 	"repro/internal/buf"
-	"repro/internal/cipher"
 	"repro/internal/ilp"
 	"repro/internal/sim"
+	"repro/internal/wire"
 	"repro/internal/xcode"
 )
 
@@ -187,7 +187,7 @@ func (s *Sender) onHeartbeat() {
 	if s.emittedNext > 0 {
 		s.Stats.Heartbeats++
 		s.cfg.Tracer.HeartbeatSent(s.cfg.StreamID, s.emittedNext)
-		_ = s.send(encodeHeartbeat(s.cfg.StreamID, s.emittedNext))
+		_ = s.send(wire.EncodeHeartbeat(s.cfg.StreamID, s.emittedNext))
 	}
 	s.hb.Reset(s.hbInterval())
 }
@@ -346,7 +346,7 @@ func (s *Sender) shouldShed() bool {
 // and slice, call id); syntax identifies how data is encoded. It
 // returns the assigned ADU name.
 //
-// The data is copied (and under a non-zero Key, enciphered) before
+// The data is copied (and under an enciphering Suite, enciphered) before
 // return; the caller may reuse the buffer. The copy is the gather
 // pass: each fragment's wire payload is produced directly in a pooled
 // buffer with header headroom, checksummed in the same fused pass, so
@@ -407,146 +407,71 @@ func (s *Sender) SendClass(tag uint64, syntax xcode.SyntaxID, data []byte, class
 }
 
 // packetize runs the single fused pass over data: each fragment's wire
-// payload (enciphered under (Key, name) when keyed) is written straight
-// into a pooled buffer with HeaderSize headroom while the plaintext
-// checksum accumulates, and FEC parity accumulates word-wise into its
-// own pooled buffer. Fragment offsets are 8-aligned, so the per-
-// fragment partial sums add into the whole-ADU checksum. It appends to
-// frags (data fragments interleaved with each group's parity, in
-// emission order) and returns the list and the ADU checksum.
+// payload is sealed by the stream's cipher suite straight into a pooled
+// buffer with HeaderSize headroom (and the suite's trailer behind it)
+// while the plaintext checksum accumulates, and FEC parity — the XOR of
+// the group's wire payloads, trailers excluded — accumulates word-wise
+// into its own pooled buffer. Fragment offsets are 8-aligned, so the
+// per-fragment partial sums add into the whole-ADU checksum. It appends
+// to frags (data fragments interleaved with each group's parity, in
+// emission order) and returns the list and the ADU checksum (zero for
+// a suite without one).
 func (s *Sender) packetize(name uint64, data []byte, frags []wireFrag) ([]wireFrag, uint16) {
-	if s.cfg.Suite == SuiteAEAD {
-		return s.packetizeAEAD(name, data, frags), 0
-	}
 	frag := s.cfg.fragPayload()
-	keyed := s.cfg.Suite == SuiteScramble
+	ops, trailer := s.cfg.suite, s.cfg.suite.flags.Trailer()
 	var (
 		sum       uint64
 		parity    *buf.Ref // XOR accumulator for the current group
 		parityOff int      // group start offset
+		parityLen int      // blob length (first, longest fragment of the group)
 		inGroup   int      // data fragments accumulated
 	)
 	headroom := HeaderSize + len(s.cfg.Encap)
-	off := 0
-	for {
+	for off, last := 0, false; !last; {
 		n := len(data) - off
 		if n > frag {
 			n = frag
 		}
-		ref := s.cfg.Pool.GetHeadroom(n, headroom)
+		ref := s.cfg.Pool.GetHeadroom(n+trailer, headroom)
 		w := ref.Bytes()
-		if keyed {
-			sum += ilp.FusedEncryptCopySum(w, data[off:off+n], s.cfg.Key^name, off)
-		} else {
-			sum += ilp.FusedCopySum(w, data[off:off+n])
-		}
-		frags = append(frags, wireFrag{ref: ref, off: off, n: n})
-		if s.cfg.FECGroup > 0 {
-			if inGroup == 0 {
-				parityOff = off
-				parity = s.cfg.Pool.GetHeadroom(n, headroom) // first (longest) fragment of the group
-				ilp.WordCopy(parity.Bytes(), w)
-			} else {
-				ilp.XORWords(parity.Bytes(), w)
-			}
-			inGroup++
-			if inGroup == s.cfg.FECGroup {
-				frags = append(frags, wireFrag{ref: parity, off: parityOff, n: parity.Len(), parity: true})
-				parity, inGroup = nil, 0
-			}
-		}
-		off += n
-		if off >= len(data) {
-			break
-		}
-	}
-	if inGroup > 0 && parity != nil {
-		frags = append(frags, wireFrag{ref: parity, off: parityOff, n: parity.Len(), parity: true})
-	}
-	return frags, ilp.FinishSum(sum)
-}
-
-// packetizeAEAD is the SuiteAEAD gather pass: each fragment's
-// ciphertext is produced straight into its pooled wire buffer while the
-// Poly1305 accumulator runs in the same fused loop (one load and one
-// store per word, §6), and the 16-byte tag lands right after the
-// ciphertext. FEC parity accumulates the XOR of the group's
-// ciphertexts — not the tags — and carries its own tag over the blob,
-// so a reconstructed fragment is authenticated transitively. There is
-// no ADU checksum: the tags are the integrity pass.
-func (s *Sender) packetizeAEAD(name uint64, data []byte, frags []wireFrag) []wireFrag {
-	frag := s.cfg.fragPayload()
-	nonce := aeadNonce(s.cfg.StreamID, name)
-	var (
-		parity    *buf.Ref // XOR-of-ciphertexts accumulator for the current group
-		parityOff int      // group start offset
-		parityLen int      // blob length (first, longest fragment of the group)
-		inGroup   int
-	)
-	headroom := HeaderSize + len(s.cfg.Encap)
-	off := 0
-	for {
-		n := len(data) - off
-		if n > frag {
-			n = frag
-		}
-		ref := s.cfg.Pool.GetHeadroom(n+aeadTagSize, headroom)
-		w := ref.Bytes()
-		mac := newTagMAC(&s.cfg.aeadKey, &nonce, tagCtrData+uint32(off/8))
-		ilp.FusedEncryptCopyMAC(w[:n], data[off:off+n], &s.cfg.aeadKey, &nonce, off, &mac)
-		mac.Sum(w[n : n+aeadTagSize])
+		sum += ops.seal(&s.cfg, name, off, w, data[off:off+n])
 		frags = append(frags, wireFrag{ref: ref, off: off, n: n})
 		if s.cfg.FECGroup > 0 {
 			if inGroup == 0 {
 				parityOff, parityLen = off, n
-				parity = s.cfg.Pool.GetHeadroom(n+aeadTagSize, headroom)
+				parity = s.cfg.Pool.GetHeadroom(n+trailer, headroom)
 				ilp.WordCopy(parity.Bytes()[:n], w[:n])
 			} else {
 				ilp.XORWords(parity.Bytes()[:parityLen], w[:n])
 			}
 			inGroup++
-			if inGroup == s.cfg.FECGroup {
-				frags = append(frags, s.sealParity(&nonce, parity, parityOff, parityLen))
-				parity, inGroup = nil, 0
-			}
 		}
 		off += n
-		if off >= len(data) {
-			break
+		last = off >= len(data)
+		if inGroup > 0 && (inGroup == s.cfg.FECGroup || last) {
+			if trailer > 0 {
+				ops.sealParity(&s.cfg, name, parityOff, parity.Bytes(), parityLen)
+			}
+			frags = append(frags, wireFrag{ref: parity, off: parityOff, n: parityLen, parity: true})
+			inGroup = 0
 		}
 	}
-	if inGroup > 0 && parity != nil {
-		frags = append(frags, s.sealParity(&nonce, parity, parityOff, parityLen))
+	if !ops.aduCheck {
+		return frags, 0
 	}
-	return frags
-}
-
-// sealParity tags a completed FEC parity blob (the tag covers the blob
-// bytes themselves) and returns its wire fragment.
-func (s *Sender) sealParity(nonce *[cipher.NonceSize]byte, parity *buf.Ref, off, n int) wireFrag {
-	mac := newTagMAC(&s.cfg.aeadKey, nonce, tagCtrParity+uint32(off/8))
-	pb := parity.Bytes()
-	mac.Update(pb[:n])
-	mac.Sum(pb[n : n+aeadTagSize])
-	return wireFrag{ref: parity, off: off, n: n, parity: true}
+	return frags, ilp.FinishSum(sum)
 }
 
 // stamp prepends and fills each fragment's header in place: the
 // payload, already in its final position, never moves. Critical ADUs
-// carry flagCritical so intermediate custody relays can apply the
+// carry wire.FlagCritical so intermediate custody relays can apply the
 // application's survival priority without decoding payloads.
 func (s *Sender) stamp(name, tag uint64, syntax xcode.SyntaxID, totalLen int, ck uint16, class Priority, frags []wireFrag) {
-	var flags byte
-	switch s.cfg.Suite {
-	case SuiteScramble:
-		flags |= flagEnciphered
-	case SuiteAEAD:
-		flags |= flagAEAD
-	}
+	flags := s.cfg.suite.flags
 	if class == Critical {
-		flags |= flagCritical
+		flags |= wire.FlagCritical
 	}
-	h := header{
+	h := wire.Header{
 		Stream:   s.cfg.StreamID,
 		Name:     name,
 		Tag:      tag,
@@ -557,11 +482,11 @@ func (s *Sender) stamp(name, tag uint64, syntax xcode.SyntaxID, totalLen int, ck
 	for _, f := range frags {
 		h.Flags = flags
 		if f.parity {
-			h.Flags |= flagParity
+			h.Flags |= wire.FlagParity
 		}
 		h.FragOff = f.off
 		h.FragLen = f.n
-		putHeader(f.ref.Prepend(HeaderSize), &h)
+		wire.PutHeader(f.ref.Prepend(HeaderSize), &h)
 		if len(s.cfg.Encap) > 0 {
 			// The outer demux prefix, stamped once into the reserved
 			// headroom; resends of retained fragments reuse it as-is.
@@ -671,13 +596,13 @@ func (s *Sender) emit(pkt *buf.Ref, priority bool, markNext uint64, ref fragRef)
 // channel: cumulative releases and per-ADU recovery requests (CTRL),
 // or a delivery report (FB) for the rate-control loop.
 func (s *Sender) HandleControl(pkt []byte) error {
-	if len(pkt) > 0 && pkt[0] == typeFB {
+	switch wire.TypeOf(pkt) {
+	case wire.TypeFB:
 		return s.handleFeedback(pkt)
-	}
-	if len(pkt) > 0 && pkt[0] == typeCA {
+	case wire.TypeCA:
 		return s.handleCustody(pkt)
 	}
-	c, err := parseControl(pkt)
+	c, err := wire.ParseControl(pkt)
 	if err != nil {
 		s.Stats.CtrlDropped++
 		return err
@@ -718,7 +643,7 @@ func (s *Sender) HandleControl(pkt []byte) error {
 // RateSample, update the loss EWMA that drives shedding, and let the
 // controller (if any) set the next pacing rate.
 func (s *Sender) handleFeedback(pkt []byte) error {
-	stream, seq, wire, good, err := parseFeedback(pkt)
+	stream, seq, wire, good, err := wire.ParseFeedback(pkt)
 	if err != nil {
 		s.Stats.CtrlDropped++
 		return err
@@ -770,7 +695,7 @@ func (s *Sender) handleFeedback(pkt []byte) error {
 // delivery, and the receiver's own cumulative acks still govern when
 // the stream extent stops being declared.
 func (s *Sender) handleCustody(pkt []byte) error {
-	ca, err := ParseCustody(pkt)
+	ca, err := wire.ParseCustody(pkt)
 	if err != nil {
 		s.Stats.CtrlDropped++
 		return err
@@ -886,10 +811,7 @@ func (s *Sender) resend(name uint64) {
 			s.Stats.UnfilledNacks++
 			return
 		}
-		wireLen := saved.wireLen + len(saved.frags)*HeaderSize
-		if s.cfg.Suite == SuiteAEAD {
-			wireLen += len(saved.frags) * aeadTagSize
-		}
+		wireLen := saved.wireLen + len(saved.frags)*(HeaderSize+s.cfg.suite.flags.Trailer())
 		if !s.allowRecovery(wireLen, saved.class) {
 			return
 		}

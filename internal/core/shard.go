@@ -84,8 +84,9 @@ type ShardedConfig struct {
 	Flow Config
 	// Link configures each shard's duplex trunk (client<->server).
 	// RateBps is per-shard capacity: N shards carry N times this
-	// aggregate, which is exactly the scaling claim BENCH_0006
-	// measures.
+	// aggregate, which is exactly the scaling claim the flow-scale
+	// experiment measures (docs/SCALING.md; on the wall clock, the
+	// benchmark's flows_sharded_64k workload).
 	Link netsim.LinkConfig
 	// CtrlEpoch is the barrier period of the control plane (default
 	// 20 ms of virtual time): how often cross-shard directives apply

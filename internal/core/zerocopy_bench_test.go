@@ -6,6 +6,7 @@ import (
 	"repro/internal/buf"
 	"repro/internal/netsim"
 	"repro/internal/sim"
+	"repro/internal/wire"
 	"repro/internal/xcode"
 )
 
@@ -160,11 +161,11 @@ func BenchmarkFECRepair(b *testing.B) {
 	feed := make([][]byte, 0, len(pkts))
 	dataIdx := 0
 	for _, p := range pkts {
-		h, err := parseHeader(p)
+		h, err := wire.ParseHeader(p)
 		if err != nil {
 			b.Fatal(err)
 		}
-		if h.Flags&flagParity == 0 {
+		if h.Flags&wire.FlagParity == 0 {
 			if dataIdx%4 == 0 {
 				dataIdx++
 				continue
@@ -179,9 +180,9 @@ func BenchmarkFECRepair(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		// Rewrite the name per iteration so each op reassembles a fresh ADU.
 		for _, p := range feed {
-			h, _ := parseHeader(p)
+			h, _ := wire.ParseHeader(p)
 			h.Name = uint64(i)
-			putHeader(p, &h)
+			wire.PutHeader(p, &h)
 			_ = rcv.HandlePacket(p)
 		}
 	}

@@ -6,7 +6,7 @@ package experiments
 // and a trunk of capacity R. Because ADUs route themselves (the
 // 8-byte flow-id encapsulation), no serializing hot spot exists, and
 // the endpoint should sustain ~N x R aggregate virtual throughput —
-// the near-linear scaling curve archived as BENCH_0006.json.
+// the near-linear scaling curve in docs/SCALING.md.
 //
 // Two clocks are reported and must not be conflated. Virtual-time
 // throughput (AggMbps, ADUsPerVSec) is the architectural result: it

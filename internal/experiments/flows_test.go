@@ -12,7 +12,7 @@ import (
 // count, because each shard owns its trunk and no serializing hot spot
 // exists between them. The measurement is virtual time, so the
 // assertion is deterministic and holds under -race on any host —
-// BENCH_0006.json is the same curve at benchmark scale.
+// BenchmarkFlowScale is the same curve at benchmark scale.
 func TestFlowScaleNearLinear(t *testing.T) {
 	pts, err := RunFlowScaleSweep(FlowScaleConfig{
 		Flows:    4096,

@@ -10,6 +10,7 @@ import (
 	"repro/internal/netsim"
 	"repro/internal/sim"
 	"repro/internal/stats"
+	"repro/internal/wire"
 	"repro/internal/xcode"
 )
 
@@ -237,7 +238,7 @@ func RunF4(cfg F4Config, cellLossPct float64) (F4Point, error) {
 	}
 	var aduArrivals int64 // AAL messages that were ALF DATA fragments
 	reasm := atm.NewReassembler(1, func(mid uint16, msg []byte) {
-		if alf.PacketType(msg) == 1 {
+		if wire.TypeOf(msg) == wire.TypeData {
 			aduArrivals++
 		}
 		rcv.HandlePacket(msg)

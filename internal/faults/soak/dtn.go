@@ -14,6 +14,7 @@ import (
 	"repro/internal/sim"
 	"repro/internal/telemetry"
 	"repro/internal/tracing"
+	"repro/internal/wire"
 	"repro/internal/xcode"
 )
 
@@ -262,8 +263,8 @@ func RunDTN(cfg DTNConfig) (*DTNResult, error) {
 		// control-plane frames toward the sender, zero-copy either way.
 		fwd := func(up, down *netsim.Link) netsim.Handler {
 			return func(p *netsim.Packet) {
-				switch alf.PacketType(p.Payload) {
-				case 2, 4, 5:
+				switch wire.TypeOf(p.Payload) {
+				case wire.TypeCtrl, wire.TypeFB, wire.TypeCA:
 					_ = up.SendRef(p.Retain())
 				default:
 					_ = down.SendRef(p.Retain())

@@ -223,6 +223,7 @@ func Run(cfg Config) (*Result, error) {
 	// ---- ALF stream over the left/right path.
 	aCfg := alf.Config{
 		Policy:               cfg.Policy,
+		Suite:                alf.SuiteScramble,
 		Key:                  0xA1F0_0000_0000_0001,
 		NackDelay:            10 * time.Millisecond,
 		NackInterval:         20 * time.Millisecond,

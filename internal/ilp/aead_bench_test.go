@@ -8,7 +8,8 @@ import (
 )
 
 // The fused-vs-staged AEAD comparison across payload sizes — the §6
-// measurement with a real cipher. BENCH_0008.json archives these.
+// measurement with a real cipher. The repository benchmark's ladder
+// (benchmark/README.md) times the same kernels on the wall clock.
 
 var aeadBenchSizes = []int{256, 1024, 4096, 16384}
 

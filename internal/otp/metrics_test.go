@@ -7,6 +7,7 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/netsim"
 	"repro/internal/sim"
+	"repro/internal/wire"
 )
 
 // TestConnMetrics checks the bridged Stats views and the native
@@ -89,7 +90,7 @@ func TestHeadOfLineStallHistogram(t *testing.T) {
 	sent := 0
 	var snd *Conn
 	toRcv := func(seg []byte) error {
-		isData := len(seg) > 0 && seg[0]&flagData != 0
+		isData := len(seg) > 0 && seg[0]&wire.OTPData != 0
 		if isData {
 			if sent == drop {
 				sent++

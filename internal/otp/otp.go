@@ -15,44 +15,21 @@
 package otp
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"sort"
 	"time"
 
 	"repro/internal/buf"
-	"repro/internal/checksum"
 	"repro/internal/metrics"
 	"repro/internal/sim"
 	"repro/internal/tracing"
+	"repro/internal/wire"
 )
-
-// HeaderSize is the fixed OTP segment header length in bytes.
-//
-// Layout (big-endian):
-//
-//	0     flags (1=DATA, 2=ACK)
-//	1     connection id
-//	2:6   sequence number (stream offset of first payload byte)
-//	6:10  cumulative acknowledgement (next expected stream offset)
-//	10:12 advertised receive window (bytes, in 16-byte units)
-//	12:14 Internet checksum over header+payload
-//	14:16 payload length
-const HeaderSize = 16
-
-// Segment flags.
-const (
-	flagData = 1 << 0
-	flagAck  = 1 << 1
-)
-
-// windowUnit scales the 16-bit advertised-window field.
-const windowUnit = 16
 
 // Errors.
 var (
-	ErrSegmentSize = errors.New("otp: segment too short")
+	ErrSegmentSize = wire.ErrOTPShort
 	ErrBufferFull  = errors.New("otp: send buffer full")
 	ErrWrongConn   = errors.New("otp: segment for another connection")
 	ErrConnDead    = errors.New("otp: connection declared dead")
@@ -330,7 +307,7 @@ func (c *Conn) pump() {
 
 // transmit emits one DATA segment (with a piggybacked cumulative ACK).
 func (c *Conn) transmit(seq int64, payload []byte, isRetx bool) {
-	seg := c.makeSegment(flagData|flagAck, seq, payload)
+	seg := c.makeSegment(wire.OTPData|wire.OTPAck, seq, payload)
 	c.Stats.SegmentsSent++
 	c.m.segBytes.Observe(int64(len(payload)))
 	c.cfg.Tracer.SegmentSent(c.cfg.ConnID, seq, len(payload), isRetx)
@@ -366,22 +343,14 @@ func (c *Conn) sendOut(seg *buf.Ref) {
 // makeSegment builds a wire segment with checksum in a pooled buffer.
 // The caller owns the returned reference.
 func (c *Conn) makeSegment(flags byte, seq int64, payload []byte) *buf.Ref {
-	ref := c.cfg.Pool.Get(HeaderSize + len(payload))
+	ref := c.cfg.Pool.Get(wire.OTPHeaderSize + len(payload))
 	seg := ref.Bytes()
-	seg[0] = flags
-	seg[1] = c.cfg.ConnID
-	binary.BigEndian.PutUint32(seg[2:6], uint32(seq))
-	binary.BigEndian.PutUint32(seg[6:10], uint32(c.rcvNxt))
-	wnd := c.recvWindowAvail() / windowUnit
-	if wnd > 0xFFFF {
-		wnd = 0xFFFF
-	}
-	binary.BigEndian.PutUint16(seg[10:12], uint16(wnd))
-	binary.BigEndian.PutUint16(seg[14:16], uint16(len(payload)))
-	copy(seg[HeaderSize:], payload)
-	seg[12], seg[13] = 0, 0
-	ck := checksum.Sum16(seg)
-	binary.BigEndian.PutUint16(seg[12:14], ck)
+	copy(seg[wire.OTPHeaderSize:], payload)
+	wire.PutOTP(seg, &wire.OTPHeader{
+		Flags: flags, Conn: c.cfg.ConnID,
+		Seq: uint32(seq), Ack: uint32(c.rcvNxt),
+		Window: c.recvWindowAvail(), Len: len(payload),
+	})
 	return ref
 }
 
@@ -448,33 +417,27 @@ func (c *Conn) HandleSegment(seg []byte) error {
 	if c.dead {
 		return nil
 	}
-	if len(seg) < HeaderSize {
-		return fmt.Errorf("%w: %d bytes", ErrSegmentSize, len(seg))
+	h, err := wire.ParseOTP(seg)
+	if errors.Is(err, ErrSegmentSize) {
+		return fmt.Errorf("%w: %d bytes", err, len(seg))
 	}
-	if seg[1] != c.cfg.ConnID {
+	// The connection id is read before the verdict on the checksum, so
+	// a damaged segment counts against the connection it names only.
+	if h.Conn != c.cfg.ConnID {
 		return ErrWrongConn
 	}
-	if !checksum.Verify16(seg) {
+	if err != nil {
 		c.Stats.ChecksumDrops++
 		return nil
 	}
-	flags := seg[0]
-	plen := int(binary.BigEndian.Uint16(seg[14:16]))
-	if len(seg) < HeaderSize+plen {
-		c.Stats.ChecksumDrops++
-		return nil
-	}
-	ack := extend(binary.BigEndian.Uint32(seg[6:10]), c.sndUna)
-	wnd := int(binary.BigEndian.Uint16(seg[10:12])) * windowUnit
-	c.peerWnd = wnd
+	c.peerWnd = h.Window
 
-	if flags&flagAck != 0 {
-		c.handleAck(ack)
+	if h.Flags&wire.OTPAck != 0 {
+		c.handleAck(extend(h.Ack, c.sndUna))
 	}
-	if flags&flagData != 0 {
+	if h.Flags&wire.OTPData != 0 {
 		c.Stats.SegmentsReceived++
-		seq := extend(binary.BigEndian.Uint32(seg[2:6]), c.rcvNxt)
-		c.handleData(seq, seg[HeaderSize:HeaderSize+plen])
+		c.handleData(extend(h.Seq, c.rcvNxt), seg[wire.OTPHeaderSize:wire.OTPHeaderSize+h.Len])
 	}
 	return nil
 }
@@ -688,7 +651,7 @@ func (c *Conn) flushAck() {
 	c.ackOwed = false
 	c.ackTimer.Stop()
 	c.Stats.AcksSent++
-	c.sendOut(c.makeSegment(flagAck, 0, nil))
+	c.sendOut(c.makeSegment(wire.OTPAck, 0, nil))
 }
 
 // OOOSegments returns the offsets currently buffered ahead of a gap

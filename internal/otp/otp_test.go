@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/netsim"
 	"repro/internal/sim"
+	"repro/internal/wire"
 )
 
 // testPair wires two connection endpoints across a duplex netsim link.
@@ -80,7 +81,7 @@ func TestMultipleWrites(t *testing.T) {
 }
 
 func TestSegmentationRespectsMSS(t *testing.T) {
-	p := newPair(t, netsim.LinkConfig{MTU: 256 + HeaderSize, Delay: time.Millisecond},
+	p := newPair(t, netsim.LinkConfig{MTU: 256 + wire.OTPHeaderSize, Delay: time.Millisecond},
 		Config{MSS: 256}, 1)
 	data := pattern(10_000)
 	p.sender.Send(data)
@@ -193,7 +194,7 @@ func TestHeadOfLineBlocking(t *testing.T) {
 	a.SetHandler(func(pk *netsim.Packet) { sender.HandleSegment(pk.Payload) })
 	origSend := sender.send
 	sender.send = func(seg []byte) error {
-		if dropNext && seg[0]&flagData != 0 && dropped == 0 {
+		if dropNext && seg[0]&wire.OTPData != 0 && dropped == 0 {
 			dropped++
 			return nil // swallow one data segment
 		}
@@ -233,7 +234,7 @@ func TestHOLStallDuration(t *testing.T) {
 	dataSegs := 0
 	var sender *Conn
 	send := func(seg []byte) error {
-		if seg[0]&flagData != 0 {
+		if seg[0]&wire.OTPData != 0 {
 			dataSegs++
 			if dataSegs == 3 {
 				return nil // lose segment 3 once
@@ -425,7 +426,7 @@ func TestOnAckedCallback(t *testing.T) {
 func TestShortSegmentRejected(t *testing.T) {
 	s := sim.NewScheduler()
 	c := New(s, func([]byte) error { return nil }, Config{})
-	if err := c.HandleSegment(make([]byte, HeaderSize-1)); err == nil {
+	if err := c.HandleSegment(make([]byte, wire.OTPHeaderSize-1)); err == nil {
 		t.Error("short segment accepted")
 	}
 }
@@ -621,7 +622,7 @@ func BenchmarkHandleSegmentAckPath(b *testing.B) {
 	s := sim.NewScheduler()
 	var ack []byte
 	rcv := New(s, func(p []byte) error {
-		if p[0]&flagAck != 0 && p[0]&flagData == 0 && ack == nil {
+		if p[0]&wire.OTPAck != 0 && p[0]&wire.OTPData == 0 && ack == nil {
 			ack = append([]byte(nil), p...)
 		}
 		return nil
@@ -724,7 +725,7 @@ func TestForgedAckIgnored(t *testing.T) {
 	s := sim.NewScheduler()
 	var ack []byte
 	rcvSide := New(s, func(p []byte) error {
-		if p[0]&flagAck != 0 && p[0]&flagData == 0 && ack == nil {
+		if p[0]&wire.OTPAck != 0 && p[0]&wire.OTPData == 0 && ack == nil {
 			ack = append([]byte(nil), p...)
 		}
 		return nil

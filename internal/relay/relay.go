@@ -54,6 +54,7 @@ import (
 	"repro/internal/netsim"
 	"repro/internal/sim"
 	"repro/internal/tracing"
+	"repro/internal/wire"
 )
 
 // Errors. Test with errors.Is (alf.ErrConfig wraps every rejection).
@@ -280,18 +281,18 @@ func (r *Relay) bindMetrics() {
 // heartbeats only ever flow sender-to-receiver, control/feedback/
 // custody-acks only receiver-to-sender.
 func (r *Relay) handle(p *netsim.Packet) {
-	switch alf.PacketType(p.Payload) {
-	case 1: // DATA: store custody, forward downstream
+	switch wire.TypeOf(p.Payload) {
+	case wire.TypeData: // store custody, forward downstream
 		r.handleData(p)
-	case 3: // heartbeat: forward downstream
+	case wire.TypeHB: // forward downstream
 		r.Stats.HBForwarded++
 		_ = r.down.SendRef(p.Retain())
-	case 2: // control from downstream: intercept NACKs, forward rest
+	case wire.TypeCtrl: // from downstream: intercept NACKs, forward rest
 		r.handleControl(p)
-	case 4: // feedback report: forward upstream
+	case wire.TypeFB: // forward upstream
 		r.Stats.FBForwarded++
 		_ = r.up.SendRef(p.Retain())
-	case 5: // custody ack from a further downstream custodian
+	case wire.TypeCA: // from a further downstream custodian
 		r.handleCustodyAck(p)
 	default:
 		// Unknown or corrupt beyond recognition: pass it downstream
@@ -307,21 +308,21 @@ func (r *Relay) handleData(p *netsim.Packet) {
 	r.Stats.FwdFragments++
 	_ = r.down.SendRef(p.Retain())
 
-	fi, ok := alf.SniffFragment(p.Payload)
-	if !ok {
+	h, err := wire.ParseHeader(p.Payload)
+	if err != nil {
 		// Damaged in transit: forwarded above, but custody of bytes the
 		// receiver will reject is custody of nothing.
 		r.Stats.BadFrames++
 		return
 	}
-	if fi.Parity {
+	if h.Flags&wire.FlagParity != 0 {
 		// FEC parity recreates lost *fragments*; custody recovers whole
 		// ADUs from storage. Storing parity would double-count bytes
 		// toward completeness.
 		return
 	}
-	k := key{fi.Stream, fi.Name}
-	if fi.Name < r.cums[fi.Stream] {
+	k := key{h.Stream, h.Name}
+	if h.Name < r.cums[h.Stream] {
 		return // settled end to end; late duplicate
 	}
 	if _, gone := r.evicted[k]; gone {
@@ -332,12 +333,12 @@ func (r *Relay) handleData(p *netsim.Packet) {
 		if !r.admit(k, len(p.Payload)) {
 			return
 		}
-		e = &entry{totalLen: fi.TotalLen, critical: fi.Critical}
+		e = &entry{totalLen: h.TotalLen, critical: h.Flags&wire.FlagCritical != 0}
 		r.store[k] = e
 		r.order = append(r.order, k)
 	} else {
 		for _, off := range e.offs {
-			if off == fi.FragOff {
+			if off == h.FragOff {
 				r.Stats.DupFrags++
 				return
 			}
@@ -347,8 +348,8 @@ func (r *Relay) handleData(p *netsim.Packet) {
 		}
 	}
 	e.frags = append(e.frags, p.Retain())
-	e.offs = append(e.offs, fi.FragOff)
-	e.gotBytes += fi.FragLen
+	e.offs = append(e.offs, h.FragOff)
+	e.gotBytes += h.FragLen
 	e.wire += len(p.Payload)
 	r.stored += len(p.Payload)
 	if int64(r.stored) > r.Stats.MaxStoredBytes {
@@ -362,7 +363,7 @@ func (r *Relay) handleData(p *netsim.Packet) {
 	if !e.complete && e.gotBytes >= e.totalLen {
 		e.complete = true
 		r.Stats.ADUsComplete++
-		r.cfg.Tracer.CustodyStored(r.cfg.Name, fi.Stream, fi.Name, e.totalLen)
+		r.cfg.Tracer.CustodyStored(r.cfg.Name, h.Stream, h.Name, e.totalLen)
 		r.pending = append(r.pending, k)
 		if !r.ack.Active() {
 			r.ack.Reset(r.cfg.CustodyTimer)
@@ -456,7 +457,7 @@ func (r *Relay) onAck() {
 		var names []uint64
 		rest := r.pending[:0]
 		for _, k := range r.pending {
-			if k.stream != stream || len(names) >= alf.MaxCustodyNames {
+			if k.stream != stream || len(names) >= wire.MaxNames {
 				rest = append(rest, k)
 				continue
 			}
@@ -471,11 +472,11 @@ func (r *Relay) onAck() {
 		if len(names) == 0 {
 			continue
 		}
-		ca := alf.CustodyAck{Stream: stream, Relay: r.cfg.RelayID, Cum: r.cums[stream], Names: names}
+		ca := wire.CustodyAck{Stream: stream, Relay: r.cfg.RelayID, Cum: r.cums[stream], Names: names}
 		r.Stats.CustodyAckTX++
 		r.Stats.ADUsAcked += int64(len(names))
 		r.cfg.Tracer.CustodyAckSent(r.cfg.Name, stream, ca.Cum, len(names))
-		_ = r.up.Send(alf.EncodeCustody(&ca))
+		_ = r.up.Send(wire.EncodeCustody(&ca))
 	}
 }
 
@@ -483,7 +484,7 @@ func (r *Relay) onAck() {
 // complete in custody are answered from the store; the rest travel
 // upstream with the (always-forwarded) cumulative frontier.
 func (r *Relay) handleControl(p *netsim.Packet) {
-	ci, err := alf.ParseControlInfo(p.Payload)
+	ci, err := wire.ParseControl(p.Payload)
 	if err != nil {
 		// Corrupt control: forward opaquely, the endpoint drops it.
 		r.Stats.BadFrames++
@@ -511,7 +512,7 @@ func (r *Relay) handleControl(p *netsim.Packet) {
 		return
 	}
 	ci.Nacks = fwd
-	_ = r.up.Send(alf.EncodeControlInfo(ci))
+	_ = r.up.Send(wire.EncodeControl(&ci))
 }
 
 // clearBelow settles custody below the receiver's cumulative frontier.
@@ -541,7 +542,7 @@ func (r *Relay) clearBelow(stream byte, cum uint64) {
 // forwarded — custody chains hop by hop, and this relay's own acks
 // (already sent when the ADUs completed here) cover the upstream leg.
 func (r *Relay) handleCustodyAck(p *netsim.Packet) {
-	ca, err := alf.ParseCustody(p.Payload)
+	ca, err := wire.ParseCustody(p.Payload)
 	if err != nil {
 		r.Stats.BadFrames++
 		_ = r.up.SendRef(p.Retain())

@@ -79,7 +79,7 @@ type Result struct {
 
 // Config converts the negotiated result into an alf.Config.
 func (r Result) Config() alf.Config {
-	return alf.Config{
+	cfg := alf.Config{
 		StreamID: r.Params.StreamID,
 		MTU:      r.Params.MTU,
 		Policy:   r.Params.Policy,
@@ -87,6 +87,10 @@ func (r Result) Config() alf.Config {
 		RateBps:  r.Params.RateBps,
 		Key:      r.Key,
 	}
+	if r.Key != 0 {
+		cfg.Suite = alf.SuiteScramble
+	}
+	return cfg
 }
 
 // offer wire layout:
@@ -201,6 +205,28 @@ func MessageType(pkt []byte) int {
 		return int(pkt[0])
 	}
 	return 0
+}
+
+// Describe renders one session-plane message as a single line (no
+// newline) for packet traces. A message the parsers above reject is
+// shown as damaged.
+func Describe(pkt []byte) string {
+	switch MessageType(pkt) {
+	case typeOffer:
+		if p, _, err := parseOffer(pkt); err == nil {
+			return fmt.Sprintf("session OFFER stream=%d syntaxes=%d mtu=%d policy=%d fec=%d",
+				p.StreamID, len(p.Syntaxes), p.MTU, p.Policy, p.FECGroup)
+		}
+	case typeAccept:
+		if stream, syntax, _, err := parseAccept(pkt); err == nil {
+			return fmt.Sprintf("session ACCEPT stream=%d syntax=%d", stream, syntax)
+		}
+	case typeReject:
+		if stream, reason, err := parseReject(pkt); err == nil {
+			return fmt.Sprintf("session REJECT stream=%d reason=%d", stream, reason)
+		}
+	}
+	return fmt.Sprintf("session: damaged or unknown (%d bytes)", len(pkt))
 }
 
 // combineKey mixes the two contributions into the stream key.

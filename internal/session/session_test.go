@@ -3,6 +3,7 @@ package session
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"reflect"
 	"testing"
 	"testing/quick"
@@ -217,6 +218,26 @@ func TestMessageType(t *testing.T) {
 	}
 	if MessageType([]byte{1, 2, 3}) != 0 || MessageType(nil) != 0 {
 		t.Error("non-session types")
+	}
+}
+
+func TestDescribe(t *testing.T) {
+	offer := encodeOffer(Params{StreamID: 4, Syntaxes: allSyntaxes(), MTU: 1500, Policy: alf.NoRetransmit, FECGroup: 4}, 1)
+	for _, c := range []struct {
+		pkt  []byte
+		want string
+	}{
+		{offer, fmt.Sprintf("session OFFER stream=4 syntaxes=%d mtu=1500 policy=3 fec=4", len(allSyntaxes()))},
+		{encodeAccept(4, 2, 9), "session ACCEPT stream=4 syntax=2"},
+		{encodeReject(4, ReasonRefused), "session REJECT stream=4 reason=2"},
+		{offer[:10], "session: damaged or unknown (10 bytes)"},
+		{[]byte{typeAccept}, "session: damaged or unknown (1 bytes)"},
+		{[]byte{1, 2, 3}, "session: damaged or unknown (3 bytes)"},
+		{nil, "session: damaged or unknown (0 bytes)"},
+	} {
+		if got := Describe(c.pkt); got != c.want {
+			t.Errorf("Describe(%x) = %q, want %q", c.pkt, got, c.want)
+		}
 	}
 }
 

@@ -17,6 +17,7 @@ import (
 	"repro/internal/otp"
 	"repro/internal/sim"
 	"repro/internal/tracing"
+	"repro/internal/wire"
 	"repro/internal/xcode"
 )
 
@@ -313,5 +314,61 @@ func TestReportWriters(t *testing.T) {
 		if !bytes.Contains(probe.buf.Bytes(), []byte(probe.want)) {
 			t.Errorf("output missing %q:\n%s", probe.want, probe.buf.String())
 		}
+	}
+}
+
+// TestDropsOfAEADFragmentsCarryADUIdentity: a drop annotation must name
+// the ADU whatever the stream's cipher suite. AEAD fragments carry a
+// 16-byte tag after the payload, parity fragments included; each one
+// dropped on a down link is recorded as alf-data with the stream, name
+// and offset its header carries.
+func TestDropsOfAEADFragmentsCarryADUIdentity(t *testing.T) {
+	sched := sim.NewScheduler()
+	tracer := tracing.New(sched)
+	net := netsim.New(sched, 1)
+	net.SetTracer(tracer)
+	link := net.NewLink(net.NewNode("src"), net.NewNode("dst"), netsim.LinkConfig{Delay: time.Millisecond})
+	link.SetDown(true)
+
+	type frag struct {
+		off    int64
+		parity bool
+	}
+	var sent []frag
+	snd, err := alf.NewSender(sched, func(p []byte) error {
+		h, err := wire.ParseHeader(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sent = append(sent, frag{int64(h.FragOff), h.Flags&wire.FlagParity != 0})
+		return link.Send(p)
+	}, alf.Config{StreamID: 6, Suite: alf.SuiteAEAD, Key: 0xFEED, FECGroup: 2, MTU: alf.HeaderSize + 16 + 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	snd.Send(1, xcode.SyntaxRaw, make([]byte, 64)) // name 0
+	name, _ := snd.Send(2, xcode.SyntaxRaw, make([]byte, 200))
+
+	var dropped []frag
+	for _, e := range tracer.Events() {
+		if e.Kind != tracing.NetDrop || e.ADU != name {
+			continue
+		}
+		if e.Proto != wire.KindData || e.ID != 6 {
+			t.Errorf("drop recorded as proto %q stream %d, want %q stream 6", e.Proto, e.ID, wire.KindData)
+		}
+		dropped = append(dropped, frag{off: e.Off})
+	}
+	var parity int
+	for i, f := range sent[2:] { // ADU 0 went out as one fragment and its parity
+		if f.parity {
+			parity++
+		}
+		if i >= len(dropped) || dropped[i].off != f.off {
+			t.Fatalf("drops of ADU %d = %v, want one per sent fragment %v", name, dropped, sent[2:])
+		}
+	}
+	if len(dropped) != len(sent)-2 || parity == 0 {
+		t.Fatalf("%d drops for %d fragments (%d parity)", len(dropped), len(sent)-2, parity)
 	}
 }

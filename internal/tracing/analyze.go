@@ -4,6 +4,7 @@ import (
 	"sort"
 
 	"repro/internal/sim"
+	"repro/internal/wire"
 )
 
 // Unset marks a timestamp that never happened (e.g. FirstRX of an ADU
@@ -364,12 +365,12 @@ func (t *Tracer) Analyze() *Report {
 
 		case NetQueue:
 			switch e.Proto {
-			case ProtoALFData:
+			case wire.KindData:
 				a := getADU(e.ID, e.ADU)
 				a.Attr.Queueing += e.Dur
 				a.Attr.Serialization += e.Dur2
 				a.Events = append(a.Events, e)
-			case ProtoOTPData:
+			case wire.KindOTPData:
 				for _, m := range getConn(e.ID).msgs {
 					if e.Off < m.End && e.Off+int64(e.Len) > m.Off {
 						m.Attr.Queueing += e.Dur
@@ -379,11 +380,11 @@ func (t *Tracer) Analyze() *Report {
 			}
 		case NetDeliver:
 			switch e.Proto {
-			case ProtoALFData:
+			case wire.KindData:
 				a := getADU(e.ID, e.ADU)
 				a.Attr.Propagation += e.Dur
 				a.Events = append(a.Events, e)
-			case ProtoOTPData:
+			case wire.KindOTPData:
 				for _, m := range getConn(e.ID).msgs {
 					if e.Off < m.End && e.Off+int64(e.Len) > m.Off {
 						m.Attr.Propagation += e.Dur
@@ -393,11 +394,11 @@ func (t *Tracer) Analyze() *Report {
 		case NetDrop:
 			r.Drops[e.Cause]++
 			switch e.Proto {
-			case ProtoALFData:
+			case wire.KindData:
 				a := getADU(e.ID, e.ADU)
 				a.Drops++
 				a.Events = append(a.Events, e)
-			case ProtoOTPData:
+			case wire.KindOTPData:
 				getConn(e.ID).drops = append(getConn(e.ID).drops, e)
 			}
 

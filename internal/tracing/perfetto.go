@@ -163,7 +163,7 @@ func (t *Tracer) WritePerfetto(w io.Writer) error {
 		case NetDrop:
 			name = "drop:" + e.Cause
 			if e.Proto != "" {
-				name += " " + e.Proto
+				name += " " + string(e.Proto)
 			}
 		case NackTX:
 			name = fmt.Sprintf("nack %d", e.ADU)

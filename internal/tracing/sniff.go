@@ -1,145 +1,25 @@
 package tracing
 
-import (
-	"encoding/binary"
+import "repro/internal/wire"
 
-	"repro/internal/checksum"
-)
-
-// The network layer is deliberately payload-opaque (endpoints hand
-// netsim a []byte and nothing else), but a useful drop annotation has
-// to say *which* ADU died on the wire. Rather than widen the transport
-// API with identity side-channels, the tracer sniffs the payload the
-// same way internal/trace does: hand-decode the known wire formats
-// without importing the protocol packages (tracing must stay import-free
-// of core/otp/netsim, which all import it).
-//
-// Disambiguation: ALF type bytes (1=DATA, 2=CTRL, 3=HB) collide with
-// OTP flag values (1=DATA, 2=ACK, 3=DATA|ACK) at offset 0, so the
-// first byte alone cannot classify a packet. Both formats carry an
-// Internet checksum, and a packet valid under one format has ~2^-16
-// odds of also verifying under the other; the sniffer tries ALF first
-// (header checksum over the fixed 34-byte header), then OTP (checksum
-// over the whole segment). A rare misclassification mislabels one
-// annotation, never corrupts protocol state — acceptable for tracing.
-
-// refKind says what a sniff recognized.
-type refKind uint8
-
-const (
-	refNone    refKind = iota
-	refALFData         // ALF DATA fragment: ID=stream, ADU=name, Off/Len=fragment
-	refALFCtrl         // ALF control: ID=stream
-	refALFHB           // ALF heartbeat: ID=stream, ADU=declared next name
-	refALFFB           // ALF feedback report: ID=stream, ADU=report seq
-	refALFCA           // ALF custody ack: ID=stream, ADU=custody frontier
-	refOTPData         // OTP DATA segment: ID=conn, Off=seq, Len=payload
-	refOTPAck          // OTP pure ACK: ID=conn
-)
-
-// Wire layout constants duplicated from internal/core and internal/otp
-// (see those packages' header comments; change them together).
-const (
-	alfHeaderSize    = 34
-	alfHeartbeatSize = 12
-	alfFeedbackSize  = 24
-	alfTypeData      = 1
-	alfTypeCtrl      = 2
-	alfTypeHB        = 3
-	alfTypeFB        = 4
-	alfTypeCA        = 5
-
-	otpHeaderSize = 16
-	otpFlagData   = 1 << 0
-	otpFlagAck    = 1 << 1
-)
-
-// sniffInto classifies pkt and fills e's identity fields (ID, ADU,
-// Off, Len) for recognized formats. Len is left as set by the caller
-// (the full wire size) except for OTP data, where it becomes the
-// payload length so drop ranges line up with stream offsets.
-func sniffInto(e *Event, pkt []byte) refKind {
-	if len(pkt) == 0 {
-		return refNone
+// sniffInto fills e's identity fields (Proto, ID, ADU, Off) when the
+// payload is a frame format this repository knows. The network layer
+// is deliberately payload-opaque (endpoints hand netsim a []byte and
+// nothing else), but a useful drop annotation has to say *which* ADU
+// died on the wire; rather than widen the transport API with identity
+// side-channels, the tracer asks wire.Peek, the one classifier of the
+// frame formats. (It cannot ask the protocol packages themselves: core,
+// otp and netsim all import tracing. wire is a leaf.) Len is left as
+// set by the caller (the full wire size) except for OTP data, where it
+// becomes the payload length so drop ranges line up with stream
+// offsets.
+func sniffInto(e *Event, pkt []byte) {
+	p := wire.Peek(pkt)
+	if p.Kind == wire.KindNone {
+		return
 	}
-	switch pkt[0] {
-	case alfTypeData:
-		// Structural check first: an ALF fragment is exactly header +
-		// FragLen bytes. Checksums alone can collide deterministically
-		// (an OTP data segment with a zero payload folds to the same
-		// sum over any prefix), so shape narrows before arithmetic.
-		if len(pkt) >= alfHeaderSize &&
-			len(pkt) == alfHeaderSize+int(binary.BigEndian.Uint16(pkt[28:30])) &&
-			checksum.Verify16(pkt[:alfHeaderSize]) {
-			e.ID = pkt[1]
-			e.ADU = binary.BigEndian.Uint64(pkt[2:10])
-			e.Off = int64(binary.BigEndian.Uint32(pkt[24:28]))
-			e.Proto = ProtoALFData
-			return refALFData
-		}
-	case alfTypeCtrl:
-		if n := len(pkt); n >= 14 && checksum.Verify16(pkt) {
-			if k := int(binary.BigEndian.Uint16(pkt[10:12])); n == 12+8*k+2 {
-				e.ID = pkt[1]
-				e.Proto = ProtoALFCtrl
-				return refALFCtrl
-			}
-		}
-	case alfTypeHB:
-		if len(pkt) == alfHeartbeatSize && checksum.Verify16(pkt) {
-			e.ID = pkt[1]
-			e.ADU = binary.BigEndian.Uint64(pkt[2:10])
-			e.Proto = ProtoALFHB
-			return refALFHB
-		}
-	case alfTypeFB:
-		// No OTP collision possible: OTP flag values stop at 3.
-		if len(pkt) == alfFeedbackSize && checksum.Verify16(pkt) {
-			e.ID = pkt[1]
-			e.ADU = uint64(binary.BigEndian.Uint32(pkt[2:6]))
-			e.Proto = ProtoALFFB
-			return refALFFB
-		}
-	case alfTypeCA:
-		// No OTP collision possible either. A custody ack is
-		// 14 + 8*count + 2 bytes (see internal/core wire.go).
-		if n := len(pkt); n >= 16 && checksum.Verify16(pkt) {
-			if k := int(binary.BigEndian.Uint16(pkt[12:14])); n == 14+8*k+2 {
-				e.ID = pkt[1]
-				e.ADU = binary.BigEndian.Uint64(pkt[4:12])
-				e.Proto = ProtoALFCA
-				return refALFCA
-			}
-		}
+	e.Proto, e.ID, e.ADU, e.Off = p.Kind, p.ID, p.Name, int64(p.Off)
+	if p.Kind == wire.KindOTPData {
+		e.Len = p.Len
 	}
-	// Not a checksum-valid ALF packet; try OTP.
-	if len(pkt) >= otpHeaderSize && checksum.Verify16(pkt) {
-		flags := pkt[0]
-		plen := int(binary.BigEndian.Uint16(pkt[14:16]))
-		if len(pkt) == otpHeaderSize+plen {
-			e.ID = pkt[1]
-			if flags&otpFlagData != 0 && plen > 0 {
-				e.Off = int64(binary.BigEndian.Uint32(pkt[2:6]))
-				e.Len = plen
-				e.Proto = ProtoOTPData
-				return refOTPData
-			}
-			if flags&otpFlagAck != 0 {
-				e.Proto = ProtoOTPAck
-				return refOTPAck
-			}
-		}
-	}
-	return refNone
 }
-
-// Proto values set on network events by the payload sniffer.
-const (
-	ProtoALFData = "alf-data"
-	ProtoALFCtrl = "alf-ctrl"
-	ProtoALFHB   = "alf-hb"
-	ProtoALFFB   = "alf-fb"
-	ProtoALFCA   = "alf-ca"
-	ProtoOTPData = "otp-data"
-	ProtoOTPAck  = "otp-ack"
-)

@@ -7,10 +7,9 @@
 // loss to the head-of-line stall it opened on the ordered transport).
 //
 // Where internal/metrics answers "how much, in aggregate", tracing
-// answers "where did *this* ADU's nanoseconds go". internal/trace
-// stays what it is — the wire decoder that renders one packet as one
-// line; this package records structured events and reconstructs
-// timelines from them.
+// answers "where did *this* ADU's nanoseconds go". wire.Describe
+// renders one packet as one line; this package records structured
+// events and reconstructs timelines from them.
 //
 // # Cost when disabled
 //
@@ -42,14 +41,15 @@
 //   - fault window → drop: FaultBegan records which links a window
 //     covers; a down-drop on a covered link attaches the window's flow.
 //
-// Network-level events identify their ADU by sniffing the opaque
-// payload (see sniff.go); endpoint events are authoritative.
+// Network-level events identify their ADU by asking wire.Peek about
+// the opaque payload (see sniff.go); endpoint events are authoritative.
 package tracing
 
 import (
 	"fmt"
 
 	"repro/internal/sim"
+	"repro/internal/wire"
 )
 
 // Kind discriminates trace events.
@@ -187,14 +187,14 @@ func (k Kind) String() string {
 type Event struct {
 	At    sim.Time
 	Kind  Kind
-	Track string // "alf/snd/3", "alf/rcv/3", "otp/1", "net/a->b/0", "faults"
-	ID    byte   // stream id (ALF) or connection id (OTP)
-	ADU   uint64 // ADU name (ALF) or message index (OTP MsgSubmit)
-	Tag   uint64 // application tag (ADUSubmit only)
-	Off   int64  // fragment offset (ALF) or stream offset (OTP)
-	Len   int    // fragment/segment/ADU payload length
-	Cause string // drop cause, fault kind
-	Proto string // sniffed payload class on net events: alf-data, alf-ctrl, alf-hb, otp-data, otp-ack
+	Track string    // "alf/snd/3", "alf/rcv/3", "otp/1", "net/a->b/0", "faults"
+	ID    byte      // stream id (ALF) or connection id (OTP)
+	ADU   uint64    // ADU name (ALF) or message index (OTP MsgSubmit)
+	Tag   uint64    // application tag (ADUSubmit only)
+	Off   int64     // fragment offset (ALF) or stream offset (OTP)
+	Len   int       // fragment/segment/ADU payload length
+	Cause string    // drop cause, fault kind
+	Proto wire.Kind // sniffed payload class on net events: alf-data, alf-ctrl, ..., otp-ack
 	Dur   sim.Duration
 	Dur2  sim.Duration
 	Flow  uint64 // non-zero: causal flow id shared by linked events
@@ -650,7 +650,7 @@ func (t *Tracer) PacketDropped(link, cause string, payload []byte) {
 		return
 	}
 	e := Event{Kind: NetDrop, Track: link, Cause: cause, Len: len(payload)}
-	ref := sniffInto(&e, payload)
+	sniffInto(&e, payload)
 	if cause == "down" {
 		for i := len(t.faults) - 1; i >= 0; i-- {
 			if w := t.faults[i]; w.active && w.links[link] {
@@ -659,7 +659,7 @@ func (t *Tracer) PacketDropped(link, cause string, payload []byte) {
 			}
 		}
 	}
-	if ref == refOTPData {
+	if e.Proto == wire.KindOTPData {
 		flow := e.Flow
 		if flow == 0 {
 			flow = t.flow()

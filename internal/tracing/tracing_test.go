@@ -1,61 +1,26 @@
 package tracing
 
 import (
-	"encoding/binary"
 	"io"
 	"testing"
 	"time"
 
-	"repro/internal/checksum"
 	"repro/internal/sim"
+	"repro/internal/wire"
 )
 
-// mkALFData builds a checksum-valid ALF DATA fragment header (no
-// payload needed for sniffing: only the 34-byte header is verified).
-func mkALFData(stream byte, name uint64, off uint32, fragLen uint16) []byte {
-	pkt := make([]byte, 34+int(fragLen))
-	pkt[0] = 1
-	pkt[1] = stream
-	binary.BigEndian.PutUint64(pkt[2:10], name)
-	binary.BigEndian.PutUint32(pkt[20:24], uint32(fragLen))
-	binary.BigEndian.PutUint32(pkt[24:28], off)
-	binary.BigEndian.PutUint16(pkt[28:30], fragLen)
-	binary.BigEndian.PutUint16(pkt[32:34], checksum.Sum16(pkt[:34]))
+// mkALFData builds a valid ALF DATA fragment with a zero payload.
+func mkALFData(stream byte, name uint64, off, fragLen int) []byte {
+	pkt := make([]byte, wire.HeaderSize+fragLen)
+	wire.PutHeader(pkt, &wire.Header{Stream: stream, Name: name, TotalLen: off + fragLen, FragOff: off, FragLen: fragLen})
 	return pkt
 }
 
-// mkALFCtrl builds a checksum-valid control message with k NACKs.
-func mkALFCtrl(stream byte, nacks []uint64) []byte {
-	msg := make([]byte, 12+8*len(nacks)+2)
-	msg[0] = 2
-	msg[1] = stream
-	binary.BigEndian.PutUint16(msg[10:12], uint16(len(nacks)))
-	for i, n := range nacks {
-		binary.BigEndian.PutUint64(msg[12+8*i:], n)
-	}
-	binary.BigEndian.PutUint16(msg[len(msg)-2:], checksum.Sum16(msg))
-	return msg
-}
-
-// mkALFHB builds a checksum-valid heartbeat.
-func mkALFHB(stream byte, next uint64) []byte {
-	msg := make([]byte, 12)
-	msg[0] = 3
-	msg[1] = stream
-	binary.BigEndian.PutUint64(msg[2:10], next)
-	binary.BigEndian.PutUint16(msg[10:12], checksum.Sum16(msg))
-	return msg
-}
-
-// mkOTP builds a checksum-valid OTP segment.
+// mkOTP builds a valid OTP segment.
 func mkOTP(flags, conn byte, seq uint32, payload []byte) []byte {
-	seg := make([]byte, 16+len(payload))
-	seg[0] = flags
-	seg[1] = conn
-	binary.BigEndian.PutUint32(seg[2:6], seq)
-	binary.BigEndian.PutUint16(seg[14:16], uint16(len(payload)))
-	copy(seg[16:], payload)
-	binary.BigEndian.PutUint16(seg[12:14], checksum.Sum16(seg))
+	seg := make([]byte, wire.OTPHeaderSize+len(payload))
+	copy(seg[wire.OTPHeaderSize:], payload)
+	wire.PutOTP(seg, &wire.OTPHeader{Flags: flags, Conn: conn, Seq: seq, Len: len(payload)})
 	return seg
 }
 
@@ -63,32 +28,32 @@ func TestSniff(t *testing.T) {
 	cases := []struct {
 		name string
 		pkt  []byte
-		want refKind
+		want wire.Kind
 		id   byte
 		adu  uint64
 		off  int64
 		len_ int
 	}{
-		{"alf-data", mkALFData(3, 77, 1024, 512), refALFData, 3, 77, 1024, 0},
-		{"alf-ctrl", mkALFCtrl(5, []uint64{9, 11}), refALFCtrl, 5, 0, 0, 0},
-		{"alf-hb", mkALFHB(7, 42), refALFHB, 7, 42, 0, 0},
-		{"otp-data", mkOTP(1, 2, 9000, make([]byte, 300)), refOTPData, 2, 0, 9000, 300},
-		{"otp-ack", mkOTP(2, 4, 0, nil), refOTPAck, 4, 0, 0, 0},
-		{"empty", nil, refNone, 0, 0, 0, 0},
-		{"garbage", []byte{9, 9, 9, 9}, refNone, 0, 0, 0, 0},
+		{"alf-data", mkALFData(3, 77, 1024, 512), wire.KindData, 3, 77, 1024, 0},
+		{"alf-ctrl", wire.EncodeControl(&wire.Control{Stream: 5, Nacks: []uint64{9, 11}}), wire.KindCtrl, 5, 0, 0, 0},
+		{"alf-hb", wire.EncodeHeartbeat(7, 42), wire.KindHB, 7, 42, 0, 0},
+		{"otp-data", mkOTP(1, 2, 9000, make([]byte, 300)), wire.KindOTPData, 2, 0, 9000, 300},
+		{"otp-ack", mkOTP(2, 4, 0, nil), wire.KindOTPAck, 4, 0, 0, 0},
+		{"empty", nil, wire.KindNone, 0, 0, 0, 0},
+		{"garbage", []byte{9, 9, 9, 9}, wire.KindNone, 0, 0, 0, 0},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			var e Event
-			got := sniffInto(&e, c.pkt)
-			if got != c.want {
-				t.Fatalf("sniff = %d, want %d", got, c.want)
+			sniffInto(&e, c.pkt)
+			if e.Proto != c.want {
+				t.Fatalf("sniff = %q, want %q", e.Proto, c.want)
 			}
 			if e.ID != c.id || e.ADU != c.adu || e.Off != c.off {
 				t.Errorf("identity = (%d, %d, %d), want (%d, %d, %d)",
 					e.ID, e.ADU, e.Off, c.id, c.adu, c.off)
 			}
-			if c.want == refOTPData && e.Len != c.len_ {
+			if c.want == wire.KindOTPData && e.Len != c.len_ {
 				t.Errorf("otp data Len = %d, want payload length %d", e.Len, c.len_)
 			}
 		})
@@ -99,13 +64,13 @@ func TestSniffRejectsCorrupt(t *testing.T) {
 	pkt := mkALFData(3, 77, 0, 64)
 	pkt[5] ^= 0xFF // damage the name; header checksum must catch it
 	var e Event
-	if got := sniffInto(&e, pkt); got != refNone {
-		t.Fatalf("corrupt ALF header sniffed as %d, want refNone", got)
+	if sniffInto(&e, pkt); e.Proto != wire.KindNone {
+		t.Fatalf("corrupt ALF header sniffed as %q", e.Proto)
 	}
 	seg := mkOTP(1, 2, 100, make([]byte, 50))
 	seg[20] ^= 0xFF
-	if got := sniffInto(&e, seg); got != refNone {
-		t.Fatalf("corrupt OTP segment sniffed as %d, want refNone", got)
+	if sniffInto(&e, seg); e.Proto != wire.KindNone {
+		t.Fatalf("corrupt OTP segment sniffed as %q", e.Proto)
 	}
 }
 
@@ -224,7 +189,7 @@ func TestDropStallFaultFlow(t *testing.T) {
 	if drop == nil || drop.Flow != flow {
 		t.Fatalf("drop flow = %v, want fault flow %d", drop, flow)
 	}
-	if drop.Proto != ProtoOTPData || drop.Off != 5000 || drop.Len != 1000 {
+	if drop.Proto != wire.KindOTPData || drop.Off != 5000 || drop.Len != 1000 {
 		t.Errorf("drop sniffed as %q [%d,+%d)", drop.Proto, drop.Off, drop.Len)
 	}
 	if stall == nil || stall.Flow != flow {

@@ -26,8 +26,8 @@ type SoakConfig struct {
 	LossProb float64
 	// Seed drives the drop stream (default 1).
 	Seed uint64
-	// Suite selects the cipher plane (default alf.SuiteAEAD — the soak
-	// doubles as the fused-crypto-over-real-sockets check).
+	// Suite selects the cipher plane (alf.SuiteAEAD makes the soak
+	// double as the fused-crypto-over-real-sockets check).
 	Suite alf.CipherSuite
 	// FECGroup enables sender FEC (default 0).
 	FECGroup int
@@ -47,9 +47,6 @@ func (c *SoakConfig) fill() {
 	}
 	if c.Seed == 0 {
 		c.Seed = 1
-	}
-	if c.Suite == alf.SuiteAuto {
-		c.Suite = alf.SuiteAEAD
 	}
 	if c.SubmitEvery == 0 {
 		c.SubmitEvery = 2 * time.Millisecond
