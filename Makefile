@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test race vet lint bench benchmark benchmark-smoke fuzz soak soak-dtn soak-udp alloc-guard wire-leaf check
+.PHONY: build test race vet lint bench benchmark benchmark-smoke fuzz soak soak-dtn soak-udp alloc-guard wire-leaf portable check
 
 build:
 	$(GO) build ./...
@@ -96,13 +96,15 @@ lint: vet
 	fi
 
 # Allocation-regression gate: the steady-state datapath
-# (send -> forward -> deliver, plus the FEC paths), the receiver's gap
-# scan, and the event plane at depth (a link with a 16384-packet
-# backlog, a scheduler with 65536 armed timers) must run at
-# 0 allocs/op. The tests assert testing.AllocsPerRun == 0; the bench
-# run reports the same numbers with -benchmem for the log.
+# (send -> forward -> deliver, plus the FEC paths), SenderBuffered
+# retention, the receiver's gap scan, udplink's batch path (sendmmsg ->
+# recvmmsg -> inbox -> dispatch over loopback), and the event plane at
+# depth (a link with a 16384-packet backlog, a scheduler with 65536
+# armed timers) must run at 0 allocs/op. The tests assert
+# testing.AllocsPerRun == 0; the bench run reports the same numbers
+# with -benchmem for the log.
 alloc-guard:
-	$(GO) test -count=1 -run 'ZeroAlloc' -v ./internal/core
+	$(GO) test -count=1 -run 'ZeroAlloc' -v ./internal/core ./internal/udplink
 	$(GO) test -run '^$$' -bench 'SendSteadyState|ReceivePath|FECSender|FECRepair|NetsimForward|LinkDeepQueue|SchedulerDeep' -benchmem ./internal/core ./internal/netsim ./internal/sim
 
 # internal/wire owns every frame format and must stay a leaf:
@@ -113,4 +115,14 @@ wire-leaf:
 	@bad=$$($(GO) list -f '{{join .Imports "\n"}}' ./internal/wire | grep '^repro/' | grep -v -x -e repro/internal/checksum -e repro/internal/xcode); \
 	if [ -n "$$bad" ]; then echo "internal/wire must stay a leaf, but imports:"; echo "$$bad"; exit 1; fi
 
-check: build vet wire-leaf test race fuzz soak soak-dtn soak-udp alloc-guard benchmark-smoke
+# udplink picks its socket I/O by platform (mmsg_linux*.go against
+# mmsg_other.go), and only one side of that choice compiles here.
+# Cross-compile the others so they cannot rot: the second batch-path
+# architecture, a non-linux unix, and windows. Standard library only,
+# so this works offline.
+portable:
+	GOOS=linux GOARCH=arm64 $(GO) build ./...
+	GOOS=darwin GOARCH=arm64 $(GO) build ./...
+	GOOS=windows GOARCH=amd64 $(GO) vet ./internal/udplink
+
+check: build vet wire-leaf portable test race fuzz soak soak-dtn soak-udp alloc-guard benchmark-smoke

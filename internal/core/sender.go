@@ -63,12 +63,34 @@ type savedADU struct {
 	class   Priority // Critical resends bypass the recovery cap
 }
 
-// release drops the retention references.
-func (a *savedADU) release() {
+// retain starts retention of a just-stamped ADU, in a recycled
+// savedADU if one is free.
+func (s *Sender) retain(name uint64, saved savedADU, frags []wireFrag) {
+	var a *savedADU
+	if n := len(s.freeSaved); n > 0 {
+		a = s.freeSaved[n-1]
+		s.freeSaved[n-1] = nil
+		s.freeSaved = s.freeSaved[:n-1]
+	} else {
+		a = new(savedADU)
+	}
+	saved.frags = append(a.frags, frags...)
+	*a = saved
+	s.buffered[name] = a
+	s.bufBytes += a.wireLen
+}
+
+// unretain ends retention of a buffered ADU: its wire packets go back
+// to the pool, and the struct and its fragment list are kept for the
+// next ADU.
+func (s *Sender) unretain(name uint64, a *savedADU) {
 	for _, f := range a.frags {
 		f.ref.Release()
 	}
-	a.frags = nil
+	a.frags = a.frags[:0]
+	s.bufBytes -= a.wireLen
+	delete(s.buffered, name)
+	s.freeSaved = append(s.freeSaved, a)
 }
 
 // Sender is the sending half of an ALF stream.
@@ -104,6 +126,7 @@ type Sender struct {
 
 	nextName  uint64
 	buffered  map[uint64]*savedADU
+	freeSaved []*savedADU // released retention structs awaiting reuse
 	bufBytes  int
 	pacerFree sim.Time
 
@@ -272,9 +295,7 @@ func (s *Sender) onRetire() {
 			continue
 		}
 		if due <= now {
-			s.bufBytes -= saved.wireLen
-			saved.release()
-			delete(s.buffered, name)
+			s.unretain(name, saved)
 			s.Stats.DeadlineDrops++
 			s.cfg.Tracer.ADUExpired(s.cfg.StreamID, name)
 			if s.OnExpire != nil {
@@ -384,10 +405,7 @@ func (s *Sender) SendClass(tag uint64, syntax xcode.SyntaxID, data []byte, class
 
 	retain := s.cfg.Policy == SenderBuffered
 	if retain {
-		saved := &savedADU{tag: tag, syntax: syntax, wireLen: len(data), check: ck, sentAt: s.sched.Now(), class: class}
-		saved.frags = append(saved.frags, frags...)
-		s.buffered[name] = saved
-		s.bufBytes += len(data)
+		s.retain(name, savedADU{tag: tag, syntax: syntax, wireLen: len(data), check: ck, sentAt: s.sched.Now(), class: class}, frags)
 		if s.cfg.ADUDeadline > 0 && !s.retire.Active() {
 			s.retire.Reset(s.cfg.ADUDeadline)
 		}
@@ -622,9 +640,7 @@ func (s *Sender) HandleControl(pkt []byte) error {
 	// Release everything settled at the receiver.
 	for name, saved := range s.buffered {
 		if name < c.Cum {
-			s.bufBytes -= saved.wireLen
-			saved.release()
-			delete(s.buffered, name)
+			s.unretain(name, saved)
 			s.Stats.Released++
 			if s.OnRelease != nil {
 				s.OnRelease(name)
@@ -724,9 +740,7 @@ func (s *Sender) handleCustody(pkt []byte) error {
 		if !ok {
 			return
 		}
-		s.bufBytes -= saved.wireLen
-		saved.release()
-		delete(s.buffered, name)
+		s.unretain(name, saved)
 		s.Stats.CustodyReleased++
 		s.cfg.Tracer.CustodyReleased(s.cfg.StreamID, ca.Relay, name)
 		if s.OnRelease != nil {

@@ -7,6 +7,7 @@ import (
 	"repro/internal/buf"
 	"repro/internal/netsim"
 	"repro/internal/sim"
+	"repro/internal/wire"
 	"repro/internal/xcode"
 )
 
@@ -165,5 +166,48 @@ func TestScanPassZeroAlloc(t *testing.T) {
 	}
 	if s.Fired()-fired < 100 || rcv.Pending() != 1 || ctrl != 0 {
 		t.Fatalf("rig broken: %d scans, %d partials, %d control messages", s.Fired()-fired, rcv.Pending(), ctrl)
+	}
+}
+
+// TestSenderBufferedRetentionZeroAlloc guards retention under
+// SenderBuffered: with a few ADUs always outstanding, each submission
+// retains its wire packets in a recycled savedADU and each cumulative
+// acknowledgement recycles the oldest, so the send -> release cycle
+// must not allocate.
+func TestSenderBufferedRetentionZeroAlloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race detector instrumentation allocates")
+	}
+	s := sim.NewScheduler()
+	snd, err := NewSender(s, func([]byte) error { return nil }, Config{Policy: SenderBuffered})
+	if err != nil {
+		t.Fatal(err)
+	}
+	snd.SendRef = func(ref *buf.Ref) error { ref.Release(); return nil }
+
+	const window, cycles = 4, 8 + 101 // warm-up, then AllocsPerRun's own warm-up call and its 100 runs
+	acks := make([][]byte, cycles)
+	for i := range acks {
+		acks[i] = wire.EncodeControl(&wire.Control{Stream: snd.Config().StreamID, Cum: uint64(max(i+1-window, 0))})
+	}
+	data := make([]byte, benchADUBytes)
+	name := uint64(0)
+	cycle := func() {
+		if _, err := snd.Send(name, xcode.SyntaxRaw, data); err != nil {
+			t.Fatal(err)
+		}
+		if err := snd.HandleControl(acks[name]); err != nil {
+			t.Fatal(err)
+		}
+		name++
+	}
+	for i := 0; i < 8; i++ {
+		cycle()
+	}
+	if allocs := testing.AllocsPerRun(100, cycle); allocs != 0 {
+		t.Fatalf("send -> retain -> cumulative release allocates %v allocs/op, want 0", allocs)
+	}
+	if snd.BufferedADUs() != window || snd.Stats.Released != int64(name)-window {
+		t.Fatalf("rig broken: %d buffered, %d released after %d ADUs", snd.BufferedADUs(), snd.Stats.Released, name)
 	}
 }

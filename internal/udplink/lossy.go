@@ -7,7 +7,7 @@ import (
 
 // LossyConn wraps a net.PacketConn and drops outgoing datagrams
 // deterministically: an xorshift64* stream seeded explicitly decides
-// each WriteTo, so a soak run's drop pattern is reproducible
+// each outgoing datagram, so a soak run's drop pattern is reproducible
 // regardless of goroutine timing (drops on the send side commit before
 // the kernel introduces any nondeterminism). DropNth, when positive,
 // additionally drops every Nth datagram exactly — useful for FEC tests
@@ -47,10 +47,12 @@ func (c *LossyConn) Dropped() int64 {
 	return c.dropped
 }
 
-// WriteTo drops or forwards. A dropped datagram reports success — the
-// wire ate it, as far as the sender can tell.
-func (c *LossyConn) WriteTo(p []byte, addr net.Addr) (int, error) {
+// drop decides the fate of the next outgoing datagram. A Link on the
+// batch path calls it for each queued datagram, in queue order, where
+// a wrapped conn sees WriteTo: the decisions are the same either way.
+func (c *LossyConn) drop() bool {
 	c.mu.Lock()
+	defer c.mu.Unlock()
 	c.count++
 	drop := c.nth > 0 && c.count%c.nth == 0
 	if !drop && c.prob > 0 {
@@ -63,8 +65,13 @@ func (c *LossyConn) WriteTo(p []byte, addr net.Addr) (int, error) {
 	if drop {
 		c.dropped++
 	}
-	c.mu.Unlock()
-	if drop {
+	return drop
+}
+
+// WriteTo drops or forwards. A dropped datagram reports success — the
+// wire ate it, as far as the sender can tell.
+func (c *LossyConn) WriteTo(p []byte, addr net.Addr) (int, error) {
+	if c.drop() {
 		return len(p), nil
 	}
 	return c.PacketConn.WriteTo(p, addr)

@@ -1,0 +1,380 @@
+package udplink
+
+import (
+	"encoding/binary"
+	"hash/fnv"
+	"math/rand"
+	"net"
+	"reflect"
+	"testing"
+	"time"
+
+	"repro/internal/buf"
+	"repro/internal/sim"
+)
+
+// plainConn hides the *net.UDPConn (or *LossyConn) inside it, as the
+// benchmark's tracing wrapper does, so NewLink takes the portable path.
+type plainConn struct{ net.PacketConn }
+
+// sockPath is one way of handing a socket to NewLink.
+type sockPath struct {
+	name string
+	wrap func(net.PacketConn) net.PacketConn
+}
+
+// bothPaths are the two sockIO implementations: a bare socket takes
+// the batch path where there is one, a wrapped socket never does.
+var bothPaths = []sockPath{
+	{"bare", func(c net.PacketConn) net.PacketConn { return c }},
+	{"wrapped", func(c net.PacketConn) net.PacketConn { return plainConn{c} }},
+}
+
+// batched reports whether NewLink gave l the batch path.
+func batched(l *Link) bool {
+	_, portable := l.io.(*connIO)
+	return !portable
+}
+
+func listen(t testing.TB) net.PacketConn {
+	t.Helper()
+	c, err := net.ListenPacket("udp4", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { c.Close() })
+	return c
+}
+
+// runUntil runs the clock until cond holds, failing the test if it
+// does not within a generous wall-clock bound.
+func runUntil(t testing.TB, clk *Clock, what string, cond func() bool) {
+	t.Helper()
+	start := time.Now()
+	clk.Run(func() bool {
+		if time.Since(start) > 20*time.Second {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+		return cond()
+	})
+}
+
+// TestWrappedConnTakesPortablePath pins the choice NewLink makes: the
+// batch path needs to see the UDP socket itself, or a LossyConn
+// directly around it; one more wrapper and the link must not reach
+// past it.
+func TestWrappedConnTakesPortablePath(t *testing.T) {
+	clk := NewClock(sim.NewScheduler(), Config{Pool: buf.NewPool()})
+	defer clk.Stop()
+	peer := listen(t).LocalAddr()
+	bare := clk.NewLink(listen(t), peer)
+	lossy := clk.NewLink(NewLossyConn(listen(t), 0.1, 1), peer)
+	if batched(bare) != batched(lossy) {
+		t.Errorf("bare socket batched=%v but LossyConn around one batched=%v", batched(bare), batched(lossy))
+	}
+	for name, conn := range map[string]net.PacketConn{
+		"wrapper":                plainConn{listen(t)},
+		"wrapper around a lossy": plainConn{NewLossyConn(listen(t), 0.1, 1)},
+	} {
+		if batched(clk.NewLink(conn, peer)) {
+			t.Errorf("%s took the batch path", name)
+		}
+	}
+}
+
+// TestBatchCallCounts: the batch path moves a burst in a few system
+// calls. 64 datagrams already in the socket when the reader starts are
+// taken in order by two recvmmsg calls of 32 (a third may have found
+// the socket empty by the time the last one is dispatched), and 64
+// queued SendRefs leave in two sendmmsg calls.
+func TestBatchCallCounts(t *testing.T) {
+	const burst = 64
+	pool := buf.NewPool()
+	clk := NewClock(sim.NewScheduler(), Config{Pool: pool, Batch: 32})
+	defer clk.Stop()
+	ca, cb := listen(t), listen(t)
+	for i := 0; i < burst; i++ {
+		if _, err := ca.WriteTo([]byte{byte(i)}, cb.LocalAddr()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	la := clk.NewLink(ca, cb.LocalAddr())
+	lb := clk.NewLink(cb, ca.LocalAddr())
+	if !batched(la) {
+		t.Skip("no batch path on this platform")
+	}
+	got, rxCalls := 0, int64(0)
+	lb.SetHandler(func(p []byte) {
+		if len(p) != 1 || int(p[0]) != got%burst {
+			t.Errorf("datagram %d carries %v", got, p)
+		}
+		if got++; got == burst {
+			rxCalls = lb.RxCalls()
+			for i := 0; i < burst; i++ {
+				ref := pool.Get(1)
+				ref.Bytes()[0] = byte(i)
+				_ = la.SendRef(ref)
+			}
+		}
+	})
+	runUntil(t, clk, "the waiting burst and the queued one", func() bool { return got == 2*burst })
+	if rxCalls > 3 {
+		t.Errorf("%d recvmmsg calls for %d waiting datagrams, want at most 3", rxCalls, burst)
+	}
+	if calls := la.TxCalls(); calls > 2 {
+		t.Errorf("%d sendmmsg calls for %d queued datagrams, want at most 2", calls, burst)
+	}
+	if la.Sent() != burst || lb.Recvd() != 2*burst {
+		t.Errorf("sent %d, received %d, want %d and %d", la.Sent(), lb.Recvd(), burst, 2*burst)
+	}
+}
+
+// exchangeResult is what one seeded exchange left behind.
+type exchangeResult struct {
+	AtA, AtB map[uint64]int // payload hash -> times delivered
+	Counters [8]int64       // Sent, Recvd, Dropped, SendErrs of a, then of b
+}
+
+// exchange pushes n seeded datagrams from a to b, 32 in flight; b
+// echoes each and a answers an echo with the next datagram.
+func exchange(t *testing.T, path sockPath, n int, seed int64) exchangeResult {
+	pool := buf.NewPool()
+	sched := sim.NewScheduler()
+	clk := NewClock(sched, Config{Pool: pool})
+	defer clk.Stop()
+	ca, cb := listen(t), listen(t)
+	la := clk.NewLink(path.wrap(ca), cb.LocalAddr())
+	lb := clk.NewLink(path.wrap(cb), ca.LocalAddr())
+
+	rng := rand.New(rand.NewSource(seed))
+	sent := 0
+	next := func() {
+		if sent == n {
+			return
+		}
+		ref := pool.Get(1 + rng.Intn(1400))
+		rng.Read(ref.Bytes())
+		_ = la.SendRef(ref)
+		sent++
+	}
+	res := exchangeResult{AtA: map[uint64]int{}, AtB: map[uint64]int{}}
+	note := func(m map[uint64]int, p []byte) {
+		h := fnv.New64a()
+		h.Write(p)
+		m[h.Sum64()]++
+	}
+	echoed := 0
+	lb.SetHandler(func(p []byte) { note(res.AtB, p); _ = lb.Send(p) })
+	la.SetHandler(func(p []byte) { note(res.AtA, p); echoed++; next() })
+	sched.After(0, func() {
+		for i := 0; i < 32; i++ {
+			next()
+		}
+	})
+	runUntil(t, clk, "the exchange", func() bool { return echoed == n })
+	for i, l := range []*Link{la, lb} {
+		copy(res.Counters[4*i:], []int64{l.Sent(), l.Recvd(), l.Dropped(), l.SendErrs()})
+	}
+	return res
+}
+
+// TestPathEquivalence: the same seeded exchange over the batch path
+// and over the portable one delivers the same datagrams the same
+// number of times and leaves the same counters.
+func TestPathEquivalence(t *testing.T) {
+	const n = 10000
+	bare, wrapped := exchange(t, bothPaths[0], n, 42), exchange(t, bothPaths[1], n, 42)
+	if !reflect.DeepEqual(bare, wrapped) {
+		t.Errorf("paths differ: bare socket counters %v, wrapped %v; %d and %d distinct payloads at b",
+			bare.Counters, wrapped.Counters, len(bare.AtB), len(wrapped.AtB))
+	}
+	if want := [8]int64{n, n, 0, 0, n, n, 0, 0}; bare.Counters != want {
+		t.Errorf("counters %v, want %v", bare.Counters, want)
+	}
+	if !reflect.DeepEqual(bare.AtA, bare.AtB) {
+		t.Error("the echoes a received are not the datagrams b received")
+	}
+}
+
+// TestLinkDropsForeignAndOversized: a datagram from a socket that is
+// not the peer, and one longer than MTU (which the kernel would hand
+// over clipped), must not reach the handler; both are counted, and the
+// stream around them arrives whole and in order.
+func TestLinkDropsForeignAndOversized(t *testing.T) {
+	for _, path := range bothPaths {
+		t.Run(path.name, func(t *testing.T) {
+			const mtu, stream, spray = 512, 20, 3
+			sched := sim.NewScheduler()
+			clk := NewClock(sched, Config{Pool: buf.NewPool(), MTU: mtu})
+			defer clk.Stop()
+			ca, cb, stranger := listen(t), listen(t), listen(t)
+			la := clk.NewLink(path.wrap(ca), cb.LocalAddr())
+			lb := clk.NewLink(path.wrap(cb), ca.LocalAddr())
+
+			got := 0
+			lb.SetHandler(func(p []byte) {
+				if len(p) != mtu || int(p[0]) != got {
+					t.Errorf("datagram %d: %d bytes starting %d", got, len(p), p[0])
+				}
+				got++
+			})
+			sent := 0
+			sched.Every(200*time.Microsecond, func() bool {
+				if sent == stream/2 {
+					// Straight onto the sockets, so they land between two
+					// flushes of the stream.
+					for i := 0; i < spray; i++ {
+						_, _ = stranger.WriteTo(make([]byte, mtu), cb.LocalAddr())
+					}
+					_, _ = ca.WriteTo(make([]byte, mtu+100), cb.LocalAddr())
+				}
+				p := make([]byte, mtu) // a full-size datagram is not an oversized one
+				p[0] = byte(sent)
+				_ = la.Send(p)
+				sent++
+				return sent < stream
+			})
+			runUntil(t, clk, "the stream and the drops", func() bool { return got == stream && lb.Dropped() == spray+1 })
+			if lb.Recvd() != stream || la.Dropped() != 0 {
+				t.Errorf("b received %d, a dropped %d; want %d and 0", lb.Recvd(), la.Dropped(), stream)
+			}
+		})
+	}
+}
+
+// TestSendErrorMidBatch: sendmmsg stops at the first message it cannot
+// send. A datagram too long for UDP fails every time it is tried, so
+// two of them in a queue of 40 show the whole rule: the failing
+// datagram is counted and skipped, nothing else is, and everything
+// behind it still goes out, in order.
+func TestSendErrorMidBatch(t *testing.T) {
+	const queued = 40
+	tooLong := map[int]bool{13: true, 27: true}
+	pool := buf.NewPool()
+	sched := sim.NewScheduler()
+	clk := NewClock(sched, Config{Pool: pool})
+	defer clk.Stop()
+	la, lb, closeConns := echoPair(t, clk)
+	defer closeConns()
+	if !batched(la) {
+		t.Skip("no batch path on this platform")
+	}
+	var got []byte
+	lb.SetHandler(func(p []byte) { got = append(got, p[0]) })
+	var want []byte
+	sched.After(0, func() {
+		for i := 0; i < queued; i++ {
+			n := 16
+			if tooLong[i] {
+				n = 1 << 16 // over UDP's 65507-byte limit: EMSGSIZE
+			} else {
+				want = append(want, byte(i))
+			}
+			ref := pool.Get(n)
+			ref.Bytes()[0] = byte(i)
+			_ = la.SendRef(ref)
+		}
+	})
+	runUntil(t, clk, "the datagrams around the failures", func() bool { return len(got) == queued-len(tooLong) })
+	if la.SendErrs() != int64(len(tooLong)) || la.Sent() != int64(len(want)) {
+		t.Errorf("%d sent and %d failed, want %d and %d", la.Sent(), la.SendErrs(), len(want), len(tooLong))
+	}
+	if string(got) != string(want) {
+		t.Errorf("delivered %v, want %v", got, want)
+	}
+	// Both failures fall in the first vector of 32: a call that stops
+	// short of each, a call that fails on each, a call for the rest of
+	// that vector, and one for the second vector.
+	if calls := la.TxCalls(); calls > 6 {
+		t.Errorf("%d sendmmsg calls for %d datagrams with %d failures, want at most 6", calls, queued, len(tooLong))
+	}
+}
+
+// TestSendToClosedPort: on a connected socket whose peer's port is
+// closed, the ICMP answer to each datagram that goes out raises
+// ECONNREFUSED, which the next send or receive on the socket then
+// reports, so errors surface in the middle of sendmmsg vectors over
+// and over (unless the reader's recvmmsg collects them first). Every
+// queued datagram must end up sent or failed, and the flush must end
+// without spinning.
+func TestSendToClosedPort(t *testing.T) {
+	const queued = 40
+	pool := buf.NewPool()
+	sched := sim.NewScheduler()
+	clk := NewClock(sched, Config{Pool: pool})
+	defer clk.Stop()
+	gone := listen(t)
+	peer := gone.LocalAddr().(*net.UDPAddr)
+	gone.Close()
+	conn, err := net.DialUDP("udp4", nil, peer)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	l := clk.NewLink(conn, peer)
+	if !batched(l) {
+		t.Skip("no batch path on this platform")
+	}
+	sched.After(0, func() {
+		for i := 0; i < queued; i++ {
+			_ = l.SendRef(pool.Get(16))
+		}
+	})
+	runUntil(t, clk, "the flush to end", func() bool { return l.Sent()+l.SendErrs() == queued })
+	t.Logf("%d sent and %d failed in %d sendmmsg calls", l.Sent(), l.SendErrs(), l.TxCalls())
+	if calls := l.TxCalls(); calls > 2*queued {
+		t.Errorf("%d sendmmsg calls for %d datagrams: the flush is spinning", calls, queued)
+	}
+}
+
+// TestBatchRoundZeroAlloc guards the batch path's steady state: queue
+// a pooled datagram, flush it with sendmmsg, take it with recvmmsg,
+// cross the inbox, dispatch, and the same back again, with nothing
+// allocated on any of the three goroutines.
+func TestBatchRoundZeroAlloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race detector instrumentation allocates")
+	}
+	pool := buf.NewPool()
+	sched := sim.NewScheduler()
+	clk := NewClock(sched, Config{Pool: pool, MaxIdle: 50 * time.Microsecond})
+	la, lb, closeConns := echoPair(t, clk)
+	defer closeConns()
+	if !batched(la) {
+		t.Skip("no batch path on this platform")
+	}
+	kick, back, stop := make(chan struct{}), make(chan struct{}), make(chan struct{})
+	lb.SetHandler(func(p []byte) { _ = lb.Send(p) })
+	la.SetHandler(func(p []byte) { back <- struct{}{} })
+	exited := make(chan struct{})
+	go func() {
+		defer close(exited)
+		// The loop polls for a kick on every pass; MaxIdle bounds the wait.
+		clk.Run(func() bool {
+			select {
+			case <-kick:
+				ref := pool.Get(256)
+				binary.BigEndian.PutUint64(ref.Bytes(), 0xA1F)
+				_ = la.SendRef(ref)
+			case <-stop:
+				return true
+			default:
+			}
+			return false
+		})
+	}()
+	round := func() {
+		kick <- struct{}{}
+		<-back
+	}
+	for i := 0; i < 64; i++ {
+		round() // warm the pool's size classes and the inbox
+	}
+	allocs := testing.AllocsPerRun(200, round)
+	close(stop)
+	<-exited
+	clk.Stop()
+	if allocs != 0 {
+		t.Fatalf("send -> flush -> receive -> dispatch round allocates %v allocs/op, want 0", allocs)
+	}
+}

@@ -7,12 +7,20 @@
 //
 //   - Link wraps a net.PacketConn with the netsim.Link send contract
 //     (Send for copied control frames, SendRef for pooled refcounted
-//     wire packets), pooled receive buffers from internal/buf, and
-//     batched I/O: sends queue and flush once per event-loop pass, and
-//     the reader drains the socket in bursts after each blocking
-//     receive (an immediate-deadline fallback loop standing in for
-//     recvmmsg-style batching, with no build tags or extra
-//     dependencies).
+//     wire packets) and pooled receive buffers from internal/buf.
+//     Sends queue and flush once per event-loop pass. The socket
+//     itself sits behind one seam, sockIO: "block until a datagram is
+//     readable, then take up to Batch" and "write these queued
+//     buffers to the peer". NewLink picks one of its two
+//     implementations, once. On linux/amd64 and linux/arm64, for a
+//     *net.UDPConn (bare or inside a *LossyConn), mmsgIO issues
+//     recvmmsg and sendmmsg on the raw descriptor, so a burst costs a
+//     system call per Batch datagrams and the steady state allocates
+//     nothing. Everywhere else, and for any other net.PacketConn (a
+//     tracing or fault-injecting wrapper), connIO does one blocking
+//     ReadFrom and one WriteTo per datagram. Either way the link
+//     drops, and counts in Dropped, datagrams longer than MTU and
+//     datagrams that do not come from its peer.
 //   - Clock drives an unmodified *sim.Scheduler against the wall
 //     clock: virtual time is wall time since Run started, due timers
 //     fire on the loop goroutine, and the loop sleeps exactly until
@@ -39,10 +47,11 @@ import (
 type Config struct {
 	// MTU is the largest datagram the readers accept (default 2048).
 	MTU int
-	// Batch bounds how many datagrams one reader wakeup drains and how
-	// many queued sends one flush writes (default 32). The first read
-	// of a burst blocks; the rest use an immediate deadline, so one
-	// blocking syscall amortizes over up to Batch arrivals.
+	// Batch bounds the recvmmsg and sendmmsg vectors: how many
+	// datagrams one system call reads or writes on the batch path
+	// (default 32). A flush of more queued sends than that takes
+	// several calls. The portable path moves one datagram per call
+	// whatever Batch says.
 	Batch int
 	// Inbox is the arrival channel depth shared by all links
 	// (default 512). A full inbox applies backpressure to readers.
@@ -78,8 +87,7 @@ func (c *Config) fill() {
 // to the loop.
 type arrival struct {
 	link *Link
-	ref  *buf.Ref
-	n    int
+	ref  *buf.Ref // trimmed to the datagram
 }
 
 // Clock runs a virtual-time scheduler against the wall clock and
@@ -109,11 +117,19 @@ func NewClock(sched *sim.Scheduler, cfg Config) *Clock {
 func (c *Clock) Scheduler() *sim.Scheduler { return c.sched }
 
 // NewLink attaches a socket. Datagrams sent via the link go to peer;
-// arriving datagrams (from anyone) are handed to the link's handler on
-// the loop goroutine. The reader goroutine starts immediately; the
-// caller still owns closing conn (which stops the reader).
+// datagrams arriving from peer are handed to the link's handler on the
+// loop goroutine, and whatever else reaches the socket is dropped and
+// counted. The reader goroutine starts immediately; the caller still
+// owns closing conn (which stops the reader).
+//
+// This is the one place that picks the link's sockIO: batched system
+// calls where the platform and the conn allow them, the portable
+// per-datagram calls otherwise.
 func (c *Clock) NewLink(conn net.PacketConn, peer net.Addr) *Link {
-	l := &Link{clk: c, conn: conn, peer: peer}
+	l := &Link{clk: c}
+	if l.io = newMmsgIO(conn, peer, &c.cfg, &l.stats); l.io == nil {
+		l.io = &connIO{conn: conn, peer: peer, cfg: &c.cfg, st: &l.stats}
+	}
 	c.links = append(c.links, l)
 	go l.readLoop()
 	return l
@@ -178,9 +194,9 @@ func (c *Clock) Run(done func() bool) {
 // dispatch hands one datagram to its link's handler and recycles the
 // buffer.
 func (c *Clock) dispatch(a arrival) {
-	a.link.recvd.Add(1)
+	a.link.stats.recvd.Add(1)
 	if h := a.link.handler; h != nil {
-		h(a.ref.Bytes()[:a.n])
+		h(a.ref.Bytes())
 	}
 	a.ref.Release()
 }
@@ -192,6 +208,86 @@ func (c *Clock) flushAll() {
 	}
 }
 
+// sockIO is the link's seam to its socket. Both implementations keep
+// the link's counters: a datagram longer than Config.MTU or from an
+// address other than the peer is dropped and counted, never returned.
+type sockIO interface {
+	// recv blocks until at least one datagram from the peer is
+	// readable, then takes up to Config.Batch of them into pooled
+	// buffers, each trimmed to its datagram, that the caller comes to
+	// own. in has room for Config.Batch. It is called from the reader
+	// goroutine only.
+	recv(in []*buf.Ref) (int, error)
+	// send writes the datagrams to the peer, in order. A datagram that
+	// cannot be written is counted and skipped; the caller keeps its
+	// references. It is called from the loop goroutine only.
+	send(out []*buf.Ref)
+}
+
+// counters are a link's statistics, shared with its sockIO.
+type counters struct {
+	sent     atomic.Int64
+	recvd    atomic.Int64
+	dropped  atomic.Int64 // received but not accepted: longer than MTU, or not from the peer
+	sendErrs atomic.Int64
+	rxCalls  atomic.Int64
+	txCalls  atomic.Int64
+}
+
+// connIO is the portable sockIO, for any net.PacketConn on any
+// platform: one blocking ReadFrom and one WriteTo per datagram.
+type connIO struct {
+	conn net.PacketConn
+	peer net.Addr
+	cfg  *Config
+	st   *counters
+	buf  *buf.Ref // the next read's buffer, kept across failed and dropped reads
+}
+
+func (c *connIO) recv(in []*buf.Ref) (int, error) {
+	for {
+		if c.buf == nil {
+			// One byte more than the longest datagram accepted, so that a
+			// longer one shows as such instead of arriving clipped.
+			c.buf = c.cfg.Pool.Get(c.cfg.MTU + 1)
+		}
+		c.st.rxCalls.Add(1)
+		n, from, err := c.conn.ReadFrom(c.buf.Bytes())
+		if err != nil {
+			return 0, err
+		}
+		if n > c.cfg.MTU || !sameAddr(from, c.peer) {
+			c.st.dropped.Add(1)
+			continue
+		}
+		c.buf.Trim(n)
+		in[0], c.buf = c.buf, nil
+		return 1, nil
+	}
+}
+
+func (c *connIO) send(out []*buf.Ref) {
+	errs := 0
+	for _, ref := range out {
+		if _, err := c.conn.WriteTo(ref.Bytes(), c.peer); err != nil {
+			errs++
+		}
+	}
+	c.st.txCalls.Add(int64(len(out)))
+	c.st.sendErrs.Add(int64(errs))
+	c.st.sent.Add(int64(len(out) - errs))
+}
+
+// sameAddr reports whether a datagram's source is the link's peer.
+func sameAddr(from, peer net.Addr) bool {
+	f, ok := from.(*net.UDPAddr)
+	p, ok2 := peer.(*net.UDPAddr)
+	if ok && ok2 {
+		return f.Port == p.Port && f.Zone == p.Zone && f.IP.Equal(p.IP)
+	}
+	return from != nil && from.Network() == peer.Network() && from.String() == peer.String()
+}
+
 // Link is one direction-agnostic UDP attachment: sends go to the
 // configured peer, receives come from the socket. It implements the
 // same contract as netsim.Link (Send copies, SendRef consumes the
@@ -199,8 +295,7 @@ func (c *Clock) flushAll() {
 // plug in unchanged.
 type Link struct {
 	clk     *Clock
-	conn    net.PacketConn
-	peer    net.Addr
+	io      sockIO
 	handler func([]byte)
 
 	// out is the batched send queue, owned by the loop goroutine: the
@@ -208,21 +303,31 @@ type Link struct {
 	// loop), and the queue flushes once per pass.
 	out []*buf.Ref
 
-	sent     atomic.Int64
-	recvd    atomic.Int64
-	dropped  atomic.Int64 // reader drops: oversized or inbox full
-	sendErrs atomic.Int64
+	stats counters
 }
 
 // SetHandler installs the arrival handler (runs on the loop
 // goroutine). The slice is only valid during the call.
 func (l *Link) SetHandler(h func([]byte)) { l.handler = h }
 
-// Sent, Recvd, Dropped, SendErrs report link counters.
-func (l *Link) Sent() int64     { return l.sent.Load() }
-func (l *Link) Recvd() int64    { return l.recvd.Load() }
-func (l *Link) Dropped() int64  { return l.dropped.Load() }
-func (l *Link) SendErrs() int64 { return l.sendErrs.Load() }
+// Sent, Recvd, Dropped and SendErrs count datagrams. Sent includes
+// those a LossyConn ate. Dropped counts what the socket received and
+// the link refused: datagrams longer than Config.MTU (which would
+// otherwise arrive clipped) and datagrams from anyone but the peer. A
+// full inbox is not a drop: the reader blocks, and it is the kernel's
+// socket buffer that overflows.
+func (l *Link) Sent() int64     { return l.stats.sent.Load() }
+func (l *Link) Recvd() int64    { return l.stats.recvd.Load() }
+func (l *Link) Dropped() int64  { return l.stats.dropped.Load() }
+func (l *Link) SendErrs() int64 { return l.stats.sendErrs.Load() }
+
+// RxCalls and TxCalls count the receive and send calls made on the
+// socket: recvmmsg and sendmmsg entries on the batch path (a recvmmsg
+// that finds the socket empty included), ReadFrom and WriteTo calls on
+// the portable one. Against Recvd and Sent they give calls per
+// datagram.
+func (l *Link) RxCalls() int64 { return l.stats.rxCalls.Load() }
+func (l *Link) TxCalls() int64 { return l.stats.txCalls.Load() }
 
 // Send queues one datagram, copying p into a pooled buffer (the caller
 // may reuse p immediately — the contract control-plane senders
@@ -246,48 +351,39 @@ func (l *Link) SendRef(ref *buf.Ref) error {
 // everything the endpoints emitted during that pass (a paced burst, a
 // whole ADU's fragments) into back-to-back writes.
 func (l *Link) flush() {
+	if len(l.out) == 0 {
+		return
+	}
+	l.io.send(l.out)
 	for i, ref := range l.out {
-		if _, err := l.conn.WriteTo(ref.Bytes(), l.peer); err != nil {
-			l.sendErrs.Add(1)
-		} else {
-			l.sent.Add(1)
-		}
 		ref.Release()
 		l.out[i] = nil
 	}
 	l.out = l.out[:0]
 }
 
-// Pauses between blocking reads that keep failing: a lone failure is
-// retried at once, the second in a row waits readBackoffMin, each
-// further one twice as long, up to readBackoffMax.
+// Pauses between receives that keep failing: a lone failure is retried
+// at once, the second in a row waits readBackoffMin, each further one
+// twice as long, up to readBackoffMax.
 const (
 	readBackoffMin = time.Millisecond
 	readBackoffMax = 100 * time.Millisecond
 )
 
-// readLoop is the per-socket reader: one blocking receive, then an
-// immediate-deadline drain of whatever else the socket already holds,
-// up to the batch bound — the portable stand-in for recvmmsg. Exits
-// when the socket closes or the clock stops. A UDP socket surfaces
-// transient errors (connection-refused from ICMP) that clear on their
-// own, so any other read error keeps the reader alive; consecutive
-// ones back off, so an error that does not clear cannot spin the
-// reader.
+// readLoop is the per-socket reader: it moves what sockIO.recv takes
+// from the socket into the loop's inbox. Exits when the socket closes
+// or the clock stops. A UDP socket surfaces transient errors
+// (connection-refused from ICMP) that clear on their own, so any other
+// error keeps the reader alive; consecutive ones back off, so an error
+// that does not clear cannot spin the reader.
 func (l *Link) readLoop() {
-	batch := l.clk.cfg.Batch
-	fails := 0 // consecutive failed blocking reads
+	in := make([]*buf.Ref, l.clk.cfg.Batch)
+	fails := 0 // consecutive failed receives
 	for {
-		ref := l.clk.cfg.Pool.Get(l.clk.cfg.MTU)
-		n, _, err := l.conn.ReadFrom(ref.Bytes())
+		n, err := l.io.recv(in)
 		if err != nil {
-			ref.Release()
 			if errors.Is(err, net.ErrClosed) {
 				return
-			}
-			var ne net.Error
-			if errors.As(err, &ne) && ne.Timeout() {
-				continue
 			}
 			if fails++; fails > 1 && !l.pause(fails-1) {
 				return
@@ -295,42 +391,19 @@ func (l *Link) readLoop() {
 			continue
 		}
 		fails = 0
-		if !l.deliver(ref, n) {
-			return
-		}
-		// Burst drain: anything already queued in the socket buffer is
-		// taken with a zero deadline, so a burst of k datagrams costs
-		// one blocking wait, not k.
-		drained := 1
-		for drained < batch {
-			if err := l.conn.SetReadDeadline(time.Now()); err != nil {
-				break
-			}
-			ref := l.clk.cfg.Pool.Get(l.clk.cfg.MTU)
-			n, _, err := l.conn.ReadFrom(ref.Bytes())
-			if err != nil {
-				ref.Release()
-				if errors.Is(err, net.ErrClosed) {
-					return
-				}
-				break // deadline: socket empty
-			}
-			if !l.deliver(ref, n) {
+		for _, ref := range in[:n] {
+			if !l.deliver(ref) {
 				return
 			}
-			drained++
-		}
-		if err := l.conn.SetReadDeadline(time.Time{}); err != nil {
-			return
 		}
 	}
 }
 
 // deliver hands one received datagram to the loop. It reports false
 // only when the clock has stopped (time to exit the reader).
-func (l *Link) deliver(ref *buf.Ref, n int) bool {
+func (l *Link) deliver(ref *buf.Ref) bool {
 	select {
-	case l.clk.inbox <- arrival{link: l, ref: ref, n: n}:
+	case l.clk.inbox <- arrival{link: l, ref: ref}:
 		return true
 	case <-l.clk.stopc:
 		ref.Release()
@@ -338,7 +411,7 @@ func (l *Link) deliver(ref *buf.Ref, n int) bool {
 	}
 }
 
-// pause is the nth pause of a run of failed reads. It reports false
+// pause is the nth pause of a run of failed receives. It reports false
 // when the clock stopped meanwhile (time to exit the reader).
 func (l *Link) pause(n int) bool {
 	t := time.NewTimer(min(readBackoffMin<<min(n-1, 10), readBackoffMax))
