@@ -50,7 +50,8 @@ benchmark-smoke:
 
 # Native fuzzers over every frame format's classifier, printers and
 # strict parsers (internal/wire), the ALF endpoints' packet handlers,
-# and the scheduler's firing order against its sorted-slice model. The
+# the scheduler's firing order against its sorted-slice model, and
+# udplink's cut of a send queue into trains against the kernel's rule. The
 # budget is deliberately small so check stays fast; raise FUZZTIME for
 # a real session.
 FUZZTIME ?= 5s
@@ -60,6 +61,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzHandleControl$$' -fuzztime $(FUZZTIME) ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzHandleCustody$$' -fuzztime $(FUZZTIME) ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzSchedulerOrder$$' -fuzztime $(FUZZTIME) ./internal/sim
+	$(GO) test -run '^$$' -fuzz '^FuzzTrains$$' -fuzztime $(FUZZTIME) ./internal/udplink
 
 # One seeded chaos pass: every scenario x policy plus the blackout
 # shed/report assertions, and the overload family (closed-loop passes,
@@ -81,8 +83,9 @@ soak-dtn:
 
 # The real-socket soak: authenticated ADU transfer across kernel
 # loopback UDP with deterministic send-side drops, asserting the same
-# exactly-once / intact / drained invariants as `make soak` — plus the
-# plain link round-trip and lossy-conn determinism checks.
+# exactly-once / intact / drained invariants as `make soak` (one case
+# with mixed ADU sizes, so trains of every shape share the queues) —
+# plus the plain link round-trip, lossy-conn determinism and seam checks.
 soak-udp:
 	$(GO) test -count=1 -v ./internal/udplink
 
@@ -97,8 +100,9 @@ lint: vet
 
 # Allocation-regression gate: the steady-state datapath
 # (send -> forward -> deliver, plus the FEC paths), SenderBuffered
-# retention, the receiver's gap scan, udplink's batch path (sendmmsg ->
-# recvmmsg -> inbox -> dispatch over loopback), and the event plane at
+# retention, the receiver's gap scan, udplink's batch path (a train
+# through sendmmsg -> recvmmsg -> inbox -> per-datagram dispatch over
+# loopback, and its echoes back), and the event plane at
 # depth (a link with a 16384-packet backlog, a scheduler with 65536
 # armed timers) must run at 0 allocs/op. The tests assert
 # testing.AllocsPerRun == 0; the bench run reports the same numbers
@@ -118,10 +122,12 @@ wire-leaf:
 # udplink picks its socket I/O by platform (mmsg_linux*.go against
 # mmsg_other.go), and only one side of that choice compiles here.
 # Cross-compile the others so they cannot rot: the second batch-path
-# architecture, a non-linux unix, and windows. Standard library only,
-# so this works offline.
+# architecture, a linux without the batch path (and with a 32-bit int),
+# a non-linux unix, and windows. Standard library only, so this works
+# offline.
 portable:
 	GOOS=linux GOARCH=arm64 $(GO) build ./...
+	GOOS=linux GOARCH=386 $(GO) build ./...
 	GOOS=darwin GOARCH=arm64 $(GO) build ./...
 	GOOS=windows GOARCH=amd64 $(GO) vet ./internal/udplink
 

@@ -484,6 +484,8 @@ func runUDP() error {
 	t.AddRow("wire drops injected", res.WireDrops)
 	t.AddRow("ADUs retransmitted", res.Resent)
 	t.AddRow("tag failures", res.AuthFails)
+	t.AddRow("data datagrams sent / messages / send calls", fmt.Sprintf("%d / %d / %d", res.Sent, res.TxMsgs, res.TxCalls))
+	t.AddRow("data datagrams received / messages / receive calls", fmt.Sprintf("%d / %d / %d", res.Recvd, res.RxMsgs, res.RxCalls))
 	t.AddRow("elapsed", res.Elapsed.Round(time.Millisecond).String())
 	(&runner{csv: *flagCSV}).emit("UDP: authenticated transfer over loopback sockets",
 		"the ALF endpoints are simulator-agnostic: the same state machines run over kernel UDP, fused AEAD and all, with recovery healing real drops", t)

@@ -33,7 +33,7 @@ const (
 func makeFile() []byte {
 	data := make([]byte, fileSize)
 	for i := range data {
-		data[i] = byte(i*2654435761 + i>>8)
+		data[i] = byte(uint32(i)*2654435761 + uint32(i>>8))
 	}
 	return data
 }

@@ -332,8 +332,12 @@ func TestAEADConfigValidation(t *testing.T) {
 	if _, err := NewSender(s, nil, Config{Suite: 99}); !errors.Is(err, ErrConfig) {
 		t.Errorf("unknown suite: err = %v", err)
 	}
-	if _, err := NewSender(s, nil, Config{Suite: SuiteAEAD, Key: 1, MaxADU: aeadMaxADU + 1}); !errors.Is(err, ErrConfig) {
-		t.Errorf("MaxADU beyond AEAD counter domain: err = %v", err)
+	// A variable, so that the conversion compiles where int has 32 bits
+	// and no MaxADU is beyond the limit.
+	if over := aeadMaxADU + 1; int64(int(over)) == over {
+		if _, err := NewSender(s, nil, Config{Suite: SuiteAEAD, Key: 1, MaxADU: int(over)}); !errors.Is(err, ErrConfig) {
+			t.Errorf("MaxADU beyond AEAD counter domain: err = %v", err)
+		}
 	}
 	if _, err := NewSender(s, func([]byte) error { return nil }, Config{Suite: SuiteAEAD, Key: 1}); err != nil {
 		t.Errorf("valid AEAD config rejected: %v", err)

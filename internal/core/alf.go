@@ -408,7 +408,7 @@ func (c *Config) Validate() error {
 		return fmt.Errorf("%w: suite %v with Key %#x; a key needs an enciphering suite and an enciphering suite a non-zero key",
 			ErrConfig, c.Suite, c.Key)
 	}
-	if c.Suite == SuiteAEAD && c.MaxADU > aeadMaxADU {
+	if c.Suite == SuiteAEAD && int64(c.MaxADU) > aeadMaxADU {
 		return fmt.Errorf("%w: MaxADU %d exceeds the AEAD counter-domain limit %d",
 			ErrConfig, c.MaxADU, aeadMaxADU)
 	}

@@ -184,8 +184,10 @@ const (
 	tagCtrParity = 1 << 31
 )
 
-// aeadMaxADU is the largest ADU the counter-domain layout supports.
-const aeadMaxADU = 1 << 33
+// aeadMaxADU is the largest ADU the counter-domain layout supports. It
+// is 64 bits wide whatever int is: where int has 32, no MaxADU reaches
+// it.
+const aeadMaxADU int64 = 1 << 33
 
 // aeadNonce builds the per-ADU nonce: the stream id and the ADU name.
 // Names are sender-assigned and sequential, so (key, nonce) pairs never

@@ -1,6 +1,7 @@
 package udplink
 
 import (
+	"bytes"
 	"encoding/binary"
 	"hash/fnv"
 	"math/rand"
@@ -29,6 +30,10 @@ var bothPaths = []sockPath{
 	{"bare", func(c net.PacketConn) net.PacketConn { return c }},
 	{"wrapped", func(c net.PacketConn) net.PacketConn { return plainConn{c} }},
 }
+
+// morePaths are the further ways a platform's batch path can run, for
+// the tests that compare paths; a platform file adds them.
+var morePaths []sockPath
 
 // batched reports whether NewLink gave l the batch path.
 func batched(l *Link) bool {
@@ -129,6 +134,61 @@ func TestBatchCallCounts(t *testing.T) {
 	}
 }
 
+// TestTrainCallCounts: 64 queued datagrams of one length are one train.
+// They leave in one sendmmsg call as one message, arrive as one message
+// in at most two recvmmsg calls (the second finds the socket empty),
+// and reach the handler as 64 datagrams, byte for byte and in order. A
+// handler that appends to its slice gets a copy: the next datagram in
+// the buffer is not written over.
+func TestTrainCallCounts(t *testing.T) {
+	const burst, size = 64, 256
+	pool := buf.NewPool()
+	sched := sim.NewScheduler()
+	clk := NewClock(sched, Config{Pool: pool})
+	defer clk.Stop()
+	la, lb, closeConns := echoPair(t, clk)
+	defer closeConns()
+	if !batched(la) {
+		t.Skip("no batch path on this platform")
+	}
+	payload := func(i int) []byte {
+		p := make([]byte, size)
+		for j := range p {
+			p[j] = byte(i*31 + j)
+		}
+		return p
+	}
+	got := 0
+	lb.SetHandler(func(p []byte) {
+		if !bytes.Equal(p, payload(got)) {
+			t.Errorf("datagram %d arrived as % x...", got, p[:8])
+		}
+		got++
+		p = append(p, bytes.Repeat([]byte{0xEE}, size)...)
+		_ = p
+	})
+	rxBefore, queued := int64(0), false
+	sched.Every(100*time.Microsecond, func() bool {
+		// Once b's reader has found the socket empty and parked.
+		if queued = lb.RxCalls() > 0; queued {
+			rxBefore = lb.RxCalls()
+			for i := 0; i < burst; i++ {
+				ref := pool.Get(size)
+				copy(ref.Bytes(), payload(i))
+				_ = la.SendRef(ref)
+			}
+		}
+		return !queued
+	})
+	runUntil(t, clk, "the train", func() bool { return got == burst })
+	if la.TxCalls() != 1 || la.TxMsgs() != 1 || la.Sent() != burst {
+		t.Errorf("%d datagrams sent in %d messages and %d sendmmsg calls, want %d in 1 and 1", la.Sent(), la.TxMsgs(), la.TxCalls(), burst)
+	}
+	if calls := lb.RxCalls() - rxBefore; calls > 2 || lb.RxMsgs() != 1 || lb.Recvd() != burst {
+		t.Errorf("%d datagrams received in %d messages and %d recvmmsg calls, want %d in 1 and at most 2", lb.Recvd(), lb.RxMsgs(), calls, burst)
+	}
+}
+
 // exchangeResult is what one seeded exchange left behind.
 type exchangeResult struct {
 	AtA, AtB map[uint64]int // payload hash -> times delivered
@@ -136,8 +196,11 @@ type exchangeResult struct {
 }
 
 // exchange pushes n seeded datagrams from a to b, 32 in flight; b
-// echoes each and a answers an echo with the next datagram.
-func exchange(t *testing.T, path sockPath, n int, seed int64) exchangeResult {
+// echoes each and a answers an echo with the next datagram. About one
+// datagram in four is a full 1400 bytes, as a fragmenting sender's are,
+// so the queues hold runs a train can carry. It also returns how many
+// messages a wrote.
+func exchange(t *testing.T, path sockPath, n int, seed int64) (exchangeResult, int64) {
 	pool := buf.NewPool()
 	sched := sim.NewScheduler()
 	clk := NewClock(sched, Config{Pool: pool})
@@ -152,7 +215,7 @@ func exchange(t *testing.T, path sockPath, n int, seed int64) exchangeResult {
 		if sent == n {
 			return
 		}
-		ref := pool.Get(1 + rng.Intn(1400))
+		ref := pool.Get(min(1+rng.Intn(1850), 1400))
 		rng.Read(ref.Bytes())
 		_ = la.SendRef(ref)
 		sent++
@@ -175,24 +238,29 @@ func exchange(t *testing.T, path sockPath, n int, seed int64) exchangeResult {
 	for i, l := range []*Link{la, lb} {
 		copy(res.Counters[4*i:], []int64{l.Sent(), l.Recvd(), l.Dropped(), l.SendErrs()})
 	}
-	return res
+	return res, la.TxMsgs()
 }
 
-// TestPathEquivalence: the same seeded exchange over the batch path
-// and over the portable one delivers the same datagrams the same
-// number of times and leaves the same counters.
+// TestPathEquivalence: the same seeded exchange over every path (the
+// portable one, the batch path writing trains, the batch path held to
+// trains of one) delivers the same datagrams the same number of times
+// and leaves the same counters.
 func TestPathEquivalence(t *testing.T) {
 	const n = 10000
-	bare, wrapped := exchange(t, bothPaths[0], n, 42), exchange(t, bothPaths[1], n, 42)
-	if !reflect.DeepEqual(bare, wrapped) {
-		t.Errorf("paths differ: bare socket counters %v, wrapped %v; %d and %d distinct payloads at b",
-			bare.Counters, wrapped.Counters, len(bare.AtB), len(wrapped.AtB))
+	wrapped, _ := exchange(t, bothPaths[1], n, 42)
+	if want := [8]int64{n, n, 0, 0, n, n, 0, 0}; wrapped.Counters != want {
+		t.Errorf("counters %v, want %v", wrapped.Counters, want)
 	}
-	if want := [8]int64{n, n, 0, 0, n, n, 0, 0}; bare.Counters != want {
-		t.Errorf("counters %v, want %v", bare.Counters, want)
-	}
-	if !reflect.DeepEqual(bare.AtA, bare.AtB) {
+	if !reflect.DeepEqual(wrapped.AtA, wrapped.AtB) {
 		t.Error("the echoes a received are not the datagrams b received")
+	}
+	for _, path := range append(bothPaths[:1:1], morePaths...) {
+		got, msgs := exchange(t, path, n, 42)
+		if !reflect.DeepEqual(got, wrapped) {
+			t.Errorf("paths differ: %s socket counters %v, wrapped %v; %d and %d distinct payloads at b",
+				path.name, got.Counters, wrapped.Counters, len(got.AtB), len(wrapped.AtB))
+		}
+		t.Logf("%s socket: %d datagrams in %d messages", path.name, n, msgs)
 	}
 }
 
@@ -237,6 +305,100 @@ func TestLinkDropsForeignAndOversized(t *testing.T) {
 			runUntil(t, clk, "the stream and the drops", func() bool { return got == stream && lb.Dropped() == spray+1 })
 			if lb.Recvd() != stream || la.Dropped() != 0 {
 				t.Errorf("b received %d, a dropped %d; want %d and 0", lb.Recvd(), la.Dropped(), stream)
+			}
+		})
+	}
+}
+
+// TestLinkDropsTrains: the refusals hold for a train as for a datagram,
+// and count its datagrams. A train from a socket that is not the peer
+// and a train of datagrams longer than MTU must not reach the handler;
+// the trains around them arrive whole and in order.
+func TestLinkDropsTrains(t *testing.T) {
+	const mtu, train = 512, 5
+	pool := buf.NewPool()
+	sched := sim.NewScheduler()
+	clk := NewClock(sched, Config{Pool: pool, MTU: mtu})
+	defer clk.Stop()
+	ca, cb, cs := listen(t), listen(t), listen(t)
+	la := clk.NewLink(ca, cb.LocalAddr())
+	lb := clk.NewLink(cb, ca.LocalAddr())
+	stranger := clk.NewLink(cs, cb.LocalAddr())
+	if !batched(la) {
+		t.Skip("no batch path on this platform")
+	}
+	queue := func(l *Link, size int, first byte) {
+		for i := 0; i < train; i++ {
+			ref := pool.Get(size)
+			ref.Bytes()[0] = first + byte(i)
+			_ = l.SendRef(ref)
+		}
+	}
+	got := 0
+	lb.SetHandler(func(p []byte) {
+		if len(p) != mtu || int(p[0]) != got {
+			t.Errorf("datagram %d: %d bytes starting %d", got, len(p), p[0])
+		}
+		got++
+	})
+	// One train per flush, each once the last has landed: a short
+	// datagram queued behind the over-long ones would close their train
+	// and be refused with it.
+	step := 0
+	sched.Every(200*time.Microsecond, func() bool {
+		switch {
+		case step == 0:
+			queue(la, mtu, 0) // a full-size datagram is not an oversized one
+		case step == 1 && got == train:
+			queue(stranger, mtu, 100)
+		case step == 2 && lb.Dropped() == train:
+			queue(la, mtu+1, 100)
+		case step == 3 && lb.Dropped() == 2*train:
+			queue(la, mtu, train)
+		default:
+			return true
+		}
+		step++
+		return step < 4
+	})
+	runUntil(t, clk, "the trains and the drops", func() bool { return got == 2*train && lb.Dropped() == 2*train })
+	if lb.Recvd() != 2*train || lb.RxMsgs() != 4 || stranger.TxMsgs() != 1 {
+		t.Errorf("b received %d datagrams in %d messages, the stranger wrote %d; want %d, 4 and 1", lb.Recvd(), lb.RxMsgs(), stranger.TxMsgs(), 2*train)
+	}
+}
+
+// TestReaderExitReleasesBuffers: once the clock has stopped and the
+// sockets are closed, the readers have given back every buffer they
+// held, posted for the next receive or taken and not yet delivered:
+// the pool has had as many buffers returned as it handed out.
+func TestReaderExitReleasesBuffers(t *testing.T) {
+	for _, path := range bothPaths {
+		t.Run(path.name, func(t *testing.T) {
+			const n = 200
+			pool := buf.NewPool()
+			sched := sim.NewScheduler()
+			clk := NewClock(sched, Config{Pool: pool})
+			ca, cb := listen(t), listen(t)
+			la := clk.NewLink(path.wrap(ca), cb.LocalAddr())
+			lb := clk.NewLink(path.wrap(cb), ca.LocalAddr())
+			echoed := 0
+			lb.SetHandler(func(p []byte) { _ = lb.Send(p) })
+			la.SetHandler(func(p []byte) { echoed++ })
+			sched.After(0, func() {
+				for i := 0; i < n; i++ {
+					_ = la.SendRef(pool.Get(100 + i%3))
+				}
+			})
+			runUntil(t, clk, "the echoes", func() bool { return echoed == n })
+			clk.Stop()
+			ca.Close()
+			cb.Close()
+			deadline := time.Now().Add(10 * time.Second)
+			for st := pool.Stats(); st.Gets != st.Puts; st = pool.Stats() {
+				if time.Now().After(deadline) {
+					t.Fatalf("the pool handed out %d buffers and got %d back", st.Gets, st.Puts)
+				}
+				time.Sleep(time.Millisecond)
 			}
 		})
 	}
@@ -327,14 +489,16 @@ func TestSendToClosedPort(t *testing.T) {
 	}
 }
 
-// TestBatchRoundZeroAlloc guards the batch path's steady state: queue
-// a pooled datagram, flush it with sendmmsg, take it with recvmmsg,
-// cross the inbox, dispatch, and the same back again, with nothing
-// allocated on any of the three goroutines.
+// TestBatchRoundZeroAlloc guards the batch path's steady state: queue a
+// train of pooled datagrams, flush it with sendmmsg, take it with
+// recvmmsg, cross the inbox, dispatch each datagram, and the same back
+// again as the echoes, with nothing allocated on any of the three
+// goroutines.
 func TestBatchRoundZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race detector instrumentation allocates")
 	}
+	const train = 8
 	pool := buf.NewPool()
 	sched := sim.NewScheduler()
 	clk := NewClock(sched, Config{Pool: pool, MaxIdle: 50 * time.Microsecond})
@@ -344,8 +508,13 @@ func TestBatchRoundZeroAlloc(t *testing.T) {
 		t.Skip("no batch path on this platform")
 	}
 	kick, back, stop := make(chan struct{}), make(chan struct{}), make(chan struct{})
+	echoes := 0
 	lb.SetHandler(func(p []byte) { _ = lb.Send(p) })
-	la.SetHandler(func(p []byte) { back <- struct{}{} })
+	la.SetHandler(func(p []byte) {
+		if echoes++; echoes%train == 0 {
+			back <- struct{}{}
+		}
+	})
 	exited := make(chan struct{})
 	go func() {
 		defer close(exited)
@@ -353,9 +522,11 @@ func TestBatchRoundZeroAlloc(t *testing.T) {
 		clk.Run(func() bool {
 			select {
 			case <-kick:
-				ref := pool.Get(256)
-				binary.BigEndian.PutUint64(ref.Bytes(), 0xA1F)
-				_ = la.SendRef(ref)
+				for i := 0; i < train; i++ {
+					ref := pool.Get(256)
+					binary.BigEndian.PutUint64(ref.Bytes(), 0xA1F)
+					_ = la.SendRef(ref)
+				}
 			case <-stop:
 				return true
 			default:
@@ -376,5 +547,8 @@ func TestBatchRoundZeroAlloc(t *testing.T) {
 	clk.Stop()
 	if allocs != 0 {
 		t.Fatalf("send -> flush -> receive -> dispatch round allocates %v allocs/op, want 0", allocs)
+	}
+	if msgs := la.TxMsgs(); msgs*train != la.Sent() {
+		t.Errorf("%d datagrams left in %d messages, want trains of %d", la.Sent(), msgs, train)
 	}
 }

@@ -21,6 +21,10 @@ type SoakConfig struct {
 	// ADUs and ADUBytes shape the workload (defaults 200 x 3000 B).
 	ADUs     int
 	ADUBytes int
+	// ADUSizes, if set, gives ADU i ADUSizes[i mod len] bytes in place
+	// of ADUBytes, so that fragment runs of different lengths, short
+	// tails, resends and control frames share the send queues.
+	ADUSizes []int
 	// LossProb drops data-plane datagrams on the send side (default
 	// 0.05; the control plane stays clean so the run bounds cleanly).
 	LossProb float64
@@ -67,6 +71,11 @@ type SoakResult struct {
 	Resent    int64 // sender whole-ADU retransmissions
 	AuthFails int64 // receiver tag rejections (expect 0: drops, not damage)
 	Elapsed   time.Duration
+	// The data direction's socket work: datagrams, the messages that
+	// carried them (trains, on the batch path) and the system calls that
+	// carried those, as the sending and the receiving link counted them.
+	Sent, TxMsgs, TxCalls  int64
+	Recvd, RxMsgs, RxCalls int64
 }
 
 // soakPayload builds the deterministic payload for one ADU name.
@@ -133,13 +142,19 @@ func RunSoak(cfg SoakConfig) (SoakResult, error) {
 	ctrlLink.SetHandler(func(p []byte) { _ = rcv.HandlePacket(p) })
 	dataLink.SetHandler(func(p []byte) { _ = snd.HandleControl(p) })
 
+	size := func(name uint64) int {
+		if len(cfg.ADUSizes) > 0 {
+			return cfg.ADUSizes[name%uint64(len(cfg.ADUSizes))]
+		}
+		return cfg.ADUBytes
+	}
 	seen := make(map[uint64]int, cfg.ADUs)
 	rcv.OnADU = func(a alf.ADU) {
 		seen[a.Tag]++
 		if seen[a.Tag] > 1 {
 			res.Duplicate++
 		}
-		if !bytes.Equal(a.Data, soakPayload(a.Tag, cfg.ADUBytes)) {
+		if !bytes.Equal(a.Data, soakPayload(a.Tag, size(a.Tag))) {
 			res.Corrupt++
 		}
 		res.Delivered++
@@ -153,7 +168,7 @@ func RunSoak(cfg SoakConfig) (SoakResult, error) {
 			return false
 		}
 		name := uint64(submitted)
-		if _, err := snd.Send(name, xcode.SyntaxRaw, soakPayload(name, cfg.ADUBytes)); err == nil {
+		if _, err := snd.Send(name, xcode.SyntaxRaw, soakPayload(name, size(name))); err == nil {
 			submitted++
 		}
 		return submitted < cfg.ADUs
@@ -176,6 +191,8 @@ func RunSoak(cfg SoakConfig) (SoakResult, error) {
 	res.WireDrops = lossy.Dropped()
 	res.Resent = snd.Stats.ResentADUs
 	res.AuthFails = rcv.Stats.AuthFails
+	res.Sent, res.TxMsgs, res.TxCalls = dataLink.Sent(), dataLink.TxMsgs(), dataLink.TxCalls()
+	res.Recvd, res.RxMsgs, res.RxCalls = ctrlLink.Recvd(), ctrlLink.RxMsgs(), ctrlLink.RxCalls()
 
 	switch {
 	case timedOut:

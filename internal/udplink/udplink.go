@@ -9,18 +9,25 @@
 //     (Send for copied control frames, SendRef for pooled refcounted
 //     wire packets) and pooled receive buffers from internal/buf.
 //     Sends queue and flush once per event-loop pass. The socket
-//     itself sits behind one seam, sockIO: "block until a datagram is
+//     itself sits behind one seam, sockIO: "block until a message is
 //     readable, then take up to Batch" and "write these queued
 //     buffers to the peer". NewLink picks one of its two
 //     implementations, once. On linux/amd64 and linux/arm64, for a
 //     *net.UDPConn (bare or inside a *LossyConn), mmsgIO issues
-//     recvmmsg and sendmmsg on the raw descriptor, so a burst costs a
-//     system call per Batch datagrams and the steady state allocates
-//     nothing. Everywhere else, and for any other net.PacketConn (a
-//     tracing or fault-injecting wrapper), connIO does one blocking
-//     ReadFrom and one WriteTo per datagram. Either way the link
-//     drops, and counts in Dropped, datagrams longer than MTU and
-//     datagrams that do not come from its peer.
+//     recvmmsg and sendmmsg on the raw descriptor, and each message of
+//     either is a train: a run of queued datagrams of one length,
+//     closed if the queue has one by a shorter datagram, that the
+//     kernel takes as one buffer and cuts at the last moment
+//     (UDP_SEGMENT) and hands back uncut (UDP_GRO). Segmentation
+//     happens below the unit the endpoints hand over: an ADU's
+//     fragments cross the kernel in one traversal and the
+//     reader-to-loop hop in one step, the handler still sees one
+//     datagram per call, and the steady state allocates nothing.
+//     Everywhere else, and for any other net.PacketConn (a tracing or
+//     fault-injecting wrapper), connIO does one blocking ReadFrom and
+//     one WriteTo per datagram. Either way the link drops, and counts
+//     in Dropped, datagrams longer than MTU and datagrams that do not
+//     come from its peer.
 //   - Clock drives an unmodified *sim.Scheduler against the wall
 //     clock: virtual time is wall time since Run started, due timers
 //     fire on the loop goroutine, and the loop sleeps exactly until
@@ -45,16 +52,27 @@ import (
 
 // Config parameterizes a Clock. Zero fields take defaults.
 type Config struct {
-	// MTU is the largest datagram the readers accept (default 2048).
+	// MTU is the largest datagram the readers accept (default 2048). It
+	// is not the size of a receive buffer on the batch path: a socket
+	// that took UDP_GRO reads into 64 KiB buffers, since a message there
+	// may be a whole train, and the link compares each train's segment
+	// length with MTU.
 	MTU int
-	// Batch bounds the recvmmsg and sendmmsg vectors: how many
-	// datagrams one system call reads or writes on the batch path
-	// (default 32). A flush of more queued sends than that takes
+	// Batch bounds the recvmmsg and sendmmsg vectors: how many messages
+	// (trains of up to 64 datagrams) one system call reads or writes on
+	// the batch path (default 32). A flush of more than that takes
 	// several calls. The portable path moves one datagram per call
-	// whatever Batch says.
+	// whatever Batch says. A reader keeps Batch receive buffers posted,
+	// so a batch-path link holds Batch x 64 KiB of pool memory (2 MiB by
+	// default) while its socket is open; a peer that does not send
+	// trains fills each with one datagram, which is why the vector
+	// stays this long.
 	Batch int
 	// Inbox is the arrival channel depth shared by all links
-	// (default 512). A full inbox applies backpressure to readers.
+	// (default 512). A slot holds one message, a datagram or a train, in
+	// the buffer it was read into, so receive memory queued for the loop
+	// is at most Inbox x 64 KiB (32 MiB by default) whatever it holds. A
+	// full inbox applies backpressure to readers.
 	Inbox int
 	// MaxIdle caps how long the loop sleeps when the scheduler is idle
 	// and no datagrams arrive (default 50 ms).
@@ -83,11 +101,13 @@ func (c *Config) fill() {
 	}
 }
 
-// arrival is one received datagram in flight from a reader goroutine
-// to the loop.
+// arrival is one received message in flight from a reader goroutine to
+// the loop: a lone datagram, or on the batch path a train of them back
+// to back in one buffer.
 type arrival struct {
 	link *Link
-	ref  *buf.Ref // trimmed to the datagram
+	ref  *buf.Ref // trimmed to the message
+	seg  int      // each datagram's length, but for the last, which is what is left
 }
 
 // Clock runs a virtual-time scheduler against the wall clock and
@@ -191,12 +211,24 @@ func (c *Clock) Run(done func() bool) {
 	}
 }
 
-// dispatch hands one datagram to its link's handler and recycles the
-// buffer.
+// dispatch hands each datagram of one message to its link's handler,
+// in order, and recycles the buffer. A datagram's slice ends where the
+// next datagram starts, capacity included, so a handler that appends to
+// it gets a copy and leaves the neighbour alone.
 func (c *Clock) dispatch(a arrival) {
-	a.link.stats.recvd.Add(1)
-	if h := a.link.handler; h != nil {
-		h(a.ref.Bytes())
+	b, h := a.ref.Bytes(), a.link.handler
+	a.link.stats.recvd.Add(int64(datagrams(len(b), a.seg)))
+	for {
+		k := len(b)
+		if 0 < a.seg && a.seg < k {
+			k = a.seg
+		}
+		if h != nil {
+			h(b[:k:k])
+		}
+		if b = b[k:]; len(b) == 0 {
+			break
+		}
 	}
 	a.ref.Release()
 }
@@ -212,12 +244,15 @@ func (c *Clock) flushAll() {
 // the link's counters: a datagram longer than Config.MTU or from an
 // address other than the peer is dropped and counted, never returned.
 type sockIO interface {
-	// recv blocks until at least one datagram from the peer is
-	// readable, then takes up to Config.Batch of them into pooled
-	// buffers, each trimmed to its datagram, that the caller comes to
-	// own. in has room for Config.Batch. It is called from the reader
-	// goroutine only.
-	recv(in []*buf.Ref) (int, error)
+	// recv blocks until at least one message from the peer is readable,
+	// then takes up to Config.Batch of them into pooled buffers, each
+	// trimmed to its message, that the caller comes to own. It fills in
+	// each arrival's ref and seg; in has room for Config.Batch. It is
+	// called from the reader goroutine only.
+	recv(in []arrival) (int, error)
+	// release returns to the pool the receive buffers recv holds for
+	// its next call. The reader goroutine calls it as it exits.
+	release()
 	// send writes the datagrams to the peer, in order. A datagram that
 	// cannot be written is counted and skipped; the caller keeps its
 	// references. It is called from the loop goroutine only.
@@ -232,6 +267,8 @@ type counters struct {
 	sendErrs atomic.Int64
 	rxCalls  atomic.Int64
 	txCalls  atomic.Int64
+	rxMsgs   atomic.Int64
+	txMsgs   atomic.Int64
 }
 
 // connIO is the portable sockIO, for any net.PacketConn on any
@@ -244,7 +281,7 @@ type connIO struct {
 	buf  *buf.Ref // the next read's buffer, kept across failed and dropped reads
 }
 
-func (c *connIO) recv(in []*buf.Ref) (int, error) {
+func (c *connIO) recv(in []arrival) (int, error) {
 	for {
 		if c.buf == nil {
 			// One byte more than the longest datagram accepted, so that a
@@ -256,13 +293,21 @@ func (c *connIO) recv(in []*buf.Ref) (int, error) {
 		if err != nil {
 			return 0, err
 		}
+		c.st.rxMsgs.Add(1)
 		if n > c.cfg.MTU || !sameAddr(from, c.peer) {
 			c.st.dropped.Add(1)
 			continue
 		}
 		c.buf.Trim(n)
-		in[0], c.buf = c.buf, nil
+		in[0], c.buf = arrival{ref: c.buf, seg: n}, nil
 		return 1, nil
+	}
+}
+
+func (c *connIO) release() {
+	if c.buf != nil {
+		c.buf.Release()
+		c.buf = nil
 	}
 }
 
@@ -274,6 +319,7 @@ func (c *connIO) send(out []*buf.Ref) {
 		}
 	}
 	c.st.txCalls.Add(int64(len(out)))
+	c.st.txMsgs.Add(int64(len(out) - errs))
 	c.st.sendErrs.Add(int64(errs))
 	c.st.sent.Add(int64(len(out) - errs))
 }
@@ -310,12 +356,16 @@ type Link struct {
 // goroutine). The slice is only valid during the call.
 func (l *Link) SetHandler(h func([]byte)) { l.handler = h }
 
-// Sent, Recvd, Dropped and SendErrs count datagrams. Sent includes
-// those a LossyConn ate. Dropped counts what the socket received and
-// the link refused: datagrams longer than Config.MTU (which would
-// otherwise arrive clipped) and datagrams from anyone but the peer. A
-// full inbox is not a drop: the reader blocks, and it is the kernel's
-// socket buffer that overflows.
+// Sent, Recvd, Dropped and SendErrs count datagrams, whatever messages
+// carried them. Sent includes those a LossyConn ate. SendErrs counts
+// datagrams the kernel refused one by one; a train it refuses goes out
+// again as lone datagrams first. Dropped counts what the socket
+// received and the link refused: datagrams longer than Config.MTU
+// (which would otherwise arrive clipped) and datagrams from anyone but
+// the peer. A train is refused whole, so a short datagram that closes a
+// train of over-long ones goes with them. A full inbox is not a drop:
+// the reader blocks, and it is the kernel's socket buffer that
+// overflows.
 func (l *Link) Sent() int64     { return l.stats.sent.Load() }
 func (l *Link) Recvd() int64    { return l.stats.recvd.Load() }
 func (l *Link) Dropped() int64  { return l.stats.dropped.Load() }
@@ -323,11 +373,19 @@ func (l *Link) SendErrs() int64 { return l.stats.sendErrs.Load() }
 
 // RxCalls and TxCalls count the receive and send calls made on the
 // socket: recvmmsg and sendmmsg entries on the batch path (a recvmmsg
-// that finds the socket empty included), ReadFrom and WriteTo calls on
-// the portable one. Against Recvd and Sent they give calls per
-// datagram.
+// that finds the socket empty and a sendmmsg that fails included),
+// ReadFrom and WriteTo calls on the portable one. Against Recvd and
+// Sent they give calls per datagram.
 func (l *Link) RxCalls() int64 { return l.stats.rxCalls.Load() }
 func (l *Link) TxCalls() int64 { return l.stats.txCalls.Load() }
+
+// RxMsgs and TxMsgs count the messages those calls read and wrote. On
+// the batch path a message is a train of one or more datagrams, so
+// Sent/TxMsgs is the mean train length written (a datagram a LossyConn
+// ate is in Sent but in no message) and (Recvd+Dropped)/RxMsgs the
+// mean length read; on the portable path a message is a datagram.
+func (l *Link) RxMsgs() int64 { return l.stats.rxMsgs.Load() }
+func (l *Link) TxMsgs() int64 { return l.stats.txMsgs.Load() }
 
 // Send queues one datagram, copying p into a pooled buffer (the caller
 // may reuse p immediately — the contract control-plane senders
@@ -347,9 +405,10 @@ func (l *Link) SendRef(ref *buf.Ref) error {
 	return nil
 }
 
-// flush writes the queued datagrams. One flush per loop pass batches
-// everything the endpoints emitted during that pass (a paced burst, a
-// whole ADU's fragments) into back-to-back writes.
+// flush writes the queued datagrams. One flush per loop pass hands the
+// socket everything the endpoints emitted during that pass (a paced
+// burst, a whole ADU's fragments) at once, which is what lets the batch
+// path find trains in it.
 func (l *Link) flush() {
 	if len(l.out) == 0 {
 		return
@@ -377,7 +436,8 @@ const (
 // error keeps the reader alive; consecutive ones back off, so an error
 // that does not clear cannot spin the reader.
 func (l *Link) readLoop() {
-	in := make([]*buf.Ref, l.clk.cfg.Batch)
+	defer l.io.release()
+	in := make([]arrival, l.clk.cfg.Batch)
 	fails := 0 // consecutive failed receives
 	for {
 		n, err := l.io.recv(in)
@@ -391,22 +451,26 @@ func (l *Link) readLoop() {
 			continue
 		}
 		fails = 0
-		for _, ref := range in[:n] {
-			if !l.deliver(ref) {
+		for i := range in[:n] {
+			in[i].link = l
+			if !l.deliver(in[i]) {
+				for _, a := range in[i+1 : n] {
+					a.ref.Release()
+				}
 				return
 			}
 		}
 	}
 }
 
-// deliver hands one received datagram to the loop. It reports false
+// deliver hands one received message to the loop. It reports false
 // only when the clock has stopped (time to exit the reader).
-func (l *Link) deliver(ref *buf.Ref) bool {
+func (l *Link) deliver(a arrival) bool {
 	select {
-	case l.clk.inbox <- arrival{link: l, ref: ref}:
+	case l.clk.inbox <- a:
 		return true
 	case <-l.clk.stopc:
-		ref.Release()
+		a.ref.Release()
 		return false
 	}
 }

@@ -244,8 +244,8 @@ func TestUDPSoakLossy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Logf("soak: %d ADUs in %v, %d wire drops, %d resends, elapsed %v",
-		res.Delivered, res.Elapsed.Round(time.Millisecond), res.WireDrops, res.Resent, res.Elapsed)
+	t.Logf("soak: %d ADUs in %v, %d wire drops, %d resends; %d datagrams sent in %d messages and %d calls, %d received in %d and %d",
+		res.Delivered, res.Elapsed.Round(time.Millisecond), res.WireDrops, res.Resent, res.Sent, res.TxMsgs, res.TxCalls, res.Recvd, res.RxMsgs, res.RxCalls)
 	if res.WireDrops == 0 {
 		t.Error("lossy conn dropped nothing; soak did not exercise recovery")
 	}
@@ -292,6 +292,34 @@ func TestUDPSoakScramble(t *testing.T) {
 		Timeout:  45 * time.Second,
 	}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestUDPSoakMixed crowds the send queues: ADUs from one byte to many
+// fragments, submitted faster than a loop pass, under 4% drops, so one
+// flush holds fragment runs of several lengths, short tails, whole-ADU
+// resends and control frames, and cuts them into trains of every shape.
+// The invariants are the usual ones.
+func TestUDPSoakMixed(t *testing.T) {
+	if testing.Short() {
+		t.Skip("loopback soak in -short mode")
+	}
+	res, err := RunSoak(SoakConfig{
+		ADUs:        600,
+		ADUSizes:    []int{1, 200, 3000, 1400, 9000, 64, 20000, 1024, 5},
+		LossProb:    0.04,
+		Seed:        4,
+		Suite:       alf.SuiteAEAD,
+		SubmitEvery: 50 * time.Microsecond,
+		Timeout:     45 * time.Second,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("soak: %d ADUs, %d wire drops, %d resends; %d datagrams sent in %d messages and %d calls, %d received in %d and %d",
+		res.Delivered, res.WireDrops, res.Resent, res.Sent, res.TxMsgs, res.TxCalls, res.Recvd, res.RxMsgs, res.RxCalls)
+	if res.WireDrops == 0 || res.Resent == 0 {
+		t.Errorf("%d wire drops and %d resends; soak did not exercise recovery", res.WireDrops, res.Resent)
 	}
 }
 
