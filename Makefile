@@ -106,9 +106,12 @@ lint: vet
 # depth (a link with a 16384-packet backlog, a scheduler with 65536
 # armed timers) must run at 0 allocs/op. The tests assert
 # testing.AllocsPerRun == 0; the bench run reports the same numbers
-# with -benchmem for the log.
+# with -benchmem for the log. Set-up rides along: an endpoint pair, an
+# OTP connection and a duplex link built without a registry stay under
+# a fixed allocation count (NilRegistryBindsNothing), so metric
+# bindings cannot creep back into per-flow state.
 alloc-guard:
-	$(GO) test -count=1 -run 'ZeroAlloc' -v ./internal/core ./internal/udplink
+	$(GO) test -count=1 -run 'ZeroAlloc|NilRegistryBindsNothing' -v ./internal/core ./internal/udplink ./internal/otp ./internal/netsim
 	$(GO) test -run '^$$' -bench 'SendSteadyState|ReceivePath|FECSender|FECRepair|NetsimForward|LinkDeepQueue|SchedulerDeep' -benchmem ./internal/core ./internal/netsim ./internal/sim
 
 # internal/wire owns every frame format and must stay a leaf:

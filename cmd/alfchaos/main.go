@@ -311,19 +311,7 @@ func printOverloadSummary(res *soak.OverloadResult) {
 	}
 	fmt.Printf("drain: quiescent at %v after %d post-horizon events\n",
 		res.EndVirtual, res.DrainEvents)
-	if res.Passed() {
-		fmt.Println("invariants: all held (goodput floor, Critical protection, exactly-once, clean drain)")
-		return
-	}
-	fmt.Printf("invariants: %d VIOLATED\n", len(res.Violations))
-	const maxPrint = 12
-	for i, v := range res.Violations {
-		if i == maxPrint {
-			fmt.Printf("  (… %d more)\n", len(res.Violations)-maxPrint)
-			break
-		}
-		fmt.Printf("  ! %s\n", v)
-	}
+	printInvariants("goodput floor, Critical protection, exactly-once, clean drain", res.Violations, 12)
 }
 
 // runDTN executes one DTN scenario (interplanetary delay, conjunction
@@ -407,19 +395,7 @@ func printDTNSummary(res *soak.DTNResult) {
 	}
 	fmt.Printf("drain: quiescent at %v after %d post-horizon events\n",
 		res.EndVirtual, res.DrainEvents)
-	if res.Passed() {
-		fmt.Println("invariants: all held (Critical exactly-once, bounded custody storage, clean drain)")
-		return
-	}
-	fmt.Printf("invariants: %d VIOLATED\n", len(res.Violations))
-	const maxPrint = 12
-	for i, v := range res.Violations {
-		if i == maxPrint {
-			fmt.Printf("  (… %d more)\n", len(res.Violations)-maxPrint)
-			break
-		}
-		fmt.Printf("  ! %s\n", v)
-	}
+	printInvariants("Critical exactly-once, bounded custody storage, clean drain", res.Violations, 12)
 }
 
 // runAll sweeps every preset against every policy, summary lines only.
@@ -460,12 +436,23 @@ func printSummary(res *soak.Result) {
 	fmt.Printf("drain: quiescent at %v after %d post-horizon events\n",
 		res.EndVirtual, res.DrainEvents)
 
-	if res.Passed() {
-		fmt.Println("invariants: all held (exactly-once accounting, no corruption, bounded state, clean drain)")
+	printInvariants("exactly-once accounting, no corruption, bounded state, clean drain",
+		res.Violations, len(res.Violations))
+}
+
+// printInvariants prints a family's verdict: the invariants it held,
+// or the first maxPrint violations and how many more there are.
+func printInvariants(held string, violations []string, maxPrint int) {
+	if len(violations) == 0 {
+		fmt.Printf("invariants: all held (%s)\n", held)
 		return
 	}
-	fmt.Printf("invariants: %d VIOLATED\n", len(res.Violations))
-	for _, v := range res.Violations {
+	fmt.Printf("invariants: %d VIOLATED\n", len(violations))
+	for i, v := range violations {
+		if i == maxPrint {
+			fmt.Printf("  (… %d more)\n", len(violations)-maxPrint)
+			break
+		}
 		fmt.Printf("  ! %s\n", v)
 	}
 }

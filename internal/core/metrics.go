@@ -7,14 +7,16 @@ import (
 )
 
 // This file wires both stream endpoints into the unified metrics
-// registry (internal/metrics). The pre-existing SenderStats and
-// ReceiverStats structs remain the storage for event counts — tests
-// and examples read them directly — and are exposed through the
-// registry as func-backed series, so the struct and the registry can
-// never disagree. Signals the structs cannot carry (distributions,
-// instantaneous depths) are native registry instruments. With a nil
-// registry every instrument below is nil and each observation costs
-// one nil-check branch (see internal/metrics).
+// registry (internal/metrics). SenderStats and ReceiverStats are the
+// only storage for event counts — tests and examples read them
+// directly — and metrics.BindStats exposes every field under the name
+// in its `metric` tag, so the struct and the registry can never
+// disagree and a new counter is one line. Signals the structs cannot
+// carry (distributions, instantaneous depths) are native instruments
+// and computed gauges, registered below. With a nil registry nothing
+// is built — no label, no closure, no reflection — every instrument
+// is nil, and each observation costs one nil-check branch (see
+// internal/metrics).
 
 // senderMetrics holds the sender's native instruments.
 type senderMetrics struct {
@@ -30,36 +32,11 @@ type senderMetrics struct {
 
 // bindSenderMetrics registers the sender's series, labeled by stream.
 func bindSenderMetrics(r *metrics.Registry, s *Sender) senderMetrics {
-	lb := fmt.Sprintf("stream=%d", s.cfg.StreamID)
-	st := &s.Stats
-	for _, c := range []struct {
-		name string
-		fn   func() int64
-	}{
-		{"core.send.adus", func() int64 { return st.ADUs }},
-		{"core.send.fragments", func() int64 { return st.Fragments }},
-		{"core.send.frag_bytes", func() int64 { return st.Bytes }},
-		{"core.send.resent_adus", func() int64 { return st.ResentADUs }},
-		{"core.send.recompute_adus", func() int64 { return st.RecomputeADUs }},
-		{"core.send.resent_frags", func() int64 { return st.ResentFrags }},
-		{"core.send.unfilled_nacks", func() int64 { return st.UnfilledNacks }},
-		{"core.send.released", func() int64 { return st.Released }},
-		{"core.send.deadline_drops", func() int64 { return st.DeadlineDrops }},
-		{"core.send.ctrl_received", func() int64 { return st.CtrlReceived }},
-		{"core.send.ctrl_dropped", func() int64 { return st.CtrlDropped }},
-		{"core.send.heartbeats", func() int64 { return st.Heartbeats }},
-		{"core.send.parity_frags", func() int64 { return st.ParityFrags }},
-		{"core.send.shed_adus", func() int64 { return st.ShedADUs }},
-		{"core.send.feedback_rx", func() int64 { return st.FeedbackRecv }},
-		{"core.send.rate_changes", func() int64 { return st.RateChanges }},
-		{"core.send.retx_suppressed", func() int64 { return st.RetxSuppressed }},
-		{"core.send.wire_bytes", func() int64 { return st.WireBytes }},
-		{"core.send.custody_acks", func() int64 { return st.CustodyAcks }},
-		{"core.send.custody_released", func() int64 { return st.CustodyReleased }},
-		{"core.send.custody_nacks", func() int64 { return st.CustodyNacks }},
-	} {
-		r.CounterFunc(c.name, c.fn, lb)
+	if r == nil {
+		return senderMetrics{}
 	}
+	lb := fmt.Sprintf("stream=%d", s.cfg.StreamID)
+	metrics.BindStats(r, "core.send", &s.Stats, lb)
 	r.GaugeFunc("core.send.buffered_bytes", func() int64 { return int64(s.bufBytes) }, lb)
 	r.GaugeFunc("core.send.buffered_adus", func() int64 { return int64(len(s.buffered)) }, lb)
 	r.GaugeFunc("core.send.rate_bps", func() int64 { return int64(s.cfg.RateBps) }, lb)
@@ -92,34 +69,11 @@ type recvMetrics struct {
 // bindReceiverMetrics registers the receiver's series, labeled by
 // stream.
 func bindReceiverMetrics(r *metrics.Registry, rc *Receiver) recvMetrics {
-	lb := fmt.Sprintf("stream=%d", rc.cfg.StreamID)
-	st := &rc.Stats
-	for _, c := range []struct {
-		name string
-		fn   func() int64
-	}{
-		{"core.recv.fragments", func() int64 { return st.Fragments }},
-		{"core.recv.frag_bytes", func() int64 { return st.FragmentBytes }},
-		{"core.recv.header_drops", func() int64 { return st.HeaderDrops }},
-		{"core.recv.dup_fragments", func() int64 { return st.DupFragments }},
-		{"core.recv.late_fragments", func() int64 { return st.LateFragments }},
-		{"core.recv.inconsistent", func() int64 { return st.Inconsistent }},
-		{"core.recv.too_large", func() int64 { return st.TooLarge }},
-		{"core.recv.adus_delivered", func() int64 { return st.ADUsDelivered }},
-		{"core.recv.adus_lost", func() int64 { return st.ADUsLost }},
-		{"core.recv.out_of_order", func() int64 { return st.OutOfOrder }},
-		{"core.recv.checksum_fails", func() int64 { return st.ChecksumFails }},
-		{"core.recv.nacks_sent", func() int64 { return st.NacksSent }},
-		{"core.recv.ctrl_sent", func() int64 { return st.CtrlSent }},
-		{"core.recv.heartbeats", func() int64 { return st.Heartbeats }},
-		{"core.recv.parity_frags", func() int64 { return st.ParityFrags }},
-		{"core.recv.fec_recovered", func() int64 { return st.FECRecovered }},
-		{"core.recv.feedback_tx", func() int64 { return st.FeedbackSent }},
-		{"core.recv.wire_bytes", func() int64 { return st.WireBytes }},
-		{"core.recv.delivered_bytes", func() int64 { return st.DeliveredBytes }},
-	} {
-		r.CounterFunc(c.name, c.fn, lb)
+	if r == nil {
+		return recvMetrics{}
 	}
+	lb := fmt.Sprintf("stream=%d", rc.cfg.StreamID)
+	metrics.BindStats(r, "core.recv", &rc.Stats, lb)
 	r.GaugeFunc("core.recv.pending_adus", func() int64 { return int64(len(rc.partials)) }, lb)
 	r.GaugeFunc("core.recv.missing_adus", func() int64 { return int64(len(rc.missings)) }, lb)
 	r.GaugeFunc("core.recv.settled", func() int64 { return int64(rc.cum) }, lb)

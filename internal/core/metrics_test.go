@@ -11,9 +11,8 @@ import (
 )
 
 // TestStatsMatchRegistry is the regression contract for the unified
-// metrics layer: every bridged series in the registry must read
-// exactly the value of the Stats field it views, after a run lossy
-// enough to exercise the recovery counters.
+// metrics layer on a live run, lossy enough to exercise recovery: the
+// registry reads what the endpoints and links counted.
 func TestStatsMatchRegistry(t *testing.T) {
 	reg := metrics.New()
 	sched := sim.NewScheduler()
@@ -54,50 +53,20 @@ func TestStatsMatchRegistry(t *testing.T) {
 	snap := reg.Snapshot()
 	sv := func(name string) int64 { return snap.Value(name, "stream=0") }
 
-	sendViews := map[string]int64{
-		"core.send.adus":           snd.Stats.ADUs,
-		"core.send.fragments":      snd.Stats.Fragments,
-		"core.send.frag_bytes":     snd.Stats.Bytes,
-		"core.send.resent_adus":    snd.Stats.ResentADUs,
-		"core.send.recompute_adus": snd.Stats.RecomputeADUs,
-		"core.send.resent_frags":   snd.Stats.ResentFrags,
-		"core.send.unfilled_nacks": snd.Stats.UnfilledNacks,
-		"core.send.released":       snd.Stats.Released,
-		"core.send.ctrl_received":  snd.Stats.CtrlReceived,
-		"core.send.ctrl_dropped":   snd.Stats.CtrlDropped,
-		"core.send.heartbeats":     snd.Stats.Heartbeats,
-		"core.send.parity_frags":   snd.Stats.ParityFrags,
+	// The Stats fields themselves are covered, tag by tag, by
+	// metrics.TestStatsStructsBindEveryField; these are the gauges
+	// computed from live state, and one bound counter each way to show
+	// the series follow the run.
+	for name, want := range map[string]int64{
 		"core.send.buffered_bytes": int64(snd.BufferedBytes()),
 		"core.send.buffered_adus":  int64(snd.BufferedADUs()),
-	}
-	recvViews := map[string]int64{
-		"core.recv.fragments":      rcv.Stats.Fragments,
-		"core.recv.frag_bytes":     rcv.Stats.FragmentBytes,
-		"core.recv.header_drops":   rcv.Stats.HeaderDrops,
-		"core.recv.dup_fragments":  rcv.Stats.DupFragments,
-		"core.recv.late_fragments": rcv.Stats.LateFragments,
-		"core.recv.inconsistent":   rcv.Stats.Inconsistent,
-		"core.recv.too_large":      rcv.Stats.TooLarge,
-		"core.recv.adus_delivered": rcv.Stats.ADUsDelivered,
-		"core.recv.adus_lost":      rcv.Stats.ADUsLost,
-		"core.recv.out_of_order":   rcv.Stats.OutOfOrder,
-		"core.recv.checksum_fails": rcv.Stats.ChecksumFails,
-		"core.recv.nacks_sent":     rcv.Stats.NacksSent,
-		"core.recv.ctrl_sent":      rcv.Stats.CtrlSent,
-		"core.recv.heartbeats":     rcv.Stats.Heartbeats,
-		"core.recv.parity_frags":   rcv.Stats.ParityFrags,
-		"core.recv.fec_recovered":  rcv.Stats.FECRecovered,
+		"core.send.resent_adus":    snd.Stats.ResentADUs,
 		"core.recv.pending_adus":   int64(rcv.Pending()),
 		"core.recv.settled":        int64(rcv.Settled()),
-	}
-	for name, want := range sendViews {
+		"core.recv.adus_delivered": rcv.Stats.ADUsDelivered,
+	} {
 		if got := sv(name); got != want {
-			t.Errorf("%s = %d, Stats field = %d", name, got, want)
-		}
-	}
-	for name, want := range recvViews {
-		if got := sv(name); got != want {
-			t.Errorf("%s = %d, Stats field = %d", name, got, want)
+			t.Errorf("%s = %d, endpoint says %d", name, got, want)
 		}
 	}
 
@@ -145,5 +114,25 @@ func TestMetricsDisabled(t *testing.T) {
 	}
 	if p.snd.m.aduBytes != nil || p.rcv.m.aduLatency != nil {
 		t.Error("nil registry must produce nil instruments")
+	}
+}
+
+// TestNilRegistryBindsNothing bounds what a sender + receiver pair
+// allocates when there is no registry to bind to — the shard plane's
+// case, 65 536 times over: the endpoints' own maps, timers and structs,
+// and not one label, closure or series. (67 with the closure tables.)
+func TestNilRegistryBindsNothing(t *testing.T) {
+	sched := sim.NewScheduler()
+	discard := func([]byte) error { return nil }
+	allocs := testing.AllocsPerRun(100, func() {
+		if _, err := NewSender(sched, discard, Config{}); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := NewReceiver(sched, discard, Config{}); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 20 {
+		t.Errorf("NewSender + NewReceiver on a nil registry: %.0f allocs, want <= 20", allocs)
 	}
 }

@@ -13,28 +13,28 @@ import (
 
 // ReceiverStats counts receiver events.
 type ReceiverStats struct {
-	Fragments     int64 // valid fragments accepted
-	FragmentBytes int64
-	HeaderDrops   int64 // fragments with corrupt/malformed headers
-	DupFragments  int64
-	LateFragments int64 // fragments for already-settled ADUs
-	Inconsistent  int64 // fragments contradicting earlier ones
-	TooLarge      int64 // ADUs beyond MaxADU
-	ADUsDelivered int64
-	ADUsLost      int64 // given up and reported to the application
-	OutOfOrder    int64 // ADUs delivered while a lower name was unsettled
-	ChecksumFails int64 // complete ADUs whose checksum failed
-	AuthFails     int64 // fragments whose authentication tag failed
-	NacksSent     int64 // recovery requests (ADU names, total)
-	CtrlSent      int64 // control messages
-	Heartbeats    int64 // sender extent declarations processed
-	ParityFrags   int64 // FEC parity fragments accepted
-	FECRecovered  int64 // data fragments rebuilt from parity
+	Fragments     int64 `metric:"fragments"` // valid fragments accepted
+	FragmentBytes int64 `metric:"frag_bytes"`
+	HeaderDrops   int64 `metric:"header_drops"` // fragments with corrupt/malformed headers
+	DupFragments  int64 `metric:"dup_fragments"`
+	LateFragments int64 `metric:"late_fragments"` // fragments for already-settled ADUs
+	Inconsistent  int64 `metric:"inconsistent"`   // fragments contradicting earlier ones
+	TooLarge      int64 `metric:"too_large"`      // ADUs beyond MaxADU
+	ADUsDelivered int64 `metric:"adus_delivered"`
+	ADUsLost      int64 `metric:"adus_lost"`      // given up and reported to the application
+	OutOfOrder    int64 `metric:"out_of_order"`   // ADUs delivered while a lower name was unsettled
+	ChecksumFails int64 `metric:"checksum_fails"` // complete ADUs whose checksum failed
+	AuthFails     int64 `metric:"auth_fails"`     // fragments whose authentication tag failed
+	NacksSent     int64 `metric:"nacks_sent"`     // recovery requests (ADU names, total)
+	CtrlSent      int64 `metric:"ctrl_sent"`      // control messages
+	Heartbeats    int64 `metric:"heartbeats"`     // sender extent declarations processed
+	ParityFrags   int64 `metric:"parity_frags"`   // FEC parity fragments accepted
+	FECRecovered  int64 `metric:"fec_recovered"`  // data fragments rebuilt from parity
 
 	// Closed-loop accounting (see ratecontrol.go).
-	FeedbackSent   int64 // delivery reports emitted
-	WireBytes      int64 // data-plane wire bytes accepted (dups included)
-	DeliveredBytes int64 // verified ADU payload handed to the application
+	FeedbackSent   int64 `metric:"feedback_tx"`     // delivery reports emitted
+	WireBytes      int64 `metric:"wire_bytes"`      // data-plane wire bytes accepted (dups included)
+	DeliveredBytes int64 `metric:"delivered_bytes"` // verified ADU payload handed to the application
 }
 
 // partial is an ADU under reassembly. The struct (with its maps) and

@@ -13,31 +13,31 @@ import (
 
 // SenderStats counts sender events.
 type SenderStats struct {
-	ADUs          int64 // ADUs submitted
-	Fragments     int64 // first-transmission fragments
-	Bytes         int64 // first-transmission payload bytes
-	ResentADUs    int64 // whole-ADU retransmissions (SenderBuffered)
-	RecomputeADUs int64 // whole-ADU regenerations (AppRecompute)
-	ResentFrags   int64
-	UnfilledNacks int64 // NACKs we could not satisfy
-	Released      int64 // buffered ADUs freed by cumulative acks
-	DeadlineDrops int64 // buffered ADUs shed by ADUDeadline, unconfirmed
-	CtrlReceived  int64
-	CtrlDropped   int64 // corrupt control messages
-	Heartbeats    int64
-	ParityFrags   int64 // FEC parity fragments emitted
+	ADUs          int64 `metric:"adus"`           // ADUs submitted
+	Fragments     int64 `metric:"fragments"`      // first-transmission fragments
+	Bytes         int64 `metric:"frag_bytes"`     // first-transmission payload bytes
+	ResentADUs    int64 `metric:"resent_adus"`    // whole-ADU retransmissions (SenderBuffered)
+	RecomputeADUs int64 `metric:"recompute_adus"` // whole-ADU regenerations (AppRecompute)
+	ResentFrags   int64 `metric:"resent_frags"`
+	UnfilledNacks int64 `metric:"unfilled_nacks"` // NACKs we could not satisfy
+	Released      int64 `metric:"released"`       // buffered ADUs freed by cumulative acks
+	DeadlineDrops int64 `metric:"deadline_drops"` // buffered ADUs shed by ADUDeadline, unconfirmed
+	CtrlReceived  int64 `metric:"ctrl_received"`
+	CtrlDropped   int64 `metric:"ctrl_dropped"` // corrupt control messages
+	Heartbeats    int64 `metric:"heartbeats"`
+	ParityFrags   int64 `metric:"parity_frags"` // FEC parity fragments emitted
 
 	// Overload-robustness accounting (see ratecontrol.go).
-	ShedADUs       int64 // Droppable ADUs shed before transmission
-	FeedbackRecv   int64 // feedback reports accepted (fresh sequence)
-	RateChanges    int64 // controller-driven rate updates applied
-	RetxSuppressed int64 // resends withheld by the recovery-bandwidth cap
-	WireBytes      int64 // data-plane wire bytes emitted (headers included)
+	ShedADUs       int64 `metric:"shed_adus"`       // Droppable ADUs shed before transmission
+	FeedbackRecv   int64 `metric:"feedback_rx"`     // feedback reports accepted (fresh sequence)
+	RateChanges    int64 `metric:"rate_changes"`    // controller-driven rate updates applied
+	RetxSuppressed int64 `metric:"retx_suppressed"` // resends withheld by the recovery-bandwidth cap
+	WireBytes      int64 `metric:"wire_bytes"`      // data-plane wire bytes emitted (headers included)
 
 	// Custody-transfer accounting (Config.Custody; see internal/relay).
-	CustodyAcks     int64 // custody-ack frames accepted
-	CustodyReleased int64 // buffered ADUs freed by custody transfer
-	CustodyNacks    int64 // NACKs suppressed: the ADU is in downstream custody
+	CustodyAcks     int64 `metric:"custody_acks"`     // custody-ack frames accepted
+	CustodyReleased int64 `metric:"custody_released"` // buffered ADUs freed by custody transfer
+	CustodyNacks    int64 `metric:"custody_nacks"`    // NACKs suppressed: the ADU is in downstream custody
 }
 
 // wireFrag is one stamped wire packet (header + fragment payload) in a

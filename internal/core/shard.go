@@ -485,73 +485,11 @@ func (t *Sharded) Stats() ShardedStats {
 	for _, sh := range t.shards {
 		for _, id := range sh.sorted() {
 			f := sh.flows[id]
-			addSenderStats(&out.Send, &f.Sender.Stats)
-			addReceiverStats(&out.Recv, &f.Receiver.Stats)
+			metrics.AddStats(&out.Send, &f.Sender.Stats)
+			metrics.AddStats(&out.Recv, &f.Receiver.Stats)
 		}
-		addLinkStats(&out.Trunk, &sh.up.Stats)
-		addLinkStats(&out.Trunk, &sh.down.Stats)
+		metrics.AddStats(&out.Trunk, &sh.up.Stats)
+		metrics.AddStats(&out.Trunk, &sh.down.Stats)
 	}
 	return out
-}
-
-func addSenderStats(dst, src *SenderStats) {
-	dst.ADUs += src.ADUs
-	dst.Fragments += src.Fragments
-	dst.Bytes += src.Bytes
-	dst.ResentADUs += src.ResentADUs
-	dst.RecomputeADUs += src.RecomputeADUs
-	dst.ResentFrags += src.ResentFrags
-	dst.UnfilledNacks += src.UnfilledNacks
-	dst.Released += src.Released
-	dst.DeadlineDrops += src.DeadlineDrops
-	dst.CtrlReceived += src.CtrlReceived
-	dst.CtrlDropped += src.CtrlDropped
-	dst.Heartbeats += src.Heartbeats
-	dst.ParityFrags += src.ParityFrags
-	dst.ShedADUs += src.ShedADUs
-	dst.FeedbackRecv += src.FeedbackRecv
-	dst.RateChanges += src.RateChanges
-	dst.RetxSuppressed += src.RetxSuppressed
-	dst.WireBytes += src.WireBytes
-}
-
-func addReceiverStats(dst, src *ReceiverStats) {
-	dst.Fragments += src.Fragments
-	dst.FragmentBytes += src.FragmentBytes
-	dst.HeaderDrops += src.HeaderDrops
-	dst.DupFragments += src.DupFragments
-	dst.LateFragments += src.LateFragments
-	dst.Inconsistent += src.Inconsistent
-	dst.TooLarge += src.TooLarge
-	dst.ADUsDelivered += src.ADUsDelivered
-	dst.ADUsLost += src.ADUsLost
-	dst.OutOfOrder += src.OutOfOrder
-	dst.ChecksumFails += src.ChecksumFails
-	dst.NacksSent += src.NacksSent
-	dst.CtrlSent += src.CtrlSent
-	dst.Heartbeats += src.Heartbeats
-	dst.ParityFrags += src.ParityFrags
-	dst.FECRecovered += src.FECRecovered
-	dst.FeedbackSent += src.FeedbackSent
-	dst.WireBytes += src.WireBytes
-	dst.DeliveredBytes += src.DeliveredBytes
-}
-
-func addLinkStats(dst, src *netsim.LinkStats) {
-	dst.Sent += src.Sent
-	dst.SentBytes += src.SentBytes
-	dst.Delivered += src.Delivered
-	dst.DeliveredBytes += src.DeliveredBytes
-	dst.QueueDrops += src.QueueDrops
-	dst.ShrinkDrops += src.ShrinkDrops
-	dst.LineLosses += src.LineLosses
-	dst.DownDrops += src.DownDrops
-	dst.HeldPackets += src.HeldPackets
-	dst.Dups += src.Dups
-	dst.Reordered += src.Reordered
-	dst.Corrupted += src.Corrupted
-	dst.Rejected += src.Rejected
-	if src.MaxQueue > dst.MaxQueue {
-		dst.MaxQueue = src.MaxQueue // high-water mark aggregates by max, not sum
-	}
 }

@@ -265,3 +265,59 @@ func TestShardedSendZeroAlloc(t *testing.T) {
 		t.Fatalf("delivered %d of %d", st.Recv.ADUsDelivered, st.Send.ADUs)
 	}
 }
+
+// TestShardedStatsSumsEveryField fills every counter of every flow and
+// trunk with a distinct value and checks the aggregate field by field,
+// by reflection, so a counter added to a Stats struct is summed
+// without anyone remembering to: sums everywhere, the maximum for the
+// trunk's high-water queue depth.
+func TestShardedStatsSumsEveryField(t *testing.T) {
+	ep, err := NewSharded(ShardedConfig{Shards: 2, Workers: 1, Link: netsim.LinkConfig{RateBps: 1e6}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// fill sets field i of *st to seed*(i+1) and adds the same into the
+	// matching entry of want (or keeps the maximum for MaxQueue).
+	fill := func(st any, seed int64, want map[string]int64) {
+		v := reflect.ValueOf(st).Elem()
+		for i := 0; i < v.NumField(); i++ {
+			name, n := v.Type().Field(i).Name, seed*int64(i+1)
+			v.Field(i).SetInt(n)
+			if name == "MaxQueue" {
+				want[name] = max(want[name], n)
+			} else {
+				want[name] += n
+			}
+		}
+	}
+	send, recv, trunk := map[string]int64{}, map[string]int64{}, map[string]int64{}
+	const flows = 5
+	for id := 0; id < flows; id++ {
+		f, err := ep.AddFlow(FlowID(id))
+		if err != nil {
+			t.Fatal(err)
+		}
+		fill(&f.Sender.Stats, int64(id+1), send)
+		fill(&f.Receiver.Stats, int64(100*(id+1)), recv)
+	}
+	for i, sh := range ep.shards {
+		fill(&sh.up.Stats, int64(7+i), trunk)
+		fill(&sh.down.Stats, int64(3+i), trunk)
+	}
+
+	got := ep.Stats()
+	if got.Flows != flows {
+		t.Errorf("Flows = %d, want %d", got.Flows, flows)
+	}
+	check := func(agg any, want map[string]int64) {
+		v := reflect.ValueOf(agg)
+		for i := 0; i < v.NumField(); i++ {
+			if name := v.Type().Field(i).Name; v.Field(i).Int() != want[name] {
+				t.Errorf("%v.%s = %d, want %d", v.Type(), name, v.Field(i).Int(), want[name])
+			}
+		}
+	}
+	check(got.Send, send)
+	check(got.Recv, recv)
+	check(got.Trunk, trunk)
+}

@@ -38,13 +38,13 @@ import (
 
 // Stats counts injected fault events.
 type Stats struct {
-	Blackouts  int64 // blackout windows begun
-	FlapCycles int64 // completed down/up flap cycles
-	Degrades   int64 // degrade windows begun
-	Partitions int64 // partition windows begun
-	DownEvents int64 // links actually transitioned down
-	Heals      int64 // links actually transitioned back up
-	Restores   int64 // link configs restored after degrade
+	Blackouts  int64 `metric:"blackouts"`   // blackout windows begun
+	FlapCycles int64 `metric:"flap_cycles"` // completed down/up flap cycles
+	Degrades   int64 `metric:"degrades"`    // degrade windows begun
+	Partitions int64 `metric:"partitions"`  // partition windows begun
+	DownEvents int64 `metric:"down_events"` // links actually transitioned down
+	Heals      int64 `metric:"heals"`       // links actually transitioned back up
+	Restores   int64 `metric:"restores"`    // link configs restored after degrade
 }
 
 // Injector schedules fault events on a scheduler and applies them to
@@ -102,21 +102,10 @@ func New(sched *sim.Scheduler, seed int64) *Injector {
 // BindMetrics registers the injector's event counters and an
 // active-fault gauge with the unified registry.
 func (in *Injector) BindMetrics(r *metrics.Registry, labels ...string) {
-	st := &in.Stats
-	for _, e := range []struct {
-		name string
-		fn   func() int64
-	}{
-		{"faults.blackouts", func() int64 { return st.Blackouts }},
-		{"faults.flap_cycles", func() int64 { return st.FlapCycles }},
-		{"faults.degrades", func() int64 { return st.Degrades }},
-		{"faults.partitions", func() int64 { return st.Partitions }},
-		{"faults.down_events", func() int64 { return st.DownEvents }},
-		{"faults.heals", func() int64 { return st.Heals }},
-		{"faults.restores", func() int64 { return st.Restores }},
-	} {
-		r.CounterFunc(e.name, e.fn, labels...)
+	if r == nil {
+		return
 	}
+	metrics.BindStats(r, "faults", &in.Stats, labels...)
 	r.GaugeFunc("faults.links_down", func() int64 {
 		var n int64
 		for _, c := range in.downCount {

@@ -1,7 +1,6 @@
 package soak
 
 import (
-	"bytes"
 	"fmt"
 	"time"
 
@@ -157,6 +156,8 @@ type OverloadStream struct {
 // OverloadResult reports one overload run. Violations empty means
 // every no-collapse invariant held.
 type OverloadResult struct {
+	verdict
+
 	Mode    string
 	Shape   string
 	Seed    int64
@@ -174,14 +175,6 @@ type OverloadResult struct {
 	Streams     []OverloadStream
 	DrainEvents uint64
 	EndVirtual  sim.Time
-	Violations  []string
-}
-
-// Passed reports whether every invariant held.
-func (r *OverloadResult) Passed() bool { return len(r.Violations) == 0 }
-
-func (r *OverloadResult) violatef(format string, args ...any) {
-	r.Violations = append(r.Violations, fmt.Sprintf(format, args...))
 }
 
 // RunOverload executes one overload scenario to quiescence and returns
@@ -213,9 +206,7 @@ func RunOverload(cfg OverloadConfig) (*OverloadResult, error) {
 	lr, rl := net.NewDuplex(rL.Node, rR.Node, trunkCfg)
 	access := netsim.LinkConfig{RateBps: 100e6, Delay: 200 * time.Microsecond}
 
-	if cfg.Metrics != nil {
-		net.SetMetrics(cfg.Metrics)
-	}
+	net.SetMetrics(cfg.Metrics)
 	net.SetTracer(cfg.Tracer)
 
 	submitWindow := cfg.Duration * 2 / 3
@@ -226,17 +217,7 @@ func RunOverload(cfg OverloadConfig) (*OverloadResult, error) {
 
 	res.Streams = make([]OverloadStream, cfg.Streams)
 
-	type streamState struct {
-		snd       *alf.Sender
-		rcv       *alf.Receiver
-		delivered map[uint64]int
-		// submitted maps assigned wire names back to submission indices
-		// (shed Droppables consume no name, so wire names and submission
-		// order diverge under load — exactly when verification matters).
-		submitted map[uint64]int
-		acct      *OverloadStream
-	}
-	streams := make([]*streamState, cfg.Streams)
+	leds := make([]*ledger, cfg.Streams)
 
 	for i := 0; i < cfg.Streams; i++ {
 		id := byte(i + 1)
@@ -287,58 +268,42 @@ func RunOverload(cfg OverloadConfig) (*OverloadResult, error) {
 		src.SetHandler(func(p *netsim.Packet) { snd.HandleControl(p.Payload) })
 		dst.SetHandler(func(p *netsim.Packet) { rcv.HandlePacket(p.Payload) })
 
-		res.Streams[i].StreamID = id
-		st := &streamState{snd: snd, rcv: rcv,
-			delivered: make(map[uint64]int),
-			submitted: make(map[uint64]int),
-			acct:      &res.Streams[i]}
-		streams[i] = st
+		acct := &res.Streams[i]
+		acct.StreamID = id
+		led := newLedger(&res.verdict, fmt.Sprintf("stream %d: ", id), cfg.ADUBytes, snd, rcv)
+		leds[i] = led
 
 		rcv.OnADU = func(adu alf.ADU) {
-			st.delivered[adu.Name]++
-			if st.delivered[adu.Name] > 1 {
-				res.violatef("stream %d: ADU %d delivered %d times",
-					id, adu.Name, st.delivered[adu.Name])
-				return
+			if led.deliver(adu) {
+				acct.Delivered++
+				acct.DeliveredBytes += int64(len(adu.Data))
 			}
-			k, known := st.submitted[adu.Name]
-			if !known {
-				res.violatef("stream %d: ADU %d delivered but never accepted", id, adu.Name)
-				return
-			}
-			if adu.Tag != aduTag(uint64(k)) {
-				res.violatef("stream %d: ADU %d delivered with tag %d, want %d",
-					id, adu.Name, adu.Tag, aduTag(uint64(k)))
-			}
-			if !bytes.Equal(adu.Data, aduPayload(uint64(k), cfg.ADUBytes)) {
-				res.violatef("stream %d: ADU %d delivered corrupted", id, adu.Name)
-			}
-			st.acct.Delivered++
-			st.acct.DeliveredBytes += int64(len(adu.Data))
 		}
+		// The overload policy: shedding and the recovery cap may cost
+		// Droppable and Standard ADUs, never a Critical one.
 		rcv.OnLost = func(name uint64) {
-			st.acct.Lost++
-			if k, known := st.submitted[name]; known && aduClass(uint64(k)) == alf.Critical {
-				st.acct.CriticalLost++
+			acct.Lost++
+			if k, known := led.lose(name); known && aduClass(k) == alf.Critical {
+				acct.CriticalLost++
 				res.violatef("stream %d: Critical ADU %d lost under overload", id, name)
 			}
 		}
 
 		// ---- Workload: perStream ADUs shaped over the submit window.
 		for k := 0; k < perStream; k++ {
-			k := k
-			s.After(submitAt(cfg.Shape, i, k, perStream, submitWindow), func() {
-				st.acct.Submitted++
-				class := aduClass(uint64(k))
-				name, err := snd.SendClass(aduTag(uint64(k)), xcode.SyntaxRaw,
-					aduPayload(uint64(k), cfg.ADUBytes), class)
+			k := uint64(k)
+			s.After(submitAt(cfg.Shape, i, int(k), perStream, submitWindow), func() {
+				acct.Submitted++
+				class := aduClass(k)
+				name, err := snd.SendClass(aduTag(k), xcode.SyntaxRaw,
+					aduPayload(k, cfg.ADUBytes), class)
 				switch {
 				case err == nil:
-					st.submitted[name] = k
-					st.acct.Accepted++
-					st.acct.AcceptedBytes += int64(cfg.ADUBytes)
+					led.accept(name, k)
+					acct.Accepted++
+					acct.AcceptedBytes += int64(cfg.ADUBytes)
 				case err == alf.ErrShed && class == alf.Droppable:
-					st.acct.Shed++
+					acct.Shed++
 				default:
 					res.violatef("stream %d: Send(%d) failed: %v", id, k, err)
 				}
@@ -348,55 +313,21 @@ func RunOverload(cfg OverloadConfig) (*OverloadResult, error) {
 
 	// ---- Run to the horizon, then drain to quiescence with the same
 	// livelock bounds as the fault soak.
-	s.RunUntil(sim.Time(0).Add(cfg.Duration))
-	maxVirtual := sim.Time(0).Add(cfg.Duration + 15*time.Second)
-	firedAtHorizon := s.Fired()
-	const maxDrainEvents = 5_000_000
-	for s.Step() {
-		if s.Now() > maxVirtual {
-			res.violatef("livelock: events still firing at %v past the horizon", s.Now())
-			break
-		}
-		if s.Fired()-firedAtHorizon > maxDrainEvents {
-			res.violatef("livelock: %d drain events without quiescence",
-				s.Fired()-firedAtHorizon)
-			break
-		}
-	}
-	res.DrainEvents = s.Fired() - firedAtHorizon
-	res.EndVirtual = s.Now()
-	cfg.Recorder.Sample() // final post-drain reading for the black box
+	res.DrainEvents, res.EndVirtual = res.drain(s, cfg.Duration, 15*time.Second, cfg.Recorder)
 
 	// ---- Aggregate accounting and invariants.
-	for _, st := range streams {
-		a := st.acct
+	for i, led := range leds {
+		a := &res.Streams[i]
 		a.ShedADUsConsistency(res)
-		a.FinalRateBps = st.snd.Rate()
-		a.RateChanges = st.snd.Stats.RateChanges
-		a.RetxSuppressed = st.snd.Stats.RetxSuppressed
+		a.FinalRateBps = led.snd.Rate()
+		a.RateChanges = led.snd.Stats.RateChanges
+		a.RetxSuppressed = led.snd.Stats.RetxSuppressed
 		res.AcceptedBytes += a.AcceptedBytes
 		res.DeliveredBytes += a.DeliveredBytes
-		res.ShedADUs += st.snd.Stats.ShedADUs
-
-		if n := st.snd.BufferedADUs(); n != 0 {
-			res.violatef("stream %d: %d ADUs still retained after drain", a.StreamID, n)
-		}
-		if b := st.snd.Backlog(); b != 0 {
-			res.violatef("stream %d: pacer still %v backlogged after drain", a.StreamID, b)
-		}
-		if n := st.rcv.Pending(); n != 0 {
-			res.violatef("stream %d: %d partial ADUs still held after drain", a.StreamID, n)
-		}
-		if n := st.rcv.Missing(); n != 0 {
-			res.violatef("stream %d: %d ADUs still tracked missing after drain", a.StreamID, n)
-		}
+		res.ShedADUs += led.snd.Stats.ShedADUs
+		led.settle(false)
 	}
-	for _, l := range net.Links() {
-		if q := l.QueueLen(); q != 0 {
-			res.violatef("netsim: link %s->%s still queues %d packets after drain",
-				l.From().Name(), l.To().Name(), q)
-		}
-	}
+	res.quiesced(net, leds...)
 	res.TrunkDrops = lr.Stats.QueueDrops + rl.Stats.QueueDrops
 
 	// Goodput floor: delivered payload over the submit window must

@@ -23,8 +23,6 @@
 package soak
 
 import (
-	"bytes"
-	"fmt"
 	"time"
 
 	alf "repro/internal/core"
@@ -102,6 +100,8 @@ func (c *Config) fill() {
 // Result reports one soak run. Violations empty means every invariant
 // held.
 type Result struct {
+	verdict
+
 	Scenario string
 	Seed     int64
 	Policy   alf.Policy
@@ -132,33 +132,11 @@ type Result struct {
 	TrunkDownDrops int64
 	TrunkHeld      int64
 
-	Violations []string
 	// ViolatedADUs names the ALF ADUs whose delivery accounting broke
 	// (duplicated, both-delivered-and-lost, or unaccounted for), so a
 	// caller holding the run's tracer can dump their timelines.
 	ViolatedADUs []uint64
 }
-
-// Passed reports whether every invariant held.
-func (r *Result) Passed() bool { return len(r.Violations) == 0 }
-
-func (r *Result) violatef(format string, args ...any) {
-	r.Violations = append(r.Violations, fmt.Sprintf(format, args...))
-}
-
-// aduPayload is the deterministic per-name payload pattern; delivery
-// verifies against it byte for byte, so any corruption or cross-ADU
-// mixup is caught without storing submitted copies.
-func aduPayload(name uint64, n int) []byte {
-	b := make([]byte, n)
-	for i := range b {
-		b[i] = byte(uint64(i)*167 + name*59 + 13)
-	}
-	return b
-}
-
-// aduTag is the deterministic tag for an ADU name.
-func aduTag(name uint64) uint64 { return name*2654435761 + 7 }
 
 // otpByte is the deterministic OTP stream pattern at offset off.
 func otpByte(off int64) byte { return byte(off*37>>3) ^ byte(off) }
@@ -215,9 +193,7 @@ func Run(cfg Config) (*Result, error) {
 	rR.AddRoute(alfDst, rAd)
 	rR.AddRoute(otpDst, rOd)
 
-	if cfg.Metrics != nil {
-		net.SetMetrics(cfg.Metrics)
-	}
+	net.SetMetrics(cfg.Metrics)
 	net.SetTracer(cfg.Tracer)
 
 	// ---- ALF stream over the left/right path.
@@ -254,20 +230,10 @@ func Run(cfg Config) (*Result, error) {
 	alfSrc.SetHandler(func(p *netsim.Packet) { snd.HandleControl(p.Payload) })
 	alfDst.SetHandler(func(p *netsim.Packet) { rcv.HandlePacket(p.Payload) })
 
-	delivered := make(map[uint64]int)
-	lost := make(map[uint64]int)
+	led := newLedger(&res.verdict, "alf: ", cfg.ADUBytes, snd, rcv)
+	rcv.OnADU = func(adu alf.ADU) { led.deliver(adu) }
+	rcv.OnLost = func(name uint64) { led.lose(name) }
 	expired := make(map[uint64]int)
-	rcv.OnADU = func(adu alf.ADU) {
-		delivered[adu.Name]++
-		if adu.Tag != aduTag(adu.Name) {
-			res.violatef("alf: ADU %d delivered with tag %d, want %d",
-				adu.Name, adu.Tag, aduTag(adu.Name))
-		}
-		if !bytes.Equal(adu.Data, aduPayload(adu.Name, cfg.ADUBytes)) {
-			res.violatef("alf: ADU %d delivered corrupted", adu.Name)
-		}
-	}
-	rcv.OnLost = func(name uint64) { lost[name]++ }
 	snd.OnExpire = func(name uint64) { expired[name]++ }
 	snd.OnResend = func(name uint64) (uint64, xcode.SyntaxID, []byte, bool) {
 		// AppRecompute: regenerate from the pattern — always possible.
@@ -318,12 +284,14 @@ func Run(cfg Config) (*Result, error) {
 		aduEvery = time.Microsecond // degenerate horizon: submit back to back
 	}
 	for i := 0; i < cfg.ADUs; i++ {
-		name := uint64(i)
+		k := uint64(i)
 		s.After(sim.Duration(i)*aduEvery, func() {
-			if _, err := snd.Send(aduTag(name), xcode.SyntaxRaw,
-				aduPayload(name, cfg.ADUBytes)); err != nil {
-				res.violatef("alf: Send(%d) failed: %v", name, err)
+			name, err := snd.Send(aduTag(k), xcode.SyntaxRaw, aduPayload(k, cfg.ADUBytes))
+			if err != nil {
+				res.violatef("alf: Send(%d) failed: %v", k, err)
+				return
 			}
+			led.accept(name, k)
 		})
 	}
 	res.Submitted = cfg.ADUs
@@ -359,9 +327,7 @@ func Run(cfg Config) (*Result, error) {
 
 	// ---- Fault schedule.
 	inj := faults.New(s, cfg.Seed^0x5eed)
-	if cfg.Metrics != nil {
-		inj.BindMetrics(cfg.Metrics)
-	}
+	inj.BindMetrics(cfg.Metrics)
 	inj.SetTracer(cfg.Tracer)
 	targets := faults.Targets{
 		Net:     net,
@@ -391,56 +357,19 @@ func Run(cfg Config) (*Result, error) {
 	sample()
 
 	// ---- Run to the horizon, then drain: after the last fault heals,
-	// the event loop must go quiet on its own. A bounded number of
-	// virtual seconds and events past the horizon covers legitimate
-	// tail work (hold-time give-ups, OTP's dead fuse at ~FailThreshold
-	// x MaxRTO); anything beyond that is a recovery livelock.
-	s.RunUntil(sim.Time(0).Add(cfg.Duration))
-	maxVirtual := sim.Time(0).Add(cfg.Duration + 15*time.Second)
-	firedAtHorizon := s.Fired()
-	const maxDrainEvents = 5_000_000
-	for s.Step() {
-		if s.Now() > maxVirtual {
-			res.violatef("livelock: events still firing at %v, %d past the horizon",
-				s.Now(), s.Fired()-firedAtHorizon)
-			break
-		}
-		if s.Fired()-firedAtHorizon > maxDrainEvents {
-			res.violatef("livelock: %d drain events without quiescence",
-				s.Fired()-firedAtHorizon)
-			break
-		}
-	}
-	res.DrainEvents = s.Fired() - firedAtHorizon
-	res.EndVirtual = s.Now()
-	cfg.Recorder.Sample() // final post-drain reading for the black box
+	// the event loop must go quiet on its own.
+	res.DrainEvents, res.EndVirtual = res.drain(s, cfg.Duration, 15*time.Second, cfg.Recorder)
 
-	// ---- Invariants.
-	for i := 0; i < cfg.ADUs; i++ {
-		name := uint64(i)
-		d, l := delivered[name], lost[name]
-		broken := true
-		switch {
-		case d > 1:
-			res.violatef("alf: ADU %d delivered %d times", name, d)
-		case l > 1:
-			res.violatef("alf: ADU %d reported lost %d times", name, l)
-		case d == 1 && l == 1:
-			res.violatef("alf: ADU %d both delivered and reported lost", name)
-		case d == 0 && l == 0:
-			res.violatef("alf: ADU %d unaccounted for (neither delivered nor lost)", name)
-		default:
-			broken = false
-		}
-		if broken {
-			res.ViolatedADUs = append(res.ViolatedADUs, name)
-		}
+	// ---- Invariants. The chaos policy: every accepted ADU is exactly
+	// one of delivered or reported lost.
+	res.ViolatedADUs = led.settle(true)
+	for _, name := range led.names() {
 		if expired[name] > 1 {
 			res.violatef("alf: ADU %d expired %d times at the sender", name, expired[name])
 		}
 	}
-	res.Delivered = len(delivered)
-	res.Lost = len(lost)
+	res.Delivered = len(led.delivered)
+	res.Lost = len(led.lost)
 	res.Expired = snd.Stats.DeadlineDrops
 	res.ResentADUs = snd.Stats.ResentADUs
 	res.RecomputeADUs = snd.Stats.RecomputeADUs
@@ -464,26 +393,9 @@ func Run(cfg Config) (*Result, error) {
 
 	// Quiescent end state: nothing retained, nothing pending, every
 	// fault healed.
-	if n := snd.BufferedADUs(); n != 0 {
-		res.violatef("alf: %d ADUs still retained after drain", n)
-	}
-	if n := rcv.Pending(); n != 0 {
-		res.violatef("alf: %d partial ADUs still held after drain", n)
-	}
-	if n := rcv.Missing(); n != 0 {
-		res.violatef("alf: %d ADUs still tracked missing after drain", n)
-	}
+	res.quiesced(net, led)
 	if inj.Active() {
 		res.violatef("faults: injector still active after the horizon")
-	}
-	for _, l := range net.Links() {
-		if l.Down() {
-			res.violatef("faults: link %s->%s left down", l.From().Name(), l.To().Name())
-		}
-		if h := l.HeldLen(); h != 0 {
-			res.violatef("netsim: link %s->%s still holds %d packets",
-				l.From().Name(), l.To().Name(), h)
-		}
 	}
 
 	// OTP stream integrity: delivery is a verified prefix (checked in

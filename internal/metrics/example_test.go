@@ -8,8 +8,8 @@ import (
 )
 
 // Example shows the full register → observe → snapshot cycle: native
-// instruments for new measurements, a func-backed series bridging an
-// existing stats struct, and a point-in-time snapshot read.
+// instruments for new measurements, a component's Stats struct bound
+// by its tags, and a point-in-time snapshot read.
 func Example() {
 	reg := metrics.New()
 
@@ -23,10 +23,12 @@ func Example() {
 	lat.ObserveDuration(4 * time.Millisecond)
 	lat.ObserveDuration(6 * time.Millisecond)
 
-	// A func-backed series bridges existing state (a Stats field, a
-	// queue length) into the registry; it is sampled at snapshot time.
-	legacy := struct{ Resends int64 }{Resends: 7}
-	reg.CounterFunc("core.send.resent_adus", func() int64 { return legacy.Resends }, "stream=1")
+	// A Stats struct is bound whole: every int64 field is a series named
+	// by its tag and read from the field at snapshot time.
+	stats := struct {
+		Resends int64 `metric:"resent_adus"`
+	}{Resends: 7}
+	metrics.BindStats(reg, "core.send", &stats, "stream=1")
 
 	snap := reg.Snapshot()
 	fmt.Println("fragments =", snap.Value("core.send.fragments", "stream=1"))

@@ -23,19 +23,23 @@
 // constructor is safe on a nil *Registry (returning nil instruments).
 // A component wired to a nil registry therefore pays one predictable
 // nil-check branch per event — under a nanosecond, versus the <10 ns
-// budget — and allocates nothing. Components keep their series
+// budget — and allocates nothing, at set-up either: BindStats and the
+// components' bind functions return on a nil registry before building
+// a label, a closure or a reflect.Value. Components keep their series
 // pointers; there is no map lookup on any hot path.
 //
 // # Two kinds of series
 //
 // Native instruments (Counter, Gauge, Histogram) are atomic and safe
-// for concurrent use. Func-backed series (CounterFunc, GaugeFunc)
-// adapt existing state — the per-component Stats structs — into the
-// registry without double bookkeeping: the struct field remains the
-// single source of truth and is read only at Snapshot time. Func
-// series are sampled without synchronization, so they are intended for
-// the single-goroutine simulation world; native instruments are the
-// right choice wherever goroutines share a series.
+// for concurrent use. Sampled series adapt state a component already
+// keeps, without double bookkeeping, and are read only at Snapshot
+// time: BindStats registers every int64 field of a Stats struct under
+// the name in its `metric` tag — the struct is the only place a
+// counter is declared, AddStats the only adder — and CounterFunc /
+// GaugeFunc cover values computed from live state (a queue depth, a
+// map's length). Sampled series are read without synchronization, so
+// they are intended for the single-goroutine simulation world; native
+// instruments are the right choice wherever goroutines share a series.
 package metrics
 
 import (
@@ -132,6 +136,7 @@ type series struct {
 	gauge   *Gauge
 	hist    *Histogram
 	fn      func() int64 // func-backed counter/gauge; nil for native
+	ptr     *int64       // Stats-field-backed counter/gauge (BindStats)
 }
 
 // Registry holds a set of named, labeled series. A nil *Registry is a
@@ -266,10 +271,10 @@ func (r *Registry) Histogram(name string, labels ...string) *Histogram {
 }
 
 // CounterFunc registers a counter whose value is produced by fn at
-// snapshot time. This is the bridge for pre-existing Stats structs:
-// the struct field stays the single source of truth and the registry
-// samples it, so the "view" can never drift from the counter. fn is
-// called without synchronization — the caller must ensure the
+// snapshot time: the component's own state stays the single source of
+// truth and the registry samples it, so the "view" can never drift
+// from the counter. (For the fields of a Stats struct use BindStats.)
+// fn is called without synchronization — the caller must ensure the
 // underlying value is not being written concurrently with Snapshot
 // (true by construction in the single-goroutine simulation).
 // Re-registering the same (name, labels) replaces the function.
@@ -287,11 +292,17 @@ func (r *Registry) registerFunc(name string, kind Kind, fn func() int64, labels 
 	if r == nil || fn == nil {
 		return
 	}
-	k, ls := key(name, r.scoped(labels))
+	r.put(&series{name: name, kind: kind, fn: fn}, labels)
+}
+
+// put registers s under (s.name, labels), replacing any series already
+// there.
+func (r *Registry) put(s *series, labels []string) {
+	s.id, s.labels = key(s.name, r.scoped(labels))
 	b := r.base()
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	b.series[k] = &series{id: k, name: name, labels: ls, kind: kind, fn: fn}
+	b.series[s.id] = s
 	b.ordered = nil
 }
 
@@ -330,6 +341,8 @@ func (r *Registry) Visit(fn func(id string, kind Kind, value int64, h *Histogram
 			fn(s.id, s.kind, 0, s.hist)
 		case s.fn != nil:
 			fn(s.id, s.kind, s.fn(), nil)
+		case s.ptr != nil:
+			fn(s.id, s.kind, *s.ptr, nil)
 		case s.counter != nil:
 			fn(s.id, s.kind, s.counter.Value(), nil)
 		case s.gauge != nil:

@@ -53,6 +53,8 @@ func (r *Registry) Snapshot() *Snapshot {
 		switch {
 		case s.fn != nil:
 			m.Value = s.fn()
+		case s.ptr != nil:
+			m.Value = *s.ptr
 		case s.counter != nil:
 			m.Value = s.counter.Value()
 		case s.gauge != nil:

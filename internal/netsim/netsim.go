@@ -286,20 +286,20 @@ type LinkConfig struct {
 
 // LinkStats counts link events for assertions and experiment reports.
 type LinkStats struct {
-	Sent           int64 // packets accepted by Send
-	SentBytes      int64
-	Delivered      int64 // packets handed to the destination node
-	DeliveredBytes int64
-	QueueDrops     int64 // drop-tail losses (QueueLimit full at send time)
-	ShrinkDrops    int64 // queued packets dropped by a QueueLimit shrink
-	LineLosses     int64 // impairment losses (random + burst)
-	DownDrops      int64 // packets dropped because the link was down
-	HeldPackets    int64 // packets parked by HoldOnDown (cumulative)
-	Dups           int64
-	Reordered      int64
-	Corrupted      int64
-	Rejected       int64 // oversize sends
-	MaxQueue       int64 // high-water queue depth (packets awaiting serialization)
+	Sent           int64 `metric:"sent"` // packets accepted by Send
+	SentBytes      int64 `metric:"sent_bytes"`
+	Delivered      int64 `metric:"delivered"` // packets handed to the destination node
+	DeliveredBytes int64 `metric:"delivered_bytes"`
+	QueueDrops     int64 `metric:"queue_drops"`  // drop-tail losses (QueueLimit full at send time)
+	ShrinkDrops    int64 `metric:"shrink_drops"` // queued packets dropped by a QueueLimit shrink
+	LineLosses     int64 `metric:"line_losses"`  // impairment losses (random + burst)
+	DownDrops      int64 `metric:"down_drops"`   // packets dropped because the link was down
+	HeldPackets    int64 `metric:"held_packets"` // packets parked by HoldOnDown (cumulative)
+	Dups           int64 `metric:"dups"`
+	Reordered      int64 `metric:"reordered"`
+	Corrupted      int64 `metric:"corrupted"`
+	Rejected       int64 `metric:"rejected"`            // oversize sends
+	MaxQueue       int64 `metric:"queue_max,gauge,max"` // high-water queue depth (packets awaiting serialization)
 }
 
 // pktFIFO is a queue of packets in a slice with a head index. pop
@@ -385,32 +385,11 @@ func (n *Network) NewLink(from, to *Node, cfg LinkConfig) *Link {
 // links between the same pair distinct.
 func (l *Link) bindMetrics(r *metrics.Registry, idx int) {
 	lb := fmt.Sprintf("link=%s->%s/%d", l.from.name, l.to.name, idx)
-	st := &l.Stats
-	for _, e := range []struct {
-		name string
-		fn   func() int64
-	}{
-		{"netsim.link.sent", func() int64 { return st.Sent }},
-		{"netsim.link.sent_bytes", func() int64 { return st.SentBytes }},
-		{"netsim.link.delivered", func() int64 { return st.Delivered }},
-		{"netsim.link.delivered_bytes", func() int64 { return st.DeliveredBytes }},
-		{"netsim.link.queue_drops", func() int64 { return st.QueueDrops }},
-		{"netsim.link.shrink_drops", func() int64 { return st.ShrinkDrops }},
-		{"netsim.link.line_losses", func() int64 { return st.LineLosses }},
-		{"netsim.link.down_drops", func() int64 { return st.DownDrops }},
-		{"netsim.link.held_packets", func() int64 { return st.HeldPackets }},
-		{"netsim.link.dups", func() int64 { return st.Dups }},
-		{"netsim.link.reordered", func() int64 { return st.Reordered }},
-		{"netsim.link.corrupted", func() int64 { return st.Corrupted }},
-		{"netsim.link.rejected", func() int64 { return st.Rejected }},
-	} {
-		r.CounterFunc(e.name, e.fn, lb)
-	}
+	metrics.BindStats(r, "netsim.link", &l.Stats, lb)
 	r.GaugeFunc("netsim.link.queue_depth", func() int64 { return int64(l.queued) }, lb)
 	// The configured bound next to the live depth: the telemetry
 	// plane's queue-saturation detector reads the pair label-for-label.
 	r.GaugeFunc("netsim.link.queue_limit", func() int64 { return int64(l.cfg.QueueLimit) }, lb)
-	r.GaugeFunc("netsim.link.queue_max", func() int64 { return l.Stats.MaxQueue }, lb)
 	r.GaugeFunc("netsim.link.held_depth", func() int64 { return int64(len(l.held)) }, lb)
 	r.GaugeFunc("netsim.link.down", func() int64 {
 		if l.down {

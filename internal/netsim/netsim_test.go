@@ -742,3 +742,15 @@ func TestUpdateConfigShrinkUnlimited(t *testing.T) {
 		t.Errorf("delivered = %d, want 4", delivered)
 	}
 }
+
+// TestNilRegistryBindsNothing: links on a network without SetMetrics
+// allocate their own state (struct, timers, their place in the link
+// list — 14 for the pair) and nothing for metrics.
+func TestNilRegistryBindsNothing(t *testing.T) {
+	n := New(sim.NewScheduler(), 1)
+	a, b := n.NewNode("a"), n.NewNode("b")
+	allocs := testing.AllocsPerRun(100, func() { n.NewDuplex(a, b, LinkConfig{}) })
+	if allocs > 16 {
+		t.Errorf("NewDuplex on a nil registry: %.0f allocs, want <= 16", allocs)
+	}
+}

@@ -7,8 +7,8 @@ import (
 )
 
 // connMetrics holds the connection's native instruments; the event
-// counters in Stats are bridged as func-backed series so the struct
-// stays the single source of truth (see internal/metrics).
+// counters in Stats are bound by their `metric` tags, so the struct
+// stays the single source of truth (see metrics.BindStats).
 type connMetrics struct {
 	// segBytes is the distribution of DATA segment payload sizes.
 	segBytes *metrics.Histogram
@@ -24,30 +24,11 @@ type connMetrics struct {
 // bindConnMetrics registers the connection's series, labeled by
 // connection id plus any Config.MetricsLabels.
 func bindConnMetrics(r *metrics.Registry, c *Conn) connMetrics {
-	lb := append([]string{fmt.Sprintf("conn=%d", c.cfg.ConnID)}, c.cfg.MetricsLabels...)
-	st := &c.Stats
-	for _, e := range []struct {
-		name string
-		fn   func() int64
-	}{
-		{"otp.segments_sent", func() int64 { return st.SegmentsSent }},
-		{"otp.bytes_sent", func() int64 { return st.BytesSent }},
-		{"otp.retransmits", func() int64 { return st.Retransmits }},
-		{"otp.timeouts", func() int64 { return st.Timeouts }},
-		{"otp.fast_retransmits", func() int64 { return st.FastRetransmit }},
-		{"otp.acks_sent", func() int64 { return st.AcksSent }},
-		{"otp.segments_received", func() int64 { return st.SegmentsReceived }},
-		{"otp.bytes_delivered", func() int64 { return st.BytesDelivered }},
-		{"otp.checksum_drops", func() int64 { return st.ChecksumDrops }},
-		{"otp.duplicates", func() int64 { return st.Duplicates }},
-		{"otp.out_of_order", func() int64 { return st.OutOfOrder }},
-		{"otp.window_drops", func() int64 { return st.WindowDrops }},
-		{"otp.dup_acks", func() int64 { return st.DupAcks }},
-		{"otp.bad_acks", func() int64 { return st.BadAcks }},
-	} {
-		r.CounterFunc(e.name, e.fn, lb...)
+	if r == nil {
+		return connMetrics{}
 	}
-	r.GaugeFunc("otp.dead", func() int64 { return st.Died }, lb...)
+	lb := append([]string{fmt.Sprintf("conn=%d", c.cfg.ConnID)}, c.cfg.MetricsLabels...)
+	metrics.BindStats(r, "otp", &c.Stats, lb...)
 	r.GaugeFunc("otp.unacked_bytes", func() int64 { return int64(c.sndNxt - c.sndUna) }, lb...)
 	r.GaugeFunc("otp.ooo_buffered_bytes", func() int64 { return int64(c.oooBytes) }, lb...)
 	r.GaugeFunc("otp.srtt_ns", func() int64 { return int64(c.srtt) }, lb...)

@@ -10,10 +10,9 @@ import (
 	"repro/internal/wire"
 )
 
-// TestConnMetrics checks the bridged Stats views and the native
-// head-of-line stall histogram on a lossy transfer: losses must open
-// stalls, recovery must close them, and every bridged series must
-// equal its Stats field.
+// TestConnMetrics checks the registry against a live lossy transfer:
+// the bound Stats, the computed gauges and the native segment-size
+// histogram.
 func TestConnMetrics(t *testing.T) {
 	reg := metrics.New()
 	sched := sim.NewScheduler()
@@ -45,26 +44,15 @@ func TestConnMetrics(t *testing.T) {
 	}
 
 	snap := reg.Snapshot()
-	views := map[string]int64{
-		"otp.segments_sent":     snd.Stats.SegmentsSent,
-		"otp.bytes_sent":        snd.Stats.BytesSent,
-		"otp.retransmits":       snd.Stats.Retransmits,
-		"otp.timeouts":          snd.Stats.Timeouts,
-		"otp.fast_retransmits":  snd.Stats.FastRetransmit,
-		"otp.acks_sent":         snd.Stats.AcksSent,
-		"otp.segments_received": snd.Stats.SegmentsReceived,
-		"otp.bytes_delivered":   snd.Stats.BytesDelivered,
-		"otp.checksum_drops":    snd.Stats.ChecksumDrops,
-		"otp.duplicates":        snd.Stats.Duplicates,
-		"otp.out_of_order":      snd.Stats.OutOfOrder,
-		"otp.window_drops":      snd.Stats.WindowDrops,
-		"otp.dup_acks":          snd.Stats.DupAcks,
-		"otp.bad_acks":          snd.Stats.BadAcks,
-		"otp.srtt_ns":           int64(snd.SRTT()),
-	}
-	for name, want := range views {
+	// The Stats fields are covered tag by tag by
+	// metrics.TestStatsStructsBindEveryField.
+	for name, want := range map[string]int64{
+		"otp.retransmits":   snd.Stats.Retransmits,
+		"otp.srtt_ns":       int64(snd.SRTT()),
+		"otp.unacked_bytes": 0,
+	} {
 		if got := snap.Value(name, "conn=0"); got != want {
-			t.Errorf("%s = %d, Stats field = %d", name, got, want)
+			t.Errorf("%s = %d, connection says %d", name, got, want)
 		}
 	}
 	segs, ok := snap.Get("otp.segment_bytes", "conn=0")
@@ -126,5 +114,16 @@ func TestHeadOfLineStallHistogram(t *testing.T) {
 	// minus the time already elapsed); it certainly exceeds one RTT.
 	if min := m.Hist.Min; min < int64(2*time.Millisecond) {
 		t.Errorf("stall duration = %v, implausibly short", time.Duration(min))
+	}
+}
+
+// TestNilRegistryBindsNothing: a connection built without a registry
+// allocates its own state and nothing for metrics.
+func TestNilRegistryBindsNothing(t *testing.T) {
+	sched := sim.NewScheduler()
+	discard := func([]byte) error { return nil }
+	allocs := testing.AllocsPerRun(100, func() { New(sched, discard, Config{}) })
+	if allocs > 10 {
+		t.Errorf("otp.New on a nil registry: %.0f allocs, want <= 10", allocs)
 	}
 }

@@ -118,23 +118,23 @@ func (c *Config) fill() {
 
 // Stats counts connection events.
 type Stats struct {
-	SegmentsSent   int64
-	BytesSent      int64 // payload bytes, first transmissions only
-	Retransmits    int64
-	Timeouts       int64
-	FastRetransmit int64
-	AcksSent       int64
+	SegmentsSent   int64 `metric:"segments_sent"`
+	BytesSent      int64 `metric:"bytes_sent"` // payload bytes, first transmissions only
+	Retransmits    int64 `metric:"retransmits"`
+	Timeouts       int64 `metric:"timeouts"`
+	FastRetransmit int64 `metric:"fast_retransmits"`
+	AcksSent       int64 `metric:"acks_sent"`
 
-	SegmentsReceived int64
-	BytesDelivered   int64
-	ChecksumDrops    int64
-	Duplicates       int64
-	OutOfOrder       int64 // segments buffered ahead of a gap
-	WindowDrops      int64 // segments beyond the receive window info
-	DupAcks          int64
-	BadAcks          int64 // acknowledgements for data never sent
+	SegmentsReceived int64 `metric:"segments_received"`
+	BytesDelivered   int64 `metric:"bytes_delivered"`
+	ChecksumDrops    int64 `metric:"checksum_drops"`
+	Duplicates       int64 `metric:"duplicates"`
+	OutOfOrder       int64 `metric:"out_of_order"` // segments buffered ahead of a gap
+	WindowDrops      int64 `metric:"window_drops"` // segments beyond the receive window info
+	DupAcks          int64 `metric:"dup_acks"`
+	BadAcks          int64 `metric:"bad_acks"` // acknowledgements for data never sent
 
-	Died int64 // 1 once FailThreshold declared the connection dead
+	Died int64 `metric:"dead,gauge"` // 1 once FailThreshold declared the connection dead
 }
 
 // Conn is one end of an OTP connection. Both directions carry data; the

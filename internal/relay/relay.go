@@ -130,29 +130,29 @@ func (c *Config) fill() {
 
 // Stats counts relay events.
 type Stats struct {
-	Fragments      int64 // DATA fragments arrived
-	FwdFragments   int64 // DATA fragments forwarded downstream
-	StoredFrags    int64 // fragments taken into the custody store
-	DupFrags       int64 // fragments already in custody (not re-stored)
-	ADUsComplete   int64 // ADUs fully assembled in custody
-	CustodyAckTX   int64 // custody-ack frames emitted upstream
-	ADUsAcked      int64 // ADUs acknowledged upstream
-	NacksSeen      int64 // NACK names in intercepted control messages
-	NacksAnswered  int64 // NACKs served from the custody store
-	NacksForwarded int64 // NACKs re-encoded for the upstream hop
-	RetxADUs       int64 // ADU re-originations (NACK, heal, or retry)
-	RetxFrags      int64 // fragments re-emitted downstream
-	Evicted        int64 // ADUs evicted to fit new custody
-	EvictedBytes   int64
-	ShedFrags      int64 // arriving fragments refused (store unevictable)
-	Cleared        int64 // ADUs cleared by the downstream frontier
-	CtrlForwarded  int64 // control messages forwarded upstream
-	FBForwarded    int64 // feedback reports forwarded upstream
-	HBForwarded    int64 // heartbeats forwarded downstream
-	CAConsumed     int64 // custody acks consumed from a downstream relay
-	Heals          int64 // downstream down->up transitions observed
-	BadFrames      int64 // unparseable frames passed through opaquely
-	MaxStoredBytes int64 // custody-store high-water mark
+	Fragments      int64 `metric:"fragments"`       // DATA fragments arrived
+	FwdFragments   int64 `metric:"fwd_fragments"`   // DATA fragments forwarded downstream
+	StoredFrags    int64 `metric:"stored_frags"`    // fragments taken into the custody store
+	DupFrags       int64 `metric:"dup_frags"`       // fragments already in custody (not re-stored)
+	ADUsComplete   int64 `metric:"adus_complete"`   // ADUs fully assembled in custody
+	CustodyAckTX   int64 `metric:"custody_acks"`    // custody-ack frames emitted upstream
+	ADUsAcked      int64 `metric:"adus_acked"`      // ADUs acknowledged upstream
+	NacksSeen      int64 `metric:"nacks_seen"`      // NACK names in intercepted control messages
+	NacksAnswered  int64 `metric:"nacks_answered"`  // NACKs served from the custody store
+	NacksForwarded int64 `metric:"nacks_forwarded"` // NACKs re-encoded for the upstream hop
+	RetxADUs       int64 `metric:"retx_adus"`       // ADU re-originations (NACK, heal, or retry)
+	RetxFrags      int64 `metric:"retx_frags"`      // fragments re-emitted downstream
+	Evicted        int64 `metric:"evicted"`         // ADUs evicted to fit new custody
+	EvictedBytes   int64 `metric:"evicted_bytes"`
+	ShedFrags      int64 `metric:"shed_frags"`                  // arriving fragments refused (store unevictable)
+	Cleared        int64 `metric:"cleared"`                     // ADUs cleared by the downstream frontier
+	CtrlForwarded  int64 `metric:"ctrl_forwarded"`              // control messages forwarded upstream
+	FBForwarded    int64 `metric:"fb_forwarded"`                // feedback reports forwarded upstream
+	HBForwarded    int64 `metric:"hb_forwarded"`                // heartbeats forwarded downstream
+	CAConsumed     int64 `metric:"ca_consumed"`                 // custody acks consumed from a downstream relay
+	Heals          int64 `metric:"heals"`                       // downstream down->up transitions observed
+	BadFrames      int64 `metric:"bad_frames"`                  // unparseable frames passed through opaquely
+	MaxStoredBytes int64 `metric:"stored_peak_bytes,gauge,max"` // custody-store high-water mark
 }
 
 // key identifies one ADU across the streams sharing the relay.
@@ -241,36 +241,9 @@ func (r *Relay) bindMetrics() {
 		return
 	}
 	lb := "relay=" + r.cfg.Name
-	st := &r.Stats
-	for _, c := range []struct {
-		name string
-		fn   func() int64
-	}{
-		{"relay.fragments", func() int64 { return st.Fragments }},
-		{"relay.fwd_fragments", func() int64 { return st.FwdFragments }},
-		{"relay.stored_frags", func() int64 { return st.StoredFrags }},
-		{"relay.dup_frags", func() int64 { return st.DupFrags }},
-		{"relay.adus_complete", func() int64 { return st.ADUsComplete }},
-		{"relay.custody_acks", func() int64 { return st.CustodyAckTX }},
-		{"relay.adus_acked", func() int64 { return st.ADUsAcked }},
-		{"relay.nacks_seen", func() int64 { return st.NacksSeen }},
-		{"relay.nacks_answered", func() int64 { return st.NacksAnswered }},
-		{"relay.nacks_forwarded", func() int64 { return st.NacksForwarded }},
-		{"relay.retx_adus", func() int64 { return st.RetxADUs }},
-		{"relay.retx_frags", func() int64 { return st.RetxFrags }},
-		{"relay.evicted", func() int64 { return st.Evicted }},
-		{"relay.evicted_bytes", func() int64 { return st.EvictedBytes }},
-		{"relay.shed_frags", func() int64 { return st.ShedFrags }},
-		{"relay.cleared", func() int64 { return st.Cleared }},
-		{"relay.ca_consumed", func() int64 { return st.CAConsumed }},
-		{"relay.heals", func() int64 { return st.Heals }},
-		{"relay.bad_frames", func() int64 { return st.BadFrames }},
-	} {
-		reg.CounterFunc(c.name, c.fn, lb)
-	}
+	metrics.BindStats(reg, "relay", &r.Stats, lb)
 	reg.GaugeFunc("relay.stored_bytes", func() int64 { return int64(r.stored) }, lb)
 	reg.GaugeFunc("relay.stored_adus", func() int64 { return int64(len(r.store)) }, lb)
-	reg.GaugeFunc("relay.stored_peak_bytes", func() int64 { return st.MaxStoredBytes }, lb)
 	// The configured bound next to the live occupancy: the telemetry
 	// plane's near-capacity detector reads the pair label-for-label.
 	reg.GaugeFunc("relay.storage_limit_bytes", func() int64 { return int64(r.cfg.StorageLimit) }, lb)

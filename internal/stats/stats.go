@@ -1,6 +1,12 @@
 // Package stats provides the measurement plumbing for the benchmark
 // harness: throughput accounting, summary statistics, percentiles, and
 // plain-text table rendering in the style of the paper's Table 1.
+//
+// Sample keeps every observation and answers exact percentiles — what
+// the F9 latency tables and internal/video print from a few hundred
+// points; metrics.Histogram is the other contract, constant-size log
+// buckets for series that live in a registry, and event counters live
+// there too.
 package stats
 
 import (
@@ -113,23 +119,6 @@ func (s *Sample) sort() {
 		sort.Float64s(s.xs)
 		s.sorted = true
 	}
-}
-
-// Counter is a monotone event/byte counter with a convenience rate.
-type Counter struct {
-	Events int64
-	Bytes  int64
-}
-
-// AddBytes records one event carrying n bytes.
-func (c *Counter) AddBytes(n int) {
-	c.Events++
-	c.Bytes += int64(n)
-}
-
-// RateMbps returns the counter's byte volume as Mb/s over elapsed.
-func (c *Counter) RateMbps(elapsed time.Duration) float64 {
-	return Mbps(c.Bytes, elapsed)
 }
 
 // Table renders aligned plain-text tables for the experiment harness.

@@ -123,18 +123,6 @@ func TestSampleMeanWithinBounds(t *testing.T) {
 	}
 }
 
-func TestCounter(t *testing.T) {
-	var c Counter
-	c.AddBytes(500)
-	c.AddBytes(500)
-	if c.Events != 2 || c.Bytes != 1000 {
-		t.Errorf("counter = %+v", c)
-	}
-	if got := c.RateMbps(time.Millisecond); math.Abs(got-8) > 1e-9 {
-		t.Errorf("RateMbps = %v, want 8", got)
-	}
-}
-
 func TestTableRendering(t *testing.T) {
 	tb := NewTable("op", "Mb/s")
 	tb.AddRow("Copy", 130.0)
