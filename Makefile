@@ -49,17 +49,19 @@ benchmark-smoke:
 	$(GO) run ./benchmark -workloads sim_clear_8k,flows_sharded_64k -reps 1 -rep-seconds 0.5 -trace 0
 
 # Native fuzzers over every frame format's classifier, printers and
-# strict parsers (internal/wire), the ALF endpoints' packet handlers,
-# the scheduler's firing order against its sorted-slice model, and
-# udplink's cut of a send queue into trains against the kernel's rule. The
-# budget is deliberately small so check stays fast; raise FUZZTIME for
-# a real session.
+# strict parsers (internal/wire), the ALF endpoints' packet handlers and
+# their per-name window against its map model, the scheduler's firing
+# order against its sorted-slice model, and udplink's cut of a send
+# queue into trains against the kernel's rule. The budget is
+# deliberately small so check stays fast; raise FUZZTIME for a real
+# session.
 FUZZTIME ?= 5s
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzPeek$$' -fuzztime $(FUZZTIME) ./internal/wire
 	$(GO) test -run '^$$' -fuzz '^FuzzHandlePacket$$' -fuzztime $(FUZZTIME) ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzHandleControl$$' -fuzztime $(FUZZTIME) ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzHandleCustody$$' -fuzztime $(FUZZTIME) ./internal/core
+	$(GO) test -run '^$$' -fuzz '^FuzzWindow$$' -fuzztime $(FUZZTIME) ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzSchedulerOrder$$' -fuzztime $(FUZZTIME) ./internal/sim
 	$(GO) test -run '^$$' -fuzz '^FuzzTrains$$' -fuzztime $(FUZZTIME) ./internal/udplink
 
@@ -100,11 +102,12 @@ lint: vet
 
 # Allocation-regression gate: the steady-state datapath
 # (send -> forward -> deliver, plus the FEC paths), SenderBuffered
-# retention, the receiver's gap scan, udplink's batch path (a train
-# through sendmmsg -> recvmmsg -> inbox -> per-datagram dispatch over
-# loopback, and its echoes back), and the event plane at
-# depth (a link with a 16384-packet backlog, a scheduler with 65536
-# armed timers) must run at 0 allocs/op. The tests assert
+# retention at 4 and at 64 ADUs in flight (RetentionWindowZeroAlloc: the
+# ring coming round reuses its slots), the receiver's gap scan,
+# udplink's batch path (a train through sendmmsg -> recvmmsg -> inbox
+# -> per-datagram dispatch over loopback, and its echoes back), and the
+# event plane at depth (a link with a 16384-packet backlog, a scheduler
+# with 65536 armed timers) must run at 0 allocs/op. The tests assert
 # testing.AllocsPerRun == 0; the bench run reports the same numbers
 # with -benchmem for the log. Set-up rides along: an endpoint pair, an
 # OTP connection and a duplex link built without a registry stay under

@@ -1,11 +1,14 @@
 package alf
 
 import (
+	"errors"
+	"slices"
 	"testing"
 	"time"
 
 	"repro/internal/netsim"
 	"repro/internal/sim"
+	"repro/internal/tracing"
 	"repro/internal/wire"
 	"repro/internal/xcode"
 )
@@ -171,5 +174,168 @@ func TestHeartbeatLimitStillSilencesDeadPath(t *testing.T) {
 	s.Run()
 	if sent != 5 {
 		t.Errorf("heartbeats = %d, want exactly HeartbeatLimit=5", sent)
+	}
+}
+
+// TestReleaseOrderAscending pins the order retention ends in: the
+// sender walks its window, so the names one control frame, one deadline
+// sweep or one custody frontier releases reach OnRelease / OnExpire and
+// the tracer lowest first — the same on every run of a seeded
+// simulation, where iterating a map was not.
+func TestReleaseOrderAscending(t *testing.T) {
+	const n = 64
+	start := func(cfg Config) (*sim.Scheduler, *Sender, *[]uint64) {
+		s := sim.NewScheduler()
+		snd, err := NewSender(s, func([]byte) error { return nil }, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var released []uint64
+		snd.OnRelease = func(name uint64) { released = append(released, name) }
+		for i := 0; i < n; i++ {
+			if _, err := snd.Send(uint64(i), xcode.SyntaxRaw, payload(100, byte(i))); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return s, snd, &released
+	}
+	saw := func(what string, got []uint64, want ...uint64) {
+		t.Helper()
+		if !slices.Equal(got, want) {
+			t.Errorf("%s saw %v, want %v", what, got, want)
+		}
+	}
+	all := make([]uint64, n)
+	for i := range all {
+		all[i] = uint64(i)
+	}
+
+	t.Run("cumulative ack", func(t *testing.T) {
+		_, snd, released := start(Config{})
+		if err := snd.HandleControl(wire.EncodeControl(&wire.Control{Cum: n})); err != nil {
+			t.Fatal(err)
+		}
+		saw("OnRelease", *released, all...)
+	})
+	t.Run("deadline sweep", func(t *testing.T) {
+		s, snd, released := start(Config{ADUDeadline: 100 * time.Millisecond, HeartbeatLimit: 1})
+		var expired []uint64
+		snd.OnExpire = func(name uint64) { expired = append(expired, name) }
+		s.RunUntil(sim.Time(0).Add(time.Second))
+		saw("OnExpire", expired, all...)
+		saw("OnRelease", *released, all...)
+	})
+	t.Run("custody ack", func(t *testing.T) {
+		s, snd, released := start(Config{Custody: true})
+		tr := tracing.New(s)
+		snd.cfg.Tracer = tr
+		// A frontier of 32, and three names above it that leave holes.
+		want := append(append([]uint64(nil), all[:32]...), 40, 45, 50)
+		ack := wire.EncodeCustody(&wire.CustodyAck{Relay: 1, Cum: 32, Names: want[32:]})
+		if err := snd.HandleControl(ack); err != nil {
+			t.Fatal(err)
+		}
+		saw("OnRelease", *released, want...)
+		var traced []uint64
+		for _, ev := range tr.Events() {
+			if ev.Kind == tracing.CustodyRelease {
+				traced = append(traced, ev.ADU)
+			}
+		}
+		saw("the tracer", traced, want...)
+		// The holes are passed over, not released twice, when the
+		// receiver's own frontier catches up.
+		*released = (*released)[:0]
+		if err := snd.HandleControl(wire.EncodeControl(&wire.Control{Cum: 46})); err != nil {
+			t.Fatal(err)
+		}
+		saw("OnRelease after the holes", *released, 32, 33, 34, 35, 36, 37, 38, 39, 41, 42, 43, 44)
+		if got := snd.BufferedADUs(); got != n-46-1 {
+			t.Errorf("%d ADUs retained, want %d", got, n-46-1)
+		}
+	})
+}
+
+// TestFarNameBounded: a name far ahead of the settled frontier — one
+// forged 12-byte heartbeat is enough, its 16-bit checksum needs no key
+// — is inside NameWindow by definition, so it is tracked; what it may
+// cost is one table, not one allocation per name, and a scan pass over
+// that table with nothing due allocates nothing.
+func TestFarNameBounded(t *testing.T) {
+	const far = 1 << 20 // the default NameWindow
+	// fragNamed returns the last fragment of a well-formed cleartext
+	// two-fragment ADU with the given name.
+	fragNamed := func(name uint64) (frag []byte) {
+		snd, err := NewSender(sim.NewScheduler(), func(p []byte) error {
+			frag = append(frag[:0], p...)
+			return nil
+		}, Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		snd.nextName = name
+		if _, err := snd.Send(0, xcode.SyntaxRaw, payload(2*snd.Config().MTU, 1)); err != nil {
+			t.Fatal(err)
+		}
+		return frag
+	}
+	beyond := [][]byte{fragNamed(far), wire.EncodeHeartbeat(0, far+1)}
+
+	for _, tc := range []struct {
+		what             string
+		pkt              []byte
+		missing, pending int
+	}{
+		{"heartbeat declaring 1<<20 names", wire.EncodeHeartbeat(0, far), far, 0},
+		{"fragment named NameWindow-1", fragNamed(far - 1), far - 1, 1},
+	} {
+		t.Run(tc.what, func(t *testing.T) {
+			var s *sim.Scheduler
+			var rcv *Receiver
+			handle := func() {
+				var err error
+				s = sim.NewScheduler()
+				rcv, err = NewReceiver(s, func([]byte) error { return nil },
+					Config{NackDelay: time.Hour, HoldTime: 2 * time.Hour})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if rcv.Config().NameWindow != far {
+					t.Fatalf("default NameWindow is %d, the test assumes %d", rcv.Config().NameWindow, far)
+				}
+				if err := rcv.HandlePacket(tc.pkt); err != nil {
+					t.Fatal(err)
+				}
+			}
+			scan := func() {
+				if err := s.RunFor(rcv.Config().NackInterval); err != nil {
+					t.Fatal(err)
+				}
+			}
+			handled := testing.AllocsPerRun(1, handle)
+			scan()
+			fired := s.Fired()
+			scanned := testing.AllocsPerRun(2, scan)
+			if !raceEnabled && (handled > 64 || scanned != 0) {
+				t.Errorf("receiver set-up + far name: %.0f allocs (want <= 64); a scan pass with nothing due: %.0f (want 0)", handled, scanned)
+			}
+			if s.Fired()-fired < 3 {
+				t.Fatalf("rig broken: %d scans ran", s.Fired()-fired)
+			}
+			if rcv.Missing() != tc.missing || rcv.Pending() != tc.pending || rcv.Settled() != 0 {
+				t.Errorf("Missing %d Pending %d Settled %d, want %d, %d, 0", rcv.Missing(), rcv.Pending(), rcv.Settled(), tc.missing, tc.pending)
+			}
+
+			// One name further is outside the window: dropped, nothing grows.
+			for _, pkt := range beyond {
+				drops := rcv.Stats.HeaderDrops
+				if err := rcv.HandlePacket(pkt); !errors.Is(err, ErrBadHeader) || rcv.Stats.HeaderDrops != drops+1 {
+					t.Errorf("name beyond cum+NameWindow: err %v, HeaderDrops %d -> %d", err, drops, rcv.Stats.HeaderDrops)
+				}
+			}
+			if rcv.Missing() != tc.missing || rcv.Pending() != tc.pending {
+				t.Errorf("a dropped name changed the tables: Missing %d Pending %d", rcv.Missing(), rcv.Pending())
+			}
+		})
 	}
 }

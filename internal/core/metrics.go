@@ -38,7 +38,7 @@ func bindSenderMetrics(r *metrics.Registry, s *Sender) senderMetrics {
 	lb := fmt.Sprintf("stream=%d", s.cfg.StreamID)
 	metrics.BindStats(r, "core.send", &s.Stats, lb)
 	r.GaugeFunc("core.send.buffered_bytes", func() int64 { return int64(s.bufBytes) }, lb)
-	r.GaugeFunc("core.send.buffered_adus", func() int64 { return int64(len(s.buffered)) }, lb)
+	r.GaugeFunc("core.send.buffered_adus", func() int64 { return int64(s.bufADUs) }, lb)
 	r.GaugeFunc("core.send.rate_bps", func() int64 { return int64(s.cfg.RateBps) }, lb)
 	// The un-jittered backoff level (hbBackoff, not hbInterval): the
 	// gauge must not step the jitter PRNG or sampling would change the
@@ -74,8 +74,8 @@ func bindReceiverMetrics(r *metrics.Registry, rc *Receiver) recvMetrics {
 	}
 	lb := fmt.Sprintf("stream=%d", rc.cfg.StreamID)
 	metrics.BindStats(r, "core.recv", &rc.Stats, lb)
-	r.GaugeFunc("core.recv.pending_adus", func() int64 { return int64(len(rc.partials)) }, lb)
-	r.GaugeFunc("core.recv.missing_adus", func() int64 { return int64(len(rc.missings)) }, lb)
+	r.GaugeFunc("core.recv.pending_adus", func() int64 { return int64(rc.pending) }, lb)
+	r.GaugeFunc("core.recv.missing_adus", func() int64 { return int64(rc.missing) }, lb)
 	r.GaugeFunc("core.recv.settled", func() int64 { return int64(rc.cum) }, lb)
 	return recvMetrics{
 		aduLatency: r.Histogram("core.recv.adu_latency_ns", lb),

@@ -2,7 +2,6 @@ package alf
 
 import (
 	"fmt"
-	"slices"
 
 	"repro/internal/buf"
 	"repro/internal/ilp"
@@ -42,27 +41,29 @@ type ReceiverStats struct {
 // ADU settles, the buffer when the delivered ADU is Released (or
 // immediately, on checksum failure or give-up).
 type partial struct {
-	tag       uint64
-	syntax    xcode.SyntaxID
-	check     uint16
-	total     int
-	ref       *buf.Ref // pooled reassembly buffer; buf aliases it
-	buf       []byte
-	got       map[int]int      // data fragment offset -> length (duplicate detection)
-	parities  map[int]*buf.Ref // FEC group start offset -> pooled parity payload
-	gotBytes  int
-	sum       uint64 // accumulated plaintext partial checksum
-	firstSeen sim.Time
-	nacks     int
-	lastNack  sim.Time
+	tag      uint64
+	syntax   xcode.SyntaxID
+	check    uint16
+	total    int
+	ref      *buf.Ref // pooled reassembly buffer; buf aliases it
+	buf      []byte
+	got      map[int]int      // data fragment offset -> length (duplicate detection)
+	parities map[int]*buf.Ref // FEC group start offset -> pooled parity payload
+	gotBytes int
+	sum      uint64 // accumulated plaintext partial checksum
 }
 
-// missing tracks a wholly unseen ADU name (detected via the sequential
-// name-space).
-type missing struct {
-	noticed  sim.Time
-	nacks    int
+// slot is everything the receiver knows about one name at or above the
+// settled frontier: a wholly unseen gap (p nil — detected via the
+// sequential name-space), an ADU under reassembly, or one settled ahead
+// of the frontier and waiting for it. Recovery state is the same three
+// fields whichever it is.
+type slot struct {
+	p        *partial
+	since    sim.Time // when the gap was noticed, or the first fragment seen
 	lastNack sim.Time
+	nacks    int32
+	settled  bool
 }
 
 // nackDue applies exponential backoff to recovery requests: the n-th
@@ -102,17 +103,18 @@ type Receiver struct {
 	// recovery exhausted). The application decides what that means.
 	OnLost func(name uint64)
 
-	partials  map[uint64]*partial
+	// names holds one slot per name from the settled frontier (its base
+	// is cum) to the highest name observed; pending and missing count
+	// its slots under reassembly and its gaps.
+	names     window[slot]
+	pending   int
+	missing   int
 	freeParts []*partial // settled partial structs awaiting reuse
-	missings  map[uint64]*missing
-	resolved  map[uint64]bool // settled names >= cum
-	cum       uint64          // every name < cum is settled
-	highest   uint64          // highest name observed
-	anySeen   bool
-	lastCum   uint64 // last cum value reported to the sender
+	cum       uint64     // every name < cum is settled
+	lastCum   uint64     // last cum value reported to the sender
 
-	scan      *sim.Timer
-	scanNames []uint64 // onScan's name-ordering scratch, reused across passes
+	scan  *sim.Timer
+	nacks []uint64 // onScan's NACK list, reused across passes
 
 	// Feedback: the periodic delivery report for the sender's rate loop
 	// (FeedbackInterval > 0). The timer runs only while the stream is
@@ -140,14 +142,7 @@ func NewReceiver(sched *sim.Scheduler, send func([]byte) error, cfg Config) (*Re
 	if cfg.fragPayload() < 8 {
 		return nil, ErrMTUTooSmall
 	}
-	r := &Receiver{
-		cfg:      cfg,
-		sched:    sched,
-		send:     send,
-		partials: make(map[uint64]*partial),
-		missings: make(map[uint64]*missing),
-		resolved: make(map[uint64]bool),
-	}
+	r := &Receiver{cfg: cfg, sched: sched, send: send}
 	r.scan = sched.NewTimer(r.onScan)
 	r.fb = sched.NewTimer(r.onFeedback)
 	r.m = bindReceiverMetrics(cfg.Metrics, r)
@@ -162,13 +157,13 @@ func (r *Receiver) Config() Config { return r.cfg }
 func (r *Receiver) Settled() uint64 { return r.cum }
 
 // Pending returns the number of ADUs currently under reassembly.
-func (r *Receiver) Pending() int { return len(r.partials) }
+func (r *Receiver) Pending() int { return r.pending }
 
 // Missing returns the number of wholly-unseen ADU names currently
 // tracked as gaps. Together with Pending it bounds the receiver's
 // recovery state; soak tests assert both return to zero after faults
 // heal.
-func (r *Receiver) Missing() int { return len(r.missings) }
+func (r *Receiver) Missing() int { return r.missing }
 
 // HandlePacket processes one arriving wire packet (DATA fragment or
 // heartbeat; CTRL is ignored here — control flows to the Sender).
@@ -203,7 +198,8 @@ func (r *Receiver) HandlePacket(pkt []byte) error {
 	// is not skewed by phantom missing bytes.
 	r.Stats.WireBytes += int64(len(pkt) + len(r.cfg.Encap))
 	r.armFeedback()
-	if h.Name < r.cum || r.resolved[h.Name] {
+	sl := r.names.at(h.Name)
+	if h.Name < r.cum || (sl != nil && sl.settled) {
 		r.Stats.LateFragments++
 		return nil
 	}
@@ -218,17 +214,18 @@ func (r *Receiver) HandlePacket(pkt []byte) error {
 		return ErrADUTooLarge
 	}
 
-	if h.Name > r.highest || !r.anySeen {
-		r.noteGapsUpTo(h.Name)
-		r.highest = h.Name
-		r.anySeen = true
+	if sl == nil {
+		r.noteGapsUpTo(h.Name + 1)
+		sl = r.names.at(h.Name)
 	}
-	delete(r.missings, h.Name)
-
-	p, ok := r.partials[h.Name]
-	if !ok {
+	p := sl.p
+	if p == nil {
+		// The first fragment ends the name's time as a gap, and its
+		// recovery starts over from now.
 		p = r.getPartial(&h)
-		r.partials[h.Name] = p
+		*sl = slot{p: p, since: r.sched.Now()}
+		r.missing--
+		r.pending++
 		r.armScan()
 	} else if p.total != h.TotalLen || p.tag != h.Tag || p.check != h.ADUCheck {
 		r.Stats.Inconsistent++
@@ -244,7 +241,7 @@ func (r *Receiver) HandlePacket(pkt []byte) error {
 		}
 		r.handleParity(&h, p, payload)
 		if p.gotBytes >= p.total {
-			r.complete(h.Name, p)
+			r.complete(h.Name, sl)
 		}
 		return nil
 	}
@@ -271,7 +268,7 @@ func (r *Receiver) HandlePacket(pkt []byte) error {
 		r.tryReconstruct(h.Name, p, r.groupStart(h.FragOff))
 	}
 	if p.gotBytes >= p.total {
-		r.complete(h.Name, p)
+		r.complete(h.Name, sl)
 	}
 	return nil
 }
@@ -289,15 +286,14 @@ func (r *Receiver) getPartial(h *wire.Header) *partial {
 	}
 	ref := r.cfg.Pool.Get(h.TotalLen)
 	*p = partial{
-		tag:       h.Tag,
-		syntax:    h.Syntax,
-		check:     h.ADUCheck,
-		total:     h.TotalLen,
-		ref:       ref,
-		buf:       ref.Bytes(),
-		got:       p.got,
-		parities:  p.parities,
-		firstSeen: r.sched.Now(),
+		tag:      h.Tag,
+		syntax:   h.Syntax,
+		check:    h.ADUCheck,
+		total:    h.TotalLen,
+		ref:      ref,
+		buf:      ref.Bytes(),
+		got:      p.got,
+		parities: p.parities,
 	}
 	return p
 }
@@ -434,13 +430,7 @@ func (r *Receiver) handleHeartbeat(pkt []byte) error {
 		r.Stats.HeaderDrops++
 		return fmt.Errorf("%w: heartbeat extent %d beyond window (settled %d)", ErrBadHeader, next, r.cum)
 	}
-	if next > 0 {
-		r.noteGapsUpTo(next)
-		if !r.anySeen || next-1 > r.highest {
-			r.highest = next - 1
-			r.anySeen = true
-		}
-	}
+	r.noteGapsUpTo(next)
 	if r.send != nil {
 		r.Stats.CtrlSent++
 		r.lastCum = r.cum
@@ -449,21 +439,23 @@ func (r *Receiver) handleHeartbeat(pkt []byte) error {
 	return nil
 }
 
-// noteGapsUpTo records wholly-missing names implied by a new highest
-// name (sequential name-space: everything between the old and new
-// highest that we have no state for must be in flight or lost).
-func (r *Receiver) noteGapsUpTo(name uint64) {
-	start := r.cum
-	if r.anySeen && r.highest+1 > start {
-		start = r.highest + 1
-	}
-	now := r.sched.Now()
-	for n := start; n < name; n++ {
-		if !r.resolved[n] && r.partials[n] == nil {
-			r.missings[n] = &missing{noticed: now}
+// noteGapsUpTo extends the table to every name below end, recording the
+// new ones as wholly missing (sequential name-space: everything between
+// the old highest name and a new one must be in flight or lost).
+func (r *Receiver) noteGapsUpTo(end uint64) {
+	start := r.cum + uint64(r.names.n)
+	if end > start {
+		if r.names.n == 0 {
+			r.names.extend(r.cum) // an empty window restarts where it is told to
 		}
+		r.names.extend(end - 1)
+		now := r.sched.Now()
+		for n := start; n < end; n++ {
+			*r.names.at(n) = slot{since: now}
+		}
+		r.missing += int(end - start)
 	}
-	if name > start || len(r.missings) > 0 {
+	if end > start || r.missing > 0 {
 		r.armScan()
 	}
 }
@@ -472,8 +464,8 @@ func (r *Receiver) noteGapsUpTo(name uint64) {
 // reassembly buffer's reference passes to the delivered ADU (released
 // at once when no one is listening); the partial struct is recycled
 // either way.
-func (r *Receiver) complete(name uint64, p *partial) {
-	delete(r.partials, name)
+func (r *Receiver) complete(name uint64, sl *slot) {
+	p := sl.p
 	// A suite without an ADU checksum settled integrity per fragment, by
 	// its tags; there is nothing to fold.
 	if r.cfg.suite.aduCheck && ilp.FinishSum(p.sum) != p.check {
@@ -481,7 +473,9 @@ func (r *Receiver) complete(name uint64, p *partial) {
 		// recovery request it again.
 		r.Stats.ChecksumFails++
 		r.cfg.Tracer.ADUChecksumFailed(r.cfg.StreamID, name)
-		r.missings[name] = &missing{noticed: r.sched.Now(), nacks: p.nacks}
+		sl.p, sl.since, sl.lastNack = nil, r.sched.Now(), 0 // a gap again; its NACK count stands
+		r.pending--
+		r.missing++
 		r.armScan()
 		p.ref.Release()
 		r.putPartial(p)
@@ -490,10 +484,10 @@ func (r *Receiver) complete(name uint64, p *partial) {
 	if name > r.cum {
 		r.Stats.OutOfOrder++
 	}
-	r.settle(name)
+	r.m.aduLatency.ObserveDuration(r.sched.Now().Sub(sl.since))
+	r.settle(sl)
 	r.Stats.ADUsDelivered++
 	r.Stats.DeliveredBytes += int64(p.total)
-	r.m.aduLatency.ObserveDuration(r.sched.Now().Sub(p.firstSeen))
 	r.m.aduBytes.Observe(int64(p.total))
 	r.cfg.Tracer.ADUDelivered(r.cfg.StreamID, name, p.total)
 	adu := ADU{Name: name, Tag: p.tag, Syntax: p.syntax, Data: p.buf, ref: p.ref}
@@ -505,11 +499,18 @@ func (r *Receiver) complete(name uint64, p *partial) {
 	}
 }
 
-// settle marks a name resolved and advances the cumulative frontier.
-func (r *Receiver) settle(name uint64) {
-	r.resolved[name] = true
-	for r.resolved[r.cum] {
-		delete(r.resolved, r.cum)
+// settle marks a name resolved, whether it was a gap or under
+// reassembly (the caller disposes of the partial), and advances the
+// cumulative frontier over every settled name at the table's base.
+func (r *Receiver) settle(sl *slot) {
+	if sl.p != nil {
+		r.pending--
+	} else {
+		r.missing--
+	}
+	sl.p, sl.settled = nil, true
+	for b := r.names.at(r.cum); b != nil && b.settled; b = r.names.at(r.cum) {
+		r.names.shift()
 		r.cum++
 	}
 }
@@ -532,7 +533,7 @@ func (r *Receiver) armFeedback() {
 // arrival re-arms it.
 func (r *Receiver) onFeedback() {
 	changed := r.Stats.WireBytes != r.lastFBWire
-	active := len(r.partials) > 0 || len(r.missings) > 0
+	active := r.pending > 0 || r.missing > 0
 	if !changed && !active {
 		return
 	}
@@ -556,72 +557,41 @@ func (r *Receiver) armScan() {
 // abandon hopeless ADUs, and refresh the sender's release frontier.
 func (r *Receiver) onScan() {
 	now := r.sched.Now()
-	var nacks []uint64
+	nacks := r.nacks[:0]
 
-	giveUp := func(name uint64) {
-		r.Stats.ADUsLost++
-		r.settle(name)
-		r.cfg.Tracer.ADULost(r.cfg.StreamID, name)
-		if r.OnLost != nil {
-			r.OnLost(name)
-		}
-	}
-
-	// Scan in ascending name order, not map order: which names fit under
+	// The table is walked in ascending name order: which names fit under
 	// wire.MaxNames and the order recovery requests reach the sender
 	// both feed back into the simulation (and the shared network RNG
-	// draw sequence), so map iteration would make runs with identical
-	// seeds diverge. Oldest names first is also the useful priority —
+	// draw sequence). Oldest names first is also the useful priority —
 	// they gate the settle frontier.
-	names := r.scanNames[:0]
-	if len(r.missings) > 0 || len(r.partials) > 0 {
-		for name := range r.missings {
-			names = append(names, name)
+	for name, end := r.cum, r.cum+uint64(r.names.n); name < end; name++ {
+		sl := r.names.at(name)
+		if sl == nil || sl.settled {
+			continue // settled ahead, or a give-up below carried the frontier past it
 		}
-		for name := range r.partials {
-			names = append(names, name)
-		}
-		slices.Sort(names)
-		r.scanNames = names
-	}
-	for _, name := range names {
-		// A name is in exactly one of the two maps (the first fragment
-		// deletes it from missings).
-		if m, ok := r.missings[name]; ok {
-			age := now.Sub(m.noticed)
-			switch {
-			case r.cfg.Policy == NoRetransmit || m.nacks >= r.cfg.MaxNacks:
-				if age >= r.cfg.HoldTime {
-					delete(r.missings, name)
-					giveUp(name)
-				}
-			case nackDue(now, m.noticed, m.lastNack, m.nacks, r.cfg.NackDelay):
-				if len(nacks) < wire.MaxNames {
-					nacks = append(nacks, name)
-					m.nacks++
-					m.lastNack = now
-				}
-			}
-			continue
-		}
-		p := r.partials[name]
-		age := now.Sub(p.firstSeen)
 		switch {
-		case r.cfg.Policy == NoRetransmit || p.nacks >= r.cfg.MaxNacks:
-			if age >= r.cfg.HoldTime {
-				delete(r.partials, name)
-				p.ref.Release()
-				r.putPartial(p)
-				giveUp(name)
+		case r.cfg.Policy == NoRetransmit || int(sl.nacks) >= r.cfg.MaxNacks:
+			if now.Sub(sl.since) >= r.cfg.HoldTime {
+				if p := sl.p; p != nil {
+					p.ref.Release()
+					r.putPartial(p)
+				}
+				r.Stats.ADUsLost++
+				r.settle(sl)
+				r.cfg.Tracer.ADULost(r.cfg.StreamID, name)
+				if r.OnLost != nil {
+					r.OnLost(name)
+				}
 			}
-		case nackDue(now, p.firstSeen, p.lastNack, p.nacks, r.cfg.NackDelay):
+		case nackDue(now, sl.since, sl.lastNack, int(sl.nacks), r.cfg.NackDelay):
 			if len(nacks) < wire.MaxNames {
 				nacks = append(nacks, name)
-				p.nacks++
-				p.lastNack = now
+				sl.nacks++
+				sl.lastNack = now
 			}
 		}
 	}
+	r.nacks = nacks[:0]
 
 	if r.cfg.Policy == NoRetransmit {
 		nacks = nil
@@ -634,7 +604,7 @@ func (r *Receiver) onScan() {
 		_ = r.send(wire.EncodeControl(&wire.Control{Stream: r.cfg.StreamID, Cum: r.cum, Nacks: nacks}))
 	}
 
-	if len(r.partials) > 0 || len(r.missings) > 0 || r.cum != r.lastCum {
+	if r.pending > 0 || r.missing > 0 || r.cum != r.lastCum {
 		r.scan.Reset(r.cfg.NackInterval)
 	}
 }

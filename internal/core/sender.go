@@ -49,48 +49,54 @@ type wireFrag struct {
 	parity bool
 }
 
-// savedADU is the retention state under SenderBuffered: the stamped
-// wire packets themselves, retained by reference. A resend re-emits
-// the same buffers (every header field is identical on resend), so
-// retransmission copies nothing.
+// savedADU is the retention state under SenderBuffered, one slot of
+// the sender's window: the stamped wire packets themselves, retained by
+// reference. A resend re-emits the same buffers (every header field is
+// identical on resend), so retransmission copies nothing.
 type savedADU struct {
 	tag     uint64
-	syntax  xcode.SyntaxID
 	frags   []wireFrag
-	wireLen int // ADU payload bytes (BufferedBytes accounting)
-	check   uint16
+	wireLen int      // ADU payload bytes (BufferedBytes accounting)
 	sentAt  sim.Time // submission time, for the ADUDeadline sweep
+	check   uint16
+	syntax  xcode.SyntaxID
 	class   Priority // Critical resends bypass the recovery cap
+	held    bool     // retained now; false once released, the slot a hole until the window passes it
 }
 
-// retain starts retention of a just-stamped ADU, in a recycled
-// savedADU if one is free.
+// retain starts retention of a just-stamped ADU in the next slot of the
+// window, reusing the fragment list its last occupant left there.
 func (s *Sender) retain(name uint64, saved savedADU, frags []wireFrag) {
-	var a *savedADU
-	if n := len(s.freeSaved); n > 0 {
-		a = s.freeSaved[n-1]
-		s.freeSaved[n-1] = nil
-		s.freeSaved = s.freeSaved[:n-1]
-	} else {
-		a = new(savedADU)
-	}
-	saved.frags = append(a.frags, frags...)
+	a := s.buffered.extend(name)
+	saved.held, saved.frags = true, append(a.frags[:0], frags...)
 	*a = saved
-	s.buffered[name] = a
+	s.bufADUs++
 	s.bufBytes += a.wireLen
 }
 
 // unretain ends retention of a buffered ADU: its wire packets go back
-// to the pool, and the struct and its fragment list are kept for the
-// next ADU.
-func (s *Sender) unretain(name uint64, a *savedADU) {
+// to the pool, its fragment list stays in the slot for the next ADU,
+// and the window closes up to the lowest name still retained — so
+// while anything is retained, the window's base is.
+func (s *Sender) unretain(a *savedADU) {
 	for _, f := range a.frags {
 		f.ref.Release()
 	}
 	a.frags = a.frags[:0]
+	a.held = false
+	s.bufADUs--
 	s.bufBytes -= a.wireLen
-	delete(s.buffered, name)
-	s.freeSaved = append(s.freeSaved, a)
+	for w := &s.buffered; w.n > 0 && !w.at(w.base).held; {
+		w.shift()
+	}
+}
+
+// retained returns the record of a retained ADU, or nil.
+func (s *Sender) retained(name uint64) *savedADU {
+	if a := s.buffered.at(name); a != nil && a.held {
+		return a
+	}
+	return nil
 }
 
 // Sender is the sending half of an ALF stream.
@@ -116,17 +122,25 @@ type Sender struct {
 	// equal the original or the receiver's checksum will reject it.
 	OnResend func(name uint64) (tag uint64, syntax xcode.SyntaxID, data []byte, ok bool)
 	// OnRelease, if set, is told when retention of a buffered ADU ends
-	// (delivery confirmed or given up by the receiver).
+	// (delivery confirmed or given up by the receiver). The names one
+	// control frame or deadline sweep releases arrive in ascending
+	// order; a custody ack releases its frontier in ascending order and
+	// then the names it lists, in the frame's order.
 	OnRelease func(name uint64)
 	// OnExpire, if set, is told when ADUDeadline sheds a still-
 	// unconfirmed ADU: the transport can no longer recover it, and the
 	// application decides what that means (recompute later, log, skip).
-	// OnRelease follows for the same name.
+	// OnRelease follows for the same name. One sweep expires names in
+	// ascending order.
 	OnExpire func(name uint64)
 
-	nextName  uint64
-	buffered  map[uint64]*savedADU
-	freeSaved []*savedADU // released retention structs awaiting reuse
+	nextName uint64
+	// buffered holds the retained ADUs by name, from the lowest still
+	// retained to the newest; names released out of order (custody) are
+	// holes in it until the base passes them. sentAt is non-decreasing
+	// in name, so whatever is released or expired first is a prefix.
+	buffered  window[savedADU]
+	bufADUs   int
 	bufBytes  int
 	pacerFree sim.Time
 
@@ -185,12 +199,7 @@ func NewSender(sched *sim.Scheduler, send func([]byte) error, cfg Config) (*Send
 	if cfg.fragPayload() < 8 {
 		return nil, fmt.Errorf("%w: MTU %d", ErrMTUTooSmall, cfg.MTU)
 	}
-	s := &Sender{
-		cfg:      cfg,
-		sched:    sched,
-		send:     send,
-		buffered: make(map[uint64]*savedADU),
-	}
+	s := &Sender{cfg: cfg, sched: sched, send: send}
 	s.hb = sched.NewTimer(s.onHeartbeat)
 	s.retire = sched.NewTimer(s.onRetire)
 	// Seed the jitter stream from the config so runs stay deterministic
@@ -284,34 +293,32 @@ func (s *Sender) onRetire() {
 		return
 	}
 	now := s.sched.Now()
-	var next sim.Time = -1
-	for name, saved := range s.buffered {
+	// Oldest first: the first ADU not yet due is the next expiry, and
+	// none above it is due sooner.
+	for w := &s.buffered; w.n > 0; {
+		name, saved := w.base, w.at(w.base)
 		due := saved.sentAt.Add(s.cfg.ADUDeadline)
 		if due < saved.sentAt {
 			// sentAt + deadline wrapped past the int64 horizon: at
 			// hour-scale deadlines deep into a long run the sum can
 			// overflow, and a wrapped due would expire the ADU
-			// instantly. Treat it as never-due instead.
-			continue
+			// instantly. Treat it, and the younger ones above it, as
+			// never-due instead.
+			return
 		}
-		if due <= now {
-			s.unretain(name, saved)
-			s.Stats.DeadlineDrops++
-			s.cfg.Tracer.ADUExpired(s.cfg.StreamID, name)
-			if s.OnExpire != nil {
-				s.OnExpire(name)
-			}
-			if s.OnRelease != nil {
-				s.OnRelease(name)
-			}
-			continue
+		if due > now {
+			s.retire.Reset(due.Sub(now))
+			return
 		}
-		if next < 0 || due < next {
-			next = due
+		s.unretain(saved)
+		s.Stats.DeadlineDrops++
+		s.cfg.Tracer.ADUExpired(s.cfg.StreamID, name)
+		if s.OnExpire != nil {
+			s.OnExpire(name)
 		}
-	}
-	if next >= 0 {
-		s.retire.Reset(next.Sub(now))
+		if s.OnRelease != nil {
+			s.OnRelease(name)
+		}
 	}
 }
 
@@ -326,7 +333,7 @@ func (s *Sender) NextName() uint64 { return s.nextName }
 func (s *Sender) BufferedBytes() int { return s.bufBytes }
 
 // BufferedADUs returns the number of ADUs currently retained.
-func (s *Sender) BufferedADUs() int { return len(s.buffered) }
+func (s *Sender) BufferedADUs() int { return s.bufADUs }
 
 // SetRate changes the pacing rate (out-of-band rate control, §3). Zero
 // disables pacing. With a Controller configured this is the knob the
@@ -638,13 +645,12 @@ func (s *Sender) HandleControl(pkt []byte) error {
 	}
 
 	// Release everything settled at the receiver.
-	for name, saved := range s.buffered {
-		if name < c.Cum {
-			s.unretain(name, saved)
-			s.Stats.Released++
-			if s.OnRelease != nil {
-				s.OnRelease(name)
-			}
+	for w := &s.buffered; w.n > 0 && w.base < c.Cum; {
+		name := w.base
+		s.unretain(w.at(name))
+		s.Stats.Released++
+		if s.OnRelease != nil {
+			s.OnRelease(name)
 		}
 	}
 
@@ -736,21 +742,19 @@ func (s *Sender) handleCustody(pkt []byte) error {
 		}
 	}
 	release := func(name uint64) {
-		saved, ok := s.buffered[name]
-		if !ok {
+		saved := s.retained(name)
+		if saved == nil {
 			return
 		}
-		s.unretain(name, saved)
+		s.unretain(saved)
 		s.Stats.CustodyReleased++
 		s.cfg.Tracer.CustodyReleased(s.cfg.StreamID, ca.Relay, name)
 		if s.OnRelease != nil {
 			s.OnRelease(name)
 		}
 	}
-	for name := range s.buffered {
-		if name < s.custodyCum {
-			release(name)
-		}
+	for w := &s.buffered; w.n > 0 && w.base < s.custodyCum; {
+		release(w.base)
 	}
 	for _, name := range ca.Names {
 		if name < s.custodyCum {
@@ -820,8 +824,8 @@ func (s *Sender) resend(name uint64) {
 	}
 	switch s.cfg.Policy {
 	case SenderBuffered:
-		saved, ok := s.buffered[name]
-		if !ok {
+		saved := s.retained(name)
+		if saved == nil {
 			s.Stats.UnfilledNacks++
 			return
 		}

@@ -119,8 +119,8 @@ func TestReceivePathZeroAlloc(t *testing.T) {
 
 // TestScanPassZeroAlloc extends the guard to the timer path: a gap
 // scan over one outstanding partial (not yet due a NACK, frontier
-// unchanged) orders its names in receiver-owned scratch and sends
-// nothing, so it must not allocate.
+// unchanged) walks the receiver's own table and sends nothing, so it
+// must not allocate.
 func TestScanPassZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race detector instrumentation allocates")
@@ -171,10 +171,21 @@ func TestScanPassZeroAlloc(t *testing.T) {
 
 // TestSenderBufferedRetentionZeroAlloc guards retention under
 // SenderBuffered: with a few ADUs always outstanding, each submission
-// retains its wire packets in a recycled savedADU and each cumulative
-// acknowledgement recycles the oldest, so the send -> release cycle
-// must not allocate.
+// retains its wire packets in the window slot the ring brings round
+// and each cumulative acknowledgement frees the oldest, so the send ->
+// release cycle must not allocate.
 func TestSenderBufferedRetentionZeroAlloc(t *testing.T) {
+	retentionZeroAlloc(t, 4, 8, 100)
+}
+
+// TestRetentionWindowZeroAlloc is the same guard at a window's worth of
+// ADUs in flight and for long enough that the ring comes round many
+// times: 64 outstanding, send one / release one for 1000 rounds.
+func TestRetentionWindowZeroAlloc(t *testing.T) {
+	retentionZeroAlloc(t, 64, 128, 1000)
+}
+
+func retentionZeroAlloc(t *testing.T, window, warmup, runs int) {
 	if raceEnabled {
 		t.Skip("race detector instrumentation allocates")
 	}
@@ -185,7 +196,7 @@ func TestSenderBufferedRetentionZeroAlloc(t *testing.T) {
 	}
 	snd.SendRef = func(ref *buf.Ref) error { ref.Release(); return nil }
 
-	const window, cycles = 4, 8 + 101 // warm-up, then AllocsPerRun's own warm-up call and its 100 runs
+	cycles := warmup + 1 + runs // warm-up, then AllocsPerRun's own warm-up call and its runs
 	acks := make([][]byte, cycles)
 	for i := range acks {
 		acks[i] = wire.EncodeControl(&wire.Control{Stream: snd.Config().StreamID, Cum: uint64(max(i+1-window, 0))})
@@ -201,13 +212,13 @@ func TestSenderBufferedRetentionZeroAlloc(t *testing.T) {
 		}
 		name++
 	}
-	for i := 0; i < 8; i++ {
+	for i := 0; i < warmup; i++ {
 		cycle()
 	}
-	if allocs := testing.AllocsPerRun(100, cycle); allocs != 0 {
+	if allocs := testing.AllocsPerRun(runs, cycle); allocs != 0 {
 		t.Fatalf("send -> retain -> cumulative release allocates %v allocs/op, want 0", allocs)
 	}
-	if snd.BufferedADUs() != window || snd.Stats.Released != int64(name)-window {
+	if snd.BufferedADUs() != window || snd.Stats.Released != int64(name)-int64(window) {
 		t.Fatalf("rig broken: %d buffered, %d released after %d ADUs", snd.BufferedADUs(), snd.Stats.Released, name)
 	}
 }
