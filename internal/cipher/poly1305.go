@@ -17,11 +17,11 @@ import (
 // (the two high bits plus carries). Arithmetic follows the standard
 // 64×64→128 schoolbook evaluation with the 2^130 ≡ 5 (mod p) folding.
 type MAC struct {
-	r0, r1 uint64 // clamped r
-	s0, s1 uint64 // final pad
-	h0, h1, h2 uint64 // accumulator
-	buf [TagSize]byte // partial block
-	n   int           // bytes buffered in buf
+	r0, r1     uint64        // clamped r
+	s0, s1     uint64        // final pad
+	h0, h1, h2 uint64        // accumulator
+	buf        [TagSize]byte // partial block
+	n          int           // bytes buffered in buf
 }
 
 // NewMAC returns a MAC keyed with the given one-time key. A (key,

@@ -6,6 +6,7 @@ import (
 	"repro/internal/buf"
 	"repro/internal/ilp"
 	"repro/internal/sim"
+	"repro/internal/tracing"
 	"repro/internal/wire"
 	"repro/internal/xcode"
 )
@@ -260,7 +261,7 @@ func (r *Receiver) HandlePacket(pkt []byte) error {
 	}
 	r.Stats.Fragments++
 	r.Stats.FragmentBytes += int64(h.FragLen)
-	r.cfg.Tracer.FragmentReceived(r.cfg.StreamID, h.Name, h.FragOff, h.FragLen, false)
+	r.cfg.Tracer.Emit(tracing.FragRX, r.cfg.StreamID, h.Name, int64(h.FragOff), h.FragLen, 0)
 
 	// A newly placed fragment may make an FEC group reconstructible
 	// (all-but-one present, parity held).
@@ -351,7 +352,7 @@ func (r *Receiver) handleParity(h *wire.Header, p *partial, payload []byte) {
 	copy(pr.Bytes(), payload)
 	p.parities[h.FragOff] = pr
 	r.Stats.ParityFrags++
-	r.cfg.Tracer.FragmentReceived(r.cfg.StreamID, h.Name, h.FragOff, h.FragLen, true)
+	r.cfg.Tracer.Emit(tracing.ParityRX, r.cfg.StreamID, h.Name, int64(h.FragOff), h.FragLen, 0)
 	r.tryReconstruct(h.Name, p, h.FragOff)
 }
 
@@ -472,7 +473,7 @@ func (r *Receiver) complete(name uint64, sl *slot) {
 		// A damaged ADU is a lost ADU (§5): discard it whole and let
 		// recovery request it again.
 		r.Stats.ChecksumFails++
-		r.cfg.Tracer.ADUChecksumFailed(r.cfg.StreamID, name)
+		r.cfg.Tracer.Emit(tracing.ChecksumFail, r.cfg.StreamID, name, 0, 0, 0)
 		sl.p, sl.since, sl.lastNack = nil, r.sched.Now(), 0 // a gap again; its NACK count stands
 		r.pending--
 		r.missing++
@@ -489,7 +490,7 @@ func (r *Receiver) complete(name uint64, sl *slot) {
 	r.Stats.ADUsDelivered++
 	r.Stats.DeliveredBytes += int64(p.total)
 	r.m.aduBytes.Observe(int64(p.total))
-	r.cfg.Tracer.ADUDelivered(r.cfg.StreamID, name, p.total)
+	r.cfg.Tracer.Emit(tracing.ADUDeliver, r.cfg.StreamID, name, 0, p.total, 0)
 	adu := ADU{Name: name, Tag: p.tag, Syntax: p.syntax, Data: p.buf, ref: p.ref}
 	r.putPartial(p)
 	if r.OnADU != nil {
@@ -540,7 +541,7 @@ func (r *Receiver) onFeedback() {
 	r.lastFBWire = r.Stats.WireBytes
 	r.fbSeq++
 	r.Stats.FeedbackSent++
-	r.cfg.Tracer.FeedbackSent(r.cfg.StreamID, r.fbSeq, r.Stats.WireBytes)
+	r.cfg.Tracer.Emit(tracing.FeedbackTX, r.cfg.StreamID, uint64(r.fbSeq), r.Stats.WireBytes, 0, 0)
 	_ = r.send(wire.EncodeFeedback(r.fbScratch[:], r.cfg.StreamID, r.fbSeq,
 		uint64(r.Stats.WireBytes), uint64(r.Stats.DeliveredBytes)))
 	r.fb.Reset(r.cfg.FeedbackInterval)
@@ -578,7 +579,7 @@ func (r *Receiver) onScan() {
 				}
 				r.Stats.ADUsLost++
 				r.settle(sl)
-				r.cfg.Tracer.ADULost(r.cfg.StreamID, name)
+				r.cfg.Tracer.Emit(tracing.ADULoss, r.cfg.StreamID, name, 0, 0, 0)
 				if r.OnLost != nil {
 					r.OnLost(name)
 				}
@@ -600,7 +601,9 @@ func (r *Receiver) onScan() {
 		r.Stats.CtrlSent++
 		r.Stats.NacksSent += int64(len(nacks))
 		r.lastCum = r.cum
-		r.cfg.Tracer.NacksSent(r.cfg.StreamID, nacks)
+		for _, name := range nacks {
+			r.cfg.Tracer.Emit(tracing.NackTX, r.cfg.StreamID, name, 0, 0, 0)
+		}
 		_ = r.send(wire.EncodeControl(&wire.Control{Stream: r.cfg.StreamID, Cum: r.cum, Nacks: nacks}))
 	}
 

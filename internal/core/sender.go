@@ -7,6 +7,7 @@ import (
 	"repro/internal/buf"
 	"repro/internal/ilp"
 	"repro/internal/sim"
+	"repro/internal/tracing"
 	"repro/internal/wire"
 	"repro/internal/xcode"
 )
@@ -218,7 +219,7 @@ func (s *Sender) onHeartbeat() {
 	s.hbMisses++
 	if s.emittedNext > 0 {
 		s.Stats.Heartbeats++
-		s.cfg.Tracer.HeartbeatSent(s.cfg.StreamID, s.emittedNext)
+		s.cfg.Tracer.Emit(tracing.HeartbeatTX, s.cfg.StreamID, s.emittedNext, 0, 0, 0)
 		_ = s.send(wire.EncodeHeartbeat(s.cfg.StreamID, s.emittedNext))
 	}
 	s.hb.Reset(s.hbInterval())
@@ -312,7 +313,7 @@ func (s *Sender) onRetire() {
 		}
 		s.unretain(saved)
 		s.Stats.DeadlineDrops++
-		s.cfg.Tracer.ADUExpired(s.cfg.StreamID, name)
+		s.cfg.Tracer.Emit(tracing.ADUExpire, s.cfg.StreamID, name, 0, 0, 0)
 		if s.OnExpire != nil {
 			s.OnExpire(name)
 		}
@@ -396,7 +397,7 @@ func (s *Sender) Send(tag uint64, syntax xcode.SyntaxID, data []byte) (uint64, e
 func (s *Sender) SendClass(tag uint64, syntax xcode.SyntaxID, data []byte, class Priority) (uint64, error) {
 	if class == Droppable && s.shouldShed() {
 		s.Stats.ShedADUs++
-		s.cfg.Tracer.ADUShed(s.cfg.StreamID, s.nextName, tag, len(data))
+		s.cfg.Tracer.EmitTag(tracing.ADUShed, s.cfg.StreamID, s.nextName, tag, len(data))
 		return 0, ErrShed
 	}
 	if len(data) > s.cfg.MaxADU {
@@ -422,7 +423,7 @@ func (s *Sender) SendClass(tag uint64, syntax xcode.SyntaxID, data []byte, class
 	s.Stats.ADUs++
 	s.m.aduBytes.Observe(int64(len(data)))
 	s.m.ilpBytes.Add(int64(len(data)))
-	s.cfg.Tracer.ADUSubmitted(s.cfg.StreamID, name, tag, len(data))
+	s.cfg.Tracer.EmitTag(tracing.ADUSubmit, s.cfg.StreamID, name, tag, len(data))
 	s.emitFrags(name, frags, false, retain)
 	s.scratch = frags[:0]
 	if !s.hb.Active() {
@@ -591,8 +592,15 @@ func (s *Sender) mark(markNext uint64) {
 // re-creates exactly the head-of-line latency ALF exists to remove,
 // and its volume is bounded by the receiver's NACK backoff.
 func (s *Sender) emit(pkt *buf.Ref, priority bool, markNext uint64, ref fragRef) {
+	kind := tracing.FragTX
+	switch {
+	case ref.parity:
+		kind = tracing.ParityTX
+	case priority:
+		kind = tracing.FragRetx
+	}
 	if s.cfg.RateBps <= 0 || priority {
-		s.cfg.Tracer.FragmentSent(s.cfg.StreamID, ref.name, ref.off, ref.n, priority, ref.parity, 0)
+		s.cfg.Tracer.Emit(kind, s.cfg.StreamID, ref.name, int64(ref.off), ref.n, 0)
 		s.sendOut(pkt)
 		s.mark(markNext)
 		return
@@ -604,14 +612,14 @@ func (s *Sender) emit(pkt *buf.Ref, priority bool, markNext uint64, ref fragRef)
 	}
 	s.pacerFree = at.Add(tx)
 	if at == s.sched.Now() {
-		s.cfg.Tracer.FragmentSent(s.cfg.StreamID, ref.name, ref.off, ref.n, false, ref.parity, 0)
+		s.cfg.Tracer.Emit(kind, s.cfg.StreamID, ref.name, int64(ref.off), ref.n, 0)
 		s.sendOut(pkt)
 		s.mark(markNext)
 		return
 	}
 	wait := at.Sub(s.sched.Now())
 	s.sched.At(at, func() {
-		s.cfg.Tracer.FragmentSent(s.cfg.StreamID, ref.name, ref.off, ref.n, false, ref.parity, wait)
+		s.cfg.Tracer.Emit(kind, s.cfg.StreamID, ref.name, int64(ref.off), ref.n, wait)
 		s.sendOut(pkt)
 		s.mark(markNext)
 	})
@@ -703,7 +711,7 @@ func (s *Sender) handleFeedback(pkt []byte) error {
 		next := s.cfg.Controller.OnFeedback(s.cfg.RateBps, sample)
 		if next > 0 && next != s.cfg.RateBps {
 			s.Stats.RateChanges++
-			s.cfg.Tracer.RateChanged(s.cfg.StreamID, s.cfg.RateBps, next)
+			s.cfg.Tracer.Emit(tracing.RateChange, s.cfg.StreamID, 0, int64(s.cfg.RateBps), int(next), 0)
 			s.cfg.RateBps = next
 		}
 	}
@@ -748,7 +756,7 @@ func (s *Sender) handleCustody(pkt []byte) error {
 		}
 		s.unretain(saved)
 		s.Stats.CustodyReleased++
-		s.cfg.Tracer.CustodyReleased(s.cfg.StreamID, ca.Relay, name)
+		s.cfg.Tracer.Emit(tracing.CustodyRelease, s.cfg.StreamID, name, int64(ca.Relay), 0, 0)
 		if s.OnRelease != nil {
 			s.OnRelease(name)
 		}

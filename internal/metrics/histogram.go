@@ -192,23 +192,28 @@ func (hv *HistogramValue) Quantile(q float64) int64 {
 	if hv.Count == 0 {
 		return 0
 	}
-	rank := int64(math.Ceil(q * float64(hv.Count)))
+	i := RankBucket(q, hv.Count, len(hv.Buckets), func(i int) int64 { return hv.Buckets[i].Count })
+	if i < 0 {
+		return hv.Max
+	}
+	return max(min(hv.Buckets[i].Hi, hv.Max), hv.Min)
+}
+
+// RankBucket is the walk every quantile estimate in the repository
+// makes: over the per-bucket counts of n observations (count(i) for i
+// in [0, buckets), ascending) to the bucket holding the q-th ranked one
+// — rank ceil(q*n), at least 1 — whose index it returns. Counts that
+// fall short of the rank give the last bucket; no buckets give -1.
+func RankBucket(q float64, n int64, buckets int, count func(i int) int64) int {
+	rank := int64(math.Ceil(q * float64(n)))
 	if rank < 1 {
 		rank = 1
 	}
 	var cum int64
-	for _, b := range hv.Buckets {
-		cum += b.Count
-		if cum >= rank {
-			hi := b.Hi
-			if hi > hv.Max {
-				hi = hv.Max
-			}
-			if hi < hv.Min {
-				hi = hv.Min
-			}
-			return hi
+	for i := 0; i < buckets; i++ {
+		if cum += count(i); cum >= rank {
+			return i
 		}
 	}
-	return hv.Max
+	return buckets - 1
 }

@@ -139,6 +139,22 @@ type series struct {
 	ptr     *int64       // Stats-field-backed counter/gauge (BindStats)
 }
 
+// value reads a counter or gauge series from whichever of its four
+// backings it has; a histogram series reads 0.
+func (s *series) value() int64 {
+	switch {
+	case s.fn != nil:
+		return s.fn()
+	case s.ptr != nil:
+		return *s.ptr
+	case s.counter != nil:
+		return s.counter.Value()
+	case s.gauge != nil:
+		return s.gauge.Value()
+	}
+	return 0
+}
+
 // Registry holds a set of named, labeled series. A nil *Registry is a
 // valid no-op registry: constructors return nil instruments and
 // Snapshot returns an empty snapshot. Methods are safe for concurrent
@@ -336,17 +352,6 @@ func (r *Registry) Visit(fn func(id string, kind Kind, value int64, h *Histogram
 	b.mu.Unlock()
 
 	for _, s := range entries {
-		switch {
-		case s.hist != nil:
-			fn(s.id, s.kind, 0, s.hist)
-		case s.fn != nil:
-			fn(s.id, s.kind, s.fn(), nil)
-		case s.ptr != nil:
-			fn(s.id, s.kind, *s.ptr, nil)
-		case s.counter != nil:
-			fn(s.id, s.kind, s.counter.Value(), nil)
-		case s.gauge != nil:
-			fn(s.id, s.kind, s.gauge.Value(), nil)
-		}
+		fn(s.id, s.kind, s.value(), s.hist)
 	}
 }

@@ -49,17 +49,8 @@ func (r *Registry) Snapshot() *Snapshot {
 	b.mu.Unlock()
 
 	for _, s := range entries {
-		m := Metric{Name: s.name, Labels: s.labels, Kind: s.kind}
-		switch {
-		case s.fn != nil:
-			m.Value = s.fn()
-		case s.ptr != nil:
-			m.Value = *s.ptr
-		case s.counter != nil:
-			m.Value = s.counter.Value()
-		case s.gauge != nil:
-			m.Value = s.gauge.Value()
-		case s.hist != nil:
+		m := Metric{Name: s.name, Labels: s.labels, Kind: s.kind, Value: s.value()}
+		if s.hist != nil {
 			m.Hist = s.hist.snapshot()
 		}
 		snap.Metrics = append(snap.Metrics, m)

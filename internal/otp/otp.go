@@ -260,7 +260,7 @@ func (c *Conn) Send(data []byte) error {
 	if c.Buffered()+len(data) > c.cfg.SendBuffer {
 		return fmt.Errorf("%w: %d queued", ErrBufferFull, c.Buffered())
 	}
-	c.cfg.Tracer.MessageSubmitted(c.cfg.ConnID, c.msgIndex, c.sndEnd, len(data))
+	c.cfg.Tracer.Emit(tracing.MsgSubmit, c.cfg.ConnID, c.msgIndex, c.sndEnd, len(data), 0)
 	c.msgIndex++
 	c.sndBuf = append(c.sndBuf, data...)
 	c.sndEnd += int64(len(data))
@@ -310,10 +310,11 @@ func (c *Conn) transmit(seq int64, payload []byte, isRetx bool) {
 	seg := c.makeSegment(wire.OTPData|wire.OTPAck, seq, payload)
 	c.Stats.SegmentsSent++
 	c.m.segBytes.Observe(int64(len(payload)))
-	c.cfg.Tracer.SegmentSent(c.cfg.ConnID, seq, len(payload), isRetx)
 	if isRetx {
+		c.cfg.Tracer.Emit(tracing.SegRetx, c.cfg.ConnID, 0, seq, len(payload), 0)
 		c.Stats.Retransmits++
 	} else {
+		c.cfg.Tracer.Emit(tracing.SegTX, c.cfg.ConnID, 0, seq, len(payload), 0)
 		c.Stats.BytesSent += int64(len(payload))
 		// Karn: only time segments never retransmitted; one at a time.
 		if !c.timingActive {
@@ -583,9 +584,9 @@ func (c *Conn) handleData(seq int64, payload []byte) {
 			// First data held back by a gap: head-of-line stall opens.
 			c.stalled = true
 			c.stallStart = c.sched.Now()
-			c.cfg.Tracer.StallOpened(c.cfg.ConnID, c.rcvNxt)
+			c.cfg.Tracer.Emit(tracing.StallOpen, c.cfg.ConnID, 0, c.rcvNxt, 0, 0)
 		}
-		c.cfg.Tracer.SegmentBuffered(c.cfg.ConnID, seq, len(payload))
+		c.cfg.Tracer.Emit(tracing.SegOOO, c.cfg.ConnID, 0, seq, len(payload), 0)
 		held := c.cfg.Pool.Get(len(payload))
 		copy(held.Bytes(), payload)
 		c.ooo[seq] = held
@@ -621,13 +622,13 @@ func (c *Conn) handleData(seq int64, payload []byte) {
 		// head-of-line stall ends.
 		c.stalled = false
 		c.m.holStall.ObserveDuration(c.sched.Now().Sub(c.stallStart))
-		c.cfg.Tracer.StallClosed(c.cfg.ConnID, c.sched.Now().Sub(c.stallStart))
+		c.cfg.Tracer.Emit(tracing.StallClose, c.cfg.ConnID, 0, 0, 0, c.sched.Now().Sub(c.stallStart))
 	}
 	c.scheduleAck()
 }
 
 func (c *Conn) deliver(p []byte) {
-	c.cfg.Tracer.SegmentDelivered(c.cfg.ConnID, c.rcvNxt, len(p))
+	c.cfg.Tracer.Emit(tracing.SegDeliver, c.cfg.ConnID, 0, c.rcvNxt, len(p), 0)
 	c.rcvNxt += int64(len(p))
 	c.Stats.BytesDelivered += int64(len(p))
 	if c.OnData != nil {

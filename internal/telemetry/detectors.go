@@ -19,270 +19,76 @@ type Finding struct {
 // tick against the recorded history. Implementations may keep
 // per-series state (consecutive-tick counters, arming latches) and are
 // therefore owned by a single Recorder. Check must enumerate series
-// through the recorder's ordered accessors (MatchName, Each) so
-// findings come out in deterministic order.
+// through the recorder's ordered accessor (MatchName) so findings come
+// out in deterministic order.
 type Detector interface {
 	Name() string
 	Check(r *Recorder) []Finding
 }
 
-// limitFor resolves a capacity limit for a series: the companion
-// limit-series sharing the data series' labels (e.g.
-// relay.storage_limit_bytes{relay=r1} for relay.stored_bytes{relay=r1})
-// when present, else the static fallback.
-func limitFor(r *Recorder, dataName, dataID, limitName string, static int64) int64 {
-	if limitName != "" {
-		if ls := r.Series(limitName + strings.TrimPrefix(dataID, dataName)); ls != nil && ls.Last() > 0 {
-			return ls.Last()
-		}
-	}
-	return static
-}
+// Threshold is the one rule behind five of the catalog's detectors:
+// every labeled variant of one metric — its per-second rate if it is a
+// counter, its level if it is a gauge — is compared each tick with a
+// limit (a companion gauge carrying the same labels when there is one,
+// else a static value) scaled by a fraction, and a variant that has
+// stood at or past it for some consecutive ticks is a finding. A
+// collapse rule reads the other way: a variant that has once reached
+// its limit and then stood below it. A rule with no positive limit is
+// dormant. DefaultDetectors holds the rows.
+type Threshold struct {
+	name        string
+	series      string
+	limitSeries string  // companion gauge, matched label for label; "" for none
+	limit       float64 // static limit, and the fallback for limitSeries
+	frac        float64
+	ticks       int
+	collapse    bool
+	say         func(v, limit float64, ticks int) string
 
-// RateCollapse fires when a delivery-rate counter, having once been
-// healthy, stays below a floor for Ticks consecutive sampling
-// intervals — the paper's rate-collapse failure mode (an AIMD source
-// backing off to nothing, or a path going dark) seen from the series.
-type RateCollapse struct {
-	// Series is the counter metric name to watch (all labeled variants).
-	Series string
-	// FloorPerSec is the per-second rate below which the series counts
-	// as collapsed.
-	FloorPerSec float64
-	// Ticks is how many consecutive below-floor intervals fire the
-	// detector (default 3).
-	Ticks int
-
-	armed map[string]bool
-	below map[string]int
+	armed map[string]bool // collapse rules: the series has been healthy
+	run   map[string]int  // consecutive ticks the series has been unhealthy
 }
 
 // Name implements Detector.
-func (d *RateCollapse) Name() string { return "rate-collapse" }
+func (d *Threshold) Name() string { return d.name }
 
 // Check implements Detector.
-func (d *RateCollapse) Check(r *Recorder) []Finding {
-	if d.armed == nil {
-		d.armed, d.below = make(map[string]bool), make(map[string]int)
-	}
-	ticks := d.Ticks
-	if ticks <= 0 {
-		ticks = 3
+func (d *Threshold) Check(r *Recorder) []Finding {
+	if d.run == nil {
+		d.armed, d.run = make(map[string]bool), make(map[string]int)
 	}
 	var out []Finding
-	for _, s := range r.MatchName(d.Series) {
-		if s.Kind != Delta {
-			continue
-		}
-		rate := r.LastRate(s)
+	for _, s := range r.MatchName(d.series) {
+		var v float64
 		switch {
-		case rate >= d.FloorPerSec:
-			d.armed[s.ID] = true
-			d.below[s.ID] = 0
-		case d.armed[s.ID]:
-			d.below[s.ID]++
-		}
-		if d.below[s.ID] >= ticks {
-			out = append(out, Finding{Series: s.ID,
-				Message: fmt.Sprintf("rate %.0f/s below floor %.0f/s for %d ticks", rate, d.FloorPerSec, d.below[s.ID])})
-		}
-	}
-	return out
-}
-
-// NearCapacity fires while a gauge sits at or above Frac of its
-// capacity limit — a custody store nearing StorageLimit during a
-// conjunction, say. The limit is read from the companion LimitSeries
-// (matching labels) when registered, falling back to the static Limit;
-// with neither, the detector stays dormant.
-type NearCapacity struct {
-	// Series is the gauge metric name to watch.
-	Series string
-	// LimitSeries optionally names a gauge carrying the limit, matched
-	// label-for-label with Series.
-	LimitSeries string
-	// Limit is the static fallback capacity.
-	Limit int64
-	// Frac is the occupancy fraction that fires (default 0.9).
-	Frac float64
-}
-
-// Name implements Detector.
-func (d *NearCapacity) Name() string { return "near-capacity" }
-
-// Check implements Detector.
-func (d *NearCapacity) Check(r *Recorder) []Finding {
-	frac := d.Frac
-	if frac <= 0 {
-		frac = 0.9
-	}
-	var out []Finding
-	for _, s := range r.MatchName(d.Series) {
-		if s.Kind != Level || s.Len() == 0 {
+		case s.Kind == Delta:
+			v = r.LastRate(s)
+		case s.Kind == Level && s.Len() > 0:
+			v = float64(s.Last())
+		default:
 			continue
 		}
-		limit := limitFor(r, d.Series, s.ID, d.LimitSeries, d.Limit)
+		limit := d.limit
+		if d.limitSeries != "" {
+			if ls := r.Series(d.limitSeries + strings.TrimPrefix(s.ID, d.series)); ls != nil && ls.Last() > 0 {
+				limit = float64(ls.Last())
+			}
+		}
 		if limit <= 0 {
 			continue
 		}
-		if v := s.Last(); float64(v) >= frac*float64(limit) {
-			out = append(out, Finding{Series: s.ID,
-				Message: fmt.Sprintf("occupancy %d of limit %d (>= %.0f%%)", v, limit, frac*100)})
+		unhealthy := v >= d.frac*limit
+		if d.collapse {
+			d.armed[s.ID] = d.armed[s.ID] || unhealthy
+			unhealthy = !unhealthy && d.armed[s.ID]
 		}
-	}
-	return out
-}
-
-// ShedStorm fires when the load-shedding counter runs hot — at least
-// PerSec sheds per second for Ticks consecutive intervals — meaning
-// the endpoint is in sustained overload, not an isolated burst.
-type ShedStorm struct {
-	// Series is the shed counter name (default "core.send.shed_adus").
-	Series string
-	// PerSec is the shed rate that counts as a storm (default 50).
-	PerSec float64
-	// Ticks is how many consecutive hot intervals fire (default 2).
-	Ticks int
-
-	hot map[string]int
-}
-
-// Name implements Detector.
-func (d *ShedStorm) Name() string { return "shed-storm" }
-
-// Check implements Detector.
-func (d *ShedStorm) Check(r *Recorder) []Finding {
-	if d.hot == nil {
-		d.hot = make(map[string]int)
-	}
-	name := d.Series
-	if name == "" {
-		name = "core.send.shed_adus"
-	}
-	per := d.PerSec
-	if per <= 0 {
-		per = 50
-	}
-	ticks := d.Ticks
-	if ticks <= 0 {
-		ticks = 2
-	}
-	var out []Finding
-	for _, s := range r.MatchName(name) {
-		if s.Kind != Delta {
-			continue
-		}
-		if rate := r.LastRate(s); rate >= per {
-			d.hot[s.ID]++
+		if unhealthy {
+			d.run[s.ID]++
 		} else {
-			d.hot[s.ID] = 0
+			d.run[s.ID] = 0
 		}
-		if d.hot[s.ID] >= ticks {
-			out = append(out, Finding{Series: s.ID,
-				Message: fmt.Sprintf("shedding %.0f ADUs/s for %d ticks", r.LastRate(s), d.hot[s.ID])})
-		}
-	}
-	return out
-}
-
-// QueueSaturation fires when a link queue-depth gauge sits at or above
-// Frac of the queue limit for Ticks consecutive intervals: the
-// standing-queue signature of a congested bottleneck.
-type QueueSaturation struct {
-	// Series is the depth gauge name (default "netsim.link.queue_depth").
-	Series string
-	// LimitSeries optionally names the per-link limit gauge (default
-	// "netsim.link.queue_limit").
-	LimitSeries string
-	// Limit is the static fallback queue limit.
-	Limit int64
-	// Frac is the depth fraction that counts as saturated (default 0.9).
-	Frac float64
-	// Ticks is how many consecutive saturated intervals fire (default 3).
-	Ticks int
-
-	sat map[string]int
-}
-
-// Name implements Detector.
-func (d *QueueSaturation) Name() string { return "queue-saturation" }
-
-// Check implements Detector.
-func (d *QueueSaturation) Check(r *Recorder) []Finding {
-	if d.sat == nil {
-		d.sat = make(map[string]int)
-	}
-	name := d.Series
-	if name == "" {
-		name = "netsim.link.queue_depth"
-	}
-	limitName := d.LimitSeries
-	if limitName == "" {
-		limitName = "netsim.link.queue_limit"
-	}
-	frac := d.Frac
-	if frac <= 0 {
-		frac = 0.9
-	}
-	ticks := d.Ticks
-	if ticks <= 0 {
-		ticks = 3
-	}
-	var out []Finding
-	for _, s := range r.MatchName(name) {
-		if s.Kind != Level || s.Len() == 0 {
-			continue
-		}
-		limit := limitFor(r, name, s.ID, limitName, d.Limit)
-		if limit <= 0 {
-			continue
-		}
-		if float64(s.Last()) >= frac*float64(limit) {
-			d.sat[s.ID]++
-		} else {
-			d.sat[s.ID] = 0
-		}
-		if d.sat[s.ID] >= ticks {
-			out = append(out, Finding{Series: s.ID,
-				Message: fmt.Sprintf("queue depth %d of limit %d for %d ticks", s.Last(), limit, d.sat[s.ID])})
-		}
-	}
-	return out
-}
-
-// BackoffSaturation fires while a sender's heartbeat interval gauge
-// has climbed to its configured ceiling — the sender has given up
-// probing faster and is coasting at maximum backoff, which on a DTN
-// path marks the depth of a blackout.
-type BackoffSaturation struct {
-	// Series is the interval gauge name (default
-	// "core.send.heartbeat_interval_ns").
-	Series string
-	// Ceil is the configured maximum heartbeat interval; levels at or
-	// above it fire. Zero disables the detector.
-	Ceil sim.Duration
-}
-
-// Name implements Detector.
-func (d *BackoffSaturation) Name() string { return "backoff-saturation" }
-
-// Check implements Detector.
-func (d *BackoffSaturation) Check(r *Recorder) []Finding {
-	if d.Ceil <= 0 {
-		return nil
-	}
-	name := d.Series
-	if name == "" {
-		name = "core.send.heartbeat_interval_ns"
-	}
-	var out []Finding
-	for _, s := range r.MatchName(name) {
-		if s.Kind != Level || s.Len() == 0 {
-			continue
-		}
-		if v := s.Last(); v >= int64(d.Ceil) {
-			out = append(out, Finding{Series: s.ID,
-				Message: fmt.Sprintf("heartbeat backoff %v at ceiling %v", sim.Duration(v), d.Ceil)})
+		if n := d.run[s.ID]; n >= d.ticks {
+			out = append(out, Finding{Series: s.ID, Message: d.say(v, limit, n)})
 		}
 	}
 	return out
@@ -351,17 +157,44 @@ func (d *ShardImbalance) Check(r *Recorder) []Finding {
 	return nil
 }
 
+// nearFull is the fraction of a capacity limit at which the occupancy
+// rules (custody store, link queue) fire.
+const nearFull = 0.9
+
 // DefaultDetectors is the standard catalog the chaos harnesses wire
-// in: delivery-rate collapse, custody-store and link-queue capacity
-// pressure, shed storms, and heartbeat-backoff saturation. Zero-valued
-// inputs leave the corresponding detector dormant (capacity detectors
-// still pick up per-series limit gauges when registered).
+// in: delivery-rate collapse (an AIMD source backing off to nothing, a
+// path going dark), custody-store and link-queue capacity pressure,
+// shed storms (sustained overload, not an isolated burst), and
+// heartbeat-backoff saturation (a sender coasting at its ceiling, which
+// on a DTN path marks the depth of a blackout). Zero-valued inputs
+// leave the corresponding detector dormant (capacity detectors still
+// pick up per-series limit gauges when registered).
 func DefaultDetectors(deliveryFloorPerSec float64, storeLimit, queueLimit int64, hbCeil sim.Duration) []Detector {
 	return []Detector{
-		&RateCollapse{Series: "core.recv.delivered_bytes", FloorPerSec: deliveryFloorPerSec},
-		&NearCapacity{Series: "relay.stored_bytes", LimitSeries: "relay.storage_limit_bytes", Limit: storeLimit},
-		&ShedStorm{},
-		&QueueSaturation{Limit: queueLimit},
-		&BackoffSaturation{Ceil: hbCeil},
+		&Threshold{name: "rate-collapse", series: "core.recv.delivered_bytes",
+			limit: deliveryFloorPerSec, frac: 1, ticks: 3, collapse: true,
+			say: func(v, limit float64, n int) string {
+				return fmt.Sprintf("rate %.0f/s below floor %.0f/s for %d ticks", v, limit, n)
+			}},
+		&Threshold{name: "near-capacity", series: "relay.stored_bytes", limitSeries: "relay.storage_limit_bytes",
+			limit: float64(storeLimit), frac: nearFull, ticks: 1,
+			say: func(v, limit float64, _ int) string {
+				return fmt.Sprintf("occupancy %.0f of limit %.0f (>= %.0f%%)", v, limit, nearFull*100)
+			}},
+		&Threshold{name: "shed-storm", series: "core.send.shed_adus",
+			limit: 50, frac: 1, ticks: 2,
+			say: func(v, _ float64, n int) string {
+				return fmt.Sprintf("shedding %.0f ADUs/s for %d ticks", v, n)
+			}},
+		&Threshold{name: "queue-saturation", series: "netsim.link.queue_depth", limitSeries: "netsim.link.queue_limit",
+			limit: float64(queueLimit), frac: nearFull, ticks: 3,
+			say: func(v, limit float64, n int) string {
+				return fmt.Sprintf("queue depth %.0f of limit %.0f for %d ticks", v, limit, n)
+			}},
+		&Threshold{name: "backoff-saturation", series: "core.send.heartbeat_interval_ns",
+			limit: float64(hbCeil), frac: 1, ticks: 1,
+			say: func(v, limit float64, _ int) string {
+				return fmt.Sprintf("heartbeat backoff %v at ceiling %v", sim.Duration(v), sim.Duration(limit))
+			}},
 	}
 }

@@ -46,13 +46,13 @@ func (r *Recorder) Dump() *Dump {
 	for i := 0; i < w; i++ {
 		d.TimesNS[i] = r.times.at(i)
 	}
-	r.Each(func(s *Series) {
+	for _, s := range r.orderedSeries() {
 		ds := DumpSeries{ID: s.ID, Kind: s.Kind.String(), Samples: make([]int64, s.Len())}
 		for i := range ds.Samples {
 			ds.Samples[i] = s.At(i)
 		}
 		d.Series = append(d.Series, ds)
-	})
+	}
 	d.Incidents = append(d.Incidents, r.incidents...)
 	d.IncidentsDropped = r.incidentsDropped
 	return d

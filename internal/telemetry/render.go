@@ -16,7 +16,7 @@ const ramp = " .:-=+*#%@"
 // order. Series that appeared mid-window have empty cells before
 // their birth. A nil recorder writes only the header.
 func (r *Recorder) WriteCSV(w io.Writer) error {
-	series := r.Match("")
+	series := r.match("")
 	var b strings.Builder
 	b.WriteString("tick,time_s")
 	for _, s := range series {
@@ -92,13 +92,13 @@ func (r *Recorder) WriteSparklines(w io.Writer, filter string, width int) error 
 	if width <= 0 {
 		width = 60
 	}
-	series := r.Match(filter)
+	series := r.match(filter)
 	if r == nil || len(series) == 0 {
 		_, err := fmt.Fprintf(w, "no recorded series match %q\n", filter)
 		return err
 	}
 	win := r.window()
-	from, to := r.TimeAt(0), r.TimeAt(win-1)
+	from, to := sim.Time(r.times.at(0)), sim.Time(r.times.at(win-1))
 	if _, err := fmt.Fprintf(w, "flight record: %d ticks, %v .. %v (interval %v)\n",
 		r.ticks, from, to, r.cfg.Interval); err != nil {
 		return err

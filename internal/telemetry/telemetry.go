@@ -40,7 +40,6 @@ package telemetry
 
 import (
 	"fmt"
-	"math"
 	"sort"
 	"strings"
 	"time"
@@ -165,8 +164,8 @@ type histState struct {
 }
 
 // Recorder is the flight recorder. Create with New, wire with Bind
-// (or drive manually with SampleAt), and read back with Series/Match/
-// Times/Incidents or the dump/render entry points. All methods are
+// (or drive manually with SampleAt), and read back with Series/
+// MatchName/Incidents or the dump/render entry points. All methods are
 // safe on a nil receiver.
 type Recorder struct {
 	cfg   Config
@@ -353,25 +352,14 @@ func (r *Recorder) recordHistogram(id string, h *metrics.Histogram) {
 
 // intervalQuantile estimates the q-th quantile of one interval's
 // observations from a bucket-count diff, reporting the upper bound of
-// the bucket holding rank ceil(q*n) — the same one-sided contract as
-// HistogramValue.Quantile, without min/max clamps (interval extrema
-// are not tracked). Empty intervals report 0.
+// the bucket holding rank ceil(q*n) — HistogramValue.Quantile's walk
+// and one-sided contract, without min/max clamps (interval extrema are
+// not tracked). Empty intervals report 0.
 func intervalQuantile(diff *[metrics.NumBuckets]int64, n int64, q float64) int64 {
 	if n <= 0 {
 		return 0
 	}
-	rank := int64(math.Ceil(q * float64(n)))
-	if rank < 1 {
-		rank = 1
-	}
-	var cum int64
-	for i := 0; i < metrics.NumBuckets; i++ {
-		cum += diff[i]
-		if cum >= rank {
-			return metrics.BucketUpper(i)
-		}
-	}
-	return metrics.BucketUpper(metrics.NumBuckets - 1)
+	return metrics.BucketUpper(metrics.RankBucket(q, n, metrics.NumBuckets, func(i int) int64 { return diff[i] }))
 }
 
 // seriesFor finds or creates the recorded series for id.
@@ -394,14 +382,6 @@ func (r *Recorder) histStateFor(id string) *histState {
 	return hs
 }
 
-// Interval returns the sampling period.
-func (r *Recorder) Interval() sim.Duration {
-	if r == nil {
-		return 0
-	}
-	return r.cfg.Interval
-}
-
 // Ticks returns the number of sampling ticks recorded so far (not
 // bounded by capacity).
 func (r *Recorder) Ticks() int {
@@ -410,30 +390,6 @@ func (r *Recorder) Ticks() int {
 	}
 	return r.ticks
 }
-
-// LastTime returns the virtual time of the newest tick.
-func (r *Recorder) LastTime() sim.Time {
-	if r == nil {
-		return 0
-	}
-	return r.lastAt
-}
-
-// Times returns the retained tick times, oldest-first.
-func (r *Recorder) Times() []sim.Time {
-	if r == nil {
-		return nil
-	}
-	out := make([]sim.Time, r.times.length())
-	for i := range out {
-		out[i] = sim.Time(r.times.at(i))
-	}
-	return out
-}
-
-// TimeAt returns retained tick time i, oldest-first, aligned with the
-// same window the series rings retain.
-func (r *Recorder) TimeAt(i int) sim.Time { return sim.Time(r.times.at(i)) }
 
 // window returns how many trailing ticks are retained.
 func (r *Recorder) window() int { return r.times.length() }
@@ -446,7 +402,7 @@ func (r *Recorder) Series(id string) *Series {
 	return r.series[id]
 }
 
-// ordered returns all series sorted by ID.
+// orderedSeries returns all series sorted by ID.
 func (r *Recorder) orderedSeries() []*Series {
 	if r == nil {
 		return nil
@@ -462,13 +418,6 @@ func (r *Recorder) orderedSeries() []*Series {
 	return r.order
 }
 
-// Each calls fn for every recorded series in ascending ID order.
-func (r *Recorder) Each(fn func(*Series)) {
-	for _, s := range r.orderedSeries() {
-		fn(s)
-	}
-}
-
 // MatchName returns, in ID order, the series belonging to the metric
 // name: the exact id, any labeled variant "name{...}", and any derived
 // histogram series "name|p50" etc.
@@ -482,9 +431,9 @@ func (r *Recorder) MatchName(name string) []*Series {
 	return out
 }
 
-// Match returns, in ID order, the series whose ID contains substr
+// match returns, in ID order, the series whose ID contains substr
 // ("" or "all" matches everything).
-func (r *Recorder) Match(substr string) []*Series {
+func (r *Recorder) match(substr string) []*Series {
 	if substr == "all" {
 		substr = ""
 	}
@@ -530,15 +479,6 @@ func (r *Recorder) Incidents() []Incident {
 		return nil
 	}
 	return r.incidents
-}
-
-// IncidentsDropped returns how many incidents were evicted from a
-// full log.
-func (r *Recorder) IncidentsDropped() int {
-	if r == nil {
-		return 0
-	}
-	return r.incidentsDropped
 }
 
 // Note appends a manual incident — the hook soak harnesses use to

@@ -3,6 +3,7 @@ package telemetry
 import (
 	"bytes"
 	"encoding/json"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -43,8 +44,8 @@ func TestRecorderSamplesKinds(t *testing.T) {
 	if rec.Ticks() != 5 {
 		t.Fatalf("ticks = %d, want 5", rec.Ticks())
 	}
-	if rec.LastTime() != sim.Time(time.Second) {
-		t.Errorf("last tick at %v, want 1s", rec.LastTime())
+	if rec.lastAt != sim.Time(time.Second) {
+		t.Errorf("last tick at %v, want 1s", rec.lastAt)
 	}
 
 	// Counter: two events per 200ms interval -> delta 200 every tick.
@@ -107,11 +108,11 @@ func TestRecorderRingWrapKeepsTail(t *testing.T) {
 	if rec.Ticks() != 10 {
 		t.Fatalf("ticks = %d, want 10", rec.Ticks())
 	}
-	times := rec.Times()
+	times := rec.Dump().TimesNS
 	if len(times) != 4 {
 		t.Fatalf("retained %d times, want 4", len(times))
 	}
-	if times[0] != sim.Time(700*time.Millisecond) || times[3] != sim.Time(time.Second) {
+	if times[0] != int64(700*time.Millisecond) || times[3] != int64(time.Second) {
 		t.Errorf("retained window %v..%v, want 700ms..1s", times[0], times[3])
 	}
 	gs := rec.Series("run.depth")
@@ -172,6 +173,18 @@ func TestSeriesBornMidRunAligns(t *testing.T) {
 	}
 }
 
+// catalogRow returns the named rule of the default catalog, re-aimed at
+// a test's own series, limit and tick count.
+func catalogRow(name, series, limitSeries string, limit float64, ticks int) *Threshold {
+	for _, det := range DefaultDetectors(0, 0, 0, 0) {
+		if d, ok := det.(*Threshold); ok && d.name == name {
+			d.series, d.limitSeries, d.limit, d.ticks = series, limitSeries, limit, ticks
+			return d
+		}
+	}
+	panic("no catalog row named " + name)
+}
+
 func TestDetectorEdgeTriggering(t *testing.T) {
 	s := sim.NewScheduler()
 	reg := metrics.New()
@@ -183,7 +196,7 @@ func TestDetectorEdgeTriggering(t *testing.T) {
 	s.At(sim.Time(time.Second), func() {})
 	rec := New(Config{
 		Interval:  100 * time.Millisecond,
-		Detectors: []Detector{&QueueSaturation{Series: "q.depth", LimitSeries: "q.limit", Ticks: 2}},
+		Detectors: []Detector{catalogRow("queue-saturation", "q.depth", "q.limit", 0, 2)},
 	})
 	rec.Bind(s, reg, sim.Time(time.Second))
 	if err := s.Run(); err != nil {
@@ -212,7 +225,7 @@ func TestRateCollapseArming(t *testing.T) {
 		s.At(sim.Time(i)*sim.Time(100*time.Millisecond), func() { c.Add(1000) })
 	}
 	s.At(sim.Time(time.Second)+sim.Time(200*time.Millisecond), func() {})
-	det := &RateCollapse{Series: "flow.bytes", FloorPerSec: 1000, Ticks: 3}
+	det := catalogRow("rate-collapse", "flow.bytes", "", 1000, 3)
 	rec := New(Config{Interval: 100 * time.Millisecond, Detectors: []Detector{det}})
 	rec.Bind(s, reg, sim.Time(time.Second+200*time.Millisecond))
 	if err := s.Run(); err != nil {
@@ -233,7 +246,7 @@ func TestRateCollapseArming(t *testing.T) {
 	reg2.Counter("flow.bytes", "stream=0")
 	s2.At(sim.Time(time.Second), func() {})
 	rec2 := New(Config{Interval: 100 * time.Millisecond,
-		Detectors: []Detector{&RateCollapse{Series: "flow.bytes", FloorPerSec: 1000, Ticks: 3}}})
+		Detectors: []Detector{catalogRow("rate-collapse", "flow.bytes", "", 1000, 3)}})
 	rec2.Bind(s2, reg2, sim.Time(time.Second))
 	if err := s2.Run(); err != nil {
 		t.Fatal(err)
@@ -274,8 +287,8 @@ func TestNoteAndIncidentCap(t *testing.T) {
 		rec.Note("soak", "", "violation %d", i)
 	}
 	incs := rec.Incidents()
-	if len(incs) != 3 || rec.IncidentsDropped() != 2 {
-		t.Fatalf("cap kept %d dropped %d, want 3/2", len(incs), rec.IncidentsDropped())
+	if len(incs) != 3 || rec.incidentsDropped != 2 {
+		t.Fatalf("cap kept %d dropped %d, want 3/2", len(incs), rec.incidentsDropped)
 	}
 	if incs[0].Message != "violation 2" || incs[2].Message != "violation 4" {
 		t.Errorf("cap dropped the wrong end: %+v", incs)
@@ -391,11 +404,14 @@ func TestNilRecorderIsSafe(t *testing.T) {
 	r.Sample()
 	r.SampleAt(5)
 	r.Note("d", "s", "m")
-	if r.Ticks() != 0 || r.Interval() != 0 || r.LastTime() != 0 {
+	if r.Ticks() != 0 || r.LastRate(nil) != 0 {
 		t.Error("nil recorder reports non-zero state")
 	}
-	if r.Series("x") != nil || r.Match("all") != nil || r.Times() != nil || r.Incidents() != nil {
+	if r.Series("x") != nil || r.MatchName("x") != nil || r.match("all") != nil || r.Incidents() != nil {
 		t.Error("nil recorder returned non-nil collections")
+	}
+	if d := r.Dump(); d.Ticks != 0 || len(d.Series) != 0 {
+		t.Error("nil recorder dumps state")
 	}
 	var buf bytes.Buffer
 	if err := r.WriteDump(&buf); err != nil {
@@ -407,7 +423,12 @@ func TestNilRecorderIsSafe(t *testing.T) {
 	if err := r.WriteSparklines(&buf, "all", 40); err != nil {
 		t.Fatal(err)
 	}
-	r.Each(func(*Series) { t.Error("nil recorder visited a series") })
+	if err := r.WriteIncidents(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.WriteDumpFile(filepath.Join(t.TempDir(), "nil.json")); err != nil {
+		t.Fatal(err)
+	}
 	if (*Series)(nil).Len() != 0 || (*Series)(nil).Last() != 0 {
 		t.Error("nil series reports samples")
 	}

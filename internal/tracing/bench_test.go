@@ -10,28 +10,24 @@ import (
 )
 
 // The disabled-tracer contract: a nil *Tracer costs one predicted
-// branch per recording call. BenchmarkDisabledTracer measures the
-// per-call price directly; BenchmarkSenderSend measures the sender
-// hot path it rides on, traced and untraced.
+// branch per recording call (Emit inlines; the Packet* hooks are a
+// call that returns at once) and allocates nothing.
+// BenchmarkDisabledTracer measures the per-call price directly;
+// BenchmarkSenderSend measures the sender hot path it rides on, traced
+// and untraced.
 
 func BenchmarkDisabledTracer(b *testing.B) {
 	var tr *tracing.Tracer
-	b.Run("FragmentSent", func(b *testing.B) {
+	b.Run("Emit", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			tr.FragmentSent(0, uint64(i), 0, 1000, false, false, 0)
+			tr.Emit(tracing.FragTX, 0, uint64(i), 0, 1000, 0)
 		}
 	})
 	b.Run("PacketQueued", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			tr.PacketQueued("l", nil, 0, 0)
-		}
-	})
-	b.Run("SegmentSent", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			tr.SegmentSent(0, int64(i), 1000, false)
 		}
 	})
 }
@@ -42,7 +38,7 @@ func BenchmarkEnabledTracer(b *testing.B) {
 	tr.SetLimit(1 << 24)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		tr.FragmentSent(0, uint64(i), 0, 1000, false, false, 0)
+		tr.Emit(tracing.FragTX, 0, uint64(i), 0, 1000, 0)
 	}
 }
 
@@ -97,68 +93,57 @@ func BenchmarkSenderSend(b *testing.B) {
 	})
 }
 
-// TestDisabledTracerOverhead guards the ≤2 ns/op budget for the
-// disabled tracer on the sender hot path. Each benchmark op makes 128
-// recording calls so scheduler-clock noise amortizes away; the bound
-// is asserted on the per-call quotient.
+// TestDisabledTracerOverhead holds the disabled tracer to what can be
+// asserted exactly: no recording hook allocates on a nil *Tracer. (That
+// the nil check costs a branch and not a call is the compiler's word,
+// which make alloc-guard reads: "can inline (*Tracer).Emit".)
 func TestDisabledTracerOverhead(t *testing.T) {
-	if testing.Short() {
-		t.Skip("timing test")
-	}
 	var tr *tracing.Tracer
-	const calls = 128
-	r := testing.Benchmark(func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			for j := 0; j < calls; j++ {
-				tr.FragmentSent(0, uint64(j), 0, 1000, false, false, 0)
-			}
+	payload := make([]byte, 64)
+	links := []string{"l"}
+	hooks := map[string]func(){
+		"Emit":            func() { tr.Emit(tracing.FragTX, 0, 1, 0, 1000, 0) },
+		"EmitTag":         func() { tr.EmitTag(tracing.ADUSubmit, 0, 1, 2, 1000) },
+		"EmitRelay":       func() { tr.EmitRelay(tracing.CustodyStore, "r1", 0, 1, 1000) },
+		"PacketQueued":    func() { tr.PacketQueued("l", payload, 0, 0) },
+		"PacketDelivered": func() { tr.PacketDelivered("l", payload, 0) },
+		"PacketDropped":   func() { tr.PacketDropped("l", "down", payload) },
+		"FaultBegan":      func() { tr.FaultBegan("blackout", links) },
+		"FaultEnded":      func() { tr.FaultEnded(1) },
+	}
+	for name, hook := range hooks {
+		if n := testing.AllocsPerRun(100, hook); n != 0 {
+			t.Errorf("%s on a nil tracer allocates (%v allocs/call)", name, n)
 		}
-	})
-	perCall := float64(r.NsPerOp()) / calls
-	// The budget is ≤2 ns per call; allow measurement slack on a busy
-	// host but fail loudly if the nil path ever grows real work.
-	if perCall > 2.0 {
-		t.Errorf("disabled tracer costs %.2f ns/call, budget 2 ns", perCall)
 	}
-	if r.AllocsPerOp() != 0 {
-		t.Errorf("disabled tracer allocates (%d allocs/op)", r.AllocsPerOp())
-	}
-	t.Logf("disabled tracer: %.3f ns/call", perCall)
 }
 
-// TestSenderTracerOverhead compares the full sender Send path with a
-// nil tracer against one with a saturated tracer (recording branch
-// taken, buffer full): the marginal cost per Send must stay within a
-// few nanoseconds times the handful of hook sites on the path.
+// TestSenderTracerOverhead holds the sender's Send path to the exact
+// half of its tracing budget: a saturated tracer (recording branch
+// taken, buffer full) adds no allocation to a Send. The nanoseconds it
+// adds are compared in timing_test.go.
 func TestSenderTracerOverhead(t *testing.T) {
-	if testing.Short() {
-		t.Skip("timing test")
-	}
 	payload := make([]byte, 1000)
-	run := func(tr func() *tracing.Tracer) testing.BenchmarkResult {
-		return testing.Benchmark(func(b *testing.B) {
-			snd := benchSender(b, tr())
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := snd.Send(uint64(i), xcode.SyntaxRaw, payload); err != nil {
-					b.Fatal(err)
-				}
+	allocs := func(tr *tracing.Tracer) float64 {
+		s := sim.NewScheduler()
+		tr.Bind(s)
+		snd, err := alf.NewSender(s, func([]byte) error { return nil }, alf.Config{
+			Policy: alf.NoRetransmit, HeartbeatLimit: 1, Tracer: tr,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var name uint64
+		return testing.AllocsPerRun(100, func() {
+			name++
+			if _, err := snd.Send(name, xcode.SyntaxRaw, payload); err != nil {
+				t.Fatal(err)
 			}
 		})
 	}
-	off := run(func() *tracing.Tracer { return nil })
-	on := run(func() *tracing.Tracer {
-		s := sim.NewScheduler()
-		tr := tracing.New(s)
-		tr.SetLimit(1)
-		return tr
-	})
-	delta := on.NsPerOp() - off.NsPerOp()
-	t.Logf("sender Send: untraced %d ns/op, saturated tracer %d ns/op (delta %d)", off.NsPerOp(), on.NsPerOp(), delta)
-	// Send records ~2 events (submit + fragment); a saturated tracer's
-	// marginal cost must stay in the tens of nanoseconds, far under a
-	// microsecond-scale Send. Generous bound: flag only regressions.
-	if delta > 200 {
-		t.Errorf("tracer adds %d ns to Send (untraced %d), want ≤200", delta, off.NsPerOp())
+	full := tracing.New(nil)
+	full.SetLimit(1)
+	if off, on := allocs(nil), allocs(full); on != off {
+		t.Errorf("Send allocates %v times with a saturated tracer, %v with none", on, off)
 	}
 }

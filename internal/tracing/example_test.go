@@ -18,10 +18,10 @@ func Example() {
 	tr := tracing.New(s)
 
 	at := func(d sim.Duration, fn func()) { s.At(sim.Time(0).Add(d), fn) }
-	at(0, func() { tr.ADUSubmitted(0, 7, 42, 1000) })
-	at(1*time.Millisecond, func() { tr.FragmentSent(0, 7, 0, 1000, false, false, time.Millisecond) })
-	at(5*time.Millisecond, func() { tr.FragmentReceived(0, 7, 0, 1000, false) })
-	at(6*time.Millisecond, func() { tr.ADUDelivered(0, 7, 1000) })
+	at(0, func() { tr.EmitTag(tracing.ADUSubmit, 0, 7, 42, 1000) })
+	at(1*time.Millisecond, func() { tr.Emit(tracing.FragTX, 0, 7, 0, 1000, time.Millisecond) })
+	at(5*time.Millisecond, func() { tr.Emit(tracing.FragRX, 0, 7, 0, 1000, 0) })
+	at(6*time.Millisecond, func() { tr.Emit(tracing.ADUDeliver, 0, 7, 0, 1000, 0) })
 	if err := s.Run(); err != nil {
 		panic(err)
 	}

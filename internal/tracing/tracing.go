@@ -11,14 +11,30 @@
 // renders one packet as one line; this package records structured
 // events and reconstructs timelines from them.
 //
+// # One declaration per event
+//
+// An event kind is a constant and a row of the kinds table (its
+// timeline name and the family of track it is drawn on), and recording
+// one is a call of Emit with that constant:
+//
+//	cfg.Tracer.Emit(tracing.ADUDeliver, stream, name, 0, size, 0)
+//
+// EmitTag and EmitRelay are Emit for the kinds that carry an
+// application tag or sit on a relay's track. The network and fault
+// planes keep hooks of their own — PacketQueued, PacketDelivered and
+// PacketDropped sniff an opaque payload for its identity, FaultBegan
+// and FaultEnded own the fault windows.
+//
 // # Cost when disabled
 //
-// Every recording method is safe on a nil *Tracer and returns after a
-// single nil-check branch, mirroring the internal/metrics contract: an
-// endpoint built without a tracer pays ~1 ns per event and allocates
-// nothing (see bench_test.go). Layers keep a *Tracer in their config
-// (alf.Config.Tracer, otp.Config.Tracer, netsim.Network.SetTracer,
-// faults.Injector.SetTracer); nil means off.
+// Every recording method is safe on a nil *Tracer, mirroring the
+// internal/metrics contract, and Emit's body is a nil check around one
+// call, so the compiler inlines it: an endpoint built without a tracer
+// pays a compare and a predicted branch per event, no call, and
+// allocates nothing (make alloc-guard holds the compiler to the
+// inlining, TestDisabledTracerOverhead to the allocations). Layers keep
+// a *Tracer in their config (alf.Config.Tracer, otp.Config.Tracer,
+// netsim.Network.SetTracer, faults.Injector.SetTracer); nil means off.
 //
 // # Determinism
 //
@@ -29,15 +45,18 @@
 //
 // # Causality
 //
-// The tracer derives causal links internally rather than threading ids
-// through every layer:
+// The tracer derives causal links itself rather than threading ids
+// through every layer, and the endpoint ones are all made in one
+// place, emit, by the kind of the event passing through:
 //
-//   - NACK → retransmission: NacksSent registers a pending flow per
-//     (stream, name); the next FragmentSent with retx=true for that
-//     name attaches it.
+//   - NACK → retransmission → arrival: a NackTX opens a flow for its
+//     (stream, name); a FragRetx of that name attaches it; the next
+//     FragRX or ParityRX of that name attaches and closes it. An
+//     ADUDeliver, ADULoss or ADUExpire closes a flow nothing answered,
+//     and a full event buffer opens none.
 //   - loss → head-of-line stall: a sniffed OTP data drop remembers its
-//     sequence range; a StallOpened blocked on an offset inside that
-//     range attaches the drop's flow.
+//     sequence range (PacketDropped); a StallOpen blocked on an offset
+//     inside that range attaches the drop's flow.
 //   - fault window → drop: FaultBegan records which links a window
 //     covers; a down-drop on a covered link attaches the window's flow.
 //
@@ -47,6 +66,7 @@ package tracing
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/sim"
 	"repro/internal/wire"
@@ -106,80 +126,71 @@ const (
 	CustodyEvict   // relay evicted a non-Critical ADU to fit a new one
 	CustodyShed    // relay refused custody: store full of unevictables
 	CustodyRetx    // relay re-originated a custody ADU downstream
+
+	numKinds // one past the last kind; new kinds go above this line
 )
+
+// family is the prefix shared by the track names of one group of
+// kinds; what follows it says which member of the group.
+type family string
+
+const (
+	famSender   family = "alf/snd/" // + stream id
+	famReceiver family = "alf/rcv/" // + stream id
+	famOTP      family = "otp/"     // + connection id
+	famRelay    family = "relay/"   // + the relay's name (EmitRelay)
+	famLink     family = "net/"     // the link's label, as netsim passes it
+	famFaults   family = "faults"   // the one fault-plane track
+)
+
+// kinds is the one declaration of every event kind besides its
+// constant: the name it carries in timelines and the track family it is
+// drawn on.
+var kinds = [numKinds]struct {
+	name string
+	fam  family
+}{
+	ADUSubmit:      {"submit", famSender},
+	FragTX:         {"frag-tx", famSender},
+	FragRetx:       {"frag-retx", famSender},
+	ParityTX:       {"parity-tx", famSender},
+	HeartbeatTX:    {"hb-tx", famSender},
+	FragRX:         {"frag-rx", famReceiver},
+	ParityRX:       {"parity-rx", famReceiver},
+	NackTX:         {"nack", famReceiver},
+	ChecksumFail:   {"checksum-fail", famReceiver},
+	ADUDeliver:     {"deliver", famReceiver},
+	ADULoss:        {"lost", famReceiver},
+	ADUExpire:      {"expire", famSender},
+	MsgSubmit:      {"msg-submit", famOTP},
+	SegTX:          {"seg-tx", famOTP},
+	SegRetx:        {"seg-retx", famOTP},
+	SegOOO:         {"seg-ooo", famOTP},
+	SegDeliver:     {"seg-deliver", famOTP},
+	StallOpen:      {"stall-open", famOTP},
+	StallClose:     {"stall-close", famOTP},
+	NetQueue:       {"net-queue", famLink},
+	NetDeliver:     {"net-deliver", famLink},
+	NetDrop:        {"net-drop", famLink},
+	FaultBegin:     {"fault-begin", famFaults},
+	FaultEnd:       {"fault-end", famFaults},
+	ADUShed:        {"shed", famSender},
+	FeedbackTX:     {"feedback", famReceiver},
+	RateChange:     {"rate", famSender},
+	CustodyStore:   {"custody-store", famRelay},
+	CustodyAckTX:   {"custody-ack", famRelay},
+	CustodyRelease: {"custody-release", famSender},
+	CustodyEvict:   {"custody-evict", famRelay},
+	CustodyShed:    {"custody-shed", famRelay},
+	CustodyRetx:    {"custody-retx", famRelay},
+}
 
 // String names the kind as it appears in timelines.
 func (k Kind) String() string {
-	switch k {
-	case ADUSubmit:
-		return "submit"
-	case FragTX:
-		return "frag-tx"
-	case FragRetx:
-		return "frag-retx"
-	case ParityTX:
-		return "parity-tx"
-	case HeartbeatTX:
-		return "hb-tx"
-	case FragRX:
-		return "frag-rx"
-	case ParityRX:
-		return "parity-rx"
-	case NackTX:
-		return "nack"
-	case ChecksumFail:
-		return "checksum-fail"
-	case ADUDeliver:
-		return "deliver"
-	case ADULoss:
-		return "lost"
-	case ADUExpire:
-		return "expire"
-	case MsgSubmit:
-		return "msg-submit"
-	case SegTX:
-		return "seg-tx"
-	case SegRetx:
-		return "seg-retx"
-	case SegOOO:
-		return "seg-ooo"
-	case SegDeliver:
-		return "seg-deliver"
-	case StallOpen:
-		return "stall-open"
-	case StallClose:
-		return "stall-close"
-	case NetQueue:
-		return "net-queue"
-	case NetDeliver:
-		return "net-deliver"
-	case NetDrop:
-		return "net-drop"
-	case FaultBegin:
-		return "fault-begin"
-	case FaultEnd:
-		return "fault-end"
-	case ADUShed:
-		return "shed"
-	case FeedbackTX:
-		return "feedback"
-	case RateChange:
-		return "rate"
-	case CustodyStore:
-		return "custody-store"
-	case CustodyAckTX:
-		return "custody-ack"
-	case CustodyRelease:
-		return "custody-release"
-	case CustodyEvict:
-		return "custody-evict"
-	case CustodyShed:
-		return "custody-shed"
-	case CustodyRetx:
-		return "custody-retx"
-	default:
-		return fmt.Sprintf("kind-%d", uint8(k))
+	if int(k) < len(kinds) && kinds[k].name != "" {
+		return kinds[k].name
 	}
+	return fmt.Sprintf("kind-%d", uint8(k))
 }
 
 // Event is one recorded trace event. Which fields are meaningful
@@ -215,8 +226,8 @@ type Tracer struct {
 	Dropped int64
 
 	// Causal bookkeeping (see package comment).
-	pendingNack map[nackKey]uint64  // (stream, name) -> flow id
-	pendingDrop map[byte]*dropRange // conn id -> last dropped OTP data range
+	pendingNack map[aduKey]uint64  // (stream, name) -> flow id
+	pendingDrop map[byte]dropRange // conn id -> last dropped OTP data range
 	faults      []*faultWindow
 	nextFlow    uint64
 
@@ -226,13 +237,8 @@ type Tracer struct {
 // trackKey keys the track-name intern table without allocating: the
 // prefix is always a string constant, so the key build is free.
 type trackKey struct {
-	prefix string
+	prefix family
 	id     byte
-}
-
-type nackKey struct {
-	stream byte
-	name   uint64
 }
 
 type dropRange struct {
@@ -244,7 +250,7 @@ type dropRange struct {
 type faultWindow struct {
 	flow   uint64
 	kind   string
-	links  map[string]bool
+	links  []string
 	active bool
 }
 
@@ -261,8 +267,8 @@ func New(sched *sim.Scheduler) *Tracer {
 	return &Tracer{
 		sched:       sched,
 		limit:       DefaultLimit,
-		pendingNack: make(map[nackKey]uint64),
-		pendingDrop: make(map[byte]*dropRange),
+		pendingNack: make(map[aduKey]uint64),
+		pendingDrop: make(map[byte]dropRange),
 		tracks:      make(map[trackKey]string),
 	}
 }
@@ -323,7 +329,7 @@ func (t *Tracer) record(e Event) {
 
 // track interns a formatted track name so steady-state recording does
 // not re-format (or re-allocate) per event.
-func (t *Tracer) track(prefix string, id byte) string {
+func (t *Tracer) track(prefix family, id byte) string {
 	key := trackKey{prefix, id}
 	if s, ok := t.tracks[key]; ok {
 		return s
@@ -339,281 +345,69 @@ func (t *Tracer) flow() uint64 {
 	return t.nextFlow
 }
 
-// ---- ALF endpoint hooks ------------------------------------------------
+// ---- Endpoint events (internal/core, internal/otp, internal/relay) -----
 
-// ADUSubmitted records the application handing an ADU to the sender.
-func (t *Tracer) ADUSubmitted(stream byte, name, tag uint64, size int) {
-	if t == nil {
-		return
+// Emit records one endpoint event of kind k on the track of stream (or
+// connection) id. What adu, off, n and dur carry is the kind's business
+// (see the kind constants); pass zero for the ones it has no use for.
+// The body is a nil check and a call so that it inlines: a layer built
+// without a tracer pays one branch per event and no call.
+func (t *Tracer) Emit(k Kind, id byte, adu uint64, off int64, n int, dur sim.Duration) {
+	if t != nil {
+		t.emit(Event{Kind: k, ID: id, ADU: adu, Off: off, Len: n, Dur: dur})
 	}
-	t.record(Event{Kind: ADUSubmit, Track: t.track("alf/snd/", stream),
-		ID: stream, ADU: name, Tag: tag, Len: size})
 }
 
-// FragmentSent records one fragment handed to the wire. wait is the
-// pacer delay between framing and the actual handoff. Retransmissions
-// attach the flow of the NACK that provoked them, when one is pending.
-func (t *Tracer) FragmentSent(stream byte, name uint64, off, n int, retx, parity bool, wait sim.Duration) {
-	if t == nil {
-		return
+// EmitTag is Emit for the two kinds that carry the application's tag:
+// ADUSubmit and ADUShed.
+func (t *Tracer) EmitTag(k Kind, id byte, adu, tag uint64, n int) {
+	if t != nil {
+		t.emit(Event{Kind: k, ID: id, ADU: adu, Tag: tag, Len: n})
 	}
-	kind := FragTX
-	var flow uint64
-	switch {
-	case parity:
-		kind = ParityTX
-	case retx:
-		kind = FragRetx
-		flow = t.pendingNack[nackKey{stream, name}]
-	}
-	t.record(Event{Kind: kind, Track: t.track("alf/snd/", stream),
-		ID: stream, ADU: name, Off: int64(off), Len: n, Dur: wait, Flow: flow})
 }
 
-// HeartbeatSent records a stream-extent declaration.
-func (t *Tracer) HeartbeatSent(stream byte, next uint64) {
-	if t == nil {
-		return
+// EmitRelay is Emit for the kinds drawn on a custody relay's own track
+// (CustodyStore, CustodyAckTX, CustodyEvict, CustodyShed, CustodyRetx):
+// relay names the node, n is a payload size or a count.
+func (t *Tracer) EmitRelay(k Kind, relay string, id byte, adu uint64, n int) {
+	if t != nil {
+		t.emit(Event{Kind: k, Track: string(famRelay) + relay, ID: id, ADU: adu, Len: n})
 	}
-	t.record(Event{Kind: HeartbeatTX, Track: t.track("alf/snd/", stream),
-		ID: stream, ADU: next})
 }
 
-// FragmentReceived records a fragment accepted into reassembly. A
-// fragment answering a pending NACK closes (consumes) that flow so the
-// causal arrow runs NACK → retransmission → arrival.
-func (t *Tracer) FragmentReceived(stream byte, name uint64, off, n int, parity bool) {
-	if t == nil {
-		return
+// emit names e's track when the caller has not, makes the causal links
+// that hang on e's kind (see the package comment), and records it.
+func (t *Tracer) emit(e Event) {
+	if e.Track == "" {
+		e.Track = t.track(kinds[e.Kind].fam, e.ID)
 	}
-	kind := FragRX
-	if parity {
-		kind = ParityRX
-	}
-	k := nackKey{stream, name}
-	flow := t.pendingNack[k]
-	if flow != 0 {
+	k := aduKey{e.ID, e.ADU}
+	switch e.Kind {
+	case NackTX:
+		// A tracer that has stopped keeping events opens no flow:
+		// nothing would ever show it.
+		if t.sched != nil && len(t.events) < t.limit {
+			e.Flow = t.flow()
+			t.pendingNack[k] = e.Flow
+		}
+	case FragRetx:
+		e.Flow = t.pendingNack[k]
+	case FragRX, ParityRX:
+		// The arrival answering a NACK consumes its flow, so the arrow
+		// runs NACK → retransmission → arrival and stops.
+		if e.Flow = t.pendingNack[k]; e.Flow != 0 {
+			delete(t.pendingNack, k)
+		}
+	case ADUDeliver, ADULoss, ADUExpire:
+		// The name is settled: a NACK nothing answered is closed here.
 		delete(t.pendingNack, k)
+	case StallOpen:
+		if d, ok := t.pendingDrop[e.ID]; ok && d.off <= e.Off && e.Off < d.end {
+			e.Flow = d.flow
+			delete(t.pendingDrop, e.ID)
+		}
 	}
-	t.record(Event{Kind: kind, Track: t.track("alf/rcv/", stream),
-		ID: stream, ADU: name, Off: int64(off), Len: n, Flow: flow})
-}
-
-// ADUChecksumFailed records a completed ADU discarded on verification.
-func (t *Tracer) ADUChecksumFailed(stream byte, name uint64) {
-	if t == nil {
-		return
-	}
-	t.record(Event{Kind: ChecksumFail, Track: t.track("alf/rcv/", stream),
-		ID: stream, ADU: name})
-}
-
-// ADUDelivered records a verified ADU handed to the application.
-func (t *Tracer) ADUDelivered(stream byte, name uint64, size int) {
-	if t == nil {
-		return
-	}
-	t.record(Event{Kind: ADUDeliver, Track: t.track("alf/rcv/", stream),
-		ID: stream, ADU: name, Len: size})
-}
-
-// ADULost records the receiver abandoning an ADU.
-func (t *Tracer) ADULost(stream byte, name uint64) {
-	if t == nil {
-		return
-	}
-	t.record(Event{Kind: ADULoss, Track: t.track("alf/rcv/", stream),
-		ID: stream, ADU: name})
-}
-
-// ADUExpired records the sender shedding retention past ADUDeadline.
-func (t *Tracer) ADUExpired(stream byte, name uint64) {
-	if t == nil {
-		return
-	}
-	t.record(Event{Kind: ADUExpire, Track: t.track("alf/snd/", stream),
-		ID: stream, ADU: name})
-}
-
-// NacksSent records one recovery request per named ADU and opens a
-// causal flow each, to be attached by the retransmission it provokes.
-func (t *Tracer) NacksSent(stream byte, names []uint64) {
-	if t == nil {
-		return
-	}
-	for _, name := range names {
-		f := t.flow()
-		t.pendingNack[nackKey{stream, name}] = f
-		t.record(Event{Kind: NackTX, Track: t.track("alf/rcv/", stream),
-			ID: stream, ADU: name, Flow: f})
-	}
-}
-
-// ADUShed records a Droppable ADU shed before transmission while the
-// sender was overloaded. name is the name the ADU would have been
-// assigned (it consumes none).
-func (t *Tracer) ADUShed(stream byte, name, tag uint64, size int) {
-	if t == nil {
-		return
-	}
-	t.record(Event{Kind: ADUShed, Track: t.track("alf/snd/", stream),
-		ID: stream, ADU: name, Tag: tag, Len: size})
-}
-
-// FeedbackSent records the receiver emitting delivery report seq with
-// wireBytes cumulative wire volume accepted.
-func (t *Tracer) FeedbackSent(stream byte, seq uint32, wireBytes int64) {
-	if t == nil {
-		return
-	}
-	t.record(Event{Kind: FeedbackTX, Track: t.track("alf/rcv/", stream),
-		ID: stream, ADU: uint64(seq), Off: wireBytes})
-}
-
-// RateChanged records a controller-driven pacing change from oldBps to
-// newBps (Off and Len respectively, in bits/s).
-func (t *Tracer) RateChanged(stream byte, oldBps, newBps float64) {
-	if t == nil {
-		return
-	}
-	t.record(Event{Kind: RateChange, Track: t.track("alf/snd/", stream),
-		ID: stream, Off: int64(oldBps), Len: int(newBps)})
-}
-
-// ---- Custody-relay hooks -----------------------------------------------
-
-// CustodyStored records a relay taking custody of a complete ADU of
-// size payload bytes. relay names the custody node's track.
-func (t *Tracer) CustodyStored(relay string, stream byte, name uint64, size int) {
-	if t == nil {
-		return
-	}
-	t.record(Event{Kind: CustodyStore, Track: "relay/" + relay,
-		ID: stream, ADU: name, Len: size})
-}
-
-// CustodyAckSent records a relay acknowledging custody upstream: cum
-// is the custody frontier and n the count of out-of-order names in the
-// frame.
-func (t *Tracer) CustodyAckSent(relay string, stream byte, cum uint64, n int) {
-	if t == nil {
-		return
-	}
-	t.record(Event{Kind: CustodyAckTX, Track: "relay/" + relay,
-		ID: stream, ADU: cum, Len: n})
-}
-
-// CustodyReleased records the upstream custodian (the original sender)
-// freeing its retained copy of an ADU on a custody ack from relay id.
-func (t *Tracer) CustodyReleased(stream, relay byte, name uint64) {
-	if t == nil {
-		return
-	}
-	t.record(Event{Kind: CustodyRelease, Track: t.track("alf/snd/", stream),
-		ID: stream, ADU: name, Off: int64(relay)})
-}
-
-// CustodyEvicted records a relay evicting a stored non-Critical ADU to
-// make room.
-func (t *Tracer) CustodyEvicted(relay string, stream byte, name uint64, size int) {
-	if t == nil {
-		return
-	}
-	t.record(Event{Kind: CustodyEvict, Track: "relay/" + relay,
-		ID: stream, ADU: name, Len: size})
-}
-
-// CustodyShedded records a relay refusing custody of an arriving ADU
-// because the store held only unevictable (Critical) data.
-func (t *Tracer) CustodyShedded(relay string, stream byte, name uint64, size int) {
-	if t == nil {
-		return
-	}
-	t.record(Event{Kind: CustodyShed, Track: "relay/" + relay,
-		ID: stream, ADU: name, Len: size})
-}
-
-// CustodyResent records a relay re-originating a custody ADU toward
-// the next hop (heal-triggered or periodic retry).
-func (t *Tracer) CustodyResent(relay string, stream byte, name uint64, frags int) {
-	if t == nil {
-		return
-	}
-	t.record(Event{Kind: CustodyRetx, Track: "relay/" + relay,
-		ID: stream, ADU: name, Len: frags})
-}
-
-// ---- OTP endpoint hooks ------------------------------------------------
-
-// MessageSubmitted records one application write to the ordered stream:
-// index is the per-connection write count, off the stream offset where
-// the message begins. Messages are the OTP-side ADU equivalent the
-// analysis attributes stalls to.
-func (t *Tracer) MessageSubmitted(conn byte, index uint64, off int64, n int) {
-	if t == nil {
-		return
-	}
-	t.record(Event{Kind: MsgSubmit, Track: t.track("otp/", conn),
-		ID: conn, ADU: index, Off: off, Len: n})
-}
-
-// SegmentSent records a DATA segment transmission.
-func (t *Tracer) SegmentSent(conn byte, seq int64, n int, retx bool) {
-	if t == nil {
-		return
-	}
-	kind := SegTX
-	if retx {
-		kind = SegRetx
-	}
-	t.record(Event{Kind: kind, Track: t.track("otp/", conn),
-		ID: conn, Off: seq, Len: n})
-}
-
-// SegmentBuffered records a segment held behind a gap (out of order).
-func (t *Tracer) SegmentBuffered(conn byte, seq int64, n int) {
-	if t == nil {
-		return
-	}
-	t.record(Event{Kind: SegOOO, Track: t.track("otp/", conn),
-		ID: conn, Off: seq, Len: n})
-}
-
-// SegmentDelivered records in-order delivery advancing from oldNxt by
-// n bytes.
-func (t *Tracer) SegmentDelivered(conn byte, oldNxt int64, n int) {
-	if t == nil {
-		return
-	}
-	t.record(Event{Kind: SegDeliver, Track: t.track("otp/", conn),
-		ID: conn, Off: oldNxt, Len: n})
-}
-
-// StallOpened records a head-of-line stall opening: the stream is
-// blocked at offset blockedAt (the §5 in-order delivery cost,
-// per-stall — the same signal otp.hol_stall_ns aggregates). If a
-// sniffed drop covers the blocked offset, its flow is attached: the
-// loss caused this stall.
-func (t *Tracer) StallOpened(conn byte, blockedAt int64) {
-	if t == nil {
-		return
-	}
-	var flow uint64
-	if d := t.pendingDrop[conn]; d != nil && d.off <= blockedAt && blockedAt < d.end {
-		flow = d.flow
-		delete(t.pendingDrop, conn)
-	}
-	t.record(Event{Kind: StallOpen, Track: t.track("otp/", conn),
-		ID: conn, Off: blockedAt, Flow: flow})
-}
-
-// StallClosed records the stall ending after dur.
-func (t *Tracer) StallClosed(conn byte, dur sim.Duration) {
-	if t == nil {
-		return
-	}
-	t.record(Event{Kind: StallClose, Track: t.track("otp/", conn),
-		ID: conn, Dur: dur})
+	t.record(e)
 }
 
 // ---- Network hooks (internal/netsim) -----------------------------------
@@ -653,7 +447,7 @@ func (t *Tracer) PacketDropped(link, cause string, payload []byte) {
 	sniffInto(&e, payload)
 	if cause == "down" {
 		for i := len(t.faults) - 1; i >= 0; i-- {
-			if w := t.faults[i]; w.active && w.links[link] {
+			if w := t.faults[i]; w.active && slices.Contains(w.links, link) {
 				e.Flow = w.flow
 				break
 			}
@@ -665,7 +459,7 @@ func (t *Tracer) PacketDropped(link, cause string, payload []byte) {
 			flow = t.flow()
 			e.Flow = flow
 		}
-		t.pendingDrop[e.ID] = &dropRange{off: e.Off, end: e.Off + int64(e.Len), flow: flow}
+		t.pendingDrop[e.ID] = dropRange{off: e.Off, end: e.Off + int64(e.Len), flow: flow}
 	}
 	t.record(e)
 }
@@ -674,15 +468,12 @@ func (t *Tracer) PacketDropped(link, cause string, payload []byte) {
 
 // FaultBegan records a fault window opening over the named links and
 // returns its flow id (0 on a nil tracer). Drops on those links while
-// the window is active link back to it.
+// the window is active link back to it. The tracer keeps links.
 func (t *Tracer) FaultBegan(kind string, links []string) uint64 {
 	if t == nil {
 		return 0
 	}
-	w := &faultWindow{flow: t.flow(), kind: kind, links: make(map[string]bool, len(links)), active: true}
-	for _, l := range links {
-		w.links[l] = true
-	}
+	w := &faultWindow{flow: t.flow(), kind: kind, links: links, active: true}
 	t.faults = append(t.faults, w)
 	t.record(Event{Kind: FaultBegin, Track: "faults", Cause: kind, Flow: w.flow})
 	return w.flow

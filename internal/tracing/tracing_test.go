@@ -1,6 +1,7 @@
 package tracing
 
 import (
+	"fmt"
 	"io"
 	"testing"
 	"time"
@@ -80,21 +81,11 @@ func TestSniffRejectsCorrupt(t *testing.T) {
 func TestNilTracer(t *testing.T) {
 	var tr *Tracer
 	tr.SetLimit(10)
-	tr.ADUSubmitted(0, 1, 2, 3)
-	tr.FragmentSent(0, 1, 0, 10, false, false, 0)
-	tr.HeartbeatSent(0, 1)
-	tr.FragmentReceived(0, 1, 0, 10, false)
-	tr.ADUChecksumFailed(0, 1)
-	tr.ADUDelivered(0, 1, 10)
-	tr.ADULost(0, 1)
-	tr.ADUExpired(0, 1)
-	tr.NacksSent(0, []uint64{1, 2})
-	tr.MessageSubmitted(0, 0, 0, 10)
-	tr.SegmentSent(0, 0, 10, false)
-	tr.SegmentBuffered(0, 0, 10)
-	tr.SegmentDelivered(0, 0, 10)
-	tr.StallOpened(0, 0)
-	tr.StallClosed(0, time.Millisecond)
+	for k := range kinds {
+		tr.Emit(Kind(k), 0, 1, 0, 10, time.Millisecond)
+	}
+	tr.EmitTag(ADUSubmit, 0, 1, 2, 3)
+	tr.EmitRelay(CustodyStore, "r1", 0, 1, 10)
 	tr.PacketQueued("l", nil, 0, 0)
 	tr.PacketDelivered("l", nil, 0)
 	tr.PacketDropped("l", "down", nil)
@@ -119,7 +110,7 @@ func TestLimit(t *testing.T) {
 	tr := New(s)
 	tr.SetLimit(3)
 	for i := 0; i < 10; i++ {
-		tr.ADUSubmitted(0, uint64(i), 0, 1)
+		tr.EmitTag(ADUSubmit, 0, uint64(i), 0, 1)
 	}
 	if tr.Len() != 3 {
 		t.Fatalf("Len = %d, want 3", tr.Len())
@@ -135,9 +126,9 @@ func TestLimit(t *testing.T) {
 func TestNackFlow(t *testing.T) {
 	s := sim.NewScheduler()
 	tr := New(s)
-	tr.NacksSent(1, []uint64{7})
-	tr.FragmentSent(1, 7, 0, 100, true, false, 0) // retransmission
-	tr.FragmentReceived(1, 7, 0, 100, false)
+	tr.Emit(NackTX, 1, 7, 0, 0, 0)
+	tr.Emit(FragRetx, 1, 7, 0, 100, 0)
+	tr.Emit(FragRX, 1, 7, 0, 100, 0)
 
 	ev := tr.Events()
 	if len(ev) != 3 {
@@ -154,7 +145,7 @@ func TestNackFlow(t *testing.T) {
 		t.Errorf("arrival flow = %d, want %d", ev[2].Flow, flow)
 	}
 	// Flow consumed: a later unrelated arrival must not reuse it.
-	tr.FragmentReceived(1, 7, 0, 100, false)
+	tr.Emit(FragRX, 1, 7, 0, 100, 0)
 	if got := tr.Events()[3].Flow; got != 0 {
 		t.Errorf("second arrival flow = %d, want 0 (consumed)", got)
 	}
@@ -174,7 +165,7 @@ func TestDropStallFaultFlow(t *testing.T) {
 	seg := mkOTP(1, 2, 5000, make([]byte, 1000))
 	tr.PacketDropped("net/a->b/0", "down", seg)
 	tr.FaultEnded(flow)
-	tr.StallOpened(2, 5000) // receiver blocked exactly at the lost range
+	tr.Emit(StallOpen, 2, 0, 5000, 0, 0) // receiver blocked exactly at the lost range
 
 	var drop, stall *Event
 	for i := range tr.Events() {
@@ -197,7 +188,7 @@ func TestDropStallFaultFlow(t *testing.T) {
 	}
 	// A stall blocked outside any remembered range carries no flow.
 	tr.PacketDropped("net/a->b/0", "line", mkOTP(1, 2, 9000, make([]byte, 100)))
-	tr.StallOpened(2, 20000)
+	tr.Emit(StallOpen, 2, 0, 20000, 0, 0)
 	last := tr.Events()[len(tr.Events())-1]
 	if last.Flow != 0 {
 		t.Errorf("unrelated stall flow = %d, want 0", last.Flow)
@@ -213,16 +204,16 @@ func TestAnalyzeALF(t *testing.T) {
 
 	// submit at 0, first tx at 1ms, arrival 5ms, nack 20ms,
 	// retx arrival 30ms, delivered 31ms.
-	at(0, func() { tr.ADUSubmitted(0, 1, 99, 2000) })
+	at(0, func() { tr.EmitTag(ADUSubmit, 0, 1, 99, 2000) })
 	at(1*time.Millisecond, func() {
-		tr.FragmentSent(0, 1, 0, 1000, false, false, time.Millisecond)
-		tr.FragmentSent(0, 1, 1000, 1000, false, false, time.Millisecond)
+		tr.Emit(FragTX, 0, 1, 0, 1000, time.Millisecond)
+		tr.Emit(FragTX, 0, 1, 1000, 1000, time.Millisecond)
 	})
-	at(5*time.Millisecond, func() { tr.FragmentReceived(0, 1, 0, 1000, false) })
-	at(20*time.Millisecond, func() { tr.NacksSent(0, []uint64{1}) })
-	at(25*time.Millisecond, func() { tr.FragmentSent(0, 1, 1000, 1000, true, false, 0) })
-	at(30*time.Millisecond, func() { tr.FragmentReceived(0, 1, 1000, 1000, false) })
-	at(31*time.Millisecond, func() { tr.ADUDelivered(0, 1, 2000) })
+	at(5*time.Millisecond, func() { tr.Emit(FragRX, 0, 1, 0, 1000, 0) })
+	at(20*time.Millisecond, func() { tr.Emit(NackTX, 0, 1, 0, 0, 0) })
+	at(25*time.Millisecond, func() { tr.Emit(FragRetx, 0, 1, 1000, 1000, 0) })
+	at(30*time.Millisecond, func() { tr.Emit(FragRX, 0, 1, 1000, 1000, 0) })
+	at(31*time.Millisecond, func() { tr.Emit(ADUDeliver, 0, 1, 0, 2000, 0) })
 	if err := s.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -263,26 +254,26 @@ func TestAnalyzeOTP(t *testing.T) {
 
 	// msgs 0,1,2 of 1000 B each; segment 1 is lost and recovered late.
 	at(0, func() {
-		tr.MessageSubmitted(0, 0, 0, 1000)
-		tr.SegmentSent(0, 0, 1000, false)
+		tr.Emit(MsgSubmit, 0, 0, 0, 1000, 0)
+		tr.Emit(SegTX, 0, 0, 0, 1000, 0)
 	})
 	at(1*time.Millisecond, func() {
-		tr.MessageSubmitted(0, 1, 1000, 1000)
-		tr.SegmentSent(0, 1000, 1000, false) // lost on the wire
+		tr.Emit(MsgSubmit, 0, 1, 1000, 1000, 0)
+		tr.Emit(SegTX, 0, 0, 1000, 1000, 0) // lost on the wire
 	})
 	at(2*time.Millisecond, func() {
-		tr.MessageSubmitted(0, 2, 2000, 1000)
-		tr.SegmentSent(0, 2000, 1000, false)
+		tr.Emit(MsgSubmit, 0, 2, 2000, 1000, 0)
+		tr.Emit(SegTX, 0, 0, 2000, 1000, 0)
 	})
-	at(5*time.Millisecond, func() { tr.SegmentDelivered(0, 0, 1000) })
+	at(5*time.Millisecond, func() { tr.Emit(SegDeliver, 0, 0, 0, 1000, 0) })
 	at(7*time.Millisecond, func() {
-		tr.SegmentBuffered(0, 2000, 1000) // msg 2 arrives out of order
-		tr.StallOpened(0, 1000)
+		tr.Emit(SegOOO, 0, 0, 2000, 1000, 0) // msg 2 arrives out of order
+		tr.Emit(StallOpen, 0, 0, 1000, 0, 0)
 	})
-	at(40*time.Millisecond, func() { tr.SegmentSent(0, 1000, 1000, true) })
+	at(40*time.Millisecond, func() { tr.Emit(SegRetx, 0, 0, 1000, 1000, 0) })
 	at(45*time.Millisecond, func() {
-		tr.StallClosed(0, 38*time.Millisecond)
-		tr.SegmentDelivered(0, 1000, 2000) // delivery drains through msg 2
+		tr.Emit(StallClose, 0, 0, 0, 0, 38*time.Millisecond)
+		tr.Emit(SegDeliver, 0, 0, 1000, 2000, 0) // delivery drains through msg 2
 	})
 	if err := s.Run(); err != nil {
 		t.Fatal(err)
@@ -318,13 +309,70 @@ func TestAnalyzeOTP(t *testing.T) {
 	}
 }
 
+// TestKindStrings walks the kinds table: every Kind constant has a row
+// with a timeline name no other kind uses and one of the six track
+// families, String reads that row, and Emit draws the kind on a track
+// of that family. (A row for a kind that does not exist fails to
+// compile: the table's length is numKinds.)
 func TestKindStrings(t *testing.T) {
-	for k := ADUSubmit; k <= FaultEnd; k++ {
-		if s := k.String(); s == "" || s[:4] == "kind" {
-			t.Errorf("Kind %d has no name (%q)", k, s)
+	byID := map[family]bool{famSender: true, famReceiver: true, famOTP: true}
+	known := map[family]bool{famRelay: true, famLink: true, famFaults: true}
+	tr := New(sim.NewScheduler())
+	names := map[string]Kind{}
+	for k := Kind(1); k < numKinds; k++ {
+		row := kinds[k]
+		if row.name == "" {
+			t.Errorf("Kind %d has no kinds row", k)
+			continue
+		}
+		if prev, dup := names[row.name]; dup {
+			t.Errorf("Kind %d and %d are both named %q", prev, k, row.name)
+		}
+		names[row.name] = k
+		if got := k.String(); got != row.name {
+			t.Errorf("Kind(%d).String() = %q, want %q", k, got, row.name)
+		}
+		switch {
+		case byID[row.fam]:
+			tr.Emit(k, 3, 0, 0, 0, 0)
+			if got, want := tr.Events()[tr.Len()-1].Track, string(row.fam)+"3"; got != want {
+				t.Errorf("%v emitted on track %q, want %q", k, got, want)
+			}
+		case !known[row.fam]:
+			t.Errorf("%v has unknown track family %q", k, row.fam)
 		}
 	}
-	if s := Kind(200).String(); s != "kind-200" {
-		t.Errorf("unknown kind = %q", s)
+	for _, k := range []Kind{0, numKinds, 200} {
+		if got, want := k.String(), fmt.Sprintf("kind-%d", k); got != want {
+			t.Errorf("unknown kind = %q, want %q", got, want)
+		}
+	}
+}
+
+// TestNackFlowClosedOnLoss: a NACK nothing ever answers must not stay
+// in the tracer for its lifetime. The flow closes when the name is
+// settled — lost, expired or (through FEC, with no fragment of that
+// name arriving) delivered — and a tracer whose buffer is full opens
+// none at all.
+func TestNackFlowClosedOnLoss(t *testing.T) {
+	tr := New(sim.NewScheduler())
+	for i, settle := range []Kind{ADULoss, ADUExpire, ADUDeliver} {
+		name := uint64(i)
+		tr.Emit(NackTX, 1, name, 0, 0, 0)
+		if len(tr.pendingNack) != 1 {
+			t.Fatalf("NACK of %d opened %d flows, want 1", name, len(tr.pendingNack))
+		}
+		tr.Emit(settle, 1, name, 0, 0, 0)
+		if len(tr.pendingNack) != 0 {
+			t.Errorf("%v left the NACK flow of ADU %d open", settle, name)
+		}
+	}
+	tr.SetLimit(tr.Len())
+	tr.Emit(NackTX, 1, 9, 0, 0, 0)
+	if len(tr.pendingNack) != 0 {
+		t.Errorf("a full tracer opened a flow")
+	}
+	if tr.Dropped != 1 {
+		t.Errorf("Dropped = %d, want 1", tr.Dropped)
 	}
 }
