@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: build test timing race vet fmt lint loc bench benchmark benchmark-smoke fuzz soak soak-dtn soak-udp alloc-guard wire-leaf portable check
+.PHONY: build test timing race vet fmt lint loc bench benchmark benchmark-smoke fuzz soak soak-dtn soak-udp alloc-guard bce-guard wire-leaf portable check
 
 build:
 	$(GO) build ./...
@@ -79,8 +79,9 @@ benchmark-smoke:
 # Native fuzzers over every frame format's classifier, printers and
 # strict parsers (internal/wire), the ALF endpoints' packet handlers and
 # their per-name window against its map model, the scheduler's firing
-# order against its sorted-slice model, and udplink's cut of a send
-# queue into trains against the kernel's rule. The budget is
+# order against its sorted-slice model, udplink's cut of a send queue
+# into trains against the kernel's rule, and every checksum loop against
+# the 16-bit reference at any alignment and split. The budget is
 # deliberately small so check stays fast; raise FUZZTIME for a real
 # session.
 FUZZTIME ?= 5s
@@ -92,6 +93,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzWindow$$' -fuzztime $(FUZZTIME) ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzSchedulerOrder$$' -fuzztime $(FUZZTIME) ./internal/sim
 	$(GO) test -run '^$$' -fuzz '^FuzzTrains$$' -fuzztime $(FUZZTIME) ./internal/udplink
+	$(GO) test -run '^$$' -fuzz '^FuzzSumKernels$$' -fuzztime $(FUZZTIME) ./internal/ilp
 
 # One seeded chaos pass: every scenario x policy plus the blackout
 # shed/report assertions, and the overload family (closed-loop passes,
@@ -143,11 +145,35 @@ lint: vet
 # bindings cannot creep back into per-flow state. And the disabled
 # tracer: no hook allocates on a nil *Tracer (DisabledTracerOverhead),
 # and the compiler must still say it inlines Emit, which is what makes
-# an endpoint event on a nil tracer a branch and not a call.
+# an endpoint event on a nil tracer a branch and not a call. The copy,
+# XOR and checksum kernels under all of it are in the bench run too.
 alloc-guard:
 	@$(GO) build -gcflags=-m ./internal/tracing 2>&1 | grep -q 'can inline (\*Tracer).Emit$$' || { echo "(*Tracer).Emit no longer inlines"; exit 1; }
 	$(GO) test -count=1 -run 'ZeroAlloc|NilRegistryBindsNothing|DisabledTracerOverhead' -v ./internal/core ./internal/udplink ./internal/otp ./internal/netsim ./internal/tracing
-	$(GO) test -run '^$$' -bench 'SendSteadyState|ReceivePath|FECSender|FECRepair|NetsimForward|LinkDeepQueue|SchedulerDeep' -benchmem ./internal/core ./internal/netsim ./internal/sim
+	$(GO) test -run '^$$' -bench 'SendSteadyState|ReceivePath|FECSender|FECRepair|NetsimForward|LinkDeepQueue|SchedulerDeep|FusedCopySum|Sum16|WordCopy4KB|XORWords' -benchmem ./internal/core ./internal/netsim ./internal/sim ./internal/ilp ./internal/checksum
+
+# Bounds-check gate on the copy / checksum kernels. Their unrolled main
+# loops take a 64-byte window of each slice by a full slice expression,
+# which leaves the compiler one check per iteration to make and lets it
+# prove the window's eight loads and stores from it; written any other
+# way each access carries its own. The compiler says which checks it
+# kept (-d=ssa/check_bce), so this counts them per kernel — set-up, word
+# loop and tail included, the main loop being one of them — and fails if
+# a count rises over what is pinned here. Like alloc-guard's inlining
+# grep it reads the compiler and not a clock, so it can gate on a shared
+# runner.
+BCE_PINS = Accumulate=2 WordCopy=3 XORWords=3 FusedCopySum=4 FusedCopyChecksumDecrypt=4 scrambleCopySum=6
+bce-guard:
+	@$(GO) build -gcflags=-d=ssa/check_bce/debug=1 ./internal/ilp ./internal/checksum 2>&1 | awk -v pins='$(BCE_PINS)' ' \
+		FILENAME != "-" { if ($$0 ~ /^func /) { fn = $$0; sub(/^func (\([^)]*\) )?/, "", fn); sub(/\(.*/, "", fn) } \
+		  else if ($$0 ~ /^}/) fn = ""; \
+		  at[FILENAME ":" FNR] = fn; next } \
+		/Found Is(Slice)?InBounds/ { split($$1, p, ":"); seen++; if ((f = at[p[1] ":" p[2]]) != "") got[f]++ } \
+		END { if (!seen) { print "bce-guard: the compiler reported no bounds checks at all"; exit 1 } \
+		  n = split(pins, kv, " "); \
+		  for (i = 1; i <= n; i++) { split(kv[i], x, "="); \
+		    if (got[x[1]] + 0 > x[2] + 0) { printf "bce-guard: %s keeps %d bounds checks, pinned at %d\n", x[1], got[x[1]], x[2]; bad = 1 } } \
+		  exit bad }' internal/ilp/ilp.go internal/checksum/checksum.go -
 
 # internal/wire owns every frame format and must stay a leaf:
 # internal/tracing sniffs packets through it, and core, otp and netsim
@@ -169,4 +195,4 @@ portable:
 	GOOS=darwin GOARCH=arm64 $(GO) build ./...
 	GOOS=windows GOARCH=amd64 $(GO) vet ./internal/udplink
 
-check: fmt build vet wire-leaf portable test timing race fuzz soak soak-dtn soak-udp alloc-guard benchmark-smoke
+check: fmt build vet wire-leaf portable test timing race fuzz soak soak-dtn soak-udp alloc-guard bce-guard benchmark-smoke

@@ -48,21 +48,27 @@ func TestKernelsTiming(t *testing.T) {
 }
 
 func TestPipelineTiming(t *testing.T) {
-	// The finer-margin comparisons retry on scheduler interference.
+	// A1 as EXPERIMENTS.md reports it. FusedPath and LayeredPath both pay
+	// one indirect Word call per stage per word, and at 256 KB source,
+	// destination and scratch all sit in L2, so the pass the generic
+	// loop saves costs less than the walk down the stage list it adds:
+	// at k=2 it does not beat the layered passes on this host (nor did
+	// it at the parent). What the generic loop does show is the
+	// direction — its standing against the layered passes improves with
+	// every stage added — and what the hand kernels show is the size of
+	// the win once the calls are gone.
 	eventually(t, 5, func() error {
 		p := RunPipeline(256<<10, testMinTime)
-		if p.FusedMbps[2] <= p.LayeredMbps[2] {
-			return fmt.Errorf("fused k=2 (%v) not faster than layered (%v)",
-				p.FusedMbps[2], p.LayeredMbps[2])
-		}
 		adv2 := p.FusedMbps[2] / p.LayeredMbps[2]
 		adv5 := p.FusedMbps[5] / p.LayeredMbps[5]
-		if adv5 < adv2*0.8 {
-			return fmt.Errorf("ILP advantage shrank with depth: k2=%.2fx k5=%.2fx", adv2, adv5)
+		if adv5 <= adv2 {
+			return fmt.Errorf("ILP advantage did not grow with depth: k2=%.2fx k5=%.2fx", adv2, adv5)
 		}
-		if p.HandFused2 <= p.FusedMbps[2]*0.9 {
-			return fmt.Errorf("hand-fused (%v) should be >= generic fused (%v)",
-				p.HandFused2, p.FusedMbps[2])
+		if best := max(p.FusedMbps[2], p.LayeredMbps[2]); p.HandFused2 < 2*best {
+			return fmt.Errorf("hand-fused k=2 (%v) not twice the better generic path (%v)", p.HandFused2, best)
+		}
+		if best := max(p.FusedMbps[3], p.LayeredMbps[3]); p.HandFused3 < 2*best {
+			return fmt.Errorf("hand-fused k=3 (%v) not twice the better generic path (%v)", p.HandFused3, best)
 		}
 		return nil
 	})

@@ -7,9 +7,12 @@
 //
 // The package provides three tiers, which together form the A1 ablation:
 //
-//   - Hand-fused kernels (FusedCopyChecksum, FusedCopyChecksumDecrypt,
+//   - Hand-fused kernels (FusedCopySum, FusedCopyChecksumDecrypt,
 //     EncodeBERInt32sChecksum, ...): the "hand coded unrolled loop" of
-//     the paper's §4 measurements.
+//     the paper's §4 measurements. The checksum in them is RFC 1071's
+//     wide-word form (checksum.Wide): little-endian 64-bit words summed
+//     by add-with-carry, folded and byte-swapped once after the loop,
+//     so that a fused word costs a load, a store and one add.
 //   - A generic stage pipeline (FusedPath) that applies any stage list
 //     word by word in a single pass, paying an indirect call per stage
 //     per word.
@@ -28,26 +31,38 @@ import (
 	"repro/internal/xcode"
 )
 
+// The hand kernels below share one loop shape. Both slices are cut to
+// the common length, capacity too, so that one register bounds them
+// both. The main loop takes a 64-byte window of each by a full slice
+// expression (src[i : i+64 : i+64]), so the compiler proves its eight
+// loads or stores in bounds from that one check (make bce-guard pins
+// the count). The kernels that checksum add the window to a
+// checksum.Wide, four words to a carry chain. A word loop and a byte
+// tail finish what is under 64 bytes.
+
 // WordCopy copies src into dst with an explicit 8-byte word loop,
-// unrolled four words at a time — the baseline "copy" manipulation of
+// unrolled eight words at a time — the baseline "copy" manipulation of
 // Table 1. It copies min(len(dst), len(src)) bytes and returns the
 // count. (The Go built-in copy is an optimized memmove; WordCopy exists
 // so that copy, checksum, and their fusion all use the same loop
 // discipline and the comparison isolates memory passes, not SIMD.)
 func WordCopy(dst, src []byte) int {
-	n := len(src)
-	if len(dst) < n {
-		n = len(dst)
-	}
+	n := min(len(dst), len(src))
+	dst, src = dst[:n:n], src[:n:n]
 	i := 0
-	for ; n-i >= 32; i += 32 {
-		binary.LittleEndian.PutUint64(dst[i:], binary.LittleEndian.Uint64(src[i:]))
-		binary.LittleEndian.PutUint64(dst[i+8:], binary.LittleEndian.Uint64(src[i+8:]))
-		binary.LittleEndian.PutUint64(dst[i+16:], binary.LittleEndian.Uint64(src[i+16:]))
-		binary.LittleEndian.PutUint64(dst[i+24:], binary.LittleEndian.Uint64(src[i+24:]))
+	for ; n-i >= 64; i += 64 {
+		a, d := src[i:i+64:i+64], dst[i:i+64:i+64]
+		binary.LittleEndian.PutUint64(d[0:], binary.LittleEndian.Uint64(a[0:]))
+		binary.LittleEndian.PutUint64(d[8:], binary.LittleEndian.Uint64(a[8:]))
+		binary.LittleEndian.PutUint64(d[16:], binary.LittleEndian.Uint64(a[16:]))
+		binary.LittleEndian.PutUint64(d[24:], binary.LittleEndian.Uint64(a[24:]))
+		binary.LittleEndian.PutUint64(d[32:], binary.LittleEndian.Uint64(a[32:]))
+		binary.LittleEndian.PutUint64(d[40:], binary.LittleEndian.Uint64(a[40:]))
+		binary.LittleEndian.PutUint64(d[48:], binary.LittleEndian.Uint64(a[48:]))
+		binary.LittleEndian.PutUint64(d[56:], binary.LittleEndian.Uint64(a[56:]))
 	}
 	for ; n-i >= 8; i += 8 {
-		binary.LittleEndian.PutUint64(dst[i:], binary.LittleEndian.Uint64(src[i:]))
+		binary.LittleEndian.PutUint64(dst[i:i+8:i+8], binary.LittleEndian.Uint64(src[i:i+8:i+8]))
 	}
 	for ; i < n; i++ {
 		dst[i] = src[i]
@@ -56,46 +71,34 @@ func WordCopy(dst, src []byte) int {
 }
 
 // XORWords XOR-accumulates src into dst (dst[i] ^= src[i]) with the
-// same 8-byte-word, four-way-unrolled loop discipline as WordCopy. It
+// same 8-byte-word, eight-way-unrolled loop discipline as WordCopy. It
 // is the FEC parity manipulation: the sender accumulates each data
 // fragment into the group's parity buffer, and the receiver repairs a
 // lost fragment by accumulating the survivors into the parity. It
 // processes min(len(dst), len(src)) bytes and returns the count.
 func XORWords(dst, src []byte) int {
-	n := len(src)
-	if len(dst) < n {
-		n = len(dst)
-	}
+	n := min(len(dst), len(src))
+	dst, src = dst[:n:n], src[:n:n]
 	i := 0
-	for ; n-i >= 32; i += 32 {
-		binary.LittleEndian.PutUint64(dst[i:], binary.LittleEndian.Uint64(dst[i:])^binary.LittleEndian.Uint64(src[i:]))
-		binary.LittleEndian.PutUint64(dst[i+8:], binary.LittleEndian.Uint64(dst[i+8:])^binary.LittleEndian.Uint64(src[i+8:]))
-		binary.LittleEndian.PutUint64(dst[i+16:], binary.LittleEndian.Uint64(dst[i+16:])^binary.LittleEndian.Uint64(src[i+16:]))
-		binary.LittleEndian.PutUint64(dst[i+24:], binary.LittleEndian.Uint64(dst[i+24:])^binary.LittleEndian.Uint64(src[i+24:]))
+	for ; n-i >= 64; i += 64 {
+		a, d := src[i:i+64:i+64], dst[i:i+64:i+64]
+		binary.LittleEndian.PutUint64(d[0:], binary.LittleEndian.Uint64(d[0:])^binary.LittleEndian.Uint64(a[0:]))
+		binary.LittleEndian.PutUint64(d[8:], binary.LittleEndian.Uint64(d[8:])^binary.LittleEndian.Uint64(a[8:]))
+		binary.LittleEndian.PutUint64(d[16:], binary.LittleEndian.Uint64(d[16:])^binary.LittleEndian.Uint64(a[16:]))
+		binary.LittleEndian.PutUint64(d[24:], binary.LittleEndian.Uint64(d[24:])^binary.LittleEndian.Uint64(a[24:]))
+		binary.LittleEndian.PutUint64(d[32:], binary.LittleEndian.Uint64(d[32:])^binary.LittleEndian.Uint64(a[32:]))
+		binary.LittleEndian.PutUint64(d[40:], binary.LittleEndian.Uint64(d[40:])^binary.LittleEndian.Uint64(a[40:]))
+		binary.LittleEndian.PutUint64(d[48:], binary.LittleEndian.Uint64(d[48:])^binary.LittleEndian.Uint64(a[48:]))
+		binary.LittleEndian.PutUint64(d[56:], binary.LittleEndian.Uint64(d[56:])^binary.LittleEndian.Uint64(a[56:]))
 	}
 	for ; n-i >= 8; i += 8 {
-		binary.LittleEndian.PutUint64(dst[i:], binary.LittleEndian.Uint64(dst[i:])^binary.LittleEndian.Uint64(src[i:]))
+		d := dst[i : i+8 : i+8]
+		binary.LittleEndian.PutUint64(d, binary.LittleEndian.Uint64(d)^binary.LittleEndian.Uint64(src[i:i+8:i+8]))
 	}
 	for ; i < n; i++ {
 		dst[i] ^= src[i]
 	}
 	return n
-}
-
-// sumWord adds the four 16-bit lanes of a little-endian word to a
-// byte-swapped one's-complement partial sum. By RFC 1071's byte-order
-// independence property, summing every 16-bit word with its bytes
-// swapped yields the byte-swap of the true sum — so the hot loop does
-// no byte reversal at all, and foldLE swaps once at the end.
-func sumWord(sum uint64, w uint64) uint64 {
-	return sum + (w >> 48) + (w >> 32 & 0xffff) + (w >> 16 & 0xffff) + (w & 0xffff)
-}
-
-// foldLE converts a little-endian-lane partial sum into a true
-// (network-order) partial sum: fold to 16 bits, then swap the bytes.
-func foldLE(sum uint64) uint64 {
-	f := checksum.Fold(sum)
-	return uint64(f>>8 | f<<8)
 }
 
 // SeparateCopyThenChecksum performs the two manipulations as distinct
@@ -113,35 +116,7 @@ func SeparateCopyThenChecksum(dst, src []byte) uint16 {
 // running sum while still in a register (§4's fused copy+checksum
 // experiment). len(dst) must be >= len(src).
 func FusedCopyChecksum(dst, src []byte) uint16 {
-	var sum uint64
-	n := len(src)
-	i := 0
-	for ; n-i >= 32; i += 32 {
-		w0 := binary.LittleEndian.Uint64(src[i:])
-		w1 := binary.LittleEndian.Uint64(src[i+8:])
-		w2 := binary.LittleEndian.Uint64(src[i+16:])
-		w3 := binary.LittleEndian.Uint64(src[i+24:])
-		binary.LittleEndian.PutUint64(dst[i:], w0)
-		binary.LittleEndian.PutUint64(dst[i+8:], w1)
-		binary.LittleEndian.PutUint64(dst[i+16:], w2)
-		binary.LittleEndian.PutUint64(dst[i+24:], w3)
-		sum = sumWord(sum, w0)
-		sum = sumWord(sum, w1)
-		sum = sumWord(sum, w2)
-		sum = sumWord(sum, w3)
-	}
-	for ; n-i >= 8; i += 8 {
-		w := binary.LittleEndian.Uint64(src[i:])
-		binary.LittleEndian.PutUint64(dst[i:], w)
-		sum = sumWord(sum, w)
-	}
-	sum = foldLE(sum)
-	if i < n {
-		// Tail: copy and checksum the remaining 1..7 bytes.
-		copy(dst[i:], src[i:n])
-		sum = checksum.Accumulate(sum, src[i:n])
-	}
-	return ^checksum.Fold(sum)
+	return ^checksum.Fold(FusedCopySum(dst, src))
 }
 
 // FusedCopyChecksumDecrypt is the three-stage integrated loop: decrypt
@@ -150,29 +125,37 @@ func FusedCopyChecksum(dst, src []byte) uint16 {
 // the plaintext. The keystream must be positioned to match src's first
 // byte. len(dst) must be >= len(src).
 func FusedCopyChecksumDecrypt(dst, src []byte, ks *scramble.Keystream) uint16 {
-	var sum uint64
+	var acc checksum.Wide
 	n := len(src)
+	dst, src = dst[:n:n], src[:n:n]
 	i := 0
-	for ; n-i >= 32; i += 32 {
-		w0 := binary.LittleEndian.Uint64(src[i:]) ^ ks.Word64()
-		w1 := binary.LittleEndian.Uint64(src[i+8:]) ^ ks.Word64()
-		w2 := binary.LittleEndian.Uint64(src[i+16:]) ^ ks.Word64()
-		w3 := binary.LittleEndian.Uint64(src[i+24:]) ^ ks.Word64()
-		binary.LittleEndian.PutUint64(dst[i:], w0)
-		binary.LittleEndian.PutUint64(dst[i+8:], w1)
-		binary.LittleEndian.PutUint64(dst[i+16:], w2)
-		binary.LittleEndian.PutUint64(dst[i+24:], w3)
-		sum = sumWord(sum, w0)
-		sum = sumWord(sum, w1)
-		sum = sumWord(sum, w2)
-		sum = sumWord(sum, w3)
+	for ; n-i >= 64; i += 64 {
+		a, d := src[i:i+64:i+64], dst[i:i+64:i+64]
+		w0 := binary.LittleEndian.Uint64(a[0:]) ^ ks.Word64()
+		w1 := binary.LittleEndian.Uint64(a[8:]) ^ ks.Word64()
+		w2 := binary.LittleEndian.Uint64(a[16:]) ^ ks.Word64()
+		w3 := binary.LittleEndian.Uint64(a[24:]) ^ ks.Word64()
+		w4 := binary.LittleEndian.Uint64(a[32:]) ^ ks.Word64()
+		w5 := binary.LittleEndian.Uint64(a[40:]) ^ ks.Word64()
+		w6 := binary.LittleEndian.Uint64(a[48:]) ^ ks.Word64()
+		w7 := binary.LittleEndian.Uint64(a[56:]) ^ ks.Word64()
+		binary.LittleEndian.PutUint64(d[0:], w0)
+		binary.LittleEndian.PutUint64(d[8:], w1)
+		binary.LittleEndian.PutUint64(d[16:], w2)
+		binary.LittleEndian.PutUint64(d[24:], w3)
+		binary.LittleEndian.PutUint64(d[32:], w4)
+		binary.LittleEndian.PutUint64(d[40:], w5)
+		binary.LittleEndian.PutUint64(d[48:], w6)
+		binary.LittleEndian.PutUint64(d[56:], w7)
+		acc = acc.Add4(w0, w1, w2, w3)
+		acc = acc.Add4(w4, w5, w6, w7)
 	}
 	for ; n-i >= 8; i += 8 {
-		w := binary.LittleEndian.Uint64(src[i:]) ^ ks.Word64()
-		binary.LittleEndian.PutUint64(dst[i:], w)
-		sum = sumWord(sum, w)
+		w := binary.LittleEndian.Uint64(src[i:i+8:i+8]) ^ ks.Word64()
+		binary.LittleEndian.PutUint64(dst[i:i+8:i+8], w)
+		acc = acc.Add(w)
 	}
-	sum = foldLE(sum)
+	sum := acc.Sum()
 	if i < n {
 		ks.XOR(dst[i:n], src[i:n])
 		sum = checksum.Accumulate(sum, dst[i:n])
@@ -188,15 +171,33 @@ func FusedCopyChecksumDecrypt(dst, src []byte, ks *scramble.Keystream) uint16 {
 // fused with the copy into the reassembly buffer (stage one of the
 // paper's two-stage receive processing). len(dst) must be >= len(src).
 func FusedCopySum(dst, src []byte) uint64 {
-	var sum uint64
+	var acc checksum.Wide
 	n := len(src)
+	dst, src = dst[:n:n], src[:n:n]
 	i := 0
-	for ; n-i >= 8; i += 8 {
-		w := binary.LittleEndian.Uint64(src[i:])
-		binary.LittleEndian.PutUint64(dst[i:], w)
-		sum = sumWord(sum, w)
+	for ; n-i >= 64; i += 64 {
+		a, d := src[i:i+64:i+64], dst[i:i+64:i+64]
+		w0, w1 := binary.LittleEndian.Uint64(a[0:]), binary.LittleEndian.Uint64(a[8:])
+		w2, w3 := binary.LittleEndian.Uint64(a[16:]), binary.LittleEndian.Uint64(a[24:])
+		w4, w5 := binary.LittleEndian.Uint64(a[32:]), binary.LittleEndian.Uint64(a[40:])
+		w6, w7 := binary.LittleEndian.Uint64(a[48:]), binary.LittleEndian.Uint64(a[56:])
+		binary.LittleEndian.PutUint64(d[0:], w0)
+		binary.LittleEndian.PutUint64(d[8:], w1)
+		binary.LittleEndian.PutUint64(d[16:], w2)
+		binary.LittleEndian.PutUint64(d[24:], w3)
+		binary.LittleEndian.PutUint64(d[32:], w4)
+		binary.LittleEndian.PutUint64(d[40:], w5)
+		binary.LittleEndian.PutUint64(d[48:], w6)
+		binary.LittleEndian.PutUint64(d[56:], w7)
+		acc = acc.Add4(w0, w1, w2, w3)
+		acc = acc.Add4(w4, w5, w6, w7)
 	}
-	sum = foldLE(sum)
+	for ; n-i >= 8; i += 8 {
+		w := binary.LittleEndian.Uint64(src[i : i+8 : i+8])
+		binary.LittleEndian.PutUint64(dst[i:i+8:i+8], w)
+		acc = acc.Add(w)
+	}
+	sum := acc.Sum()
 	if i < n {
 		copy(dst[i:], src[i:n])
 		sum = checksum.Accumulate(sum, src[i:n])
@@ -214,26 +215,7 @@ func FusedDecryptCopySum(dst, src []byte, key uint64, off int) uint64 {
 	if off%8 != 0 {
 		panic("ilp: FusedDecryptCopySum offset must be 8-byte aligned")
 	}
-	idx := uint64(off / 8)
-	var sum uint64
-	n := len(src)
-	i := 0
-	for ; n-i >= 8; i += 8 {
-		w := binary.LittleEndian.Uint64(src[i:]) ^ scramble.WordAt(key, idx)
-		idx++
-		binary.LittleEndian.PutUint64(dst[i:], w)
-		sum = sumWord(sum, w)
-	}
-	sum = foldLE(sum)
-	if i < n {
-		kw := scramble.WordAt(key, idx)
-		for j := i; j < n; j++ {
-			dst[j] = src[j] ^ byte(kw)
-			kw >>= 8
-		}
-		sum = checksum.Accumulate(sum, dst[i:n])
-	}
-	return sum
+	return scrambleCopySum(dst, src, key, uint64(off/8), false)
 }
 
 // FusedEncryptCopySum is the sender-side mirror of FusedDecryptCopySum:
@@ -244,23 +226,61 @@ func FusedEncryptCopySum(dst, src []byte, key uint64, off int) uint64 {
 	if off%8 != 0 {
 		panic("ilp: FusedEncryptCopySum offset must be 8-byte aligned")
 	}
-	idx := uint64(off / 8)
-	var sum uint64
-	n := len(src)
-	i := 0
-	for ; n-i >= 8; i += 8 {
-		w := binary.LittleEndian.Uint64(src[i:])
-		sum = sumWord(sum, w)
-		binary.LittleEndian.PutUint64(dst[i:], w^scramble.WordAt(key, idx))
-		idx++
+	return scrambleCopySum(dst, src, key, uint64(off/8), true)
+}
+
+// scrambleCopySum is both scramble-suite kernels. Either way dst gets
+// src XOR the keystream from word idx on; what differs is which side is
+// the plaintext, and the checksum covers the plaintext: src when
+// encrypting, dst when decrypting. unkey is the keystream's share of the
+// summed word — none of it, or all of it.
+func scrambleCopySum(dst, src []byte, key, idx uint64, encrypt bool) uint64 {
+	unkey := ^uint64(0)
+	if encrypt {
+		unkey = 0
 	}
-	sum = foldLE(sum)
+	var acc checksum.Wide
+	n := len(src)
+	dst, src = dst[:n:n], src[:n:n]
+	i := 0
+	for ; n-i >= 64; i, idx = i+64, idx+8 {
+		a, d := src[i:i+64:i+64], dst[i:i+64:i+64]
+		k0, k1 := scramble.WordAt(key, idx), scramble.WordAt(key, idx+1)
+		k2, k3 := scramble.WordAt(key, idx+2), scramble.WordAt(key, idx+3)
+		k4, k5 := scramble.WordAt(key, idx+4), scramble.WordAt(key, idx+5)
+		k6, k7 := scramble.WordAt(key, idx+6), scramble.WordAt(key, idx+7)
+		w0, w1 := binary.LittleEndian.Uint64(a[0:]), binary.LittleEndian.Uint64(a[8:])
+		w2, w3 := binary.LittleEndian.Uint64(a[16:]), binary.LittleEndian.Uint64(a[24:])
+		w4, w5 := binary.LittleEndian.Uint64(a[32:]), binary.LittleEndian.Uint64(a[40:])
+		w6, w7 := binary.LittleEndian.Uint64(a[48:]), binary.LittleEndian.Uint64(a[56:])
+		binary.LittleEndian.PutUint64(d[0:], w0^k0)
+		binary.LittleEndian.PutUint64(d[8:], w1^k1)
+		binary.LittleEndian.PutUint64(d[16:], w2^k2)
+		binary.LittleEndian.PutUint64(d[24:], w3^k3)
+		binary.LittleEndian.PutUint64(d[32:], w4^k4)
+		binary.LittleEndian.PutUint64(d[40:], w5^k5)
+		binary.LittleEndian.PutUint64(d[48:], w6^k6)
+		binary.LittleEndian.PutUint64(d[56:], w7^k7)
+		acc = acc.Add4(w0^k0&unkey, w1^k1&unkey, w2^k2&unkey, w3^k3&unkey)
+		acc = acc.Add4(w4^k4&unkey, w5^k5&unkey, w6^k6&unkey, w7^k7&unkey)
+	}
+	for ; n-i >= 8; i, idx = i+8, idx+1 {
+		w, k := binary.LittleEndian.Uint64(src[i:i+8:i+8]), scramble.WordAt(key, idx)
+		binary.LittleEndian.PutUint64(dst[i:i+8:i+8], w^k)
+		acc = acc.Add(w ^ k&unkey)
+	}
+	sum := acc.Sum()
 	if i < n {
-		sum = checksum.Accumulate(sum, src[i:n])
-		kw := scramble.WordAt(key, idx)
+		if encrypt {
+			sum = checksum.Accumulate(sum, src[i:n])
+		}
+		k := scramble.WordAt(key, idx)
 		for j := i; j < n; j++ {
-			dst[j] = src[j] ^ byte(kw)
-			kw >>= 8
+			dst[j] = src[j] ^ byte(k)
+			k >>= 8
+		}
+		if !encrypt {
+			sum = checksum.Accumulate(sum, dst[i:n])
 		}
 	}
 	return sum

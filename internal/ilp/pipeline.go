@@ -42,36 +42,27 @@ func (IdentityStage) Reset() {}
 
 // ChecksumStage accumulates the Internet checksum of the words passing
 // through it without modifying them (the transport error-detection
-// pass). The word loop accumulates in byte-swapped lane order (see
-// sumWord); the conversion to network order happens once, at Tail or
-// Sum.
+// pass). Words go into a checksum.Wide as they are; the conversion to
+// network order happens once, at Tail or Sum.
 type ChecksumStage struct {
-	sum    uint64
-	tailed bool
+	words checksum.Wide
+	tail  uint64 // the final 0..7 bytes' partial sum, network order
 }
 
 // Word implements WordStage.
 func (s *ChecksumStage) Word(w uint64) uint64 {
-	s.sum = sumWord(s.sum, w)
+	s.words = s.words.Add(w)
 	return w
 }
 
 // Tail implements WordStage.
-func (s *ChecksumStage) Tail(b []byte) {
-	s.sum = checksum.Accumulate(foldLE(s.sum), b)
-	s.tailed = true
-}
+func (s *ChecksumStage) Tail(b []byte) { s.tail = checksum.Accumulate(0, b) }
 
 // Reset implements WordStage.
-func (s *ChecksumStage) Reset() { s.sum = 0; s.tailed = false }
+func (s *ChecksumStage) Reset() { *s = ChecksumStage{} }
 
 // Sum returns the Internet checksum of everything seen since Reset.
-func (s *ChecksumStage) Sum() uint16 {
-	if s.tailed {
-		return ^checksum.Fold(s.sum)
-	}
-	return ^checksum.Fold(foldLE(s.sum))
-}
+func (s *ChecksumStage) Sum() uint16 { return ^checksum.Fold(s.words.Sum() + s.tail) }
 
 // DecryptStage XORs the session keystream through the data (the
 // encryption layer's pass).
