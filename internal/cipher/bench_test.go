@@ -13,6 +13,20 @@ func BenchmarkChaCha20Block(b *testing.B) {
 	}
 }
 
+// BenchmarkKeystreamWide is eight blocks from one keystream call — the
+// AVX2 kernel where there is one, eight scalar Blocks where not — to
+// set against BenchmarkChaCha20Block, the scalar reference.
+func BenchmarkKeystreamWide(b *testing.B) {
+	key := ExpandKey(1)
+	var nonce [NonceSize]byte
+	var ks [wideSize]byte
+	b.SetBytes(wideSize)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		keystream(&key, &nonce, uint32(i), &ks, wideBlocks)
+	}
+}
+
 func BenchmarkXORKeyStream4KB(b *testing.B) {
 	key := ExpandKey(2)
 	var nonce [NonceSize]byte

@@ -1,11 +1,21 @@
-// Package cipher implements RFC 8439 ChaCha20 and Poly1305 in pure Go
-// with no dependencies, shaped for Integrated Layer Processing: the
-// ChaCha20 block function is addressable by 64-byte block counter, so —
-// exactly like scramble.WordAt — any 8-byte-aligned fragment offset is
-// its own cryptographic synchronization point and ADU fragments can be
+// Package cipher implements RFC 8439 ChaCha20 and Poly1305 with no
+// dependencies, shaped for Integrated Layer Processing: the ChaCha20
+// block function is addressable by 64-byte block counter, so — exactly
+// like scramble.WordAt — any 8-byte-aligned fragment offset is its own
+// cryptographic synchronization point and ADU fragments can be
 // enciphered/deciphered out of order. internal/ilp fuses the keystream
 // generation, the layer-boundary copy, and the Poly1305 accumulation
 // into one loop over the payload (see ilp.FusedEncryptCopyMAC).
+//
+// Everything is Go but one routine. On amd64 with AVX2 the keystream of
+// a run of three blocks or more comes eight blocks at a time from an
+// assembly kernel (wide.go, wide_amd64.s), the one hand-coded loop in
+// the tree: it makes keystream into a fixed buffer and sees no caller's
+// memory, so the XOR, Poly1305, every bounds check and every tag
+// verdict stay in Go. The pure-Go code is complete without it — Block,
+// and the two-state body of FusedXORMAC — and is what runs on every
+// other architecture, on amd64 without AVX2 and under -tags purego;
+// nothing a caller can set chooses between the two.
 //
 // The primitives here are the real RFC 8439 constructions (verified
 // against the RFC test vectors in vectors_test.go); the repo-specific
@@ -220,6 +230,11 @@ func XORKeyStream(key *Key, nonce *[NonceSize]byte, off int, dst, src []byte) in
 	}
 	ctr := uint32(1 + off/BlockSize)
 	skip := off % BlockSize
+	if haveWide && skip+n > (wideMin-1)*BlockSize {
+		// wideMin blocks or more: eight at a time (wide.go).
+		xorWide(key, nonce, ctr, skip, dst[:n], src[:n], nil, false)
+		return n
+	}
 	var ks [BlockSize]byte
 	i := 0
 	for i < n {

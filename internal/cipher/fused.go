@@ -26,15 +26,26 @@ import (
 //   - The keystream is never materialized: state words are XORed
 //     against the source during serialization, in registers.
 //
-// FusedXORMAC processes whole 64-byte blocks of src into dst starting
-// at block counter ctr: dst = src XOR keystream, and the ciphertext
-// stream (dst words when encrypting — ctInDst true — or src words when
-// decrypting) is absorbed into mac. mac must have no buffered partial
-// bytes (Aligned). It processes len(src)/64*64 bytes and returns the
-// count; the caller handles tails and intra-block offsets.
+// That body is the path of every build and machine without the wide
+// kernel, and the oracle the wide path is tested against. Where
+// keystream8 can run (wide.go) a run of three blocks or more goes to
+// xorWide instead: same contract, the keystream from a buffer the
+// kernel fills eight blocks at a time.
+//
+// FusedXORMAC processes src into dst starting at block counter ctr: dst
+// = src XOR keystream, and the ciphertext stream (dst words when
+// encrypting — ctInDst true — or src words when decrypting) is absorbed
+// into mac. mac must have no buffered partial bytes (Aligned). It
+// processes a prefix of src and returns its length: every whole 64-byte
+// block, and on the wide path the tail as well. The caller handles what
+// is left and intra-block offsets.
 func FusedXORMAC(key *Key, nonce *[NonceSize]byte, ctr uint32, dst, src []byte, mac *MAC, ctInDst bool) int {
 	if mac.n != 0 {
 		panic("cipher: FusedXORMAC requires an aligned MAC")
+	}
+	if haveWide && len(src) >= wideMin*BlockSize {
+		xorWide(key, nonce, ctr, 0, dst[:len(src)], src, mac, ctInDst)
+		return len(src)
 	}
 	n := len(src) / BlockSize * BlockSize
 	if len(dst) < n {

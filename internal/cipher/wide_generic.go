@@ -1,0 +1,11 @@
+//go:build !amd64 || purego
+
+package cipher
+
+// No wide kernel on this build: keystream is Block in a loop, and every
+// caller that asks haveWide first takes the pure-Go path it always had.
+const haveWide = false
+
+func keystream8(*[7][8]uint32, *[wideSize]byte) {
+	panic("cipher: keystream8 without a wide kernel")
+}

@@ -399,3 +399,70 @@ func TestSendSteadyStateAEADZeroAlloc(t *testing.T) {
 		t.Fatalf("delivered %d of %d", delivered, name)
 	}
 }
+
+// TestReceiveAEADZeroAlloc is the receive-side twin: HandlePacket fed
+// captured AEAD fragments — header check, tag-key derivation, fused
+// verify + decrypt into the reassembly buffer, delivery, Release — with
+// no sender, scheduler event or link in the measured call. A fragment
+// is new to a receiver only once, so every run replays the next
+// captured ADU.
+func TestReceiveAEADZeroAlloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race detector instrumentation allocates")
+	}
+	const warm, runs = 8, 100
+	cfg := aeadCfg()
+	cfg.Policy = NoRetransmit
+	s := sim.NewScheduler()
+	snd, err := NewSender(s, nil, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var adus [][][]byte // adus[name] = that ADU's wire fragments, copied
+	snd.SendRef = func(ref *buf.Ref) error {
+		last := &adus[len(adus)-1]
+		*last = append(*last, append([]byte(nil), ref.Bytes()...))
+		ref.Release()
+		return nil
+	}
+	data := make([]byte, benchADUBytes)
+	for i := range data {
+		data[i] = byte(i * 11)
+	}
+	for name := uint64(0); name < warm+runs+1; name++ {
+		adus = append(adus, nil)
+		if _, err := snd.Send(name, xcode.SyntaxRaw, data); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	rcv, err := NewReceiver(s, nil, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	delivered, intact := 0, true
+	rcv.OnADU = func(adu ADU) {
+		delivered++
+		intact = intact && bytes.Equal(adu.Data, data)
+		adu.Release()
+	}
+	next := 0
+	recv := func() {
+		for _, p := range adus[next] {
+			_ = rcv.HandlePacket(p)
+		}
+		next++
+	}
+	for i := 0; i < warm; i++ {
+		recv()
+	}
+	if allocs := testing.AllocsPerRun(runs, recv); allocs != 0 {
+		t.Fatalf("AEAD receive path allocates %v allocs/op, want 0", allocs)
+	}
+	if delivered != next || !intact {
+		t.Fatalf("delivered %d of %d ADUs, intact=%v", delivered, next, intact)
+	}
+	if rcv.Stats.AuthFails != 0 {
+		t.Fatalf("AuthFails = %d on captured fragments", rcv.Stats.AuthFails)
+	}
+}

@@ -19,11 +19,15 @@ import (
 //
 // The Staged* variants are the layered contrast (A1 ablation): the same
 // primitives, but one full memory pass per layer — copy across the
-// layer boundary, then encrypt, then MAC. Each pass alone is
+// layer boundary, then encrypt, then MAC. In pure Go each pass alone is
 // latency-bound (ChaCha20 on the ALU ports, Poly1305 on the multiplier)
-// and they serialize; the fused loop lets the out-of-order core overlap
-// the Poly1305 multiply chain of one block with the ChaCha20 rounds of
-// the next, hiding most of the MAC cost entirely.
+// and they serialize, while the fused loop lets the out-of-order core
+// overlap the Poly1305 multiply chain of one block with the ChaCha20
+// rounds of the next. With the AVX2 keystream kernel both reach the
+// same primitive (the staged ones through cipher.XORKeyStream) and
+// differ only in how far apart the passes are: 512 bytes, or the whole
+// payload — which is nothing while the payload fits a cache
+// (EXPERIMENTS C1).
 
 // aeadOff converts a byte offset into a (block counter, intra-block
 // skip) pair for the payload keystream, which starts at block counter 1
@@ -37,24 +41,32 @@ func aeadOff(off int) (uint32, int) {
 }
 
 // FusedEncryptCopyMAC reads plaintext from src, writes ciphertext into
-// dst, and accumulates the ciphertext into mac, in one pass: each
-// 64-byte keystream block is generated into a stack buffer, XORed
-// word-wise against the source, and the resulting ciphertext words are
-// fed to the Poly1305 accumulator while still warm. off is the byte
-// offset of src within the ADU keystream (multiple of 8). mac may be
-// nil, in which case the kernel is encrypt+copy only. len(dst) must be
-// >= len(src); it returns len(src).
+// dst, and accumulates the ciphertext into mac, in one pass. From the
+// first block boundary on that is cipher.FusedXORMAC. In pure Go it
+// runs two interleaved block states and feeds the ciphertext words to
+// the Poly1305 accumulator while they are still in registers; where the
+// AVX2 kernel runs it takes the keystream eight blocks at a time into a
+// 512-byte stack buffer, and XORs and authenticates those 512 bytes
+// before it makes the next. What is left (a head that starts mid-block,
+// a tail FusedXORMAC did not take, a MAC that is not at a 16-byte
+// boundary) goes block by block through a 64-byte stack buffer. off is
+// the byte offset of src within the ADU keystream (multiple of 8). mac
+// may be nil, in which case the kernel is encrypt+copy only, which is
+// cipher.XORKeyStream. len(dst) must be >= len(src); it returns
+// len(src).
 func FusedEncryptCopyMAC(dst, src []byte, key *cipher.Key, nonce *[cipher.NonceSize]byte, off int, mac *cipher.MAC) int {
 	ctr, skip := aeadOff(off)
-	var ks [cipher.BlockSize]byte
 	n := len(src)
+	if mac == nil {
+		return cipher.XORKeyStream(key, nonce, off, dst[:n], src)
+	}
+	var ks [cipher.BlockSize]byte
 	i := 0
 	for i < n {
-		if skip == 0 && mac != nil && mac.Aligned() && n-i >= cipher.BlockSize {
-			// Bulk fast path: registers end-to-end, two interleaved
-			// ChaCha20 states, Poly1305 folded into the same loop.
+		if skip == 0 && mac.Aligned() && n-i >= cipher.BlockSize {
 			p := cipher.FusedXORMAC(key, nonce, ctr, dst[i:n], src[i:n], mac, true)
 			ctr += uint32(p / cipher.BlockSize)
+			skip = p % cipher.BlockSize
 			i += p
 			continue
 		}
@@ -72,9 +84,7 @@ func FusedEncryptCopyMAC(dst, src []byte, key *cipher.Key, nonce *[cipher.NonceS
 		for ; j < m; j++ {
 			dst[i+j] = src[i+j] ^ ks[skip+j]
 		}
-		if mac != nil {
-			mac.Update(dst[i : i+m])
-		}
+		mac.Update(dst[i : i+m])
 		i += m
 		skip = 0
 	}
@@ -92,13 +102,17 @@ func FusedEncryptCopyMAC(dst, src []byte, key *cipher.Key, nonce *[cipher.NonceS
 // fragments' tags). len(dst) must be >= len(src); returns len(src).
 func FusedDecryptCopyVerify(dst, src []byte, key *cipher.Key, nonce *[cipher.NonceSize]byte, off int, mac *cipher.MAC) int {
 	ctr, skip := aeadOff(off)
-	var ks [cipher.BlockSize]byte
 	n := len(src)
+	if mac == nil {
+		return cipher.XORKeyStream(key, nonce, off, dst[:n], src)
+	}
+	var ks [cipher.BlockSize]byte
 	i := 0
 	for i < n {
-		if skip == 0 && mac != nil && mac.Aligned() && n-i >= cipher.BlockSize {
+		if skip == 0 && mac.Aligned() && n-i >= cipher.BlockSize {
 			p := cipher.FusedXORMAC(key, nonce, ctr, dst[i:n], src[i:n], mac, false)
 			ctr += uint32(p / cipher.BlockSize)
+			skip = p % cipher.BlockSize
 			i += p
 			continue
 		}
@@ -108,6 +122,9 @@ func FusedDecryptCopyVerify(dst, src []byte, key *cipher.Key, nonce *[cipher.Non
 		if m > n-i {
 			m = n - i
 		}
+		// The ciphertext is absorbed before it is deciphered, so dst
+		// may be src.
+		mac.Update(src[i : i+m])
 		j := 0
 		for ; m-j >= 8; j += 8 {
 			w := binary.LittleEndian.Uint64(src[i+j:]) ^ binary.LittleEndian.Uint64(ks[skip+j:])
@@ -115,9 +132,6 @@ func FusedDecryptCopyVerify(dst, src []byte, key *cipher.Key, nonce *[cipher.Non
 		}
 		for ; j < m; j++ {
 			dst[i+j] = src[i+j] ^ ks[skip+j]
-		}
-		if mac != nil {
-			mac.Update(src[i : i+m])
 		}
 		i += m
 		skip = 0
