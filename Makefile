@@ -1,6 +1,7 @@
 # Standard loops for the alfnet reproduction. Everything is stdlib Go
 # but one assembly file (internal/cipher/wide_amd64.s, the AVX2 ChaCha20
-# keystream kernel); no generated code, and two build tags: `timing`
+# keystream kernel, which folds Poly1305 blocks on the integer ports
+# while it runs); no generated code, and two build tags: `timing`
 # holds the tests that compare wall-clock measurements (see the timing
 # target), and `purego` builds without the assembly, so that the path
 # every other architecture takes can be built and tested on amd64 (see
@@ -8,7 +9,7 @@
 
 GO ?= go
 
-.PHONY: build test timing race vet fmt lint loc bench benchmark benchmark-smoke fuzz soak soak-dtn soak-udp alloc-guard bce-guard wire-leaf portable check
+.PHONY: build test timing race vet fmt lint loc bench split benchmark benchmark-smoke fuzz soak soak-dtn soak-udp alloc-guard bce-guard wire-leaf portable check
 
 build:
 	$(GO) build ./...
@@ -68,6 +69,21 @@ vet:
 bench:
 	$(GO) test -run '^$$' -bench . -benchmem ./...
 
+# Where the CPU goes, as one table says it: core's steady-state
+# datapath benches, cleartext and AEAD, each profiled and its leaf
+# functions bucketed by cmd/alfsplit (keystream kernel, Poly1305 in Go,
+# tag key / Block, XOR, checksum + copy, packetize / placement, pool,
+# scheduler, runtime + GC, other), shares summing to 100 %. Test binary
+# and profiles go to a temporary directory. A perf change cites this
+# split before and after.
+SPLITTIME ?= 3s
+split:
+	@d=$$(mktemp -d) && trap 'rm -rf $$d' EXIT && \
+	for b in SendSteadyState SendSteadyStateAEAD; do \
+		$(GO) test -run '^$$' -bench "^Benchmark$$b\$$" -benchtime $(SPLITTIME) -o $$d/core.test -cpuprofile $$d/$$b.prof ./internal/core | grep '^Benchmark' && \
+		$(GO) tool pprof -top -noinlines -nodefraction=0 $$d/core.test $$d/$$b.prof 2>/dev/null | $(GO) run ./cmd/alfsplit || exit 1; \
+	done
+
 # The repository's benchmark (benchmark/README.md, BENCHMARK.json): six
 # wall-clock workloads, every metric printed by name, every delivered
 # ADU checked byte for byte. About 2.5 minutes. This, not `make bench`,
@@ -88,9 +104,11 @@ benchmark-smoke:
 # order against its sorted-slice model, udplink's cut of a send queue
 # into trains against the kernel's rule, every checksum loop against
 # the 16-bit reference at any alignment and split, the wide keystream
-# loops against scalar Block at any counter, offset, length and split,
-# and the fused AEAD kernels against the staged ones on clean and
-# corrupted fragments. The budget is deliberately small so check stays
+# loops against scalar Block at any counter, offset, length and split
+# (and two adjacent ranges sealed through one chain), the kernel's
+# Poly1305 blocks against MAC.block at any message, block count, r and
+# accumulator, and the fused AEAD kernels against the staged ones on
+# clean and corrupted fragments. The budget is deliberately small so check stays
 # fast; raise FUZZTIME for a real session.
 FUZZTIME ?= 5s
 fuzz:
@@ -104,6 +122,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzSumKernels$$' -fuzztime $(FUZZTIME) ./internal/ilp
 	$(GO) test -run '^$$' -fuzz '^FuzzFusedDecryptCopyVerify$$' -fuzztime $(FUZZTIME) ./internal/ilp
 	$(GO) test -run '^$$' -fuzz '^FuzzKeystreamWide$$' -fuzztime $(FUZZTIME) ./internal/cipher
+	$(GO) test -run '^$$' -fuzz '^FuzzPolyKernel$$' -fuzztime $(FUZZTIME) ./internal/cipher
 
 # One seeded chaos pass: every scenario x policy plus the blackout
 # shed/report assertions, and the overload family (closed-loop passes,

@@ -1,0 +1,147 @@
+// Command alfsplit splits a CPU profile of the datapath into cost
+// buckets: it reads `go tool pprof -top` output on standard input, puts
+// each function's flat time — the samples whose leaf it is — in the
+// bucket of the first row of one table that matches its name, and
+// prints each bucket's share of the profile's total. Time pprof did not
+// list (a -nodefraction cut) is "other", so the shares sum to 100 %.
+// One table is the point: a split is comparable with another split only
+// if both put the same leaves in the same buckets.
+//
+// Usage:
+//
+//	go tool pprof -top -noinlines -nodefraction=0 core.test cpu.prof | alfsplit
+//
+// -noinlines charges an inlined function's samples to the function it
+// was inlined into, which is the one the table names. `make split` runs
+// this on core's BenchmarkSendSteadyState and
+// BenchmarkSendSteadyStateAEAD.
+package main
+
+import (
+	"bufio"
+	"fmt"
+	"io"
+	"os"
+	"regexp"
+	"strings"
+	"time"
+)
+
+// buckets, in the order they are printed.
+var buckets = []string{
+	"keystream kernel",
+	"Poly1305 in Go",
+	"tag key / Block",
+	"XOR",
+	"checksum + copy",
+	"packetize / placement",
+	"pool",
+	"scheduler",
+	"runtime + GC",
+	"other",
+}
+
+// table maps a leaf function to its bucket; the first matching row wins,
+// and a leaf no row matches is "other".
+var table = []struct {
+	re     *regexp.Regexp
+	bucket string
+}{
+	// The AVX2 kernel (keystream8 before it folded Poly1305 too), the Go
+	// that lays out its input and walks the chunks, and the pure-Go
+	// two-state body, where keystream and MAC are one loop.
+	{regexp.MustCompile(`^repro/internal/cipher\.(keystream8mac|keystream8|keystream|xorWide|FusedXORMAC)$`), "keystream kernel"},
+	{regexp.MustCompile(`^repro/internal/cipher\.(\(\*MAC\)\.|\(\*Chain\)\.|NewMAC$)`), "Poly1305 in Go"},
+	{regexp.MustCompile(`^repro/internal/cipher\.(Block|TagKey)$`), "tag key / Block"},
+	{regexp.MustCompile(`^repro/internal/(cipher\.xor3|ilp\.XORWords)$`), "XOR"},
+	{regexp.MustCompile(`^repro/internal/(checksum\.|ilp\.(FusedCopySum|WordCopy|FinishSum|Fold)$)|^runtime\.(memmove|duffcopy|duffzero|memclrNoHeapPointers|typedslicecopy)$`), "checksum + copy"},
+	{regexp.MustCompile(`^repro/internal/(core|wire|ilp)\.`), "packetize / placement"},
+	{regexp.MustCompile(`^repro/internal/buf\.`), "pool"},
+	{regexp.MustCompile(`^repro/internal/(sim|netsim)\.`), "scheduler"},
+	{regexp.MustCompile(`^(runtime|internal/runtime/[a-z]+|internal/chacha8rand|internal/sync|sync|sync/atomic)\.|^(aeshashbody|gogo)$`), "runtime + GC"},
+}
+
+func classify(fn string) string {
+	for _, row := range table {
+		if row.re.MatchString(fn) {
+			return row.bucket
+		}
+	}
+	return "other"
+}
+
+// totalLine is pprof's "Showing nodes accounting for X, Y% of Z total".
+var totalLine = regexp.MustCompile(`of ([0-9.]+[a-zµ]+) total`)
+
+// split reads pprof -top text and returns each bucket's flat time and
+// the profile's total.
+func split(r io.Reader) (map[string]time.Duration, time.Duration, error) {
+	by := make(map[string]time.Duration)
+	var total, listed time.Duration
+	sc := bufio.NewScanner(r)
+	for sc.Scan() {
+		line := sc.Text()
+		if m := totalLine.FindStringSubmatch(line); m != nil {
+			d, err := time.ParseDuration(m[1])
+			if err != nil {
+				return nil, 0, fmt.Errorf("total %q: %v", m[1], err)
+			}
+			total = d
+			continue
+		}
+		// flat flat% sum% cum cum% name, where name may hold spaces.
+		f := strings.Fields(line)
+		if len(f) < 6 || !strings.HasSuffix(f[1], "%") {
+			continue
+		}
+		flat, err := time.ParseDuration(f[0])
+		if err != nil {
+			continue // the column header
+		}
+		by[classify(strings.Join(f[5:], " "))] += flat
+		listed += flat
+	}
+	if err := sc.Err(); err != nil {
+		return nil, 0, err
+	}
+	if total == 0 {
+		return nil, 0, fmt.Errorf("no %q line: not pprof -top output", "of … total")
+	}
+	by["other"] += total - listed
+	return by, total, nil
+}
+
+// render prints one row per bucket and the total, with shares rounded
+// to tenths of a percent so that the printed column sums to 100.0: each
+// bucket gets its share rounded down, and the tenths still missing go
+// to the buckets that lost most to rounding.
+func render(w io.Writer, by map[string]time.Duration, total time.Duration) {
+	tenths := make([]int64, len(buckets))
+	left := int64(1000)
+	for i, b := range buckets {
+		tenths[i] = int64(by[b]) * 1000 / int64(total)
+		left -= tenths[i]
+	}
+	for ; left > 0; left-- {
+		best, most := 0, int64(-1)
+		for i, b := range buckets {
+			if r := int64(by[b])*1000 - tenths[i]*int64(total); r > most {
+				best, most = i, r
+			}
+		}
+		tenths[best]++
+	}
+	for i, b := range buckets {
+		fmt.Fprintf(w, "%-24s %10v %6.1f%%\n", b, by[b], float64(tenths[i])/10)
+	}
+	fmt.Fprintf(w, "%-24s %10v %6.1f%%\n", "total", total, 100.0)
+}
+
+func main() {
+	by, total, err := split(os.Stdin)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "alfsplit:", err)
+		os.Exit(1)
+	}
+	render(os.Stdout, by, total)
+}

@@ -1,0 +1,87 @@
+package main
+
+import (
+	"bytes"
+	"flag"
+	"os"
+	"path/filepath"
+	"testing"
+	"time"
+)
+
+var update = flag.Bool("update", false, "rewrite testdata/*.split from the fixtures")
+
+// The table pinned against two checked-in `pprof -top -noinlines`
+// fixtures, core's cleartext and AEAD steady-state benches: each must
+// split exactly as its .split file says (rerun with -update after a
+// deliberate change to the table, and say why in the change). The
+// seconds behind each split sum to the profile's total.
+func TestSplitFixtures(t *testing.T) {
+	for _, name := range []string{"clear", "aead"} {
+		in, err := os.ReadFile(filepath.Join("testdata", name+".top"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		by, total, err := split(bytes.NewReader(in))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var sum time.Duration
+		for _, b := range buckets {
+			sum += by[b]
+		}
+		if sum != total || len(by) > len(buckets) {
+			t.Errorf("%s: buckets hold %v of %v, in %d buckets", name, sum, total, len(by))
+		}
+		var got bytes.Buffer
+		render(&got, by, total)
+		golden := filepath.Join("testdata", name+".split")
+		if *update {
+			if err := os.WriteFile(golden, got.Bytes(), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		want, err := os.ReadFile(golden)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got.Bytes(), want) {
+			t.Errorf("%s splits as\n%s\nwant\n%s", name, got.Bytes(), want)
+		}
+	}
+}
+
+// Leaves of the datapath land where the table says, names with spaces
+// included; anything it does not name is "other".
+func TestClassify(t *testing.T) {
+	for fn, want := range map[string]string{
+		"repro/internal/cipher.keystream8mac":                          "keystream kernel",
+		"repro/internal/cipher.keystream8":                             "keystream kernel",
+		"repro/internal/cipher.FusedXORMAC":                            "keystream kernel",
+		"repro/internal/cipher.(*MAC).block":                           "Poly1305 in Go",
+		"repro/internal/cipher.(*Chain).finish":                        "Poly1305 in Go",
+		"repro/internal/cipher.Block":                                  "tag key / Block",
+		"repro/internal/cipher.xor3":                                   "XOR",
+		"repro/internal/ilp.XORWords":                                  "XOR",
+		"repro/internal/ilp.FusedCopySum":                              "checksum + copy",
+		"runtime.memmove":                                              "checksum + copy",
+		"repro/internal/ilp.FusedSeal":                                 "packetize / placement",
+		"repro/internal/core.(*window[go.shape.struct { p *int }]).at": "packetize / placement",
+		"repro/internal/buf.(*Pool).GetHeadroom":                       "pool",
+		"repro/internal/netsim.deliverCB":                              "scheduler",
+		"internal/runtime/maps.(*Map).Clear":                           "runtime + GC",
+		"runtime.mallocgc":                                             "runtime + GC",
+		"testing.(*B).runN":                                            "other",
+	} {
+		if got := classify(fn); got != want {
+			t.Errorf("%s: %q, want %q", fn, got, want)
+		}
+	}
+}
+
+// Input that is not pprof -top output is an error, not an empty split.
+func TestSplitRejectsOtherInput(t *testing.T) {
+	if _, _, err := split(bytes.NewReader([]byte("flat flat% sum% cum cum%\n"))); err == nil {
+		t.Fatal("no error without a total")
+	}
+}

@@ -1,6 +1,9 @@
 package cipher
 
-import "testing"
+import (
+	"strconv"
+	"testing"
+)
 
 func BenchmarkChaCha20Block(b *testing.B) {
 	key := ExpandKey(1)
@@ -23,7 +26,29 @@ func BenchmarkKeystreamWide(b *testing.B) {
 	b.SetBytes(wideSize)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		keystream(&key, &nonce, uint32(i), &ks, wideBlocks)
+		keystream(&key, &nonce, uint32(i), &ks, wideBlocks, nil, nil)
+	}
+}
+
+// BenchmarkKeystreamMAC is the same call folding 0 and 32 Poly1305
+// blocks (one 512-byte chunk) on the side. The difference between the
+// two, against 32 blocks through MAC.block (BenchmarkPoly1305_4KB / 8),
+// is how much of the MAC the keystream hides.
+func BenchmarkKeystreamMAC(b *testing.B) {
+	key := ExpandKey(1)
+	var nonce [NonceSize]byte
+	var otk [KeySize]byte
+	msg := make([]byte, wideSize)
+	for _, nblk := range []int{0, 32} {
+		b.Run(strconv.Itoa(nblk), func(b *testing.B) {
+			mac := NewMAC(&otk)
+			var ks [wideSize]byte
+			b.SetBytes(wideSize)
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				keystream(&key, &nonce, uint32(i), &ks, wideBlocks, &mac, msg[:nblk*TagSize])
+			}
+		})
 	}
 }
 

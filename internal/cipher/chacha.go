@@ -8,14 +8,17 @@
 // into one loop over the payload (see ilp.FusedEncryptCopyMAC).
 //
 // Everything is Go but one routine. On amd64 with AVX2 the keystream of
-// a run of three blocks or more comes eight blocks at a time from an
+// a run of two blocks or more comes eight blocks at a time from an
 // assembly kernel (wide.go, wide_amd64.s), the one hand-coded loop in
-// the tree: it makes keystream into a fixed buffer and sees no caller's
-// memory, so the XOR, Poly1305, every bounds check and every tag
-// verdict stay in Go. The pure-Go code is complete without it — Block,
-// and the two-state body of FusedXORMAC — and is what runs on every
-// other architecture, on amd64 without AVX2 and under -tags purego;
-// nothing a caller can set chooses between the two.
+// the tree, which also folds up to 40 whole Poly1305 blocks into a MAC
+// on the integer ports while its rounds run on the vector ports. It
+// reads a fixed-size state, blocks Go cut from a checked slice and the
+// MAC's limbs, so the XOR, partial blocks, every bounds check and every
+// tag verdict stay in Go; a Chain carries the end of one sealed message
+// into the call that seals the next. The pure-Go code is complete
+// without it — Block, MAC, and the two-state body of FusedXORMAC — and
+// is what runs on every other architecture, on amd64 without AVX2 and
+// under -tags purego; nothing a caller can set chooses between the two.
 //
 // The primitives here are the real RFC 8439 constructions (verified
 // against the RFC test vectors in vectors_test.go); the repo-specific
@@ -232,7 +235,7 @@ func XORKeyStream(key *Key, nonce *[NonceSize]byte, off int, dst, src []byte) in
 	skip := off % BlockSize
 	if haveWide && skip+n > (wideMin-1)*BlockSize {
 		// wideMin blocks or more: eight at a time (wide.go).
-		xorWide(key, nonce, ctr, skip, dst[:n], src[:n], nil, false)
+		xorWide(key, nonce, ctr, skip, dst[:n], src[:n], nil, nil, false)
 		return n
 	}
 	var ks [BlockSize]byte

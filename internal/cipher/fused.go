@@ -28,9 +28,10 @@ import (
 //
 // That body is the path of every build and machine without the wide
 // kernel, and the oracle the wide path is tested against. Where
-// keystream8 can run (wide.go) a run of three blocks or more goes to
-// xorWide instead: same contract, the keystream from a buffer the
-// kernel fills eight blocks at a time.
+// keystream8mac can run (wide.go) a run of wideMin blocks or more goes
+// to xorWide instead: same contract, the keystream from a buffer the
+// kernel fills eight blocks at a time while it folds the Poly1305
+// blocks of a chunk on the side.
 //
 // FusedXORMAC processes src into dst starting at block counter ctr: dst
 // = src XOR keystream, and the ciphertext stream (dst words when
@@ -38,13 +39,15 @@ import (
 // into mac. mac must have no buffered partial bytes (Aligned). It
 // processes a prefix of src and returns its length: every whole 64-byte
 // block, and on the wide path the tail as well. The caller handles what
-// is left and intra-block offsets.
-func FusedXORMAC(key *Key, nonce *[NonceSize]byte, ctr uint32, dst, src []byte, mac *MAC, ctInDst bool) int {
+// is left and intra-block offsets. A chain ch, when encrypting (nil
+// otherwise), may keep the end of the ciphertext from mac, which the
+// caller must then finish with ch.Sum once it has absorbed all it will.
+func FusedXORMAC(key *Key, nonce *[NonceSize]byte, ctr uint32, dst, src []byte, mac *MAC, ch *Chain, ctInDst bool) int {
 	if mac.n != 0 {
 		panic("cipher: FusedXORMAC requires an aligned MAC")
 	}
 	if haveWide && len(src) >= wideMin*BlockSize {
-		xorWide(key, nonce, ctr, 0, dst[:len(src)], src, mac, ctInDst)
+		xorWide(key, nonce, ctr, 0, dst[:len(src)], src, mac, ch, ctInDst)
 		return len(src)
 	}
 	n := len(src) / BlockSize * BlockSize

@@ -7,32 +7,56 @@ import (
 // The wide path. ChaCha20 is a network of 32-bit adds, xors and rotates
 // over sixteen words, and scalar Go runs it one word at a time; a
 // vector unit runs a row of four words, of two blocks, per instruction.
-// On amd64 with AVX2 keystream8 (wide_amd64.s) makes eight blocks per
-// call that way. It makes keystream and nothing else: it reads one
-// fixed-size state and writes one fixed-size buffer, so every slice,
-// every bounds check, the XOR against the payload and all of Poly1305
-// are the Go below. Everywhere else — other architectures, amd64
-// without AVX2, -tags purego — haveWide is false and XORKeyStream and
-// FusedXORMAC run the bodies they had before this file existed, which
-// are also what the tests hold this path against.
+// On amd64 with AVX2 keystream8mac (wide_amd64.s) makes eight blocks
+// per call that way. Poly1305 is the other half of the work and wants
+// the other half of the machine — a serial chain of 64-bit multiplies
+// on the integer ports, which the rounds barely use — so the same call
+// also folds up to foldMax whole 16-byte blocks into a MAC, between its
+// rounds. It reads one fixed-size state, those blocks and the MAC's
+// limbs, and writes one fixed-size buffer and the limbs, so every slice,
+// every bounds check, the XOR against the payload, partial blocks and
+// every tag are the Go below. Everywhere else — other architectures,
+// amd64 without AVX2, -tags purego — haveWide is false and XORKeyStream
+// and FusedXORMAC run the bodies they had before this file existed,
+// which are also what the tests hold this path against.
 
 const (
 	wideBlocks = 8
 	wideSize   = wideBlocks * BlockSize
-	// A keystream8 call costs about what two and a half scalar Block
-	// calls do, so a run shorter than this goes block by block.
-	wideMin = 3
+	// A keystream8mac call costs about what two scalar Block calls do, so
+	// at two blocks it breaks even on keystream and wins by the MAC work
+	// it hides. For the 128-byte last fragment of an 8 KiB ADU that is
+	// the chained end of the fragment before it: sealing the last two
+	// fragments takes ≈100 ns less than with a threshold of three, and
+	// opening the last one ≈30 ns more (the two-state body is as good
+	// when there are only its own eight blocks to fold). A run shorter
+	// than this goes block by block.
+	wideMin = 2
+	// foldMax is how many Poly1305 blocks one call can fold: four per
+	// double round. xorWide never asks for more than a chunk's 32.
+	foldMax = 40
 )
 
 // keystream writes the nb <= wideBlocks blocks at counters ctr, ctr+1,
-// … (wrapping at 2^32, as ctr++ does) to ks[:nb*BlockSize]. The wide
-// kernel always writes all of ks.
-func keystream(key *Key, nonce *[NonceSize]byte, ctr uint32, ks *[wideSize]byte, nb int) {
+// … (wrapping at 2^32, as ctr++ does) to ks[:nb*BlockSize], and folds
+// msg, whole 16-byte blocks, into mac, which must be at a block
+// boundary. The wide kernel always writes all of ks.
+func keystream(key *Key, nonce *[NonceSize]byte, ctr uint32, ks *[wideSize]byte, nb int, mac *MAC, msg []byte) {
 	if !haveWide || nb < wideMin {
 		for b := 0; b < nb; b++ {
 			Block(key, nonce, ctr+uint32(b), (*[BlockSize]byte)(ks[b*BlockSize:]))
 		}
+		if len(msg) > 0 {
+			mac.Update(msg)
+		}
 		return
+	}
+	if len(msg) > foldMax*TagSize || len(msg)%TagSize != 0 {
+		panic("cipher: a kernel call folds at most foldMax whole blocks")
+	}
+	var p *byte
+	if len(msg) > 0 {
+		p = &msg[0]
 	}
 	n0 := binary.LittleEndian.Uint32(nonce[0:])
 	n1 := binary.LittleEndian.Uint32(nonce[4:])
@@ -49,44 +73,117 @@ func keystream(key *Key, nonce *[NonceSize]byte, ctr uint32, ks *[wideSize]byte,
 		{ctr + 4, n0, n1, n2, ctr + 5, n0, n1, n2},
 		{ctr + 6, n0, n1, n2, ctr + 7, n0, n1, n2},
 	}
-	keystream8(&in, ks)
+	keystream8mac(&in, ks, mac, p, len(msg)/TagSize)
 }
 
 // xorWide is the loop under both XORKeyStream and FusedXORMAC where the
 // kernel runs: dst = src XOR the keystream that starts at byte skip of
 // block ctr, and, with a mac, the ciphertext — dst if ctInDst, else src
-// — absorbed into it. Per 512 bytes that is one kernel call for the
-// keystream, one XOR of it against the source, and one Poly1305 run
-// over the ciphertext, before the XOR when the ciphertext is the source
-// so that dst may be src. The three steps share a loop and a buffer
-// that stays in L1, not a loop body: a body that XORs and folds word by
-// word with the accumulator in locals, as the two-state one does, was
-// written and measured 3-4 % slower here (Poly1305 is a chain of
-// dependent multiplies, the XOR is a twentieth of the work, and the
-// compiler spills the chain to make room for it). Being fed from a
-// buffer the loop is not tied to block boundaries either: it consumes
-// all of src, so a fragment's tail costs a lane of a call that was
-// being made anyway and not a Block of its own. len(dst) >= len(src).
-func xorWide(key *Key, nonce *[NonceSize]byte, ctr uint32, skip int, dst, src []byte, mac *MAC, ctInDst bool) {
+// — absorbed into it. Per chunk of up to 512 bytes that is one kernel
+// call and one XOR of its keystream against the source, and the call
+// folds one chunk of ciphertext on the side. Opening, that is the chunk
+// the call deciphers, folded before the XOR so that dst may be src.
+// Sealing, the ciphertext exists only after the XOR, so each call folds
+// the chunk the call before it enciphered; the last chunk is folded
+// here in Go, or, with a chain ch, left to it (Chain.Sum) and folded by
+// the first call of the next message sealed through ch — whose own
+// first call has nothing of its own to fold. Whatever is not a whole
+// block at a block boundary of the MAC goes through MAC.Update. Being
+// fed from a buffer the loop is not tied to block boundaries either: it
+// consumes all of src, so a fragment's tail costs a lane of a call that
+// was being made anyway and not a Block of its own. len(dst) >=
+// len(src); ch is nil unless sealing.
+func xorWide(key *Key, nonce *[NonceSize]byte, ctr uint32, skip int, dst, src []byte, mac *MAC, ch *Chain, ctInDst bool) {
+	if len(src) == 0 {
+		return // a chain is consumed by a call, and there is none to make
+	}
 	var ks [wideSize]byte
+	// The next call folds fold into into.
+	var fold []byte
+	var into *MAC
+	chained := ch != nil && ch.tag != nil
+	if chained {
+		fold, into = ch.msg, &ch.mac
+	}
 	for len(src) > 0 {
 		m := wideSize - skip
 		if m > len(src) {
 			m = len(src)
 		}
-		keystream(key, nonce, ctr, &ks, (skip+m+BlockSize-1)/BlockSize)
-		ctr += wideBlocks
 		s, d := src[:m:m], dst[:m:m]
 		if mac != nil && !ctInDst {
-			mac.Update(s)
+			fold, into = s, mac
+		}
+		k := len(fold) &^ (TagSize - 1)
+		if into != nil && into.n != 0 {
+			k = 0
+		}
+		keystream(key, nonce, ctr, &ks, (skip+m+BlockSize-1)/BlockSize, into, fold[:k])
+		if chained {
+			ch.finish(fold[k:])
+			chained = false
+		} else if into != nil {
+			into.Update(fold[k:])
 		}
 		xor3(d, s, ks[skip:skip+m:skip+m])
 		if mac != nil && ctInDst {
-			mac.Update(d)
+			fold, into = d, mac
 		}
+		ctr += wideBlocks
 		src, dst = src[m:], dst[m:]
 		skip = 0
 	}
+	if mac != nil && ctInDst {
+		if ch != nil {
+			ch.held = len(fold)
+			return
+		}
+		mac.Update(fold)
+	}
+}
+
+// Chain carries the end of one sealed message into the kernel call that
+// seals the next, so that Poly1305 over a fragment's last chunk runs in
+// the shadow of the next fragment's keystream instead of alone. A tag
+// sealed through a chain is only written once that call or Flush has
+// run, so whoever seals a run of fragments through one chain flushes it
+// before any of their tags is read. The zero Chain is empty and ready.
+type Chain struct {
+	mac  MAC    // the MAC whose message ends in msg
+	msg  []byte // the end of that message, not yet folded in
+	tag  []byte // where its tag goes; nil while the chain is empty
+	held int    // bytes the last seal left for the chain, until Sum
+}
+
+// Sum writes mac's tag into tag: at once, or, if the seal of ct (the
+// whole message mac has absorbed but for its end) left its last chunk
+// for the chain, when the chain's next kernel call or Flush folds that
+// chunk in. The chain must be empty or have been consumed by that seal.
+// A nil chain is mac.Sum.
+func (c *Chain) Sum(mac *MAC, ct, tag []byte) {
+	if c == nil || c.held == 0 {
+		mac.Sum(tag)
+		return
+	}
+	c.mac, c.msg, c.tag, c.held = *mac, ct[len(ct)-c.held:], tag, 0
+}
+
+// Flush folds in what the chain holds and writes its tag, leaving the
+// chain empty. It does nothing to a nil or empty chain, and inlines to
+// that test.
+func (c *Chain) Flush() {
+	if c != nil && c.tag != nil {
+		c.finish(c.msg)
+	}
+}
+
+// finish folds in tail, the rest of the chain's message, writes its tag
+// and empties the chain, so that nothing it pointed into is written
+// again.
+func (c *Chain) finish(tail []byte) {
+	c.mac.Update(tail)
+	c.mac.Sum(c.tag)
+	*c = Chain{}
 }
 
 // xor3 sets d = s XOR k over slices of one length. Each 64-byte window

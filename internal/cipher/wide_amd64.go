@@ -2,17 +2,18 @@
 
 package cipher
 
-// haveWide says keystream8 may run: the CPU has AVX2 and the operating
-// system saves the YMM registers. It is read once, here; only tests
-// ever assign it, to drive both paths on one machine.
+// haveWide says keystream8mac may run: the CPU has AVX2 and the
+// operating system saves the YMM registers. It is read once, here; only
+// tests ever assign it, to drive both paths on one machine.
 var haveWide = detectAVX2()
 
-// keystream8 runs eight ChaCha20 blocks (wide_amd64.s). in is the
-// initial state laid out by keystream (wide.go); out receives the blocks in
-// lane order.
+// keystream8mac runs eight ChaCha20 blocks (wide_amd64.s) and folds
+// nblk <= foldMax whole Poly1305 blocks at msg into mac on the side. in
+// is the initial state laid out by keystream (wide.go); out receives the
+// blocks in lane order.
 //
 //go:noescape
-func keystream8(in *[7][8]uint32, out *[wideSize]byte)
+func keystream8mac(in *[7][8]uint32, out *[wideSize]byte, mac *MAC, msg *byte, nblk int)
 
 func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
 

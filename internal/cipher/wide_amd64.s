@@ -55,15 +55,39 @@ GLOBL rol8<>(SB), RODATA|NOPTR, $32
 	VPERM2I128 $0x31, B, A, T; VMOVDQU T, (off+64)(DI); \
 	VPERM2I128 $0x31, D, C, T; VMOVDQU T, (off+96)(DI)
 
-// func keystream8(in *[7][8]uint32, out *[512]byte)
+// One Poly1305 block on the integer ports, while the vector ports run
+// the rounds around it: if DI > 0, h += the 16 bytes at SI with the
+// 2^128 bit, h *= r, partly reduced mod 2^130 - 5, as MAC.block does;
+// then SI moves on a block and DI counts down. h is R8, R9, R10 and r
+// is R11, R12; AX, BX, CX, DX, R13, R14 are scratch.
+#define POLY(skip) \
+	TESTQ DI, DI; JZ skip; \
+	ADDQ 0(SI), R8; ADCQ 8(SI), R9; ADCQ $1, R10; LEAQ 16(SI), SI; \
+	MOVQ R11, AX; MULQ R8; MOVQ AX, BX; MOVQ DX, CX; \
+	MOVQ R11, AX; MULQ R9; ADDQ AX, CX; ADCQ $0, DX; \
+	MOVQ R11, R13; IMULQ R10, R13; ADDQ DX, R13; \
+	MOVQ R12, AX; MULQ R8; ADDQ AX, CX; ADCQ $0, DX; MOVQ DX, R8; \
+	MOVQ R12, R14; IMULQ R10, R14; \
+	MOVQ R12, AX; MULQ R9; ADDQ AX, R13; ADCQ DX, R14; \
+	ADDQ R8, R13; ADCQ $0, R14; \
+	MOVQ BX, R8; MOVQ CX, R9; MOVQ R13, R10; ANDQ $3, R10; \
+	ANDQ $-4, R13; ADDQ R13, R8; ADCQ R14, R9; ADCQ $0, R10; \
+	SHRQ $2, R14, R13; SHRQ $2, R14; ADDQ R13, R8; ADCQ R14, R9; ADCQ $0, R10; \
+	DECQ DI; \
+skip:
+
+// func keystream8mac(in *[7][8]uint32, out *[512]byte, mac *MAC, msg *byte, nblk int)
 //
 // in is the initial state as rows, each doubled for the two blocks of a
 // quad: constants, key words 0-3, key words 4-7, then one counter‖nonce
 // row per quad. Quad q (registers Yq, Y4+q, Y8+q, Y12+q) makes blocks
-// 2q and 2q+1 of out. Nothing but in and out is read or written.
-TEXT ·keystream8(SB), NOSPLIT, $32-16
+// 2q and 2q+1 of out. Four times per double round it also folds one of
+// the nblk <= 40 whole Poly1305 blocks at msg into mac, whose r0, r1
+// (offsets 0, 8) it reads and h0, h1, h2 (32, 40, 48) it reads and
+// writes; with nblk = 0 mac and msg are not touched. Nothing else is
+// read or written.
+TEXT ·keystream8mac(SB), NOSPLIT, $40-40
 	MOVQ in+0(FP), SI
-	MOVQ out+8(FP), DI
 	VMOVDQU 0(SI), Y0
 	VMOVDQU 32(SI), Y4
 	VMOVDQU 64(SI), Y8
@@ -80,16 +104,40 @@ TEXT ·keystream8(SB), NOSPLIT, $32-16
 	VMOVDQU 128(SI), Y13
 	VMOVDQU 160(SI), Y14
 	VMOVDQU 192(SI), Y15
-	MOVQ $10, CX
+	MOVQ $10, 32(SP)
+	MOVQ nblk+32(FP), DI
+	TESTQ DI, DI
+	JZ rounds
+	MOVQ mac+16(FP), AX
+	MOVQ 0(AX), R11
+	MOVQ 8(AX), R12
+	MOVQ 32(AX), R8
+	MOVQ 40(AX), R9
+	MOVQ 48(AX), R10
+	MOVQ msg+24(FP), SI
 
 rounds:
 	ROUND4
+	POLY(slot0)
 	SHUFFLE4($0x39, $0x4E, $0x93)
+	POLY(slot1)
 	ROUND4
+	POLY(slot2)
 	SHUFFLE4($0x93, $0x4E, $0x39)
-	DECQ CX
+	POLY(slot3)
+	DECQ 32(SP)
 	JNZ rounds
 
+	CMPQ nblk+32(FP), $0
+	JEQ sum
+	MOVQ mac+16(FP), AX
+	MOVQ R8, 32(AX)
+	MOVQ R9, 40(AX)
+	MOVQ R10, 48(AX)
+
+sum:
+	MOVQ in+0(FP), SI
+	MOVQ out+8(FP), DI
 	VPADDD 0(SI), Y0, Y0
 	VPADDD 0(SI), Y1, Y1
 	VPADDD 0(SI), Y2, Y2

@@ -6,6 +6,6 @@ package cipher
 // caller that asks haveWide first takes the pure-Go path it always had.
 const haveWide = false
 
-func keystream8(*[7][8]uint32, *[wideSize]byte) {
-	panic("cipher: keystream8 without a wide kernel")
+func keystream8mac(*[7][8]uint32, *[wideSize]byte, *MAC, *byte, int) {
+	panic("cipher: keystream8mac without a wide kernel")
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"testing"
+	"unsafe"
 )
 
 // bothPaths runs f with the wide kernel as detected and with it forced
@@ -47,7 +48,7 @@ func TestKeystreamWideMatchesBlock(t *testing.T) {
 		for _, ctr := range ctrs {
 			for nb := 0; nb <= wideBlocks; nb++ {
 				var ks [wideSize]byte
-				keystream(&key, &nonce, ctr, &ks, nb)
+				keystream(&key, &nonce, ctr, &ks, nb, nil, nil)
 				want := blockStream(&key, &nonce, ctr, nb*BlockSize)
 				for lane := 0; lane < nb; lane++ {
 					if !bytes.Equal(ks[lane*BlockSize:(lane+1)*BlockSize], want[lane*BlockSize:(lane+1)*BlockSize]) {
@@ -60,8 +61,8 @@ func TestKeystreamWideMatchesBlock(t *testing.T) {
 }
 
 // The RFC 8439 vectors, built from what keystream returns so that the
-// kernel — which the public entry points only reach from three blocks
-// up, more than any RFC message has — is what produces them.
+// kernel — which the public entry points only reach from two blocks up,
+// and then use a lane or two of — is what produces them, in every lane.
 func TestRFC8439VectorsFromKeystream(t *testing.T) {
 	sunscreen := []byte("Ladies and Gentlemen of the class of '99: If I could offer you only one tip for the future, sunscreen would be it.")
 	bothPaths(t, func(t *testing.T) {
@@ -75,7 +76,7 @@ func TestRFC8439VectorsFromKeystream(t *testing.T) {
 			b5 12 9c d1 de 16 4e b9 cb d0 83 e8 a2 50 3c 4e`)
 		var ks [wideSize]byte
 		for lane := 0; lane < wideBlocks; lane++ {
-			keystream(&key, &nonce, 1-uint32(lane), &ks, wideBlocks)
+			keystream(&key, &nonce, 1-uint32(lane), &ks, wideBlocks, nil, nil)
 			if !bytes.Equal(ks[lane*BlockSize:(lane+1)*BlockSize], wantBlock) {
 				t.Fatalf("§2.3.2: lane %d of the call at counter %#x is not the RFC block", lane, 1-uint32(lane))
 			}
@@ -96,7 +97,7 @@ func TestRFC8439VectorsFromKeystream(t *testing.T) {
 			87 4d`)
 		const lead = 6 * BlockSize
 		msg := append(make([]byte, lead), sunscreen...)
-		xorWide(&key, &nonce, 0xfffffffb, 0, msg, msg, nil, false)
+		xorWide(&key, &nonce, 0xfffffffb, 0, msg, msg, nil, nil, false)
 		if !bytes.Equal(msg[lead:], wantCT) {
 			t.Fatalf("§2.4.2: ciphertext mismatch:\n got %x\nwant %x", msg[lead:], wantCT)
 		}
@@ -117,7 +118,7 @@ func TestRFC8439VectorsFromKeystream(t *testing.T) {
 		if !bytes.Equal(wantBox[len(sunscreen):], wantTag) {
 			t.Fatal("§2.8.2: Seal does not produce the RFC tag")
 		}
-		keystream(&key, &nonce, 0, &ks, wideBlocks)
+		keystream(&key, &nonce, 0, &ks, wideBlocks, nil, nil)
 		ct := make([]byte, len(sunscreen))
 		for i := range ct {
 			ct[i] = sunscreen[i] ^ ks[BlockSize+i]
@@ -179,7 +180,7 @@ func TestWideLoopsMatchBlock(t *testing.T) {
 						in, out = ct, src
 					}
 					mac := NewMAC(&otk)
-					p := FusedXORMAC(&key, &nonce, ctr, dst[:n], in[:n], &mac, enc)
+					p := FusedXORMAC(&key, &nonce, ctr, dst[:n], in[:n], &mac, nil, enc)
 					if p < n/BlockSize*BlockSize || p > n {
 						t.Fatalf("FusedXORMAC ctr=%#x n=%d enc=%v: processed %d", ctr, n, enc, p)
 					}
@@ -196,16 +197,130 @@ func TestWideLoopsMatchBlock(t *testing.T) {
 	})
 }
 
+// The kernel folds Poly1305 blocks into a MAC by the field offsets it
+// was written against (wide_amd64.s): a field moved or resized must
+// fail here, not as a wrong tag.
+func TestMACLayout(t *testing.T) {
+	var m MAC
+	for _, f := range []struct {
+		name      string
+		got, want uintptr
+	}{
+		{"r0", unsafe.Offsetof(m.r0), 0},
+		{"r1", unsafe.Offsetof(m.r1), 8},
+		{"h0", unsafe.Offsetof(m.h0), 32},
+		{"h1", unsafe.Offsetof(m.h1), 40},
+		{"h2", unsafe.Offsetof(m.h2), 48},
+	} {
+		if f.got != f.want {
+			t.Errorf("MAC.%s is at offset %d, the kernel reads it at %d", f.name, f.got, f.want)
+		}
+	}
+}
+
+// foldRef is the oracle for a keystream call's Poly1305 side: msg, whole
+// blocks, through MAC.block one at a time.
+func foldRef(m *MAC, msg []byte) {
+	for i := 0; i < len(msg); i += TagSize {
+		m.block(le64(msg[i:]), le64(msg[i+8:]), 1)
+	}
+}
+
+// The MAC side of a keystream call against MAC.block, for every number
+// of blocks one call can fold: it leaves the limbs that many blocks
+// leave, and the keystream does not depend on it. The inputs sit at the
+// edges of the arithmetic — all-ones blocks, an accumulator just below
+// p, the largest r clamping allows — and the message at an even and an
+// odd address.
+func TestKeystreamMACMatchesBlock(t *testing.T) {
+	const rMax0, rMax1 = 0x0FFFFFFC0FFFFFFF, 0x0FFFFFFC0FFFFFFC
+	const pLo, pMid, pHi = 0xFFFFFFFFFFFFFFFB, 0xFFFFFFFFFFFFFFFF, 3 // p = 2^130 - 5
+	accs := []struct {
+		name               string
+		r0, r1, h0, h1, h2 uint64
+	}{
+		{"fresh", 0x0123456709ABCDEF & rMax0, 0x0FEDCBA987654321 & rMax1, 0, 0, 0},
+		{"h just below p", 0x0123456709ABCDEF & rMax0, 0x0FEDCBA987654321 & rMax1, pLo - 1, pMid, pHi},
+		{"largest r", rMax0, rMax1, 0x243F6A8885A308D3, 0x13198A2E03707344, 2},
+		{"largest r, h just below p", rMax0, rMax1, pLo - 1, pMid, pHi},
+	}
+	bothPaths(t, func(t *testing.T) {
+		key := ExpandKey(0xB10C)
+		nonce := [NonceSize]byte{7: 0x5A}
+		const ctr = 0xfffffffd // the counter wraps inside the call
+		want := blockStream(&key, &nonce, ctr, wideSize)
+		buf := make([]byte, foldMax*TagSize+1)
+		for _, ones := range []bool{false, true} {
+			for i := range buf {
+				buf[i] = byte(i*37 + 11)
+				if ones {
+					buf[i] = 0xff
+				}
+			}
+			for _, at := range []int{0, 1} {
+				msg := buf[at : at+foldMax*TagSize]
+				for _, a := range accs {
+					for nblk := 0; nblk <= foldMax; nblk++ {
+						mac := MAC{r0: a.r0, r1: a.r1, h0: a.h0, h1: a.h1, h2: a.h2}
+						ref := mac
+						foldRef(&ref, msg[:nblk*TagSize])
+						var ks [wideSize]byte
+						keystream(&key, &nonce, ctr, &ks, wideBlocks, &mac, msg[:nblk*TagSize])
+						if mac != ref {
+							t.Fatalf("ones=%v at=%d %s nblk=%d: h = %#x %#x %#x, MAC.block leaves %#x %#x %#x",
+								ones, at, a.name, nblk, mac.h0, mac.h1, mac.h2, ref.h0, ref.h1, ref.h2)
+						}
+						if !bytes.Equal(ks[:], want) {
+							t.Fatalf("ones=%v at=%d %s nblk=%d: the keystream changed with the MAC work", ones, at, a.name, nblk)
+						}
+					}
+				}
+			}
+		}
+	})
+}
+
+// FuzzPolyKernel holds the MAC side of a keystream call against
+// MAC.block over any message, block count up to foldMax, clamped r and
+// accumulator a block can be handed (h2 <= 5), at any address.
+func FuzzPolyKernel(f *testing.F) {
+	f.Add(bytes.Repeat([]byte{0xff}, foldMax*TagSize), uint8(foldMax), ^uint64(0), ^uint64(0), uint64(0xFFFFFFFFFFFFFFFA), ^uint64(0), uint8(3))
+	f.Add([]byte("sixteen bytes..!"), uint8(1), uint64(1), uint64(0), uint64(0), uint64(0), uint8(0x15))
+	f.Fuzz(func(t *testing.T, data []byte, nblk uint8, r0, r1, h0, h1 uint64, h2 uint8) {
+		n := int(nblk) % (foldMax + 1)
+		if n*TagSize > len(data) {
+			n = len(data) / TagSize
+		}
+		at := int(h2>>4) & 7
+		buf := make([]byte, at+n*TagSize)
+		msg := buf[at:]
+		copy(msg, data)
+		mac := MAC{r0: r0 & 0x0FFFFFFC0FFFFFFF, r1: r1 & 0x0FFFFFFC0FFFFFFC, h0: h0, h1: h1, h2: uint64(h2&15) % 6}
+		ref := mac
+		foldRef(&ref, msg)
+		key := ExpandKey(r0 ^ h1)
+		var nonce [NonceSize]byte
+		var ks [wideSize]byte
+		keystream(&key, &nonce, uint32(h0), &ks, wideBlocks, &mac, msg)
+		if mac != ref {
+			t.Fatalf("nblk=%d: h = %#x %#x %#x, MAC.block leaves %#x %#x %#x", n, mac.h0, mac.h1, mac.h2, ref.h0, ref.h1, ref.h2)
+		}
+	})
+}
+
 // FuzzKeystreamWide holds the wide loops against scalar Block over any
 // key, nonce, first counter, byte offset, length and split point: the
 // stream XORed in two calls must be the stream XORed in one, and both
 // src XOR the Block keystream; with a MAC the loop must leave that
-// ciphertext and the MAC.Update tag over it, sealing and opening.
+// ciphertext and the MAC.Update tag over it, sealing and opening; and,
+// chained, the two sides of the split sealed as two messages through
+// one Chain must each get the MAC.Update tag over their own ciphertext.
 func FuzzKeystreamWide(f *testing.F) {
-	f.Add([]byte("key"), []byte("nonce"), uint32(1), uint16(0), uint16(1008), uint16(16))
-	f.Add([]byte{}, []byte{}, uint32(0xfffffffb), uint16(48), uint16(1008), uint16(500))
-	f.Add(bytes.Repeat([]byte{0xff}, KeySize), bytes.Repeat([]byte{0xff}, NonceSize), uint32(1<<30), uint16(63), uint16(4096), uint16(4095))
-	f.Fuzz(func(t *testing.T, keyBytes, nonceBytes []byte, ctr uint32, off, length, split uint16) {
+	f.Add([]byte("key"), []byte("nonce"), uint32(1), uint16(0), uint16(1008), uint16(16), false)
+	f.Add([]byte{}, []byte{}, uint32(0xfffffffb), uint16(48), uint16(1008), uint16(500), true)
+	f.Add(bytes.Repeat([]byte{0xff}, KeySize), bytes.Repeat([]byte{0xff}, NonceSize), uint32(1<<30), uint16(63), uint16(4096), uint16(4095), true)
+	f.Add([]byte("chain"), []byte("n"), uint32(1), uint16(48), uint16(2016), uint16(960), true)
+	f.Fuzz(func(t *testing.T, keyBytes, nonceBytes []byte, ctr uint32, off, length, split uint16, chained bool) {
 		var kb [KeySize]byte
 		copy(kb[:], keyBytes)
 		key := NewKey(&kb)
@@ -228,14 +343,14 @@ func FuzzKeystreamWide(f *testing.F) {
 		}
 
 		one := make([]byte, n)
-		xorWide(&key, &nonce, ctr, skip, one, src, nil, false)
+		xorWide(&key, &nonce, ctr, skip, one, src, nil, nil, false)
 		if !bytes.Equal(one, want) {
 			t.Fatal("one call: not src XOR Block keystream")
 		}
 		two := make([]byte, n)
-		xorWide(&key, &nonce, ctr, skip, two[:cut], src[:cut], nil, false)
+		xorWide(&key, &nonce, ctr, skip, two[:cut], src[:cut], nil, nil, false)
 		at := skip + cut
-		xorWide(&key, &nonce, ctr+uint32(at/BlockSize), at%BlockSize, two[cut:], src[cut:], nil, false)
+		xorWide(&key, &nonce, ctr+uint32(at/BlockSize), at%BlockSize, two[cut:], src[cut:], nil, nil, false)
 		if !bytes.Equal(two, want) {
 			t.Fatalf("split at %d: not src XOR Block keystream", cut)
 		}
@@ -249,13 +364,37 @@ func FuzzKeystreamWide(f *testing.F) {
 		var tag [TagSize]byte
 		ref.Sum(tag[:])
 		seal, open := NewMAC(&otk), NewMAC(&otk)
-		xorWide(&key, &nonce, ctr, skip, one, src, &seal, true)
+		xorWide(&key, &nonce, ctr, skip, one, src, &seal, nil, true)
 		if !bytes.Equal(one, want) || !seal.Verify(tag[:]) {
 			t.Fatal("seal: wrong ciphertext or tag")
 		}
-		xorWide(&key, &nonce, ctr, skip, one, one, &open, false)
+		xorWide(&key, &nonce, ctr, skip, one, one, &open, nil, false)
 		if !bytes.Equal(one, src) || !open.Verify(tag[:]) {
 			t.Fatal("open in place: wrong plaintext or tag")
+		}
+		if !chained {
+			return
+		}
+
+		otkB := otk
+		otkB[0] ^= 1
+		macA, macB := NewMAC(&otk), NewMAC(&otkB)
+		var ch Chain
+		var tagA, tagB [TagSize]byte
+		ct := make([]byte, n)
+		xorWide(&key, &nonce, ctr, skip, ct[:cut], src[:cut], &macA, &ch, true)
+		ch.Sum(&macA, ct[:cut], tagA[:])
+		xorWide(&key, &nonce, ctr+uint32(at/BlockSize), at%BlockSize, ct[cut:], src[cut:], &macB, &ch, true)
+		ch.Sum(&macB, ct[cut:], tagB[:])
+		ch.Flush()
+		refA, refB := NewMAC(&otk), NewMAC(&otkB)
+		refA.Update(want[:cut])
+		refB.Update(want[cut:])
+		if !bytes.Equal(ct, want) || !refA.Verify(tagA[:]) || !refB.Verify(tagB[:]) {
+			t.Fatalf("chained at %d: wrong ciphertext or tag", cut)
+		}
+		if ch.tag != nil || ch.msg != nil || ch.held != 0 {
+			t.Fatal("the chain is not empty after Flush")
 		}
 	})
 }

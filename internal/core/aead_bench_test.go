@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/buf"
+	"repro/internal/cipher"
 	"repro/internal/netsim"
 	"repro/internal/sim"
 	"repro/internal/xcode"
@@ -60,6 +61,68 @@ func benchSteadyStateSuite(b *testing.B, cfg Config) {
 // per-fragment tags end to end.
 func BenchmarkSendSteadyStateAEAD(b *testing.B) {
 	benchSteadyStateSuite(b, Config{Suite: SuiteAEAD, Key: 0xFEEDFACE})
+}
+
+// sealedADU is one 8 KiB ADU at the default fragment size (1 008
+// bytes: eight fragments and a 128-byte ninth), sealed by the AEAD
+// suite into one buffer per fragment, payload and tag, through ch.
+func sealedADU(cfg *Config, ch *cipher.Chain, name uint64, data []byte, frags [][]byte) {
+	frag := cfg.fragPayload()
+	for k, off := 0, 0; off < len(data); k, off = k+1, off+frag {
+		n := min(frag, len(data)-off)
+		cfg.suite.seal(cfg, ch, name, off, frags[k][:n+cipher.TagSize], data[off:off+n])
+	}
+	ch.Flush()
+}
+
+// aeadADU is the suite, the payload and the fragment buffers the two
+// benchmarks below share.
+func aeadADU() (*Config, []byte, [][]byte) {
+	cfg := &Config{Suite: SuiteAEAD, Key: 0xFEEDFACE}
+	cfg.fill()
+	data := make([]byte, benchADUBytes)
+	for i := range data {
+		data[i] = byte(i)
+	}
+	frag := cfg.fragPayload()
+	var frags [][]byte
+	for off := 0; off < len(data); off += frag {
+		frags = append(frags, make([]byte, frag+cipher.TagSize))
+	}
+	return cfg, data, frags
+}
+
+// BenchmarkSealADU and BenchmarkOpenADU are the crypto of one ADU of
+// BenchmarkSendSteadyStateAEAD, timed apart from the protocol around
+// it: every fragment's seal through the sender's chain and its flush;
+// every fragment's open into its place, tag verified.
+func BenchmarkSealADU(b *testing.B) {
+	cfg, data, frags := aeadADU()
+	ch := new(cipher.Chain)
+	b.SetBytes(benchADUBytes)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sealedADU(cfg, ch, uint64(i), data, frags)
+	}
+}
+
+func BenchmarkOpenADU(b *testing.B) {
+	cfg, data, frags := aeadADU()
+	sealedADU(cfg, new(cipher.Chain), 1, data, frags)
+	out := make([]byte, len(data))
+	frag := cfg.fragPayload()
+	b.SetBytes(benchADUBytes)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for k, off := 0, 0; off < len(data); k, off = k+1, off+frag {
+			n := min(frag, len(data)-off)
+			if _, ok := cfg.suite.open(cfg, 1, off, out[off:off+n], frags[k][:n], frags[k][n:n+cipher.TagSize]); !ok {
+				b.Fatalf("fragment %d does not verify", k)
+			}
+		}
+	}
 }
 
 // BenchmarkSendSteadyStateScramble: the legacy xorshift keystream with

@@ -3,6 +3,7 @@ package alf
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"testing"
 	"time"
 
@@ -464,5 +465,164 @@ func TestReceiveAEADZeroAlloc(t *testing.T) {
 	}
 	if rcv.Stats.AuthFails != 0 {
 		t.Fatalf("AuthFails = %d on captured fragments", rcv.Stats.AuthFails)
+	}
+}
+
+// capturingSender is an AEAD sender whose wire packets are copied as
+// they leave it, so that a test reads what was emitted and not what the
+// buffer holds by the time it looks.
+func capturingSender(t *testing.T, cfg Config, pkts *[][]byte) *Sender {
+	t.Helper()
+	snd, err := NewSender(sim.NewScheduler(), func(p []byte) error {
+		*pkts = append(*pkts, append([]byte(nil), p...))
+		return nil
+	}, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return snd
+}
+
+// Every tag the sender emits is the one a fresh MAC gives — newTagMAC
+// at the fragment's counter, Update over its ciphertext, Sum — whether
+// its last chunk was folded by its own kernel calls, carried by the
+// sender's chain into the next fragment's first call, or left to the
+// flush after the last fragment. ADU lengths run over every byte count
+// from 0 to three fragments and 64 bytes, under FEC groups of 0, 2 and
+// 4, and each packet is checked as it was emitted. Every ADU is then
+// resent (SenderBuffered) after the next one was sealed through the
+// same chain, and must still carry the tags it was sent with.
+func TestSealChainTags(t *testing.T) {
+	for _, fec := range []int{0, 2, 4} {
+		cfg := aeadCfg()
+		cfg.FECGroup = fec
+		cfg.Policy = SenderBuffered
+		var pkts [][]byte
+		snd := capturingSender(t, cfg, &pkts)
+		check := func(what string, name uint64) {
+			t.Helper()
+			if len(pkts) == 0 {
+				t.Fatalf("fec=%d %s of ADU %d emitted nothing", fec, what, name)
+			}
+			nonce := aeadNonce(cfg.StreamID, name)
+			for _, pkt := range pkts {
+				h, err := wire.ParseHeader(pkt)
+				if err != nil || h.Name != name {
+					t.Fatalf("fec=%d %s of ADU %d: packet for ADU %d, err %v", fec, what, name, h.Name, err)
+				}
+				ctr := uint32(tagCtrData)
+				if h.Flags&wire.FlagParity != 0 {
+					ctr = tagCtrParity
+				}
+				mac := newTagMAC(&snd.cfg.aeadKey, &nonce, ctr+uint32(h.FragOff/8))
+				mac.Update(pkt[HeaderSize : HeaderSize+h.FragLen])
+				if !mac.Verify(pkt[HeaderSize+h.FragLen:]) {
+					t.Fatalf("fec=%d %s of ADU %d (%d bytes): wrong tag on fragment off=%d len=%d parity=%v",
+						fec, what, name, h.TotalLen, h.FragOff, h.FragLen, h.Flags&wire.FlagParity != 0)
+				}
+			}
+			pkts = pkts[:0]
+		}
+		data := payload(3*snd.cfg.fragPayload()+64, 0x3C)
+		for n := 0; n <= len(data); n++ {
+			name, err := snd.Send(uint64(n), xcode.SyntaxRaw, data[:n])
+			if err != nil {
+				t.Fatal(err)
+			}
+			check("send", name)
+			if name > 0 {
+				snd.resend(name - 1)
+				check("resend", name-1)
+				snd.unretain(snd.retained(name - 1))
+			}
+		}
+	}
+}
+
+// Negative vectors through the receiver at the benchmark's fragment
+// size. The victim is the middle one of three 1 008-byte fragments: it
+// starts mid-block (a Go head), then has chunks the kernel folds, and
+// the sender's chain carried its last chunk into the next fragment's
+// call. A bit flipped in each of its 16-byte blocks, a flipped tag bit,
+// the fragment cut short (raw, and with a header that agrees), and the
+// fragment presented at another offset — opened under another keystream
+// and tag counter — must each be refused with nothing delivered and its
+// range left unaccounted, which the genuine fragment then proves by
+// completing the ADU intact. `make portable` runs this on the pure-Go
+// path as well.
+func TestAEADNegativeVectors(t *testing.T) {
+	cfg := aeadCfg()
+	cfg.Policy = NoRetransmit
+	var pkts [][]byte
+	snd := capturingSender(t, cfg, &pkts)
+	frag := snd.cfg.fragPayload()
+	data := payload(3*frag, 0x77)
+	if _, err := snd.Send(0, xcode.SyntaxRaw, data); err != nil {
+		t.Fatal(err)
+	}
+	if len(pkts) != 3 {
+		t.Fatalf("%d packets for three fragments", len(pkts))
+	}
+	victim := pkts[1]
+	h, err := wire.ParseHeader(victim)
+	if err != nil || h.FragOff != frag || h.FragLen != frag {
+		t.Fatalf("fragment 1 is off=%d len=%d (err %v), want %d, %d", h.FragOff, h.FragLen, err, frag, frag)
+	}
+	type vector struct {
+		name string
+		pkt  []byte
+	}
+	var vecs []vector
+	forged := func(name string, edit func(p []byte) []byte) {
+		vecs = append(vecs, vector{name, edit(append([]byte(nil), victim...))})
+	}
+	for blk := 0; blk < h.FragLen/16; blk++ {
+		forged(fmt.Sprintf("bit flipped in block %d", blk), func(p []byte) []byte {
+			p[HeaderSize+16*blk+blk%16] ^= 1 << (blk % 8)
+			return p
+		})
+	}
+	forged("tag bit flipped", func(p []byte) []byte { p[len(p)-5] ^= 0x10; return p })
+	forged("cut by a byte", func(p []byte) []byte { return p[:len(p)-1] })
+	forged("cut by 16 bytes, header agreeing", func(p []byte) []byte {
+		g := h
+		g.FragLen -= 16
+		wire.PutHeader(p, &g)
+		return p[:len(p)-16]
+	})
+	forged("at another offset", func(p []byte) []byte {
+		g := h
+		g.FragOff = 2 * frag
+		wire.PutHeader(p, &g)
+		return p
+	})
+
+	for _, v := range vecs {
+		rcv, err := NewReceiver(sim.NewScheduler(), nil, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got [][]byte
+		rcv.OnADU = func(a ADU) {
+			got = append(got, append([]byte(nil), a.Data...))
+			a.Release()
+		}
+		if err := rcv.HandlePacket(v.pkt); err == nil {
+			t.Fatalf("%s: accepted", v.name)
+		}
+		for _, p := range [][]byte{pkts[0], pkts[2]} {
+			if err := rcv.HandlePacket(p); err != nil {
+				t.Fatalf("%s: genuine fragment refused after it: %v", v.name, err)
+			}
+		}
+		if len(got) != 0 || rcv.Stats.Fragments != 2 {
+			t.Fatalf("%s: the forged range was accounted (%d delivered, %d fragments)", v.name, len(got), rcv.Stats.Fragments)
+		}
+		if err := rcv.HandlePacket(victim); err != nil {
+			t.Fatalf("%s: the genuine fragment refused: %v", v.name, err)
+		}
+		if len(got) != 1 || !bytes.Equal(got[0], data) {
+			t.Fatalf("%s: %d ADUs delivered after the genuine fragment, intact=%v", v.name, len(got), len(got) == 1 && bytes.Equal(got[0], data))
+		}
 	}
 }

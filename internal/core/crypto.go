@@ -67,10 +67,16 @@ type suiteOps struct {
 	// open return partial sums, and the receiver folds and compares
 	// them when the ADU completes.
 	aduCheck bool
+	// chained says the trailer is a tag that seal may finish through the
+	// sender's cipher.Chain, which a sender of the suite then owns: the
+	// MAC's last chunk rides in the kernel call that seals the next
+	// fragment, and packetize flushes the chain before it stamps.
+	chained bool
 	// seal is the sender's fused pass over one fragment: src is
 	// plaintext, dst receives len(src) wire bytes followed by the
-	// trailer. It returns the fragment's partial plaintext checksum.
-	seal func(c *Config, name uint64, off int, dst, src []byte) uint64
+	// trailer. It returns the fragment's partial plaintext checksum. ch
+	// is the sender's chain, nil unless the suite is chained.
+	seal func(c *Config, ch *cipher.Chain, name uint64, off int, dst, src []byte) uint64
 	// sealParity fills the trailer of an FEC parity blob whose payload
 	// (the XOR of its group's wire payloads) is blob[:n]. Like
 	// openParity it is nil, and never called, when there is no trailer.
@@ -96,7 +102,7 @@ type suiteOps struct {
 var suites = [...]suiteOps{
 	SuiteNone: {
 		aduCheck: true,
-		seal: func(_ *Config, _ uint64, _ int, dst, src []byte) uint64 {
+		seal: func(_ *Config, _ *cipher.Chain, _ uint64, _ int, dst, src []byte) uint64 {
 			return ilp.FusedCopySum(dst, src)
 		},
 		open: func(_ *Config, _ uint64, _ int, dst, src, _ []byte) (uint64, bool) {
@@ -107,7 +113,7 @@ var suites = [...]suiteOps{
 	SuiteScramble: {
 		flags:    wire.FlagEnciphered,
 		aduCheck: true,
-		seal: func(c *Config, name uint64, off int, dst, src []byte) uint64 {
+		seal: func(c *Config, _ *cipher.Chain, name uint64, off int, dst, src []byte) uint64 {
 			return ilp.FusedEncryptCopySum(dst, src, c.Key^name, off)
 		},
 		open: func(c *Config, name uint64, off int, dst, src, _ []byte) (uint64, bool) {
@@ -124,14 +130,16 @@ var suites = [...]suiteOps{
 	// group's ciphertexts — not the tags — and carries its own tag over
 	// the blob, so a reconstructed fragment is authenticated
 	// transitively. There is no ADU checksum: the tags are the
-	// integrity pass.
+	// integrity pass. packetize seals all of an ADU's fragments before it
+	// stamps or emits any, so the kernel call that starts fragment k+1
+	// may fold the end of fragment k into k's tag (the sender's chain).
 	SuiteAEAD: {
-		flags: wire.FlagAEAD,
-		seal: func(c *Config, name uint64, off int, dst, src []byte) uint64 {
+		flags:   wire.FlagAEAD,
+		chained: true,
+		seal: func(c *Config, ch *cipher.Chain, name uint64, off int, dst, src []byte) uint64 {
 			nonce := aeadNonce(c.StreamID, name)
 			mac := newTagMAC(&c.aeadKey, &nonce, tagCtrData+uint32(off/8))
-			n := ilp.FusedEncryptCopyMAC(dst, src, &c.aeadKey, &nonce, off, &mac)
-			mac.Sum(dst[n : n+wire.TagSize])
+			ilp.FusedSeal(dst, src, &c.aeadKey, &nonce, off, &mac, ch)
 			return 0
 		},
 		sealParity: func(c *Config, name uint64, off int, blob []byte, n int) {

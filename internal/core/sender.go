@@ -5,6 +5,7 @@ import (
 	"math"
 
 	"repro/internal/buf"
+	"repro/internal/cipher"
 	"repro/internal/ilp"
 	"repro/internal/sim"
 	"repro/internal/tracing"
@@ -116,6 +117,9 @@ type Sender struct {
 	// scratch is the packetization worklist, reused across Sends so the
 	// steady-state path does not allocate.
 	scratch []wireFrag
+	// chain carries a sealed fragment's last chunk into the next one's
+	// kernel call (suiteOps.chained); nil under a suite without a tag.
+	chain *cipher.Chain
 
 	// OnResend supplies ADU payloads under the AppRecompute policy: the
 	// application regenerates the data (and its tag and syntax) for a
@@ -172,18 +176,19 @@ type Sender struct {
 	// Closed-loop state (see ratecontrol.go): the last feedback report
 	// processed, kept cumulative so per-interval deltas survive lost
 	// reports, and the loss EWMA that drives shedding.
-	fbSeq    uint32   // highest report sequence accepted
 	fbAt     sim.Time // arrival time of that report
 	fbWire   int64    // receiver's cumulative wire bytes at that report
 	fbGood   int64    // receiver's cumulative delivered payload bytes
 	fbSent   int64    // our own WireBytes at that report
 	lossEWMA float64  // smoothed reported loss fraction
+	fbSeq    uint32   // highest report sequence accepted
 
 	// Recovery-bandwidth token bucket (RecoveryFrac): bytes of resend
-	// budget, replenished at RecoveryFrac x RateBps.
+	// budget, replenished at RecoveryFrac x RateBps. retxInit sits
+	// beside fbSeq so that the two share a word (TestSenderSizeClass).
+	retxInit   bool
 	retxTokens float64
 	retxLast   sim.Time
-	retxInit   bool
 
 	m senderMetrics
 
@@ -201,6 +206,9 @@ func NewSender(sched *sim.Scheduler, send func([]byte) error, cfg Config) (*Send
 		return nil, fmt.Errorf("%w: MTU %d", ErrMTUTooSmall, cfg.MTU)
 	}
 	s := &Sender{cfg: cfg, sched: sched, send: send}
+	if cfg.suite.chained {
+		s.chain = new(cipher.Chain)
+	}
 	s.hb = sched.NewTimer(s.onHeartbeat)
 	s.retire = sched.NewTimer(s.onRetire)
 	// Seed the jitter stream from the config so runs stay deterministic
@@ -441,7 +449,8 @@ func (s *Sender) SendClass(tag uint64, syntax xcode.SyntaxID, data []byte, class
 // per-fragment partial sums add into the whole-ADU checksum. It appends
 // to frags (data fragments interleaved with each group's parity, in
 // emission order) and returns the list and the ADU checksum (zero for
-// a suite without one).
+// a suite without one). A tag the sender's chain still holds is written
+// by the flush after the loop, so every trailer is final by stamp time.
 func (s *Sender) packetize(name uint64, data []byte, frags []wireFrag) ([]wireFrag, uint16) {
 	frag := s.cfg.fragPayload()
 	ops, trailer := s.cfg.suite, s.cfg.suite.flags.Trailer()
@@ -460,7 +469,7 @@ func (s *Sender) packetize(name uint64, data []byte, frags []wireFrag) ([]wireFr
 		}
 		ref := s.cfg.Pool.GetHeadroom(n+trailer, headroom)
 		w := ref.Bytes()
-		sum += ops.seal(&s.cfg, name, off, w, data[off:off+n])
+		sum += ops.seal(&s.cfg, s.chain, name, off, w, data[off:off+n])
 		frags = append(frags, wireFrag{ref: ref, off: off, n: n})
 		if s.cfg.FECGroup > 0 {
 			if inGroup == 0 {
@@ -482,6 +491,7 @@ func (s *Sender) packetize(name uint64, data []byte, frags []wireFrag) ([]wireFr
 			inGroup = 0
 		}
 	}
+	s.chain.Flush()
 	if !ops.aduCheck {
 		return frags, 0
 	}

@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"testing"
 	"time"
+	"unsafe"
 
 	"repro/internal/netsim"
 	"repro/internal/sim"
@@ -216,6 +217,16 @@ func TestShardedEncapRoundtrip(t *testing.T) {
 // path: Send -> packetize (encap headroom) -> flow-id stamp -> trunk
 // SendRef -> demux -> HandlePacket -> deliver -> Release, across two
 // shards' private arenas. Steady state must not allocate.
+// A Sender is per-flow state, and the shard plane makes 65 536 of them
+// in flows_sharded_64k. The runtime puts a pointerful object over 512
+// bytes in the smallest size class that holds it and an 8-byte header:
+// 768 bytes now, 896 past it, which would be 128 bytes more per flow.
+func TestSenderSizeClass(t *testing.T) {
+	if n := unsafe.Sizeof(Sender{}); n+8 > 768 {
+		t.Fatalf("Sender is %d bytes: with its allocation header it no longer fits the 768-byte size class", n)
+	}
+}
+
 func TestShardedSendZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race detector instrumentation allocates")

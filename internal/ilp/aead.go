@@ -23,11 +23,11 @@ import (
 // latency-bound (ChaCha20 on the ALU ports, Poly1305 on the multiplier)
 // and they serialize, while the fused loop lets the out-of-order core
 // overlap the Poly1305 multiply chain of one block with the ChaCha20
-// rounds of the next. With the AVX2 keystream kernel both reach the
-// same primitive (the staged ones through cipher.XORKeyStream) and
-// differ only in how far apart the passes are: 512 bytes, or the whole
-// payload — which is nothing while the payload fits a cache
-// (EXPERIMENTS C1).
+// rounds of the next. With the AVX2 kernel the same holds one level up:
+// the fused loop has each call fold a chunk of ciphertext on the
+// integer ports while it makes keystream on the vector ports, and the
+// staged one, which reaches the kernel through cipher.XORKeyStream,
+// pays for its Poly1305 pass in Go (EXPERIMENTS C1).
 
 // aeadOff converts a byte offset into a (block counter, intra-block
 // skip) pair for the payload keystream, which starts at block counter 1
@@ -46,15 +46,31 @@ func aeadOff(off int) (uint32, int) {
 // runs two interleaved block states and feeds the ciphertext words to
 // the Poly1305 accumulator while they are still in registers; where the
 // AVX2 kernel runs it takes the keystream eight blocks at a time into a
-// 512-byte stack buffer, and XORs and authenticates those 512 bytes
-// before it makes the next. What is left (a head that starts mid-block,
-// a tail FusedXORMAC did not take, a MAC that is not at a 16-byte
-// boundary) goes block by block through a 64-byte stack buffer. off is
-// the byte offset of src within the ADU keystream (multiple of 8). mac
-// may be nil, in which case the kernel is encrypt+copy only, which is
-// cipher.XORKeyStream. len(dst) must be >= len(src); it returns
-// len(src).
+// 512-byte stack buffer, XORs those 512 bytes, and has the next call
+// fold them into the MAC while it makes its own keystream. What is left
+// (a head that starts mid-block, a tail FusedXORMAC did not take, a MAC
+// that is not at a 16-byte boundary) goes block by block through a
+// 64-byte stack buffer. off is the byte offset of src within the ADU
+// keystream (multiple of 8). mac may be nil, in which case the kernel
+// is encrypt+copy only, which is cipher.XORKeyStream. len(dst) must be
+// >= len(src); it returns len(src).
 func FusedEncryptCopyMAC(dst, src []byte, key *cipher.Key, nonce *[cipher.NonceSize]byte, off int, mac *cipher.MAC) int {
+	return encryptCopyMAC(dst, src, key, nonce, off, mac, nil)
+}
+
+// FusedSeal is FusedEncryptCopyMAC that also finishes the tag, into
+// dst[n:n+cipher.TagSize] behind the n = len(src) bytes of ciphertext.
+// Sealed through a chain, the MAC's last chunk may ride in the kernel
+// call that seals the next fragment through ch, and the tag is written
+// then: a run of fragments sealed through one chain is finished by
+// ch.Flush, before any of their tags is read. mac must not be nil.
+func FusedSeal(dst, src []byte, key *cipher.Key, nonce *[cipher.NonceSize]byte, off int, mac *cipher.MAC, ch *cipher.Chain) int {
+	n := encryptCopyMAC(dst, src, key, nonce, off, mac, ch)
+	ch.Sum(mac, dst[:n], dst[n:n+cipher.TagSize])
+	return n
+}
+
+func encryptCopyMAC(dst, src []byte, key *cipher.Key, nonce *[cipher.NonceSize]byte, off int, mac *cipher.MAC, ch *cipher.Chain) int {
 	ctr, skip := aeadOff(off)
 	n := len(src)
 	if mac == nil {
@@ -64,7 +80,7 @@ func FusedEncryptCopyMAC(dst, src []byte, key *cipher.Key, nonce *[cipher.NonceS
 	i := 0
 	for i < n {
 		if skip == 0 && mac.Aligned() && n-i >= cipher.BlockSize {
-			p := cipher.FusedXORMAC(key, nonce, ctr, dst[i:n], src[i:n], mac, true)
+			p := cipher.FusedXORMAC(key, nonce, ctr, dst[i:n], src[i:n], mac, ch, true)
 			ctr += uint32(p / cipher.BlockSize)
 			skip = p % cipher.BlockSize
 			i += p
@@ -110,7 +126,7 @@ func FusedDecryptCopyVerify(dst, src []byte, key *cipher.Key, nonce *[cipher.Non
 	i := 0
 	for i < n {
 		if skip == 0 && mac.Aligned() && n-i >= cipher.BlockSize {
-			p := cipher.FusedXORMAC(key, nonce, ctr, dst[i:n], src[i:n], mac, false)
+			p := cipher.FusedXORMAC(key, nonce, ctr, dst[i:n], src[i:n], mac, nil, false)
 			ctr += uint32(p / cipher.BlockSize)
 			skip = p % cipher.BlockSize
 			i += p
