@@ -107,8 +107,11 @@ benchmark-smoke:
 # loops against scalar Block at any counter, offset, length and split
 # (and two adjacent ranges sealed through one chain), the kernel's
 # Poly1305 blocks against MAC.block at any message, block count, r and
-# accumulator, and the fused AEAD kernels against the staged ones on
-# clean and corrupted fragments. The budget is deliberately small so check stays
+# accumulator, the fused AEAD kernels against the staged ones on
+# clean and corrupted fragments, and the presentation decoders (BER,
+# XDR, LWTS, raw and the message frame) on arbitrary bytes: no panic, no
+# over-read, and decode → encode → decode keeps the value. The budget
+# is deliberately small so check stays
 # fast; raise FUZZTIME for a real session.
 FUZZTIME ?= 5s
 fuzz:
@@ -123,6 +126,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzFusedDecryptCopyVerify$$' -fuzztime $(FUZZTIME) ./internal/ilp
 	$(GO) test -run '^$$' -fuzz '^FuzzKeystreamWide$$' -fuzztime $(FUZZTIME) ./internal/cipher
 	$(GO) test -run '^$$' -fuzz '^FuzzPolyKernel$$' -fuzztime $(FUZZTIME) ./internal/cipher
+	$(GO) test -run '^$$' -fuzz '^FuzzCodecs$$' -fuzztime $(FUZZTIME) ./internal/xcode
 
 # One seeded chaos pass: every scenario x policy plus the blackout
 # shed/report assertions, and the overload family (closed-loop passes,
@@ -181,19 +185,22 @@ alloc-guard:
 	$(GO) test -count=1 -run 'ZeroAlloc|NilRegistryBindsNothing|DisabledTracerOverhead' -v ./internal/core ./internal/udplink ./internal/otp ./internal/netsim ./internal/tracing
 	$(GO) test -run '^$$' -bench 'SendSteadyState|ReceivePath|FECSender|FECRepair|NetsimForward|LinkDeepQueue|SchedulerDeep|FusedCopySum|Sum16|WordCopy4KB|XORWords' -benchmem ./internal/core ./internal/netsim ./internal/sim ./internal/ilp ./internal/checksum
 
-# Bounds-check gate on the copy / checksum kernels. Their unrolled main
-# loops take a 64-byte window of each slice by a full slice expression,
-# which leaves the compiler one check per iteration to make and lets it
-# prove the window's eight loads and stores from it; written any other
-# way each access carries its own. The compiler says which checks it
+# Bounds-check gate on the copy / checksum kernels and on the keystream
+# loop every AEAD byte crosses on every build (cipher's xorWide and the
+# XOR under it, xor3). Their unrolled main loops take a 64-byte window
+# of each slice by a full slice expression, which leaves the compiler
+# one check per iteration to make and lets it prove the window's eight
+# loads and stores from it; written any other way each access carries
+# its own; xorWide cuts each chunk once for the same reason. The
+# compiler says which checks it
 # kept (-d=ssa/check_bce), so this counts them per kernel — set-up, word
 # loop and tail included, the main loop being one of them — and fails if
 # a count rises over what is pinned here. Like alloc-guard's inlining
 # grep it reads the compiler and not a clock, so it can gate on a shared
 # runner.
-BCE_PINS = Accumulate=2 WordCopy=3 XORWords=3 FusedCopySum=4 FusedCopyChecksumDecrypt=4 scrambleCopySum=6
+BCE_PINS = Accumulate=2 WordCopy=3 XORWords=3 FusedCopySum=4 FusedCopyChecksumDecrypt=4 scrambleCopySum=6 xor3=9 xorWide=11
 bce-guard:
-	@$(GO) build -gcflags=-d=ssa/check_bce/debug=1 ./internal/ilp ./internal/checksum 2>&1 | awk -v pins='$(BCE_PINS)' ' \
+	@$(GO) build -gcflags=-d=ssa/check_bce/debug=1 ./internal/ilp ./internal/checksum ./internal/cipher 2>&1 | awk -v pins='$(BCE_PINS)' ' \
 		FILENAME != "-" { if ($$0 ~ /^func /) { fn = $$0; sub(/^func (\([^)]*\) )?/, "", fn); sub(/\(.*/, "", fn) } \
 		  else if ($$0 ~ /^}/) fn = ""; \
 		  at[FILENAME ":" FNR] = fn; next } \
@@ -202,7 +209,7 @@ bce-guard:
 		  n = split(pins, kv, " "); \
 		  for (i = 1; i <= n; i++) { split(kv[i], x, "="); \
 		    if (got[x[1]] + 0 > x[2] + 0) { printf "bce-guard: %s keeps %d bounds checks, pinned at %d\n", x[1], got[x[1]], x[2]; bad = 1 } } \
-		  exit bad }' internal/ilp/ilp.go internal/checksum/checksum.go -
+		  exit bad }' internal/ilp/ilp.go internal/checksum/checksum.go internal/cipher/wide.go -
 
 # internal/wire owns every frame format and must stay a leaf:
 # internal/tracing sniffs packets through it, and core, otp and netsim

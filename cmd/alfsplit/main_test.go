@@ -57,7 +57,7 @@ func TestClassify(t *testing.T) {
 	for fn, want := range map[string]string{
 		"repro/internal/cipher.keystream8mac":                          "keystream kernel",
 		"repro/internal/cipher.keystream8":                             "keystream kernel",
-		"repro/internal/cipher.FusedXORMAC":                            "keystream kernel",
+		"repro/internal/cipher.xorWide":                                "keystream kernel",
 		"repro/internal/cipher.(*MAC).block":                           "Poly1305 in Go",
 		"repro/internal/cipher.(*Chain).finish":                        "Poly1305 in Go",
 		"repro/internal/cipher.Block":                                  "tag key / Block",

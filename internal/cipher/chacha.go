@@ -3,22 +3,24 @@
 // block function is addressable by 64-byte block counter, so — exactly
 // like scramble.WordAt — any 8-byte-aligned fragment offset is its own
 // cryptographic synchronization point and ADU fragments can be
-// enciphered/deciphered out of order. internal/ilp fuses the keystream
-// generation, the layer-boundary copy, and the Poly1305 accumulation
-// into one loop over the payload (see ilp.FusedEncryptCopyMAC).
+// enciphered/deciphered out of order. XORKeyStreamMAC fuses the
+// keystream generation, the layer-boundary copy, and the Poly1305
+// accumulation into one loop over the payload, which internal/ilp's
+// AEAD kernels are (see ilp.FusedEncryptCopyMAC).
 //
-// Everything is Go but one routine. On amd64 with AVX2 the keystream of
-// a run of two blocks or more comes eight blocks at a time from an
-// assembly kernel (wide.go, wide_amd64.s), the one hand-coded loop in
-// the tree, which also folds up to 40 whole Poly1305 blocks into a MAC
-// on the integer ports while its rounds run on the vector ports. It
-// reads a fixed-size state, blocks Go cut from a checked slice and the
-// MAC's limbs, so the XOR, partial blocks, every bounds check and every
-// tag verdict stay in Go; a Chain carries the end of one sealed message
-// into the call that seals the next. The pure-Go code is complete
-// without it — Block, MAC, and the two-state body of FusedXORMAC — and
-// is what runs on every other architecture, on amd64 without AVX2 and
-// under -tags purego; nothing a caller can set chooses between the two.
+// Every payload byte crosses that one loop (wide.go), which takes the
+// keystream eight blocks at a time into a buffer and XORs the buffer
+// against the payload. Everything is Go but one routine: on amd64 with
+// AVX2 those eight blocks come from an assembly kernel (wide_amd64.s),
+// the one hand-coded loop in the tree, which also folds up to 40 whole
+// Poly1305 blocks into a MAC on the integer ports while its rounds run
+// on the vector ports. It reads a fixed-size state, blocks Go cut from a
+// checked slice and the MAC's limbs, so the XOR, partial blocks, every
+// bounds check and every tag verdict stay in Go; a Chain carries the end
+// of one sealed message into the call that seals the next. On every
+// other architecture, on amd64 without AVX2 and under -tags purego the
+// same loop makes those blocks with Block and folds with MAC.Update;
+// nothing a caller can set chooses between the two.
 //
 // The primitives here are the real RFC 8439 constructions (verified
 // against the RFC test vectors in vectors_test.go); the repo-specific
@@ -220,44 +222,31 @@ func Block(key *Key, nonce *[NonceSize]byte, counter uint32, out *[BlockSize]byt
 	binary.LittleEndian.PutUint32(out[60:], x15+n2)
 }
 
-// XORKeyStream XORs src into dst with the keystream of (key, nonce)
-// starting at byte offset off of the stream that begins at block
-// counter 1 (counter 0 is reserved for one-time MAC keys, per RFC 8439
-// §2.8). off may be any byte offset; dst and src may alias. It
-// processes min(len(dst), len(src)) bytes and returns the count.
-// Encrypt and decrypt are the same operation.
+// XORKeyStream XORs src into dst with the payload keystream of (key,
+// nonce) from byte offset off on: XORKeyStreamMAC with no MAC. off may
+// be any byte offset; dst and src may alias. It processes
+// min(len(dst), len(src)) bytes and returns the count. Encrypt and
+// decrypt are the same operation.
 func XORKeyStream(key *Key, nonce *[NonceSize]byte, off int, dst, src []byte) int {
-	n := len(src)
-	if len(dst) < n {
-		n = len(dst)
-	}
-	ctr := uint32(1 + off/BlockSize)
-	skip := off % BlockSize
-	if haveWide && skip+n > (wideMin-1)*BlockSize {
-		// wideMin blocks or more: eight at a time (wide.go).
-		xorWide(key, nonce, ctr, skip, dst[:n], src[:n], nil, nil, false)
-		return n
-	}
-	var ks [BlockSize]byte
-	i := 0
-	for i < n {
-		Block(key, nonce, ctr, &ks)
-		ctr++
-		m := BlockSize - skip
-		if m > n-i {
-			m = n - i
-		}
-		j := 0
-		for ; m-j >= 8; j += 8 {
-			w := binary.LittleEndian.Uint64(src[i+j:]) ^ binary.LittleEndian.Uint64(ks[skip+j:])
-			binary.LittleEndian.PutUint64(dst[i+j:], w)
-		}
-		for ; j < m; j++ {
-			dst[i+j] = src[i+j] ^ ks[skip+j]
-		}
-		i += m
-		skip = 0
-	}
+	return XORKeyStreamMAC(key, nonce, off, dst, src, nil, nil, false)
+}
+
+// XORKeyStreamMAC XORs src into dst with the payload keystream of (key,
+// nonce) from byte offset off on and, unless mac is nil, absorbs the
+// ciphertext into mac in the same pass: dst's bytes when seal, else
+// src's, taken before the XOR so that dst may be src. The payload stream
+// begins at block counter 1, so byte off is byte off%64 of block
+// 1+off/64; counter 0 is RFC 8439 §2.8's one-time MAC key. This is the
+// one place that maps an offset to a counter, and internal/core lays its
+// tag-key counter domains out above the range it reaches. Every offset
+// is its own synchronization point, so the fragments of one message can
+// be sealed and opened out of order. Sealing through a chain ch (nil
+// otherwise), the end of the ciphertext may be left for ch to fold;
+// Chain.Sum finishes the tag either way. It processes min(len(dst),
+// len(src)) bytes and returns the count.
+func XORKeyStreamMAC(key *Key, nonce *[NonceSize]byte, off int, dst, src []byte, mac *MAC, ch *Chain, seal bool) int {
+	n := min(len(dst), len(src))
+	xorWide(key, nonce, uint32(1+off/BlockSize), off%BlockSize, dst[:n], src[:n], mac, ch, seal)
 	return n
 }
 

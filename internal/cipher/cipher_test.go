@@ -58,30 +58,6 @@ func TestExpandKeyDistinct(t *testing.T) {
 	}
 }
 
-// UpdateWords must agree with Update on whole blocks.
-func TestMACUpdateWords(t *testing.T) {
-	var otk [KeySize]byte
-	for i := range otk {
-		otk[i] = byte(i*7 + 3)
-	}
-	msg := make([]byte, 96)
-	for i := range msg {
-		msg[i] = byte(i * 31)
-	}
-	ref := NewMAC(&otk)
-	ref.Update(msg)
-	var want [TagSize]byte
-	ref.Sum(want[:])
-
-	m := NewMAC(&otk)
-	for i := 0; i < len(msg); i += 16 {
-		m.UpdateWords(le64(msg[i:]), le64(msg[i+8:]))
-	}
-	if !m.Verify(want[:]) {
-		t.Fatal("UpdateWords digest differs from Update")
-	}
-}
-
 func le64(b []byte) uint64 {
 	_ = b[7]
 	return uint64(b[0]) | uint64(b[1])<<8 | uint64(b[2])<<16 | uint64(b[3])<<24 |

@@ -9,9 +9,9 @@ import (
 // one-time 32-byte key: r (clamped, the evaluation point) in the first
 // half, s (the final pad) in the second. It is a value type with no
 // internal pointers, so the ILP kernels can keep one on the stack and
-// feed it ciphertext words as they stream past — the accumulator update
+// fold ciphertext into it as it streams past — the accumulator update
 // is the integrity pass, fused into the same loop as keystream
-// generation and the layer-boundary copy.
+// generation and the layer-boundary copy (XORKeyStreamMAC).
 //
 // The 130-bit accumulator h lives in limbs h0,h1 (64 bits each) and h2
 // (the two high bits plus carries). Arithmetic follows the standard
@@ -104,14 +104,6 @@ func (m *MAC) Update(p []byte) {
 	if len(p) > 0 {
 		m.n = copy(m.buf[:], p)
 	}
-}
-
-// UpdateWords absorbs two little-endian 64-bit words — one full
-// Poly1305 block already in registers. It must only be used when no
-// partial bytes are buffered (the fused kernels guarantee this by
-// feeding 8-byte-aligned fragments and finishing tails via Update).
-func (m *MAC) UpdateWords(m0, m1 uint64) {
-	m.block(m0, m1, 1)
 }
 
 // Sum finalizes the authenticator and writes the 16-byte tag into out.

@@ -4,33 +4,32 @@ import (
 	"encoding/binary"
 )
 
-// The wide path. ChaCha20 is a network of 32-bit adds, xors and rotates
-// over sixteen words, and scalar Go runs it one word at a time; a
-// vector unit runs a row of four words, of two blocks, per instruction.
-// On amd64 with AVX2 keystream8mac (wide_amd64.s) makes eight blocks
-// per call that way. Poly1305 is the other half of the work and wants
-// the other half of the machine — a serial chain of 64-bit multiplies
-// on the integer ports, which the rounds barely use — so the same call
-// also folds up to foldMax whole 16-byte blocks into a MAC, between its
-// rounds. It reads one fixed-size state, those blocks and the MAC's
-// limbs, and writes one fixed-size buffer and the limbs, so every slice,
-// every bounds check, the XOR against the payload, partial blocks and
-// every tag are the Go below. Everywhere else — other architectures,
-// amd64 without AVX2, -tags purego — haveWide is false and XORKeyStream
-// and FusedXORMAC run the bodies they had before this file existed,
-// which are also what the tests hold this path against.
+// The keystream loop. Every payload byte, sealed, opened or neither,
+// crosses xorWide, on every build. ChaCha20 is a network of 32-bit
+// adds, xors and rotates over sixteen words, and scalar Go runs it one
+// word at a time; a vector unit runs a row of four words, of two blocks,
+// per instruction. On amd64 with AVX2 keystream8mac (wide_amd64.s) makes
+// eight blocks per call that way. Poly1305 is the other half of the work
+// and wants the other half of the machine — a serial chain of 64-bit
+// multiplies on the integer ports, which the rounds barely use — so the
+// same call also folds up to foldMax whole 16-byte blocks into a MAC,
+// between its rounds. It reads one fixed-size state, those blocks and
+// the MAC's limbs, and writes one fixed-size buffer and the limbs, so
+// every slice, every bounds check, the XOR against the payload, partial
+// blocks and every tag are the Go below. keystream is the one place that
+// chooses between the kernel and Block: everywhere else — other
+// architectures, amd64 without AVX2, -tags purego — haveWide is false
+// and it makes the same blocks one Block at a time and folds with
+// MAC.Update, which is also the oracle the tests hold the kernel against.
 
 const (
 	wideBlocks = 8
 	wideSize   = wideBlocks * BlockSize
 	// A keystream8mac call costs about what two scalar Block calls do, so
 	// at two blocks it breaks even on keystream and wins by the MAC work
-	// it hides. For the 128-byte last fragment of an 8 KiB ADU that is
-	// the chained end of the fragment before it: sealing the last two
-	// fragments takes ≈100 ns less than with a threshold of three, and
-	// opening the last one ≈30 ns more (the two-state body is as good
-	// when there are only its own eight blocks to fold). A run shorter
-	// than this goes block by block.
+	// it hides: the 128-byte last fragment of an 8 KiB ADU is one call,
+	// which also folds the chained end of the fragment sealed before it.
+	// A run of one block is one Block.
 	wideMin = 2
 	// foldMax is how many Poly1305 blocks one call can fold: four per
 	// double round. xorWide never asks for more than a chunk's 32.
@@ -76,28 +75,51 @@ func keystream(key *Key, nonce *[NonceSize]byte, ctr uint32, ks *[wideSize]byte,
 	keystream8mac(&in, ks, mac, p, len(msg)/TagSize)
 }
 
-// xorWide is the loop under both XORKeyStream and FusedXORMAC where the
-// kernel runs: dst = src XOR the keystream that starts at byte skip of
-// block ctr, and, with a mac, the ciphertext — dst if ctInDst, else src
-// — absorbed into it. Per chunk of up to 512 bytes that is one kernel
-// call and one XOR of its keystream against the source, and the call
-// folds one chunk of ciphertext on the side. Opening, that is the chunk
-// the call deciphers, folded before the XOR so that dst may be src.
-// Sealing, the ciphertext exists only after the XOR, so each call folds
-// the chunk the call before it enciphered; the last chunk is folded
-// here in Go, or, with a chain ch, left to it (Chain.Sum) and folded by
-// the first call of the next message sealed through ch — whose own
-// first call has nothing of its own to fold. Whatever is not a whole
-// block at a block boundary of the MAC goes through MAC.Update. Being
-// fed from a buffer the loop is not tied to block boundaries either: it
-// consumes all of src, so a fragment's tail costs a lane of a call that
-// was being made anyway and not a Block of its own. len(dst) >=
-// len(src); ch is nil unless sealing.
-func xorWide(key *Key, nonce *[NonceSize]byte, ctr uint32, skip int, dst, src []byte, mac *MAC, ch *Chain, ctInDst bool) {
+// xorWide is the loop under XORKeyStream and XORKeyStreamMAC: dst = src
+// XOR the keystream that starts at byte skip of block ctr, and, with a
+// mac, the ciphertext — dst if seal, else src — absorbed into it. Per
+// chunk of up to 512 bytes that is one keystream call and one XOR of its
+// output against the source, and the call folds one chunk of ciphertext
+// on the side. Opening, that is the chunk the call deciphers, folded
+// before the XOR so that dst may be src. Sealing, the ciphertext exists
+// only after the XOR, so each call folds the chunk the call before it
+// enciphered; the last chunk is folded here in Go, or, with a chain ch,
+// left to it (Chain.Sum) and folded by the first call of the next
+// message sealed through ch — whose own first call has nothing of its
+// own to fold. Whatever is not a whole block at a block boundary of the
+// MAC goes through MAC.Update. Being fed from a buffer the loop is not
+// tied to block boundaries either: it consumes all of src, so a
+// fragment's tail costs a lane of a call that was being made anyway and
+// not a Block of its own. len(dst) >= len(src); ch is nil unless
+// sealing.
+func xorWide(key *Key, nonce *[NonceSize]byte, ctr uint32, skip int, dst, src []byte, mac *MAC, ch *Chain, seal bool) {
+	var ks [wideSize]byte
+	// A MAC'd run that starts mid-block takes its head from one block of
+	// its own, with the MAC fed by MAC.Update. Left to the first call, the
+	// skip shifts every chunk boundary: a 1 008-byte fragment at skip 48,
+	// 32 or 16, as SuiteAEAD lays them out, spans 17 blocks and would be
+	// calls of 8, 8 and 1, the last of them one Block that folds the 512
+	// bytes before it in Go with no rounds to hide them behind. Peeled,
+	// it is 1, 8 and 8, every chunk after the head folds inside a kernel
+	// call, and a chain's end still rides in the first one. Without a MAC
+	// there is nothing to fold, and the first call takes the skip.
+	if mac != nil && skip != 0 {
+		m := min(BlockSize-skip, len(src))
+		s, d := src[:m:m], dst[:m:m]
+		keystream(key, nonce, ctr, &ks, 1, nil, nil)
+		if !seal {
+			mac.Update(s)
+		}
+		xor3(d, s, ks[skip:skip+m:skip+m])
+		if seal {
+			mac.Update(d)
+		}
+		ctr++
+		src, dst, skip = src[m:], dst[m:], 0
+	}
 	if len(src) == 0 {
 		return // a chain is consumed by a call, and there is none to make
 	}
-	var ks [wideSize]byte
 	// The next call folds fold into into.
 	var fold []byte
 	var into *MAC
@@ -111,7 +133,7 @@ func xorWide(key *Key, nonce *[NonceSize]byte, ctr uint32, skip int, dst, src []
 			m = len(src)
 		}
 		s, d := src[:m:m], dst[:m:m]
-		if mac != nil && !ctInDst {
+		if mac != nil && !seal {
 			fold, into = s, mac
 		}
 		k := len(fold) &^ (TagSize - 1)
@@ -126,14 +148,14 @@ func xorWide(key *Key, nonce *[NonceSize]byte, ctr uint32, skip int, dst, src []
 			into.Update(fold[k:])
 		}
 		xor3(d, s, ks[skip:skip+m:skip+m])
-		if mac != nil && ctInDst {
+		if mac != nil && seal {
 			fold, into = d, mac
 		}
 		ctr += wideBlocks
 		src, dst = src[m:], dst[m:]
 		skip = 0
 	}
-	if mac != nil && ctInDst {
+	if mac != nil && seal {
 		if ch != nil {
 			ch.held = len(fold)
 			return

@@ -2,8 +2,8 @@
 
 package cipher
 
-// No wide kernel on this build: keystream is Block in a loop, and every
-// caller that asks haveWide first takes the pure-Go path it always had.
+// No wide kernel on this build: keystream, the one reader of haveWide,
+// makes its blocks with Block and folds with MAC.Update.
 const haveWide = false
 
 func keystream8mac(*[7][8]uint32, *[wideSize]byte, *MAC, *byte, int) {

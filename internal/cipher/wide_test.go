@@ -136,9 +136,10 @@ func TestRFC8439VectorsFromKeystream(t *testing.T) {
 	})
 }
 
-// XORKeyStream and FusedXORMAC, each against Block and MAC.Update, at
-// every byte offset of the first two blocks and every length up to a
-// fragment and a lane more, on both paths.
+// XORKeyStream, and the loop under it sealing and opening with a MAC,
+// against Block and MAC.Update, at every byte offset of the first two
+// blocks and every length up to a fragment and a lane more, on both
+// paths.
 func TestWideLoopsMatchBlock(t *testing.T) {
 	key := ExpandKey(0xFACADE)
 	nonce := [NonceSize]byte{3, 1, 4, 1, 5, 9, 2, 6, 5, 3, 5, 9}
@@ -164,34 +165,91 @@ func TestWideLoopsMatchBlock(t *testing.T) {
 				}
 			}
 		}
-		// FusedXORMAC starts on a block boundary and says how far it
-		// got; whatever prefix that is must be right, and must include
-		// every whole block.
-		for _, ctr := range []uint32{1, 17, 0xfffffffb} {
-			ks := blockStream(&key, &nonce, ctr, maxLen)
-			ct := make([]byte, maxLen)
-			for i := range ct {
-				ct[i] = src[i] ^ ks[i]
-			}
-			for n := 0; n <= maxLen; n++ {
-				for _, enc := range []bool{true, false} {
-					in, out := src, ct
-					if !enc {
-						in, out = ct, src
+		// With a MAC, from three first counters — the payload's own, one
+		// further on, and one the 32-bit counter wraps from inside the
+		// run — sealing src and then opening what was sealed. By turns,
+		// the seal is in place and the open is not, or the other way
+		// round. The tag is MAC.Update's over the ciphertext both times.
+		buf := make([]byte, maxLen)
+		for _, first := range []uint32{1, 17, 0xfffffffb} {
+			for off := 0; off < 2*BlockSize; off++ {
+				ctr, skip := first+uint32(off/BlockSize), off%BlockSize
+				ks := blockStream(&key, &nonce, first, off+maxLen)[off:]
+				ct := make([]byte, maxLen)
+				for i := range ct {
+					ct[i] = src[i] ^ ks[i]
+				}
+				// run absorbs ct one byte per length step, so a copy of it
+				// is the reference MAC over ct[:n].
+				run := NewMAC(&otk)
+				for n := 0; n <= maxLen; n++ {
+					if n > 0 {
+						run.Update(ct[n-1 : n])
 					}
-					mac := NewMAC(&otk)
-					p := FusedXORMAC(&key, &nonce, ctr, dst[:n], in[:n], &mac, nil, enc)
-					if p < n/BlockSize*BlockSize || p > n {
-						t.Fatalf("FusedXORMAC ctr=%#x n=%d enc=%v: processed %d", ctr, n, enc, p)
-					}
-					ref := NewMAC(&otk)
-					ref.Update(ct[:p])
+					ref := run
 					var want [TagSize]byte
 					ref.Sum(want[:])
-					if !bytes.Equal(dst[:p], out[:p]) || !mac.Verify(want[:]) {
-						t.Fatalf("FusedXORMAC ctr=%#x n=%d enc=%v: wrong output or tag over its %d bytes", ctr, n, enc, p)
+					copy(buf, src[:n])
+					sealInPlace := (off+n)%2 == 0
+					sealed, opened := dst[:n], dst[:n]
+					if sealInPlace {
+						sealed = buf[:n]
+					}
+					seal, open := NewMAC(&otk), NewMAC(&otk)
+					xorWide(&key, &nonce, ctr, skip, sealed, buf[:n], &seal, nil, true)
+					if !bytes.Equal(sealed, ct[:n]) || !seal.Verify(want[:]) {
+						t.Fatalf("seal ctr=%#x off=%d n=%d in place=%v: wrong ciphertext or tag", first, off, n, sealInPlace)
+					}
+					xorWide(&key, &nonce, ctr, skip, opened, sealed, &open, nil, false)
+					if !bytes.Equal(opened, src[:n]) || !open.Verify(want[:]) {
+						t.Fatalf("open ctr=%#x off=%d n=%d in place=%v: wrong plaintext or tag", first, off, n, !sealInPlace)
 					}
 				}
+			}
+		}
+	})
+}
+
+// A MAC'd run that starts mid-block takes its head from a block of its
+// own, so that every chunk after it starts on a block boundary: a
+// fragment laid out as SuiteAEAD lays them out, 1 008 bytes at skip 48,
+// 32 or 16, is calls of 1, 8 and 8 blocks and not 8, 8 and 1. Sealed
+// through a chain, what the chain is left to fold shows which: the
+// whole last call's bytes, not a one-block tail.
+func TestMidBlockHeadIsPeeled(t *testing.T) {
+	key := ExpandKey(0x9EE1)
+	var nonce [NonceSize]byte
+	var otk [KeySize]byte
+	buf := make([]byte, 1008)
+	for _, skip := range []int{16, 32, 48} {
+		mac := NewMAC(&otk)
+		var ch Chain
+		xorWide(&key, &nonce, 1, skip, buf, buf, &mac, &ch, true)
+		if want := len(buf) - (BlockSize - skip) - wideSize; ch.held != want {
+			t.Errorf("skip=%d: the chain holds %d bytes, want the %d of the last call", skip, ch.held, want)
+		}
+	}
+}
+
+// keystream is the one place that picks the kernel or Block, and the
+// pick shows: the kernel refuses a message that is not whole Poly1305
+// blocks, which MAC.Update takes. So an 8-byte message panics exactly
+// when the kernel runs — from wideMin blocks up on the wide path, and
+// never on the scalar one.
+func TestKeystreamPicksKernel(t *testing.T) {
+	bothPaths(t, func(t *testing.T) {
+		key := ExpandKey(1)
+		var nonce [NonceSize]byte
+		var ks [wideSize]byte
+		var mac MAC
+		for nb := 1; nb <= wideBlocks; nb++ {
+			ran := func() (panicked bool) {
+				defer func() { panicked = recover() != nil }()
+				keystream(&key, &nonce, 0, &ks, nb, &mac, make([]byte, 8))
+				return false
+			}()
+			if want := haveWide && nb >= wideMin; ran != want {
+				t.Fatalf("nb=%d: the kernel ran = %v, want %v", nb, ran, want)
 			}
 		}
 	})

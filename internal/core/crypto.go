@@ -176,7 +176,7 @@ var suites = [...]suiteOps{
 }
 
 // ChaCha20 block-counter domains. The payload keystream for an ADU
-// starts at counter 1 (aeadOff in internal/ilp), growing upward by one
+// starts at counter 1 (cipher.XORKeyStreamMAC), growing upward by one
 // per 64 bytes; the one-time Poly1305 tag keys live in two high ranges
 // indexed by fragment offset so no counter is ever used for both
 // keystream and tag-key material:

@@ -1,17 +1,15 @@
 package ilp
 
-import (
-	"encoding/binary"
-
-	"repro/internal/cipher"
-)
+import "repro/internal/cipher"
 
 // This file holds the AEAD tier of the integrated-layer-processing
-// kernels: real ChaCha20 keystream generation, the layer-boundary copy,
-// and Poly1305 accumulation fused into one loop over the payload. The
-// ChaCha20 block counter is derived from the byte offset, so — like the
-// scramble.WordAt kernels above — any 8-byte-aligned fragment offset is
-// its own synchronization point and fragments can be processed out of
+// kernels: ChaCha20 keystream generation, the layer-boundary copy, and
+// Poly1305 accumulation fused into one pass over the payload. That pass
+// is cipher.XORKeyStreamMAC, the one keystream loop every AEAD byte
+// crosses on every build, and the kernels here are its entry points.
+// The keystream is addressed by byte offset, so — like the
+// scramble.WordAt kernels — any 8-byte-aligned fragment offset is its
+// own synchronization point and fragments can be processed out of
 // order. The Poly1305 tag replaces the Internet checksum as the
 // integrity pass when the AEAD suite is on: integrity is still checked
 // in the same single pass that moves the bytes, which is the paper's §6
@@ -19,43 +17,33 @@ import (
 //
 // The Staged* variants are the layered contrast (A1 ablation): the same
 // primitives, but one full memory pass per layer — copy across the
-// layer boundary, then encrypt, then MAC. In pure Go each pass alone is
-// latency-bound (ChaCha20 on the ALU ports, Poly1305 on the multiplier)
-// and they serialize, while the fused loop lets the out-of-order core
-// overlap the Poly1305 multiply chain of one block with the ChaCha20
-// rounds of the next. With the AVX2 kernel the same holds one level up:
-// the fused loop has each call fold a chunk of ciphertext on the
-// integer ports while it makes keystream on the vector ports, and the
-// staged one, which reaches the kernel through cipher.XORKeyStream,
-// pays for its Poly1305 pass in Go (EXPERIMENTS C1).
+// layer boundary, then encrypt, then MAC. With the AVX2 kernel the
+// fused pass has each call fold a chunk of ciphertext on the integer
+// ports while it makes keystream on the vector ports, and the staged
+// one pays for its Poly1305 pass in Go after the keystream. In pure Go
+// both make the keystream with cipher.Block and fold with MAC.Update,
+// so there the two differ by schedule — one pass over the bytes or
+// three — and not by kernel (EXPERIMENTS C1).
 
-// aeadOff converts a byte offset into a (block counter, intra-block
-// skip) pair for the payload keystream, which starts at block counter 1
-// (counter 0 and the high-counter ranges are reserved for one-time MAC
-// keys — see internal/core).
-func aeadOff(off int) (uint32, int) {
+// aeadOff returns off after checking the precondition every ilp kernel
+// keyed by a stream offset shares: a multiple of 8, so that a fragment
+// starts on a word of the stream. Where off falls in the keystream is
+// cipher.XORKeyStreamMAC's to say.
+func aeadOff(off int) int {
 	if off%8 != 0 {
 		panic("ilp: AEAD kernel offset must be 8-byte aligned")
 	}
-	return uint32(1 + off/cipher.BlockSize), off % cipher.BlockSize
+	return off
 }
 
 // FusedEncryptCopyMAC reads plaintext from src, writes ciphertext into
-// dst, and accumulates the ciphertext into mac, in one pass. From the
-// first block boundary on that is cipher.FusedXORMAC. In pure Go it
-// runs two interleaved block states and feeds the ciphertext words to
-// the Poly1305 accumulator while they are still in registers; where the
-// AVX2 kernel runs it takes the keystream eight blocks at a time into a
-// 512-byte stack buffer, XORs those 512 bytes, and has the next call
-// fold them into the MAC while it makes its own keystream. What is left
-// (a head that starts mid-block, a tail FusedXORMAC did not take, a MAC
-// that is not at a 16-byte boundary) goes block by block through a
-// 64-byte stack buffer. off is the byte offset of src within the ADU
-// keystream (multiple of 8). mac may be nil, in which case the kernel
-// is encrypt+copy only, which is cipher.XORKeyStream. len(dst) must be
-// >= len(src); it returns len(src).
+// dst, and accumulates the ciphertext into mac, in one pass. off is the
+// byte offset of src within the ADU keystream (multiple of 8). mac may
+// be nil, in which case the kernel is encrypt+copy only, which is
+// cipher.XORKeyStream. len(dst) must be >= len(src); it returns
+// len(src).
 func FusedEncryptCopyMAC(dst, src []byte, key *cipher.Key, nonce *[cipher.NonceSize]byte, off int, mac *cipher.MAC) int {
-	return encryptCopyMAC(dst, src, key, nonce, off, mac, nil)
+	return cipher.XORKeyStreamMAC(key, nonce, aeadOff(off), dst[:len(src)], src, mac, nil, true)
 }
 
 // FusedSeal is FusedEncryptCopyMAC that also finishes the tag, into
@@ -65,51 +53,15 @@ func FusedEncryptCopyMAC(dst, src []byte, key *cipher.Key, nonce *[cipher.NonceS
 // then: a run of fragments sealed through one chain is finished by
 // ch.Flush, before any of their tags is read. mac must not be nil.
 func FusedSeal(dst, src []byte, key *cipher.Key, nonce *[cipher.NonceSize]byte, off int, mac *cipher.MAC, ch *cipher.Chain) int {
-	n := encryptCopyMAC(dst, src, key, nonce, off, mac, ch)
+	n := cipher.XORKeyStreamMAC(key, nonce, aeadOff(off), dst[:len(src)], src, mac, ch, true)
 	ch.Sum(mac, dst[:n], dst[n:n+cipher.TagSize])
-	return n
-}
-
-func encryptCopyMAC(dst, src []byte, key *cipher.Key, nonce *[cipher.NonceSize]byte, off int, mac *cipher.MAC, ch *cipher.Chain) int {
-	ctr, skip := aeadOff(off)
-	n := len(src)
-	if mac == nil {
-		return cipher.XORKeyStream(key, nonce, off, dst[:n], src)
-	}
-	var ks [cipher.BlockSize]byte
-	i := 0
-	for i < n {
-		if skip == 0 && mac.Aligned() && n-i >= cipher.BlockSize {
-			p := cipher.FusedXORMAC(key, nonce, ctr, dst[i:n], src[i:n], mac, ch, true)
-			ctr += uint32(p / cipher.BlockSize)
-			skip = p % cipher.BlockSize
-			i += p
-			continue
-		}
-		cipher.Block(key, nonce, ctr, &ks)
-		ctr++
-		m := cipher.BlockSize - skip
-		if m > n-i {
-			m = n - i
-		}
-		j := 0
-		for ; m-j >= 8; j += 8 {
-			w := binary.LittleEndian.Uint64(src[i+j:]) ^ binary.LittleEndian.Uint64(ks[skip+j:])
-			binary.LittleEndian.PutUint64(dst[i+j:], w)
-		}
-		for ; j < m; j++ {
-			dst[i+j] = src[i+j] ^ ks[skip+j]
-		}
-		mac.Update(dst[i : i+m])
-		i += m
-		skip = 0
-	}
 	return n
 }
 
 // FusedDecryptCopyVerify is the receive-side mirror: it reads
 // ciphertext from src, accumulates the ciphertext into mac, and writes
-// plaintext into dst, in one pass. The caller finalizes mac against the
+// plaintext into dst, in one pass. The ciphertext is absorbed before it
+// is deciphered, so dst may be src. The caller finalizes mac against the
 // fragment's tag (MAC.Verify) and must discard the fragment range if it
 // fails — the plaintext has already been placed, which is safe as long
 // as the range is only accounted as received on success. mac may be nil
@@ -117,42 +69,7 @@ func encryptCopyMAC(dst, src []byte, key *cipher.Key, nonce *[cipher.NonceSize]b
 // are authenticated transitively by the parity tag and the surviving
 // fragments' tags). len(dst) must be >= len(src); returns len(src).
 func FusedDecryptCopyVerify(dst, src []byte, key *cipher.Key, nonce *[cipher.NonceSize]byte, off int, mac *cipher.MAC) int {
-	ctr, skip := aeadOff(off)
-	n := len(src)
-	if mac == nil {
-		return cipher.XORKeyStream(key, nonce, off, dst[:n], src)
-	}
-	var ks [cipher.BlockSize]byte
-	i := 0
-	for i < n {
-		if skip == 0 && mac.Aligned() && n-i >= cipher.BlockSize {
-			p := cipher.FusedXORMAC(key, nonce, ctr, dst[i:n], src[i:n], mac, nil, false)
-			ctr += uint32(p / cipher.BlockSize)
-			skip = p % cipher.BlockSize
-			i += p
-			continue
-		}
-		cipher.Block(key, nonce, ctr, &ks)
-		ctr++
-		m := cipher.BlockSize - skip
-		if m > n-i {
-			m = n - i
-		}
-		// The ciphertext is absorbed before it is deciphered, so dst
-		// may be src.
-		mac.Update(src[i : i+m])
-		j := 0
-		for ; m-j >= 8; j += 8 {
-			w := binary.LittleEndian.Uint64(src[i+j:]) ^ binary.LittleEndian.Uint64(ks[skip+j:])
-			binary.LittleEndian.PutUint64(dst[i+j:], w)
-		}
-		for ; j < m; j++ {
-			dst[i+j] = src[i+j] ^ ks[skip+j]
-		}
-		i += m
-		skip = 0
-	}
-	return n
+	return cipher.XORKeyStreamMAC(key, nonce, aeadOff(off), dst[:len(src)], src, mac, nil, false)
 }
 
 // StagedEncryptCopyMAC performs the same transformation as

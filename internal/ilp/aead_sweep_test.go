@@ -9,10 +9,10 @@ import (
 
 // The AEAD kernels against the primitives they are made of: one
 // keystream built by scalar cipher.Block, one Poly1305 fed by
-// MAC.Update, and nothing else. Whatever a kernel does inside — two
-// interleaved block states, eight blocks from one assembly call, a head
-// that starts mid-block, a tail that ends mid-lane — the ciphertext is
-// src XOR that keystream and the tag is that MAC over the ciphertext.
+// MAC.Update, and nothing else. Whatever a kernel does inside — eight
+// blocks from one assembly call, a head that starts mid-block, a tail
+// that ends mid-lane — the ciphertext is src XOR that keystream and the
+// tag is that MAC over the ciphertext.
 
 const (
 	sweepMaxOff = 4096
@@ -122,8 +122,8 @@ func TestAEADKernelSweep(t *testing.T) {
 
 // A MAC that is not at a 16-byte boundary when the kernel starts (the
 // caller absorbed a header first) must still come out as Update would
-// have left it: the word-fed fast paths are closed to it, the result is
-// not.
+// have left it: the kernel cannot fold whole blocks into it, and every
+// byte goes through MAC.Update instead.
 func TestAEADKernelUnalignedMAC(t *testing.T) {
 	key, nonce := testAEADKey()
 	ks := sweepStream(&key, &nonce)
