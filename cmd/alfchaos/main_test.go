@@ -1,0 +1,62 @@
+package main
+
+import (
+	"bytes"
+	"flag"
+	"os"
+	"os/exec"
+	"path/filepath"
+	"testing"
+)
+
+var update = flag.Bool("update", false, "rewrite golden files")
+
+// TestMain lets a test run the command itself: with ALFCHAOS_MAIN set,
+// the test binary is alfchaos, flags, output and exit status and all.
+func TestMain(m *testing.M) {
+	if os.Getenv("ALFCHAOS_MAIN") != "" {
+		main()
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
+
+// TestGolden pins the three seeded soak families' summaries, verdicts
+// included: each must exit 0 and print exactly what it printed before.
+// Regenerate deliberately with `go test ./cmd/alfchaos -update`.
+func TestGolden(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		args []string
+	}{
+		{"all", []string{"-all"}},
+		{"overload_all", []string{"-overload", "-all"}},
+		{"dtn_all", []string{"-dtn", "-all"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cmd := exec.Command(os.Args[0], tc.args...)
+			cmd.Env = append(os.Environ(), "ALFCHAOS_MAIN=1")
+			got, err := cmd.Output()
+			if err != nil {
+				t.Fatalf("alfchaos %v: %v\n%s", tc.args, err, got)
+			}
+			path := filepath.Join("testdata", tc.name+".golden")
+			if *update {
+				if err := os.MkdirAll("testdata", 0o755); err != nil {
+					t.Fatal(err)
+				}
+				if err := os.WriteFile(path, got, 0o644); err != nil {
+					t.Fatal(err)
+				}
+				return
+			}
+			want, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatalf("%v (run `go test ./cmd/alfchaos -update` to create)", err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Errorf("output differs from %s:\n--- got ---\n%s\n--- want ---\n%s", path, got, want)
+			}
+		})
+	}
+}
