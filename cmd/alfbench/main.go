@@ -293,8 +293,9 @@ func (r *runner) f1() error {
 }
 
 func (r *runner) f2() error {
-	pts, err := experiments.RunF2Sweep(experiments.F2Config{Seed: r.seed},
-		[]float64{0, 0.5, 1, 2, 5, 10})
+	cfg := experiments.F2Config{Seed: r.seed}
+	pts, err := experiments.Sweep([]float64{0, 0.5, 1, 2, 5, 10},
+		func(loss float64) (experiments.F2Point, error) { return experiments.RunF2(cfg, loss) })
 	if err != nil {
 		return err
 	}
@@ -310,8 +311,9 @@ func (r *runner) f2() error {
 }
 
 func (r *runner) f3() error {
-	pts, err := experiments.RunF3Sweep(experiments.F3Config{Seed: r.seed},
-		[]int{64, 256, 1024, 4 << 10, 16 << 10, 64 << 10, 256 << 10})
+	cfg := experiments.F3Config{Seed: r.seed}
+	pts, err := experiments.Sweep([]int{64, 256, 1024, 4 << 10, 16 << 10, 64 << 10, 256 << 10},
+		func(size int) (experiments.F3Point, error) { return experiments.RunF3(cfg, size) })
 	if err != nil {
 		return err
 	}
@@ -327,8 +329,9 @@ func (r *runner) f3() error {
 }
 
 func (r *runner) f4() error {
-	pts, err := experiments.RunF4Sweep(experiments.F4Config{Seed: r.seed},
-		[]float64{0, 0.1, 0.5, 1, 2})
+	cfg := experiments.F4Config{Seed: r.seed}
+	pts, err := experiments.Sweep([]float64{0, 0.1, 0.5, 1, 2},
+		func(loss float64) (experiments.F4Point, error) { return experiments.RunF4(cfg, loss) })
 	if err != nil {
 		return err
 	}
@@ -355,8 +358,9 @@ func (r *runner) f5() error {
 }
 
 func (r *runner) f6() error {
-	pts, err := experiments.RunF6Sweep(experiments.F6Config{Seed: r.seed},
-		[]int{1, 2, 4, 8})
+	cfg := experiments.F6Config{Seed: r.seed}
+	pts, err := experiments.Sweep([]int{1, 2, 4, 8},
+		func(workers int) (experiments.F6Point, error) { return experiments.RunF6(cfg, workers) })
 	if err != nil {
 		return err
 	}
@@ -370,8 +374,9 @@ func (r *runner) f6() error {
 }
 
 func (r *runner) f7() error {
-	pts, err := experiments.RunF7Sweep(experiments.F7Config{Seed: r.seed},
-		[]float64{0, 1, 3, 5, 10})
+	cfg := experiments.F7Config{Seed: r.seed}
+	pts, err := experiments.Sweep([]float64{0, 1, 3, 5, 10},
+		func(loss float64) (experiments.F7Point, error) { return experiments.RunF7(cfg, loss) })
 	if err != nil {
 		return err
 	}
@@ -388,7 +393,9 @@ func (r *runner) f7() error {
 }
 
 func (r *runner) f8() error {
-	pts, err := experiments.RunF8All(experiments.F8Config{Seed: r.seed})
+	cfg := experiments.F8Config{Seed: r.seed}
+	pts, err := experiments.Sweep(experiments.F8Policies,
+		func(pol alf.Policy) (experiments.F8Point, error) { return experiments.RunF8(cfg, pol) })
 	if err != nil {
 		return err
 	}
@@ -400,15 +407,16 @@ func (r *runner) f8() error {
 	}
 	r.emit("F8: the three loss-recovery options (§5)",
 		"buffering by the sender transport, recomputation by the sending application, or proceeding without retransmission — all expressible, with their distinct costs", t)
-	_ = alf.SenderBuffered
 	return nil
 }
 
 func (r *runner) f9() error {
 	t := stats.NewTable("loss %", "mode", "delivered %", "goodput Mb/s",
 		"mean latency", "p95 latency", "wire overhead x", "resends", "FEC recovered")
+	cfg := experiments.F9Config{Seed: r.seed}
 	for _, loss := range []float64{0.5, 3, 8} {
-		pts, err := experiments.RunF9Sweep(experiments.F9Config{Seed: r.seed}, loss)
+		pts, err := experiments.Sweep(experiments.F9Modes,
+			func(mode string) (experiments.F9Point, error) { return experiments.RunF9(cfg, loss, mode) })
 		if err != nil {
 			return err
 		}

@@ -213,16 +213,10 @@ func runScenario(reg *metrics.Registry, rec *telemetry.Recorder) (string, error)
 	if *flagKey != 0 {
 		cfg.Suite = alf.SuiteScramble
 	}
-	snd, err := alf.NewSender(sched, ab.Send, cfg)
+	snd, rcv, err := alf.Connect(sched, alfA, alfB, ab, ba, cfg)
 	if err != nil {
 		return "", err
 	}
-	rcv, err := alf.NewReceiver(sched, ba.Send, cfg)
-	if err != nil {
-		return "", err
-	}
-	alfA.SetHandler(func(p *netsim.Packet) { snd.HandleControl(p.Payload) })
-	alfB.SetHandler(func(p *netsim.Packet) { rcv.HandlePacket(p.Payload) })
 	var alfBytes int64
 	var alfDone sim.Time
 	rcv.OnADU = func(a alf.ADU) {
@@ -253,13 +247,11 @@ func runScenario(reg *metrics.Registry, rec *telemetry.Recorder) (string, error)
 			ConnID: 1, FastRetransmit: true, SendBuffer: int(total) + 1,
 			Metrics: reg, MetricsLabels: []string{"role=snd"},
 		}
-		conn = otp.New(sched, oab.Send, ocfg)
-		peer := otp.New(sched, oba.Send, otp.Config{
+		var peer *otp.Conn
+		conn, peer = otp.Connect(sched, otpA, otpB, oab, oba, ocfg, otp.Config{
 			ConnID: 1, FastRetransmit: true,
 			Metrics: reg, MetricsLabels: []string{"role=rcv"},
 		})
-		otpA.SetHandler(func(p *netsim.Packet) { conn.HandleSegment(p.Payload) })
-		otpB.SetHandler(func(p *netsim.Packet) { peer.HandleSegment(p.Payload) })
 		peer.OnData = func(p []byte) {
 			otpBytes += int64(len(p))
 			otpDone = sched.Now()

@@ -4,43 +4,11 @@ import (
 	"bytes"
 	"strings"
 	"testing"
-	"time"
 
-	alf "repro/internal/core"
-	"repro/internal/netsim"
 	"repro/internal/session"
 	"repro/internal/sim"
 	"repro/internal/xcode"
 )
-
-func TestLoggerEndToEnd(t *testing.T) {
-	s := sim.NewScheduler()
-	n := netsim.New(s, 1)
-	a := n.NewNode("a")
-	b := n.NewNode("b")
-	ab, ba := n.NewDuplex(a, b, netsim.LinkConfig{Delay: time.Millisecond})
-
-	var buf bytes.Buffer
-	lg := &logger{w: &buf, sched: s}
-	snd, _ := alf.NewSender(s, lg.wrapSend("snd", ab.Send), alf.Config{})
-	rcv, _ := alf.NewReceiver(s, lg.wrapSend("rcv", ba.Send), alf.Config{})
-	a.SetHandler(lg.wrapHandler("snd", func(p *netsim.Packet) { snd.HandleControl(p.Payload) }))
-	b.SetHandler(lg.wrapHandler("rcv", func(p *netsim.Packet) { rcv.HandlePacket(p.Payload) }))
-
-	snd.Send(0, xcode.SyntaxRaw, make([]byte, 100))
-	s.Run()
-
-	out := buf.String()
-	if !strings.Contains(out, "-> snd") || !strings.Contains(out, "<- rcv") {
-		t.Errorf("directions missing:\n%s", out)
-	}
-	if !strings.Contains(out, "DATA") || !strings.Contains(out, "CTRL") {
-		t.Errorf("protocol lines missing:\n%s", out)
-	}
-	if lg.lines == 0 {
-		t.Error("no lines counted")
-	}
-}
 
 func TestLoggerLimit(t *testing.T) {
 	var buf bytes.Buffer

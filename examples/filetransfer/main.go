@@ -64,16 +64,10 @@ func runALF(data []byte) (done sim.Duration, firstBackfill sim.Duration) {
 		NackDelay:    10 * time.Millisecond,
 		NackInterval: 10 * time.Millisecond,
 	}
-	snd, err := alf.NewSender(sched, fwd.Send, cfg)
+	snd, rcv, err := alf.Connect(sched, a, b, fwd, rev, cfg)
 	if err != nil {
 		log.Fatal(err)
 	}
-	rcv, err := alf.NewReceiver(sched, rev.Send, cfg)
-	if err != nil {
-		log.Fatal(err)
-	}
-	a.SetHandler(func(p *netsim.Packet) { snd.HandleControl(p.Payload) })
-	b.SetHandler(func(p *netsim.Packet) { rcv.HandlePacket(p.Payload) })
 
 	chunks := filetx.Plan(data, aduSize)
 	w := filetx.NewWriter(filetx.TotalDst(chunks))
@@ -114,10 +108,7 @@ func runOTP(data []byte) (done sim.Duration, maxStall sim.Duration) {
 		RateBps: 50e6, Delay: 5 * time.Millisecond, LossProb: lossProb,
 	})
 	cfg := otp.Config{MSS: 1024, FastRetransmit: true, SendBuffer: fileSize + (1 << 20)}
-	snd := otp.New(sched, fwd.Send, cfg)
-	rcv := otp.New(sched, rev.Send, cfg)
-	a.SetHandler(func(p *netsim.Packet) { snd.HandleSegment(p.Payload) })
-	b.SetHandler(func(p *netsim.Packet) { rcv.HandleSegment(p.Payload) })
+	snd, rcv := otp.Connect(sched, a, b, fwd, rev, cfg, cfg)
 
 	out := make([]byte, 0, fileSize)
 	var lastProgress sim.Time

@@ -55,16 +55,10 @@ func run(workers int, serial bool) time.Duration {
 	fwd, rev := net.NewDuplex(a, b, netsim.LinkConfig{RateBps: 2e9, Delay: time.Millisecond})
 
 	cfg := alf.Config{MTU: 8192 + alf.HeaderSize, RateBps: 2e9}
-	snd, err := alf.NewSender(sched, fwd.Send, cfg)
+	snd, rcv, err := alf.Connect(sched, a, b, fwd, rev, cfg)
 	if err != nil {
 		log.Fatal(err)
 	}
-	rcv, err := alf.NewReceiver(sched, rev.Send, cfg)
-	if err != nil {
-		log.Fatal(err)
-	}
-	a.SetHandler(func(p *netsim.Packet) { snd.HandleControl(p.Payload) })
-	b.SetHandler(func(p *netsim.Packet) { rcv.HandlePacket(p.Payload) })
 
 	serialBps := 0.0
 	if serial {

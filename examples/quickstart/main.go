@@ -33,21 +33,18 @@ func main() {
 	})
 
 	// An ALF stream: the sender fragments ADUs and retransmits whole
-	// ADUs when the receiver reports them missing.
+	// ADUs when the receiver reports them missing. Connect puts the
+	// two ends on the nodes: data goes src -> dst on fwd, the
+	// receiver's NACKs come back on rev, and each node's handler
+	// feeds its endpoint.
 	cfg := alf.Config{
 		NackDelay:    10 * time.Millisecond,
 		NackInterval: 10 * time.Millisecond,
 	}
-	snd, err := alf.NewSender(sched, fwd.Send, cfg)
+	snd, rcv, err := alf.Connect(sched, src, dst, fwd, rev, cfg)
 	if err != nil {
 		log.Fatal(err)
 	}
-	rcv, err := alf.NewReceiver(sched, rev.Send, cfg)
-	if err != nil {
-		log.Fatal(err)
-	}
-	src.SetHandler(func(p *netsim.Packet) { snd.HandleControl(p.Payload) })
-	dst.SetHandler(func(p *netsim.Packet) { rcv.HandlePacket(p.Payload) })
 
 	// Deliveries arrive as complete ADUs, possibly out of order — the
 	// application decides what the names and tags mean.

@@ -32,16 +32,10 @@ func main() {
 		HoldTime:     150 * time.Millisecond,
 		NackInterval: 20 * time.Millisecond,
 	}
-	snd, err := alf.NewSender(sched, fwd.Send, cfg)
+	snd, rcv, err := alf.Connect(sched, a, b, fwd, rev, cfg)
 	if err != nil {
 		log.Fatal(err)
 	}
-	rcv, err := alf.NewReceiver(sched, rev.Send, cfg)
-	if err != nil {
-		log.Fatal(err)
-	}
-	a.SetHandler(func(p *netsim.Packet) { snd.HandleControl(p.Payload) })
-	b.SetHandler(func(p *netsim.Packet) { rcv.HandlePacket(p.Payload) })
 
 	vcfg := video.SourceConfig{FPS: 30, SlicesPerFrame: 8, SliceBytes: 1200}
 	source := video.NewSource(sched, snd, vcfg)

@@ -3,59 +3,8 @@ package alf
 import (
 	"testing"
 
-	"repro/internal/buf"
 	"repro/internal/cipher"
-	"repro/internal/netsim"
-	"repro/internal/sim"
-	"repro/internal/xcode"
 )
-
-// benchSteadyStateSuite is BenchmarkSendSteadyState with a configurable
-// cipher suite: the full datapath (fragment, two-hop forward,
-// reassemble, deliver) with the crypto plane on, so the suite overhead
-// is measured in situ rather than in a kernel microbenchmark.
-func benchSteadyStateSuite(b *testing.B, cfg Config) {
-	s := sim.NewScheduler()
-	n := netsim.New(s, 1)
-	src := n.NewNode("src")
-	rtr := n.NewRouter("rtr")
-	dst := n.NewNode("dst")
-	sl, _ := n.NewDuplex(src, rtr.Node, netsim.LinkConfig{})
-	rd, _ := n.NewDuplex(rtr.Node, dst, netsim.LinkConfig{})
-	rtr.AddRoute(dst, rd)
-
-	cfg.Policy = NoRetransmit
-	snd, err := NewSender(s, func(p []byte) error { return netsim.SendVia(sl, dst, p) }, cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	snd.SendRef = func(ref *buf.Ref) error { return netsim.SendRefVia(sl, dst, ref) }
-	rcv, err := NewReceiver(s, nil, cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	delivered := 0
-	rcv.OnADU = func(adu ADU) { delivered++; adu.Release() }
-	dst.SetHandler(func(p *netsim.Packet) { _ = rcv.HandlePacket(p.Payload) })
-
-	data := make([]byte, benchADUBytes)
-	for i := range data {
-		data[i] = byte(i)
-	}
-	b.SetBytes(benchADUBytes)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := snd.Send(uint64(i), xcode.SyntaxRaw, data); err != nil {
-			b.Fatal(err)
-		}
-		_ = s.RunUntil(s.Now())
-	}
-	b.StopTimer()
-	if delivered != b.N {
-		b.Fatalf("delivered %d of %d", delivered, b.N)
-	}
-}
 
 // BenchmarkSendSteadyStateAEAD: ChaCha20-Poly1305 on, fused kernels,
 // per-fragment tags end to end.

@@ -137,15 +137,6 @@ func TestAEADCorruptionDroppedAndRecovered(t *testing.T) {
 	}
 }
 
-// reinstallReceiver replaces the b-side packet handler of a pair. The
-// netsim node handler receives packets; tests use this to interpose
-// corruption or drops between the link and the receiver.
-func reinstallReceiver(p *pair, h func([]byte)) {
-	// newPair wired b.SetHandler -> rcv.HandlePacket. The node is not
-	// retained on the pair, so route through the data link's endpoint.
-	p.ab.To().SetHandler(func(pk *netsim.Packet) { h(pk.Payload) })
-}
-
 // TestAEADTamperedTagRejected flips a bit in the tag instead of the
 // ciphertext; same rejection path.
 func TestAEADTamperedTagRejected(t *testing.T) {
@@ -354,50 +345,8 @@ func TestSendSteadyStateAEADZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race detector instrumentation allocates")
 	}
-	s := sim.NewScheduler()
-	n := netsim.New(s, 1)
-	src := n.NewNode("src")
-	rtr := n.NewRouter("rtr")
-	dst := n.NewNode("dst")
-	sl, _ := n.NewDuplex(src, rtr.Node, netsim.LinkConfig{})
-	rd, _ := n.NewDuplex(rtr.Node, dst, netsim.LinkConfig{})
-	rtr.AddRoute(dst, rd)
-
-	cfg := aeadCfg()
-	cfg.Policy = NoRetransmit
-	snd, err := NewSender(s, func(p []byte) error { return netsim.SendVia(sl, dst, p) }, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	snd.SendRef = func(ref *buf.Ref) error { return netsim.SendRefVia(sl, dst, ref) }
-	rcv, err := NewReceiver(s, nil, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	delivered := 0
-	rcv.OnADU = func(adu ADU) { delivered++; adu.Release() }
-	dst.SetHandler(func(p *netsim.Packet) { _ = rcv.HandlePacket(p.Payload) })
-
-	data := make([]byte, benchADUBytes)
-	for i := range data {
-		data[i] = byte(i)
-	}
-	name := uint64(0)
-	send := func() {
-		if _, err := snd.Send(name, xcode.SyntaxRaw, data); err != nil {
-			t.Fatal(err)
-		}
-		name++
-		_ = s.RunUntil(s.Now())
-	}
-	for i := 0; i < 8; i++ {
-		send()
-	}
-	if allocs := testing.AllocsPerRun(100, send); allocs != 0 {
+	if allocs := steadyStateAllocs(t, aeadCfg()); allocs != 0 {
 		t.Fatalf("AEAD steady-state datapath allocates %v allocs/op, want 0", allocs)
-	}
-	if delivered != int(name) {
-		t.Fatalf("delivered %d of %d", delivered, name)
 	}
 }
 

@@ -13,11 +13,12 @@ import (
 	"repro/internal/xcode"
 )
 
-// pair wires an ALF sender and receiver across a duplex netsim link:
-// data flows a->b, control flows b->a.
+// pair is an ALF stream put on netsim by Connect: data flows a->b,
+// control flows b->a. ab and ba are the first hops.
 type pair struct {
 	sched *sim.Scheduler
 	net   *netsim.Network
+	a, b  *netsim.Node
 	ab    *netsim.Link
 	ba    *netsim.Link
 	snd   *Sender
@@ -26,29 +27,50 @@ type pair struct {
 	lost  []uint64
 }
 
-func newPair(t *testing.T, linkCfg netsim.LinkConfig, cfg Config, seed int64) *pair {
+// newPair connects a stream across one duplex link.
+func newPair(t testing.TB, linkCfg netsim.LinkConfig, cfg Config, seed int64) *pair {
 	t.Helper()
-	s := sim.NewScheduler()
-	n := netsim.New(s, seed)
-	a := n.NewNode("a")
-	b := n.NewNode("b")
-	ab, ba := n.NewDuplex(a, b, linkCfg)
+	p := &pair{sched: sim.NewScheduler()}
+	p.net = netsim.New(p.sched, seed)
+	p.a, p.b = p.net.NewNode("a"), p.net.NewNode("b")
+	p.ab, p.ba = p.net.NewDuplex(p.a, p.b, linkCfg)
+	return p.connect(t, cfg)
+}
 
-	p := &pair{sched: s, net: n, ab: ab, ba: ba}
+// newRoutedPair connects a stream across a router, a -> r -> b and
+// back; the router forwards by reference, so the path copies no data.
+func newRoutedPair(t testing.TB, linkCfg netsim.LinkConfig, cfg Config, seed int64) *pair {
+	t.Helper()
+	p := &pair{sched: sim.NewScheduler()}
+	p.net = netsim.New(p.sched, seed)
+	p.a, p.b = p.net.NewNode("a"), p.net.NewNode("b")
+	r := p.net.NewRouter("r")
+	var ra, rb *netsim.Link
+	p.ab, ra = p.net.NewDuplex(p.a, r.Node, linkCfg)
+	rb, p.ba = p.net.NewDuplex(r.Node, p.b, linkCfg)
+	r.AddRoute(p.b, rb)
+	r.AddRoute(p.a, ra)
+	return p.connect(t, cfg)
+}
+
+func (p *pair) connect(t testing.TB, cfg Config) *pair {
+	t.Helper()
 	var err error
-	p.snd, err = NewSender(s, ab.Send, cfg)
-	if err != nil {
+	if p.snd, p.rcv, err = Connect(p.sched, p.a, p.b, p.ab, p.ba, cfg); err != nil {
 		t.Fatal(err)
 	}
-	p.rcv, err = NewReceiver(s, ba.Send, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a.SetHandler(func(pk *netsim.Packet) { p.snd.HandleControl(pk.Payload) })
-	b.SetHandler(func(pk *netsim.Packet) { p.rcv.HandlePacket(pk.Payload) })
 	p.rcv.OnADU = func(a ADU) { p.adus = append(p.adus, a) }
 	p.rcv.OnLost = func(name uint64) { p.lost = append(p.lost, name) }
 	return p
+}
+
+// reinstallReceiver replaces the b-side packet handler of a pair;
+// tests use it to interpose corruption or drops between the link and
+// the receiver. The hook gets a copy: a data packet's payload is the
+// sender's retained buffer, which nothing on the path may write to (a
+// resend re-emits it).
+func reinstallReceiver(p *pair, h func([]byte)) {
+	p.b.SetHandler(func(pk *netsim.Packet) { h(append([]byte(nil), pk.Payload...)) })
 }
 
 func payload(n int, fill byte) []byte {
@@ -168,30 +190,21 @@ func TestOutOfOrderDeliveryUnderLoss(t *testing.T) {
 func TestLossOfFragmentLosesWholeADUOnly(t *testing.T) {
 	// Drop one specific fragment of ADU 5; ADUs 0-4 and 6-9 must be
 	// delivered before recovery completes ADU 5.
-	s := sim.NewScheduler()
-	n := netsim.New(s, 1)
-	a := n.NewNode("a")
-	b := n.NewNode("b")
-	ab, ba := n.NewDuplex(a, b, netsim.LinkConfig{Delay: time.Millisecond})
-
 	cfg := Config{MTU: 256 + HeaderSize, NackDelay: 10 * time.Millisecond,
 		NackInterval: 10 * time.Millisecond}
+	p := newPair(t, netsim.LinkConfig{Delay: time.Millisecond}, cfg, 1)
+	s, snd, rcv := p.sched, p.snd, p.rcv
 	dropOne := true
-	var snd *Sender
-	send := func(pkt []byte) error {
+	reinstallReceiver(p, func(pkt []byte) {
 		if dropOne && wire.TypeOf(pkt) == wire.TypeData {
 			h, err := wire.ParseHeader(pkt)
 			if err == nil && h.Name == 5 && h.FragOff == 256 {
 				dropOne = false
-				return nil
+				return
 			}
 		}
-		return ab.Send(pkt)
-	}
-	snd, _ = NewSender(s, send, cfg)
-	rcv, _ := NewReceiver(s, ba.Send, cfg)
-	a.SetHandler(func(pk *netsim.Packet) { snd.HandleControl(pk.Payload) })
-	b.SetHandler(func(pk *netsim.Packet) { rcv.HandlePacket(pk.Payload) })
+		rcv.HandlePacket(pkt)
+	})
 
 	type ev struct {
 		name uint64
@@ -471,22 +484,28 @@ func TestStreamDemux(t *testing.T) {
 
 	mk := func(id byte) (*Sender, *Receiver, *[]ADU) {
 		cfg := Config{StreamID: id}
-		snd, _ := NewSender(s, ab.Send, cfg)
-		rcv, _ := NewReceiver(s, ba.Send, cfg)
+		snd, rcv, _ := Connect(s, a, b, ab, ba, cfg)
 		var got []ADU
 		rcv.OnADU = func(adu ADU) { got = append(got, adu) }
 		return snd, rcv, &got
 	}
 	s1, r1, g1 := mk(1)
 	s2, r2, g2 := mk(2)
+	// Both streams share the nodes, so the handlers Connect set give
+	// way to ones that offer each frame to the endpoints in turn until
+	// one does not answer ErrWrongStream.
 	a.SetHandler(func(pk *netsim.Packet) {
-		if s1.HandleControl(pk.Payload) == ErrWrongStream {
-			s2.HandleControl(pk.Payload)
+		for _, snd := range []*Sender{s1, s2} {
+			if snd.HandleControl(pk.Payload) != ErrWrongStream {
+				return
+			}
 		}
 	})
 	b.SetHandler(func(pk *netsim.Packet) {
-		if r1.HandlePacket(pk.Payload) == ErrWrongStream {
-			r2.HandlePacket(pk.Payload)
+		for _, rcv := range []*Receiver{r1, r2} {
+			if rcv.HandlePacket(pk.Payload) != ErrWrongStream {
+				return
+			}
 		}
 	})
 	s1.Send(0, xcode.SyntaxRaw, payload(100, 0xA))

@@ -19,10 +19,7 @@ func Example() {
 	b := net.NewNode("b")
 	fwd, rev := net.NewDuplex(a, b, netsim.LinkConfig{Delay: time.Millisecond})
 
-	snd, _ := alf.NewSender(sched, fwd.Send, alf.Config{})
-	rcv, _ := alf.NewReceiver(sched, rev.Send, alf.Config{})
-	a.SetHandler(func(p *netsim.Packet) { snd.HandleControl(p.Payload) })
-	b.SetHandler(func(p *netsim.Packet) { rcv.HandlePacket(p.Payload) })
+	snd, rcv, _ := alf.Connect(sched, a, b, fwd, rev, alf.Config{})
 
 	rcv.OnADU = func(adu alf.ADU) {
 		fmt.Printf("ADU %d: tag=%d, %d bytes\n", adu.Name, adu.Tag, len(adu.Data))

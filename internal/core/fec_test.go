@@ -11,45 +11,24 @@ import (
 	"repro/internal/xcode"
 )
 
-// fecRig wires a sender/receiver pair with a programmable drop filter
-// on the data direction.
+// fecRig is a pair with a programmable drop filter on the data
+// direction, applied as the fragments arrive.
 type fecRig struct {
-	sched *sim.Scheduler
-	snd   *Sender
-	rcv   *Receiver
-	adus  []ADU
-	drop  func(h *wire.Header) bool
+	*pair
+	drop func(h *wire.Header) bool
 }
 
 func newFECRig(t *testing.T, cfg Config, linkCfg netsim.LinkConfig, seed int64) *fecRig {
 	t.Helper()
-	s := sim.NewScheduler()
-	n := netsim.New(s, seed)
-	a := n.NewNode("a")
-	b := n.NewNode("b")
-	ab, ba := n.NewDuplex(a, b, linkCfg)
-
-	r := &fecRig{sched: s}
-	send := func(pkt []byte) error {
+	r := &fecRig{pair: newPair(t, linkCfg, cfg, seed)}
+	reinstallReceiver(r.pair, func(pkt []byte) {
 		if r.drop != nil && wire.TypeOf(pkt) == wire.TypeData {
 			if h, err := wire.ParseHeader(pkt); err == nil && r.drop(&h) {
-				return nil
+				return
 			}
 		}
-		return ab.Send(pkt)
-	}
-	var err error
-	r.snd, err = NewSender(s, send, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r.rcv, err = NewReceiver(s, ba.Send, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a.SetHandler(func(p *netsim.Packet) { r.snd.HandleControl(p.Payload) })
-	b.SetHandler(func(p *netsim.Packet) { r.rcv.HandlePacket(p.Payload) })
-	r.rcv.OnADU = func(adu ADU) { r.adus = append(r.adus, adu) }
+		r.rcv.HandlePacket(pkt)
+	})
 	return r
 }
 

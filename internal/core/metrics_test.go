@@ -24,16 +24,10 @@ func TestStatsMatchRegistry(t *testing.T) {
 	})
 
 	cfg := Config{MTU: 256 + HeaderSize, Metrics: reg}
-	snd, err := NewSender(sched, ab.Send, cfg)
+	snd, rcv, err := Connect(sched, a, b, ab, ba, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rcv, err := NewReceiver(sched, ba.Send, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a.SetHandler(func(p *netsim.Packet) { snd.HandleControl(p.Payload) })
-	b.SetHandler(func(p *netsim.Packet) { rcv.HandlePacket(p.Payload) })
 	delivered := 0
 	rcv.OnADU = func(ADU) { delivered++ }
 

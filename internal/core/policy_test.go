@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"repro/internal/netsim"
-	"repro/internal/sim"
 	"repro/internal/wire"
 	"repro/internal/xcode"
 )
@@ -22,38 +21,19 @@ type dropRig struct {
 
 func newDropRig(t *testing.T, cfg Config, always, once map[uint64]bool) *dropRig {
 	t.Helper()
-	s := sim.NewScheduler()
-	n := netsim.New(s, 1)
-	a := n.NewNode("a")
-	b := n.NewNode("b")
-	ab, ba := n.NewDuplex(a, b, netsim.LinkConfig{Delay: time.Millisecond})
-
-	p := &pair{sched: s, net: n, ab: ab, ba: ba}
+	p := newPair(t, netsim.LinkConfig{Delay: time.Millisecond}, cfg, 1)
 	d := &dropRig{pair: p, dropped: map[uint64]int{}}
-	send := func(pkt []byte) error {
+	reinstallReceiver(p, func(pkt []byte) {
 		if wire.TypeOf(pkt) == wire.TypeData {
 			if h, err := wire.ParseHeader(pkt); err == nil {
 				if always[h.Name] || (once[h.Name] && d.dropped[h.Name] == 0) {
 					d.dropped[h.Name]++
-					return nil
+					return
 				}
 			}
 		}
-		return ab.Send(pkt)
-	}
-	var err error
-	p.snd, err = NewSender(s, send, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p.rcv, err = NewReceiver(s, ba.Send, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a.SetHandler(func(pk *netsim.Packet) { p.snd.HandleControl(pk.Payload) })
-	b.SetHandler(func(pk *netsim.Packet) { p.rcv.HandlePacket(pk.Payload) })
-	p.rcv.OnADU = func(adu ADU) { p.adus = append(p.adus, adu) }
-	p.rcv.OnLost = func(name uint64) { p.lost = append(p.lost, name) }
+		p.rcv.HandlePacket(pkt)
+	})
 	return d
 }
 

@@ -56,12 +56,9 @@ type wireFrag struct {
 // reference. A resend re-emits the same buffers (every header field is
 // identical on resend), so retransmission copies nothing.
 type savedADU struct {
-	tag     uint64
 	frags   []wireFrag
 	wireLen int      // ADU payload bytes (BufferedBytes accounting)
 	sentAt  sim.Time // submission time, for the ADUDeadline sweep
-	check   uint16
-	syntax  xcode.SyntaxID
 	class   Priority // Critical resends bypass the recovery cap
 	held    bool     // retained now; false once released, the slot a hole until the window passes it
 }
@@ -421,7 +418,7 @@ func (s *Sender) SendClass(tag uint64, syntax xcode.SyntaxID, data []byte, class
 
 	retain := s.cfg.Policy == SenderBuffered
 	if retain {
-		s.retain(name, savedADU{tag: tag, syntax: syntax, wireLen: len(data), check: ck, sentAt: s.sched.Now(), class: class}, frags)
+		s.retain(name, savedADU{wireLen: len(data), sentAt: s.sched.Now(), class: class}, frags)
 		if s.cfg.ADUDeadline > 0 && !s.retire.Active() {
 			s.retire.Reset(s.cfg.ADUDeadline)
 		}

@@ -20,28 +20,18 @@ const benchADUBytes = 8 << 10
 // delivered. NoRetransmit keeps retention out of the picture; zero
 // delay and zero loss keep every packet on the steady-state path.
 func BenchmarkSendSteadyState(b *testing.B) {
-	s := sim.NewScheduler()
-	n := netsim.New(s, 1)
-	src := n.NewNode("src")
-	rtr := n.NewRouter("rtr")
-	dst := n.NewNode("dst")
-	sl, _ := n.NewDuplex(src, rtr.Node, netsim.LinkConfig{})
-	rd, _ := n.NewDuplex(rtr.Node, dst, netsim.LinkConfig{})
-	rtr.AddRoute(dst, rd)
+	benchSteadyStateSuite(b, Config{})
+}
 
-	snd, err := NewSender(s, func(p []byte) error { return netsim.SendVia(sl, dst, p) },
-		Config{Policy: NoRetransmit})
-	if err != nil {
-		b.Fatal(err)
-	}
-	snd.SendRef = func(ref *buf.Ref) error { return netsim.SendRefVia(sl, dst, ref) }
-	rcv, err := NewReceiver(s, nil, Config{Policy: NoRetransmit})
-	if err != nil {
-		b.Fatal(err)
-	}
+// benchSteadyStateSuite is BenchmarkSendSteadyState with a configurable
+// cipher suite: the full datapath (fragment, two-hop forward,
+// reassemble, deliver) with the crypto plane on, so the suite overhead
+// is measured in situ rather than in a kernel microbenchmark.
+func benchSteadyStateSuite(b *testing.B, cfg Config) {
+	cfg.Policy = NoRetransmit
+	p := newRoutedPair(b, netsim.LinkConfig{}, cfg, 1)
 	delivered := 0
-	rcv.OnADU = func(adu ADU) { delivered++; adu.Release() }
-	dst.SetHandler(func(p *netsim.Packet) { _ = rcv.HandlePacket(p.Payload) })
+	p.rcv.OnADU = func(adu ADU) { delivered++; adu.Release() }
 
 	data := make([]byte, benchADUBytes)
 	for i := range data {
@@ -51,12 +41,12 @@ func BenchmarkSendSteadyState(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := snd.Send(uint64(i), xcode.SyntaxRaw, data); err != nil {
+		if _, err := p.snd.Send(uint64(i), xcode.SyntaxRaw, data); err != nil {
 			b.Fatal(err)
 		}
 		// Zero-delay topology: drain everything scheduled for "now"
 		// without advancing the clock (periodic timers stay pending).
-		_ = s.RunUntil(s.Now())
+		_ = p.sched.RunUntil(p.sched.Now())
 	}
 	b.StopTimer()
 	if delivered != b.N {

@@ -20,28 +20,20 @@ func TestSendSteadyStateZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race detector instrumentation allocates")
 	}
-	s := sim.NewScheduler()
-	n := netsim.New(s, 1)
-	src := n.NewNode("src")
-	rtr := n.NewRouter("rtr")
-	dst := n.NewNode("dst")
-	sl, _ := n.NewDuplex(src, rtr.Node, netsim.LinkConfig{})
-	rd, _ := n.NewDuplex(rtr.Node, dst, netsim.LinkConfig{})
-	rtr.AddRoute(dst, rd)
+	if allocs := steadyStateAllocs(t, Config{}); allocs != 0 {
+		t.Fatalf("steady-state send->forward->deliver allocates %v allocs/op, want 0", allocs)
+	}
+}
 
-	snd, err := NewSender(s, func(p []byte) error { return netsim.SendVia(sl, dst, p) },
-		Config{Policy: NoRetransmit})
-	if err != nil {
-		t.Fatal(err)
-	}
-	snd.SendRef = func(ref *buf.Ref) error { return netsim.SendRefVia(sl, dst, ref) }
-	rcv, err := NewReceiver(s, nil, Config{Policy: NoRetransmit})
-	if err != nil {
-		t.Fatal(err)
-	}
+// steadyStateAllocs warms the two-hop rig of BenchmarkSendSteadyState
+// under cfg (NoRetransmit) and returns the allocations of one more ADU
+// sent, forwarded and delivered.
+func steadyStateAllocs(t *testing.T, cfg Config) float64 {
+	t.Helper()
+	cfg.Policy = NoRetransmit
+	p := newRoutedPair(t, netsim.LinkConfig{}, cfg, 1)
 	delivered := 0
-	rcv.OnADU = func(adu ADU) { delivered++; adu.Release() }
-	dst.SetHandler(func(p *netsim.Packet) { _ = rcv.HandlePacket(p.Payload) })
+	p.rcv.OnADU = func(adu ADU) { delivered++; adu.Release() }
 
 	data := make([]byte, benchADUBytes)
 	for i := range data {
@@ -49,23 +41,22 @@ func TestSendSteadyStateZeroAlloc(t *testing.T) {
 	}
 	name := uint64(0)
 	send := func() {
-		if _, err := snd.Send(name, xcode.SyntaxRaw, data); err != nil {
+		if _, err := p.snd.Send(name, xcode.SyntaxRaw, data); err != nil {
 			t.Fatal(err)
 		}
 		name++
-		_ = s.RunUntil(s.Now())
+		_ = p.sched.RunUntil(p.sched.Now())
 	}
 	// Warm the pools: first ADU provisions buffers, packets, events,
 	// and the receiver's partial struct.
 	for i := 0; i < 8; i++ {
 		send()
 	}
-	if allocs := testing.AllocsPerRun(100, send); allocs != 0 {
-		t.Fatalf("steady-state send->forward->deliver allocates %v allocs/op, want 0", allocs)
-	}
+	allocs := testing.AllocsPerRun(100, send)
 	if delivered != int(name) {
 		t.Fatalf("delivered %d of %d", delivered, name)
 	}
+	return allocs
 }
 
 // TestReceivePathZeroAlloc guards the network-free loopback: the

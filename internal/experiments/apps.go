@@ -71,16 +71,10 @@ func RunF6(cfg F6Config, workers int) (F6Point, error) {
 		b := n.NewNode("b")
 		ab, ba := n.NewDuplex(a, b, netsim.LinkConfig{RateBps: cfg.LinkBps, Delay: time.Millisecond})
 		acfg := alf.Config{MTU: 8192 + alf.HeaderSize, RateBps: cfg.LinkBps}
-		snd, err := alf.NewSender(s, ab.Send, acfg)
+		snd, rcv, err := alf.Connect(s, a, b, ab, ba, acfg)
 		if err != nil {
 			return 0, err
 		}
-		rcv, err := alf.NewReceiver(s, ba.Send, acfg)
-		if err != nil {
-			return 0, err
-		}
-		a.SetHandler(func(pk *netsim.Packet) { snd.HandleControl(pk.Payload) })
-		b.SetHandler(func(pk *netsim.Packet) { rcv.HandlePacket(pk.Payload) })
 
 		serialBps := 0.0
 		if serial {
@@ -122,19 +116,6 @@ func RunF6(cfg F6Config, workers int) (F6Point, error) {
 		p.Speedup = p.SerialMakespan.Seconds() / p.ALFMakespan.Seconds()
 	}
 	return p, nil
-}
-
-// RunF6Sweep runs the worker sweep of the F6 figure.
-func RunF6Sweep(cfg F6Config, workerCounts []int) ([]F6Point, error) {
-	pts := make([]F6Point, 0, len(workerCounts))
-	for _, w := range workerCounts {
-		pt, err := RunF6(cfg, w)
-		if err != nil {
-			return pts, err
-		}
-		pts = append(pts, pt)
-	}
-	return pts, nil
 }
 
 // F7Point is one loss-rate sample of the real-time video experiment:
@@ -217,16 +198,10 @@ func RunF7(cfg F7Config, lossPct float64) (F7Point, error) {
 			HoldTime:     cfg.PlayoutDelay + 100*time.Millisecond,
 			NackInterval: 20 * time.Millisecond,
 		}
-		snd, err := alf.NewSender(s, ab.Send, acfg)
+		snd, rcv, err := alf.Connect(s, a, b, ab, ba, acfg)
 		if err != nil {
 			return p, err
 		}
-		rcv, err := alf.NewReceiver(s, ba.Send, acfg)
-		if err != nil {
-			return p, err
-		}
-		a.SetHandler(func(pk *netsim.Packet) { snd.HandleControl(pk.Payload) })
-		b.SetHandler(func(pk *netsim.Packet) { rcv.HandlePacket(pk.Payload) })
 
 		src := video.NewSource(s, snd, vcfg)
 		sink := video.NewSink(s, 0, cfg.PlayoutDelay, vcfg)
@@ -250,10 +225,7 @@ func RunF7(cfg F7Config, lossPct float64) (F7Point, error) {
 		b := n.NewNode("b")
 		ab, ba := n.NewDuplex(a, b, linkCfg)
 		oc := otp.Config{MSS: 1400, FastRetransmit: true, SendBuffer: 1 << 24}
-		snd := otp.New(s, ab.Send, oc)
-		rcv := otp.New(s, ba.Send, oc)
-		a.SetHandler(func(pk *netsim.Packet) { snd.HandleSegment(pk.Payload) })
-		b.SetHandler(func(pk *netsim.Packet) { rcv.HandleSegment(pk.Payload) })
+		snd, rcv := otp.Connect(s, a, b, ab, ba, oc, oc)
 
 		sink := video.NewSink(s, 0, cfg.PlayoutDelay, vcfg)
 		// Slices arrive as length-prefixed records over the stream; a
@@ -310,19 +282,6 @@ func RunF7(cfg F7Config, lossPct float64) (F7Point, error) {
 		p.OTPRetransmits = snd.Stats.Retransmits
 	}
 	return p, nil
-}
-
-// RunF7Sweep runs the loss sweep of the F7 figure.
-func RunF7Sweep(cfg F7Config, lossPcts []float64) ([]F7Point, error) {
-	pts := make([]F7Point, 0, len(lossPcts))
-	for _, l := range lossPcts {
-		pt, err := RunF7(cfg, l)
-		if err != nil {
-			return pts, err
-		}
-		pts = append(pts, pt)
-	}
-	return pts, nil
 }
 
 // F8Point compares the three §5 recovery policies on the same lossy
@@ -384,16 +343,10 @@ func RunF8(cfg F8Config, policy alf.Policy) (F8Point, error) {
 		HoldTime:     2 * time.Second,
 		RateBps:      cfg.LinkBps,
 	}
-	snd, err := alf.NewSender(s, ab.Send, acfg)
+	snd, rcv, err := alf.Connect(s, a, b, ab, ba, acfg)
 	if err != nil {
 		return p, err
 	}
-	rcv, err := alf.NewReceiver(s, ba.Send, acfg)
-	if err != nil {
-		return p, err
-	}
-	a.SetHandler(func(pk *netsim.Packet) { snd.HandleControl(pk.Payload) })
-	b.SetHandler(func(pk *netsim.Packet) { rcv.HandlePacket(pk.Payload) })
 
 	// The recompute application: regenerates any chunk from its name.
 	mkChunk := func(name uint64, nb int) []byte {
@@ -459,18 +412,9 @@ func RunF8(cfg F8Config, policy alf.Policy) (F8Point, error) {
 	return p, nil
 }
 
-// RunF8All measures all three policies.
-func RunF8All(cfg F8Config) ([]F8Point, error) {
-	var pts []F8Point
-	for _, pol := range []alf.Policy{alf.SenderBuffered, alf.AppRecompute, alf.NoRetransmit} {
-		pt, err := RunF8(cfg, pol)
-		if err != nil {
-			return pts, err
-		}
-		pts = append(pts, pt)
-	}
-	return pts, nil
-}
+// F8Policies are the three policies the F8 table compares, in its
+// row order.
+var F8Policies = []alf.Policy{alf.SenderBuffered, alf.AppRecompute, alf.NoRetransmit}
 
 // A2Point compares in-band (immediate) versus out-of-band (delayed,
 // batched) acknowledgement control in the ordered transport.
@@ -491,10 +435,7 @@ func RunA2(bytes int, ackDelay sim.Duration, seed int64) (A2Point, error) {
 	b := n.NewNode("b")
 	ab, ba := n.NewDuplex(a, b, netsim.LinkConfig{RateBps: 100e6, Delay: 2 * time.Millisecond})
 	oc := otp.Config{AckDelay: ackDelay, SendBuffer: bytes + (1 << 20), SendWindow: 1 << 20, RecvWindow: 1 << 20}
-	snd := otp.New(s, ab.Send, oc)
-	rcv := otp.New(s, ba.Send, oc)
-	a.SetHandler(func(pk *netsim.Packet) { snd.HandleSegment(pk.Payload) })
-	b.SetHandler(func(pk *netsim.Packet) { rcv.HandleSegment(pk.Payload) })
+	snd, rcv := otp.Connect(s, a, b, ab, ba, oc, oc)
 
 	var done sim.Time
 	rcv.OnData = func(d []byte) {

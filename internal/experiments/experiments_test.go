@@ -232,7 +232,8 @@ func TestF7Shape(t *testing.T) {
 }
 
 func TestF8Shape(t *testing.T) {
-	pts, err := RunF8All(F8Config{Bytes: 1 << 20, Seed: 11})
+	cfg := F8Config{Bytes: 1 << 20, Seed: 11}
+	pts, err := Sweep(F8Policies, func(pol alf.Policy) (F8Point, error) { return RunF8(cfg, pol) })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -291,7 +292,7 @@ func TestA2Shape(t *testing.T) {
 
 func TestF9Shape(t *testing.T) {
 	cfg := F9Config{Bytes: 1 << 20, Seed: 15}
-	pts, err := RunF9Sweep(cfg, 3)
+	pts, err := Sweep(F9Modes, func(mode string) (F9Point, error) { return RunF9(cfg, 3, mode) })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -318,7 +319,7 @@ func TestF9Shape(t *testing.T) {
 	// FEC pays a fixed proactive overhead (~1 + 1/group); NACK pays a
 	// reactive one proportional to loss. At low loss NACK is cheaper on
 	// the wire; FEC's constant cost wins on latency.
-	lowPts, err := RunF9Sweep(cfg, 0.5)
+	lowPts, err := Sweep(F9Modes, func(mode string) (F9Point, error) { return RunF9(cfg, 0.5, mode) })
 	if err != nil {
 		t.Fatal(err)
 	}

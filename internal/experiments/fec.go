@@ -61,6 +61,10 @@ func (c *F9Config) fill() {
 	}
 }
 
+// F9Modes are the recovery modes the F9 table compares at each loss
+// rate, in its row order.
+var F9Modes = []string{"none", "nack", "fec", "fec+nack"}
+
 // RunF9 measures one (loss, mode) cell. Modes: "nack" (SenderBuffered,
 // no FEC), "fec" (NoRetransmit with FEC), "fec+nack" (both), "none"
 // (NoRetransmit, no FEC).
@@ -100,16 +104,10 @@ func RunF9(cfg F9Config, lossPct float64, mode string) (F9Point, error) {
 		Delay:    sim.Duration(cfg.DelayMs * float64(time.Millisecond)),
 		LossProb: lossPct / 100,
 	})
-	snd, err := alf.NewSender(s, ab.Send, acfg)
+	snd, rcv, err := alf.Connect(s, a, b, ab, ba, acfg)
 	if err != nil {
 		return p, err
 	}
-	rcv, err := alf.NewReceiver(s, ba.Send, acfg)
-	if err != nil {
-		return p, err
-	}
-	a.SetHandler(func(pk *netsim.Packet) { snd.HandleControl(pk.Payload) })
-	b.SetHandler(func(pk *netsim.Packet) { rcv.HandlePacket(pk.Payload) })
 
 	// Latency is measured from ADU submission to delivery, so the
 	// application submits ADUs paced at the link rate (submitting the
@@ -170,19 +168,6 @@ func RunF9(cfg F9Config, lossPct float64, mode string) (F9Point, error) {
 	return p, nil
 }
 
-// RunF9Sweep runs the standard mode set at one loss rate.
-func RunF9Sweep(cfg F9Config, lossPct float64) ([]F9Point, error) {
-	var pts []F9Point
-	for _, mode := range []string{"none", "nack", "fec", "fec+nack"} {
-		pt, err := RunF9(cfg, lossPct, mode)
-		if err != nil {
-			return pts, err
-		}
-		pts = append(pts, pt)
-	}
-	return pts, nil
-}
-
 // A3Point compares FEC effectiveness under independent loss versus
 // bursty (Gilbert–Elliott) loss at roughly the same average rate. XOR
 // parity recovers only single losses per group, so loss correlation is
@@ -228,16 +213,10 @@ func RunA3(cfg F9Config, burst bool, seed int64) (A3Point, error) {
 	a := n.NewNode("a")
 	b := n.NewNode("b")
 	ab, ba := n.NewDuplex(a, b, linkCfg)
-	snd, err := alf.NewSender(s, ab.Send, acfg)
+	snd, rcv, err := alf.Connect(s, a, b, ab, ba, acfg)
 	if err != nil {
 		return p, err
 	}
-	rcv, err := alf.NewReceiver(s, ba.Send, acfg)
-	if err != nil {
-		return p, err
-	}
-	a.SetHandler(func(pk *netsim.Packet) { snd.HandleControl(pk.Payload) })
-	b.SetHandler(func(pk *netsim.Packet) { rcv.HandlePacket(pk.Payload) })
 
 	var delivered int64
 	rcv.OnADU = func(adu alf.ADU) { delivered += int64(len(adu.Data)) }

@@ -207,19 +207,3 @@ func RunFlowScale(cfg FlowScaleConfig) (FlowScalePoint, error) {
 	}
 	return p, nil
 }
-
-// RunFlowScaleSweep runs the worker/shard sweep of the scaling curve.
-func RunFlowScaleSweep(cfg FlowScaleConfig, shardCounts []int) ([]FlowScalePoint, error) {
-	pts := make([]FlowScalePoint, 0, len(shardCounts))
-	for _, n := range shardCounts {
-		c := cfg
-		c.Shards = n
-		c.Workers = n
-		pt, err := RunFlowScale(c)
-		if err != nil {
-			return pts, err
-		}
-		pts = append(pts, pt)
-	}
-	return pts, nil
-}

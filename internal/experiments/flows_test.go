@@ -14,13 +14,17 @@ import (
 // assertion is deterministic and holds under -race on any host —
 // BenchmarkFlowScale is the same curve at benchmark scale.
 func TestFlowScaleNearLinear(t *testing.T) {
-	pts, err := RunFlowScaleSweep(FlowScaleConfig{
-		Flows:    4096,
-		FlowADUs: 2,
-		ADUBytes: 512,
-		TrunkBps: 1e8,
-		Seed:     6,
-	}, []int{1, 2, 4, 8})
+	pts, err := Sweep([]int{1, 2, 4, 8}, func(n int) (FlowScalePoint, error) {
+		return RunFlowScale(FlowScaleConfig{
+			Flows:    4096,
+			FlowADUs: 2,
+			ADUBytes: 512,
+			TrunkBps: 1e8,
+			Seed:     6,
+			Shards:   n,
+			Workers:  n,
+		})
+	})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -104,10 +104,7 @@ func RunF2(cfg F2Config, lossPct float64) (F2Point, error) {
 		})
 		oc := otp.Config{MSS: 1024, SendWindow: 1 << 20, RecvWindow: 1 << 20,
 			SendBuffer: cfg.Bytes + (1 << 20), FastRetransmit: true}
-		snd := otp.New(s, ab.Send, oc)
-		rcv := otp.New(s, ba.Send, oc)
-		a.SetHandler(func(pk *netsim.Packet) { snd.HandleSegment(pk.Payload) })
-		b.SetHandler(func(pk *netsim.Packet) { rcv.HandleSegment(pk.Payload) })
+		snd, rcv := otp.Connect(s, a, b, ab, ba, oc, oc)
 
 		app := &appModel{rateBps: cfg.AppBps}
 		var done sim.Time
@@ -149,16 +146,10 @@ func RunF2(cfg F2Config, lossPct float64) (F2Point, error) {
 			HoldTime:     30 * time.Second,
 			RateBps:      cfg.LinkBps, // pace at the link rate
 		}
-		snd, err := alf.NewSender(s, ab.Send, acfg)
+		snd, rcv, err := alf.Connect(s, a, b, ab, ba, acfg)
 		if err != nil {
 			return p, err
 		}
-		rcv, err := alf.NewReceiver(s, ba.Send, acfg)
-		if err != nil {
-			return p, err
-		}
-		a.SetHandler(func(pk *netsim.Packet) { snd.HandleControl(pk.Payload) })
-		b.SetHandler(func(pk *netsim.Packet) { rcv.HandlePacket(pk.Payload) })
 
 		app := &appModel{rateBps: cfg.AppBps}
 		var done sim.Time
@@ -192,17 +183,4 @@ func RunF2(cfg F2Config, lossPct float64) (F2Point, error) {
 		p.ALFIdleFrac = 1 - app.busy.Seconds()/p.ALFDone.Seconds()
 	}
 	return p, nil
-}
-
-// RunF2Sweep runs the loss sweep the F2 figure plots.
-func RunF2Sweep(cfg F2Config, lossPcts []float64) ([]F2Point, error) {
-	pts := make([]F2Point, 0, len(lossPcts))
-	for _, l := range lossPcts {
-		pt, err := RunF2(cfg, l)
-		if err != nil {
-			return pts, err
-		}
-		pts = append(pts, pt)
-	}
-	return pts, nil
 }

@@ -51,10 +51,8 @@ func newStackRig(codec xcode.Codec, seed int64) *stackRig {
 	a := n.NewNode("a")
 	b := n.NewNode("b")
 	ab, ba := n.NewDuplex(a, b, netsim.LinkConfig{})
-	ca := otp.New(s, ab.Send, otp.Config{MSS: 4096, SendWindow: 1 << 22, RecvWindow: 1 << 22, SendBuffer: 1 << 26})
-	cb := otp.New(s, ba.Send, otp.Config{MSS: 4096, SendWindow: 1 << 22, RecvWindow: 1 << 22, SendBuffer: 1 << 26})
-	a.SetHandler(func(p *netsim.Packet) { ca.HandleSegment(p.Payload) })
-	b.SetHandler(func(p *netsim.Packet) { cb.HandleSegment(p.Payload) })
+	oc := otp.Config{MSS: 4096, SendWindow: 1 << 22, RecvWindow: 1 << 22, SendBuffer: 1 << 26}
+	ca, cb := otp.Connect(s, a, b, ab, ba, oc, oc)
 	r := &stackRig{sched: s}
 	r.snd = layered.New(ca, codec, 0)
 	r.rcv = layered.New(cb, codec, 0)
@@ -123,16 +121,10 @@ func RunStackILP(valueBytes, values int, minTime time.Duration) (ILPStackReport,
 		b := n.NewNode("b")
 		ab, ba := n.NewDuplex(a, b, netsim.LinkConfig{})
 		acfg := alf.Config{MTU: valueBytes*2 + alf.HeaderSize + 8}
-		snd, err := alf.NewSender(s, ab.Send, acfg)
+		snd, rcv, err := alf.Connect(s, a, b, ab, ba, acfg)
 		if err != nil {
 			return 0, err
 		}
-		rcv, err := alf.NewReceiver(s, ba.Send, acfg)
-		if err != nil {
-			return 0, err
-		}
-		a.SetHandler(func(p *netsim.Packet) { snd.HandleControl(p.Payload) })
-		b.SetHandler(func(p *netsim.Packet) { rcv.HandlePacket(p.Payload) })
 
 		got := 0
 		var stageTwoErr error

@@ -14,6 +14,21 @@ import (
 	"repro/internal/xcode"
 )
 
+// Sweep runs one measurement per point of xs, in order, and stops at
+// the first error, returning it with the points measured before it.
+// Every figure's table is one Sweep over its x axis.
+func Sweep[X, P any](xs []X, run func(X) (P, error)) ([]P, error) {
+	pts := make([]P, 0, len(xs))
+	for _, x := range xs {
+		pt, err := run(x)
+		if err != nil {
+			return pts, err
+		}
+		pts = append(pts, pt)
+	}
+	return pts, nil
+}
+
 // F3Point is one ADU-size sample of the §5 size-bounding experiment:
 // with a fixed bit-error rate and whole-ADU loss semantics, the ADU
 // size has an interior optimum — too small wastes headers, too large
@@ -77,16 +92,10 @@ func RunF3(cfg F3Config, aduBytes int) (F3Point, error) {
 		HoldTime:     300 * time.Second,
 		RateBps:      cfg.LinkBps,
 	}
-	snd, err := alf.NewSender(s, ab.Send, acfg)
+	snd, rcv, err := alf.Connect(s, a, b, ab, ba, acfg)
 	if err != nil {
 		return p, err
 	}
-	rcv, err := alf.NewReceiver(s, ba.Send, acfg)
-	if err != nil {
-		return p, err
-	}
-	a.SetHandler(func(pk *netsim.Packet) { snd.HandleControl(pk.Payload) })
-	b.SetHandler(func(pk *netsim.Packet) { rcv.HandlePacket(pk.Payload) })
 
 	var done sim.Time
 	received := 0
@@ -139,19 +148,6 @@ func RunF3(cfg F3Config, aduBytes int) (F3Point, error) {
 	wireSent := ab.Stats.SentBytes
 	p.Overhead = float64(wireSent) / float64(cfg.Bytes)
 	return p, nil
-}
-
-// RunF3Sweep runs the ADU-size sweep of the F3 figure.
-func RunF3Sweep(cfg F3Config, sizes []int) ([]F3Point, error) {
-	pts := make([]F3Point, 0, len(sizes))
-	for _, sz := range sizes {
-		pt, err := RunF3(cfg, sz)
-		if err != nil {
-			return pts, err
-		}
-		pts = append(pts, pt)
-	}
-	return pts, nil
 }
 
 // F4Point is one cell-loss sample of the ATM experiment: ADUs ride an
@@ -282,17 +278,4 @@ func RunF4(cfg F4Config, cellLossPct float64) (F4Point, error) {
 	p.Resends = snd.Stats.ResentADUs
 	p.GoodputMbps = stats.Mbps(int64(cfg.Bytes), time.Duration(done))
 	return p, nil
-}
-
-// RunF4Sweep runs the cell-loss sweep of the F4 figure.
-func RunF4Sweep(cfg F4Config, lossPcts []float64) ([]F4Point, error) {
-	pts := make([]F4Point, 0, len(lossPcts))
-	for _, l := range lossPcts {
-		pt, err := RunF4(cfg, l)
-		if err != nil {
-			return pts, err
-		}
-		pts = append(pts, pt)
-	}
-	return pts, nil
 }

@@ -210,17 +210,10 @@ func RunDTN(cfg DTNConfig) (*DTNResult, error) {
 		return nil, fmt.Errorf("dtn: unknown mode %q", cfg.Mode)
 	}
 
-	snd, err := alf.NewSender(s, h1.Send, aCfg)
+	snd, rcv, err := alf.Connect(s, src, dst, h1, h3r, aCfg)
 	if err != nil {
 		return nil, err
 	}
-	snd.SendRef = h1.SendRef
-	rcv, err := alf.NewReceiver(s, h3r.Send, aCfg)
-	if err != nil {
-		return nil, err
-	}
-	src.SetHandler(func(p *netsim.Packet) { snd.HandleControl(p.Payload) })
-	dst.SetHandler(func(p *netsim.Packet) { rcv.HandlePacket(p.Payload) })
 
 	// ---- The intermediate nodes: custody relays, or plain forwarders
 	// for the baseline.

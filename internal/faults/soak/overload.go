@@ -253,20 +253,10 @@ func RunOverload(cfg OverloadConfig) (*OverloadResult, error) {
 			aCfg.RecoveryFrac = 0.25
 		}
 
-		snd, err := alf.NewSender(s, func(p []byte) error {
-			return netsim.SendVia(up, dst, p)
-		}, aCfg)
+		snd, rcv, err := alf.Connect(s, src, dst, up, dUp, aCfg)
 		if err != nil {
 			return nil, err
 		}
-		rcv, err := alf.NewReceiver(s, func(p []byte) error {
-			return netsim.SendVia(dUp, src, p)
-		}, aCfg)
-		if err != nil {
-			return nil, err
-		}
-		src.SetHandler(func(p *netsim.Packet) { snd.HandleControl(p.Payload) })
-		dst.SetHandler(func(p *netsim.Packet) { rcv.HandlePacket(p.Payload) })
 
 		acct := &res.Streams[i]
 		acct.StreamID = id

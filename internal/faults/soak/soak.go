@@ -215,20 +215,10 @@ func Run(cfg Config) (*Result, error) {
 		Metrics:        cfg.Metrics,
 		Tracer:         cfg.Tracer,
 	}
-	snd, err := alf.NewSender(s, func(p []byte) error {
-		return netsim.SendVia(asL, alfDst, p)
-	}, aCfg)
+	snd, rcv, err := alf.Connect(s, alfSrc, alfDst, asL, adR, aCfg)
 	if err != nil {
 		return nil, err
 	}
-	rcv, err := alf.NewReceiver(s, func(p []byte) error {
-		return netsim.SendVia(adR, alfSrc, p)
-	}, aCfg)
-	if err != nil {
-		return nil, err
-	}
-	alfSrc.SetHandler(func(p *netsim.Packet) { snd.HandleControl(p.Payload) })
-	alfDst.SetHandler(func(p *netsim.Packet) { rcv.HandlePacket(p.Payload) })
 
 	led := newLedger(&res.verdict, "alf: ", cfg.ADUBytes, snd, rcv)
 	rcv.OnADU = func(adu alf.ADU) { led.deliver(adu) }
@@ -254,16 +244,9 @@ func Run(cfg Config) (*Result, error) {
 		MetricsLabels: []string{"role=snd"},
 		Tracer:        cfg.Tracer,
 	}
-	oSnd := otp.New(s, func(p []byte) error {
-		return netsim.SendVia(osL, otpDst, p)
-	}, oCfg)
 	oRcvCfg := oCfg
 	oRcvCfg.MetricsLabels = []string{"role=rcv"}
-	oRcv := otp.New(s, func(p []byte) error {
-		return netsim.SendVia(odR, otpSrc, p)
-	}, oRcvCfg)
-	otpSrc.SetHandler(func(p *netsim.Packet) { oSnd.HandleSegment(p.Payload) })
-	otpDst.SetHandler(func(p *netsim.Packet) { oRcv.HandleSegment(p.Payload) })
+	oSnd, oRcv := otp.Connect(s, otpSrc, otpDst, osL, odR, oCfg, oRcvCfg)
 
 	var otpRecv int64
 	oRcv.OnData = func(d []byte) {

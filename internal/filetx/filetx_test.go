@@ -155,16 +155,10 @@ func TestEndToEndOverLossyALF(t *testing.T) {
 		Delay: 2 * time.Millisecond, LossProb: 0.05,
 	})
 	cfg := alf.Config{NackDelay: 5 * time.Millisecond, NackInterval: 5 * time.Millisecond}
-	snd, err := alf.NewSender(s, ab.Send, cfg)
+	snd, rcv, err := alf.Connect(s, a, b, ab, ba, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rcv, err := alf.NewReceiver(s, ba.Send, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a.SetHandler(func(p *netsim.Packet) { snd.HandleControl(p.Payload) })
-	b.SetHandler(func(p *netsim.Packet) { rcv.HandlePacket(p.Payload) })
 
 	data := filedata(200_000)
 	chunks := Plan(data, 4096)

@@ -27,10 +27,7 @@ func newRig(t *testing.T, linkCfg netsim.LinkConfig, codec xcode.Codec, key uint
 	b := n.NewNode("b")
 	ab, ba := n.NewDuplex(a, b, linkCfg)
 
-	ca := otp.New(s, ab.Send, otp.Config{})
-	cb := otp.New(s, ba.Send, otp.Config{})
-	a.SetHandler(func(p *netsim.Packet) { ca.HandleSegment(p.Payload) })
-	b.SetHandler(func(p *netsim.Packet) { cb.HandleSegment(p.Payload) })
+	ca, cb := otp.Connect(s, a, b, ab, ba, otp.Config{}, otp.Config{})
 
 	r := &rig{sched: s}
 	r.snd = New(ca, codec, key)
@@ -168,36 +165,23 @@ func TestStatsAndAccessors(t *testing.T) {
 func TestDecodeErrorDoesNotKillStream(t *testing.T) {
 	// Corrupt one record at the presentation level (valid framing,
 	// invalid BER): the next record must still decode.
-	s := sim.NewScheduler()
-	n := netsim.New(s, 1)
-	a := n.NewNode("a")
-	b := n.NewNode("b")
-	ab, ba := n.NewDuplex(a, b, netsim.LinkConfig{Delay: time.Millisecond})
-	ca := otp.New(s, ab.Send, otp.Config{})
-	cb := otp.New(s, ba.Send, otp.Config{})
-	a.SetHandler(func(p *netsim.Packet) { ca.HandleSegment(p.Payload) })
-	b.SetHandler(func(p *netsim.Packet) { cb.HandleSegment(p.Payload) })
+	r := newRig(t, netsim.LinkConfig{Delay: time.Millisecond}, xcode.BER{}, 0, 1)
 
-	rcv := New(cb, xcode.BER{}, 0)
-	var got []xcode.Value
-	var errs []error
-	rcv.OnValue = func(v xcode.Value) { got = append(got, v) }
-	rcv.OnError = func(err error) { errs = append(errs, err) }
-
-	// Hand-built records: one garbage, one valid.
+	// Hand-built records straight onto the connection: one garbage,
+	// one valid.
 	bad := []byte{0, 0, 0, 3, 0xFF, 0xFF, 0xFF}
 	good, _ := (xcode.BER{}).EncodeValue(nil, xcode.Int32Value(7))
 	rec := make([]byte, 4+len(good))
 	rec[3] = byte(len(good))
 	copy(rec[4:], good)
-	ca.Send(bad)
-	ca.Send(rec)
-	s.Run()
+	r.snd.Conn().Send(bad)
+	r.snd.Conn().Send(rec)
+	r.sched.Run()
 
-	if len(errs) != 1 {
-		t.Fatalf("errors = %v", errs)
+	if len(r.errs) != 1 {
+		t.Fatalf("errors = %v", r.errs)
 	}
-	if len(got) != 1 || got[0].I64 != 7 {
-		t.Fatalf("good record lost after decode error: %v", got)
+	if len(r.got) != 1 || r.got[0].I64 != 7 {
+		t.Fatalf("good record lost after decode error: %v", r.got)
 	}
 }

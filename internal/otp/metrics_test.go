@@ -24,10 +24,7 @@ func TestConnMetrics(t *testing.T) {
 	})
 
 	cfg := Config{MSS: 500, FastRetransmit: true, Metrics: reg}
-	snd := New(sched, ab.Send, cfg)
-	rcv := New(sched, ba.Send, Config{MSS: 500, FastRetransmit: true})
-	a.SetHandler(func(p *netsim.Packet) { snd.HandleSegment(p.Payload) })
-	b.SetHandler(func(p *netsim.Packet) { rcv.HandleSegment(p.Payload) })
+	snd, rcv := Connect(sched, a, b, ab, ba, cfg, Config{MSS: 500, FastRetransmit: true})
 
 	var got int64
 	rcv.OnData = func(p []byte) { got += int64(len(p)) }
@@ -71,32 +68,20 @@ func TestConnMetrics(t *testing.T) {
 func TestHeadOfLineStallHistogram(t *testing.T) {
 	reg := metrics.New()
 	sched := sim.NewScheduler()
-
-	cfg := Config{MSS: 100, ConnID: 1}
-	var rcv *Conn
-	drop := 2 // drop the third data segment once
-	sent := 0
-	var snd *Conn
-	toRcv := func(seg []byte) error {
-		isData := len(seg) > 0 && seg[0]&wire.OTPData != 0
-		if isData {
-			if sent == drop {
-				sent++
-				return nil // the loss
+	net := netsim.New(sched, 1)
+	a, b := net.NewNode("a"), net.NewNode("b")
+	ab, ba := net.NewDuplex(a, b, netsim.LinkConfig{Delay: time.Millisecond})
+	snd, rcv := Connect(sched, a, b, ab, ba,
+		Config{MSS: 100, ConnID: 1}, Config{MSS: 100, ConnID: 1, Metrics: reg})
+	dataSegs := 0
+	b.SetHandler(func(pk *netsim.Packet) {
+		if pk.Payload[0]&wire.OTPData != 0 {
+			if dataSegs++; dataSegs == 3 {
+				return // the loss: the third data segment, once
 			}
-			sent++
 		}
-		cp := append([]byte(nil), seg...)
-		sched.After(time.Millisecond, func() { rcv.HandleSegment(cp) })
-		return nil
-	}
-	toSnd := func(seg []byte) error {
-		cp := append([]byte(nil), seg...)
-		sched.After(time.Millisecond, func() { snd.HandleSegment(cp) })
-		return nil
-	}
-	snd = New(sched, toRcv, cfg)
-	rcv = New(sched, toSnd, Config{MSS: 100, ConnID: 1, Metrics: reg})
+		rcv.HandleSegment(pk.Payload)
+	})
 
 	if err := snd.Send(make([]byte, 1000)); err != nil {
 		t.Fatal(err)

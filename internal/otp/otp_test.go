@@ -30,10 +30,7 @@ func newPair(t *testing.T, linkCfg netsim.LinkConfig, connCfg Config, seed int64
 	ab, ba := n.NewDuplex(a, b, linkCfg)
 
 	p := &testPair{sched: s, net: n, ab: ab, ba: ba, got: &bytes.Buffer{}}
-	p.sender = New(s, ab.Send, connCfg)
-	p.receiver = New(s, ba.Send, connCfg)
-	a.SetHandler(func(pk *netsim.Packet) { p.sender.HandleSegment(pk.Payload) })
-	b.SetHandler(func(pk *netsim.Packet) { p.receiver.HandleSegment(pk.Payload) })
+	p.sender, p.receiver = Connect(s, a, b, ab, ba, connCfg, connCfg)
 	p.receiver.OnData = func(d []byte) { p.got.Write(d) }
 	return p
 }
@@ -179,30 +176,21 @@ func TestEverythingAtOnce(t *testing.T) {
 func TestHeadOfLineBlocking(t *testing.T) {
 	// The paper's stall: drop exactly one segment; everything behind it
 	// must wait about an RTO before any delivery past the gap.
-	s := sim.NewScheduler()
-	n := netsim.New(s, 1)
-	a := n.NewNode("a")
-	b := n.NewNode("b")
-	ab, ba := n.NewDuplex(a, b, netsim.LinkConfig{Delay: time.Millisecond})
-
-	cfg := Config{MSS: 1000, InitialRTO: 100 * time.Millisecond}
-	sender := New(s, func(seg []byte) error { return ab.Send(seg) }, cfg)
-	receiver := New(s, ba.Send, cfg)
+	p := newPair(t, netsim.LinkConfig{Delay: time.Millisecond},
+		Config{MSS: 1000, InitialRTO: 100 * time.Millisecond}, 1)
+	s, sender, receiver := p.sched, p.sender, p.receiver
 
 	dropNext := false
 	dropped := 0
-	a.SetHandler(func(pk *netsim.Packet) { sender.HandleSegment(pk.Payload) })
-	origSend := sender.send
-	sender.send = func(seg []byte) error {
-		if dropNext && seg[0]&wire.OTPData != 0 && dropped == 0 {
+	p.ab.To().SetHandler(func(pk *netsim.Packet) {
+		if dropNext && pk.Payload[0]&wire.OTPData != 0 && dropped == 0 {
 			dropped++
-			return nil // swallow one data segment
+			return // swallow one data segment
 		}
-		return origSend(seg)
-	}
+		receiver.HandleSegment(pk.Payload)
+	})
 
 	var deliveries []sim.Time
-	b.SetHandler(func(pk *netsim.Packet) { receiver.HandleSegment(pk.Payload) })
 	receiver.OnData = func(d []byte) { deliveries = append(deliveries, s.Now()) }
 
 	sender.Send(pattern(5000)) // segments 1..5
@@ -219,33 +207,23 @@ func TestHeadOfLineBlocking(t *testing.T) {
 }
 
 func TestHOLStallDuration(t *testing.T) {
-	// Deterministic head-of-line blocking: intercept the sender's send
-	// function and drop the 3rd data segment's first transmission. The
+	// Deterministic head-of-line blocking: the receiving node drops the
+	// 3rd data segment's first arrival. The
 	// receiver must get segments 1-2 promptly, then nothing until the
 	// RTO retransmission, then 3-10 in a burst.
-	s := sim.NewScheduler()
-	n := netsim.New(s, 1)
-	a := n.NewNode("a")
-	b := n.NewNode("b")
-	var ab, ba *netsim.Link
-	ab, ba = n.NewDuplex(a, b, netsim.LinkConfig{Delay: time.Millisecond})
-
-	cfg := Config{MSS: 1000, InitialRTO: 100 * time.Millisecond, MinRTO: 100 * time.Millisecond}
+	p := newPair(t, netsim.LinkConfig{Delay: time.Millisecond},
+		Config{MSS: 1000, InitialRTO: 100 * time.Millisecond, MinRTO: 100 * time.Millisecond}, 1)
+	s, sender, receiver := p.sched, p.sender, p.receiver
 	dataSegs := 0
-	var sender *Conn
-	send := func(seg []byte) error {
-		if seg[0]&wire.OTPData != 0 {
+	p.ab.To().SetHandler(func(pk *netsim.Packet) {
+		if pk.Payload[0]&wire.OTPData != 0 {
 			dataSegs++
 			if dataSegs == 3 {
-				return nil // lose segment 3 once
+				return // lose segment 3 once
 			}
 		}
-		return ab.Send(seg)
-	}
-	sender = New(s, send, cfg)
-	receiver := New(s, ba.Send, cfg)
-	a.SetHandler(func(pk *netsim.Packet) { sender.HandleSegment(pk.Payload) })
-	b.SetHandler(func(pk *netsim.Packet) { receiver.HandleSegment(pk.Payload) })
+		receiver.HandleSegment(pk.Payload)
+	})
 
 	type delivery struct {
 		at    sim.Time
@@ -344,8 +322,7 @@ func TestConnIDDemux(t *testing.T) {
 
 	mkConns := func(id byte) (*Conn, *Conn, *bytes.Buffer) {
 		cfg := Config{ConnID: id}
-		snd := New(s, ab.Send, cfg)
-		rcv := New(s, ba.Send, cfg)
+		snd, rcv := Connect(s, a, b, ab, ba, cfg, cfg)
 		buf := &bytes.Buffer{}
 		rcv.OnData = func(d []byte) { buf.Write(d) }
 		return snd, rcv, buf
@@ -544,21 +521,10 @@ func TestMutatedSegmentsNeverCorruptStream(t *testing.T) {
 func TestBidirectionalSimultaneousTransfer(t *testing.T) {
 	// Both directions carry data at once; piggybacked ACKs must not
 	// confuse either direction.
-	s := sim.NewScheduler()
-	n := netsim.New(s, 23)
-	a := n.NewNode("a")
-	b := n.NewNode("b")
-	ab, ba := n.NewDuplex(a, b, netsim.LinkConfig{
-		RateBps: 2e7, Delay: 2 * time.Millisecond, LossProb: 0.02,
-	})
-	cfg := Config{FastRetransmit: true}
-	ca := New(s, ab.Send, cfg)
-	cb := New(s, ba.Send, cfg)
-	a.SetHandler(func(p *netsim.Packet) { ca.HandleSegment(p.Payload) })
-	b.SetHandler(func(p *netsim.Packet) { cb.HandleSegment(p.Payload) })
-
-	var gotAtB, gotAtA bytes.Buffer
-	cb.OnData = func(d []byte) { gotAtB.Write(d) }
+	p := newPair(t, netsim.LinkConfig{RateBps: 2e7, Delay: 2 * time.Millisecond, LossProb: 0.02},
+		Config{FastRetransmit: true}, 23)
+	ca, cb, gotAtB := p.sender, p.receiver, p.got
+	var gotAtA bytes.Buffer
 	ca.OnData = func(d []byte) { gotAtA.Write(d) }
 
 	d1 := pattern(150_000)
@@ -568,7 +534,7 @@ func TestBidirectionalSimultaneousTransfer(t *testing.T) {
 	}
 	ca.Send(d1)
 	cb.Send(d2)
-	s.Run()
+	p.sched.Run()
 
 	if !bytes.Equal(gotAtB.Bytes(), d1) {
 		t.Errorf("a->b corrupted: %d of %d bytes", gotAtB.Len(), len(d1))

@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/buf"
 	"repro/internal/netsim"
-	"repro/internal/sim"
 )
 
 // TestSendRefZeroCopy runs a lossy transfer over the zero-copy handoff
@@ -18,35 +17,20 @@ import (
 // buffering, and line drops.
 func TestSendRefZeroCopy(t *testing.T) {
 	pool := buf.NewPool()
-	s := sim.NewScheduler()
-	n := netsim.New(s, 7)
-	n.SetPool(pool)
-	a := n.NewNode("a")
-	b := n.NewNode("b")
-	ab, ba := n.NewDuplex(a, b, netsim.LinkConfig{
-		RateBps: 1e7, Delay: 2 * time.Millisecond, LossProb: 0.05,
-	})
-
-	cfg := Config{Pool: pool, FastRetransmit: true}
-	snd := New(s, ab.Send, cfg)
-	rcv := New(s, ba.Send, cfg)
-	snd.SendRef = ab.SendRef
-	rcv.SendRef = ba.SendRef
-	a.SetHandler(func(pk *netsim.Packet) { snd.HandleSegment(pk.Payload) })
-	b.SetHandler(func(pk *netsim.Packet) { rcv.HandleSegment(pk.Payload) })
-
-	var got bytes.Buffer
-	rcv.OnData = func(d []byte) { got.Write(d) }
+	p := newPair(t, netsim.LinkConfig{RateBps: 1e7, Delay: 2 * time.Millisecond, LossProb: 0.05},
+		Config{Pool: pool, FastRetransmit: true}, 7)
+	p.net.SetPool(pool)
+	snd, rcv := p.sender, p.receiver
 
 	data := pattern(200_000)
 	if err := snd.Send(data); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Run(); err != nil {
+	if err := p.sched.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(got.Bytes(), data) {
-		t.Fatalf("received %d bytes, mismatch", got.Len())
+	if !bytes.Equal(p.got.Bytes(), data) {
+		t.Fatalf("received %d bytes, mismatch", p.got.Len())
 	}
 	if rcv.Stats.OutOfOrder == 0 || snd.Stats.Retransmits == 0 {
 		t.Fatalf("loss did not exercise recovery: ooo=%d retx=%d",
@@ -63,23 +47,9 @@ func TestSendRefZeroCopy(t *testing.T) {
 // the network's copy is isolated from later pool reuse.
 func TestSegmentReuseAfterSend(t *testing.T) {
 	pool := buf.NewPool()
-	s := sim.NewScheduler()
-	n := netsim.New(s, 1)
-	n.SetPool(pool)
-	a := n.NewNode("a")
-	b := n.NewNode("b")
-	ab, ba := n.NewDuplex(a, b, netsim.LinkConfig{Delay: time.Millisecond})
-
-	cfg := Config{Pool: pool}
-	snd := New(s, ab.Send, cfg)
-	rcv := New(s, ba.Send, cfg)
-	snd.SendRef = ab.SendRef
-	rcv.SendRef = ba.SendRef
-	a.SetHandler(func(pk *netsim.Packet) { snd.HandleSegment(pk.Payload) })
-	b.SetHandler(func(pk *netsim.Packet) { rcv.HandleSegment(pk.Payload) })
-
-	var got bytes.Buffer
-	rcv.OnData = func(d []byte) { got.Write(d) }
+	p := newPair(t, netsim.LinkConfig{Delay: time.Millisecond}, Config{Pool: pool}, 1)
+	p.net.SetPool(pool)
+	snd := p.sender
 
 	// Two writes: the second reuses the pooled segment buffer the first
 	// released. If ownership were violated the first payload would be
@@ -94,11 +64,11 @@ func TestSegmentReuseAfterSend(t *testing.T) {
 	if err := snd.Send(d2); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Run(); err != nil {
+	if err := p.sched.Run(); err != nil {
 		t.Fatal(err)
 	}
 	want := append(append([]byte(nil), d1...), d2...)
-	if !bytes.Equal(got.Bytes(), want) {
-		t.Fatalf("stream corrupted: got %d bytes", got.Len())
+	if !bytes.Equal(p.got.Bytes(), want) {
+		t.Fatalf("stream corrupted: got %d bytes", p.got.Len())
 	}
 }

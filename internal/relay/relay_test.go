@@ -48,17 +48,9 @@ func newChain(t *testing.T, upCfg, downCfg netsim.LinkConfig, aCfg alf.Config, r
 	c.dr = c.net.NewLink(dst, rly, downCfg)
 
 	var err error
-	c.snd, err = alf.NewSender(c.sched, c.su.Send, aCfg)
-	if err != nil {
+	if c.snd, c.rcv, err = alf.Connect(c.sched, src, dst, c.su, c.dr, aCfg); err != nil {
 		t.Fatal(err)
 	}
-	c.snd.SendRef = c.su.SendRef
-	c.rcv, err = alf.NewReceiver(c.sched, c.dr.Send, aCfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	src.SetHandler(func(p *netsim.Packet) { c.snd.HandleControl(p.Payload) })
-	dst.SetHandler(func(p *netsim.Packet) { c.rcv.HandlePacket(p.Payload) })
 	c.rcv.OnADU = func(adu alf.ADU) {
 		c.delivered[adu.Name]++
 		adu.Release()

@@ -61,20 +61,9 @@ func newRig(t *testing.T) *rig {
 		Tracer:       r.tracer,
 	}
 	var err error
-	r.alfSnd, err = alf.NewSender(r.sched, func(p []byte) error {
-		return netsim.SendVia(r.alfFwd, aD, p)
-	}, aCfg)
-	if err != nil {
+	if r.alfSnd, r.alfRcv, err = alf.Connect(r.sched, aS, aD, r.alfFwd, aBack, aCfg); err != nil {
 		t.Fatal(err)
 	}
-	r.alfRcv, err = alf.NewReceiver(r.sched, func(p []byte) error {
-		return netsim.SendVia(aBack, aS, p)
-	}, aCfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	aS.SetHandler(func(p *netsim.Packet) { r.alfSnd.HandleControl(p.Payload) })
-	aD.SetHandler(func(p *netsim.Packet) { r.alfRcv.HandlePacket(p.Payload) })
 	r.alfRcv.OnADU = func(adu alf.ADU) { r.deliverOrder = append(r.deliverOrder, adu.Name) }
 
 	oCfg := otp.Config{
@@ -83,14 +72,7 @@ func newRig(t *testing.T) *rig {
 		MinRTO:     50 * time.Millisecond,
 		Tracer:     r.tracer,
 	}
-	r.oSnd = otp.New(r.sched, func(p []byte) error {
-		return netsim.SendVia(r.otpFwd, oD, p)
-	}, oCfg)
-	r.oRcv = otp.New(r.sched, func(p []byte) error {
-		return netsim.SendVia(oBack, oS, p)
-	}, oCfg)
-	oS.SetHandler(func(p *netsim.Packet) { r.oSnd.HandleSegment(p.Payload) })
-	oD.SetHandler(func(p *netsim.Packet) { r.oRcv.HandleSegment(p.Payload) })
+	r.oSnd, r.oRcv = otp.Connect(r.sched, oS, oD, r.otpFwd, oBack, oCfg, oCfg)
 
 	r.inj = faults.New(r.sched, 1)
 	r.inj.SetTracer(r.tracer)

@@ -144,10 +144,7 @@ func TestEndToEndLossyRealTime(t *testing.T) {
 		HoldTime:     100 * time.Millisecond,
 		NackInterval: 10 * time.Millisecond,
 	}
-	snd, _ := alf.NewSender(s, ab.Send, cfg)
-	rcv, _ := alf.NewReceiver(s, ba.Send, cfg)
-	a.SetHandler(func(p *netsim.Packet) { snd.HandleControl(p.Payload) })
-	b.SetHandler(func(p *netsim.Packet) { rcv.HandlePacket(p.Payload) })
+	snd, rcv, _ := alf.Connect(s, a, b, ab, ba, cfg)
 
 	vcfg := SourceConfig{FPS: 30, SlicesPerFrame: 5, SliceBytes: 1000}
 	src := NewSource(s, snd, vcfg)
@@ -187,10 +184,7 @@ func TestSinkTransitAndJitter(t *testing.T) {
 		ReorderProb: 0.2, ReorderDelay: 6 * time.Millisecond,
 	})
 	cfg := alf.Config{Policy: alf.NoRetransmit, HoldTime: 100 * time.Millisecond}
-	snd, _ := alf.NewSender(s, ab.Send, cfg)
-	rcv, _ := alf.NewReceiver(s, ba.Send, cfg)
-	a.SetHandler(func(p *netsim.Packet) { snd.HandleControl(p.Payload) })
-	b.SetHandler(func(p *netsim.Packet) { rcv.HandlePacket(p.Payload) })
+	snd, rcv, _ := alf.Connect(s, a, b, ab, ba, cfg)
 
 	vcfg := SourceConfig{FPS: 25, SlicesPerFrame: 4, SliceBytes: 1000}
 	src := NewSource(s, snd, vcfg)
