@@ -22,6 +22,7 @@ import (
 	"os"
 	"time"
 
+	"repro/internal/buf"
 	alf "repro/internal/core"
 	"repro/internal/netsim"
 	"repro/internal/sim"
@@ -80,6 +81,10 @@ func run(opts options, w io.Writer) error {
 	snd, err := alf.NewSender(sched, lg.wrapSend("snd", fwd.Send), cfg)
 	if err != nil {
 		return err
+	}
+	snd.SendRef = func(ref *buf.Ref) error { // data, by reference
+		lg.log("->", "snd", ref.Bytes())
+		return fwd.SendRef(ref)
 	}
 	rcv, err := alf.NewReceiver(sched, lg.wrapSend("rcv", rev.Send), cfg)
 	if err != nil {

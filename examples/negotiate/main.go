@@ -84,6 +84,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
+		snd.SendRef = fwd.SendRef
 		codec, _ := xcode.ByID(res.Syntax)
 		values := []xcode.Value{
 			xcode.Int32sValue([]int32{3, 1, 4, 1, 5, 9, 2, 6}),

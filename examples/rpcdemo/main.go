@@ -28,24 +28,25 @@ func main() {
 	})
 
 	// Two ALF streams: calls client->server, replies server->client.
-	mkStream := func(id byte, out, back func([]byte) error) (*alf.Sender, *alf.Receiver) {
+	mkStream := func(id byte, out, back *netsim.Link) (*alf.Sender, *alf.Receiver) {
 		cfg := alf.Config{
 			StreamID:     id,
 			NackDelay:    10 * time.Millisecond,
 			NackInterval: 10 * time.Millisecond,
 		}
-		s, err := alf.NewSender(sched, out, cfg)
+		s, err := alf.NewSender(sched, out.Send, cfg)
 		if err != nil {
 			log.Fatal(err)
 		}
-		r, err := alf.NewReceiver(sched, back, cfg)
+		s.SendRef = out.SendRef
+		r, err := alf.NewReceiver(sched, back.Send, cfg)
 		if err != nil {
 			log.Fatal(err)
 		}
 		return s, r
 	}
-	callSnd, callRcv := mkStream(1, fwd.Send, rev.Send)
-	replySnd, replyRcv := mkStream(2, rev.Send, fwd.Send)
+	callSnd, callRcv := mkStream(1, fwd, rev)
+	replySnd, replyRcv := mkStream(2, rev, fwd)
 
 	cn.SetHandler(func(p *netsim.Packet) {
 		if callSnd.HandleControl(p.Payload) != nil {

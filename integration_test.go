@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"repro/internal/atm"
+	"repro/internal/buf"
 	alf "repro/internal/core"
 	"repro/internal/filetx"
 	"repro/internal/netsim"
@@ -82,6 +83,10 @@ func TestFullSystemVideoOverATM(t *testing.T) {
 		snd, err = alf.NewSender(s, cellSend, cfg)
 		if err != nil {
 			t.Fatal(err)
+		}
+		snd.SendRef = func(ref *buf.Ref) error {
+			defer ref.Release() // the segmenter copies the packet into cells
+			return cellSend(ref.Bytes())
 		}
 		src = video.NewSource(s, snd, vcfg)
 		src.Start(frames)
@@ -160,24 +165,25 @@ func TestFullSystemRPCWithFileTransfer(t *testing.T) {
 		RateBps: 50e6, Delay: 4 * time.Millisecond, LossProb: 0.04,
 	})
 
-	mk := func(id byte, out, back func([]byte) error) (*alf.Sender, *alf.Receiver) {
+	mk := func(id byte, out, back *netsim.Link) (*alf.Sender, *alf.Receiver) {
 		cfg := alf.Config{
 			StreamID:  id,
 			NackDelay: 8 * time.Millisecond, NackInterval: 8 * time.Millisecond,
 		}
-		snd, err := alf.NewSender(s, out, cfg)
+		snd, err := alf.NewSender(s, out.Send, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		rcv, err := alf.NewReceiver(s, back, cfg)
+		snd.SendRef = out.SendRef
+		rcv, err := alf.NewReceiver(s, back.Send, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return snd, rcv
 	}
-	callSnd, callRcv := mk(1, ab.Send, ba.Send)   // rpc calls a->b
-	replySnd, replyRcv := mk(2, ba.Send, ab.Send) // rpc replies b->a
-	fileSnd, fileRcv := mk(3, ab.Send, ba.Send)   // bulk file a->b
+	callSnd, callRcv := mk(1, ab, ba)   // rpc calls a->b
+	replySnd, replyRcv := mk(2, ba, ab) // rpc replies b->a
+	fileSnd, fileRcv := mk(3, ab, ba)   // bulk file a->b
 
 	a.SetHandler(func(p *netsim.Packet) {
 		if callSnd.HandleControl(p.Payload) == nil {

@@ -63,7 +63,7 @@ func TestAEADWireIsCiphertext(t *testing.T) {
 	s := sim.NewScheduler()
 	data := payload(4096, 9)
 	var sent [][]byte
-	snd, err := NewSender(s, func(p []byte) error {
+	snd, err := testSender(s, func(p []byte) error {
 		sent = append(sent, append([]byte(nil), p...))
 		return nil
 	}, aeadCfg())
@@ -256,7 +256,7 @@ func TestAEADSuiteMismatch(t *testing.T) {
 			from.FECGroup, to.FECGroup = 2, 2
 			s := sim.NewScheduler()
 			var pkts [][]byte
-			snd, err := NewSender(s, func(p []byte) error {
+			snd, err := testSender(s, func(p []byte) error {
 				pkts = append(pkts, append([]byte(nil), p...))
 				return nil
 			}, from)
@@ -422,7 +422,7 @@ func TestReceiveAEADZeroAlloc(t *testing.T) {
 // buffer holds by the time it looks.
 func capturingSender(t *testing.T, cfg Config, pkts *[][]byte) *Sender {
 	t.Helper()
-	snd, err := NewSender(sim.NewScheduler(), func(p []byte) error {
+	snd, err := testSender(sim.NewScheduler(), func(p []byte) error {
 		*pkts = append(*pkts, append([]byte(nil), p...))
 		return nil
 	}, cfg)

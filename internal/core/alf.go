@@ -134,8 +134,9 @@ var (
 	ErrNameOrder    = errors.New("alf: ADU names must be assigned by the sender")
 	ErrMTUTooSmall  = errors.New("alf: MTU leaves no fragment payload")
 	ErrInconsistent = errors.New("alf: fragment disagrees with earlier fragments of the same ADU")
-	// ErrConfig wraps every constructor-time configuration rejection;
-	// the message names the offending field and value.
+	// ErrConfig wraps every constructor-time configuration rejection,
+	// and SendClass's refusal of a sender whose SendRef is not set; the
+	// message names the offending field and value.
 	ErrConfig = errors.New("alf: invalid config")
 	// ErrShed is returned by SendClass when a Droppable ADU is shed
 	// before transmission under overload. The ADU consumed no name and

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/buf"
 	"repro/internal/netsim"
 	"repro/internal/sim"
 	"repro/internal/wire"
@@ -71,6 +72,24 @@ func (p *pair) connect(t testing.TB, cfg Config) *pair {
 // resend re-emits it).
 func reinstallReceiver(p *pair, h func([]byte)) {
 	p.b.SetHandler(func(pk *netsim.Packet) { h(append([]byte(nil), pk.Payload...)) })
+}
+
+// testSender is NewSender for a test whose sink is in memory: out sees
+// every packet the sender emits, heartbeats through NewSender's send
+// and data and parity through SendRef, for the length of the call; the
+// packet is released when out returns, so a sink that keeps one copies
+// it.
+func testSender(sched *sim.Scheduler, out func([]byte) error, cfg Config) (*Sender, error) {
+	snd, err := NewSender(sched, out, cfg)
+	if err != nil {
+		return nil, err
+	}
+	snd.SendRef = func(ref *buf.Ref) error {
+		err := out(ref.Bytes())
+		ref.Release()
+		return err
+	}
+	return snd, nil
 }
 
 func payload(n int, fill byte) []byte {
@@ -258,7 +277,7 @@ func TestEncryptionActuallyCiphers(t *testing.T) {
 	s := sim.NewScheduler()
 	cfg := Config{Suite: SuiteScramble, Key: 123}
 	var onWire []byte
-	snd, _ := NewSender(s, func(pkt []byte) error {
+	snd, _ := testSender(s, func(pkt []byte) error {
 		if wire.TypeOf(pkt) == wire.TypeData {
 			onWire = append([]byte(nil), pkt[HeaderSize:]...)
 		}
@@ -383,7 +402,7 @@ func TestSenderBufferReleasedByCumAck(t *testing.T) {
 func TestBufferLimitEnforced(t *testing.T) {
 	s := sim.NewScheduler()
 	cfg := Config{BufferLimit: 1000}
-	snd, _ := NewSender(s, func([]byte) error { return nil }, cfg)
+	snd, _ := testSender(s, func([]byte) error { return nil }, cfg)
 	if _, err := snd.Send(0, xcode.SyntaxRaw, payload(600, 1)); err != nil {
 		t.Fatal(err)
 	}
@@ -394,7 +413,7 @@ func TestBufferLimitEnforced(t *testing.T) {
 
 func TestADUTooLarge(t *testing.T) {
 	s := sim.NewScheduler()
-	snd, _ := NewSender(s, func([]byte) error { return nil }, Config{MaxADU: 100})
+	snd, _ := testSender(s, func([]byte) error { return nil }, Config{MaxADU: 100})
 	if _, err := snd.Send(0, xcode.SyntaxRaw, payload(101, 1)); !errors.Is(err, ErrADUTooLarge) {
 		t.Errorf("err = %v, want ErrADUTooLarge", err)
 	}
@@ -414,7 +433,7 @@ func TestPacingSpacesFragments(t *testing.T) {
 	s := sim.NewScheduler()
 	var times []sim.Time
 	cfg := Config{RateBps: 8e6, MTU: 1000 + HeaderSize} // ~1ms per ~1KB fragment
-	snd, _ := NewSender(s, func(pkt []byte) error {
+	snd, _ := testSender(s, func(pkt []byte) error {
 		if wire.TypeOf(pkt) == wire.TypeData {
 			times = append(times, s.Now())
 		}
@@ -441,7 +460,7 @@ func TestSetRateTakesEffect(t *testing.T) {
 	s := sim.NewScheduler()
 	var times []sim.Time
 	cfg := Config{MTU: 1000 + HeaderSize}
-	snd, _ := NewSender(s, func(pkt []byte) error {
+	snd, _ := testSender(s, func(pkt []byte) error {
 		if wire.TypeOf(pkt) == wire.TypeData {
 			times = append(times, s.Now())
 		}
@@ -536,7 +555,7 @@ func TestHeaderCorruptionDropped(t *testing.T) {
 	s := sim.NewScheduler()
 	rcv, _ := NewReceiver(s, nil, Config{})
 	// Valid-ish header with flipped bit.
-	snd, _ := NewSender(s, func(pkt []byte) error {
+	snd, _ := testSender(s, func(pkt []byte) error {
 		if wire.TypeOf(pkt) != wire.TypeData {
 			return nil
 		}
@@ -658,7 +677,7 @@ func TestLossesExpressedInADUNames(t *testing.T) {
 		MaxNacks: 2, HoldTime: 20 * time.Millisecond,
 	}
 	var rcv *Receiver
-	snd, _ := NewSender(s, func(pkt []byte) error {
+	snd, _ := testSender(s, func(pkt []byte) error {
 		h, err := wire.ParseHeader(pkt)
 		if err == nil && h.Name == 1 {
 			return nil // ADU 1 never arrives, ever

@@ -194,7 +194,7 @@ func TestHeartbeatBackoffNoOverflow(t *testing.T) {
 // int64 horizon must read as never-due, not already-due.
 func TestADUDeadlineNeverWrapsToInstantExpiry(t *testing.T) {
 	s := sim.NewScheduler()
-	snd, err := NewSender(s, func([]byte) error { return nil }, Config{
+	snd, err := testSender(s, func([]byte) error { return nil }, Config{
 		ADUDeadline: sim.Duration(math.MaxInt64 - 1),
 	})
 	if err != nil {
@@ -281,7 +281,7 @@ func TestCustodyAckWire(t *testing.T) {
 // are suppressed instead of racing the relay's own recovery.
 func TestSenderCustodyRelease(t *testing.T) {
 	s := sim.NewScheduler()
-	snd, err := NewSender(s, func([]byte) error { return nil }, Config{Custody: true})
+	snd, err := testSender(s, func([]byte) error { return nil }, Config{Custody: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -315,7 +315,7 @@ func TestSenderCustodyRelease(t *testing.T) {
 	}
 
 	// Without the opt-in, the same ack must release nothing.
-	snd2, _ := NewSender(s, func([]byte) error { return nil }, Config{})
+	snd2, _ := testSender(s, func([]byte) error { return nil }, Config{})
 	snd2.Send(0, xcode.SyntaxRaw, make([]byte, 100))
 	snd2.HandleControl(wire.EncodeCustody(&wire.CustodyAck{Stream: 0, Cum: 10}))
 	if got := snd2.BufferedADUs(); got != 1 {

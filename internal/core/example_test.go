@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"time"
 
+	"repro/internal/buf"
 	alf "repro/internal/core"
 	"repro/internal/netsim"
 	"repro/internal/sim"
@@ -82,7 +83,9 @@ func ExampleSharded() {
 // (here, a file offset) travels with each ADU as the tag.
 func ExampleSender_Send() {
 	sched := sim.NewScheduler()
-	snd, _ := alf.NewSender(sched, func(pkt []byte) error { return nil }, alf.Config{})
+	snd, _ := alf.NewSender(sched, nil, alf.Config{}) // no heartbeats
+	// Data leaves by reference; this sink owns each packet and drops it.
+	snd.SendRef = func(pkt *buf.Ref) error { pkt.Release(); return nil }
 
 	file := make([]byte, 10_000)
 	const chunk = 4096

@@ -196,7 +196,7 @@ func TestFECDuplicateParityIgnored(t *testing.T) {
 		t.Fatal(err)
 	}
 	var pkts [][]byte
-	snd, err := NewSender(s, func(p []byte) error {
+	snd, err := testSender(s, func(p []byte) error {
 		pkts = append(pkts, append([]byte(nil), p...))
 		return nil
 	}, rcfg)
@@ -287,7 +287,7 @@ func BenchmarkHandlePacketDataPath(b *testing.B) {
 	s := sim.NewScheduler()
 	var pkts [][]byte
 	const pool = 512
-	snd, _ := NewSender(s, func(p []byte) error {
+	snd, _ := testSender(s, func(p []byte) error {
 		if wire.TypeOf(p) == wire.TypeData {
 			pkts = append(pkts, append([]byte(nil), p...))
 		}
@@ -322,7 +322,7 @@ func BenchmarkHandlePacketEncrypted(b *testing.B) {
 	var pkts [][]byte
 	const pool = 512
 	cfg := Config{MTU: 1024 + HeaderSize, Suite: SuiteScramble, Key: 99}
-	snd, _ := NewSender(s, func(p []byte) error {
+	snd, _ := testSender(s, func(p []byte) error {
 		if wire.TypeOf(p) == wire.TypeData {
 			pkts = append(pkts, append([]byte(nil), p...))
 		}

@@ -32,7 +32,7 @@ func TestHandlePacketNeverPanics(t *testing.T) {
 func TestHandlePacketMutatedHeaders(t *testing.T) {
 	s := sim.NewScheduler()
 	var pkts [][]byte
-	snd, _ := NewSender(s, func(p []byte) error {
+	snd, _ := testSender(s, func(p []byte) error {
 		pkts = append(pkts, append([]byte(nil), p...))
 		return nil
 	}, Config{MTU: 128 + HeaderSize, FECGroup: 2})
@@ -58,7 +58,7 @@ func TestHandlePacketMutatedHeaders(t *testing.T) {
 // TestHandleControlNeverPanics fuzzes the sender's control input.
 func TestHandleControlNeverPanics(t *testing.T) {
 	s := sim.NewScheduler()
-	snd, err := NewSender(s, func([]byte) error { return nil }, Config{})
+	snd, err := testSender(s, func([]byte) error { return nil }, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +77,7 @@ func TestHandleControlNeverPanics(t *testing.T) {
 // counted, not serviced).
 func TestForgedControlCannotInflateState(t *testing.T) {
 	s := sim.NewScheduler()
-	snd, _ := NewSender(s, func([]byte) error { return nil }, Config{})
+	snd, _ := testSender(s, func([]byte) error { return nil }, Config{})
 	snd.Send(0, xcode.SyntaxRaw, payload(100, 1))
 	before := snd.BufferedBytes()
 	// A forged NACK for a name far in the future.
@@ -181,7 +181,7 @@ func TestNameWindowRejectsImplausibleNames(t *testing.T) {
 func corpusPackets() [][]byte {
 	s := sim.NewScheduler()
 	var pkts [][]byte
-	snd, _ := NewSender(s, func(p []byte) error {
+	snd, _ := testSender(s, func(p []byte) error {
 		pkts = append(pkts, append([]byte(nil), p...))
 		return nil
 	}, Config{MTU: 128 + HeaderSize, FECGroup: 2})
@@ -230,7 +230,7 @@ func FuzzHandleControl(f *testing.F) {
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, pkt []byte) {
 		s := sim.NewScheduler()
-		snd, err := NewSender(s, func([]byte) error { return nil }, Config{})
+		snd, err := testSender(s, func([]byte) error { return nil }, Config{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -255,7 +255,7 @@ func FuzzHandleCustody(f *testing.F) {
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, pkt []byte) {
 		s := sim.NewScheduler()
-		snd, err := NewSender(s, func([]byte) error { return nil }, Config{Custody: true})
+		snd, err := testSender(s, func([]byte) error { return nil }, Config{Custody: true})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/buf"
 	"repro/internal/netsim"
 	"repro/internal/sim"
 	"repro/internal/tracing"
@@ -114,7 +115,7 @@ func TestExpiredADUNacksGoUnfilled(t *testing.T) {
 func TestHeartbeatBackoffCapsProbeRate(t *testing.T) {
 	s := sim.NewScheduler()
 	var times []sim.Time
-	snd, err := NewSender(s, func(p []byte) error {
+	snd, err := testSender(s, func(p []byte) error {
 		if wire.TypeOf(p) == wire.TypeHB {
 			times = append(times, s.Now())
 		}
@@ -161,7 +162,7 @@ func TestHeartbeatBackoffCapsProbeRate(t *testing.T) {
 func TestHeartbeatLimitStillSilencesDeadPath(t *testing.T) {
 	s := sim.NewScheduler()
 	sent := 0
-	snd, err := NewSender(s, func(p []byte) error {
+	snd, err := testSender(s, func(p []byte) error {
 		if wire.TypeOf(p) == wire.TypeHB {
 			sent++
 		}
@@ -186,7 +187,7 @@ func TestReleaseOrderAscending(t *testing.T) {
 	const n = 64
 	start := func(cfg Config) (*sim.Scheduler, *Sender, *[]uint64) {
 		s := sim.NewScheduler()
-		snd, err := NewSender(s, func([]byte) error { return nil }, cfg)
+		snd, err := testSender(s, func([]byte) error { return nil }, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -266,7 +267,7 @@ func TestFarNameBounded(t *testing.T) {
 	// fragNamed returns the last fragment of a well-formed cleartext
 	// two-fragment ADU with the given name.
 	fragNamed := func(name uint64) (frag []byte) {
-		snd, err := NewSender(sim.NewScheduler(), func(p []byte) error {
+		snd, err := testSender(sim.NewScheduler(), func(p []byte) error {
 			frag = append(frag[:0], p...)
 			return nil
 		}, Config{})
@@ -337,5 +338,58 @@ func TestFarNameBounded(t *testing.T) {
 				t.Errorf("a dropped name changed the tables: Missing %d Pending %d", rcv.Missing(), rcv.Pending())
 			}
 		})
+	}
+}
+
+// TestNilSendArmsNoHeartbeat: a nil send means no control channel, as
+// it does for NewReceiver, so the sender arms no heartbeat and sends
+// none, where it used to call the nil function at the first one.
+func TestNilSendArmsNoHeartbeat(t *testing.T) {
+	s := sim.NewScheduler()
+	snd, err := NewSender(s, nil, Config{Policy: SenderBuffered})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sent := 0
+	snd.SendRef = func(ref *buf.Ref) error { sent++; ref.Release(); return nil }
+	if _, err := snd.Send(0, xcode.SyntaxRaw, payload(100, 1)); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.RunUntil(s.Now().Add(time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	if sent != 1 || snd.Stats.Heartbeats != 0 {
+		t.Fatalf("%d packets and %d heartbeats sent, want 1 and 0", sent, snd.Stats.Heartbeats)
+	}
+}
+
+// TestSendWithoutSendRefRefused: data leaves a sender only by SendRef,
+// so one without it refuses every ADU before anything happens — no name
+// consumed, nothing counted or retained, every pooled buffer returned.
+func TestSendWithoutSendRefRefused(t *testing.T) {
+	pool := buf.NewPool()
+	snd, err := NewSender(sim.NewScheduler(), func([]byte) error { return nil }, Config{Policy: SenderBuffered, Pool: pool})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := snd.Send(0, xcode.SyntaxRaw, payload(3000, 1)); !errors.Is(err, ErrConfig) {
+		t.Fatalf("Send without SendRef: err = %v, want ErrConfig", err)
+	}
+	if snd.NextName() != 0 || snd.Stats.ADUs != 0 || snd.BufferedADUs() != 0 {
+		t.Errorf("refused ADU left state: next name %d, %d ADUs, %d buffered", snd.NextName(), snd.Stats.ADUs, snd.BufferedADUs())
+	}
+	if st := pool.Stats(); st.Gets != st.Puts {
+		t.Errorf("pool: %d gets, %d puts", st.Gets, st.Puts)
+	}
+
+	// A NACK comes from outside: under AppRecompute it must not reach the
+	// missing SendRef either, whatever the application would regenerate.
+	rec, err := NewSender(sim.NewScheduler(), nil, Config{Policy: AppRecompute})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec.OnResend = func(uint64) (uint64, xcode.SyntaxID, []byte, bool) { return 0, xcode.SyntaxRaw, payload(10, 1), true }
+	if err := rec.HandleControl(wire.EncodeControl(&wire.Control{Nacks: []uint64{0}})); err != nil || rec.Stats.UnfilledNacks != 1 {
+		t.Errorf("NACK to a sender without SendRef: err %v, %d unfilled", err, rec.Stats.UnfilledNacks)
 	}
 }

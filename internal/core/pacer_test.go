@@ -5,7 +5,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/buf"
 	"repro/internal/sim"
 	"repro/internal/wire"
 	"repro/internal/xcode"
@@ -19,127 +18,108 @@ type emission struct {
 }
 
 // pacerRig builds a paced sender whose wire sink records every DATA
-// emission with its virtual timestamp, over either the copying Send
-// path or the zero-copy SendRef path.
-func pacerRig(t *testing.T, cfg Config, zeroCopy bool) (*sim.Scheduler, *Sender, *[]emission) {
+// emission with its virtual timestamp.
+func pacerRig(t *testing.T, cfg Config) (*sim.Scheduler, *Sender, *[]emission) {
 	t.Helper()
 	s := sim.NewScheduler()
 	log := &[]emission{}
-	record := func(p []byte) {
+	snd, err := testSender(s, func(p []byte) error {
 		if wire.TypeOf(p) != wire.TypeData {
-			return // heartbeats are control-plane, not paced
+			return nil // heartbeats are control-plane, not paced
 		}
 		h, err := wire.ParseHeader(p)
 		if err != nil {
 			t.Fatalf("sink got malformed data packet: %v", err)
 		}
 		*log = append(*log, emission{at: s.Now(), name: h.Name, off: h.FragOff})
-	}
-	snd, err := NewSender(s, func(p []byte) error { record(p); return nil }, cfg)
+		return nil
+	}, cfg)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if zeroCopy {
-		snd.SendRef = func(ref *buf.Ref) error {
-			record(ref.Bytes())
-			ref.Release()
-			return nil
-		}
 	}
 	return s, snd, log
 }
 
 // TestPacerPriorityBypass: a retransmission must reach the wire
 // immediately, ahead of first-transmission fragments the pacer has
-// already booked into the future — under both wire paths.
+// already booked into the future.
 func TestPacerPriorityBypass(t *testing.T) {
-	for _, tc := range []struct {
-		name     string
-		zeroCopy bool
-	}{{"Send", false}, {"SendRef", true}} {
-		t.Run(tc.name, func(t *testing.T) {
-			s, snd, log := pacerRig(t, Config{Policy: SenderBuffered, RateBps: 1e6}, tc.zeroCopy)
+	t.Run("SendRef", func(t *testing.T) {
+		s, snd, log := pacerRig(t, Config{Policy: SenderBuffered, RateBps: 1e6})
 
-			if _, err := snd.Send(0, xcode.SyntaxRaw, payload(512, 1)); err != nil {
-				t.Fatal(err)
-			}
-			if _, err := snd.Send(1, xcode.SyntaxRaw, payload(8192, 2)); err != nil {
-				t.Fatal(err)
-			}
-			if snd.Backlog() <= 0 {
-				t.Fatal("pacer not backlogged; rig broken")
-			}
-			snd.resend(0) // priority: must not queue behind ADU 1
+		if _, err := snd.Send(0, xcode.SyntaxRaw, payload(512, 1)); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := snd.Send(1, xcode.SyntaxRaw, payload(8192, 2)); err != nil {
+			t.Fatal(err)
+		}
+		if snd.Backlog() <= 0 {
+			t.Fatal("pacer not backlogged; rig broken")
+		}
+		snd.resend(0) // priority: must not queue behind ADU 1
 
-			retxAt := sim.Time(-1)
-			for _, e := range (*log)[1:] { // entry 0 is ADU 0's first transmission
-				if e.name == 0 {
-					retxAt = e.at
-				}
+		retxAt := sim.Time(-1)
+		for _, e := range (*log)[1:] { // entry 0 is ADU 0's first transmission
+			if e.name == 0 {
+				retxAt = e.at
 			}
-			if retxAt != s.Now() {
-				t.Fatalf("retransmission paced to %v, want immediate (%v)", retxAt, s.Now())
-			}
+		}
+		if retxAt != s.Now() {
+			t.Fatalf("retransmission paced to %v, want immediate (%v)", retxAt, s.Now())
+		}
 
-			s.Run()
-			paced := 0
-			for _, e := range *log {
-				if e.name == 1 && e.at > retxAt {
-					paced++
-				}
+		s.Run()
+		paced := 0
+		for _, e := range *log {
+			if e.name == 1 && e.at > retxAt {
+				paced++
 			}
-			if paced == 0 {
-				t.Error("no ADU-1 fragment was emitted after the bypassing retransmission")
-			}
-			if snd.Stats.ResentFrags == 0 {
-				t.Error("no retransmitted fragments counted")
-			}
-		})
-	}
+		}
+		if paced == 0 {
+			t.Error("no ADU-1 fragment was emitted after the bypassing retransmission")
+		}
+		if snd.Stats.ResentFrags == 0 {
+			t.Error("no retransmitted fragments counted")
+		}
+	})
 }
 
 // TestPacerMonotonicAcrossSetRate: changing the rate mid-stream (by
 // hand or by a controller) must never schedule a fragment earlier than
 // one already committed — wire emission times stay non-decreasing, and
-// every fragment emitted after a change is paced at the new rate, under
-// both wire paths.
+// every fragment emitted after a change is paced at the new rate.
 func TestPacerMonotonicAcrossSetRate(t *testing.T) {
-	for _, tc := range []struct {
-		name     string
-		zeroCopy bool
-	}{{"Send", false}, {"SendRef", true}} {
-		t.Run(tc.name, func(t *testing.T) {
-			s, snd, log := pacerRig(t, Config{Policy: NoRetransmit, RateBps: 2e5, HeartbeatLimit: 1}, tc.zeroCopy)
+	t.Run("SendRef", func(t *testing.T) {
+		s, snd, log := pacerRig(t, Config{Policy: NoRetransmit, RateBps: 2e5, HeartbeatLimit: 1})
 
-			data := payload(1000, 3)
-			for i := 0; i < 30; i++ {
-				tag := uint64(i)
-				s.After(time.Duration(i)*2*time.Millisecond, func() {
-					if _, err := snd.Send(tag, xcode.SyntaxRaw, data); err != nil {
-						t.Fatal(err)
-					}
-				})
-			}
-			// Speed up mid-stream (a shallower backlog must not reorder
-			// already-booked fragments), then slam down to a crawl.
-			s.After(20*time.Millisecond, func() { snd.SetRate(8e6) })
-			s.After(40*time.Millisecond, func() { snd.SetRate(5e4) })
-			s.Run()
-
-			if len(*log) != 30 {
-				t.Fatalf("emitted %d fragments, want 30", len(*log))
-			}
-			for i := 1; i < len(*log); i++ {
-				if (*log)[i].at < (*log)[i-1].at {
-					t.Fatalf("emission %d (ADU %d) at %v precedes emission %d at %v",
-						i, (*log)[i].name, (*log)[i].at, i-1, (*log)[i-1].at)
+		data := payload(1000, 3)
+		for i := 0; i < 30; i++ {
+			tag := uint64(i)
+			s.After(time.Duration(i)*2*time.Millisecond, func() {
+				if _, err := snd.Send(tag, xcode.SyntaxRaw, data); err != nil {
+					t.Fatal(err)
 				}
+			})
+		}
+		// Speed up mid-stream (a shallower backlog must not reorder
+		// already-booked fragments), then slam down to a crawl.
+		s.After(20*time.Millisecond, func() { snd.SetRate(8e6) })
+		s.After(40*time.Millisecond, func() { snd.SetRate(5e4) })
+		s.Run()
+
+		if len(*log) != 30 {
+			t.Fatalf("emitted %d fragments, want 30", len(*log))
+		}
+		for i := 1; i < len(*log); i++ {
+			if (*log)[i].at < (*log)[i-1].at {
+				t.Fatalf("emission %d (ADU %d) at %v precedes emission %d at %v",
+					i, (*log)[i].name, (*log)[i].at, i-1, (*log)[i-1].at)
 			}
-			if last := (*log)[len(*log)-1]; last.name != 29 {
-				t.Errorf("final emission is ADU %d, want 29", last.name)
-			}
-		})
-	}
+		}
+		if last := (*log)[len(*log)-1]; last.name != 29 {
+			t.Errorf("final emission is ADU %d, want 29", last.name)
+		}
+	})
 }
 
 // TestFeedbackShedZeroAlloc extends the steady-state allocation guard
@@ -151,7 +131,7 @@ func TestFeedbackShedZeroAlloc(t *testing.T) {
 		t.Skip("race detector instrumentation allocates")
 	}
 	s := sim.NewScheduler()
-	snd, err := NewSender(s, func([]byte) error { return nil }, Config{
+	snd, err := testSender(s, func([]byte) error { return nil }, Config{
 		Policy:           NoRetransmit,
 		RateBps:          1e5,
 		FeedbackInterval: 50 * time.Millisecond,
@@ -222,7 +202,7 @@ func TestReceiverFeedbackZeroAlloc(t *testing.T) {
 	// encodeControl, a (pre-existing) allocating path that is not under
 	// test here.
 	var snd *Sender
-	snd, err = NewSender(s, func(p []byte) error { return rcv.HandlePacket(p) },
+	snd, err = testSender(s, func(p []byte) error { return rcv.HandlePacket(p) },
 		Config{Policy: NoRetransmit, HeartbeatLimit: 1})
 	if err != nil {
 		t.Fatal(err)

@@ -79,7 +79,7 @@ func TestPriorityString(t *testing.T) {
 func feedbackSender(t *testing.T, cfg Config) *Sender {
 	t.Helper()
 	s := sim.NewScheduler()
-	snd, err := NewSender(s, func([]byte) error { return nil }, cfg)
+	snd, err := testSender(s, func([]byte) error { return nil }, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,7 +214,7 @@ func TestShedOnReportedLoss(t *testing.T) {
 
 func TestRecoveryBandwidthCap(t *testing.T) {
 	s := sim.NewScheduler()
-	snd, err := NewSender(s, func([]byte) error { return nil }, Config{
+	snd, err := testSender(s, func([]byte) error { return nil }, Config{
 		Policy: SenderBuffered, RateBps: 1e6, RecoveryFrac: 0.01,
 	})
 	if err != nil {

@@ -102,13 +102,13 @@ func (s *Sender) retained(name uint64) *savedADU {
 type Sender struct {
 	cfg   Config
 	sched *sim.Scheduler
-	send  func([]byte) error
+	send  func([]byte) error // heartbeats only; nil sends none
 
-	// SendRef, if set, transmits wire packets as pooled refcounted
-	// buffers (the callee owns the passed count — netsim.Link.SendRef
-	// has exactly this contract), making emission zero-copy end to end.
-	// When nil, packets go through the send function and the buffer is
-	// recycled as soon as it returns.
+	// SendRef transmits every data and parity packet as a pooled
+	// refcounted buffer and must be set before the first Send. The
+	// callee owns the passed count, even on error (netsim.Link.SendRef
+	// has exactly this contract); one that only reads the bytes
+	// releases the ref when done.
 	SendRef func(*buf.Ref) error
 
 	// scratch is the packetization worklist, reused across Sends so the
@@ -192,8 +192,9 @@ type Sender struct {
 	Stats SenderStats
 }
 
-// NewSender creates the sending end of a stream. send transmits one
-// wire packet toward the receiver.
+// NewSender creates the sending end of a stream. send carries its
+// heartbeats, and nothing else, toward the receiver; a nil send arms
+// none. Data leaves by Sender.SendRef, set before the first Send.
 func NewSender(sched *sim.Scheduler, send func([]byte) error, cfg Config) (*Sender, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -398,8 +399,12 @@ func (s *Sender) Send(tag uint64, syntax xcode.SyntaxID, data []byte) (uint64, e
 // SendClass returns ErrShed, the ADU consumes no name, and nothing
 // reaches the network. Shedding here, at the sender, is the ALF
 // position on overload: the application picks what is lost, instead of
-// a bottleneck queue tail-dropping fragments blindly.
+// a bottleneck queue tail-dropping fragments blindly. Without SendRef
+// every ADU is refused with ErrConfig, before any of this.
 func (s *Sender) SendClass(tag uint64, syntax xcode.SyntaxID, data []byte, class Priority) (uint64, error) {
+	if s.SendRef == nil {
+		return 0, fmt.Errorf("%w: SendRef not set", ErrConfig)
+	}
 	if class == Droppable && s.shouldShed() {
 		s.Stats.ShedADUs++
 		s.cfg.Tracer.EmitTag(tracing.ADUShed, s.cfg.StreamID, s.nextName, tag, len(data))
@@ -431,7 +436,7 @@ func (s *Sender) SendClass(tag uint64, syntax xcode.SyntaxID, data []byte, class
 	s.cfg.Tracer.EmitTag(tracing.ADUSubmit, s.cfg.StreamID, name, tag, len(data))
 	s.emitFrags(name, frags, false, retain)
 	s.scratch = frags[:0]
-	if !s.hb.Active() {
+	if s.send != nil && !s.hb.Active() {
 		s.hb.Reset(s.cfg.HeartbeatInterval)
 	}
 	return name, nil
@@ -572,22 +577,14 @@ type fragRef struct {
 	parity bool
 }
 
-// sendOut hands one wire packet to the network, preferring the
-// zero-copy refcounted path. Ownership of the count transfers either
-// way: the fallback recycles the buffer as soon as the send function
-// returns (which must not retain the slice).
-func (s *Sender) sendOut(pkt *buf.Ref) {
+// sendOut is the one step by which a packet leaves the sender, now or
+// at its paced time: the trace event (wait is the pacer's hold), the
+// wire-byte count, the packet itself by reference — the count passes
+// to SendRef — and the emitted-extent watermark the heartbeat declares.
+func (s *Sender) sendOut(pkt *buf.Ref, kind tracing.Kind, ref fragRef, markNext uint64, wait sim.Duration) {
+	s.cfg.Tracer.Emit(kind, s.cfg.StreamID, ref.name, int64(ref.off), ref.n, wait)
 	s.Stats.WireBytes += int64(pkt.Len())
-	if s.SendRef != nil {
-		_ = s.SendRef(pkt)
-		return
-	}
-	_ = s.send(pkt.Bytes())
-	pkt.Release()
-}
-
-// mark advances the emitted-extent watermark the heartbeat declares.
-func (s *Sender) mark(markNext uint64) {
+	_ = s.SendRef(pkt) // a refused packet is a loss, which recovery repairs
 	if markNext > s.emittedNext {
 		s.emittedNext = markNext
 	}
@@ -607,9 +604,7 @@ func (s *Sender) emit(pkt *buf.Ref, priority bool, markNext uint64, ref fragRef)
 		kind = tracing.FragRetx
 	}
 	if s.cfg.RateBps <= 0 || priority {
-		s.cfg.Tracer.Emit(kind, s.cfg.StreamID, ref.name, int64(ref.off), ref.n, 0)
-		s.sendOut(pkt)
-		s.mark(markNext)
+		s.sendOut(pkt, kind, ref, markNext, 0)
 		return
 	}
 	tx := sim.Duration(float64(pkt.Len()*8) / s.cfg.RateBps * 1e9)
@@ -619,17 +614,11 @@ func (s *Sender) emit(pkt *buf.Ref, priority bool, markNext uint64, ref fragRef)
 	}
 	s.pacerFree = at.Add(tx)
 	if at == s.sched.Now() {
-		s.cfg.Tracer.Emit(kind, s.cfg.StreamID, ref.name, int64(ref.off), ref.n, 0)
-		s.sendOut(pkt)
-		s.mark(markNext)
+		s.sendOut(pkt, kind, ref, markNext, 0)
 		return
 	}
 	wait := at.Sub(s.sched.Now())
-	s.sched.At(at, func() {
-		s.cfg.Tracer.Emit(kind, s.cfg.StreamID, ref.name, int64(ref.off), ref.n, wait)
-		s.sendOut(pkt)
-		s.mark(markNext)
-	})
+	s.sched.At(at, func() { s.sendOut(pkt, kind, ref, markNext, wait) })
 }
 
 // HandleControl processes a message from the receiver on the control
@@ -853,7 +842,7 @@ func (s *Sender) resend(name uint64) {
 		// as-is (headers are identical on resend).
 		s.emitFrags(name, saved.frags, true, true)
 	case AppRecompute:
-		if s.OnResend == nil {
+		if s.OnResend == nil || s.SendRef == nil { // the latter: nothing was ever sent
 			s.Stats.UnfilledNacks++
 			return
 		}

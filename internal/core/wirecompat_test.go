@@ -46,7 +46,7 @@ func TestWireCompat(t *testing.T) {
 			cfg.MTU = HeaderSize + 16
 		}
 		var pkts []string
-		snd, err := NewSender(sim.NewScheduler(), func(p []byte) error {
+		snd, err := testSender(sim.NewScheduler(), func(p []byte) error {
 			pkts = append(pkts, hex.EncodeToString(p))
 			return nil
 		}, cfg)

@@ -60,15 +60,10 @@ func benchSteadyStateSuite(b *testing.B, cfg Config) {
 func BenchmarkReceivePath(b *testing.B) {
 	s := sim.NewScheduler()
 	var rcv *Receiver
-	snd, err := NewSender(s, func(p []byte) error { return rcv.HandlePacket(p) },
+	snd, err := testSender(s, func(p []byte) error { return rcv.HandlePacket(p) },
 		Config{Policy: NoRetransmit})
 	if err != nil {
 		b.Fatal(err)
-	}
-	snd.SendRef = func(ref *buf.Ref) error {
-		err := rcv.HandlePacket(ref.Bytes())
-		ref.Release()
-		return err
 	}
 	rcv, err = NewReceiver(s, nil, Config{Policy: NoRetransmit})
 	if err != nil {
@@ -125,7 +120,7 @@ func BenchmarkFECSender(b *testing.B) {
 func BenchmarkFECRepair(b *testing.B) {
 	s := sim.NewScheduler()
 	var pkts [][]byte
-	snd, err := NewSender(s, func(p []byte) error {
+	snd, err := testSender(s, func(p []byte) error {
 		pkts = append(pkts, append([]byte(nil), p...))
 		return nil
 	}, Config{Policy: NoRetransmit, FECGroup: 4})

@@ -69,15 +69,10 @@ func TestReceivePathZeroAlloc(t *testing.T) {
 	}
 	s := sim.NewScheduler()
 	var rcv *Receiver
-	snd, err := NewSender(s, func(p []byte) error { return rcv.HandlePacket(p) },
+	snd, err := testSender(s, func(p []byte) error { return rcv.HandlePacket(p) },
 		Config{Policy: NoRetransmit, FECGroup: 4})
 	if err != nil {
 		t.Fatal(err)
-	}
-	snd.SendRef = func(ref *buf.Ref) error {
-		err := rcv.HandlePacket(ref.Bytes())
-		ref.Release()
-		return err
 	}
 	rcv, err = NewReceiver(s, nil, Config{Policy: NoRetransmit, FECGroup: 4})
 	if err != nil {
@@ -120,7 +115,7 @@ func TestScanPassZeroAlloc(t *testing.T) {
 	// a scheduler of its own, so none of its timers run under the
 	// receiver's clock.
 	var first []byte
-	snd, err := NewSender(sim.NewScheduler(), func(p []byte) error {
+	snd, err := testSender(sim.NewScheduler(), func(p []byte) error {
 		if first == nil {
 			first = append([]byte(nil), p...)
 		}

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/atm"
+	"repro/internal/buf"
 	alf "repro/internal/core"
 	"repro/internal/netsim"
 	"repro/internal/sim"
@@ -221,12 +222,17 @@ func RunF4(cfg F4Config, cellLossPct float64) (F4Point, error) {
 		RateBps:      cfg.LinkBps,
 	}
 	seg := atm.NewSegmenter(1)
-	snd, err := alf.NewSender(s, func(pkt []byte) error {
+	toCells := func(pkt []byte) error {
 		seg.Segment(pkt, func(cell []byte) { ab.Send(cell) })
 		return nil
-	}, acfg)
+	}
+	snd, err := alf.NewSender(s, toCells, acfg)
 	if err != nil {
 		return p, err
+	}
+	snd.SendRef = func(ref *buf.Ref) error {
+		defer ref.Release() // the segmenter copies the packet into cells
+		return toCells(ref.Bytes())
 	}
 	rcv, err := alf.NewReceiver(s, ba.Send, acfg)
 	if err != nil {

@@ -67,21 +67,19 @@ func checkBound(t *testing.T, reg *metrics.Registry, prefix string, stats any, l
 func TestStatsStructsBindEveryField(t *testing.T) {
 	reg := metrics.New()
 	s := sim.NewScheduler()
-	discard := func([]byte) error { return nil }
-
 	cfg := alf.Config{StreamID: 3, Metrics: reg}
-	snd, err := alf.NewSender(s, discard, cfg)
+	snd, err := alf.NewSender(s, nil, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	checkBound(t, reg, "core.send", &snd.Stats, "stream=3")
-	rcv, err := alf.NewReceiver(s, discard, cfg)
+	rcv, err := alf.NewReceiver(s, nil, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	checkBound(t, reg, "core.recv", &rcv.Stats, "stream=3")
 
-	conn := otp.New(s, discard, otp.Config{ConnID: 2, Metrics: reg, MetricsLabels: []string{"role=snd"}})
+	conn := otp.New(s, nil, otp.Config{ConnID: 2, Metrics: reg, MetricsLabels: []string{"role=snd"}})
 	checkBound(t, reg, "otp", &conn.Stats, "conn=2", "role=snd")
 
 	net := netsim.New(s, 1)

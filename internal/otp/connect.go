@@ -13,10 +13,8 @@ import (
 // configs differ where the ends are labelled apart (metric prefixes,
 // tracer stream ids).
 func Connect(sched *sim.Scheduler, a, b *netsim.Node, ab, ba *netsim.Link, cfgA, cfgB Config) (*Conn, *Conn) {
-	ca := New(sched, func(p []byte) error { return netsim.SendVia(ab, b, p) }, cfgA)
-	ca.SendRef = func(ref *buf.Ref) error { return netsim.SendRefVia(ab, b, ref) }
-	cb := New(sched, func(p []byte) error { return netsim.SendVia(ba, a, p) }, cfgB)
-	cb.SendRef = func(ref *buf.Ref) error { return netsim.SendRefVia(ba, a, ref) }
+	ca := New(sched, func(ref *buf.Ref) error { return netsim.SendRefVia(ab, b, ref) }, cfgA)
+	cb := New(sched, func(ref *buf.Ref) error { return netsim.SendRefVia(ba, a, ref) }, cfgB)
 	a.SetHandler(func(p *netsim.Packet) { ca.HandleSegment(p.Payload) })
 	b.SetHandler(func(p *netsim.Packet) { cb.HandleSegment(p.Payload) })
 	return ca, cb

@@ -106,8 +106,7 @@ func TestHeadOfLineStallHistogram(t *testing.T) {
 // allocates its own state and nothing for metrics.
 func TestNilRegistryBindsNothing(t *testing.T) {
 	sched := sim.NewScheduler()
-	discard := func([]byte) error { return nil }
-	allocs := testing.AllocsPerRun(100, func() { New(sched, discard, Config{}) })
+	allocs := testing.AllocsPerRun(100, func() { New(sched, drop, Config{}) })
 	if allocs > 10 {
 		t.Errorf("otp.New on a nil registry: %.0f allocs, want <= 10", allocs)
 	}

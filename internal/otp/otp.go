@@ -10,8 +10,9 @@
 // head-of-line blocking for the presentation pipeline.
 //
 // The implementation is an event-driven state machine on a sim.Scheduler;
-// it sends through any func([]byte) error (typically netsim.Link.Send)
-// and receives via HandleSegment.
+// it sends each segment as a pooled buffer through any
+// func(*buf.Ref) error (typically netsim.Link.SendRef) and receives via
+// HandleSegment.
 package otp
 
 import (
@@ -142,14 +143,7 @@ type Stats struct {
 type Conn struct {
 	cfg   Config
 	sched *sim.Scheduler
-	send  func([]byte) error
-
-	// SendRef, when set, is preferred over the send function for
-	// outgoing segments and transfers ownership of the pooled buffer's
-	// reference to the callee — the zero-copy handoff into
-	// netsim.SendRefVia. The callee must release (or forward) the
-	// reference even on error.
-	SendRef func(*buf.Ref) error
+	send  func(*buf.Ref) error
 
 	// OnData receives in-order payload as it becomes deliverable. The
 	// slice is valid only until the callback returns — it aliases either
@@ -209,9 +203,12 @@ type Conn struct {
 	Stats Stats
 }
 
-// New creates a connection endpoint. send transmits a wire segment
-// toward the peer (e.g. a closure over netsim.Link.Send).
-func New(sched *sim.Scheduler, send func([]byte) error, cfg Config) *Conn {
+// New creates a connection endpoint. send transmits each wire segment,
+// data and ACK alike, toward the peer as a pooled buffer, and owns the
+// passed reference even on error: it releases or forwards it, as
+// netsim.Link.SendRef and netsim.SendRefVia do. A send that needs the
+// bytes only for the call reads ref.Bytes() and then releases the ref.
+func New(sched *sim.Scheduler, send func(*buf.Ref) error, cfg Config) *Conn {
 	cfg.fill()
 	c := &Conn{
 		cfg:   cfg,
@@ -323,22 +320,10 @@ func (c *Conn) transmit(seq int64, payload []byte, isRetx bool) {
 			c.timedAt = c.sched.Now()
 		}
 	}
-	c.sendOut(seg)
+	_ = c.send(seg) // a segment the network refuses is a loss, which the RTO recovers
 	if !c.rtoTimer.Active() {
 		c.rtoTimer.Reset(c.rto)
 	}
-}
-
-// sendOut hands one wire segment to the network, consuming the
-// reference: zero-copy via SendRef when wired, else the classic
-// byte-slice send (the network copies before the release).
-func (c *Conn) sendOut(seg *buf.Ref) {
-	if c.SendRef != nil {
-		_ = c.SendRef(seg)
-		return
-	}
-	_ = c.send(seg.Bytes())
-	seg.Release()
 }
 
 // makeSegment builds a wire segment with checksum in a pooled buffer.
@@ -652,7 +637,7 @@ func (c *Conn) flushAck() {
 	c.ackOwed = false
 	c.ackTimer.Stop()
 	c.Stats.AcksSent++
-	c.sendOut(c.makeSegment(wire.OTPAck, 0, nil))
+	_ = c.send(c.makeSegment(wire.OTPAck, 0, nil)) // a lost ACK is repaired by the next one
 }
 
 // OOOSegments returns the offsets currently buffered ahead of a gap

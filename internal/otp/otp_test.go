@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 	"time"
 
+	"repro/internal/buf"
 	"repro/internal/netsim"
 	"repro/internal/sim"
 	"repro/internal/wire"
@@ -33,6 +34,24 @@ func newPair(t *testing.T, linkCfg netsim.LinkConfig, connCfg Config, seed int64
 	p.sender, p.receiver = Connect(s, a, b, ab, ba, connCfg, connCfg)
 	p.receiver.OnData = func(d []byte) { p.got.Write(d) }
 	return p
+}
+
+// inMemory returns a send function for a connection whose peer is in
+// memory: out sees each segment for the length of the call, and the
+// segment is released when out returns, so a peer that keeps one
+// copies it.
+func inMemory(out func([]byte) error) func(*buf.Ref) error {
+	return func(ref *buf.Ref) error {
+		err := out(ref.Bytes())
+		ref.Release()
+		return err
+	}
+}
+
+// drop is the send function of a connection into a black hole.
+func drop(ref *buf.Ref) error {
+	ref.Release()
+	return nil
 }
 
 func pattern(n int) []byte {
@@ -369,7 +388,7 @@ func TestRTOBacksOffUnderBlackout(t *testing.T) {
 	// stop at MaxRTO.
 	s := sim.NewScheduler()
 	cfg := Config{InitialRTO: 10 * time.Millisecond, MaxRTO: 100 * time.Millisecond}
-	c := New(s, func([]byte) error { return nil }, cfg) // black hole
+	c := New(s, drop, cfg) // black hole
 	c.Send(pattern(100))
 	s.RunUntil(sim.Time(2 * time.Second))
 	if c.Stats.Timeouts < 5 {
@@ -402,7 +421,7 @@ func TestOnAckedCallback(t *testing.T) {
 
 func TestShortSegmentRejected(t *testing.T) {
 	s := sim.NewScheduler()
-	c := New(s, func([]byte) error { return nil }, Config{})
+	c := New(s, drop, Config{})
 	if err := c.HandleSegment(make([]byte, wire.OTPHeaderSize-1)); err == nil {
 		t.Error("short segment accepted")
 	}
@@ -479,7 +498,7 @@ func TestChunkedWritesEquivalentProperty(t *testing.T) {
 
 func TestHandleSegmentNeverPanics(t *testing.T) {
 	s := sim.NewScheduler()
-	c := New(s, func([]byte) error { return nil }, Config{})
+	c := New(s, drop, Config{})
 	c.OnData = func([]byte) {}
 	f := func(seg []byte) bool {
 		c.HandleSegment(seg)
@@ -497,15 +516,15 @@ func TestMutatedSegmentsNeverCorruptStream(t *testing.T) {
 	// delivered stream must never contain wrong bytes.
 	s := sim.NewScheduler()
 	var segs [][]byte
-	snd := New(s, func(p []byte) error {
+	snd := New(s, inMemory(func(p []byte) error {
 		segs = append(segs, append([]byte(nil), p...))
 		return nil
-	}, Config{MSS: 100})
+	}), Config{MSS: 100})
 	snd.Send(pattern(300))
 
 	for _, seg := range segs {
 		for bit := 0; bit < len(seg)*8; bit += 5 {
-			rcv := New(s, func([]byte) error { return nil }, Config{MSS: 100})
+			rcv := New(s, drop, Config{MSS: 100})
 			var got []byte
 			rcv.OnData = func(d []byte) { got = append(got, d...) }
 			mut := append([]byte(nil), seg...)
@@ -550,10 +569,10 @@ func BenchmarkHandleSegmentDataPath(b *testing.B) {
 	s := sim.NewScheduler()
 	var segs [][]byte
 	const pool = 1024
-	snd := New(s, func(p []byte) error {
+	snd := New(s, inMemory(func(p []byte) error {
 		segs = append(segs, append([]byte(nil), p...))
 		return nil
-	}, Config{MSS: 1024, SendWindow: pool * 1024, SendBuffer: pool * 1024, RecvWindow: 1 << 16})
+	}), Config{MSS: 1024, SendWindow: pool * 1024, SendBuffer: pool * 1024, RecvWindow: 1 << 16})
 	snd.peerWnd = pool * 1024 // skip the conservative-start ramp for generation
 	if err := snd.Send(make([]byte, pool*1024)); err != nil {
 		b.Fatal(err)
@@ -563,7 +582,7 @@ func BenchmarkHandleSegmentDataPath(b *testing.B) {
 	}
 	sink := 0
 	newRcv := func() *Conn {
-		r := New(s, func([]byte) error { return nil }, Config{MSS: 1024, RecvWindow: 1 << 16})
+		r := New(s, drop, Config{MSS: 1024, RecvWindow: 1 << 16})
 		r.OnData = func(d []byte) { sink += len(d) }
 		return r
 	}
@@ -587,19 +606,19 @@ func BenchmarkHandleSegmentAckPath(b *testing.B) {
 	// CPU cost of pure-ACK processing: the transfer-control path (F1).
 	s := sim.NewScheduler()
 	var ack []byte
-	rcv := New(s, func(p []byte) error {
+	rcv := New(s, inMemory(func(p []byte) error {
 		if p[0]&wire.OTPAck != 0 && p[0]&wire.OTPData == 0 && ack == nil {
 			ack = append([]byte(nil), p...)
 		}
 		return nil
-	}, Config{})
+	}), Config{})
 	// Provoke one ACK.
-	snd := New(s, rcv.HandleSegment, Config{})
+	snd := New(s, inMemory(rcv.HandleSegment), Config{})
 	snd.Send(make([]byte, 100))
 	if ack == nil {
 		b.Fatal("no ack captured")
 	}
-	conn := New(s, func([]byte) error { return nil }, Config{})
+	conn := New(s, drop, Config{})
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -617,7 +636,7 @@ func TestFailThresholdDeclaresDead(t *testing.T) {
 		MaxRTO:        50 * time.Millisecond,
 		FailThreshold: 6,
 	}
-	c := New(s, func([]byte) error { return nil }, cfg)
+	c := New(s, drop, cfg)
 	deadAt := sim.Time(-1)
 	c.OnDead = func() { deadAt = s.Now() }
 	c.Send(pattern(100))
@@ -642,7 +661,7 @@ func TestFailThresholdDeclaresDead(t *testing.T) {
 	// Dead is terminal: a late segment must not resurrect it. The peer
 	// gets a FailThreshold too, or it would retry into the corpse
 	// forever and Run() would never terminate.
-	peer := New(s, c.HandleSegment, Config{FailThreshold: 3})
+	peer := New(s, inMemory(c.HandleSegment), Config{FailThreshold: 3})
 	peer.Send(pattern(50))
 	s.Run()
 	if !c.Dead() || c.Delivered() != 0 {
@@ -673,7 +692,7 @@ func TestFailThresholdStreakResetsOnProgress(t *testing.T) {
 func TestZeroFailThresholdNeverGivesUp(t *testing.T) {
 	// Back-compat: the default keeps retrying at MaxRTO forever.
 	s := sim.NewScheduler()
-	c := New(s, func([]byte) error { return nil },
+	c := New(s, drop,
 		Config{InitialRTO: 10 * time.Millisecond, MaxRTO: 50 * time.Millisecond})
 	c.Send(pattern(100))
 	s.RunUntil(sim.Time(5 * time.Second))
@@ -690,18 +709,18 @@ func TestForgedAckIgnored(t *testing.T) {
 	// crash or corrupt sender state.
 	s := sim.NewScheduler()
 	var ack []byte
-	rcvSide := New(s, func(p []byte) error {
+	rcvSide := New(s, inMemory(func(p []byte) error {
 		if p[0]&wire.OTPAck != 0 && p[0]&wire.OTPData == 0 && ack == nil {
 			ack = append([]byte(nil), p...)
 		}
 		return nil
-	}, Config{})
-	sndSide := New(s, rcvSide.HandleSegment, Config{})
+	}), Config{})
+	sndSide := New(s, inMemory(rcvSide.HandleSegment), Config{})
 	sndSide.Send(make([]byte, 100)) // provokes an ACK of 100 bytes
 	if ack == nil {
 		t.Fatal("no ack captured")
 	}
-	fresh := New(s, func([]byte) error { return nil }, Config{})
+	fresh := New(s, drop, Config{})
 	if err := fresh.HandleSegment(ack); err != nil {
 		t.Fatalf("forged ack returned error: %v", err)
 	}

@@ -10,11 +10,11 @@ import (
 )
 
 // TestSendRefZeroCopy runs a lossy transfer over the zero-copy handoff
-// (Conn.SendRef -> netsim.SendRefVia) with a private pool on every
-// stage, and checks that the stream still arrives intact and that every
-// pooled buffer the endpoints and the network took was returned: the
-// recycling loop closes even across retransmissions, out-of-order
-// buffering, and line drops.
+// (the connection's send -> netsim.SendRefVia) with a private pool on
+// every stage, and checks that the stream still arrives intact and
+// that every pooled buffer the endpoints and the network took was
+// returned: the recycling loop closes even across retransmissions,
+// out-of-order buffering, and line drops.
 func TestSendRefZeroCopy(t *testing.T) {
 	pool := buf.NewPool()
 	p := newPair(t, netsim.LinkConfig{RateBps: 1e7, Delay: 2 * time.Millisecond, LossProb: 0.05},
@@ -43,8 +43,8 @@ func TestSendRefZeroCopy(t *testing.T) {
 }
 
 // TestSegmentReuseAfterSend documents the ownership rule: once a
-// segment is handed to SendRef the connection holds no reference, and
-// the network's copy is isolated from later pool reuse.
+// segment is handed to its send function the connection holds no
+// reference, and the network's copy is isolated from later pool reuse.
 func TestSegmentReuseAfterSend(t *testing.T) {
 	pool := buf.NewPool()
 	p := newPair(t, netsim.LinkConfig{Delay: time.Millisecond}, Config{Pool: pool}, 1)

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/buf"
 	alf "repro/internal/core"
 	"repro/internal/netsim"
 	"repro/internal/sim"
@@ -37,6 +38,7 @@ func newRig(t *testing.T, linkCfg netsim.LinkConfig, codec xcode.Codec, seed int
 	if err != nil {
 		t.Fatal(err)
 	}
+	callSnd.SendRef = ab.SendRef
 	callRcv, err := alf.NewReceiver(s, ba.Send, callCfg)
 	if err != nil {
 		t.Fatal(err)
@@ -45,6 +47,7 @@ func newRig(t *testing.T, linkCfg netsim.LinkConfig, codec xcode.Codec, seed int
 	if err != nil {
 		t.Fatal(err)
 	}
+	replySnd.SendRef = ba.SendRef
 	replyRcv, err := alf.NewReceiver(s, ab.Send, replyCfg)
 	if err != nil {
 		t.Fatal(err)
@@ -199,9 +202,7 @@ func TestConcurrentCallsIndependentUnderLoss(t *testing.T) {
 func TestTimeout(t *testing.T) {
 	// Server's replies are blackholed: calls must time out.
 	s := sim.NewScheduler()
-	cfg := alf.Config{HeartbeatLimit: 1}
-	callSnd, _ := alf.NewSender(s, func([]byte) error { return nil }, cfg)
-	cli := NewClient(s, callSnd, xcode.BER{})
+	cli := NewClient(s, blackhole(t, s), xcode.BER{})
 	cli.Timeout = 100 * time.Millisecond
 	var gotErr error
 	cli.Go("x", nil, func(m xcode.Message, err error) { gotErr = err })
@@ -216,9 +217,7 @@ func TestTimeout(t *testing.T) {
 
 func TestLateReplyIsOrphan(t *testing.T) {
 	s := sim.NewScheduler()
-	cfg := alf.Config{HeartbeatLimit: 1}
-	callSnd, _ := alf.NewSender(s, func([]byte) error { return nil }, cfg)
-	cli := NewClient(s, callSnd, xcode.BER{})
+	cli := NewClient(s, blackhole(t, s), xcode.BER{})
 	cli.Timeout = 10 * time.Millisecond
 	cli.Go("x", nil, func(m xcode.Message, err error) {})
 	s.Run() // times out
@@ -231,9 +230,7 @@ func TestLateReplyIsOrphan(t *testing.T) {
 
 func TestClientClose(t *testing.T) {
 	s := sim.NewScheduler()
-	cfg := alf.Config{HeartbeatLimit: 1}
-	callSnd, _ := alf.NewSender(s, func([]byte) error { return nil }, cfg)
-	cli := NewClient(s, callSnd, xcode.BER{})
+	cli := NewClient(s, blackhole(t, s), xcode.BER{})
 	var errs []error
 	cli.Go("x", nil, func(m xcode.Message, err error) { errs = append(errs, err) })
 	cli.Close()
@@ -246,7 +243,7 @@ func TestClientClose(t *testing.T) {
 }
 
 func TestBadCallDropped(t *testing.T) {
-	srv := NewServer(mustSender(t), xcode.BER{})
+	srv := NewServer(blackhole(t, sim.NewScheduler()), xcode.BER{})
 	srv.HandleCall(alf.ADU{Tag: 1, Data: []byte{0xFF, 0xFF}})
 	if srv.Stats.BadCalls != 1 {
 		t.Errorf("bad calls = %d", srv.Stats.BadCalls)
@@ -259,13 +256,14 @@ func TestBadCallDropped(t *testing.T) {
 	}
 }
 
-func mustSender(t *testing.T) *alf.Sender {
+// blackhole returns a sender on sched whose packets go nowhere.
+func blackhole(t *testing.T, sched *sim.Scheduler) *alf.Sender {
 	t.Helper()
-	s := sim.NewScheduler()
-	snd, err := alf.NewSender(s, func([]byte) error { return nil }, alf.Config{HeartbeatLimit: 1})
+	snd, err := alf.NewSender(sched, nil, alf.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	snd.SendRef = func(ref *buf.Ref) error { ref.Release(); return nil }
 	return snd
 }
 

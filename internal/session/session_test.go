@@ -310,6 +310,7 @@ func TestEndToEndNegotiatedStream(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		snd.SendRef = ab.SendRef
 		if _, err := snd.Send(0, res.Syntax, data); err != nil {
 			t.Fatal(err)
 		}

@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/buf"
 	alf "repro/internal/core"
 	"repro/internal/faults"
 	"repro/internal/netsim"
@@ -317,16 +318,17 @@ func TestDropsOfAEADFragmentsCarryADUIdentity(t *testing.T) {
 		parity bool
 	}
 	var sent []frag
-	snd, err := alf.NewSender(sched, func(p []byte) error {
-		h, err := wire.ParseHeader(p)
+	snd, err := alf.NewSender(sched, nil, alf.Config{StreamID: 6, Suite: alf.SuiteAEAD, Key: 0xFEED, FECGroup: 2, MTU: alf.HeaderSize + 16 + 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	snd.SendRef = func(ref *buf.Ref) error {
+		h, err := wire.ParseHeader(ref.Bytes())
 		if err != nil {
 			t.Fatal(err)
 		}
 		sent = append(sent, frag{int64(h.FragOff), h.Flags&wire.FlagParity != 0})
-		return link.Send(p)
-	}, alf.Config{StreamID: 6, Suite: alf.SuiteAEAD, Key: 0xFEED, FECGroup: 2, MTU: alf.HeaderSize + 16 + 64})
-	if err != nil {
-		t.Fatal(err)
+		return link.SendRef(ref)
 	}
 	snd.Send(1, xcode.SyntaxRaw, make([]byte, 64)) // name 0
 	name, _ := snd.Send(2, xcode.SyntaxRaw, make([]byte, 200))

@@ -3,6 +3,7 @@ package tracing_test
 import (
 	"testing"
 
+	"repro/internal/buf"
 	alf "repro/internal/core"
 	"repro/internal/sim"
 	"repro/internal/tracing"
@@ -42,19 +43,17 @@ func BenchmarkEnabledTracer(b *testing.B) {
 	}
 }
 
-// benchSender builds an ALF sender whose wire sink is a no-op.
-func benchSender(b *testing.B, tr *tracing.Tracer) *alf.Sender {
-	b.Helper()
-	s := sim.NewScheduler()
-	snd, err := alf.NewSender(s, func([]byte) error { return nil }, alf.Config{
-		// NoRetransmit: nothing retained, so the loop never fills the
-		// retention buffer and measures framing + emission alone.
-		Policy:         alf.NoRetransmit,
-		HeartbeatLimit: 1, Tracer: tr,
-	})
+// benchSender builds an ALF sender on s whose wire sink drops every
+// packet. NoRetransmit: nothing retained, so the loop never fills the
+// retention buffer and measures framing + emission alone; and no send
+// function, so no heartbeat either.
+func benchSender(tb testing.TB, s *sim.Scheduler, tr *tracing.Tracer) *alf.Sender {
+	tb.Helper()
+	snd, err := alf.NewSender(s, nil, alf.Config{Policy: alf.NoRetransmit, Tracer: tr})
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
+	snd.SendRef = func(ref *buf.Ref) error { ref.Release(); return nil }
 	return snd
 }
 
@@ -63,7 +62,7 @@ func benchSender(b *testing.B, tr *tracing.Tracer) *alf.Sender {
 func BenchmarkSenderSend(b *testing.B) {
 	payload := make([]byte, 1000)
 	b.Run("untraced", func(b *testing.B) {
-		snd := benchSender(b, nil)
+		snd := benchSender(b, sim.NewScheduler(), nil)
 		b.SetBytes(int64(len(payload)))
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
@@ -76,13 +75,7 @@ func BenchmarkSenderSend(b *testing.B) {
 		s := sim.NewScheduler()
 		tr := tracing.New(s)
 		tr.SetLimit(1) // steady state: recording branch taken, buffer full
-		snd, err := alf.NewSender(s, func([]byte) error { return nil }, alf.Config{
-			Policy:         alf.NoRetransmit,
-			HeartbeatLimit: 1, Tracer: tr,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
+		snd := benchSender(b, s, tr)
 		b.SetBytes(int64(len(payload)))
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
@@ -127,12 +120,7 @@ func TestSenderTracerOverhead(t *testing.T) {
 	allocs := func(tr *tracing.Tracer) float64 {
 		s := sim.NewScheduler()
 		tr.Bind(s)
-		snd, err := alf.NewSender(s, func([]byte) error { return nil }, alf.Config{
-			Policy: alf.NoRetransmit, HeartbeatLimit: 1, Tracer: tr,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
+		snd := benchSender(t, s, tr)
 		var name uint64
 		return testing.AllocsPerRun(100, func() {
 			name++

@@ -21,7 +21,7 @@ func TestSenderTracerTiming(t *testing.T) {
 	payload := make([]byte, 1000)
 	run := func(tr func() *tracing.Tracer) testing.BenchmarkResult {
 		return testing.Benchmark(func(b *testing.B) {
-			snd := benchSender(b, tr())
+			snd := benchSender(b, sim.NewScheduler(), tr())
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if _, err := snd.Send(uint64(i), xcode.SyntaxRaw, payload); err != nil {

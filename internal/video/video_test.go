@@ -5,6 +5,7 @@ import (
 	"testing/quick"
 	"time"
 
+	"repro/internal/buf"
 	alf "repro/internal/core"
 	"repro/internal/netsim"
 	"repro/internal/sim"
@@ -24,12 +25,11 @@ func TestSourceEmitsOnSchedule(t *testing.T) {
 	s := sim.NewScheduler()
 	var times []sim.Time
 	var tags []uint64
-	snd, err := alf.NewSender(s, func(pkt []byte) error { return nil }, alf.Config{
-		Policy: alf.NoRetransmit, HeartbeatLimit: 1,
-	})
+	snd, err := alf.NewSender(s, nil, alf.Config{Policy: alf.NoRetransmit})
 	if err != nil {
 		t.Fatal(err)
 	}
+	snd.SendRef = func(ref *buf.Ref) error { ref.Release(); return nil }
 	// Intercept at the Send level via a wrapper source and custom cfg.
 	cfg := SourceConfig{FPS: 10, SlicesPerFrame: 2, SliceBytes: 100}
 	src := NewSource(s, snd, cfg)
