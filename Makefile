@@ -70,18 +70,20 @@ bench:
 	$(GO) test -run '^$$' -bench . -benchmem ./...
 
 # Where the CPU goes, as one table says it: core's steady-state
-# datapath benches, cleartext and AEAD, each profiled and its leaf
-# functions bucketed by cmd/alfsplit (keystream kernel, Poly1305 in Go,
-# tag key / Block, XOR, checksum + copy, packetize / placement, pool,
-# scheduler, runtime + GC, other), shares summing to 100 %. Test binary
+# datapath benches, cleartext and AEAD, and udplink's AEAD transfer over
+# loopback sockets, each profiled and its leaf functions bucketed by
+# cmd/alfsplit (keystream kernel, Poly1305 in Go, tag key / Block, XOR,
+# checksum + copy, packetize / placement, pool, scheduler, syscall /
+# udplink, runtime + GC, other), shares summing to 100 %. Test binaries
 # and profiles go to a temporary directory. A perf change cites this
 # split before and after.
 SPLITTIME ?= 3s
 split:
 	@d=$$(mktemp -d) && trap 'rm -rf $$d' EXIT && \
-	for b in SendSteadyState SendSteadyStateAEAD; do \
-		$(GO) test -run '^$$' -bench "^Benchmark$$b\$$" -benchtime $(SPLITTIME) -o $$d/core.test -cpuprofile $$d/$$b.prof ./internal/core | grep '^Benchmark' && \
-		$(GO) tool pprof -top -noinlines -nodefraction=0 $$d/core.test $$d/$$b.prof 2>/dev/null | $(GO) run ./cmd/alfsplit || exit 1; \
+	for pb in core:SendSteadyState core:SendSteadyStateAEAD udplink:UDPLoopback; do \
+		p=$${pb%%:*} b=$${pb#*:} && \
+		$(GO) test -run '^$$' -bench "^Benchmark$$b\$$" -benchtime $(SPLITTIME) -o $$d/$$p.test -cpuprofile $$d/$$b.prof ./internal/$$p | grep '^Benchmark' && \
+		$(GO) tool pprof -top -noinlines -nodefraction=0 $$d/$$p.test $$d/$$b.prof 2>/dev/null | $(GO) run ./cmd/alfsplit || exit 1; \
 	done
 
 # The repository's benchmark (benchmark/README.md, BENCHMARK.json): six
@@ -99,13 +101,16 @@ benchmark-smoke:
 	$(GO) run ./benchmark -workloads sim_clear_8k,flows_sharded_64k -reps 1 -rep-seconds 0.5 -trace 0
 
 # Native fuzzers over every frame format's classifier, printers and
-# strict parsers (internal/wire), the ALF endpoints' packet handlers and
+# strict parsers (internal/wire), the ALF endpoints' packet handlers
+# (the receiver's cleartext and AEAD paths: sealed fragments, then the
+# genuine ADU opened against whatever the packet left behind) and
 # their per-name window against its map model, the scheduler's firing
 # order against its sorted-slice model, udplink's cut of a send queue
 # into trains against the kernel's rule, every checksum loop against
 # the 16-bit reference at any alignment and split, the wide keystream
 # loops against scalar Block at any counter, offset, length and split
-# (and two adjacent ranges sealed through one chain), the kernel's
+# (and two adjacent ranges sealed through one chain, and a row of free
+# counters whose lane is handed in as the head), the kernel's
 # Poly1305 blocks against MAC.block at any message, block count, r and
 # accumulator, the fused AEAD kernels against the staged ones on
 # clean and corrupted fragments, and the presentation decoders (BER,
@@ -229,13 +234,16 @@ wire-leaf:
 # pure-Go path is the one every other architecture runs, so the packages
 # it sits under are tested with the assembly tagged out, on this
 # machine. GOAMD64=v1 builds for the oldest amd64, where the kernel is
-# still compiled in and CPUID keeps it from running.
+# still compiled in and CPUID picks it or not at run time; the same
+# tests run built that way, so the Go around the kernel (the counter
+# rows, the lanes) is tested as the oldest amd64 compiles it.
 portable:
 	GOOS=linux GOARCH=arm64 $(GO) build ./...
 	GOOS=linux GOARCH=386 $(GO) build ./...
 	GOOS=darwin GOARCH=arm64 $(GO) build ./...
 	GOOS=windows GOARCH=amd64 $(GO) vet ./internal/udplink
 	GOAMD64=v1 $(GO) build ./...
+	GOAMD64=v1 $(GO) test ./internal/cipher ./internal/ilp ./internal/core
 	$(GO) test -tags purego ./internal/cipher ./internal/ilp ./internal/core
 
 check: fmt build vet wire-leaf portable test timing race fuzz soak soak-dtn soak-udp alloc-guard bce-guard benchmark-smoke

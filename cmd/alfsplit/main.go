@@ -14,7 +14,7 @@
 // -noinlines charges an inlined function's samples to the function it
 // was inlined into, which is the one the table names. `make split` runs
 // this on core's BenchmarkSendSteadyState and
-// BenchmarkSendSteadyStateAEAD.
+// BenchmarkSendSteadyStateAEAD, and on udplink's BenchmarkUDPLoopback.
 package main
 
 import (
@@ -37,6 +37,7 @@ var buckets = []string{
 	"packetize / placement",
 	"pool",
 	"scheduler",
+	"syscall / udplink",
 	"runtime + GC",
 	"other",
 }
@@ -47,11 +48,12 @@ var table = []struct {
 	re     *regexp.Regexp
 	bucket string
 }{
-	// The AVX2 kernel (keystream8 before it folded Poly1305 too) and the
-	// Go that lays out its input and walks the chunks. Without the kernel
-	// (-tags purego, other GOARCH) the keystream is made by Block and
-	// lands in "tag key / Block", and every MAC block in "Poly1305 in Go".
-	{regexp.MustCompile(`^repro/internal/cipher\.(keystream8mac|keystream8|keystream|xorWide)$`), "keystream kernel"},
+	// The AVX2 kernel (keystream8 before it folded Poly1305 too), the Go
+	// that picks it and walks the chunks, and Blocks, which makes one-off
+	// blocks (tag keys, heads) in its lanes. Without the kernel (-tags
+	// purego, other GOARCH) the keystream is made by Block and lands in
+	// "tag key / Block", and every MAC block in "Poly1305 in Go".
+	{regexp.MustCompile(`^repro/internal/cipher\.(keystream8mac|keystream8|keystream|xorWide|Blocks)$`), "keystream kernel"},
 	{regexp.MustCompile(`^repro/internal/cipher\.(\(\*MAC\)\.|\(\*Chain\)\.|NewMAC$)`), "Poly1305 in Go"},
 	{regexp.MustCompile(`^repro/internal/cipher\.(Block|TagKey)$`), "tag key / Block"},
 	{regexp.MustCompile(`^repro/internal/(cipher\.xor3|ilp\.XORWords)$`), "XOR"},
@@ -59,6 +61,9 @@ var table = []struct {
 	{regexp.MustCompile(`^repro/internal/(core|wire|ilp)\.`), "packetize / placement"},
 	{regexp.MustCompile(`^repro/internal/buf\.`), "pool"},
 	{regexp.MustCompile(`^repro/internal/(sim|netsim)\.`), "scheduler"},
+	// A real socket: udplink's loop and readers, and the system calls
+	// under them (syscall, the poller, the runtime's raw Syscall6).
+	{regexp.MustCompile(`^repro/internal/udplink\.|^(syscall|internal/poll|internal/runtime/syscall|net)\.`), "syscall / udplink"},
 	{regexp.MustCompile(`^(runtime|internal/runtime/[a-z]+|internal/chacha8rand|internal/sync|sync|sync/atomic)\.|^(aeshashbody|gogo)$`), "runtime + GC"},
 }
 

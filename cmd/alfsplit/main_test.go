@@ -11,13 +11,13 @@ import (
 
 var update = flag.Bool("update", false, "rewrite testdata/*.split from the fixtures")
 
-// The table pinned against two checked-in `pprof -top -noinlines`
-// fixtures, core's cleartext and AEAD steady-state benches: each must
-// split exactly as its .split file says (rerun with -update after a
-// deliberate change to the table, and say why in the change). The
-// seconds behind each split sum to the profile's total.
+// The table pinned against three checked-in `pprof -top -noinlines`
+// fixtures, core's cleartext and AEAD steady-state benches and udplink's
+// loopback bench: each must split exactly as its .split file says (rerun
+// with -update after a deliberate change to the table, and say why in
+// the change). The seconds behind each split sum to the profile's total.
 func TestSplitFixtures(t *testing.T) {
-	for _, name := range []string{"clear", "aead"} {
+	for _, name := range []string{"clear", "aead", "udp"} {
 		in, err := os.ReadFile(filepath.Join("testdata", name+".top"))
 		if err != nil {
 			t.Fatal(err)
@@ -58,6 +58,7 @@ func TestClassify(t *testing.T) {
 		"repro/internal/cipher.keystream8mac":                          "keystream kernel",
 		"repro/internal/cipher.keystream8":                             "keystream kernel",
 		"repro/internal/cipher.xorWide":                                "keystream kernel",
+		"repro/internal/cipher.Blocks":                                 "keystream kernel",
 		"repro/internal/cipher.(*MAC).block":                           "Poly1305 in Go",
 		"repro/internal/cipher.(*Chain).finish":                        "Poly1305 in Go",
 		"repro/internal/cipher.Block":                                  "tag key / Block",
@@ -69,6 +70,10 @@ func TestClassify(t *testing.T) {
 		"repro/internal/core.(*window[go.shape.struct { p *int }]).at": "packetize / placement",
 		"repro/internal/buf.(*Pool).GetHeadroom":                       "pool",
 		"repro/internal/netsim.deliverCB":                              "scheduler",
+		"repro/internal/udplink.(*mmsgIO).send":                        "syscall / udplink",
+		"internal/runtime/syscall.Syscall6":                            "syscall / udplink",
+		"syscall.RawSyscall6":                                          "syscall / udplink",
+		"internal/poll.(*FD).RawRead":                                  "syscall / udplink",
 		"internal/runtime/maps.(*Map).Clear":                           "runtime + GC",
 		"runtime.mallocgc":                                             "runtime + GC",
 		"testing.(*B).runN":                                            "other",

@@ -26,7 +26,7 @@ func BenchmarkKeystreamWide(b *testing.B) {
 	b.SetBytes(wideSize)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		keystream(&key, &nonce, uint32(i), &ks, wideBlocks, nil, nil)
+		keystream(&key, &nonce, seq(uint32(i)), &ks, Lanes, nil, nil)
 	}
 }
 
@@ -46,7 +46,7 @@ func BenchmarkKeystreamMAC(b *testing.B) {
 			b.SetBytes(wideSize)
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				keystream(&key, &nonce, uint32(i), &ks, wideBlocks, &mac, msg[:nblk*TagSize])
+				keystream(&key, &nonce, seq(uint32(i)), &ks, Lanes, &mac, msg[:nblk*TagSize])
 			}
 		})
 	}

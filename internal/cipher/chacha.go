@@ -14,13 +14,18 @@
 // AVX2 those eight blocks come from an assembly kernel (wide_amd64.s),
 // the one hand-coded loop in the tree, which also folds up to 40 whole
 // Poly1305 blocks into a MAC on the integer ports while its rounds run
-// on the vector ports. It reads a fixed-size state, blocks Go cut from a
-// checked slice and the MAC's limbs, so the XOR, partial blocks, every
-// bounds check and every tag verdict stay in Go; a Chain carries the end
-// of one sealed message into the call that seals the next. On every
-// other architecture, on amd64 without AVX2 and under -tags purego the
-// same loop makes those blocks with Block and folds with MAC.Update;
-// nothing a caller can set chooses between the two.
+// on the vector ports. It reads the key, the nonce and a row of eight
+// counters, lays out its own initial state from them, and reads blocks
+// Go cut from a checked slice and the MAC's limbs, so the XOR, partial
+// blocks, every bounds check and every tag verdict stay in Go; a Chain
+// carries the end of one sealed message into the call that seals the
+// next. The counters are the caller's: the payload loop passes eight in
+// a row, and Blocks any eight, so that the blocks a message needs one
+// of each — a one-time MAC key, the head of a run that starts mid-block
+// — come eight to a call as well. On every other architecture, on amd64
+// without AVX2 and under -tags purego the same loop makes those blocks
+// with Block and folds with MAC.Update; nothing a caller can set chooses
+// between the two.
 //
 // The primitives here are the real RFC 8439 constructions (verified
 // against the RFC test vectors in vectors_test.go); the repo-specific
@@ -228,32 +233,43 @@ func Block(key *Key, nonce *[NonceSize]byte, counter uint32, out *[BlockSize]byt
 // min(len(dst), len(src)) bytes and returns the count. Encrypt and
 // decrypt are the same operation.
 func XORKeyStream(key *Key, nonce *[NonceSize]byte, off int, dst, src []byte) int {
-	return XORKeyStreamMAC(key, nonce, off, dst, src, nil, nil, false)
+	return XORKeyStreamMAC(key, nonce, off, dst, src, nil, nil, nil, false)
+}
+
+// PayloadCounter is the counter of the payload block that byte off of
+// the stream falls in. The payload stream begins at block counter 1, so
+// byte off is byte off%64 of block 1+off/64; counter 0 is RFC 8439
+// §2.8's one-time MAC key. This is the one place that maps an offset to
+// a counter, and internal/core lays its tag-key counter domains out
+// above the range it reaches.
+func PayloadCounter(off int) uint32 {
+	return uint32(1 + off/BlockSize)
 }
 
 // XORKeyStreamMAC XORs src into dst with the payload keystream of (key,
 // nonce) from byte offset off on and, unless mac is nil, absorbs the
 // ciphertext into mac in the same pass: dst's bytes when seal, else
-// src's, taken before the XOR so that dst may be src. The payload stream
-// begins at block counter 1, so byte off is byte off%64 of block
-// 1+off/64; counter 0 is RFC 8439 §2.8's one-time MAC key. This is the
-// one place that maps an offset to a counter, and internal/core lays its
-// tag-key counter domains out above the range it reaches. Every offset
-// is its own synchronization point, so the fragments of one message can
-// be sealed and opened out of order. Sealing through a chain ch (nil
+// src's, taken before the XOR so that dst may be src. Every offset is
+// its own synchronization point, so the fragments of one message can be
+// sealed and opened out of order. Sealing through a chain ch (nil
 // otherwise), the end of the ciphertext may be left for ch to fold;
-// Chain.Sum finishes the tag either way. It processes min(len(dst),
-// len(src)) bytes and returns the count.
-func XORKeyStreamMAC(key *Key, nonce *[NonceSize]byte, off int, dst, src []byte, mac *MAC, ch *Chain, seal bool) int {
+// Chain.Sum finishes the tag either way. A MAC'd run that starts
+// mid-block (off%BlockSize != 0) takes its first, partial block from a
+// block of its own, the head: head, if not nil, is that block — block
+// PayloadCounter(off), made ahead of time, typically by Blocks beside
+// other one-off blocks — and nil has it made here. It processes
+// min(len(dst), len(src)) bytes and returns the count.
+func XORKeyStreamMAC(key *Key, nonce *[NonceSize]byte, off int, dst, src []byte, mac *MAC, ch *Chain, head *[BlockSize]byte, seal bool) int {
 	n := min(len(dst), len(src))
-	xorWide(key, nonce, uint32(1+off/BlockSize), off%BlockSize, dst[:n], src[:n], mac, ch, seal)
+	xorWide(key, nonce, PayloadCounter(off), off%BlockSize, dst[:n], src[:n], mac, ch, head, seal)
 	return n
 }
 
 // TagKey derives a Poly1305 one-time key: the first 32 bytes of the
 // ChaCha20 block at the given counter (RFC 8439 §2.6 uses counter 0;
 // the transport uses per-fragment counters in a disjoint range so each
-// fragment gets an independent one-time key — see internal/core).
+// fragment gets an independent one-time key — see internal/core, which
+// makes most of its keys eight at a time with Blocks instead).
 func TagKey(key *Key, nonce *[NonceSize]byte, counter uint32, out *[KeySize]byte) {
 	var blk [BlockSize]byte
 	Block(key, nonce, counter, &blk)

@@ -9,22 +9,29 @@ import (
 // adds, xors and rotates over sixteen words, and scalar Go runs it one
 // word at a time; a vector unit runs a row of four words, of two blocks,
 // per instruction. On amd64 with AVX2 keystream8mac (wide_amd64.s) makes
-// eight blocks per call that way. Poly1305 is the other half of the work
-// and wants the other half of the machine — a serial chain of 64-bit
-// multiplies on the integer ports, which the rounds barely use — so the
-// same call also folds up to foldMax whole 16-byte blocks into a MAC,
-// between its rounds. It reads one fixed-size state, those blocks and
-// the MAC's limbs, and writes one fixed-size buffer and the limbs, so
-// every slice, every bounds check, the XOR against the payload, partial
-// blocks and every tag are the Go below. keystream is the one place that
-// chooses between the kernel and Block: everywhere else — other
-// architectures, amd64 without AVX2, -tags purego — haveWide is false
-// and it makes the same blocks one Block at a time and folds with
-// MAC.Update, which is also the oracle the tests hold the kernel against.
+// eight blocks per call that way, one per lane, each at a counter of the
+// caller's: the payload passes ctr … ctr+7, and Blocks whatever counters
+// a caller needs one block each of — tag keys, heads — so those come
+// eight to a call too. Poly1305 is the other half of the work and wants
+// the other half of the machine — a serial chain of 64-bit multiplies on
+// the integer ports, which the rounds barely use — so the same call also
+// folds up to foldMax whole 16-byte blocks into a MAC, between its
+// rounds. It reads the key, the nonce and the counter row, from which it
+// lays out its own initial state, those blocks and the MAC's limbs, and
+// writes one fixed-size buffer and the limbs, so every slice, every
+// bounds check, the XOR against the payload, partial blocks and every
+// tag are the Go below. keystream is the one place that chooses between
+// the kernel and Block: everywhere else — other architectures, amd64
+// without AVX2, -tags purego — haveWide is false and it makes the same
+// blocks one Block at a time and folds with MAC.Update, which is also
+// the oracle the tests hold the kernel against.
+
+// Lanes is how many blocks one kernel call makes, and so how many
+// counters one Blocks call takes.
+const Lanes = 8
 
 const (
-	wideBlocks = 8
-	wideSize   = wideBlocks * BlockSize
+	wideSize = Lanes * BlockSize
 	// A keystream8mac call costs about what two scalar Block calls do, so
 	// at two blocks it breaks even on keystream and wins by the MAC work
 	// it hides: the 128-byte last fragment of an 8 KiB ADU is one call,
@@ -36,14 +43,14 @@ const (
 	foldMax = 40
 )
 
-// keystream writes the nb <= wideBlocks blocks at counters ctr, ctr+1,
-// … (wrapping at 2^32, as ctr++ does) to ks[:nb*BlockSize], and folds
-// msg, whole 16-byte blocks, into mac, which must be at a block
-// boundary. The wide kernel always writes all of ks.
-func keystream(key *Key, nonce *[NonceSize]byte, ctr uint32, ks *[wideSize]byte, nb int, mac *MAC, msg []byte) {
+// keystream writes the nb <= Lanes blocks at counters ctrs[0], …,
+// ctrs[nb-1] to ks[:nb*BlockSize], and folds msg, whole 16-byte blocks,
+// into mac, which must be at a block boundary. The wide kernel always
+// writes all of ks.
+func keystream(key *Key, nonce *[NonceSize]byte, ctrs *[Lanes]uint32, ks *[wideSize]byte, nb int, mac *MAC, msg []byte) {
 	if !haveWide || nb < wideMin {
 		for b := 0; b < nb; b++ {
-			Block(key, nonce, ctr+uint32(b), (*[BlockSize]byte)(ks[b*BlockSize:]))
+			Block(key, nonce, ctrs[b], (*[BlockSize]byte)(ks[b*BlockSize:]))
 		}
 		if len(msg) > 0 {
 			mac.Update(msg)
@@ -57,22 +64,19 @@ func keystream(key *Key, nonce *[NonceSize]byte, ctr uint32, ks *[wideSize]byte,
 	if len(msg) > 0 {
 		p = &msg[0]
 	}
-	n0 := binary.LittleEndian.Uint32(nonce[0:])
-	n1 := binary.LittleEndian.Uint32(nonce[4:])
-	n2 := binary.LittleEndian.Uint32(nonce[8:])
-	k := &key.k
-	// The initial state as the kernel wants it: each row twice, for the
-	// two blocks of a quad, and one counter row per quad.
-	in := [7][8]uint32{
-		{0x61707865, 0x3320646e, 0x79622d32, 0x6b206574, 0x61707865, 0x3320646e, 0x79622d32, 0x6b206574},
-		{k[0], k[1], k[2], k[3], k[0], k[1], k[2], k[3]},
-		{k[4], k[5], k[6], k[7], k[4], k[5], k[6], k[7]},
-		{ctr, n0, n1, n2, ctr + 1, n0, n1, n2},
-		{ctr + 2, n0, n1, n2, ctr + 3, n0, n1, n2},
-		{ctr + 4, n0, n1, n2, ctr + 5, n0, n1, n2},
-		{ctr + 6, n0, n1, n2, ctr + 7, n0, n1, n2},
-	}
-	keystream8mac(&in, ks, mac, p, len(msg)/TagSize)
+	keystream8mac(key, nonce, ctrs, ks, mac, p, len(msg)/TagSize)
+}
+
+// Blocks writes the ChaCha20 blocks of (key, nonce) at counters ctrs[0],
+// …, ctrs[n-1] — any counters, in any order, repeated or not — to out,
+// block i at out[i*BlockSize:], each the bytes Block writes for its
+// counter; n <= Lanes, and what out holds past block n-1 is unspecified.
+// From wideMin blocks up, where there is a kernel, that is one call of
+// it: a caller that needs many one-off blocks (one-time MAC keys, heads
+// for XORKeyStreamMAC) gathers their counters and makes them eight at a
+// time.
+func Blocks(key *Key, nonce *[NonceSize]byte, ctrs *[Lanes]uint32, n int, out *[Lanes * BlockSize]byte) {
+	keystream(key, nonce, ctrs, out, n, nil, nil)
 }
 
 // xorWide is the loop under XORKeyStream and XORKeyStreamMAC: dst = src
@@ -91,8 +95,8 @@ func keystream(key *Key, nonce *[NonceSize]byte, ctr uint32, ks *[wideSize]byte,
 // tied to block boundaries either: it consumes all of src, so a
 // fragment's tail costs a lane of a call that was being made anyway and
 // not a Block of its own. len(dst) >= len(src); ch is nil unless
-// sealing.
-func xorWide(key *Key, nonce *[NonceSize]byte, ctr uint32, skip int, dst, src []byte, mac *MAC, ch *Chain, seal bool) {
+// sealing; head, if not nil, is block ctr, made ahead of time.
+func xorWide(key *Key, nonce *[NonceSize]byte, ctr uint32, skip int, dst, src []byte, mac *MAC, ch *Chain, head *[BlockSize]byte, seal bool) {
 	var ks [wideSize]byte
 	// A MAC'd run that starts mid-block takes its head from one block of
 	// its own, with the MAC fed by MAC.Update. Left to the first call, the
@@ -101,16 +105,21 @@ func xorWide(key *Key, nonce *[NonceSize]byte, ctr uint32, skip int, dst, src []
 	// calls of 8, 8 and 1, the last of them one Block that folds the 512
 	// bytes before it in Go with no rounds to hide them behind. Peeled,
 	// it is 1, 8 and 8, every chunk after the head folds inside a kernel
-	// call, and a chain's end still rides in the first one. Without a MAC
-	// there is nothing to fold, and the first call takes the skip.
+	// call, and a chain's end still rides in the first one. The head block
+	// is the caller's if it made it, in a lane of a Blocks call beside
+	// others, and one Block here if not. Without a MAC there is nothing to
+	// fold, and the first call takes the skip.
 	if mac != nil && skip != 0 {
 		m := min(BlockSize-skip, len(src))
 		s, d := src[:m:m], dst[:m:m]
-		keystream(key, nonce, ctr, &ks, 1, nil, nil)
+		if head == nil {
+			head = (*[BlockSize]byte)(ks[:BlockSize])
+			Block(key, nonce, ctr, head)
+		}
 		if !seal {
 			mac.Update(s)
 		}
-		xor3(d, s, ks[skip:skip+m:skip+m])
+		xor3(d, s, head[skip:skip+m:skip+m])
 		if seal {
 			mac.Update(d)
 		}
@@ -127,7 +136,11 @@ func xorWide(key *Key, nonce *[NonceSize]byte, ctr uint32, skip int, dst, src []
 	if chained {
 		fold, into = ch.msg, &ch.mac
 	}
+	var ctrs [Lanes]uint32
 	for len(src) > 0 {
+		for b := range ctrs {
+			ctrs[b] = ctr + uint32(b)
+		}
 		m := wideSize - skip
 		if m > len(src) {
 			m = len(src)
@@ -140,7 +153,7 @@ func xorWide(key *Key, nonce *[NonceSize]byte, ctr uint32, skip int, dst, src []
 		if into != nil && into.n != 0 {
 			k = 0
 		}
-		keystream(key, nonce, ctr, &ks, (skip+m+BlockSize-1)/BlockSize, into, fold[:k])
+		keystream(key, nonce, &ctrs, &ks, (skip+m+BlockSize-1)/BlockSize, into, fold[:k])
 		if chained {
 			ch.finish(fold[k:])
 			chained = false
@@ -151,7 +164,7 @@ func xorWide(key *Key, nonce *[NonceSize]byte, ctr uint32, skip int, dst, src []
 		if mac != nil && seal {
 			fold, into = d, mac
 		}
-		ctr += wideBlocks
+		ctr += Lanes
 		src, dst = src[m:], dst[m:]
 		skip = 0
 	}

@@ -7,13 +7,13 @@ package cipher
 // tests ever assign it, to drive both paths on one machine.
 var haveWide = detectAVX2()
 
-// keystream8mac runs eight ChaCha20 blocks (wide_amd64.s) and folds
-// nblk <= foldMax whole Poly1305 blocks at msg into mac on the side. in
-// is the initial state laid out by keystream (wide.go); out receives the
-// blocks in lane order.
+// keystream8mac runs the eight ChaCha20 blocks of (key, nonce) at
+// counters ctrs[0], …, ctrs[7] (wide_amd64.s) into out, in lane order,
+// and folds nblk <= foldMax whole Poly1305 blocks at msg into mac on the
+// side. It builds the initial state from key, nonce and ctrs itself.
 //
 //go:noescape
-func keystream8mac(in *[7][8]uint32, out *[wideSize]byte, mac *MAC, msg *byte, nblk int)
+func keystream8mac(key *Key, nonce *[NonceSize]byte, ctrs *[Lanes]uint32, out *[wideSize]byte, mac *MAC, msg *byte, nblk int)
 
 func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
 

@@ -76,21 +76,61 @@ GLOBL rol8<>(SB), RODATA|NOPTR, $32
 	DECQ DI; \
 skip:
 
-// func keystream8mac(in *[7][8]uint32, out *[512]byte, mac *MAC, msg *byte, nblk int)
+// The ChaCha20 constants, "expand 32-byte k", as a row of two blocks.
+DATA sigma<>+0x00(SB)/8, $0x3320646e61707865
+DATA sigma<>+0x08(SB)/8, $0x6b20657479622d32
+DATA sigma<>+0x10(SB)/8, $0x3320646e61707865
+DATA sigma<>+0x18(SB)/8, $0x6b20657479622d32
+GLOBL sigma<>(SB), RODATA|NOPTR, $32
+
+// func keystream8mac(key *Key, nonce *[12]byte, ctrs *[8]uint32, out *[512]byte, mac *MAC, msg *byte, nblk int)
 //
-// in is the initial state as rows, each doubled for the two blocks of a
-// quad: constants, key words 0-3, key words 4-7, then one counter‖nonce
-// row per quad. Quad q (registers Yq, Y4+q, Y8+q, Y12+q) makes blocks
-// 2q and 2q+1 of out. Four times per double round it also folds one of
-// the nblk <= 40 whole Poly1305 blocks at msg into mac, whose r0, r1
-// (offsets 0, 8) it reads and h0, h1, h2 (32, 40, 48) it reads and
-// writes; with nblk = 0 mac and msg are not touched. Nothing else is
-// read or written.
-TEXT ·keystream8mac(SB), NOSPLIT, $40-40
-	MOVQ in+0(FP), SI
-	VMOVDQU 0(SI), Y0
-	VMOVDQU 32(SI), Y4
-	VMOVDQU 64(SI), Y8
+// Block i of out is the ChaCha20 block of (key, nonce) at counter
+// ctrs[i]. The kernel lays out the initial state itself, as rows of two
+// blocks: the constants, key words 0-3, key words 4-7 — each the same
+// in both halves — and per quad the counter‖nonce row of its two
+// blocks, counters 2q and 2q+1. Quad q (registers Yq, Y4+q, Y8+q, Y12+q)
+// makes blocks 2q and 2q+1 of out. The rows but the constants are kept
+// in the frame for the final add. Four times per double round it also
+// folds one of the nblk <= 40 whole Poly1305 blocks at msg into mac,
+// whose r0, r1 (offsets 0, 8) it reads and h0, h1, h2 (32, 40, 48) it
+// reads and writes; with nblk = 0 mac and msg are not touched. It reads
+// the key's eight words (Key.k, at offset 0), the nonce's twelve bytes
+// and the eight counters, and nothing else is read or written.
+//
+// Frame: 0 scratch for a parked row, 32 and 64 the key rows, 96-223 the
+// four counter rows, 224 the double-round count.
+TEXT ·keystream8mac(SB), NOSPLIT, $232-56
+	// Counter rows: the nonce in words 1-3 of each half, blended with a
+	// pair of counters zero-extended to qwords and spread so that one
+	// lands in word 0 of each half.
+	MOVQ nonce+8(FP), BX
+	MOVQ ctrs+16(FP), CX
+	VMOVQ 0(BX), X12
+	VPINSRD $2, 8(BX), X12, X12
+	VPSLLDQ $4, X12, X12
+	VINSERTI128 $1, X12, Y12, Y12
+	VPMOVZXDQ 0(CX), Y0
+	VPMOVZXDQ 16(CX), Y1
+	VPERMQ $0xFA, Y0, Y13
+	VPERMQ $0x50, Y1, Y14
+	VPERMQ $0xFA, Y1, Y15
+	VPERMQ $0x50, Y0, Y0
+	VPBLENDD $0x11, Y13, Y12, Y13
+	VPBLENDD $0x11, Y14, Y12, Y14
+	VPBLENDD $0x11, Y15, Y12, Y15
+	VPBLENDD $0x11, Y0, Y12, Y12
+	VMOVDQU Y12, 96(SP)
+	VMOVDQU Y13, 128(SP)
+	VMOVDQU Y14, 160(SP)
+	VMOVDQU Y15, 192(SP)
+
+	MOVQ key+0(FP), AX
+	VMOVDQU sigma<>(SB), Y0
+	VBROADCASTI128 0(AX), Y4
+	VBROADCASTI128 16(AX), Y8
+	VMOVDQU Y4, 32(SP)
+	VMOVDQU Y8, 64(SP)
 	VMOVDQA Y0, Y1
 	VMOVDQA Y0, Y2
 	VMOVDQA Y0, Y3
@@ -100,21 +140,17 @@ TEXT ·keystream8mac(SB), NOSPLIT, $40-40
 	VMOVDQA Y8, Y9
 	VMOVDQA Y8, Y10
 	VMOVDQA Y8, Y11
-	VMOVDQU 96(SI), Y12
-	VMOVDQU 128(SI), Y13
-	VMOVDQU 160(SI), Y14
-	VMOVDQU 192(SI), Y15
-	MOVQ $10, 32(SP)
-	MOVQ nblk+32(FP), DI
+	MOVQ $10, 224(SP)
+	MOVQ nblk+48(FP), DI
 	TESTQ DI, DI
 	JZ rounds
-	MOVQ mac+16(FP), AX
+	MOVQ mac+32(FP), AX
 	MOVQ 0(AX), R11
 	MOVQ 8(AX), R12
 	MOVQ 32(AX), R8
 	MOVQ 40(AX), R9
 	MOVQ 48(AX), R10
-	MOVQ msg+24(FP), SI
+	MOVQ msg+40(FP), SI
 
 rounds:
 	ROUND4
@@ -125,35 +161,34 @@ rounds:
 	POLY(slot2)
 	SHUFFLE4($0x93, $0x4E, $0x39)
 	POLY(slot3)
-	DECQ 32(SP)
+	DECQ 224(SP)
 	JNZ rounds
 
-	CMPQ nblk+32(FP), $0
+	CMPQ nblk+48(FP), $0
 	JEQ sum
-	MOVQ mac+16(FP), AX
+	MOVQ mac+32(FP), AX
 	MOVQ R8, 32(AX)
 	MOVQ R9, 40(AX)
 	MOVQ R10, 48(AX)
 
 sum:
-	MOVQ in+0(FP), SI
-	MOVQ out+8(FP), DI
-	VPADDD 0(SI), Y0, Y0
-	VPADDD 0(SI), Y1, Y1
-	VPADDD 0(SI), Y2, Y2
-	VPADDD 0(SI), Y3, Y3
-	VPADDD 32(SI), Y4, Y4
-	VPADDD 32(SI), Y5, Y5
-	VPADDD 32(SI), Y6, Y6
-	VPADDD 32(SI), Y7, Y7
-	VPADDD 64(SI), Y8, Y8
-	VPADDD 64(SI), Y9, Y9
-	VPADDD 64(SI), Y10, Y10
-	VPADDD 64(SI), Y11, Y11
-	VPADDD 96(SI), Y12, Y12
-	VPADDD 128(SI), Y13, Y13
-	VPADDD 160(SI), Y14, Y14
-	VPADDD 192(SI), Y15, Y15
+	MOVQ out+24(FP), DI
+	VPADDD sigma<>(SB), Y0, Y0
+	VPADDD sigma<>(SB), Y1, Y1
+	VPADDD sigma<>(SB), Y2, Y2
+	VPADDD sigma<>(SB), Y3, Y3
+	VPADDD 32(SP), Y4, Y4
+	VPADDD 32(SP), Y5, Y5
+	VPADDD 32(SP), Y6, Y6
+	VPADDD 32(SP), Y7, Y7
+	VPADDD 64(SP), Y8, Y8
+	VPADDD 64(SP), Y9, Y9
+	VPADDD 64(SP), Y10, Y10
+	VPADDD 64(SP), Y11, Y11
+	VPADDD 96(SP), Y12, Y12
+	VPADDD 128(SP), Y13, Y13
+	VPADDD 160(SP), Y14, Y14
+	VPADDD 192(SP), Y15, Y15
 
 	VMOVDQU Y15, 0(SP)
 	STORE2(Y0, Y4, Y8, Y12, Y15, 0)

@@ -6,6 +6,6 @@ package cipher
 // makes its blocks with Block and folds with MAC.Update.
 const haveWide = false
 
-func keystream8mac(*[7][8]uint32, *[wideSize]byte, *MAC, *byte, int) {
+func keystream8mac(*Key, *[NonceSize]byte, *[Lanes]uint32, *[wideSize]byte, *MAC, *byte, int) {
 	panic("cipher: keystream8mac without a wide kernel")
 }

@@ -33,6 +33,78 @@ func blockStream(key *Key, nonce *[NonceSize]byte, ctr uint32, n int) []byte {
 	return ks[:n]
 }
 
+// seq is the counter row the payload passes: ctr, ctr+1, … (wrapping).
+func seq(ctr uint32) *[Lanes]uint32 {
+	var ctrs [Lanes]uint32
+	for b := range ctrs {
+		ctrs[b] = ctr + uint32(b)
+	}
+	return &ctrs
+}
+
+// Every lane of a Blocks call is the Block of its own counter, whatever
+// the counters are: a row taken in any order, with repeats, with both
+// sides of the 32-bit wrap (0xffffffff and 0) in one call, and rows as
+// core makes them (tag keys at 2^30 + off/8 beside heads at 1 + off/64),
+// for every lane count n from 0 to Lanes. A lane's counter taken from the
+// wrong place in the row, or one lane's block written to another's
+// place, fails here.
+func TestBlocksMatchBlock(t *testing.T) {
+	bothPaths(t, func(t *testing.T) {
+		key := ExpandKey(0xB10C5)
+		nonce := [NonceSize]byte{0x11, 0x22, 0x33, 0x44, 0x55, 0x66, 0x77, 0x88, 0x99, 0xAA, 0xBB, 0xCC}
+		rows := [][Lanes]uint32{
+			{0xffffffff, 0, 7, 7, 1 << 30, 0x80000000, 3, 0xffffffff},
+			{1<<30 + 0, 1<<30 + 126, 17, 1<<30 + 252, 32, 1<<30 + 378, 48, 1<<30 + 504},
+			{5, 5, 5, 5, 5, 5, 5, 5},
+			{0, 1, 2, 3, 4, 5, 6, 7},
+			{7, 6, 5, 4, 3, 2, 1, 0},
+			{0x9E3779B9, 0x7F4A7C15, 0xF39CC060, 0x5CEDC834, 0x1082276B, 0xF3A27251, 0xF86C6A11, 0x6D0E0D5A},
+		}
+		for _, row := range rows {
+			for n := 0; n <= Lanes; n++ {
+				var out [Lanes * BlockSize]byte
+				ctrs := row
+				Blocks(&key, &nonce, &ctrs, n, &out)
+				if ctrs != row {
+					t.Fatalf("counters %#x: Blocks changed its row to %#x", row, ctrs)
+				}
+				for i := 0; i < n; i++ {
+					var want [BlockSize]byte
+					Block(&key, &nonce, row[i], &want)
+					if !bytes.Equal(out[i*BlockSize:(i+1)*BlockSize], want[:]) {
+						t.Fatalf("counters %#x, n=%d: lane %d is not Block(%#x)", row, n, i, row[i])
+					}
+				}
+			}
+		}
+	})
+}
+
+// The kernel reads a Key's eight words, the nonce's twelve bytes and a
+// row of eight counters by address (wide_amd64.s): a Key that grew a
+// field before its words, or words of another size, must fail here and
+// not as a wrong keystream.
+func TestKeyNonceLayout(t *testing.T) {
+	var k Key
+	var nonce [NonceSize]byte
+	var ctrs [Lanes]uint32
+	for _, f := range []struct {
+		name      string
+		got, want uintptr
+	}{
+		{"Key.k offset", unsafe.Offsetof(k.k), 0},
+		{"Key size", unsafe.Sizeof(k), 32},
+		{"Key word size", unsafe.Sizeof(k.k[0]), 4},
+		{"nonce size", unsafe.Sizeof(nonce), 12},
+		{"counter row size", unsafe.Sizeof(ctrs), 32},
+	} {
+		if f.got != f.want {
+			t.Errorf("%s is %d, the kernel reads %d", f.name, f.got, f.want)
+		}
+	}
+}
+
 // Every lane of the wide call is the Block of its own counter: at every
 // alignment of the first counter, for every lane count, and where the
 // 32-bit counter wraps inside the call (0xfffffffb puts the wrap
@@ -46,9 +118,9 @@ func TestKeystreamWideMatchesBlock(t *testing.T) {
 			ctrs = append(ctrs, a, 0xfffffff0+a)
 		}
 		for _, ctr := range ctrs {
-			for nb := 0; nb <= wideBlocks; nb++ {
+			for nb := 0; nb <= Lanes; nb++ {
 				var ks [wideSize]byte
-				keystream(&key, &nonce, ctr, &ks, nb, nil, nil)
+				keystream(&key, &nonce, seq(ctr), &ks, nb, nil, nil)
 				want := blockStream(&key, &nonce, ctr, nb*BlockSize)
 				for lane := 0; lane < nb; lane++ {
 					if !bytes.Equal(ks[lane*BlockSize:(lane+1)*BlockSize], want[lane*BlockSize:(lane+1)*BlockSize]) {
@@ -75,8 +147,8 @@ func TestRFC8439VectorsFromKeystream(t *testing.T) {
 			d2 82 64 46 07 9f aa 09 14 c2 d7 05 d9 8b 02 a2
 			b5 12 9c d1 de 16 4e b9 cb d0 83 e8 a2 50 3c 4e`)
 		var ks [wideSize]byte
-		for lane := 0; lane < wideBlocks; lane++ {
-			keystream(&key, &nonce, 1-uint32(lane), &ks, wideBlocks, nil, nil)
+		for lane := 0; lane < Lanes; lane++ {
+			keystream(&key, &nonce, seq(1-uint32(lane)), &ks, Lanes, nil, nil)
 			if !bytes.Equal(ks[lane*BlockSize:(lane+1)*BlockSize], wantBlock) {
 				t.Fatalf("§2.3.2: lane %d of the call at counter %#x is not the RFC block", lane, 1-uint32(lane))
 			}
@@ -97,7 +169,7 @@ func TestRFC8439VectorsFromKeystream(t *testing.T) {
 			87 4d`)
 		const lead = 6 * BlockSize
 		msg := append(make([]byte, lead), sunscreen...)
-		xorWide(&key, &nonce, 0xfffffffb, 0, msg, msg, nil, nil, false)
+		xorWide(&key, &nonce, 0xfffffffb, 0, msg, msg, nil, nil, nil, false)
 		if !bytes.Equal(msg[lead:], wantCT) {
 			t.Fatalf("§2.4.2: ciphertext mismatch:\n got %x\nwant %x", msg[lead:], wantCT)
 		}
@@ -118,7 +190,7 @@ func TestRFC8439VectorsFromKeystream(t *testing.T) {
 		if !bytes.Equal(wantBox[len(sunscreen):], wantTag) {
 			t.Fatal("§2.8.2: Seal does not produce the RFC tag")
 		}
-		keystream(&key, &nonce, 0, &ks, wideBlocks, nil, nil)
+		keystream(&key, &nonce, seq(0), &ks, Lanes, nil, nil)
 		ct := make([]byte, len(sunscreen))
 		for i := range ct {
 			ct[i] = sunscreen[i] ^ ks[BlockSize+i]
@@ -170,10 +242,17 @@ func TestWideLoopsMatchBlock(t *testing.T) {
 		// run — sealing src and then opening what was sealed. By turns,
 		// the seal is in place and the open is not, or the other way
 		// round. The tag is MAC.Update's over the ciphertext both times.
+		// At every other offset the head block is handed in, as core hands
+		// in a lane of its Blocks call, and not made by the loop.
 		buf := make([]byte, maxLen)
 		for _, first := range []uint32{1, 17, 0xfffffffb} {
 			for off := 0; off < 2*BlockSize; off++ {
 				ctr, skip := first+uint32(off/BlockSize), off%BlockSize
+				var head *[BlockSize]byte
+				if off%2 == 1 {
+					head = new([BlockSize]byte)
+					Block(&key, &nonce, ctr, head)
+				}
 				ks := blockStream(&key, &nonce, first, off+maxLen)[off:]
 				ct := make([]byte, maxLen)
 				for i := range ct {
@@ -196,11 +275,11 @@ func TestWideLoopsMatchBlock(t *testing.T) {
 						sealed = buf[:n]
 					}
 					seal, open := NewMAC(&otk), NewMAC(&otk)
-					xorWide(&key, &nonce, ctr, skip, sealed, buf[:n], &seal, nil, true)
+					xorWide(&key, &nonce, ctr, skip, sealed, buf[:n], &seal, nil, head, true)
 					if !bytes.Equal(sealed, ct[:n]) || !seal.Verify(want[:]) {
 						t.Fatalf("seal ctr=%#x off=%d n=%d in place=%v: wrong ciphertext or tag", first, off, n, sealInPlace)
 					}
-					xorWide(&key, &nonce, ctr, skip, opened, sealed, &open, nil, false)
+					xorWide(&key, &nonce, ctr, skip, opened, sealed, &open, nil, head, false)
 					if !bytes.Equal(opened, src[:n]) || !open.Verify(want[:]) {
 						t.Fatalf("open ctr=%#x off=%d n=%d in place=%v: wrong plaintext or tag", first, off, n, !sealInPlace)
 					}
@@ -224,7 +303,7 @@ func TestMidBlockHeadIsPeeled(t *testing.T) {
 	for _, skip := range []int{16, 32, 48} {
 		mac := NewMAC(&otk)
 		var ch Chain
-		xorWide(&key, &nonce, 1, skip, buf, buf, &mac, &ch, true)
+		xorWide(&key, &nonce, 1, skip, buf, buf, &mac, &ch, nil, true)
 		if want := len(buf) - (BlockSize - skip) - wideSize; ch.held != want {
 			t.Errorf("skip=%d: the chain holds %d bytes, want the %d of the last call", skip, ch.held, want)
 		}
@@ -242,10 +321,10 @@ func TestKeystreamPicksKernel(t *testing.T) {
 		var nonce [NonceSize]byte
 		var ks [wideSize]byte
 		var mac MAC
-		for nb := 1; nb <= wideBlocks; nb++ {
+		for nb := 1; nb <= Lanes; nb++ {
 			ran := func() (panicked bool) {
 				defer func() { panicked = recover() != nil }()
-				keystream(&key, &nonce, 0, &ks, nb, &mac, make([]byte, 8))
+				keystream(&key, &nonce, seq(0), &ks, nb, &mac, make([]byte, 8))
 				return false
 			}()
 			if want := haveWide && nb >= wideMin; ran != want {
@@ -323,7 +402,7 @@ func TestKeystreamMACMatchesBlock(t *testing.T) {
 						ref := mac
 						foldRef(&ref, msg[:nblk*TagSize])
 						var ks [wideSize]byte
-						keystream(&key, &nonce, ctr, &ks, wideBlocks, &mac, msg[:nblk*TagSize])
+						keystream(&key, &nonce, seq(ctr), &ks, Lanes, &mac, msg[:nblk*TagSize])
 						if mac != ref {
 							t.Fatalf("ones=%v at=%d %s nblk=%d: h = %#x %#x %#x, MAC.block leaves %#x %#x %#x",
 								ones, at, a.name, nblk, mac.h0, mac.h1, mac.h2, ref.h0, ref.h1, ref.h2)
@@ -359,7 +438,7 @@ func FuzzPolyKernel(f *testing.F) {
 		key := ExpandKey(r0 ^ h1)
 		var nonce [NonceSize]byte
 		var ks [wideSize]byte
-		keystream(&key, &nonce, uint32(h0), &ks, wideBlocks, &mac, msg)
+		keystream(&key, &nonce, seq(uint32(h0)), &ks, Lanes, &mac, msg)
 		if mac != ref {
 			t.Fatalf("nblk=%d: h = %#x %#x %#x, MAC.block leaves %#x %#x %#x", n, mac.h0, mac.h1, mac.h2, ref.h0, ref.h1, ref.h2)
 		}
@@ -373,12 +452,21 @@ func FuzzPolyKernel(f *testing.F) {
 // ciphertext and the MAC.Update tag over it, sealing and opening; and,
 // chained, the two sides of the split sealed as two messages through
 // one Chain must each get the MAC.Update tag over their own ciphertext.
+// Given a row, it runs free counters too: row's bytes, four to a
+// counter, are up to Lanes counters, one of them (picked by the row's
+// first byte) replaced by the run's first counter; every lane of a
+// Blocks call over them must be the Block of its counter, and, for a run
+// that starts mid-block, the lane holding the first block is the head
+// the MAC'd runs are handed instead of making their own.
 func FuzzKeystreamWide(f *testing.F) {
-	f.Add([]byte("key"), []byte("nonce"), uint32(1), uint16(0), uint16(1008), uint16(16), false)
-	f.Add([]byte{}, []byte{}, uint32(0xfffffffb), uint16(48), uint16(1008), uint16(500), true)
-	f.Add(bytes.Repeat([]byte{0xff}, KeySize), bytes.Repeat([]byte{0xff}, NonceSize), uint32(1<<30), uint16(63), uint16(4096), uint16(4095), true)
-	f.Add([]byte("chain"), []byte("n"), uint32(1), uint16(48), uint16(2016), uint16(960), true)
-	f.Fuzz(func(t *testing.T, keyBytes, nonceBytes []byte, ctr uint32, off, length, split uint16, chained bool) {
+	f.Add([]byte("key"), []byte("nonce"), uint32(1), uint16(0), uint16(1008), uint16(16), false, []byte(nil))
+	f.Add([]byte{}, []byte{}, uint32(0xfffffffb), uint16(48), uint16(1008), uint16(500), true, []byte(nil))
+	f.Add(bytes.Repeat([]byte{0xff}, KeySize), bytes.Repeat([]byte{0xff}, NonceSize), uint32(1<<30), uint16(63), uint16(4096), uint16(4095), true, []byte(nil))
+	f.Add([]byte("chain"), []byte("n"), uint32(1), uint16(48), uint16(2016), uint16(960), true, []byte(nil))
+	f.Add([]byte("lanes"), []byte("n"), uint32(16), uint16(1008), uint16(1008), uint16(100), true,
+		[]byte{3, 0, 0, 0x40, 0xfe, 0, 0, 0x40, 16, 0, 0, 0, 0xff, 0xff, 0xff, 0xff, 0, 0, 0, 0, 7, 0, 0, 0})
+	f.Add([]byte{}, []byte{}, uint32(0xffffffff), uint16(8), uint16(56), uint16(8), false, bytes.Repeat([]byte{0xff}, 4*Lanes+3))
+	f.Fuzz(func(t *testing.T, keyBytes, nonceBytes []byte, ctr uint32, off, length, split uint16, chained bool, row []byte) {
 		var kb [KeySize]byte
 		copy(kb[:], keyBytes)
 		key := NewKey(&kb)
@@ -401,16 +489,38 @@ func FuzzKeystreamWide(f *testing.F) {
 		}
 
 		one := make([]byte, n)
-		xorWide(&key, &nonce, ctr, skip, one, src, nil, nil, false)
+		xorWide(&key, &nonce, ctr, skip, one, src, nil, nil, nil, false)
 		if !bytes.Equal(one, want) {
 			t.Fatal("one call: not src XOR Block keystream")
 		}
 		two := make([]byte, n)
-		xorWide(&key, &nonce, ctr, skip, two[:cut], src[:cut], nil, nil, false)
+		xorWide(&key, &nonce, ctr, skip, two[:cut], src[:cut], nil, nil, nil, false)
 		at := skip + cut
-		xorWide(&key, &nonce, ctr+uint32(at/BlockSize), at%BlockSize, two[cut:], src[cut:], nil, nil, false)
+		xorWide(&key, &nonce, ctr+uint32(at/BlockSize), at%BlockSize, two[cut:], src[cut:], nil, nil, nil, false)
 		if !bytes.Equal(two, want) {
 			t.Fatalf("split at %d: not src XOR Block keystream", cut)
+		}
+
+		var head *[BlockSize]byte
+		if nl := min(len(row)/4, Lanes); nl > 0 {
+			var ctrs [Lanes]uint32
+			for i := 0; i < nl; i++ {
+				ctrs[i] = binary.LittleEndian.Uint32(row[4*i:])
+			}
+			hl := int(row[0]) % nl
+			ctrs[hl] = ctr
+			var lanes [Lanes * BlockSize]byte
+			Blocks(&key, &nonce, &ctrs, nl, &lanes)
+			for i := 0; i < nl; i++ {
+				var blk [BlockSize]byte
+				Block(&key, &nonce, ctrs[i], &blk)
+				if !bytes.Equal(lanes[i*BlockSize:(i+1)*BlockSize], blk[:]) {
+					t.Fatalf("counters %#x, n=%d: lane %d is not Block(%#x)", ctrs, nl, i, ctrs[i])
+				}
+			}
+			if skip != 0 {
+				head = (*[BlockSize]byte)(lanes[hl*BlockSize:])
+			}
 		}
 
 		// With a MAC, sealing and then opening in place: the tag is
@@ -422,11 +532,11 @@ func FuzzKeystreamWide(f *testing.F) {
 		var tag [TagSize]byte
 		ref.Sum(tag[:])
 		seal, open := NewMAC(&otk), NewMAC(&otk)
-		xorWide(&key, &nonce, ctr, skip, one, src, &seal, nil, true)
+		xorWide(&key, &nonce, ctr, skip, one, src, &seal, nil, head, true)
 		if !bytes.Equal(one, want) || !seal.Verify(tag[:]) {
 			t.Fatal("seal: wrong ciphertext or tag")
 		}
-		xorWide(&key, &nonce, ctr, skip, one, one, &open, nil, false)
+		xorWide(&key, &nonce, ctr, skip, one, one, &open, nil, head, false)
 		if !bytes.Equal(one, src) || !open.Verify(tag[:]) {
 			t.Fatal("open in place: wrong plaintext or tag")
 		}
@@ -440,9 +550,9 @@ func FuzzKeystreamWide(f *testing.F) {
 		var ch Chain
 		var tagA, tagB [TagSize]byte
 		ct := make([]byte, n)
-		xorWide(&key, &nonce, ctr, skip, ct[:cut], src[:cut], &macA, &ch, true)
+		xorWide(&key, &nonce, ctr, skip, ct[:cut], src[:cut], &macA, &ch, head, true)
 		ch.Sum(&macA, ct[:cut], tagA[:])
-		xorWide(&key, &nonce, ctr+uint32(at/BlockSize), at%BlockSize, ct[cut:], src[cut:], &macB, &ch, true)
+		xorWide(&key, &nonce, ctr+uint32(at/BlockSize), at%BlockSize, ct[cut:], src[cut:], &macB, &ch, nil, true)
 		ch.Sum(&macB, ct[cut:], tagB[:])
 		ch.Flush()
 		refA, refB := NewMAC(&otk), NewMAC(&otkB)

@@ -14,14 +14,15 @@ func BenchmarkSendSteadyStateAEAD(b *testing.B) {
 
 // sealedADU is one 8 KiB ADU at the default fragment size (1 008
 // bytes: eight fragments and a 128-byte ninth), sealed by the AEAD
-// suite into one buffer per fragment, payload and tag, through ch.
-func sealedADU(cfg *Config, ch *cipher.Chain, name uint64, data []byte, frags [][]byte) {
+// suite into one buffer per fragment, payload and tag, through st's
+// chain and lanes.
+func sealedADU(cfg *Config, st *sealState, name uint64, data []byte, frags [][]byte) {
 	frag := cfg.fragPayload()
 	for k, off := 0, 0; off < len(data); k, off = k+1, off+frag {
 		n := min(frag, len(data)-off)
-		cfg.suite.seal(cfg, ch, name, off, frags[k][:n+cipher.TagSize], data[off:off+n])
+		cfg.suite.seal(cfg, st, name, off, len(data), frags[k][:n+cipher.TagSize], data[off:off+n])
 	}
-	ch.Flush()
+	st.flush()
 }
 
 // aeadADU is the suite, the payload and the fragment buffers the two
@@ -43,31 +44,34 @@ func aeadADU() (*Config, []byte, [][]byte) {
 
 // BenchmarkSealADU and BenchmarkOpenADU are the crypto of one ADU of
 // BenchmarkSendSteadyStateAEAD, timed apart from the protocol around
-// it: every fragment's seal through the sender's chain and its flush;
-// every fragment's open into its place, tag verified.
+// it: every fragment's seal through the sender's chain and lanes, and
+// its flush; every fragment's open into its place, tag verified. Each
+// ADU is a new name, so each takes its lanes anew, as in a stream.
 func BenchmarkSealADU(b *testing.B) {
 	cfg, data, frags := aeadADU()
-	ch := new(cipher.Chain)
+	st := new(sealState)
 	b.SetBytes(benchADUBytes)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sealedADU(cfg, ch, uint64(i), data, frags)
+		sealedADU(cfg, st, uint64(i), data, frags)
 	}
 }
 
 func BenchmarkOpenADU(b *testing.B) {
 	cfg, data, frags := aeadADU()
-	sealedADU(cfg, new(cipher.Chain), 1, data, frags)
+	sealedADU(cfg, new(sealState), 1, data, frags)
 	out := make([]byte, len(data))
 	frag := cfg.fragPayload()
 	b.SetBytes(benchADUBytes)
 	b.ReportAllocs()
+	l := new(runLanes)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		l.n = 0 // a new ADU's lanes each time, not the last one's
 		for k, off := 0, 0; off < len(data); k, off = k+1, off+frag {
 			n := min(frag, len(data)-off)
-			if _, ok := cfg.suite.open(cfg, 1, off, out[off:off+n], frags[k][:n], frags[k][n:n+cipher.TagSize]); !ok {
+			if _, ok := cfg.suite.open(cfg, l, 1, off, len(data), out[off:off+n], frags[k][:n], frags[k][n:n+cipher.TagSize]); !ok {
 				b.Fatalf("fragment %d does not verify", k)
 			}
 		}

@@ -4,10 +4,12 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"slices"
 	"testing"
 	"time"
 
 	"repro/internal/buf"
+	"repro/internal/cipher"
 	"repro/internal/netsim"
 	"repro/internal/sim"
 	"repro/internal/wire"
@@ -436,11 +438,17 @@ func capturingSender(t *testing.T, cfg Config, pkts *[][]byte) *Sender {
 // at the fragment's counter, Update over its ciphertext, Sum — whether
 // its last chunk was folded by its own kernel calls, carried by the
 // sender's chain into the next fragment's first call, or left to the
-// flush after the last fragment. ADU lengths run over every byte count
-// from 0 to three fragments and 64 bytes, under FEC groups of 0, 2 and
-// 4, and each packet is checked as it was emitted. Every ADU is then
-// resent (SenderBuffered) after the next one was sealed through the
-// same chain, and must still carry the tags it was sent with.
+// flush after the last fragment, and whichever lane of its run's calls
+// its tag key and head came from. Every data fragment's ciphertext is
+// also the plaintext under the keystream cipher.XORKeyStream makes,
+// which knows nothing of lanes or heads. ADU lengths run over every byte
+// count from 0 to three fragments and 64 bytes, and then on past the
+// first run boundary (eight fragments) to seventeen fragments, the
+// lengths around every fragment boundary and one every 37 bytes, under
+// FEC groups of 0, 2 and 4, and each packet is checked as it was
+// emitted. Every ADU is then resent (SenderBuffered) after the next one
+// was sealed through the same chain and lanes, and must still carry the
+// tags it was sent with.
 func TestSealChainTags(t *testing.T) {
 	for _, fec := range []int{0, 2, 4} {
 		cfg := aeadCfg()
@@ -448,6 +456,8 @@ func TestSealChainTags(t *testing.T) {
 		cfg.Policy = SenderBuffered
 		var pkts [][]byte
 		snd := capturingSender(t, cfg, &pkts)
+		frag := snd.cfg.fragPayload()
+		data := payload(17*frag, 0x3C)
 		check := func(what string, name uint64) {
 			t.Helper()
 			if len(pkts) == 0 {
@@ -459,22 +469,45 @@ func TestSealChainTags(t *testing.T) {
 				if err != nil || h.Name != name {
 					t.Fatalf("fec=%d %s of ADU %d: packet for ADU %d, err %v", fec, what, name, h.Name, err)
 				}
+				parity := h.Flags&wire.FlagParity != 0
 				ctr := uint32(tagCtrData)
-				if h.Flags&wire.FlagParity != 0 {
+				if parity {
 					ctr = tagCtrParity
 				}
+				ct := pkt[HeaderSize : HeaderSize+h.FragLen]
 				mac := newTagMAC(&snd.cfg.aeadKey, &nonce, ctr+uint32(h.FragOff/8))
-				mac.Update(pkt[HeaderSize : HeaderSize+h.FragLen])
+				mac.Update(ct)
 				if !mac.Verify(pkt[HeaderSize+h.FragLen:]) {
 					t.Fatalf("fec=%d %s of ADU %d (%d bytes): wrong tag on fragment off=%d len=%d parity=%v",
-						fec, what, name, h.TotalLen, h.FragOff, h.FragLen, h.Flags&wire.FlagParity != 0)
+						fec, what, name, h.TotalLen, h.FragOff, h.FragLen, parity)
+				}
+				if parity {
+					continue
+				}
+				pt := make([]byte, len(ct))
+				cipher.XORKeyStream(&snd.cfg.aeadKey, &nonce, h.FragOff, pt, ct)
+				if !bytes.Equal(pt, data[h.FragOff:h.FragOff+h.FragLen]) {
+					t.Fatalf("fec=%d %s of ADU %d (%d bytes): fragment off=%d len=%d is not the plaintext under the payload keystream",
+						fec, what, name, h.TotalLen, h.FragOff, h.FragLen)
 				}
 			}
 			pkts = pkts[:0]
 		}
-		data := payload(3*snd.cfg.fragPayload()+64, 0x3C)
-		for n := 0; n <= len(data); n++ {
-			name, err := snd.Send(uint64(n), xcode.SyntaxRaw, data[:n])
+		var lengths []int
+		for n := 0; n <= 3*frag+64; n++ {
+			lengths = append(lengths, n)
+		}
+		for n := 3*frag + 65; n <= len(data); n += 37 {
+			lengths = append(lengths, n)
+		}
+		for k := 4; k <= 17; k++ {
+			lengths = append(lengths, k*frag-8, k*frag, k*frag+8)
+		}
+		for i, n := range lengths {
+			if n > len(data) {
+				continue
+			}
+			name, err := snd.Send(uint64(i), xcode.SyntaxRaw, data[:n])
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -485,6 +518,98 @@ func TestSealChainTags(t *testing.T) {
 				snd.unretain(snd.retained(name - 1))
 			}
 		}
+	}
+}
+
+// A receiver opens fragments in whatever order they come, keeping the
+// lanes of one run at a time: three ADUs of one, nine and seventeen
+// fragments (runs of eight, and a run's first fragment arriving last)
+// delivered interleaved fragment by fragment, the second in reverse,
+// with duplicates and a whole resend mixed in; and then an
+// ADU from a sender of the same stream whose fragments are half the
+// receiver's, so that every other one starts at an offset that is no
+// whole number of the receiver's fragments and opens the scalar way.
+// The resend is of the second ADU, two thirds of the way into it, so it
+// both completes that ADU and duplicates what came before. Every ADU
+// arrives intact, and no tag fails.
+func TestReceiverLanesAnyOrder(t *testing.T) {
+	cfg := aeadCfg()
+	cfg.Policy = SenderBuffered
+	var pkts [][]byte
+	snd := capturingSender(t, cfg, &pkts)
+	frag := snd.cfg.fragPayload()
+	sizes := []int{frag - 8, 8*frag + 128, 17*frag - 40}
+	var datas [][]byte
+	var adus [][][]byte
+	for i, n := range sizes {
+		datas = append(datas, payload(n, byte(0x21*(i+1))))
+		if _, err := snd.Send(uint64(i), xcode.SyntaxRaw, datas[i]); err != nil {
+			t.Fatal(err)
+		}
+		adus, pkts = append(adus, pkts), nil
+	}
+	snd.resend(1)
+	resent := pkts
+
+	var order [][]byte
+	rev := slices.Clone(adus[1])
+	slices.Reverse(rev)
+	for k := 0; k < len(adus[2]); k++ {
+		for _, fs := range [][][]byte{adus[0], rev, adus[2]} {
+			if k < len(fs) {
+				order = append(order, fs[k])
+			}
+		}
+		if k%3 == 1 {
+			order = append(order, adus[2][k]) // a duplicate, at once
+		}
+		if k == 5 {
+			order = append(order, resent...)
+		}
+	}
+	order = append(order, adus[1][0], adus[2][len(adus[2])-1]) // late duplicates
+
+	// The other sender makes names 0-2 too; its name 3 is what it sends.
+	half := cfg
+	half.MTU = HeaderSize + frag/2 + wire.TagSize
+	var other [][]byte
+	osnd := capturingSender(t, half, &other)
+	datas = append(datas, payload(9*frag+200, 0x5A))
+	for name := 0; name < 4; name++ {
+		other = other[:0]
+		if _, err := osnd.Send(uint64(name), xcode.SyntaxRaw, datas[3]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if osnd.cfg.fragPayload() != frag/2 || len(other) < 19 {
+		t.Fatalf("the other sender's fragments are %d bytes, %d of them", osnd.cfg.fragPayload(), len(other))
+	}
+	order = append(order, other...)
+
+	rcv, err := NewReceiver(sim.NewScheduler(), nil, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := map[uint64][]byte{}
+	rcv.OnADU = func(a ADU) {
+		got[a.Name] = append([]byte(nil), a.Data...)
+		a.Release()
+	}
+	for i, p := range order {
+		if err := rcv.HandlePacket(p); err != nil {
+			t.Fatalf("packet %d of %d refused: %v", i, len(order), err)
+		}
+	}
+	if rcv.Stats.AuthFails != 0 || len(got) != len(datas) {
+		t.Fatalf("%d ADUs delivered of %d, %d tags failed", len(got), len(datas), rcv.Stats.AuthFails)
+	}
+	for name, want := range datas {
+		if !bytes.Equal(got[uint64(name)], want) {
+			t.Fatalf("ADU %d (%d bytes) is not delivered intact", name, len(want))
+		}
+	}
+	if rcv.Stats.DupFragments+rcv.Stats.LateFragments == 0 {
+		t.Fatal("no duplicate reached the receiver")
 	}
 }
 

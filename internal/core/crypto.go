@@ -70,25 +70,29 @@ type suiteOps struct {
 	// chained says the trailer is a tag that seal may finish through the
 	// sender's cipher.Chain, which a sender of the suite then owns: the
 	// MAC's last chunk rides in the kernel call that seals the next
-	// fragment, and packetize flushes the chain before it stamps.
+	// fragment, and packetize flushes the chain before it stamps. Both
+	// ends of such a suite also keep a runLanes, whose blocks seal and
+	// open take their tag keys and heads from.
 	chained bool
-	// seal is the sender's fused pass over one fragment: src is
-	// plaintext, dst receives len(src) wire bytes followed by the
-	// trailer. It returns the fragment's partial plaintext checksum. ch
-	// is the sender's chain, nil unless the suite is chained.
-	seal func(c *Config, ch *cipher.Chain, name uint64, off int, dst, src []byte) uint64
+	// seal is the sender's fused pass over one fragment of an ADU of
+	// total bytes: src is plaintext, dst receives len(src) wire bytes
+	// followed by the trailer. It returns the fragment's partial
+	// plaintext checksum. st is the sender's chain and lanes, nil unless
+	// the suite is chained.
+	seal func(c *Config, st *sealState, name uint64, off, total int, dst, src []byte) uint64
 	// sealParity fills the trailer of an FEC parity blob whose payload
 	// (the XOR of its group's wire payloads) is blob[:n]. Like
 	// openParity it is nil, and never called, when there is no trailer.
 	sealParity func(c *Config, name uint64, off int, blob []byte, n int)
 	// open is the receiver's fused pass: src is a fragment's wire
-	// payload, dst its place in the reassembly buffer. It returns the
-	// partial plaintext checksum and whether tag, the fragment's
-	// trailer, verifies. A nil tag means src was rebuilt from FEC
-	// parity: there is no trailer, and nothing to verify — the parity
-	// blob and every surviving member were verified on arrival and XOR
-	// is the only arithmetic between them.
-	open func(c *Config, name uint64, off int, dst, src, tag []byte) (uint64, bool)
+	// payload, dst its place in the reassembly buffer of an ADU of total
+	// bytes. It returns the partial plaintext checksum and whether tag,
+	// the fragment's trailer, verifies. A nil tag means src was rebuilt
+	// from FEC parity: there is no trailer, and nothing to verify — the
+	// parity blob and every surviving member were verified on arrival
+	// and XOR is the only arithmetic between them. l is the receiver's
+	// lanes, nil unless the suite is chained.
+	open func(c *Config, l *runLanes, name uint64, off, total int, dst, src, tag []byte) (uint64, bool)
 	// openParity verifies a parity blob's trailer.
 	openParity func(c *Config, name uint64, off int, blob, tag []byte) bool
 	// rekey XORs the keystream for ADU offsets [off, off+len(b)) into
@@ -102,10 +106,10 @@ type suiteOps struct {
 var suites = [...]suiteOps{
 	SuiteNone: {
 		aduCheck: true,
-		seal: func(_ *Config, _ *cipher.Chain, _ uint64, _ int, dst, src []byte) uint64 {
+		seal: func(_ *Config, _ *sealState, _ uint64, _, _ int, dst, src []byte) uint64 {
 			return ilp.FusedCopySum(dst, src)
 		},
-		open: func(_ *Config, _ uint64, _ int, dst, src, _ []byte) (uint64, bool) {
+		open: func(_ *Config, _ *runLanes, _ uint64, _, _ int, dst, src, _ []byte) (uint64, bool) {
 			return ilp.FusedCopySum(dst, src), true
 		},
 		rekey: func(*Config, uint64, int, []byte) {},
@@ -113,10 +117,10 @@ var suites = [...]suiteOps{
 	SuiteScramble: {
 		flags:    wire.FlagEnciphered,
 		aduCheck: true,
-		seal: func(c *Config, _ *cipher.Chain, name uint64, off int, dst, src []byte) uint64 {
+		seal: func(c *Config, _ *sealState, name uint64, off, _ int, dst, src []byte) uint64 {
 			return ilp.FusedEncryptCopySum(dst, src, c.Key^name, off)
 		},
-		open: func(c *Config, name uint64, off int, dst, src, _ []byte) (uint64, bool) {
+		open: func(c *Config, _ *runLanes, name uint64, off, _ int, dst, src, _ []byte) (uint64, bool) {
 			return ilp.FusedDecryptCopySum(dst, src, c.Key^name, off), true
 		},
 		rekey: func(c *Config, name uint64, off int, b []byte) {
@@ -133,13 +137,15 @@ var suites = [...]suiteOps{
 	// integrity pass. packetize seals all of an ADU's fragments before it
 	// stamps or emits any, so the kernel call that starts fragment k+1
 	// may fold the end of fragment k into k's tag (the sender's chain).
+	// A data fragment's tag key and head come from its run's lanes, at
+	// both ends; a parity tag's key is one Block of its own.
 	SuiteAEAD: {
 		flags:   wire.FlagAEAD,
 		chained: true,
-		seal: func(c *Config, ch *cipher.Chain, name uint64, off int, dst, src []byte) uint64 {
+		seal: func(c *Config, st *sealState, name uint64, off, total int, dst, src []byte) uint64 {
 			nonce := aeadNonce(c.StreamID, name)
-			mac := newTagMAC(&c.aeadKey, &nonce, tagCtrData+uint32(off/8))
-			ilp.FusedSeal(dst, src, &c.aeadKey, &nonce, off, &mac, ch)
+			mac, head := st.lanes.dataMAC(c, &nonce, name, off, total)
+			ilp.FusedSeal(dst, src, &c.aeadKey, &nonce, off, &mac, &st.chain, head)
 			return 0
 		},
 		sealParity: func(c *Config, name uint64, off int, blob []byte, n int) {
@@ -152,14 +158,14 @@ var suites = [...]suiteOps{
 		// verdict, which is safe because the caller accounts the range
 		// as received only on success — a forged fragment leaves no
 		// trace and the range stays recoverable.
-		open: func(c *Config, name uint64, off int, dst, src, tag []byte) (uint64, bool) {
+		open: func(c *Config, l *runLanes, name uint64, off, total int, dst, src, tag []byte) (uint64, bool) {
 			nonce := aeadNonce(c.StreamID, name)
 			if tag == nil {
 				ilp.FusedDecryptCopyVerify(dst, src, &c.aeadKey, &nonce, off, nil)
 				return 0, true
 			}
-			mac := newTagMAC(&c.aeadKey, &nonce, tagCtrData+uint32(off/8))
-			ilp.FusedDecryptCopyVerify(dst, src, &c.aeadKey, &nonce, off, &mac)
+			mac, head := l.dataMAC(c, &nonce, name, off, total)
+			ilp.FusedOpen(dst, src, &c.aeadKey, &nonce, off, &mac, head)
 			return 0, mac.Verify(tag)
 		},
 		openParity: func(c *Config, name uint64, off int, blob, tag []byte) bool {
@@ -176,7 +182,7 @@ var suites = [...]suiteOps{
 }
 
 // ChaCha20 block-counter domains. The payload keystream for an ADU
-// starts at counter 1 (cipher.XORKeyStreamMAC), growing upward by one
+// starts at counter 1 (cipher.PayloadCounter), growing upward by one
 // per 64 bytes; the one-time Poly1305 tag keys live in two high ranges
 // indexed by fragment offset so no counter is ever used for both
 // keystream and tag-key material:
@@ -186,7 +192,15 @@ var suites = [...]suiteOps{
 //	parity tags         2^31 + off/8
 //
 // Validate caps MaxADU at 2^33 under SuiteAEAD so the domains cannot
-// collide.
+// collide. Which block comes from where: a fragment's payload keystream
+// comes eight blocks to a kernel call in the keystream loop; its data
+// tag key, and its head — the payload block it starts in, if it starts
+// mid-block — are lanes of its run's kernel calls (runLanes), at both
+// ends. Three stay out of the lanes and scalar: a data fragment at an
+// offset that is not a whole number of the receiver's fragments (a
+// sender with another MTU) makes its tag key and head one Block each, as
+// does a parity tag's key (one per FEC group), and FEC reconstruction's
+// rekey is the plain keystream loop, with no MAC and so no head.
 const (
 	tagCtrData   = 1 << 30
 	tagCtrParity = 1 << 31
@@ -217,4 +231,103 @@ func newTagMAC(key *cipher.Key, nonce *[cipher.NonceSize]byte, ctr uint32) ciphe
 	var otk [32]byte
 	cipher.TagKey(key, nonce, ctr, &otk)
 	return cipher.NewMAC(&otk)
+}
+
+// runLanes holds the one-off ChaCha20 blocks a run of fragments needs
+// besides its payload keystream, made cipher.Lanes to a kernel call
+// (cipher.Blocks) instead of one Block each. A run is up to cipher.Lanes
+// consecutive fragments of one ADU at the endpoint's fragment size, and
+// each takes a lane for its data tag key and, if it starts mid-block,
+// one for its head: at most two calls a run. An 8 KiB ADU at 1 008-byte
+// fragments is a run of eight needing 8 + 6 lanes, two calls where it
+// took 14 Blocks, and a run of one, whose one lane is one Block.
+//
+// Both ends keep one for the (name, run) they last needed: the sender
+// fills it at each run's first fragment, the receiver at the first
+// fragment it sees of a run, and the rest of the run finds its lanes
+// there. A receiver whose fragments arrive in any other order refills
+// it, which costs one fill per fragment at most, as a fill covers at
+// most cipher.Lanes fragments whatever a header claims.
+type runLanes struct {
+	name      uint64
+	run       int
+	n         int                 // fragments the lanes cover; 0 while empty
+	key, head [cipher.Lanes]uint8 // fragment i's tag-key lane; its head lane or noHead
+	ks        [2][cipher.Lanes * cipher.BlockSize]byte
+}
+
+const noHead = 0xff
+
+// dataMAC returns the data-tag MAC of the fragment of ADU name at off,
+// in an ADU of total bytes, and its head block (nil if it starts on a
+// block boundary), filling l with the fragment's run first unless it
+// holds it. A fragment at an offset that is not a whole number of
+// fragments makes both with Block instead, as does one whose header puts
+// it past the fragments its run's fill covered (at the ADU's end).
+func (l *runLanes) dataMAC(c *Config, nonce *[cipher.NonceSize]byte, name uint64, off, total int) (cipher.MAC, *[cipher.BlockSize]byte) {
+	fp := c.fragPayload()
+	if off%fp == 0 {
+		run, i := off/fp/cipher.Lanes, off/fp%cipher.Lanes
+		if l.n == 0 || l.name != name || l.run != run {
+			l.fill(c, nonce, name, run, total)
+		}
+		if i < l.n {
+			var head *[cipher.BlockSize]byte
+			if h := l.head[i]; h != noHead {
+				head = l.lane(h)
+			}
+			return cipher.NewMAC((*[cipher.KeySize]byte)(l.lane(l.key[i])[:cipher.KeySize])), head
+		}
+	}
+	return newTagMAC(&c.aeadKey, nonce, tagCtrData+uint32(off/8)), nil
+}
+
+// fill makes the lanes of run of ADU name: fragment i of the run, at
+// off, takes a lane at counter tagCtrData + off/8 and, if off is not on
+// a block boundary, the next at the payload counter of off. The run
+// holds every fragment the sender makes of an ADU of total bytes — the
+// first always, the others while they start inside it.
+func (l *runLanes) fill(c *Config, nonce *[cipher.NonceSize]byte, name uint64, run, total int) {
+	fp := c.fragPayload()
+	var ctrs [2][cipher.Lanes]uint32
+	lanes := 0
+	l.name, l.run, l.n = name, run, 0
+	for i := 0; i < cipher.Lanes; i++ {
+		off := (run*cipher.Lanes + i) * fp
+		if i > 0 && off >= total {
+			break
+		}
+		l.key[i], l.head[i] = uint8(lanes), noHead
+		ctrs[lanes/cipher.Lanes][lanes%cipher.Lanes] = tagCtrData + uint32(off/8)
+		lanes++
+		if off%cipher.BlockSize != 0 {
+			l.head[i] = uint8(lanes)
+			ctrs[lanes/cipher.Lanes][lanes%cipher.Lanes] = cipher.PayloadCounter(off)
+			lanes++
+		}
+		l.n++
+	}
+	for k := 0; k*cipher.Lanes < lanes; k++ {
+		cipher.Blocks(&c.aeadKey, nonce, &ctrs[k], min(lanes-k*cipher.Lanes, cipher.Lanes), &l.ks[k])
+	}
+}
+
+// lane is lane i of the fill's calls.
+func (l *runLanes) lane(i uint8) *[cipher.BlockSize]byte {
+	return (*[cipher.BlockSize]byte)(l.ks[i/cipher.Lanes][int(i%cipher.Lanes)*cipher.BlockSize:])
+}
+
+// sealState is what a sender of a chained suite keeps behind its one
+// pointer: the chain its fragments are sealed through, and its lanes.
+type sealState struct {
+	chain cipher.Chain
+	lanes runLanes
+}
+
+// flush writes the tag the chain still holds. A sender of a suite
+// without a chain has a nil sealState and nothing to flush.
+func (st *sealState) flush() {
+	if st != nil {
+		st.chain.Flush()
+	}
 }

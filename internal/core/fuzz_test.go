@@ -1,6 +1,7 @@
 package alf
 
 import (
+	"bytes"
 	"testing"
 	"testing/quick"
 
@@ -192,19 +193,61 @@ func corpusPackets() [][]byte {
 	return pkts
 }
 
+// aeadFuzzCfg is the AEAD arm's stream: the benchmark's 1 008-byte
+// fragments, and no FEC. A parity fragment's group is whatever the
+// header's TotalLen makes it, and the header is not authenticated: a
+// genuine parity fragment under a forged TotalLen rebuilds a "missing"
+// member that is the XOR of several, which nothing verifies. That hole
+// is in the header's integrity, which no tag covers, and not in the tags
+// this arm holds to account.
+func aeadFuzzCfg() Config {
+	cfg := aeadCfg()
+	cfg.MaxADU = 1 << 16
+	return cfg
+}
+
+// aeadFuzzADU is the AEAD arm's genuine traffic: ADU 0 of aeadFuzzCfg's
+// stream, nine 1 008-byte fragments and a 200-byte tenth — two runs, the
+// first starting mid-block from its second fragment on — as sealed.
+func aeadFuzzADU() (data []byte, pkts [][]byte) {
+	data = payload(9*1008+200, 0x6B)
+	snd, _ := testSender(sim.NewScheduler(), func(p []byte) error {
+		pkts = append(pkts, append([]byte(nil), p...))
+		return nil
+	}, aeadFuzzCfg())
+	snd.Send(1, xcode.SyntaxRaw, data)
+	return data, pkts
+}
+
 // FuzzHandlePacket is the native-fuzzer version of the quick checks
 // above: arbitrary bytes into the receiver's data path must never
 // panic, never allocate unbounded state, and never deliver an ADU the
-// checksum did not vouch for.
+// checksum did not vouch for. With aead the receiver is a SuiteAEAD one,
+// the seeds are sealed 1 008-byte fragments, and the fuzzed packet is
+// followed by every genuine fragment of the seeds' ADU, last first, so
+// that what it left in the receiver — a partial, its run's lanes — is
+// what they are opened against. Nothing the packet does may make the
+// receiver deliver a byte the tags did not vouch for: any ADU delivered
+// is the genuine one, or a prefix of it (a forged header may only
+// shorten it, since the tags cover the payload and not the header).
 func FuzzHandlePacket(f *testing.F) {
 	for _, pkt := range corpusPackets() {
-		f.Add(pkt)
+		f.Add(pkt, false)
 	}
-	f.Add([]byte{})
-	f.Fuzz(func(t *testing.T, pkt []byte) {
+	f.Add([]byte{}, false)
+	data, sealed := aeadFuzzADU()
+	for _, pkt := range sealed {
+		f.Add(pkt, true)
+	}
+	f.Add(sealed[1][:len(sealed[1])-1], true)
+	f.Fuzz(func(t *testing.T, pkt []byte, aead bool) {
 		s := sim.NewScheduler()
-		rcv, err := NewReceiver(s, func([]byte) error { return nil },
-			Config{MaxADU: 1 << 16, FECGroup: 4})
+		cfg := Config{MaxADU: 1 << 16, FECGroup: 4}
+		var genuine [][]byte // read only: a receiver never writes a packet
+		if aead {
+			cfg, genuine = aeadFuzzCfg(), sealed
+		}
+		rcv, err := NewReceiver(s, func([]byte) error { return nil }, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -212,11 +255,18 @@ func FuzzHandlePacket(f *testing.F) {
 			if len(adu.Data) > 1<<16 {
 				t.Fatalf("delivered %d B past MaxADU", len(adu.Data))
 			}
+			if aead && (adu.Name != 0 || !bytes.Equal(adu.Data, data[:min(len(adu.Data), len(data))]) || len(adu.Data) > len(data)) {
+				t.Fatalf("delivered ADU %d of %d bytes that the tags did not vouch for", adu.Name, len(adu.Data))
+			}
+			adu.Release()
 		}
 		rcv.HandlePacket(pkt) // errors fine, panics not
 		rcv.HandlePacket(pkt) // duplicates must be harmless too
 		if rcv.Pending() > 2 {
 			t.Fatalf("one packet created %d pending ADUs", rcv.Pending())
+		}
+		for i := len(genuine) - 1; i >= 0; i-- {
+			rcv.HandlePacket(genuine[i])
 		}
 	})
 }

@@ -130,6 +130,11 @@ type Receiver struct {
 	m recvMetrics
 
 	Stats ReceiverStats
+
+	// lanes are the tag keys and heads of the last run of fragments
+	// opened (suiteOps.chained); nil under a suite without a tag. Last,
+	// so that no field a cleartext stream touches moves for it.
+	lanes *runLanes
 }
 
 // NewReceiver creates the receiving end of a stream. send transmits
@@ -144,6 +149,9 @@ func NewReceiver(sched *sim.Scheduler, send func([]byte) error, cfg Config) (*Re
 		return nil, ErrMTUTooSmall
 	}
 	r := &Receiver{cfg: cfg, sched: sched, send: send}
+	if cfg.suite.chained {
+		r.lanes = new(runLanes)
+	}
 	r.scan = sched.NewTimer(r.onScan)
 	r.fb = sched.NewTimer(r.onFeedback)
 	r.m = bindReceiverMetrics(cfg.Metrics, r)
@@ -318,7 +326,7 @@ func (r *Receiver) putPartial(p *partial) {
 // verifies the fragment's tag — fused (§6). The range is accounted as
 // received only when that succeeds.
 func (r *Receiver) place(name uint64, p *partial, off int, payload, tag []byte) bool {
-	sum, ok := r.cfg.suite.open(&r.cfg, name, off, p.buf[off:off+len(payload)], payload, tag)
+	sum, ok := r.cfg.suite.open(&r.cfg, r.lanes, name, off, p.total, p.buf[off:off+len(payload)], payload, tag)
 	if !ok {
 		return false
 	}

@@ -5,7 +5,6 @@ import (
 	"math"
 
 	"repro/internal/buf"
-	"repro/internal/cipher"
 	"repro/internal/ilp"
 	"repro/internal/sim"
 	"repro/internal/tracing"
@@ -114,9 +113,10 @@ type Sender struct {
 	// scratch is the packetization worklist, reused across Sends so the
 	// steady-state path does not allocate.
 	scratch []wireFrag
-	// chain carries a sealed fragment's last chunk into the next one's
-	// kernel call (suiteOps.chained); nil under a suite without a tag.
-	chain *cipher.Chain
+	// crypto is the chain that carries a sealed fragment's last chunk
+	// into the next one's kernel call, and the lanes its tag keys and
+	// heads come from (suiteOps.chained); nil under a suite without a tag.
+	crypto *sealState
 
 	// OnResend supplies ADU payloads under the AppRecompute policy: the
 	// application regenerates the data (and its tag and syntax) for a
@@ -205,7 +205,7 @@ func NewSender(sched *sim.Scheduler, send func([]byte) error, cfg Config) (*Send
 	}
 	s := &Sender{cfg: cfg, sched: sched, send: send}
 	if cfg.suite.chained {
-		s.chain = new(cipher.Chain)
+		s.crypto = new(sealState)
 	}
 	s.hb = sched.NewTimer(s.onHeartbeat)
 	s.retire = sched.NewTimer(s.onRetire)
@@ -471,7 +471,7 @@ func (s *Sender) packetize(name uint64, data []byte, frags []wireFrag) ([]wireFr
 		}
 		ref := s.cfg.Pool.GetHeadroom(n+trailer, headroom)
 		w := ref.Bytes()
-		sum += ops.seal(&s.cfg, s.chain, name, off, w, data[off:off+n])
+		sum += ops.seal(&s.cfg, s.crypto, name, off, len(data), w, data[off:off+n])
 		frags = append(frags, wireFrag{ref: ref, off: off, n: n})
 		if s.cfg.FECGroup > 0 {
 			if inGroup == 0 {
@@ -493,7 +493,7 @@ func (s *Sender) packetize(name uint64, data []byte, frags []wireFrag) ([]wireFr
 			inGroup = 0
 		}
 	}
-	s.chain.Flush()
+	s.crypto.flush()
 	if !ops.aduCheck {
 		return frags, 0
 	}

@@ -213,10 +213,6 @@ func TestShardedEncapRoundtrip(t *testing.T) {
 	}
 }
 
-// TestShardedSendZeroAlloc extends the alloc-guard to the sharded hot
-// path: Send -> packetize (encap headroom) -> flow-id stamp -> trunk
-// SendRef -> demux -> HandlePacket -> deliver -> Release, across two
-// shards' private arenas. Steady state must not allocate.
 // A Sender is per-flow state, and the shard plane makes 65 536 of them
 // in flows_sharded_64k. The runtime puts a pointerful object over 512
 // bytes in the smallest size class that holds it and an 8-byte header:
@@ -227,6 +223,19 @@ func TestSenderSizeClass(t *testing.T) {
 	}
 }
 
+// A Receiver is per-flow state too, in the 704-byte class with no room
+// to spare: what only a suite with a tag needs (its lanes) sits behind a
+// pointer that is nil for the rest.
+func TestReceiverSizeClass(t *testing.T) {
+	if n := unsafe.Sizeof(Receiver{}); n+8 > 704 {
+		t.Fatalf("Receiver is %d bytes: with its allocation header it no longer fits the 704-byte size class", n)
+	}
+}
+
+// TestShardedSendZeroAlloc extends the alloc-guard to the sharded hot
+// path: Send -> packetize (encap headroom) -> flow-id stamp -> trunk
+// SendRef -> demux -> HandlePacket -> deliver -> Release, across two
+// shards' private arenas. Steady state must not allocate.
 func TestShardedSendZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race detector instrumentation allocates")

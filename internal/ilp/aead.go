@@ -43,7 +43,7 @@ func aeadOff(off int) int {
 // cipher.XORKeyStream. len(dst) must be >= len(src); it returns
 // len(src).
 func FusedEncryptCopyMAC(dst, src []byte, key *cipher.Key, nonce *[cipher.NonceSize]byte, off int, mac *cipher.MAC) int {
-	return cipher.XORKeyStreamMAC(key, nonce, aeadOff(off), dst[:len(src)], src, mac, nil, true)
+	return cipher.XORKeyStreamMAC(key, nonce, aeadOff(off), dst[:len(src)], src, mac, nil, nil, true)
 }
 
 // FusedSeal is FusedEncryptCopyMAC that also finishes the tag, into
@@ -51,11 +51,19 @@ func FusedEncryptCopyMAC(dst, src []byte, key *cipher.Key, nonce *[cipher.NonceS
 // Sealed through a chain, the MAC's last chunk may ride in the kernel
 // call that seals the next fragment through ch, and the tag is written
 // then: a run of fragments sealed through one chain is finished by
-// ch.Flush, before any of their tags is read. mac must not be nil.
-func FusedSeal(dst, src []byte, key *cipher.Key, nonce *[cipher.NonceSize]byte, off int, mac *cipher.MAC, ch *cipher.Chain) int {
-	n := cipher.XORKeyStreamMAC(key, nonce, aeadOff(off), dst[:len(src)], src, mac, ch, true)
+// ch.Flush, before any of their tags is read. mac must not be nil. head
+// is the fragment's head block if the caller made it, else nil
+// (cipher.XORKeyStreamMAC).
+func FusedSeal(dst, src []byte, key *cipher.Key, nonce *[cipher.NonceSize]byte, off int, mac *cipher.MAC, ch *cipher.Chain, head *[cipher.BlockSize]byte) int {
+	n := cipher.XORKeyStreamMAC(key, nonce, aeadOff(off), dst[:len(src)], src, mac, ch, head, true)
 	ch.Sum(mac, dst[:n], dst[n:n+cipher.TagSize])
 	return n
+}
+
+// FusedOpen is FusedDecryptCopyVerify with the fragment's head block,
+// if the caller made it, as FusedSeal takes it.
+func FusedOpen(dst, src []byte, key *cipher.Key, nonce *[cipher.NonceSize]byte, off int, mac *cipher.MAC, head *[cipher.BlockSize]byte) int {
+	return cipher.XORKeyStreamMAC(key, nonce, aeadOff(off), dst[:len(src)], src, mac, nil, head, false)
 }
 
 // FusedDecryptCopyVerify is the receive-side mirror: it reads
@@ -69,7 +77,7 @@ func FusedSeal(dst, src []byte, key *cipher.Key, nonce *[cipher.NonceSize]byte, 
 // are authenticated transitively by the parity tag and the surviving
 // fragments' tags). len(dst) must be >= len(src); returns len(src).
 func FusedDecryptCopyVerify(dst, src []byte, key *cipher.Key, nonce *[cipher.NonceSize]byte, off int, mac *cipher.MAC) int {
-	return cipher.XORKeyStreamMAC(key, nonce, aeadOff(off), dst[:len(src)], src, mac, nil, false)
+	return FusedOpen(dst, src, key, nonce, off, mac, nil)
 }
 
 // StagedEncryptCopyMAC performs the same transformation as
