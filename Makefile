@@ -33,18 +33,10 @@ fmt:
 # in the budget), and the two totals ROADMAP aim 2 is measured by: all
 # non-test code outside benchmark/, and the planes that watch the
 # protocol (metrics + tracing + telemetry + stats) against the protocol
-# (core).
+# (core). The counter is TestLoc (surface_test.go), which also holds
+# both totals to ceilings in `go test ./...`.
 loc:
-	@find . \( -name '*.go' -o -name '*.s' \) -not -path './benchmark/*' | sort | xargs wc -l | awk ' \
-		$$2 == "total" { next } \
-		{ d = $$2; sub(/\/[^\/]*$$/, "", d); if (!(d in seen)) { seen[d] = 1; dirs[++n] = d } \
-		  if ($$2 ~ /_test\.go$$/) { t[d] += $$1; tt += $$1 } else { c[d] += $$1; ct += $$1 } } \
-		END { printf "%-28s %8s %8s\n", "package", "non-test", "test"; \
-		  for (i = 1; i <= n; i++) printf "%-28s %8d %8d\n", dirs[i], c[dirs[i]], t[dirs[i]]; \
-		  printf "%-28s %8d %8d\n", "all outside benchmark/", ct, tt; \
-		  o = "./internal/"; \
-		  printf "metrics+tracing+telemetry+stats %d against core %d\n", \
-		    c[o "metrics"] + c[o "tracing"] + c[o "telemetry"] + c[o "stats"], c[o "core"] }'
+	$(GO) test -count=1 -run '^TestLoc$$' -v .
 
 # The packages with real concurrency: the metrics registry is meant to
 # be hit from multiple goroutines, parallel hosts the worker-pool
@@ -115,7 +107,9 @@ benchmark-smoke:
 # accumulator, the fused AEAD kernels against the staged ones on
 # clean and corrupted fragments, and the presentation decoders (BER,
 # XDR, LWTS, raw and the message frame) on arbitrary bytes: no panic, no
-# over-read, and decode → encode → decode keeps the value. The budget
+# over-read, and decode → encode → decode keeps the value; and the
+# session plane's OFFER / ACCEPT / REJECT parsers, whose accepted
+# messages must re-encode to the same bytes. The budget
 # is deliberately small so check stays
 # fast; raise FUZZTIME for a real session.
 FUZZTIME ?= 5s
@@ -132,6 +126,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzKeystreamWide$$' -fuzztime $(FUZZTIME) ./internal/cipher
 	$(GO) test -run '^$$' -fuzz '^FuzzPolyKernel$$' -fuzztime $(FUZZTIME) ./internal/cipher
 	$(GO) test -run '^$$' -fuzz '^FuzzCodecs$$' -fuzztime $(FUZZTIME) ./internal/xcode
+	$(GO) test -run '^$$' -fuzz '^FuzzSession$$' -fuzztime $(FUZZTIME) ./internal/session
 
 # One seeded chaos pass: every scenario x policy plus the blackout
 # shed/report assertions, and the overload family (closed-loop passes,

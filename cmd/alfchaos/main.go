@@ -245,22 +245,10 @@ func runOverload(shape, mode string, verbose bool) int {
 		}
 	}
 	if tracer != nil {
-		f, err := os.Create(*flagTrace)
-		if err != nil {
+		if err := writePerfetto(tracer); err != nil {
 			fmt.Fprintf(os.Stderr, "alfchaos: %v\n", err)
 			return 2
 		}
-		if err := tracer.WritePerfetto(f); err != nil {
-			f.Close()
-			fmt.Fprintf(os.Stderr, "alfchaos: %v\n", err)
-			return 2
-		}
-		if err := f.Close(); err != nil {
-			fmt.Fprintf(os.Stderr, "alfchaos: %v\n", err)
-			return 2
-		}
-		fmt.Printf("\nperfetto trace (%d events, %d dropped) written to %s\n",
-			tracer.Len(), tracer.Dropped, *flagTrace)
 	}
 	if code := finishFlightRec(rec); code != 0 {
 		return code
@@ -331,7 +319,7 @@ func runDTN(mode string, seed int64, verbose bool) int {
 	reg := metrics.New()
 	var rec *telemetry.Recorder
 	if verbose {
-		rec = attachFlightRec(4*time.Hour, soak.DTNDetectors(soak.DTNConfig{Mode: mode}))
+		rec = attachFlightRec(4*time.Hour, soak.DTNDetectors())
 	}
 	res, err := soak.RunDTN(soak.DTNConfig{Seed: seed, Mode: mode, Metrics: reg, Recorder: rec})
 	if err != nil {
@@ -477,6 +465,12 @@ func dumpTrace(tracer *tracing.Tracer, res *soak.Result) error {
 			rep.WriteADU(os.Stdout, 0, name)
 		}
 	}
+	return writePerfetto(tracer)
+}
+
+// writePerfetto writes the recorded run as Perfetto JSON to the -trace
+// path and says so.
+func writePerfetto(tracer *tracing.Tracer) error {
 	f, err := os.Create(*flagTrace)
 	if err != nil {
 		return err

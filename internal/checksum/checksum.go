@@ -1,7 +1,6 @@
 // Package checksum implements the error-detection kernels used as data
 // manipulation stages throughout the stack: the Internet one's-complement
-// checksum (the "TCP checksum" of the paper's Table 1), Fletcher-32, and
-// CRC-32.
+// checksum (the "TCP checksum" of the paper's Table 1).
 //
 // The Internet checksum loops, here and in internal/ilp, share one
 // accumulator, built from RFC 1071 section 2's three observations: the
@@ -134,69 +133,4 @@ func Fold(sum uint64) uint16 {
 		sum = (sum >> 16) + (sum & 0xffff)
 	}
 	return uint16(sum)
-}
-
-// Fletcher32 computes the Fletcher-32 checksum over data, treating it as
-// a sequence of big-endian 16-bit words (odd length is zero-padded).
-// Offered as the cheaper alternative error code for ablations.
-func Fletcher32(data []byte) uint32 {
-	var c0, c1 uint32
-	for len(data) > 0 {
-		// Fletcher requires periodic modular reduction; 359 words is the
-		// largest block that cannot overflow 32-bit accumulators.
-		block := len(data)
-		if block > 718 {
-			block = 718
-		}
-		chunk := data[:block]
-		data = data[block:]
-		for len(chunk) >= 2 {
-			c0 += uint32(binary.BigEndian.Uint16(chunk[0:2]))
-			c1 += c0
-			chunk = chunk[2:]
-		}
-		if len(chunk) == 1 {
-			c0 += uint32(chunk[0]) << 8
-			c1 += c0
-		}
-		c0 %= 65535
-		c1 %= 65535
-	}
-	return c1<<16 | c0
-}
-
-// crcTable is the IEEE 802.3 reflected CRC-32 lookup table, built at
-// package init from the reversed polynomial 0xEDB88320.
-var crcTable [256]uint32
-
-func init() {
-	const poly = 0xEDB88320
-	for i := range crcTable {
-		crc := uint32(i)
-		for k := 0; k < 8; k++ {
-			if crc&1 != 0 {
-				crc = crc>>1 ^ poly
-			} else {
-				crc >>= 1
-			}
-		}
-		crcTable[i] = crc
-	}
-}
-
-// CRC32 computes the IEEE CRC-32 of data (same algorithm as Ethernet,
-// gzip, and hash/crc32's IEEE table), implemented from scratch with the
-// standard byte-wise table method.
-func CRC32(data []byte) uint32 {
-	return CRC32Update(0, data)
-}
-
-// CRC32Update continues a CRC-32 computation: pass the previous return
-// value (or 0 to start) and the next chunk.
-func CRC32Update(crc uint32, data []byte) uint32 {
-	crc = ^crc
-	for _, b := range data {
-		crc = crcTable[byte(crc)^b] ^ crc>>8
-	}
-	return ^crc
 }

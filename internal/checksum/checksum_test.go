@@ -1,7 +1,6 @@
 package checksum
 
 import (
-	"hash/crc32"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -88,89 +87,6 @@ func TestSum16PropertyMatchesReference(t *testing.T) {
 	}
 }
 
-func TestCRC32MatchesStdlib(t *testing.T) {
-	f := func(data []byte) bool {
-		return CRC32(data) == crc32.ChecksumIEEE(data)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestCRC32KnownVector(t *testing.T) {
-	if got := CRC32([]byte("123456789")); got != 0xCBF43926 {
-		t.Errorf("CRC32 check value = %#08x, want 0xCBF43926", got)
-	}
-}
-
-func TestCRC32UpdateChaining(t *testing.T) {
-	data := []byte("the quick brown fox jumps over the lazy dog")
-	whole := CRC32(data)
-	part := CRC32Update(CRC32Update(0, data[:10]), data[10:])
-	if part != whole {
-		t.Errorf("chained CRC %#08x != whole %#08x", part, whole)
-	}
-}
-
-func TestFletcher32KnownVectors(t *testing.T) {
-	// The classic literature vectors ("abcde" -> 0xF04FC729) are stated
-	// for little-endian 16-bit words. This package uses network byte
-	// order, so the expected values are the same sums over byte-swapped
-	// words, computed here with an independent per-word-reduction
-	// reference.
-	ref := func(in []byte) uint32 {
-		var c0, c1 uint32
-		for i := 0; i < len(in); i += 2 {
-			w := uint32(in[i]) << 8
-			if i+1 < len(in) {
-				w |= uint32(in[i+1])
-			}
-			c0 = (c0 + w) % 65535
-			c1 = (c1 + c0) % 65535
-		}
-		return c1<<16 | c0
-	}
-	for _, in := range []string{"", "a", "ab", "abcde", "abcdef", "abcdefgh"} {
-		if got, want := Fletcher32([]byte(in)), ref([]byte(in)); got != want {
-			t.Errorf("Fletcher32(%q) = %#08x, want %#08x", in, got, want)
-		}
-	}
-	// Spot-check against the published little-endian vector by swapping
-	// input bytes pairwise: Fletcher32_BE(swap("abcde")) == 0xF04FC729.
-	swapped := []byte{'b', 'a', 'd', 'c', 0, 'e'}
-	if got := Fletcher32(swapped); got != 0xF04FC729 {
-		t.Errorf("byte-swapped literature vector = %#08x, want 0xF04FC729", got)
-	}
-}
-
-func TestFletcher32LargeNoOverflow(t *testing.T) {
-	// A long run of 0xff words stresses the modular-reduction blocking.
-	data := make([]byte, 1<<20)
-	for i := range data {
-		data[i] = 0xff
-	}
-	got := Fletcher32(data)
-	// Reference with per-word reduction.
-	var c0, c1 uint32
-	for i := 0; i < len(data); i += 2 {
-		c0 = (c0 + 0xffff) % 65535
-		c1 = (c1 + c0) % 65535
-	}
-	want := c1<<16 | c0
-	if got != want {
-		t.Errorf("Fletcher32 = %#08x, want %#08x", got, want)
-	}
-}
-
-func TestFletcher32DetectsTransposition(t *testing.T) {
-	// Unlike the plain sum, Fletcher is position-sensitive.
-	a := Fletcher32([]byte{1, 2, 3, 4})
-	b := Fletcher32([]byte{3, 4, 1, 2})
-	if a == b {
-		t.Error("Fletcher32 failed to detect word transposition")
-	}
-}
-
 func BenchmarkSum16_4KB(b *testing.B) {
 	data := make([]byte, 4096)
 	rand.New(rand.NewSource(1)).Read(data)
@@ -178,25 +94,5 @@ func BenchmarkSum16_4KB(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		Sum16(data)
-	}
-}
-
-func BenchmarkCRC32_4KB(b *testing.B) {
-	data := make([]byte, 4096)
-	rand.New(rand.NewSource(1)).Read(data)
-	b.SetBytes(4096)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		CRC32(data)
-	}
-}
-
-func BenchmarkFletcher32_4KB(b *testing.B) {
-	data := make([]byte, 4096)
-	rand.New(rand.NewSource(1)).Read(data)
-	b.SetBytes(4096)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		Fletcher32(data)
 	}
 }

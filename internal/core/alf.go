@@ -131,7 +131,6 @@ var (
 	ErrBufferLimit  = errors.New("alf: sender retention buffer full")
 	ErrBadHeader    = wire.ErrBadHeader
 	ErrWrongStream  = errors.New("alf: fragment for another stream")
-	ErrNameOrder    = errors.New("alf: ADU names must be assigned by the sender")
 	ErrMTUTooSmall  = errors.New("alf: MTU leaves no fragment payload")
 	ErrInconsistent = errors.New("alf: fragment disagrees with earlier fragments of the same ADU")
 	// ErrConfig wraps every constructor-time configuration rejection,
@@ -148,6 +147,13 @@ var (
 	// as lost: nothing is accounted and recovery re-requests the range.
 	ErrAuthFail = errors.New("alf: fragment failed authentication")
 )
+
+// nameWindow bounds how far ahead of the settled frontier an arriving
+// ADU name may claim to be. Headers are protected by a 16-bit checksum,
+// so one in ~65k corrupted headers survives verification; without this
+// bound a surviving garbage name would have the receiver record an
+// astronomically large gap.
+const nameWindow = 1 << 20
 
 // Config parameterizes one stream. The same Config should be given to
 // both ends. Zero fields take defaults.
@@ -221,12 +227,6 @@ type Config struct {
 	// stale its data may usefully be (§5). Zero retains until the
 	// receiver confirms or BufferLimit pushes back.
 	ADUDeadline sim.Duration
-	// NameWindow bounds how far ahead of the settled frontier an
-	// arriving ADU name may claim to be (default 1<<20). Headers are
-	// protected by a 16-bit checksum, so one in ~65k corrupted headers
-	// survives verification; without this bound a surviving garbage
-	// name would have the receiver record an astronomically large gap.
-	NameWindow uint64
 	// FECGroup enables forward error correction on ADU sub-units
 	// (paper footnote 10): after every FECGroup data fragments of an
 	// ADU, the sender emits one XOR parity fragment, letting the
@@ -460,9 +460,6 @@ func (c *Config) fill() {
 	}
 	if c.HeartbeatLimit == 0 {
 		c.HeartbeatLimit = 200
-	}
-	if c.NameWindow == 0 {
-		c.NameWindow = 1 << 20
 	}
 	if c.Pool == nil {
 		c.Pool = buf.Default

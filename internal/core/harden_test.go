@@ -259,11 +259,11 @@ func TestReleaseOrderAscending(t *testing.T) {
 
 // TestFarNameBounded: a name far ahead of the settled frontier — one
 // forged 12-byte heartbeat is enough, its 16-bit checksum needs no key
-// — is inside NameWindow by definition, so it is tracked; what it may
+// — is inside nameWindow by definition, so it is tracked; what it may
 // cost is one table, not one allocation per name, and a scan pass over
 // that table with nothing due allocates nothing.
 func TestFarNameBounded(t *testing.T) {
-	const far = 1 << 20 // the default NameWindow
+	const far = nameWindow
 	// fragNamed returns the last fragment of a well-formed cleartext
 	// two-fragment ADU with the given name.
 	fragNamed := func(name uint64) (frag []byte) {
@@ -301,9 +301,6 @@ func TestFarNameBounded(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if rcv.Config().NameWindow != far {
-					t.Fatalf("default NameWindow is %d, the test assumes %d", rcv.Config().NameWindow, far)
-				}
 				if err := rcv.HandlePacket(tc.pkt); err != nil {
 					t.Fatal(err)
 				}
@@ -331,7 +328,7 @@ func TestFarNameBounded(t *testing.T) {
 			for _, pkt := range beyond {
 				drops := rcv.Stats.HeaderDrops
 				if err := rcv.HandlePacket(pkt); !errors.Is(err, ErrBadHeader) || rcv.Stats.HeaderDrops != drops+1 {
-					t.Errorf("name beyond cum+NameWindow: err %v, HeaderDrops %d -> %d", err, drops, rcv.Stats.HeaderDrops)
+					t.Errorf("name beyond cum+nameWindow: err %v, HeaderDrops %d -> %d", err, drops, rcv.Stats.HeaderDrops)
 				}
 			}
 			if rcv.Missing() != tc.missing || rcv.Pending() != tc.pending {

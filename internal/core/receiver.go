@@ -212,7 +212,7 @@ func (r *Receiver) HandlePacket(pkt []byte) error {
 		r.Stats.LateFragments++
 		return nil
 	}
-	if h.Name >= r.cum+r.cfg.NameWindow {
+	if h.Name >= r.cum+nameWindow {
 		// A name implausibly far ahead of the settled frontier: almost
 		// certainly a corrupted header that survived the 16-bit check.
 		r.Stats.HeaderDrops++
@@ -433,7 +433,7 @@ func (r *Receiver) handleHeartbeat(pkt []byte) error {
 	}
 	r.Stats.Heartbeats++
 	r.armFeedback()
-	if next > r.cum+r.cfg.NameWindow {
+	if next > r.cum+nameWindow {
 		// Same corruption defence as for data fragments: never let a
 		// declared extent open an implausible gap.
 		r.Stats.HeaderDrops++

@@ -14,7 +14,7 @@ package alf
 //     view. Nothing on a shard's datapath is shared, so shards run on
 //     parallel goroutines with no locks and no false sharing.
 //   - Cross-shard traffic is limited to the control plane: directives
-//     (Control, SetRateAll) and completion detection cross shards only
+//     (Control) and completion detection cross shards only
 //     at epoch barriers, where every shard is idle and clocks agree.
 //
 // The execution model separates two knobs deliberately. Shards is
@@ -62,6 +62,12 @@ type Delivery struct {
 	Bytes int
 }
 
+// ctrlEpoch is the barrier period of the control plane, in virtual
+// time: how often cross-shard directives apply and completion is
+// checked. It is the parallel-simulation lookahead — shards never
+// interact inside an epoch.
+const ctrlEpoch = 20 * time.Millisecond
+
 // ShardedConfig parameterizes a sharded endpoint.
 type ShardedConfig struct {
 	// Shards is the number of logical shards (default 1). Shards is
@@ -88,11 +94,6 @@ type ShardedConfig struct {
 	// experiment measures (docs/SCALING.md; on the wall clock, the
 	// benchmark's flows_sharded_64k workload).
 	Link netsim.LinkConfig
-	// CtrlEpoch is the barrier period of the control plane (default
-	// 20 ms of virtual time): how often cross-shard directives apply
-	// and completion is checked. It is the parallel-simulation
-	// lookahead — shards never interact inside an epoch.
-	CtrlEpoch sim.Duration
 	// LogDeliveries records every delivered ADU in a per-shard log
 	// (see Deliveries). Off for the million-flow benchmarks, on for
 	// the determinism tests.
@@ -119,9 +120,6 @@ func (c *ShardedConfig) fill() {
 	}
 	if c.Workers == 0 {
 		c.Workers = c.Shards
-	}
-	if c.CtrlEpoch == 0 {
-		c.CtrlEpoch = 20 * time.Millisecond
 	}
 }
 
@@ -271,7 +269,7 @@ type Sharded struct {
 	shards []*Shard
 	flows  int
 
-	// directives queued by Control/SetRateAll, applied at the next
+	// directives queued by Control, applied at the next
 	// epoch barrier in (shard, ascending flow id) order.
 	directives []func(*Flow)
 }
@@ -396,12 +394,6 @@ func (t *Sharded) Control(fn func(*Flow)) {
 	t.directives = append(t.directives, fn)
 }
 
-// SetRateAll re-paces every flow's sender at the next barrier (§3
-// out-of-band rate control, fleet-wide).
-func (t *Sharded) SetRateAll(bps float64) {
-	t.Control(func(f *Flow) { f.Sender.SetRate(bps) })
-}
-
 // exchange is the barrier callback: apply queued directives while all
 // shards are idle and aligned, then give the observability hook its
 // single-threaded safe point. Returns whether new work may exist.
@@ -425,13 +417,13 @@ func (t *Sharded) exchange(now sim.Time) bool {
 	return more
 }
 
-// Run drains the endpoint to quiescence: epochs of CtrlEpoch virtual
+// Run drains the endpoint to quiescence: epochs of ctrlEpoch virtual
 // time executed by up to Workers goroutines, directives applied at
 // each barrier, ending when every shard's queue is empty and no
 // directives remain. Senders' heartbeat/retire timers park themselves
 // once their streams settle, so a healthy run terminates on its own.
 func (t *Sharded) Run() error {
-	return t.group.RunEpochs(t.cfg.CtrlEpoch, t.cfg.Workers, t.exchange)
+	return t.group.RunEpochs(ctrlEpoch, t.cfg.Workers, t.exchange)
 }
 
 // RunUntil advances every shard to exactly deadline (no barriers, no

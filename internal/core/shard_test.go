@@ -130,7 +130,7 @@ func TestShardedControlDirectives(t *testing.T) {
 	}
 	var order []FlowID
 	ep.Control(func(f *Flow) { order = append(order, f.ID) })
-	ep.SetRateAll(5e5)
+	ep.Control(func(f *Flow) { f.Sender.SetRate(5e5) })
 	if err := ep.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +160,7 @@ func TestShardedControlDirectives(t *testing.T) {
 	}
 	for id := 0; id < 8; id++ {
 		if got := ep.Flow(FlowID(id)).Sender.Rate(); got != 5e5 {
-			t.Fatalf("flow %d rate %v after SetRateAll(5e5)", id, got)
+			t.Fatalf("flow %d rate %v after a SetRate(5e5) directive", id, got)
 		}
 	}
 }

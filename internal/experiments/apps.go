@@ -29,25 +29,21 @@ type F6Point struct {
 
 // F6Config parameterizes the parallel experiment.
 type F6Config struct {
-	Bytes     int     // total workload (default 8 MB)
-	ADUBytes  int     // default 16 KB
-	WorkerBps float64 // per-worker processing rate, bytes/s (default 10e6)
-	LinkBps   float64 // network rate (default fast: 1e9)
-	Seed      int64
+	Bytes int // total workload (default 8 MB)
+	Seed  int64
 }
+
+// F6's ADUs of 16 KB, each worker's processing rate in bytes/s, and a
+// link fast enough not to matter.
+const (
+	f6ADUBytes  = 16 << 10
+	f6WorkerBps = 10e6
+	f6LinkBps   = 1e9
+)
 
 func (c *F6Config) fill() {
 	if c.Bytes == 0 {
 		c.Bytes = 8 << 20
-	}
-	if c.ADUBytes == 0 {
-		c.ADUBytes = 16 << 10
-	}
-	if c.WorkerBps == 0 {
-		c.WorkerBps = 10e6
-	}
-	if c.LinkBps == 0 {
-		c.LinkBps = 1e9
 	}
 	if c.Seed == 0 {
 		c.Seed = 1
@@ -56,7 +52,7 @@ func (c *F6Config) fill() {
 
 // RunF6 measures one worker count. Both variants receive the identical
 // ADU stream over a clean fast link; they differ only in whether a
-// serializing front end (running at WorkerBps, the speed of one
+// serializing front end (running at f6WorkerBps, the speed of one
 // processor node — the "hot spot which must run at the aggregate speed
 // of the total processor" that parallel machines lack) sits before the
 // workers.
@@ -69,8 +65,8 @@ func RunF6(cfg F6Config, workers int) (F6Point, error) {
 		n := netsim.New(s, cfg.Seed)
 		a := n.NewNode("a")
 		b := n.NewNode("b")
-		ab, ba := n.NewDuplex(a, b, netsim.LinkConfig{RateBps: cfg.LinkBps, Delay: time.Millisecond})
-		acfg := alf.Config{MTU: 8192 + alf.HeaderSize, RateBps: cfg.LinkBps}
+		ab, ba := n.NewDuplex(a, b, netsim.LinkConfig{RateBps: f6LinkBps, Delay: time.Millisecond})
+		acfg := alf.Config{MTU: 8192 + alf.HeaderSize, RateBps: f6LinkBps}
 		snd, rcv, err := alf.Connect(s, a, b, ab, ba, acfg)
 		if err != nil {
 			return 0, err
@@ -78,14 +74,14 @@ func RunF6(cfg F6Config, workers int) (F6Point, error) {
 
 		serialBps := 0.0
 		if serial {
-			serialBps = cfg.WorkerBps
+			serialBps = f6WorkerBps
 		}
-		pool := parallel.NewPool(s, workers, cfg.WorkerBps, serialBps)
+		pool := parallel.NewPool(s, workers, f6WorkerBps, serialBps)
 		rcv.OnADU = pool.HandleADU
 
 		total := 0
-		for off, i := 0, 0; off < cfg.Bytes; off, i = off+cfg.ADUBytes, i+1 {
-			nb := cfg.ADUBytes
+		for off, i := 0, 0; off < cfg.Bytes; off, i = off+f6ADUBytes, i+1 {
+			nb := f6ADUBytes
 			if off+nb > cfg.Bytes {
 				nb = cfg.Bytes - off
 			}
@@ -134,40 +130,26 @@ type F7Point struct {
 
 // F7Config parameterizes the video experiment.
 type F7Config struct {
-	Frames       int // default 120
-	FPS          float64
-	Slices       int
-	SliceBytes   int
-	LinkBps      float64
-	DelayMs      float64
-	PlayoutDelay sim.Duration // default 40 ms
-	Seed         int64
+	Frames int // default 120
+	Seed   int64
 }
+
+// F7's video (30 frames/s of five 1000-byte slices) and path (20 Mb/s,
+// 10 ms one way). The playout budget is tight: one-way transit fits, a
+// retransmission round trip does not — the regime where "proceed
+// without retransmission" wins (§5).
+const (
+	f7FPS          = 30
+	f7Slices       = 5
+	f7SliceBytes   = 1000
+	f7LinkBps      = 20e6
+	f7Delay        = 10 * time.Millisecond
+	f7PlayoutDelay = 25 * time.Millisecond
+)
 
 func (c *F7Config) fill() {
 	if c.Frames == 0 {
 		c.Frames = 120
-	}
-	if c.FPS == 0 {
-		c.FPS = 30
-	}
-	if c.Slices == 0 {
-		c.Slices = 5
-	}
-	if c.SliceBytes == 0 {
-		c.SliceBytes = 1000
-	}
-	if c.LinkBps == 0 {
-		c.LinkBps = 20e6
-	}
-	if c.DelayMs == 0 {
-		c.DelayMs = 10
-	}
-	if c.PlayoutDelay == 0 {
-		// Tight playout budget: one-way transit fits, a retransmission
-		// round trip does not — the regime where "proceed without
-		// retransmission" wins (§5).
-		c.PlayoutDelay = 25 * time.Millisecond
 	}
 	if c.Seed == 0 {
 		c.Seed = 1
@@ -180,11 +162,11 @@ func RunF7(cfg F7Config, lossPct float64) (F7Point, error) {
 	p := F7Point{LossPct: lossPct, FramesSent: int64(cfg.Frames)}
 	loss := lossPct / 100
 	linkCfg := netsim.LinkConfig{
-		RateBps:  cfg.LinkBps,
-		Delay:    sim.Duration(cfg.DelayMs * float64(time.Millisecond)),
+		RateBps:  f7LinkBps,
+		Delay:    f7Delay,
 		LossProb: loss,
 	}
-	vcfg := video.SourceConfig{FPS: cfg.FPS, SlicesPerFrame: cfg.Slices, SliceBytes: cfg.SliceBytes}
+	vcfg := video.SourceConfig{FPS: f7FPS, SlicesPerFrame: f7Slices, SliceBytes: f7SliceBytes}
 
 	// --- ALF NoRetransmit. ---
 	{
@@ -195,7 +177,7 @@ func RunF7(cfg F7Config, lossPct float64) (F7Point, error) {
 		ab, ba := n.NewDuplex(a, b, linkCfg)
 		acfg := alf.Config{
 			Policy:       alf.NoRetransmit,
-			HoldTime:     cfg.PlayoutDelay + 100*time.Millisecond,
+			HoldTime:     f7PlayoutDelay + 100*time.Millisecond,
 			NackInterval: 20 * time.Millisecond,
 		}
 		snd, rcv, err := alf.Connect(s, a, b, ab, ba, acfg)
@@ -204,7 +186,7 @@ func RunF7(cfg F7Config, lossPct float64) (F7Point, error) {
 		}
 
 		src := video.NewSource(s, snd, vcfg)
-		sink := video.NewSink(s, 0, cfg.PlayoutDelay, vcfg)
+		sink := video.NewSink(s, 0, f7PlayoutDelay, vcfg)
 		rcv.OnADU = sink.HandleADU
 		rcv.OnLost = sink.HandleLoss
 		src.Start(cfg.Frames)
@@ -227,7 +209,7 @@ func RunF7(cfg F7Config, lossPct float64) (F7Point, error) {
 		oc := otp.Config{MSS: 1400, FastRetransmit: true, SendBuffer: 1 << 24}
 		snd, rcv := otp.Connect(s, a, b, ab, ba, oc, oc)
 
-		sink := video.NewSink(s, 0, cfg.PlayoutDelay, vcfg)
+		sink := video.NewSink(s, 0, f7PlayoutDelay, vcfg)
 		// Slices arrive as length-prefixed records over the stream; a
 		// tiny record layer carves them and hands them to the sink as
 		// (frame, slice) ADUs.
@@ -253,8 +235,8 @@ func RunF7(cfg F7Config, lossPct float64) (F7Point, error) {
 			if f >= cfg.Frames {
 				return
 			}
-			slice := make([]byte, cfg.SliceBytes)
-			for sl := 0; sl < cfg.Slices; sl++ {
+			slice := make([]byte, f7SliceBytes)
+			for sl := 0; sl < f7Slices; sl++ {
 				rec := make([]byte, 12+len(slice))
 				rec[0] = byte(len(slice) >> 24)
 				rec[1] = byte(len(slice) >> 16)
@@ -298,25 +280,20 @@ type F8Point struct {
 
 // F8Config parameterizes the policy comparison.
 type F8Config struct {
-	Bytes    int     // default 2 MB
-	ADUBytes int     // default 8 KB
-	LossPct  float64 // default 3
-	LinkBps  float64 // default 50e6
-	Seed     int64
+	Bytes int // default 2 MB
+	Seed  int64
 }
+
+// F8's ADUs of 8 KB on a 50 Mb/s link that loses 3 % of packets.
+const (
+	f8ADUBytes = 8 << 10
+	f8LossPct  = 3.0
+	f8LinkBps  = 50e6
+)
 
 func (c *F8Config) fill() {
 	if c.Bytes == 0 {
 		c.Bytes = 2 << 20
-	}
-	if c.ADUBytes == 0 {
-		c.ADUBytes = 8 << 10
-	}
-	if c.LossPct == 0 {
-		c.LossPct = 3
-	}
-	if c.LinkBps == 0 {
-		c.LinkBps = 50e6
 	}
 	if c.Seed == 0 {
 		c.Seed = 1
@@ -333,7 +310,7 @@ func RunF8(cfg F8Config, policy alf.Policy) (F8Point, error) {
 	a := n.NewNode("a")
 	b := n.NewNode("b")
 	ab, ba := n.NewDuplex(a, b, netsim.LinkConfig{
-		RateBps: cfg.LinkBps, Delay: 5 * time.Millisecond, LossProb: cfg.LossPct / 100,
+		RateBps: f8LinkBps, Delay: 5 * time.Millisecond, LossProb: f8LossPct / 100,
 	})
 	acfg := alf.Config{
 		Policy:       policy,
@@ -341,7 +318,7 @@ func RunF8(cfg F8Config, policy alf.Policy) (F8Point, error) {
 		NackInterval: 10 * time.Millisecond,
 		MaxNacks:     100,
 		HoldTime:     2 * time.Second,
-		RateBps:      cfg.LinkBps,
+		RateBps:      f8LinkBps,
 	}
 	snd, rcv, err := alf.Connect(s, a, b, ab, ba, acfg)
 	if err != nil {
@@ -357,8 +334,8 @@ func RunF8(cfg F8Config, policy alf.Policy) (F8Point, error) {
 		return chunk
 	}
 	chunkLen := func(name uint64) int {
-		off := int(name) * cfg.ADUBytes
-		nb := cfg.ADUBytes
+		off := int(name) * f8ADUBytes
+		nb := f8ADUBytes
 		if off+nb > cfg.Bytes {
 			nb = cfg.Bytes - off
 		}
@@ -370,7 +347,7 @@ func RunF8(cfg F8Config, policy alf.Policy) (F8Point, error) {
 
 	var delivered int64
 	var done sim.Time
-	total := (cfg.Bytes + cfg.ADUBytes - 1) / cfg.ADUBytes
+	total := (cfg.Bytes + f8ADUBytes - 1) / f8ADUBytes
 	rcv.OnADU = func(adu alf.ADU) {
 		delivered += int64(len(adu.Data))
 		done = s.Now()
@@ -378,7 +355,7 @@ func RunF8(cfg F8Config, policy alf.Policy) (F8Point, error) {
 	rcv.OnLost = func(name uint64) { p.ReportedLost++ }
 
 	maxBuf := 0
-	for i := 0; i*cfg.ADUBytes < cfg.Bytes; i++ {
+	for i := 0; i*f8ADUBytes < cfg.Bytes; i++ {
 		name := uint64(i)
 		if _, err := snd.Send(name, xcode.SyntaxRaw, mkChunk(name, chunkLen(name))); err != nil {
 			return p, err

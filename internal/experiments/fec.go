@@ -32,29 +32,23 @@ type F9Point struct {
 
 // F9Config parameterizes the FEC experiment.
 type F9Config struct {
-	Bytes    int     // default 2 MB
-	ADUBytes int     // default 8 KB
-	FECGroup int     // default 4 (25% redundancy)
-	LinkBps  float64 // default 50e6
-	DelayMs  float64 // default 10 (so NACK RTT is visible)
-	Seed     int64
+	Bytes int // default 2 MB
+	Seed  int64
 }
+
+// F9's ADUs of 8 KB, one parity per four fragments (25 % redundancy),
+// and a 50 Mb/s path with 10 ms one way, so the NACK round trip is
+// visible.
+const (
+	f9ADUBytes = 8 << 10
+	f9FECGroup = 4
+	f9LinkBps  = 50e6
+	f9Delay    = 10 * time.Millisecond
+)
 
 func (c *F9Config) fill() {
 	if c.Bytes == 0 {
 		c.Bytes = 2 << 20
-	}
-	if c.ADUBytes == 0 {
-		c.ADUBytes = 8 << 10
-	}
-	if c.FECGroup == 0 {
-		c.FECGroup = 4
-	}
-	if c.LinkBps == 0 {
-		c.LinkBps = 50e6
-	}
-	if c.DelayMs == 0 {
-		c.DelayMs = 10
 	}
 	if c.Seed == 0 {
 		c.Seed = 1
@@ -78,17 +72,17 @@ func RunF9(cfg F9Config, lossPct float64, mode string) (F9Point, error) {
 		NackInterval: 10 * time.Millisecond,
 		MaxNacks:     100,
 		HoldTime:     500 * time.Millisecond,
-		RateBps:      cfg.LinkBps,
+		RateBps:      f9LinkBps,
 	}
 	switch mode {
 	case "nack":
 		acfg.Policy = alf.SenderBuffered
 	case "fec":
 		acfg.Policy = alf.NoRetransmit
-		acfg.FECGroup = cfg.FECGroup
+		acfg.FECGroup = f9FECGroup
 	case "fec+nack":
 		acfg.Policy = alf.SenderBuffered
-		acfg.FECGroup = cfg.FECGroup
+		acfg.FECGroup = f9FECGroup
 	case "none":
 		acfg.Policy = alf.NoRetransmit
 	default:
@@ -100,8 +94,8 @@ func RunF9(cfg F9Config, lossPct float64, mode string) (F9Point, error) {
 	a := n.NewNode("a")
 	b := n.NewNode("b")
 	ab, ba := n.NewDuplex(a, b, netsim.LinkConfig{
-		RateBps:  cfg.LinkBps,
-		Delay:    sim.Duration(cfg.DelayMs * float64(time.Millisecond)),
+		RateBps:  f9LinkBps,
+		Delay:    f9Delay,
 		LossProb: lossPct / 100,
 	})
 	snd, rcv, err := alf.Connect(s, a, b, ab, ba, acfg)
@@ -126,15 +120,15 @@ func RunF9(cfg F9Config, lossPct float64, mode string) (F9Point, error) {
 		}
 	}
 
-	chunk := make([]byte, cfg.ADUBytes)
+	chunk := make([]byte, f9ADUBytes)
 	// Inter-ADU interval at the link rate, FEC overhead included.
-	wirePerADU := float64(cfg.ADUBytes) * 1.1
+	wirePerADU := float64(f9ADUBytes) * 1.1
 	if acfg.FECGroup > 0 {
 		wirePerADU *= 1 + 1/float64(acfg.FECGroup)
 	}
-	interval := sim.Duration(wirePerADU * 8 / cfg.LinkBps * 1e9)
-	for off, i := 0, 0; off < cfg.Bytes; off, i = off+cfg.ADUBytes, i+1 {
-		nb := cfg.ADUBytes
+	interval := sim.Duration(wirePerADU * 8 / f9LinkBps * 1e9)
+	for off, i := 0, 0; off < cfg.Bytes; off, i = off+f9ADUBytes, i+1 {
+		nb := f9ADUBytes
 		if off+nb > cfg.Bytes {
 			nb = cfg.Bytes - off
 		}
@@ -187,8 +181,8 @@ func RunA3(cfg F9Config, burst bool, seed int64) (A3Point, error) {
 	p := A3Point{Burst: burst}
 
 	linkCfg := netsim.LinkConfig{
-		RateBps: cfg.LinkBps,
-		Delay:   sim.Duration(cfg.DelayMs * float64(time.Millisecond)),
+		RateBps: f9LinkBps,
+		Delay:   f9Delay,
 	}
 	if burst {
 		// ~3% average loss concentrated in bursts: enter a bad state
@@ -203,10 +197,10 @@ func RunA3(cfg F9Config, burst bool, seed int64) (A3Point, error) {
 	acfg := alf.Config{
 		MTU:          1024 + alf.HeaderSize,
 		Policy:       alf.NoRetransmit,
-		FECGroup:     cfg.FECGroup,
+		FECGroup:     f9FECGroup,
 		NackInterval: 10 * time.Millisecond,
 		HoldTime:     300 * time.Millisecond,
-		RateBps:      cfg.LinkBps,
+		RateBps:      f9LinkBps,
 	}
 	s := sim.NewScheduler()
 	n := netsim.New(s, seed)
@@ -222,9 +216,9 @@ func RunA3(cfg F9Config, burst bool, seed int64) (A3Point, error) {
 	rcv.OnADU = func(adu alf.ADU) { delivered += int64(len(adu.Data)) }
 	rcv.OnLost = func(uint64) { p.ADUsLost++ }
 
-	chunk := make([]byte, cfg.ADUBytes)
-	for off, i := 0, 0; off < cfg.Bytes; off, i = off+cfg.ADUBytes, i+1 {
-		nb := cfg.ADUBytes
+	chunk := make([]byte, f9ADUBytes)
+	for off, i := 0, 0; off < cfg.Bytes; off, i = off+f9ADUBytes, i+1 {
+		nb := f9ADUBytes
 		if off+nb > cfg.Bytes {
 			nb = cfg.Bytes - off
 		}

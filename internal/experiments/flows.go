@@ -35,14 +35,10 @@ type FlowScaleConfig struct {
 	FlowADUs int     // ADUs per flow (default 4)
 	ADUBytes int     // payload bytes per ADU (default 512)
 	TrunkBps float64 // per-shard trunk rate (default 1e9)
-	Load     float64 // offered load as a fraction of trunk rate (default 1.1)
 	Seed     int64
 
-	// Metrics, if non-nil, binds the per-shard series (trunk link and
-	// pool arena, labeled shard=<i>). Created automatically when
-	// Recorder is set.
-	Metrics *metrics.Registry
-	// Recorder, if non-nil, samples Metrics at every control-plane
+	// Recorder, if non-nil, samples the per-shard series (trunk link
+	// and pool arena, labeled shard=<i>) at every control-plane
 	// barrier — the single-threaded safe point where all workers have
 	// joined. Barrier epochs land at the same virtual times for any
 	// Workers value, so the sampled series and incident log are
@@ -69,13 +65,11 @@ func (c *FlowScaleConfig) fill() {
 	if c.TrunkBps == 0 {
 		c.TrunkBps = 1e9
 	}
-	if c.Load == 0 {
-		c.Load = 1.1
-	}
-	if c.Recorder != nil && c.Metrics == nil {
-		c.Metrics = metrics.New()
-	}
 }
+
+// flowLoad is the offered load as a fraction of each shard's trunk
+// rate.
+const flowLoad = 1.1
 
 // FlowScalePoint is one point of the scaling curve.
 type FlowScalePoint struct {
@@ -115,23 +109,25 @@ func (d *flowDriver) fire() {
 
 // RunFlowScale drives cfg.Flows concurrent flows through a sharded
 // endpoint to quiescence and reports the point. Flow starts are
-// staggered so each shard's trunk sees cfg.Load x its rate: the trunk
+// staggered so each shard's trunk sees flowLoad x its rate: the trunk
 // stays saturated (the measurement is capacity, not idleness) while
 // its queue stays bounded (MaxTrunkQueue, reported, guards that).
 func RunFlowScale(cfg FlowScaleConfig) (FlowScalePoint, error) {
 	cfg.fill()
 	p := FlowScalePoint{Flows: cfg.Flows, Shards: cfg.Shards, Workers: cfg.Workers}
 
+	var reg *metrics.Registry
 	var onBarrier func(now sim.Time)
 	if cfg.Recorder != nil {
-		cfg.Recorder.Bind(nil, cfg.Metrics, 0) // manual mode: sampled at barriers
+		reg = metrics.New()
+		cfg.Recorder.Bind(nil, reg, 0) // manual mode: sampled at barriers
 		onBarrier = cfg.Recorder.SampleAt
 	}
 	ep, err := alf.NewSharded(alf.ShardedConfig{
 		Shards:    cfg.Shards,
 		Workers:   cfg.Workers,
 		Seed:      cfg.Seed,
-		Metrics:   cfg.Metrics,
+		Metrics:   reg,
 		OnBarrier: onBarrier,
 		Flow: alf.Config{
 			// NoRetransmit on a clean trunk: no retention state, so a
@@ -156,13 +152,13 @@ func RunFlowScale(cfg FlowScaleConfig) (FlowScalePoint, error) {
 	}
 
 	// Offered-load spacing: each flow emits one ADU per gap, so a shard
-	// holding S flows offers S*wireBits/gap = Load * TrunkBps.
+	// holding S flows offers S*wireBits/gap = flowLoad * TrunkBps.
 	perShard := cfg.Flows / cfg.Shards
 	if perShard < 1 {
 		perShard = 1
 	}
 	wireBits := float64(cfg.ADUBytes+alf.HeaderSize+8) * 8 // + flow-id encap
-	gap := sim.Duration(float64(perShard) * wireBits / (cfg.Load * cfg.TrunkBps) * 1e9)
+	gap := sim.Duration(float64(perShard) * wireBits / (flowLoad * cfg.TrunkBps) * 1e9)
 	if gap < time.Microsecond {
 		gap = time.Microsecond
 	}

@@ -54,37 +54,27 @@ type F2Point struct {
 
 // F2Config parameterizes the pipeline experiment.
 type F2Config struct {
-	Bytes   int     // total transfer (default 2 MB)
-	ADUSize int     // ALF ADU size (default 8 KB)
-	LinkBps float64 // network rate (default 80e6)
-	AppBps  float64 // app conversion rate in BYTES/s (default 8e6, i.e. 64 Mb/s)
-	DelayMs float64 // one-way delay (default 5)
-	Seed    int64
+	Bytes int // total transfer (default 2 MB)
+	Seed  int64
 }
+
+// F2's fixed path and application: ALF ADUs of 8 KB on an 80 Mb/s link
+// with 5 ms one-way delay, into an application that converts 8e6
+// bytes/s (64 Mb/s), slower than the link.
+const (
+	f2ADUSize = 8 << 10
+	f2LinkBps = 80e6
+	f2AppBps  = 8e6
+	f2Delay   = 5 * time.Millisecond
+)
 
 func (c *F2Config) fill() {
 	if c.Bytes == 0 {
 		c.Bytes = 2 << 20
 	}
-	if c.ADUSize == 0 {
-		c.ADUSize = 8 << 10
-	}
-	if c.LinkBps == 0 {
-		c.LinkBps = 80e6
-	}
-	if c.AppBps == 0 {
-		c.AppBps = 8e6
-	}
-	if c.DelayMs == 0 {
-		c.DelayMs = 5
-	}
 	if c.Seed == 0 {
 		c.Seed = 1
 	}
-}
-
-func (c F2Config) delay() sim.Duration {
-	return sim.Duration(c.DelayMs * float64(time.Millisecond))
 }
 
 // RunF2 measures one loss-rate point.
@@ -100,13 +90,13 @@ func RunF2(cfg F2Config, lossPct float64) (F2Point, error) {
 		a := n.NewNode("a")
 		b := n.NewNode("b")
 		ab, ba := n.NewDuplex(a, b, netsim.LinkConfig{
-			RateBps: cfg.LinkBps, Delay: cfg.delay(), LossProb: loss,
+			RateBps: f2LinkBps, Delay: f2Delay, LossProb: loss,
 		})
 		oc := otp.Config{MSS: 1024, SendWindow: 1 << 20, RecvWindow: 1 << 20,
 			SendBuffer: cfg.Bytes + (1 << 20), FastRetransmit: true}
 		snd, rcv := otp.Connect(s, a, b, ab, ba, oc, oc)
 
-		app := &appModel{rateBps: cfg.AppBps}
+		app := &appModel{rateBps: f2AppBps}
 		var done sim.Time
 		rcv.OnData = func(d []byte) {
 			finish := app.feed(s.Now(), len(d))
@@ -136,7 +126,7 @@ func RunF2(cfg F2Config, lossPct float64) (F2Point, error) {
 		a := n.NewNode("a")
 		b := n.NewNode("b")
 		ab, ba := n.NewDuplex(a, b, netsim.LinkConfig{
-			RateBps: cfg.LinkBps, Delay: cfg.delay(), LossProb: loss,
+			RateBps: f2LinkBps, Delay: f2Delay, LossProb: loss,
 		})
 		acfg := alf.Config{
 			MTU:          1024 + alf.HeaderSize,
@@ -144,14 +134,14 @@ func RunF2(cfg F2Config, lossPct float64) (F2Point, error) {
 			NackInterval: 5 * time.Millisecond,
 			MaxNacks:     100,
 			HoldTime:     30 * time.Second,
-			RateBps:      cfg.LinkBps, // pace at the link rate
+			RateBps:      f2LinkBps, // pace at the link rate
 		}
 		snd, rcv, err := alf.Connect(s, a, b, ab, ba, acfg)
 		if err != nil {
 			return p, err
 		}
 
-		app := &appModel{rateBps: cfg.AppBps}
+		app := &appModel{rateBps: f2AppBps}
 		var done sim.Time
 		rcv.OnADU = func(adu alf.ADU) {
 			finish := app.feed(s.Now(), len(adu.Data))
@@ -161,9 +151,9 @@ func RunF2(cfg F2Config, lossPct float64) (F2Point, error) {
 		}
 		rcv.OnLost = func(name uint64) { p.ALFLost++ }
 
-		chunk := make([]byte, cfg.ADUSize)
-		for off := 0; off < cfg.Bytes; off += cfg.ADUSize {
-			n := cfg.ADUSize
+		chunk := make([]byte, f2ADUSize)
+		for off := 0; off < cfg.Bytes; off += f2ADUSize {
+			n := f2ADUSize
 			if off+n > cfg.Bytes {
 				n = cfg.Bytes - off
 			}

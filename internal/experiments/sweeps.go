@@ -53,11 +53,13 @@ type F3Point struct {
 
 // F3Config parameterizes the sweep.
 type F3Config struct {
-	Bytes   int     // total transfer (default 1 MB)
-	BER     float64 // bit error rate (default 2e-6)
-	LinkBps float64 // default 100e6
-	Seed    int64
+	Bytes int     // total transfer (default 1 MB)
+	BER   float64 // bit error rate (default 2e-6)
+	Seed  int64
 }
+
+// f3LinkBps is F3's link rate.
+const f3LinkBps = 100e6
 
 func (c *F3Config) fill() {
 	if c.Bytes == 0 {
@@ -65,9 +67,6 @@ func (c *F3Config) fill() {
 	}
 	if c.BER == 0 {
 		c.BER = 2e-6
-	}
-	if c.LinkBps == 0 {
-		c.LinkBps = 100e6
 	}
 	if c.Seed == 0 {
 		c.Seed = 1
@@ -84,14 +83,14 @@ func RunF3(cfg F3Config, aduBytes int) (F3Point, error) {
 	a := n.NewNode("a")
 	b := n.NewNode("b")
 	ab, ba := n.NewDuplex(a, b, netsim.LinkConfig{
-		RateBps: cfg.LinkBps, Delay: time.Millisecond, BitErrorRate: cfg.BER,
+		RateBps: f3LinkBps, Delay: time.Millisecond, BitErrorRate: cfg.BER,
 	})
 	acfg := alf.Config{
 		NackDelay:    5 * time.Millisecond,
 		NackInterval: 5 * time.Millisecond,
 		MaxNacks:     1000,
 		HoldTime:     300 * time.Second,
-		RateBps:      cfg.LinkBps,
+		RateBps:      f3LinkBps,
 	}
 	snd, rcv, err := alf.Connect(s, a, b, ab, ba, acfg)
 	if err != nil {
@@ -172,21 +171,19 @@ type F4Point struct {
 
 // F4Config parameterizes the ATM experiment.
 type F4Config struct {
-	Bytes    int // total transfer (default 512 KB)
-	ADUBytes int // default 4096
-	LinkBps  float64
-	Seed     int64
+	Bytes int // total transfer (default 512 KB)
+	Seed  int64
 }
+
+// F4's ADU size and its STM-1-ish link rate.
+const (
+	f4ADUBytes = 4096
+	f4LinkBps  = 150e6
+)
 
 func (c *F4Config) fill() {
 	if c.Bytes == 0 {
 		c.Bytes = 512 << 10
-	}
-	if c.ADUBytes == 0 {
-		c.ADUBytes = 4096
-	}
-	if c.LinkBps == 0 {
-		c.LinkBps = 150e6 // STM-1-ish
 	}
 	if c.Seed == 0 {
 		c.Seed = 1
@@ -206,7 +203,7 @@ func RunF4(cfg F4Config, cellLossPct float64) (F4Point, error) {
 	b := n.NewNode("b")
 	// Forward path carries cells; reverse path carries ALF control.
 	ab := n.NewLink(a, b, netsim.LinkConfig{
-		RateBps: cfg.LinkBps, Delay: time.Millisecond,
+		RateBps: f4LinkBps, Delay: time.Millisecond,
 		MTU: atm.CellSize, LossProb: cellLossPct / 100,
 	})
 	ba := n.NewLink(b, a, netsim.LinkConfig{Delay: time.Millisecond})
@@ -214,12 +211,12 @@ func RunF4(cfg F4Config, cellLossPct float64) (F4Point, error) {
 	acfg := alf.Config{
 		// One ALF fragment per ADU here: the adaptation layer does the
 		// segmentation (MTU covers the ADU whole).
-		MTU:          cfg.ADUBytes + alf.HeaderSize + 8,
+		MTU:          f4ADUBytes + alf.HeaderSize + 8,
 		NackDelay:    5 * time.Millisecond,
 		NackInterval: 5 * time.Millisecond,
 		MaxNacks:     1000,
 		HoldTime:     300 * time.Second,
-		RateBps:      cfg.LinkBps,
+		RateBps:      f4LinkBps,
 	}
 	seg := atm.NewSegmenter(1)
 	toCells := func(pkt []byte) error {
@@ -248,7 +245,7 @@ func RunF4(cfg F4Config, cellLossPct float64) (F4Point, error) {
 	a.SetHandler(func(pk *netsim.Packet) { snd.HandleControl(pk.Payload) })
 	b.SetHandler(func(pk *netsim.Packet) { reasm.Cell(pk.Payload) })
 
-	total := (cfg.Bytes + cfg.ADUBytes - 1) / cfg.ADUBytes
+	total := (cfg.Bytes + f4ADUBytes - 1) / f4ADUBytes
 	received := 0
 	var done sim.Time
 	rcv.OnADU = func(adu alf.ADU) {
@@ -257,9 +254,9 @@ func RunF4(cfg F4Config, cellLossPct float64) (F4Point, error) {
 			done = s.Now()
 		}
 	}
-	chunk := make([]byte, cfg.ADUBytes)
-	for off := 0; off < cfg.Bytes; off += cfg.ADUBytes {
-		nb := cfg.ADUBytes
+	chunk := make([]byte, f4ADUBytes)
+	for off := 0; off < cfg.Bytes; off += f4ADUBytes {
+		nb := f4ADUBytes
 		if off+nb > cfg.Bytes {
 			nb = cfg.Bytes - off
 		}
@@ -275,7 +272,7 @@ func RunF4(cfg F4Config, cellLossPct float64) (F4Point, error) {
 			received, total, cellLossPct)
 	}
 
-	p.CellsPerADU = atm.CellsFor(cfg.ADUBytes + alf.HeaderSize)
+	p.CellsPerADU = atm.CellsFor(f4ADUBytes + alf.HeaderSize)
 	p.PADUPredicted = math.Pow(1-cellLossPct/100, float64(p.CellsPerADU))
 	allTx := snd.Stats.ADUs + snd.Stats.ResentADUs
 	if allTx > 0 {

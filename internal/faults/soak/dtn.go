@@ -11,7 +11,6 @@ import (
 	"repro/internal/relay"
 	"repro/internal/sim"
 	"repro/internal/telemetry"
-	"repro/internal/tracing"
 	"repro/internal/wire"
 	"repro/internal/xcode"
 )
@@ -40,6 +39,24 @@ import (
 // stale loss report collapses the AIMD rate for hours of virtual
 // time.
 
+// The DTN scenario's fixed shape.
+const (
+	// dtnHorizon is the virtual horizon; submission occupies the first
+	// half and the tail is quiet for recovery and drain.
+	dtnHorizon = 4 * time.Hour
+	// dtnHopDelay is the one-way delay of each of the three hops, so the
+	// path is 8 min one way / 16 min RTT.
+	dtnHopDelay = 160 * time.Second
+	// dtnADUBytes sizes each ADU.
+	dtnADUBytes = 32 << 10
+	// dtnCount ADUs are submitted: one every 30 s of the 2 h window.
+	dtnCount = 240
+	// dtnStorageLimit bounds each relay's custody store: far below a
+	// blackout's worth of traffic, so eviction must engage, but
+	// comfortably above the Critical tier's total footprint.
+	dtnStorageLimit = 2 << 20
+)
+
 // DTNConfig parameterizes one DTN run. Zero fields take defaults.
 type DTNConfig struct {
 	// Seed determines the run (loss draws, heartbeat jitter).
@@ -47,24 +64,8 @@ type DTNConfig struct {
 	// Mode is "custody" (relays + WindowedRate) or "aimd" (plain
 	// forwarding + AIMD). Default "custody".
 	Mode string
-	// Duration is the virtual horizon; submission occupies the first
-	// half and the tail is quiet for recovery and drain (default 4 h).
-	Duration sim.Duration
-	// HopDelay is the one-way delay of each of the three hops
-	// (default 160 s, so the path is 8 min one way / 16 min RTT).
-	HopDelay sim.Duration
-	// ADUBytes sizes each ADU (default 32 KiB).
-	ADUBytes int
-	// Count is the number of ADUs submitted (default 240: one every
-	// 30 s of the 2 h window).
-	Count int
-	// StorageLimit bounds each relay's custody store (default 2 MiB —
-	// far below a blackout's worth of traffic, so eviction must engage,
-	// but comfortably above the Critical tier's total footprint).
-	StorageLimit int
-	// Metrics and Tracer, if non-nil, instrument the whole rig.
+	// Metrics, if non-nil, instruments the whole rig.
 	Metrics *metrics.Registry
-	Tracer  *tracing.Tracer
 	// Recorder, if non-nil, flight-records the run (see Config.Recorder).
 	// An interval of minutes suits the multi-hour horizon: the default
 	// 512-sample ring then spans both conjunction windows.
@@ -77,21 +78,6 @@ func (c *DTNConfig) fill() {
 	}
 	if c.Mode == "" {
 		c.Mode = "custody"
-	}
-	if c.Duration == 0 {
-		c.Duration = 4 * time.Hour
-	}
-	if c.HopDelay == 0 {
-		c.HopDelay = 160 * time.Second
-	}
-	if c.ADUBytes == 0 {
-		c.ADUBytes = 32 << 10
-	}
-	if c.Count == 0 {
-		c.Count = 240
-	}
-	if c.StorageLimit == 0 {
-		c.StorageLimit = 2 << 20
 	}
 }
 
@@ -135,7 +121,7 @@ type DTNResult struct {
 // baseline's losses are Violations, not errors.
 func RunDTN(cfg DTNConfig) (*DTNResult, error) {
 	cfg.fill()
-	res := &DTNResult{Mode: cfg.Mode, Seed: cfg.Seed, Horizon: cfg.Duration}
+	res := &DTNResult{Mode: cfg.Mode, Seed: cfg.Seed, Horizon: dtnHorizon}
 
 	// ---- Topology: a three-hop chain. All custody action is on the
 	// intermediate nodes; the middle hop is the one conjunction takes.
@@ -144,8 +130,7 @@ func RunDTN(cfg DTNConfig) (*DTNResult, error) {
 	//	          (relay)  (relay)
 	//	              └─ 2x 40-min blackout
 	s := sim.NewScheduler()
-	cfg.Tracer.Bind(s)
-	cfg.Recorder.Bind(s, cfg.Metrics, sim.Time(0).Add(cfg.Duration))
+	cfg.Recorder.Bind(s, cfg.Metrics, sim.Time(0).Add(dtnHorizon))
 	net := netsim.New(s, cfg.Seed)
 	src := net.NewNode("src")
 	r1 := net.NewNode("r1")
@@ -153,18 +138,18 @@ func RunDTN(cfg DTNConfig) (*DTNResult, error) {
 	dst := net.NewNode("dst")
 
 	// Deep pipes: at these delays the constraint is the pipe, not a
-	// queue (see netsim profile docs), so queues are unbounded and the
-	// only impairments are the middle hop's residual loss and the
+	// queue (netsim holds a link's packets in flight in a per-link
+	// transit FIFO, off the scheduler heap), so queues are unbounded and
+	// the only impairments are the middle hop's residual loss and the
 	// conjunction blackouts.
 	hop := func(loss float64) netsim.LinkConfig {
-		return netsim.LinkConfig{RateBps: 2e6, Delay: cfg.HopDelay, LossProb: loss}
+		return netsim.LinkConfig{RateBps: 2e6, Delay: dtnHopDelay, LossProb: loss}
 	}
 	h1, h1r := net.NewDuplex(src, r1, hop(0))
 	h2, h2r := net.NewDuplex(r1, r2, hop(0.005))
 	h3, h3r := net.NewDuplex(r2, dst, hop(0))
 
 	net.SetMetrics(cfg.Metrics)
-	net.SetTracer(cfg.Tracer)
 
 	// ---- Endpoints. The DTN parameter scale: NACK cadences in
 	// minutes, retention deadlines under an hour, heartbeat backoff up
@@ -186,13 +171,12 @@ func RunDTN(cfg DTNConfig) (*DTNResult, error) {
 		HeartbeatLimit:       1 << 30,
 		ADUDeadline:          45 * time.Minute,
 		FeedbackInterval:     2 * time.Minute,
-		PathRTT:              2 * 3 * cfg.HopDelay,
+		PathRTT:              2 * 3 * dtnHopDelay,
 		// Shedding is the overload family's mechanism; here it would
 		// only blur the custody/rate contrast, so it is parked.
 		ShedBacklog:  time.Hour,
 		ShedLossFrac: 1,
 		Metrics:      cfg.Metrics,
-		Tracer:       cfg.Tracer,
 	}
 	switch cfg.Mode {
 	case "custody":
@@ -220,14 +204,13 @@ func RunDTN(cfg DTNConfig) (*DTNResult, error) {
 	var relays []*relay.Relay
 	if cfg.Mode == "custody" {
 		rCfg := relay.Config{
-			StorageLimit: cfg.StorageLimit,
+			StorageLimit: dtnStorageLimit,
 			CustodyTimer: 2 * time.Minute,
 			// The slow backstop for a lost heal burst: well above the
 			// downstream round trip.
 			RetryInterval: 30 * time.Minute,
 			HealPoll:      30 * time.Second,
 			Metrics:       cfg.Metrics,
-			Tracer:        cfg.Tracer,
 		}
 		c1, c2 := rCfg, rCfg
 		c1.Name, c1.RelayID = "r1", 1
@@ -265,11 +248,11 @@ func RunDTN(cfg DTNConfig) (*DTNResult, error) {
 	in := faults.New(s, cfg.Seed)
 	in.Conjunction([]*netsim.Link{h2, h2r}, 30*time.Minute, 40*time.Minute, 30*time.Minute, 2)
 
-	// ---- Workload: Count ADUs paced evenly over the first half of
+	// ---- Workload: dtnCount ADUs paced evenly over the first half of
 	// the horizon, deterministic payloads, the standard priority mix
 	// (one Critical per ten).
-	led := newLedger(&res.verdict, "", cfg.ADUBytes, snd, rcv)
-	res.Submitted = cfg.Count
+	led := newLedger(&res.verdict, "", dtnADUBytes, snd, rcv)
+	res.Submitted = dtnCount
 
 	rcv.OnADU = func(adu alf.ADU) {
 		if led.deliver(adu) {
@@ -284,12 +267,12 @@ func RunDTN(cfg DTNConfig) (*DTNResult, error) {
 		}
 	}
 
-	window := cfg.Duration / 2
-	for k := 0; k < cfg.Count; k++ {
+	window := dtnHorizon / 2
+	for k := 0; k < dtnCount; k++ {
 		k := uint64(k)
-		s.After(window*sim.Duration(k)/sim.Duration(cfg.Count), func() {
+		s.After(window*sim.Duration(k)/dtnCount, func() {
 			name, err := snd.SendClass(aduTag(k), xcode.SyntaxRaw,
-				aduPayload(k, cfg.ADUBytes), aduClass(k))
+				aduPayload(k, dtnADUBytes), aduClass(k))
 			if err != nil {
 				res.violatef("Send(%d) failed: %v", k, err)
 				return
@@ -301,7 +284,7 @@ func RunDTN(cfg DTNConfig) (*DTNResult, error) {
 	// ---- Run to the horizon, then drain. The drain allowance is
 	// hours of virtual time: HoldTime-scale give-up timers are part of
 	// normal DTN operation, not livelock.
-	res.DrainEvents, res.EndVirtual = res.drain(s, cfg.Duration, 3*time.Hour, cfg.Recorder)
+	res.DrainEvents, res.EndVirtual = res.drain(s, dtnHorizon, 3*time.Hour, cfg.Recorder)
 
 	// ---- Invariants. The DTN policy: every Critical ADU is delivered
 	// exactly once, no matter what the conjunction did. (OnLost catches
@@ -319,9 +302,9 @@ func RunDTN(cfg DTNConfig) (*DTNResult, error) {
 
 	// Custody plane: bounded storage, drained stores.
 	for _, rl := range relays {
-		if rl.Stats.MaxStoredBytes > int64(cfg.StorageLimit) {
+		if rl.Stats.MaxStoredBytes > dtnStorageLimit {
 			res.violatef("relay custody store peaked at %d bytes, bound is %d",
-				rl.Stats.MaxStoredBytes, cfg.StorageLimit)
+				rl.Stats.MaxStoredBytes, dtnStorageLimit)
 		}
 		if n := rl.StoredADUs(); n != 0 {
 			res.violatef("relay still holds %d ADUs in custody after drain", n)
@@ -339,7 +322,7 @@ func RunDTN(cfg DTNConfig) (*DTNResult, error) {
 	res.DeadlineDrops = snd.Stats.DeadlineDrops
 	res.UnfilledNacks = snd.Stats.UnfilledNacks
 	res.FinalRateBps = snd.Rate()
-	res.GoodputBps = float64(res.Delivered) * float64(cfg.ADUBytes) * 8 / window.Seconds()
+	res.GoodputBps = float64(res.Delivered) * float64(dtnADUBytes) * 8 / window.Seconds()
 	noteViolations(cfg.Recorder, res.Violations)
 	return res, nil
 }

@@ -12,7 +12,7 @@ import (
 // must uphold every delay-tolerant invariant — Critical exactly-once,
 // bounded relay storage, clean drain.
 func TestDTNCustodySurvivesConjunction(t *testing.T) {
-	rec := RecorderFor(4*time.Hour, DTNDetectors(DTNConfig{})...)
+	rec := RecorderFor(4*time.Hour, DTNDetectors()...)
 	dumpOnFailure(t, rec, "dtn-custody")
 	res, err := RunDTN(DTNConfig{Seed: 1, Mode: "custody", Recorder: rec})
 	if err != nil {
@@ -125,19 +125,19 @@ func TestDTNSeedSweep(t *testing.T) {
 	}
 }
 
-// TestDTNConfigDefaults locks the documented zero-value behavior the
-// tools (alfchaos -dtn) depend on.
+// TestDTNConfigDefaults locks the documented zero-value behavior and
+// scenario shape the tools (alfchaos -dtn) depend on.
 func TestDTNConfigDefaults(t *testing.T) {
 	var c DTNConfig
 	c.fill()
-	if c.Mode != "custody" || c.Duration != 4*time.Hour || c.Count != 240 {
-		t.Errorf("defaults = %+v", c)
+	if c.Mode != "custody" || dtnHorizon != 4*time.Hour || dtnCount != 240 {
+		t.Errorf("defaults = %+v, horizon %v, %d ADUs", c, dtnHorizon, dtnCount)
 	}
-	if c.HopDelay != 160*time.Second {
-		t.Errorf("HopDelay default = %v, want the 8-minute one-way path", c.HopDelay)
+	if dtnHopDelay != 160*time.Second {
+		t.Errorf("hop delay = %v, want the 8-minute one-way path", dtnHopDelay)
 	}
-	if c.StorageLimit != 2<<20 {
-		t.Errorf("StorageLimit default = %d", c.StorageLimit)
+	if dtnStorageLimit != 2<<20 {
+		t.Errorf("storage limit = %d", dtnStorageLimit)
 	}
 }
 

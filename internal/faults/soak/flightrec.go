@@ -47,11 +47,10 @@ func ChaosDetectors() []telemetry.Detector {
 // means healthy delivery is ~1 kB/s, and any sustained silence beyond
 // a few sampling ticks is a collapse (expected during conjunction —
 // the incident timeline is how the blackout shows up in the record).
-func DTNDetectors(cfg DTNConfig) []telemetry.Detector {
-	cfg.fill()
+func DTNDetectors() []telemetry.Detector {
 	return telemetry.DefaultDetectors(
 		100, // B/s: an order under the steady delivery rate
-		int64(cfg.StorageLimit),
+		dtnStorageLimit,
 		0,
 		time.Hour, // HeartbeatMaxInterval in RunDTN's config
 	)

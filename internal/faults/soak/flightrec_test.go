@@ -54,7 +54,7 @@ func TestDTNFlightRecorderPostMortem(t *testing.T) {
 	)
 
 	// ---- Failing half: aimd mode, with the DTN detector catalog.
-	rec := RecorderFor(4*time.Hour, DTNDetectors(DTNConfig{})...)
+	rec := RecorderFor(4*time.Hour, DTNDetectors()...)
 	res, err := RunDTN(DTNConfig{Seed: 1, Mode: "aimd", Recorder: rec})
 	if err != nil {
 		t.Fatal(err)
@@ -128,7 +128,7 @@ func TestDTNFlightRecorderPostMortem(t *testing.T) {
 
 	// ---- Custody half: same conjunctions, and the store-occupancy
 	// series must show the relays buffering through them.
-	rec2 := RecorderFor(4*time.Hour, DTNDetectors(DTNConfig{})...)
+	rec2 := RecorderFor(4*time.Hour, DTNDetectors()...)
 	res2, err := RunDTN(DTNConfig{Seed: 1, Mode: "custody", Recorder: rec2})
 	if err != nil {
 		t.Fatal(err)
@@ -176,7 +176,7 @@ func TestDTNRecorderDeterminism(t *testing.T) {
 	}
 	var dumps [2][]byte
 	for i := range dumps {
-		rec := RecorderFor(4*time.Hour, DTNDetectors(DTNConfig{})...)
+		rec := RecorderFor(4*time.Hour, DTNDetectors()...)
 		res, err := RunDTN(DTNConfig{Seed: 42, Mode: "custody", Recorder: rec})
 		if err != nil {
 			t.Fatal(err)

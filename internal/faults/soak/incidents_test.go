@@ -37,7 +37,7 @@ func TestIncidentsPinned(t *testing.T) {
 	}
 	incidentLog(&b, "overload seed=42 shape=burst mode=closed", rec)
 	for _, mode := range []string{"custody", "aimd"} {
-		rec := RecorderFor(4*time.Hour, DTNDetectors(DTNConfig{})...)
+		rec := RecorderFor(4*time.Hour, DTNDetectors()...)
 		if _, err := RunDTN(DTNConfig{Seed: 1, Mode: mode, Recorder: rec}); err != nil {
 			t.Fatal(err)
 		}

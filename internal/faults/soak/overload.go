@@ -52,13 +52,6 @@ type OverloadConfig struct {
 	// Duration is the virtual horizon; submission occupies the first
 	// 2/3 and the tail is quiet for drain (default 6 s).
 	Duration sim.Duration
-	// Streams is the number of competing senders (default 3).
-	Streams int
-	// OfferedBps is the per-stream offered load (default 6 Mb/s, so
-	// three streams offer 18 Mb/s into an 8 Mb/s trunk).
-	OfferedBps float64
-	// ADUBytes sizes each ADU (default 3000 B — three fragments).
-	ADUBytes int
 	// Metrics and Tracer, if non-nil, instrument the whole rig.
 	Metrics *metrics.Registry
 	Tracer  *tracing.Tracer
@@ -81,19 +74,18 @@ func (c *OverloadConfig) fill() {
 	if c.Duration == 0 {
 		c.Duration = 6 * time.Second
 	}
-	if c.Streams == 0 {
-		c.Streams = 3
-	}
-	if c.OfferedBps == 0 {
-		c.OfferedBps = 6e6
-	}
-	if c.ADUBytes == 0 {
-		c.ADUBytes = 3000
-	}
 }
 
-// trunkRateBps is the bottleneck capacity shared by every stream.
-const trunkRateBps = 8e6
+// The overload family's fixed load: overloadStreams competing senders
+// each offer overloadOfferedBps (three streams offer 18 Mb/s into the
+// trunkRateBps bottleneck they share) in ADUs of overloadADUBytes
+// (three fragments).
+const (
+	trunkRateBps       = 8e6
+	overloadStreams    = 3
+	overloadOfferedBps = 6e6
+	overloadADUBytes   = 3000
+)
 
 // OverloadShapes lists the arrival patterns the family covers.
 var OverloadShapes = []string{"steady", "burst", "flash"}
@@ -184,7 +176,7 @@ func RunOverload(cfg OverloadConfig) (*OverloadResult, error) {
 	cfg.fill()
 	res := &OverloadResult{Mode: cfg.Mode, Shape: cfg.Shape, Seed: cfg.Seed,
 		Horizon: cfg.Duration, CapacityBps: trunkRateBps,
-		OfferedBps: cfg.OfferedBps * float64(cfg.Streams)}
+		OfferedBps: overloadOfferedBps * overloadStreams}
 
 	// ---- Topology: N sources and N sinks joined by one bottleneck.
 	//
@@ -210,16 +202,16 @@ func RunOverload(cfg OverloadConfig) (*OverloadResult, error) {
 	net.SetTracer(cfg.Tracer)
 
 	submitWindow := cfg.Duration * 2 / 3
-	perStream := int(cfg.OfferedBps / 8 * submitWindow.Seconds() / float64(cfg.ADUBytes))
+	perStream := int(overloadOfferedBps / 8 * submitWindow.Seconds() / overloadADUBytes)
 	if perStream < 1 {
 		perStream = 1
 	}
 
-	res.Streams = make([]OverloadStream, cfg.Streams)
+	res.Streams = make([]OverloadStream, overloadStreams)
 
-	leds := make([]*ledger, cfg.Streams)
+	leds := make([]*ledger, overloadStreams)
 
-	for i := 0; i < cfg.Streams; i++ {
+	for i := 0; i < overloadStreams; i++ {
 		id := byte(i + 1)
 		src := net.NewNode(fmt.Sprintf("src%d", id))
 		dst := net.NewNode(fmt.Sprintf("dst%d", id))
@@ -233,7 +225,7 @@ func RunOverload(cfg OverloadConfig) (*OverloadResult, error) {
 		aCfg := alf.Config{
 			StreamID:          id,
 			Policy:            alf.SenderBuffered,
-			RateBps:           cfg.OfferedBps,
+			RateBps:           overloadOfferedBps,
 			NackDelay:         10 * time.Millisecond,
 			NackInterval:      20 * time.Millisecond,
 			HoldTime:          2 * time.Second,
@@ -246,7 +238,7 @@ func RunOverload(cfg OverloadConfig) (*OverloadResult, error) {
 		if cfg.Mode == "closed" {
 			aCfg.FeedbackInterval = 50 * time.Millisecond
 			aCfg.Controller = &alf.AIMD{
-				Floor: 256e3, Ceil: cfg.OfferedBps, ProbeBps: 2e5,
+				Floor: 256e3, Ceil: overloadOfferedBps, ProbeBps: 2e5,
 			}
 			aCfg.ShedBacklog = 150 * time.Millisecond
 			aCfg.ShedLossFrac = 0.25
@@ -260,7 +252,7 @@ func RunOverload(cfg OverloadConfig) (*OverloadResult, error) {
 
 		acct := &res.Streams[i]
 		acct.StreamID = id
-		led := newLedger(&res.verdict, fmt.Sprintf("stream %d: ", id), cfg.ADUBytes, snd, rcv)
+		led := newLedger(&res.verdict, fmt.Sprintf("stream %d: ", id), overloadADUBytes, snd, rcv)
 		leds[i] = led
 
 		rcv.OnADU = func(adu alf.ADU) {
@@ -286,12 +278,12 @@ func RunOverload(cfg OverloadConfig) (*OverloadResult, error) {
 				acct.Submitted++
 				class := aduClass(k)
 				name, err := snd.SendClass(aduTag(k), xcode.SyntaxRaw,
-					aduPayload(k, cfg.ADUBytes), class)
+					aduPayload(k, overloadADUBytes), class)
 				switch {
 				case err == nil:
 					led.accept(name, k)
 					acct.Accepted++
-					acct.AcceptedBytes += int64(cfg.ADUBytes)
+					acct.AcceptedBytes += int64(overloadADUBytes)
 				case err == alf.ErrShed && class == alf.Droppable:
 					acct.Shed++
 				default:

@@ -169,10 +169,10 @@ func TestOverloadSeedSweep(t *testing.T) {
 func TestOverloadConfigDefaults(t *testing.T) {
 	var c OverloadConfig
 	c.fill()
-	if c.Shape != "steady" || c.Mode != "closed" || c.Streams != 3 {
-		t.Errorf("defaults = %+v", c)
+	if c.Shape != "steady" || c.Mode != "closed" || overloadStreams != 3 {
+		t.Errorf("defaults = %+v, %d streams", c, overloadStreams)
 	}
-	if c.OfferedBps*float64(c.Streams) <= trunkRateBps {
+	if overloadOfferedBps*overloadStreams <= trunkRateBps {
 		t.Error("default offered load does not overload the trunk")
 	}
 }

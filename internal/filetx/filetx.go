@@ -23,9 +23,8 @@ import (
 
 // Errors.
 var (
-	ErrOverlap  = errors.New("filetx: ADU overlaps data already written")
-	ErrBounds   = errors.New("filetx: ADU outside file bounds")
-	ErrComplete = errors.New("filetx: transfer already complete")
+	ErrOverlap = errors.New("filetx: ADU overlaps data already written")
+	ErrBounds  = errors.New("filetx: ADU outside file bounds")
 )
 
 // Chunk is one planned ADU of a transfer: a source range and the

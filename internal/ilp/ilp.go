@@ -378,40 +378,3 @@ func DecodeBERInt32sInto(src []byte, out []int32) (int, int, error) {
 	}
 	return n, hdr + length, nil
 }
-
-// VerifyDecodeBERInt32s is the fully integrated receive-side kernel:
-// one pass over src that simultaneously (a) accumulates the Internet
-// checksum, (b) parses the BER structure, and (c) scatters decoded
-// integers into the application's array. It returns the element count,
-// bytes consumed, and the checksum over those bytes.
-func VerifyDecodeBERInt32s(src []byte, out []int32) (n, used int, ck uint16, err error) {
-	tag, length, hdr, err := xcode.ParseBERHeader(src)
-	if err != nil {
-		return 0, 0, 0, err
-	}
-	if tag != xcode.TagSequence {
-		return 0, 0, 0, xcode.ErrBadTag
-	}
-	if len(src) < hdr+length {
-		return 0, 0, 0, xcode.ErrTruncated
-	}
-	total := hdr + length
-	var sum uint64
-	odd := false
-	sum, odd = accumulateOdd(sum, odd, src[:hdr])
-	content := src[hdr:total]
-	for off := 0; off < len(content); {
-		v, usedInt, err := xcode.ParseBERInt(content[off:])
-		if err != nil {
-			return n, 0, 0, err
-		}
-		if n >= len(out) {
-			return n, 0, 0, xcode.ErrOverflow
-		}
-		out[n] = int32(v)
-		n++
-		sum, odd = accumulateOdd(sum, odd, content[off:off+usedInt])
-		off += usedInt
-	}
-	return n, total, ^checksum.Fold(sum), nil
-}

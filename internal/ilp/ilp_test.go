@@ -159,29 +159,6 @@ func TestDecodeBERInt32sIntoErrors(t *testing.T) {
 	}
 }
 
-func TestVerifyDecodeBERInt32s(t *testing.T) {
-	f := func(vs []int32) bool {
-		enc := EncodeBERInt32s(nil, vs)
-		out := make([]int32, len(vs))
-		n, used, ck, err := VerifyDecodeBERInt32s(enc, out)
-		if err != nil || n != len(vs) || used != len(enc) {
-			return false
-		}
-		if ck != checksum.Sum16(enc) {
-			return false
-		}
-		for i := range vs {
-			if out[i] != vs[i] {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestFusedPathEqualsLayeredPath(t *testing.T) {
 	for k := 1; k <= 5; k++ {
 		for _, n := range []int{0, 1, 8, 63, 64, 1000, 4096} {

@@ -14,7 +14,7 @@ func BenchmarkCounterIncDisabled(b *testing.B) {
 	c := r.Counter("core.send.fragments")
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		c.Inc()
+		c.Add(1)
 	}
 }
 
@@ -23,7 +23,7 @@ func BenchmarkCounterInc(b *testing.B) {
 	c := New().Counter("core.send.fragments")
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		c.Inc()
+		c.Add(1)
 	}
 }
 

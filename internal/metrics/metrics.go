@@ -77,13 +77,6 @@ func (k Kind) String() string {
 // is ready to use; all methods are no-ops on a nil receiver.
 type Counter struct{ v atomic.Int64 }
 
-// Inc adds one.
-func (c *Counter) Inc() {
-	if c != nil {
-		c.v.Add(1)
-	}
-}
-
 // Add adds n (n should be non-negative; counters are monotone).
 func (c *Counter) Add(n int64) {
 	if c != nil {
@@ -163,10 +156,10 @@ type Registry struct {
 	mu     sync.Mutex
 	series map[string]*series
 
-	// ordered caches the series sorted by ID for Visit. It is rebuilt
-	// lazily and invalidated by registration, so the steady state —
-	// register everything up front, then sample every tick — sorts
-	// once, not once per tick.
+	// ordered caches the series sorted by ID for Visit and Snapshot. It
+	// is rebuilt lazily and invalidated by registration, so the steady
+	// state — register everything up front, then sample every tick —
+	// sorts once, not once per tick.
 	ordered []*series
 
 	// Scoped views (Scope): root points at the registry that owns mu
@@ -339,8 +332,17 @@ func (r *Registry) Visit(fn func(id string, kind Kind, value int64, h *Histogram
 	if r == nil {
 		return
 	}
+	for _, s := range r.sorted() {
+		fn(s.id, s.kind, s.value(), s.hist)
+	}
+}
+
+// sorted returns every series in ascending ID order, building the cache
+// if a registration invalidated it.
+func (r *Registry) sorted() []*series {
 	b := r.base()
 	b.mu.Lock()
+	defer b.mu.Unlock()
 	if b.ordered == nil {
 		b.ordered = make([]*series, 0, len(b.series))
 		for _, s := range b.series {
@@ -348,10 +350,5 @@ func (r *Registry) Visit(fn func(id string, kind Kind, value int64, h *Histogram
 		}
 		sort.Slice(b.ordered, func(i, j int) bool { return b.ordered[i].id < b.ordered[j].id })
 	}
-	entries := b.ordered
-	b.mu.Unlock()
-
-	for _, s := range entries {
-		fn(s.id, s.kind, s.value(), s.hist)
-	}
+	return b.ordered
 }

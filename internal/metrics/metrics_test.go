@@ -12,7 +12,7 @@ import (
 func TestCounterGaugeBasics(t *testing.T) {
 	r := New()
 	c := r.Counter("pkts")
-	c.Inc()
+	c.Add(1)
 	c.Add(4)
 	if got := c.Value(); got != 5 {
 		t.Errorf("counter = %d, want 5", got)
@@ -30,7 +30,7 @@ func TestCounterGaugeBasics(t *testing.T) {
 	}
 	// Label order must not matter for identity.
 	c2 := r.Counter("multi", "b=2", "a=1")
-	c2.Inc()
+	c2.Add(1)
 	if got := r.Counter("multi", "a=1", "b=2").Value(); got != 1 {
 		t.Errorf("label-order-insensitive lookup = %d, want 1", got)
 	}
@@ -45,7 +45,7 @@ func TestNilRegistryAndInstruments(t *testing.T) {
 		t.Fatal("nil registry must hand out nil instruments")
 	}
 	// All no-ops, no panics.
-	c.Inc()
+	c.Add(1)
 	c.Add(3)
 	g.Set(1)
 	g.Add(1)
@@ -73,7 +73,7 @@ func TestConcurrentCounterIncrements(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < per; i++ {
-				c.Inc()
+				c.Add(1)
 				h.Observe(int64(w*per + i))
 			}
 		}(w)

@@ -3,7 +3,6 @@ package metrics
 import (
 	"fmt"
 	"io"
-	"sort"
 	"strings"
 	"time"
 )
@@ -40,24 +39,13 @@ func (r *Registry) Snapshot() *Snapshot {
 	if r == nil {
 		return snap
 	}
-	b := r.base()
-	b.mu.Lock()
-	entries := make([]*series, 0, len(b.series))
-	for _, s := range b.series {
-		entries = append(entries, s)
-	}
-	b.mu.Unlock()
-
-	for _, s := range entries {
+	for _, s := range r.sorted() {
 		m := Metric{Name: s.name, Labels: s.labels, Kind: s.kind, Value: s.value()}
 		if s.hist != nil {
 			m.Hist = s.hist.snapshot()
 		}
 		snap.Metrics = append(snap.Metrics, m)
 	}
-	sort.Slice(snap.Metrics, func(i, j int) bool {
-		return snap.Metrics[i].ID() < snap.Metrics[j].ID()
-	})
 	return snap
 }
 

@@ -82,39 +82,3 @@ func TestDeepPipeOrderWithReorder(t *testing.T) {
 		t.Fatal("expected some reordered packets at ReorderProb 0.2")
 	}
 }
-
-// TestProfiles pins the named huge-RTT presets.
-func TestProfiles(t *testing.T) {
-	cfg, ok := Profile("mars-far")
-	if !ok {
-		t.Fatal("mars-far profile missing")
-	}
-	if cfg.Delay != 12*time.Minute {
-		t.Fatalf("mars-far one-way delay = %v, want 12m", cfg.Delay)
-	}
-	// The headline number: a gigabyte-class BDP.
-	bdp := cfg.RateBps / 8 * cfg.Delay.Seconds()
-	if bdp < 1e9 {
-		t.Fatalf("mars-far BDP = %.0f bytes, want >= 1 GB", bdp)
-	}
-	if _, ok := Profile("subspace"); ok {
-		t.Fatal("unknown profile resolved")
-	}
-	names := ProfileNames()
-	if len(names) < 5 {
-		t.Fatalf("too few profiles: %v", names)
-	}
-	for i := 1; i < len(names); i++ {
-		if names[i-1] >= names[i] {
-			t.Fatalf("profile names unsorted: %v", names)
-		}
-	}
-	// Every profile must be usable as-is on a link.
-	sched := sim.NewScheduler()
-	net := New(sched, 1)
-	a, b := net.NewNode("a"), net.NewNode("b")
-	for _, name := range names {
-		cfg, _ := Profile(name)
-		net.NewLink(a, b, cfg)
-	}
-}

@@ -70,9 +70,6 @@ type Handler func(*Packet)
 // ErrTooBig is returned by Send for payloads over the link MTU.
 var ErrTooBig = errors.New("netsim: payload exceeds link MTU")
 
-// ErrNoHandler is returned when delivering to a node with no handler.
-var ErrNoHandler = errors.New("netsim: node has no handler")
-
 // Network owns the nodes and links of one simulated topology, all driven
 // by a single scheduler and RNG.
 type Network struct {

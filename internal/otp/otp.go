@@ -18,7 +18,6 @@ package otp
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"time"
 
 	"repro/internal/buf"
@@ -638,15 +637,4 @@ func (c *Conn) flushAck() {
 	c.ackTimer.Stop()
 	c.Stats.AcksSent++
 	_ = c.send(c.makeSegment(wire.OTPAck, 0, nil)) // a lost ACK is repaired by the next one
-}
-
-// OOOSegments returns the offsets currently buffered ahead of a gap
-// (sorted), for tests.
-func (c *Conn) OOOSegments() []int64 {
-	var offs []int64
-	for o := range c.ooo {
-		offs = append(offs, o)
-	}
-	sort.Slice(offs, func(i, j int) bool { return offs[i] < offs[j] })
-	return offs
 }

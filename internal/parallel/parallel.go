@@ -47,9 +47,6 @@ func (st *Stage) Process(at sim.Time, bytes int) sim.Time {
 	return st.busyUntil
 }
 
-// BusyUntil returns the time the stage drains.
-func (st *Stage) BusyUntil() sim.Time { return st.busyUntil }
-
 // Pool is a bank of worker stages fed ADUs directly (the ALF receiver)
 // or through a serializing front end (the traditional receiver).
 type Pool struct {
@@ -104,25 +101,4 @@ func (p *Pool) DispatchAt(at sim.Time, w int, bytes int) sim.Time {
 	}
 	p.Dispatched++
 	return finish
-}
-
-// AggregateBytes returns the total bytes processed by workers.
-func (p *Pool) AggregateBytes() int64 {
-	var total int64
-	for _, w := range p.Workers {
-		total += w.Bytes
-	}
-	return total
-}
-
-// Utilization returns each worker's busy fraction of the makespan.
-func (p *Pool) Utilization() []float64 {
-	out := make([]float64, len(p.Workers))
-	if p.LastFinish == 0 {
-		return out
-	}
-	for i, w := range p.Workers {
-		out[i] = w.BusyTime.Seconds() / p.LastFinish.Seconds()
-	}
-	return out
 }

@@ -74,32 +74,32 @@ func TestHandleADUUsesTagForDelivery(t *testing.T) {
 		p.HandleADU(alf.ADU{Name: uint64(i), Tag: uint64(i % 4), Data: make([]byte, 1000)})
 	}
 	for i, w := range p.Workers {
-		if w.Jobs != 2 {
-			t.Errorf("worker %d jobs = %d, want 2", i, w.Jobs)
+		if w.Jobs != 2 || w.Bytes != 2000 {
+			t.Errorf("worker %d jobs = %d bytes = %d, want 2 and 2000", i, w.Jobs, w.Bytes)
 		}
 	}
-	if p.Dispatched != 8 || p.AggregateBytes() != 8000 {
-		t.Errorf("pool stats: dispatched=%d bytes=%d", p.Dispatched, p.AggregateBytes())
+	if p.Dispatched != 8 {
+		t.Errorf("pool stats: dispatched=%d", p.Dispatched)
 	}
 }
 
+// TestUtilization: each worker's busy time over the pool's makespan is
+// its utilization, and an empty pool reports neither.
 func TestUtilization(t *testing.T) {
 	s := sim.NewScheduler()
 	p := NewPool(s, 2, 1e6, 0)
 	p.DispatchAt(0, 0, 1_000_000) // worker 0 busy 1s
 	p.DispatchAt(0, 1, 500_000)   // worker 1 busy 0.5s
-	u := p.Utilization()
-	if u[0] < 0.99 || u[0] > 1.01 {
-		t.Errorf("u[0] = %v", u[0])
+	if p.LastFinish != sim.Time(time.Second) {
+		t.Errorf("makespan = %v, want 1s", p.LastFinish)
 	}
-	if u[1] < 0.49 || u[1] > 0.51 {
-		t.Errorf("u[1] = %v", u[1])
+	if b0, b1 := p.Workers[0].BusyTime, p.Workers[1].BusyTime; b0 != time.Second || b1 != time.Second/2 {
+		t.Errorf("busy times %v and %v, want 1s and 0.5s", b0, b1)
 	}
-	// Empty pool: zero utilization, no divide-by-zero.
 	p2 := NewPool(s, 2, 1e6, 0)
-	for _, v := range p2.Utilization() {
-		if v != 0 {
-			t.Error("empty pool utilization nonzero")
+	for _, w := range p2.Workers {
+		if w.BusyTime != 0 || p2.LastFinish != 0 {
+			t.Error("empty pool has busy time or a makespan")
 		}
 	}
 }

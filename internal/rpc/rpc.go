@@ -24,7 +24,6 @@ import (
 var (
 	ErrTimeout  = errors.New("rpc: call timed out")
 	ErrNoMethod = errors.New("rpc: no such method")
-	ErrBadCall  = errors.New("rpc: malformed call message")
 	ErrBadReply = errors.New("rpc: malformed reply message")
 	ErrShutdown = errors.New("rpc: client closed")
 )

@@ -97,14 +97,15 @@ func (r Result) Config() alf.Config {
 //
 //	0      type (10)
 //	1      stream id
-//	2      flags (bit0 encrypt)
+//	2      flags (bit0 encrypt; the rest zero)
 //	3      policy
 //	4:6    MTU
 //	6:8    FEC group
-//	8:16   rate (bits/s, uint64)
+//	8:16   rate (bits/s, uint64 that a float64 holds exactly)
 //	16:24  initiator key half
 //	24     syntax count k
 //	25:..  k syntax ids
+//	..     a zero pad byte when 25+k is odd
 //	..+2   checksum
 func encodeOffer(p Params, keyHalf uint64) []byte {
 	k := len(p.Syntaxes)
@@ -135,12 +136,16 @@ func parseOffer(pkt []byte) (Params, uint64, error) {
 	if len(pkt) != sealedLen(25+k) {
 		return p, 0, fmt.Errorf("%w: offer length", ErrBadMessage)
 	}
+	rate := binary.BigEndian.Uint64(pkt[8:16])
+	if !padded(pkt, 25+k) || pkt[2]&^1 != 0 || uint64(float64(rate)) != rate {
+		return p, 0, fmt.Errorf("%w: offer pad, flags or rate", ErrBadMessage)
+	}
 	p.StreamID = pkt[1]
 	p.Encrypt = pkt[2]&1 != 0
 	p.Policy = alf.Policy(pkt[3])
 	p.MTU = int(binary.BigEndian.Uint16(pkt[4:6]))
 	p.FECGroup = int(binary.BigEndian.Uint16(pkt[6:8]))
-	p.RateBps = float64(binary.BigEndian.Uint64(pkt[8:16]))
+	p.RateBps = float64(rate)
 	keyHalf := binary.BigEndian.Uint64(pkt[16:24])
 	for i := 0; i < k; i++ {
 		p.Syntaxes = append(p.Syntaxes, xcode.SyntaxID(pkt[25+i]))
@@ -160,7 +165,7 @@ func encodeAccept(stream byte, syntax xcode.SyntaxID, keyHalf uint64) []byte {
 }
 
 func parseAccept(pkt []byte) (stream byte, syntax xcode.SyntaxID, keyHalf uint64, err error) {
-	if len(pkt) != sealedLen(11) || pkt[0] != typeAccept || !verify(pkt) {
+	if len(pkt) != sealedLen(11) || pkt[0] != typeAccept || !verify(pkt) || !padded(pkt, 11) {
 		return 0, 0, 0, fmt.Errorf("%w: accept", ErrBadMessage)
 	}
 	return pkt[1], xcode.SyntaxID(pkt[2]), binary.BigEndian.Uint64(pkt[3:11]), nil
@@ -175,7 +180,7 @@ func encodeReject(stream byte, reason byte) []byte {
 }
 
 func parseReject(pkt []byte) (stream byte, reason byte, err error) {
-	if len(pkt) != sealedLen(3) || pkt[0] != typeReject || !verify(pkt) {
+	if len(pkt) != sealedLen(3) || pkt[0] != typeReject || !verify(pkt) || !padded(pkt, 3) {
 		return 0, 0, fmt.Errorf("%w: reject", ErrBadMessage)
 	}
 	return pkt[1], pkt[2], nil
@@ -197,6 +202,11 @@ func seal(body []byte) []byte {
 func sealedLen(n int) int { return n + n%2 + 2 }
 
 func verify(msg []byte) bool { return checksum.Verify16(msg) }
+
+// padded reports whether the pad byte seal adds after a body of n bytes,
+// if it adds one, is zero; a parser that accepted any other value would
+// take messages that re-encode to different bytes.
+func padded(msg []byte, n int) bool { return n%2 == 0 || msg[n] == 0 }
 
 // MessageType reports whether pkt is a session-plane message (10-12)
 // or not (0), for node demultiplexers.

@@ -37,17 +37,5 @@ func (r *Rand) Uint64() uint64 { return r.r.Uint64() }
 // Float64 returns a uniform float64 in [0,1).
 func (r *Rand) Float64() float64 { return r.r.Float64() }
 
-// ExpDuration returns an exponentially distributed duration with the
-// given mean, useful for Poisson arrival processes.
-func (r *Rand) ExpDuration(mean Duration) Duration {
-	return Duration(r.r.ExpFloat64() * float64(mean))
-}
-
 // Perm returns a random permutation of [0,n).
 func (r *Rand) Perm(n int) []int { return r.r.Perm(n) }
-
-// Fill fills b with pseudo-random bytes.
-func (r *Rand) Fill(b []byte) {
-	// rand.Rand.Read never returns an error.
-	r.r.Read(b)
-}

@@ -269,38 +269,6 @@ func TestRandBernoulli(t *testing.T) {
 	}
 }
 
-func TestRandExpDuration(t *testing.T) {
-	r := NewRand(7)
-	var sum time.Duration
-	const n = 20000
-	for i := 0; i < n; i++ {
-		d := r.ExpDuration(time.Millisecond)
-		if d < 0 {
-			t.Fatal("negative exponential draw")
-		}
-		sum += d
-	}
-	mean := sum / n
-	if mean < 900*time.Microsecond || mean > 1100*time.Microsecond {
-		t.Errorf("mean = %v, want ~1ms", mean)
-	}
-}
-
-func TestRandFill(t *testing.T) {
-	r := NewRand(9)
-	b := make([]byte, 64)
-	r.Fill(b)
-	zero := 0
-	for _, x := range b {
-		if x == 0 {
-			zero++
-		}
-	}
-	if zero == len(b) {
-		t.Error("Fill produced all zeros")
-	}
-}
-
 func TestSchedulerFiresInTimestampOrderProperty(t *testing.T) {
 	// Any multiset of event times must fire in nondecreasing order.
 	f := func(delays []uint16) bool {

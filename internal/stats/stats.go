@@ -74,22 +74,6 @@ func (s *Sample) Max() float64 {
 	return s.xs[len(s.xs)-1]
 }
 
-// StdDev returns the population standard deviation, or 0 when fewer than
-// two observations exist.
-func (s *Sample) StdDev() float64 {
-	n := len(s.xs)
-	if n < 2 {
-		return 0
-	}
-	m := s.Mean()
-	var ss float64
-	for _, x := range s.xs {
-		d := x - m
-		ss += d * d
-	}
-	return math.Sqrt(ss / float64(n))
-}
-
 // Percentile returns the p-th percentile (0 <= p <= 100) using linear
 // interpolation between closest ranks. It returns 0 for an empty sample.
 func (s *Sample) Percentile(p float64) float64 {

@@ -162,7 +162,15 @@ func TestLossStallsOTPNotALF(t *testing.T) {
 
 	// OTP side: messages 3 and 4 arrived intact during the outage of
 	// message 2's bytes and paid the in-order delivery cost.
-	m2 := rep.Msg(0, 2)
+	msg := func(index uint64) *tracing.MsgTrace {
+		for _, m := range rep.Msgs {
+			if m.Conn == 0 && m.Index == index {
+				return m
+			}
+		}
+		return nil
+	}
+	m2 := msg(2)
 	if m2 == nil || m2.Outcome != "delivered" {
 		t.Fatalf("msg 2 = %+v, want delivered", m2)
 	}
@@ -173,7 +181,7 @@ func TestLossStallsOTPNotALF(t *testing.T) {
 		t.Errorf("msg 2 RetransmitWait = %v, want > 0", m2.Attr.RetransmitWait)
 	}
 	for _, i := range []uint64{3, 4} {
-		m := rep.Msg(0, i)
+		m := msg(i)
 		if m == nil || m.Outcome != "delivered" {
 			t.Fatalf("msg %d = %+v, want delivered", i, m)
 		}

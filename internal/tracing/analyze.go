@@ -136,16 +136,6 @@ func (r *Report) ADU(stream byte, name uint64) *ADUTrace {
 	return nil
 }
 
-// Msg finds the trace of one OTP message, or nil.
-func (r *Report) Msg(conn byte, index uint64) *MsgTrace {
-	for _, m := range r.Msgs {
-		if m.Conn == conn && m.Index == index {
-			return m
-		}
-	}
-	return nil
-}
-
 type aduKey struct {
 	stream byte
 	name   uint64

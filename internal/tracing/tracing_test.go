@@ -280,8 +280,15 @@ func TestAnalyzeOTP(t *testing.T) {
 	}
 
 	rep := tr.Analyze()
-	m1 := rep.Msg(0, 1)
-	m2 := rep.Msg(0, 2)
+	var m1, m2 *MsgTrace
+	for _, m := range rep.Msgs {
+		switch {
+		case m.Conn == 0 && m.Index == 1:
+			m1 = m
+		case m.Conn == 0 && m.Index == 2:
+			m2 = m
+		}
+	}
 	if m1 == nil || m2 == nil {
 		t.Fatal("messages not reconstructed")
 	}

@@ -25,8 +25,8 @@ type SoakConfig struct {
 	// of ADUBytes, so that fragment runs of different lengths, short
 	// tails, resends and control frames share the send queues.
 	ADUSizes []int
-	// LossProb drops data-plane datagrams on the send side (default
-	// 0.05; the control plane stays clean so the run bounds cleanly).
+	// LossProb drops data-plane datagrams on the send side; zero drops
+	// none. The control plane stays clean so the run bounds cleanly.
 	LossProb float64
 	// Seed drives the drop stream (default 1).
 	Seed uint64

@@ -50,6 +50,13 @@ import (
 	"repro/internal/sim"
 )
 
+// inboxDepth is the arrival channel depth shared by all links. A slot
+// holds one message, a datagram or a train, in the buffer it was read
+// into, so receive memory queued for the loop is at most 512 x 64 KiB
+// (32 MiB) whatever it holds. A full inbox applies backpressure to
+// readers.
+const inboxDepth = 512
+
 // Config parameterizes a Clock. Zero fields take defaults.
 type Config struct {
 	// MTU is the largest datagram the readers accept (default 2048). It
@@ -68,12 +75,6 @@ type Config struct {
 	// trains fills each with one datagram, which is why the vector
 	// stays this long.
 	Batch int
-	// Inbox is the arrival channel depth shared by all links
-	// (default 512). A slot holds one message, a datagram or a train, in
-	// the buffer it was read into, so receive memory queued for the loop
-	// is at most Inbox x 64 KiB (32 MiB by default) whatever it holds. A
-	// full inbox applies backpressure to readers.
-	Inbox int
 	// MaxIdle caps how long the loop sleeps when the scheduler is idle
 	// and no datagrams arrive (default 50 ms).
 	MaxIdle time.Duration
@@ -89,9 +90,6 @@ func (c *Config) fill() {
 	}
 	if c.Batch == 0 {
 		c.Batch = 32
-	}
-	if c.Inbox == 0 {
-		c.Inbox = 512
 	}
 	if c.MaxIdle == 0 {
 		c.MaxIdle = 50 * time.Millisecond
@@ -128,7 +126,7 @@ func NewClock(sched *sim.Scheduler, cfg Config) *Clock {
 	return &Clock{
 		sched: sched,
 		cfg:   cfg,
-		inbox: make(chan arrival, cfg.Inbox),
+		inbox: make(chan arrival, inboxDepth),
 		stopc: make(chan struct{}),
 	}
 }

@@ -13,7 +13,6 @@ import (
 
 	alf "repro/internal/core"
 	"repro/internal/sim"
-	"repro/internal/stats"
 	"repro/internal/xcode"
 )
 
@@ -151,32 +150,7 @@ type Sink struct {
 	// OnFrame, if set, receives every frame's report at its deadline.
 	OnFrame func(FrameReport)
 
-	// transit samples each slice's network transit relative to its
-	// frame's nominal generation time — the timestamp information the
-	// paper says real-time protocols carry to regenerate inter-packet
-	// timing (§3 "Timestamping").
-	transit stats.Sample
-
 	Stats SinkStats
-}
-
-// TransitMean returns the mean slice transit time (arrival minus the
-// frame's nominal generation instant).
-func (k *Sink) TransitMean() sim.Duration {
-	return sim.Duration(k.transit.Mean() * 1e9)
-}
-
-// Jitter returns the standard deviation of slice transit times — the
-// playout buffer must absorb roughly this much timing noise, which is
-// what playoutDelay budgets for.
-func (k *Sink) Jitter() sim.Duration {
-	return sim.Duration(k.transit.StdDev() * 1e9)
-}
-
-// TransitP99 returns the 99th percentile transit time; a playout delay
-// below this misses about 1% of slices even with no loss.
-func (k *Sink) TransitP99() sim.Duration {
-	return sim.Duration(k.transit.Percentile(99) * 1e9)
 }
 
 // NewSink creates a sink whose frame f deadline is
@@ -196,8 +170,6 @@ func NewSink(sched *sim.Scheduler, start sim.Time, playoutDelay sim.Duration, cf
 // HandleADU consumes one slice (wire it to alf.Receiver.OnADU).
 func (k *Sink) HandleADU(adu alf.ADU) {
 	frame, _ := SplitTag(adu.Tag)
-	nominal := k.start.Add(sim.Duration(frame) * k.cfg.Period())
-	k.transit.AddDuration(time.Duration(k.sched.Now().Sub(nominal)))
 	if k.done[frame] {
 		k.Stats.SlicesLate++
 		return

@@ -173,44 +173,3 @@ func TestEndToEndLossyRealTime(t *testing.T) {
 		t.Error("NoRetransmit stream resent data")
 	}
 }
-
-func TestSinkTransitAndJitter(t *testing.T) {
-	s := sim.NewScheduler()
-	n := netsim.New(s, 51)
-	a := n.NewNode("a")
-	b := n.NewNode("b")
-	ab, ba := n.NewDuplex(a, b, netsim.LinkConfig{
-		RateBps: 5e7, Delay: 10 * time.Millisecond,
-		ReorderProb: 0.2, ReorderDelay: 6 * time.Millisecond,
-	})
-	cfg := alf.Config{Policy: alf.NoRetransmit, HoldTime: 100 * time.Millisecond}
-	snd, rcv, _ := alf.Connect(s, a, b, ab, ba, cfg)
-
-	vcfg := SourceConfig{FPS: 25, SlicesPerFrame: 4, SliceBytes: 1000}
-	src := NewSource(s, snd, vcfg)
-	sink := NewSink(s, 0, 50*time.Millisecond, vcfg)
-	rcv.OnADU = sink.HandleADU
-	src.Start(40)
-	s.Run()
-	sink.FlushAll(40)
-
-	// Mean transit must be at least the 10ms propagation delay.
-	if sink.TransitMean() < 10*time.Millisecond {
-		t.Errorf("mean transit %v below propagation delay", sink.TransitMean())
-	}
-	// Reorder jitter (up to 6ms extra on 20% of packets) must show up
-	// but stay bounded.
-	if sink.Jitter() == 0 {
-		t.Error("zero jitter despite reordering impairment")
-	}
-	if sink.Jitter() > 10*time.Millisecond {
-		t.Errorf("jitter %v implausibly high", sink.Jitter())
-	}
-	// P99 transit bounds what a playout buffer must absorb.
-	if sink.TransitP99() < sink.TransitMean() {
-		t.Error("p99 below mean")
-	}
-	if sink.TransitP99() > 30*time.Millisecond {
-		t.Errorf("p99 transit %v exceeds delay+reorder budget", sink.TransitP99())
-	}
-}

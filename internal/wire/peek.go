@@ -161,23 +161,3 @@ func first8(list []uint64) string {
 	}
 	return strings.TrimSuffix(fmt.Sprintf(" %d", list[:8]), "]") + " …]"
 }
-
-// DescribeOTP renders one OTP segment as a single line.
-func DescribeOTP(seg []byte) string {
-	h, err := ParseOTP(seg)
-	if err != nil {
-		return fmt.Sprintf("otp: damaged or truncated (%d bytes)", len(seg))
-	}
-	kind := ""
-	if h.Flags&OTPData != 0 {
-		kind += "DATA "
-	}
-	if h.Flags&OTPAck != 0 {
-		kind += "ACK "
-	}
-	if kind == "" {
-		kind = "? "
-	}
-	return fmt.Sprintf("otp %sconn=%d seq=%d ack=%d wnd=%d len=%d",
-		kind, h.Conn, h.Seq, h.Ack, h.Window, h.Len)
-}

@@ -257,23 +257,9 @@ func TestDescribeALFControlAndHB(t *testing.T) {
 	}
 }
 
-func TestDescribeOTP(t *testing.T) {
-	line := DescribeOTP(otp(OTPHeader{Flags: OTPData | OTPAck, Conn: 4, Seq: 7, Ack: 9, Window: 65536, Len: 100}))
-	if line != "otp DATA ACK conn=4 seq=7 ack=9 wnd=65536 len=100" {
-		t.Errorf("otp line: %q", line)
-	}
-	if line := DescribeOTP(otp(OTPHeader{Conn: 4})); !strings.HasPrefix(line, "otp ? conn=4") {
-		t.Errorf("flagless otp line: %q", line)
-	}
-	if line := DescribeOTP([]byte{1, 2}); line != "otp: damaged or truncated (2 bytes)" {
-		t.Errorf("short otp line: %q", line)
-	}
-}
-
 func TestDescribeNeverPanics(t *testing.T) {
 	f := func(pkt []byte) bool {
 		Describe(pkt)
-		DescribeOTP(pkt)
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {

@@ -28,19 +28,6 @@ func EncodeMessage(c Codec, dst []byte, msg Message) ([]byte, error) {
 	return dst, nil
 }
 
-// SizeMessage returns the exact encoded size of msg in codec c.
-func SizeMessage(c Codec, msg Message) (int, error) {
-	total := 3
-	for i, v := range msg {
-		n, err := c.SizeValue(v)
-		if err != nil {
-			return 0, fmt.Errorf("message value %d: %w", i, err)
-		}
-		total += n
-	}
-	return total, nil
-}
-
 // DecodeMessage decodes a message produced by EncodeMessage, returning
 // the message, the codec it was encoded with, and the bytes consumed.
 func DecodeMessage(src []byte) (Message, Codec, int, error) {

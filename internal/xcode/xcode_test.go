@@ -329,13 +329,6 @@ func TestMessageRoundtrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", c.Name(), err)
 		}
-		size, err := SizeMessage(c, msg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if size != len(enc) {
-			t.Errorf("%s: SizeMessage = %d, encoded %d", c.Name(), size, len(enc))
-		}
 		got, gotCodec, n, err := DecodeMessage(enc)
 		if err != nil {
 			t.Fatalf("%s: %v", c.Name(), err)
