@@ -1,7 +1,7 @@
 # Standard loops for the alfnet reproduction. Everything is stdlib Go
-# but one assembly file (internal/cipher/wide_amd64.s, the AVX2 ChaCha20
-# keystream kernel, which folds Poly1305 blocks on the integer ports
-# while it runs); no generated code, and two build tags: `timing`
+# but one assembly file (internal/cipher/wide_amd64.s, the AVX-512 and
+# AVX2 ChaCha20 keystream kernels, which fold Poly1305 blocks on the
+# integer ports while they run); no generated code, and two build tags: `timing`
 # holds the tests that compare wall-clock measurements (see the timing
 # target), and `purego` builds without the assembly, so that the path
 # every other architecture takes can be built and tested on amd64 (see
@@ -186,19 +186,18 @@ alloc-guard:
 	$(GO) test -run '^$$' -bench 'SendSteadyState|ReceivePath|FECSender|FECRepair|NetsimForward|LinkDeepQueue|SchedulerDeep|FusedCopySum|Sum16|WordCopy4KB|XORWords' -benchmem ./internal/core ./internal/netsim ./internal/sim ./internal/ilp ./internal/checksum
 
 # Bounds-check gate on the copy / checksum kernels and on the keystream
-# loop every AEAD byte crosses on every build (cipher's xorWide and the
-# XOR under it, xor3). Their unrolled main loops take a 64-byte window
-# of each slice by a full slice expression, which leaves the compiler
-# one check per iteration to make and lets it prove the window's eight
-# loads and stores from it; written any other way each access carries
-# its own; xorWide cuts each chunk once for the same reason. The
-# compiler says which checks it
-# kept (-d=ssa/check_bce), so this counts them per kernel — set-up, word
-# loop and tail included, the main loop being one of them — and fails if
-# a count rises over what is pinned here. Like alloc-guard's inlining
-# grep it reads the compiler and not a clock, so it can gate on a shared
-# runner.
-BCE_PINS = Accumulate=2 WordCopy=3 XORWords=3 FusedCopySum=4 FusedCopyChecksumDecrypt=4 scrambleCopySum=6 xor3=9 xorWide=11
+# loop every AEAD byte crosses on every build (cipher's xorWide; the XOR
+# under it is the standard library's). Their unrolled main loops take a
+# 64-byte window of each slice by a full slice expression, which leaves
+# the compiler one check per iteration to make and lets it prove the
+# window's eight loads and stores from it; written any other way each
+# access carries its own; xorWide cuts each chunk once for the same
+# reason. The compiler says which checks it kept (-d=ssa/check_bce), so
+# this counts them per kernel — set-up, word loop and tail included, the
+# main loop being one of them — and fails if a count rises over what is
+# pinned here. Like alloc-guard's inlining grep it reads the compiler and
+# not a clock, so it can gate on a shared runner.
+BCE_PINS = Accumulate=2 WordCopy=3 XORWords=3 FusedCopySum=4 FusedCopyChecksumDecrypt=4 scrambleCopySum=6 xorWide=11
 bce-guard:
 	@$(GO) build -gcflags=-d=ssa/check_bce/debug=1 ./internal/ilp ./internal/checksum ./internal/cipher 2>&1 | awk -v pins='$(BCE_PINS)' ' \
 		FILENAME != "-" { if ($$0 ~ /^func /) { fn = $$0; sub(/^func (\([^)]*\) )?/, "", fn); sub(/\(.*/, "", fn) } \

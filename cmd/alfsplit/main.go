@@ -48,15 +48,18 @@ var table = []struct {
 	re     *regexp.Regexp
 	bucket string
 }{
-	// The AVX2 kernel (keystream8 before it folded Poly1305 too), the Go
-	// that picks it and walks the chunks, and Blocks, which makes one-off
-	// blocks (tag keys, heads) in its lanes. Without the kernel (-tags
-	// purego, other GOARCH) the keystream is made by Block and lands in
-	// "tag key / Block", and every MAC block in "Poly1305 in Go".
-	{regexp.MustCompile(`^repro/internal/cipher\.(keystream8mac|keystream8|keystream|xorWide|Blocks)$`), "keystream kernel"},
+	// The AVX-512 and AVX2 kernels (keystream8 before the AVX2 one folded
+	// Poly1305 too), the Go that picks one and walks the chunks, absorb,
+	// which folds a seal's last chunk in a kernel call, and Blocks, which
+	// makes one-off blocks (tag keys, heads) in its lanes. Without a
+	// kernel (-tags purego, other GOARCH) the keystream is made by Block
+	// and lands in "tag key / Block", and every MAC block in "Poly1305 in
+	// Go".
+	{regexp.MustCompile(`^repro/internal/cipher\.(keystream16mac|keystream8mac|keystream8|keystream|xorWide|absorb|Blocks)$`), "keystream kernel"},
 	{regexp.MustCompile(`^repro/internal/cipher\.(\(\*MAC\)\.|\(\*Chain\)\.|NewMAC$)`), "Poly1305 in Go"},
 	{regexp.MustCompile(`^repro/internal/cipher\.(Block|TagKey)$`), "tag key / Block"},
-	{regexp.MustCompile(`^repro/internal/(cipher\.xor3|ilp\.XORWords)$`), "XOR"},
+	// The keystream XOR is the standard library's (cipher.xor3 before it).
+	{regexp.MustCompile(`^repro/internal/(cipher\.xor3|ilp\.XORWords)$|^crypto/(internal/fips140/)?subtle\.`), "XOR"},
 	{regexp.MustCompile(`^repro/internal/(checksum\.|ilp\.(FusedCopySum|WordCopy|FinishSum|Fold)$)|^runtime\.(memmove|duffcopy|duffzero|memclrNoHeapPointers|typedslicecopy)$`), "checksum + copy"},
 	{regexp.MustCompile(`^repro/internal/(core|wire|ilp)\.`), "packetize / placement"},
 	{regexp.MustCompile(`^repro/internal/buf\.`), "pool"},

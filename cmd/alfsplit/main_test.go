@@ -55,7 +55,9 @@ func TestSplitFixtures(t *testing.T) {
 // included; anything it does not name is "other".
 func TestClassify(t *testing.T) {
 	for fn, want := range map[string]string{
+		"repro/internal/cipher.keystream16mac":                         "keystream kernel",
 		"repro/internal/cipher.keystream8mac":                          "keystream kernel",
+		"repro/internal/cipher.absorb":                                 "keystream kernel",
 		"repro/internal/cipher.keystream8":                             "keystream kernel",
 		"repro/internal/cipher.xorWide":                                "keystream kernel",
 		"repro/internal/cipher.Blocks":                                 "keystream kernel",
@@ -63,6 +65,8 @@ func TestClassify(t *testing.T) {
 		"repro/internal/cipher.(*Chain).finish":                        "Poly1305 in Go",
 		"repro/internal/cipher.Block":                                  "tag key / Block",
 		"repro/internal/cipher.xor3":                                   "XOR",
+		"crypto/internal/fips140/subtle.xorBytes":                      "XOR",
+		"crypto/subtle.XORBytes":                                       "XOR",
 		"repro/internal/ilp.XORWords":                                  "XOR",
 		"repro/internal/ilp.FusedCopySum":                              "checksum + copy",
 		"runtime.memmove":                                              "checksum + copy",

@@ -16,9 +16,10 @@ func BenchmarkChaCha20Block(b *testing.B) {
 	}
 }
 
-// BenchmarkKeystreamWide is eight blocks from one keystream call — the
-// AVX2 kernel where there is one, eight scalar Blocks where not — to
-// set against BenchmarkChaCha20Block, the scalar reference.
+// BenchmarkKeystreamWide is sixteen blocks from one keystream call —
+// one AVX-512 kernel call, two AVX2 ones, or sixteen scalar Blocks,
+// whichever this machine runs — to set against BenchmarkChaCha20Block,
+// the scalar reference.
 func BenchmarkKeystreamWide(b *testing.B) {
 	key := ExpandKey(1)
 	var nonce [NonceSize]byte
@@ -30,16 +31,16 @@ func BenchmarkKeystreamWide(b *testing.B) {
 	}
 }
 
-// BenchmarkKeystreamMAC is the same call folding 0 and 32 Poly1305
-// blocks (one 512-byte chunk) on the side. The difference between the
-// two, against 32 blocks through MAC.block (BenchmarkPoly1305_4KB / 8),
+// BenchmarkKeystreamMAC is the same call folding 0 and 64 Poly1305
+// blocks (one 1 KiB chunk) on the side. The difference between the
+// two, against 64 blocks through MAC.block (BenchmarkPoly1305_4KB / 4),
 // is how much of the MAC the keystream hides.
 func BenchmarkKeystreamMAC(b *testing.B) {
 	key := ExpandKey(1)
 	var nonce [NonceSize]byte
 	var otk [KeySize]byte
 	msg := make([]byte, wideSize)
-	for _, nblk := range []int{0, 32} {
+	for _, nblk := range []int{0, 64} {
 		b.Run(strconv.Itoa(nblk), func(b *testing.B) {
 			mac := NewMAC(&otk)
 			var ks [wideSize]byte

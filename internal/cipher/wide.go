@@ -1,54 +1,65 @@
 package cipher
 
 import (
-	"encoding/binary"
+	"crypto/subtle"
+	"unsafe"
 )
 
 // The keystream loop. Every payload byte, sealed, opened or neither,
 // crosses xorWide, on every build. ChaCha20 is a network of 32-bit
-// adds, xors and rotates over sixteen words, and scalar Go runs it one
-// word at a time; a vector unit runs a row of four words, of two blocks,
-// per instruction. On amd64 with AVX2 keystream8mac (wide_amd64.s) makes
-// eight blocks per call that way, one per lane, each at a counter of the
-// caller's: the payload passes ctr … ctr+7, and Blocks whatever counters
-// a caller needs one block each of — tag keys, heads — so those come
-// eight to a call too. Poly1305 is the other half of the work and wants
-// the other half of the machine — a serial chain of 64-bit multiplies on
-// the integer ports, which the rounds barely use — so the same call also
-// folds up to foldMax whole 16-byte blocks into a MAC, between its
-// rounds. It reads the key, the nonce and the counter row, from which it
-// lays out its own initial state, those blocks and the MAC's limbs, and
-// writes one fixed-size buffer and the limbs, so every slice, every
-// bounds check, the XOR against the payload, partial blocks and every
-// tag are the Go below. keystream is the one place that chooses between
-// the kernel and Block: everywhere else — other architectures, amd64
-// without AVX2, -tags purego — haveWide is false and it makes the same
-// blocks one Block at a time and folds with MAC.Update, which is also
-// the oracle the tests hold the kernel against.
+// adds, xors and rotates over sixteen words, which scalar Go runs one
+// word at a time and a vector unit one word of many blocks at a time.
+// On amd64 with AVX-512F keystream16mac (wide_amd64.s) makes sixteen
+// blocks per call that way, one per lane, each at a counter of the
+// caller's; with AVX2 only, keystream8mac makes eight and two calls
+// answer a row of sixteen. The payload passes ctr … ctr+15, and Blocks
+// whatever counters a caller needs one block each of (tag keys, heads).
+// Poly1305 wants the other half of the machine, a chain of 64-bit
+// multiplies on the integer ports the rounds barely use, so the same
+// call folds up to foldMax whole 16-byte blocks into a MAC between its
+// rounds, two per step: h = (h + m1)·r² + m2·r, one reduction per pair,
+// which halves the chain each block waits on. A kernel reads the key,
+// the nonce, the counters, those blocks and the MAC's limbs and writes
+// one fixed-size buffer and the limbs; every slice and bounds check, the
+// XOR, partial blocks, an odd last block and every tag are the Go below.
+// keystream is the one place that picks a kernel or Block: everywhere
+// else — other architectures, amd64 without AVX2, -tags purego — kernel
+// is scalar, and it makes the same blocks with Block and folds with
+// MAC.Update, the oracle the tests hold every kernel against.
 
 // Lanes is how many blocks one kernel call makes, and so how many
 // counters one Blocks call takes.
-const Lanes = 8
+const Lanes = 16
 
 const (
 	wideSize = Lanes * BlockSize
-	// A keystream8mac call costs about what two scalar Block calls do, so
-	// at two blocks it breaks even on keystream and wins by the MAC work
-	// it hides: the 128-byte last fragment of an 8 KiB ADU is one call,
-	// which also folds the chained end of the fragment sealed before it.
-	// A run of one block is one Block.
+	// A kernel call costs about what two scalar Block calls do, so at
+	// two blocks it breaks even on keystream and wins by the MAC work it
+	// hides. A run of one block is one Block.
 	wideMin = 2
-	// foldMax is how many Poly1305 blocks one call can fold: four per
-	// double round. xorWide never asks for more than a chunk's 32.
-	foldMax = 40
+	// foldMax is how many Poly1305 blocks one call can fold: a pair in
+	// each of four slots per double round. xorWide never asks for more
+	// than a chunk's 64.
+	foldMax = 80
 )
+
+// The keystream kernels, from the one keystream prefers down.
+const (
+	scalar = iota // Block, and MAC.Update
+	avx2          // keystream8mac, two calls to a row of Lanes
+	avx512        // keystream16mac
+)
+
+// kernel is the best of them this CPU has, picked once at start; only
+// tests assign it, to run every kernel the CPU has on one machine.
+var kernel = detect()
 
 // keystream writes the nb <= Lanes blocks at counters ctrs[0], …,
 // ctrs[nb-1] to ks[:nb*BlockSize], and folds msg, whole 16-byte blocks,
-// into mac, which must be at a block boundary. The wide kernel always
-// writes all of ks.
+// into mac, which must be at a block boundary. A kernel may write more
+// of ks than nb blocks.
 func keystream(key *Key, nonce *[NonceSize]byte, ctrs *[Lanes]uint32, ks *[wideSize]byte, nb int, mac *MAC, msg []byte) {
-	if !haveWide || nb < wideMin {
+	if kernel == scalar || nb < wideMin {
 		for b := 0; b < nb; b++ {
 			Block(key, nonce, ctrs[b], (*[BlockSize]byte)(ks[b*BlockSize:]))
 		}
@@ -60,11 +71,20 @@ func keystream(key *Key, nonce *[NonceSize]byte, ctrs *[Lanes]uint32, ks *[wideS
 	if len(msg) > foldMax*TagSize || len(msg)%TagSize != 0 {
 		panic("cipher: a kernel call folds at most foldMax whole blocks")
 	}
-	var p *byte
-	if len(msg) > 0 {
-		p = &msg[0]
+	np, p := len(msg)/(2*TagSize), unsafe.SliceData(msg)
+	switch {
+	case kernel == avx512:
+		keystream16mac(key, nonce, ctrs, ks, mac, p, np)
+	case nb <= Lanes/2:
+		keystream8mac(key, nonce, (*[Lanes / 2]uint32)(ctrs[:]), (*[wideSize / 2]byte)(ks[:]), mac, p, np)
+	default:
+		h := np / 2
+		keystream8mac(key, nonce, (*[Lanes / 2]uint32)(ctrs[:]), (*[wideSize / 2]byte)(ks[:]), mac, p, h)
+		keystream8mac(key, nonce, (*[Lanes / 2]uint32)(ctrs[Lanes/2:]), (*[wideSize / 2]byte)(ks[wideSize/2:]), mac, unsafe.SliceData(msg[2*TagSize*h:]), np-h)
 	}
-	keystream8mac(key, nonce, ctrs, ks, mac, p, len(msg)/TagSize)
+	if len(msg)%(2*TagSize) != 0 {
+		mac.Update(msg[len(msg)-TagSize:])
+	}
 }
 
 // Blocks writes the ChaCha20 blocks of (key, nonce) at counters ctrs[0],
@@ -73,38 +93,53 @@ func keystream(key *Key, nonce *[NonceSize]byte, ctrs *[Lanes]uint32, ks *[wideS
 // counter; n <= Lanes, and what out holds past block n-1 is unspecified.
 // From wideMin blocks up, where there is a kernel, that is one call of
 // it: a caller that needs many one-off blocks (one-time MAC keys, heads
-// for XORKeyStreamMAC) gathers their counters and makes them eight at a
-// time.
+// for XORKeyStreamMAC) gathers their counters and makes them sixteen at
+// a time.
 func Blocks(key *Key, nonce *[NonceSize]byte, ctrs *[Lanes]uint32, n int, out *[Lanes * BlockSize]byte) {
 	keystream(key, nonce, ctrs, out, n, nil, nil)
+}
+
+// absorb takes msg into mac as MAC.Update does. Where there is a kernel,
+// the whole pairs of a long msg fold in a call of it whose keystream
+// nobody reads: sixty-four blocks take about as long there as twenty
+// through MAC.Update. That is how a seal's last chunk, and a chain's, is
+// folded once there is no next call to ride in.
+func absorb(mac *MAC, msg []byte) {
+	if k := len(msg) &^ (2*TagSize - 1); kernel != scalar && mac.n == 0 && k >= wideSize/2 {
+		var ks [wideSize]byte
+		keystream(&Key{}, &[NonceSize]byte{}, &[Lanes]uint32{}, &ks, wideMin, mac, msg[:k])
+		msg = msg[k:]
+	}
+	mac.Update(msg)
 }
 
 // xorWide is the loop under XORKeyStream and XORKeyStreamMAC: dst = src
 // XOR the keystream that starts at byte skip of block ctr, and, with a
 // mac, the ciphertext — dst if seal, else src — absorbed into it. Per
-// chunk of up to 512 bytes that is one keystream call and one XOR of its
+// chunk of up to 1 KiB that is one keystream call and one XOR of its
 // output against the source, and the call folds one chunk of ciphertext
 // on the side. Opening, that is the chunk the call deciphers, folded
 // before the XOR so that dst may be src. Sealing, the ciphertext exists
 // only after the XOR, so each call folds the chunk the call before it
-// enciphered; the last chunk is folded here in Go, or, with a chain ch,
-// left to it (Chain.Sum) and folded by the first call of the next
+// enciphered; the last chunk is folded here (absorb), or, with a chain
+// ch, left to it (Chain.Sum) and folded by the first call of the next
 // message sealed through ch — whose own first call has nothing of its
 // own to fold. Whatever is not a whole block at a block boundary of the
 // MAC goes through MAC.Update. Being fed from a buffer the loop is not
 // tied to block boundaries either: it consumes all of src, so a
 // fragment's tail costs a lane of a call that was being made anyway and
-// not a Block of its own. len(dst) >= len(src); ch is nil unless
-// sealing; head, if not nil, is block ctr, made ahead of time.
+// not a Block of its own. len(dst) >= len(src), and dst and src are
+// the same bytes or disjoint; ch is nil unless sealing; head, if not
+// nil, is block ctr, made ahead of time.
 func xorWide(key *Key, nonce *[NonceSize]byte, ctr uint32, skip int, dst, src []byte, mac *MAC, ch *Chain, head *[BlockSize]byte, seal bool) {
 	var ks [wideSize]byte
 	// A MAC'd run that starts mid-block takes its head from one block of
 	// its own, with the MAC fed by MAC.Update. Left to the first call, the
 	// skip shifts every chunk boundary: a 1 008-byte fragment at skip 48,
 	// 32 or 16, as SuiteAEAD lays them out, spans 17 blocks and would be
-	// calls of 8, 8 and 1, the last of them one Block that folds the 512
+	// calls of 16 and 1, the last of them one Block that folds the 976
 	// bytes before it in Go with no rounds to hide them behind. Peeled,
-	// it is 1, 8 and 8, every chunk after the head folds inside a kernel
+	// it is 1 and 16, every chunk after the head folds inside a kernel
 	// call, and a chain's end still rides in the first one. The head block
 	// is the caller's if it made it, in a lane of a Blocks call beside
 	// others, and one Block here if not. Without a MAC there is nothing to
@@ -119,7 +154,7 @@ func xorWide(key *Key, nonce *[NonceSize]byte, ctr uint32, skip int, dst, src []
 		if !seal {
 			mac.Update(s)
 		}
-		xor3(d, s, head[skip:skip+m:skip+m])
+		subtle.XORBytes(d, s, head[skip:skip+m])
 		if seal {
 			mac.Update(d)
 		}
@@ -160,7 +195,7 @@ func xorWide(key *Key, nonce *[NonceSize]byte, ctr uint32, skip int, dst, src []
 		} else if into != nil {
 			into.Update(fold[k:])
 		}
-		xor3(d, s, ks[skip:skip+m:skip+m])
+		subtle.XORBytes(d, s, ks[skip:skip+m])
 		if mac != nil && seal {
 			fold, into = d, mac
 		}
@@ -173,7 +208,7 @@ func xorWide(key *Key, nonce *[NonceSize]byte, ctr uint32, skip int, dst, src []
 			ch.held = len(fold)
 			return
 		}
-		mac.Update(fold)
+		absorb(mac, fold)
 	}
 }
 
@@ -216,33 +251,7 @@ func (c *Chain) Flush() {
 // and empties the chain, so that nothing it pointed into is written
 // again.
 func (c *Chain) finish(tail []byte) {
-	c.mac.Update(tail)
+	absorb(&c.mac, tail)
 	c.mac.Sum(c.tag)
 	*c = Chain{}
-}
-
-// xor3 sets d = s XOR k over slices of one length. Each 64-byte window
-// is one full slice expression, which leaves the compiler one check per
-// window to make (see ilp.XORWords).
-func xor3(d, s, k []byte) {
-	le := binary.LittleEndian
-	n := len(s)
-	j := 0
-	for ; n-j >= 64; j += 64 {
-		sw, dw, kw := s[j:j+64:j+64], d[j:j+64:j+64], k[j:j+64:j+64]
-		le.PutUint64(dw[0:], le.Uint64(sw[0:])^le.Uint64(kw[0:]))
-		le.PutUint64(dw[8:], le.Uint64(sw[8:])^le.Uint64(kw[8:]))
-		le.PutUint64(dw[16:], le.Uint64(sw[16:])^le.Uint64(kw[16:]))
-		le.PutUint64(dw[24:], le.Uint64(sw[24:])^le.Uint64(kw[24:]))
-		le.PutUint64(dw[32:], le.Uint64(sw[32:])^le.Uint64(kw[32:]))
-		le.PutUint64(dw[40:], le.Uint64(sw[40:])^le.Uint64(kw[40:]))
-		le.PutUint64(dw[48:], le.Uint64(sw[48:])^le.Uint64(kw[48:]))
-		le.PutUint64(dw[56:], le.Uint64(sw[56:])^le.Uint64(kw[56:]))
-	}
-	for ; n-j >= 8; j += 8 {
-		le.PutUint64(d[j:j+8:j+8], le.Uint64(s[j:j+8:j+8])^le.Uint64(k[j:j+8:j+8]))
-	}
-	for ; j < n; j++ {
-		d[j] = s[j] ^ k[j]
-	}
 }

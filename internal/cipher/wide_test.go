@@ -3,24 +3,32 @@ package cipher
 import (
 	"bytes"
 	"encoding/binary"
+	"math/bits"
 	"testing"
 	"unsafe"
 )
 
-// bothPaths runs f with the wide kernel as detected and with it forced
-// off. On a build or a machine without the kernel the two are the same
-// scalar path, and the "wide" run says so.
-func bothPaths(t *testing.T, f func(t *testing.T)) {
-	t.Run("wide", func(t *testing.T) {
-		if !haveWide {
-			t.Log("no wide kernel here: this run is the scalar path again")
-		}
-		f(t)
-	})
-	t.Run("scalar", func(t *testing.T) {
-		forceScalar(t)
-		f(t)
-	})
+// kernelNames names the keystream kernels in subtests and logs.
+var kernelNames = [...]string{scalar: "scalar", avx2: "avx2", avx512: "avx512"}
+
+// eachKernel runs f once per keystream kernel, best first — AVX-512,
+// AVX2, then Block with MAC.Update — with keystream held to it, so one
+// machine tests every kernel it has against the same oracle. A kernel
+// this CPU or build lacks is skipped, and the skip says why: a runner
+// without AVX-512 reports its avx512 runs as skipped, not as passed.
+func eachKernel(t *testing.T, f func(t *testing.T)) {
+	have := detect()
+	for k := avx512; k >= scalar; k-- {
+		t.Run(kernelNames[k], func(t *testing.T) {
+			if k > have {
+				t.Skipf("no %s kernel here: the best this CPU and build have is %s", kernelNames[k], kernelNames[have])
+			}
+			old := kernel
+			kernel = k
+			t.Cleanup(func() { kernel = old })
+			f(t)
+		})
+	}
 }
 
 // blockStream is keystream blocks ctr, ctr+1, … (wrapping), n bytes of
@@ -50,16 +58,18 @@ func seq(ctr uint32) *[Lanes]uint32 {
 // wrong place in the row, or one lane's block written to another's
 // place, fails here.
 func TestBlocksMatchBlock(t *testing.T) {
-	bothPaths(t, func(t *testing.T) {
+	eachKernel(t, func(t *testing.T) {
 		key := ExpandKey(0xB10C5)
 		nonce := [NonceSize]byte{0x11, 0x22, 0x33, 0x44, 0x55, 0x66, 0x77, 0x88, 0x99, 0xAA, 0xBB, 0xCC}
 		rows := [][Lanes]uint32{
-			{0xffffffff, 0, 7, 7, 1 << 30, 0x80000000, 3, 0xffffffff},
-			{1<<30 + 0, 1<<30 + 126, 17, 1<<30 + 252, 32, 1<<30 + 378, 48, 1<<30 + 504},
-			{5, 5, 5, 5, 5, 5, 5, 5},
-			{0, 1, 2, 3, 4, 5, 6, 7},
-			{7, 6, 5, 4, 3, 2, 1, 0},
-			{0x9E3779B9, 0x7F4A7C15, 0xF39CC060, 0x5CEDC834, 0x1082276B, 0xF3A27251, 0xF86C6A11, 0x6D0E0D5A},
+			{0xffffffff, 0, 7, 7, 1 << 30, 0x80000000, 3, 0xffffffff, 9, 0, 0xfffffffe, 1 << 31, 2, 7, 0xffffffff, 1},
+			{1<<30 + 0, 1<<30 + 126, 17, 1<<30 + 252, 32, 1<<30 + 378, 48, 1<<30 + 504,
+				1<<30 + 630, 80, 1<<30 + 756, 96, 1<<30 + 882, 112, 1<<30 + 1008, 127},
+			{5, 5, 5, 5, 5, 5, 5, 5, 5, 5, 5, 5, 5, 5, 5, 5},
+			{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15},
+			{15, 14, 13, 12, 11, 10, 9, 8, 7, 6, 5, 4, 3, 2, 1, 0},
+			{0x9E3779B9, 0x7F4A7C15, 0xF39CC060, 0x5CEDC834, 0x1082276B, 0xF3A27251, 0xF86C6A11, 0x6D0E0D5A,
+				0x243F6A88, 0x85A308D3, 0x13198A2E, 0x03707344, 0xA4093822, 0x299F31D0, 0x082EFA98, 0xEC4E6C89},
 		}
 		for _, row := range rows {
 			for n := 0; n <= Lanes; n++ {
@@ -81,8 +91,8 @@ func TestBlocksMatchBlock(t *testing.T) {
 	})
 }
 
-// The kernel reads a Key's eight words, the nonce's twelve bytes and a
-// row of eight counters by address (wide_amd64.s): a Key that grew a
+// The kernels read a Key's eight words, the nonce's twelve bytes and a
+// row of counters by address (wide_amd64.s): a Key that grew a
 // field before its words, or words of another size, must fail here and
 // not as a wrong keystream.
 func TestKeyNonceLayout(t *testing.T) {
@@ -97,7 +107,7 @@ func TestKeyNonceLayout(t *testing.T) {
 		{"Key size", unsafe.Sizeof(k), 32},
 		{"Key word size", unsafe.Sizeof(k.k[0]), 4},
 		{"nonce size", unsafe.Sizeof(nonce), 12},
-		{"counter row size", unsafe.Sizeof(ctrs), 32},
+		{"counter row size", unsafe.Sizeof(ctrs), 64},
 	} {
 		if f.got != f.want {
 			t.Errorf("%s is %d, the kernel reads %d", f.name, f.got, f.want)
@@ -107,10 +117,11 @@ func TestKeyNonceLayout(t *testing.T) {
 
 // Every lane of the wide call is the Block of its own counter: at every
 // alignment of the first counter, for every lane count, and where the
-// 32-bit counter wraps inside the call (0xfffffffb puts the wrap
-// between lanes 4 and 5).
+// 32-bit counter wraps inside the call, after every lane in turn
+// (0xfffffff0 + a wraps after lane 15 - a, which for a = 7 is between
+// the AVX2 kernel's two calls).
 func TestKeystreamWideMatchesBlock(t *testing.T) {
-	bothPaths(t, func(t *testing.T) {
+	eachKernel(t, func(t *testing.T) {
 		key := ExpandKey(0x5EED)
 		nonce := [NonceSize]byte{0xA0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 0xAF}
 		ctrs := []uint32{0x40000000, 0x7fffffff, 0x80000000 - 4}
@@ -137,7 +148,7 @@ func TestKeystreamWideMatchesBlock(t *testing.T) {
 // and then use a lane or two of — is what produces them, in every lane.
 func TestRFC8439VectorsFromKeystream(t *testing.T) {
 	sunscreen := []byte("Ladies and Gentlemen of the class of '99: If I could offer you only one tip for the future, sunscreen would be it.")
-	bothPaths(t, func(t *testing.T) {
+	eachKernel(t, func(t *testing.T) {
 		// §2.3.2: the block at counter 1, in every lane in turn.
 		key := keyFrom(t, `00:01:02:03:04:05:06:07:08:09:0a:0b:0c:0d:0e:0f:10:11:12:13:14:15:16:17:18:19:1a:1b:1c:1d:1e:1f`)
 		nonce := nonceFrom(t, `00:00:00:09:00:00:00:4a:00:00:00:00`)
@@ -210,8 +221,8 @@ func TestRFC8439VectorsFromKeystream(t *testing.T) {
 
 // XORKeyStream, and the loop under it sealing and opening with a MAC,
 // against Block and MAC.Update, at every byte offset of the first two
-// blocks and every length up to a fragment and a lane more, on both
-// paths.
+// blocks and every length up to a fragment and a lane more, on every
+// kernel.
 func TestWideLoopsMatchBlock(t *testing.T) {
 	key := ExpandKey(0xFACADE)
 	nonce := [NonceSize]byte{3, 1, 4, 1, 5, 9, 2, 6, 5, 3, 5, 9}
@@ -222,7 +233,7 @@ func TestWideLoopsMatchBlock(t *testing.T) {
 	for i := range src {
 		src[i] = byte(i*7 + i>>7)
 	}
-	bothPaths(t, func(t *testing.T) {
+	eachKernel(t, func(t *testing.T) {
 		dst := make([]byte, maxLen)
 		for off := 0; off < 2*BlockSize; off++ {
 			ks := blockStream(&key, &nonce, 1, off+maxLen)[off:]
@@ -292,9 +303,10 @@ func TestWideLoopsMatchBlock(t *testing.T) {
 // A MAC'd run that starts mid-block takes its head from a block of its
 // own, so that every chunk after it starts on a block boundary: a
 // fragment laid out as SuiteAEAD lays them out, 1 008 bytes at skip 48,
-// 32 or 16, is calls of 1, 8 and 8 blocks and not 8, 8 and 1. Sealed
+// 32 or 16, is calls of 1 and 16 blocks and not 16 and 1. Sealed
 // through a chain, what the chain is left to fold shows which: the
-// whole last call's bytes, not a one-block tail.
+// whole last call's bytes, not a one-block tail. The last call's bytes
+// are what is left after the head and the whole chunks before it.
 func TestMidBlockHeadIsPeeled(t *testing.T) {
 	key := ExpandKey(0x9EE1)
 	var nonce [NonceSize]byte
@@ -304,19 +316,21 @@ func TestMidBlockHeadIsPeeled(t *testing.T) {
 		mac := NewMAC(&otk)
 		var ch Chain
 		xorWide(&key, &nonce, 1, skip, buf, buf, &mac, &ch, nil, true)
-		if want := len(buf) - (BlockSize - skip) - wideSize; ch.held != want {
+		rest := len(buf) - (BlockSize - skip)
+		if want := rest - (rest-1)/wideSize*wideSize; ch.held != want {
 			t.Errorf("skip=%d: the chain holds %d bytes, want the %d of the last call", skip, ch.held, want)
 		}
 	}
 }
 
-// keystream is the one place that picks the kernel or Block, and the
-// pick shows: the kernel refuses a message that is not whole Poly1305
+// keystream is the one place that picks a kernel or Block, and the
+// pick shows: a kernel refuses a message that is not whole Poly1305
 // blocks, which MAC.Update takes. So an 8-byte message panics exactly
-// when the kernel runs — from wideMin blocks up on the wide path, and
-// never on the scalar one.
+// when a kernel runs — from wideMin blocks up with one, and never on
+// the scalar path. The log says which kernel this machine picked.
 func TestKeystreamPicksKernel(t *testing.T) {
-	bothPaths(t, func(t *testing.T) {
+	t.Logf("keystream runs the %s kernel here", kernelNames[kernel])
+	eachKernel(t, func(t *testing.T) {
 		key := ExpandKey(1)
 		var nonce [NonceSize]byte
 		var ks [wideSize]byte
@@ -327,15 +341,15 @@ func TestKeystreamPicksKernel(t *testing.T) {
 				keystream(&key, &nonce, seq(0), &ks, nb, &mac, make([]byte, 8))
 				return false
 			}()
-			if want := haveWide && nb >= wideMin; ran != want {
+			if want := kernel != scalar && nb >= wideMin; ran != want {
 				t.Fatalf("nb=%d: the kernel ran = %v, want %v", nb, ran, want)
 			}
 		}
 	})
 }
 
-// The kernel folds Poly1305 blocks into a MAC by the field offsets it
-// was written against (wide_amd64.s): a field moved or resized must
+// The kernels fold Poly1305 blocks into a MAC by the field offsets they
+// were written against (wide_amd64.s): a field moved or resized must
 // fail here, not as a wrong tag.
 func TestMACLayout(t *testing.T) {
 	var m MAC
@@ -363,12 +377,40 @@ func foldRef(m *MAC, msg []byte) {
 	}
 }
 
+// canon is the accumulator of m reduced mod p = 2^130 - 5. A kernel
+// folds two blocks per step and so leaves h partly reduced in its own
+// way; what it must leave is the value MAC.block's limbs have, with h2
+// small enough for MAC.block and Sum to take over.
+func canon(m *MAC) [3]uint64 {
+	h0, c := bits.Add64(m.h0, m.h2>>2*5, 0)
+	h1, c := bits.Add64(m.h1, 0, c)
+	h2 := m.h2&3 + c
+	t0, b := bits.Sub64(h0, 0xFFFFFFFFFFFFFFFB, 0)
+	t1, b := bits.Sub64(h1, 0xFFFFFFFFFFFFFFFF, b)
+	t2, b := bits.Sub64(h2, 3, b)
+	if b == 0 {
+		return [3]uint64{t0, t1, t2}
+	}
+	return [3]uint64{h0, h1, h2}
+}
+
+// macMatches says whether mac, after a keystream call that folded nblk
+// blocks, holds what ref does after MAC.block folded them: the same
+// value mod p, and, if the call folded anything, h2 <= 4, which is all
+// MAC.block leaves and all it may be handed.
+func macMatches(mac, ref *MAC, nblk int) bool {
+	return canon(mac) == canon(ref) && (nblk == 0 || mac.h2 <= 4) &&
+		mac.r0 == ref.r0 && mac.r1 == ref.r1 && mac.s0 == ref.s0 && mac.s1 == ref.s1 && mac.n == ref.n
+}
+
 // The MAC side of a keystream call against MAC.block, for every number
-// of blocks one call can fold: it leaves the limbs that many blocks
-// leave, and the keystream does not depend on it. The inputs sit at the
-// edges of the arithmetic — all-ones blocks, an accumulator just below
-// p, the largest r clamping allows — and the message at an even and an
-// odd address.
+// of blocks one call can fold, in a call of sixteen lanes and one of
+// two (one AVX2 call instead of two): it leaves the value that many
+// blocks leave, and the keystream does not depend on it. The inputs sit
+// at the edges of the arithmetic — all-ones blocks, an accumulator just
+// below p or with every limb full, the largest r clamping allows — so
+// that the pair step's full 130-bit r² and its carries are all driven
+// to their widest, and the message is at an even and an odd address.
 func TestKeystreamMACMatchesBlock(t *testing.T) {
 	const rMax0, rMax1 = 0x0FFFFFFC0FFFFFFF, 0x0FFFFFFC0FFFFFFC
 	const pLo, pMid, pHi = 0xFFFFFFFFFFFFFFFB, 0xFFFFFFFFFFFFFFFF, 3 // p = 2^130 - 5
@@ -380,8 +422,10 @@ func TestKeystreamMACMatchesBlock(t *testing.T) {
 		{"h just below p", 0x0123456709ABCDEF & rMax0, 0x0FEDCBA987654321 & rMax1, pLo - 1, pMid, pHi},
 		{"largest r", rMax0, rMax1, 0x243F6A8885A308D3, 0x13198A2E03707344, 2},
 		{"largest r, h just below p", rMax0, rMax1, pLo - 1, pMid, pHi},
+		{"largest r, full limbs", rMax0, rMax1, ^uint64(0), ^uint64(0), 4},
+		{"r with a full r², full limbs", 0x0FFFFFFC0FFFFFFF, 0x0A3D70A0E1FFFFFC, ^uint64(0), ^uint64(0), 4},
 	}
-	bothPaths(t, func(t *testing.T) {
+	eachKernel(t, func(t *testing.T) {
 		key := ExpandKey(0xB10C)
 		nonce := [NonceSize]byte{7: 0x5A}
 		const ctr = 0xfffffffd // the counter wraps inside the call
@@ -397,18 +441,20 @@ func TestKeystreamMACMatchesBlock(t *testing.T) {
 			for _, at := range []int{0, 1} {
 				msg := buf[at : at+foldMax*TagSize]
 				for _, a := range accs {
-					for nblk := 0; nblk <= foldMax; nblk++ {
-						mac := MAC{r0: a.r0, r1: a.r1, h0: a.h0, h1: a.h1, h2: a.h2}
-						ref := mac
-						foldRef(&ref, msg[:nblk*TagSize])
-						var ks [wideSize]byte
-						keystream(&key, &nonce, seq(ctr), &ks, Lanes, &mac, msg[:nblk*TagSize])
-						if mac != ref {
-							t.Fatalf("ones=%v at=%d %s nblk=%d: h = %#x %#x %#x, MAC.block leaves %#x %#x %#x",
-								ones, at, a.name, nblk, mac.h0, mac.h1, mac.h2, ref.h0, ref.h1, ref.h2)
-						}
-						if !bytes.Equal(ks[:], want) {
-							t.Fatalf("ones=%v at=%d %s nblk=%d: the keystream changed with the MAC work", ones, at, a.name, nblk)
+					for _, nb := range []int{Lanes, wideMin} {
+						for nblk := 0; nblk <= foldMax; nblk++ {
+							mac := MAC{r0: a.r0, r1: a.r1, h0: a.h0, h1: a.h1, h2: a.h2}
+							ref := mac
+							foldRef(&ref, msg[:nblk*TagSize])
+							var ks [wideSize]byte
+							keystream(&key, &nonce, seq(ctr), &ks, nb, &mac, msg[:nblk*TagSize])
+							if !macMatches(&mac, &ref, nblk) {
+								t.Fatalf("ones=%v at=%d %s nb=%d nblk=%d: h = %#x %#x %#x, MAC.block leaves %#x %#x %#x",
+									ones, at, a.name, nb, nblk, mac.h0, mac.h1, mac.h2, ref.h0, ref.h1, ref.h2)
+							}
+							if !bytes.Equal(ks[:nb*BlockSize], want[:nb*BlockSize]) {
+								t.Fatalf("ones=%v at=%d %s nb=%d nblk=%d: the keystream changed with the MAC work", ones, at, a.name, nb, nblk)
+							}
 						}
 					}
 				}
@@ -417,11 +463,36 @@ func TestKeystreamMACMatchesBlock(t *testing.T) {
 	})
 }
 
+// The last carry of the pair step's reduction, into h2, needs h0 and h1
+// both to be all ones just before it, which no drawn input reaches. With
+// r = 1 the pair step is a sum and the carry can be aimed at: h = 3·2^128
+// and m1 = 0 make a = 4·2^128 + 2^128, and m2 = 2^128 - 5 then leaves
+// t = 2^128 - 5 + 5·2^128, whose fold is h0 = h1 = 2^64 - 1 plus 1.
+func TestKeystreamMACPairCarry(t *testing.T) {
+	msg := make([]byte, 2*TagSize)
+	binary.LittleEndian.PutUint64(msg[16:], 1<<64-5)
+	binary.LittleEndian.PutUint64(msg[24:], 1<<64-1)
+	key := ExpandKey(7)
+	var nonce [NonceSize]byte
+	eachKernel(t, func(t *testing.T) {
+		mac := MAC{r0: 1, h2: 3}
+		ref := mac
+		foldRef(&ref, msg)
+		var ks [wideSize]byte
+		keystream(&key, &nonce, seq(0), &ks, Lanes, &mac, msg)
+		if !macMatches(&mac, &ref, 2) {
+			t.Fatalf("h = %#x %#x %#x, MAC.block leaves %#x %#x %#x", mac.h0, mac.h1, mac.h2, ref.h0, ref.h1, ref.h2)
+		}
+	})
+}
+
 // FuzzPolyKernel holds the MAC side of a keystream call against
 // MAC.block over any message, block count up to foldMax, clamped r and
-// accumulator a block can be handed (h2 <= 5), at any address.
+// accumulator a block can be handed (h2 <= 5), at any address, on every
+// kernel.
 func FuzzPolyKernel(f *testing.F) {
 	f.Add(bytes.Repeat([]byte{0xff}, foldMax*TagSize), uint8(foldMax), ^uint64(0), ^uint64(0), uint64(0xFFFFFFFFFFFFFFFA), ^uint64(0), uint8(3))
+	f.Add(bytes.Repeat([]byte{0xff}, foldMax*TagSize), uint8(foldMax-1), ^uint64(0), uint64(0x0A3D70A0E1FFFFFC), ^uint64(0), ^uint64(0), uint8(0x74))
 	f.Add([]byte("sixteen bytes..!"), uint8(1), uint64(1), uint64(0), uint64(0), uint64(0), uint8(0x15))
 	f.Fuzz(func(t *testing.T, data []byte, nblk uint8, r0, r1, h0, h1 uint64, h2 uint8) {
 		n := int(nblk) % (foldMax + 1)
@@ -432,22 +503,25 @@ func FuzzPolyKernel(f *testing.F) {
 		buf := make([]byte, at+n*TagSize)
 		msg := buf[at:]
 		copy(msg, data)
-		mac := MAC{r0: r0 & 0x0FFFFFFC0FFFFFFF, r1: r1 & 0x0FFFFFFC0FFFFFFC, h0: h0, h1: h1, h2: uint64(h2&15) % 6}
-		ref := mac
+		in := MAC{r0: r0 & 0x0FFFFFFC0FFFFFFF, r1: r1 & 0x0FFFFFFC0FFFFFFC, h0: h0, h1: h1, h2: uint64(h2&15) % 6}
+		ref := in
 		foldRef(&ref, msg)
 		key := ExpandKey(r0 ^ h1)
 		var nonce [NonceSize]byte
-		var ks [wideSize]byte
-		keystream(&key, &nonce, seq(uint32(h0)), &ks, Lanes, &mac, msg)
-		if mac != ref {
-			t.Fatalf("nblk=%d: h = %#x %#x %#x, MAC.block leaves %#x %#x %#x", n, mac.h0, mac.h1, mac.h2, ref.h0, ref.h1, ref.h2)
-		}
+		eachKernel(t, func(t *testing.T) {
+			mac := in
+			var ks [wideSize]byte
+			keystream(&key, &nonce, seq(uint32(h0)), &ks, Lanes, &mac, msg)
+			if !macMatches(&mac, &ref, n) {
+				t.Fatalf("nblk=%d: h = %#x %#x %#x, MAC.block leaves %#x %#x %#x", n, mac.h0, mac.h1, mac.h2, ref.h0, ref.h1, ref.h2)
+			}
+		})
 	})
 }
 
-// FuzzKeystreamWide holds the wide loops against scalar Block over any
-// key, nonce, first counter, byte offset, length and split point: the
-// stream XORed in two calls must be the stream XORed in one, and both
+// FuzzKeystreamWide holds the wide loops, on every kernel, against
+// scalar Block over any key, nonce, first counter, byte offset, length
+// and split point: the stream XORed in two calls must be the stream XORed in one, and both
 // src XOR the Block keystream; with a MAC the loop must leave that
 // ciphertext and the MAC.Update tag over it, sealing and opening; and,
 // chained, the two sides of the split sealed as two messages through
@@ -466,103 +540,108 @@ func FuzzKeystreamWide(f *testing.F) {
 	f.Add([]byte("lanes"), []byte("n"), uint32(16), uint16(1008), uint16(1008), uint16(100), true,
 		[]byte{3, 0, 0, 0x40, 0xfe, 0, 0, 0x40, 16, 0, 0, 0, 0xff, 0xff, 0xff, 0xff, 0, 0, 0, 0, 7, 0, 0, 0})
 	f.Add([]byte{}, []byte{}, uint32(0xffffffff), uint16(8), uint16(56), uint16(8), false, bytes.Repeat([]byte{0xff}, 4*Lanes+3))
+	f.Add([]byte("sixteen"), []byte("n"), uint32(0xfffffff8), uint16(48), uint16(3024), uint16(1008), true,
+		[]byte{15, 0, 0, 0x40, 0xf8, 0xff, 0xff, 0xff, 1, 0, 0, 0, 0xff, 0xff, 0xff, 0xff, 2, 0, 0, 0x40, 3, 0, 0, 0, 0, 0, 0, 0, 5, 0, 0, 0x40,
+			9, 0, 0, 0, 7, 0, 0, 0x40, 0x10, 0, 0, 0, 0xfe, 0xff, 0xff, 0xff, 0, 0, 0, 0x80, 4, 0, 0, 0, 6, 0, 0, 0x40, 8, 0, 0, 0})
 	f.Fuzz(func(t *testing.T, keyBytes, nonceBytes []byte, ctr uint32, off, length, split uint16, chained bool, row []byte) {
-		var kb [KeySize]byte
-		copy(kb[:], keyBytes)
-		key := NewKey(&kb)
-		var nonce [NonceSize]byte
-		copy(nonce[:], nonceBytes)
-		skip := int(off) % BlockSize
-		n := int(length) % 4200
-		cut := 0
-		if n > 0 {
-			cut = int(split) % n
-		}
-		src := make([]byte, n)
-		for i := range src {
-			src[i] = byte(i) ^ kb[i%KeySize]
-		}
-		ks := blockStream(&key, &nonce, ctr, skip+n)[skip:]
-		want := make([]byte, n)
-		for i := range want {
-			want[i] = src[i] ^ ks[i]
-		}
-
-		one := make([]byte, n)
-		xorWide(&key, &nonce, ctr, skip, one, src, nil, nil, nil, false)
-		if !bytes.Equal(one, want) {
-			t.Fatal("one call: not src XOR Block keystream")
-		}
-		two := make([]byte, n)
-		xorWide(&key, &nonce, ctr, skip, two[:cut], src[:cut], nil, nil, nil, false)
-		at := skip + cut
-		xorWide(&key, &nonce, ctr+uint32(at/BlockSize), at%BlockSize, two[cut:], src[cut:], nil, nil, nil, false)
-		if !bytes.Equal(two, want) {
-			t.Fatalf("split at %d: not src XOR Block keystream", cut)
-		}
-
-		var head *[BlockSize]byte
-		if nl := min(len(row)/4, Lanes); nl > 0 {
-			var ctrs [Lanes]uint32
-			for i := 0; i < nl; i++ {
-				ctrs[i] = binary.LittleEndian.Uint32(row[4*i:])
+		eachKernel(t, func(t *testing.T) {
+			var kb [KeySize]byte
+			copy(kb[:], keyBytes)
+			key := NewKey(&kb)
+			var nonce [NonceSize]byte
+			copy(nonce[:], nonceBytes)
+			skip := int(off) % BlockSize
+			n := int(length) % 4200
+			cut := 0
+			if n > 0 {
+				cut = int(split) % n
 			}
-			hl := int(row[0]) % nl
-			ctrs[hl] = ctr
-			var lanes [Lanes * BlockSize]byte
-			Blocks(&key, &nonce, &ctrs, nl, &lanes)
-			for i := 0; i < nl; i++ {
-				var blk [BlockSize]byte
-				Block(&key, &nonce, ctrs[i], &blk)
-				if !bytes.Equal(lanes[i*BlockSize:(i+1)*BlockSize], blk[:]) {
-					t.Fatalf("counters %#x, n=%d: lane %d is not Block(%#x)", ctrs, nl, i, ctrs[i])
+			src := make([]byte, n)
+			for i := range src {
+				src[i] = byte(i) ^ kb[i%KeySize]
+			}
+			ks := blockStream(&key, &nonce, ctr, skip+n)[skip:]
+			want := make([]byte, n)
+			for i := range want {
+				want[i] = src[i] ^ ks[i]
+			}
+
+			one := make([]byte, n)
+			xorWide(&key, &nonce, ctr, skip, one, src, nil, nil, nil, false)
+			if !bytes.Equal(one, want) {
+				t.Fatal("one call: not src XOR Block keystream")
+			}
+			two := make([]byte, n)
+			xorWide(&key, &nonce, ctr, skip, two[:cut], src[:cut], nil, nil, nil, false)
+			at := skip + cut
+			xorWide(&key, &nonce, ctr+uint32(at/BlockSize), at%BlockSize, two[cut:], src[cut:], nil, nil, nil, false)
+			if !bytes.Equal(two, want) {
+				t.Fatalf("split at %d: not src XOR Block keystream", cut)
+			}
+
+			var head *[BlockSize]byte
+			if nl := min(len(row)/4, Lanes); nl > 0 {
+				var ctrs [Lanes]uint32
+				for i := 0; i < nl; i++ {
+					ctrs[i] = binary.LittleEndian.Uint32(row[4*i:])
+				}
+				hl := int(row[0]) % nl
+				ctrs[hl] = ctr
+				var lanes [Lanes * BlockSize]byte
+				Blocks(&key, &nonce, &ctrs, nl, &lanes)
+				for i := 0; i < nl; i++ {
+					var blk [BlockSize]byte
+					Block(&key, &nonce, ctrs[i], &blk)
+					if !bytes.Equal(lanes[i*BlockSize:(i+1)*BlockSize], blk[:]) {
+						t.Fatalf("counters %#x, n=%d: lane %d is not Block(%#x)", ctrs, nl, i, ctrs[i])
+					}
+				}
+				if skip != 0 {
+					head = (*[BlockSize]byte)(lanes[hl*BlockSize:])
 				}
 			}
-			if skip != 0 {
-				head = (*[BlockSize]byte)(lanes[hl*BlockSize:])
+
+			// With a MAC, sealing and then opening in place: the tag is
+			// MAC.Update's over the ciphertext both times.
+			var otk [KeySize]byte
+			copy(otk[:], ks) // any 32 bytes will do for r and s
+			ref := NewMAC(&otk)
+			ref.Update(want)
+			var tag [TagSize]byte
+			ref.Sum(tag[:])
+			seal, open := NewMAC(&otk), NewMAC(&otk)
+			xorWide(&key, &nonce, ctr, skip, one, src, &seal, nil, head, true)
+			if !bytes.Equal(one, want) || !seal.Verify(tag[:]) {
+				t.Fatal("seal: wrong ciphertext or tag")
 			}
-		}
+			xorWide(&key, &nonce, ctr, skip, one, one, &open, nil, head, false)
+			if !bytes.Equal(one, src) || !open.Verify(tag[:]) {
+				t.Fatal("open in place: wrong plaintext or tag")
+			}
+			if !chained {
+				return
+			}
 
-		// With a MAC, sealing and then opening in place: the tag is
-		// MAC.Update's over the ciphertext both times.
-		var otk [KeySize]byte
-		copy(otk[:], ks) // any 32 bytes will do for r and s
-		ref := NewMAC(&otk)
-		ref.Update(want)
-		var tag [TagSize]byte
-		ref.Sum(tag[:])
-		seal, open := NewMAC(&otk), NewMAC(&otk)
-		xorWide(&key, &nonce, ctr, skip, one, src, &seal, nil, head, true)
-		if !bytes.Equal(one, want) || !seal.Verify(tag[:]) {
-			t.Fatal("seal: wrong ciphertext or tag")
-		}
-		xorWide(&key, &nonce, ctr, skip, one, one, &open, nil, head, false)
-		if !bytes.Equal(one, src) || !open.Verify(tag[:]) {
-			t.Fatal("open in place: wrong plaintext or tag")
-		}
-		if !chained {
-			return
-		}
-
-		otkB := otk
-		otkB[0] ^= 1
-		macA, macB := NewMAC(&otk), NewMAC(&otkB)
-		var ch Chain
-		var tagA, tagB [TagSize]byte
-		ct := make([]byte, n)
-		xorWide(&key, &nonce, ctr, skip, ct[:cut], src[:cut], &macA, &ch, head, true)
-		ch.Sum(&macA, ct[:cut], tagA[:])
-		xorWide(&key, &nonce, ctr+uint32(at/BlockSize), at%BlockSize, ct[cut:], src[cut:], &macB, &ch, nil, true)
-		ch.Sum(&macB, ct[cut:], tagB[:])
-		ch.Flush()
-		refA, refB := NewMAC(&otk), NewMAC(&otkB)
-		refA.Update(want[:cut])
-		refB.Update(want[cut:])
-		if !bytes.Equal(ct, want) || !refA.Verify(tagA[:]) || !refB.Verify(tagB[:]) {
-			t.Fatalf("chained at %d: wrong ciphertext or tag", cut)
-		}
-		if ch.tag != nil || ch.msg != nil || ch.held != 0 {
-			t.Fatal("the chain is not empty after Flush")
-		}
+			otkB := otk
+			otkB[0] ^= 1
+			macA, macB := NewMAC(&otk), NewMAC(&otkB)
+			var ch Chain
+			var tagA, tagB [TagSize]byte
+			ct := make([]byte, n)
+			xorWide(&key, &nonce, ctr, skip, ct[:cut], src[:cut], &macA, &ch, head, true)
+			ch.Sum(&macA, ct[:cut], tagA[:])
+			xorWide(&key, &nonce, ctr+uint32(at/BlockSize), at%BlockSize, ct[cut:], src[cut:], &macB, &ch, nil, true)
+			ch.Sum(&macB, ct[cut:], tagB[:])
+			ch.Flush()
+			refA, refB := NewMAC(&otk), NewMAC(&otkB)
+			refA.Update(want[:cut])
+			refB.Update(want[cut:])
+			if !bytes.Equal(ct, want) || !refA.Verify(tagA[:]) || !refB.Verify(tagB[:]) {
+				t.Fatalf("chained at %d: wrong ciphertext or tag", cut)
+			}
+			if ch.tag != nil || ch.msg != nil || ch.held != 0 {
+				t.Fatal("the chain is not empty after Flush")
+			}
+		})
 	})
 }

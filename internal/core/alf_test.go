@@ -586,7 +586,7 @@ func TestRuntimeShortPacket(t *testing.T) {
 
 func TestControlRoundtrip(t *testing.T) {
 	c := &wire.Control{Stream: 3, Cum: 12345, Nacks: []uint64{1, 5, 9}}
-	enc := wire.EncodeControl(c)
+	enc := wire.EncodeControl(nil, c)
 	got, err := wire.ParseControl(enc)
 	if err != nil {
 		t.Fatal(err)

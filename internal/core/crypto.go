@@ -193,7 +193,7 @@ var suites = [...]suiteOps{
 //
 // Validate caps MaxADU at 2^33 under SuiteAEAD so the domains cannot
 // collide. Which block comes from where: a fragment's payload keystream
-// comes eight blocks to a kernel call in the keystream loop; its data
+// comes sixteen blocks to a kernel call in the keystream loop; its data
 // tag key, and its head — the payload block it starts in, if it starts
 // mid-block — are lanes of its run's kernel calls (runLanes), at both
 // ends. Three stay out of the lanes and scalar: a data fragment at an
@@ -239,8 +239,8 @@ func newTagMAC(key *cipher.Key, nonce *[cipher.NonceSize]byte, ctr uint32) ciphe
 // consecutive fragments of one ADU at the endpoint's fragment size, and
 // each takes a lane for its data tag key and, if it starts mid-block,
 // one for its head: at most two calls a run. An 8 KiB ADU at 1 008-byte
-// fragments is a run of eight needing 8 + 6 lanes, two calls where it
-// took 14 Blocks, and a run of one, whose one lane is one Block.
+// fragments is one run of nine needing 9 + 6 lanes, one call where it
+// took 15 Blocks.
 //
 // Both ends keep one for the (name, run) they last needed: the sender
 // fills it at each run's first fragment, the receiver at the first

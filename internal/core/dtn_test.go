@@ -304,12 +304,12 @@ func TestSenderCustodyRelease(t *testing.T) {
 	}
 	// NACK for the custody-released name: suppressed. For the retained
 	// name: answered.
-	snd.HandleControl(wire.EncodeControl(&wire.Control{Stream: 0, Nacks: []uint64{2}}))
+	snd.HandleControl(wire.EncodeControl(nil, &wire.Control{Stream: 0, Nacks: []uint64{2}}))
 	if snd.Stats.CustodyNacks != 1 || snd.Stats.ResentADUs != 0 {
 		t.Fatalf("CustodyNacks=%d ResentADUs=%d after NACK for released name, want 1 and 0",
 			snd.Stats.CustodyNacks, snd.Stats.ResentADUs)
 	}
-	snd.HandleControl(wire.EncodeControl(&wire.Control{Stream: 0, Nacks: []uint64{1}}))
+	snd.HandleControl(wire.EncodeControl(nil, &wire.Control{Stream: 0, Nacks: []uint64{1}}))
 	if snd.Stats.ResentADUs != 1 {
 		t.Fatalf("ResentADUs=%d after NACK for retained name, want 1", snd.Stats.ResentADUs)
 	}

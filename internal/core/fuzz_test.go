@@ -82,7 +82,7 @@ func TestForgedControlCannotInflateState(t *testing.T) {
 	snd.Send(0, xcode.SyntaxRaw, payload(100, 1))
 	before := snd.BufferedBytes()
 	// A forged NACK for a name far in the future.
-	forged := wire.EncodeControl(&wire.Control{Stream: 0, Cum: 0, Nacks: []uint64{999999}})
+	forged := wire.EncodeControl(nil, &wire.Control{Stream: 0, Cum: 0, Nacks: []uint64{999999}})
 	if err := snd.HandleControl(forged); err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +95,7 @@ func TestForgedControlCannotInflateState(t *testing.T) {
 	// A forged cum beyond everything releases the buffer — that is the
 	// protocol's trust model (control channel is trusted); verify it is
 	// at least bounded and non-panicking.
-	forged2 := wire.EncodeControl(&wire.Control{Stream: 0, Cum: 1 << 60})
+	forged2 := wire.EncodeControl(nil, &wire.Control{Stream: 0, Cum: 1 << 60})
 	snd.HandleControl(forged2)
 	if snd.BufferedBytes() != 0 {
 		t.Error("cum release failed")
@@ -189,7 +189,7 @@ func corpusPackets() [][]byte {
 	snd.Send(3, xcode.SyntaxRaw, payload(300, 9))
 	pkts = append(pkts,
 		wire.EncodeHeartbeat(0, 4),
-		wire.EncodeControl(&wire.Control{Stream: 0, Cum: 2, Nacks: []uint64{2, 3}}))
+		wire.EncodeControl(nil, &wire.Control{Stream: 0, Cum: 2, Nacks: []uint64{2, 3}}))
 	return pkts
 }
 

@@ -213,7 +213,7 @@ func TestReleaseOrderAscending(t *testing.T) {
 
 	t.Run("cumulative ack", func(t *testing.T) {
 		_, snd, released := start(Config{})
-		if err := snd.HandleControl(wire.EncodeControl(&wire.Control{Cum: n})); err != nil {
+		if err := snd.HandleControl(wire.EncodeControl(nil, &wire.Control{Cum: n})); err != nil {
 			t.Fatal(err)
 		}
 		saw("OnRelease", *released, all...)
@@ -247,7 +247,7 @@ func TestReleaseOrderAscending(t *testing.T) {
 		// The holes are passed over, not released twice, when the
 		// receiver's own frontier catches up.
 		*released = (*released)[:0]
-		if err := snd.HandleControl(wire.EncodeControl(&wire.Control{Cum: 46})); err != nil {
+		if err := snd.HandleControl(wire.EncodeControl(nil, &wire.Control{Cum: 46})); err != nil {
 			t.Fatal(err)
 		}
 		saw("OnRelease after the holes", *released, 32, 33, 34, 35, 36, 37, 38, 39, 41, 42, 43, 44)
@@ -386,7 +386,7 @@ func TestSendWithoutSendRefRefused(t *testing.T) {
 		t.Fatal(err)
 	}
 	rec.OnResend = func(uint64) (uint64, xcode.SyntaxID, []byte, bool) { return 0, xcode.SyntaxRaw, payload(10, 1), true }
-	if err := rec.HandleControl(wire.EncodeControl(&wire.Control{Nacks: []uint64{0}})); err != nil || rec.Stats.UnfilledNacks != 1 {
+	if err := rec.HandleControl(wire.EncodeControl(nil, &wire.Control{Nacks: []uint64{0}})); err != nil || rec.Stats.UnfilledNacks != 1 {
 		t.Errorf("NACK to a sender without SendRef: err %v, %d unfilled", err, rec.Stats.UnfilledNacks)
 	}
 }

@@ -129,7 +129,7 @@ func TestNoRetransmitLossAccounting(t *testing.T) {
 	// A forged NACK (a confused or malicious peer) must be ignored
 	// without touching the resend or unfilled counters.
 	d.sched.After(20*time.Millisecond, func() {
-		d.snd.HandleControl(wire.EncodeControl(&wire.Control{Stream: cfg.StreamID, Nacks: []uint64{2}}))
+		d.snd.HandleControl(wire.EncodeControl(nil, &wire.Control{Stream: cfg.StreamID, Nacks: []uint64{2}}))
 	})
 	d.sched.Run()
 

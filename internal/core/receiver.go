@@ -120,12 +120,13 @@ type Receiver struct {
 	// Feedback: the periodic delivery report for the sender's rate loop
 	// (FeedbackInterval > 0). The timer runs only while the stream is
 	// active — bytes arriving or recovery pending — so an idle stream
-	// goes fully quiescent. fbScratch keeps the report path
-	// allocation-free.
+	// goes fully quiescent. frame keeps the report and CTRL paths
+	// allocation-free: it is the last FB or CTRL frame sent, whose
+	// storage the next one reuses (every send copies).
 	fb         *sim.Timer
 	fbSeq      uint32
 	lastFBWire int64
-	fbScratch  [wire.FeedbackSize]byte
+	frame      []byte
 
 	m recvMetrics
 
@@ -443,7 +444,8 @@ func (r *Receiver) handleHeartbeat(pkt []byte) error {
 	if r.send != nil {
 		r.Stats.CtrlSent++
 		r.lastCum = r.cum
-		_ = r.send(wire.EncodeControl(&wire.Control{Stream: r.cfg.StreamID, Cum: r.cum}))
+		r.frame = wire.EncodeControl(r.frame, &wire.Control{Stream: r.cfg.StreamID, Cum: r.cum})
+		_ = r.send(r.frame)
 	}
 	return nil
 }
@@ -550,8 +552,8 @@ func (r *Receiver) onFeedback() {
 	r.fbSeq++
 	r.Stats.FeedbackSent++
 	r.cfg.Tracer.Emit(tracing.FeedbackTX, r.cfg.StreamID, uint64(r.fbSeq), r.Stats.WireBytes, 0, 0)
-	_ = r.send(wire.EncodeFeedback(r.fbScratch[:], r.cfg.StreamID, r.fbSeq,
-		uint64(r.Stats.WireBytes), uint64(r.Stats.DeliveredBytes)))
+	r.frame = wire.EncodeFeedback(r.frame, r.cfg.StreamID, r.fbSeq, uint64(r.Stats.WireBytes), uint64(r.Stats.DeliveredBytes))
+	_ = r.send(r.frame)
 	r.fb.Reset(r.cfg.FeedbackInterval)
 }
 
@@ -612,7 +614,8 @@ func (r *Receiver) onScan() {
 		for _, name := range nacks {
 			r.cfg.Tracer.Emit(tracing.NackTX, r.cfg.StreamID, name, 0, 0, 0)
 		}
-		_ = r.send(wire.EncodeControl(&wire.Control{Stream: r.cfg.StreamID, Cum: r.cum, Nacks: nacks}))
+		r.frame = wire.EncodeControl(r.frame, &wire.Control{Stream: r.cfg.StreamID, Cum: r.cum, Nacks: nacks})
+		_ = r.send(r.frame)
 	}
 
 	if r.pending > 0 || r.missing > 0 || r.cum != r.lastCum {

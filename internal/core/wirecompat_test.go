@@ -70,7 +70,7 @@ func TestWireCompat(t *testing.T) {
 		got  []byte
 		want string
 	}{
-		"CTRL": {wire.EncodeControl(&wire.Control{Stream: 3, Cum: 7, Nacks: []uint64{9, 1 << 40}}),
+		"CTRL": {wire.EncodeControl(nil, &wire.Control{Stream: 3, Cum: 7, Nacks: []uint64{9, 1 << 40}}),
 			"02030000000000000007000200000000000000090000010000000000fcea"},
 		"HB": {wire.EncodeHeartbeat(3, 42), "0303000000000000002afcd2"},
 		"FB": {wire.EncodeFeedback(fb[:], 3, 5, 1<<33, 12345), "04030000000500000002000000000000000000003039cbbc"},

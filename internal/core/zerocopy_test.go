@@ -155,6 +155,31 @@ func TestScanPassZeroAlloc(t *testing.T) {
 	}
 }
 
+// TestControlFrameZeroAlloc guards the acknowledgement path: a receiver
+// answers every heartbeat with a CTRL frame, and encodes each into the
+// storage of the one before it, so acknowledging allocates nothing.
+func TestControlFrameZeroAlloc(t *testing.T) {
+	s := sim.NewScheduler()
+	ctrl := 0
+	rcv, err := NewReceiver(s, func([]byte) error { ctrl++; return nil }, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	hb := wire.EncodeHeartbeat(0, 0)
+	beat := func() {
+		if err := rcv.HandlePacket(hb); err != nil {
+			t.Fatal(err)
+		}
+	}
+	beat()
+	if allocs := testing.AllocsPerRun(100, beat); allocs != 0 {
+		t.Fatalf("answering a heartbeat allocates %v allocs/op, want 0", allocs)
+	}
+	if ctrl != 102 {
+		t.Fatalf("rig broken: %d CTRL frames for 102 heartbeats", ctrl)
+	}
+}
+
 // TestSenderBufferedRetentionZeroAlloc guards retention under
 // SenderBuffered: with a few ADUs always outstanding, each submission
 // retains its wire packets in the window slot the ring brings round
@@ -185,7 +210,7 @@ func retentionZeroAlloc(t *testing.T, window, warmup, runs int) {
 	cycles := warmup + 1 + runs // warm-up, then AllocsPerRun's own warm-up call and its runs
 	acks := make([][]byte, cycles)
 	for i := range acks {
-		acks[i] = wire.EncodeControl(&wire.Control{Stream: snd.Config().StreamID, Cum: uint64(max(i+1-window, 0))})
+		acks[i] = wire.EncodeControl(nil, &wire.Control{Stream: snd.Config().StreamID, Cum: uint64(max(i+1-window, 0))})
 	}
 	data := make([]byte, benchADUBytes)
 	name := uint64(0)

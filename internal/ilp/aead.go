@@ -15,15 +15,15 @@ import "repro/internal/cipher"
 // in the same single pass that moves the bytes, which is the paper's §6
 // argument with a modern cipher doing the work.
 //
-// The Staged* variants are the layered contrast (A1 ablation): the same
-// primitives, but one full memory pass per layer — copy across the
-// layer boundary, then encrypt, then MAC. With the AVX2 kernel the
-// fused pass has each call fold a chunk of ciphertext on the integer
-// ports while it makes keystream on the vector ports, and the staged
-// one pays for its Poly1305 pass in Go after the keystream. In pure Go
-// both make the keystream with cipher.Block and fold with MAC.Update,
-// so there the two differ by schedule — one pass over the bytes or
-// three — and not by kernel (EXPERIMENTS C1).
+// The layered contrast (the tests' Staged* references, EXPERIMENTS C1)
+// is the same primitives with one full memory pass per layer — copy
+// across the layer boundary, then encrypt, then MAC. With a keystream
+// kernel the fused pass has each call fold a chunk of ciphertext on the
+// integer ports while it makes keystream on the vector ports, and the
+// staged one pays for its Poly1305 pass in Go after the keystream. In
+// pure Go both make the keystream with cipher.Block and fold with
+// MAC.Update, so there the two differ by schedule — one pass over the
+// bytes or three — and not by kernel.
 
 // aeadOff returns off after checking the precondition every ilp kernel
 // keyed by a stream offset shares: a multiple of 8, so that a fragment
@@ -78,30 +78,4 @@ func FusedOpen(dst, src []byte, key *cipher.Key, nonce *[cipher.NonceSize]byte, 
 // fragments' tags). len(dst) must be >= len(src); returns len(src).
 func FusedDecryptCopyVerify(dst, src []byte, key *cipher.Key, nonce *[cipher.NonceSize]byte, off int, mac *cipher.MAC) int {
 	return FusedOpen(dst, src, key, nonce, off, mac, nil)
-}
-
-// StagedEncryptCopyMAC performs the same transformation as
-// FusedEncryptCopyMAC the way a layered stack does: one full pass to
-// copy the plaintext across the layer boundary, one full pass to
-// encrypt it in place, one full pass to MAC the ciphertext. This is the
-// A1 contrast the fused kernel is measured against.
-func StagedEncryptCopyMAC(dst, src []byte, key *cipher.Key, nonce *[cipher.NonceSize]byte, off int, mac *cipher.MAC) int {
-	n := WordCopy(dst, src)
-	cipher.XORKeyStream(key, nonce, off, dst[:n], dst[:n])
-	if mac != nil {
-		mac.Update(dst[:n])
-	}
-	return n
-}
-
-// StagedDecryptCopyVerify is the layered receive mirror: copy the
-// ciphertext into place, MAC it, then decrypt in place — three full
-// memory passes.
-func StagedDecryptCopyVerify(dst, src []byte, key *cipher.Key, nonce *[cipher.NonceSize]byte, off int, mac *cipher.MAC) int {
-	n := WordCopy(dst, src)
-	if mac != nil {
-		mac.Update(dst[:n])
-	}
-	cipher.XORKeyStream(key, nonce, off, dst[:n], dst[:n])
-	return n
 }

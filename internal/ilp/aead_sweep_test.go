@@ -3,16 +3,43 @@ package ilp
 import (
 	"bytes"
 	"testing"
+	_ "unsafe" // go:linkname
 
 	"repro/internal/cipher"
 )
 
 // The AEAD kernels against the primitives they are made of: one
 // keystream built by scalar cipher.Block, one Poly1305 fed by
-// MAC.Update, and nothing else. Whatever a kernel does inside — eight
-// blocks from one assembly call, a head that starts mid-block, a tail
-// that ends mid-lane — the ciphertext is src XOR that keystream and the
-// tag is that MAC over the ciphertext.
+// MAC.Update, and nothing else. Whatever a kernel does inside — sixteen
+// blocks from one assembly call, two blocks folded per step, a head that
+// starts mid-block, a tail that ends mid-lane — the ciphertext is src
+// XOR that keystream and the tag is that MAC over the ciphertext.
+
+// cipherKernel is internal/cipher's pick of keystream kernel (2 AVX-512,
+// 1 AVX2, 0 Block and MAC.Update), reached by its symbol so that these
+// tests run every kernel the CPU has without the package exporting a
+// switch. It holds the best of them whenever no test has it.
+//
+//go:linkname cipherKernel repro/internal/cipher.kernel
+var cipherKernel int
+
+// eachKernel runs f once per keystream kernel, best first, as
+// internal/cipher's own tests do; a kernel this CPU or build lacks is
+// skipped, and the skip says why.
+func eachKernel(t *testing.T, f func(t *testing.T)) {
+	names := [...]string{"scalar", "avx2", "avx512"}
+	have := cipherKernel
+	for k := len(names) - 1; k >= 0; k-- {
+		t.Run(names[k], func(t *testing.T) {
+			if k > have {
+				t.Skipf("no %s kernel here: the best this CPU and build have is %s", names[k], names[have])
+			}
+			cipherKernel = k
+			t.Cleanup(func() { cipherKernel = have })
+			f(t)
+		})
+	}
+}
 
 const (
 	sweepMaxOff = 4096
@@ -36,7 +63,7 @@ func sweepStream(key *cipher.Key, nonce *[cipher.NonceSize]byte) []byte {
 // every tail and the benchmark's own geometry (off = k·1008 with len
 // 1008, off = 8064 mod 4096 with len 128) are hit exactly. The buffers'
 // placement rotates with (off, len): disjoint, in place, and disjoint at
-// odd addresses.
+// odd addresses. It runs on every kernel the CPU has.
 func TestAEADKernelSweep(t *testing.T) {
 	key, nonce := testAEADKey()
 	ks := sweepStream(&key, &nonce)
@@ -51,73 +78,75 @@ func TestAEADKernelSweep(t *testing.T) {
 	bufA := make([]byte, sweepMaxLen+16)
 	bufB := make([]byte, sweepMaxLen+16)
 
-	for off := 0; off <= sweepMaxOff; off += 8 {
-		for i := range ct {
-			ct[i] = pt[i] ^ ks[off+i]
+	eachKernel(t, func(t *testing.T) {
+		for off := 0; off <= sweepMaxOff; off += 8 {
+			for i := range ct {
+				ct[i] = pt[i] ^ ks[off+i]
+			}
+			// run absorbs ct one byte per length step, so a copy of it is
+			// the reference MAC over ct[:n] without redoing the prefix.
+			run := cipher.NewMAC(&otk)
+			for n := 0; n <= sweepMaxLen; n++ {
+				if n > 0 {
+					run.Update(ct[n-1 : n])
+				}
+				ref := run
+				var want [cipher.TagSize]byte
+				ref.Sum(want[:])
+
+				// place returns dst and a src holding in, by the rotation.
+				place := func(in []byte) (dst, src []byte) {
+					switch (off/8 + n) % 3 {
+					case 0: // disjoint, 8-aligned as allocated
+						src = bufA[:n]
+						dst = bufB[:n]
+					case 1: // in place
+						src = bufA[:n]
+						dst = src
+					default: // disjoint, odd addresses, different phases
+						src = bufA[1 : 1+n]
+						dst = bufB[3 : 3+n]
+					}
+					copy(src, in)
+					return dst, src
+				}
+				check := func(what string, got, wantBytes []byte, mac *cipher.MAC) {
+					if !bytes.Equal(got, wantBytes) {
+						t.Fatalf("%s off=%d n=%d: output differs from Block keystream XOR", what, off, n)
+					}
+					if mac != nil && !mac.Verify(want[:]) {
+						t.Fatalf("%s off=%d n=%d: tag differs from MAC.Update over the ciphertext", what, off, n)
+					}
+				}
+
+				dst, src := place(pt[:n])
+				mac := cipher.NewMAC(&otk)
+				if got := FusedEncryptCopyMAC(dst, src, &key, &nonce, off, &mac); got != n {
+					t.Fatalf("encrypt off=%d n=%d: returned %d", off, n, got)
+				}
+				check("encrypt", dst, ct[:n], &mac)
+
+				dst, src = place(ct[:n])
+				mac = cipher.NewMAC(&otk)
+				if got := FusedDecryptCopyVerify(dst, src, &key, &nonce, off, &mac); got != n {
+					t.Fatalf("decrypt off=%d n=%d: returned %d", off, n, got)
+				}
+				check("decrypt", dst, pt[:n], &mac)
+
+				dst, src = place(pt[:n])
+				FusedEncryptCopyMAC(dst, src, &key, &nonce, off, nil)
+				check("encrypt nil-MAC", dst, ct[:n], nil)
+
+				dst, src = place(ct[:n])
+				FusedDecryptCopyVerify(dst, src, &key, &nonce, off, nil)
+				check("decrypt nil-MAC", dst, pt[:n], nil)
+
+				dst, src = place(pt[:n])
+				cipher.XORKeyStream(&key, &nonce, off, dst, src)
+				check("XORKeyStream", dst, ct[:n], nil)
+			}
 		}
-		// run absorbs ct one byte per length step, so a copy of it is
-		// the reference MAC over ct[:n] without redoing the prefix.
-		run := cipher.NewMAC(&otk)
-		for n := 0; n <= sweepMaxLen; n++ {
-			if n > 0 {
-				run.Update(ct[n-1 : n])
-			}
-			ref := run
-			var want [cipher.TagSize]byte
-			ref.Sum(want[:])
-
-			// place returns dst and a src holding in, by the rotation.
-			place := func(in []byte) (dst, src []byte) {
-				switch (off/8 + n) % 3 {
-				case 0: // disjoint, 8-aligned as allocated
-					src = bufA[:n]
-					dst = bufB[:n]
-				case 1: // in place
-					src = bufA[:n]
-					dst = src
-				default: // disjoint, odd addresses, different phases
-					src = bufA[1 : 1+n]
-					dst = bufB[3 : 3+n]
-				}
-				copy(src, in)
-				return dst, src
-			}
-			check := func(what string, got, wantBytes []byte, mac *cipher.MAC) {
-				if !bytes.Equal(got, wantBytes) {
-					t.Fatalf("%s off=%d n=%d: output differs from Block keystream XOR", what, off, n)
-				}
-				if mac != nil && !mac.Verify(want[:]) {
-					t.Fatalf("%s off=%d n=%d: tag differs from MAC.Update over the ciphertext", what, off, n)
-				}
-			}
-
-			dst, src := place(pt[:n])
-			mac := cipher.NewMAC(&otk)
-			if got := FusedEncryptCopyMAC(dst, src, &key, &nonce, off, &mac); got != n {
-				t.Fatalf("encrypt off=%d n=%d: returned %d", off, n, got)
-			}
-			check("encrypt", dst, ct[:n], &mac)
-
-			dst, src = place(ct[:n])
-			mac = cipher.NewMAC(&otk)
-			if got := FusedDecryptCopyVerify(dst, src, &key, &nonce, off, &mac); got != n {
-				t.Fatalf("decrypt off=%d n=%d: returned %d", off, n, got)
-			}
-			check("decrypt", dst, pt[:n], &mac)
-
-			dst, src = place(pt[:n])
-			FusedEncryptCopyMAC(dst, src, &key, &nonce, off, nil)
-			check("encrypt nil-MAC", dst, ct[:n], nil)
-
-			dst, src = place(ct[:n])
-			FusedDecryptCopyVerify(dst, src, &key, &nonce, off, nil)
-			check("decrypt nil-MAC", dst, pt[:n], nil)
-
-			dst, src = place(pt[:n])
-			cipher.XORKeyStream(&key, &nonce, off, dst, src)
-			check("XORKeyStream", dst, ct[:n], nil)
-		}
-	}
+	})
 }
 
 // A MAC that is not at a 16-byte boundary when the kernel starts (the

@@ -113,7 +113,8 @@ func TestAEADKernelAlignmentPanics(t *testing.T) {
 
 // FuzzFusedDecryptCopyVerify cross-checks the fused one-pass kernel
 // against the staged layered path on random payloads, offsets, and
-// corruption: both must agree on plaintext, tag, and accept/reject.
+// corruption, on every keystream kernel the CPU has: both must agree on
+// plaintext, tag, and accept/reject.
 func FuzzFusedDecryptCopyVerify(f *testing.F) {
 	f.Add([]byte("seed payload"), uint16(0), uint64(1), false)
 	f.Add(make([]byte, 200), uint16(64), uint64(0xABCDEF), true)
@@ -128,52 +129,80 @@ func FuzzFusedDecryptCopyVerify(f *testing.F) {
 		nonce[0] = byte(seed >> 56)
 		nonce[11] = byte(seed)
 
-		// Encrypt with the fused kernel, tag it.
-		ct := make([]byte, len(data))
-		emac := newTagMAC(&key, &nonce, 0x40000000+uint32(off/8))
-		FusedEncryptCopyMAC(ct, data, &key, &nonce, off, &emac)
-		var tag [cipher.TagSize]byte
-		emac.Sum(tag[:])
+		eachKernel(t, func(t *testing.T) {
+			// Encrypt with the fused kernel, tag it.
+			ct := make([]byte, len(data))
+			emac := newTagMAC(&key, &nonce, 0x40000000+uint32(off/8))
+			FusedEncryptCopyMAC(ct, data, &key, &nonce, off, &emac)
+			var tag [cipher.TagSize]byte
+			emac.Sum(tag[:])
 
-		// Staged encrypt must agree byte-for-byte.
-		sct := make([]byte, len(data))
-		smac := newTagMAC(&key, &nonce, 0x40000000+uint32(off/8))
-		StagedEncryptCopyMAC(sct, data, &key, &nonce, off, &smac)
-		if !bytes.Equal(ct, sct) {
-			t.Fatal("fused and staged ciphertext differ")
-		}
-		if !smac.Verify(tag[:]) {
-			t.Fatal("fused and staged tags differ")
-		}
+			// Staged encrypt must agree byte-for-byte.
+			sct := make([]byte, len(data))
+			smac := newTagMAC(&key, &nonce, 0x40000000+uint32(off/8))
+			StagedEncryptCopyMAC(sct, data, &key, &nonce, off, &smac)
+			if !bytes.Equal(ct, sct) {
+				t.Fatal("fused and staged ciphertext differ")
+			}
+			if !smac.Verify(tag[:]) {
+				t.Fatal("fused and staged tags differ")
+			}
 
-		if corrupt && len(ct) > 0 {
-			ct[int(seed)%len(ct)] ^= byte(seed>>8) | 1
-		}
+			if corrupt && len(ct) > 0 {
+				ct[int(seed)%len(ct)] ^= byte(seed>>8) | 1
+			}
 
-		// Decrypt both ways; they must agree with each other and with
-		// the ground truth on both plaintext and verification verdict.
-		fpt := make([]byte, len(ct))
-		fmac := newTagMAC(&key, &nonce, 0x40000000+uint32(off/8))
-		FusedDecryptCopyVerify(fpt, ct, &key, &nonce, off, &fmac)
-		fok := fmac.Verify(tag[:])
+			// Decrypt both ways; they must agree with each other and with
+			// the ground truth on both plaintext and verification verdict.
+			fpt := make([]byte, len(ct))
+			fmac := newTagMAC(&key, &nonce, 0x40000000+uint32(off/8))
+			FusedDecryptCopyVerify(fpt, ct, &key, &nonce, off, &fmac)
+			fok := fmac.Verify(tag[:])
 
-		spt := make([]byte, len(ct))
-		dmac := newTagMAC(&key, &nonce, 0x40000000+uint32(off/8))
-		StagedDecryptCopyVerify(spt, ct, &key, &nonce, off, &dmac)
-		sok := dmac.Verify(tag[:])
+			spt := make([]byte, len(ct))
+			dmac := newTagMAC(&key, &nonce, 0x40000000+uint32(off/8))
+			StagedDecryptCopyVerify(spt, ct, &key, &nonce, off, &dmac)
+			sok := dmac.Verify(tag[:])
 
-		if fok != sok {
-			t.Fatalf("verify verdicts differ: fused=%v staged=%v", fok, sok)
-		}
-		if !bytes.Equal(fpt, spt) {
-			t.Fatal("fused and staged plaintext differ")
-		}
-		wantOK := !corrupt || len(ct) == 0
-		if fok != wantOK {
-			t.Fatalf("verify=%v, want %v (corrupt=%v)", fok, wantOK, corrupt)
-		}
-		if wantOK && !bytes.Equal(fpt, data) {
-			t.Fatal("plaintext does not round-trip")
-		}
+			if fok != sok {
+				t.Fatalf("verify verdicts differ: fused=%v staged=%v", fok, sok)
+			}
+			if !bytes.Equal(fpt, spt) {
+				t.Fatal("fused and staged plaintext differ")
+			}
+			wantOK := !corrupt || len(ct) == 0
+			if fok != wantOK {
+				t.Fatalf("verify=%v, want %v (corrupt=%v)", fok, wantOK, corrupt)
+			}
+			if wantOK && !bytes.Equal(fpt, data) {
+				t.Fatal("plaintext does not round-trip")
+			}
+		})
 	})
+}
+
+// StagedEncryptCopyMAC performs the same transformation as
+// FusedEncryptCopyMAC the way a layered stack does: one full pass to
+// copy the plaintext across the layer boundary, one full pass to
+// encrypt it in place, one full pass to MAC the ciphertext: the
+// reference the fused kernel is held to.
+func StagedEncryptCopyMAC(dst, src []byte, key *cipher.Key, nonce *[cipher.NonceSize]byte, off int, mac *cipher.MAC) int {
+	n := WordCopy(dst, src)
+	cipher.XORKeyStream(key, nonce, off, dst[:n], dst[:n])
+	if mac != nil {
+		mac.Update(dst[:n])
+	}
+	return n
+}
+
+// StagedDecryptCopyVerify is the layered receive mirror: copy the
+// ciphertext into place, MAC it, then decrypt in place — three full
+// memory passes.
+func StagedDecryptCopyVerify(dst, src []byte, key *cipher.Key, nonce *[cipher.NonceSize]byte, off int, mac *cipher.MAC) int {
+	n := WordCopy(dst, src)
+	if mac != nil {
+		mac.Update(dst[:n])
+	}
+	cipher.XORKeyStream(key, nonce, off, dst[:n], dst[:n])
+	return n
 }

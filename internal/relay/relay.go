@@ -485,7 +485,7 @@ func (r *Relay) handleControl(p *netsim.Packet) {
 		return
 	}
 	ci.Nacks = fwd
-	_ = r.up.Send(wire.EncodeControl(&ci))
+	_ = r.up.Send(wire.EncodeControl(nil, &ci))
 }
 
 // clearBelow settles custody below the receiver's cumulative frontier.

@@ -19,7 +19,7 @@ func FuzzPeek(f *testing.F) {
 	f.Add(make([]byte, 64))                                 // zeros
 	f.Add(data(Header{Stream: 1, Name: 2, Tag: 3, TotalLen: 64, FragOff: 8, FragLen: 16}))
 	f.Add(data(Header{Flags: FlagAEAD | FlagParity | FlagCritical, TotalLen: 64, FragLen: 24}))
-	f.Add(EncodeControl(&Control{Stream: 1, Cum: 5, Nacks: seq(3)}))
+	f.Add(EncodeControl(nil, &Control{Stream: 1, Cum: 5, Nacks: seq(3)}))
 	f.Add(EncodeHeartbeat(1, 99))
 	f.Add(EncodeFeedback(fb[:], 1, 2, 3, 4))
 	f.Add(EncodeCustody(&CustodyAck{Stream: 3, Relay: 7, Cum: 42, Names: seq(2)}))

@@ -266,9 +266,12 @@ type Control struct {
 // typical MTUs.
 const MaxNames = 64
 
-// EncodeControl encodes c for the wire.
-func EncodeControl(c *Control) []byte {
-	return encodeNames(TypeCtrl, c.Stream, 0, c.Cum, c.Nacks)
+// EncodeControl encodes c for the wire into buf's storage if it has
+// the room, else into new storage, and returns the frame. A receiver
+// passes back the last frame it sent, so that acknowledging allocates
+// nothing; that is safe because every send copies what it is handed.
+func EncodeControl(buf []byte, c *Control) []byte {
+	return encodeNames(buf, TypeCtrl, c.Stream, 0, c.Cum, c.Nacks)
 }
 
 // ParseControl decodes and verifies a CTRL message.
@@ -292,7 +295,7 @@ type CustodyAck struct {
 
 // EncodeCustody encodes a custody acknowledgment for the wire.
 func EncodeCustody(ca *CustodyAck) []byte {
-	return encodeNames(TypeCA, ca.Stream, ca.Relay, ca.Cum, ca.Names)
+	return encodeNames(nil, TypeCA, ca.Stream, ca.Relay, ca.Cum, ca.Names)
 }
 
 // ParseCustody decodes and verifies a custody acknowledgment.
@@ -315,9 +318,9 @@ func frontierAt(t Type) int {
 	return 2
 }
 
-func encodeNames(t Type, stream, relay byte, cum uint64, list []uint64) []byte {
+func encodeNames(buf []byte, t Type, stream, relay byte, cum uint64, list []uint64) []byte {
 	at := frontierAt(t)
-	msg := make([]byte, at+10+8*len(list)+2)
+	msg := append(buf[:0], make([]byte, at+10+8*len(list)+2)...)
 	msg[0] = byte(t)
 	msg[1] = stream
 	if t == TypeCA {
@@ -387,17 +390,17 @@ func fixedFrame(pkt []byte, t Type, size int) bool {
 // FeedbackSize is the length of an FB frame.
 const FeedbackSize = 24
 
-// EncodeFeedback writes the report into buf[:FeedbackSize] and returns
-// that slice. The receiver passes a reused scratch buffer so the
-// periodic report allocates nothing.
+// EncodeFeedback writes the report into buf's storage if it has the
+// room, as EncodeControl does, and returns the frame. The receiver
+// passes the last frame it sent, so the periodic report allocates
+// nothing.
 func EncodeFeedback(buf []byte, stream byte, seq uint32, wire, good uint64) []byte {
-	msg := buf[:FeedbackSize]
+	msg := append(buf[:0], make([]byte, FeedbackSize)...)
 	msg[0] = byte(TypeFB)
 	msg[1] = stream
 	binary.BigEndian.PutUint32(msg[2:6], seq)
 	binary.BigEndian.PutUint64(msg[6:14], wire)
 	binary.BigEndian.PutUint64(msg[14:22], good)
-	msg[22], msg[23] = 0, 0
 	binary.BigEndian.PutUint16(msg[22:24], checksum.Sum16(msg))
 	return msg
 }

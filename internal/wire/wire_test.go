@@ -60,7 +60,7 @@ func TestRoundTripBoundaries(t *testing.T) {
 	}
 	for _, n := range []int{0, 1, MaxNames} {
 		c := Control{Stream: 3, Cum: 1 << 50, Nacks: seq(n)}
-		got, err := ParseControl(EncodeControl(&c))
+		got, err := ParseControl(EncodeControl(nil, &c))
 		if err != nil || !reflect.DeepEqual(got, c) {
 			t.Errorf("CTRL round trip with %d nacks: %+v, %v", n, got, err)
 		}
@@ -110,7 +110,7 @@ func TestEveryBitIsCovered(t *testing.T) {
 	}{
 		"DATA": {data(Header{Stream: 1, Name: 2, Tag: 3, TotalLen: 64, FragOff: 8, FragLen: 16}), HeaderSize,
 			func(p []byte) error { _, err := ParseHeader(p); return err }},
-		"CTRL": {EncodeControl(&Control{Stream: 1, Cum: 5, Nacks: seq(3)}), -1,
+		"CTRL": {EncodeControl(nil, &Control{Stream: 1, Cum: 5, Nacks: seq(3)}), -1,
 			func(p []byte) error { _, err := ParseControl(p); return err }},
 		"HB": {EncodeHeartbeat(1, 99), -1,
 			func(p []byte) error { _, _, err := ParseHeartbeat(p); return err }},
@@ -195,9 +195,9 @@ func TestDescribeGolden(t *testing.T) {
 		{with(FlagCritical), "alf DATA stream=9 adu=12 tag=0xbeef frag=[128:256) of 300 critical"},
 		{with(FlagParity), "alf PARITY stream=9 adu=12 tag=0xbeef frag=[128:256) of 300"},
 		{with(FlagParity | FlagAEAD | FlagCritical), "alf PARITY stream=9 adu=12 tag=0xbeef frag=[128:256) of 300 aead critical"},
-		{EncodeControl(&Control{Stream: 3, Cum: 7}), "alf CTRL stream=3 cum=7 nacks=0"},
-		{EncodeControl(&Control{Stream: 3, Cum: 7, Nacks: []uint64{9, 11}}), "alf CTRL stream=3 cum=7 nacks=2 [9 11]"},
-		{EncodeControl(&Control{Nacks: []uint64{1, 2, 3, 4, 5, 6, 7, 8, 9}}), "alf CTRL stream=0 cum=0 nacks=9 [1 2 3 4 5 6 7 8 …]"},
+		{EncodeControl(nil, &Control{Stream: 3, Cum: 7}), "alf CTRL stream=3 cum=7 nacks=0"},
+		{EncodeControl(nil, &Control{Stream: 3, Cum: 7, Nacks: []uint64{9, 11}}), "alf CTRL stream=3 cum=7 nacks=2 [9 11]"},
+		{EncodeControl(nil, &Control{Nacks: []uint64{1, 2, 3, 4, 5, 6, 7, 8, 9}}), "alf CTRL stream=0 cum=0 nacks=9 [1 2 3 4 5 6 7 8 …]"},
 		{EncodeHeartbeat(3, 42), "alf HB stream=3 next=42"},
 		{EncodeFeedback(fb[:], 3, 5, 1<<33, 12345), "alf FB stream=3 seq=5 wire=8589934592 delivered=12345"},
 		{EncodeCustody(&CustodyAck{Stream: 3, Relay: 7, Cum: 42, Names: []uint64{50, 99}}), "alf CA stream=3 relay=7 cum=42 names=2 [50 99]"},
@@ -249,7 +249,7 @@ func TestDescribeALFData(t *testing.T) {
 }
 
 func TestDescribeALFControlAndHB(t *testing.T) {
-	if line := Describe(EncodeControl(&Control{Cum: 1})); !strings.Contains(line, "CTRL") || !strings.Contains(line, "cum=1") {
+	if line := Describe(EncodeControl(nil, &Control{Cum: 1})); !strings.Contains(line, "CTRL") || !strings.Contains(line, "cum=1") {
 		t.Errorf("control line: %q", line)
 	}
 	if line := Describe(EncodeHeartbeat(0, 1)); !strings.Contains(line, "HB") || !strings.Contains(line, "next=1") {
@@ -301,7 +301,7 @@ func TestPeek(t *testing.T) {
 			Info{KindData, 3, 77, 1024, 512}},
 		{"aead parity", data(Header{Stream: 3, Name: 77, Flags: FlagAEAD | FlagParity, TotalLen: 2048, FragLen: 512}),
 			Info{KindData, 3, 77, 0, 512}},
-		{"ctrl", EncodeControl(&Control{Stream: 5, Cum: 8, Nacks: []uint64{9, 11}}), Info{Kind: KindCtrl, ID: 5}},
+		{"ctrl", EncodeControl(nil, &Control{Stream: 5, Cum: 8, Nacks: []uint64{9, 11}}), Info{Kind: KindCtrl, ID: 5}},
 		{"hb", EncodeHeartbeat(7, 42), Info{Kind: KindHB, ID: 7, Name: 42}},
 		{"fb", EncodeFeedback(fb[:], 7, 6, 1, 1), Info{Kind: KindFB, ID: 7, Name: 6}},
 		{"ca", EncodeCustody(&CustodyAck{Stream: 2, Relay: 1, Cum: 13, Names: []uint64{20}}), Info{Kind: KindCA, ID: 2, Name: 13}},

@@ -34,11 +34,7 @@ import (
 // Keys are the package's directory under internal/, then the name, with
 // the receiver's type for a method or the struct's for a field.
 var surfaceKeep = map[string]string{
-	"cipher.Seal":                     "reference: the AEAD tests hold the fused kernels to this staged construction",
-	"cipher.Open":                     "reference: the AEAD tests hold the fused kernels to this staged construction",
 	"cipher.NewKey":                   "reference: the RFC 8439 vector tests build their keys with it",
-	"ilp.StagedEncryptCopyMAC":        "reference: the fused-kernel tests and fuzzers compare against it",
-	"ilp.StagedDecryptCopyVerify":     "reference: the fused-kernel tests and fuzzers compare against it",
 	"scramble.Apply":                  "reference: the scramble tests compare the keystream against it",
 	"faults/soak.DumpIfRequested":     "CI artifact hook: a failing soak test leaves its flight-recorder dump in $SOAK_FLIGHTREC_DIR",
 	"otp.Conn.RTO":                    "test accessor: the retransmission-timer tests read it",
