@@ -507,7 +507,7 @@ func (r *runner) a3() error {
 		if burst {
 			name = "burst (Gilbert-Elliott)"
 		}
-		p, err := experiments.RunA3(experiments.F9Config{}, burst, r.seed+100)
+		p, err := experiments.RunA3(burst, r.seed+100)
 		if err != nil {
 			return err
 		}

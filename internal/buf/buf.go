@@ -37,8 +37,6 @@ import (
 	"math/bits"
 	"sync"
 	"sync/atomic"
-
-	"repro/internal/metrics"
 )
 
 // Size classes are powers of two from minClass to maxClass; larger
@@ -96,20 +94,6 @@ func (p *Pool) Stats() Stats {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return p.stats
-}
-
-// BindMetrics registers the pool's counters as func-backed series with
-// r, sampled at snapshot time. Pass a scoped view (Registry.Scope) to
-// keep several pool arenas — e.g. one per shard of the sharded
-// endpoint — distinct under the same names. Nil r is a no-op.
-func (p *Pool) BindMetrics(r *metrics.Registry) {
-	if r == nil {
-		return
-	}
-	r.CounterFunc("buf.pool.gets", func() int64 { return p.Stats().Gets })
-	r.CounterFunc("buf.pool.puts", func() int64 { return p.Stats().Puts })
-	r.CounterFunc("buf.pool.news", func() int64 { return p.Stats().News })
-	r.CounterFunc("buf.pool.unpooled", func() int64 { return p.Stats().Unpooled })
 }
 
 // Get returns a Ref viewing n bytes with no headroom and a reference

@@ -304,12 +304,6 @@ type Config struct {
 	// default because releasing before end-to-end confirmation is a
 	// semantic change the application must ask for.
 	Custody bool
-	// PathRTT, when non-zero, documents the path's expected round-trip
-	// time for validation: Validate rejects a WindowedRate controller
-	// whose StaleAfter is shorter than the RTT (every report would
-	// look stale and the model could never form). Informational
-	// otherwise — the protocol measures, it does not assume (§3).
-	PathRTT sim.Duration
 	// suite is Suite's row of the cipher-suite table (crypto.go) and
 	// aeadKey the ChaCha20 key expanded from Key; fill sets both, so the
 	// per-fragment path neither looks a suite up nor re-expands a key.
@@ -354,7 +348,6 @@ func (c *Config) Validate() error {
 		{"ADUDeadline", c.ADUDeadline},
 		{"FeedbackInterval", c.FeedbackInterval},
 		{"ShedBacklog", c.ShedBacklog},
-		{"PathRTT", c.PathRTT},
 	} {
 		if d.v < 0 {
 			return fmt.Errorf("%w: %s %v is negative", ErrConfig, d.name, d.v)
@@ -396,10 +389,6 @@ func (c *Config) Validate() error {
 		}
 		if wr.StaleAfter < 0 {
 			return fmt.Errorf("%w: WindowedRate.StaleAfter %v is negative", ErrConfig, wr.StaleAfter)
-		}
-		if c.PathRTT > 0 && wr.StaleAfter > 0 && wr.StaleAfter < c.PathRTT {
-			return fmt.Errorf("%w: WindowedRate.StaleAfter %v is shorter than PathRTT %v; every report would look stale and the delivery model could never form",
-				ErrConfig, wr.StaleAfter, c.PathRTT)
 		}
 	}
 	if int(c.Suite) >= len(suites) {

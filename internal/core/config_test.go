@@ -103,7 +103,7 @@ func TestConfigZeroMaxNacksTakesDefault(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := snd.Config().MaxNacks; got != 10 {
+	if got := snd.cfg.MaxNacks; got != 10 {
 		t.Errorf("MaxNacks default = %d, want 10", got)
 	}
 }

@@ -117,16 +117,11 @@ func TestValidateDTNFields(t *testing.T) {
 		name string
 		mut  func(*Config)
 	}{
-		{"negative PathRTT", func(c *Config) { c.PathRTT = -time.Second }},
 		{"negative WindowedRate.Window", func(c *Config) {
 			c.Controller = &WindowedRate{Window: -1}
 		}},
 		{"negative WindowedRate.StaleAfter", func(c *Config) {
 			c.Controller = &WindowedRate{StaleAfter: -time.Second}
-		}},
-		{"StaleAfter shorter than PathRTT", func(c *Config) {
-			c.PathRTT = 24 * time.Minute
-			c.Controller = &WindowedRate{StaleAfter: time.Minute}
 		}},
 		{"custody without retention", func(c *Config) {
 			c.Custody = true
@@ -149,7 +144,6 @@ func TestValidateDTNFields(t *testing.T) {
 		mut  func(*Config)
 	}{
 		{"windowed rate at DTN delay", func(c *Config) {
-			c.PathRTT = 24 * time.Minute
 			c.Controller = &WindowedRate{StaleAfter: time.Hour}
 		}},
 		{"custody with sender buffering", func(c *Config) {

@@ -275,7 +275,7 @@ func TestFarNameBounded(t *testing.T) {
 			t.Fatal(err)
 		}
 		snd.nextName = name
-		if _, err := snd.Send(0, xcode.SyntaxRaw, payload(2*snd.Config().MTU, 1)); err != nil {
+		if _, err := snd.Send(0, xcode.SyntaxRaw, payload(2*snd.cfg.MTU, 1)); err != nil {
 			t.Fatal(err)
 		}
 		return frag
@@ -306,7 +306,7 @@ func TestFarNameBounded(t *testing.T) {
 				}
 			}
 			scan := func() {
-				if err := s.RunFor(rcv.Config().NackInterval); err != nil {
+				if err := s.RunFor(rcv.cfg.NackInterval); err != nil {
 					t.Fatal(err)
 				}
 			}

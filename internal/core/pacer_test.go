@@ -147,7 +147,7 @@ func TestFeedbackShedZeroAlloc(t *testing.T) {
 	if _, err := snd.Send(0, xcode.SyntaxRaw, data); err != nil {
 		t.Fatal(err)
 	}
-	if snd.Backlog() <= snd.Config().ShedBacklog {
+	if snd.Backlog() <= snd.cfg.ShedBacklog {
 		t.Fatal("rig not backlogged")
 	}
 

@@ -93,15 +93,6 @@ type RateController interface {
 	OnFeedback(cur float64, s RateSample) float64
 }
 
-// FixedRate is the open-loop controller: it keeps whatever rate is
-// configured (today's behavior, made explicit). A nil Config.Controller
-// behaves identically; FixedRate exists so harnesses can name the
-// contrast case.
-type FixedRate struct{}
-
-// OnFeedback returns cur unchanged.
-func (FixedRate) OnFeedback(cur float64, _ RateSample) float64 { return cur }
-
 // AIMD is a loss-driven additive-increase / multiplicative-decrease
 // controller: when an interval's loss fraction crosses LossThreshold
 // the rate is multiplied by Backoff, otherwise it grows by ProbeBps.

@@ -58,10 +58,6 @@ func TestAIMDSteps(t *testing.T) {
 	if got := d.OnFeedback(1e6, RateSample{}); got != 1.1e6 {
 		t.Errorf("default probe: %v, want 1.1e6", got)
 	}
-
-	if got := (FixedRate{}).OnFeedback(7e6, RateSample{LossFrac: 1}); got != 7e6 {
-		t.Errorf("FixedRate moved the rate: %v", got)
-	}
 }
 
 func TestPriorityString(t *testing.T) {

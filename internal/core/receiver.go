@@ -159,9 +159,6 @@ func NewReceiver(sched *sim.Scheduler, send func([]byte) error, cfg Config) (*Re
 	return r, nil
 }
 
-// Config returns the effective configuration.
-func (r *Receiver) Config() Config { return r.cfg }
-
 // Settled returns the name below which every ADU is settled (delivered
 // or reported lost).
 func (r *Receiver) Settled() uint64 { return r.cum }

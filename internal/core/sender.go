@@ -329,9 +329,6 @@ func (s *Sender) onRetire() {
 	}
 }
 
-// Config returns the effective configuration.
-func (s *Sender) Config() Config { return s.cfg }
-
 // NextName returns the name the next Send will assign.
 func (s *Sender) NextName() uint64 { return s.nextName }
 

@@ -98,20 +98,6 @@ type ShardedConfig struct {
 	// (see Deliveries). Off for the million-flow benchmarks, on for
 	// the determinism tests.
 	LogDeliveries bool
-	// Metrics, if non-nil, binds per-shard series — trunk link
-	// counters and pool-arena counters, labeled shard=<i> via
-	// Registry.Scope. Per-flow endpoint series are deliberately not
-	// bound (a million flows must not mean a million series); flow
-	// stats are aggregated by Stats instead. Sample snapshots only
-	// while the group is idle (between Run calls or at a barrier).
-	Metrics *metrics.Registry
-	// OnBarrier, if non-nil, runs single-threaded at every barrier
-	// epoch, after the workers have joined and directives applied, with
-	// the barrier's virtual time. It is the sanctioned sampling point
-	// for the telemetry plane's flight recorder (Recorder.SampleAt):
-	// barriers land at deterministic epoch times regardless of Workers,
-	// so recorded series stay bit-identical across worker counts.
-	OnBarrier func(now sim.Time)
 }
 
 func (c *ShardedConfig) fill() {
@@ -210,15 +196,6 @@ func (sh *Shard) Index() int { return sh.index }
 // Scheduler returns the shard's private event scheduler.
 func (sh *Shard) Scheduler() *sim.Scheduler { return sh.sched }
 
-// Pool returns the shard's private buffer arena.
-func (sh *Shard) Pool() *buf.Pool { return sh.pool }
-
-// Trunk returns the shard's client->server link (the data direction).
-func (sh *Shard) Trunk() *netsim.Link { return sh.up }
-
-// Flows returns the number of flows on this shard.
-func (sh *Shard) Flows() int { return len(sh.flows) }
-
 // sorted returns the shard's flow ids in ascending order. Every sweep
 // that touches all flows iterates this slice, never the map: map order
 // would leak goroutine-invisible nondeterminism into directive
@@ -301,9 +278,6 @@ func NewSharded(cfg ShardedConfig) (*Sharded, error) {
 		// impairment sequences from one experiment seed.
 		sh.net = netsim.New(sh.sched, cfg.Seed^int64(uint64(i+1)*0x9E3779B97F4A7C15))
 		sh.net.SetPool(sh.pool)
-		scope := cfg.Metrics.Scope(fmt.Sprintf("shard=%d", i))
-		sh.net.SetMetrics(scope)
-		sh.pool.BindMetrics(scope)
 		sh.client = sh.net.NewNode("client")
 		sh.server = sh.net.NewNode("server")
 		sh.up, sh.down = sh.net.NewDuplex(sh.client, sh.server, cfg.Link)
@@ -313,21 +287,6 @@ func NewSharded(cfg ShardedConfig) (*Sharded, error) {
 	}
 	return t, nil
 }
-
-// Shards returns the number of shards.
-func (t *Sharded) Shards() int { return len(t.shards) }
-
-// Workers returns the configured parallelism.
-func (t *Sharded) Workers() int { return t.cfg.Workers }
-
-// Flows returns the total number of flows.
-func (t *Sharded) Flows() int { return t.flows }
-
-// Shard returns shard i.
-func (t *Sharded) Shard(i int) *Shard { return t.shards[i] }
-
-// Now returns the endpoint's virtual time (the barrier time after Run).
-func (t *Sharded) Now() sim.Time { return t.group.Now() }
 
 // LastDelivery returns the virtual time of the latest ADU delivery
 // across all shards — the workload makespan, free of the post-drain
@@ -359,7 +318,7 @@ func (t *Sharded) AddFlow(id FlowID) (*Flow, error) {
 	cfg := t.cfg.Flow
 	cfg.StreamID = byte(id) // secondary check; the encap prefix routes
 	cfg.Pool = sh.pool
-	cfg.Metrics = nil // per-flow series would not scale; see ShardedConfig.Metrics
+	cfg.Metrics = nil // per-flow series would not scale; Stats aggregates flows
 	cfg.Encap = f.encap[:]
 
 	snd, err := NewSender(sh.sched, f.sendUp, cfg)
@@ -381,11 +340,6 @@ func (t *Sharded) AddFlow(id FlowID) (*Flow, error) {
 	return f, nil
 }
 
-// Flow returns the flow with the given id, or nil.
-func (t *Sharded) Flow(id FlowID) *Flow {
-	return t.shards[ShardOf(id, len(t.shards))].flows[id]
-}
-
 // Control queues a directive for every flow, applied single-threaded
 // at the next epoch barrier in (shard, ascending flow id) order — the
 // only cross-shard channel. Safe to call between runs or from a
@@ -395,9 +349,8 @@ func (t *Sharded) Control(fn func(*Flow)) {
 }
 
 // exchange is the barrier callback: apply queued directives while all
-// shards are idle and aligned, then give the observability hook its
-// single-threaded safe point. Returns whether new work may exist.
-func (t *Sharded) exchange(now sim.Time) bool {
+// shards are idle and aligned. Returns whether new work may exist.
+func (t *Sharded) exchange(sim.Time) bool {
 	more := len(t.directives) > 0
 	if more {
 		ds := t.directives
@@ -411,9 +364,6 @@ func (t *Sharded) exchange(now sim.Time) bool {
 			}
 		}
 	}
-	if t.cfg.OnBarrier != nil {
-		t.cfg.OnBarrier(now)
-	}
 	return more
 }
 
@@ -422,15 +372,8 @@ func (t *Sharded) exchange(now sim.Time) bool {
 // each barrier, ending when every shard's queue is empty and no
 // directives remain. Senders' heartbeat/retire timers park themselves
 // once their streams settle, so a healthy run terminates on its own.
-func (t *Sharded) Run() error {
-	return t.group.RunEpochs(ctrlEpoch, t.cfg.Workers, t.exchange)
-}
-
-// RunUntil advances every shard to exactly deadline (no barriers, no
-// directive application) — the building block for tests that step
-// virtual time by hand.
-func (t *Sharded) RunUntil(deadline sim.Time) error {
-	return t.group.RunUntil(deadline, t.cfg.Workers)
+func (t *Sharded) Run() {
+	t.group.RunEpochs(ctrlEpoch, t.cfg.Workers, t.exchange)
 }
 
 // Deliveries merges the per-shard delivery logs (LogDeliveries) into

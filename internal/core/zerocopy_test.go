@@ -124,7 +124,7 @@ func TestScanPassZeroAlloc(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := snd.Send(0, xcode.SyntaxRaw, make([]byte, 2*snd.Config().MTU)); err != nil {
+	if _, err := snd.Send(0, xcode.SyntaxRaw, make([]byte, 2*snd.cfg.MTU)); err != nil {
 		t.Fatal(err)
 	}
 
@@ -210,7 +210,7 @@ func retentionZeroAlloc(t *testing.T, window, warmup, runs int) {
 	cycles := warmup + 1 + runs // warm-up, then AllocsPerRun's own warm-up call and its runs
 	acks := make([][]byte, cycles)
 	for i := range acks {
-		acks[i] = wire.EncodeControl(nil, &wire.Control{Stream: snd.Config().StreamID, Cum: uint64(max(i+1-window, 0))})
+		acks[i] = wire.EncodeControl(nil, &wire.Control{Stream: snd.cfg.StreamID, Cum: uint64(max(i+1-window, 0))})
 	}
 	data := make([]byte, benchADUBytes)
 	name := uint64(0)

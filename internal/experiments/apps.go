@@ -29,22 +29,19 @@ type F6Point struct {
 
 // F6Config parameterizes the parallel experiment.
 type F6Config struct {
-	Bytes int // total workload (default 8 MB)
-	Seed  int64
+	Seed int64
 }
 
-// F6's ADUs of 16 KB, each worker's processing rate in bytes/s, and a
-// link fast enough not to matter.
+// F6's workload of 8 MB in ADUs of 16 KB, each worker's processing
+// rate in bytes/s, and a link fast enough not to matter.
 const (
+	f6Bytes     = 8 << 20
 	f6ADUBytes  = 16 << 10
 	f6WorkerBps = 10e6
 	f6LinkBps   = 1e9
 )
 
 func (c *F6Config) fill() {
-	if c.Bytes == 0 {
-		c.Bytes = 8 << 20
-	}
 	if c.Seed == 0 {
 		c.Seed = 1
 	}
@@ -80,10 +77,10 @@ func RunF6(cfg F6Config, workers int) (F6Point, error) {
 		rcv.OnADU = pool.HandleADU
 
 		total := 0
-		for off, i := 0, 0; off < cfg.Bytes; off, i = off+f6ADUBytes, i+1 {
+		for off, i := 0, 0; off < f6Bytes; off, i = off+f6ADUBytes, i+1 {
 			nb := f6ADUBytes
-			if off+nb > cfg.Bytes {
-				nb = cfg.Bytes - off
+			if off+nb > f6Bytes {
+				nb = f6Bytes - off
 			}
 			if _, err := snd.Send(uint64(i), xcode.SyntaxRaw, make([]byte, nb)); err != nil {
 				return 0, err
@@ -106,8 +103,8 @@ func RunF6(cfg F6Config, workers int) (F6Point, error) {
 	if p.SerialMakespan, err = run(true); err != nil {
 		return p, err
 	}
-	p.ALFMbps = stats.Mbps(int64(cfg.Bytes), p.ALFMakespan)
-	p.SerialMbps = stats.Mbps(int64(cfg.Bytes), p.SerialMakespan)
+	p.ALFMbps = stats.Mbps(int64(f6Bytes), p.ALFMakespan)
+	p.SerialMbps = stats.Mbps(int64(f6Bytes), p.SerialMakespan)
 	if p.ALFMakespan > 0 {
 		p.Speedup = p.SerialMakespan.Seconds() / p.ALFMakespan.Seconds()
 	}
@@ -130,15 +127,15 @@ type F7Point struct {
 
 // F7Config parameterizes the video experiment.
 type F7Config struct {
-	Frames int // default 120
-	Seed   int64
+	Seed int64
 }
 
-// F7's video (30 frames/s of five 1000-byte slices) and path (20 Mb/s,
-// 10 ms one way). The playout budget is tight: one-way transit fits, a
-// retransmission round trip does not — the regime where "proceed
-// without retransmission" wins (§5).
+// F7's video (120 frames at 30 frames/s, each of five 1000-byte slices)
+// and path (20 Mb/s, 10 ms one way). The playout budget is tight:
+// one-way transit fits, a retransmission round trip does not — the
+// regime where "proceed without retransmission" wins (§5).
 const (
+	f7Frames       = 120
 	f7FPS          = 30
 	f7Slices       = 5
 	f7SliceBytes   = 1000
@@ -148,9 +145,6 @@ const (
 )
 
 func (c *F7Config) fill() {
-	if c.Frames == 0 {
-		c.Frames = 120
-	}
 	if c.Seed == 0 {
 		c.Seed = 1
 	}
@@ -159,7 +153,7 @@ func (c *F7Config) fill() {
 // RunF7 measures one loss point.
 func RunF7(cfg F7Config, lossPct float64) (F7Point, error) {
 	cfg.fill()
-	p := F7Point{LossPct: lossPct, FramesSent: int64(cfg.Frames)}
+	p := F7Point{LossPct: lossPct, FramesSent: int64(f7Frames)}
 	loss := lossPct / 100
 	linkCfg := netsim.LinkConfig{
 		RateBps:  f7LinkBps,
@@ -189,13 +183,13 @@ func RunF7(cfg F7Config, lossPct float64) (F7Point, error) {
 		sink := video.NewSink(s, 0, f7PlayoutDelay, vcfg)
 		rcv.OnADU = sink.HandleADU
 		rcv.OnLost = sink.HandleLoss
-		src.Start(cfg.Frames)
+		src.Start(f7Frames)
 		if err := s.Run(); err != nil {
 			return p, err
 		}
-		sink.FlushAll(uint32(cfg.Frames))
-		p.ALFOnTimeFrac = float64(sink.Stats.FramesComplete) / float64(cfg.Frames)
-		p.ALFPartialFrac = float64(sink.Stats.FramesPartial) / float64(cfg.Frames)
+		sink.FlushAll(uint32(f7Frames))
+		p.ALFOnTimeFrac = float64(sink.Stats.FramesComplete) / float64(f7Frames)
+		p.ALFPartialFrac = float64(sink.Stats.FramesPartial) / float64(f7Frames)
 		p.ALFResends = snd.Stats.ResentADUs
 	}
 
@@ -232,7 +226,7 @@ func RunF7(cfg F7Config, lossPct float64) (F7Point, error) {
 		period := vcfg.Period()
 		var emit func(f int)
 		emit = func(f int) {
-			if f >= cfg.Frames {
+			if f >= f7Frames {
 				return
 			}
 			slice := make([]byte, f7SliceBytes)
@@ -255,12 +249,12 @@ func RunF7(cfg F7Config, lossPct float64) (F7Point, error) {
 		if err := s.Run(); err != nil {
 			return p, err
 		}
-		sink.FlushAll(uint32(cfg.Frames))
+		sink.FlushAll(uint32(f7Frames))
 		total := sink.Stats.FramesComplete + sink.Stats.FramesPartial + sink.Stats.FramesEmpty
-		if total != int64(cfg.Frames) {
-			return p, fmt.Errorf("f7: otp sink accounted %d of %d frames", total, cfg.Frames)
+		if total != int64(f7Frames) {
+			return p, fmt.Errorf("f7: otp sink accounted %d of %d frames", total, f7Frames)
 		}
-		p.OTPOnTimeFrac = float64(sink.Stats.FramesComplete) / float64(cfg.Frames)
+		p.OTPOnTimeFrac = float64(sink.Stats.FramesComplete) / float64(f7Frames)
 		p.OTPRetransmits = snd.Stats.Retransmits
 	}
 	return p, nil
@@ -280,21 +274,19 @@ type F8Point struct {
 
 // F8Config parameterizes the policy comparison.
 type F8Config struct {
-	Bytes int // default 2 MB
-	Seed  int64
+	Seed int64
 }
 
-// F8's ADUs of 8 KB on a 50 Mb/s link that loses 3 % of packets.
+// F8's 2 MB in ADUs of 8 KB on a 50 Mb/s link that loses 3 % of
+// packets.
 const (
+	f8Bytes    = 2 << 20
 	f8ADUBytes = 8 << 10
 	f8LossPct  = 3.0
 	f8LinkBps  = 50e6
 )
 
 func (c *F8Config) fill() {
-	if c.Bytes == 0 {
-		c.Bytes = 2 << 20
-	}
 	if c.Seed == 0 {
 		c.Seed = 1
 	}
@@ -336,8 +328,8 @@ func RunF8(cfg F8Config, policy alf.Policy) (F8Point, error) {
 	chunkLen := func(name uint64) int {
 		off := int(name) * f8ADUBytes
 		nb := f8ADUBytes
-		if off+nb > cfg.Bytes {
-			nb = cfg.Bytes - off
+		if off+nb > f8Bytes {
+			nb = f8Bytes - off
 		}
 		return nb
 	}
@@ -347,7 +339,7 @@ func RunF8(cfg F8Config, policy alf.Policy) (F8Point, error) {
 
 	var delivered int64
 	var done sim.Time
-	total := (cfg.Bytes + f8ADUBytes - 1) / f8ADUBytes
+	total := (f8Bytes + f8ADUBytes - 1) / f8ADUBytes
 	rcv.OnADU = func(adu alf.ADU) {
 		delivered += int64(len(adu.Data))
 		done = s.Now()
@@ -355,7 +347,7 @@ func RunF8(cfg F8Config, policy alf.Policy) (F8Point, error) {
 	rcv.OnLost = func(name uint64) { p.ReportedLost++ }
 
 	maxBuf := 0
-	for i := 0; i*f8ADUBytes < cfg.Bytes; i++ {
+	for i := 0; i*f8ADUBytes < f8Bytes; i++ {
 		name := uint64(i)
 		if _, err := snd.Send(name, xcode.SyntaxRaw, mkChunk(name, chunkLen(name))); err != nil {
 			return p, err
@@ -379,7 +371,7 @@ func RunF8(cfg F8Config, policy alf.Policy) (F8Point, error) {
 		return p, err
 	}
 
-	p.DeliveredFrac = float64(delivered) / float64(cfg.Bytes)
+	p.DeliveredFrac = float64(delivered) / float64(f8Bytes)
 	if done > 0 {
 		p.GoodputMbps = stats.Mbps(delivered, time.Duration(done))
 	}

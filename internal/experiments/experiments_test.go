@@ -75,7 +75,7 @@ func TestStackShape(t *testing.T) {
 }
 
 func TestF2Shape(t *testing.T) {
-	cfg := F2Config{Bytes: 1 << 20}
+	cfg := F2Config{}
 	clean, err := RunF2(cfg, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -106,9 +106,9 @@ func TestF2Shape(t *testing.T) {
 
 func TestF3Shape(t *testing.T) {
 	// With a 34-byte header and BER b, the goodput optimum sits near
-	// sqrt(2*34/(8b)) ~ 1.5 KB for b = 4e-6; 64 B drowns in headers and
+	// sqrt(2*34/(8b)) ~ 2 KB at F3's b = 2e-6; 64 B drowns in headers and
 	// 128 KB drowns in whole-ADU retransmissions.
-	cfg := F3Config{Bytes: 256 << 10, BER: 4e-6, Seed: 3}
+	cfg := F3Config{Seed: 3}
 	small, err := RunF3(cfg, 64)
 	if err != nil {
 		t.Fatal(err)
@@ -143,7 +143,7 @@ func TestF3Shape(t *testing.T) {
 }
 
 func TestF4Shape(t *testing.T) {
-	cfg := F4Config{Bytes: 128 << 10, Seed: 5}
+	cfg := F4Config{Seed: 5}
 	clean, err := RunF4(cfg, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -173,7 +173,7 @@ func TestF4Shape(t *testing.T) {
 }
 
 func TestF6Shape(t *testing.T) {
-	cfg := F6Config{Bytes: 2 << 20, Seed: 7}
+	cfg := F6Config{Seed: 7}
 	one, err := RunF6(cfg, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -200,7 +200,7 @@ func TestF6Shape(t *testing.T) {
 }
 
 func TestF7Shape(t *testing.T) {
-	cfg := F7Config{Frames: 60, Seed: 9}
+	cfg := F7Config{Seed: 9}
 	clean, err := RunF7(cfg, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -232,7 +232,7 @@ func TestF7Shape(t *testing.T) {
 }
 
 func TestF8Shape(t *testing.T) {
-	cfg := F8Config{Bytes: 1 << 20, Seed: 11}
+	cfg := F8Config{Seed: 11}
 	pts, err := Sweep(F8Policies, func(pol alf.Policy) (F8Point, error) { return RunF8(cfg, pol) })
 	if err != nil {
 		t.Fatal(err)
@@ -291,7 +291,7 @@ func TestA2Shape(t *testing.T) {
 }
 
 func TestF9Shape(t *testing.T) {
-	cfg := F9Config{Bytes: 1 << 20, Seed: 15}
+	cfg := F9Config{Seed: 15}
 	pts, err := Sweep(F9Modes, func(mode string) (F9Point, error) { return RunF9(cfg, 3, mode) })
 	if err != nil {
 		t.Fatal(err)
@@ -357,16 +357,15 @@ func TestILPStackShape(t *testing.T) {
 }
 
 func TestA3BurstVsIndependentFEC(t *testing.T) {
-	cfg := F9Config{Bytes: 2 << 20}
 	// Average over a few seeds: burst processes are high-variance.
 	var indep, burst, indepLoss, burstLoss float64
 	const seeds = 3
 	for i := int64(0); i < seeds; i++ {
-		ip, err := RunA3(cfg, false, 100+i)
+		ip, err := RunA3(false, 100+i)
 		if err != nil {
 			t.Fatal(err)
 		}
-		bp, err := RunA3(cfg, true, 200+i)
+		bp, err := RunA3(true, 200+i)
 		if err != nil {
 			t.Fatal(err)
 		}

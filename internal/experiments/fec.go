@@ -32,14 +32,14 @@ type F9Point struct {
 
 // F9Config parameterizes the FEC experiment.
 type F9Config struct {
-	Bytes int // default 2 MB
-	Seed  int64
+	Seed int64
 }
 
-// F9's ADUs of 8 KB, one parity per four fragments (25 % redundancy),
-// and a 50 Mb/s path with 10 ms one way, so the NACK round trip is
-// visible.
+// F9's 2 MB in ADUs of 8 KB, one parity per four fragments (25 %
+// redundancy), and a 50 Mb/s path with 10 ms one way, so the NACK
+// round trip is visible.
 const (
+	f9Bytes    = 2 << 20
 	f9ADUBytes = 8 << 10
 	f9FECGroup = 4
 	f9LinkBps  = 50e6
@@ -47,9 +47,6 @@ const (
 )
 
 func (c *F9Config) fill() {
-	if c.Bytes == 0 {
-		c.Bytes = 2 << 20
-	}
 	if c.Seed == 0 {
 		c.Seed = 1
 	}
@@ -127,10 +124,10 @@ func RunF9(cfg F9Config, lossPct float64, mode string) (F9Point, error) {
 		wirePerADU *= 1 + 1/float64(acfg.FECGroup)
 	}
 	interval := sim.Duration(wirePerADU * 8 / f9LinkBps * 1e9)
-	for off, i := 0, 0; off < cfg.Bytes; off, i = off+f9ADUBytes, i+1 {
+	for off, i := 0, 0; off < f9Bytes; off, i = off+f9ADUBytes, i+1 {
 		nb := f9ADUBytes
-		if off+nb > cfg.Bytes {
-			nb = cfg.Bytes - off
+		if off+nb > f9Bytes {
+			nb = f9Bytes - off
 		}
 		i := i
 		buf := chunk[:nb]
@@ -150,7 +147,7 @@ func RunF9(cfg F9Config, lossPct float64, mode string) (F9Point, error) {
 		return p, sendErr
 	}
 
-	p.DeliveredFrac = float64(delivered) / float64(cfg.Bytes)
+	p.DeliveredFrac = float64(delivered) / float64(f9Bytes)
 	if done > 0 {
 		p.GoodputMbps = stats.Mbps(delivered, time.Duration(done))
 	}
@@ -158,7 +155,7 @@ func RunF9(cfg F9Config, lossPct float64, mode string) (F9Point, error) {
 	p.P95Latency = sim.Duration(lat.Percentile(95) * 1e9)
 	p.Resends = snd.Stats.ResentADUs
 	p.FECRecovered = rcv.Stats.FECRecovered
-	p.WireOverhead = float64(ab.Stats.SentBytes) / float64(cfg.Bytes)
+	p.WireOverhead = float64(ab.Stats.SentBytes) / float64(f9Bytes)
 	return p, nil
 }
 
@@ -176,8 +173,7 @@ type A3Point struct {
 }
 
 // RunA3 measures FEC-only recovery under one loss process.
-func RunA3(cfg F9Config, burst bool, seed int64) (A3Point, error) {
-	cfg.fill()
+func RunA3(burst bool, seed int64) (A3Point, error) {
 	p := A3Point{Burst: burst}
 
 	linkCfg := netsim.LinkConfig{
@@ -217,10 +213,10 @@ func RunA3(cfg F9Config, burst bool, seed int64) (A3Point, error) {
 	rcv.OnLost = func(uint64) { p.ADUsLost++ }
 
 	chunk := make([]byte, f9ADUBytes)
-	for off, i := 0, 0; off < cfg.Bytes; off, i = off+f9ADUBytes, i+1 {
+	for off, i := 0, 0; off < f9Bytes; off, i = off+f9ADUBytes, i+1 {
 		nb := f9ADUBytes
-		if off+nb > cfg.Bytes {
-			nb = cfg.Bytes - off
+		if off+nb > f9Bytes {
+			nb = f9Bytes - off
 		}
 		if _, err := snd.Send(uint64(i), xcode.SyntaxRaw, chunk[:nb]); err != nil {
 			return p, err
@@ -229,7 +225,7 @@ func RunA3(cfg F9Config, burst bool, seed int64) (A3Point, error) {
 	if err := s.Run(); err != nil {
 		return p, err
 	}
-	p.DeliveredFrac = float64(delivered) / float64(cfg.Bytes)
+	p.DeliveredFrac = float64(delivered) / float64(f9Bytes)
 	p.FECRecovered = rcv.Stats.FECRecovered
 	if ab.Stats.Sent > 0 {
 		p.AvgLossPct = 100 * float64(ab.Stats.LineLosses) / float64(ab.Stats.Sent)

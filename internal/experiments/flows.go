@@ -20,30 +20,19 @@ import (
 	"time"
 
 	alf "repro/internal/core"
-	"repro/internal/metrics"
 	"repro/internal/netsim"
 	"repro/internal/sim"
-	"repro/internal/telemetry"
 	"repro/internal/xcode"
 )
 
 // FlowScaleConfig parameterizes one flow-scale run.
 type FlowScaleConfig struct {
-	Flows    int     // concurrent flows (default 65536)
-	Shards   int     // shards; the scaling-curve x axis (default 1)
-	Workers  int     // goroutines draining shards (default Shards)
-	FlowADUs int     // ADUs per flow (default 4)
-	ADUBytes int     // payload bytes per ADU (default 512)
-	TrunkBps float64 // per-shard trunk rate (default 1e9)
+	Flows    int // concurrent flows (default 65536)
+	Shards   int // shards; the scaling-curve x axis (default 1)
+	Workers  int // goroutines draining shards (default Shards)
+	FlowADUs int // ADUs per flow (default 4)
+	ADUBytes int // payload bytes per ADU (default 512)
 	Seed     int64
-
-	// Recorder, if non-nil, samples the per-shard series (trunk link
-	// and pool arena, labeled shard=<i>) at every control-plane
-	// barrier — the single-threaded safe point where all workers have
-	// joined. Barrier epochs land at the same virtual times for any
-	// Workers value, so the sampled series and incident log are
-	// bit-identical for a seed regardless of parallelism.
-	Recorder *telemetry.Recorder
 }
 
 func (c *FlowScaleConfig) fill() {
@@ -62,14 +51,13 @@ func (c *FlowScaleConfig) fill() {
 	if c.ADUBytes == 0 {
 		c.ADUBytes = 512
 	}
-	if c.TrunkBps == 0 {
-		c.TrunkBps = 1e9
-	}
 }
 
-// flowLoad is the offered load as a fraction of each shard's trunk
-// rate.
-const flowLoad = 1.1
+// Each shard's trunk rate, and the offered load as a fraction of it.
+const (
+	flowTrunkBps = 1e9
+	flowLoad     = 1.1
+)
 
 // FlowScalePoint is one point of the scaling curve.
 type FlowScalePoint struct {
@@ -116,19 +104,10 @@ func RunFlowScale(cfg FlowScaleConfig) (FlowScalePoint, error) {
 	cfg.fill()
 	p := FlowScalePoint{Flows: cfg.Flows, Shards: cfg.Shards, Workers: cfg.Workers}
 
-	var reg *metrics.Registry
-	var onBarrier func(now sim.Time)
-	if cfg.Recorder != nil {
-		reg = metrics.New()
-		cfg.Recorder.Bind(nil, reg, 0) // manual mode: sampled at barriers
-		onBarrier = cfg.Recorder.SampleAt
-	}
 	ep, err := alf.NewSharded(alf.ShardedConfig{
-		Shards:    cfg.Shards,
-		Workers:   cfg.Workers,
-		Seed:      cfg.Seed,
-		Metrics:   reg,
-		OnBarrier: onBarrier,
+		Shards:  cfg.Shards,
+		Workers: cfg.Workers,
+		Seed:    cfg.Seed,
 		Flow: alf.Config{
 			// NoRetransmit on a clean trunk: no retention state, so a
 			// million senders stay small. The confirm loop (heartbeat
@@ -140,7 +119,7 @@ func RunFlowScale(cfg FlowScaleConfig) (FlowScalePoint, error) {
 			HeartbeatInterval:    time.Second,
 			HeartbeatMaxInterval: time.Second,
 		},
-		Link: netsim.LinkConfig{RateBps: cfg.TrunkBps, Delay: 200 * time.Microsecond},
+		Link: netsim.LinkConfig{RateBps: flowTrunkBps, Delay: 200 * time.Microsecond},
 	})
 	if err != nil {
 		return p, err
@@ -152,13 +131,13 @@ func RunFlowScale(cfg FlowScaleConfig) (FlowScalePoint, error) {
 	}
 
 	// Offered-load spacing: each flow emits one ADU per gap, so a shard
-	// holding S flows offers S*wireBits/gap = flowLoad * TrunkBps.
+	// holding S flows offers S*wireBits/gap = flowLoad * flowTrunkBps.
 	perShard := cfg.Flows / cfg.Shards
 	if perShard < 1 {
 		perShard = 1
 	}
 	wireBits := float64(cfg.ADUBytes+alf.HeaderSize+8) * 8 // + flow-id encap
-	gap := sim.Duration(float64(perShard) * wireBits / (flowLoad * cfg.TrunkBps) * 1e9)
+	gap := sim.Duration(float64(perShard) * wireBits / (flowLoad * flowTrunkBps) * 1e9)
 	if gap < time.Microsecond {
 		gap = time.Microsecond
 	}
@@ -178,9 +157,7 @@ func RunFlowScale(cfg FlowScaleConfig) (FlowScalePoint, error) {
 	}
 
 	wall := time.Now()
-	if err := ep.Run(); err != nil {
-		return p, err
-	}
+	ep.Run()
 	p.WallSec = time.Since(wall).Seconds()
 
 	st := ep.Stats()

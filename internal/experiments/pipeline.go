@@ -54,14 +54,14 @@ type F2Point struct {
 
 // F2Config parameterizes the pipeline experiment.
 type F2Config struct {
-	Bytes int // total transfer (default 2 MB)
-	Seed  int64
+	Seed int64
 }
 
-// F2's fixed path and application: ALF ADUs of 8 KB on an 80 Mb/s link
-// with 5 ms one-way delay, into an application that converts 8e6
-// bytes/s (64 Mb/s), slower than the link.
+// F2's fixed path and application: 2 MB in ALF ADUs of 8 KB on an
+// 80 Mb/s link with 5 ms one-way delay, into an application that
+// converts 8e6 bytes/s (64 Mb/s), slower than the link.
 const (
+	f2Bytes   = 2 << 20
 	f2ADUSize = 8 << 10
 	f2LinkBps = 80e6
 	f2AppBps  = 8e6
@@ -69,9 +69,6 @@ const (
 )
 
 func (c *F2Config) fill() {
-	if c.Bytes == 0 {
-		c.Bytes = 2 << 20
-	}
 	if c.Seed == 0 {
 		c.Seed = 1
 	}
@@ -93,29 +90,29 @@ func RunF2(cfg F2Config, lossPct float64) (F2Point, error) {
 			RateBps: f2LinkBps, Delay: f2Delay, LossProb: loss,
 		})
 		oc := otp.Config{MSS: 1024, SendWindow: 1 << 20, RecvWindow: 1 << 20,
-			SendBuffer: cfg.Bytes + (1 << 20), FastRetransmit: true}
+			SendBuffer: f2Bytes + (1 << 20), FastRetransmit: true}
 		snd, rcv := otp.Connect(s, a, b, ab, ba, oc, oc)
 
 		app := &appModel{rateBps: f2AppBps}
 		var done sim.Time
 		rcv.OnData = func(d []byte) {
 			finish := app.feed(s.Now(), len(d))
-			if app.consumed == int64(cfg.Bytes) {
+			if app.consumed == int64(f2Bytes) {
 				done = finish
 			}
 		}
-		if err := snd.Send(make([]byte, cfg.Bytes)); err != nil {
+		if err := snd.Send(make([]byte, f2Bytes)); err != nil {
 			return p, fmt.Errorf("otp send: %w", err)
 		}
 		if err := s.Run(); err != nil {
 			return p, err
 		}
-		if app.consumed != int64(cfg.Bytes) {
+		if app.consumed != int64(f2Bytes) {
 			return p, fmt.Errorf("otp delivered %d of %d bytes at loss %.1f%%",
-				app.consumed, cfg.Bytes, lossPct)
+				app.consumed, f2Bytes, lossPct)
 		}
 		p.OTPDone = sim.Duration(done)
-		p.OTPGoodputMbps = stats.Mbps(int64(cfg.Bytes), p.OTPDone)
+		p.OTPGoodputMbps = stats.Mbps(int64(f2Bytes), p.OTPDone)
 		p.OTPIdleFrac = 1 - app.busy.Seconds()/p.OTPDone.Seconds()
 	}
 
@@ -145,17 +142,17 @@ func RunF2(cfg F2Config, lossPct float64) (F2Point, error) {
 		var done sim.Time
 		rcv.OnADU = func(adu alf.ADU) {
 			finish := app.feed(s.Now(), len(adu.Data))
-			if app.consumed == int64(cfg.Bytes) {
+			if app.consumed == int64(f2Bytes) {
 				done = finish
 			}
 		}
 		rcv.OnLost = func(name uint64) { p.ALFLost++ }
 
 		chunk := make([]byte, f2ADUSize)
-		for off := 0; off < cfg.Bytes; off += f2ADUSize {
+		for off := 0; off < f2Bytes; off += f2ADUSize {
 			n := f2ADUSize
-			if off+n > cfg.Bytes {
-				n = cfg.Bytes - off
+			if off+n > f2Bytes {
+				n = f2Bytes - off
 			}
 			if _, err := snd.Send(uint64(off), xcode.SyntaxRaw, chunk[:n]); err != nil {
 				return p, fmt.Errorf("alf send: %w", err)
@@ -164,12 +161,12 @@ func RunF2(cfg F2Config, lossPct float64) (F2Point, error) {
 		if err := s.Run(); err != nil {
 			return p, err
 		}
-		if app.consumed != int64(cfg.Bytes) {
+		if app.consumed != int64(f2Bytes) {
 			return p, fmt.Errorf("alf converted %d of %d bytes at loss %.1f%% (lost %d ADUs)",
-				app.consumed, cfg.Bytes, lossPct, p.ALFLost)
+				app.consumed, f2Bytes, lossPct, p.ALFLost)
 		}
 		p.ALFDone = sim.Duration(done)
-		p.ALFGoodputMbps = stats.Mbps(int64(cfg.Bytes), p.ALFDone)
+		p.ALFGoodputMbps = stats.Mbps(int64(f2Bytes), p.ALFDone)
 		p.ALFIdleFrac = 1 - app.busy.Seconds()/p.ALFDone.Seconds()
 	}
 	return p, nil

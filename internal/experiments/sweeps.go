@@ -53,21 +53,18 @@ type F3Point struct {
 
 // F3Config parameterizes the sweep.
 type F3Config struct {
-	Bytes int     // total transfer (default 1 MB)
-	BER   float64 // bit error rate (default 2e-6)
-	Seed  int64
+	Seed int64
 }
 
-// f3LinkBps is F3's link rate.
-const f3LinkBps = 100e6
+// F3's transfer of 1 MB over a 100 Mb/s link with a bit error rate of
+// 2e-6.
+const (
+	f3Bytes   = 1 << 20
+	f3LinkBps = 100e6
+	f3BER     = 2e-6
+)
 
 func (c *F3Config) fill() {
-	if c.Bytes == 0 {
-		c.Bytes = 1 << 20
-	}
-	if c.BER == 0 {
-		c.BER = 2e-6
-	}
 	if c.Seed == 0 {
 		c.Seed = 1
 	}
@@ -83,7 +80,7 @@ func RunF3(cfg F3Config, aduBytes int) (F3Point, error) {
 	a := n.NewNode("a")
 	b := n.NewNode("b")
 	ab, ba := n.NewDuplex(a, b, netsim.LinkConfig{
-		RateBps: f3LinkBps, Delay: time.Millisecond, BitErrorRate: cfg.BER,
+		RateBps: f3LinkBps, Delay: time.Millisecond, BitErrorRate: f3BER,
 	})
 	acfg := alf.Config{
 		NackDelay:    5 * time.Millisecond,
@@ -99,7 +96,7 @@ func RunF3(cfg F3Config, aduBytes int) (F3Point, error) {
 
 	var done sim.Time
 	received := 0
-	total := (cfg.Bytes + aduBytes - 1) / aduBytes
+	total := (f3Bytes + aduBytes - 1) / aduBytes
 	rcv.OnADU = func(adu alf.ADU) {
 		received++
 		if received == total {
@@ -108,10 +105,10 @@ func RunF3(cfg F3Config, aduBytes int) (F3Point, error) {
 	}
 	chunk := make([]byte, aduBytes)
 	sent := 0
-	for off := 0; off < cfg.Bytes; off += aduBytes {
+	for off := 0; off < f3Bytes; off += aduBytes {
 		nb := aduBytes
-		if off+nb > cfg.Bytes {
-			nb = cfg.Bytes - off
+		if off+nb > f3Bytes {
+			nb = f3Bytes - off
 		}
 		if _, err := snd.Send(uint64(off), xcode.SyntaxRaw, chunk[:nb]); err != nil {
 			return p, err
@@ -133,7 +130,7 @@ func RunF3(cfg F3Config, aduBytes int) (F3Point, error) {
 	fragPayload := (frag - alf.HeaderSize) &^ 7
 	frags := (aduBytes + fragPayload - 1) / fragPayload
 	wirePerADU := float64(aduBytes + frags*alf.HeaderSize)
-	p.PIntactPredicted = math.Pow(1-cfg.BER, 8*wirePerADU)
+	p.PIntactPredicted = math.Pow(1-f3BER, 8*wirePerADU)
 
 	firstTx := int64(snd.Stats.ADUs)
 	damaged := rcv.Stats.ChecksumFails + rcv.Stats.HeaderDrops
@@ -144,9 +141,9 @@ func RunF3(cfg F3Config, aduBytes int) (F3Point, error) {
 		p.PIntactMeasured = 1 - float64(damaged)/float64(allTx)
 	}
 	p.Resends = snd.Stats.ResentADUs
-	p.GoodputMbps = stats.Mbps(int64(cfg.Bytes), time.Duration(done))
+	p.GoodputMbps = stats.Mbps(int64(f3Bytes), time.Duration(done))
 	wireSent := ab.Stats.SentBytes
-	p.Overhead = float64(wireSent) / float64(cfg.Bytes)
+	p.Overhead = float64(wireSent) / float64(f3Bytes)
 	return p, nil
 }
 
@@ -171,20 +168,17 @@ type F4Point struct {
 
 // F4Config parameterizes the ATM experiment.
 type F4Config struct {
-	Bytes int // total transfer (default 512 KB)
-	Seed  int64
+	Seed int64
 }
 
-// F4's ADU size and its STM-1-ish link rate.
+// F4's transfer of 512 KB, its ADU size and its STM-1-ish link rate.
 const (
+	f4Bytes    = 512 << 10
 	f4ADUBytes = 4096
 	f4LinkBps  = 150e6
 )
 
 func (c *F4Config) fill() {
-	if c.Bytes == 0 {
-		c.Bytes = 512 << 10
-	}
 	if c.Seed == 0 {
 		c.Seed = 1
 	}
@@ -245,7 +239,7 @@ func RunF4(cfg F4Config, cellLossPct float64) (F4Point, error) {
 	a.SetHandler(func(pk *netsim.Packet) { snd.HandleControl(pk.Payload) })
 	b.SetHandler(func(pk *netsim.Packet) { reasm.Cell(pk.Payload) })
 
-	total := (cfg.Bytes + f4ADUBytes - 1) / f4ADUBytes
+	total := (f4Bytes + f4ADUBytes - 1) / f4ADUBytes
 	received := 0
 	var done sim.Time
 	rcv.OnADU = func(adu alf.ADU) {
@@ -255,10 +249,10 @@ func RunF4(cfg F4Config, cellLossPct float64) (F4Point, error) {
 		}
 	}
 	chunk := make([]byte, f4ADUBytes)
-	for off := 0; off < cfg.Bytes; off += f4ADUBytes {
+	for off := 0; off < f4Bytes; off += f4ADUBytes {
 		nb := f4ADUBytes
-		if off+nb > cfg.Bytes {
-			nb = cfg.Bytes - off
+		if off+nb > f4Bytes {
+			nb = f4Bytes - off
 		}
 		if _, err := snd.Send(uint64(off), xcode.SyntaxRaw, chunk[:nb]); err != nil {
 			return p, err
@@ -279,6 +273,6 @@ func RunF4(cfg F4Config, cellLossPct float64) (F4Point, error) {
 		p.PADUMeasured = float64(aduArrivals) / float64(allTx)
 	}
 	p.Resends = snd.Stats.ResentADUs
-	p.GoodputMbps = stats.Mbps(int64(cfg.Bytes), time.Duration(done))
+	p.GoodputMbps = stats.Mbps(int64(f4Bytes), time.Duration(done))
 	return p, nil
 }

@@ -171,7 +171,6 @@ func RunDTN(cfg DTNConfig) (*DTNResult, error) {
 		HeartbeatLimit:       1 << 30,
 		ADUDeadline:          45 * time.Minute,
 		FeedbackInterval:     2 * time.Minute,
-		PathRTT:              2 * 3 * dtnHopDelay,
 		// Shedding is the overload family's mechanism; here it would
 		// only blur the custody/rate contrast, so it is parked.
 		ShedBacklog:  time.Hour,

@@ -80,9 +80,6 @@ func New(conn *otp.Conn, codec xcode.Codec, key uint64) *Stack {
 	return s
 }
 
-// Conn returns the underlying transport connection.
-func (s *Stack) Conn() *otp.Conn { return s.conn }
-
 // Codec returns the presentation codec in use.
 func (s *Stack) Codec() xcode.Codec { return s.codec }
 

@@ -157,7 +157,7 @@ func TestStatsAndAccessors(t *testing.T) {
 	if r.rcv.Stats.ValuesReceived != 1 {
 		t.Errorf("recv stats: %+v", r.rcv.Stats)
 	}
-	if r.snd.Codec().Name() != "ber" || r.snd.Conn() == nil {
+	if r.snd.Codec().Name() != "ber" || r.snd.conn == nil {
 		t.Error("accessors wrong")
 	}
 }
@@ -174,8 +174,8 @@ func TestDecodeErrorDoesNotKillStream(t *testing.T) {
 	rec := make([]byte, 4+len(good))
 	rec[3] = byte(len(good))
 	copy(rec[4:], good)
-	r.snd.Conn().Send(bad)
-	r.snd.Conn().Send(rec)
+	r.snd.conn.Send(bad)
+	r.snd.conn.Send(rec)
 	r.sched.Run()
 
 	if len(r.errs) != 1 {

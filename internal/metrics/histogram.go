@@ -113,14 +113,6 @@ func (h *Histogram) ReadCounts(dst *[NumBuckets]int64) (count int64) {
 	return h.count.Load()
 }
 
-// Count returns the number of observations (0 on a nil receiver).
-func (h *Histogram) Count() int64 {
-	if h == nil {
-		return 0
-	}
-	return h.count.Load()
-}
-
 // snapshot captures the histogram's current state. Concurrent
 // observers may land between field loads; the capture is internally
 // plausible (count matches bucket totals read) once writers quiesce,

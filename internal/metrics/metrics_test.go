@@ -23,8 +23,7 @@ func TestCounterGaugeBasics(t *testing.T) {
 	}
 
 	g := r.Gauge("depth", "link=a->b")
-	g.Set(7)
-	g.Add(-3)
+	g.Set(4)
 	if got := g.Value(); got != 4 {
 		t.Errorf("gauge = %d, want 4", got)
 	}
@@ -48,12 +47,11 @@ func TestNilRegistryAndInstruments(t *testing.T) {
 	c.Add(1)
 	c.Add(3)
 	g.Set(1)
-	g.Add(1)
 	h.Observe(9)
 	h.ObserveDuration(time.Second)
 	r.CounterFunc("f", func() int64 { return 1 })
 	r.GaugeFunc("f2", func() int64 { return 1 })
-	if c.Value() != 0 || g.Value() != 0 || h.Count() != 0 {
+	if c.Value() != 0 || g.Value() != 0 {
 		t.Error("nil instruments must read as zero")
 	}
 	snap := r.Snapshot()

@@ -111,7 +111,7 @@ func TestBindStatsTagGrammar(t *testing.T) {
 	}
 	st := stats{Hits: 4, Level: 5, Peak: 6, Hidden: 7, spare: 8}
 	reg := metrics.New()
-	metrics.BindStats(reg.Scope("shard=1"), "t", &st, "k=v")
+	metrics.BindStats(reg, "t", &st, "k=v", "shard=1")
 	snap := reg.Snapshot()
 	if len(snap.Metrics) != 3 {
 		t.Fatalf("registered %d series, want 3: %+v", len(snap.Metrics), snap.Metrics)

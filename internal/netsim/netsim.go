@@ -117,9 +117,6 @@ func (n *Network) putPacket(p *Packet) {
 // packet event).
 func (n *Network) SetTracer(t *tracing.Tracer) { n.tracer = t }
 
-// Tracer returns the bound span recorder (nil when tracing is off).
-func (n *Network) Tracer() *tracing.Tracer { return n.tracer }
-
 // SetMetrics binds the whole topology to the unified registry: every
 // existing and future link registers its counters (views over
 // Link.Stats: traffic, drops by cause, delivered bytes) and a
@@ -197,9 +194,6 @@ func (nd *Node) bindMetrics(r *metrics.Registry) {
 	r.CounterFunc("netsim.node.undelivered", func() int64 { return nd.Undelivered }, lb)
 	r.CounterFunc("netsim.node.undelivered_bytes", func() int64 { return nd.UndeliveredBytes }, lb)
 }
-
-// ID returns the node's network-unique identifier.
-func (nd *Node) ID() NodeID { return nd.id }
 
 // Name returns the diagnostic name.
 func (nd *Node) Name() string { return nd.name }

@@ -420,7 +420,7 @@ func TestNodeAccessors(t *testing.T) {
 		t.Errorf("Name = %q", a.Name())
 	}
 	b := n.NewNode("beta")
-	if a.ID() == b.ID() {
+	if a.id == b.id {
 		t.Error("node IDs not unique")
 	}
 }

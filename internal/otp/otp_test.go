@@ -378,7 +378,7 @@ func TestRTTEstimation(t *testing.T) {
 	if srtt < 15*time.Millisecond || srtt > 40*time.Millisecond {
 		t.Errorf("SRTT = %v, want ~20ms", srtt)
 	}
-	if p.sender.RTO() < p.sender.Config().MinRTO {
+	if p.sender.RTO() < p.sender.cfg.MinRTO {
 		t.Errorf("RTO %v below MinRTO", p.sender.RTO())
 	}
 }

@@ -53,7 +53,6 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/netsim"
 	"repro/internal/sim"
-	"repro/internal/tracing"
 	"repro/internal/wire"
 )
 
@@ -64,7 +63,7 @@ var errConfig = alf.ErrConfig
 // CustodyTimer, which is required: a custody relay that never
 // acknowledges strands its upstream custodian's retention forever.
 type Config struct {
-	// Name labels the relay in traces and metrics (default "relay").
+	// Name labels the relay in metrics (default "relay").
 	Name string
 	// RelayID is stamped into custody-ack frames so upstream tracing
 	// can attribute releases (0 is fine for a single relay).
@@ -92,9 +91,6 @@ type Config struct {
 	// Metrics, if non-nil, registers the relay's counters and storage
 	// gauges, labeled relay=<Name>.
 	Metrics *metrics.Registry
-	// Tracer, if non-nil, records custody spans (store, ack, evict,
-	// shed, re-originate) on the relay/<Name> track.
-	Tracer *tracing.Tracer
 }
 
 // Validate rejects configurations that cannot mean anything sensible,
@@ -336,7 +332,6 @@ func (r *Relay) handleData(p *netsim.Packet) {
 	if !e.complete && e.gotBytes >= e.totalLen {
 		e.complete = true
 		r.Stats.ADUsComplete++
-		r.cfg.Tracer.EmitRelay(tracing.CustodyStore, r.cfg.Name, h.Stream, h.Name, e.totalLen)
 		r.pending = append(r.pending, k)
 		if !r.ack.Active() {
 			r.ack.Reset(r.cfg.CustodyTimer)
@@ -369,7 +364,6 @@ func (r *Relay) admit(k key, n int) bool {
 	}
 	if r.stored+n > r.cfg.StorageLimit {
 		r.Stats.ShedFrags++
-		r.cfg.Tracer.EmitRelay(tracing.CustodyShed, r.cfg.Name, k.stream, k.name, n)
 		// The ADU can never complete here; forget its partial state so
 		// it does not hold storage, and remember not to retry.
 		if cur := r.store[k]; cur != nil {
@@ -387,7 +381,6 @@ func (r *Relay) evict(k key, e *entry) {
 	r.stored -= e.wire
 	r.Stats.Evicted++
 	r.Stats.EvictedBytes += int64(e.wire)
-	r.cfg.Tracer.EmitRelay(tracing.CustodyEvict, r.cfg.Name, k.stream, k.name, e.wire)
 	e.release()
 	delete(r.store, k)
 	r.evicted[k] = struct{}{}
@@ -448,7 +441,6 @@ func (r *Relay) onAck() {
 		ca := wire.CustodyAck{Stream: stream, Relay: r.cfg.RelayID, Cum: r.cums[stream], Names: names}
 		r.Stats.CustodyAckTX++
 		r.Stats.ADUsAcked += int64(len(names))
-		r.cfg.Tracer.EmitRelay(tracing.CustodyAckTX, r.cfg.Name, stream, ca.Cum, len(names))
 		_ = r.up.Send(wire.EncodeCustody(&ca))
 	}
 }
@@ -539,7 +531,6 @@ func (r *Relay) handleCustodyAck(p *netsim.Packet) {
 func (r *Relay) resendEntry(k key, e *entry) {
 	r.Stats.RetxADUs++
 	r.Stats.RetxFrags += int64(len(e.frags))
-	r.cfg.Tracer.EmitRelay(tracing.CustodyRetx, r.cfg.Name, k.stream, k.name, len(e.frags))
 	for _, f := range e.frags {
 		_ = r.down.SendRef(f.Retain())
 	}

@@ -25,7 +25,6 @@ var (
 	ErrTimeout  = errors.New("rpc: call timed out")
 	ErrNoMethod = errors.New("rpc: no such method")
 	ErrBadReply = errors.New("rpc: malformed reply message")
-	ErrShutdown = errors.New("rpc: client closed")
 )
 
 // Reply status codes (first value of a reply message).
@@ -111,7 +110,6 @@ type Client struct {
 
 	nextID  uint64
 	pending map[uint64]*pendingCall
-	closed  bool
 
 	Stats ClientStats
 }
@@ -142,26 +140,10 @@ func NewClient(sched *sim.Scheduler, call *alf.Sender, codec xcode.Codec) *Clien
 	}
 }
 
-// Pending returns the number of in-flight calls.
-func (c *Client) Pending() int { return len(c.pending) }
-
-// Close fails all pending calls with ErrShutdown and refuses new ones.
-func (c *Client) Close() {
-	c.closed = true
-	for id, p := range c.pending {
-		delete(c.pending, id)
-		p.timer.Stop()
-		p.done(nil, ErrShutdown)
-	}
-}
-
 // Go issues method(args...) asynchronously; done is invoked exactly
 // once with the results or an error. The returned id is the call's ADU
 // tag.
 func (c *Client) Go(method string, args xcode.Message, done func(xcode.Message, error)) (uint64, error) {
-	if c.closed {
-		return 0, ErrShutdown
-	}
 	id := c.nextID
 	c.nextID++
 	body := append(xcode.Message{xcode.StringValue(method)}, args...)

@@ -194,8 +194,8 @@ func TestConcurrentCallsIndependentUnderLoss(t *testing.T) {
 			t.Errorf("call %d = %d", i, v)
 		}
 	}
-	if r.client.Pending() != 0 {
-		t.Errorf("pending = %d", r.client.Pending())
+	if len(r.client.pending) != 0 {
+		t.Errorf("pending = %d", len(r.client.pending))
 	}
 }
 
@@ -210,8 +210,8 @@ func TestTimeout(t *testing.T) {
 	if !errors.Is(gotErr, ErrTimeout) {
 		t.Errorf("err = %v, want ErrTimeout", gotErr)
 	}
-	if cli.Stats.Timeouts != 1 || cli.Pending() != 0 {
-		t.Errorf("stats = %+v pending = %d", cli.Stats, cli.Pending())
+	if cli.Stats.Timeouts != 1 || len(cli.pending) != 0 {
+		t.Errorf("stats = %+v pending = %d", cli.Stats, len(cli.pending))
 	}
 }
 
@@ -225,20 +225,6 @@ func TestLateReplyIsOrphan(t *testing.T) {
 	cli.HandleReply(alf.ADU{Tag: 0, Data: enc})
 	if cli.Stats.Orphans != 1 {
 		t.Errorf("orphans = %d", cli.Stats.Orphans)
-	}
-}
-
-func TestClientClose(t *testing.T) {
-	s := sim.NewScheduler()
-	cli := NewClient(s, blackhole(t, s), xcode.BER{})
-	var errs []error
-	cli.Go("x", nil, func(m xcode.Message, err error) { errs = append(errs, err) })
-	cli.Close()
-	if len(errs) != 1 || !errors.Is(errs[0], ErrShutdown) {
-		t.Errorf("errs = %v", errs)
-	}
-	if _, err := cli.Go("y", nil, nil); !errors.Is(err, ErrShutdown) {
-		t.Errorf("post-close call err = %v", err)
 	}
 }
 

@@ -379,9 +379,6 @@ func (i *Initiator) Handle(pkt []byte) error {
 // Established reports whether the handshake completed successfully.
 func (i *Initiator) Established() bool { return i.done && !i.failed }
 
-// Failed reports whether the handshake ended in failure.
-func (i *Initiator) Failed() bool { return i.failed }
-
 // Responder answers offers arriving at the accepting side.
 type Responder struct {
 	sched *sim.Scheduler

@@ -75,7 +75,7 @@ func TestHandshakeCleanLink(t *testing.T) {
 	if r.initRes.Key == 0 || r.initRes.Key != r.respRes.Key {
 		t.Errorf("keys disagree: %x vs %x", r.initRes.Key, r.respRes.Key)
 	}
-	if !r.init.Established() || r.init.Failed() {
+	if !r.init.Established() || r.init.failed {
 		t.Error("initiator state wrong")
 	}
 	// Both ends derive identical ALF configs.
@@ -115,7 +115,7 @@ func TestHandshakeNoCommonSyntax(t *testing.T) {
 	if r.initRes != nil || r.respRes != nil {
 		t.Error("rejected handshake established")
 	}
-	if !r.init.Failed() {
+	if !r.init.failed {
 		t.Error("initiator not marked failed")
 	}
 }

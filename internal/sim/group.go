@@ -17,8 +17,8 @@ import (
 //
 // Two execution regimes are offered:
 //
-//   - Run / RunUntil drain the shards fully independently. Use these
-//     when the shards share no mutable state at all.
+//   - RunUntil drains the shards fully independently. Use it when the
+//     shards share no mutable state at all.
 //   - RunEpochs alternates parallel epochs with a single-threaded
 //     exchange callback: within an epoch every shard advances alone to
 //     the epoch boundary; at the barrier the exchange runs with all
@@ -105,24 +105,17 @@ func (g *Group) clampWorkers(workers int) int {
 
 // each drains every shard with fn, using up to workers goroutines.
 // Shards are claimed via an atomic cursor (cheap work stealing), so a
-// slow shard never leaves idle workers behind a static partition. The
-// first non-nil error is kept; remaining shards still run so the group
-// stays in a consistent, fully-drained state.
-func (g *Group) each(workers int, fn func(*Scheduler) error) error {
+// slow shard never leaves idle workers behind a static partition.
+func (g *Group) each(workers int, fn func(*Scheduler)) {
 	workers = g.clampWorkers(workers)
 	if workers == 1 {
-		var first error
 		for _, s := range g.shards {
-			if err := fn(s); err != nil && first == nil {
-				first = err
-			}
+			fn(s)
 		}
-		return first
+		return
 	}
 	var (
 		cursor atomic.Int64
-		errMu  sync.Mutex
-		first  error
 		wg     sync.WaitGroup
 	)
 	wg.Add(workers)
@@ -134,31 +127,17 @@ func (g *Group) each(workers int, fn func(*Scheduler) error) error {
 				if i >= len(g.shards) {
 					return
 				}
-				if err := fn(g.shards[i]); err != nil {
-					errMu.Lock()
-					if first == nil {
-						first = err
-					}
-					errMu.Unlock()
-				}
+				fn(g.shards[i])
 			}
 		}()
 	}
 	wg.Wait()
-	return first
-}
-
-// Run drains every shard to an empty queue, using up to workers
-// goroutines (workers <= 0 means GOMAXPROCS). Shard clocks end at
-// their own last event; use RunUntil when aligned clocks matter.
-func (g *Group) Run(workers int) error {
-	return g.each(workers, func(s *Scheduler) error { return s.Run() })
 }
 
 // RunUntil advances every shard to exactly deadline, firing all events
 // scheduled at or before it, using up to workers goroutines.
-func (g *Group) RunUntil(deadline Time, workers int) error {
-	return g.each(workers, func(s *Scheduler) error { return s.RunUntil(deadline) })
+func (g *Group) RunUntil(deadline Time, workers int) {
+	g.each(workers, func(s *Scheduler) { s.RunUntil(deadline) })
 }
 
 // RunEpochs drains the group in barrier-synchronized epochs of virtual
@@ -168,23 +147,20 @@ func (g *Group) RunUntil(deadline Time, workers int) error {
 // time, free to inspect every shard and schedule cross-shard events at
 // or after that time. The loop ends when every shard's queue is empty
 // and exchange reports no further work by returning false; exchange's
-// return value is ignored while shard events remain. RunEpochs returns
-// the first shard error, stopping at the barrier that observed it.
-func (g *Group) RunEpochs(epoch Duration, workers int, exchange func(now Time) bool) error {
+// return value is ignored while shard events remain.
+func (g *Group) RunEpochs(epoch Duration, workers int, exchange func(now Time) bool) {
 	if epoch <= 0 {
 		panic(fmt.Sprintf("sim: epoch %v <= 0", epoch))
 	}
 	for {
 		deadline := g.Now().Add(epoch)
-		if err := g.RunUntil(deadline, workers); err != nil {
-			return err
-		}
+		g.RunUntil(deadline, workers)
 		more := false
 		if exchange != nil {
 			more = exchange(deadline)
 		}
 		if g.Pending() == 0 && !more {
-			return nil
+			return
 		}
 	}
 }

@@ -19,9 +19,7 @@ func TestGroupRunIndependent(t *testing.T) {
 				s.At(at, func() { fired[i] = append(fired[i], s.Now()) })
 			}
 		}
-		if err := g.Run(workers); err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
+		g.RunUntil(1000, workers)
 		for i, log := range fired {
 			if len(log) != 10 {
 				t.Fatalf("workers=%d shard %d fired %d events", workers, i, len(log))
@@ -44,9 +42,7 @@ func TestGroupRunUntilAligns(t *testing.T) {
 	g := NewGroup(3)
 	g.Shard(0).At(50, func() {})
 	g.Shard(1).At(500, func() {})
-	if err := g.RunUntil(200, 2); err != nil {
-		t.Fatal(err)
-	}
+	g.RunUntil(200, 2)
 	for i := 0; i < g.Len(); i++ {
 		if now := g.Shard(i).Now(); now != 200 {
 			t.Fatalf("shard %d clock %v, want 200", i, now)
@@ -71,7 +67,7 @@ func TestGroupRunEpochsExchange(t *testing.T) {
 		var visits []int
 		hop := 0
 		g.Shard(0).At(10, func() { visits = append(visits, 0); relay = append(relay, 1) })
-		err := g.RunEpochs(100, workers, func(now Time) bool {
+		g.RunEpochs(100, workers, func(now Time) bool {
 			for i := 0; i < g.Len(); i++ {
 				if got := g.Shard(i).Now(); got != now {
 					t.Fatalf("barrier at %v: shard %d clock %v", now, i, got)
@@ -92,9 +88,6 @@ func TestGroupRunEpochsExchange(t *testing.T) {
 			})
 			return true
 		})
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
 		want := []int{0, 1, 0, 1, 0}
 		if len(visits) != len(want) {
 			t.Fatalf("workers=%d: visits %v, want %v", workers, visits, want)
@@ -129,7 +122,7 @@ func TestGroupDeterministicAcrossWorkers(t *testing.T) {
 			s.At(Time(i), tick)
 		}
 		rounds := 0
-		err := g.RunEpochs(50, workers, func(now Time) bool {
+		g.RunEpochs(50, workers, func(now Time) bool {
 			rounds++
 			if rounds < 4 {
 				// Cross-shard injection: shard i seeds shard (i+1)%N.
@@ -142,9 +135,6 @@ func TestGroupDeterministicAcrossWorkers(t *testing.T) {
 			}
 			return false
 		})
-		if err != nil {
-			t.Fatal(err)
-		}
 		return sums, g.Fired()
 	}
 	base, baseFired := run(1)
@@ -184,9 +174,7 @@ func TestGroupParallelReally(t *testing.T) {
 			})
 		}
 	}
-	if err := g.Run(8); err != nil {
-		t.Fatal(err)
-	}
+	g.RunUntil(100, 8)
 	if g.Fired() != 800 {
 		t.Fatalf("fired %d, want 800", g.Fired())
 	}

@@ -36,6 +36,3 @@ func (r *Rand) Uint64() uint64 { return r.r.Uint64() }
 
 // Float64 returns a uniform float64 in [0,1).
 func (r *Rand) Float64() float64 { return r.r.Float64() }
-
-// Perm returns a random permutation of [0,n).
-func (r *Rand) Perm(n int) []int { return r.r.Perm(n) }

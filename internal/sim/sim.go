@@ -9,7 +9,6 @@
 package sim
 
 import (
-	"errors"
 	"fmt"
 	"time"
 )
@@ -33,10 +32,6 @@ func (t Time) Seconds() float64 { return float64(t) / 1e9 }
 
 // String formats the virtual time like a duration, e.g. "1.5s".
 func (t Time) String() string { return Duration(t).String() }
-
-// ErrStopped is returned by Run when the scheduler was halted by Stop
-// rather than by draining its event queue.
-var ErrStopped = errors.New("sim: scheduler stopped")
 
 // Event is a scheduled callback. It is returned by the scheduling methods
 // so the caller can cancel it before it fires. Its firing time and
@@ -160,12 +155,11 @@ func (q eventQueue) down(i int, x slot) {
 // for concurrent use; the intended model is that all simulation work runs
 // inside event callbacks on one goroutine.
 type Scheduler struct {
-	now     Time
-	queue   eventQueue
-	seq     uint64
-	stopped bool
-	fired   uint64
-	free    []*Event // fired pooled events awaiting reuse
+	now   Time
+	queue eventQueue
+	seq   uint64
+	fired uint64
+	free  []*Event // fired pooled events awaiting reuse
 }
 
 // NewScheduler returns a scheduler with the clock at zero.
@@ -247,34 +241,24 @@ func (s *Scheduler) AfterCall(d Duration, fn func(any), arg any) {
 	s.AtCall(s.now.Add(d), fn, arg)
 }
 
-// Run executes events in timestamp order until the queue drains or Stop
-// is called. It returns ErrStopped in the latter case.
+// Run executes events in timestamp order until the queue drains. Its
+// error is always nil.
 func (s *Scheduler) Run() error {
-	s.stopped = false
 	for len(s.queue) > 0 {
-		if s.stopped {
-			return ErrStopped
-		}
 		s.step()
 	}
 	return nil
 }
 
 // RunUntil executes events with timestamps <= deadline, then advances the
-// clock to exactly deadline. Events after the deadline remain queued.
+// clock to exactly deadline. Events after the deadline remain queued. Its
+// error is always nil.
 func (s *Scheduler) RunUntil(deadline Time) error {
-	s.stopped = false
 	for len(s.queue) > 0 && s.queue[0].at <= deadline {
-		if s.stopped {
-			return ErrStopped
-		}
 		s.step()
 	}
-	if !s.stopped && s.now < deadline {
+	if s.now < deadline {
 		s.now = deadline
-	}
-	if s.stopped {
-		return ErrStopped
 	}
 	return nil
 }
@@ -315,10 +299,6 @@ func (s *Scheduler) step() {
 	}
 	e.fn()
 }
-
-// Stop halts a Run/RunUntil in progress after the current callback
-// returns. Queued events are preserved.
-func (s *Scheduler) Stop() { s.stopped = true }
 
 // Every schedules fn to run every d of virtual time, first firing at
 // Now+d. fn reports whether the series should continue: returning

@@ -126,26 +126,6 @@ func TestRunForAccumulates(t *testing.T) {
 	}
 }
 
-func TestStop(t *testing.T) {
-	s := NewScheduler()
-	ran := 0
-	s.After(time.Second, func() { ran++; s.Stop() })
-	s.After(2*time.Second, func() { ran++ })
-	if err := s.Run(); err != ErrStopped {
-		t.Fatalf("Run = %v, want ErrStopped", err)
-	}
-	if ran != 1 {
-		t.Errorf("ran = %d, want 1", ran)
-	}
-	// Resuming runs the remaining event.
-	if err := s.Run(); err != nil {
-		t.Fatalf("resume: %v", err)
-	}
-	if ran != 2 {
-		t.Errorf("ran = %d, want 2 after resume", ran)
-	}
-}
-
 func TestSchedulingInPastPanics(t *testing.T) {
 	s := NewScheduler()
 	s.After(time.Second, func() {

@@ -56,24 +56,6 @@ func (s *Sample) Mean() float64 {
 	return s.sum / float64(len(s.xs))
 }
 
-// Min returns the smallest observation, or 0 for an empty sample.
-func (s *Sample) Min() float64 {
-	if len(s.xs) == 0 {
-		return 0
-	}
-	s.sort()
-	return s.xs[0]
-}
-
-// Max returns the largest observation, or 0 for an empty sample.
-func (s *Sample) Max() float64 {
-	if len(s.xs) == 0 {
-		return 0
-	}
-	s.sort()
-	return s.xs[len(s.xs)-1]
-}
-
 // Percentile returns the p-th percentile (0 <= p <= 100) using linear
 // interpolation between closest ranks. It returns 0 for an empty sample.
 func (s *Sample) Percentile(p float64) float64 {

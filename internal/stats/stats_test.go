@@ -23,7 +23,7 @@ func TestMbps(t *testing.T) {
 
 func TestSampleBasics(t *testing.T) {
 	var s Sample
-	if s.Mean() != 0 || s.Min() != 0 || s.Max() != 0 || s.Percentile(50) != 0 {
+	if s.Mean() != 0 || s.Percentile(0) != 0 || s.Percentile(100) != 0 || s.Percentile(50) != 0 {
 		t.Error("empty sample should report zeros")
 	}
 	for _, x := range []float64{4, 1, 3, 2} {
@@ -35,8 +35,8 @@ func TestSampleBasics(t *testing.T) {
 	if s.Mean() != 2.5 {
 		t.Errorf("Mean = %v", s.Mean())
 	}
-	if s.Min() != 1 || s.Max() != 4 {
-		t.Errorf("Min/Max = %v/%v", s.Min(), s.Max())
+	if s.Percentile(0) != 1 || s.Percentile(100) != 4 {
+		t.Errorf("P0/P100 = %v/%v", s.Percentile(0), s.Percentile(100))
 	}
 }
 
@@ -70,8 +70,8 @@ func TestSampleAddAfterPercentile(t *testing.T) {
 	s.Add(5)
 	_ = s.Percentile(50)
 	s.Add(1)
-	if s.Min() != 1 {
-		t.Errorf("Min after re-add = %v, want 1", s.Min())
+	if s.Percentile(0) != 1 {
+		t.Errorf("P0 after re-add = %v, want 1", s.Percentile(0))
 	}
 }
 
@@ -90,7 +90,7 @@ func TestSamplePercentileProperties(t *testing.T) {
 			return true
 		}
 		p50 := s.Percentile(50)
-		return p50 >= s.Min() && p50 <= s.Max()
+		return p50 >= s.Percentile(0) && p50 <= s.Percentile(100)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
@@ -112,7 +112,7 @@ func TestSampleMeanWithinBounds(t *testing.T) {
 			return true
 		}
 		m := s.Mean()
-		return m >= s.Min()-1e-6 && m <= s.Max()+1e-6
+		return m >= s.Percentile(0)-1e-6 && m <= s.Percentile(100)+1e-6
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

@@ -18,34 +18,26 @@ func BenchmarkDisabledSample(b *testing.B) {
 	}
 }
 
-func BenchmarkDisabledSampleAt(b *testing.B) {
-	var r *Recorder
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		r.SampleAt(sim.Time(i))
-	}
-}
-
 // A live sampling tick over a realistically sized registry (64
 // counters, 32 gauges, 8 histograms): the per-tick cost a run pays
 // for the flight record. Not on any per-packet path.
 func BenchmarkSampleTick(b *testing.B) {
 	reg := metrics.New()
 	for i := 0; i < 8; i++ {
-		scope := reg.Scope("shard=" + string(rune('0'+i)))
+		shard := "shard=" + string(rune('0'+i))
 		for j := 0; j < 8; j++ {
-			scope.Counter("bench.ctr" + string(rune('0'+j))).Add(int64(i + j))
+			reg.Counter("bench.ctr"+string(rune('0'+j)), shard).Add(int64(i + j))
 		}
 		for j := 0; j < 4; j++ {
-			scope.Gauge("bench.gauge" + string(rune('0'+j))).Set(int64(j))
+			reg.Gauge("bench.gauge"+string(rune('0'+j)), shard).Set(int64(j))
 		}
-		scope.Histogram("bench.lat_ns").Observe(int64(1000 * (i + 1)))
+		reg.Histogram("bench.lat_ns", shard).Observe(int64(1000 * (i + 1)))
 	}
 	r := New(Config{Interval: time.Millisecond, Capacity: 512})
-	r.Bind(nil, reg, 0)
+	r.Bind(sim.NewScheduler(), reg, 0)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		r.SampleAt(sim.Time(i + 1))
+		r.record(sim.Time(i + 1))
 	}
 }

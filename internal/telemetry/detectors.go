@@ -94,69 +94,6 @@ func (d *Threshold) Check(r *Recorder) []Finding {
 	return out
 }
 
-// ShardImbalance fires when per-shard throughput skews: across the
-// labeled variants of a counter family that carry a "shard=" label,
-// the busiest shard's last-interval delta exceeds MaxRatio times the
-// idlest's for Ticks consecutive intervals. A shard at zero while any
-// other moves counts as infinitely imbalanced. One finding covers the
-// family.
-type ShardImbalance struct {
-	// Series is the counter family to compare across shards.
-	Series string
-	// MaxRatio is the max/min delta ratio that counts as imbalanced
-	// (default 4).
-	MaxRatio float64
-	// Ticks is how many consecutive imbalanced intervals fire
-	// (default 3).
-	Ticks int
-
-	skewed int
-}
-
-// Name implements Detector.
-func (d *ShardImbalance) Name() string { return "shard-imbalance" }
-
-// Check implements Detector.
-func (d *ShardImbalance) Check(r *Recorder) []Finding {
-	ratio := d.MaxRatio
-	if ratio <= 0 {
-		ratio = 4
-	}
-	ticks := d.Ticks
-	if ticks <= 0 {
-		ticks = 3
-	}
-	var minD, maxD int64
-	shards := 0
-	for _, s := range r.MatchName(d.Series) {
-		if s.Kind != Delta || !strings.Contains(s.ID, "shard=") || s.Len() == 0 {
-			continue
-		}
-		v := s.Last()
-		if shards == 0 || v < minD {
-			minD = v
-		}
-		if shards == 0 || v > maxD {
-			maxD = v
-		}
-		shards++
-	}
-	imbalanced := false
-	if shards >= 2 && maxD > 0 {
-		imbalanced = minD == 0 || float64(maxD) > ratio*float64(minD)
-	}
-	if imbalanced {
-		d.skewed++
-	} else {
-		d.skewed = 0
-	}
-	if d.skewed >= ticks {
-		return []Finding{{Series: d.Series,
-			Message: fmt.Sprintf("shard delta spread %d..%d exceeds %.0fx across %d shards for %d ticks", minD, maxD, ratio, shards, d.skewed)}}
-	}
-	return nil
-}
-
 // nearFull is the fraction of a capacity limit at which the occupancy
 // rules (custody store, link queue) fire.
 const nearFull = 0.9

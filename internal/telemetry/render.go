@@ -98,6 +98,12 @@ func (r *Recorder) WriteSparklines(w io.Writer, filter string, width int) error 
 		return err
 	}
 	win := r.window()
+	if win == 0 { // bound, but no tick has fired yet
+		if _, err := fmt.Fprintf(w, "flight record: 0 ticks (interval %v)\n", r.cfg.Interval); err != nil {
+			return err
+		}
+		return r.WriteIncidents(w)
+	}
 	from, to := sim.Time(r.times.at(0)), sim.Time(r.times.at(win-1))
 	if _, err := fmt.Fprintf(w, "flight record: %d ticks, %v .. %v (interval %v)\n",
 		r.ticks, from, to, r.cfg.Interval); err != nil {

@@ -256,31 +256,6 @@ func TestRateCollapseArming(t *testing.T) {
 	}
 }
 
-func TestShardImbalanceDetector(t *testing.T) {
-	s := sim.NewScheduler()
-	reg := metrics.New()
-	hot := reg.Counter("ep.delivered", "shard=0")
-	reg.Counter("ep.delivered", "shard=1") // stays at zero
-	for i := 1; i <= 10; i++ {
-		s.At(sim.Time(i)*sim.Time(100*time.Millisecond), func() { hot.Add(100) })
-	}
-	det := &ShardImbalance{Series: "ep.delivered", MaxRatio: 4, Ticks: 2}
-	rec := New(Config{Interval: 100 * time.Millisecond, Detectors: []Detector{det}})
-	rec.Bind(s, reg, sim.Time(time.Second))
-	if err := s.Run(); err != nil {
-		t.Fatal(err)
-	}
-	incs := rec.Incidents()
-	if len(incs) != 1 || incs[0].Detector != "shard-imbalance" {
-		t.Fatalf("incidents = %+v, want one shard-imbalance", incs)
-	}
-	// Skew is visible from the first tick's deltas; the 2nd consecutive
-	// skewed tick is 200ms.
-	if incs[0].At != sim.Time(200*time.Millisecond) {
-		t.Errorf("imbalance fired at %v, want 200ms", incs[0].At)
-	}
-}
-
 func TestNoteAndIncidentCap(t *testing.T) {
 	rec := New(Config{MaxIncidents: 3})
 	for i := 0; i < 5; i++ {
@@ -402,7 +377,6 @@ func TestNilRecorderIsSafe(t *testing.T) {
 	var r *Recorder
 	r.Bind(sim.NewScheduler(), metrics.New(), sim.Time(time.Second))
 	r.Sample()
-	r.SampleAt(5)
 	r.Note("d", "s", "m")
 	if r.Ticks() != 0 || r.LastRate(nil) != 0 {
 		t.Error("nil recorder reports non-zero state")
@@ -434,15 +408,41 @@ func TestNilRecorderIsSafe(t *testing.T) {
 	}
 }
 
-func TestSampleAtDeduplicates(t *testing.T) {
+func TestSampleDeduplicates(t *testing.T) {
+	s := sim.NewScheduler()
 	reg := metrics.New()
 	reg.Gauge("g").Set(1)
 	rec := New(Config{})
-	rec.Bind(nil, reg, 0)
-	rec.SampleAt(sim.Time(100))
-	rec.SampleAt(sim.Time(100)) // duplicate barrier: ignored
-	rec.SampleAt(sim.Time(200))
+	rec.Bind(s, reg, 0)
+	s.RunUntil(100)
+	rec.Sample()
+	rec.Sample() // same instant: ignored
+	s.RunUntil(200)
+	rec.Sample()
 	if rec.Ticks() != 2 {
 		t.Errorf("ticks = %d, want 2 (duplicate dropped)", rec.Ticks())
+	}
+}
+
+// TestSparklinesBeforeFirstTick: a recorder bound with until <= now
+// schedules no tick, yet Bind's baseline already created the counter
+// series; rendering must print the zero-tick header and the incidents,
+// not index an empty time ring.
+func TestSparklinesBeforeFirstTick(t *testing.T) {
+	s := sim.NewScheduler()
+	reg := metrics.New()
+	reg.Counter("c").Add(1)
+	rec := New(Config{Interval: 10 * time.Millisecond})
+	rec.Bind(s, reg, 0)
+	rec.Note("soak", "", "violation")
+	var buf bytes.Buffer
+	if err := rec.WriteSparklines(&buf, "all", 40); err != nil {
+		t.Fatal(err)
+	}
+	want := "flight record: 0 ticks (interval 10ms)\n" +
+		"incidents (1):\n" +
+		"            0s  soak                 -: violation\n"
+	if got := buf.String(); got != want {
+		t.Errorf("got:\n%s\nwant:\n%s", got, want)
 	}
 }

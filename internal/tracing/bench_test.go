@@ -97,7 +97,6 @@ func TestDisabledTracerOverhead(t *testing.T) {
 	hooks := map[string]func(){
 		"Emit":            func() { tr.Emit(tracing.FragTX, 0, 1, 0, 1000, 0) },
 		"EmitTag":         func() { tr.EmitTag(tracing.ADUSubmit, 0, 1, 2, 1000) },
-		"EmitRelay":       func() { tr.EmitRelay(tracing.CustodyStore, "r1", 0, 1, 1000) },
 		"PacketQueued":    func() { tr.PacketQueued("l", payload, 0, 0) },
 		"PacketDelivered": func() { tr.PacketDelivered("l", payload, 0) },
 		"PacketDropped":   func() { tr.PacketDropped("l", "down", payload) },

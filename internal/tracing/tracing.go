@@ -19,11 +19,10 @@
 //
 //	cfg.Tracer.Emit(tracing.ADUDeliver, stream, name, 0, size, 0)
 //
-// EmitTag and EmitRelay are Emit for the kinds that carry an
-// application tag or sit on a relay's track. The network and fault
-// planes keep hooks of their own — PacketQueued, PacketDelivered and
-// PacketDropped sniff an opaque payload for its identity, FaultBegan
-// and FaultEnded own the fault windows.
+// EmitTag is Emit for the kinds that carry an application tag. The
+// network and fault planes keep hooks of their own — PacketQueued,
+// PacketDelivered and PacketDropped sniff an opaque payload for its
+// identity, FaultBegan and FaultEnded own the fault windows.
 //
 // # Cost when disabled
 //
@@ -117,15 +116,8 @@ const (
 	FeedbackTX // receiver emitted a delivery report
 	RateChange // controller set a new pacing rate (Off = old bps, Len = new bps)
 
-	// Custody-transfer events (internal/relay and the sender's custody
-	// handling). Appended after the overload block so existing recorded
-	// kind values never shift.
-	CustodyStore   // relay took custody of a complete ADU
-	CustodyAckTX   // relay emitted a custody-ack frame upstream
+	// Custody-transfer events (the sender's custody handling).
 	CustodyRelease // upstream custodian freed retention on a custody ack
-	CustodyEvict   // relay evicted a non-Critical ADU to fit a new one
-	CustodyShed    // relay refused custody: store full of unevictables
-	CustodyRetx    // relay re-originated a custody ADU downstream
 
 	numKinds // one past the last kind; new kinds go above this line
 )
@@ -138,7 +130,6 @@ const (
 	famSender   family = "alf/snd/" // + stream id
 	famReceiver family = "alf/rcv/" // + stream id
 	famOTP      family = "otp/"     // + connection id
-	famRelay    family = "relay/"   // + the relay's name (EmitRelay)
 	famLink     family = "net/"     // the link's label, as netsim passes it
 	famFaults   family = "faults"   // the one fault-plane track
 )
@@ -177,12 +168,7 @@ var kinds = [numKinds]struct {
 	ADUShed:        {"shed", famSender},
 	FeedbackTX:     {"feedback", famReceiver},
 	RateChange:     {"rate", famSender},
-	CustodyStore:   {"custody-store", famRelay},
-	CustodyAckTX:   {"custody-ack", famRelay},
 	CustodyRelease: {"custody-release", famSender},
-	CustodyEvict:   {"custody-evict", famRelay},
-	CustodyShed:    {"custody-shed", famRelay},
-	CustodyRetx:    {"custody-retx", famRelay},
 }
 
 // String names the kind as it appears in timelines.
@@ -363,15 +349,6 @@ func (t *Tracer) Emit(k Kind, id byte, adu uint64, off int64, n int, dur sim.Dur
 func (t *Tracer) EmitTag(k Kind, id byte, adu, tag uint64, n int) {
 	if t != nil {
 		t.emit(Event{Kind: k, ID: id, ADU: adu, Tag: tag, Len: n})
-	}
-}
-
-// EmitRelay is Emit for the kinds drawn on a custody relay's own track
-// (CustodyStore, CustodyAckTX, CustodyEvict, CustodyShed, CustodyRetx):
-// relay names the node, n is a payload size or a count.
-func (t *Tracer) EmitRelay(k Kind, relay string, id byte, adu uint64, n int) {
-	if t != nil {
-		t.emit(Event{Kind: k, Track: string(famRelay) + relay, ID: id, ADU: adu, Len: n})
 	}
 }
 

@@ -85,7 +85,6 @@ func TestNilTracer(t *testing.T) {
 		tr.Emit(Kind(k), 0, 1, 0, 10, time.Millisecond)
 	}
 	tr.EmitTag(ADUSubmit, 0, 1, 2, 3)
-	tr.EmitRelay(CustodyStore, "r1", 0, 1, 10)
 	tr.PacketQueued("l", nil, 0, 0)
 	tr.PacketDelivered("l", nil, 0)
 	tr.PacketDropped("l", "down", nil)
@@ -317,13 +316,13 @@ func TestAnalyzeOTP(t *testing.T) {
 }
 
 // TestKindStrings walks the kinds table: every Kind constant has a row
-// with a timeline name no other kind uses and one of the six track
+// with a timeline name no other kind uses and one of the five track
 // families, String reads that row, and Emit draws the kind on a track
 // of that family. (A row for a kind that does not exist fails to
 // compile: the table's length is numKinds.)
 func TestKindStrings(t *testing.T) {
 	byID := map[family]bool{famSender: true, famReceiver: true, famOTP: true}
-	known := map[family]bool{famRelay: true, famLink: true, famFaults: true}
+	known := map[family]bool{famLink: true, famFaults: true}
 	tr := New(sim.NewScheduler())
 	names := map[string]Kind{}
 	for k := Kind(1); k < numKinds; k++ {

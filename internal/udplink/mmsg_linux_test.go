@@ -95,10 +95,10 @@ func TestTrainRefused(t *testing.T) {
 // datagram over MTU shows as truncated, and is dropped for that): the
 // link behaves as it did before trains.
 func TestNoGRO(t *testing.T) {
-	const mtu, train = 512, 8
+	const mtu, train = maxDatagram, 8
 	pool := buf.NewPool()
 	sched := sim.NewScheduler()
-	clk := NewClock(sched, Config{Pool: pool, MTU: mtu})
+	clk := NewClock(sched, Config{Pool: pool})
 	defer clk.Stop()
 	ca, cb := listen(t), listen(t)
 	la := clk.NewLink(ca, cb.LocalAddr())

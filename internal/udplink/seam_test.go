@@ -95,7 +95,7 @@ func TestWrappedConnTakesPortablePath(t *testing.T) {
 func TestBatchCallCounts(t *testing.T) {
 	const burst = 64
 	pool := buf.NewPool()
-	clk := NewClock(sim.NewScheduler(), Config{Pool: pool, Batch: 32})
+	clk := NewClock(sim.NewScheduler(), Config{Pool: pool})
 	defer clk.Stop()
 	ca, cb := listen(t), listen(t)
 	for i := 0; i < burst; i++ {
@@ -271,9 +271,9 @@ func TestPathEquivalence(t *testing.T) {
 func TestLinkDropsForeignAndOversized(t *testing.T) {
 	for _, path := range bothPaths {
 		t.Run(path.name, func(t *testing.T) {
-			const mtu, stream, spray = 512, 20, 3
+			const mtu, stream, spray = maxDatagram, 20, 3
 			sched := sim.NewScheduler()
-			clk := NewClock(sched, Config{Pool: buf.NewPool(), MTU: mtu})
+			clk := NewClock(sched, Config{Pool: buf.NewPool()})
 			defer clk.Stop()
 			ca, cb, stranger := listen(t), listen(t), listen(t)
 			la := clk.NewLink(path.wrap(ca), cb.LocalAddr())
@@ -315,10 +315,10 @@ func TestLinkDropsForeignAndOversized(t *testing.T) {
 // and a train of datagrams longer than MTU must not reach the handler;
 // the trains around them arrive whole and in order.
 func TestLinkDropsTrains(t *testing.T) {
-	const mtu, train = 512, 5
+	const mtu, train = maxDatagram, 5
 	pool := buf.NewPool()
 	sched := sim.NewScheduler()
-	clk := NewClock(sched, Config{Pool: pool, MTU: mtu})
+	clk := NewClock(sched, Config{Pool: pool})
 	defer clk.Stop()
 	ca, cb, cs := listen(t), listen(t), listen(t)
 	la := clk.NewLink(ca, cb.LocalAddr())

@@ -38,9 +38,10 @@ type SoakConfig struct {
 	// SubmitEvery is the virtual-timer submission period (default
 	// 2 ms; also the pacing the soak applies to the socket).
 	SubmitEvery time.Duration
-	// Timeout bounds the wall-clock run (default 60 s).
-	Timeout time.Duration
 }
+
+// soakTimeout bounds a soak's wall-clock run.
+const soakTimeout = time.Minute
 
 func (c *SoakConfig) fill() {
 	if c.ADUs == 0 {
@@ -54,9 +55,6 @@ func (c *SoakConfig) fill() {
 	}
 	if c.SubmitEvery == 0 {
 		c.SubmitEvery = 2 * time.Millisecond
-	}
-	if c.Timeout == 0 {
-		c.Timeout = 60 * time.Second
 	}
 }
 
@@ -177,7 +175,7 @@ func RunSoak(cfg SoakConfig) (SoakResult, error) {
 	start := time.Now()
 	timedOut := false
 	clk.Run(func() bool {
-		if time.Since(start) > cfg.Timeout {
+		if time.Since(start) > soakTimeout {
 			timedOut = true
 			return true
 		}
@@ -197,7 +195,7 @@ func RunSoak(cfg SoakConfig) (SoakResult, error) {
 	switch {
 	case timedOut:
 		return res, fmt.Errorf("udplink soak: timeout after %v (delivered %d/%d, pending %d, missing %d, drops %d)",
-			cfg.Timeout, res.Delivered, cfg.ADUs, rcv.Pending(), rcv.Missing(), res.WireDrops)
+			soakTimeout, res.Delivered, cfg.ADUs, rcv.Pending(), rcv.Missing(), res.WireDrops)
 	case res.Lost != 0:
 		return res, fmt.Errorf("udplink soak: %d ADUs lost under SenderBuffered recovery", res.Lost)
 	case res.Duplicate != 0:

@@ -216,7 +216,6 @@ func TestUDPTransferAEAD(t *testing.T) {
 		LossProb:    0,
 		Suite:       alf.SuiteAEAD,
 		SubmitEvery: 500 * time.Microsecond,
-		Timeout:     30 * time.Second,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -239,7 +238,6 @@ func TestUDPSoakLossy(t *testing.T) {
 		LossProb: 0.05,
 		Seed:     1,
 		Suite:    alf.SuiteAEAD,
-		Timeout:  45 * time.Second,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -267,7 +265,6 @@ func TestUDPSoakFEC(t *testing.T) {
 		Seed:     2,
 		Suite:    alf.SuiteAEAD,
 		FECGroup: 4,
-		Timeout:  45 * time.Second,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -289,7 +286,6 @@ func TestUDPSoakScramble(t *testing.T) {
 		LossProb: 0.04,
 		Seed:     3,
 		Suite:    alf.SuiteScramble,
-		Timeout:  45 * time.Second,
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -311,7 +307,6 @@ func TestUDPSoakMixed(t *testing.T) {
 		Seed:        4,
 		Suite:       alf.SuiteAEAD,
 		SubmitEvery: 50 * time.Microsecond,
-		Timeout:     45 * time.Second,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -333,7 +328,6 @@ func BenchmarkUDPLoopback(b *testing.B) {
 		ADUBytes:    aduBytes,
 		Suite:       alf.SuiteAEAD,
 		SubmitEvery: 100 * time.Microsecond,
-		Timeout:     10 * time.Minute,
 	})
 	if err != nil {
 		b.Fatal(err)

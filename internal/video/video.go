@@ -77,9 +77,6 @@ func NewSource(sched *sim.Scheduler, snd *alf.Sender, cfg SourceConfig) *Source 
 	return &Source{cfg: cfg, sched: sched, snd: snd}
 }
 
-// Config returns the effective configuration.
-func (s *Source) Config() SourceConfig { return s.cfg }
-
 // Start schedules the emission of nframes frames at the configured
 // rate, beginning now.
 func (s *Source) Start(nframes int) {
