@@ -109,9 +109,11 @@ benchmark-smoke:
 # XDR, LWTS, raw and the message frame) on arbitrary bytes: no panic, no
 # over-read, and decode → encode → decode keeps the value; and the
 # session plane's OFFER / ACCEPT / REJECT parsers, whose accepted
-# messages must re-encode to the same bytes. The budget
-# is deliberately small so check stays
-# fast; raise FUZZTIME for a real session.
+# messages must re-encode to the same bytes; the AAL reassembler's
+# cells and an OTP receiver's segments, which must hold no more than
+# their bounds and still deliver a valid message intact after the
+# junk. The budget is deliberately small so check stays fast; raise
+# FUZZTIME for a real session.
 FUZZTIME ?= 5s
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzPeek$$' -fuzztime $(FUZZTIME) ./internal/wire
@@ -127,6 +129,8 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzPolyKernel$$' -fuzztime $(FUZZTIME) ./internal/cipher
 	$(GO) test -run '^$$' -fuzz '^FuzzCodecs$$' -fuzztime $(FUZZTIME) ./internal/xcode
 	$(GO) test -run '^$$' -fuzz '^FuzzSession$$' -fuzztime $(FUZZTIME) ./internal/session
+	$(GO) test -run '^$$' -fuzz '^FuzzCell$$' -fuzztime $(FUZZTIME) ./internal/atm
+	$(GO) test -run '^$$' -fuzz '^FuzzHandleSegment$$' -fuzztime $(FUZZTIME) ./internal/otp
 
 # One seeded chaos pass: every scenario x policy plus the blackout
 # shed/report assertions, and the overload family (closed-loop passes,
