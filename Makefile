@@ -46,10 +46,12 @@ loc:
 # determinism and near-linear-scaling tests must hold under -race.
 # telemetry rides along: the flight recorder samples the same registry
 # the workers write, and its barrier-sampled FlowScale determinism
-# test is part of the experiments run.
+# test is part of the experiments run. The real-socket soak family runs
+# udplink's reader goroutines against its loop, so it rides along too.
 race:
 	$(GO) test -race ./internal/metrics ./internal/core ./internal/otp ./internal/parallel ./internal/buf ./internal/netsim ./internal/sim ./internal/telemetry ./internal/udplink
 	$(GO) test -race -run 'FlowScale' ./internal/experiments
+	$(GO) test -race -run 'UDP' ./internal/faults/soak
 
 vet:
 	$(GO) vet ./...
@@ -62,20 +64,21 @@ bench:
 	$(GO) test -run '^$$' -bench . -benchmem ./...
 
 # Where the CPU goes, as one table says it: core's steady-state
-# datapath benches, cleartext and AEAD, and udplink's AEAD transfer over
-# loopback sockets, each profiled and its leaf functions bucketed by
-# cmd/alfsplit (keystream kernel, Poly1305 in Go, tag key / Block, XOR,
-# checksum + copy, packetize / placement, pool, scheduler, syscall /
-# udplink, runtime + GC, other), shares summing to 100 %. Test binaries
-# and profiles go to a temporary directory. A perf change cites this
-# split before and after.
+# datapath benches, cleartext and AEAD, and the real-socket soak
+# family's AEAD transfer over loopback sockets, each profiled and its
+# leaf functions bucketed by cmd/alfsplit (keystream kernel, Poly1305 in
+# Go, tag key / Block, XOR, checksum + copy, packetize / placement, pool,
+# scheduler, syscall / udplink, soak harness, runtime + GC, other),
+# shares summing to 100 %. Test binaries and profiles go to a temporary
+# directory, named by the benchmark. A perf change cites this split
+# before and after.
 SPLITTIME ?= 3s
 split:
 	@d=$$(mktemp -d) && trap 'rm -rf $$d' EXIT && \
-	for pb in core:SendSteadyState core:SendSteadyStateAEAD udplink:UDPLoopback; do \
+	for pb in core:SendSteadyState core:SendSteadyStateAEAD faults/soak:UDPLoopback; do \
 		p=$${pb%%:*} b=$${pb#*:} && \
-		$(GO) test -run '^$$' -bench "^Benchmark$$b\$$" -benchtime $(SPLITTIME) -o $$d/$$p.test -cpuprofile $$d/$$b.prof ./internal/$$p | grep '^Benchmark' && \
-		$(GO) tool pprof -top -noinlines -nodefraction=0 $$d/$$p.test $$d/$$b.prof 2>/dev/null | $(GO) run ./cmd/alfsplit || exit 1; \
+		$(GO) test -run '^$$' -bench "^Benchmark$$b\$$" -benchtime $(SPLITTIME) -o $$d/$$b.test -cpuprofile $$d/$$b.prof ./internal/$$p | grep '^Benchmark' && \
+		$(GO) tool pprof -top -noinlines -nodefraction=0 $$d/$$b.test $$d/$$b.prof 2>/dev/null | $(GO) run ./cmd/alfsplit || exit 1; \
 	done
 
 # The repository's benchmark (benchmark/README.md, BENCHMARK.json): six
@@ -150,13 +153,15 @@ soak:
 soak-dtn:
 	$(GO) test -count=1 -run 'TestDTN' -v ./internal/faults/soak
 
-# The real-socket soak: authenticated ADU transfer across kernel
-# loopback UDP with deterministic send-side drops, asserting the same
-# exactly-once / intact / drained invariants as `make soak` (one case
-# with mixed ADU sizes, so trains of every shape share the queues) —
-# plus the plain link round-trip, lossy-conn determinism and seam checks.
+# The real-socket soak: udplink's own checks (the plain link
+# round-trip, lossy-conn determinism, the seams between its I/O paths),
+# then faults/soak's UDP family, authenticated ADU transfer across
+# kernel loopback UDP with deterministic send-side drops, judged by the
+# same ledger and end-state checks as `make soak` (one case with mixed
+# ADU sizes, so trains of every shape share the queues).
 soak-udp:
 	$(GO) test -count=1 -v ./internal/udplink
+	$(GO) test -count=1 -run UDP -v ./internal/faults/soak
 
 # Static analysis beyond vet. staticcheck is not vendored; the target
 # no-ops with a notice where the binary is absent (CI installs it).

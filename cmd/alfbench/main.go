@@ -35,8 +35,8 @@ import (
 
 	alf "repro/internal/core"
 	"repro/internal/experiments"
+	"repro/internal/faults/soak"
 	"repro/internal/stats"
-	"repro/internal/udplink"
 	"repro/internal/xcode"
 )
 
@@ -474,18 +474,22 @@ func (r *runner) c1() error {
 }
 
 // runUDP moves an authenticated workload across real loopback UDP
-// sockets (internal/udplink): the same endpoints the simulator drives,
-// bound to kernel sockets, with the AEAD plane on. A run that violates
-// any soak invariant (duplicate, corrupt, lost, undrained) fails.
+// sockets (faults/soak's real-socket family): the same endpoints the
+// simulator drives, bound to kernel sockets, with the AEAD plane on. A
+// run that violates any soak invariant (duplicate, corrupt, lost,
+// undrained) fails.
 func runUDP() error {
-	res, err := udplink.RunSoak(udplink.SoakConfig{
+	res, err := soak.RunUDP(soak.UDPConfig{
 		ADUs:     *flagUDPADUs,
 		LossProb: *flagUDPLoss,
-		Seed:     uint64(*flagSeed),
+		Seed:     *flagSeed,
 		Suite:    alf.SuiteAEAD,
 	})
 	if err != nil {
 		return err
+	}
+	if !res.Passed() {
+		return fmt.Errorf("%d invariant violations, the first: %s", len(res.Violations), res.Violations[0])
 	}
 	t := stats.NewTable("metric", "value")
 	t.AddRow("ADUs delivered (exactly once, intact)", res.Delivered)

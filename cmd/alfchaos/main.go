@@ -56,7 +56,6 @@ var (
 	flagScenario = flag.String("scenario", "random", "fault scenario: flap, blackout, degrade, partition, random")
 	flagSeed     = flag.Int64("seed", 1, "simulation seed (traffic, impairments, fault schedule)")
 	flagDuration = flag.Duration("duration", 3*time.Second, "virtual horizon; faults heal by ~2/3 of it")
-	flagPolicy   = flag.String("policy", "sender-buffered", "ALF recovery policy: sender-buffered, app-recompute, no-retransmit")
 	flagADUs     = flag.Int("adus", 60, "ADUs submitted over the first 2/3 of the horizon")
 	flagADU      = flag.Int("adu", 3000, "bytes per ADU")
 	flagOTP      = flag.Int("otpbytes", 120_000, "OTP stream volume, bytes")
@@ -72,7 +71,13 @@ var (
 	flagDTN = flag.Bool("dtn", false, "run the interplanetary DTN family instead of a fault scenario")
 
 	flagFlightRec = flag.String("flightrec", "", "attach the flight recorder to a single run: print the incident timeline and write the black-box JSON dump here (ignored with -all)")
+
+	flagPolicy = alf.SenderBuffered
 )
+
+func init() {
+	flag.Var(&flagPolicy, "policy", "ALF recovery policy: sender-buffered, app-recompute, no-retransmit")
+}
 
 // attachFlightRec builds the recorder for one single-run invocation,
 // or nil when -flightrec is unset — the nil recorder costs nothing.
@@ -129,17 +134,12 @@ func main() {
 	if *flagAll {
 		os.Exit(runAll())
 	}
-	os.Exit(runOne(*flagScenario, *flagPolicy, true))
+	os.Exit(runOne(*flagScenario, flagPolicy, true))
 }
 
 // runOne executes a single scenario and prints its report. verbose
 // additionally prints the metric tree (if -tree).
-func runOne(scenario, policyName string, verbose bool) int {
-	policy, err := parsePolicy(policyName)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "alfchaos: %v\n", err)
-		return 2
-	}
+func runOne(scenario string, policy alf.Policy, verbose bool) int {
 	reg := metrics.New()
 	var tracer *tracing.Tracer
 	if *flagTrace != "" {
@@ -391,7 +391,7 @@ func runAll() int {
 	exit := 0
 	for _, scenario := range faults.ScenarioNames {
 		for _, policy := range []alf.Policy{alf.SenderBuffered, alf.AppRecompute, alf.NoRetransmit} {
-			if code := runOne(scenario, policy.String(), false); code > exit {
+			if code := runOne(scenario, policy, false); code > exit {
 				exit = code
 			}
 			fmt.Println()
@@ -485,14 +485,4 @@ func writePerfetto(tracer *tracing.Tracer) error {
 	fmt.Printf("\nperfetto trace (%d events, %d dropped) written to %s\n",
 		tracer.Len(), tracer.Dropped, *flagTrace)
 	return nil
-}
-
-// parsePolicy maps the flag to an ALF policy.
-func parsePolicy(s string) (alf.Policy, error) {
-	for _, p := range []alf.Policy{alf.SenderBuffered, alf.AppRecompute, alf.NoRetransmit} {
-		if p.String() == s {
-			return p, nil
-		}
-	}
-	return 0, fmt.Errorf("unknown policy %q", s)
 }

@@ -14,7 +14,8 @@
 // -noinlines charges an inlined function's samples to the function it
 // was inlined into, which is the one the table names. `make split` runs
 // this on core's BenchmarkSendSteadyState and
-// BenchmarkSendSteadyStateAEAD, and on udplink's BenchmarkUDPLoopback.
+// BenchmarkSendSteadyStateAEAD, and on faults/soak's
+// BenchmarkUDPLoopback.
 package main
 
 import (
@@ -38,6 +39,7 @@ var buckets = []string{
 	"pool",
 	"scheduler",
 	"syscall / udplink",
+	"soak harness",
 	"runtime + GC",
 	"other",
 }
@@ -67,6 +69,9 @@ var table = []struct {
 	// A real socket: udplink's loop and readers, and the system calls
 	// under them (syscall, the poller, the runtime's raw Syscall6).
 	{regexp.MustCompile(`^repro/internal/udplink\.|^(syscall|internal/poll|internal/runtime/syscall|net)\.`), "syscall / udplink"},
+	// The soak family driving a transfer: its payload pattern and the
+	// ledger's byte-for-byte check of every delivery.
+	{regexp.MustCompile(`^repro/internal/faults/soak\.`), "soak harness"},
 	{regexp.MustCompile(`^(runtime|internal/runtime/[a-z]+|internal/chacha8rand|internal/sync|sync|sync/atomic)\.|^(aeshashbody|gogo)$`), "runtime + GC"},
 }
 

@@ -12,10 +12,10 @@ import (
 var update = flag.Bool("update", false, "rewrite testdata/*.split from the fixtures")
 
 // The table pinned against three checked-in `pprof -top -noinlines`
-// fixtures, core's cleartext and AEAD steady-state benches and udplink's
-// loopback bench: each must split exactly as its .split file says (rerun
-// with -update after a deliberate change to the table, and say why in
-// the change). The seconds behind each split sum to the profile's total.
+// fixtures, core's cleartext and AEAD steady-state benches and the soak
+// family's loopback bench: each must split exactly as its .split file
+// says (rerun with -update after a deliberate change to the table, and
+// say why in the change). The seconds behind each split sum to the profile's total.
 func TestSplitFixtures(t *testing.T) {
 	for _, name := range []string{"clear", "aead", "udp"} {
 		in, err := os.ReadFile(filepath.Join("testdata", name+".top"))
@@ -78,6 +78,8 @@ func TestClassify(t *testing.T) {
 		"internal/runtime/syscall.Syscall6":                            "syscall / udplink",
 		"syscall.RawSyscall6":                                          "syscall / udplink",
 		"internal/poll.(*FD).RawRead":                                  "syscall / udplink",
+		"repro/internal/faults/soak.aduPayload":                        "soak harness",
+		"repro/internal/faults/soak.RunUDP.func1":                      "soak harness",
 		"internal/runtime/maps.(*Map).Clear":                           "runtime + GC",
 		"runtime.mallocgc":                                             "runtime + GC",
 		"testing.(*B).runN":                                            "other",

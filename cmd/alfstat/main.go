@@ -61,7 +61,6 @@ var (
 	flagDelay   = flag.Duration("delay", 5*time.Millisecond, "one-way propagation delay")
 	flagQueue   = flag.Int("queue", 64, "link queue limit, packets (0 = unlimited)")
 	flagSeed    = flag.Int64("seed", 1, "simulation seed")
-	flagPolicy  = flag.String("policy", "sender-buffered", "ALF recovery policy: sender-buffered, app-recompute, no-retransmit")
 	flagFEC     = flag.Int("fec", 0, "ALF FEC group size (0 = off)")
 	flagKey     = flag.Uint64("key", 0, "ALF stream key (0 = no encryption)")
 	flagOTP     = flag.Bool("otp", true, "also run the ordered-transport comparison")
@@ -76,7 +75,13 @@ var (
 	flagSeries    = flag.String("series", "", "attach the flight recorder and render matching series as sparkline timelines (substring match, \"all\" = everything)")
 	flagWatch     = flag.Duration("watch", 0, "flight-recorder sampling interval in virtual time (default 10ms; implies recording)")
 	flagSeriesCSV = flag.String("seriescsv", "", "write the recorded series window as CSV here (\"-\" = stdout; implies recording)")
+
+	flagPolicy = alf.SenderBuffered
 )
+
+func init() {
+	flag.Var(&flagPolicy, "policy", "ALF recovery policy: sender-buffered, app-recompute, no-retransmit")
+}
 
 func main() {
 	flag.Parse()
@@ -169,24 +174,10 @@ func main() {
 	}
 }
 
-// parsePolicy maps the flag to an ALF policy.
-func parsePolicy(s string) (alf.Policy, error) {
-	for _, p := range []alf.Policy{alf.SenderBuffered, alf.AppRecompute, alf.NoRetransmit} {
-		if p.String() == s {
-			return p, nil
-		}
-	}
-	return 0, fmt.Errorf("unknown policy %q", s)
-}
-
 // runScenario drives the measured transfer and returns a short text
 // summary; all metrics land in reg, and rec (optional) samples them on
 // the virtual clock as the run progresses.
 func runScenario(reg *metrics.Registry, rec *telemetry.Recorder) (string, error) {
-	policy, err := parsePolicy(*flagPolicy)
-	if err != nil {
-		return "", err
-	}
 	sched := sim.NewScheduler()
 	rec.Bind(sched, reg, sim.Time(0).Add(5*time.Minute))
 	net := netsim.New(sched, *flagSeed)
@@ -204,7 +195,7 @@ func runScenario(reg *metrics.Registry, rec *telemetry.Recorder) (string, error)
 	ab, ba := net.NewDuplex(alfA, alfB, link)
 	cfg := alf.Config{
 		StreamID: 1,
-		Policy:   policy,
+		Policy:   flagPolicy,
 		FECGroup: *flagFEC,
 		Key:      *flagKey,
 		RateBps:  *flagRate * 0.95, // pace just under the wire
@@ -289,7 +280,7 @@ func runScenario(reg *metrics.Registry, rec *telemetry.Recorder) (string, error)
 
 	var b strings.Builder
 	fmt.Fprintf(&b, "scenario: %d ADUs x %d B, loss %.3g%%, rate %.3g Mb/s, delay %v, policy %s, fec %d, seed %d\n",
-		*flagADUs, *flagADU, *flagLoss, *flagRate/1e6, *flagDelay, policy, *flagFEC, *flagSeed)
+		*flagADUs, *flagADU, *flagLoss, *flagRate/1e6, *flagDelay, flagPolicy, *flagFEC, *flagSeed)
 	fmt.Fprintf(&b, "alf: delivered %d/%d ADUs (%d B, %d lost) in %v\n",
 		rcv.Stats.ADUsDelivered, *flagADUs, alfBytes, alfLost, alfDone)
 	if *flagOTP {

@@ -92,6 +92,17 @@ func (p Policy) String() string {
 	}
 }
 
+// Set makes p the policy String names s, so a *Policy is a flag.Value.
+func (p *Policy) Set(s string) error {
+	for _, q := range []Policy{SenderBuffered, AppRecompute, NoRetransmit} {
+		if q.String() == s {
+			*p = q
+			return nil
+		}
+	}
+	return fmt.Errorf("unknown policy %q", s)
+}
+
 // ADU is a received Application Data Unit.
 type ADU struct {
 	// Name is the sender-assigned sequential identity of this ADU

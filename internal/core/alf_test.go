@@ -632,6 +632,17 @@ func TestPolicyString(t *testing.T) {
 		Policy(99).String() != "invalid-policy" {
 		t.Error("Policy.String wrong")
 	}
+	// Set reads back every name String writes, and nothing else.
+	for _, want := range []Policy{SenderBuffered, AppRecompute, NoRetransmit} {
+		var p Policy
+		if err := p.Set(want.String()); err != nil || p != want {
+			t.Errorf("Set(%q) = %v, %v", want, p, err)
+		}
+	}
+	p := AppRecompute
+	if err := p.Set("invalid-policy"); err == nil || p != AppRecompute {
+		t.Errorf("Set(invalid-policy) = %v, %v; want an error and no change", p, err)
+	}
 }
 
 func TestHostileLinkEndToEnd(t *testing.T) {

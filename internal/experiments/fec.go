@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	alf "repro/internal/core"
@@ -106,14 +107,14 @@ func RunF9(cfg F9Config, lossPct float64, mode string) (F9Point, error) {
 	// sample and wash out the recovery-latency difference).
 	var delivered int64
 	var done sim.Time
-	var lat stats.Sample
+	var lat []float64 // seconds, submission to delivery
 	var sendErr error
 	sendTime := map[uint64]sim.Time{}
 	rcv.OnADU = func(adu alf.ADU) {
 		delivered += int64(len(adu.Data))
 		done = s.Now()
 		if t0, ok := sendTime[adu.Name]; ok {
-			lat.AddDuration(time.Duration(s.Now().Sub(t0)))
+			lat = append(lat, time.Duration(s.Now().Sub(t0)).Seconds())
 		}
 	}
 
@@ -151,8 +152,19 @@ func RunF9(cfg F9Config, lossPct float64, mode string) (F9Point, error) {
 	if done > 0 {
 		p.GoodputMbps = stats.Mbps(delivered, time.Duration(done))
 	}
-	p.MeanLatency = sim.Duration(lat.Mean() * 1e9)
-	p.P95Latency = sim.Duration(lat.Percentile(95) * 1e9)
+	if n := len(lat); n > 0 {
+		var sum float64
+		for _, x := range lat {
+			sum += x
+		}
+		p.MeanLatency = sim.Duration(sum / float64(n) * 1e9)
+		// p95 interpolates linearly between the closest ranks.
+		slices.Sort(lat)
+		rank := 0.95 * float64(n-1)
+		lo := int(rank)
+		frac := rank - float64(lo)
+		p.P95Latency = sim.Duration((lat[lo]*(1-frac) + lat[min(lo+1, n-1)]*frac) * 1e9)
+	}
 	p.Resends = snd.Stats.ResentADUs
 	p.FECRecovered = rcv.Stats.FECRecovered
 	p.WireOverhead = float64(ab.Stats.SentBytes) / float64(f9Bytes)

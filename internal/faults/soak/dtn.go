@@ -250,7 +250,7 @@ func RunDTN(cfg DTNConfig) (*DTNResult, error) {
 	// ---- Workload: dtnCount ADUs paced evenly over the first half of
 	// the horizon, deterministic payloads, the standard priority mix
 	// (one Critical per ten).
-	led := newLedger(&res.verdict, "", dtnADUBytes, snd, rcv)
+	led := newLedger(&res.verdict, "", []int{dtnADUBytes}, snd, rcv)
 	res.Submitted = dtnCount
 
 	rcv.OnADU = func(adu alf.ADU) {
@@ -270,8 +270,7 @@ func RunDTN(cfg DTNConfig) (*DTNResult, error) {
 	for k := 0; k < dtnCount; k++ {
 		k := uint64(k)
 		s.After(window*sim.Duration(k)/dtnCount, func() {
-			name, err := snd.SendClass(aduTag(k), xcode.SyntaxRaw,
-				aduPayload(k, dtnADUBytes), aduClass(k))
+			name, err := snd.SendClass(aduTag(k), xcode.SyntaxRaw, led.payload(k), aduClass(k))
 			if err != nil {
 				res.violatef("Send(%d) failed: %v", k, err)
 				return
@@ -297,7 +296,7 @@ func RunDTN(cfg DTNConfig) (*DTNResult, error) {
 	}
 
 	// Clean drain: nothing retained, stored, pending, or queued.
-	res.quiesced(net, led)
+	res.quiesced(net.Links(), led)
 
 	// Custody plane: bounded storage, drained stores.
 	for _, rl := range relays {

@@ -11,7 +11,7 @@ import (
 	"repro/internal/telemetry"
 )
 
-// This file is what the three families (chaos, overload, DTN) share.
+// This file is what the four families (chaos, overload, DTN, UDP) share.
 // A family builds its topology and workload and states its policy —
 // which ADUs may be lost — and leaves the accounting here.
 
@@ -57,8 +57,9 @@ func (v *verdict) drain(s *sim.Scheduler, horizon, allowance sim.Duration, rec *
 
 // quiesced checks the end state after the drain: every stream's
 // sender retains and paces nothing, its receiver holds and chases
-// nothing, and every link is up with nothing queued or parked.
-func (v *verdict) quiesced(net *netsim.Network, streams ...*ledger) {
+// nothing, and every simulated link is up with nothing queued or
+// parked.
+func (v *verdict) quiesced(links []*netsim.Link, streams ...*ledger) {
 	for _, l := range streams {
 		if n := l.snd.BufferedADUs(); n != 0 {
 			v.violatef("%s%d ADUs still retained after drain", l.prefix, n)
@@ -73,7 +74,7 @@ func (v *verdict) quiesced(net *netsim.Network, streams ...*ledger) {
 			v.violatef("%s%d ADUs still tracked missing after drain", l.prefix, n)
 		}
 	}
-	for _, l := range net.Links() {
+	for _, l := range links {
 		from, to := l.From().Name(), l.To().Name()
 		if l.Down() {
 			v.violatef("faults: link %s->%s left down", from, to)
@@ -107,22 +108,27 @@ func aduTag(k uint64) uint64 { return k*2654435761 + 7 }
 // consumes no name for a shed ADU, so wire names and submission order
 // diverge under load — exactly when verification matters.)
 type ledger struct {
-	v        *verdict
-	prefix   string // leads every violation: "alf: ", "stream 2: ", ""
-	aduBytes int
-	snd      *alf.Sender
-	rcv      *alf.Receiver
+	v      *verdict
+	prefix string // leads every violation: "alf: ", "stream 2: ", ""
+	sizes  []int  // submission k carries sizes[k mod len] bytes
+	snd    *alf.Sender
+	rcv    *alf.Receiver
 
 	accepted  map[uint64]uint64 // wire name -> submission index
 	delivered map[uint64]int
 	lost      map[uint64]int
 }
 
-func newLedger(v *verdict, prefix string, aduBytes int, snd *alf.Sender, rcv *alf.Receiver) *ledger {
-	return &ledger{v: v, prefix: prefix, aduBytes: aduBytes, snd: snd, rcv: rcv,
+func newLedger(v *verdict, prefix string, sizes []int, snd *alf.Sender, rcv *alf.Receiver) *ledger {
+	return &ledger{v: v, prefix: prefix, sizes: sizes, snd: snd, rcv: rcv,
 		accepted:  make(map[uint64]uint64),
 		delivered: make(map[uint64]int),
 		lost:      make(map[uint64]int)}
+}
+
+// payload is submission k's bytes.
+func (l *ledger) payload(k uint64) []byte {
+	return aduPayload(k, l.sizes[k%uint64(len(l.sizes))])
 }
 
 // accept records that the sender took submission k as wire name name.
@@ -144,7 +150,7 @@ func (l *ledger) deliver(adu alf.ADU) bool {
 	if adu.Tag != aduTag(k) {
 		l.v.violatef("%sADU %d delivered with tag %d, want %d", l.prefix, adu.Name, adu.Tag, aduTag(k))
 	}
-	if !bytes.Equal(adu.Data, aduPayload(k, l.aduBytes)) {
+	if !bytes.Equal(adu.Data, l.payload(k)) {
 		l.v.violatef("%sADU %d delivered corrupted", l.prefix, adu.Name)
 	}
 	return true

@@ -13,17 +13,19 @@ import (
 
 // TestLedgerClassifies feeds the ledger one ADU per way the
 // exactly-once account can break and checks each is named for what it
-// is, under the family's prefix, and that clean ADUs pass.
+// is, under the family's prefix, and that clean ADUs pass. Submissions
+// alternate between two sizes, so each delivery is held to its own.
 func TestLedgerClassifies(t *testing.T) {
 	const n = 64
-	adu := func(name, k uint64) alf.ADU {
-		return alf.ADU{Name: name, Tag: aduTag(k), Data: aduPayload(k, n)}
-	}
 	var v verdict
-	l := newLedger(&v, "s1: ", n, nil, nil)
+	l := newLedger(&v, "s1: ", []int{n, 2 * n}, nil, nil)
+	adu := func(name, k uint64) alf.ADU {
+		return alf.ADU{Name: name, Tag: aduTag(k), Data: l.payload(k)}
+	}
 	for name := uint64(0); name < 8; name++ {
 		l.accept(name, name+100) // wire names and submission indices differ
 	}
+	l.accept(8, 109)
 	first := func(a alf.ADU, want bool) {
 		t.Helper()
 		if got := l.deliver(a); got != want {
@@ -47,6 +49,8 @@ func TestLedgerClassifies(t *testing.T) {
 	bad = adu(7, 107)
 	bad.Data[n/2] ^= 1
 	first(bad, true)
+	// The right pattern at the wrong length: submission 109 carries 2n.
+	first(alf.ADU{Name: 8, Tag: aduTag(109), Data: aduPayload(109, n)}, true)
 	first(adu(9, 109), false) // never accepted
 	if _, known := l.lose(10); known {
 		t.Error("lose(10) knows a name nobody accepted")
@@ -55,6 +59,7 @@ func TestLedgerClassifies(t *testing.T) {
 	atDelivery := []string{
 		fmt.Sprintf("s1: ADU 6 delivered with tag %d, want %d", aduTag(106)+1, aduTag(106)),
 		"s1: ADU 7 delivered corrupted",
+		"s1: ADU 8 delivered corrupted",
 		"s1: ADU 9 delivered but never accepted",
 	}
 	if !slices.Equal(v.Violations, atDelivery) {

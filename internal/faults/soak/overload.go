@@ -252,7 +252,7 @@ func RunOverload(cfg OverloadConfig) (*OverloadResult, error) {
 
 		acct := &res.Streams[i]
 		acct.StreamID = id
-		led := newLedger(&res.verdict, fmt.Sprintf("stream %d: ", id), overloadADUBytes, snd, rcv)
+		led := newLedger(&res.verdict, fmt.Sprintf("stream %d: ", id), []int{overloadADUBytes}, snd, rcv)
 		leds[i] = led
 
 		rcv.OnADU = func(adu alf.ADU) {
@@ -277,8 +277,7 @@ func RunOverload(cfg OverloadConfig) (*OverloadResult, error) {
 			s.After(submitAt(cfg.Shape, i, int(k), perStream, submitWindow), func() {
 				acct.Submitted++
 				class := aduClass(k)
-				name, err := snd.SendClass(aduTag(k), xcode.SyntaxRaw,
-					aduPayload(k, overloadADUBytes), class)
+				name, err := snd.SendClass(aduTag(k), xcode.SyntaxRaw, led.payload(k), class)
 				switch {
 				case err == nil:
 					led.accept(name, k)
@@ -309,7 +308,7 @@ func RunOverload(cfg OverloadConfig) (*OverloadResult, error) {
 		res.ShedADUs += led.snd.Stats.ShedADUs
 		led.settle(false)
 	}
-	res.quiesced(net, leds...)
+	res.quiesced(net.Links(), leds...)
 	res.TrunkDrops = lr.Stats.QueueDrops + rl.Stats.QueueDrops
 
 	// Goodput floor: delivered payload over the submit window must

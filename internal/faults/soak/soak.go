@@ -1,7 +1,15 @@
-// Package soak is the chaos soak harness: it runs randomized fault
-// scenarios (internal/faults) against the ALF stack and the OTP
-// baseline sharing one faulty topology, and checks the delivery
-// invariants that must survive any fault schedule:
+// Package soak holds the soak harnesses: four families that each build
+// a path, state which ADUs may be lost, and leave the exactly-once
+// accounting to one ledger (ledger.go). The chaos family (this file)
+// runs fault scenarios; overload.go asks a bottleneck for more than it
+// has; dtn.go crosses an interplanetary path with custody relays; and
+// udp.go moves ADUs across real loopback sockets through
+// internal/udplink, on the wall clock.
+//
+// The chaos family runs randomized fault scenarios (internal/faults)
+// against the ALF stack and the OTP baseline sharing one faulty
+// topology, and checks the delivery invariants that must survive any
+// fault schedule:
 //
 //   - Every ADU the application submits is delivered exactly once OR
 //     reported lost exactly once — never both, never neither — under
@@ -17,9 +25,9 @@
 //   - The OTP byte stream is delivered as an exact prefix of what was
 //     submitted; a connection that did not die delivers everything.
 //
-// A run is fully determined by (code, Config): the traffic, the fault
-// schedule, and every impairment derive from explicit seeds. The same
-// harness backs `go test` (soak_test.go) and cmd/alfchaos.
+// A simulated run is fully determined by (code, Config): the traffic,
+// the fault schedule, and every impairment derive from explicit seeds.
+// The same harness backs `go test` (soak_test.go) and cmd/alfchaos.
 package soak
 
 import (
@@ -220,14 +228,14 @@ func Run(cfg Config) (*Result, error) {
 		return nil, err
 	}
 
-	led := newLedger(&res.verdict, "alf: ", cfg.ADUBytes, snd, rcv)
+	led := newLedger(&res.verdict, "alf: ", []int{cfg.ADUBytes}, snd, rcv)
 	rcv.OnADU = func(adu alf.ADU) { led.deliver(adu) }
 	rcv.OnLost = func(name uint64) { led.lose(name) }
 	expired := make(map[uint64]int)
 	snd.OnExpire = func(name uint64) { expired[name]++ }
 	snd.OnResend = func(name uint64) (uint64, xcode.SyntaxID, []byte, bool) {
 		// AppRecompute: regenerate from the pattern — always possible.
-		return aduTag(name), xcode.SyntaxRaw, aduPayload(name, cfg.ADUBytes), true
+		return aduTag(name), xcode.SyntaxRaw, led.payload(name), true
 	}
 
 	// ---- OTP connection over the same path.
@@ -269,7 +277,7 @@ func Run(cfg Config) (*Result, error) {
 	for i := 0; i < cfg.ADUs; i++ {
 		k := uint64(i)
 		s.After(sim.Duration(i)*aduEvery, func() {
-			name, err := snd.Send(aduTag(k), xcode.SyntaxRaw, aduPayload(k, cfg.ADUBytes))
+			name, err := snd.Send(aduTag(k), xcode.SyntaxRaw, led.payload(k))
 			if err != nil {
 				res.violatef("alf: Send(%d) failed: %v", k, err)
 				return
@@ -376,7 +384,7 @@ func Run(cfg Config) (*Result, error) {
 
 	// Quiescent end state: nothing retained, nothing pending, every
 	// fault healed.
-	res.quiesced(net, led)
+	res.quiesced(net.Links(), led)
 	if inj.Active() {
 		res.violatef("faults: injector still active after the horizon")
 	}

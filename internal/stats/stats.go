@@ -1,18 +1,12 @@
 // Package stats provides the measurement plumbing for the benchmark
-// harness: throughput accounting, summary statistics, percentiles, and
-// plain-text table rendering in the style of the paper's Table 1.
-//
-// Sample keeps every observation and answers exact percentiles — what
-// the F9 latency tables and internal/video print from a few hundred
-// points; metrics.Histogram is the other contract, constant-size log
-// buckets for series that live in a registry, and event counters live
-// there too.
+// harness: throughput accounting and plain-text table rendering in the
+// style of the paper's Table 1. A registry series keeps its percentiles
+// in a metrics.Histogram.
 package stats
 
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 	"time"
 )
@@ -25,66 +19,6 @@ func Mbps(bytes int64, elapsed time.Duration) float64 {
 		return 0
 	}
 	return float64(bytes) * 8 / 1e6 / elapsed.Seconds()
-}
-
-// Sample accumulates observations and reports summary statistics.
-// The zero value is ready to use.
-type Sample struct {
-	xs     []float64
-	sum    float64
-	sorted bool
-}
-
-// Add records one observation.
-func (s *Sample) Add(x float64) {
-	s.xs = append(s.xs, x)
-	s.sum += x
-	s.sorted = false
-}
-
-// AddDuration records a duration observation in seconds.
-func (s *Sample) AddDuration(d time.Duration) { s.Add(d.Seconds()) }
-
-// N returns the number of observations.
-func (s *Sample) N() int { return len(s.xs) }
-
-// Mean returns the arithmetic mean, or 0 for an empty sample.
-func (s *Sample) Mean() float64 {
-	if len(s.xs) == 0 {
-		return 0
-	}
-	return s.sum / float64(len(s.xs))
-}
-
-// Percentile returns the p-th percentile (0 <= p <= 100) using linear
-// interpolation between closest ranks. It returns 0 for an empty sample.
-func (s *Sample) Percentile(p float64) float64 {
-	n := len(s.xs)
-	if n == 0 {
-		return 0
-	}
-	s.sort()
-	if p <= 0 {
-		return s.xs[0]
-	}
-	if p >= 100 {
-		return s.xs[n-1]
-	}
-	rank := p / 100 * float64(n-1)
-	lo := int(math.Floor(rank))
-	hi := int(math.Ceil(rank))
-	if lo == hi {
-		return s.xs[lo]
-	}
-	frac := rank - float64(lo)
-	return s.xs[lo]*(1-frac) + s.xs[hi]*frac
-}
-
-func (s *Sample) sort() {
-	if !s.sorted {
-		sort.Float64s(s.xs)
-		s.sorted = true
-	}
 }
 
 // Table renders aligned plain-text tables for the experiment harness.
