@@ -115,7 +115,8 @@ benchmark-smoke:
 # messages must re-encode to the same bytes; the AAL reassembler's
 # cells and an OTP receiver's segments, which must hold no more than
 # their bounds and still deliver a valid message intact after the
-# junk. The budget is deliberately small so check stays fast; raise
+# junk; and a custody relay's frames from either side, whose store
+# must stay within its bound now and at its peak. The budget is deliberately small so check stays fast; raise
 # FUZZTIME for a real session.
 FUZZTIME ?= 5s
 fuzz:
@@ -134,6 +135,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzSession$$' -fuzztime $(FUZZTIME) ./internal/session
 	$(GO) test -run '^$$' -fuzz '^FuzzCell$$' -fuzztime $(FUZZTIME) ./internal/atm
 	$(GO) test -run '^$$' -fuzz '^FuzzHandleSegment$$' -fuzztime $(FUZZTIME) ./internal/otp
+	$(GO) test -run '^$$' -fuzz '^FuzzRelay$$' -fuzztime $(FUZZTIME) ./internal/relay
 
 # One seeded chaos pass: every scenario x policy plus the blackout
 # shed/report assertions, and the overload family (closed-loop passes,

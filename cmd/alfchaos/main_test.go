@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"flag"
 	"os"
 	"os/exec"
@@ -21,8 +22,9 @@ func TestMain(m *testing.M) {
 	os.Exit(m.Run())
 }
 
-// TestGolden pins the three seeded soak families' summaries, verdicts
-// included: each must exit 0 and print exactly what it printed before.
+// TestGolden pins the three seeded soak families' sweeps and one single
+// run of each (summary, verdict and metric tree): each must exit 0 and
+// print exactly what it printed before.
 // Regenerate deliberately with `go test ./cmd/alfchaos -update`.
 func TestGolden(t *testing.T) {
 	for _, tc := range []struct {
@@ -32,6 +34,9 @@ func TestGolden(t *testing.T) {
 		{"all", []string{"-all"}},
 		{"overload_all", []string{"-overload", "-all"}},
 		{"dtn_all", []string{"-dtn", "-all"}},
+		{"blackout", []string{"-scenario", "blackout"}},
+		{"overload_burst", []string{"-overload", "-shape", "burst"}},
+		{"dtn", []string{"-dtn"}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cmd := exec.Command(os.Args[0], tc.args...)
@@ -58,5 +63,32 @@ func TestGolden(t *testing.T) {
 				t.Errorf("output differs from %s:\n--- got ---\n%s\n--- want ---\n%s", path, got, want)
 			}
 		})
+	}
+}
+
+// TestTraceEveryFamily: -trace records a single run of each family and
+// leaves a Perfetto file with events in it.
+func TestTraceEveryFamily(t *testing.T) {
+	for _, family := range [][]string{nil, {"-overload"}, {"-dtn"}} {
+		path := filepath.Join(t.TempDir(), "trace.json")
+		args := append([]string{"-tree=false", "-trace", path}, family...)
+		cmd := exec.Command(os.Args[0], args...)
+		cmd.Env = append(os.Environ(), "ALFCHAOS_MAIN=1")
+		if out, err := cmd.CombinedOutput(); err != nil {
+			t.Fatalf("alfchaos %v: %v\n%s", args, err, out)
+		}
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatalf("alfchaos %v: %v", args, err)
+		}
+		var trace struct {
+			TraceEvents []json.RawMessage `json:"traceEvents"`
+		}
+		if err := json.Unmarshal(raw, &trace); err != nil {
+			t.Fatalf("alfchaos %v: trace is not JSON: %v", args, err)
+		}
+		if len(trace.TraceEvents) == 0 {
+			t.Errorf("alfchaos %v: trace holds no events", args)
+		}
 	}
 }

@@ -29,6 +29,10 @@
 //	                             # sample every 5ms of virtual time, write
 //	                             # the recorded window as CSV
 //
+// The soak families' contrasts (fixed-vs-closed overload,
+// end-to-end-vs-custody DTN) are alfchaos's: `alfchaos -overload -all`
+// and `alfchaos -dtn -all` print them.
+//
 // Ingested alfbench values are registered as gauges in milli-units
 // (value x1000, suffix _milli) because the registry stores integers.
 package main
@@ -68,9 +72,6 @@ var (
 	flagQuick   = flag.Bool("quick", false, "shorter kernel timing budgets")
 	flagIngest  = flag.String("ingest", "", "CSV file from `alfbench -csv` to fold into the tree (\"-\" = stdin)")
 	flagOutage  = flag.Duration("outage", 0, "black out every data link for this long, 100ms into the run (0 = none)")
-	flagOver    = flag.Bool("overload", false, "also run the fixed-vs-closed overload contrast through a shared bottleneck")
-	flagShape   = flag.String("shape", "steady", "overload arrival pattern: steady, burst, flash")
-	flagDTN     = flag.Bool("dtn", false, "also run the end-to-end-vs-custody contrast over an interplanetary path")
 
 	flagSeries    = flag.String("series", "", "attach the flight recorder and render matching series as sparkline timelines (substring match, \"all\" = everything)")
 	flagWatch     = flag.Duration("watch", 0, "flight-recorder sampling interval in virtual time (default 10ms; implies recording)")
@@ -113,24 +114,6 @@ func main() {
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "alfstat: %v\n", err)
 		os.Exit(1)
-	}
-
-	if *flagOver {
-		over, err := runOverloadContrast(reg)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "alfstat: %v\n", err)
-			os.Exit(1)
-		}
-		summary += over
-	}
-
-	if *flagDTN {
-		dtn, err := runDTNContrast(reg)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "alfstat: %v\n", err)
-			os.Exit(1)
-		}
-		summary += dtn
 	}
 
 	if *flagKernels {
@@ -296,68 +279,6 @@ func runScenario(reg *metrics.Registry, rec *telemetry.Recorder) (string, error)
 	}
 	fmt.Fprintf(&b, "drops: %d down-link, %d queue, %d line\n",
 		downDrops, queueDrops, lineLosses)
-	return b.String(), nil
-}
-
-// runOverloadContrast runs the fixed-vs-closed overload experiment
-// (three streams at 3:1 over a shared bottleneck) and registers each
-// stance's headline numbers as alfstat.overload.* gauges, so the §3
-// closed-loop argument shows up in the same tree as everything else.
-func runOverloadContrast(reg *metrics.Registry) (string, error) {
-	pts, err := experiments.RunOverloadContrast(experiments.OverloadConfig{
-		Seed: *flagSeed, Shape: *flagShape,
-	})
-	if err != nil {
-		return "", err
-	}
-	var b strings.Builder
-	for _, p := range pts {
-		mode := "mode=" + p.Mode
-		reg.Gauge("alfstat.overload.goodput_kbps", mode).Set(int64(p.GoodputMbps * 1e3))
-		reg.Gauge("alfstat.overload.critical_lost", mode).Set(int64(p.CriticalLost))
-		reg.Gauge("alfstat.overload.shed_adus", mode).Set(p.ShedADUs)
-		reg.Gauge("alfstat.overload.trunk_drops", mode).Set(p.TrunkDrops)
-		verdict := "no-collapse invariants held"
-		if !p.Passed {
-			verdict = "COLLAPSED (invariants violated)"
-		}
-		fmt.Fprintf(&b, "overload %-6s: %.2f Mb/s goodput (%.0f%% of capacity), "+
-			"%d Critical lost, %d shed, %d trunk drops — %s\n",
-			p.Mode, p.GoodputMbps, p.CapacityFrac*100, p.CriticalLost,
-			p.ShedADUs, p.TrunkDrops, verdict)
-	}
-	return b.String(), nil
-}
-
-// runDTNContrast runs the end-to-end-vs-custody experiment (a
-// three-hop path with 8-minute one-way delay and two 40-minute
-// conjunction blackouts) and registers each stance's headline numbers
-// as alfstat.dtn.* gauges, so the delay-tolerance argument shows up in
-// the same tree as everything else.
-func runDTNContrast(reg *metrics.Registry) (string, error) {
-	pts, err := experiments.RunDTNContrast(experiments.DTNConfig{Seed: *flagSeed})
-	if err != nil {
-		return "", err
-	}
-	var b strings.Builder
-	for _, p := range pts {
-		mode := "mode=" + p.Mode
-		reg.Gauge("alfstat.dtn.goodput_bps", mode).Set(int64(p.GoodputKbps * 1e3))
-		reg.Gauge("alfstat.dtn.delivered_permille", mode).Set(int64(p.DeliveredFrac * 1e3))
-		reg.Gauge("alfstat.dtn.critical_lost", mode).Set(int64(p.CriticalLost))
-		reg.Gauge("alfstat.dtn.deadline_drops", mode).Set(p.DeadlineDrops)
-		reg.Gauge("alfstat.dtn.relay_peak_bytes", mode).Set(p.RelayPeakBytes)
-		reg.Gauge("alfstat.dtn.custody_released", mode).Set(p.CustodyReleased)
-		reg.Gauge("alfstat.dtn.nacks_answered", mode).Set(p.NacksAnswered)
-		verdict := "delay-tolerant invariants held"
-		if !p.Passed {
-			verdict = "COLLAPSED (invariants violated)"
-		}
-		fmt.Fprintf(&b, "dtn %-7s: %.0f%% delivered (%.1f kb/s), %d Critical lost, "+
-			"%d deadline drops, %d custody releases, %d NACKs answered locally — %s\n",
-			p.Mode, p.DeliveredFrac*100, p.GoodputKbps, p.CriticalLost,
-			p.DeadlineDrops, p.CustodyReleased, p.NacksAnswered, verdict)
-	}
 	return b.String(), nil
 }
 

@@ -386,37 +386,3 @@ func TestA3BurstVsIndependentFEC(t *testing.T) {
 		t.Errorf("FEC under independent 3%% loss delivered only %.4f", indep)
 	}
 }
-
-func TestOverloadContrastShape(t *testing.T) {
-	pts, err := RunOverloadContrast(OverloadConfig{Seed: 42})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(pts) != 2 || pts[0].Mode != "fixed" || pts[1].Mode != "closed" {
-		t.Fatalf("points = %+v", pts)
-	}
-	fixed, closed := pts[0], pts[1]
-	if closed.GoodputMbps <= fixed.GoodputMbps {
-		t.Errorf("closed goodput %.2f not above fixed %.2f",
-			closed.GoodputMbps, fixed.GoodputMbps)
-	}
-	if !closed.Passed {
-		t.Error("closed-loop stance violated a no-collapse invariant")
-	}
-	if fixed.Passed {
-		t.Error("fixed stance passed; the contrast demonstrates nothing")
-	}
-	if closed.CriticalLost != 0 {
-		t.Errorf("closed stance lost %d Critical ADUs", closed.CriticalLost)
-	}
-	if fixed.CriticalLost == 0 {
-		t.Error("fixed stance lost no Critical ADUs")
-	}
-	if closed.TrunkDrops >= fixed.TrunkDrops {
-		t.Errorf("closed trunk drops %d not below fixed %d",
-			closed.TrunkDrops, fixed.TrunkDrops)
-	}
-	if closed.CapacityFrac < 0.7 || closed.CapacityFrac > 1.05 {
-		t.Errorf("closed capacity fraction %.2f outside (0.7, 1.05)", closed.CapacityFrac)
-	}
-}

@@ -6,13 +6,10 @@ import (
 
 	alf "repro/internal/core"
 	"repro/internal/faults"
-	"repro/internal/metrics"
 	"repro/internal/netsim"
 	"repro/internal/relay"
 	"repro/internal/sim"
-	"repro/internal/telemetry"
 	"repro/internal/wire"
-	"repro/internal/xcode"
 )
 
 // This file is the DTN scenario family: a three-hop interplanetary
@@ -41,9 +38,9 @@ import (
 
 // The DTN scenario's fixed shape.
 const (
-	// dtnHorizon is the virtual horizon; submission occupies the first
+	// DTNHorizon is the virtual horizon; submission occupies the first
 	// half and the tail is quiet for recovery and drain.
-	dtnHorizon = 4 * time.Hour
+	DTNHorizon = 4 * time.Hour
 	// dtnHopDelay is the one-way delay of each of the three hops, so the
 	// path is 8 min one way / 16 min RTT.
 	dtnHopDelay = 160 * time.Second
@@ -64,18 +61,13 @@ type DTNConfig struct {
 	// Mode is "custody" (relays + WindowedRate) or "aimd" (plain
 	// forwarding + AIMD). Default "custody".
 	Mode string
-	// Metrics, if non-nil, instruments the whole rig.
-	Metrics *metrics.Registry
-	// Recorder, if non-nil, flight-records the run (see Config.Recorder).
-	// An interval of minutes suits the multi-hour horizon: the default
-	// 512-sample ring then spans both conjunction windows.
-	Recorder *telemetry.Recorder
+	// Planes instrument the run. A flight-recorder interval of minutes
+	// suits the multi-hour horizon: the default 512-sample ring then
+	// spans both conjunction windows.
+	Planes
 }
 
 func (c *DTNConfig) fill() {
-	if c.Recorder != nil && c.Metrics == nil {
-		c.Metrics = metrics.New()
-	}
 	if c.Mode == "" {
 		c.Mode = "custody"
 	}
@@ -111,9 +103,6 @@ type DTNResult struct {
 	// End-to-end stress markers (what the baseline dies of).
 	DeadlineDrops int64 // sender retention expired unconfirmed
 	UnfilledNacks int64 // recovery requests nobody could answer
-
-	DrainEvents uint64
-	EndVirtual  sim.Time
 }
 
 // RunDTN executes one DTN scenario to quiescence and returns the
@@ -121,7 +110,7 @@ type DTNResult struct {
 // baseline's losses are Violations, not errors.
 func RunDTN(cfg DTNConfig) (*DTNResult, error) {
 	cfg.fill()
-	res := &DTNResult{Mode: cfg.Mode, Seed: cfg.Seed, Horizon: dtnHorizon}
+	res := &DTNResult{Mode: cfg.Mode, Seed: cfg.Seed, Horizon: DTNHorizon}
 
 	// ---- Topology: a three-hop chain. All custody action is on the
 	// intermediate nodes; the middle hop is the one conjunction takes.
@@ -129,9 +118,8 @@ func RunDTN(cfg DTNConfig) (*DTNResult, error) {
 	//	src ══h1══ r1 ══h2══ r2 ══h3══ dst
 	//	          (relay)  (relay)
 	//	              └─ 2x 40-min blackout
-	s := sim.NewScheduler()
-	cfg.Recorder.Bind(s, cfg.Metrics, sim.Time(0).Add(dtnHorizon))
-	net := netsim.New(s, cfg.Seed)
+	r := newRig(&res.verdict, cfg.Planes, cfg.Seed, DTNHorizon)
+	s, net := r.s, r.net
 	src := net.NewNode("src")
 	r1 := net.NewNode("r1")
 	r2 := net.NewNode("r2")
@@ -148,8 +136,6 @@ func RunDTN(cfg DTNConfig) (*DTNResult, error) {
 	h1, h1r := net.NewDuplex(src, r1, hop(0))
 	h2, h2r := net.NewDuplex(r1, r2, hop(0.005))
 	h3, h3r := net.NewDuplex(r2, dst, hop(0))
-
-	net.SetMetrics(cfg.Metrics)
 
 	// ---- Endpoints. The DTN parameter scale: NACK cadences in
 	// minutes, retention deadlines under an hour, heartbeat backoff up
@@ -175,7 +161,6 @@ func RunDTN(cfg DTNConfig) (*DTNResult, error) {
 		// only blur the custody/rate contrast, so it is parked.
 		ShedBacklog:  time.Hour,
 		ShedLossFrac: 1,
-		Metrics:      cfg.Metrics,
 	}
 	switch cfg.Mode {
 	case "custody":
@@ -193,10 +178,13 @@ func RunDTN(cfg DTNConfig) (*DTNResult, error) {
 		return nil, fmt.Errorf("dtn: unknown mode %q", cfg.Mode)
 	}
 
-	snd, rcv, err := alf.Connect(s, src, dst, h1, h3r, aCfg)
+	// The DTN policy: every Critical ADU is delivered exactly once, no
+	// matter what the conjunction did.
+	led, err := r.connect("", dtnADUBytes, src, dst, h1, h3r, aCfg)
 	if err != nil {
 		return nil, err
 	}
+	led.protectCritical("across the blackout")
 
 	// ---- The intermediate nodes: custody relays, or plain forwarders
 	// for the baseline.
@@ -209,7 +197,7 @@ func RunDTN(cfg DTNConfig) (*DTNResult, error) {
 			// downstream round trip.
 			RetryInterval: 30 * time.Minute,
 			HealPoll:      30 * time.Second,
-			Metrics:       cfg.Metrics,
+			Metrics:       r.Metrics,
 		}
 		c1, c2 := rCfg, rCfg
 		c1.Name, c1.RelayID = "r1", 1
@@ -245,82 +233,56 @@ func RunDTN(cfg DTNConfig) (*DTNResult, error) {
 	// directions die — data, NACKs, feedback, and custody acks for the
 	// downstream leg all stop.
 	in := faults.New(s, cfg.Seed)
+	in.SetTracer(r.Tracer)
 	in.Conjunction([]*netsim.Link{h2, h2r}, 30*time.Minute, 40*time.Minute, 30*time.Minute, 2)
 
 	// ---- Workload: dtnCount ADUs paced evenly over the first half of
 	// the horizon, deterministic payloads, the standard priority mix
 	// (one Critical per ten).
-	led := newLedger(&res.verdict, "", []int{dtnADUBytes}, snd, rcv)
 	res.Submitted = dtnCount
-
-	rcv.OnADU = func(adu alf.ADU) {
-		if led.deliver(adu) {
-			res.Delivered++
-		}
-	}
-	rcv.OnLost = func(name uint64) {
-		res.LostADUs++
-		if k, known := led.lose(name); known && aduClass(k) == alf.Critical {
-			res.CriticalLost++
-			res.violatef("Critical ADU %d lost across the blackout", name)
-		}
-	}
-
-	window := dtnHorizon / 2
-	for k := 0; k < dtnCount; k++ {
-		k := uint64(k)
-		s.After(window*sim.Duration(k)/dtnCount, func() {
-			name, err := snd.SendClass(aduTag(k), xcode.SyntaxRaw, led.payload(k), aduClass(k))
-			if err != nil {
-				res.violatef("Send(%d) failed: %v", k, err)
-				return
-			}
-			led.accept(name, k)
-		})
-	}
+	window := DTNHorizon / 2
+	r.offer(led, dtnCount, func(k int) sim.Duration { return window * sim.Duration(k) / dtnCount }, aduClass)
 
 	// ---- Run to the horizon, then drain. The drain allowance is
 	// hours of virtual time: HoldTime-scale give-up timers are part of
 	// normal DTN operation, not livelock.
-	res.DrainEvents, res.EndVirtual = res.drain(s, dtnHorizon, 3*time.Hour, cfg.Recorder)
-
-	// ---- Invariants. The DTN policy: every Critical ADU is delivered
-	// exactly once, no matter what the conjunction did. (OnLost catches
-	// the explicit give-up; this catches ADUs that silently never
-	// arrived.)
-	led.settle(false)
-	for _, name := range led.names() {
-		if aduClass(led.accepted[name]) == alf.Critical && led.delivered[name] != 1 {
-			res.violatef("Critical ADU %d delivered %d times, want exactly once", name, led.delivered[name])
+	r.finish(3*time.Hour, func() {
+		// OnLost catches the explicit give-up of a Critical ADU; this
+		// catches one that silently never arrived.
+		led.settle(false)
+		for _, name := range led.names() {
+			if aduClass(led.accepted[name]) == alf.Critical && led.delivered[name] != 1 {
+				res.violatef("Critical ADU %d delivered %d times, want exactly once", name, led.delivered[name])
+			}
 		}
-	}
-
-	// Clean drain: nothing retained, stored, pending, or queued.
-	res.quiesced(net.Links(), led)
-
-	// Custody plane: bounded storage, drained stores.
-	for _, rl := range relays {
-		if rl.Stats.MaxStoredBytes > dtnStorageLimit {
-			res.violatef("relay custody store peaked at %d bytes, bound is %d",
-				rl.Stats.MaxStoredBytes, dtnStorageLimit)
+	}, func() {
+		// Custody plane: bounded storage, drained stores.
+		for _, rl := range relays {
+			if rl.Stats.MaxStoredBytes > dtnStorageLimit {
+				res.violatef("relay custody store peaked at %d bytes, bound is %d",
+					rl.Stats.MaxStoredBytes, dtnStorageLimit)
+			}
+			if n := rl.StoredADUs(); n != 0 {
+				res.violatef("relay still holds %d ADUs in custody after drain", n)
+			}
+			if rl.Stats.MaxStoredBytes > res.RelayPeakBytes {
+				res.RelayPeakBytes = rl.Stats.MaxStoredBytes
+			}
+			res.RelayEvicted += rl.Stats.Evicted
+			res.RelayShed += rl.Stats.ShedFrags
+			res.RelayRetxADUs += rl.Stats.RetxADUs
+			res.NacksAnswered += rl.Stats.NacksAnswered
 		}
-		if n := rl.StoredADUs(); n != 0 {
-			res.violatef("relay still holds %d ADUs in custody after drain", n)
-		}
-		if rl.Stats.MaxStoredBytes > res.RelayPeakBytes {
-			res.RelayPeakBytes = rl.Stats.MaxStoredBytes
-		}
-		res.RelayEvicted += rl.Stats.Evicted
-		res.RelayShed += rl.Stats.ShedFrags
-		res.RelayRetxADUs += rl.Stats.RetxADUs
-		res.NacksAnswered += rl.Stats.NacksAnswered
-	}
 
-	res.CustodyReleased = snd.Stats.CustodyReleased
-	res.DeadlineDrops = snd.Stats.DeadlineDrops
-	res.UnfilledNacks = snd.Stats.UnfilledNacks
-	res.FinalRateBps = snd.Rate()
-	res.GoodputBps = float64(res.Delivered) * float64(dtnADUBytes) * 8 / window.Seconds()
-	noteViolations(cfg.Recorder, res.Violations)
+		snd := led.snd
+		res.Delivered = led.good
+		res.LostADUs = led.lostCalls
+		res.CriticalLost = led.criticalLost
+		res.CustodyReleased = snd.Stats.CustodyReleased
+		res.DeadlineDrops = snd.Stats.DeadlineDrops
+		res.UnfilledNacks = snd.Stats.UnfilledNacks
+		res.FinalRateBps = snd.Rate()
+		res.GoodputBps = float64(res.Delivered) * float64(dtnADUBytes) * 8 / window.Seconds()
+	})
 	return res, nil
 }

@@ -14,7 +14,7 @@ import (
 func TestDTNCustodySurvivesConjunction(t *testing.T) {
 	rec := RecorderFor(4*time.Hour, DTNDetectors()...)
 	dumpOnFailure(t, rec, "dtn-custody")
-	res, err := RunDTN(DTNConfig{Seed: 1, Mode: "custody", Recorder: rec})
+	res, err := RunDTN(DTNConfig{Seed: 1, Mode: "custody", Planes: Planes{Recorder: rec}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,8 +130,8 @@ func TestDTNSeedSweep(t *testing.T) {
 func TestDTNConfigDefaults(t *testing.T) {
 	var c DTNConfig
 	c.fill()
-	if c.Mode != "custody" || dtnHorizon != 4*time.Hour || dtnCount != 240 {
-		t.Errorf("defaults = %+v, horizon %v, %d ADUs", c, dtnHorizon, dtnCount)
+	if c.Mode != "custody" || DTNHorizon != 4*time.Hour || dtnCount != 240 {
+		t.Errorf("defaults = %+v, horizon %v, %d ADUs", c, DTNHorizon, dtnCount)
 	}
 	if dtnHopDelay != 160*time.Second {
 		t.Errorf("hop delay = %v, want the 8-minute one-way path", dtnHopDelay)

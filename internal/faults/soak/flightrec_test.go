@@ -55,7 +55,7 @@ func TestDTNFlightRecorderPostMortem(t *testing.T) {
 
 	// ---- Failing half: aimd mode, with the DTN detector catalog.
 	rec := RecorderFor(4*time.Hour, DTNDetectors()...)
-	res, err := RunDTN(DTNConfig{Seed: 1, Mode: "aimd", Recorder: rec})
+	res, err := RunDTN(DTNConfig{Seed: 1, Mode: "aimd", Planes: Planes{Recorder: rec}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +129,7 @@ func TestDTNFlightRecorderPostMortem(t *testing.T) {
 	// ---- Custody half: same conjunctions, and the store-occupancy
 	// series must show the relays buffering through them.
 	rec2 := RecorderFor(4*time.Hour, DTNDetectors()...)
-	res2, err := RunDTN(DTNConfig{Seed: 1, Mode: "custody", Recorder: rec2})
+	res2, err := RunDTN(DTNConfig{Seed: 1, Mode: "custody", Planes: Planes{Recorder: rec2}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +177,7 @@ func TestDTNRecorderDeterminism(t *testing.T) {
 	var dumps [2][]byte
 	for i := range dumps {
 		rec := RecorderFor(4*time.Hour, DTNDetectors()...)
-		res, err := RunDTN(DTNConfig{Seed: 42, Mode: "custody", Recorder: rec})
+		res, err := RunDTN(DTNConfig{Seed: 42, Mode: "custody", Planes: Planes{Recorder: rec}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -204,7 +204,7 @@ func TestChaosRecorderDeterminism(t *testing.T) {
 	var dumps [2][]byte
 	for i := range dumps {
 		rec := RecorderFor(3*time.Second, ChaosDetectors()...)
-		if _, err := Run(Config{Seed: 7, Scenario: "random", Recorder: rec}); err != nil {
+		if _, err := Run(Config{Seed: 7, Scenario: "random", Planes: Planes{Recorder: rec}}); err != nil {
 			t.Fatal(err)
 		}
 		var buf bytes.Buffer
@@ -222,7 +222,7 @@ func TestChaosRecorderDeterminism(t *testing.T) {
 // write, a set env var means a valid JSON dump at the returned path.
 func TestDumpIfRequested(t *testing.T) {
 	rec := RecorderFor(3*time.Second, ChaosDetectors()...)
-	if _, err := Run(Config{Seed: 3, Recorder: rec}); err != nil {
+	if _, err := Run(Config{Seed: 3, Planes: Planes{Recorder: rec}}); err != nil {
 		t.Fatal(err)
 	}
 

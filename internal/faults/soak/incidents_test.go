@@ -32,19 +32,19 @@ func TestIncidentsPinned(t *testing.T) {
 	var b strings.Builder
 
 	rec := RecorderFor(6*time.Second, OverloadDetectors()...)
-	if _, err := RunOverload(OverloadConfig{Seed: 42, Shape: "burst", Recorder: rec}); err != nil {
+	if _, err := RunOverload(OverloadConfig{Seed: 42, Shape: "burst", Planes: Planes{Recorder: rec}}); err != nil {
 		t.Fatal(err)
 	}
 	incidentLog(&b, "overload seed=42 shape=burst mode=closed", rec)
 	for _, mode := range []string{"custody", "aimd"} {
 		rec := RecorderFor(4*time.Hour, DTNDetectors()...)
-		if _, err := RunDTN(DTNConfig{Seed: 1, Mode: mode, Recorder: rec}); err != nil {
+		if _, err := RunDTN(DTNConfig{Seed: 1, Mode: mode, Planes: Planes{Recorder: rec}}); err != nil {
 			t.Fatal(err)
 		}
 		incidentLog(&b, "dtn seed=1 mode="+mode, rec)
 	}
 	rec = RecorderFor(3*time.Second, ChaosDetectors()...)
-	if _, err := Run(Config{Seed: 7, Scenario: "blackout", Recorder: rec}); err != nil {
+	if _, err := Run(Config{Seed: 7, Scenario: "blackout", Planes: Planes{Recorder: rec}}); err != nil {
 		t.Fatal(err)
 	}
 	incidentLog(&b, "chaos seed=7 scenario=blackout", rec)

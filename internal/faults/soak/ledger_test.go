@@ -101,10 +101,10 @@ func TestSeriesIDsPinned(t *testing.T) {
 		t.Fatal(err)
 	}
 	reg := metrics.New()
-	if _, err := Run(Config{Seed: 1, Metrics: reg}); err != nil {
+	if _, err := Run(Config{Seed: 1, Planes: Planes{Metrics: reg}}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := RunDTN(DTNConfig{Seed: 1, Metrics: reg}); err != nil {
+	if _, err := RunDTN(DTNConfig{Seed: 1, Planes: Planes{Metrics: reg}}); err != nil {
 		t.Fatal(err)
 	}
 	have := map[string]bool{}

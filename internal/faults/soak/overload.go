@@ -5,12 +5,8 @@ import (
 	"time"
 
 	alf "repro/internal/core"
-	"repro/internal/metrics"
 	"repro/internal/netsim"
 	"repro/internal/sim"
-	"repro/internal/telemetry"
-	"repro/internal/tracing"
-	"repro/internal/xcode"
 )
 
 // This file is the overload scenario family: no link ever fails, the
@@ -52,19 +48,13 @@ type OverloadConfig struct {
 	// Duration is the virtual horizon; submission occupies the first
 	// 2/3 and the tail is quiet for drain (default 6 s).
 	Duration sim.Duration
-	// Metrics and Tracer, if non-nil, instrument the whole rig.
-	Metrics *metrics.Registry
-	Tracer  *tracing.Tracer
-	// Recorder, if non-nil, flight-records the run (see Config.Recorder):
-	// this is how the F10 contrast is replayed as rate-vs-time — the
-	// AIMD backoff/probe sawtooth is invisible in totals.
-	Recorder *telemetry.Recorder
+	// Planes instrument the run. The flight recorder is how the F10
+	// contrast is replayed as rate-vs-time — the AIMD backoff/probe
+	// sawtooth is invisible in totals.
+	Planes
 }
 
 func (c *OverloadConfig) fill() {
-	if c.Recorder != nil && c.Metrics == nil {
-		c.Metrics = metrics.New()
-	}
 	if c.Shape == "" {
 		c.Shape = "steady"
 	}
@@ -89,21 +79,6 @@ const (
 
 // OverloadShapes lists the arrival patterns the family covers.
 var OverloadShapes = []string{"steady", "burst", "flash"}
-
-// aduClass is the deterministic priority mix: per ten ADUs, one
-// Critical, three Standard, six Droppable — a control/keyframe/filler
-// split. Both submission and loss accounting derive class from the
-// name alone.
-func aduClass(name uint64) alf.Priority {
-	switch name % 10 {
-	case 0:
-		return alf.Critical
-	case 1, 2, 3:
-		return alf.Standard
-	default:
-		return alf.Droppable
-	}
-}
 
 // submitAt places ADU i of `total` on one stream within the window.
 func submitAt(shape string, stream, i, total int, window sim.Duration) sim.Duration {
@@ -164,9 +139,7 @@ type OverloadResult struct {
 	ShedADUs       int64
 	TrunkDrops     int64 // bottleneck tail drops, both directions
 
-	Streams     []OverloadStream
-	DrainEvents uint64
-	EndVirtual  sim.Time
+	Streams []OverloadStream
 }
 
 // RunOverload executes one overload scenario to quiescence and returns
@@ -186,10 +159,8 @@ func RunOverload(cfg OverloadConfig) (*OverloadResult, error) {
 	//
 	// Access links are clean and an order of magnitude faster than the
 	// trunk; all contention lives in the shared queue.
-	s := sim.NewScheduler()
-	cfg.Tracer.Bind(s)
-	cfg.Recorder.Bind(s, cfg.Metrics, sim.Time(0).Add(cfg.Duration))
-	net := netsim.New(s, cfg.Seed)
+	r := newRig(&res.verdict, cfg.Planes, cfg.Seed, cfg.Duration)
+	net := r.net
 	rL := net.NewRouter("rL")
 	rR := net.NewRouter("rR")
 	trunkCfg := netsim.LinkConfig{
@@ -198,18 +169,11 @@ func RunOverload(cfg OverloadConfig) (*OverloadResult, error) {
 	lr, rl := net.NewDuplex(rL.Node, rR.Node, trunkCfg)
 	access := netsim.LinkConfig{RateBps: 100e6, Delay: 200 * time.Microsecond}
 
-	net.SetMetrics(cfg.Metrics)
-	net.SetTracer(cfg.Tracer)
-
 	submitWindow := cfg.Duration * 2 / 3
 	perStream := int(overloadOfferedBps / 8 * submitWindow.Seconds() / overloadADUBytes)
 	if perStream < 1 {
 		perStream = 1
 	}
-
-	res.Streams = make([]OverloadStream, overloadStreams)
-
-	leds := make([]*ledger, overloadStreams)
 
 	for i := 0; i < overloadStreams; i++ {
 		id := byte(i + 1)
@@ -232,8 +196,6 @@ func RunOverload(cfg OverloadConfig) (*OverloadResult, error) {
 			MaxNacks:          8,
 			HeartbeatInterval: 25 * time.Millisecond,
 			HeartbeatLimit:    1 << 30,
-			Metrics:           cfg.Metrics,
-			Tracer:            cfg.Tracer,
 		}
 		if cfg.Mode == "closed" {
 			aCfg.FeedbackInterval = 50 * time.Millisecond
@@ -245,97 +207,68 @@ func RunOverload(cfg OverloadConfig) (*OverloadResult, error) {
 			aCfg.RecoveryFrac = 0.25
 		}
 
-		snd, rcv, err := alf.Connect(s, src, dst, up, dUp, aCfg)
+		// The overload policy: shedding and the recovery cap may cost
+		// Droppable and Standard ADUs, never a Critical one.
+		led, err := r.connect(fmt.Sprintf("stream %d: ", id), overloadADUBytes, src, dst, up, dUp, aCfg)
 		if err != nil {
 			return nil, err
 		}
-
-		acct := &res.Streams[i]
-		acct.StreamID = id
-		led := newLedger(&res.verdict, fmt.Sprintf("stream %d: ", id), []int{overloadADUBytes}, snd, rcv)
-		leds[i] = led
-
-		rcv.OnADU = func(adu alf.ADU) {
-			if led.deliver(adu) {
-				acct.Delivered++
-				acct.DeliveredBytes += int64(len(adu.Data))
-			}
-		}
-		// The overload policy: shedding and the recovery cap may cost
-		// Droppable and Standard ADUs, never a Critical one.
-		rcv.OnLost = func(name uint64) {
-			acct.Lost++
-			if k, known := led.lose(name); known && aduClass(k) == alf.Critical {
-				acct.CriticalLost++
-				res.violatef("stream %d: Critical ADU %d lost under overload", id, name)
-			}
-		}
+		led.protectCritical("under overload")
 
 		// ---- Workload: perStream ADUs shaped over the submit window.
-		for k := 0; k < perStream; k++ {
-			k := uint64(k)
-			s.After(submitAt(cfg.Shape, i, int(k), perStream, submitWindow), func() {
-				acct.Submitted++
-				class := aduClass(k)
-				name, err := snd.SendClass(aduTag(k), xcode.SyntaxRaw, led.payload(k), class)
-				switch {
-				case err == nil:
-					led.accept(name, k)
-					acct.Accepted++
-					acct.AcceptedBytes += int64(overloadADUBytes)
-				case err == alf.ErrShed && class == alf.Droppable:
-					acct.Shed++
-				default:
-					res.violatef("stream %d: Send(%d) failed: %v", id, k, err)
-				}
-			})
-		}
+		r.offer(led, perStream, func(k int) sim.Duration {
+			return submitAt(cfg.Shape, i, k, perStream, submitWindow)
+		}, aduClass)
 	}
 
 	// ---- Run to the horizon, then drain to quiescence with the same
 	// livelock bounds as the fault soak.
-	res.DrainEvents, res.EndVirtual = res.drain(s, cfg.Duration, 15*time.Second, cfg.Recorder)
+	r.finish(15*time.Second, func() {
+		for i, led := range r.streams {
+			st := OverloadStream{
+				StreamID:       byte(i + 1),
+				Submitted:      led.submitted,
+				Accepted:       len(led.accepted),
+				Shed:           led.shed,
+				Delivered:      led.good,
+				Lost:           led.lostCalls,
+				CriticalLost:   led.criticalLost,
+				AcceptedBytes:  int64(len(led.accepted)) * overloadADUBytes,
+				DeliveredBytes: led.goodBytes,
+				FinalRateBps:   led.snd.Rate(),
+				RateChanges:    led.snd.Stats.RateChanges,
+				RetxSuppressed: led.snd.Stats.RetxSuppressed,
+			}
+			// Every submitted ADU was accepted or shed, and only
+			// Droppables were shed.
+			if st.Accepted+st.Shed != st.Submitted {
+				res.violatef("stream %d: accepted %d + shed %d != submitted %d",
+					st.StreamID, st.Accepted, st.Shed, st.Submitted)
+			}
+			res.Streams = append(res.Streams, st)
+			res.AcceptedBytes += st.AcceptedBytes
+			res.DeliveredBytes += st.DeliveredBytes
+			res.ShedADUs += led.snd.Stats.ShedADUs
+			led.settle(false)
+		}
+	}, func() {
+		res.TrunkDrops = lr.Stats.QueueDrops + rl.Stats.QueueDrops
 
-	// ---- Aggregate accounting and invariants.
-	for i, led := range leds {
-		a := &res.Streams[i]
-		a.ShedADUsConsistency(res)
-		a.FinalRateBps = led.snd.Rate()
-		a.RateChanges = led.snd.Stats.RateChanges
-		a.RetxSuppressed = led.snd.Stats.RetxSuppressed
-		res.AcceptedBytes += a.AcceptedBytes
-		res.DeliveredBytes += a.DeliveredBytes
-		res.ShedADUs += led.snd.Stats.ShedADUs
-		led.settle(false)
-	}
-	res.quiesced(net.Links(), leds...)
-	res.TrunkDrops = lr.Stats.QueueDrops + rl.Stats.QueueDrops
-
-	// Goodput floor: delivered payload over the submit window must
-	// reach 70% of the lesser of bottleneck capacity and the load the
-	// senders actually accepted — shedding the Droppable tier is
-	// legitimate, delivering under 70% of capacity is collapse.
-	winSec := submitWindow.Seconds()
-	res.GoodputBps = float64(res.DeliveredBytes) * 8 / winSec
-	capBps := res.CapacityBps
-	if accepted := float64(res.AcceptedBytes) * 8 / winSec; accepted < capBps {
-		capBps = accepted
-	}
-	res.GoodputTarget = 0.7 * capBps
-	if res.GoodputBps < res.GoodputTarget {
-		res.violatef("goodput %.2f Mb/s under the %.2f Mb/s no-collapse floor (capacity %.0f Mb/s)",
-			res.GoodputBps/1e6, res.GoodputTarget/1e6, res.CapacityBps/1e6)
-	}
-	noteViolations(cfg.Recorder, res.Violations)
+		// Goodput floor: delivered payload over the submit window must
+		// reach 70% of the lesser of bottleneck capacity and the load
+		// the senders actually accepted — shedding the Droppable tier
+		// is legitimate, delivering under 70% of capacity is collapse.
+		winSec := submitWindow.Seconds()
+		res.GoodputBps = float64(res.DeliveredBytes) * 8 / winSec
+		capBps := res.CapacityBps
+		if accepted := float64(res.AcceptedBytes) * 8 / winSec; accepted < capBps {
+			capBps = accepted
+		}
+		res.GoodputTarget = 0.7 * capBps
+		if res.GoodputBps < res.GoodputTarget {
+			res.violatef("goodput %.2f Mb/s under the %.2f Mb/s no-collapse floor (capacity %.0f Mb/s)",
+				res.GoodputBps/1e6, res.GoodputTarget/1e6, res.CapacityBps/1e6)
+		}
+	})
 	return res, nil
-}
-
-// ShedADUsConsistency cross-checks the application-side shed count
-// against submission accounting: every submitted ADU was accepted or
-// shed, and only Droppables were shed.
-func (a *OverloadStream) ShedADUsConsistency(res *OverloadResult) {
-	if a.Accepted+a.Shed != a.Submitted {
-		res.violatef("stream %d: accepted %d + shed %d != submitted %d",
-			a.StreamID, a.Accepted, a.Shed, a.Submitted)
-	}
 }

@@ -16,7 +16,7 @@ func TestOverloadClosedLoopNoCollapse(t *testing.T) {
 		t.Run(shape, func(t *testing.T) {
 			rec := RecorderFor(6*time.Second, OverloadDetectors()...)
 			dumpOnFailure(t, rec, "overload-closed-"+shape)
-			res, err := RunOverload(OverloadConfig{Seed: 42, Mode: "closed", Shape: shape, Recorder: rec})
+			res, err := RunOverload(OverloadConfig{Seed: 42, Mode: "closed", Shape: shape, Planes: Planes{Recorder: rec}})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -78,7 +78,8 @@ func TestOverloadFixedRateCollapses(t *testing.T) {
 
 // TestOverloadClosedBeatsFixed pins the contrast on one seed: same
 // offered load, same shape, and the closed loop must deliver more
-// useful bytes while dropping far less in the bottleneck queue.
+// useful bytes, near but not past the bottleneck's capacity, while
+// dropping far less in the bottleneck queue.
 func TestOverloadClosedBeatsFixed(t *testing.T) {
 	closed, err := RunOverload(OverloadConfig{Seed: 7, Mode: "closed"})
 	if err != nil {
@@ -91,6 +92,9 @@ func TestOverloadClosedBeatsFixed(t *testing.T) {
 	if closed.GoodputBps <= fixed.GoodputBps {
 		t.Errorf("closed goodput %.2f Mb/s not above fixed %.2f Mb/s",
 			closed.GoodputBps/1e6, fixed.GoodputBps/1e6)
+	}
+	if frac := closed.GoodputBps / closed.CapacityBps; frac <= 0.7 || frac >= 1.05 {
+		t.Errorf("closed goodput is %.2f of capacity, outside (0.7, 1.05)", frac)
 	}
 	if closed.TrunkDrops >= fixed.TrunkDrops {
 		t.Errorf("closed trunk drops %d not below fixed %d",

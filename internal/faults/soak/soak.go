@@ -1,6 +1,8 @@
 // Package soak holds the soak harnesses: four families that each build
 // a path, state which ADUs may be lost, and leave the exactly-once
-// accounting to one ledger (ledger.go). The chaos family (this file)
+// accounting to one ledger (ledger.go); the three simulated ones also
+// share one rig there — clock, network, planes, submission schedule
+// and the drain-and-check tail. The chaos family (this file)
 // runs fault scenarios; overload.go asks a bottleneck for more than it
 // has; dtn.go crosses an interplanetary path with custody relays; and
 // udp.go moves ADUs across real loopback sockets through
@@ -35,12 +37,9 @@ import (
 
 	alf "repro/internal/core"
 	"repro/internal/faults"
-	"repro/internal/metrics"
 	"repro/internal/netsim"
 	"repro/internal/otp"
 	"repro/internal/sim"
-	"repro/internal/telemetry"
-	"repro/internal/tracing"
 	"repro/internal/xcode"
 )
 
@@ -66,25 +65,12 @@ type Config struct {
 	// HoldOnDown selects netsim.HoldOnDown for the trunk (default:
 	// DropOnDown) — the same invariants must hold either way.
 	HoldOnDown bool
-	// Metrics, if non-nil, wires every layer of the rig into the
-	// registry so a caller (cmd/alfchaos) can print the full tree.
-	Metrics *metrics.Registry
-	// Tracer, if non-nil, records the whole run as per-ADU lifecycle
-	// spans (ALF endpoints, OTP endpoints, every link, every fault
-	// window), so a violating run can be dumped as a timeline.
-	Tracer *tracing.Tracer
-	// Recorder, if non-nil, flight-records the run: it is bound to the
-	// run's clock and registry (a registry is created when Metrics is
-	// nil), sampled every Recorder interval to the horizon plus once
-	// after the drain, and stamped with a "soak" incident per invariant
-	// violation — the black-box a failing run leaves behind.
-	Recorder *telemetry.Recorder
+	// Planes instrument the run; the tracer sees the ALF and OTP
+	// endpoints, every link and every fault window.
+	Planes
 }
 
 func (c *Config) fill() {
-	if c.Recorder != nil && c.Metrics == nil {
-		c.Metrics = metrics.New() // the recorder needs series to sample
-	}
 	if c.Scenario == "" {
 		c.Scenario = "random"
 	}
@@ -134,8 +120,6 @@ type Result struct {
 	// Invariant evidence.
 	PeakRetention  int // bytes retained by the ALF sender, max over run
 	PeakReassembly int // partial ADUs at the ALF receiver, max over run
-	DrainEvents    uint64
-	EndVirtual     sim.Time
 	Faults         faults.Stats
 	TrunkDownDrops int64
 	TrunkHeld      int64
@@ -166,10 +150,8 @@ func Run(cfg Config) (*Result, error) {
 	// Access links are clean and fast; every fault and impairment lives
 	// on the shared trunk, the cut set between the left and right
 	// groups.
-	s := sim.NewScheduler()
-	cfg.Tracer.Bind(s) // the run's clock did not exist when the caller made it
-	cfg.Recorder.Bind(s, cfg.Metrics, sim.Time(0).Add(cfg.Duration))
-	net := netsim.New(s, cfg.Seed)
+	r := newRig(&res.verdict, cfg.Planes, cfg.Seed, cfg.Duration)
+	s, net := r.s, r.net
 	alfSrc := net.NewNode("alf-src")
 	otpSrc := net.NewNode("otp-src")
 	alfDst := net.NewNode("alf-dst")
@@ -201,10 +183,8 @@ func Run(cfg Config) (*Result, error) {
 	rR.AddRoute(alfDst, rAd)
 	rR.AddRoute(otpDst, rOd)
 
-	net.SetMetrics(cfg.Metrics)
-	net.SetTracer(cfg.Tracer)
-
-	// ---- ALF stream over the left/right path.
+	// ---- ALF stream over the left/right path. The chaos policy:
+	// every accepted ADU is exactly one of delivered or reported lost.
 	aCfg := alf.Config{
 		Policy:               cfg.Policy,
 		Suite:                alf.SuiteScramble,
@@ -220,17 +200,12 @@ func Run(cfg Config) (*Result, error) {
 		// the truly-dead-path fuse.
 		HeartbeatLimit: 1 << 30,
 		ADUDeadline:    400 * time.Millisecond,
-		Metrics:        cfg.Metrics,
-		Tracer:         cfg.Tracer,
 	}
-	snd, rcv, err := alf.Connect(s, alfSrc, alfDst, asL, adR, aCfg)
+	led, err := r.connect("alf: ", cfg.ADUBytes, alfSrc, alfDst, asL, adR, aCfg)
 	if err != nil {
 		return nil, err
 	}
-
-	led := newLedger(&res.verdict, "alf: ", []int{cfg.ADUBytes}, snd, rcv)
-	rcv.OnADU = func(adu alf.ADU) { led.deliver(adu) }
-	rcv.OnLost = func(name uint64) { led.lose(name) }
+	snd, rcv := led.snd, led.rcv
 	expired := make(map[uint64]int)
 	snd.OnExpire = func(name uint64) { expired[name]++ }
 	snd.OnResend = func(name uint64) (uint64, xcode.SyntaxID, []byte, bool) {
@@ -248,9 +223,9 @@ func Run(cfg Config) (*Result, error) {
 		// of the horizon would leave the sender retrying at MaxRTO
 		// forever and the drain invariant could never hold.
 		FailThreshold: 8,
-		Metrics:       cfg.Metrics,
+		Metrics:       r.Metrics,
 		MetricsLabels: []string{"role=snd"},
-		Tracer:        cfg.Tracer,
+		Tracer:        r.Tracer,
 	}
 	oRcvCfg := oCfg
 	oRcvCfg.MetricsLabels = []string{"role=rcv"}
@@ -274,17 +249,7 @@ func Run(cfg Config) (*Result, error) {
 	if aduEvery <= 0 {
 		aduEvery = time.Microsecond // degenerate horizon: submit back to back
 	}
-	for i := 0; i < cfg.ADUs; i++ {
-		k := uint64(i)
-		s.After(sim.Duration(i)*aduEvery, func() {
-			name, err := snd.Send(aduTag(k), xcode.SyntaxRaw, led.payload(k))
-			if err != nil {
-				res.violatef("alf: Send(%d) failed: %v", k, err)
-				return
-			}
-			led.accept(name, k)
-		})
-	}
+	r.offer(led, cfg.ADUs, func(i int) sim.Duration { return sim.Duration(i) * aduEvery }, nil)
 	res.Submitted = cfg.ADUs
 
 	const otpChunk = 2000
@@ -318,8 +283,8 @@ func Run(cfg Config) (*Result, error) {
 
 	// ---- Fault schedule.
 	inj := faults.New(s, cfg.Seed^0x5eed)
-	inj.BindMetrics(cfg.Metrics)
-	inj.SetTracer(cfg.Tracer)
+	inj.BindMetrics(r.Metrics)
+	inj.SetTracer(r.Tracer)
 	targets := faults.Targets{
 		Net:     net,
 		Trunk:   []*netsim.Link{lr, rl},
@@ -349,76 +314,64 @@ func Run(cfg Config) (*Result, error) {
 
 	// ---- Run to the horizon, then drain: after the last fault heals,
 	// the event loop must go quiet on its own.
-	res.DrainEvents, res.EndVirtual = res.drain(s, cfg.Duration, 15*time.Second, cfg.Recorder)
-
-	// ---- Invariants. The chaos policy: every accepted ADU is exactly
-	// one of delivered or reported lost.
-	res.ViolatedADUs = led.settle(true)
-	for _, name := range led.names() {
-		if expired[name] > 1 {
-			res.violatef("alf: ADU %d expired %d times at the sender", name, expired[name])
+	r.finish(15*time.Second, func() {
+		res.ViolatedADUs = led.settle(true)
+		for _, name := range led.names() {
+			if expired[name] > 1 {
+				res.violatef("alf: ADU %d expired %d times at the sender", name, expired[name])
+			}
 		}
-	}
-	res.Delivered = len(led.delivered)
-	res.Lost = len(led.lost)
-	res.Expired = snd.Stats.DeadlineDrops
-	res.ResentADUs = snd.Stats.ResentADUs
-	res.RecomputeADUs = snd.Stats.RecomputeADUs
-	res.UnfilledNacks = snd.Stats.UnfilledNacks
+		res.Delivered = len(led.delivered)
+		res.Lost = len(led.lost)
+		res.Expired = snd.Stats.DeadlineDrops
+		res.ResentADUs = snd.Stats.ResentADUs
+		res.RecomputeADUs = snd.Stats.RecomputeADUs
+		res.UnfilledNacks = snd.Stats.UnfilledNacks
 
-	// Retention bound: with ADUDeadline D and submission period P, at
-	// most ceil(D/P)+slack ADUs can be retained at once; a blackout
-	// longer than D must not let retention track the whole backlog.
-	if cfg.Policy == alf.SenderBuffered {
-		bound := (int(aCfg.ADUDeadline/aduEvery) + 4) * cfg.ADUBytes
-		if res.PeakRetention > bound {
-			res.violatef("alf: peak retention %d B exceeds deadline bound %d B",
-				res.PeakRetention, bound)
+		// Retention bound: with ADUDeadline D and submission period P,
+		// at most ceil(D/P)+slack ADUs can be retained at once; a
+		// blackout longer than D must not let retention track the
+		// whole backlog.
+		if cfg.Policy == alf.SenderBuffered {
+			bound := (int(aCfg.ADUDeadline/aduEvery) + 4) * cfg.ADUBytes
+			if res.PeakRetention > bound {
+				res.violatef("alf: peak retention %d B exceeds deadline bound %d B",
+					res.PeakRetention, bound)
+			}
 		}
-	}
-	// Reassembly bound: an ADU is held at most HoldTime before give-up.
-	if bound := int(aCfg.HoldTime/aduEvery) + 4; res.PeakReassembly > bound {
-		res.violatef("alf: peak reassembly %d ADUs exceeds hold-time bound %d",
-			res.PeakReassembly, bound)
-	}
+		// Reassembly bound: an ADU is held at most HoldTime before
+		// give-up.
+		if bound := int(aCfg.HoldTime/aduEvery) + 4; res.PeakReassembly > bound {
+			res.violatef("alf: peak reassembly %d ADUs exceeds hold-time bound %d",
+				res.PeakReassembly, bound)
+		}
+	}, func() {
+		if inj.Active() {
+			res.violatef("faults: injector still active after the horizon")
+		}
 
-	// Quiescent end state: nothing retained, nothing pending, every
-	// fault healed.
-	res.quiesced(net.Links(), led)
-	if inj.Active() {
-		res.violatef("faults: injector still active after the horizon")
-	}
+		// OTP stream integrity: delivery is a verified prefix (checked
+		// in OnData); a live connection delivers everything it
+		// accepted.
+		res.OTPSent = otpSent
+		res.OTPDelivered = oRcv.Delivered()
+		res.OTPDead = oSnd.Dead()
+		res.OTPTimeouts = oSnd.Stats.Timeouts
+		res.OTPRetransmits = oSnd.Stats.Retransmits
+		if res.OTPDelivered > otpSent {
+			res.violatef("otp: delivered %d bytes of %d submitted", res.OTPDelivered, otpSent)
+		}
+		if !res.OTPDead && res.OTPDelivered != otpSent {
+			res.violatef("otp: live connection delivered %d of %d bytes",
+				res.OTPDelivered, otpSent)
+		}
+		if res.OTPDead && oSnd.Stats.Died != 1 {
+			res.violatef("otp: Dead() true but Died stat = %d", oSnd.Stats.Died)
+		}
 
-	// OTP stream integrity: delivery is a verified prefix (checked in
-	// OnData); a live connection delivers everything it accepted.
-	res.OTPSent = otpSent
-	res.OTPDelivered = oRcv.Delivered()
-	res.OTPDead = oSnd.Dead()
-	res.OTPTimeouts = oSnd.Stats.Timeouts
-	res.OTPRetransmits = oSnd.Stats.Retransmits
-	if res.OTPDelivered > otpSent {
-		res.violatef("otp: delivered %d bytes of %d submitted", res.OTPDelivered, otpSent)
-	}
-	if !res.OTPDead && res.OTPDelivered != otpSent {
-		res.violatef("otp: live connection delivered %d of %d bytes",
-			res.OTPDelivered, otpSent)
-	}
-	if res.OTPDead && oSnd.Stats.Died != 1 {
-		res.violatef("otp: Dead() true but Died stat = %d", oSnd.Stats.Died)
-	}
-
-	res.Faults = inj.Stats
-	res.TrunkDownDrops = lr.Stats.DownDrops + rl.Stats.DownDrops
-	res.TrunkHeld = lr.Stats.HeldPackets + rl.Stats.HeldPackets
-	noteViolations(cfg.Recorder, res.Violations)
+		res.Faults = inj.Stats
+		res.TrunkDownDrops = lr.Stats.DownDrops + rl.Stats.DownDrops
+		res.TrunkHeld = lr.Stats.HeldPackets + rl.Stats.HeldPackets
+	})
 	return res, nil
-}
-
-// noteViolations stamps every invariant violation into the flight
-// record so the black-box dump carries the verdict alongside the
-// series that explain it. Nil-safe both ways.
-func noteViolations(rec *telemetry.Recorder, violations []string) {
-	for _, v := range violations {
-		rec.Note("soak", "", "%s", v)
-	}
 }

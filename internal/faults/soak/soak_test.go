@@ -26,7 +26,7 @@ func TestScenarioMatrix(t *testing.T) {
 					Seed:     1000 + int64(policy),
 					Scenario: scenario,
 					Policy:   policy,
-					Recorder: rec,
+					Planes:   Planes{Recorder: rec},
 				})
 				if err != nil {
 					t.Fatal(err)
@@ -177,7 +177,7 @@ func TestTracedRun(t *testing.T) {
 	res, err := Run(Config{
 		Seed:     42,
 		Scenario: "blackout",
-		Tracer:   tracer,
+		Planes:   Planes{Tracer: tracer},
 	})
 	if err != nil {
 		t.Fatal(err)

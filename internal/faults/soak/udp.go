@@ -8,7 +8,6 @@ import (
 	alf "repro/internal/core"
 	"repro/internal/sim"
 	"repro/internal/udplink"
-	"repro/internal/xcode"
 )
 
 // This file is the real-socket family: one ALF stream across a pair of
@@ -137,31 +136,24 @@ func RunUDP(cfg UDPConfig) (*UDPResult, error) {
 
 	led := newLedger(&res.verdict, "", cfg.ADUSizes, snd, rcv)
 	rcv.OnADU = func(adu alf.ADU) {
-		if led.deliver(adu) {
-			res.Delivered++
-		}
+		led.deliver(adu)
 		adu.Release()
 	}
 	rcv.OnLost = func(name uint64) {
-		res.Lost++
 		led.lose(name)
 		res.violatef("ADU %d lost under SenderBuffered recovery", name)
 	}
+	// outstanding counts the ADUs accepted but neither delivered nor
+	// reported lost.
+	outstanding := func() int { return len(led.accepted) - led.good - led.lostCalls }
 
-	submitted, stopped := 0, false
+	stopped := false
 	sched.Every(cfg.SubmitEvery, func() bool {
-		if int64(submitted)-res.Delivered-res.Lost < udpWindow {
-			k := uint64(submitted)
-			name, err := snd.Send(aduTag(k), xcode.SyntaxRaw, led.payload(k))
-			if err != nil {
-				res.violatef("Send(%d) failed: %v", k, err)
-				stopped = true
-				return false
-			}
-			led.accept(name, k)
-			submitted++
+		if outstanding() < udpWindow && !led.submit(uint64(len(led.accepted)), alf.Standard) {
+			stopped = true
+			return false
 		}
-		stopped = submitted == cfg.ADUs
+		stopped = len(led.accepted) == cfg.ADUs
 		return !stopped
 	})
 
@@ -169,10 +161,10 @@ func RunUDP(cfg UDPConfig) (*UDPResult, error) {
 	clk.Run(func() bool {
 		if time.Since(start) > udpTimeout {
 			res.violatef("timeout after %v: delivered %d of %d, %d wire drops",
-				udpTimeout, res.Delivered, cfg.ADUs, lossy.Dropped())
+				udpTimeout, led.good, cfg.ADUs, lossy.Dropped())
 			return true
 		}
-		return stopped && res.Delivered+res.Lost >= int64(submitted) &&
+		return stopped && outstanding() <= 0 &&
 			rcv.Pending() == 0 && rcv.Missing() == 0 &&
 			snd.BufferedADUs() == 0 && snd.Backlog() == 0
 	})
@@ -181,6 +173,7 @@ func RunUDP(cfg UDPConfig) (*UDPResult, error) {
 
 	led.settle(true)
 	res.quiesced(nil, led)
+	res.Delivered, res.Lost = int64(led.good), int64(led.lostCalls)
 	if res.AuthFails = rcv.Stats.AuthFails; res.AuthFails != 0 {
 		res.violatef("%d tag failures on a path that only drops", res.AuthFails)
 	}
