@@ -342,7 +342,7 @@ func BenchmarkF2_OTPUnderLoss(b *testing.B) {
 	var pt experiments.F2Point
 	var err error
 	for i := 0; i < b.N; i++ {
-		pt, err = experiments.RunF2(experiments.F2Config{Seed: int64(i + 1)}, 5)
+		pt, err = experiments.RunF2(int64(i+1), 5)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -355,7 +355,7 @@ func BenchmarkF2_ALFUnderLoss(b *testing.B) {
 	var pt experiments.F2Point
 	var err error
 	for i := 0; i < b.N; i++ {
-		pt, err = experiments.RunF2(experiments.F2Config{Seed: int64(i + 1)}, 5)
+		pt, err = experiments.RunF2(int64(i+1), 5)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -370,7 +370,7 @@ func BenchmarkF3_ADUSizeSweep(b *testing.B) {
 			var pt experiments.F3Point
 			var err error
 			for i := 0; i < b.N; i++ {
-				pt, err = experiments.RunF3(experiments.F3Config{Seed: int64(i + 1)}, size)
+				pt, err = experiments.RunF3(int64(i+1), size)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -385,7 +385,7 @@ func BenchmarkF4_ATMReassembly(b *testing.B) {
 	var pt experiments.F4Point
 	var err error
 	for i := 0; i < b.N; i++ {
-		pt, err = experiments.RunF4(experiments.F4Config{Seed: int64(i + 1)}, 0.5)
+		pt, err = experiments.RunF4(int64(i+1), 0.5)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -401,7 +401,7 @@ func BenchmarkF6_ParallelALF(b *testing.B) {
 			var pt experiments.F6Point
 			var err error
 			for i := 0; i < b.N; i++ {
-				pt, err = experiments.RunF6(experiments.F6Config{Seed: int64(i + 1)}, w)
+				pt, err = experiments.RunF6(int64(i+1), w)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -417,7 +417,7 @@ func BenchmarkF7_VideoUnderLoss(b *testing.B) {
 	var pt experiments.F7Point
 	var err error
 	for i := 0; i < b.N; i++ {
-		pt, err = experiments.RunF7(experiments.F7Config{Seed: int64(i + 1)}, 3)
+		pt, err = experiments.RunF7(int64(i+1), 3)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -440,7 +440,7 @@ func BenchmarkF8_Policy(b *testing.B) {
 			var pt experiments.F8Point
 			var err error
 			for i := 0; i < b.N; i++ {
-				pt, err = experiments.RunF8(experiments.F8Config{Seed: int64(i + 1)}, c.policy)
+				pt, err = experiments.RunF8(int64(i+1), c.policy)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -456,7 +456,7 @@ func BenchmarkA2_InlineControl(b *testing.B) {
 	var pt experiments.A2Point
 	var err error
 	for i := 0; i < b.N; i++ {
-		pt, err = experiments.RunA2(1<<20, 0, int64(i+1))
+		pt, err = experiments.RunA2(int64(i+1), 1<<20, 0)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -469,7 +469,7 @@ func BenchmarkA2_OutOfBandControl(b *testing.B) {
 	var pt experiments.A2Point
 	var err error
 	for i := 0; i < b.N; i++ {
-		pt, err = experiments.RunA2(1<<20, 5*time.Millisecond, int64(i+1))
+		pt, err = experiments.RunA2(int64(i+1), 1<<20, 5*time.Millisecond)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -484,7 +484,7 @@ func BenchmarkF9_FECRecovery(b *testing.B) {
 			var pt experiments.F9Point
 			var err error
 			for i := 0; i < b.N; i++ {
-				pt, err = experiments.RunF9(experiments.F9Config{Seed: int64(i + 1)}, 3, mode)
+				pt, err = experiments.RunF9(int64(i+1), 3, mode)
 				if err != nil {
 					b.Fatal(err)
 				}

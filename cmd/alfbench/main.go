@@ -293,15 +293,13 @@ func (r *runner) f1() error {
 }
 
 func (r *runner) f2() error {
-	cfg := experiments.F2Config{Seed: r.seed}
-	pts, err := experiments.Sweep([]float64{0, 0.5, 1, 2, 5, 10},
-		func(loss float64) (experiments.F2Point, error) { return experiments.RunF2(cfg, loss) })
-	if err != nil {
-		return err
-	}
 	t := stats.NewTable("loss %", "OTP goodput Mb/s", "ALF goodput Mb/s",
 		"OTP app idle %", "ALF app idle %")
-	for _, p := range pts {
+	for _, loss := range []float64{0, 0.5, 1, 2, 5, 10} {
+		p, err := experiments.RunF2(r.seed, loss)
+		if err != nil {
+			return err
+		}
 		t.AddRow(p.LossPct, p.OTPGoodputMbps, p.ALFGoodputMbps,
 			p.OTPIdleFrac*100, p.ALFIdleFrac*100)
 	}
@@ -311,15 +309,13 @@ func (r *runner) f2() error {
 }
 
 func (r *runner) f3() error {
-	cfg := experiments.F3Config{Seed: r.seed}
-	pts, err := experiments.Sweep([]int{64, 256, 1024, 4 << 10, 16 << 10, 64 << 10, 256 << 10},
-		func(size int) (experiments.F3Point, error) { return experiments.RunF3(cfg, size) })
-	if err != nil {
-		return err
-	}
 	t := stats.NewTable("ADU bytes", "P(intact) predicted", "P(intact) measured",
 		"goodput Mb/s", "wire overhead x", "resends")
-	for _, p := range pts {
+	for _, size := range []int{64, 256, 1024, 4 << 10, 16 << 10, 64 << 10, 256 << 10} {
+		p, err := experiments.RunF3(r.seed, size)
+		if err != nil {
+			return err
+		}
 		t.AddRow(p.ADUBytes, p.PIntactPredicted, p.PIntactMeasured,
 			p.GoodputMbps, p.Overhead, p.Resends)
 	}
@@ -329,15 +325,13 @@ func (r *runner) f3() error {
 }
 
 func (r *runner) f4() error {
-	cfg := experiments.F4Config{Seed: r.seed}
-	pts, err := experiments.Sweep([]float64{0, 0.1, 0.5, 1, 2},
-		func(loss float64) (experiments.F4Point, error) { return experiments.RunF4(cfg, loss) })
-	if err != nil {
-		return err
-	}
 	t := stats.NewTable("cell loss %", "cells/ADU", "P(ADU) predicted",
 		"P(ADU) measured", "goodput Mb/s", "resends")
-	for _, p := range pts {
+	for _, loss := range []float64{0, 0.1, 0.5, 1, 2} {
+		p, err := experiments.RunF4(r.seed, loss)
+		if err != nil {
+			return err
+		}
 		t.AddRow(p.CellLossPct, p.CellsPerADU, p.PADUPredicted,
 			p.PADUMeasured, p.GoodputMbps, p.Resends)
 	}
@@ -358,14 +352,12 @@ func (r *runner) f5() error {
 }
 
 func (r *runner) f6() error {
-	cfg := experiments.F6Config{Seed: r.seed}
-	pts, err := experiments.Sweep([]int{1, 2, 4, 8},
-		func(workers int) (experiments.F6Point, error) { return experiments.RunF6(cfg, workers) })
-	if err != nil {
-		return err
-	}
 	t := stats.NewTable("workers", "ALF dispatch Mb/s", "serial front end Mb/s", "speedup x")
-	for _, p := range pts {
+	for _, workers := range []int{1, 2, 4, 8} {
+		p, err := experiments.RunF6(r.seed, workers)
+		if err != nil {
+			return err
+		}
 		t.AddRow(p.Workers, p.ALFMbps, p.SerialMbps, p.Speedup)
 	}
 	r.emit("F6: parallel receiver — self-dispatching ADUs vs a serial reassembly hot spot",
@@ -374,15 +366,13 @@ func (r *runner) f6() error {
 }
 
 func (r *runner) f7() error {
-	cfg := experiments.F7Config{Seed: r.seed}
-	pts, err := experiments.Sweep([]float64{0, 1, 3, 5, 10},
-		func(loss float64) (experiments.F7Point, error) { return experiments.RunF7(cfg, loss) })
-	if err != nil {
-		return err
-	}
 	t := stats.NewTable("loss %", "ALF complete %", "ALF usable (complete+partial) %",
 		"OTP on-time %", "OTP retransmits")
-	for _, p := range pts {
+	for _, loss := range []float64{0, 1, 3, 5, 10} {
+		p, err := experiments.RunF7(r.seed, loss)
+		if err != nil {
+			return err
+		}
 		t.AddRow(p.LossPct, p.ALFOnTimeFrac*100,
 			(p.ALFOnTimeFrac+p.ALFPartialFrac)*100,
 			p.OTPOnTimeFrac*100, p.OTPRetransmits)
@@ -393,15 +383,13 @@ func (r *runner) f7() error {
 }
 
 func (r *runner) f8() error {
-	cfg := experiments.F8Config{Seed: r.seed}
-	pts, err := experiments.Sweep(experiments.F8Policies,
-		func(pol alf.Policy) (experiments.F8Point, error) { return experiments.RunF8(cfg, pol) })
-	if err != nil {
-		return err
-	}
 	t := stats.NewTable("policy", "delivered %", "goodput Mb/s",
 		"sender buffer KB", "resends", "recomputes", "reported lost")
-	for _, p := range pts {
+	for _, pol := range experiments.F8Policies {
+		p, err := experiments.RunF8(r.seed, pol)
+		if err != nil {
+			return err
+		}
 		t.AddRow(p.Policy.String(), p.DeliveredFrac*100, p.GoodputMbps,
 			p.MaxBufferedKB, p.Resends, p.Recomputes, p.ReportedLost)
 	}
@@ -413,14 +401,12 @@ func (r *runner) f8() error {
 func (r *runner) f9() error {
 	t := stats.NewTable("loss %", "mode", "delivered %", "goodput Mb/s",
 		"mean latency", "p95 latency", "wire overhead x", "resends", "FEC recovered")
-	cfg := experiments.F9Config{Seed: r.seed}
 	for _, loss := range []float64{0.5, 3, 8} {
-		pts, err := experiments.Sweep(experiments.F9Modes,
-			func(mode string) (experiments.F9Point, error) { return experiments.RunF9(cfg, loss, mode) })
-		if err != nil {
-			return err
-		}
-		for _, p := range pts {
+		for _, mode := range experiments.F9Modes {
+			p, err := experiments.RunF9(r.seed, loss, mode)
+			if err != nil {
+				return err
+			}
 			t.AddRow(p.LossPct, p.Mode, p.DeliveredFrac*100, p.GoodputMbps,
 				p.MeanLatency.String(), p.P95Latency.String(),
 				p.WireOverhead, p.Resends, p.FECRecovered)
@@ -444,11 +430,11 @@ func (r *runner) a1() error {
 }
 
 func (r *runner) a2() error {
-	inband, err := experiments.RunA2(1<<20, 0, r.seed)
+	inband, err := experiments.RunA2(r.seed, 1<<20, 0)
 	if err != nil {
 		return err
 	}
-	oob, err := experiments.RunA2(1<<20, 5*time.Millisecond, r.seed)
+	oob, err := experiments.RunA2(r.seed, 1<<20, 5*time.Millisecond)
 	if err != nil {
 		return err
 	}
@@ -511,7 +497,7 @@ func (r *runner) a3() error {
 		if burst {
 			name = "burst (Gilbert-Elliott)"
 		}
-		p, err := experiments.RunA3(burst, r.seed+100)
+		p, err := experiments.RunA3(r.seed+100, burst)
 		if err != nil {
 			return err
 		}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"encoding/binary"
 	"fmt"
 	"time"
 
@@ -27,11 +28,6 @@ type F6Point struct {
 	Speedup float64
 }
 
-// F6Config parameterizes the parallel experiment.
-type F6Config struct {
-	Seed int64
-}
-
 // F6's workload of 8 MB in ADUs of 16 KB, each worker's processing
 // rate in bytes/s, and a link fast enough not to matter.
 const (
@@ -41,28 +37,17 @@ const (
 	f6LinkBps   = 1e9
 )
 
-func (c *F6Config) fill() {
-	if c.Seed == 0 {
-		c.Seed = 1
-	}
-}
-
 // RunF6 measures one worker count. Both variants receive the identical
 // ADU stream over a clean fast link; they differ only in whether a
 // serializing front end (running at f6WorkerBps, the speed of one
 // processor node — the "hot spot which must run at the aggregate speed
 // of the total processor" that parallel machines lack) sits before the
 // workers.
-func RunF6(cfg F6Config, workers int) (F6Point, error) {
-	cfg.fill()
+func RunF6(seed int64, workers int) (F6Point, error) {
 	p := F6Point{Workers: workers}
 
 	run := func(serial bool) (sim.Duration, error) {
-		s := sim.NewScheduler()
-		n := netsim.New(s, cfg.Seed)
-		a := n.NewNode("a")
-		b := n.NewNode("b")
-		ab, ba := n.NewDuplex(a, b, netsim.LinkConfig{RateBps: f6LinkBps, Delay: time.Millisecond})
+		s, a, b, ab, ba := twoNodes(seed, netsim.LinkConfig{RateBps: f6LinkBps, Delay: time.Millisecond})
 		acfg := alf.Config{MTU: 8192 + alf.HeaderSize, RateBps: f6LinkBps}
 		snd, rcv, err := alf.Connect(s, a, b, ab, ba, acfg)
 		if err != nil {
@@ -76,20 +61,13 @@ func RunF6(cfg F6Config, workers int) (F6Point, error) {
 		pool := parallel.NewPool(s, workers, f6WorkerBps, serialBps)
 		rcv.OnADU = pool.HandleADU
 
-		total := 0
-		for off, i := 0, 0; off < f6Bytes; off, i = off+f6ADUBytes, i+1 {
-			nb := f6ADUBytes
-			if off+nb > f6Bytes {
-				nb = f6Bytes - off
-			}
-			if _, err := snd.Send(uint64(i), xcode.SyntaxRaw, make([]byte, nb)); err != nil {
-				return 0, err
-			}
-			total++
+		if err := sendBulk(snd, f6Bytes, f6ADUBytes, 1); err != nil {
+			return 0, err
 		}
 		if err := s.Run(); err != nil {
 			return 0, err
 		}
+		total := (f6Bytes + f6ADUBytes - 1) / f6ADUBytes
 		if pool.Dispatched != int64(total) {
 			return 0, fmt.Errorf("f6: dispatched %d of %d", pool.Dispatched, total)
 		}
@@ -125,11 +103,6 @@ type F7Point struct {
 	OTPRetransmits int64
 }
 
-// F7Config parameterizes the video experiment.
-type F7Config struct {
-	Seed int64
-}
-
 // F7's video (120 frames at 30 frames/s, each of five 1000-byte slices)
 // and path (20 Mb/s, 10 ms one way). The playout budget is tight:
 // one-way transit fits, a retransmission round trip does not — the
@@ -144,31 +117,19 @@ const (
 	f7PlayoutDelay = 25 * time.Millisecond
 )
 
-func (c *F7Config) fill() {
-	if c.Seed == 0 {
-		c.Seed = 1
-	}
-}
-
 // RunF7 measures one loss point.
-func RunF7(cfg F7Config, lossPct float64) (F7Point, error) {
-	cfg.fill()
+func RunF7(seed int64, lossPct float64) (F7Point, error) {
 	p := F7Point{LossPct: lossPct, FramesSent: int64(f7Frames)}
-	loss := lossPct / 100
 	linkCfg := netsim.LinkConfig{
 		RateBps:  f7LinkBps,
 		Delay:    f7Delay,
-		LossProb: loss,
+		LossProb: lossPct / 100,
 	}
 	vcfg := video.SourceConfig{FPS: f7FPS, SlicesPerFrame: f7Slices, SliceBytes: f7SliceBytes}
 
 	// --- ALF NoRetransmit. ---
 	{
-		s := sim.NewScheduler()
-		n := netsim.New(s, cfg.Seed)
-		a := n.NewNode("a")
-		b := n.NewNode("b")
-		ab, ba := n.NewDuplex(a, b, linkCfg)
+		s, a, b, ab, ba := twoNodes(seed, linkCfg)
 		acfg := alf.Config{
 			Policy:       alf.NoRetransmit,
 			HoldTime:     f7PlayoutDelay + 100*time.Millisecond,
@@ -195,59 +156,54 @@ func RunF7(cfg F7Config, lossPct float64) (F7Point, error) {
 
 	// --- Reliable ordered transport carrying the same frames. ---
 	{
-		s := sim.NewScheduler()
-		n := netsim.New(s, cfg.Seed+1000)
-		a := n.NewNode("a")
-		b := n.NewNode("b")
-		ab, ba := n.NewDuplex(a, b, linkCfg)
+		s, a, b, ab, ba := twoNodes(seed+1000, linkCfg)
 		oc := otp.Config{MSS: 1400, FastRetransmit: true, SendBuffer: 1 << 24}
 		snd, rcv := otp.Connect(s, a, b, ab, ba, oc, oc)
 
 		sink := video.NewSink(s, 0, f7PlayoutDelay, vcfg)
-		// Slices arrive as length-prefixed records over the stream; a
-		// tiny record layer carves them and hands them to the sink as
-		// (frame, slice) ADUs.
+		// Slices travel as records over the stream: a 4-byte length and
+		// the 8-byte (frame, slice) tag, big-endian, then the zero
+		// payload. A tiny record layer carves them and hands them to
+		// the sink as ADUs.
 		var rbuf []byte
 		rcv.OnData = func(d []byte) {
 			rbuf = append(rbuf, d...)
 			for len(rbuf) >= 12 {
-				n := int(uint32(rbuf[0])<<24 | uint32(rbuf[1])<<16 | uint32(rbuf[2])<<8 | uint32(rbuf[3]))
-				if len(rbuf) < 12+n {
+				n := 12 + int(binary.BigEndian.Uint32(rbuf))
+				if len(rbuf) < n {
 					return
 				}
-				tag := uint64(rbuf[4])<<56 | uint64(rbuf[5])<<48 | uint64(rbuf[6])<<40 | uint64(rbuf[7])<<32 |
-					uint64(rbuf[8])<<24 | uint64(rbuf[9])<<16 | uint64(rbuf[10])<<8 | uint64(rbuf[11])
-				sink.HandleADU(alf.ADU{Tag: tag, Data: rbuf[12 : 12+n]})
-				rbuf = rbuf[12+n:]
+				sink.HandleADU(alf.ADU{Tag: binary.BigEndian.Uint64(rbuf[4:]), Data: rbuf[12:n]})
+				rbuf = rbuf[n:]
 			}
 		}
 
-		// Emit frames on the same schedule as the ALF source.
-		period := vcfg.Period()
+		// Emit frames on the same schedule as the ALF source. A record
+		// the transport refuses ends the run with its error, rather than
+		// showing up as a late frame.
+		var sendErr error
 		var emit func(f int)
 		emit = func(f int) {
 			if f >= f7Frames {
 				return
 			}
-			slice := make([]byte, f7SliceBytes)
 			for sl := 0; sl < f7Slices; sl++ {
-				rec := make([]byte, 12+len(slice))
-				rec[0] = byte(len(slice) >> 24)
-				rec[1] = byte(len(slice) >> 16)
-				rec[2] = byte(len(slice) >> 8)
-				rec[3] = byte(len(slice))
-				tag := video.Tag(uint32(f), uint16(sl))
-				for i := 0; i < 8; i++ {
-					rec[4+i] = byte(tag >> uint(56-8*i))
+				rec := make([]byte, 12+f7SliceBytes)
+				binary.BigEndian.PutUint32(rec, f7SliceBytes)
+				binary.BigEndian.PutUint64(rec[4:], video.Tag(uint32(f), uint16(sl)))
+				if err := snd.Send(rec); err != nil {
+					sendErr = fmt.Errorf("f7: otp send: %w", err)
+					return
 				}
-				copy(rec[12:], slice)
-				snd.Send(rec)
 			}
-			s.After(period, func() { emit(f + 1) })
+			s.After(vcfg.Period(), func() { emit(f + 1) })
 		}
 		emit(0)
 		if err := s.Run(); err != nil {
 			return p, err
+		}
+		if sendErr != nil {
+			return p, sendErr
 		}
 		sink.FlushAll(uint32(f7Frames))
 		total := sink.Stats.FramesComplete + sink.Stats.FramesPartial + sink.Stats.FramesEmpty
@@ -272,11 +228,6 @@ type F8Point struct {
 	ReportedLost  int64
 }
 
-// F8Config parameterizes the policy comparison.
-type F8Config struct {
-	Seed int64
-}
-
 // F8's 2 MB in ADUs of 8 KB on a 50 Mb/s link that loses 3 % of
 // packets.
 const (
@@ -286,22 +237,11 @@ const (
 	f8LinkBps  = 50e6
 )
 
-func (c *F8Config) fill() {
-	if c.Seed == 0 {
-		c.Seed = 1
-	}
-}
-
 // RunF8 measures one policy.
-func RunF8(cfg F8Config, policy alf.Policy) (F8Point, error) {
-	cfg.fill()
+func RunF8(seed int64, policy alf.Policy) (F8Point, error) {
 	p := F8Point{Policy: policy}
 
-	s := sim.NewScheduler()
-	n := netsim.New(s, cfg.Seed)
-	a := n.NewNode("a")
-	b := n.NewNode("b")
-	ab, ba := n.NewDuplex(a, b, netsim.LinkConfig{
+	s, a, b, ab, ba := twoNodes(seed, netsim.LinkConfig{
 		RateBps: f8LinkBps, Delay: 5 * time.Millisecond, LossProb: f8LossPct / 100,
 	})
 	acfg := alf.Config{
@@ -396,13 +336,9 @@ type A2Point struct {
 }
 
 // RunA2 measures one ack-delay setting for a bytes-sized transfer.
-func RunA2(bytes int, ackDelay sim.Duration, seed int64) (A2Point, error) {
+func RunA2(seed int64, bytes int, ackDelay sim.Duration) (A2Point, error) {
 	p := A2Point{AckDelay: ackDelay}
-	s := sim.NewScheduler()
-	n := netsim.New(s, seed)
-	a := n.NewNode("a")
-	b := n.NewNode("b")
-	ab, ba := n.NewDuplex(a, b, netsim.LinkConfig{RateBps: 100e6, Delay: 2 * time.Millisecond})
+	s, a, b, ab, ba := twoNodes(seed, netsim.LinkConfig{RateBps: 100e6, Delay: 2 * time.Millisecond})
 	oc := otp.Config{AckDelay: ackDelay, SendBuffer: bytes + (1 << 20), SendWindow: 1 << 20, RecvWindow: 1 << 20}
 	snd, rcv := otp.Connect(s, a, b, ab, ba, oc, oc)
 

@@ -49,13 +49,13 @@ func RunCrypto(sizes []int, minTime time.Duration) CryptoReport {
 		rand.New(rand.NewSource(5)).Read(src)
 		dst := make([]byte, n)
 
-		staged := measure(n, minTime, func() {
+		staged := rate(n, minTime, func() {
 			mac := cipher.NewMAC(&tagKey)
 			cipher.XORKeyStream(&key, &nonce, 0, dst, src)
 			mac.Update(dst)
 			mac.Sum(tag)
 		})
-		fused := measure(n, minTime, func() {
+		fused := rate(n, minTime, func() {
 			mac := cipher.NewMAC(&tagKey)
 			ilp.FusedEncryptCopyMAC(dst, src, &key, &nonce, 0, &mac)
 			mac.Sum(tag)
@@ -66,7 +66,7 @@ func RunCrypto(sizes []int, minTime time.Duration) CryptoReport {
 		ilp.FusedEncryptCopyMAC(ct, src, &key, &nonce, 0, &seal)
 		seal.Sum(tag)
 		pt := make([]byte, n)
-		dec := measure(n, minTime, func() {
+		dec := rate(n, minTime, func() {
 			mac := cipher.NewMAC(&tagKey)
 			ilp.FusedDecryptCopyVerify(pt, ct, &key, &nonce, 0, &mac)
 			if !mac.Verify(tag) {
@@ -85,6 +85,6 @@ func RunCrypto(sizes []int, minTime time.Duration) CryptoReport {
 
 	buf := make([]byte, 4096)
 	ks := scramble.NewKeystream(7)
-	rep.ScrambleMbps = measure(len(buf), minTime, func() { ks.XOR(buf, buf) })
+	rep.ScrambleMbps = rate(len(buf), minTime, func() { ks.XOR(buf, buf) })
 	return rep
 }

@@ -75,12 +75,11 @@ func TestStackShape(t *testing.T) {
 }
 
 func TestF2Shape(t *testing.T) {
-	cfg := F2Config{}
-	clean, err := RunF2(cfg, 0)
+	clean, err := RunF2(1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	lossy, err := RunF2(cfg, 5)
+	lossy, err := RunF2(1, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,16 +107,15 @@ func TestF3Shape(t *testing.T) {
 	// With a 34-byte header and BER b, the goodput optimum sits near
 	// sqrt(2*34/(8b)) ~ 2 KB at F3's b = 2e-6; 64 B drowns in headers and
 	// 128 KB drowns in whole-ADU retransmissions.
-	cfg := F3Config{Seed: 3}
-	small, err := RunF3(cfg, 64)
+	small, err := RunF3(3, 64)
 	if err != nil {
 		t.Fatal(err)
 	}
-	mid, err := RunF3(cfg, 1024)
+	mid, err := RunF3(3, 1024)
 	if err != nil {
 		t.Fatal(err)
 	}
-	big, err := RunF3(cfg, 128<<10)
+	big, err := RunF3(3, 128<<10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,12 +141,11 @@ func TestF3Shape(t *testing.T) {
 }
 
 func TestF4Shape(t *testing.T) {
-	cfg := F4Config{Seed: 5}
-	clean, err := RunF4(cfg, 0)
+	clean, err := RunF4(5, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	lossy, err := RunF4(cfg, 1)
+	lossy, err := RunF4(5, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,12 +170,11 @@ func TestF4Shape(t *testing.T) {
 }
 
 func TestF6Shape(t *testing.T) {
-	cfg := F6Config{Seed: 7}
-	one, err := RunF6(cfg, 1)
+	one, err := RunF6(7, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	eight, err := RunF6(cfg, 8)
+	eight, err := RunF6(7, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,12 +196,11 @@ func TestF6Shape(t *testing.T) {
 }
 
 func TestF7Shape(t *testing.T) {
-	cfg := F7Config{Seed: 9}
-	clean, err := RunF7(cfg, 0)
+	clean, err := RunF7(9, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	lossy, err := RunF7(cfg, 3)
+	lossy, err := RunF7(9, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,17 +227,16 @@ func TestF7Shape(t *testing.T) {
 }
 
 func TestF8Shape(t *testing.T) {
-	cfg := F8Config{Seed: 11}
-	pts, err := Sweep(F8Policies, func(pol alf.Policy) (F8Point, error) { return RunF8(cfg, pol) })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(pts) != 3 {
-		t.Fatalf("points = %d", len(pts))
-	}
 	byPolicy := map[alf.Policy]F8Point{}
-	for _, pt := range pts {
+	for _, pol := range F8Policies {
+		pt, err := RunF8(11, pol)
+		if err != nil {
+			t.Fatal(err)
+		}
 		byPolicy[pt.Policy] = pt
+	}
+	if len(byPolicy) != 3 {
+		t.Fatalf("points = %d", len(byPolicy))
 	}
 	sb := byPolicy[alf.SenderBuffered]
 	ar := byPolicy[alf.AppRecompute]
@@ -271,11 +265,11 @@ func TestF8Shape(t *testing.T) {
 }
 
 func TestA2Shape(t *testing.T) {
-	inband, err := RunA2(1<<20, 0, 13)
+	inband, err := RunA2(13, 1<<20, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	oob, err := RunA2(1<<20, 5*time.Millisecond, 13)
+	oob, err := RunA2(13, 1<<20, 5*time.Millisecond)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -290,16 +284,22 @@ func TestA2Shape(t *testing.T) {
 	}
 }
 
-func TestF9Shape(t *testing.T) {
-	cfg := F9Config{Seed: 15}
-	pts, err := Sweep(F9Modes, func(mode string) (F9Point, error) { return RunF9(cfg, 3, mode) })
-	if err != nil {
-		t.Fatal(err)
-	}
+// f9ByMode runs every F9 mode at one loss rate, keyed by mode.
+func f9ByMode(t *testing.T, seed int64, lossPct float64) map[string]F9Point {
+	t.Helper()
 	byMode := map[string]F9Point{}
-	for _, pt := range pts {
+	for _, mode := range F9Modes {
+		pt, err := RunF9(seed, lossPct, mode)
+		if err != nil {
+			t.Fatal(err)
+		}
 		byMode[pt.Mode] = pt
 	}
+	return byMode
+}
+
+func TestF9Shape(t *testing.T) {
+	byMode := f9ByMode(t, 15, 3)
 	none, nack, fec, both := byMode["none"], byMode["nack"], byMode["fec"], byMode["fec+nack"]
 
 	// Raw NoRetransmit loses ADUs; each recovery mechanism claws back.
@@ -319,14 +319,7 @@ func TestF9Shape(t *testing.T) {
 	// FEC pays a fixed proactive overhead (~1 + 1/group); NACK pays a
 	// reactive one proportional to loss. At low loss NACK is cheaper on
 	// the wire; FEC's constant cost wins on latency.
-	lowPts, err := Sweep(F9Modes, func(mode string) (F9Point, error) { return RunF9(cfg, 0.5, mode) })
-	if err != nil {
-		t.Fatal(err)
-	}
-	lowBy := map[string]F9Point{}
-	for _, pt := range lowPts {
-		lowBy[pt.Mode] = pt
-	}
+	lowBy := f9ByMode(t, 15, 0.5)
 	if lowBy["nack"].WireOverhead >= lowBy["fec"].WireOverhead {
 		t.Errorf("at 0.5%% loss NACK overhead (%v) should undercut FEC's fixed %v",
 			lowBy["nack"].WireOverhead, lowBy["fec"].WireOverhead)
@@ -361,11 +354,11 @@ func TestA3BurstVsIndependentFEC(t *testing.T) {
 	var indep, burst, indepLoss, burstLoss float64
 	const seeds = 3
 	for i := int64(0); i < seeds; i++ {
-		ip, err := RunA3(false, 100+i)
+		ip, err := RunA3(100+i, false)
 		if err != nil {
 			t.Fatal(err)
 		}
-		bp, err := RunA3(true, 200+i)
+		bp, err := RunA3(200+i, true)
 		if err != nil {
 			t.Fatal(err)
 		}

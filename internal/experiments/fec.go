@@ -31,11 +31,6 @@ type F9Point struct {
 	WireOverhead float64 // wire bytes / app bytes
 }
 
-// F9Config parameterizes the FEC experiment.
-type F9Config struct {
-	Seed int64
-}
-
 // F9's 2 MB in ADUs of 8 KB, one parity per four fragments (25 %
 // redundancy), and a 50 Mb/s path with 10 ms one way, so the NACK
 // round trip is visible.
@@ -47,12 +42,6 @@ const (
 	f9Delay    = 10 * time.Millisecond
 )
 
-func (c *F9Config) fill() {
-	if c.Seed == 0 {
-		c.Seed = 1
-	}
-}
-
 // F9Modes are the recovery modes the F9 table compares at each loss
 // rate, in its row order.
 var F9Modes = []string{"none", "nack", "fec", "fec+nack"}
@@ -60,8 +49,7 @@ var F9Modes = []string{"none", "nack", "fec", "fec+nack"}
 // RunF9 measures one (loss, mode) cell. Modes: "nack" (SenderBuffered,
 // no FEC), "fec" (NoRetransmit with FEC), "fec+nack" (both), "none"
 // (NoRetransmit, no FEC).
-func RunF9(cfg F9Config, lossPct float64, mode string) (F9Point, error) {
-	cfg.fill()
+func RunF9(seed int64, lossPct float64, mode string) (F9Point, error) {
 	p := F9Point{LossPct: lossPct, Mode: mode}
 
 	acfg := alf.Config{
@@ -87,11 +75,7 @@ func RunF9(cfg F9Config, lossPct float64, mode string) (F9Point, error) {
 		return p, fmt.Errorf("f9: unknown mode %q", mode)
 	}
 
-	s := sim.NewScheduler()
-	n := netsim.New(s, cfg.Seed)
-	a := n.NewNode("a")
-	b := n.NewNode("b")
-	ab, ba := n.NewDuplex(a, b, netsim.LinkConfig{
+	s, a, b, ab, ba := twoNodes(seed, netsim.LinkConfig{
 		RateBps:  f9LinkBps,
 		Delay:    f9Delay,
 		LossProb: lossPct / 100,
@@ -185,7 +169,7 @@ type A3Point struct {
 }
 
 // RunA3 measures FEC-only recovery under one loss process.
-func RunA3(burst bool, seed int64) (A3Point, error) {
+func RunA3(seed int64, burst bool) (A3Point, error) {
 	p := A3Point{Burst: burst}
 
 	linkCfg := netsim.LinkConfig{
@@ -210,11 +194,7 @@ func RunA3(burst bool, seed int64) (A3Point, error) {
 		HoldTime:     300 * time.Millisecond,
 		RateBps:      f9LinkBps,
 	}
-	s := sim.NewScheduler()
-	n := netsim.New(s, seed)
-	a := n.NewNode("a")
-	b := n.NewNode("b")
-	ab, ba := n.NewDuplex(a, b, linkCfg)
+	s, a, b, ab, ba := twoNodes(seed, linkCfg)
 	snd, rcv, err := alf.Connect(s, a, b, ab, ba, acfg)
 	if err != nil {
 		return p, err
@@ -224,15 +204,8 @@ func RunA3(burst bool, seed int64) (A3Point, error) {
 	rcv.OnADU = func(adu alf.ADU) { delivered += int64(len(adu.Data)) }
 	rcv.OnLost = func(uint64) { p.ADUsLost++ }
 
-	chunk := make([]byte, f9ADUBytes)
-	for off, i := 0, 0; off < f9Bytes; off, i = off+f9ADUBytes, i+1 {
-		nb := f9ADUBytes
-		if off+nb > f9Bytes {
-			nb = f9Bytes - off
-		}
-		if _, err := snd.Send(uint64(i), xcode.SyntaxRaw, chunk[:nb]); err != nil {
-			return p, err
-		}
+	if err := sendBulk(snd, f9Bytes, f9ADUBytes, 1); err != nil {
+		return p, err
 	}
 	if err := s.Run(); err != nil {
 		return p, err

@@ -9,8 +9,9 @@ import "testing"
 // assertion is deterministic and holds under -race on any host —
 // BenchmarkFlowScale is the same curve at benchmark scale.
 func TestFlowScaleNearLinear(t *testing.T) {
-	pts, err := Sweep([]int{1, 2, 4, 8}, func(n int) (FlowScalePoint, error) {
-		return RunFlowScale(FlowScaleConfig{
+	var pts []FlowScalePoint
+	for _, n := range []int{1, 2, 4, 8} {
+		p, err := RunFlowScale(FlowScaleConfig{
 			Flows:    4096,
 			FlowADUs: 2,
 			ADUBytes: 512,
@@ -18,9 +19,10 @@ func TestFlowScaleNearLinear(t *testing.T) {
 			Shards:   n,
 			Workers:  n,
 		})
-	})
-	if err != nil {
-		t.Fatal(err)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pts = append(pts, p)
 	}
 	base := pts[0].AggMbps
 	if base <= 0 {

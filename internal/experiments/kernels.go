@@ -7,29 +7,29 @@
 package experiments
 
 import (
+	"math"
 	"math/rand"
 	"time"
 
 	"repro/internal/checksum"
 	"repro/internal/ilp"
 	"repro/internal/scramble"
-	"repro/internal/stats"
 	"repro/internal/xcode"
 )
 
-// measure runs fn repeatedly and returns the achieved rate in Mb/s for
-// bytesPerOp payload bytes per call. It takes the best of several
-// trials of minTime/3 each: for a deterministic CPU-bound kernel the
-// maximum is the least contaminated by scheduler preemption and
-// frequency excursions, which otherwise swing single-shot numbers
+// measure is the package's one wall-clock timer: it runs fn once to
+// warm up, then in three trials of minTime/3 each, and returns the best
+// trial's time per call in nanoseconds. For a deterministic CPU-bound
+// body the minimum is the least contaminated by scheduler preemption
+// and frequency excursions, which otherwise swing single-shot numbers
 // wildly on shared machines.
-func measure(bytesPerOp int, minTime time.Duration, fn func()) float64 {
-	fn() // warm up
+func measure(minTime time.Duration, fn func()) float64 {
+	fn()
 	trial := minTime / 3
 	if trial <= 0 {
 		trial = time.Millisecond
 	}
-	best := 0.0
+	best := math.Inf(1)
 	for t := 0; t < 3; t++ {
 		iters := 1
 		for {
@@ -39,9 +39,7 @@ func measure(bytesPerOp int, minTime time.Duration, fn func()) float64 {
 			}
 			elapsed := time.Since(start)
 			if elapsed >= trial {
-				if rate := stats.Mbps(int64(bytesPerOp)*int64(iters), elapsed); rate > best {
-					best = rate
-				}
+				best = min(best, float64(elapsed.Nanoseconds())/float64(iters))
 				break
 			}
 			if elapsed <= 0 {
@@ -53,6 +51,12 @@ func measure(bytesPerOp int, minTime time.Duration, fn func()) float64 {
 		}
 	}
 	return best
+}
+
+// rate is measure as a throughput: Mb/s for bytesPerOp payload bytes
+// per call.
+func rate(bytesPerOp int, minTime time.Duration, fn func()) float64 {
+	return float64(bytesPerOp) * 8e3 / measure(minTime, fn)
 }
 
 // KernelReport holds the wall-clock kernel measurements that reproduce
@@ -102,26 +106,26 @@ func RunKernels(bufBytes int, minTime time.Duration) KernelReport {
 	enc := ilp.EncodeBERInt32s(nil, ints)
 	out := make([]int32, len(ints))
 
-	r.Copy = measure(bufBytes, minTime, func() { ilp.WordCopy(dst, src) })
-	r.Checksum = measure(bufBytes, minTime, func() { checksum.Sum16(src) })
-	r.SeparateCopyChecksum = measure(bufBytes, minTime, func() { ilp.SeparateCopyThenChecksum(dst, src) })
-	r.FusedCopyChecksum = measure(bufBytes, minTime, func() { ilp.FusedCopyChecksum(dst, src) })
+	r.Copy = rate(bufBytes, minTime, func() { ilp.WordCopy(dst, src) })
+	r.Checksum = rate(bufBytes, minTime, func() { checksum.Sum16(src) })
+	r.SeparateCopyChecksum = rate(bufBytes, minTime, func() { ilp.SeparateCopyThenChecksum(dst, src) })
+	r.FusedCopyChecksum = rate(bufBytes, minTime, func() { ilp.FusedCopyChecksum(dst, src) })
 	r.PredictedSeparate = 1 / (1/r.Copy + 1/r.Checksum)
 
-	r.BEREncode = measure(bufBytes, minTime, func() { encBuf = ilp.EncodeBERInt32s(encBuf[:0], ints) })
-	r.BERDecode = measure(bufBytes, minTime, func() { ilp.DecodeBERInt32sInto(enc, out) })
+	r.BEREncode = rate(bufBytes, minTime, func() { encBuf = ilp.EncodeBERInt32s(encBuf[:0], ints) })
+	r.BERDecode = rate(bufBytes, minTime, func() { ilp.DecodeBERInt32sInto(enc, out) })
 	xdrBuf := make([]byte, 0, bufBytes+16)
 	v := xcode.Int32sValue(ints)
-	r.XDREncode = measure(bufBytes, minTime, func() { xdrBuf, _ = (xcode.XDR{}).EncodeValue(xdrBuf[:0], v) })
+	r.XDREncode = rate(bufBytes, minTime, func() { xdrBuf, _ = (xcode.XDR{}).EncodeValue(xdrBuf[:0], v) })
 	lwtsBuf := make([]byte, 0, bufBytes+16)
-	r.LWTSEncode = measure(bufBytes, minTime, func() { lwtsBuf, _ = (xcode.LWTS{}).EncodeValue(lwtsBuf[:0], v) })
+	r.LWTSEncode = rate(bufBytes, minTime, func() { lwtsBuf, _ = (xcode.LWTS{}).EncodeValue(lwtsBuf[:0], v) })
 
-	r.BEREncodeChecksum = measure(bufBytes, minTime, func() {
+	r.BEREncodeChecksum = rate(bufBytes, minTime, func() {
 		encBuf, _ = ilp.EncodeBERInt32sChecksum(encBuf[:0], ints)
 	})
 
 	ks := scramble.NewKeystream(7)
-	r.FusedCopyChecksumDecrypt = measure(bufBytes, minTime, func() {
+	r.FusedCopyChecksumDecrypt = rate(bufBytes, minTime, func() {
 		ilp.FusedCopyChecksumDecrypt(dst, src, ks)
 	})
 	return r
@@ -153,13 +157,13 @@ func RunPipeline(bufBytes int, minTime time.Duration) PipelineReport {
 
 	for k := 1; k <= 5; k++ {
 		lst, _ := ilp.StandardStages(k, 99)
-		r.LayeredMbps[k] = measure(bufBytes, minTime, func() { ilp.LayeredPath(dst, scratch, src, lst) })
+		r.LayeredMbps[k] = rate(bufBytes, minTime, func() { ilp.LayeredPath(dst, scratch, src, lst) })
 		fst, _ := ilp.StandardStages(k, 99)
-		r.FusedMbps[k] = measure(bufBytes, minTime, func() { ilp.FusedPath(dst, src, fst) })
+		r.FusedMbps[k] = rate(bufBytes, minTime, func() { ilp.FusedPath(dst, src, fst) })
 	}
-	r.HandFused2 = measure(bufBytes, minTime, func() { ilp.FusedCopyChecksum(dst, src) })
+	r.HandFused2 = rate(bufBytes, minTime, func() { ilp.FusedCopyChecksum(dst, src) })
 	ks := scramble.NewKeystream(99)
-	r.HandFused3 = measure(bufBytes, minTime, func() { ilp.FusedCopyChecksumDecrypt(dst, src, ks) })
+	r.HandFused3 = rate(bufBytes, minTime, func() { ilp.FusedCopyChecksumDecrypt(dst, src, ks) })
 	return r
 }
 
@@ -186,32 +190,27 @@ func RunControl(packetBytes int, minTime time.Duration) ControlReport {
 	ck := checksum.Sum16(hdr)
 	hdr[12], hdr[13] = byte(ck>>8), byte(ck)
 
+	// Demux + integrity + order decision, the §4 control path, a
+	// thousand packets per call on locals the loop can keep in
+	// registers.
 	sink := 0
-	control := func() {
-		// Demux + integrity + order decision, the §4 control path.
-		if !checksum.Verify16(hdr) {
-			sink++
-		}
-		seq := int(hdr[2])<<24 | int(hdr[3])<<16 | int(hdr[4])<<8 | int(hdr[5])
-		if seq == sink {
-			sink++
-		}
-	}
-	start := time.Now()
-	iters := 0
-	for time.Since(start) < minTime {
+	r.ControlNs = measure(minTime, func() {
+		h, n := hdr, sink
 		for i := 0; i < 1000; i++ {
-			control()
+			if !checksum.Verify16(h) {
+				n++
+			}
+			seq := int(h[2])<<24 | int(h[3])<<16 | int(h[4])<<8 | int(h[5])
+			if seq == n {
+				n++
+			}
 		}
-		iters += 1000
-	}
-	r.ControlNs = float64(time.Since(start).Nanoseconds()) / float64(iters)
+		sink = n
+	}) / 1000
 
 	src := make([]byte, packetBytes)
 	dst := make([]byte, packetBytes)
 	rand.New(rand.NewSource(4)).Read(src)
-	mbps := measure(packetBytes, minTime, func() { ilp.FusedCopyChecksum(dst, src) })
-	// packetBytes*8 bits at mbps*1e6 bit/s, in nanoseconds.
-	r.ManipulationNs = float64(packetBytes) * 8000 / mbps
+	r.ManipulationNs = measure(minTime, func() { ilp.FusedCopyChecksum(dst, src) })
 	return r
 }

@@ -11,7 +11,6 @@ import (
 	"repro/internal/netsim"
 	"repro/internal/otp"
 	"repro/internal/sim"
-	"repro/internal/stats"
 	"repro/internal/xcode"
 )
 
@@ -46,11 +45,7 @@ type stackRig struct {
 }
 
 func newStackRig(codec xcode.Codec, seed int64) *stackRig {
-	s := sim.NewScheduler()
-	n := netsim.New(s, seed)
-	a := n.NewNode("a")
-	b := n.NewNode("b")
-	ab, ba := n.NewDuplex(a, b, netsim.LinkConfig{})
+	s, a, b, ab, ba := twoNodes(seed, netsim.LinkConfig{})
 	oc := otp.Config{MSS: 4096, SendWindow: 1 << 22, RecvWindow: 1 << 22, SendBuffer: 1 << 26}
 	ca, cb := otp.Connect(s, a, b, ab, ba, oc, oc)
 	r := &stackRig{sched: s}
@@ -106,7 +101,6 @@ func RunStackILP(valueBytes, values int, minTime time.Duration) (ILPStackReport,
 	for i := range ints {
 		ints[i] = int32(rnd.Uint32())
 	}
-	volume := int64(valueBytes) * int64(values)
 
 	// Preallocated buffers: the steady-state data path allocates only
 	// inside the transport (fragment packets), as a real system would
@@ -115,34 +109,28 @@ func RunStackILP(valueBytes, values int, minTime time.Duration) (ILPStackReport,
 	out := make([]int32, len(ints))
 
 	run := func(useInts bool) (float64, error) {
-		s := sim.NewScheduler()
-		n := netsim.New(s, 13)
-		a := n.NewNode("a")
-		b := n.NewNode("b")
-		ab, ba := n.NewDuplex(a, b, netsim.LinkConfig{})
+		s, a, b, ab, ba := twoNodes(13, netsim.LinkConfig{})
 		acfg := alf.Config{MTU: valueBytes*2 + alf.HeaderSize + 8}
 		snd, rcv, err := alf.Connect(s, a, b, ab, ba, acfg)
 		if err != nil {
 			return 0, err
 		}
 
+		// The first error ends the measurement: every later call is a
+		// no-op and run returns it.
 		got := 0
-		var stageTwoErr error
 		rcv.OnADU = func(adu alf.ADU) {
 			// Stage two: the application's fused presentation pass.
 			if adu.Syntax == xcode.SyntaxBER {
-				if _, _, err := ilp.DecodeBERInt32sInto(adu.Data, out); err != nil {
-					stageTwoErr = err
-					return
+				if _, _, e := ilp.DecodeBERInt32sInto(adu.Data, out); e != nil && err == nil {
+					err = e
 				}
 			}
 			got++
 		}
-
-		transfer := func() error {
+		transfer := func() {
 			start := got
-			for i := 0; i < values; i++ {
-				var err error
+			for i := 0; i < values && err == nil; i++ {
 				if useInts {
 					// Sender-side fused conversion + checksum; ALF's own
 					// fused copy+checksum carries it to the wire.
@@ -151,35 +139,16 @@ func RunStackILP(valueBytes, values int, minTime time.Duration) (ILPStackReport,
 				} else {
 					_, err = snd.Send(uint64(i), xcode.SyntaxRaw, octets)
 				}
-				if err != nil {
-					return err
-				}
 			}
-			if err := s.Run(); err != nil {
-				return err
+			if err == nil {
+				err = s.Run()
 			}
-			if stageTwoErr != nil {
-				return stageTwoErr
+			if err == nil && got-start != values {
+				err = fmt.Errorf("ilp stack delivered %d of %d", got-start, values)
 			}
-			if got-start != values {
-				return fmt.Errorf("ilp stack delivered %d of %d", got-start, values)
-			}
-			return nil
 		}
-		if err := transfer(); err != nil { // warm up
-			return 0, err
-		}
-		var elapsed time.Duration
-		var moved int64
-		for elapsed < minTime {
-			t0 := time.Now()
-			if err := transfer(); err != nil {
-				return 0, err
-			}
-			elapsed += time.Since(t0)
-			moved += volume
-		}
-		return stats.Mbps(moved, elapsed), nil
+		mbps := rate(valueBytes*values, minTime, transfer)
+		return mbps, err
 	}
 
 	var err error
@@ -192,8 +161,8 @@ func RunStackILP(valueBytes, values int, minTime time.Duration) (ILPStackReport,
 	return rep, nil
 }
 
-// RunStack measures E4 with the given codec: values of valueBytes
-// bytes, count values per timing pass, repeated until minTime.
+// RunStack measures E4 with the given codec: values values of
+// valueBytes bytes per transfer, timed by measure over minTime.
 func RunStack(codec xcode.Codec, valueBytes, values int, minTime time.Duration) (StackReport, error) {
 	rep := StackReport{Codec: codec.Name(), ValueBytes: valueBytes, Values: values}
 
@@ -211,25 +180,14 @@ func RunStack(codec xcode.Codec, valueBytes, values int, minTime time.Duration) 
 		octetVals[i] = xcode.BytesValue(octets)
 		intVals[i] = xcode.Int32sValue(ints)
 	}
-	volume := int64(valueBytes) * int64(values)
 
 	var err error
 	timeCase := func(rig *stackRig, vals []xcode.Value) float64 {
-		// Warm-up pass.
-		if e := rig.transfer(vals); e != nil && err == nil {
-			err = e
-		}
-		var elapsed time.Duration
-		var moved int64
-		for elapsed < minTime {
-			start := time.Now()
+		return rate(valueBytes*values, minTime, func() {
 			if e := rig.transfer(vals); e != nil && err == nil {
 				err = e
 			}
-			elapsed += time.Since(start)
-			moved += volume
-		}
-		return stats.Mbps(moved, elapsed)
+		})
 	}
 
 	rep.OctetMbps = timeCase(newStackRig(codec, 11), octetVals)

@@ -15,19 +15,29 @@ import (
 	"repro/internal/xcode"
 )
 
-// Sweep runs one measurement per point of xs, in order, and stops at
-// the first error, returning it with the points measured before it.
-// Every figure's table is one Sweep over its x axis.
-func Sweep[X, P any](xs []X, run func(X) (P, error)) ([]P, error) {
-	pts := make([]P, 0, len(xs))
-	for _, x := range xs {
-		pt, err := run(x)
-		if err != nil {
-			return pts, err
+// twoNodes is the path every simulated run but F4's cell link uses, the
+// E4/E6 stacks included: nodes a and b, created in that order on a
+// network seeded with seed, joined by a duplex link of cfg.
+func twoNodes(seed int64, cfg netsim.LinkConfig) (*sim.Scheduler, *netsim.Node, *netsim.Node, *netsim.Link, *netsim.Link) {
+	s := sim.NewScheduler()
+	n := netsim.New(s, seed)
+	a := n.NewNode("a")
+	b := n.NewNode("b")
+	ab, ba := n.NewDuplex(a, b, cfg)
+	return s, a, b, ab, ba
+}
+
+// sendBulk submits total bytes of zeros to snd at once, as ADUs of
+// aduBytes (the last one short) with the i-th tagged i*tagStep: a
+// tagStep of aduBytes tags each ADU by its offset.
+func sendBulk(snd *alf.Sender, total, aduBytes int, tagStep uint64) error {
+	chunk := make([]byte, aduBytes)
+	for off, i := 0, uint64(0); off < total; off, i = off+aduBytes, i+1 {
+		if _, err := snd.Send(i*tagStep, xcode.SyntaxRaw, chunk[:min(aduBytes, total-off)]); err != nil {
+			return err
 		}
-		pts = append(pts, pt)
 	}
-	return pts, nil
+	return nil
 }
 
 // F3Point is one ADU-size sample of the §5 size-bounding experiment:
@@ -51,11 +61,6 @@ type F3Point struct {
 	Resends  int64
 }
 
-// F3Config parameterizes the sweep.
-type F3Config struct {
-	Seed int64
-}
-
 // F3's transfer of 1 MB over a 100 Mb/s link with a bit error rate of
 // 2e-6.
 const (
@@ -64,22 +69,10 @@ const (
 	f3BER     = 2e-6
 )
 
-func (c *F3Config) fill() {
-	if c.Seed == 0 {
-		c.Seed = 1
-	}
-}
-
 // RunF3 measures one ADU size.
-func RunF3(cfg F3Config, aduBytes int) (F3Point, error) {
-	cfg.fill()
+func RunF3(seed int64, aduBytes int) (F3Point, error) {
 	p := F3Point{ADUBytes: aduBytes}
-
-	s := sim.NewScheduler()
-	n := netsim.New(s, cfg.Seed)
-	a := n.NewNode("a")
-	b := n.NewNode("b")
-	ab, ba := n.NewDuplex(a, b, netsim.LinkConfig{
+	s, a, b, ab, ba := twoNodes(seed, netsim.LinkConfig{
 		RateBps: f3LinkBps, Delay: time.Millisecond, BitErrorRate: f3BER,
 	})
 	acfg := alf.Config{
@@ -103,17 +96,8 @@ func RunF3(cfg F3Config, aduBytes int) (F3Point, error) {
 			done = s.Now()
 		}
 	}
-	chunk := make([]byte, aduBytes)
-	sent := 0
-	for off := 0; off < f3Bytes; off += aduBytes {
-		nb := aduBytes
-		if off+nb > f3Bytes {
-			nb = f3Bytes - off
-		}
-		if _, err := snd.Send(uint64(off), xcode.SyntaxRaw, chunk[:nb]); err != nil {
-			return p, err
-		}
-		sent++
+	if err := sendBulk(snd, f3Bytes, aduBytes, uint64(aduBytes)); err != nil {
+		return p, err
 	}
 	if err := s.Run(); err != nil {
 		return p, err
@@ -122,28 +106,22 @@ func RunF3(cfg F3Config, aduBytes int) (F3Point, error) {
 		return p, fmt.Errorf("f3: delivered %d of %d ADUs (adu=%d)", received, total, aduBytes)
 	}
 
-	// Wire bytes per ADU: payload + one header per fragment.
-	frag := acfg.MTU
-	if frag == 0 {
-		frag = 1024 + alf.HeaderSize
-	}
-	fragPayload := (frag - alf.HeaderSize) &^ 7
-	frags := (aduBytes + fragPayload - 1) / fragPayload
-	wirePerADU := float64(aduBytes + frags*alf.HeaderSize)
+	// Wire bytes per ADU: payload + one header per first-copy fragment,
+	// as core cut them.
+	frags := float64(snd.Stats.Fragments) / float64(snd.Stats.ADUs)
+	wirePerADU := float64(aduBytes) + frags*alf.HeaderSize
 	p.PIntactPredicted = math.Pow(1-f3BER, 8*wirePerADU)
 
-	firstTx := int64(snd.Stats.ADUs)
 	damaged := rcv.Stats.ChecksumFails + rcv.Stats.HeaderDrops
 	// Damaged counts include retransmissions; approximate the intact
 	// probability over all transmissions.
-	allTx := firstTx + snd.Stats.ResentADUs
+	allTx := snd.Stats.ADUs + snd.Stats.ResentADUs
 	if allTx > 0 {
 		p.PIntactMeasured = 1 - float64(damaged)/float64(allTx)
 	}
 	p.Resends = snd.Stats.ResentADUs
 	p.GoodputMbps = stats.Mbps(int64(f3Bytes), time.Duration(done))
-	wireSent := ab.Stats.SentBytes
-	p.Overhead = float64(wireSent) / float64(f3Bytes)
+	p.Overhead = float64(ab.Stats.SentBytes) / float64(f3Bytes)
 	return p, nil
 }
 
@@ -166,11 +144,6 @@ type F4Point struct {
 	Resends     int64
 }
 
-// F4Config parameterizes the ATM experiment.
-type F4Config struct {
-	Seed int64
-}
-
 // F4's transfer of 512 KB, its ADU size and its STM-1-ish link rate.
 const (
 	f4Bytes    = 512 << 10
@@ -178,21 +151,14 @@ const (
 	f4LinkBps  = 150e6
 )
 
-func (c *F4Config) fill() {
-	if c.Seed == 0 {
-		c.Seed = 1
-	}
-}
-
 // RunF4 measures one cell-loss point. The ALF fragment stream is
 // segmented into cells below the ALF layer and reassembled above the
 // link, so the ALF fragment is the AAL "message".
-func RunF4(cfg F4Config, cellLossPct float64) (F4Point, error) {
-	cfg.fill()
+func RunF4(seed int64, cellLossPct float64) (F4Point, error) {
 	p := F4Point{CellLossPct: cellLossPct}
 
 	s := sim.NewScheduler()
-	n := netsim.New(s, cfg.Seed)
+	n := netsim.New(s, seed)
 	a := n.NewNode("a")
 	b := n.NewNode("b")
 	// Forward path carries cells; reverse path carries ALF control.
@@ -248,15 +214,8 @@ func RunF4(cfg F4Config, cellLossPct float64) (F4Point, error) {
 			done = s.Now()
 		}
 	}
-	chunk := make([]byte, f4ADUBytes)
-	for off := 0; off < f4Bytes; off += f4ADUBytes {
-		nb := f4ADUBytes
-		if off+nb > f4Bytes {
-			nb = f4Bytes - off
-		}
-		if _, err := snd.Send(uint64(off), xcode.SyntaxRaw, chunk[:nb]); err != nil {
-			return p, err
-		}
+	if err := sendBulk(snd, f4Bytes, f4ADUBytes, f4ADUBytes); err != nil {
+		return p, err
 	}
 	if err := s.Run(); err != nil {
 		return p, err
