@@ -38,8 +38,10 @@ fmt:
 loc:
 	$(GO) test -count=1 -run '^TestLoc$$' -v .
 
-# The packages with real concurrency: the metrics registry is meant to
-# be hit from multiple goroutines, parallel hosts the worker-pool
+# The packages with real concurrency: in internal/metrics, the registry
+# lock (registration against Snapshot) and the histograms' atomics
+# (Observe from many goroutines) — counts are Stats fields and levels
+# GaugeFuncs, both single-goroutine — parallel hosts the worker-pool
 # dispatch experiment, buf's refcounts are atomic by contract, and the
 # sharded endpoint (core + sim.Group + the experiments flow-scale
 # sweep) drains per-shard schedulers from a worker pool — its

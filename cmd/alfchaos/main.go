@@ -103,7 +103,7 @@ type family struct {
 	modes     []string // the stances, in sweep order
 	baseline  string   // the stance a sweep expects to break invariants
 	horizon   time.Duration
-	detectors func() []telemetry.Detector
+	detectors func() []*telemetry.Detector
 	// run executes one run wired into p, prints its summary, and
 	// returns its verdict and the ADUs whose accounting broke.
 	run func(variant, mode string, seed int64, p soak.Planes) (passed bool, culprits []uint64, err error)

@@ -250,15 +250,16 @@ func runScenario(reg *metrics.Registry, rec *telemetry.Recorder) (string, error)
 
 	// Goodput gauges, from delivered bytes over each path's own
 	// completion time (virtual clock, so deterministic per seed).
-	goodput := func(bytes int64, at sim.Time) int64 {
-		if at <= 0 {
-			return 0
+	goodput := func(path string, bytes int64, at sim.Time) {
+		var kbps int64
+		if at > 0 {
+			kbps = int64(float64(bytes) * 8 / 1e3 / at.Seconds())
 		}
-		return int64(float64(bytes) * 8 / 1e3 / at.Seconds())
+		reg.GaugeFunc("alfstat.goodput_kbps", func() int64 { return kbps }, "path="+path)
 	}
-	reg.Gauge("alfstat.goodput_kbps", "path=alf").Set(goodput(alfBytes, alfDone))
+	goodput("alf", alfBytes, alfDone)
 	if *flagOTP {
-		reg.Gauge("alfstat.goodput_kbps", "path=otp").Set(goodput(otpBytes, otpDone))
+		goodput("otp", otpBytes, otpDone)
 	}
 
 	var b strings.Builder
@@ -332,7 +333,8 @@ func ingest(reg *metrics.Registry, path string) error {
 					continue
 				}
 				name := fmt.Sprintf("alfbench.%s.%s_milli", section, slug(header[i]))
-				reg.Gauge(name, row).Set(int64(v * 1000))
+				milli := int64(v * 1000)
+				reg.GaugeFunc(name, func() int64 { return milli }, row)
 			}
 		}
 	}

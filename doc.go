@@ -9,11 +9,12 @@
 // video, RPC, parallel receivers) the paper motivates.
 //
 // Every layer also reports into a unified metrics registry
-// (internal/metrics): nil-safe atomic counters, gauges, and
-// log-bucketed histograms driven by the simulator's virtual clock, so
-// any run's full metric tree — fragments, NACKs, head-of-line stall
-// times, per-link drops, ADU latency distributions — is deterministic
-// for a given seed and renderable as one table.
+// (internal/metrics): counters declared as tagged Stats fields, gauges
+// read from live state, and nil-safe log-bucketed histograms driven by
+// the simulator's virtual clock, so any run's full metric tree —
+// fragments, NACKs, head-of-line stall times, per-link drops, ADU
+// latency distributions — is deterministic for a given seed and
+// renderable as one table.
 //
 // Two planes sit above the per-stream protocol machinery. The control
 // plane (§3) keeps control traffic out of the per-packet path:

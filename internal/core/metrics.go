@@ -11,23 +11,19 @@ import (
 // only storage for event counts — tests and examples read them
 // directly — and metrics.BindStats exposes every field under the name
 // in its `metric` tag, so the struct and the registry can never
-// disagree and a new counter is one line. Signals the structs cannot
-// carry (distributions, instantaneous depths) are native instruments
-// and computed gauges, registered below. With a nil registry nothing
-// is built — no label, no closure, no reflection — every instrument
-// is nil, and each observation costs one nil-check branch (see
-// internal/metrics).
+// disagree and a new counter is one line. The signals the structs
+// cannot carry are live levels (GaugeFunc, read at Snapshot time) and
+// distributions (Histogram), registered below. With a nil registry
+// nothing is built — no label, no closure, no reflection — every
+// histogram is nil, and each observation costs one nil-check branch
+// (see internal/metrics).
 
-// senderMetrics holds the sender's native instruments.
+// senderMetrics holds the sender's histograms.
 type senderMetrics struct {
 	// aduBytes is the distribution of ADU payload sizes submitted by
 	// the application — the paper's §5 "ADU lengths should be
 	// reasonably bounded" made measurable.
 	aduBytes *metrics.Histogram
-	// ilpBytes counts payload bytes pushed through the fused
-	// encrypt/copy/checksum pass — the sender's share of the §4
-	// "data manipulation" cost, in bytes touched.
-	ilpBytes *metrics.Counter
 }
 
 // bindSenderMetrics registers the sender's series, labeled by stream.
@@ -45,13 +41,10 @@ func bindSenderMetrics(r *metrics.Registry, s *Sender) senderMetrics {
 	// run. The telemetry plane's backoff-saturation detector watches
 	// this climb to HeartbeatMaxInterval during blackouts.
 	r.GaugeFunc("core.send.heartbeat_interval_ns", func() int64 { return int64(s.hbBackoff()) }, lb)
-	return senderMetrics{
-		aduBytes: r.Histogram("core.send.adu_bytes", lb),
-		ilpBytes: r.Counter("core.send.ilp_pass_bytes", lb),
-	}
+	return senderMetrics{aduBytes: r.Histogram("core.send.adu_bytes", lb)}
 }
 
-// recvMetrics holds the receiver's native instruments.
+// recvMetrics holds the receiver's histograms.
 type recvMetrics struct {
 	// aduLatency is the virtual-time distribution from an ADU's first
 	// fragment arriving to its verified delivery — reassembly plus any
@@ -60,10 +53,6 @@ type recvMetrics struct {
 	aduLatency *metrics.Histogram
 	// aduBytes is the distribution of delivered ADU sizes.
 	aduBytes *metrics.Histogram
-	// ilpBytes counts payload bytes through the fused stage-one pass
-	// (place + decrypt + checksum) — the receiver's §4 manipulation
-	// cost in bytes touched.
-	ilpBytes *metrics.Counter
 }
 
 // bindReceiverMetrics registers the receiver's series, labeled by
@@ -80,6 +69,5 @@ func bindReceiverMetrics(r *metrics.Registry, rc *Receiver) recvMetrics {
 	return recvMetrics{
 		aduLatency: r.Histogram("core.recv.adu_latency_ns", lb),
 		aduBytes:   r.Histogram("core.recv.adu_bytes", lb),
-		ilpBytes:   r.Counter("core.recv.ilp_pass_bytes", lb),
 	}
 }

@@ -30,6 +30,7 @@ type ReceiverStats struct {
 	Heartbeats    int64 `metric:"heartbeats"`     // sender extent declarations processed
 	ParityFrags   int64 `metric:"parity_frags"`   // FEC parity fragments accepted
 	FECRecovered  int64 `metric:"fec_recovered"`  // data fragments rebuilt from parity
+	ILPPassBytes  int64 `metric:"ilp_pass_bytes"` // payload bytes through the fused place/open/checksum pass (§4)
 
 	// Closed-loop accounting (see ratecontrol.go).
 	FeedbackSent   int64 `metric:"feedback_tx"`     // delivery reports emitted
@@ -331,7 +332,7 @@ func (r *Receiver) place(name uint64, p *partial, off int, payload, tag []byte) 
 	p.sum += sum
 	p.got[off] = len(payload)
 	p.gotBytes += len(payload)
-	r.m.ilpBytes.Add(int64(len(payload)))
+	r.Stats.ILPPassBytes += int64(len(payload))
 	return true
 }
 

@@ -26,7 +26,8 @@ type SenderStats struct {
 	CtrlReceived  int64 `metric:"ctrl_received"`
 	CtrlDropped   int64 `metric:"ctrl_dropped"` // corrupt control messages
 	Heartbeats    int64 `metric:"heartbeats"`
-	ParityFrags   int64 `metric:"parity_frags"` // FEC parity fragments emitted
+	ParityFrags   int64 `metric:"parity_frags"`   // FEC parity fragments emitted
+	ILPPassBytes  int64 `metric:"ilp_pass_bytes"` // payload bytes through the fused seal/copy/checksum pass (§4)
 
 	// Overload-robustness accounting (see ratecontrol.go).
 	ShedADUs       int64 `metric:"shed_adus"`       // Droppable ADUs shed before transmission
@@ -429,7 +430,7 @@ func (s *Sender) SendClass(tag uint64, syntax xcode.SyntaxID, data []byte, class
 	s.nextName++
 	s.Stats.ADUs++
 	s.m.aduBytes.Observe(int64(len(data)))
-	s.m.ilpBytes.Add(int64(len(data)))
+	s.Stats.ILPPassBytes += int64(len(data))
 	s.cfg.Tracer.EmitTag(tracing.ADUSubmit, s.cfg.StreamID, name, tag, len(data))
 	s.emitFrags(name, frags, false, retain)
 	s.scratch = frags[:0]
@@ -852,7 +853,7 @@ func (s *Sender) resend(name uint64) {
 			return
 		}
 		s.Stats.RecomputeADUs++
-		s.m.ilpBytes.Add(int64(len(data)))
+		s.Stats.ILPPassBytes += int64(len(data))
 		frags, ck := s.packetize(name, data, s.scratch[:0])
 		s.stamp(name, tag, syntax, len(data), ck, Standard, frags)
 		s.emitFrags(name, frags, true, false)

@@ -24,7 +24,7 @@ const recorderTicks = 480
 
 // RecorderFor returns a flight recorder whose sampling interval spreads
 // recorderTicks ticks across the horizon, with the given detectors.
-func RecorderFor(horizon sim.Duration, detectors ...telemetry.Detector) *telemetry.Recorder {
+func RecorderFor(horizon sim.Duration, detectors ...*telemetry.Detector) *telemetry.Recorder {
 	iv := horizon / recorderTicks
 	if iv < time.Millisecond {
 		iv = time.Millisecond
@@ -34,7 +34,7 @@ func RecorderFor(horizon sim.Duration, detectors ...telemetry.Detector) *telemet
 
 // ChaosDetectors is the catalog for the chaos scenario family, tuned
 // to the Run topology (8 Mb/s trunk, queue 64).
-func ChaosDetectors() []telemetry.Detector {
+func ChaosDetectors() []*telemetry.Detector {
 	return telemetry.DefaultDetectors(
 		1000,                 // delivery under 1 kB/s counts as collapsed once seen healthy
 		0,                    // no custody stores in this family
@@ -47,7 +47,7 @@ func ChaosDetectors() []telemetry.Detector {
 // means healthy delivery is ~1 kB/s, and any sustained silence beyond
 // a few sampling ticks is a collapse (expected during conjunction —
 // the incident timeline is how the blackout shows up in the record).
-func DTNDetectors() []telemetry.Detector {
+func DTNDetectors() []*telemetry.Detector {
 	return telemetry.DefaultDetectors(
 		100, // B/s: an order under the steady delivery rate
 		dtnStorageLimit,
@@ -57,7 +57,7 @@ func DTNDetectors() []telemetry.Detector {
 }
 
 // OverloadDetectors is the catalog for the overload family.
-func OverloadDetectors() []telemetry.Detector {
+func OverloadDetectors() []*telemetry.Detector {
 	return telemetry.DefaultDetectors(
 		70_000, // 10% of the 700 kB/s goodput floor
 		0,

@@ -7,37 +7,40 @@ import (
 	"repro/internal/metrics"
 )
 
-// Example shows the full register → observe → snapshot cycle: native
-// instruments for new measurements, a component's Stats struct bound
-// by its tags, and a point-in-time snapshot read.
+// Example shows the full register → observe → snapshot cycle in its
+// three forms: a component's Stats struct bound by its tags for the
+// counts, a GaugeFunc for a live level, a Histogram for a distribution,
+// and a point-in-time snapshot read.
 func Example() {
 	reg := metrics.New()
 
-	// Native instruments: atomic, safe for concurrent observers.
-	frags := reg.Counter("core.send.fragments", "stream=1")
-	depth := reg.Gauge("netsim.link.queue_depth", "link=a->b/0")
-	lat := reg.Histogram("core.recv.adu_latency_ns", "stream=1")
-
-	frags.Add(3)
-	depth.Set(2)
-	lat.ObserveDuration(4 * time.Millisecond)
-	lat.ObserveDuration(6 * time.Millisecond)
-
 	// A Stats struct is bound whole: every int64 field is a series named
 	// by its tag and read from the field at snapshot time.
-	stats := struct {
-		Resends int64 `metric:"resent_adus"`
-	}{Resends: 7}
+	var stats struct {
+		Fragments int64 `metric:"fragments"`
+		Resends   int64 `metric:"resent_adus"`
+	}
 	metrics.BindStats(reg, "core.send", &stats, "stream=1")
+	queued := 0
+	reg.GaugeFunc("netsim.link.queue_depth", func() int64 { return int64(queued) }, "link=a->b/0")
+	lat := reg.Histogram("core.recv.adu_latency_ns", "stream=1")
+
+	stats.Fragments += 3
+	stats.Resends = 7
+	queued = 2
+	lat.ObserveDuration(4 * time.Millisecond)
+	lat.ObserveDuration(6 * time.Millisecond)
 
 	snap := reg.Snapshot()
 	fmt.Println("fragments =", snap.Value("core.send.fragments", "stream=1"))
 	fmt.Println("resends   =", snap.Value("core.send.resent_adus", "stream=1"))
+	fmt.Println("depth     =", snap.Value("netsim.link.queue_depth", "link=a->b/0"))
 	m, _ := snap.Get("core.recv.adu_latency_ns", "stream=1")
 	fmt.Printf("latency   = n=%d mean=%s\n", m.Hist.Count, time.Duration(int64(m.Hist.Mean())))
 	// Output:
 	// fragments = 3
 	// resends   = 7
+	// depth     = 2
 	// latency   = n=2 mean=5ms
 }
 

@@ -1,7 +1,7 @@
 // Package metrics is the unified observability substrate for the whole
-// repository: a registry of named, labeled series — atomic counters,
-// gauges, and log-bucketed histograms — with point-in-time snapshots
-// and a plain-text table exposition.
+// repository: a registry of named, labeled series — counters, gauges
+// and log-bucketed histograms — with point-in-time snapshots and a
+// plain-text table exposition.
 //
 // The paper's central quantitative claim (§4) is that per-packet
 // *control* costs tens of instructions while *data manipulation* costs
@@ -19,34 +19,36 @@
 //
 // # Cost when disabled
 //
-// Every method is safe on a nil receiver and every Registry
-// constructor is safe on a nil *Registry (returning nil instruments).
-// A component wired to a nil registry therefore pays one predictable
-// nil-check branch per event — under a nanosecond, versus the <10 ns
-// budget — and allocates nothing, at set-up either: BindStats and the
-// components' bind functions return on a nil registry before building
-// a label, a closure or a reflect.Value. Components keep their series
+// Every method is safe on a nil receiver, and Histogram on a nil
+// *Registry returns a nil histogram. A component wired to a nil
+// registry therefore pays one predictable nil-check branch per
+// observation — under a nanosecond, versus the <10 ns budget — and
+// allocates nothing, at set-up either: BindStats and the components'
+// bind functions return on a nil registry before building a label, a
+// closure or a reflect.Value. Components keep their histogram
 // pointers; there is no map lookup on any hot path.
 //
-// # Two kinds of series
+// # Three forms of series
 //
-// Native instruments (Counter, Gauge, Histogram) are atomic and safe
-// for concurrent use. Sampled series adapt state a component already
-// keeps, without double bookkeeping, and are read only at Snapshot
-// time: BindStats registers every int64 field of a Stats struct under
-// the name in its `metric` tag — the struct is the only place a
-// counter is declared, AddStats the only adder — and CounterFunc /
-// GaugeFunc cover values computed from live state (a queue depth, a
-// map's length). Sampled series are read without synchronization, so
-// they are intended for the single-goroutine simulation world; native
-// instruments are the right choice wherever goroutines share a series.
+// A count is an int64 field of a component's Stats struct, registered
+// by BindStats under the name in its `metric` tag: the struct is the
+// only place a counter is declared, AddStats the only adder. A live
+// level (a queue depth, a map's length) is a GaugeFunc over state the
+// component already keeps. A distribution is a Histogram, the one
+// series whose storage the registry owns. Histogram finds or creates,
+// so every caller naming a series observes into the same buckets;
+// BindStats and GaugeFunc replace, because they store nothing and a
+// component rebuilt under the same name must point its series at the
+// new state. Stats fields and GaugeFuncs are read at Snapshot time
+// without synchronization, so they belong to the single-goroutine
+// simulation world; the registry lock and the histograms' atomics are
+// what goroutines may share.
 package metrics
 
 import (
 	"sort"
 	"strings"
 	"sync"
-	"sync/atomic"
 )
 
 // Kind discriminates the series types in a Snapshot.
@@ -73,44 +75,6 @@ func (k Kind) String() string {
 	}
 }
 
-// Counter is a monotonically increasing atomic counter. The zero value
-// is ready to use; all methods are no-ops on a nil receiver.
-type Counter struct{ v atomic.Int64 }
-
-// Add adds n (n should be non-negative; counters are monotone).
-func (c *Counter) Add(n int64) {
-	if c != nil {
-		c.v.Add(n)
-	}
-}
-
-// Value returns the current count (0 on a nil receiver).
-func (c *Counter) Value() int64 {
-	if c == nil {
-		return 0
-	}
-	return c.v.Load()
-}
-
-// Gauge is an instantaneous atomic value that may go up or down. The
-// zero value is ready to use; all methods are no-ops on a nil receiver.
-type Gauge struct{ v atomic.Int64 }
-
-// Set stores n.
-func (g *Gauge) Set(n int64) {
-	if g != nil {
-		g.v.Store(n)
-	}
-}
-
-// Value returns the current value (0 on a nil receiver).
-func (g *Gauge) Value() int64 {
-	if g == nil {
-		return 0
-	}
-	return g.v.Load()
-}
-
 // series is one registered (name, labels) entry.
 type series struct {
 	id     string // registry key: name plus sorted labels
@@ -118,33 +82,26 @@ type series struct {
 	labels []string // sorted "key=value" pairs
 	kind   Kind
 
-	counter *Counter
-	gauge   *Gauge
-	hist    *Histogram
-	fn      func() int64 // func-backed counter/gauge; nil for native
-	ptr     *int64       // Stats-field-backed counter/gauge (BindStats)
+	hist *Histogram
+	fn   func() int64 // GaugeFunc
+	ptr  *int64       // Stats field (BindStats)
 }
 
-// value reads a counter or gauge series from whichever of its four
-// backings it has; a histogram series reads 0.
+// value reads a counter or gauge series from its Stats field or its
+// function; a histogram series reads 0.
 func (s *series) value() int64 {
 	switch {
 	case s.fn != nil:
 		return s.fn()
 	case s.ptr != nil:
 		return *s.ptr
-	case s.counter != nil:
-		return s.counter.Value()
-	case s.gauge != nil:
-		return s.gauge.Value()
 	}
 	return 0
 }
 
 // Registry holds a set of named, labeled series. A nil *Registry is a
-// valid no-op registry: constructors return nil instruments and
-// Snapshot returns an empty snapshot. Methods are safe for concurrent
-// use.
+// valid no-op registry: Histogram returns nil and Snapshot returns an
+// empty snapshot. Methods are safe for concurrent use.
 type Registry struct {
 	mu     sync.Mutex
 	series map[string]*series
@@ -172,84 +129,39 @@ func key(name string, labels []string) (string, []string) {
 	return name + "{" + strings.Join(ls, ",") + "}", ls
 }
 
-// register finds or creates the series for (name, labels). make is
-// called (under the lock) only when the series does not exist.
-func (r *Registry) register(name string, labels []string, make func(ls []string) *series) *series {
-	k, ls := key(name, labels)
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if s, ok := r.series[k]; ok {
-		return s
-	}
-	s := make(ls)
-	s.id = k
-	r.series[k] = s
-	r.ordered = nil
-	return s
-}
-
-// Counter returns the counter registered under name and labels,
-// creating it on first use. Labels are "key=value" strings; their
-// order is irrelevant to the series identity. Returns nil (a valid
-// no-op counter) on a nil registry, or when the name is already
-// registered as a different kind.
-func (r *Registry) Counter(name string, labels ...string) *Counter {
-	if r == nil {
-		return nil
-	}
-	s := r.register(name, labels, func(ls []string) *series {
-		return &series{name: name, labels: ls, kind: KindCounter, counter: &Counter{}}
-	})
-	return s.counter
-}
-
-// Gauge returns the gauge registered under name and labels, creating
-// it on first use. Returns nil on a nil registry.
-func (r *Registry) Gauge(name string, labels ...string) *Gauge {
-	if r == nil {
-		return nil
-	}
-	s := r.register(name, labels, func(ls []string) *series {
-		return &series{name: name, labels: ls, kind: KindGauge, gauge: &Gauge{}}
-	})
-	return s.gauge
-}
-
 // Histogram returns the log-bucketed histogram registered under name
-// and labels, creating it on first use. Returns nil on a nil registry.
+// and labels, creating it on first use. Labels are "key=value" strings;
+// their order is irrelevant to the series identity. Returns nil (a
+// valid no-op histogram) on a nil registry, or when the name and labels
+// are already registered as a counter or gauge.
 func (r *Registry) Histogram(name string, labels ...string) *Histogram {
 	if r == nil {
 		return nil
 	}
-	s := r.register(name, labels, func(ls []string) *series {
-		return &series{name: name, labels: ls, kind: KindHistogram, hist: newHistogram()}
-	})
+	k, ls := key(name, labels)
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if s, ok := r.series[k]; ok {
+		return s.hist
+	}
+	s := &series{id: k, name: name, labels: ls, kind: KindHistogram, hist: newHistogram()}
+	r.series[k] = s
+	r.ordered = nil
 	return s.hist
 }
 
-// CounterFunc registers a counter whose value is produced by fn at
+// GaugeFunc registers a gauge whose value is produced by fn at
 // snapshot time: the component's own state stays the single source of
-// truth and the registry samples it, so the "view" can never drift
-// from the counter. (For the fields of a Stats struct use BindStats.)
-// fn is called without synchronization — the caller must ensure the
-// underlying value is not being written concurrently with Snapshot
+// truth and the registry samples it, so the series can never drift
+// from it. fn is called without synchronization — the caller must
+// ensure the state it reads is not written concurrently with Snapshot
 // (true by construction in the single-goroutine simulation).
 // Re-registering the same (name, labels) replaces the function.
-func (r *Registry) CounterFunc(name string, fn func() int64, labels ...string) {
-	r.registerFunc(name, KindCounter, fn, labels)
-}
-
-// GaugeFunc registers a gauge whose value is produced by fn at
-// snapshot time. Semantics match CounterFunc.
 func (r *Registry) GaugeFunc(name string, fn func() int64, labels ...string) {
-	r.registerFunc(name, KindGauge, fn, labels)
-}
-
-func (r *Registry) registerFunc(name string, kind Kind, fn func() int64, labels []string) {
 	if r == nil || fn == nil {
 		return
 	}
-	r.put(&series{name: name, kind: kind, fn: fn}, labels)
+	r.put(&series{name: name, kind: KindGauge, fn: fn}, labels)
 }
 
 // put registers s under (s.name, labels), replacing any series already
@@ -263,18 +175,18 @@ func (r *Registry) put(s *series, labels []string) {
 }
 
 // Visit calls fn once per registered series, in ascending series-ID
-// order, with the series' current value. For counters and gauges
-// (native or func-backed) value carries the sample and h is nil; for
-// histograms h is the live *Histogram (read it with ReadCounts) and
-// value is unused. The ID ordering is total — IDs are
-// unique map keys — so two visits over the same registry enumerate
-// identically, which is what the telemetry recorder's deterministic
-// ring layout relies on.
+// order, with the series' current value. For counters and gauges value
+// carries the sample and h is nil; for histograms h is the live
+// *Histogram (read it with ReadCounts) and value is unused. The ID
+// ordering is total — IDs are unique map keys — so two visits over the
+// same registry enumerate identically, which is what the telemetry
+// recorder's deterministic ring layout relies on.
 //
-// fn runs outside the registry lock (func-backed series may read
-// arbitrary component state), mirroring the Snapshot contract: safe
-// against concurrent registration, unsynchronized against concurrent
-// writes to func-backed values. A nil registry visits nothing.
+// fn runs outside the registry lock (a GaugeFunc may read arbitrary
+// component state), mirroring the Snapshot contract: safe against
+// concurrent registration, unsynchronized against concurrent writes to
+// the Stats fields and GaugeFunc state behind the values. A nil
+// registry visits nothing.
 func (r *Registry) Visit(fn func(id string, kind Kind, value int64, h *Histogram)) {
 	if r == nil {
 		return

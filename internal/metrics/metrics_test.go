@@ -1,6 +1,7 @@
 package metrics
 
 import (
+	"fmt"
 	"math"
 	"sort"
 	"strings"
@@ -9,83 +10,102 @@ import (
 	"time"
 )
 
+// testStats is a component's Stats struct in miniature: one count and
+// one level.
+type testStats struct {
+	Pkts  int64 `metric:"pkts"`
+	Depth int64 `metric:"depth,gauge"`
+}
+
 func TestCounterGaugeBasics(t *testing.T) {
 	r := New()
-	c := r.Counter("pkts")
-	c.Add(1)
-	c.Add(4)
-	if got := c.Value(); got != 5 {
-		t.Errorf("counter = %d, want 5", got)
+	var st testStats
+	BindStats(r, "x", &st, "link=a->b")
+	st.Pkts++
+	st.Pkts += 4
+	st.Depth = 4
+	snap := r.Snapshot()
+	if m, _ := snap.Get("x.pkts", "link=a->b"); m.Kind != KindCounter || m.Value != 5 {
+		t.Errorf("counter = %v %d, want counter 5", m.Kind, m.Value)
 	}
-	// Same identity returns the same instrument.
-	if r.Counter("pkts") != c {
-		t.Error("re-registering a counter returned a new instrument")
+	if m, _ := snap.Get("x.depth", "link=a->b"); m.Kind != KindGauge || m.Value != 4 {
+		t.Errorf("gauge = %v %d, want gauge 4", m.Kind, m.Value)
 	}
-
-	g := r.Gauge("depth", "link=a->b")
-	g.Set(4)
-	if got := g.Value(); got != 4 {
-		t.Errorf("gauge = %d, want 4", got)
+	// Same identity returns the same histogram.
+	if r.Histogram("h") != r.Histogram("h") {
+		t.Error("re-registering a histogram returned a new instrument")
 	}
 	// Label order must not matter for identity.
-	c2 := r.Counter("multi", "b=2", "a=1")
-	c2.Add(1)
-	if got := r.Counter("multi", "a=1", "b=2").Value(); got != 1 {
+	r.GaugeFunc("multi", func() int64 { return 1 }, "b=2", "a=1")
+	r.Histogram("lat", "b=2", "a=1").Observe(1)
+	if got := r.Snapshot().Value("multi", "a=1", "b=2"); got != 1 {
 		t.Errorf("label-order-insensitive lookup = %d, want 1", got)
+	}
+	if r.Histogram("lat", "a=1", "b=2") != r.Histogram("lat", "b=2", "a=1") {
+		t.Error("label order changed a histogram's identity")
 	}
 }
 
 func TestNilRegistryAndInstruments(t *testing.T) {
 	var r *Registry
-	c := r.Counter("x")
-	g := r.Gauge("y")
 	h := r.Histogram("z")
-	if c != nil || g != nil || h != nil {
-		t.Fatal("nil registry must hand out nil instruments")
+	if h != nil {
+		t.Fatal("nil registry must hand out a nil histogram")
 	}
 	// All no-ops, no panics.
-	c.Add(1)
-	c.Add(3)
-	g.Set(1)
 	h.Observe(9)
 	h.ObserveDuration(time.Second)
-	r.CounterFunc("f", func() int64 { return 1 })
-	r.GaugeFunc("f2", func() int64 { return 1 })
-	if c.Value() != 0 || g.Value() != 0 {
-		t.Error("nil instruments must read as zero")
-	}
+	r.GaugeFunc("f", func() int64 { return 1 })
+	BindStats(r, "x", &testStats{Pkts: 1})
 	snap := r.Snapshot()
 	if len(snap.Metrics) != 0 {
 		t.Errorf("nil registry snapshot has %d series", len(snap.Metrics))
 	}
 }
 
+// TestConcurrentCounterIncrements drives what goroutines may share in
+// a registry: its lock, under Histogram and GaugeFunc registration and
+// Snapshot from every worker, and the histograms' atomics, under
+// Observe into one shared histogram.
 func TestConcurrentCounterIncrements(t *testing.T) {
 	r := New()
-	c := r.Counter("concurrent")
-	h := r.Histogram("lat_ns")
 	const workers, per = 16, 2000
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
+			lb := fmt.Sprintf("w=%02d", w)
+			h := r.Histogram("lat_ns") // find-or-create: every worker gets the same one
+			own := r.Histogram("own_ns", lb)
+			r.GaugeFunc("worker", func() int64 { return int64(w) }, lb)
 			for i := 0; i < per; i++ {
-				c.Add(1)
 				h.Observe(int64(w*per + i))
+				own.Observe(int64(i))
+				if i%500 == 0 {
+					r.Snapshot()
+				}
 			}
 		}(w)
 	}
 	wg.Wait()
-	if got := c.Value(); got != workers*per {
-		t.Errorf("counter = %d, want %d", got, workers*per)
+	snap := r.Snapshot()
+	if len(snap.Metrics) != 1+2*workers {
+		t.Errorf("%d series, want %d", len(snap.Metrics), 1+2*workers)
 	}
-	hv, _ := r.Snapshot().Get("lat_ns")
+	hv, _ := snap.Get("lat_ns")
 	if hv.Hist.Count != workers*per {
 		t.Errorf("histogram count = %d, want %d", hv.Hist.Count, workers*per)
 	}
 	if hv.Hist.Min != 0 || hv.Hist.Max != workers*per-1 {
 		t.Errorf("histogram min/max = %d/%d, want 0/%d", hv.Hist.Min, hv.Hist.Max, workers*per-1)
+	}
+	for w := 0; w < workers; w++ {
+		lb := fmt.Sprintf("w=%02d", w)
+		own, _ := snap.Get("own_ns", lb)
+		if got := snap.Value("worker", lb); got != int64(w) || own.Hist == nil || own.Hist.Count != per {
+			t.Errorf("worker %d: gauge %d, own histogram %+v", w, got, own.Hist)
+		}
 	}
 }
 
@@ -163,19 +183,20 @@ func TestHistogramQuantileAndMean(t *testing.T) {
 
 func TestSnapshotIsolation(t *testing.T) {
 	r := New()
-	c := r.Counter("c")
+	var st testStats
+	BindStats(r, "s", &st)
 	h := r.Histogram("h")
 	var live int64 = 1
 	r.GaugeFunc("fn", func() int64 { return live })
-	c.Add(10)
+	st.Pkts += 10
 	h.Observe(100)
 
 	snap := r.Snapshot()
-	c.Add(5)
+	st.Pkts += 5
 	h.Observe(200)
 	live = 99
 
-	if got := snap.Value("c"); got != 10 {
+	if got := snap.Value("s.pkts"); got != 10 {
 		t.Errorf("snapshot counter mutated: %d, want 10", got)
 	}
 	if got := snap.Value("fn"); got != 1 {
@@ -187,24 +208,34 @@ func TestSnapshotIsolation(t *testing.T) {
 	}
 	// And the new snapshot sees the updates.
 	snap2 := r.Snapshot()
-	if snap2.Value("c") != 15 || snap2.Value("fn") != 99 {
-		t.Errorf("second snapshot stale: c=%d fn=%d", snap2.Value("c"), snap2.Value("fn"))
+	if snap2.Value("s.pkts") != 15 || snap2.Value("fn") != 99 {
+		t.Errorf("second snapshot stale: s.pkts=%d fn=%d", snap2.Value("s.pkts"), snap2.Value("fn"))
 	}
 }
 
+// TestFuncSeriesRebind: GaugeFunc and BindStats store nothing, so a
+// second registration under the same identity replaces the first.
 func TestFuncSeriesRebind(t *testing.T) {
 	r := New()
-	r.CounterFunc("events", func() int64 { return 1 })
-	r.CounterFunc("events", func() int64 { return 2 })
-	if got := r.Snapshot().Value("events"); got != 2 {
+	r.GaugeFunc("events", func() int64 { return 1 })
+	r.GaugeFunc("events", func() int64 { return 2 })
+	BindStats(r, "s", &testStats{Pkts: 1})
+	BindStats(r, "s", &testStats{Pkts: 2})
+	snap := r.Snapshot()
+	if got := snap.Value("events"); got != 2 {
 		t.Errorf("rebinding a func series kept the old fn: %d", got)
+	}
+	if got := snap.Value("s.pkts"); got != 2 {
+		t.Errorf("rebinding a Stats struct kept the old field: %d", got)
 	}
 }
 
 func TestWriteText(t *testing.T) {
 	r := New()
-	r.Counter("core.send.fragments", "stream=1").Add(42)
-	r.Gauge("netsim.link.queue_depth", "link=a->b/0").Set(3)
+	BindStats(r, "core.send", &struct {
+		Fragments int64 `metric:"fragments"`
+	}{42}, "stream=1")
+	r.GaugeFunc("netsim.link.queue_depth", func() int64 { return 3 }, "link=a->b/0")
 	h := r.Histogram("core.recv.adu_latency_ns", "stream=1")
 	h.ObserveDuration(3 * time.Millisecond)
 	h.ObserveDuration(9 * time.Millisecond)
@@ -229,14 +260,18 @@ func TestWriteText(t *testing.T) {
 
 func TestMixedKindRegistration(t *testing.T) {
 	r := New()
-	r.Counter("name")
-	// Asking for the same identity as another kind must not panic and
-	// must hand back a nil (no-op) instrument rather than corrupt state.
-	g := r.Gauge("name")
-	if g != nil {
+	BindStats(r, "name", &testStats{Pkts: 3})
+	// Asking for a histogram under an identity bound as a counter must
+	// not panic and must hand back a nil (no-op) histogram rather than
+	// corrupt state.
+	h := r.Histogram("name.pkts")
+	if h != nil {
 		t.Error("kind-mismatched registration should return nil")
 	}
-	g.Set(3) // still safe
+	h.Observe(3) // still safe
+	if m, _ := r.Snapshot().Get("name.pkts"); m.Kind != KindCounter || m.Value != 3 || m.Hist != nil {
+		t.Errorf("counter after mismatched Histogram = %+v", m)
+	}
 }
 
 func TestTextExpositionDeterministicOrder(t *testing.T) {
@@ -248,11 +283,11 @@ func TestTextExpositionDeterministicOrder(t *testing.T) {
 		for _, n := range names {
 			switch {
 			case strings.HasPrefix(n, "g."):
-				r.Gauge(n, "shard=1").Set(7)
+				r.GaugeFunc(n, func() int64 { return 7 }, "shard=1")
 			case strings.HasPrefix(n, "h."):
 				r.Histogram(n).Observe(100)
 			default:
-				r.Counter(n, "stream=0").Add(3)
+				BindStats(r, n, &testStats{Pkts: 3}, "stream=0")
 			}
 		}
 		var b strings.Builder
@@ -274,7 +309,7 @@ func TestTextExpositionDeterministicOrder(t *testing.T) {
 	}
 	r := New()
 	for _, n := range names {
-		r.Counter(n)
+		BindStats(r, n, &testStats{})
 	}
 	ids = ids[:0]
 	for _, m := range r.Snapshot().Metrics {
@@ -287,8 +322,8 @@ func TestTextExpositionDeterministicOrder(t *testing.T) {
 
 func TestVisitOrderAndValues(t *testing.T) {
 	r := New()
-	r.Counter("b.count").Add(5)
-	r.Gauge("a.level").Set(-3)
+	BindStats(r, "b", &testStats{Pkts: 5})
+	r.GaugeFunc("a.level", func() int64 { return -3 })
 	h := r.Histogram("c.lat_ns")
 	h.Observe(10)
 	h.Observe(1000)
@@ -307,7 +342,7 @@ func TestVisitOrderAndValues(t *testing.T) {
 		}
 		vals[id] = v
 	})
-	want := []string{"a.fn", "a.level", "b.count", "c.lat_ns"}
+	want := []string{"a.fn", "a.level", "b.depth", "b.pkts", "c.lat_ns"}
 	if len(ids) != len(want) {
 		t.Fatalf("visited %v, want %v", ids, want)
 	}
@@ -316,7 +351,7 @@ func TestVisitOrderAndValues(t *testing.T) {
 			t.Fatalf("visited %v, want %v", ids, want)
 		}
 	}
-	if vals["b.count"] != 5 || vals["a.level"] != -3 || vals["a.fn"] != 42 || vals["c.lat_ns"] != 2 {
+	if vals["b.pkts"] != 5 || vals["a.level"] != -3 || vals["a.fn"] != 42 || vals["c.lat_ns"] != 2 {
 		t.Errorf("visit values = %v", vals)
 	}
 	// Nil registry visits nothing.
@@ -325,13 +360,19 @@ func TestVisitOrderAndValues(t *testing.T) {
 
 func TestVisitOrderedCacheInvalidation(t *testing.T) {
 	r := New()
-	r.Counter("z")
-	r.Visit(func(string, Kind, int64, *Histogram) {}) // build cache
-	r.Counter("a")                                    // must invalidate
-	var ids []string
-	r.Visit(func(id string, _ Kind, _ int64, _ *Histogram) { ids = append(ids, id) })
-	if len(ids) != 2 || ids[0] != "a" || ids[1] != "z" {
-		t.Fatalf("visit after registration = %v, want [a z]", ids)
+	r.Histogram("z")
+	visit := func() (ids []string) {
+		r.Visit(func(id string, _ Kind, _ int64, _ *Histogram) { ids = append(ids, id) })
+		return ids
+	}
+	visit()                                     // build cache
+	r.GaugeFunc("m", func() int64 { return 1 }) // must invalidate
+	if ids := visit(); len(ids) != 2 || ids[0] != "m" || ids[1] != "z" {
+		t.Fatalf("visit after GaugeFunc = %v, want [m z]", ids)
+	}
+	r.Histogram("a") // must invalidate
+	if ids := visit(); len(ids) != 3 || ids[0] != "a" || ids[1] != "m" {
+		t.Fatalf("visit after Histogram = %v, want [a m z]", ids)
 	}
 }
 

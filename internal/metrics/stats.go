@@ -62,8 +62,8 @@ func statFields(t reflect.Type) []statField {
 // BindStats registers one series per exported int64 field of *stats,
 // named prefix + "." + the field's `metric` tag and backed by the
 // field itself: the struct stays the only storage and the registry
-// reads it at Snapshot time, under CounterFunc's synchronization
-// contract. The tag grammar is
+// reads it at Snapshot time, unsynchronized, as it reads a GaugeFunc;
+// rebinding a name replaces its series. The tag grammar is
 //
 //	metric:"frag_bytes"        a counter
 //	metric:"dead,gauge"        a gauge (a level, not a count)

@@ -62,7 +62,7 @@ func checkBound(t *testing.T, reg *metrics.Registry, prefix string, stats any, l
 }
 
 // TestStatsStructsBindEveryField is the completeness contract for the
-// six Stats structs: built the way the rigs build them, each component
+// seven Stats structs: built the way the rigs build them, each component
 // must expose every one of its counters.
 func TestStatsStructsBindEveryField(t *testing.T) {
 	reg := metrics.New()
@@ -86,6 +86,8 @@ func TestStatsStructsBindEveryField(t *testing.T) {
 	net.SetMetrics(reg)
 	a, b := net.NewNode("a"), net.NewNode("b")
 	ab, ba := net.NewDuplex(a, b, netsim.LinkConfig{})
+	checkBound(t, reg, "netsim.node", &a.Stats, "node=0:a")
+	checkBound(t, reg, "netsim.node", &b.Stats, "node=1:b")
 	checkBound(t, reg, "netsim.link", &ab.Stats, "link=a->b/0")
 	checkBound(t, reg, "netsim.link", &ba.Stats, "link=b->a/1")
 

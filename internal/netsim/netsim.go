@@ -182,17 +182,18 @@ type Node struct {
 	id      NodeID
 	name    string
 	handler Handler
-	// Undelivered counts packets that arrived with no handler set;
-	// UndeliveredBytes is their payload volume.
-	Undelivered      int64
-	UndeliveredBytes int64
+	Stats   NodeStats
+}
+
+// NodeStats counts the packets a node could not hand on.
+type NodeStats struct {
+	Undelivered      int64 `metric:"undelivered"` // packets that arrived with no handler set
+	UndeliveredBytes int64 `metric:"undelivered_bytes"`
 }
 
 // bindMetrics registers the node's series with the unified registry.
 func (nd *Node) bindMetrics(r *metrics.Registry) {
-	lb := fmt.Sprintf("node=%d:%s", nd.id, nd.name)
-	r.CounterFunc("netsim.node.undelivered", func() int64 { return nd.Undelivered }, lb)
-	r.CounterFunc("netsim.node.undelivered_bytes", func() int64 { return nd.UndeliveredBytes }, lb)
+	metrics.BindStats(r, "netsim.node", &nd.Stats, fmt.Sprintf("node=%d:%s", nd.id, nd.name))
 }
 
 // Name returns the diagnostic name.
@@ -203,8 +204,8 @@ func (nd *Node) SetHandler(h Handler) { nd.handler = h }
 
 func (nd *Node) deliver(p *Packet) {
 	if nd.handler == nil {
-		nd.Undelivered++
-		nd.UndeliveredBytes += int64(len(p.Payload))
+		nd.Stats.Undelivered++
+		nd.Stats.UndeliveredBytes += int64(len(p.Payload))
 		return
 	}
 	nd.handler(p)

@@ -280,8 +280,8 @@ func TestUndeliveredCounted(t *testing.T) {
 	s, _, _, b, l := pair(t, LinkConfig{}, 1)
 	l.Send([]byte{1})
 	s.Run()
-	if b.Undelivered != 1 {
-		t.Errorf("Undelivered = %d, want 1", b.Undelivered)
+	if b.Stats.Undelivered != 1 {
+		t.Errorf("Undelivered = %d, want 1", b.Stats.Undelivered)
 	}
 }
 

@@ -6,9 +6,9 @@ import (
 	"repro/internal/metrics"
 )
 
-// connMetrics holds the connection's native instruments; the event
-// counters in Stats are bound by their `metric` tags, so the struct
-// stays the single source of truth (see metrics.BindStats).
+// connMetrics holds the connection's histograms; the event counters in
+// Stats are bound by their `metric` tags, so the struct stays the
+// single source of truth (see metrics.BindStats).
 type connMetrics struct {
 	// segBytes is the distribution of DATA segment payload sizes.
 	segBytes *metrics.Histogram

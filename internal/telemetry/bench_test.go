@@ -26,10 +26,10 @@ func BenchmarkSampleTick(b *testing.B) {
 	for i := 0; i < 8; i++ {
 		shard := "shard=" + string(rune('0'+i))
 		for j := 0; j < 8; j++ {
-			reg.Counter("bench.ctr"+string(rune('0'+j)), shard).Add(int64(i + j))
+			metrics.BindStats(reg, "bench.ctr"+string(rune('0'+j)), &byteStats{Bytes: int64(i + j)}, shard)
 		}
 		for j := 0; j < 4; j++ {
-			reg.Gauge("bench.gauge"+string(rune('0'+j)), shard).Set(int64(j))
+			reg.GaugeFunc("bench.gauge"+string(rune('0'+j)), func() int64 { return int64(j) }, shard)
 		}
 		reg.Histogram("bench.lat_ns", shard).Observe(int64(1000 * (i + 1)))
 	}

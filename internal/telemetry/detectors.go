@@ -7,35 +7,27 @@ import (
 	"repro/internal/sim"
 )
 
-// Finding is one series a detector considers unhealthy this tick. The
+// finding is one series a detector considers unhealthy this tick. The
 // recorder edge-triggers these into Incidents: one incident when the
 // finding first appears, one "cleared" incident when it stops.
-type Finding struct {
-	Series  string
-	Message string
+type finding struct {
+	series  string
+	message string
 }
 
 // Detector is a health check evaluated at the end of every sampling
-// tick against the recorded history. Implementations may keep
-// per-series state (consecutive-tick counters, arming latches) and are
-// therefore owned by a single Recorder. Check must enumerate series
-// through the recorder's ordered accessor (MatchName) so findings come
-// out in deterministic order.
-type Detector interface {
-	Name() string
-	Check(r *Recorder) []Finding
-}
-
-// Threshold is the one rule behind five of the catalog's detectors:
-// every labeled variant of one metric — its per-second rate if it is a
-// counter, its level if it is a gauge — is compared each tick with a
-// limit (a companion gauge carrying the same labels when there is one,
-// else a static value) scaled by a fraction, and a variant that has
-// stood at or past it for some consecutive ticks is a finding. A
-// collapse rule reads the other way: a variant that has once reached
-// its limit and then stood below it. A rule with no positive limit is
-// dormant. DefaultDetectors holds the rows.
-type Threshold struct {
+// tick against the recorded history, and the one rule behind every row
+// of the catalog: every labeled variant of one metric — its per-second
+// rate if it is a counter, its level if it is a gauge — is compared
+// each tick with a limit (a companion gauge carrying the same labels
+// when there is one, else a static value) scaled by a fraction, and a
+// variant that has stood at or past it for some consecutive ticks is a
+// finding. A collapse rule reads the other way: a variant that has once
+// reached its limit and then stood below it. A rule with no positive
+// limit is dormant. DefaultDetectors holds the rows. A detector keeps
+// per-series state (consecutive-tick counters, arming latches) and is
+// therefore owned by a single Recorder.
+type Detector struct {
 	name        string
 	series      string
 	limitSeries string  // companion gauge, matched label for label; "" for none
@@ -49,15 +41,14 @@ type Threshold struct {
 	run   map[string]int  // consecutive ticks the series has been unhealthy
 }
 
-// Name implements Detector.
-func (d *Threshold) Name() string { return d.name }
-
-// Check implements Detector.
-func (d *Threshold) Check(r *Recorder) []Finding {
+// check returns this tick's findings. It enumerates series through the
+// recorder's ordered accessor (MatchName), so findings come out in
+// deterministic order.
+func (d *Detector) check(r *Recorder) []finding {
 	if d.run == nil {
 		d.armed, d.run = make(map[string]bool), make(map[string]int)
 	}
-	var out []Finding
+	var out []finding
 	for _, s := range r.MatchName(d.series) {
 		var v float64
 		switch {
@@ -88,7 +79,7 @@ func (d *Threshold) Check(r *Recorder) []Finding {
 			d.run[s.ID] = 0
 		}
 		if n := d.run[s.ID]; n >= d.ticks {
-			out = append(out, Finding{Series: s.ID, Message: d.say(v, limit, n)})
+			out = append(out, finding{series: s.ID, message: d.say(v, limit, n)})
 		}
 	}
 	return out
@@ -106,29 +97,29 @@ const nearFull = 0.9
 // on a DTN path marks the depth of a blackout). Zero-valued inputs
 // leave the corresponding detector dormant (capacity detectors still
 // pick up per-series limit gauges when registered).
-func DefaultDetectors(deliveryFloorPerSec float64, storeLimit, queueLimit int64, hbCeil sim.Duration) []Detector {
-	return []Detector{
-		&Threshold{name: "rate-collapse", series: "core.recv.delivered_bytes",
+func DefaultDetectors(deliveryFloorPerSec float64, storeLimit, queueLimit int64, hbCeil sim.Duration) []*Detector {
+	return []*Detector{
+		{name: "rate-collapse", series: "core.recv.delivered_bytes",
 			limit: deliveryFloorPerSec, frac: 1, ticks: 3, collapse: true,
 			say: func(v, limit float64, n int) string {
 				return fmt.Sprintf("rate %.0f/s below floor %.0f/s for %d ticks", v, limit, n)
 			}},
-		&Threshold{name: "near-capacity", series: "relay.stored_bytes", limitSeries: "relay.storage_limit_bytes",
+		{name: "near-capacity", series: "relay.stored_bytes", limitSeries: "relay.storage_limit_bytes",
 			limit: float64(storeLimit), frac: nearFull, ticks: 1,
 			say: func(v, limit float64, _ int) string {
 				return fmt.Sprintf("occupancy %.0f of limit %.0f (>= %.0f%%)", v, limit, nearFull*100)
 			}},
-		&Threshold{name: "shed-storm", series: "core.send.shed_adus",
+		{name: "shed-storm", series: "core.send.shed_adus",
 			limit: 50, frac: 1, ticks: 2,
 			say: func(v, _ float64, n int) string {
 				return fmt.Sprintf("shedding %.0f ADUs/s for %d ticks", v, n)
 			}},
-		&Threshold{name: "queue-saturation", series: "netsim.link.queue_depth", limitSeries: "netsim.link.queue_limit",
+		{name: "queue-saturation", series: "netsim.link.queue_depth", limitSeries: "netsim.link.queue_limit",
 			limit: float64(queueLimit), frac: nearFull, ticks: 3,
 			say: func(v, limit float64, n int) string {
 				return fmt.Sprintf("queue depth %.0f of limit %.0f for %d ticks", v, limit, n)
 			}},
-		&Threshold{name: "backoff-saturation", series: "core.send.heartbeat_interval_ns",
+		{name: "backoff-saturation", series: "core.send.heartbeat_interval_ns",
 			limit: float64(hbCeil), frac: 1, ticks: 1,
 			say: func(v, limit float64, _ int) string {
 				return fmt.Sprintf("heartbeat backoff %v at ceiling %v", sim.Duration(v), sim.Duration(limit))

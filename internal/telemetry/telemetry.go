@@ -152,7 +152,7 @@ type Config struct {
 	// Detectors are evaluated, in order, at the end of every sampling
 	// tick. Detector state is per-recorder: do not share constructed
 	// detectors between recorders.
-	Detectors []Detector
+	Detectors []*Detector
 }
 
 // histState carries the previous tick's raw bucket counts for one
@@ -495,12 +495,11 @@ func (r *Recorder) detect(now sim.Time) {
 	}
 	asserted := make(map[string]bool)
 	for _, det := range r.cfg.Detectors {
-		name := det.Name()
-		for _, f := range det.Check(r) {
-			k := name + "\x00" + f.Series
+		for _, f := range det.check(r) {
+			k := det.name + "\x00" + f.series
 			asserted[k] = true
 			if !r.firing[k] {
-				r.addIncident(Incident{At: now, Detector: name, Series: f.Series, Message: f.Message})
+				r.addIncident(Incident{At: now, Detector: det.name, Series: f.series, Message: f.message})
 			}
 		}
 	}

@@ -12,21 +12,28 @@ import (
 	"repro/internal/sim"
 )
 
-// buildRun wires a registry with one of each instrument into a
-// scheduler that exercises them, and returns all three.
+// byteStats is a component's Stats struct in miniature: one counter,
+// named prefix + ".bytes" by BindStats.
+type byteStats struct {
+	Bytes int64 `metric:"bytes"`
+}
+
+// buildRun wires a registry with one series of each kind into a
+// scheduler that exercises them, and returns both.
 func buildRun() (*sim.Scheduler, *metrics.Registry) {
 	s := sim.NewScheduler()
 	reg := metrics.New()
-	c := reg.Counter("run.bytes", "stream=0")
-	g := reg.Gauge("run.depth")
+	var st byteStats
+	var depth int64
+	metrics.BindStats(reg, "run", &st, "stream=0")
+	reg.GaugeFunc("run.depth", func() int64 { return depth })
 	h := reg.Histogram("run.lat_ns")
 	// 10 events, one per 100ms: counter +100 each, gauge tracks the
 	// event index, histogram observes a growing latency.
 	for i := 1; i <= 10; i++ {
-		i := i
 		s.At(sim.Time(i)*sim.Time(100*time.Millisecond), func() {
-			c.Add(100)
-			g.Set(int64(i))
+			st.Bytes += 100
+			depth = int64(i)
 			h.Observe(int64(i) * 1000)
 		})
 	}
@@ -126,7 +133,7 @@ func TestRecorderStopsWhenQueueDrains(t *testing.T) {
 	// events are done, the sampling series ends even before the horizon.
 	s := sim.NewScheduler()
 	reg := metrics.New()
-	reg.Counter("x").Add(1)
+	metrics.BindStats(reg, "x", &byteStats{Bytes: 1})
 	s.At(sim.Time(300*time.Millisecond), func() {})
 	rec := New(Config{Interval: 100 * time.Millisecond})
 	rec.Bind(s, reg, sim.Time(time.Hour))
@@ -150,9 +157,9 @@ func TestRecorderStopsWhenQueueDrains(t *testing.T) {
 func TestSeriesBornMidRunAligns(t *testing.T) {
 	s := sim.NewScheduler()
 	reg := metrics.New()
-	reg.Gauge("early").Set(1)
+	reg.GaugeFunc("early", func() int64 { return 1 })
 	s.At(sim.Time(450*time.Millisecond), func() {
-		reg.Gauge("late").Set(9)
+		reg.GaugeFunc("late", func() int64 { return 9 })
 	})
 	s.At(sim.Time(time.Second), func() {})
 	rec := New(Config{Interval: 100 * time.Millisecond, Capacity: 32})
@@ -175,9 +182,9 @@ func TestSeriesBornMidRunAligns(t *testing.T) {
 
 // catalogRow returns the named rule of the default catalog, re-aimed at
 // a test's own series, limit and tick count.
-func catalogRow(name, series, limitSeries string, limit float64, ticks int) *Threshold {
-	for _, det := range DefaultDetectors(0, 0, 0, 0) {
-		if d, ok := det.(*Threshold); ok && d.name == name {
+func catalogRow(name, series, limitSeries string, limit float64, ticks int) *Detector {
+	for _, d := range DefaultDetectors(0, 0, 0, 0) {
+		if d.name == name {
 			d.series, d.limitSeries, d.limit, d.ticks = series, limitSeries, limit, ticks
 			return d
 		}
@@ -188,15 +195,16 @@ func catalogRow(name, series, limitSeries string, limit float64, ticks int) *Thr
 func TestDetectorEdgeTriggering(t *testing.T) {
 	s := sim.NewScheduler()
 	reg := metrics.New()
-	depth := reg.Gauge("q.depth", "link=a->b/0")
-	reg.Gauge("q.limit", "link=a->b/0").Set(10)
+	var depth int64
+	reg.GaugeFunc("q.depth", func() int64 { return depth }, "link=a->b/0")
+	reg.GaugeFunc("q.limit", func() int64 { return 10 }, "link=a->b/0")
 	// Saturated from 300ms to 700ms, then recovers.
-	s.At(sim.Time(300*time.Millisecond), func() { depth.Set(10) })
-	s.At(sim.Time(700*time.Millisecond), func() { depth.Set(1) })
+	s.At(sim.Time(300*time.Millisecond), func() { depth = 10 })
+	s.At(sim.Time(700*time.Millisecond), func() { depth = 1 })
 	s.At(sim.Time(time.Second), func() {})
 	rec := New(Config{
 		Interval:  100 * time.Millisecond,
-		Detectors: []Detector{catalogRow("queue-saturation", "q.depth", "q.limit", 0, 2)},
+		Detectors: []*Detector{catalogRow("queue-saturation", "q.depth", "q.limit", 0, 2)},
 	})
 	rec.Bind(s, reg, sim.Time(time.Second))
 	if err := s.Run(); err != nil {
@@ -219,14 +227,15 @@ func TestDetectorEdgeTriggering(t *testing.T) {
 func TestRateCollapseArming(t *testing.T) {
 	s := sim.NewScheduler()
 	reg := metrics.New()
-	c := reg.Counter("flow.bytes", "stream=0")
+	var flow byteStats
+	metrics.BindStats(reg, "flow", &flow, "stream=0")
 	// Healthy 0..500ms (1000 bytes per 100ms = 10kB/s), then silence.
 	for i := 1; i <= 5; i++ {
-		s.At(sim.Time(i)*sim.Time(100*time.Millisecond), func() { c.Add(1000) })
+		s.At(sim.Time(i)*sim.Time(100*time.Millisecond), func() { flow.Bytes += 1000 })
 	}
 	s.At(sim.Time(time.Second)+sim.Time(200*time.Millisecond), func() {})
 	det := catalogRow("rate-collapse", "flow.bytes", "", 1000, 3)
-	rec := New(Config{Interval: 100 * time.Millisecond, Detectors: []Detector{det}})
+	rec := New(Config{Interval: 100 * time.Millisecond, Detectors: []*Detector{det}})
 	rec.Bind(s, reg, sim.Time(time.Second+200*time.Millisecond))
 	if err := s.Run(); err != nil {
 		t.Fatal(err)
@@ -243,10 +252,10 @@ func TestRateCollapseArming(t *testing.T) {
 	// A flow that never reaches the floor must never arm.
 	s2 := sim.NewScheduler()
 	reg2 := metrics.New()
-	reg2.Counter("flow.bytes", "stream=0")
+	metrics.BindStats(reg2, "flow", &byteStats{}, "stream=0")
 	s2.At(sim.Time(time.Second), func() {})
 	rec2 := New(Config{Interval: 100 * time.Millisecond,
-		Detectors: []Detector{catalogRow("rate-collapse", "flow.bytes", "", 1000, 3)}})
+		Detectors: []*Detector{catalogRow("rate-collapse", "flow.bytes", "", 1000, 3)}})
 	rec2.Bind(s2, reg2, sim.Time(time.Second))
 	if err := s2.Run(); err != nil {
 		t.Fatal(err)
@@ -411,7 +420,7 @@ func TestNilRecorderIsSafe(t *testing.T) {
 func TestSampleDeduplicates(t *testing.T) {
 	s := sim.NewScheduler()
 	reg := metrics.New()
-	reg.Gauge("g").Set(1)
+	reg.GaugeFunc("g", func() int64 { return 1 })
 	rec := New(Config{})
 	rec.Bind(s, reg, 0)
 	s.RunUntil(100)
@@ -431,7 +440,7 @@ func TestSampleDeduplicates(t *testing.T) {
 func TestSparklinesBeforeFirstTick(t *testing.T) {
 	s := sim.NewScheduler()
 	reg := metrics.New()
-	reg.Counter("c").Add(1)
+	metrics.BindStats(reg, "c", &byteStats{Bytes: 1})
 	rec := New(Config{Interval: 10 * time.Millisecond})
 	rec.Bind(s, reg, 0)
 	rec.Note("soak", "", "violation")

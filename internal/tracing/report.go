@@ -105,29 +105,28 @@ func (r *Report) WriteSummary(w io.Writer) {
 // WriteAttrTable prints the per-unit latency attribution table: one
 // row per ALF ADU and per OTP message, phases in milliseconds.
 func (r *Report) WriteAttrTable(w io.Writer) {
+	const format = "%-14s %-10s %9s %9s %9s %9s %9s %9s %5v %5v\n"
+	row := func(unit, outcome string, a Attribution, retx, drops any) {
+		fmt.Fprintf(w, format, unit, outcome,
+			fmtDur(a.Total), fmtDur(a.SenderPace), fmtDur(a.NetTransit),
+			fmtDur(a.RetransmitWait), fmtDur(a.Reassembly), fmtDur(a.HOLStall), retx, drops)
+	}
+	header := func(unit string) {
+		fmt.Fprintf(w, format, unit, "outcome", "total", "pace", "transit", "retx-wait", "reasm", "hol", "retx", "drops")
+	}
 	if len(r.ADUs) > 0 {
-		fmt.Fprintf(w, "%-14s %-10s %9s %9s %9s %9s %9s %9s %5s %5s\n",
-			"alf adu", "outcome", "total", "pace", "transit", "retx-wait", "reasm", "hol", "retx", "drops")
+		header("alf adu")
 		for _, a := range r.ADUs {
-			fmt.Fprintf(w, "%-14s %-10s %9s %9s %9s %9s %9s %9s %5d %5d\n",
-				fmt.Sprintf("s%d/%d", a.Stream, a.Name), a.Outcome,
-				fmtDur(a.Attr.Total), fmtDur(a.Attr.SenderPace), fmtDur(a.Attr.NetTransit),
-				fmtDur(a.Attr.RetransmitWait), fmtDur(a.Attr.Reassembly), fmtDur(a.Attr.HOLStall),
-				a.Retx, a.Drops)
+			row(fmt.Sprintf("s%d/%d", a.Stream, a.Name), a.Outcome, a.Attr, a.Retx, a.Drops)
 		}
 	}
 	if len(r.Msgs) > 0 {
 		if len(r.ADUs) > 0 {
 			fmt.Fprintln(w)
 		}
-		fmt.Fprintf(w, "%-14s %-10s %9s %9s %9s %9s %9s %9s %5s %5s\n",
-			"otp msg", "outcome", "total", "pace", "transit", "retx-wait", "reasm", "hol", "retx", "drops")
+		header("otp msg")
 		for _, m := range r.Msgs {
-			fmt.Fprintf(w, "%-14s %-10s %9s %9s %9s %9s %9s %9s %5d %5d\n",
-				fmt.Sprintf("c%d/%d", m.Conn, m.Index), m.Outcome,
-				fmtDur(m.Attr.Total), fmtDur(m.Attr.SenderPace), fmtDur(m.Attr.NetTransit),
-				fmtDur(m.Attr.RetransmitWait), fmtDur(m.Attr.Reassembly), fmtDur(m.Attr.HOLStall),
-				m.Retx, m.Drops)
+			row(fmt.Sprintf("c%d/%d", m.Conn, m.Index), m.Outcome, m.Attr, m.Retx, m.Drops)
 		}
 	}
 }
