@@ -31,8 +31,8 @@ type Snapshot struct {
 	Metrics []Metric
 }
 
-// Snapshot captures the current value of every series. Func-backed
-// series are sampled now. On a nil registry it returns an empty
+// Snapshot captures the current value of every series: Stats fields
+// and GaugeFuncs are read now. On a nil registry it returns an empty
 // snapshot.
 func (r *Registry) Snapshot() *Snapshot {
 	snap := &Snapshot{}
