@@ -208,19 +208,22 @@ alloc-guard:
 # reason. The compiler says which checks it kept (-d=ssa/check_bce), so
 # this counts them per kernel — set-up, word loop and tail included, the
 # main loop being one of them — and fails if a count rises over what is
-# pinned here. Like alloc-guard's inlining grep it reads the compiler and
-# not a clock, so it can gate on a shared runner.
-BCE_PINS = Accumulate=2 WordCopy=3 XORWords=3 FusedCopySum=4 FusedCopyChecksumDecrypt=4 scrambleCopySum=6 xorWide=11
+# pinned here, or if a pin names no function in the scanned files (a
+# kernel renamed or deleted must take its pin with it). Like
+# alloc-guard's inlining grep it reads the compiler and not a clock, so
+# it can gate on a shared runner.
+BCE_PINS = Accumulate=2 WordCopy=3 XORWords=3 FusedCopySum=4 scrambleCopySum=6 xorWide=11
 bce-guard:
 	@$(GO) build -gcflags=-d=ssa/check_bce/debug=1 ./internal/ilp ./internal/checksum ./internal/cipher 2>&1 | awk -v pins='$(BCE_PINS)' ' \
-		FILENAME != "-" { if ($$0 ~ /^func /) { fn = $$0; sub(/^func (\([^)]*\) )?/, "", fn); sub(/\(.*/, "", fn) } \
+		FILENAME != "-" { if ($$0 ~ /^func /) { fn = $$0; sub(/^func (\([^)]*\) )?/, "", fn); sub(/\(.*/, "", fn); def[fn] = 1 } \
 		  else if ($$0 ~ /^}/) fn = ""; \
 		  at[FILENAME ":" FNR] = fn; next } \
 		/Found Is(Slice)?InBounds/ { split($$1, p, ":"); seen++; if ((f = at[p[1] ":" p[2]]) != "") got[f]++ } \
 		END { if (!seen) { print "bce-guard: the compiler reported no bounds checks at all"; exit 1 } \
 		  n = split(pins, kv, " "); \
 		  for (i = 1; i <= n; i++) { split(kv[i], x, "="); \
-		    if (got[x[1]] + 0 > x[2] + 0) { printf "bce-guard: %s keeps %d bounds checks, pinned at %d\n", x[1], got[x[1]], x[2]; bad = 1 } } \
+		    if (!(x[1] in def)) { printf "bce-guard: pinned function %s is in none of the scanned files\n", x[1]; bad = 1 } \
+		    else if (got[x[1]] + 0 > x[2] + 0) { printf "bce-guard: %s keeps %d bounds checks, pinned at %d\n", x[1], got[x[1]], x[2]; bad = 1 } } \
 		  exit bad }' internal/ilp/ilp.go internal/checksum/checksum.go internal/cipher/wide.go -
 
 # internal/wire owns every frame format and must stay a leaf:

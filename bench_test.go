@@ -98,7 +98,7 @@ func BenchmarkE2_FusedCopyChecksum(b *testing.B) {
 			b.SetBytes(int64(n))
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				ilp.FusedCopyChecksum(dst, src)
+				ilp.FinishSum(ilp.FusedCopySum(dst, src))
 			}
 		})
 	}
@@ -234,7 +234,7 @@ func BenchmarkF1_ManipulationPath(b *testing.B) {
 	b.SetBytes(4096)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		ilp.FusedCopyChecksum(dst, src)
+		ilp.FinishSum(ilp.FusedCopySum(dst, src))
 	}
 }
 
@@ -299,7 +299,7 @@ func BenchmarkA1_HandFused(b *testing.B) {
 	b.SetBytes(n)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		ilp.FusedCopyChecksum(dst, src)
+		ilp.FinishSum(ilp.FusedCopySum(dst, src))
 	}
 }
 

@@ -33,7 +33,7 @@ func main() {
 	init := session.NewInitiator(sched, sim.NewRand(1), fwd.Send)
 	init.RetryInterval = 30 * time.Millisecond
 	// The responder only speaks XDR and raw.
-	resp := session.NewResponder(sched, sim.NewRand(2), rev.Send,
+	resp := session.NewResponder(sim.NewRand(2), rev.Send,
 		[]xcode.SyntaxID{xcode.SyntaxXDR, xcode.SyntaxRaw})
 
 	a.SetHandler(func(p *netsim.Packet) {

@@ -60,7 +60,7 @@ func TestFullSystemVideoOverATM(t *testing.T) {
 
 	init := session.NewInitiator(s, sim.NewRand(1), cellSend)
 	init.RetryInterval = 30 * time.Millisecond
-	resp := session.NewResponder(s, sim.NewRand(2), rev.Send,
+	resp := session.NewResponder(sim.NewRand(2), rev.Send,
 		[]xcode.SyntaxID{xcode.SyntaxRaw})
 
 	resp.OnEstablished = func(res session.Result) {

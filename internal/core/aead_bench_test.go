@@ -78,9 +78,9 @@ func BenchmarkOpenADU(b *testing.B) {
 	}
 }
 
-// BenchmarkSendSteadyStateScramble: the legacy xorshift keystream with
-// the Internet checksum, for contrast with the AEAD suite above and the
-// cleartext BenchmarkSendSteadyState.
+// BenchmarkSendSteadyStateScramble: the legacy scramble keystream
+// (splitmix64 in counter mode) with the Internet checksum, for contrast
+// with the AEAD suite above and the cleartext BenchmarkSendSteadyState.
 func BenchmarkSendSteadyStateScramble(b *testing.B) {
 	benchSteadyStateSuite(b, Config{Suite: SuiteScramble, Key: 0xFEEDFACE})
 }

@@ -20,9 +20,9 @@ const (
 	// SuiteNone (the zero value) sends cleartext; integrity is the
 	// Internet checksum. Config.Key must be zero.
 	SuiteNone CipherSuite = iota
-	// SuiteScramble is the xorshift64* simulation keystream (see
-	// internal/scramble): a stand-in cipher that exercises the fused
-	// datapath shape. Integrity is still the Internet checksum.
+	// SuiteScramble is the simulation keystream (internal/scramble's
+	// splitmix64 in counter mode): a stand-in cipher that exercises the
+	// fused datapath shape. Integrity is still the Internet checksum.
 	SuiteScramble
 	// SuiteAEAD is the real construction: ChaCha20 encryption with a
 	// per-fragment Poly1305 tag (RFC 8439 primitives, internal/cipher).

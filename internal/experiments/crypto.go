@@ -25,8 +25,9 @@ type CryptoPoint struct {
 // contrast.
 type CryptoReport struct {
 	Points []CryptoPoint
-	// ScrambleMbps is the legacy xorshift64* keystream XOR on 4 KiB —
-	// the confidentiality-only plane the AEAD suite replaces.
+	// ScrambleMbps is the legacy scramble keystream (scramble.XORAt,
+	// splitmix64 in counter mode) on 4 KiB — the confidentiality-only
+	// plane the AEAD suite replaces.
 	ScrambleMbps float64
 }
 
@@ -84,7 +85,6 @@ func RunCrypto(sizes []int, minTime time.Duration) CryptoReport {
 	}
 
 	buf := make([]byte, 4096)
-	ks := scramble.NewKeystream(7)
-	rep.ScrambleMbps = rate(len(buf), minTime, func() { ks.XOR(buf, buf) })
+	rep.ScrambleMbps = rate(len(buf), minTime, func() { scramble.XORAt(7, 0, buf) })
 	return rep
 }

@@ -13,7 +13,6 @@ import (
 
 	"repro/internal/checksum"
 	"repro/internal/ilp"
-	"repro/internal/scramble"
 	"repro/internal/xcode"
 )
 
@@ -83,9 +82,6 @@ type KernelReport struct {
 
 	// E5: conversion with the checksum fused into the same loop.
 	BEREncodeChecksum float64
-
-	// Extra fusion depth: copy+checksum+decrypt in one loop.
-	FusedCopyChecksumDecrypt float64
 }
 
 // RunKernels measures all §4 kernels on bufBytes buffers, spending
@@ -109,7 +105,7 @@ func RunKernels(bufBytes int, minTime time.Duration) KernelReport {
 	r.Copy = rate(bufBytes, minTime, func() { ilp.WordCopy(dst, src) })
 	r.Checksum = rate(bufBytes, minTime, func() { checksum.Sum16(src) })
 	r.SeparateCopyChecksum = rate(bufBytes, minTime, func() { ilp.SeparateCopyThenChecksum(dst, src) })
-	r.FusedCopyChecksum = rate(bufBytes, minTime, func() { ilp.FusedCopyChecksum(dst, src) })
+	r.FusedCopyChecksum = rate(bufBytes, minTime, func() { ilp.FinishSum(ilp.FusedCopySum(dst, src)) })
 	r.PredictedSeparate = 1 / (1/r.Copy + 1/r.Checksum)
 
 	r.BEREncode = rate(bufBytes, minTime, func() { encBuf = ilp.EncodeBERInt32s(encBuf[:0], ints) })
@@ -122,11 +118,6 @@ func RunKernels(bufBytes int, minTime time.Duration) KernelReport {
 
 	r.BEREncodeChecksum = rate(bufBytes, minTime, func() {
 		encBuf, _ = ilp.EncodeBERInt32sChecksum(encBuf[:0], ints)
-	})
-
-	ks := scramble.NewKeystream(7)
-	r.FusedCopyChecksumDecrypt = rate(bufBytes, minTime, func() {
-		ilp.FusedCopyChecksumDecrypt(dst, src, ks)
 	})
 	return r
 }
@@ -143,7 +134,7 @@ type PipelineReport struct {
 	// the A1 ablation against LayeredMbps[2]/FusedMbps[2].
 	HandFused2 float64
 	// HandFused3 is the dedicated three-stage kernel
-	// (copy+checksum+decrypt).
+	// (copy+checksum+decrypt), SuiteScramble's FusedDecryptCopySum.
 	HandFused3 float64
 }
 
@@ -161,9 +152,8 @@ func RunPipeline(bufBytes int, minTime time.Duration) PipelineReport {
 		fst, _ := ilp.StandardStages(k, 99)
 		r.FusedMbps[k] = rate(bufBytes, minTime, func() { ilp.FusedPath(dst, src, fst) })
 	}
-	r.HandFused2 = rate(bufBytes, minTime, func() { ilp.FusedCopyChecksum(dst, src) })
-	ks := scramble.NewKeystream(99)
-	r.HandFused3 = rate(bufBytes, minTime, func() { ilp.FusedCopyChecksumDecrypt(dst, src, ks) })
+	r.HandFused2 = rate(bufBytes, minTime, func() { ilp.FinishSum(ilp.FusedCopySum(dst, src)) })
+	r.HandFused3 = rate(bufBytes, minTime, func() { ilp.FinishSum(ilp.FusedDecryptCopySum(dst, src, 99, 0)) })
 	return r
 }
 
@@ -211,6 +201,6 @@ func RunControl(packetBytes int, minTime time.Duration) ControlReport {
 	src := make([]byte, packetBytes)
 	dst := make([]byte, packetBytes)
 	rand.New(rand.NewSource(4)).Read(src)
-	r.ManipulationNs = measure(minTime, func() { ilp.FusedCopyChecksum(dst, src) })
+	r.ManipulationNs = measure(minTime, func() { ilp.FinishSum(ilp.FusedCopySum(dst, src)) })
 	return r
 }

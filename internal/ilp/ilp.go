@@ -7,7 +7,7 @@
 //
 // The package provides three tiers, which together form the A1 ablation:
 //
-//   - Hand-fused kernels (FusedCopySum, FusedCopyChecksumDecrypt,
+//   - Hand-fused kernels (FusedCopySum, FusedDecryptCopySum,
 //     EncodeBERInt32sChecksum, ...): the "hand coded unrolled loop" of
 //     the paper's §4 measurements. The checksum in them is RFC 1071's
 //     wide-word form (checksum.Wide): little-endian 64-bit words summed
@@ -111,65 +111,14 @@ func SeparateCopyThenChecksum(dst, src []byte) uint16 {
 	return ^checksum.Fold(checksum.Accumulate(0, dst[:len(src)]))
 }
 
-// FusedCopyChecksum copies src to dst and computes the Internet checksum
-// in a single pass: each word is loaded once, stored, and added to the
-// running sum while still in a register (§4's fused copy+checksum
-// experiment). len(dst) must be >= len(src).
-func FusedCopyChecksum(dst, src []byte) uint16 {
-	return ^checksum.Fold(FusedCopySum(dst, src))
-}
-
-// FusedCopyChecksumDecrypt is the three-stage integrated loop: decrypt
-// src with ks, store the plaintext to dst, and checksum the plaintext,
-// touching each word exactly once. It returns the Internet checksum of
-// the plaintext. The keystream must be positioned to match src's first
-// byte. len(dst) must be >= len(src).
-func FusedCopyChecksumDecrypt(dst, src []byte, ks *scramble.Keystream) uint16 {
-	var acc checksum.Wide
-	n := len(src)
-	dst, src = dst[:n:n], src[:n:n]
-	i := 0
-	for ; n-i >= 64; i += 64 {
-		a, d := src[i:i+64:i+64], dst[i:i+64:i+64]
-		w0 := binary.LittleEndian.Uint64(a[0:]) ^ ks.Word64()
-		w1 := binary.LittleEndian.Uint64(a[8:]) ^ ks.Word64()
-		w2 := binary.LittleEndian.Uint64(a[16:]) ^ ks.Word64()
-		w3 := binary.LittleEndian.Uint64(a[24:]) ^ ks.Word64()
-		w4 := binary.LittleEndian.Uint64(a[32:]) ^ ks.Word64()
-		w5 := binary.LittleEndian.Uint64(a[40:]) ^ ks.Word64()
-		w6 := binary.LittleEndian.Uint64(a[48:]) ^ ks.Word64()
-		w7 := binary.LittleEndian.Uint64(a[56:]) ^ ks.Word64()
-		binary.LittleEndian.PutUint64(d[0:], w0)
-		binary.LittleEndian.PutUint64(d[8:], w1)
-		binary.LittleEndian.PutUint64(d[16:], w2)
-		binary.LittleEndian.PutUint64(d[24:], w3)
-		binary.LittleEndian.PutUint64(d[32:], w4)
-		binary.LittleEndian.PutUint64(d[40:], w5)
-		binary.LittleEndian.PutUint64(d[48:], w6)
-		binary.LittleEndian.PutUint64(d[56:], w7)
-		acc = acc.Add4(w0, w1, w2, w3)
-		acc = acc.Add4(w4, w5, w6, w7)
-	}
-	for ; n-i >= 8; i += 8 {
-		w := binary.LittleEndian.Uint64(src[i:i+8:i+8]) ^ ks.Word64()
-		binary.LittleEndian.PutUint64(dst[i:i+8:i+8], w)
-		acc = acc.Add(w)
-	}
-	sum := acc.Sum()
-	if i < n {
-		ks.XOR(dst[i:n], src[i:n])
-		sum = checksum.Accumulate(sum, dst[i:n])
-	}
-	return ^checksum.Fold(sum)
-}
-
 // FusedCopySum copies src into dst and returns the (unfolded,
 // uncomplemented) one's-complement partial sum of src in network order.
 // Partial sums of fragments that start at even offsets may simply be
 // added together and folded once — which is how the ALF receiver
 // checksums an ADU incrementally as its fragments arrive out of order,
 // fused with the copy into the reassembly buffer (stage one of the
-// paper's two-stage receive processing). len(dst) must be >= len(src).
+// paper's two-stage receive processing). FinishSum of it is §4's fused
+// copy+checksum in one pass. len(dst) must be >= len(src).
 func FusedCopySum(dst, src []byte) uint64 {
 	var acc checksum.Wide
 	n := len(src)

@@ -47,7 +47,7 @@ func TestFusedCopyChecksumMatchesSeparate(t *testing.T) {
 		d1 := make([]byte, n)
 		d2 := make([]byte, n)
 		sep := SeparateCopyThenChecksum(d1, src)
-		fus := FusedCopyChecksum(d2, src)
+		fus := FinishSum(FusedCopySum(d2, src))
 		if sep != fus {
 			t.Errorf("n=%d: separate %#04x != fused %#04x", n, sep, fus)
 		}
@@ -63,27 +63,10 @@ func TestFusedCopyChecksumMatchesSeparate(t *testing.T) {
 func TestFusedCopyChecksumProperty(t *testing.T) {
 	f := func(src []byte) bool {
 		dst := make([]byte, len(src))
-		return FusedCopyChecksum(dst, src) == checksum.Sum16(src) && bytes.Equal(dst, src)
+		return FinishSum(FusedCopySum(dst, src)) == checksum.Sum16(src) && bytes.Equal(dst, src)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestFusedCopyChecksumDecrypt(t *testing.T) {
-	for _, n := range []int{0, 1, 7, 8, 9, 64, 1000, 4096} {
-		plain := randBytes(n, int64(n)+13)
-		cipher := append([]byte(nil), plain...)
-		scramble.Apply(42, cipher)
-
-		dst := make([]byte, n)
-		ck := FusedCopyChecksumDecrypt(dst, cipher, scramble.NewKeystream(42))
-		if !bytes.Equal(dst, plain) {
-			t.Errorf("n=%d: decrypt mismatch", n)
-		}
-		if want := checksum.Sum16(plain); ck != want {
-			t.Errorf("n=%d: checksum %#04x, want %#04x (over plaintext)", n, ck, want)
-		}
 	}
 }
 
@@ -194,14 +177,32 @@ func TestChecksumStageMatchesKernel(t *testing.T) {
 	}
 }
 
+// TestDecryptStageInverts runs one decrypt stage over every length
+// 0…40 and 1 000, through both paths and twice each, so that a Tail not
+// at the word the stage has reached, or a Reset that does not rewind,
+// shows against XORAt from offset 0.
 func TestDecryptStageInverts(t *testing.T) {
-	plain := randBytes(512, 6)
-	cipher := append([]byte(nil), plain...)
-	scramble.Apply(9, cipher)
-	dst := make([]byte, len(cipher))
-	FusedPath(dst, cipher, []WordStage{NewDecryptStage(9)})
-	if !bytes.Equal(dst, plain) {
-		t.Error("decrypt stage did not invert scramble.Apply")
+	const key = 9
+	stages := []WordStage{NewDecryptStage(key)}
+	lens := []int{1000}
+	for n := 0; n <= 40; n++ {
+		lens = append(lens, n)
+	}
+	for _, n := range lens {
+		plain := randBytes(n, int64(n)+6)
+		cipher := append([]byte(nil), plain...)
+		scramble.XORAt(key, 0, cipher)
+		dst, scratch := make([]byte, n), make([]byte, n)
+		for pass := 0; pass < 2; pass++ {
+			FusedPath(dst, cipher, stages)
+			if !bytes.Equal(dst, plain) {
+				t.Fatalf("n=%d pass %d: FusedPath did not invert XORAt", n, pass)
+			}
+			LayeredPath(dst, scratch, cipher, stages)
+			if !bytes.Equal(dst, plain) {
+				t.Fatalf("n=%d pass %d: LayeredPath did not invert XORAt", n, pass)
+			}
+		}
 	}
 }
 
@@ -290,17 +291,7 @@ func BenchmarkFusedCopyChecksum4KB(b *testing.B) {
 	b.SetBytes(4096)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		FusedCopyChecksum(dst, src)
-	}
-}
-
-func BenchmarkFusedCopyChecksumDecrypt4KB(b *testing.B) {
-	src, dst := benchBuf(4096)
-	ks := scramble.NewKeystream(1)
-	b.SetBytes(4096)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		FusedCopyChecksumDecrypt(dst, src, ks)
+		FinishSum(FusedCopySum(dst, src))
 	}
 }
 

@@ -65,25 +65,28 @@ func (s *ChecksumStage) Reset() { *s = ChecksumStage{} }
 func (s *ChecksumStage) Sum() uint16 { return ^checksum.Fold(s.words.Sum() + s.tail) }
 
 // DecryptStage XORs the session keystream through the data (the
-// encryption layer's pass).
+// encryption layer's pass). idx is the keystream word the next Word
+// takes; Reset rewinds it to 0.
 type DecryptStage struct {
 	Key uint64
-	ks  *scramble.Keystream
+	idx uint64
 }
 
 // NewDecryptStage returns a decrypt stage for key.
-func NewDecryptStage(key uint64) *DecryptStage {
-	return &DecryptStage{Key: key, ks: scramble.NewKeystream(key)}
-}
+func NewDecryptStage(key uint64) *DecryptStage { return &DecryptStage{Key: key} }
 
 // Word implements WordStage.
-func (s *DecryptStage) Word(w uint64) uint64 { return w ^ s.ks.Word64() }
+func (s *DecryptStage) Word(w uint64) uint64 {
+	w ^= scramble.WordAt(s.Key, s.idx)
+	s.idx++
+	return w
+}
 
 // Tail implements WordStage.
-func (s *DecryptStage) Tail(b []byte) { s.ks.XOR(b, b) }
+func (s *DecryptStage) Tail(b []byte) { scramble.XORAt(s.Key, int(s.idx*8), b) }
 
 // Reset implements WordStage.
-func (s *DecryptStage) Reset() { s.ks.Reset(s.Key) }
+func (s *DecryptStage) Reset() { s.idx = 0 }
 
 // SwapStage byte-swaps each 32-bit half of the word — the shape of a
 // presentation step that converts between byte orders (the cheap core

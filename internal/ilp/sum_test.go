@@ -38,9 +38,8 @@ type sumKernel struct {
 	sumsDst bool
 }
 
-// The two keystreams the scrambling kernels use, from position 0.
+// The keystream the scrambling kernels use, from position 0.
 func wordAtStream(buf []byte) { scramble.XORAt(sumKey, 0, buf) }
-func serialStream(buf []byte) { scramble.Apply(sumKey, buf) }
 
 var sumKernels = []sumKernel{
 	{name: "FusedCopySum", run: func(dst, src []byte) uint16 {
@@ -51,12 +50,6 @@ var sumKernels = []sumKernel{
 	}},
 	{name: "FusedDecryptCopySum", cipher: wordAtStream, sumsDst: true, run: func(dst, src []byte) uint16 {
 		return checksum.Fold(FusedDecryptCopySum(dst, src, sumKey, 0))
-	}},
-	{name: "FusedCopyChecksum", run: func(dst, src []byte) uint16 {
-		return ^FusedCopyChecksum(dst, src)
-	}},
-	{name: "FusedCopyChecksumDecrypt", cipher: serialStream, sumsDst: true, run: func(dst, src []byte) uint16 {
-		return ^FusedCopyChecksumDecrypt(dst, src, scramble.NewKeystream(sumKey))
 	}},
 	{name: "SeparateCopyThenChecksum", run: func(dst, src []byte) uint16 {
 		return ^SeparateCopyThenChecksum(dst, src)

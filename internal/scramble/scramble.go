@@ -3,7 +3,11 @@
 // encryption is one more pass that reads and writes every byte, and ILP
 // should be able to fuse it with the other passes. Any byte-wise
 // keystream cipher exercises that code path, so this package uses a
-// xorshift64* generator keyed by a 64-bit secret.
+// position-addressable ("counter mode") stream: word idx of the stream
+// under a 64-bit key is splitmix64 of key and idx, so any 8-byte-aligned
+// piece of the data can be enciphered or deciphered on its own, in any
+// order — the shape Application Level Framing asks of every
+// manipulation.
 //
 // SECURITY: this is a simulation stage, NOT a real cipher. Do not use it
 // to protect data.
@@ -11,114 +15,9 @@ package scramble
 
 import "encoding/binary"
 
-// Keystream generates a deterministic pseudo-random byte stream from a
-// key using xorshift64*. The zero key is remapped internally (xorshift
-// state must be non-zero).
-type Keystream struct {
-	state uint64
-	buf   [8]byte
-	n     int // bytes of buf consumed
-}
-
-// NewKeystream returns a keystream positioned at offset 0.
-func NewKeystream(key uint64) *Keystream {
-	k := &Keystream{}
-	k.Reset(key)
-	return k
-}
-
-// Reset rewinds the keystream to offset 0 with a (possibly new) key.
-func (k *Keystream) Reset(key uint64) {
-	if key == 0 {
-		key = 0x9E3779B97F4A7C15 // golden-ratio constant; any non-zero value
-	}
-	k.state = key
-	k.n = 8 // buffer empty
-}
-
-func (k *Keystream) next() uint64 {
-	x := k.state
-	x ^= x >> 12
-	x ^= x << 25
-	x ^= x >> 27
-	k.state = x
-	return x * 0x2545F4914F6CDD1D
-}
-
-// Byte returns the next keystream byte.
-func (k *Keystream) Byte() byte {
-	if k.n == 8 {
-		binary.LittleEndian.PutUint64(k.buf[:], k.next())
-		k.n = 0
-	}
-	b := k.buf[k.n]
-	k.n++
-	return b
-}
-
-// Word64 returns the next eight keystream bytes packed as a
-// little-endian word, so integrated loops can decrypt a 64-bit load
-// with a single XOR (see internal/ilp). It is exactly equivalent to
-// eight successive Byte calls.
-func (k *Keystream) Word64() uint64 {
-	if k.n == 8 {
-		return k.next()
-	}
-	var w uint64
-	for i := 0; i < 8; i++ {
-		w |= uint64(k.Byte()) << uint(8*i)
-	}
-	return w
-}
-
-// XOR applies the keystream to src, writing into dst (dst and src may be
-// the same slice for in-place operation). It returns the number of bytes
-// processed, min(len(dst), len(src)). The inner loop runs eight bytes at
-// a time when aligned.
-func (k *Keystream) XOR(dst, src []byte) int {
-	n := len(src)
-	if len(dst) < n {
-		n = len(dst)
-	}
-	i := 0
-	// Drain any partial word first.
-	for i < n && k.n != 8 {
-		dst[i] = src[i] ^ k.Byte()
-		i++
-	}
-	// Word-at-a-time main loop. Deliberately NOT 4-way unrolled like the
-	// internal/ilp kernels: the xorshift64* generator is one serial
-	// dependency chain, so the chain latency — not loop overhead — is
-	// the critical path, and the rolled loop already saturates it.
-	// Measured on the reference machine (4 KiB): rolled ≈1.02 µs,
-	// 4-way unrolled (state hoisted to a local) ≈1.23 µs — the unroll
-	// only adds register pressure. The counter-mode kernels (WordAt in
-	// this package, ChaCha20 in internal/cipher) have independent
-	// per-block work and do profit from unrolling/interleaving.
-	for n-i >= 8 {
-		w := binary.LittleEndian.Uint64(src[i : i+8])
-		binary.LittleEndian.PutUint64(dst[i:i+8], w^k.next())
-		i += 8
-	}
-	for i < n {
-		dst[i] = src[i] ^ k.Byte()
-		i++
-	}
-	return n
-}
-
-// Apply is a convenience that encrypts (or decrypts — the operation is an
-// involution) buf in place from offset 0 with the given key.
-func Apply(key uint64, buf []byte) {
-	NewKeystream(key).XOR(buf, buf)
-}
-
-// WordAt returns the keystream word for 8-byte word index idx under key
-// — a position-addressable ("counter mode") keystream, so data units
-// can be deciphered out of order and from any aligned offset. This is
-// the cipher shape Application Level Framing wants: each ADU is its own
-// cryptographic synchronization point. The mixing function is
-// splitmix64.
+// WordAt returns the keystream word for 8-byte word index idx under
+// key. Needing no earlier word, it lets each ADU be its own
+// cryptographic synchronization point.
 func WordAt(key, idx uint64) uint64 {
 	z := key + (idx+1)*0x9E3779B97F4A7C15
 	z = (z ^ z>>30) * 0xBF58476D1CE4E5B9

@@ -4,132 +4,33 @@ import (
 	"bytes"
 	"math/rand"
 	"testing"
-	"testing/quick"
 )
 
-func TestApplyIsInvolution(t *testing.T) {
-	f := func(key uint64, data []byte) bool {
-		orig := append([]byte(nil), data...)
-		Apply(key, data)
-		Apply(key, data)
-		return bytes.Equal(orig, data)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestApplyChangesData(t *testing.T) {
-	data := make([]byte, 256)
-	Apply(1, data)
-	if bytes.Equal(data, make([]byte, 256)) {
-		t.Error("keystream left zero buffer unchanged")
-	}
-}
-
-func TestDifferentKeysDiffer(t *testing.T) {
-	a := make([]byte, 64)
-	b := make([]byte, 64)
-	Apply(1, a)
-	Apply(2, b)
-	if bytes.Equal(a, b) {
-		t.Error("keys 1 and 2 produced identical keystreams")
-	}
-}
-
-func TestZeroKeyUsable(t *testing.T) {
-	data := make([]byte, 32)
-	Apply(0, data)
-	if bytes.Equal(data, make([]byte, 32)) {
-		t.Error("zero key produced all-zero keystream")
-	}
-}
-
-func TestXORChunkedMatchesWhole(t *testing.T) {
-	r := rand.New(rand.NewSource(3))
-	src := make([]byte, 1000)
-	r.Read(src)
-
-	whole := append([]byte(nil), src...)
-	NewKeystream(99).XOR(whole, whole)
-
-	chunked := append([]byte(nil), src...)
-	ks := NewKeystream(99)
-	// Odd chunk sizes force the partial-word path.
-	for off := 0; off < len(chunked); {
-		n := 7
-		if off+n > len(chunked) {
-			n = len(chunked) - off
-		}
-		ks.XOR(chunked[off:off+n], chunked[off:off+n])
-		off += n
-	}
-	if !bytes.Equal(whole, chunked) {
-		t.Error("chunked XOR differs from single-shot XOR")
-	}
-}
-
-func TestXORLengthMismatch(t *testing.T) {
-	ks := NewKeystream(5)
-	dst := make([]byte, 4)
-	src := []byte{1, 2, 3, 4, 5, 6}
-	if n := ks.XOR(dst, src); n != 4 {
-		t.Errorf("XOR returned %d, want 4", n)
-	}
-	ks2 := NewKeystream(5)
-	dst2 := make([]byte, 8)
-	if n := ks2.XOR(dst2, src[:2]); n != 2 {
-		t.Errorf("XOR returned %d, want 2", n)
-	}
-}
-
-func TestResetRewinds(t *testing.T) {
-	ks := NewKeystream(7)
-	a := make([]byte, 16)
-	ks.XOR(a, make([]byte, 16))
-	ks.Reset(7)
-	b := make([]byte, 16)
-	ks.XOR(b, make([]byte, 16))
-	if !bytes.Equal(a, b) {
-		t.Error("Reset did not rewind the keystream")
-	}
-}
-
-func TestByteMatchesXOR(t *testing.T) {
-	ks1 := NewKeystream(11)
-	ks2 := NewKeystream(11)
-	stream := make([]byte, 40)
-	ks1.XOR(stream, make([]byte, 40))
-	for i := range stream {
-		if b := ks2.Byte(); b != stream[i] {
-			t.Fatalf("Byte()[%d] = %#x, want %#x", i, b, stream[i])
-		}
-	}
-}
-
-func BenchmarkXOR_4KB(b *testing.B) {
+func BenchmarkXORAt_4KB(b *testing.B) {
 	data := make([]byte, 4096)
-	ks := NewKeystream(1)
 	b.SetBytes(4096)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		ks.XOR(data, data)
+		XORAt(1, 0, data)
 	}
 }
 
 func TestXORAtInvolution(t *testing.T) {
-	data := make([]byte, 100)
-	for i := range data {
-		data[i] = byte(i)
-	}
-	orig := append([]byte(nil), data...)
-	XORAt(5, 0, data)
-	if bytes.Equal(data, orig) {
-		t.Error("XORAt did nothing")
-	}
-	XORAt(5, 0, data)
-	if !bytes.Equal(data, orig) {
-		t.Error("XORAt not an involution")
+	// Key 0 included: internal/layered keys each ADU by key^seq.
+	for _, key := range []uint64{0, 5} {
+		data := make([]byte, 100)
+		for i := range data {
+			data[i] = byte(i)
+		}
+		orig := append([]byte(nil), data...)
+		XORAt(key, 0, data)
+		if bytes.Equal(data, orig) {
+			t.Errorf("key %d: XORAt did nothing", key)
+		}
+		XORAt(key, 0, data)
+		if !bytes.Equal(data, orig) {
+			t.Errorf("key %d: XORAt not an involution", key)
+		}
 	}
 }
 

@@ -249,9 +249,8 @@ func combineKey(a, b uint64) uint64 {
 
 // Initiator drives the opening side of the handshake.
 type Initiator struct {
-	sched *sim.Scheduler
-	rnd   *sim.Rand
-	send  func([]byte) error
+	rnd  *sim.Rand
+	send func([]byte) error
 
 	// RetryInterval and MaxRetries bound OFFER retransmission
 	// (defaults 100 ms, 10).
@@ -277,7 +276,6 @@ type Initiator struct {
 // send. rnd supplies the key contribution.
 func NewInitiator(sched *sim.Scheduler, rnd *sim.Rand, send func([]byte) error) *Initiator {
 	i := &Initiator{
-		sched:         sched,
 		rnd:           rnd,
 		send:          send,
 		RetryInterval: 100 * time.Millisecond,
@@ -381,9 +379,8 @@ func (i *Initiator) Established() bool { return i.done && !i.failed }
 
 // Responder answers offers arriving at the accepting side.
 type Responder struct {
-	sched *sim.Scheduler
-	rnd   *sim.Rand
-	send  func([]byte) error
+	rnd  *sim.Rand
+	send func([]byte) error
 
 	// Supported lists the transfer syntaxes this side can decode.
 	Supported []xcode.SyntaxID
@@ -404,9 +401,8 @@ type respState struct {
 }
 
 // NewResponder creates a responder.
-func NewResponder(sched *sim.Scheduler, rnd *sim.Rand, send func([]byte) error, supported []xcode.SyntaxID) *Responder {
+func NewResponder(rnd *sim.Rand, send func([]byte) error, supported []xcode.SyntaxID) *Responder {
 	return &Responder{
-		sched:       sched,
 		rnd:         rnd,
 		send:        send,
 		Supported:   supported,

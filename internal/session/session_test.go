@@ -35,7 +35,7 @@ func newHSRig(t *testing.T, linkCfg netsim.LinkConfig, supported []xcode.SyntaxI
 
 	r := &hsRig{sched: s}
 	r.init = NewInitiator(s, sim.NewRand(seed+1), ab.Send)
-	r.resp = NewResponder(s, sim.NewRand(seed+2), ba.Send, supported)
+	r.resp = NewResponder(sim.NewRand(seed+2), ba.Send, supported)
 	a.SetHandler(func(p *netsim.Packet) { r.init.Handle(p.Payload) })
 	b.SetHandler(func(p *netsim.Packet) { r.resp.Handle(p.Payload) })
 	r.init.OnEstablished = func(res Result) { cp := res; r.initRes = &cp }
@@ -268,7 +268,7 @@ func TestEndToEndNegotiatedStream(t *testing.T) {
 	var got []alf.ADU
 
 	init := NewInitiator(s, sim.NewRand(1), ab.Send)
-	resp := NewResponder(s, sim.NewRand(2), ba.Send, allSyntaxes())
+	resp := NewResponder(sim.NewRand(2), ba.Send, allSyntaxes())
 
 	a.SetHandler(func(p *netsim.Packet) {
 		if MessageType(p.Payload) != 0 {
@@ -337,7 +337,7 @@ func TestHandleFuzzNeverPanics(t *testing.T) {
 	i := NewInitiator(s, sim.NewRand(1), func([]byte) error { return nil })
 	i.OnFail = func(error) {}
 	i.Open(Params{StreamID: 1, Syntaxes: allSyntaxes()})
-	r := NewResponder(s, sim.NewRand(2), func([]byte) error { return nil }, allSyntaxes())
+	r := NewResponder(sim.NewRand(2), func([]byte) error { return nil }, allSyntaxes())
 	f := func(pkt []byte) bool {
 		i.Handle(pkt)
 		r.Handle(pkt)
@@ -349,9 +349,8 @@ func TestHandleFuzzNeverPanics(t *testing.T) {
 }
 
 func TestResponderAnswersDuplicateOfferIdentically(t *testing.T) {
-	s := sim.NewScheduler()
 	var replies [][]byte
-	r := NewResponder(s, sim.NewRand(3), func(p []byte) error {
+	r := NewResponder(sim.NewRand(3), func(p []byte) error {
 		replies = append(replies, append([]byte(nil), p...))
 		return nil
 	}, allSyntaxes())
