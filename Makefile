@@ -112,8 +112,9 @@ benchmark-smoke:
 # accumulator, the fused AEAD kernels against the staged ones on
 # clean and corrupted fragments, and the presentation decoders (BER,
 # XDR, LWTS, raw and the message frame) on arbitrary bytes: no panic, no
-# over-read, and decode → encode → decode keeps the value; and the
-# session plane's OFFER / ACCEPT / REJECT parsers, whose accepted
+# over-read, and decode → encode → decode keeps the value; ilp's fused
+# BER integer-array decoder against the BER codec on the same bytes; and
+# the session plane's OFFER / ACCEPT / REJECT parsers, whose accepted
 # messages must re-encode to the same bytes; the AAL reassembler's
 # cells and an OTP receiver's segments, which must hold no more than
 # their bounds and still deliver a valid message intact after the
@@ -131,6 +132,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzTrains$$' -fuzztime $(FUZZTIME) ./internal/udplink
 	$(GO) test -run '^$$' -fuzz '^FuzzSumKernels$$' -fuzztime $(FUZZTIME) ./internal/ilp
 	$(GO) test -run '^$$' -fuzz '^FuzzFusedDecryptCopyVerify$$' -fuzztime $(FUZZTIME) ./internal/ilp
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeBERInt32sInto$$' -fuzztime $(FUZZTIME) ./internal/ilp
 	$(GO) test -run '^$$' -fuzz '^FuzzKeystreamWide$$' -fuzztime $(FUZZTIME) ./internal/cipher
 	$(GO) test -run '^$$' -fuzz '^FuzzPolyKernel$$' -fuzztime $(FUZZTIME) ./internal/cipher
 	$(GO) test -run '^$$' -fuzz '^FuzzCodecs$$' -fuzztime $(FUZZTIME) ./internal/xcode

@@ -121,12 +121,12 @@ func BenchmarkE3_BEREncodeIntArray(b *testing.B) {
 	b.SetBytes(4096)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		buf = ilp.EncodeBERInt32s(buf[:0], ints)
+		buf = xcode.AppendBERInt32s(buf[:0], ints)
 	}
 }
 
 func BenchmarkE3_BERDecodeIntArray(b *testing.B) {
-	enc := ilp.EncodeBERInt32s(nil, randInts(1024))
+	enc := xcode.AppendBERInt32s(nil, randInts(1024))
 	out := make([]int32, 1024)
 	b.SetBytes(4096)
 	b.ReportAllocs()
@@ -194,7 +194,7 @@ func BenchmarkE5_ConvertOnly(b *testing.B) {
 	b.SetBytes(4096)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		buf = ilp.EncodeBERInt32s(buf[:0], ints)
+		buf = xcode.AppendBERInt32s(buf[:0], ints)
 	}
 }
 

@@ -75,8 +75,8 @@ type KernelReport struct {
 	PredictedSeparate float64
 
 	// E3: presentation conversion vs copy.
-	BEREncode  float64 // []int32 -> ASN.1 SEQUENCE OF INTEGER
-	BERDecode  float64 // and back into application variables
+	BEREncode  float64 // []int32 -> ASN.1 SEQUENCE OF INTEGER (xcode.AppendBERInt32s)
+	BERDecode  float64 // and back into application variables (ilp.DecodeBERInt32sInto)
 	XDREncode  float64
 	LWTSEncode float64
 
@@ -99,7 +99,7 @@ func RunKernels(bufBytes int, minTime time.Duration) KernelReport {
 		ints[i] = int32(rnd.Uint32())
 	}
 	encBuf := make([]byte, 0, bufBytes*2)
-	enc := ilp.EncodeBERInt32s(nil, ints)
+	enc := xcode.AppendBERInt32s(nil, ints)
 	out := make([]int32, len(ints))
 
 	r.Copy = rate(bufBytes, minTime, func() { ilp.WordCopy(dst, src) })
@@ -108,7 +108,7 @@ func RunKernels(bufBytes int, minTime time.Duration) KernelReport {
 	r.FusedCopyChecksum = rate(bufBytes, minTime, func() { ilp.FinishSum(ilp.FusedCopySum(dst, src)) })
 	r.PredictedSeparate = 1 / (1/r.Copy + 1/r.Checksum)
 
-	r.BEREncode = rate(bufBytes, minTime, func() { encBuf = ilp.EncodeBERInt32s(encBuf[:0], ints) })
+	r.BEREncode = rate(bufBytes, minTime, func() { encBuf = xcode.AppendBERInt32s(encBuf[:0], ints) })
 	r.BERDecode = rate(bufBytes, minTime, func() { ilp.DecodeBERInt32sInto(enc, out) })
 	xdrBuf := make([]byte, 0, bufBytes+16)
 	v := xcode.Int32sValue(ints)

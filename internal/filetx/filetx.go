@@ -5,11 +5,11 @@
 //
 // The placement label is the ADU tag. For image-mode transfer the
 // receiver offset equals the sender offset; when a presentation
-// conversion changes element sizes, the sender computes the receiver's
-// offsets with xcode's exact size mapping (PlanConverted) — "the sender
-// must perform at least enough of the conversion to be able to compute,
-// in terms meaningful to the receiver, where the ADU is to be
-// delivered."
+// conversion changes element sizes, the sender converts each record
+// and takes the receiver's offsets from the encoded lengths
+// (PlanConverted) — "the sender must perform at least enough of the
+// conversion to be able to compute, in terms meaningful to the
+// receiver, where the ADU is to be delivered."
 package filetx
 
 import (
@@ -62,34 +62,27 @@ func Plan(data []byte, aduSize int) []Chunk {
 }
 
 // PlanConverted plans a transfer of integer records where the receiver
-// stores each chunk in codec syntax: the sender performs the size
-// computation of the conversion up front so each ADU knows its exact
-// destination offset, even though the converted sizes vary per element.
-// The payload of each chunk is the converted (transfer-syntax) bytes.
+// stores each chunk in codec syntax: the sender converts each record up
+// front, and the length of its encoding is the chunk's size at the
+// receiver, so each ADU knows its exact destination offset even though
+// the converted sizes vary per element. The payload of each chunk is
+// the converted (transfer-syntax) bytes.
 func PlanConverted(records [][]int32, codec xcode.Codec) ([]Chunk, error) {
 	var chunks []Chunk
 	dst := 0
 	src := 0
 	for i, rec := range records {
-		v := xcode.Int32sValue(rec)
-		n, err := codec.SizeValue(v)
-		if err != nil {
-			return nil, fmt.Errorf("filetx: plan record %d: %w", i, err)
-		}
-		enc, err := codec.EncodeValue(nil, v)
+		enc, err := codec.EncodeValue(nil, xcode.Int32sValue(rec))
 		if err != nil {
 			return nil, fmt.Errorf("filetx: encode record %d: %w", i, err)
 		}
-		if len(enc) != n {
-			return nil, fmt.Errorf("filetx: record %d size mapping %d != %d", i, n, len(enc))
-		}
 		chunks = append(chunks, Chunk{
 			SrcOff: src, SrcLen: 4 * len(rec),
-			DstOff: dst, DstLen: n,
+			DstOff: dst, DstLen: len(enc),
 			Payload: enc,
 		})
 		src += 4 * len(rec)
-		dst += n
+		dst += len(enc)
 	}
 	return chunks, nil
 }

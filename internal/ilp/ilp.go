@@ -13,6 +13,8 @@
 //     wide-word form (checksum.Wide): little-endian 64-bit words summed
 //     by add-with-carry, folded and byte-swapped once after the loop,
 //     so that a fused word costs a load, a store and one add.
+//     EncodeBERInt32sChecksum's unfused control arm in E5 is the
+//     codec's own xcode.AppendBERInt32s.
 //   - A generic stage pipeline (FusedPath) that applies any stage list
 //     word by word in a single pass, paying an indirect call per stage
 //     per word.
@@ -25,6 +27,8 @@ package ilp
 
 import (
 	"encoding/binary"
+	"fmt"
+	"math"
 
 	"repro/internal/checksum"
 	"repro/internal/scramble"
@@ -239,21 +243,6 @@ func scrambleCopySum(dst, src []byte, key, idx uint64, encrypt bool) uint64 {
 // checksum value.
 func FinishSum(sum uint64) uint16 { return ^checksum.Fold(sum) }
 
-// EncodeBERInt32s encodes vs as a BER SEQUENCE OF INTEGER, appending to
-// dst — the plain (unfused) presentation conversion of §4's E3/E5
-// experiments. It is equivalent to xcode.BER's KindInt32s encoding.
-func EncodeBERInt32s(dst []byte, vs []int32) []byte {
-	content := 0
-	for _, v := range vs {
-		content += xcode.BERIntSize(int64(v))
-	}
-	dst = xcode.AppendBERHeader(dst, xcode.TagSequence, content)
-	for _, v := range vs {
-		dst = xcode.AppendBERInt(dst, int64(v))
-	}
-	return dst
-}
-
 // EncodeBERInt32sChecksum encodes vs as BER and computes the Internet
 // checksum of the encoded bytes in the same loop, while each element's
 // encoding is still in cache — the paper's "converted and checksummed in
@@ -299,7 +288,8 @@ func accumulateOdd(sum uint64, odd bool, chunk []byte) (uint64, bool) {
 // DecodeBERInt32sInto decodes a BER SEQUENCE OF INTEGER into the
 // caller's array — presentation conversion fused with the move into
 // application address space. It returns the number of integers decoded
-// and the bytes consumed.
+// and the bytes consumed. An element outside int32, or more elements
+// than out holds, is an error wrapping xcode.ErrOverflow.
 func DecodeBERInt32sInto(src []byte, out []int32) (int, int, error) {
 	tag, length, hdr, err := xcode.ParseBERHeader(src)
 	if err != nil {
@@ -317,6 +307,9 @@ func DecodeBERInt32sInto(src []byte, out []int32) (int, int, error) {
 		v, used, err := xcode.ParseBERInt(content[off:])
 		if err != nil {
 			return n, 0, err
+		}
+		if v < math.MinInt32 || v > math.MaxInt32 {
+			return n, 0, fmt.Errorf("%w: element %d is %d, not an int32", xcode.ErrOverflow, n, v)
 		}
 		if n >= len(out) {
 			return n, 0, xcode.ErrOverflow

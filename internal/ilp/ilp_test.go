@@ -2,7 +2,10 @@ package ilp
 
 import (
 	"bytes"
+	"errors"
+	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -70,24 +73,10 @@ func TestFusedCopyChecksumProperty(t *testing.T) {
 	}
 }
 
-func TestEncodeBERInt32sMatchesXcode(t *testing.T) {
-	f := func(vs []int32) bool {
-		want, err := (xcode.BER{}).EncodeValue(nil, xcode.Int32sValue(vs))
-		if err != nil {
-			return false
-		}
-		got := EncodeBERInt32s(nil, vs)
-		return bytes.Equal(got, want)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestEncodeBERInt32sChecksum(t *testing.T) {
 	f := func(vs []int32) bool {
 		enc, ck := EncodeBERInt32sChecksum(nil, vs)
-		plain := EncodeBERInt32s(nil, vs)
+		plain := xcode.AppendBERInt32s(nil, vs)
 		return bytes.Equal(enc, plain) && ck == checksum.Sum16(enc)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
@@ -108,7 +97,7 @@ func TestEncodeBERInt32sChecksumAppends(t *testing.T) {
 
 func TestDecodeBERInt32sInto(t *testing.T) {
 	vs := []int32{0, 1, -1, 1 << 20, -(1 << 20), 127, -128}
-	enc := EncodeBERInt32s(nil, vs)
+	enc := xcode.AppendBERInt32s(nil, vs)
 	out := make([]int32, len(vs))
 	n, used, err := DecodeBERInt32sInto(enc, out)
 	if err != nil {
@@ -125,7 +114,7 @@ func TestDecodeBERInt32sInto(t *testing.T) {
 }
 
 func TestDecodeBERInt32sIntoErrors(t *testing.T) {
-	enc := EncodeBERInt32s(nil, []int32{1, 2, 3})
+	enc := xcode.AppendBERInt32s(nil, []int32{1, 2, 3})
 	// Output too small.
 	if _, _, err := DecodeBERInt32sInto(enc, make([]int32, 2)); err == nil {
 		t.Error("short output accepted")
@@ -140,6 +129,44 @@ func TestDecodeBERInt32sIntoErrors(t *testing.T) {
 	if _, _, err := DecodeBERInt32sInto(enc[:len(enc)-1], make([]int32, 3)); err == nil {
 		t.Error("truncated accepted")
 	}
+	// An INTEGER outside int32, refused rather than cut to 32 bits.
+	wide, err := xcode.BER{}.EncodeValue(nil, xcode.SeqValue(xcode.Int64Value(1<<40+5), xcode.Int32Value(7)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := make([]int32, 2)
+	if n, _, err := DecodeBERInt32sInto(wide, out); !errors.Is(err, xcode.ErrOverflow) {
+		t.Errorf("SEQUENCE{2^40+5, 7}: decoded %v, err %v; want ErrOverflow", out[:n], err)
+	}
+}
+
+// FuzzDecodeBERInt32sInto holds the fused decoder against the codec's:
+// whenever either yields an int32 array that fits out, the other yields
+// the same ints from the same number of bytes.
+func FuzzDecodeBERInt32sInto(f *testing.F) {
+	wide, _ := xcode.BER{}.EncodeValue(nil, xcode.SeqValue(xcode.Int64Value(1<<40+5), xcode.Int32Value(7)))
+	f.Add(wide, uint8(2))
+	f.Add(xcode.AppendBERInt32s(nil, []int32{0, -1, 127, -128, 1 << 20, math.MinInt32}), uint8(6))
+	f.Add(xcode.AppendBERInt32s(nil, nil), uint8(0))
+	f.Add([]byte{0x30, 0x04, 0x02, 0x02, 0x00, 0x7f}, uint8(1))
+	f.Fuzz(func(t *testing.T, data []byte, size uint8) {
+		out := make([]int32, size)
+		n, used, err := DecodeBERInt32sInto(data, out)
+		v, m, verr := xcode.BER{}.DecodeValue(data)
+		codecOK := verr == nil && v.Kind == xcode.KindInt32s && len(v.Ints) <= len(out)
+		if err != nil {
+			if codecOK {
+				t.Fatalf("codec decoded %v from %d bytes; DecodeBERInt32sInto: %v", v.Ints, m, err)
+			}
+			return
+		}
+		if !codecOK {
+			t.Fatalf("DecodeBERInt32sInto decoded %v from %d bytes; codec: %v %v", out[:n], used, v.Kind, verr)
+		}
+		if used != m || !slices.Equal(out[:n], v.Ints) {
+			t.Fatalf("DecodeBERInt32sInto decoded %v from %d bytes; codec %v from %d", out[:n], used, v.Ints, m)
+		}
+	})
 }
 
 func TestFusedPathEqualsLayeredPath(t *testing.T) {

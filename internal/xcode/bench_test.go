@@ -67,17 +67,3 @@ func BenchmarkEncodeBytes4KB(b *testing.B) {
 		b.Run(c.Name(), func(b *testing.B) { benchEncode(b, c, v, 4096) })
 	}
 }
-
-func BenchmarkSizeValue(b *testing.B) {
-	v := Int32sValue(benchInts(1024))
-	for _, c := range Codecs() {
-		b.Run(c.Name(), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := c.SizeValue(v); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}

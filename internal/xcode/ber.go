@@ -89,6 +89,21 @@ func AppendBERInt(dst []byte, v int64) []byte {
 // BERIntSize returns the full TLV size of an INTEGER encoding v.
 func BERIntSize(v int64) int { return 2 + berIntContentLen(v) }
 
+// AppendBERInt32s appends vs as a SEQUENCE OF INTEGER — BER's
+// KindInt32s encoding, and the plain (unfused) presentation conversion
+// that §4's E3/E5 experiments time.
+func AppendBERInt32s(dst []byte, vs []int32) []byte {
+	content := 0
+	for _, v := range vs {
+		content += BERIntSize(int64(v))
+	}
+	dst = AppendBERHeader(dst, TagSequence, content)
+	for _, v := range vs {
+		dst = AppendBERInt(dst, int64(v))
+	}
+	return dst
+}
+
 // ParseBERHeader parses a tag and definite length from the front of src,
 // returning the tag, the content length, and the header size.
 func ParseBERHeader(src []byte) (tag byte, length, hdr int, err error) {
@@ -172,15 +187,7 @@ func (b BER) encode(dst []byte, v Value, depth int) ([]byte, error) {
 	case KindInt32, KindInt64:
 		return AppendBERInt(dst, v.I64), nil
 	case KindInt32s:
-		content := 0
-		for _, x := range v.Ints {
-			content += BERIntSize(int64(x))
-		}
-		dst = AppendBERHeader(dst, TagSequence, content)
-		for _, x := range v.Ints {
-			dst = AppendBERInt(dst, int64(x))
-		}
-		return dst, nil
+		return AppendBERInt32s(dst, v.Ints), nil
 	case KindSeq:
 		content := 0
 		for i := range v.Seq {
@@ -204,11 +211,8 @@ func (b BER) encode(dst []byte, v Value, depth int) ([]byte, error) {
 	}
 }
 
-// SizeValue implements Codec.
-func (b BER) SizeValue(v Value) (int, error) {
-	return b.size(v, 0)
-}
-
+// size is the length encode will produce for v: a definite-length
+// SEQUENCE header needs its content's length before the content.
 func (b BER) size(v Value, depth int) (int, error) {
 	if depth > MaxDepth {
 		return 0, fmt.Errorf("%w: depth %d", ErrDepth, depth)

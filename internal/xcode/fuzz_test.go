@@ -29,7 +29,7 @@ func FuzzCodecs(f *testing.F) {
 			if n < 0 || n > len(data) {
 				t.Fatalf("%s: consumed %d of %d bytes", c.Name(), n, len(data))
 			}
-			back, err := Roundtrip(c, v)
+			back, err := roundtrip(c, v)
 			if err != nil {
 				t.Fatalf("%s: a decoded %v does not re-encode and decode: %v", c.Name(), v.Kind, err)
 			}

@@ -70,41 +70,6 @@ func (r Raw) encode(dst []byte, v Value, depth int) ([]byte, error) {
 	}
 }
 
-// SizeValue implements Codec.
-func (r Raw) SizeValue(v Value) (int, error) {
-	return r.sizeOf(v, 0)
-}
-
-func (r Raw) sizeOf(v Value, depth int) (int, error) {
-	if depth > MaxDepth {
-		return 0, fmt.Errorf("%w: depth %d", ErrDepth, depth)
-	}
-	switch v.Kind {
-	case KindBytes:
-		return rawHeader + len(v.Bytes), nil
-	case KindString:
-		return rawHeader + len(v.Str), nil
-	case KindInt32:
-		return rawHeader + 4, nil
-	case KindInt64:
-		return rawHeader + 8, nil
-	case KindInt32s:
-		return rawHeader + 4*len(v.Ints), nil
-	case KindSeq:
-		total := rawHeader
-		for i := range v.Seq {
-			n, err := r.sizeOf(v.Seq[i], depth+1)
-			if err != nil {
-				return 0, err
-			}
-			total += n
-		}
-		return total, nil
-	default:
-		return 0, fmt.Errorf("%w: %v in raw", ErrKind, v.Kind)
-	}
-}
-
 func decodePrefixed(src []byte, syntax string) (Kind, []byte, int, error) {
 	if len(src) < rawHeader {
 		return 0, nil, 0, fmt.Errorf("%w: %s header", ErrTruncated, syntax)
@@ -245,9 +210,6 @@ func (l LWTS) encode(dst []byte, v Value, depth int) ([]byte, error) {
 	}
 	return Raw{}.EncodeValue(dst, v)
 }
-
-// SizeValue implements Codec.
-func (LWTS) SizeValue(v Value) (int, error) { return Raw{}.SizeValue(v) }
 
 // DecodeValue implements Codec.
 func (l LWTS) DecodeValue(src []byte) (Value, int, error) {

@@ -12,14 +12,14 @@
 //   - LWTS: a light-weight transfer syntax in the spirit of Huitema &
 //     Doghri [8] — fixed-width, count-prefixed, no per-element TLV.
 //
-// A Codec also reports the encoded size of a value without encoding it
-// (SizeValue), which is what lets an ALF sender compute, in terms
-// meaningful to the receiver, where each ADU will land (paper §5, "the
-// sender must be able to specify the disposition of the ADU in terms
-// meaningful to the receiver").
+// Each syntax's layout is stated once, by its encoder: an ALF sender
+// learns where a converted ADU lands in the receiver's terms from the
+// length of the encoding (paper §5, "the sender must be able to specify
+// the disposition of the ADU in terms meaningful to the receiver").
 package xcode
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 )
@@ -53,7 +53,6 @@ var (
 	ErrUnknownID  = errors.New("xcode: unknown syntax id")
 	ErrKind       = errors.New("xcode: value kind not supported by syntax")
 	ErrOverflow   = errors.New("xcode: value exceeds representable range")
-	ErrTrailing   = errors.New("xcode: trailing bytes after value")
 	ErrDepth      = errors.New("xcode: nesting too deep")
 	ErrBadIndef   = errors.New("xcode: indefinite lengths not supported")
 	ErrNotMinimal = errors.New("xcode: non-minimal integer encoding")
@@ -149,7 +148,7 @@ func (v Value) Equal(o Value) bool {
 	}
 	switch v.Kind {
 	case KindBytes:
-		return bytesEqual(v.Bytes, o.Bytes)
+		return bytes.Equal(v.Bytes, o.Bytes)
 	case KindString:
 		return v.Str == o.Str
 	case KindInt32s:
@@ -193,22 +192,11 @@ func seqEqualsInts(seq []Value, ints []int32) bool {
 	return true
 }
 
-func bytesEqual(a, b []byte) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // Codec converts values to and from one transfer syntax. Encoders append
 // to dst and return the extended slice; decoders return the value, the
-// number of bytes consumed, and an error. All implementations are
-// stateless and safe for concurrent use.
+// number of bytes consumed, and an error. The encoding's length is the
+// value's size in the syntax. All implementations are stateless and
+// safe for concurrent use.
 type Codec interface {
 	// ID returns the wire identifier of the syntax.
 	ID() SyntaxID
@@ -218,9 +206,6 @@ type Codec interface {
 	EncodeValue(dst []byte, v Value) ([]byte, error)
 	// DecodeValue decodes one value from the front of src.
 	DecodeValue(src []byte) (Value, int, error)
-	// SizeValue returns the exact encoded size of v in this syntax
-	// without encoding it.
-	SizeValue(v Value) (int, error)
 }
 
 // ByID returns the codec registered for id.
@@ -243,20 +228,4 @@ func ByID(id SyntaxID) (Codec, error) {
 // experiment harness.
 func Codecs() []Codec {
 	return []Codec{Raw{}, BER{}, XDR{}, LWTS{}}
-}
-
-// Roundtrip encodes v with c and decodes it back, for self-checks.
-func Roundtrip(c Codec, v Value) (Value, error) {
-	enc, err := c.EncodeValue(nil, v)
-	if err != nil {
-		return Value{}, err
-	}
-	out, n, err := c.DecodeValue(enc)
-	if err != nil {
-		return Value{}, err
-	}
-	if n != len(enc) {
-		return Value{}, fmt.Errorf("%w: decoded %d of %d bytes", ErrTrailing, n, len(enc))
-	}
-	return out, nil
 }

@@ -3,6 +3,7 @@ package xcode
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -33,35 +34,33 @@ func sampleValues() []Value {
 	}
 }
 
+// roundtrip encodes v with c and decodes it back, failing on bytes
+// left over.
+func roundtrip(c Codec, v Value) (Value, error) {
+	enc, err := c.EncodeValue(nil, v)
+	if err != nil {
+		return Value{}, err
+	}
+	out, n, err := c.DecodeValue(enc)
+	if err != nil {
+		return Value{}, err
+	}
+	if n != len(enc) {
+		return Value{}, fmt.Errorf("decoded %d of %d bytes", n, len(enc))
+	}
+	return out, nil
+}
+
 func TestRoundtripAllCodecs(t *testing.T) {
 	for _, c := range Codecs() {
 		for i, v := range sampleValues() {
-			got, err := Roundtrip(c, v)
+			got, err := roundtrip(c, v)
 			if err != nil {
 				t.Errorf("%s value %d (%v): %v", c.Name(), i, v.Kind, err)
 				continue
 			}
 			if !got.Equal(v) {
 				t.Errorf("%s value %d: roundtrip mismatch: got %+v want %+v", c.Name(), i, got, v)
-			}
-		}
-	}
-}
-
-func TestSizeValueExact(t *testing.T) {
-	for _, c := range Codecs() {
-		for i, v := range sampleValues() {
-			enc, err := c.EncodeValue(nil, v)
-			if err != nil {
-				t.Fatalf("%s value %d: %v", c.Name(), i, err)
-			}
-			size, err := c.SizeValue(v)
-			if err != nil {
-				t.Fatalf("%s SizeValue %d: %v", c.Name(), i, err)
-			}
-			if size != len(enc) {
-				t.Errorf("%s value %d (%v): SizeValue = %d, encoded %d bytes",
-					c.Name(), i, v.Kind, size, len(enc))
 			}
 		}
 	}
@@ -311,9 +310,6 @@ func TestUnsupportedKindErrors(t *testing.T) {
 		if _, err := c.EncodeValue(nil, bad); err == nil {
 			t.Errorf("%s: encoding bad kind succeeded", c.Name())
 		}
-		if _, err := c.SizeValue(bad); err == nil {
-			t.Errorf("%s: sizing bad kind succeeded", c.Name())
-		}
 	}
 }
 
@@ -385,11 +381,11 @@ func TestCrossCodecSizesOrdered(t *testing.T) {
 	v := Int32sValue(ints)
 	size := map[string]int{}
 	for _, c := range Codecs() {
-		n, err := c.SizeValue(v)
+		enc, err := c.EncodeValue(nil, v)
 		if err != nil {
 			t.Fatal(err)
 		}
-		size[c.Name()] = n
+		size[c.Name()] = len(enc)
 	}
 	if size["ber"] <= size["raw"] {
 		t.Errorf("BER (%d) should exceed raw (%d) for int arrays", size["ber"], size["raw"])
@@ -416,7 +412,7 @@ func TestRoundtripPropertyInt32s(t *testing.T) {
 	f := func(ints []int32) bool {
 		v := Int32sValue(ints)
 		for _, c := range Codecs() {
-			got, err := Roundtrip(c, v)
+			got, err := roundtrip(c, v)
 			if err != nil || !got.Equal(v) {
 				return false
 			}
@@ -432,7 +428,7 @@ func TestRoundtripPropertyBytes(t *testing.T) {
 	f := func(b []byte) bool {
 		v := BytesValue(b)
 		for _, c := range Codecs() {
-			got, err := Roundtrip(c, v)
+			got, err := roundtrip(c, v)
 			if err != nil || !got.Equal(v) {
 				return false
 			}
@@ -457,21 +453,12 @@ func TestSeqRoundtripAllCodecs(t *testing.T) {
 		Int32sValue([]int32{-1, 0, 1}),
 	)
 	for _, c := range Codecs() {
-		got, err := Roundtrip(c, rec)
+		got, err := roundtrip(c, rec)
 		if err != nil {
 			t.Fatalf("%s: %v", c.Name(), err)
 		}
 		if !got.Equal(rec) {
 			t.Errorf("%s: nested roundtrip mismatch: %+v", c.Name(), got)
-		}
-		// SizeValue must stay exact for nested values.
-		enc, _ := c.EncodeValue(nil, rec)
-		size, err := c.SizeValue(rec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if size != len(enc) {
-			t.Errorf("%s: SizeValue %d != encoded %d", c.Name(), size, len(enc))
 		}
 	}
 }
@@ -479,7 +466,7 @@ func TestSeqRoundtripAllCodecs(t *testing.T) {
 func TestSeqEmptyAndHomogeneous(t *testing.T) {
 	for _, c := range Codecs() {
 		// Empty sequence.
-		got, err := Roundtrip(c, SeqValue())
+		got, err := roundtrip(c, SeqValue())
 		if err != nil {
 			t.Fatalf("%s empty: %v", c.Name(), err)
 		}
@@ -489,7 +476,7 @@ func TestSeqEmptyAndHomogeneous(t *testing.T) {
 		// A seq of all-int32 values: BER legitimately decodes this as
 		// KindInt32s; Equal treats the forms as equal.
 		homo := SeqValue(Int32Value(1), Int32Value(2), Int32Value(3))
-		got, err = Roundtrip(c, homo)
+		got, err = roundtrip(c, homo)
 		if err != nil {
 			t.Fatalf("%s homo: %v", c.Name(), err)
 		}
@@ -508,9 +495,6 @@ func TestSeqDepthBombRejected(t *testing.T) {
 	for _, c := range Codecs() {
 		if _, err := c.EncodeValue(nil, deep); !errors.Is(err, ErrDepth) {
 			t.Errorf("%s: encode depth bomb err = %v", c.Name(), err)
-		}
-		if _, err := c.SizeValue(deep); !errors.Is(err, ErrDepth) {
-			t.Errorf("%s: size depth bomb err = %v", c.Name(), err)
 		}
 	}
 	// ...and crafted wire nesting must be refused at decode time. Build

@@ -98,41 +98,6 @@ func (x XDR) encode(dst []byte, v Value, depth int) ([]byte, error) {
 	}
 }
 
-// SizeValue implements Codec.
-func (x XDR) SizeValue(v Value) (int, error) {
-	return x.sizeOf(v, 0)
-}
-
-func (x XDR) sizeOf(v Value, depth int) (int, error) {
-	if depth > MaxDepth {
-		return 0, fmt.Errorf("%w: depth %d", ErrDepth, depth)
-	}
-	switch v.Kind {
-	case KindBytes:
-		return 8 + len(v.Bytes) + xdrPad(len(v.Bytes)), nil
-	case KindString:
-		return 8 + len(v.Str) + xdrPad(len(v.Str)), nil
-	case KindInt32:
-		return 8, nil
-	case KindInt64:
-		return 12, nil
-	case KindInt32s:
-		return 8 + 4*len(v.Ints), nil
-	case KindSeq:
-		total := 8
-		for i := range v.Seq {
-			n, err := x.sizeOf(v.Seq[i], depth+1)
-			if err != nil {
-				return 0, err
-			}
-			total += n
-		}
-		return total, nil
-	default:
-		return 0, fmt.Errorf("%w: %v in XDR", ErrKind, v.Kind)
-	}
-}
-
 // DecodeValue implements Codec.
 func (x XDR) DecodeValue(src []byte) (Value, int, error) {
 	return x.decode(src, 0)

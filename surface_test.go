@@ -80,8 +80,8 @@ var surfaceKeep = map[string]string{
 	"sim.Scheduler.RunFor":            "test accessor: the core and sim tests advance the clock by a span",
 	"udplink.LossyConn.SetDropNth":    "test oracle: the lossy-conn and path-equivalence tests drop an exact datagram pattern",
 	"xcode.Codecs":                    "test oracle: the codec tests and FuzzCodecs iterate every codec",
-	"xcode.Roundtrip":                 "test oracle: the codec tests and FuzzCodecs encode and decode through it",
 	"xcode.SeqValue":                  "test accessor: the codec tests and FuzzCodecs build nested values",
+	"xcode.Value.Equal":               "test oracle: the xcode, rpc, tracing-acceptance and integration tests and FuzzCodecs compare values through it",
 
 	"core.Sharded.Control":              "paper mechanism: the one cross-shard channel, applied at the epoch barrier in flow order; TestShardedControlDirectives drives it",
 	"ilp.ChecksumStage.Sum":             "test oracle: TestChecksumStageMatchesKernel and TestFusedPathEqualsLayeredPath compare the stage's checksum",
@@ -106,7 +106,7 @@ var surfaceKeep = map[string]string{
 // down: non-test lines outside benchmark/, and those of the planes that
 // watch the protocol.
 const (
-	locCeiling           = 21413
+	locCeiling           = 21299
 	observabilityCeiling = 3119
 )
 
@@ -326,6 +326,7 @@ func surfaceFindings(pkgs []*srcPkg) (found map[string]string, nnames, nfields i
 		skip := map[*ast.Ident]bool{}
 		for _, f := range p.files {
 			declared(f, skip)
+			selfUses(f, p.info, skip)
 			markWrites(f, p.info, set)
 		}
 		for id, o := range p.info.Uses {
@@ -456,6 +457,25 @@ func declared(f *ast.File, skip map[*ast.Ident]bool) map[*ast.Ident]bool {
 		}
 	}
 	return skip
+}
+
+// selfUses adds to skip every identifier in a function's body that
+// resolves to that function: a recursive call is not a use. The
+// standard library's export data shares the source's file set, so a
+// position names one declaration.
+func selfUses(f *ast.File, info *types.Info, skip map[*ast.Ident]bool) {
+	for _, d := range f.Decls {
+		fd, ok := d.(*ast.FuncDecl)
+		if !ok || fd.Body == nil {
+			continue
+		}
+		ast.Inspect(fd.Body, func(n ast.Node) bool {
+			if id, ok := n.(*ast.Ident); ok && info.Uses[id] != nil && origin(info.Uses[id]).Pos() == fd.Name.Pos() {
+				skip[id] = true
+			}
+			return true
+		})
+	}
 }
 
 // markWrites records in set every struct field that f assigns,
