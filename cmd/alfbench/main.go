@@ -481,6 +481,7 @@ func runUDP() error {
 	t.AddRow("ADUs delivered (exactly once, intact)", res.Delivered)
 	t.AddRow("wire drops injected", res.WireDrops)
 	t.AddRow("ADUs retransmitted", res.Resent)
+	t.AddRow("first NACKs sent early, on evidence", res.EarlyNacks)
 	t.AddRow("tag failures", res.AuthFails)
 	t.AddRow("data datagrams sent / messages / send calls", fmt.Sprintf("%d / %d / %d", res.Sent, res.TxMsgs, res.TxCalls))
 	t.AddRow("data datagrams received / messages / receive calls", fmt.Sprintf("%d / %d / %d", res.Recvd, res.RxMsgs, res.RxCalls))

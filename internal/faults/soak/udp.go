@@ -75,12 +75,13 @@ const (
 type UDPResult struct {
 	verdict
 
-	Delivered int64
-	Lost      int64
-	WireDrops int64 // datagrams eaten by the lossy conn
-	Resent    int64 // sender whole-ADU retransmissions
-	AuthFails int64 // receiver tag rejections
-	Elapsed   time.Duration
+	Delivered  int64
+	Lost       int64
+	WireDrops  int64 // datagrams eaten by the lossy conn
+	Resent     int64 // sender whole-ADU retransmissions
+	EarlyNacks int64 // first NACKs sent on evidence, before NackDelay
+	AuthFails  int64 // receiver tag rejections
+	Elapsed    time.Duration
 	// The data direction's socket work: datagrams, the messages that
 	// carried them (trains, on the batch path) and the system calls that
 	// carried those, as the sending and the receiving link counted them.
@@ -178,7 +179,7 @@ func RunUDP(cfg UDPConfig) (*UDPResult, error) {
 		res.violatef("%d tag failures on a path that only drops", res.AuthFails)
 	}
 	res.WireDrops = lossy.Dropped()
-	res.Resent = snd.Stats.ResentADUs
+	res.Resent, res.EarlyNacks = snd.Stats.ResentADUs, rcv.Stats.EarlyNacks
 	res.Sent, res.TxMsgs, res.TxCalls = dataLink.Sent(), dataLink.TxMsgs(), dataLink.TxCalls()
 	res.Recvd, res.RxMsgs, res.RxCalls = ctrlLink.Recvd(), ctrlLink.RxMsgs(), ctrlLink.RxCalls()
 	return res, nil

@@ -54,13 +54,16 @@ func TestUDPSoakLossy(t *testing.T) {
 		Seed:     1,
 		Suite:    alf.SuiteAEAD,
 	})
-	t.Logf("soak: %d ADUs in %v, %d wire drops, %d resends; %d datagrams sent in %d messages and %d calls, %d received in %d and %d",
-		res.Delivered, res.Elapsed.Round(time.Millisecond), res.WireDrops, res.Resent, res.Sent, res.TxMsgs, res.TxCalls, res.Recvd, res.RxMsgs, res.RxCalls)
+	t.Logf("soak: %d ADUs in %v, %d wire drops, %d resends, %d early NACKs; %d datagrams sent in %d messages and %d calls, %d received in %d and %d",
+		res.Delivered, res.Elapsed.Round(time.Millisecond), res.WireDrops, res.Resent, res.EarlyNacks, res.Sent, res.TxMsgs, res.TxCalls, res.Recvd, res.RxMsgs, res.RxCalls)
 	if res.WireDrops == 0 {
 		t.Error("lossy conn dropped nothing; soak did not exercise recovery")
 	}
 	if res.Resent == 0 {
 		t.Error("no retransmissions despite drops")
+	}
+	if res.EarlyNacks == 0 {
+		t.Error("no first NACK was timed from evidence; every repair waited NackDelay")
 	}
 }
 

@@ -91,10 +91,16 @@ func histLine(name string, hv *HistogramValue) string {
 		f(hv.Quantile(0.95)), f(hv.Quantile(0.99)), f(hv.Max))
 }
 
-// WriteText renders the snapshot as an aligned plain-text table, one
-// row per series, with populated histogram buckets indented beneath
-// their summary row (bars scale to the largest bucket).
+// WriteText writes the snapshot as String renders it.
 func (s *Snapshot) WriteText(w io.Writer) error {
+	_, err := io.WriteString(w, s.String())
+	return err
+}
+
+// String renders the snapshot as an aligned plain-text table, one row
+// per series, with populated histogram buckets indented beneath their
+// summary row (bars scale to the largest bucket).
+func (s *Snapshot) String() string {
 	nameW, kindW := len("metric"), len("type")
 	for i := range s.Metrics {
 		if n := len(s.Metrics[i].ID()); n > nameW {
@@ -104,58 +110,32 @@ func (s *Snapshot) WriteText(w io.Writer) error {
 			kindW = n
 		}
 	}
-	if _, err := fmt.Fprintf(w, "%-*s  %-*s  %s\n", nameW, "metric", kindW, "type", "value"); err != nil {
-		return err
-	}
-	if _, err := fmt.Fprintf(w, "%s  %s  %s\n",
-		strings.Repeat("-", nameW), strings.Repeat("-", kindW), strings.Repeat("-", len("value"))); err != nil {
-		return err
-	}
+	var b strings.Builder
+	fmt.Fprintf(&b, "%-*s  %-*s  %s\n", nameW, "metric", kindW, "type", "value")
+	fmt.Fprintf(&b, "%s  %s  %s\n", strings.Repeat("-", nameW), strings.Repeat("-", kindW), strings.Repeat("-", len("value")))
 	for i := range s.Metrics {
 		m := &s.Metrics[i]
-		var val string
-		if m.Kind == KindHistogram {
-			val = histLine(m.Name, m.Hist)
-		} else {
-			val = formatValue(m.Name, m.Value)
+		if m.Kind != KindHistogram {
+			fmt.Fprintf(&b, "%-*s  %-*s  %s\n", nameW, m.ID(), kindW, m.Kind.String(), formatValue(m.Name, m.Value))
+			continue
 		}
-		if _, err := fmt.Fprintf(w, "%-*s  %-*s  %s\n", nameW, m.ID(), kindW, m.Kind.String(), val); err != nil {
-			return err
-		}
-		if m.Kind == KindHistogram && m.Hist.Count > 0 {
-			if err := writeBuckets(w, m.Name, m.Hist); err != nil {
-				return err
-			}
+		fmt.Fprintf(&b, "%-*s  %-*s  %s\n", nameW, m.ID(), kindW, m.Kind.String(), histLine(m.Name, m.Hist))
+		if m.Hist.Count > 0 {
+			writeBuckets(&b, m.Name, m.Hist)
 		}
 	}
-	return nil
+	return b.String()
 }
 
 // writeBuckets renders the populated buckets of one histogram.
-func writeBuckets(w io.Writer, name string, hv *HistogramValue) error {
+func writeBuckets(b *strings.Builder, name string, hv *HistogramValue) {
 	var maxN int64
-	for _, b := range hv.Buckets {
-		if b.Count > maxN {
-			maxN = b.Count
-		}
+	for _, bk := range hv.Buckets {
+		maxN = max(maxN, bk.Count)
 	}
-	for _, b := range hv.Buckets {
-		lo := b.Lo
-		if lo < 0 {
-			lo = 0 // the <=0 bucket; render its floor as 0
-		}
-		bar := strings.Repeat("#", int(1+b.Count*24/maxN))
-		if _, err := fmt.Fprintf(w, "    [%12s, %12s]  %8d  %s\n",
-			formatValue(name, lo), formatValue(name, b.Hi), b.Count, bar); err != nil {
-			return err
-		}
+	for _, bk := range hv.Buckets {
+		lo := max(bk.Lo, 0) // the <=0 bucket; render its floor as 0
+		fmt.Fprintf(b, "    [%12s, %12s]  %8d  %s\n",
+			formatValue(name, lo), formatValue(name, bk.Hi), bk.Count, strings.Repeat("#", int(1+bk.Count*24/maxN)))
 	}
-	return nil
-}
-
-// String renders the snapshot as WriteText does.
-func (s *Snapshot) String() string {
-	var b strings.Builder
-	_ = s.WriteText(&b)
-	return b.String()
 }

@@ -31,7 +31,7 @@ func bindConnMetrics(r *metrics.Registry, c *Conn) connMetrics {
 	metrics.BindStats(r, "otp", &c.Stats, lb...)
 	r.GaugeFunc("otp.unacked_bytes", func() int64 { return int64(c.sndNxt - c.sndUna) }, lb...)
 	r.GaugeFunc("otp.ooo_buffered_bytes", func() int64 { return int64(c.oooBytes) }, lb...)
-	r.GaugeFunc("otp.srtt_ns", func() int64 { return int64(c.srtt) }, lb...)
+	r.GaugeFunc("otp.srtt_ns", func() int64 { return int64(c.rtt.SRTT) }, lb...)
 	return connMetrics{
 		segBytes: r.Histogram("otp.segment_bytes", lb...),
 		holStall: r.Histogram("otp.hol_stall_ns", lb...),

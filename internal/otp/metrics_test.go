@@ -45,7 +45,7 @@ func TestConnMetrics(t *testing.T) {
 	// metrics.TestStatsStructsBindEveryField.
 	for name, want := range map[string]int64{
 		"otp.retransmits":   snd.Stats.Retransmits,
-		"otp.srtt_ns":       int64(snd.SRTT()),
+		"otp.srtt_ns":       int64(snd.rtt.SRTT),
 		"otp.unacked_bytes": 0,
 	} {
 		if got := snap.Value(name, "conn=0"); got != want {

@@ -171,8 +171,7 @@ type Conn struct {
 	recoverPt  int64 // sndNxt when recovery began
 
 	// RTT estimation (Jacobson/Karn).
-	srtt, rttvar sim.Duration
-	rto          sim.Duration
+	rtt          sim.RTT
 	timedSeq     int64    // segment whose RTT is being measured
 	timedAt      sim.Time // when it was sent
 	timingActive bool
@@ -217,7 +216,7 @@ func New(sched *sim.Scheduler, send func(*buf.Ref) error, cfg Config) *Conn {
 		// conservative start keeps a fast sender from overrunning a
 		// small receiver before the first ACK returns.
 		peerWnd: cfg.MSS,
-		rto:     cfg.InitialRTO,
+		rtt:     sim.RTT{RTO: cfg.InitialRTO},
 		ooo:     make(map[int64]*buf.Ref),
 	}
 	c.rtoTimer = sched.NewTimer(c.onTimeout)
@@ -263,13 +262,7 @@ func (c *Conn) Send(data []byte) error {
 
 // sendWindow returns how many bytes past sndUna the sender may have in
 // flight: the lesser of our configured window and the peer's advert.
-func (c *Conn) sendWindow() int {
-	w := c.cfg.SendWindow
-	if c.peerWnd < w {
-		w = c.peerWnd
-	}
-	return w
-}
+func (c *Conn) sendWindow() int { return min(c.cfg.SendWindow, c.peerWnd) }
 
 // pump transmits new segments while window and data allow.
 func (c *Conn) pump() {
@@ -285,13 +278,7 @@ func (c *Conn) pump() {
 			// always accepted by the receiver, so this cannot livelock.
 			room = 1
 		}
-		n := int(c.sndEnd - c.sndNxt)
-		if n > c.cfg.MSS {
-			n = c.cfg.MSS
-		}
-		if n > room {
-			n = room
-		}
+		n := min(int(c.sndEnd-c.sndNxt), c.cfg.MSS, room)
 		off := int(c.sndNxt - c.sndUna)
 		c.transmit(c.sndNxt, c.sndBuf[off:off+n], false)
 		c.sndNxt += int64(n)
@@ -318,7 +305,7 @@ func (c *Conn) transmit(seq int64, payload []byte, isRetx bool) {
 	}
 	_ = c.send(seg) // a segment the network refuses is a loss, which the RTO recovers
 	if !c.rtoTimer.Active() {
-		c.rtoTimer.Reset(c.rto)
+		c.rtoTimer.Reset(c.rtt.RTO)
 	}
 }
 
@@ -338,13 +325,7 @@ func (c *Conn) makeSegment(flags byte, seq int64, payload []byte) *buf.Ref {
 
 // recvWindowAvail is the receive window we can advertise: configured
 // capacity minus out-of-order bytes held.
-func (c *Conn) recvWindowAvail() int {
-	a := c.cfg.RecvWindow - c.oooBytes
-	if a < 0 {
-		a = 0
-	}
-	return a
-}
+func (c *Conn) recvWindowAvail() int { return max(c.cfg.RecvWindow-c.oooBytes, 0) }
 
 // onTimeout handles RTO expiry: retransmit the oldest outstanding
 // segment and back off.
@@ -360,16 +341,14 @@ func (c *Conn) onTimeout() {
 	}
 	c.timingActive = false // Karn: discard the sample
 	c.enterRecovery()
-	n := int(c.sndNxt - c.sndUna)
-	if n > c.cfg.MSS {
-		n = c.cfg.MSS
-	}
-	c.transmit(c.sndUna, c.sndBuf[:n], true)
-	c.rto *= 2
-	if c.rto > c.cfg.MaxRTO {
-		c.rto = c.cfg.MaxRTO
-	}
-	c.rtoTimer.Reset(c.rto)
+	c.resendOldest()
+	c.rtt.Backoff(c.cfg.MaxRTO)
+	c.rtoTimer.Reset(c.rtt.RTO)
+}
+
+// resendOldest retransmits the oldest outstanding segment.
+func (c *Conn) resendOldest() {
+	c.transmit(c.sndUna, c.sndBuf[:min(int(c.sndNxt-c.sndUna), c.cfg.MSS)], true)
 }
 
 // markDead terminates the connection: all timers stop, writes return
@@ -454,12 +433,12 @@ func (c *Conn) handleAck(ack int64) {
 		c.timeoutStreak = 0 // forward progress: the peer is alive
 		// RTT sample (Karn-filtered).
 		if c.timingActive && ack >= c.timedSeq {
-			c.sample(c.sched.Now().Sub(c.timedAt))
+			c.rtt.Sample(c.sched.Now().Sub(c.timedAt), c.cfg.MinRTO, c.cfg.MaxRTO)
 			c.timingActive = false
-		} else if c.srtt > 0 {
+		} else if c.rtt.SRTT > 0 {
 			// Forward progress collapses any exponential backoff back
 			// to the estimator-derived timeout.
-			c.deriveRTO()
+			c.rtt.Derive(c.cfg.MinRTO, c.cfg.MaxRTO)
 		}
 		if c.inRecovery {
 			if ack >= c.recoverPt {
@@ -467,17 +446,13 @@ func (c *Conn) handleAck(ack int64) {
 			} else {
 				// Partial ACK: the next hole starts at the new sndUna;
 				// retransmit it now rather than after another timeout.
-				n := int(c.sndNxt - c.sndUna)
-				if n > c.cfg.MSS {
-					n = c.cfg.MSS
-				}
-				c.transmit(c.sndUna, c.sndBuf[:n], true)
+				c.resendOldest()
 			}
 		}
 		if c.sndUna == c.sndNxt {
 			c.rtoTimer.Stop()
 		} else {
-			c.rtoTimer.Reset(c.rto)
+			c.rtoTimer.Reset(c.rtt.RTO)
 		}
 		if c.OnAcked != nil {
 			c.OnAcked(c.sndUna)
@@ -489,11 +464,7 @@ func (c *Conn) handleAck(ack int64) {
 		if c.cfg.FastRetransmit && c.dupAcks == 3 {
 			c.Stats.FastRetransmit++
 			c.enterRecovery()
-			n := int(c.sndNxt - c.sndUna)
-			if n > c.cfg.MSS {
-				n = c.cfg.MSS
-			}
-			c.transmit(c.sndUna, c.sndBuf[:n], true)
+			c.resendOldest()
 		}
 	}
 }
@@ -501,45 +472,8 @@ func (c *Conn) handleAck(ack int64) {
 // enterRecovery records the stream point that ends loss recovery.
 func (c *Conn) enterRecovery() {
 	c.inRecovery = true
-	if c.sndNxt > c.recoverPt {
-		c.recoverPt = c.sndNxt
-	}
+	c.recoverPt = max(c.recoverPt, c.sndNxt)
 }
-
-// sample folds one RTT measurement into SRTT/RTTVAR and derives the RTO
-// (Jacobson's algorithm).
-func (c *Conn) sample(rtt sim.Duration) {
-	if c.srtt == 0 {
-		c.srtt = rtt
-		c.rttvar = rtt / 2
-	} else {
-		d := c.srtt - rtt
-		if d < 0 {
-			d = -d
-		}
-		c.rttvar = (3*c.rttvar + d) / 4
-		c.srtt = (7*c.srtt + rtt) / 8
-	}
-	c.deriveRTO()
-}
-
-// deriveRTO recomputes the timeout from the smoothed estimators,
-// clamped to the configured bounds.
-func (c *Conn) deriveRTO() {
-	c.rto = c.srtt + 4*c.rttvar
-	if c.rto < c.cfg.MinRTO {
-		c.rto = c.cfg.MinRTO
-	}
-	if c.rto > c.cfg.MaxRTO {
-		c.rto = c.cfg.MaxRTO
-	}
-}
-
-// RTO returns the current retransmission timeout (for tests).
-func (c *Conn) RTO() sim.Duration { return c.rto }
-
-// SRTT returns the smoothed round-trip estimate (for tests).
-func (c *Conn) SRTT() sim.Duration { return c.srtt }
 
 func (c *Conn) handleData(seq int64, payload []byte) {
 	end := seq + int64(len(payload))

@@ -374,12 +374,12 @@ func TestRTTEstimation(t *testing.T) {
 	p := newPair(t, netsim.LinkConfig{Delay: 10 * time.Millisecond}, Config{}, 1)
 	p.sender.Send(pattern(50_000))
 	p.sched.Run()
-	srtt := p.sender.SRTT()
+	srtt := p.sender.rtt.SRTT
 	if srtt < 15*time.Millisecond || srtt > 40*time.Millisecond {
 		t.Errorf("SRTT = %v, want ~20ms", srtt)
 	}
-	if p.sender.RTO() < p.sender.cfg.MinRTO {
-		t.Errorf("RTO %v below MinRTO", p.sender.RTO())
+	if p.sender.rtt.RTO < p.sender.cfg.MinRTO {
+		t.Errorf("RTO %v below MinRTO", p.sender.rtt.RTO)
 	}
 }
 
@@ -394,8 +394,8 @@ func TestRTOBacksOffUnderBlackout(t *testing.T) {
 	if c.Stats.Timeouts < 5 {
 		t.Errorf("timeouts = %d, want several", c.Stats.Timeouts)
 	}
-	if c.RTO() != 100*time.Millisecond {
-		t.Errorf("RTO = %v, want clamped at 100ms", c.RTO())
+	if c.rtt.RTO != 100*time.Millisecond {
+		t.Errorf("RTO = %v, want clamped at 100ms", c.rtt.RTO)
 	}
 	if c.Acked() != 0 {
 		t.Error("black hole acked data?")

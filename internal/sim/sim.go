@@ -363,3 +363,43 @@ func (t *Timer) Stop() { t.ev.Cancel() }
 
 // Active reports whether the timer is armed.
 func (t *Timer) Active() bool { return t.ev.Scheduled() }
+
+// When returns the instant the timer fires, and false when it is
+// stopped.
+func (t *Timer) When() (Time, bool) {
+	if !t.Active() {
+		return 0, false
+	}
+	return t.s.queue[t.ev.index].at, true
+}
+
+// RTT is the RFC 6298 round-trip estimator (Jacobson's algorithm, with
+// Karn's rule left to the caller): the smoothed round trip, its mean
+// deviation, and the timeout derived from the two, SRTT + 4·RTTVar.
+// The zero value has no sample; SRTT stays zero until one arrives.
+type RTT struct {
+	SRTT, RTTVar, RTO Duration
+}
+
+// Sample folds one measured round trip into SRTT and RTTVar and derives
+// RTO within [lo, hi].
+func (e *RTT) Sample(rtt, lo, hi Duration) {
+	if e.SRTT == 0 {
+		e.SRTT, e.RTTVar = rtt, rtt/2
+	} else {
+		d := e.SRTT - rtt
+		if d < 0 {
+			d = -d
+		}
+		e.RTTVar = (3*e.RTTVar + d) / 4
+		e.SRTT = (7*e.SRTT + rtt) / 8
+	}
+	e.Derive(lo, hi)
+}
+
+// Derive sets RTO to SRTT + 4·RTTVar clamped to [lo, hi], collapsing any
+// backoff.
+func (e *RTT) Derive(lo, hi Duration) { e.RTO = min(max(e.SRTT+4*e.RTTVar, lo), hi) }
+
+// Backoff doubles RTO, capped at hi: the timeout it set went unanswered.
+func (e *RTT) Backoff(hi Duration) { e.RTO = min(2*e.RTO, hi) }

@@ -464,3 +464,61 @@ func TestEveryPanicsOnNonPositivePeriod(t *testing.T) {
 	}()
 	NewScheduler().Every(0, func() bool { return false })
 }
+
+// TestTimerWhen: When reads the armed deadline, follows a re-arm while
+// pending (the heap slot moves), and is false once stopped or fired.
+func TestTimerWhen(t *testing.T) {
+	s := NewScheduler()
+	tm := s.NewTimer(func() {})
+	if _, ok := tm.When(); ok {
+		t.Fatal("new timer reports a deadline")
+	}
+	s.After(time.Second, func() {}) // a neighbour in the heap
+	tm.Reset(3 * time.Second)
+	tm.Reset(500 * time.Millisecond)
+	if at, ok := tm.When(); !ok || at != Time(500*time.Millisecond) {
+		t.Fatalf("When = %v, %v; want 500ms, true", at, ok)
+	}
+	s.Run()
+	if _, ok := tm.When(); ok {
+		t.Fatal("fired timer reports a deadline")
+	}
+	tm.Reset(time.Second)
+	tm.Stop()
+	if _, ok := tm.When(); ok {
+		t.Fatal("stopped timer reports a deadline")
+	}
+}
+
+// TestRTT holds the estimator to RFC 6298 §2 in integer nanoseconds:
+// the first sample sets SRTT = R and RTTVAR = R/2, later ones fold in
+// with gains 1/8 and 1/4, RTO = SRTT + 4·RTTVAR is clamped to [lo, hi],
+// Backoff doubles it up to hi, and Derive undoes a backoff.
+func TestRTT(t *testing.T) {
+	const lo, hi = 2 * time.Millisecond, time.Second
+	var e RTT
+	e.Sample(10*time.Millisecond, lo, hi)
+	if e.SRTT != 10*time.Millisecond || e.RTTVar != 5*time.Millisecond || e.RTO != 30*time.Millisecond {
+		t.Fatalf("after the first sample: %+v", e)
+	}
+	e.Sample(2*time.Millisecond, lo, hi)
+	// RTTVAR = (3·5 + |10−2|)/4 = 5.75 ms; SRTT = (7·10 + 2)/8 = 9 ms.
+	if e.SRTT != 9*time.Millisecond || e.RTTVar != 5750*time.Microsecond || e.RTO != 32*time.Millisecond {
+		t.Fatalf("after the second sample: %+v", e)
+	}
+	for i := 0; i < 10; i++ {
+		e.Backoff(hi)
+	}
+	if e.RTO != hi {
+		t.Fatalf("backed-off RTO %v, want capped at %v", e.RTO, hi)
+	}
+	e.Derive(lo, hi)
+	if e.RTO != 32*time.Millisecond {
+		t.Fatalf("Derive left RTO at %v, want 32ms", e.RTO)
+	}
+	var tiny RTT
+	tiny.Sample(100*time.Microsecond, lo, hi)
+	if tiny.RTO != lo {
+		t.Fatalf("RTO %v below the floor %v", tiny.RTO, lo)
+	}
+}

@@ -25,15 +25,8 @@ func (r *Recorder) WriteCSV(w io.Writer) error {
 		b.WriteString(strings.ReplaceAll(s.ID, ",", ";"))
 	}
 	b.WriteByte('\n')
-	if _, err := io.WriteString(w, b.String()); err != nil {
-		return err
-	}
-	if r == nil {
-		return nil
-	}
 	win := r.window()
 	for j := 0; j < win; j++ {
-		b.Reset()
 		fmt.Fprintf(&b, "%d,%.6f", r.ticks-win+j+1, sim.Time(r.times.at(j)).Seconds())
 		for _, s := range series {
 			b.WriteByte(',')
@@ -42,11 +35,9 @@ func (r *Recorder) WriteCSV(w io.Writer) error {
 			}
 		}
 		b.WriteByte('\n')
-		if _, err := io.WriteString(w, b.String()); err != nil {
-			return err
-		}
 	}
-	return nil
+	_, err := io.WriteString(w, b.String())
+	return err
 }
 
 // Sparkline renders the last width samples of a series as an ASCII
@@ -97,17 +88,14 @@ func (r *Recorder) WriteSparklines(w io.Writer, filter string, width int) error 
 		_, err := fmt.Fprintf(w, "no recorded series match %q\n", filter)
 		return err
 	}
+	var b strings.Builder
 	win := r.window()
 	if win == 0 { // bound, but no tick has fired yet
-		if _, err := fmt.Fprintf(w, "flight record: 0 ticks (interval %v)\n", r.cfg.Interval); err != nil {
-			return err
-		}
-		return r.WriteIncidents(w)
-	}
-	from, to := sim.Time(r.times.at(0)), sim.Time(r.times.at(win-1))
-	if _, err := fmt.Fprintf(w, "flight record: %d ticks, %v .. %v (interval %v)\n",
-		r.ticks, from, to, r.cfg.Interval); err != nil {
-		return err
+		fmt.Fprintf(&b, "flight record: 0 ticks (interval %v)\n", r.cfg.Interval)
+		series = nil
+	} else {
+		fmt.Fprintf(&b, "flight record: %d ticks, %v .. %v (interval %v)\n",
+			r.ticks, sim.Time(r.times.at(0)), sim.Time(r.times.at(win-1)), r.cfg.Interval)
 	}
 	idW := 0
 	for _, s := range series {
@@ -124,38 +112,36 @@ func (r *Recorder) WriteSparklines(w io.Writer, filter string, width int) error 
 				hi = v
 			}
 		}
-		if _, err := fmt.Fprintf(w, "%-*s |%s| min=%d max=%d last=%d (%s)\n",
-			idW, s.ID, Sparkline(s, width), lo, hi, s.Last(), s.Kind); err != nil {
-			return err
-		}
+		fmt.Fprintf(&b, "%-*s |%s| min=%d max=%d last=%d (%s)\n",
+			idW, s.ID, Sparkline(s, width), lo, hi, s.Last(), s.Kind)
 	}
-	return r.WriteIncidents(w)
+	r.incidentText(&b)
+	_, err := io.WriteString(w, b.String())
+	return err
 }
 
 // WriteIncidents renders the incident log, one line per incident.
 func (r *Recorder) WriteIncidents(w io.Writer) error {
+	var b strings.Builder
+	r.incidentText(&b)
+	_, err := io.WriteString(w, b.String())
+	return err
+}
+
+func (r *Recorder) incidentText(b *strings.Builder) {
 	if r == nil || len(r.incidents) == 0 {
-		return nil
+		return
 	}
-	if _, err := fmt.Fprintf(w, "incidents (%d", len(r.incidents)); err != nil {
-		return err
-	}
+	fmt.Fprintf(b, "incidents (%d", len(r.incidents))
 	if r.incidentsDropped > 0 {
-		if _, err := fmt.Fprintf(w, ", %d older dropped", r.incidentsDropped); err != nil {
-			return err
-		}
+		fmt.Fprintf(b, ", %d older dropped", r.incidentsDropped)
 	}
-	if _, err := fmt.Fprintln(w, "):"); err != nil {
-		return err
-	}
+	b.WriteString("):\n")
 	for _, inc := range r.incidents {
 		target := inc.Series
 		if target == "" {
 			target = "-"
 		}
-		if _, err := fmt.Fprintf(w, "  %12v  %-20s %s: %s\n", inc.At, inc.Detector, target, inc.Message); err != nil {
-			return err
-		}
+		fmt.Fprintf(b, "  %12v  %-20s %s: %s\n", inc.At, inc.Detector, target, inc.Message)
 	}
-	return nil
 }

@@ -375,8 +375,14 @@ func (r *Recorder) Ticks() int {
 	return r.ticks
 }
 
-// window returns how many trailing ticks are retained.
-func (r *Recorder) window() int { return r.times.length() }
+// window returns how many trailing ticks are retained (none on a nil
+// recorder).
+func (r *Recorder) window() int {
+	if r == nil {
+		return 0
+	}
+	return r.times.length()
+}
 
 // Series returns the recorded series with the exact id, or nil.
 func (r *Recorder) Series(id string) *Series {

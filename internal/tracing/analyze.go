@@ -157,9 +157,7 @@ func mergeSpans(spans []span) int64 {
 	cur := spans[0]
 	for _, s := range spans[1:] {
 		if s.from <= cur.to {
-			if s.to > cur.to {
-				cur.to = s.to
-			}
+			cur.to = max(cur.to, s.to)
 			continue
 		}
 		total += cur.to - cur.from
@@ -183,13 +181,7 @@ func coverageTime(arrivals []arrival, off, end int64) (ready, first sim.Time) {
 	var have int64
 	want := end - off
 	for _, a := range arrivals {
-		lo, hi := a.off, a.end
-		if lo < off {
-			lo = off
-		}
-		if hi > end {
-			hi = end
-		}
+		lo, hi := max(a.off, off), min(a.end, end)
 		if lo >= hi {
 			continue
 		}
@@ -257,15 +249,15 @@ func (t *Tracer) Analyze() *Report {
 	openFaults := make(map[uint64]int) // flow -> index into r.Faults
 
 	for _, e := range events {
+		var a *ADUTrace // set by an event that belongs to one ALF ADU
 		switch e.Kind {
 		case ADUSubmit:
-			a := getADU(e.ID, e.ADU)
+			a = getADU(e.ID, e.ADU)
 			a.Submitted = e.At
 			a.Size = e.Len
 			a.Tag = e.Tag
-			a.Events = append(a.Events, e)
 		case FragTX, FragRetx, ParityTX:
-			a := getADU(e.ID, e.ADU)
+			a = getADU(e.ID, e.ADU)
 			if a.FirstTX == Unset {
 				a.FirstTX = e.At
 			}
@@ -277,9 +269,8 @@ func (t *Tracer) Analyze() *Report {
 			case ParityTX:
 				a.Parity++
 			}
-			a.Events = append(a.Events, e)
 		case FragRX, ParityRX:
-			a := getADU(e.ID, e.ADU)
+			a = getADU(e.ID, e.ADU)
 			if a.FirstRX == Unset {
 				a.FirstRX = e.At
 			}
@@ -294,36 +285,30 @@ func (t *Tracer) Analyze() *Report {
 					}
 				}
 			}
-			a.Events = append(a.Events, e)
 		case NackTX:
-			a := getADU(e.ID, e.ADU)
+			a = getADU(e.ID, e.ADU)
 			a.Nacks++
 			k := aduKey{e.ID, e.ADU}
 			nackOpen[k] = append(nackOpen[k], openNack{e.At, e.Flow})
-			a.Events = append(a.Events, e)
 		case ChecksumFail:
-			a := getADU(e.ID, e.ADU)
+			a = getADU(e.ID, e.ADU)
 			a.ChecksumFails++
-			a.Events = append(a.Events, e)
 		case ADUDeliver:
-			a := getADU(e.ID, e.ADU)
+			a = getADU(e.ID, e.ADU)
 			a.Outcome = "delivered"
 			a.Settled = e.At
-			a.Events = append(a.Events, e)
 		case ADULoss:
-			a := getADU(e.ID, e.ADU)
+			a = getADU(e.ID, e.ADU)
 			if a.Outcome == "pending" {
 				a.Outcome = "lost"
 				a.Settled = e.At
 			}
-			a.Events = append(a.Events, e)
 		case ADUExpire:
-			a := getADU(e.ID, e.ADU)
+			a = getADU(e.ID, e.ADU)
 			if a.Outcome == "pending" {
 				a.Outcome = "expired"
 				a.Settled = e.At
 			}
-			a.Events = append(a.Events, e)
 
 		case MsgSubmit:
 			c := getConn(e.ID)
@@ -356,10 +341,9 @@ func (t *Tracer) Analyze() *Report {
 		case NetQueue:
 			switch e.Proto {
 			case wire.KindData:
-				a := getADU(e.ID, e.ADU)
+				a = getADU(e.ID, e.ADU)
 				a.Attr.Queueing += e.Dur
 				a.Attr.Serialization += e.Dur2
-				a.Events = append(a.Events, e)
 			case wire.KindOTPData:
 				for _, m := range getConn(e.ID).msgs {
 					if e.Off < m.End && e.Off+int64(e.Len) > m.Off {
@@ -371,9 +355,8 @@ func (t *Tracer) Analyze() *Report {
 		case NetDeliver:
 			switch e.Proto {
 			case wire.KindData:
-				a := getADU(e.ID, e.ADU)
+				a = getADU(e.ID, e.ADU)
 				a.Attr.Propagation += e.Dur
-				a.Events = append(a.Events, e)
 			case wire.KindOTPData:
 				for _, m := range getConn(e.ID).msgs {
 					if e.Off < m.End && e.Off+int64(e.Len) > m.Off {
@@ -385,9 +368,8 @@ func (t *Tracer) Analyze() *Report {
 			r.Drops[e.Cause]++
 			switch e.Proto {
 			case wire.KindData:
-				a := getADU(e.ID, e.ADU)
+				a = getADU(e.ID, e.ADU)
 				a.Drops++
-				a.Events = append(a.Events, e)
 			case wire.KindOTPData:
 				getConn(e.ID).drops = append(getConn(e.ID).drops, e)
 			}
@@ -400,6 +382,9 @@ func (t *Tracer) Analyze() *Report {
 				r.Faults[i].End = e.At
 				delete(openFaults, e.Flow)
 			}
+		}
+		if a != nil {
+			a.Events = append(a.Events, e)
 		}
 	}
 
@@ -424,10 +409,7 @@ func (t *Tracer) Analyze() *Report {
 			a.Attr.NetTransit = a.FirstRX.Sub(a.FirstTX)
 		}
 		if a.Outcome == "delivered" && a.FirstRX != Unset {
-			a.Attr.Reassembly = a.Settled.Sub(a.FirstRX) - a.Attr.RetransmitWait
-			if a.Attr.Reassembly < 0 {
-				a.Attr.Reassembly = 0
-			}
+			a.Attr.Reassembly = max(a.Settled.Sub(a.FirstRX)-a.Attr.RetransmitWait, 0)
 		}
 		if a.Submitted != Unset && a.Settled != Unset {
 			a.Attr.Total = a.Settled.Sub(a.Submitted)
@@ -450,6 +432,12 @@ func (t *Tracer) Analyze() *Report {
 	for _, id := range connIDs {
 		c := conns[byte(id)]
 		for _, m := range c.msgs {
+			m.Ready, m.FirstRX = coverageTime(c.arrivals, m.Off, m.End)
+			// A lost-then-recovered segment's wait lives between its
+			// first (lost) transmission and the last transmission that
+			// preceded the first arrival; transit proper is only that
+			// last copy's flight time. Without retransmissions
+			// lastTX == FirstTX and the terms reduce to the plain split.
 			lastTX := Unset // latest transmission not after first arrival
 			for _, e := range c.txs {
 				if e.Off < m.End && e.Off+int64(e.Len) > m.Off {
@@ -459,6 +447,9 @@ func (t *Tracer) Analyze() *Report {
 					if e.Kind == SegRetx {
 						m.Retx++
 					}
+					if m.FirstRX != Unset && e.At <= m.FirstRX {
+						lastTX = e.At
+					}
 				}
 			}
 			for _, e := range c.drops {
@@ -466,24 +457,11 @@ func (t *Tracer) Analyze() *Report {
 					m.Drops++
 				}
 			}
-			m.Ready, m.FirstRX = coverageTime(c.arrivals, m.Off, m.End)
 			for _, e := range c.delivers {
 				if e.Off+int64(e.Len) >= m.End {
 					m.Delivered = e.At
 					m.Outcome = "delivered"
 					break
-				}
-			}
-			// A lost-then-recovered segment's wait lives between its
-			// first (lost) transmission and the last transmission that
-			// preceded the first arrival; transit proper is only that
-			// last copy's flight time. Without retransmissions
-			// lastTX == FirstTX and the terms reduce to the plain split.
-			if m.FirstRX != Unset {
-				for _, e := range c.txs {
-					if e.Off < m.End && e.Off+int64(e.Len) > m.Off && e.At <= m.FirstRX {
-						lastTX = e.At
-					}
 				}
 			}
 			if m.FirstTX != Unset {

@@ -73,33 +73,31 @@ func (r *Report) WriteSummary(w io.Writer) {
 		fmt.Fprintf(w, "stalls: %d windows, %s blocked\n", len(r.Stalls), fmtDur(total))
 	}
 	if len(r.Drops) > 0 {
-		var causes []string
-		for c := range r.Drops {
-			causes = append(causes, c)
-		}
-		sort.Strings(causes)
 		fmt.Fprintf(w, "net drops:")
-		for _, c := range causes {
-			fmt.Fprintf(w, " %s=%d", c, r.Drops[c])
-		}
-		fmt.Fprintln(w)
+		writeTally(w, r.Drops)
 	}
 	if len(r.Faults) > 0 {
 		byKind := make(map[string]int)
 		for _, f := range r.Faults {
 			byKind[f.Kind]++
 		}
-		var kinds []string
-		for k := range byKind {
-			kinds = append(kinds, k)
-		}
-		sort.Strings(kinds)
 		fmt.Fprintf(w, "faults: %d windows", len(r.Faults))
-		for _, k := range kinds {
-			fmt.Fprintf(w, " %s=%d", k, byKind[k])
-		}
-		fmt.Fprintln(w)
+		writeTally(w, byKind)
 	}
+}
+
+// writeTally ends a summary line with " key=count" for each key of m,
+// in sorted order.
+func writeTally(w io.Writer, m map[string]int) {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	for _, k := range keys {
+		fmt.Fprintf(w, " %s=%d", k, m[k])
+	}
+	fmt.Fprintln(w)
 }
 
 // WriteAttrTable prints the per-unit latency attribution table: one

@@ -91,6 +91,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 
 	"repro/internal/checksum"
 	"repro/internal/xcode"
@@ -320,7 +321,9 @@ func frontierAt(t Type) int {
 
 func encodeNames(buf []byte, t Type, stream, relay byte, cum uint64, list []uint64) []byte {
 	at := frontierAt(t)
-	msg := append(buf[:0], make([]byte, at+10+8*len(list)+2)...)
+	n := at + 10 + 8*len(list) + 2
+	msg := slices.Grow(buf[:0], n)[:n] // no temporary, even under -race
+	clear(msg)
 	msg[0] = byte(t)
 	msg[1] = stream
 	if t == TypeCA {
