@@ -7,8 +7,21 @@ import "testing"
 // count, because each shard owns its trunk and no serializing hot spot
 // exists between them. The measurement is virtual time, so the
 // assertion is deterministic and holds under -race on any host —
-// BenchmarkFlowScale is the same curve at benchmark scale.
+// BenchmarkFlowScale is the same curve at benchmark scale. Each point's
+// virtual-time figures are pinned too, so a change to how the shard
+// plane is driven cannot move what it computes.
 func TestFlowScaleNearLinear(t *testing.T) {
+	pins := map[int]struct {
+		events     uint64
+		virtualSec float64
+		maxQueue   int64
+		aggMbps    float64
+	}{
+		1: {36864, 0.036506944, 746, 919.1246465329992},
+		2: {36864, 0.018353472, 374, 1828.2334808367593},
+		4: {36864, 0.0092856, 189, 3613.5986904454207},
+		8: {36864, 0.004747232, 96, 7068.209853657879},
+	}
 	var pts []FlowScalePoint
 	for _, n := range []int{1, 2, 4, 8} {
 		p, err := RunFlowScale(FlowScaleConfig{
@@ -21,6 +34,12 @@ func TestFlowScaleNearLinear(t *testing.T) {
 		})
 		if err != nil {
 			t.Fatal(err)
+		}
+		if w := pins[n]; p.EventsFired != w.events || p.VirtualSec != w.virtualSec ||
+			p.MaxTrunkQueue != w.maxQueue || p.AggMbps != w.aggMbps {
+			t.Fatalf("shards=%d: events=%d makespan=%v maxq=%d agg=%v, want %d %v %d %v",
+				n, p.EventsFired, p.VirtualSec, p.MaxTrunkQueue, p.AggMbps,
+				w.events, w.virtualSec, w.maxQueue, w.aggMbps)
 		}
 		pts = append(pts, p)
 	}
