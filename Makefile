@@ -43,13 +43,12 @@ loc:
 # (Observe from many goroutines) — counts are Stats fields and levels
 # GaugeFuncs, both single-goroutine — parallel hosts the worker-pool
 # dispatch experiment, buf's refcounts are atomic by contract, and the
-# sharded endpoint (core + sim.Group + the experiments flow-scale
+# sharded endpoint (core's Sharded.Run + the experiments flow-scale
 # sweep) drains per-shard schedulers from a worker pool — its
 # determinism and near-linear-scaling tests must hold under -race.
 # telemetry rides along: the flight recorder samples the same registry
-# the workers write, and its barrier-sampled FlowScale determinism
-# test is part of the experiments run. The real-socket soak family runs
-# udplink's reader goroutines against its loop, so it rides along too.
+# the workers write. The real-socket soak family runs udplink's reader
+# goroutines against its loop, so it rides along too.
 race:
 	$(GO) test -race ./internal/metrics ./internal/core ./internal/otp ./internal/parallel ./internal/buf ./internal/netsim ./internal/sim ./internal/telemetry ./internal/udplink
 	$(GO) test -race -run 'FlowScale' ./internal/experiments

@@ -25,12 +25,11 @@
 // bandwidth — turns §3's rate-based transmission control into a
 // no-collapse guarantee under overload. The shard plane (§7) scales an
 // endpoint to very large flow populations: alf.Sharded hashes flows
-// over N shards, each owning a scheduler (sim.Group runs them in
-// parallel with epoch barriers), a buffer arena, a scoped metrics
-// view, and a trunk, with cross-shard effects confined to a
-// control-directive queue applied at barriers — so the worker count
-// never changes results, only wall-clock. docs/SCALING.md documents
-// that contract and the scaling curve.
+// over N shards, each owning a scheduler, a buffer arena, and a trunk;
+// the shards share nothing, so each runs alone to quiescence on a pool
+// of workers — and the worker count never changes results, only
+// wall-clock. docs/SCALING.md documents that contract and the scaling
+// curve.
 //
 // The root package holds the benchmark suite (bench_test.go), one
 // benchmark per table or figure in DESIGN.md, plus BenchmarkFlowScale,

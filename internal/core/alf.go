@@ -36,13 +36,12 @@
 // application — never in byte offsets.
 //
 // For large flow populations, Sharded scales the same endpoints out
-// (§7): flows hash over per-shard schedulers, buffer arenas, metrics
-// views, and trunks (sim.Group runs the shards in parallel with epoch
-// barriers), with cross-shard effects confined to control directives
-// applied at barriers. ADUs carry enough information to control their
-// own delivery, so no serializing hot spot connects the shards, and
-// the worker count executing them cannot change results — only
-// wall-clock. See docs/SCALING.md and ExampleSharded.
+// (§7): flows hash over per-shard schedulers, buffer arenas, and
+// trunks, and the shards share nothing, so each runs alone to
+// quiescence on a pool of workers. ADUs carry enough information to
+// control their own delivery, so no serializing hot spot connects the
+// shards, and the worker count executing them cannot change results —
+// only wall-clock. See docs/SCALING.md and ExampleSharded.
 package alf
 
 import (
@@ -267,21 +266,21 @@ type Config struct {
 	// to end.
 	Pool *buf.Pool
 
-	// Encap, when non-empty, is an encapsulation prefix stamped in
+	// encap, when non-empty, is an encapsulation prefix stamped in
 	// front of the ALF header on every data-plane wire packet the
-	// sender emits — the hook an outer demultiplexer (e.g. the sharded
-	// endpoint's 8-byte flow id) uses to route packets without parsing
-	// ALF headers. The prefix is written once at stamp time into the
-	// same pooled buffer (headroom is reserved during packetization),
-	// so retransmissions of retained fragments carry it for free and
-	// the zero-copy path stays intact. The outer layer must strip the
-	// prefix before Receiver.HandlePacket; the receiver adds
-	// len(Encap) back per accepted packet when accounting WireBytes so
-	// the sender's feedback loop sees consistent byte counts. Encap
-	// rides outside the MTU budget, and the sender does not prefix
-	// control-plane []byte sends (heartbeats) — the outer layer frames
-	// those itself.
-	Encap []byte
+	// sender emits — the hook the sharded endpoint's demultiplexer
+	// (Sharded.AddFlow sets its 8-byte flow id here) uses to route
+	// packets without parsing ALF headers. The prefix is written once
+	// at stamp time into the same pooled buffer (headroom is reserved
+	// during packetization), so retransmissions of retained fragments
+	// carry it for free and the zero-copy path stays intact. The outer
+	// layer must strip the prefix before Receiver.HandlePacket; the
+	// receiver adds len(encap) back per accepted packet when accounting
+	// WireBytes so the sender's feedback loop sees consistent byte
+	// counts. encap rides outside the MTU budget, and the sender does
+	// not prefix control-plane []byte sends (heartbeats) — the outer
+	// layer frames those itself.
+	encap []byte
 
 	// FeedbackInterval, when non-zero, has the receiver periodically
 	// report cumulative delivery counters (wire bytes accepted, verified

@@ -311,11 +311,40 @@ func TestSenderCustodyRelease(t *testing.T) {
 	// Without the opt-in, the same ack must release nothing.
 	snd2, _ := testSender(s, func([]byte) error { return nil }, Config{})
 	snd2.Send(0, xcode.SyntaxRaw, make([]byte, 100))
-	snd2.HandleControl(wire.EncodeCustody(&wire.CustodyAck{Stream: 0, Cum: 10}))
+	snd2.HandleControl(wire.EncodeCustody(&wire.CustodyAck{Stream: 0, Cum: 1}))
 	if got := snd2.BufferedADUs(); got != 1 {
 		t.Fatalf("custody ack released retention without Config.Custody: %d buffered", got)
 	}
 	if snd2.Stats.CustodyAcks != 0 {
 		t.Fatal("custody ack counted without Config.Custody")
+	}
+}
+
+// TestCustodyBeyondNextNameDropped: a custody ack whose frontier passes
+// every name the sender has spent is counted and dropped, and a listed
+// name not yet spent is ignored rather than remembered as released.
+func TestCustodyBeyondNextNameDropped(t *testing.T) {
+	s := sim.NewScheduler()
+	snd, _ := testSender(s, func([]byte) error { return nil }, Config{Custody: true})
+	for i := 0; i < 3; i++ {
+		snd.Send(uint64(i), xcode.SyntaxRaw, make([]byte, 100))
+	}
+	err := snd.HandleControl(wire.EncodeCustody(&wire.CustodyAck{Stream: 0, Cum: 1 << 40}))
+	if !errors.Is(err, ErrBadHeader) || snd.Stats.CtrlDropped != 1 || snd.Stats.CustodyAcks != 0 {
+		t.Fatalf("err %v, %d dropped, %d acks: want ErrBadHeader, 1, 0",
+			err, snd.Stats.CtrlDropped, snd.Stats.CustodyAcks)
+	}
+	if got := snd.BufferedADUs(); got != 3 {
+		t.Fatalf("%d ADUs retained after a frontier beyond the next name, want 3", got)
+	}
+	ack := wire.EncodeCustody(&wire.CustodyAck{Stream: 0, Cum: 0, Names: []uint64{1, 3, 1 << 40}})
+	if err := snd.HandleControl(ack); err != nil {
+		t.Fatal(err)
+	}
+	if got := snd.BufferedADUs(); got != 2 || snd.Stats.CustodyReleased != 1 {
+		t.Fatalf("%d ADUs retained, %d released, want 2 and 1", got, snd.Stats.CustodyReleased)
+	}
+	if len(snd.custodyDone) != 1 {
+		t.Fatalf("custody remembers %d names, want only the spent name 1", len(snd.custodyDone))
 	}
 }

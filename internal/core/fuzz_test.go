@@ -2,8 +2,10 @@ package alf
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"repro/internal/sim"
 	"repro/internal/wire"
@@ -92,13 +94,45 @@ func TestForgedControlCannotInflateState(t *testing.T) {
 	if snd.BufferedBytes() != before {
 		t.Error("forged control changed retention")
 	}
-	// A forged cum beyond everything releases the buffer — that is the
-	// protocol's trust model (control channel is trusted); verify it is
-	// at least bounded and non-panicking.
-	forged2 := wire.EncodeControl(nil, &wire.Control{Stream: 0, Cum: 1 << 60})
-	snd.HandleControl(forged2)
+	// A forged cum beyond every name sent is dropped; one at the next
+	// name still releases the buffer — the control channel is trusted
+	// up to the frontier the sender itself declared.
+	snd.HandleControl(wire.EncodeControl(nil, &wire.Control{Stream: 0, Cum: 1 << 60}))
+	if snd.BufferedBytes() != before || snd.Stats.CtrlDropped != 1 {
+		t.Errorf("cum beyond the next name: %d bytes retained (want %d), %d dropped",
+			snd.BufferedBytes(), before, snd.Stats.CtrlDropped)
+	}
+	snd.HandleControl(wire.EncodeControl(nil, &wire.Control{Stream: 0, Cum: snd.NextName()}))
 	if snd.BufferedBytes() != 0 {
 		t.Error("cum release failed")
+	}
+}
+
+// TestFrontierBeyondNextNameDropped: a CTRL whose cumulative frontier
+// passes every name the sender has spent — a corrupted header that
+// survived the 16-bit checksum — is counted and dropped. Trusted, it
+// would release every retained ADU and leave the heartbeat parked for
+// good, so a later ADU's tail loss would never be detected.
+func TestFrontierBeyondNextNameDropped(t *testing.T) {
+	s := sim.NewScheduler()
+	snd, _ := testSender(s, func([]byte) error { return nil }, Config{})
+	for i := 0; i < 5; i++ {
+		snd.Send(uint64(i), xcode.SyntaxRaw, payload(100, byte(i)))
+	}
+	err := snd.HandleControl(wire.EncodeControl(nil, &wire.Control{Stream: 0, Cum: 1 << 40}))
+	if !errors.Is(err, ErrBadHeader) || snd.Stats.CtrlDropped != 1 || snd.Stats.CtrlReceived != 0 {
+		t.Fatalf("err %v, %d dropped, %d received: want ErrBadHeader, 1, 0",
+			err, snd.Stats.CtrlDropped, snd.Stats.CtrlReceived)
+	}
+	if got := snd.BufferedADUs(); got != 5 || snd.Stats.Released != 0 {
+		t.Fatalf("%d ADUs retained, %d released after a frontier beyond the next name, want 5 and 0",
+			got, snd.Stats.Released)
+	}
+	snd.Send(5, xcode.SyntaxRaw, payload(100, 5))
+	hb := snd.Stats.Heartbeats
+	s.RunFor(time.Second)
+	if snd.Stats.Heartbeats == hb {
+		t.Fatal("no heartbeat in the second after a Send: tail loss would go undetected")
 	}
 }
 
@@ -289,6 +323,9 @@ func FuzzHandleControl(f *testing.F) {
 		snd.HandleControl(pkt)
 		if snd.BufferedBytes() > before {
 			t.Fatalf("control input grew retention %d -> %d", before, snd.BufferedBytes())
+		}
+		if snd.lastCum > snd.NextName() {
+			t.Fatalf("control input moved the frontier to %d, past the next name %d", snd.lastCum, snd.NextName())
 		}
 	})
 }

@@ -202,11 +202,11 @@ func (r *Receiver) HandlePacket(pkt []byte) error {
 	// Count the wire volume before the late/duplicate filters: the
 	// feedback loop measures what the network delivered, and a duplicate
 	// did cross the path. Corrupt packets are excluded — corruption is
-	// loss from the loop's point of view. A configured Encap prefix was
+	// loss from the loop's point of view. A configured encap prefix was
 	// stripped by the outer demux before this call; add it back so the
 	// count matches the sender's WireBytes and the loop's loss fraction
 	// is not skewed by phantom missing bytes.
-	r.Stats.WireBytes += int64(len(pkt) + len(r.cfg.Encap))
+	r.Stats.WireBytes += int64(len(pkt) + len(r.cfg.encap))
 	r.armFeedback()
 	sl := r.names.at(h.Name)
 	if h.Name < r.cum || (sl != nil && sl.settled) {

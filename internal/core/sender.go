@@ -461,7 +461,7 @@ func (s *Sender) packetize(name uint64, data []byte, frags []wireFrag) ([]wireFr
 		parityLen int      // blob length (first, longest fragment of the group)
 		inGroup   int      // data fragments accumulated
 	)
-	headroom := HeaderSize + len(s.cfg.Encap)
+	headroom := HeaderSize + len(s.cfg.encap)
 	for off, last := 0, false; !last; {
 		n := len(data) - off
 		if n > frag {
@@ -523,10 +523,10 @@ func (s *Sender) stamp(name, tag uint64, syntax xcode.SyntaxID, totalLen int, ck
 		h.FragOff = f.off
 		h.FragLen = f.n
 		wire.PutHeader(f.ref.Prepend(HeaderSize), &h)
-		if len(s.cfg.Encap) > 0 {
+		if len(s.cfg.encap) > 0 {
 			// The outer demux prefix, stamped once into the reserved
 			// headroom; resends of retained fragments reuse it as-is.
-			copy(f.ref.Prepend(len(s.cfg.Encap)), s.cfg.Encap)
+			copy(f.ref.Prepend(len(s.cfg.encap)), s.cfg.encap)
 		}
 	}
 }
@@ -621,7 +621,8 @@ func (s *Sender) emit(pkt *buf.Ref, priority bool, markNext uint64, ref fragRef)
 
 // HandleControl processes a message from the receiver on the control
 // channel: cumulative releases and per-ADU recovery requests (CTRL),
-// or a delivery report (FB) for the rate-control loop.
+// or a delivery report (FB) for the rate-control loop. A frontier past
+// NextName is dropped and counted in CtrlDropped.
 func (s *Sender) HandleControl(pkt []byte) error {
 	switch wire.TypeOf(pkt) {
 	case wire.TypeFB:
@@ -636,6 +637,14 @@ func (s *Sender) HandleControl(pkt []byte) error {
 	}
 	if c.Stream != s.cfg.StreamID {
 		return ErrWrongStream
+	}
+	if c.Cum > s.nextName {
+		// A frontier past every name this sender has spent: almost
+		// certainly a corrupted header that survived the 16-bit check.
+		// Trusted, it would release all retention and park the
+		// heartbeat that detects tail loss.
+		s.Stats.CtrlDropped++
+		return fmt.Errorf("%w: CTRL frontier %d beyond next name %d", ErrBadHeader, c.Cum, s.nextName)
 	}
 	s.Stats.CtrlReceived++
 	if c.Cum > s.lastCum {
@@ -727,6 +736,11 @@ func (s *Sender) handleCustody(pkt []byte) error {
 	if ca.Stream != s.cfg.StreamID {
 		return ErrWrongStream
 	}
+	if ca.Cum > s.nextName {
+		// The same corruption defence as for a CTRL frontier.
+		s.Stats.CtrlDropped++
+		return fmt.Errorf("%w: custody frontier %d beyond next name %d", ErrBadHeader, ca.Cum, s.nextName)
+	}
 	if !s.cfg.Custody {
 		// The application did not opt in; a custody ack must not
 		// release anything.
@@ -759,7 +773,7 @@ func (s *Sender) handleCustody(pkt []byte) error {
 		release(w.base)
 	}
 	for _, name := range ca.Names {
-		if name < s.custodyCum {
+		if name < s.custodyCum || name >= s.nextName {
 			continue
 		}
 		release(name)

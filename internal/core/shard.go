@@ -8,14 +8,11 @@ package alf
 // millions of concurrent ALF flows:
 //
 //   - A flow table hashes every flow (ShardOf) onto one of N shards.
-//   - Each shard owns a private event scheduler (one shard of a
-//     sim.Group), a private buf.Pool arena, a private netsim.Network
-//     with its own trunk links and seeded RNG, and a scoped metrics
-//     view. Nothing on a shard's datapath is shared, so shards run on
-//     parallel goroutines with no locks and no false sharing.
-//   - Cross-shard traffic is limited to the control plane: directives
-//     (Control) and completion detection cross shards only
-//     at epoch barriers, where every shard is idle and clocks agree.
+//   - Each shard owns a private event scheduler, a private buf.Pool
+//     arena, and a private netsim.Network with its own trunk links and
+//     seeded RNG. Shards share nothing, so each runs alone to
+//     quiescence on a parallel goroutine, with no locks, no barriers
+//     and no false sharing.
 //
 // The execution model separates two knobs deliberately. Shards is
 // topology: it fixes the flow hash, the per-shard RNG seeds, and the
@@ -27,7 +24,8 @@ package alf
 import (
 	"encoding/binary"
 	"fmt"
-	"time"
+	"sync"
+	"sync/atomic"
 
 	"repro/internal/buf"
 	"repro/internal/metrics"
@@ -37,7 +35,7 @@ import (
 )
 
 // FlowID names one flow of a sharded endpoint. The id is carried on
-// the wire as an 8-byte encapsulation prefix (Config.Encap) in front
+// the wire as an 8-byte encapsulation prefix (Config.encap) in front
 // of every ALF packet, so the destination shard can route a packet to
 // its flow without parsing ALF headers — the ADU's own naming
 // information is the dispatch key (§7).
@@ -62,12 +60,6 @@ type Delivery struct {
 	Bytes int
 }
 
-// ctrlEpoch is the barrier period of the control plane, in virtual
-// time: how often cross-shard directives apply and completion is
-// checked. It is the parallel-simulation lookahead — shards never
-// interact inside an epoch.
-const ctrlEpoch = 20 * time.Millisecond
-
 // ShardedConfig parameterizes a sharded endpoint.
 type ShardedConfig struct {
 	// Shards is the number of logical shards (default 1). Shards is
@@ -82,7 +74,7 @@ type ShardedConfig struct {
 	// Seed derives every shard's netsim RNG (seed ^ shard-specific
 	// mix), so one value pins the whole run.
 	Seed int64
-	// Flow is the per-flow Config template. StreamID, Pool, Encap, and
+	// Flow is the per-flow Config template. StreamID, Pool, encap, and
 	// Metrics are overwritten per flow/shard; everything else (Policy,
 	// MTU, rates, FEC, ...) applies to each flow as written. Tracer
 	// must be nil when Workers > 1 (the span recorder is not
@@ -112,8 +104,8 @@ func (c *ShardedConfig) fill() {
 // Flow is one ALF stream of a sharded endpoint: a Sender on the
 // shard's client node and a Receiver on its server node, wired through
 // the shard's trunk. Both halves run on the owning shard's scheduler;
-// touch them only from that shard's callbacks or while the group is
-// idle.
+// touch them only from that shard's callbacks or while the endpoint
+// is idle.
 type Flow struct {
 	ID       FlowID
 	Sender   *Sender
@@ -152,7 +144,7 @@ func (f *Flow) frame(l *netsim.Link, p []byte) error {
 }
 
 // sendRef is the zero-copy data path: the fragment already carries the
-// flow id (stamped into its Encap headroom), so it goes straight onto
+// flow id (stamped into its encap headroom), so it goes straight onto
 // the trunk, ownership transferring to the link.
 func (f *Flow) sendRef(ref *buf.Ref) error { return f.shard.up.SendRef(ref) }
 
@@ -169,8 +161,7 @@ func (f *Flow) onADU(adu ADU) {
 }
 
 // Shard is one parallel slice of a sharded endpoint. Everything it
-// reaches — scheduler, pool arena, network, flows — is private to it
-// between barriers.
+// reaches — scheduler, pool arena, network, flows — is private to it.
 type Shard struct {
 	index int
 	sched *sim.Scheduler
@@ -182,36 +173,17 @@ type Shard struct {
 	up, down       *netsim.Link
 
 	flows map[FlowID]*Flow
-	order []FlowID // insertion-ordered; sorted before deterministic sweeps
-	dirty bool     // order needs re-sorting
 
 	logOn bool
 	log   []Delivery
 	last  sim.Time // most recent delivery (default OnADU handler)
 }
 
-// Index returns the shard's position in the group.
+// Index returns the shard's position in the endpoint.
 func (sh *Shard) Index() int { return sh.index }
 
 // Scheduler returns the shard's private event scheduler.
 func (sh *Shard) Scheduler() *sim.Scheduler { return sh.sched }
-
-// sorted returns the shard's flow ids in ascending order. Every sweep
-// that touches all flows iterates this slice, never the map: map order
-// would leak goroutine-invisible nondeterminism into directive
-// application order exactly the way the PR-2 receiver-scan bug did.
-func (sh *Shard) sorted() []FlowID {
-	if sh.dirty {
-		ids := sh.order
-		for i := 1; i < len(ids); i++ {
-			for j := i; j > 0 && ids[j] < ids[j-1]; j-- {
-				ids[j], ids[j-1] = ids[j-1], ids[j]
-			}
-		}
-		sh.dirty = false
-	}
-	return sh.order
-}
 
 // demuxData routes an arriving trunk packet (DATA, HB) to its flow's
 // receiver by the 8-byte flow-id prefix.
@@ -238,17 +210,12 @@ func (sh *Shard) demuxCtrl(p *netsim.Packet) {
 }
 
 // Sharded is a transport endpoint sharded over N parallel workers: the
-// flow table, the shard array, and the barrier-synchronized control
-// plane. Construct with NewSharded, add flows, schedule traffic, Run.
+// flow table and the shard array. Construct with NewSharded, add flows,
+// schedule traffic, Run.
 type Sharded struct {
 	cfg    ShardedConfig
-	group  *sim.Group
 	shards []*Shard
 	flows  int
-
-	// directives queued by Control, applied at the next
-	// epoch barrier in (shard, ascending flow id) order.
-	directives []func(*Flow)
 }
 
 // NewSharded builds the shard array: per shard one scheduler, one pool
@@ -265,11 +232,11 @@ func NewSharded(cfg ShardedConfig) (*Sharded, error) {
 		return nil, fmt.Errorf("%w: Flow.Tracer is not shard-safe with Workers > 1", ErrConfig)
 	}
 	cfg.fill()
-	t := &Sharded{cfg: cfg, group: sim.NewGroup(cfg.Shards)}
+	t := &Sharded{cfg: cfg}
 	for i := 0; i < cfg.Shards; i++ {
 		sh := &Shard{
 			index: i,
-			sched: t.group.Shard(i),
+			sched: sim.NewScheduler(),
 			pool:  buf.NewPool(),
 			flows: make(map[FlowID]*Flow),
 			logOn: cfg.LogDeliveries,
@@ -289,9 +256,9 @@ func NewSharded(cfg ShardedConfig) (*Sharded, error) {
 }
 
 // LastDelivery returns the virtual time of the latest ADU delivery
-// across all shards — the workload makespan, free of the post-drain
-// epochs Run spends sweeping parked timers. Only maintained by the
-// default per-flow OnADU handler.
+// across all shards — the workload makespan, free of the parked
+// timers Run fires after it. Only maintained by the default per-flow
+// OnADU handler.
 func (t *Sharded) LastDelivery() sim.Time {
 	var max sim.Time
 	for _, sh := range t.shards {
@@ -303,10 +270,16 @@ func (t *Sharded) LastDelivery() sim.Time {
 }
 
 // Fired returns the total events executed across all shard schedulers.
-func (t *Sharded) Fired() uint64 { return t.group.Fired() }
+func (t *Sharded) Fired() uint64 {
+	var total uint64
+	for _, sh := range t.shards {
+		total += sh.sched.Fired()
+	}
+	return total
+}
 
 // AddFlow creates flow id on its hash-assigned shard and returns it.
-// Call only while the group is idle (before Run or between runs).
+// Call only while the endpoint is idle (before Run or between runs).
 func (t *Sharded) AddFlow(id FlowID) (*Flow, error) {
 	sh := t.shards[ShardOf(id, len(t.shards))]
 	if _, dup := sh.flows[id]; dup {
@@ -319,7 +292,7 @@ func (t *Sharded) AddFlow(id FlowID) (*Flow, error) {
 	cfg.StreamID = byte(id) // secondary check; the encap prefix routes
 	cfg.Pool = sh.pool
 	cfg.Metrics = nil // per-flow series would not scale; Stats aggregates flows
-	cfg.Encap = f.encap[:]
+	cfg.encap = f.encap[:]
 
 	snd, err := NewSender(sh.sched, f.sendUp, cfg)
 	if err != nil {
@@ -334,46 +307,35 @@ func (t *Sharded) AddFlow(id FlowID) (*Flow, error) {
 	f.Sender, f.Receiver = snd, rcv
 
 	sh.flows[id] = f
-	sh.order = append(sh.order, id)
-	sh.dirty = true
 	t.flows++
 	return f, nil
 }
 
-// Control queues a directive for every flow, applied single-threaded
-// at the next epoch barrier in (shard, ascending flow id) order — the
-// only cross-shard channel. Safe to call between runs or from a
-// previous directive; never call it from shard callbacks.
-func (t *Sharded) Control(fn func(*Flow)) {
-	t.directives = append(t.directives, fn)
-}
-
-// exchange is the barrier callback: apply queued directives while all
-// shards are idle and aligned. Returns whether new work may exist.
-func (t *Sharded) exchange(sim.Time) bool {
-	more := len(t.directives) > 0
-	if more {
-		ds := t.directives
-		t.directives = nil
-		for _, sh := range t.shards {
-			for _, id := range sh.sorted() {
-				f := sh.flows[id]
-				for _, d := range ds {
-					d(f)
-				}
-			}
+// Run drains every shard's scheduler to quiescence, up to Workers
+// shards at a time. Shards share nothing, so each runs alone to its
+// end; a worker that finishes one claims the next through an atomic
+// cursor (cheap work stealing), so a slow shard never leaves idle
+// workers behind a static partition. Senders' heartbeat/retire timers
+// park themselves once their streams settle, so a healthy run
+// terminates on its own.
+func (t *Sharded) Run() {
+	var (
+		next atomic.Int64
+		wg   sync.WaitGroup
+	)
+	drain := func() {
+		defer wg.Done()
+		for i := int(next.Add(1)) - 1; i < len(t.shards); i = int(next.Add(1)) - 1 {
+			_ = t.shards[i].sched.Run()
 		}
 	}
-	return more
-}
-
-// Run drains the endpoint to quiescence: epochs of ctrlEpoch virtual
-// time executed by up to Workers goroutines, directives applied at
-// each barrier, ending when every shard's queue is empty and no
-// directives remain. Senders' heartbeat/retire timers park themselves
-// once their streams settle, so a healthy run terminates on its own.
-func (t *Sharded) Run() {
-	t.group.RunEpochs(ctrlEpoch, t.cfg.Workers, t.exchange)
+	workers := min(t.cfg.Workers, len(t.shards))
+	wg.Add(workers)
+	for w := 1; w < workers; w++ {
+		go drain()
+	}
+	drain()
+	wg.Wait()
 }
 
 // Deliveries merges the per-shard delivery logs (LogDeliveries) into
@@ -404,7 +366,7 @@ func (t *Sharded) Deliveries() []Delivery {
 
 // ShardedStats aggregates every flow's endpoint counters and every
 // trunk's link counters. Field-by-field sums of the per-flow structs;
-// computed on demand, so call it while the group is idle.
+// computed on demand, so call it while the endpoint is idle.
 type ShardedStats struct {
 	Flows int
 	Send  SenderStats
@@ -412,14 +374,13 @@ type ShardedStats struct {
 	Trunk netsim.LinkStats // both directions of every shard trunk
 }
 
-// Stats sweeps shards and flows in deterministic order and returns the
-// aggregate.
+// Stats sweeps shards and flows and returns the aggregate. Every field
+// is a sum or a maximum of integers, so the map's order cannot show.
 func (t *Sharded) Stats() ShardedStats {
 	var out ShardedStats
 	out.Flows = t.flows
 	for _, sh := range t.shards {
-		for _, id := range sh.sorted() {
-			f := sh.flows[id]
+		for _, f := range sh.flows {
 			metrics.AddStats(&out.Send, &f.Sender.Stats)
 			metrics.AddStats(&out.Recv, &f.Receiver.Stats)
 		}

@@ -110,57 +110,6 @@ func TestShardedDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
-// TestShardedControlDirectives: directives apply at epoch barriers to
-// every flow, in deterministic order, and only at barriers.
-func TestShardedControlDirectives(t *testing.T) {
-	ep, err := NewSharded(ShardedConfig{
-		Shards: 2,
-		Seed:   7,
-		Flow:   Config{Policy: NoRetransmit, RateBps: 1e6},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for id := 0; id < 8; id++ {
-		if _, err := ep.AddFlow(FlowID(id)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	var order []FlowID
-	ep.Control(func(f *Flow) { order = append(order, f.ID) })
-	ep.Control(func(f *Flow) { f.Sender.SetRate(5e5) })
-	ep.Run()
-	if len(order) != 8 {
-		t.Fatalf("directive visited %d flows, want 8", len(order))
-	}
-	// Within each shard ids ascend; shards visit in index order.
-	seen := map[FlowID]bool{}
-	last := -1
-	shard := -1
-	for _, id := range order {
-		s := ShardOf(id, 2)
-		if s != shard {
-			if s < shard {
-				t.Fatalf("shards out of order in %v", order)
-			}
-			shard, last = s, -1
-		}
-		if int(id) < last {
-			t.Fatalf("ids out of order in %v", order)
-		}
-		last = int(id)
-		seen[id] = true
-	}
-	if len(seen) != 8 {
-		t.Fatalf("directive missed flows: %v", order)
-	}
-	for id := FlowID(0); id < 8; id++ {
-		if got := ep.shards[ShardOf(id, len(ep.shards))].flows[id].Sender.Rate(); got != 5e5 {
-			t.Fatalf("flow %d rate %v after a SetRate(5e5) directive", id, got)
-		}
-	}
-}
-
 // TestShardedEncapRoundtrip: the 8-byte flow-id encapsulation routes
 // data, heartbeats, control, and feedback between the right endpoint
 // pairs even when many flows share a trunk, and the feedback loop's

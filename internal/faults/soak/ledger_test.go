@@ -6,9 +6,11 @@ import (
 	"slices"
 	"strings"
 	"testing"
+	"time"
 
 	alf "repro/internal/core"
 	"repro/internal/metrics"
+	"repro/internal/netsim"
 )
 
 // TestLedgerClassifies feeds the ledger one ADU per way the
@@ -87,6 +89,32 @@ func TestLedgerClassifies(t *testing.T) {
 	}
 	if v.Passed() {
 		t.Error("verdict with violations passed")
+	}
+}
+
+// TestFinishCatchesRetainedADU: a stream whose return link drops every
+// frame delivers its ADU, but no release ever reaches the sender, and
+// once HeartbeatLimit unanswered heartbeats park its timer the loop
+// goes quiet with the ADU still retained. finish must report that, not
+// just the ledger's account, which is clean.
+func TestFinishCatchesRetainedADU(t *testing.T) {
+	var v verdict
+	r := newRig(&v, Planes{}, 1, 100*time.Millisecond)
+	a, b := r.net.NewNode("a"), r.net.NewNode("b")
+	out := r.net.NewLink(a, b, netsim.LinkConfig{RateBps: 1e6, Delay: time.Millisecond})
+	back := r.net.NewLink(b, a, netsim.LinkConfig{RateBps: 1e6, Delay: time.Millisecond, LossProb: 1})
+	led, err := r.connect("", 64, a, b, out, back, alf.Config{HeartbeatLimit: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.offer(led, 1, func(int) time.Duration { return 0 }, nil)
+	r.finish(time.Minute, func() { led.settle(true) }, func() {})
+	if led.good != 1 {
+		t.Fatalf("%d ADUs delivered, want 1", led.good)
+	}
+	want := []string{"1 ADUs still retained after drain"}
+	if !slices.Equal(v.Violations, want) {
+		t.Fatalf("violations %q, want %q", v.Violations, want)
 	}
 }
 
