@@ -106,7 +106,8 @@ benchmark-smoke:
 # the 16-bit reference at any alignment and split, the wide keystream
 # loops against scalar Block at any counter, offset, length and split
 # (and two adjacent ranges sealed through one chain, and a row of free
-# counters whose lane is handed in as the head), the kernel's
+# counters whose lane is handed in as the head), the AEAD against the
+# standard library's TLS 1.2 ChaCha20-Poly1305 records, the kernel's
 # Poly1305 blocks against MAC.block at any message, block count, r and
 # accumulator, the fused AEAD kernels against the staged ones on
 # clean and corrupted fragments, and the presentation decoders (BER,
@@ -134,6 +135,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeBERInt32sInto$$' -fuzztime $(FUZZTIME) ./internal/ilp
 	$(GO) test -run '^$$' -fuzz '^FuzzKeystreamWide$$' -fuzztime $(FUZZTIME) ./internal/cipher
 	$(GO) test -run '^$$' -fuzz '^FuzzPolyKernel$$' -fuzztime $(FUZZTIME) ./internal/cipher
+	$(GO) test -run '^$$' -fuzz '^FuzzStdlibOracle$$' -fuzztime $(FUZZTIME) ./internal/cipher
 	$(GO) test -run '^$$' -fuzz '^FuzzCodecs$$' -fuzztime $(FUZZTIME) ./internal/xcode
 	$(GO) test -run '^$$' -fuzz '^FuzzSession$$' -fuzztime $(FUZZTIME) ./internal/session
 	$(GO) test -run '^$$' -fuzz '^FuzzCell$$' -fuzztime $(FUZZTIME) ./internal/atm
@@ -188,15 +190,18 @@ lint: vet
 # testing.AllocsPerRun == 0; the bench run reports the same numbers
 # with -benchmem for the log. Set-up rides along: an endpoint pair, an
 # OTP connection and a duplex link built without a registry stay under
-# a fixed allocation count (NilRegistryBindsNothing), so metric
-# bindings cannot creep back into per-flow state. And the disabled
+# a fixed allocation count (NilRegistryBindsNothing: 6 for the pair),
+# so metric bindings cannot creep back into per-flow state; a sharded
+# flow costs at most 9 allocations to add (AddFlowAllocs, the set-up of
+# flows_sharded_64k), and summing its counters into Sharded.Stats none
+# (metrics' AddStatsZeroAlloc). And the disabled
 # tracer: no hook allocates on a nil *Tracer (DisabledTracerOverhead),
 # and the compiler must still say it inlines Emit, which is what makes
 # an endpoint event on a nil tracer a branch and not a call. The copy,
 # XOR and checksum kernels under all of it are in the bench run too.
 alloc-guard:
 	@$(GO) build -gcflags=-m ./internal/tracing 2>&1 | grep -q 'can inline (\*Tracer).Emit$$' || { echo "(*Tracer).Emit no longer inlines"; exit 1; }
-	$(GO) test -count=1 -run 'ZeroAlloc|NilRegistryBindsNothing|DisabledTracerOverhead' -v ./internal/core ./internal/udplink ./internal/otp ./internal/netsim ./internal/tracing
+	$(GO) test -count=1 -run 'ZeroAlloc|NilRegistryBindsNothing|AddFlowAllocs|DisabledTracerOverhead' -v ./internal/core ./internal/udplink ./internal/otp ./internal/netsim ./internal/tracing ./internal/metrics
 	$(GO) test -run '^$$' -bench 'SendSteadyState|ReceivePath|FECSender|FECRepair|NetsimForward|LinkDeepQueue|SchedulerDeep|FusedCopySum|Sum16|WordCopy4KB|XORWords' -benchmem ./internal/core ./internal/netsim ./internal/sim ./internal/ilp ./internal/checksum
 
 # Bounds-check gate on the copy / checksum kernels and on the keystream

@@ -29,7 +29,9 @@ func sealedADU(cfg *Config, st *sealState, name uint64, data []byte, frags [][]b
 // benchmarks below share.
 func aeadADU() (*Config, []byte, [][]byte) {
 	cfg := &Config{Suite: SuiteAEAD, Key: 0xFEEDFACE}
-	cfg.fill()
+	if err := cfg.prepare(); err != nil {
+		panic(err)
+	}
 	data := make([]byte, benchADUBytes)
 	for i := range data {
 		data[i] = byte(i)

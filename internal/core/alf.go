@@ -319,7 +319,7 @@ type Config struct {
 	// semantic change the application must ask for.
 	Custody bool
 	// suite is Suite's row of the cipher-suite table (crypto.go) and
-	// aeadKey the ChaCha20 key expanded from Key; fill sets both, so the
+	// aeadKey the ChaCha20 key expanded from Key; prepare sets both, so the
 	// per-fragment path neither looks a suite up nor re-expands a key.
 	suite   *suiteOps
 	aeadKey cipher.Key
@@ -340,7 +340,7 @@ type Config struct {
 // negative rates, an MTU with no room for a payload, negative
 // durations or counts — with a descriptive error naming the field.
 // Zero values are not errors: they take the documented defaults in
-// fill. NewSender and NewReceiver call Validate, so a nonsense config
+// prepare. NewSender and NewReceiver call Validate, so a nonsense config
 // fails loudly at construction instead of misbehaving silently.
 func (c *Config) Validate() error {
 	if c.RateBps < 0 {
@@ -423,7 +423,12 @@ func (c *Config) Validate() error {
 	return nil
 }
 
-func (c *Config) fill() {
+// prepare validates c, fills in its defaults and checks that the MTU
+// leaves a fragment payload: what NewSender and NewReceiver both do first.
+func (c *Config) prepare() error {
+	if err := c.Validate(); err != nil {
+		return err
+	}
 	c.suite = &suites[c.Suite]
 	if c.Suite == SuiteAEAD {
 		c.aeadKey = cipher.ExpandKey(c.Key)
@@ -470,6 +475,10 @@ func (c *Config) fill() {
 	if c.ShedLossFrac == 0 {
 		c.ShedLossFrac = 0.25
 	}
+	if c.fragPayload() < 8 {
+		return fmt.Errorf("%w: MTU %d", ErrMTUTooSmall, c.MTU)
+	}
+	return nil
 }
 
 // fragPayload returns the usable payload bytes per fragment: the MTU

@@ -52,7 +52,7 @@ func (cs CipherSuite) String() string {
 }
 
 // suiteOps is one row of the cipher-suite table: everything the
-// datapath knows about a CipherSuite. fill resolves Config.Suite to its
+// datapath knows about a CipherSuite. prepare resolves Config.Suite to its
 // row once, and the sender's packetize loop and the receiver's place
 // call go through it, so neither names a suite. Every function takes
 // the ADU's name and the fragment's byte offset within the ADU: each

@@ -176,9 +176,7 @@ func (w *WindowedRate) OnFeedback(cur float64, s RateSample) float64 {
 	if size <= 0 {
 		size = 8
 	}
-	if size > len(w.window) {
-		size = len(w.window)
-	}
+	size = min(size, len(w.window))
 	stale := w.StaleAfter > 0 && s.Interval > w.StaleAfter
 	if !stale {
 		// Delivery rate the path demonstrated over this interval.
@@ -192,9 +190,7 @@ func (w *WindowedRate) OnFeedback(cur float64, s RateSample) float64 {
 	}
 	est := 0.0
 	for i := 0; i < w.n; i++ {
-		if w.window[i] > est {
-			est = w.window[i]
-		}
+		est = max(est, w.window[i])
 	}
 	if est <= 0 {
 		// No model yet (or only stale reports so far): hold the
@@ -216,26 +212,24 @@ func (w *WindowedRate) OnFeedback(cur float64, s RateSample) float64 {
 		}
 		gain = probe
 	}
-	next := gain * est
-	floor := w.Floor
+	return clampRate(gain*est, w.Floor, w.Ceil)
+}
+
+// clampRate holds a controller's next rate to [floor, ceil]: floor
+// 128 kb/s when not positive, and no ceiling when ceil is not.
+func clampRate(next, floor, ceil float64) float64 {
 	if floor <= 0 {
 		floor = 128e3
 	}
-	if next < floor {
-		next = floor
-	}
-	if w.Ceil > 0 && next > w.Ceil {
-		next = w.Ceil
+	next = max(next, floor)
+	if ceil > 0 {
+		next = min(next, ceil)
 	}
 	return next
 }
 
 // OnFeedback applies one AIMD step.
 func (a *AIMD) OnFeedback(cur float64, s RateSample) float64 {
-	floor, ceil := a.Floor, a.Ceil
-	if floor <= 0 {
-		floor = 128e3
-	}
 	backoff := a.Backoff
 	if backoff <= 0 || backoff >= 1 {
 		backoff = 0.5
@@ -248,17 +242,9 @@ func (a *AIMD) OnFeedback(cur float64, s RateSample) float64 {
 	if thresh <= 0 {
 		thresh = 0.02
 	}
-	next := cur
+	next := cur + probe
 	if s.LossFrac > thresh {
 		next = cur * backoff
-	} else {
-		next = cur + probe
 	}
-	if next < floor {
-		next = floor
-	}
-	if ceil > 0 && next > ceil {
-		next = ceil
-	}
-	return next
+	return clampRate(next, a.Floor, a.Ceil)
 }

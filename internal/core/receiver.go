@@ -117,12 +117,12 @@ type Receiver struct {
 	scan  *sim.Timer
 	nacks []uint64 // onScan's NACK list, reused across passes
 
-	// Feedback: the periodic delivery report for the sender's rate loop
-	// (FeedbackInterval > 0). The timer runs only while the stream is
-	// active — bytes arriving or recovery pending — so an idle stream
-	// goes fully quiescent. frame keeps the report and CTRL paths
-	// allocation-free: it is the last FB or CTRL frame sent, whose
-	// storage the next one reuses (every send copies).
+	// Feedback: the periodic delivery report for the sender's rate loop,
+	// its timer nil without a FeedbackInterval. The timer runs only
+	// while the stream is active — bytes arriving or recovery pending —
+	// so an idle stream goes fully quiescent. frame keeps the report and
+	// CTRL paths allocation-free: it is the last FB or CTRL frame sent,
+	// whose storage the next one reuses (every send copies).
 	fb         *sim.Timer
 	fbSeq      uint32
 	lastFBWire int64
@@ -145,21 +145,29 @@ type Receiver struct {
 // control messages back toward the sender (may be nil for one-way
 // simulations; recovery then never happens).
 func NewReceiver(sched *sim.Scheduler, send func([]byte) error, cfg Config) (*Receiver, error) {
-	if err := cfg.Validate(); err != nil {
+	r := new(Receiver)
+	if err := r.init(sched, send, cfg); err != nil {
 		return nil, err
 	}
-	cfg.fill()
-	if cfg.fragPayload() < 8 {
-		return nil, ErrMTUTooSmall
+	return r, nil
+}
+
+// init is NewReceiver on a zero Receiver in place (a sharded flow holds
+// its Receiver by value).
+func (r *Receiver) init(sched *sim.Scheduler, send func([]byte) error, cfg Config) error {
+	if err := cfg.prepare(); err != nil {
+		return err
 	}
-	r := &Receiver{cfg: cfg, sched: sched, send: send}
+	r.cfg, r.sched, r.send = cfg, sched, send
 	if cfg.suite.chained {
 		r.lanes = new(runLanes)
 	}
 	r.scan = sched.NewTimer(r.onScan)
-	r.fb = sched.NewTimer(r.onFeedback)
+	if cfg.FeedbackInterval > 0 {
+		r.fb = sched.NewTimer(r.onFeedback)
+	}
 	r.m = bindReceiverMetrics(cfg.Metrics, r)
-	return r, nil
+	return nil
 }
 
 // Settled returns the name below which every ADU is settled (delivered

@@ -158,8 +158,8 @@ type Sender struct {
 	emittedNext uint64
 	jitter      uint64 // deterministic LCG state for heartbeat jitter
 
-	// retire sweeps ADUDeadline-expired retention; armed only while
-	// ADUs are buffered and a deadline is configured.
+	// retire sweeps ADUDeadline-expired retention, armed only while ADUs
+	// are buffered; nil without a deadline.
 	retire *sim.Timer
 
 	// Custody-transfer state (Config.Custody): every name below
@@ -197,24 +197,32 @@ type Sender struct {
 // heartbeats, and nothing else, toward the receiver; a nil send arms
 // none. Data leaves by Sender.SendRef, set before the first Send.
 func NewSender(sched *sim.Scheduler, send func([]byte) error, cfg Config) (*Sender, error) {
-	if err := cfg.Validate(); err != nil {
+	s := new(Sender)
+	if err := s.init(sched, send, cfg); err != nil {
 		return nil, err
 	}
-	cfg.fill()
-	if cfg.fragPayload() < 8 {
-		return nil, fmt.Errorf("%w: MTU %d", ErrMTUTooSmall, cfg.MTU)
+	return s, nil
+}
+
+// init is NewSender on a zero Sender in place (a sharded flow holds its
+// Sender by value).
+func (s *Sender) init(sched *sim.Scheduler, send func([]byte) error, cfg Config) error {
+	if err := cfg.prepare(); err != nil {
+		return err
 	}
-	s := &Sender{cfg: cfg, sched: sched, send: send}
+	s.cfg, s.sched, s.send = cfg, sched, send
 	if cfg.suite.chained {
 		s.crypto = new(sealState)
 	}
 	s.hb = sched.NewTimer(s.onHeartbeat)
-	s.retire = sched.NewTimer(s.onRetire)
+	if cfg.ADUDeadline > 0 {
+		s.retire = sched.NewTimer(s.onRetire)
+	}
 	// Seed the jitter stream from the config so runs stay deterministic
 	// and streams sharing a node desynchronize.
 	s.jitter = uint64(cfg.StreamID)*0x9E3779B97F4A7C15 ^ cfg.Key ^ 0xD1B54A32D192ED03
 	s.m = bindSenderMetrics(cfg.Metrics, s)
-	return s, nil
+	return nil
 }
 
 // onHeartbeat periodically declares the stream extent until the
@@ -297,9 +305,6 @@ func (s *Sender) hbInterval() sim.Duration {
 // onRetire sheds retention past the ADUDeadline and re-arms for the
 // next earliest expiry.
 func (s *Sender) onRetire() {
-	if s.cfg.ADUDeadline <= 0 {
-		return
-	}
 	now := s.sched.Now()
 	// Oldest first: the first ADU not yet due is the next expiry, and
 	// none above it is due sooner.
@@ -352,10 +357,7 @@ func (s *Sender) Rate() float64 { return s.cfg.RateBps }
 // backlog reports how far into the future the pacer is booked: the
 // delay a fragment submitted now would wait before reaching the wire.
 func (s *Sender) backlog(now sim.Time) sim.Duration {
-	if s.pacerFree > now {
-		return s.pacerFree.Sub(now)
-	}
-	return 0
+	return max(s.pacerFree.Sub(now), 0)
 }
 
 // Backlog returns the current pacer backlog.
@@ -365,13 +367,8 @@ func (s *Sender) Backlog() sim.Duration { return s.backlog(s.sched.Now()) }
 // Droppable ADUs: the pacer is booked past ShedBacklog, or the
 // receiver-reported loss EWMA exceeds ShedLossFrac.
 func (s *Sender) shouldShed() bool {
-	if s.cfg.ShedBacklog > 0 && s.backlog(s.sched.Now()) > s.cfg.ShedBacklog {
-		return true
-	}
-	if s.cfg.ShedLossFrac > 0 && s.lossEWMA > s.cfg.ShedLossFrac {
-		return true
-	}
-	return false
+	return s.cfg.ShedBacklog > 0 && s.backlog(s.sched.Now()) > s.cfg.ShedBacklog ||
+		s.cfg.ShedLossFrac > 0 && s.lossEWMA > s.cfg.ShedLossFrac
 }
 
 // Send frames data as the next ADU and transmits its fragments. tag is
@@ -463,10 +460,7 @@ func (s *Sender) packetize(name uint64, data []byte, frags []wireFrag) ([]wireFr
 	)
 	headroom := HeaderSize + len(s.cfg.encap)
 	for off, last := 0, false; !last; {
-		n := len(data) - off
-		if n > frag {
-			n = frag
-		}
+		n := min(len(data)-off, frag)
 		ref := s.cfg.Pool.GetHeadroom(n+trailer, headroom)
 		w := ref.Bytes()
 		sum += ops.seal(&s.cfg, s.crypto, name, off, len(data), w, data[off:off+n])
@@ -606,10 +600,7 @@ func (s *Sender) emit(pkt *buf.Ref, priority bool, markNext uint64, ref fragRef)
 		return
 	}
 	tx := sim.Duration(float64(pkt.Len()*8) / s.cfg.RateBps * 1e9)
-	at := s.sched.Now()
-	if s.pacerFree > at {
-		at = s.pacerFree
-	}
+	at := max(s.sched.Now(), s.pacerFree)
 	s.pacerFree = at.Add(tx)
 	if at == s.sched.Now() {
 		s.sendOut(pkt, kind, ref, markNext, 0)
@@ -699,13 +690,7 @@ func (s *Sender) handleFeedback(pkt []byte) error {
 		Backlog:        s.backlog(now),
 	}
 	if sample.SentBytes > 0 {
-		lf := 1 - float64(sample.RecvBytes)/float64(sample.SentBytes)
-		if lf < 0 {
-			lf = 0
-		} else if lf > 1 {
-			lf = 1
-		}
-		sample.LossFrac = lf
+		sample.LossFrac = min(max(1-float64(sample.RecvBytes)/float64(sample.SentBytes), 0), 1)
 	}
 	s.fbSeq, s.fbAt, s.fbWire, s.fbGood, s.fbSent = seq, now, int64(wire), int64(good), sent
 	s.lossEWMA = 0.7*s.lossEWMA + 0.3*sample.LossFrac
@@ -815,10 +800,7 @@ func (s *Sender) allowRecovery(n int, class Priority) bool {
 	if !s.retxInit {
 		s.retxTokens, s.retxInit = burst, true
 	} else {
-		s.retxTokens += now.Sub(s.retxLast).Seconds() * rate
-		if s.retxTokens > burst {
-			s.retxTokens = burst
-		}
+		s.retxTokens = min(s.retxTokens+now.Sub(s.retxLast).Seconds()*rate, burst)
 	}
 	s.retxLast = now
 	if class != Critical && s.retxTokens < float64(n) {

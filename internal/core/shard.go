@@ -113,6 +113,10 @@ type Flow struct {
 
 	shard *Shard
 	encap [flowIDSize]byte
+	// snd and rcv are what Sender and Receiver point at, so that a flow
+	// is one allocation.
+	snd Sender
+	rcv Receiver
 }
 
 // Shard returns the flow's owning shard (for scheduling follow-on
@@ -185,27 +189,28 @@ func (sh *Shard) Index() int { return sh.index }
 // Scheduler returns the shard's private event scheduler.
 func (sh *Shard) Scheduler() *sim.Scheduler { return sh.sched }
 
-// demuxData routes an arriving trunk packet (DATA, HB) to its flow's
-// receiver by the 8-byte flow-id prefix.
-func (sh *Shard) demuxData(p *netsim.Packet) {
+// flowOf returns the flow a trunk packet's 8-byte flow-id prefix names
+// (nil if none) and the ALF packet behind the prefix.
+func (sh *Shard) flowOf(p *netsim.Packet) (*Flow, []byte) {
 	if len(p.Payload) < flowIDSize {
-		return
+		return nil, nil
 	}
-	id := FlowID(binary.BigEndian.Uint64(p.Payload[:flowIDSize]))
-	if f := sh.flows[id]; f != nil {
-		_ = f.Receiver.HandlePacket(p.Payload[flowIDSize:])
+	return sh.flows[FlowID(binary.BigEndian.Uint64(p.Payload))], p.Payload[flowIDSize:]
+}
+
+// demuxData routes an arriving trunk packet (DATA, HB) to its flow's
+// receiver.
+func (sh *Shard) demuxData(p *netsim.Packet) {
+	if f, pkt := sh.flowOf(p); f != nil {
+		_ = f.Receiver.HandlePacket(pkt)
 	}
 }
 
 // demuxCtrl routes a returning trunk packet (CTRL, FB) to its flow's
 // sender.
 func (sh *Shard) demuxCtrl(p *netsim.Packet) {
-	if len(p.Payload) < flowIDSize {
-		return
-	}
-	id := FlowID(binary.BigEndian.Uint64(p.Payload[:flowIDSize]))
-	if f := sh.flows[id]; f != nil {
-		_ = f.Sender.HandleControl(p.Payload[flowIDSize:])
+	if f, pkt := sh.flowOf(p); f != nil {
+		_ = f.Sender.HandleControl(pkt)
 	}
 }
 
@@ -294,17 +299,14 @@ func (t *Sharded) AddFlow(id FlowID) (*Flow, error) {
 	cfg.Metrics = nil // per-flow series would not scale; Stats aggregates flows
 	cfg.encap = f.encap[:]
 
-	snd, err := NewSender(sh.sched, f.sendUp, cfg)
-	if err != nil {
+	if err := f.snd.init(sh.sched, f.sendUp, cfg); err != nil {
 		return nil, err
 	}
-	snd.SendRef = f.sendRef
-	rcv, err := NewReceiver(sh.sched, f.sendDown, cfg)
-	if err != nil {
+	if err := f.rcv.init(sh.sched, f.sendDown, cfg); err != nil {
 		return nil, err
 	}
-	rcv.OnADU = f.onADU
-	f.Sender, f.Receiver = snd, rcv
+	f.snd.SendRef, f.rcv.OnADU = f.sendRef, f.onADU
+	f.Sender, f.Receiver = &f.snd, &f.rcv
 
 	sh.flows[id] = f
 	t.flows++

@@ -175,6 +175,32 @@ func TestReceiverSizeClass(t *testing.T) {
 	}
 }
 
+// TestAddFlowAllocs pins what a flow costs to build, the set-up of
+// flows_sharded_64k: the Flow with its Sender and Receiver inside (one
+// object), its four callbacks, and the heartbeat and scan timers, each a
+// Timer and a bound method. Without an ADUDeadline or a FeedbackInterval
+// there is no retire or feedback timer. The flow table's growth rounds
+// away over many flows.
+func TestAddFlowAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race detector instrumentation allocates")
+	}
+	ep, err := NewSharded(ShardedConfig{Shards: 4, Flow: Config{Policy: NoRetransmit}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	id := FlowID(0)
+	allocs := testing.AllocsPerRun(4096, func() {
+		if _, err := ep.AddFlow(id); err != nil {
+			t.Fatal(err)
+		}
+		id++
+	})
+	if allocs > 9 {
+		t.Errorf("AddFlow: %.0f allocs per flow, want <= 9", allocs)
+	}
+}
+
 // TestShardedSendZeroAlloc extends the alloc-guard to the sharded hot
 // path: Send -> packetize (encap headroom) -> flow-id stamp -> trunk
 // SendRef -> demux -> HandlePacket -> deliver -> Release, across two

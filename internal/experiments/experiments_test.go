@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
@@ -12,54 +13,76 @@ import (
 // the harness uses longer ones for stable numbers.
 const testMinTime = 5 * time.Millisecond
 
+// eventually retries a wall-clock-sensitive assertion with fresh
+// measurements: a 5 ms micro-timing can be preempted, on a busy host
+// even at a ratio of 2x, so a single noisy sample must not fail the
+// shape check. The shape must hold in SOME window.
+func eventually(t *testing.T, attempts int, f func() error) {
+	t.Helper()
+	var err error
+	for i := 0; i < attempts; i++ {
+		if err = f(); err == nil {
+			return
+		}
+	}
+	t.Error(err)
+}
+
 func TestKernelsShape(t *testing.T) {
-	r := RunKernels(4096, testMinTime)
-	if r.Copy <= 0 || r.Checksum <= 0 {
-		t.Fatalf("degenerate kernel rates: %+v", r)
-	}
-	// E3 shape: BER conversion much slower than copy (paper: 4-5x).
-	// The gap is an order of magnitude, so one sample suffices.
-	if r.BEREncode >= r.Copy/2 {
-		t.Errorf("BER encode (%v) not substantially slower than copy (%v)",
-			r.BEREncode, r.Copy)
-	}
-	// LWTS is the tuned alternative: far faster than BER.
-	if r.LWTSEncode <= r.BEREncode {
-		t.Errorf("LWTS (%v) not faster than BER (%v)", r.LWTSEncode, r.BEREncode)
-	}
-	// E5 shape: fusing the checksum into conversion costs little
-	// (paper: 28 -> 24 Mb/s, a ~15% hit; allow up to 50%).
-	if r.BEREncodeChecksum < r.BEREncode/2 {
-		t.Errorf("convert+checksum (%v) lost too much vs convert (%v)",
-			r.BEREncodeChecksum, r.BEREncode)
-	}
+	eventually(t, 5, func() error {
+		r := RunKernels(4096, testMinTime)
+		if r.Copy <= 0 || r.Checksum <= 0 {
+			t.Fatalf("degenerate kernel rates: %+v", r)
+		}
+		// E3 shape: BER conversion much slower than copy (paper: 4-5x).
+		if r.BEREncode >= r.Copy/2 {
+			return fmt.Errorf("BER encode (%v) not substantially slower than copy (%v)",
+				r.BEREncode, r.Copy)
+		}
+		// LWTS is the tuned alternative: far faster than BER.
+		if r.LWTSEncode <= r.BEREncode {
+			return fmt.Errorf("LWTS (%v) not faster than BER (%v)", r.LWTSEncode, r.BEREncode)
+		}
+		// E5 shape: fusing the checksum into conversion costs little
+		// (paper: 28 -> 24 Mb/s, a ~15% hit; allow up to 50%).
+		if r.BEREncodeChecksum < r.BEREncode/2 {
+			return fmt.Errorf("convert+checksum (%v) lost too much vs convert (%v)",
+				r.BEREncodeChecksum, r.BEREncode)
+		}
+		return nil
+	})
 }
 
 func TestPipelineShape(t *testing.T) {
-	r := RunPipeline(256<<10, testMinTime)
-	for k := 1; k <= 5; k++ {
-		if r.LayeredMbps[k] <= 0 || r.FusedMbps[k] <= 0 {
-			t.Fatalf("k=%d: degenerate rates", k)
+	eventually(t, 5, func() error {
+		r := RunPipeline(256<<10, testMinTime)
+		for k := 1; k <= 5; k++ {
+			if r.LayeredMbps[k] <= 0 || r.FusedMbps[k] <= 0 {
+				t.Fatalf("k=%d: degenerate rates", k)
+			}
 		}
-	}
-	// Layered throughput must fall as stages stack up (a 5x effect;
-	// single sample is fine).
-	if r.LayeredMbps[5] >= r.LayeredMbps[1] {
-		t.Errorf("layered did not slow with depth: k1=%v k5=%v",
-			r.LayeredMbps[1], r.LayeredMbps[5])
-	}
+		// Layered throughput must fall as stages stack up (a 5x effect).
+		if r.LayeredMbps[5] >= r.LayeredMbps[1] {
+			return fmt.Errorf("layered did not slow with depth: k1=%v k5=%v",
+				r.LayeredMbps[1], r.LayeredMbps[5])
+		}
+		return nil
+	})
 }
 
 func TestControlVsManipulationShape(t *testing.T) {
-	r := RunControl(4096, testMinTime)
-	if r.ControlNs <= 0 || r.ManipulationNs <= 0 {
-		t.Fatalf("degenerate: %+v", r)
-	}
-	// §4: manipulation dwarfs control for a 4 KB packet.
-	if r.ManipulationNs < 5*r.ControlNs {
-		t.Errorf("manipulation (%v ns) not >> control (%v ns)",
-			r.ManipulationNs, r.ControlNs)
-	}
+	eventually(t, 5, func() error {
+		r := RunControl(4096, testMinTime)
+		if r.ControlNs <= 0 || r.ManipulationNs <= 0 {
+			t.Fatalf("degenerate: %+v", r)
+		}
+		// §4: manipulation dwarfs control for a 4 KB packet.
+		if r.ManipulationNs < 5*r.ControlNs {
+			return fmt.Errorf("manipulation (%v ns) not >> control (%v ns)",
+				r.ManipulationNs, r.ControlNs)
+		}
+		return nil
+	})
 }
 
 // TestStackShape keeps what holds on any host: both stacks run and

@@ -16,21 +16,6 @@ import (
 // what holds anywhere: rates are non-zero, and effects of an order of
 // magnitude point the right way.
 
-// eventually retries a wall-clock-sensitive assertion with fresh
-// measurements: a 5 ms micro-timing can be preempted even on a quiet
-// host, so a single noisy sample must not fail the shape check. The
-// shape must hold in SOME quiet window.
-func eventually(t *testing.T, attempts int, f func() error) {
-	t.Helper()
-	var err error
-	for i := 0; i < attempts; i++ {
-		if err = f(); err == nil {
-			return
-		}
-	}
-	t.Error(err)
-}
-
 func TestKernelsTiming(t *testing.T) {
 	// E2 shape: the fused loop must beat the two separate passes. The
 	// margin is ~20%, within scheduler noise, so retry on interference.

@@ -5,16 +5,20 @@ import (
 	"reflect"
 	"strings"
 	"sync"
+	"unsafe"
 )
 
 // statField is one exported int64 field of a Stats struct, as its
 // `metric` tag declares it.
 type statField struct {
-	index int
-	name  string // series name after the prefix; "" for metric:"-"
-	kind  Kind
-	max   bool // AddStats takes the maximum (a high-water mark), not the sum
+	off  uintptr // the field's offset in its struct
+	name string  // series name after the prefix; "" for metric:"-"
+	kind Kind
+	max  bool // AddStats takes the maximum (a high-water mark), not the sum
 }
+
+// in returns the field within the struct at p.
+func (f *statField) in(p unsafe.Pointer) *int64 { return (*int64)(unsafe.Add(p, f.off)) }
 
 // statPlans caches each Stats type's fields, so the tags are parsed
 // once per type and not once per flow.
@@ -38,7 +42,7 @@ func statFields(t reflect.Type) []statField {
 			panic(fmt.Sprintf("metrics: %v.%s has no metric tag", t, f.Name))
 		}
 		name, opts, _ := strings.Cut(tag, ",")
-		sf := statField{index: i, kind: KindCounter}
+		sf := statField{off: f.Offset, kind: KindCounter}
 		if name != "-" {
 			sf.name = name
 		}
@@ -77,28 +81,24 @@ func BindStats[T any](r *Registry, prefix string, stats *T, labels ...string) {
 	if r == nil {
 		return
 	}
-	v := reflect.ValueOf(stats).Elem()
-	for _, f := range statFields(v.Type()) {
-		if f.name == "" {
-			continue
+	for _, f := range statFields(reflect.TypeFor[T]()) {
+		if f.name != "" {
+			r.put(&series{name: prefix + "." + f.name, kind: f.kind, ptr: f.in(unsafe.Pointer(stats))}, labels)
 		}
-		ptr := v.Field(f.index).Addr().Interface().(*int64)
-		r.put(&series{name: prefix + "." + f.name, kind: f.kind, ptr: ptr}, labels)
 	}
 }
 
 // AddStats adds every exported int64 field of *src into *dst; fields
 // tagged ",max" aggregate by maximum. Fields kept out of the registry
-// with metric:"-" are still summed.
+// with metric:"-" are still summed. It reaches each field by its offset
+// in the cached plan, with no reflection per field.
 func AddStats[T any](dst, src *T) {
-	d, s := reflect.ValueOf(dst).Elem(), reflect.ValueOf(src).Elem()
-	for _, f := range statFields(d.Type()) {
-		df, n := d.Field(f.index), s.Field(f.index).Int()
-		switch {
-		case !f.max:
-			df.SetInt(df.Int() + n)
-		case n > df.Int():
-			df.SetInt(n)
+	for _, f := range statFields(reflect.TypeFor[T]()) {
+		d, n := f.in(unsafe.Pointer(dst)), *f.in(unsafe.Pointer(src))
+		if !f.max {
+			*d += n
+		} else if n > *d {
+			*d = n
 		}
 	}
 }

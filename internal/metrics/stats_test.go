@@ -170,3 +170,17 @@ func TestAddStats(t *testing.T) {
 		t.Errorf("AddStats = %+v, want %+v", sum, want)
 	}
 }
+
+// TestAddStatsZeroAlloc: Sharded.Stats calls AddStats twice per flow, so
+// summing through the cached plan must not allocate.
+func TestAddStatsZeroAlloc(t *testing.T) {
+	type stats struct {
+		Hits int64 `metric:"hits"`
+		Peak int64 `metric:"peak,gauge,max"`
+	}
+	var sum stats
+	src := stats{Hits: 1, Peak: 2}
+	if allocs := testing.AllocsPerRun(100, func() { metrics.AddStats(&sum, &src) }); allocs != 0 {
+		t.Errorf("AddStats: %v allocs/op, want 0", allocs)
+	}
+}

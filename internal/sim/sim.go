@@ -326,16 +326,17 @@ func (s *Scheduler) Every(d Duration, fn func() bool) {
 
 // Timer is a restartable one-shot timer bound to a scheduler, in the
 // mould of time.Timer but on virtual time. The zero value is unusable;
-// create timers with NewTimer. A timer owns one Event struct for its
-// whole life, so re-arming is allocation-free.
+// create timers with NewTimer. A timer holds its Event by value for its
+// whole life (its heap slot points into the Timer), so a timer costs
+// one allocation and re-arming none.
 type Timer struct {
 	s  *Scheduler
-	ev *Event
+	ev Event
 }
 
 // NewTimer returns a stopped timer that will invoke fn when it expires.
 func (s *Scheduler) NewTimer(fn func()) *Timer {
-	return &Timer{s: s, ev: &Event{fn: fn, index: -1, cancel: true}}
+	return &Timer{s: s, ev: Event{fn: fn, index: -1, cancel: true}}
 }
 
 // Reset (re)arms the timer to fire d from now, cancelling any pending
@@ -347,7 +348,7 @@ func (t *Timer) Reset(d Duration) {
 	if d < 0 {
 		d = 0
 	}
-	s, e := t.s, t.ev
+	s, e := t.s, &t.ev
 	e.cancel = false
 	at := s.now.Add(d)
 	if e.index >= 0 {

@@ -369,7 +369,6 @@ func TestTimerResetReusesEvent(t *testing.T) {
 	fired := 0
 	tm := s.NewTimer(func() { fired++ })
 	tm.Reset(time.Second)
-	ev := tm.ev
 	s.Run()
 	// Re-arm after expiry, after Stop, and while pending: always the
 	// same struct, never an allocation.
@@ -377,8 +376,8 @@ func TestTimerResetReusesEvent(t *testing.T) {
 	tm.Stop()
 	tm.Reset(time.Second)
 	tm.Reset(2 * time.Second)
-	if tm.ev != ev {
-		t.Error("Reset replaced the timer's event struct")
+	if s.queue[tm.ev.index].ev != &tm.ev {
+		t.Error("the timer's heap slot does not point at its own event")
 	}
 	allocs := testing.AllocsPerRun(1000, func() {
 		tm.Reset(time.Second)
