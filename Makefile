@@ -65,10 +65,11 @@ bench:
 	$(GO) test -run '^$$' -bench . -benchmem ./...
 
 # Where the CPU goes, as one table says it: core's steady-state
-# datapath benches, cleartext and AEAD, and the real-socket soak
-# family's AEAD transfer over loopback sockets, each profiled and its
-# leaf functions bucketed by cmd/alfsplit (keystream kernel, Poly1305 in
-# Go, tag key / Block, XOR, checksum + copy, packetize / placement, pool,
+# datapath benches, cleartext and AEAD, the real-socket soak family's
+# AEAD transfer over loopback sockets, and the 64k-flow shard plane on
+# two workers (flows_sharded_64k's run), each profiled and its leaf
+# functions bucketed by cmd/alfsplit (keystream kernel, Poly1305 in Go,
+# tag key / Block, XOR, checksum + copy, packetize / placement, pool,
 # scheduler, syscall / udplink, soak harness, runtime + GC, other),
 # shares summing to 100 %. Test binaries and profiles go to a temporary
 # directory, named by the benchmark. A perf change cites this split
@@ -76,10 +77,10 @@ bench:
 SPLITTIME ?= 3s
 split:
 	@d=$$(mktemp -d) && trap 'rm -rf $$d' EXIT && \
-	for pb in core:SendSteadyState core:SendSteadyStateAEAD faults/soak:UDPLoopback; do \
-		p=$${pb%%:*} b=$${pb#*:} && \
-		$(GO) test -run '^$$' -bench "^Benchmark$$b\$$" -benchtime $(SPLITTIME) -o $$d/$$b.test -cpuprofile $$d/$$b.prof ./internal/$$p | grep '^Benchmark' && \
-		$(GO) tool pprof -top -noinlines -nodefraction=0 $$d/$$b.test $$d/$$b.prof 2>/dev/null | $(GO) run ./cmd/alfsplit || exit 1; \
+	for pb in internal/core:SendSteadyState internal/core:SendSteadyStateAEAD internal/faults/soak:UDPLoopback .:FlowScale/workers=2; do \
+		p=$${pb%%:*} b=$${pb#*:} && f=$$(echo $$b | tr /= __) && \
+		$(GO) test -run '^$$' -bench "^Benchmark$$b\$$" -benchtime $(SPLITTIME) -o $$d/$$f.test -cpuprofile $$d/$$f.prof ./$$p | grep '^Benchmark' && \
+		$(GO) tool pprof -top -noinlines -nodefraction=0 $$d/$$f.test $$d/$$f.prof 2>/dev/null | $(GO) run ./cmd/alfsplit || exit 1; \
 	done
 
 # The repository's benchmark (benchmark/README.md, BENCHMARK.json): six
@@ -192,16 +193,20 @@ lint: vet
 # OTP connection and a duplex link built without a registry stay under
 # a fixed allocation count (NilRegistryBindsNothing: 6 for the pair),
 # so metric bindings cannot creep back into per-flow state; a sharded
-# flow costs at most 9 allocations to add (AddFlowAllocs, the set-up of
-# flows_sharded_64k), and summing its counters into Sharded.Stats none
-# (metrics' AddStatsZeroAlloc). And the disabled
+# flow costs at most one allocation to add (AddFlowAllocs, the set-up of
+# flows_sharded_64k: a slab slot), a warm endpoint's new flows at most
+# 0.05 per delivered ADU to run (FlowRunAllocs), a paced stream none
+# more than an unpaced one (PacedSendZeroAlloc), and summing a flow's
+# counters into Sharded.Stats none (metrics' AddStatsZeroAlloc); the
+# reassembly state the flows share comes back clean
+# (RecycledPartialIsClean). And the disabled
 # tracer: no hook allocates on a nil *Tracer (DisabledTracerOverhead),
 # and the compiler must still say it inlines Emit, which is what makes
 # an endpoint event on a nil tracer a branch and not a call. The copy,
 # XOR and checksum kernels under all of it are in the bench run too.
 alloc-guard:
 	@$(GO) build -gcflags=-m ./internal/tracing 2>&1 | grep -q 'can inline (\*Tracer).Emit$$' || { echo "(*Tracer).Emit no longer inlines"; exit 1; }
-	$(GO) test -count=1 -run 'ZeroAlloc|NilRegistryBindsNothing|AddFlowAllocs|DisabledTracerOverhead' -v ./internal/core ./internal/udplink ./internal/otp ./internal/netsim ./internal/tracing ./internal/metrics
+	$(GO) test -count=1 -run 'ZeroAlloc|PacedSendZeroAlloc|NilRegistryBindsNothing|AddFlowAllocs|FlowRunAllocs|RecycledPartialIsClean|DisabledTracerOverhead' -v ./internal/core ./internal/udplink ./internal/otp ./internal/netsim ./internal/tracing ./internal/metrics
 	$(GO) test -run '^$$' -bench 'SendSteadyState|ReceivePath|FECSender|FECRepair|NetsimForward|LinkDeepQueue|SchedulerDeep|FusedCopySum|Sum16|WordCopy4KB|XORWords' -benchmem ./internal/core ./internal/netsim ./internal/sim ./internal/ilp ./internal/checksum
 
 # Bounds-check gate on the copy / checksum kernels and on the keystream

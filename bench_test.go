@@ -505,6 +505,7 @@ func BenchmarkF9_FECRecovery(b *testing.B) {
 func BenchmarkFlowScale(b *testing.B) {
 	for _, w := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
+			b.ReportAllocs()
 			var pt experiments.FlowScalePoint
 			var err error
 			for i := 0; i < b.N; i++ {

@@ -47,6 +47,7 @@ package alf
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 
 	"repro/internal/buf"
@@ -77,29 +78,27 @@ const (
 	NoRetransmit
 )
 
+var policyNames = []string{SenderBuffered: "sender-buffered", AppRecompute: "app-recompute", NoRetransmit: "no-retransmit"}
+
 // String returns the policy name.
-func (p Policy) String() string {
-	switch p {
-	case SenderBuffered:
-		return "sender-buffered"
-	case AppRecompute:
-		return "app-recompute"
-	case NoRetransmit:
-		return "no-retransmit"
-	default:
-		return "invalid-policy"
-	}
-}
+func (p Policy) String() string { return enumName(policyNames, p, "invalid-policy") }
 
 // Set makes p the policy String names s, so a *Policy is a flag.Value.
 func (p *Policy) Set(s string) error {
-	for _, q := range []Policy{SenderBuffered, AppRecompute, NoRetransmit} {
-		if q.String() == s {
-			*p = q
-			return nil
-		}
+	if i := slices.Index(policyNames, s); i > 0 {
+		*p = Policy(i)
+		return nil
 	}
 	return fmt.Errorf("unknown policy %q", s)
+}
+
+// enumName is names[v], or invalid where names has none: how this
+// package's enumerations print.
+func enumName[T ~uint8](names []string, v T, invalid string) string {
+	if int(v) < len(names) && names[v] != "" {
+		return names[v]
+	}
+	return invalid
 }
 
 // ADU is a received Application Data Unit.
@@ -277,9 +276,9 @@ type Config struct {
 	// layer must strip the prefix before Receiver.HandlePacket; the
 	// receiver adds len(encap) back per accepted packet when accounting
 	// WireBytes so the sender's feedback loop sees consistent byte
-	// counts. encap rides outside the MTU budget, and the sender does
-	// not prefix control-plane []byte sends (heartbeats) — the outer
-	// layer frames those itself.
+	// counts. encap rides outside the MTU budget. Both endpoints put it
+	// in front of their control frames too (heartbeats, CTRL, FB), so
+	// the outer layer's control hooks can be one per shard.
 	encap []byte
 
 	// FeedbackInterval, when non-zero, has the receiver periodically

@@ -39,16 +39,7 @@ const (
 
 // String returns the suite name.
 func (cs CipherSuite) String() string {
-	switch cs {
-	case SuiteNone:
-		return "none"
-	case SuiteScramble:
-		return "scramble"
-	case SuiteAEAD:
-		return "aead"
-	default:
-		return "invalid-suite"
-	}
+	return enumName([]string{SuiteNone: "none", SuiteScramble: "scramble", SuiteAEAD: "aead"}, cs, "invalid-suite")
 }
 
 // suiteOps is one row of the cipher-suite table: everything the

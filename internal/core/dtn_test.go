@@ -202,7 +202,7 @@ func TestADUDeadlineNeverWrapsToInstantExpiry(t *testing.T) {
 	if err := s.RunUntil(sim.Time(0).Add(2 * time.Second)); err != nil {
 		t.Fatal(err)
 	}
-	snd.onRetire() // sentAt=1s, due wraps negative: must be kept
+	onRetire(snd) // sentAt=1s, due wraps negative: must be kept
 	if got := snd.BufferedADUs(); got != 1 {
 		t.Fatalf("wrapped deadline expired the ADU: %d buffered, want 1", got)
 	}

@@ -206,7 +206,7 @@ func TestNameWindowRejectsImplausibleNames(t *testing.T) {
 		t.Error("state created for implausible name")
 	}
 	// Same for heartbeats.
-	if err := rcv.HandlePacket(wire.EncodeHeartbeat(0, 1<<42)); err == nil {
+	if err := rcv.HandlePacket(wire.EncodeHeartbeat(nil, 0, 1<<42)); err == nil {
 		t.Fatal("implausible heartbeat extent accepted")
 	}
 }
@@ -222,7 +222,7 @@ func corpusPackets() [][]byte {
 	}, Config{MTU: 128 + HeaderSize, FECGroup: 2})
 	snd.Send(3, xcode.SyntaxRaw, payload(300, 9))
 	pkts = append(pkts,
-		wire.EncodeHeartbeat(0, 4),
+		wire.EncodeHeartbeat(nil, 0, 4),
 		wire.EncodeControl(nil, &wire.Control{Stream: 0, Cum: 2, Nacks: []uint64{2, 3}}))
 	return pkts
 }

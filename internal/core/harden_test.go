@@ -280,14 +280,14 @@ func TestFarNameBounded(t *testing.T) {
 		}
 		return frag
 	}
-	beyond := [][]byte{fragNamed(far), wire.EncodeHeartbeat(0, far+1)}
+	beyond := [][]byte{fragNamed(far), wire.EncodeHeartbeat(nil, 0, far+1)}
 
 	for _, tc := range []struct {
 		what             string
 		pkt              []byte
 		missing, pending int
 	}{
-		{"heartbeat declaring 1<<20 names", wire.EncodeHeartbeat(0, far), far, 0},
+		{"heartbeat declaring 1<<20 names", wire.EncodeHeartbeat(nil, 0, far), far, 0},
 		{"fragment named NameWindow-1", fragNamed(far - 1), far - 1, 1},
 	} {
 		t.Run(tc.what, func(t *testing.T) {

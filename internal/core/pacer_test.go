@@ -157,7 +157,7 @@ func TestFeedbackShedZeroAlloc(t *testing.T) {
 	iter := func() {
 		seq++
 		recvd += 1000
-		if err := snd.HandleControl(wire.EncodeFeedback(fb[:], 0, seq, recvd, recvd)); err != nil {
+		if err := snd.HandleControl(wire.EncodeFeedback(fb[:0], 0, seq, recvd, recvd)); err != nil {
 			t.Fatal(err)
 		}
 		if _, err := snd.SendClass(7, xcode.SyntaxRaw, data, Droppable); !errors.Is(err, ErrShed) {

@@ -44,16 +44,7 @@ const (
 
 // String returns the priority class name.
 func (p Priority) String() string {
-	switch p {
-	case Standard:
-		return "standard"
-	case Critical:
-		return "critical"
-	case Droppable:
-		return "droppable"
-	default:
-		return "invalid-priority"
-	}
+	return enumName([]string{Standard: "standard", Critical: "critical", Droppable: "droppable"}, p, "invalid-priority")
 }
 
 // RateSample is one feedback interval's view of the path, assembled by

@@ -13,7 +13,7 @@ import (
 
 func TestFeedbackWireRoundtrip(t *testing.T) {
 	var buf [wire.FeedbackSize]byte
-	msg := wire.EncodeFeedback(buf[:], 7, 0xDEADBEEF, 1<<40, 12345)
+	msg := wire.EncodeFeedback(buf[:0], 7, 0xDEADBEEF, 1<<40, 12345)
 	if len(msg) != wire.FeedbackSize {
 		t.Fatalf("encoded length %d, want %d", len(msg), wire.FeedbackSize)
 	}
@@ -90,7 +90,7 @@ func TestFeedbackStaleSequenceIgnored(t *testing.T) {
 	})
 	var buf [wire.FeedbackSize]byte
 	report := func(seq uint32, recvd uint64) error {
-		return snd.HandleControl(wire.EncodeFeedback(buf[:], 0, seq, recvd, recvd))
+		return snd.HandleControl(wire.EncodeFeedback(buf[:0], 0, seq, recvd, recvd))
 	}
 
 	if err := report(5, 1000); err != nil {
@@ -129,7 +129,7 @@ func TestFeedbackWrongStreamAndCorrupt(t *testing.T) {
 		FeedbackInterval: 50 * time.Millisecond})
 	var buf [wire.FeedbackSize]byte
 
-	msg := wire.EncodeFeedback(buf[:], 9, 1, 100, 100)
+	msg := wire.EncodeFeedback(buf[:0], 9, 1, 100, 100)
 	if err := snd.HandleControl(msg); !errors.Is(err, ErrWrongStream) {
 		t.Errorf("wrong-stream feedback: %v", err)
 	}
@@ -137,7 +137,7 @@ func TestFeedbackWrongStreamAndCorrupt(t *testing.T) {
 		t.Errorf("wrong-stream report counted")
 	}
 
-	msg = wire.EncodeFeedback(buf[:], 3, 1, 100, 100)
+	msg = wire.EncodeFeedback(buf[:0], 3, 1, 100, 100)
 	msg[6] ^= 0xFF
 	if err := snd.HandleControl(msg); !errors.Is(err, ErrBadHeader) {
 		t.Errorf("corrupt feedback: %v", err)
@@ -196,7 +196,7 @@ func TestShedOnReportedLoss(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf [wire.FeedbackSize]byte
-	if err := snd.HandleControl(wire.EncodeFeedback(buf[:], 0, 1, 0, 0)); err != nil {
+	if err := snd.HandleControl(wire.EncodeFeedback(buf[:0], 0, 1, 0, 0)); err != nil {
 		t.Fatal(err)
 	}
 

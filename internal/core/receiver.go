@@ -70,6 +70,32 @@ type slot struct {
 	settled  bool
 }
 
+// spares is what the endpoints on one scheduler recycle and borrow, none
+// of it held past the call or ADU using it: a shard's flows share one,
+// so a warm shard's new flow allocates nothing; a lone endpoint has its own.
+type spares struct {
+	parts []*partial  // settled reassembly structs, maps kept
+	rings [][]slot    // receive windows left empty
+	nacks []uint64    // onScan's NACK list
+	frags []wireFrag  // the sender's packetization worklist
+	later []*deferred // the sender's fired deferred-call records
+	frame []byte      // the last control frame sent; every send copies it
+}
+
+// reuse takes the most recently freed entry of a free list, or the
+// zero value when the list is empty.
+func reuse[T any](free *[]T) (t T) {
+	if n := len(*free); n > 0 {
+		t, *free = (*free)[n-1], (*free)[:n-1]
+	}
+	return t
+}
+
+// control empties the frame buffer and starts it with the stream's
+// encap prefix (a sharded flow's id), for a wire encoder to append a
+// control frame to.
+func (sp *spares) control(c *Config) []byte { return append(sp.frame[:0], c.encap...) }
+
 // nackDue applies exponential backoff to recovery requests: the n-th
 // NACK for an ADU waits NackDelay<<min(n,5) after the previous one, so
 // a congested path is not hammered with duplicate requests.
@@ -107,26 +133,22 @@ type Receiver struct {
 	// names holds one slot per name from the settled frontier (its base
 	// is cum) to the highest name observed; pending and missing count
 	// its slots under reassembly and its gaps.
-	names     window[slot]
-	pending   int
-	missing   int
-	freeParts []*partial // settled partial structs awaiting reuse
-	cum       uint64     // every name < cum is settled
-	lastCum   uint64     // last cum value reported to the sender
+	names   window[slot]
+	pending int
+	missing int
+	spare   *spares // its shard's, for a sharded flow
+	cum     uint64  // every name < cum is settled
+	lastCum uint64  // last cum value reported to the sender
 
-	scan  *sim.Timer
-	nacks []uint64 // onScan's NACK list, reused across passes
+	scan *sim.Timer
 
 	// Feedback: the periodic delivery report for the sender's rate loop,
 	// its timer nil without a FeedbackInterval. The timer runs only
 	// while the stream is active — bytes arriving or recovery pending —
-	// so an idle stream goes fully quiescent. frame keeps the report and
-	// CTRL paths allocation-free: it is the last FB or CTRL frame sent,
-	// whose storage the next one reuses (every send copies).
+	// so an idle stream goes fully quiescent.
 	fb         *sim.Timer
 	fbSeq      uint32
 	lastFBWire int64
-	frame      []byte
 
 	m recvMetrics
 
@@ -146,25 +168,26 @@ type Receiver struct {
 // simulations; recovery then never happens).
 func NewReceiver(sched *sim.Scheduler, send func([]byte) error, cfg Config) (*Receiver, error) {
 	r := new(Receiver)
-	if err := r.init(sched, send, cfg); err != nil {
+	if err := r.init(sched, send, cfg, new(sim.Timer), new(spares)); err != nil {
 		return nil, err
 	}
 	return r, nil
 }
 
-// init is NewReceiver on a zero Receiver in place (a sharded flow holds
-// its Receiver by value).
-func (r *Receiver) init(sched *sim.Scheduler, send func([]byte) error, cfg Config) error {
+// init is NewReceiver in place on a zero Receiver, given its scan timer
+// and spares (a sharded flow's are in its slab slot and its shard).
+func (r *Receiver) init(sched *sim.Scheduler, send func([]byte) error, cfg Config, scan *sim.Timer, sp *spares) error {
 	if err := cfg.prepare(); err != nil {
 		return err
 	}
-	r.cfg, r.sched, r.send = cfg, sched, send
+	r.cfg, r.sched, r.send, r.scan, r.spare = cfg, sched, send, scan, sp
 	if cfg.suite.chained {
 		r.lanes = new(runLanes)
 	}
-	r.scan = sched.NewTimer(r.onScan)
+	sched.InitTimer(scan, onScan, r)
 	if cfg.FeedbackInterval > 0 {
-		r.fb = sched.NewTimer(r.onFeedback)
+		r.fb = new(sim.Timer)
+		sched.InitTimer(r.fb, onFeedback, r)
 	}
 	r.m = bindReceiverMetrics(cfg.Metrics, r)
 	return nil
@@ -305,11 +328,8 @@ func (r *Receiver) HandlePacket(pkt []byte) error {
 // getPartial returns reassembly state for a new ADU: a recycled struct
 // (maps cleared on recycle) around a pooled buffer sized to the ADU.
 func (r *Receiver) getPartial(h *wire.Header) *partial {
-	var p *partial
-	if n := len(r.freeParts); n > 0 {
-		p = r.freeParts[n-1]
-		r.freeParts = r.freeParts[:n-1]
-	} else {
+	p := reuse(&r.spare.parts)
+	if p == nil {
 		p = &partial{got: make(map[int]int)}
 	}
 	ref := r.cfg.Pool.Get(h.TotalLen)
@@ -336,7 +356,7 @@ func (r *Receiver) putPartial(p *partial) {
 		delete(p.parities, off)
 	}
 	p.ref, p.buf = nil, nil
-	r.freeParts = append(r.freeParts, p)
+	r.spare.parts = append(r.spare.parts, p)
 }
 
 // place runs the stage-one single data pass: the stream's cipher
@@ -472,8 +492,8 @@ func (r *Receiver) handleHeartbeat(pkt []byte) error {
 	if r.send != nil {
 		r.Stats.CtrlSent++
 		r.lastCum = r.cum
-		r.frame = wire.EncodeControl(r.frame, &wire.Control{Stream: r.cfg.StreamID, Cum: r.cum})
-		_ = r.send(r.frame)
+		r.spare.frame = wire.EncodeControl(r.spare.control(&r.cfg), &wire.Control{Stream: r.cfg.StreamID, Cum: r.cum})
+		_ = r.send(r.spare.frame)
 	}
 	return nil
 }
@@ -485,7 +505,8 @@ func (r *Receiver) noteGapsUpTo(end uint64) {
 	start := r.cum + uint64(r.names.n)
 	if end > start {
 		if r.names.n == 0 {
-			r.names.extend(r.cum) // an empty window restarts where it is told to
+			r.names.ring = reuse(&r.spare.rings) // one another window left
+			r.names.extend(r.cum)                // an empty window restarts where it is told to
 		}
 		r.names.extend(end - 1)
 		now := r.sched.Now()
@@ -559,6 +580,10 @@ func (r *Receiver) settle(sl *slot) {
 		r.names.shift()
 		r.cum++
 	}
+	if r.names.n == 0 {
+		r.spare.rings = append(r.spare.rings, r.names.ring)
+		r.names.ring = nil
+	}
 }
 
 // armFeedback ensures the periodic delivery report is running (when
@@ -569,7 +594,8 @@ func (r *Receiver) armFeedback() {
 	}
 }
 
-// onFeedback emits one delivery report (internal/wire: cumulative counters,
+// onFeedback, the feedback timer's call (its argument the receiver),
+// emits one delivery report (internal/wire: cumulative counters,
 // robust to report loss) and re-arms while the stream stays active.
 // A report also goes out when nothing arrived but recovery state is
 // pending — the sender then sees a zero-delivery interval, which is
@@ -577,7 +603,8 @@ func (r *Receiver) armFeedback() {
 // controller must react to. When arrivals stop and nothing is pending
 // the timer stops, so an idle stream schedules no work; the next
 // arrival re-arms it.
-func (r *Receiver) onFeedback() {
+func onFeedback(arg any) {
+	r := arg.(*Receiver)
 	changed := r.Stats.WireBytes != r.lastFBWire
 	active := r.pending > 0 || r.missing > 0
 	if !changed && !active {
@@ -587,8 +614,8 @@ func (r *Receiver) onFeedback() {
 	r.fbSeq++
 	r.Stats.FeedbackSent++
 	r.cfg.Tracer.Emit(tracing.FeedbackTX, r.cfg.StreamID, uint64(r.fbSeq), r.Stats.WireBytes, 0, 0)
-	r.frame = wire.EncodeFeedback(r.frame, r.cfg.StreamID, r.fbSeq, uint64(r.Stats.WireBytes), uint64(r.Stats.DeliveredBytes))
-	_ = r.send(r.frame)
+	r.spare.frame = wire.EncodeFeedback(r.spare.control(&r.cfg), r.cfg.StreamID, r.fbSeq, uint64(r.Stats.WireBytes), uint64(r.Stats.DeliveredBytes))
+	_ = r.send(r.spare.frame)
 	r.fb.Reset(r.cfg.FeedbackInterval)
 }
 
@@ -632,12 +659,13 @@ func (r *Receiver) unanswered(now sim.Time, sl *slot) bool {
 		now.Sub(sl.lastNack) >= r.repair.RTO
 }
 
-// onScan is the receiver's periodic recovery pass: NACK overdue gaps,
-// abandon hopeless ADUs, and refresh the sender's release frontier. It
-// runs every NackInterval, and sooner when a name's evidence falls due.
-func (r *Receiver) onScan() {
+// onScan, the scan timer's call, is the receiver's recovery pass: NACK
+// overdue gaps, abandon hopeless ADUs, and refresh the sender's release
+// frontier. It runs every NackInterval, and sooner when evidence is due.
+func onScan(arg any) {
+	r := arg.(*Receiver)
 	now := r.sched.Now()
-	nacks := r.nacks[:0]
+	nacks := r.spare.nacks[:0]
 	wake := now.Add(r.cfg.NackInterval)
 	backedOff := false
 
@@ -683,7 +711,7 @@ func (r *Receiver) onScan() {
 			wake = min(wake, due)
 		}
 	}
-	r.nacks = nacks[:0]
+	r.spare.nacks = nacks[:0]
 
 	if r.cfg.Policy == NoRetransmit {
 		nacks = nil
@@ -695,8 +723,8 @@ func (r *Receiver) onScan() {
 		for _, name := range nacks {
 			r.cfg.Tracer.Emit(tracing.NackTX, r.cfg.StreamID, name, 0, 0, 0)
 		}
-		r.frame = wire.EncodeControl(r.frame, &wire.Control{Stream: r.cfg.StreamID, Cum: r.cum, Nacks: nacks})
-		_ = r.send(r.frame)
+		r.spare.frame = wire.EncodeControl(r.spare.control(&r.cfg), &wire.Control{Stream: r.cfg.StreamID, Cum: r.cum, Nacks: nacks})
+		_ = r.send(r.spare.frame)
 	}
 
 	if r.pending > 0 || r.missing > 0 || r.cum != r.lastCum {

@@ -111,9 +111,9 @@ type Sender struct {
 	// releases the ref when done.
 	SendRef func(*buf.Ref) error
 
-	// scratch is the packetization worklist, reused across Sends so the
-	// steady-state path does not allocate.
-	scratch []wireFrag
+	// spare holds the packetization worklist and the deferred-call
+	// records, reused across Sends so the steady state does not allocate.
+	spare *spares
 	// crypto is the chain that carries a sealed fragment's last chunk
 	// into the next one's kernel call, and the lanes its tag keys and
 	// heads come from (suiteOps.chained); nil under a suite without a tag.
@@ -198,25 +198,26 @@ type Sender struct {
 // none. Data leaves by Sender.SendRef, set before the first Send.
 func NewSender(sched *sim.Scheduler, send func([]byte) error, cfg Config) (*Sender, error) {
 	s := new(Sender)
-	if err := s.init(sched, send, cfg); err != nil {
+	if err := s.init(sched, send, cfg, new(sim.Timer), new(spares)); err != nil {
 		return nil, err
 	}
 	return s, nil
 }
 
-// init is NewSender on a zero Sender in place (a sharded flow holds its
-// Sender by value).
-func (s *Sender) init(sched *sim.Scheduler, send func([]byte) error, cfg Config) error {
+// init is NewSender in place on a zero Sender, given its heartbeat timer
+// and spares (a sharded flow's are in its slab slot and its shard).
+func (s *Sender) init(sched *sim.Scheduler, send func([]byte) error, cfg Config, hb *sim.Timer, sp *spares) error {
 	if err := cfg.prepare(); err != nil {
 		return err
 	}
-	s.cfg, s.sched, s.send = cfg, sched, send
+	s.cfg, s.sched, s.send, s.hb, s.spare = cfg, sched, send, hb, sp
 	if cfg.suite.chained {
 		s.crypto = new(sealState)
 	}
-	s.hb = sched.NewTimer(s.onHeartbeat)
+	sched.InitTimer(hb, onHeartbeat, s)
 	if cfg.ADUDeadline > 0 {
-		s.retire = sched.NewTimer(s.onRetire)
+		s.retire = new(sim.Timer)
+		sched.InitTimer(s.retire, onRetire, s)
 	}
 	// Seed the jitter stream from the config so runs stay deterministic
 	// and streams sharing a node desynchronize.
@@ -225,9 +226,11 @@ func (s *Sender) init(sched *sim.Scheduler, send func([]byte) error, cfg Config)
 	return nil
 }
 
-// onHeartbeat periodically declares the stream extent until the
-// receiver confirms it (or the limit gives up on a dead path).
-func (s *Sender) onHeartbeat() {
+// onHeartbeat, the heartbeat timer's call (its argument the sender),
+// periodically declares the stream extent until the receiver confirms
+// it (or the limit gives up on a dead path).
+func onHeartbeat(arg any) {
+	s := arg.(*Sender)
 	if s.lastCum >= s.nextName || s.hbMisses >= s.cfg.HeartbeatLimit {
 		return
 	}
@@ -235,7 +238,8 @@ func (s *Sender) onHeartbeat() {
 	if s.emittedNext > 0 {
 		s.Stats.Heartbeats++
 		s.cfg.Tracer.Emit(tracing.HeartbeatTX, s.cfg.StreamID, s.emittedNext, 0, 0, 0)
-		_ = s.send(wire.EncodeHeartbeat(s.cfg.StreamID, s.emittedNext))
+		s.spare.frame = wire.EncodeHeartbeat(s.spare.control(&s.cfg), s.cfg.StreamID, s.emittedNext)
+		_ = s.send(s.spare.frame)
 	}
 	s.hb.Reset(s.hbInterval())
 }
@@ -252,26 +256,18 @@ const hbSilentMisses = 4
 // telemetry plane can expose it as a gauge without perturbing the
 // jitter stream (and with it, the run's determinism).
 func (s *Sender) hbBackoff() sim.Duration {
-	iv := s.cfg.HeartbeatInterval
+	iv, max := s.cfg.HeartbeatInterval, s.cfg.HeartbeatMaxInterval
 	if s.hbMisses < hbSilentMisses {
 		return iv
 	}
-	max := s.cfg.HeartbeatMaxInterval
-	for i := (s.hbMisses - hbSilentMisses) / 2; i > 0 && iv < max; i-- {
-		// Saturate instead of doubling past the int64 edge: with the
-		// hour-scale intervals a DTN path configures, the backoff
-		// reaches the representable limit in a few dozen misses, and a
-		// wrapped-negative interval would stall the timer forever.
-		if iv > max/2 {
-			iv = max
-			break
-		}
-		iv *= 2
+	// min(iv<<k, max), compared before shifting: with the hour-scale
+	// intervals a DTN path configures, the doubling reaches the int64
+	// edge in a few dozen misses, and a wrapped-negative interval would
+	// stall the timer forever.
+	if k := (s.hbMisses - hbSilentMisses) / 2; k < 63 && iv <= max>>k {
+		return iv << k
 	}
-	if iv > max {
-		iv = max
-	}
-	return iv
+	return max
 }
 
 // hbInterval returns the next heartbeat delay. During a blackout this
@@ -302,9 +298,10 @@ func (s *Sender) hbInterval() sim.Duration {
 	return base + j
 }
 
-// onRetire sheds retention past the ADUDeadline and re-arms for the
-// next earliest expiry.
-func (s *Sender) onRetire() {
+// onRetire, the retire timer's call, sheds retention past the
+// ADUDeadline and re-arms for the next earliest expiry.
+func onRetire(arg any) {
+	s := arg.(*Sender)
 	now := s.sched.Now()
 	// Oldest first: the first ADU not yet due is the next expiry, and
 	// none above it is due sooner.
@@ -413,7 +410,7 @@ func (s *Sender) SendClass(tag uint64, syntax xcode.SyntaxID, data []byte, class
 	}
 	name := s.nextName
 
-	frags, ck := s.packetize(name, data, s.scratch[:0])
+	frags, ck := s.packetize(name, data, s.spare.frags[:0])
 	s.stamp(name, tag, syntax, len(data), ck, class, frags)
 
 	retain := s.cfg.Policy == SenderBuffered
@@ -430,7 +427,7 @@ func (s *Sender) SendClass(tag uint64, syntax xcode.SyntaxID, data []byte, class
 	s.Stats.ILPPassBytes += int64(len(data))
 	s.cfg.Tracer.EmitTag(tracing.ADUSubmit, s.cfg.StreamID, name, tag, len(data))
 	s.emitFrags(name, frags, false, retain)
-	s.scratch = frags[:0]
+	s.spare.frags = frags[:0]
 	if s.send != nil && !s.hb.Active() {
 		s.hb.Reset(s.cfg.HeartbeatInterval)
 	}
@@ -569,6 +566,43 @@ type fragRef struct {
 	parity bool
 }
 
+// deferred is a sender call held for its time on a pooled event, in a
+// record spares recycles: a paced sendOut, or (pkt nil) a ScheduleSend.
+type deferred struct {
+	s        *Sender
+	pkt      *buf.Ref
+	kind     tracing.Kind
+	ref      fragRef
+	markNext uint64
+	wait     sim.Duration
+	tag      uint64
+	syntax   xcode.SyntaxID
+	data     []byte
+}
+
+// later makes d's call on s at t.
+func (s *Sender) later(t sim.Time, d deferred) {
+	p := reuse(&s.spare.later)
+	if p == nil {
+		p = new(deferred)
+	}
+	*p = d
+	p.s = s
+	s.sched.AtCall(t, callDeferred, p)
+}
+
+func callDeferred(a any) {
+	d := a.(*deferred)
+	s := d.s
+	if d.pkt != nil {
+		s.sendOut(d.pkt, d.kind, d.ref, d.markNext, d.wait)
+	} else {
+		_, _ = s.Send(d.tag, d.syntax, d.data)
+	}
+	*d = deferred{}
+	s.spare.later = append(s.spare.later, d)
+}
+
 // sendOut is the one step by which a packet leaves the sender, now or
 // at its paced time: the trace event (wait is the pacer's hold), the
 // wire-byte count, the packet itself by reference — the count passes
@@ -606,8 +640,7 @@ func (s *Sender) emit(pkt *buf.Ref, priority bool, markNext uint64, ref fragRef)
 		s.sendOut(pkt, kind, ref, markNext, 0)
 		return
 	}
-	wait := at.Sub(s.sched.Now())
-	s.sched.At(at, func() { s.sendOut(pkt, kind, ref, markNext, wait) })
+	s.later(at, deferred{pkt: pkt, kind: kind, ref: ref, markNext: markNext, wait: at.Sub(s.sched.Now())})
 }
 
 // HandleControl processes a message from the receiver on the control
@@ -850,10 +883,10 @@ func (s *Sender) resend(name uint64) {
 		}
 		s.Stats.RecomputeADUs++
 		s.Stats.ILPPassBytes += int64(len(data))
-		frags, ck := s.packetize(name, data, s.scratch[:0])
+		frags, ck := s.packetize(name, data, s.spare.frags[:0])
 		s.stamp(name, tag, syntax, len(data), ck, Standard, frags)
 		s.emitFrags(name, frags, true, false)
-		s.scratch = frags[:0]
+		s.spare.frags = frags[:0]
 	case NoRetransmit:
 		// Receivers on NoRetransmit streams do not NACK; ignore any
 		// that arrive.

@@ -22,8 +22,10 @@ package alf
 // result — the determinism tests hold exactly that.
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -108,16 +110,16 @@ func (c *ShardedConfig) fill() {
 // is idle.
 type Flow struct {
 	ID       FlowID
-	Sender   *Sender
-	Receiver *Receiver
+	Sender   Sender
+	Receiver Receiver
 
-	shard *Shard
-	encap [flowIDSize]byte
-	// snd and rcv are what Sender and Receiver point at, so that a flow
-	// is one allocation.
-	snd Sender
-	rcv Receiver
+	shard    *Shard
+	encap    [flowIDSize]byte
+	hb, scan sim.Timer // the Sender's and the Receiver's
 }
+
+// flowSlab is the most flows one allocation of a shard's slab holds.
+const flowSlab = 1024
 
 // Shard returns the flow's owning shard (for scheduling follow-on
 // work on the right scheduler).
@@ -128,40 +130,7 @@ func (f *Flow) Shard() *Shard { return f.shard }
 // pooled wire buffers) when the event fires, so callers may share one
 // payload across many flows but must not mutate it mid-run.
 func (f *Flow) ScheduleSend(at sim.Time, tag uint64, syntax xcode.SyntaxID, data []byte) {
-	f.shard.sched.At(at, func() { _, _ = f.Sender.Send(tag, syntax, data) })
-}
-
-// sendUp frames a control-plane []byte (heartbeats) with the flow id
-// and sends it client->server on the shard trunk, via a pooled copy so
-// the path stays allocation-free in steady state.
-func (f *Flow) sendUp(p []byte) error { return f.frame(f.shard.up, p) }
-
-// sendDown frames a control-plane []byte (CTRL releases/NACKs, FB
-// reports) with the flow id and sends it server->client.
-func (f *Flow) sendDown(p []byte) error { return f.frame(f.shard.down, p) }
-
-func (f *Flow) frame(l *netsim.Link, p []byte) error {
-	ref := f.shard.pool.GetHeadroom(len(p), flowIDSize)
-	copy(ref.Bytes(), p)
-	copy(ref.Prepend(flowIDSize), f.encap[:])
-	return l.SendRef(ref)
-}
-
-// sendRef is the zero-copy data path: the fragment already carries the
-// flow id (stamped into its encap headroom), so it goes straight onto
-// the trunk, ownership transferring to the link.
-func (f *Flow) sendRef(ref *buf.Ref) error { return f.shard.up.SendRef(ref) }
-
-// onADU is the default delivery handler: log (when configured) and
-// recycle. Replace f.Receiver.OnADU before Run for custom handling;
-// the replacement runs on the shard's worker goroutine.
-func (f *Flow) onADU(adu ADU) {
-	sh := f.shard
-	sh.last = sh.sched.Now()
-	if sh.logOn {
-		sh.log = append(sh.log, Delivery{At: sh.last, Flow: f.ID, Name: adu.Name, Bytes: len(adu.Data)})
-	}
-	adu.Release()
+	f.Sender.later(at, deferred{tag: tag, syntax: syntax, data: data})
 }
 
 // Shard is one parallel slice of a sharded endpoint. Everything it
@@ -177,10 +146,17 @@ type Shard struct {
 	up, down       *netsim.Link
 
 	flows map[FlowID]*Flow
+	slab  []Flow // the flows, in chunks of at most flowSlab; the last one fills
 
-	logOn bool
-	log   []Delivery
-	last  sim.Time // most recent delivery (default OnADU handler)
+	// The hooks all its flows share. deliver is the default OnADU: replace
+	// it before Run (the replacement runs on the shard's worker).
+	ctrlUp, ctrlDown func([]byte) error
+	dataUp           func(*buf.Ref) error
+	deliver          func(ADU)
+	spare            spares
+
+	log  []Delivery
+	last sim.Time // most recent delivery (default OnADU handler)
 }
 
 // Index returns the shard's position in the endpoint.
@@ -220,7 +196,6 @@ func (sh *Shard) demuxCtrl(p *netsim.Packet) {
 type Sharded struct {
 	cfg    ShardedConfig
 	shards []*Shard
-	flows  int
 }
 
 // NewSharded builds the shard array: per shard one scheduler, one pool
@@ -244,7 +219,6 @@ func NewSharded(cfg ShardedConfig) (*Sharded, error) {
 			sched: sim.NewScheduler(),
 			pool:  buf.NewPool(),
 			flows: make(map[FlowID]*Flow),
-			logOn: cfg.LogDeliveries,
 		}
 		// Mix the shard index into the seed so shards draw independent
 		// impairment sequences from one experiment seed.
@@ -255,6 +229,8 @@ func NewSharded(cfg ShardedConfig) (*Sharded, error) {
 		sh.up, sh.down = sh.net.NewDuplex(sh.client, sh.server, cfg.Link)
 		sh.client.SetHandler(sh.demuxCtrl)
 		sh.server.SetHandler(sh.demuxData)
+		sh.ctrlUp, sh.ctrlDown, sh.dataUp = sh.up.Send, sh.down.Send, sh.up.SendRef
+		sh.deliver = func(adu ADU) { sh.last = sh.sched.Now(); adu.Release() }
 		t.shards = append(t.shards, sh)
 	}
 	return t, nil
@@ -290,7 +266,13 @@ func (t *Sharded) AddFlow(id FlowID) (*Flow, error) {
 	if _, dup := sh.flows[id]; dup {
 		return nil, fmt.Errorf("%w: duplicate flow id %d", ErrConfig, id)
 	}
-	f := &Flow{ID: id, shard: sh}
+	if len(sh.slab) == cap(sh.slab) {
+		// Chunks double up to flowSlab, so a small endpoint stays small
+		// and a large one costs an allocation per flowSlab flows.
+		sh.slab = make([]Flow, 0, min(max(2*cap(sh.slab), 8), flowSlab))
+	}
+	f := &sh.slab[:len(sh.slab)+1][len(sh.slab)] // taken only once its endpoints init
+	*f = Flow{ID: id, shard: sh}
 	binary.BigEndian.PutUint64(f.encap[:], uint64(id))
 
 	cfg := t.cfg.Flow
@@ -299,17 +281,21 @@ func (t *Sharded) AddFlow(id FlowID) (*Flow, error) {
 	cfg.Metrics = nil // per-flow series would not scale; Stats aggregates flows
 	cfg.encap = f.encap[:]
 
-	if err := f.snd.init(sh.sched, f.sendUp, cfg); err != nil {
+	if err := f.Sender.init(sh.sched, sh.ctrlUp, cfg, &f.hb, &sh.spare); err != nil {
 		return nil, err
 	}
-	if err := f.rcv.init(sh.sched, f.sendDown, cfg); err != nil {
+	if err := f.Receiver.init(sh.sched, sh.ctrlDown, cfg, &f.scan, &sh.spare); err != nil {
 		return nil, err
 	}
-	f.snd.SendRef, f.rcv.OnADU = f.sendRef, f.onADU
-	f.Sender, f.Receiver = &f.snd, &f.rcv
-
+	f.Sender.SendRef, f.Receiver.OnADU = sh.dataUp, sh.deliver
+	if t.cfg.LogDeliveries {
+		f.Receiver.OnADU = func(adu ADU) {
+			sh.log = append(sh.log, Delivery{At: sh.sched.Now(), Flow: f.ID, Name: adu.Name, Bytes: len(adu.Data)})
+			sh.deliver(adu)
+		}
+	}
+	sh.slab = sh.slab[:len(sh.slab)+1]
 	sh.flows[id] = f
-	t.flows++
 	return f, nil
 }
 
@@ -344,25 +330,11 @@ func (t *Sharded) Run() {
 // one sequence ordered by (time, shard, intra-shard order). The merge
 // is deterministic: two runs that agree per shard agree globally.
 func (t *Sharded) Deliveries() []Delivery {
-	total := 0
+	var out []Delivery
 	for _, sh := range t.shards {
-		total += len(sh.log)
+		out = append(out, sh.log...)
 	}
-	out := make([]Delivery, 0, total)
-	idx := make([]int, len(t.shards))
-	for len(out) < total {
-		best := -1
-		for i, sh := range t.shards {
-			if idx[i] >= len(sh.log) {
-				continue
-			}
-			if best < 0 || sh.log[idx[i]].At < t.shards[best].log[idx[best]].At {
-				best = i
-			}
-		}
-		out = append(out, t.shards[best].log[idx[best]])
-		idx[best]++
-	}
+	slices.SortStableFunc(out, func(a, b Delivery) int { return cmp.Compare(a.At, b.At) })
 	return out
 }
 
@@ -380,8 +352,8 @@ type ShardedStats struct {
 // is a sum or a maximum of integers, so the map's order cannot show.
 func (t *Sharded) Stats() ShardedStats {
 	var out ShardedStats
-	out.Flows = t.flows
 	for _, sh := range t.shards {
+		out.Flows += len(sh.flows)
 		for _, f := range sh.flows {
 			metrics.AddStats(&out.Send, &f.Sender.Stats)
 			metrics.AddStats(&out.Recv, &f.Receiver.Stats)

@@ -25,6 +25,37 @@ func TestSendSteadyStateZeroAlloc(t *testing.T) {
 	}
 }
 
+// TestPacedSendZeroAlloc: a paced stream holds each fragment until its
+// time on a pooled event with a recycled record, so its steady state
+// allocates no more than an unpaced one.
+func TestPacedSendZeroAlloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race detector instrumentation allocates")
+	}
+	p := newRoutedPair(t, netsim.LinkConfig{}, Config{Policy: NoRetransmit, RateBps: 1e9}, 1)
+	delivered := 0
+	p.rcv.OnADU = func(adu ADU) { delivered++; adu.Release() }
+	data := payload(benchADUBytes, 3)
+	send := func() {
+		if _, err := p.snd.Send(0, xcode.SyntaxRaw, data); err != nil {
+			t.Fatal(err)
+		}
+		if p.snd.Backlog() <= 0 {
+			t.Fatal("the pacer holds nothing; the test measures no paced emission")
+		}
+		_ = p.sched.RunFor(time.Millisecond) // the pacer's hold is about 70 µs
+	}
+	for i := 0; i < 8; i++ {
+		send()
+	}
+	if allocs := testing.AllocsPerRun(100, send); allocs != 0 {
+		t.Fatalf("paced steady state allocates %v allocs/op, want 0", allocs)
+	}
+	if delivered != 8+101 {
+		t.Fatalf("delivered %d of %d", delivered, 8+101)
+	}
+}
+
 // steadyStateAllocs warms the two-hop rig of BenchmarkSendSteadyState
 // under cfg (NoRetransmit) and returns the allocations of one more ADU
 // sent, forwarded and delivered.
@@ -165,7 +196,7 @@ func TestControlFrameZeroAlloc(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hb := wire.EncodeHeartbeat(0, 0)
+	hb := wire.EncodeHeartbeat(nil, 0, 0)
 	beat := func() {
 		if err := rcv.HandlePacket(hb); err != nil {
 			t.Fatal(err)

@@ -76,7 +76,9 @@ type FlowScalePoint struct {
 }
 
 // flowDriver submits one flow's ADUs as a self-rescheduling event
-// chain, so F flows hold F pending events rather than F x ADUs.
+// chain, so F flows hold F pending events rather than F x ADUs. The
+// events are pooled (AfterCall) and the drivers one slice, so driving
+// allocates nothing per ADU.
 type flowDriver struct {
 	flow *alf.Flow
 	data []byte
@@ -85,13 +87,14 @@ type flowDriver struct {
 	adus int
 }
 
-func (d *flowDriver) fire() {
+func fireDriver(a any) {
+	d := a.(*flowDriver)
 	if _, err := d.flow.Sender.Send(uint64(d.k), xcode.SyntaxRaw, d.data); err != nil {
 		panic(fmt.Sprintf("flowscale: send: %v", err))
 	}
 	d.k++
 	if d.k < d.adus {
-		d.flow.Shard().Scheduler().After(d.gap, d.fire)
+		d.flow.Shard().Scheduler().AfterCall(d.gap, fireDriver, d)
 	}
 }
 
@@ -143,17 +146,19 @@ func RunFlowScale(cfg FlowScaleConfig) (FlowScalePoint, error) {
 	}
 
 	perShardIdx := make([]int, cfg.Shards)
-	for id := 0; id < cfg.Flows; id++ {
+	drivers := make([]flowDriver, cfg.Flows)
+	for id := range drivers {
 		f, err := ep.AddFlow(alf.FlowID(id))
 		if err != nil {
 			return p, err
 		}
-		d := &flowDriver{flow: f, data: data, gap: gap, adus: cfg.FlowADUs}
+		d := &drivers[id]
+		*d = flowDriver{flow: f, data: data, gap: gap, adus: cfg.FlowADUs}
 		// Spread this shard's flows uniformly across one gap period.
 		sh := f.Shard().Index()
 		start := gap * sim.Duration(perShardIdx[sh]) / sim.Duration(perShard)
 		perShardIdx[sh]++
-		f.Shard().Scheduler().At(sim.Time(start), d.fire)
+		f.Shard().Scheduler().AtCall(sim.Time(start), fireDriver, d)
 	}
 
 	wall := time.Now()

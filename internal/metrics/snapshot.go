@@ -63,10 +63,7 @@ func (s *Snapshot) Get(name string, labels ...string) (Metric, bool) {
 // Value returns the captured counter/gauge value for (name, labels),
 // or 0 when absent.
 func (s *Snapshot) Value(name string, labels ...string) int64 {
-	m, ok := s.Get(name, labels...)
-	if !ok {
-		return 0
-	}
+	m, _ := s.Get(name, labels...) // the zero Metric when absent
 	return m.Value
 }
 
@@ -115,12 +112,12 @@ func (s *Snapshot) String() string {
 	fmt.Fprintf(&b, "%s  %s  %s\n", strings.Repeat("-", nameW), strings.Repeat("-", kindW), strings.Repeat("-", len("value")))
 	for i := range s.Metrics {
 		m := &s.Metrics[i]
-		if m.Kind != KindHistogram {
-			fmt.Fprintf(&b, "%-*s  %-*s  %s\n", nameW, m.ID(), kindW, m.Kind.String(), formatValue(m.Name, m.Value))
-			continue
+		v := formatValue(m.Name, m.Value)
+		if m.Kind == KindHistogram {
+			v = histLine(m.Name, m.Hist)
 		}
-		fmt.Fprintf(&b, "%-*s  %-*s  %s\n", nameW, m.ID(), kindW, m.Kind.String(), histLine(m.Name, m.Hist))
-		if m.Hist.Count > 0 {
+		fmt.Fprintf(&b, "%-*s  %-*s  %s\n", nameW, m.ID(), kindW, m.Kind.String(), v)
+		if m.Kind == KindHistogram && m.Hist.Count > 0 {
 			writeBuckets(&b, m.Name, m.Hist)
 		}
 	}

@@ -597,10 +597,7 @@ func (l *Link) enqueue(pkt *Packet) {
 		l.Stats.MaxQueue = int64(l.queued)
 	}
 	now := l.net.Sched.Now()
-	start := l.busyUntil
-	if start < now {
-		start = now
-	}
+	start := max(l.busyUntil, now)
 	txEnd := start.Add(l.serialization(len(pkt.Payload)))
 	l.net.tracer.PacketQueued(l.label, pkt.Payload, start.Sub(now), txEnd.Sub(start))
 	l.busyUntil = txEnd
@@ -648,7 +645,7 @@ func (l *Link) depart(pkt *Packet) {
 
 	delay := l.cfg.Delay
 	if l.cfg.ReorderProb > 0 && rnd.Bernoulli(l.cfg.ReorderProb) {
-		extra := sim.Duration(rnd.Int63() % int64(maxDur(l.cfg.ReorderDelay, 1)))
+		extra := sim.Duration(rnd.Int63() % int64(max(l.cfg.ReorderDelay, 1)))
 		delay += extra
 		l.Stats.Reordered++
 	}
@@ -666,13 +663,6 @@ func (l *Link) depart(pkt *Packet) {
 		l.Stats.Dups++
 		l.schedDeliver(dup, l.cfg.Delay)
 	}
-}
-
-func maxDur(a, b sim.Duration) sim.Duration {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // deliverCB hands a packet to its destination node, then recycles it.

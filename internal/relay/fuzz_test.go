@@ -37,12 +37,12 @@ func FuzzRelay(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0, 3, 1, 2, 3, 1, 1, 0xFF})
 	f.Add(frames(
-		up(frag(0, 0, 80, 0)), up(wire.EncodeHeartbeat(1, 1)), up(frag(0, 80, 80, 0)),
+		up(frag(0, 0, 80, 0)), up(wire.EncodeHeartbeat(nil, 1, 1)), up(frag(0, 80, 80, 0)),
 		down(wire.EncodeControl(nil, &wire.Control{Stream: 1, Nacks: []uint64{0}})),
 		up(frag(1, 0, 160, wire.FlagCritical)), up(frag(2, 0, 160, wire.FlagParity)),
 		down(wire.EncodeCustody(&wire.CustodyAck{Stream: 1, Relay: 2, Cum: 1})),
 		up(frag(3, 0, 160, 0)), up(frag(4, 0, 160, 0)), up(frag(4, 0, 160, 0)),
-		down(wire.EncodeFeedback(make([]byte, wire.FeedbackSize), 1, 1, 100, 80)),
+		down(wire.EncodeFeedback(nil, 1, 1, 100, 80)),
 		down(wire.EncodeControl(nil, &wire.Control{Stream: 1, Cum: 4, Nacks: []uint64{4}})),
 	))
 	f.Fuzz(func(t *testing.T, in []byte) {

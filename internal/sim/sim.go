@@ -37,8 +37,7 @@ func (t Time) String() string { return Duration(t).String() }
 // so the caller can cancel it before it fires. Its firing time and
 // sequence number live in the queue slot, not here (see eventQueue).
 type Event struct {
-	fn     func()
-	call   func(any) // pooled fire-and-forget form (AtCall/AfterCall)
+	call   func(any) // called with arg; a func() rides in arg behind runFunc
 	arg    any
 	index  int // queue slot; -1 once fired or cancelled
 	cancel bool
@@ -197,7 +196,7 @@ func (s *Scheduler) At(t Time, fn func()) *Event {
 	if t < s.now {
 		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, s.now))
 	}
-	e := &Event{fn: fn}
+	e := &Event{call: runFunc, arg: fn}
 	s.queue.push(slot{at: t, seq: s.seq, ev: e})
 	s.seq++
 	return e
@@ -288,17 +287,18 @@ func (s *Scheduler) step() {
 	}
 	s.now = top.at
 	s.fired++
+	fn, arg := e.call, e.arg
 	if e.pooled {
 		// Recycle before invoking so the callback itself can schedule
 		// into the freed struct.
-		fn, arg := e.call, e.arg
 		e.call, e.arg = nil, nil
 		s.free = append(s.free, e)
-		fn(arg)
-		return
 	}
-	e.fn()
+	fn(arg)
 }
+
+// runFunc is the call form of an event scheduled as a func().
+func runFunc(fn any) { fn.(func())() }
 
 // Every schedules fn to run every d of virtual time, first firing at
 // Now+d. fn reports whether the series should continue: returning
@@ -326,9 +326,9 @@ func (s *Scheduler) Every(d Duration, fn func() bool) {
 
 // Timer is a restartable one-shot timer bound to a scheduler, in the
 // mould of time.Timer but on virtual time. The zero value is unusable;
-// create timers with NewTimer. A timer holds its Event by value for its
-// whole life (its heap slot points into the Timer), so a timer costs
-// one allocation and re-arming none.
+// create timers with NewTimer or InitTimer. A timer holds its Event by
+// value for its whole life (its heap slot points into the Timer), so
+// re-arming one costs no allocation.
 type Timer struct {
 	s  *Scheduler
 	ev Event
@@ -336,7 +336,17 @@ type Timer struct {
 
 // NewTimer returns a stopped timer that will invoke fn when it expires.
 func (s *Scheduler) NewTimer(fn func()) *Timer {
-	return &Timer{s: s, ev: Event{fn: fn, index: -1, cancel: true}}
+	t := new(Timer)
+	s.InitTimer(t, runFunc, fn)
+	return t
+}
+
+// InitTimer makes *t, which must not be armed, a stopped timer that
+// will call fn(arg) when it expires: NewTimer's call form, as AtCall is
+// At's. With fn a static function and t inside arg's state, a timer
+// costs no allocation of its own.
+func (s *Scheduler) InitTimer(t *Timer, fn func(any), arg any) {
+	*t = Timer{s: s, ev: Event{call: fn, arg: arg, index: -1, cancel: true}}
 }
 
 // Reset (re)arms the timer to fire d from now, cancelling any pending

@@ -53,14 +53,7 @@ func Sparkline(s *Series, width int) string {
 	if n > width {
 		n = width
 	}
-	lo, hi := s.At(s.Len()-n), s.At(s.Len()-n)
-	for i := s.Len() - n; i < s.Len(); i++ {
-		if v := s.At(i); v < lo {
-			lo = v
-		} else if v > hi {
-			hi = v
-		}
-	}
+	lo, hi := bounds(s, s.Len()-n)
 	var b strings.Builder
 	for i := s.Len() - n; i < s.Len(); i++ {
 		v := s.At(i)
@@ -73,6 +66,16 @@ func Sparkline(s *Series, width int) string {
 		b.WriteByte(ramp[idx])
 	}
 	return b.String()
+}
+
+// bounds is the least and the greatest of s's samples from index from
+// on.
+func bounds(s *Series, from int) (lo, hi int64) {
+	lo, hi = s.Last(), s.Last()
+	for i := from; i < s.Len(); i++ {
+		lo, hi = min(lo, s.At(i)), max(hi, s.At(i))
+	}
+	return lo, hi
 }
 
 // WriteSparklines renders every series whose ID contains filter ("" or
@@ -104,14 +107,7 @@ func (r *Recorder) WriteSparklines(w io.Writer, filter string, width int) error 
 		}
 	}
 	for _, s := range series {
-		lo, hi := s.Last(), s.Last()
-		for i := 0; i < s.Len(); i++ {
-			if v := s.At(i); v < lo {
-				lo = v
-			} else if v > hi {
-				hi = v
-			}
-		}
+		lo, hi := bounds(s, 0)
 		fmt.Fprintf(&b, "%-*s |%s| min=%d max=%d last=%d (%s)\n",
 			idW, s.ID, Sparkline(s, width), lo, hi, s.Last(), s.Kind)
 	}

@@ -391,10 +391,7 @@ func (t *Tracer) Analyze() *Report {
 	// ALF attribution.
 	for k, a := range adus {
 		// Recovery intervals still open at settle (or trace end) close there.
-		closeAt := a.Settled
-		if closeAt == Unset {
-			closeAt = r.End
-		}
+		closeAt := r.until(a.Settled)
 		spans := nackSpans[k]
 		for _, o := range nackOpen[k] {
 			if int64(closeAt) > int64(o.at) {
@@ -423,14 +420,8 @@ func (t *Tracer) Analyze() *Report {
 		return r.ADUs[i].Name < r.ADUs[j].Name
 	})
 
-	// OTP attribution.
-	var connIDs []int
-	for id := range conns {
-		connIDs = append(connIDs, int(id))
-	}
-	sort.Ints(connIDs)
-	for _, id := range connIDs {
-		c := conns[byte(id)]
+	// OTP attribution; the sort below orders what the map walk appends.
+	for _, c := range conns {
 		for _, m := range c.msgs {
 			m.Ready, m.FirstRX = coverageTime(c.arrivals, m.Off, m.End)
 			// A lost-then-recovered segment's wait lives between its

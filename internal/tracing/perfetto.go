@@ -43,13 +43,10 @@ func us(ns int64) float64 { return float64(ns) / 1e3 }
 // JSON. Output is deterministic for a given trace: thread ids are
 // assigned by sorted track name and events appear in recorded order.
 func (t *Tracer) WritePerfetto(w io.Writer) error {
+	rep := t.Analyze()
 	var events []Event
-	var rep *Report
 	if t != nil {
 		events = t.events
-		rep = t.Analyze()
-	} else {
-		rep = (*Tracer)(nil).Analyze()
 	}
 
 	// Thread id per track, by sorted name.
@@ -81,10 +78,7 @@ func (t *Tracer) WritePerfetto(w io.Writer) error {
 		if a.Submitted == Unset {
 			continue
 		}
-		end := a.Settled
-		if end == Unset {
-			end = rep.End
-		}
+		end := rep.until(a.Settled)
 		track := fmt.Sprintf("alf/snd/%d", a.Stream)
 		id := fmt.Sprintf("adu/%d/%d", a.Stream, a.Name)
 		args := map[string]any{
@@ -105,10 +99,7 @@ func (t *Tracer) WritePerfetto(w io.Writer) error {
 	}
 	// OTP message spans.
 	for _, m := range rep.Msgs {
-		end := m.Delivered
-		if end == Unset {
-			end = rep.End
-		}
+		end := rep.until(m.Delivered)
 		track := fmt.Sprintf("otp/%d", m.Conn)
 		id := fmt.Sprintf("msg/%d/%d", m.Conn, m.Index)
 		out = append(out,
@@ -125,10 +116,7 @@ func (t *Tracer) WritePerfetto(w io.Writer) error {
 	}
 	// Head-of-line stalls: sequential per connection, complete spans.
 	for _, s := range rep.Stalls {
-		end := s.End
-		if end == Unset {
-			end = rep.End
-		}
+		end := rep.until(s.End)
 		track := fmt.Sprintf("otp/%d", s.Conn)
 		out = append(out, traceEvent{
 			Name: "HOL stall", Ph: "X", Cat: "stall",
@@ -138,10 +126,7 @@ func (t *Tracer) WritePerfetto(w io.Writer) error {
 	}
 	// Fault windows (async: overlapping windows are refcounted).
 	for _, f := range rep.Faults {
-		end := f.End
-		if end == Unset {
-			end = rep.End
-		}
+		end := rep.until(f.End)
 		id := fmt.Sprintf("fault/%d", f.Flow)
 		out = append(out,
 			traceEvent{Name: "fault " + f.Kind, Ph: "b", Cat: "fault",

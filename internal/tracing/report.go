@@ -23,6 +23,14 @@ func fmtDur(d sim.Duration) string {
 	return fmt.Sprintf("%.3fms", float64(d)/1e6)
 }
 
+// until is t, or the trace's end for a span still open at it (Unset).
+func (r *Report) until(t sim.Time) sim.Time {
+	if t == Unset {
+		return r.End
+	}
+	return t
+}
+
 // WriteSummary prints run-level totals: ADU and message outcomes,
 // drops by cause, stall and fault window counts.
 func (r *Report) WriteSummary(w io.Writer) {
@@ -64,11 +72,7 @@ func (r *Report) WriteSummary(w io.Writer) {
 	if len(r.Stalls) > 0 {
 		var total sim.Duration
 		for _, s := range r.Stalls {
-			end := s.End
-			if end == Unset {
-				end = r.End
-			}
-			total += end.Sub(s.Begin)
+			total += r.until(s.End).Sub(s.Begin)
 		}
 		fmt.Fprintf(w, "stalls: %d windows, %s blocked\n", len(r.Stalls), fmtDur(total))
 	}

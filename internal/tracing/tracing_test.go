@@ -37,7 +37,7 @@ func TestSniff(t *testing.T) {
 	}{
 		{"alf-data", mkALFData(3, 77, 1024, 512), wire.KindData, 3, 77, 1024, 0},
 		{"alf-ctrl", wire.EncodeControl(nil, &wire.Control{Stream: 5, Nacks: []uint64{9, 11}}), wire.KindCtrl, 5, 0, 0, 0},
-		{"alf-hb", wire.EncodeHeartbeat(7, 42), wire.KindHB, 7, 42, 0, 0},
+		{"alf-hb", wire.EncodeHeartbeat(nil, 7, 42), wire.KindHB, 7, 42, 0, 0},
 		{"otp-data", mkOTP(1, 2, 9000, make([]byte, 300)), wire.KindOTPData, 2, 0, 9000, 300},
 		{"otp-ack", mkOTP(2, 4, 0, nil), wire.KindOTPAck, 4, 0, 0, 0},
 		{"empty", nil, wire.KindNone, 0, 0, 0, 0},

@@ -20,8 +20,8 @@ func FuzzPeek(f *testing.F) {
 	f.Add(data(Header{Stream: 1, Name: 2, Tag: 3, TotalLen: 64, FragOff: 8, FragLen: 16}))
 	f.Add(data(Header{Flags: FlagAEAD | FlagParity | FlagCritical, TotalLen: 64, FragLen: 24}))
 	f.Add(EncodeControl(nil, &Control{Stream: 1, Cum: 5, Nacks: seq(3)}))
-	f.Add(EncodeHeartbeat(1, 99))
-	f.Add(EncodeFeedback(fb[:], 1, 2, 3, 4))
+	f.Add(EncodeHeartbeat(nil, 1, 99))
+	f.Add(EncodeFeedback(fb[:0], 1, 2, 3, 4))
 	f.Add(EncodeCustody(&CustodyAck{Stream: 3, Relay: 7, Cum: 42, Names: seq(2)}))
 	f.Add(otp(OTPHeader{Flags: OTPData | OTPAck, Conn: 2, Seq: 100, Len: 50}))
 	f.Add(otp(OTPHeader{Flags: OTPAck, Conn: 2, Ack: 100}))

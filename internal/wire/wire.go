@@ -267,9 +267,9 @@ type Control struct {
 // typical MTUs.
 const MaxNames = 64
 
-// EncodeControl encodes c for the wire into buf's storage if it has
-// the room, else into new storage, and returns the frame. A receiver
-// passes back the last frame it sent, so that acknowledging allocates
+// EncodeControl appends c's frame to buf and returns the result. A
+// receiver appends to the emptied storage of the last frame it sent,
+// behind any encapsulation prefix, so that acknowledging allocates
 // nothing; that is safe because every send copies what it is handed.
 func EncodeControl(buf []byte, c *Control) []byte {
 	return encodeNames(buf, TypeCtrl, c.Stream, 0, c.Cum, c.Nacks)
@@ -322,7 +322,8 @@ func frontierAt(t Type) int {
 func encodeNames(buf []byte, t Type, stream, relay byte, cum uint64, list []uint64) []byte {
 	at := frontierAt(t)
 	n := at + 10 + 8*len(list) + 2
-	msg := slices.Grow(buf[:0], n)[:n] // no temporary, even under -race
+	buf = slices.Grow(buf, n)[:len(buf)+n] // no temporary, even under -race
+	msg := buf[len(buf)-n:]
 	clear(msg)
 	msg[0] = byte(t)
 	msg[1] = stream
@@ -335,7 +336,7 @@ func encodeNames(buf []byte, t Type, stream, relay byte, cum uint64, list []uint
 		binary.BigEndian.PutUint64(msg[at+10+8*i:], name)
 	}
 	binary.BigEndian.PutUint16(msg[len(msg)-2:], checksum.Sum16(msg))
-	return msg
+	return buf
 }
 
 // checkNames verifies a CTRL or CA frame without decoding its names.
@@ -367,14 +368,15 @@ func names(pkt []byte, t Type) []uint64 {
 // HeartbeatSize is the length of an HB frame.
 const HeartbeatSize = 12
 
-// EncodeHeartbeat encodes an HB frame.
-func EncodeHeartbeat(stream byte, next uint64) []byte {
-	msg := make([]byte, HeartbeatSize)
+// EncodeHeartbeat appends an HB frame to buf and returns the result.
+func EncodeHeartbeat(buf []byte, stream byte, next uint64) []byte {
+	buf = append(buf, make([]byte, HeartbeatSize)...)
+	msg := buf[len(buf)-HeartbeatSize:]
 	msg[0] = byte(TypeHB)
 	msg[1] = stream
 	binary.BigEndian.PutUint64(msg[2:10], next)
 	binary.BigEndian.PutUint16(msg[10:12], checksum.Sum16(msg))
-	return msg
+	return buf
 }
 
 // ParseHeartbeat decodes and verifies an HB frame.
@@ -393,19 +395,19 @@ func fixedFrame(pkt []byte, t Type, size int) bool {
 // FeedbackSize is the length of an FB frame.
 const FeedbackSize = 24
 
-// EncodeFeedback writes the report into buf's storage if it has the
-// room, as EncodeControl does, and returns the frame. The receiver
-// passes the last frame it sent, so the periodic report allocates
-// nothing.
+// EncodeFeedback appends the report's frame to buf, as EncodeControl
+// does, and returns the result; the receiver reuses its last frame's
+// storage, so the periodic report allocates nothing.
 func EncodeFeedback(buf []byte, stream byte, seq uint32, wire, good uint64) []byte {
-	msg := append(buf[:0], make([]byte, FeedbackSize)...)
+	buf = append(buf, make([]byte, FeedbackSize)...)
+	msg := buf[len(buf)-FeedbackSize:]
 	msg[0] = byte(TypeFB)
 	msg[1] = stream
 	binary.BigEndian.PutUint32(msg[2:6], seq)
 	binary.BigEndian.PutUint64(msg[6:14], wire)
 	binary.BigEndian.PutUint64(msg[14:22], good)
 	binary.BigEndian.PutUint16(msg[22:24], checksum.Sum16(msg))
-	return msg
+	return buf
 }
 
 // ParseFeedback decodes and verifies a feedback report. Values return

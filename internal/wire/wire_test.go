@@ -74,11 +74,11 @@ func TestRoundTripBoundaries(t *testing.T) {
 			t.Errorf("CA round trip with %d names: %+v, %v", n, gotCA, err)
 		}
 	}
-	if stream, next, err := ParseHeartbeat(EncodeHeartbeat(7, ^uint64(0))); err != nil || stream != 7 || next != ^uint64(0) {
+	if stream, next, err := ParseHeartbeat(EncodeHeartbeat(nil, 7, ^uint64(0))); err != nil || stream != 7 || next != ^uint64(0) {
 		t.Errorf("HB round trip: %d %d %v", stream, next, err)
 	}
 	var fb [FeedbackSize]byte
-	if stream, n, w, g, err := ParseFeedback(EncodeFeedback(fb[:], 7, ^uint32(0), 1<<40, 12345)); err != nil ||
+	if stream, n, w, g, err := ParseFeedback(EncodeFeedback(fb[:0], 7, ^uint32(0), 1<<40, 12345)); err != nil ||
 		stream != 7 || n != ^uint32(0) || w != 1<<40 || g != 12345 {
 		t.Errorf("FB round trip: %d %d %d %d %v", stream, n, w, g, err)
 	}
@@ -112,9 +112,9 @@ func TestEveryBitIsCovered(t *testing.T) {
 			func(p []byte) error { _, err := ParseHeader(p); return err }},
 		"CTRL": {EncodeControl(nil, &Control{Stream: 1, Cum: 5, Nacks: seq(3)}), -1,
 			func(p []byte) error { _, err := ParseControl(p); return err }},
-		"HB": {EncodeHeartbeat(1, 99), -1,
+		"HB": {EncodeHeartbeat(nil, 1, 99), -1,
 			func(p []byte) error { _, _, err := ParseHeartbeat(p); return err }},
-		"FB": {EncodeFeedback(fb[:], 1, 2, 3, 4), -1,
+		"FB": {EncodeFeedback(fb[:0], 1, 2, 3, 4), -1,
 			func(p []byte) error { _, _, _, _, err := ParseFeedback(p); return err }},
 		"CA": {EncodeCustody(&CustodyAck{Stream: 3, Relay: 7, Cum: 42, Names: seq(3)}), -1,
 			func(p []byte) error { _, err := ParseCustody(p); return err }},
@@ -198,8 +198,8 @@ func TestDescribeGolden(t *testing.T) {
 		{EncodeControl(nil, &Control{Stream: 3, Cum: 7}), "alf CTRL stream=3 cum=7 nacks=0"},
 		{EncodeControl(nil, &Control{Stream: 3, Cum: 7, Nacks: []uint64{9, 11}}), "alf CTRL stream=3 cum=7 nacks=2 [9 11]"},
 		{EncodeControl(nil, &Control{Nacks: []uint64{1, 2, 3, 4, 5, 6, 7, 8, 9}}), "alf CTRL stream=0 cum=0 nacks=9 [1 2 3 4 5 6 7 8 …]"},
-		{EncodeHeartbeat(3, 42), "alf HB stream=3 next=42"},
-		{EncodeFeedback(fb[:], 3, 5, 1<<33, 12345), "alf FB stream=3 seq=5 wire=8589934592 delivered=12345"},
+		{EncodeHeartbeat(nil, 3, 42), "alf HB stream=3 next=42"},
+		{EncodeFeedback(fb[:0], 3, 5, 1<<33, 12345), "alf FB stream=3 seq=5 wire=8589934592 delivered=12345"},
 		{EncodeCustody(&CustodyAck{Stream: 3, Relay: 7, Cum: 42, Names: []uint64{50, 99}}), "alf CA stream=3 relay=7 cum=42 names=2 [50 99]"},
 		{EncodeCustody(&CustodyAck{Stream: 3}), "alf CA stream=3 relay=0 cum=0 names=0"},
 		{with(0)[:HeaderSize-1], "alf DATA: damaged or truncated (33 bytes)"},
@@ -252,7 +252,7 @@ func TestDescribeALFControlAndHB(t *testing.T) {
 	if line := Describe(EncodeControl(nil, &Control{Cum: 1})); !strings.Contains(line, "CTRL") || !strings.Contains(line, "cum=1") {
 		t.Errorf("control line: %q", line)
 	}
-	if line := Describe(EncodeHeartbeat(0, 1)); !strings.Contains(line, "HB") || !strings.Contains(line, "next=1") {
+	if line := Describe(EncodeHeartbeat(nil, 0, 1)); !strings.Contains(line, "HB") || !strings.Contains(line, "next=1") {
 		t.Errorf("heartbeat line: %q", line)
 	}
 }
@@ -302,8 +302,8 @@ func TestPeek(t *testing.T) {
 		{"aead parity", data(Header{Stream: 3, Name: 77, Flags: FlagAEAD | FlagParity, TotalLen: 2048, FragLen: 512}),
 			Info{KindData, 3, 77, 0, 512}},
 		{"ctrl", EncodeControl(nil, &Control{Stream: 5, Cum: 8, Nacks: []uint64{9, 11}}), Info{Kind: KindCtrl, ID: 5}},
-		{"hb", EncodeHeartbeat(7, 42), Info{Kind: KindHB, ID: 7, Name: 42}},
-		{"fb", EncodeFeedback(fb[:], 7, 6, 1, 1), Info{Kind: KindFB, ID: 7, Name: 6}},
+		{"hb", EncodeHeartbeat(nil, 7, 42), Info{Kind: KindHB, ID: 7, Name: 42}},
+		{"fb", EncodeFeedback(fb[:0], 7, 6, 1, 1), Info{Kind: KindFB, ID: 7, Name: 6}},
 		{"ca", EncodeCustody(&CustodyAck{Stream: 2, Relay: 1, Cum: 13, Names: []uint64{20}}), Info{Kind: KindCA, ID: 2, Name: 13}},
 		{"otp data", otp(OTPHeader{Flags: OTPData, Conn: 2, Seq: 9000, Len: 300}), Info{Kind: KindOTPData, ID: 2, Off: 9000, Len: 300}},
 		{"otp data+ack", otp(OTPHeader{Flags: OTPData | OTPAck, Conn: 2, Seq: 9000, Len: 300}), Info{Kind: KindOTPData, ID: 2, Off: 9000, Len: 300}},

@@ -103,8 +103,8 @@ var surfaceKeep = map[string]string{
 // down: non-test lines outside benchmark/, and those of the planes that
 // watch the protocol.
 const (
-	locCeiling           = 21093
-	observabilityCeiling = 3067
+	locCeiling           = 21087
+	observabilityCeiling = 3040
 )
 
 var observabilityDirs = []string{"internal/metrics", "internal/tracing", "internal/telemetry", "internal/stats"}
