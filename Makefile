@@ -206,7 +206,7 @@ lint: vet
 # XOR and checksum kernels under all of it are in the bench run too.
 alloc-guard:
 	@$(GO) build -gcflags=-m ./internal/tracing 2>&1 | grep -q 'can inline (\*Tracer).Emit$$' || { echo "(*Tracer).Emit no longer inlines"; exit 1; }
-	$(GO) test -count=1 -run 'ZeroAlloc|PacedSendZeroAlloc|NilRegistryBindsNothing|AddFlowAllocs|FlowRunAllocs|RecycledPartialIsClean|DisabledTracerOverhead' -v ./internal/core ./internal/udplink ./internal/otp ./internal/netsim ./internal/tracing ./internal/metrics
+	$(GO) test -count=1 -run 'ZeroAlloc|PacedSendZeroAlloc|NilRegistryBindsNothing|AddFlowAllocs|FlowRunAllocs|RecycledPartialIsClean|DisabledTracerOverhead' -v ./internal/core ./internal/udplink ./internal/otp ./internal/netsim ./internal/sim ./internal/tracing ./internal/metrics
 	$(GO) test -run '^$$' -bench 'SendSteadyState|ReceivePath|FECSender|FECRepair|NetsimForward|LinkDeepQueue|SchedulerDeep|FusedCopySum|Sum16|WordCopy4KB|XORWords' -benchmem ./internal/core ./internal/netsim ./internal/sim ./internal/ilp ./internal/checksum
 
 # Bounds-check gate on the copy / checksum kernels and on the keystream

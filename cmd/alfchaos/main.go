@@ -48,6 +48,7 @@
 package main
 
 import (
+	"bytes"
 	"cmp"
 	"flag"
 	"fmt"
@@ -388,15 +389,11 @@ func dumpTrace(tracer *tracing.Tracer, passed bool, culprits []uint64) error {
 			rep.WriteADU(os.Stdout, 0, name)
 		}
 	}
-	f, err := os.Create(*flagTrace)
-	if err != nil {
+	var trace bytes.Buffer
+	if err := tracer.WritePerfetto(&trace); err != nil {
 		return err
 	}
-	if err := tracer.WritePerfetto(f); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
+	if err := os.WriteFile(*flagTrace, trace.Bytes(), 0o666); err != nil {
 		return err
 	}
 	fmt.Printf("\nperfetto trace (%d events, %d dropped) written to %s\n",

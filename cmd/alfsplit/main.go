@@ -13,9 +13,9 @@
 //
 // -noinlines charges an inlined function's samples to the function it
 // was inlined into, which is the one the table names. `make split` runs
-// this on core's BenchmarkSendSteadyState and
-// BenchmarkSendSteadyStateAEAD, and on faults/soak's
-// BenchmarkUDPLoopback.
+// this on core's BenchmarkSendSteadyState{,AEAD}, faults/soak's
+// BenchmarkUDPLoopback and the root package's
+// BenchmarkFlowScale/workers=2.
 package main
 
 import (
@@ -84,14 +84,16 @@ func classify(fn string) string {
 	return "other"
 }
 
-// totalLine is pprof's "Showing nodes accounting for X, Y% of Z total".
-var totalLine = regexp.MustCompile(`of ([0-9.]+[a-zµ]+) total`)
+// totalLine is pprof's "Showing nodes accounting for X, Y% of Z total";
+// Z is a bare 0 when the profile holds no samples.
+var totalLine = regexp.MustCompile(`of ([0-9.]+[a-zµ]*) total`)
 
 // split reads pprof -top text and returns each bucket's flat time and
 // the profile's total.
 func split(r io.Reader) (map[string]time.Duration, time.Duration, error) {
 	by := make(map[string]time.Duration)
 	var total, listed time.Duration
+	found := false
 	sc := bufio.NewScanner(r)
 	for sc.Scan() {
 		line := sc.Text()
@@ -100,7 +102,7 @@ func split(r io.Reader) (map[string]time.Duration, time.Duration, error) {
 			if err != nil {
 				return nil, 0, fmt.Errorf("total %q: %v", m[1], err)
 			}
-			total = d
+			total, found = d, true
 			continue
 		}
 		// flat flat% sum% cum cum% name, where name may hold spaces.
@@ -118,7 +120,7 @@ func split(r io.Reader) (map[string]time.Duration, time.Duration, error) {
 	if err := sc.Err(); err != nil {
 		return nil, 0, err
 	}
-	if total == 0 {
+	if !found {
 		return nil, 0, fmt.Errorf("no %q line: not pprof -top output", "of … total")
 	}
 	by["other"] += total - listed
@@ -128,8 +130,13 @@ func split(r io.Reader) (map[string]time.Duration, time.Duration, error) {
 // render prints one row per bucket and the total, with shares rounded
 // to tenths of a percent so that the printed column sums to 100.0: each
 // bucket gets its share rounded down, and the tenths still missing go
-// to the buckets that lost most to rounding.
+// to the buckets that lost most to rounding. A profile with no samples
+// (a run too short for one) has no shares, and says so.
 func render(w io.Writer, by map[string]time.Duration, total time.Duration) {
+	if total == 0 {
+		fmt.Fprintln(w, "no samples: the run was too short to profile")
+		return
+	}
 	tenths := make([]int64, len(buckets))
 	left := int64(1000)
 	for i, b := range buckets {

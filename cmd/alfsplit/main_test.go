@@ -96,3 +96,19 @@ func TestSplitRejectsOtherInput(t *testing.T) {
 		t.Fatal("no error without a total")
 	}
 }
+
+// A profile too short to hold a sample splits into nothing, without an
+// error, so `make split` goes on to the next benchmark.
+func TestSplitEmptyProfile(t *testing.T) {
+	in := "File: core.test\nType: cpu\nDuration: 200.91ms, Total samples = 0 \n" +
+		"Showing nodes accounting for 0, 0% of 0 total\n      flat  flat%   sum%        cum   cum%\n"
+	by, total, err := split(bytes.NewReader([]byte(in)))
+	if err != nil || total != 0 {
+		t.Fatalf("split = %v, %v; want a zero total and no error", total, err)
+	}
+	var got bytes.Buffer
+	render(&got, by, total)
+	if want := "no samples: the run was too short to profile\n"; got.String() != want {
+		t.Errorf("renders %q, want %q", got.String(), want)
+	}
+}

@@ -16,6 +16,7 @@
 package main
 
 import (
+	"bytes"
 	"flag"
 	"fmt"
 	"io"
@@ -149,15 +150,11 @@ func run(opts options, w io.Writer) error {
 		}
 	}
 	if opts.perfetto != "" {
-		f, err := os.Create(opts.perfetto)
-		if err != nil {
+		var trace bytes.Buffer
+		if err := tracer.WritePerfetto(&trace); err != nil {
 			return err
 		}
-		if err := tracer.WritePerfetto(f); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
+		if err := os.WriteFile(opts.perfetto, trace.Bytes(), 0o666); err != nil {
 			return err
 		}
 		fmt.Fprintf(w, "perfetto trace (%d events) written to %s\n", tracer.Len(), opts.perfetto)

@@ -7,7 +7,11 @@ package alf
 // serializing hot spot. This file provides that split for up to
 // millions of concurrent ALF flows:
 //
-//   - A flow table hashes every flow (ShardOf) onto one of N shards.
+//   - A flow table hashes every flow (ShardOf) onto one of N shards,
+//     which gives it a label: its index in the shard's own table. The
+//     label rides in front of each of the flow's packets, so the shard
+//     finds the flow by one index, as a switch finds an ATM circuit
+//     by its VCI.
 //   - Each shard owns a private event scheduler, a private buf.Pool
 //     arena, and a private netsim.Network with its own trunk links and
 //     seeded RNG. Shards share nothing, so each runs alone to
@@ -36,15 +40,17 @@ import (
 	"repro/internal/xcode"
 )
 
-// FlowID names one flow of a sharded endpoint. The id is carried on
-// the wire as an 8-byte encapsulation prefix (Config.encap) in front
-// of every ALF packet, so the destination shard can route a packet to
-// its flow without parsing ALF headers — the ADU's own naming
+// FlowID names one flow of a sharded endpoint. It picks the flow's
+// shard (ShardOf) and is not on the wire: in front of every ALF packet
+// rides an 8-byte encapsulation prefix (Config.encap) holding the
+// flow's label, its index in its shard's flow table, so the shard
+// routes a packet to its flow by one index without parsing ALF headers
+// — a link-local label, as an ATM VCI is, and the packet's own
 // information is the dispatch key (§7).
 type FlowID uint64
 
-// flowIDSize is the wire size of the FlowID encapsulation prefix.
-const flowIDSize = 8
+// labelSize is the wire size of the label prefix.
+const labelSize = 8
 
 // ShardOf maps a flow to its owning shard: a Fibonacci hash of the id
 // folded onto [0, shards). Flows with adjacent ids land on different
@@ -114,8 +120,8 @@ type Flow struct {
 	Receiver Receiver
 
 	shard    *Shard
-	encap    [flowIDSize]byte
-	hb, scan sim.Timer // the Sender's and the Receiver's
+	encap    [labelSize]byte // the label
+	hb, scan sim.Timer       // the Sender's and the Receiver's
 }
 
 // flowSlab is the most flows one allocation of a shard's slab holds.
@@ -145,8 +151,9 @@ type Shard struct {
 	client, server *netsim.Node
 	up, down       *netsim.Link
 
-	flows map[FlowID]*Flow
-	slab  []Flow // the flows, in chunks of at most flowSlab; the last one fills
+	flows []*Flow             // by label
+	ids   map[FlowID]struct{} // for AddFlow's duplicate check
+	slab  []Flow              // the flows, in chunks of at most flowSlab; the last one fills
 
 	// The hooks all its flows share. deliver is the default OnADU: replace
 	// it before Run (the replacement runs on the shard's worker).
@@ -165,13 +172,16 @@ func (sh *Shard) Index() int { return sh.index }
 // Scheduler returns the shard's private event scheduler.
 func (sh *Shard) Scheduler() *sim.Scheduler { return sh.sched }
 
-// flowOf returns the flow a trunk packet's 8-byte flow-id prefix names
-// (nil if none) and the ALF packet behind the prefix.
+// flowOf returns the flow a trunk packet's label names (nil if none)
+// and the ALF packet behind the label.
 func (sh *Shard) flowOf(p *netsim.Packet) (*Flow, []byte) {
-	if len(p.Payload) < flowIDSize {
+	if len(p.Payload) < labelSize {
 		return nil, nil
 	}
-	return sh.flows[FlowID(binary.BigEndian.Uint64(p.Payload))], p.Payload[flowIDSize:]
+	if l := binary.BigEndian.Uint64(p.Payload); l < uint64(len(sh.flows)) {
+		return sh.flows[l], p.Payload[labelSize:]
+	}
+	return nil, nil
 }
 
 // demuxData routes an arriving trunk packet (DATA, HB) to its flow's
@@ -218,7 +228,7 @@ func NewSharded(cfg ShardedConfig) (*Sharded, error) {
 			index: i,
 			sched: sim.NewScheduler(),
 			pool:  buf.NewPool(),
-			flows: make(map[FlowID]*Flow),
+			ids:   make(map[FlowID]struct{}),
 		}
 		// Mix the shard index into the seed so shards draw independent
 		// impairment sequences from one experiment seed.
@@ -263,7 +273,7 @@ func (t *Sharded) Fired() uint64 {
 // Call only while the endpoint is idle (before Run or between runs).
 func (t *Sharded) AddFlow(id FlowID) (*Flow, error) {
 	sh := t.shards[ShardOf(id, len(t.shards))]
-	if _, dup := sh.flows[id]; dup {
+	if _, dup := sh.ids[id]; dup {
 		return nil, fmt.Errorf("%w: duplicate flow id %d", ErrConfig, id)
 	}
 	if len(sh.slab) == cap(sh.slab) {
@@ -273,10 +283,10 @@ func (t *Sharded) AddFlow(id FlowID) (*Flow, error) {
 	}
 	f := &sh.slab[:len(sh.slab)+1][len(sh.slab)] // taken only once its endpoints init
 	*f = Flow{ID: id, shard: sh}
-	binary.BigEndian.PutUint64(f.encap[:], uint64(id))
+	binary.BigEndian.PutUint64(f.encap[:], uint64(len(sh.flows)))
 
 	cfg := t.cfg.Flow
-	cfg.StreamID = byte(id) // secondary check; the encap prefix routes
+	cfg.StreamID = byte(id) // secondary check; the label routes
 	cfg.Pool = sh.pool
 	cfg.Metrics = nil // per-flow series would not scale; Stats aggregates flows
 	cfg.encap = f.encap[:]
@@ -295,7 +305,8 @@ func (t *Sharded) AddFlow(id FlowID) (*Flow, error) {
 		}
 	}
 	sh.slab = sh.slab[:len(sh.slab)+1]
-	sh.flows[id] = f
+	sh.flows = append(sh.flows, f)
+	sh.ids[id] = struct{}{}
 	return f, nil
 }
 
@@ -348,8 +359,7 @@ type ShardedStats struct {
 	Trunk netsim.LinkStats // both directions of every shard trunk
 }
 
-// Stats sweeps shards and flows and returns the aggregate. Every field
-// is a sum or a maximum of integers, so the map's order cannot show.
+// Stats sweeps shards and flows and returns the aggregate.
 func (t *Sharded) Stats() ShardedStats {
 	var out ShardedStats
 	for _, sh := range t.shards {

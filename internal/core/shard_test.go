@@ -113,7 +113,7 @@ func TestShardedDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
-// TestShardedEncapRoundtrip: the 8-byte flow-id encapsulation routes
+// TestShardedEncapRoundtrip: the 8-byte label prefix routes
 // data, heartbeats, control, and feedback between the right endpoint
 // pairs even when many flows share a trunk, and the feedback loop's
 // byte accounting balances (no phantom loss from the stripped prefix).
@@ -149,7 +149,7 @@ func TestShardedEncapRoundtrip(t *testing.T) {
 	// the senders' exactly, or the §3 loop would see phantom loss.
 	if st.Recv.WireBytes != st.Send.WireBytes {
 		t.Fatalf("wire accounting skewed: recv %d != sent %d (encap %d bytes/pkt)",
-			st.Recv.WireBytes, st.Send.WireBytes, flowIDSize)
+			st.Recv.WireBytes, st.Send.WireBytes, labelSize)
 	}
 	if st.Send.FeedbackRecv == 0 {
 		t.Fatal("no feedback crossed the encapsulated control path")
@@ -341,7 +341,7 @@ func TestRecycledPartialIsClean(t *testing.T) {
 }
 
 // TestShardedSendZeroAlloc extends the alloc-guard to the sharded hot
-// path: Send -> packetize (encap headroom) -> flow-id stamp -> trunk
+// path: Send -> packetize (encap headroom) -> label stamp -> trunk
 // SendRef -> demux -> HandlePacket -> deliver -> Release, across two
 // shards' private arenas. Steady state must not allocate.
 func TestShardedSendZeroAlloc(t *testing.T) {

@@ -3,10 +3,10 @@ package experiments
 // The flow-scale experiment: §7's parallel-receiver claim at
 // population scale. A sharded endpoint carries F concurrent ALF flows
 // hashed over N shards, each shard owning a scheduler, a buffer arena,
-// and a trunk of capacity R. Because ADUs route themselves (the
-// 8-byte flow-id encapsulation), no serializing hot spot exists, and
-// the endpoint should sustain ~N x R aggregate virtual throughput —
-// the near-linear scaling curve in docs/SCALING.md.
+// and a trunk of capacity R. Because ADUs route themselves (an 8-byte
+// shard-local label in front of each packet), no serializing hot spot
+// exists, and the endpoint should sustain ~N x R aggregate virtual
+// throughput — the near-linear scaling curve in docs/SCALING.md.
 //
 // Two clocks are reported and must not be conflated. Virtual-time
 // throughput (AggMbps, ADUsPerVSec) is the architectural result: it
@@ -139,7 +139,7 @@ func RunFlowScale(cfg FlowScaleConfig) (FlowScalePoint, error) {
 	if perShard < 1 {
 		perShard = 1
 	}
-	wireBits := float64(cfg.ADUBytes+alf.HeaderSize+8) * 8 // + flow-id encap
+	wireBits := float64(cfg.ADUBytes+alf.HeaderSize+8) * 8 // + label prefix
 	gap := sim.Duration(float64(perShard) * wireBits / (flowLoad * flowTrunkBps) * 1e9)
 	if gap < time.Microsecond {
 		gap = time.Microsecond

@@ -2,35 +2,74 @@ package sim
 
 import "testing"
 
+const armed = 65536 // the depth a 64k-flow shard gives the queue
+
+// deepQueue returns a warm scheduler holding armed timers spread over
+// the next armed ticks; each expiry re-arms its timer a random way
+// ahead. Warm means its bucket arrays have grown to what the churn
+// needs: it has run a few expiries per timer, and then until none is
+// due at Now.
+func deepQueue() (*Scheduler, []*Timer, *Rand) {
+	s := NewScheduler()
+	rng := NewRand(1)
+	timers := make([]*Timer, armed)
+	for i := range timers {
+		var t *Timer
+		t = s.NewTimer(func() { t.Reset(Duration(1 + rng.Intn(armed))) })
+		t.Reset(Duration(1 + rng.Intn(armed)))
+		timers[i] = t
+	}
+	for i := 0; i < 4*armed || s.queue.peek().at == s.Now(); i++ {
+		popReset(s, timers, rng)
+	}
+	return s, timers, rng
+}
+
+// popReset is one expiry (pop, then the callback's Reset pushes the
+// slot back) plus one Reset of a timer that is still pending (re-keyed
+// in place).
+func popReset(s *Scheduler, timers []*Timer, rng *Rand) {
+	s.Step()
+	timers[rng.Intn(armed)].Reset(Duration(1 + rng.Intn(armed)))
+}
+
+// TestSchedulerZeroAlloc: on a warm queue of 65536 armed timers,
+// neither expiries with re-arms nor the datapath's pooled events
+// allocate, not even now and then as a bucket outgrows its array.
+func TestSchedulerZeroAlloc(t *testing.T) {
+	s, timers, rng := deepQueue()
+	count := func(any) {}
+	for _, c := range []struct {
+		name  string
+		cycle func()
+	}{
+		{"pop+Reset", func() { popReset(s, timers, rng) }},
+		{"AtCall+Step", func() { s.AtCall(s.Now(), count, nil); s.Step() }},
+	} {
+		allocs := testing.AllocsPerRun(1, func() {
+			for i := 0; i < 100000; i++ {
+				c.cycle()
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("%s: %v allocations over 100000 cycles", c.name, allocs)
+		}
+	}
+	if s.Pending() != armed {
+		t.Fatalf("%d timers pending, want %d", s.Pending(), armed)
+	}
+}
+
 // BenchmarkSchedulerDeep measures the event queue at the depth a
 // 64k-flow shard gives it: 65536 armed timers stay queued throughout.
-// Neither steady state may allocate.
+// Neither steady state may allocate (TestSchedulerZeroAlloc).
 func BenchmarkSchedulerDeep(b *testing.B) {
-	const armed = 65536
-	// deep returns a scheduler holding armed timers spread over the next
-	// armed ticks; each expiry re-arms its timer a random way ahead.
-	deep := func() (*Scheduler, []*Timer, *Rand) {
-		s := NewScheduler()
-		rng := NewRand(1)
-		timers := make([]*Timer, armed)
-		for i := range timers {
-			var t *Timer
-			t = s.NewTimer(func() { t.Reset(Duration(1 + rng.Intn(armed))) })
-			t.Reset(Duration(1 + rng.Intn(armed)))
-			timers[i] = t
-		}
-		return s, timers, rng
-	}
-
-	// One expiry (pop, then the callback's Reset pushes the slot back)
-	// plus one Reset of a timer that is still pending (re-keyed in place).
 	b.Run("pop+Reset", func(b *testing.B) {
-		s, timers, rng := deep()
+		s, timers, rng := deepQueue()
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			s.Step()
-			timers[rng.Intn(armed)].Reset(Duration(1 + rng.Intn(armed)))
+			popReset(s, timers, rng)
 		}
 		b.StopTimer()
 		if s.Pending() != armed {
@@ -41,7 +80,7 @@ func BenchmarkSchedulerDeep(b *testing.B) {
 	// The datapath's form: a pooled fire-and-forget event scheduled just
 	// ahead of the armed timers, then fired.
 	b.Run("AtCall", func(b *testing.B) {
-		s, _, _ := deep()
+		s, _, _ := deepQueue()
 		fired := 0
 		count := func(any) { fired++ }
 		now := s.Now()

@@ -198,7 +198,7 @@ const orderTimers = 4
 // as long as they fire identically.
 type side struct {
 	b      backend
-	span   int // scheduling delays are 0..span-1 ticks
+	span   int // delays are 0..span-1 steps of 10 ns, some scaled (see tick)
 	log    []firing
 	nextID int
 }
@@ -220,10 +220,18 @@ func newSide(b backend, span int) *side {
 	return s
 }
 
-// tick maps a byte-sized parameter to a delay on a coarse grid: with a
-// small span equal-time ties are the common case rather than the rare
-// one.
-func (s *side) tick(p int) Duration { return Duration(p%s.span) * 10 }
+// tick maps a byte-sized parameter to a delay. Three in four land on a
+// coarse grid, where with a small span equal-time ties are the common
+// case rather than the rare one; the rest are scaled by up to 2^41, so
+// delays run from nanoseconds to hours and reach every bucket the
+// queue uses.
+func (s *side) tick(p int) Duration {
+	d := Duration(p%s.span) * 10
+	if p%4 == 3 {
+		d <<= p / 4 % 42
+	}
+	return d
+}
 
 // callback builds the body of item id: log the firing, then run the
 // nested action act encodes (act/6 seeds the action of any item it
@@ -301,7 +309,7 @@ func runOrderOps(t *testing.T, data []byte, span int, full bool) {
 	}
 
 	for i := 0; i+1 < len(data); i += 2 {
-		op, p := int(data[i]%11), int(data[i+1])
+		op, p := int(data[i]%12), int(data[i+1])
 		what := ""
 		switch op {
 		case 0:
@@ -329,8 +337,8 @@ func runOrderOps(t *testing.T, data []byte, span int, full bool) {
 			}
 		case 8:
 			what = "RunUntil"
-			_ = r.b.RunUntil(r.b.Now().Add(Duration(p%6) * 10))
-			_ = m.b.RunUntil(m.b.Now().Add(Duration(p%6) * 10))
+			_ = r.b.RunUntil(r.b.Now().Add(r.tick(p)))
+			_ = m.b.RunUntil(m.b.Now().Add(m.tick(p)))
 		case 9:
 			// Cancel whatever is at the head of the queue, through the
 			// handle its kind has (pooled events have none).
@@ -352,6 +360,10 @@ func runOrderOps(t *testing.T, data []byte, span int, full bool) {
 				s.b.stop(p % orderTimers)
 				s.b.reset(p%orderTimers, s.tick(p/orderTimers))
 			}
+		case 11:
+			what = "Run"
+			_ = r.b.Run()
+			_ = m.b.Run()
 		}
 		check(i/2, what)
 	}
@@ -363,7 +375,25 @@ func runOrderOps(t *testing.T, data []byte, span int, full bool) {
 	}
 }
 
+// orderCorners are op streams that reach the corners of the radix queue,
+// run ahead of the random ones and seeded into the fuzzer.
+var orderCorners = [][]byte{
+	// Run ends on a cancelled tail at 40 ns, then 50 ns and 10 ns are
+	// scheduled: unless the base went back to now, 10 ns would sort
+	// into a higher bucket than 50 ns and fire after it.
+	{0, 4, 9, 0, 11, 0, 0, 5, 0, 1, 7, 0},
+	// NextAt discards a cancelled head at 40 ns, then 10 ns is scheduled
+	// ahead of the 50 ns event left.
+	{0, 4, 0, 5, 9, 0, 6, 0, 0, 1, 7, 0, 7, 0},
+	// Events A, B and C and timer 1 all at 30 ns reach b[0] together;
+	// A's callback re-arms the timer while its slot sits between B and C.
+	{0, 9, 0, 9, 3, 13, 0, 9, 7, 0, 7, 0, 7, 0, 3, 13, 7, 0},
+}
+
 func TestSchedulerDifferential(t *testing.T) {
+	for _, data := range orderCorners {
+		runOrderOps(t, data, 6, true)
+	}
 	rng := rand.New(rand.NewSource(1))
 	for round := 0; round < 300; round++ {
 		data := make([]byte, 2*(50+rng.Intn(400)))
@@ -381,7 +411,7 @@ func TestSchedulerDifferentialDeep(t *testing.T) {
 		data := make([]byte, 2*20000)
 		rng.Read(data)
 		for i := 0; i < len(data); i += 2 {
-			if data[i]%11 >= 7 && rng.Intn(4) > 0 {
+			if data[i]%12 >= 7 && rng.Intn(4) > 0 {
 				data[i] = byte(rng.Intn(6)) // trade most run ops for scheduling ops
 			}
 		}
@@ -394,6 +424,9 @@ func FuzzSchedulerOrder(f *testing.F) {
 	f.Add([]byte{3, 1, 4, 1, 3, 2, 8, 5})                    // reset, stop, reset while still queued
 	f.Add([]byte{1, 13, 2, 44, 0, 200, 8, 5, 8, 5})          // callbacks that schedule from inside step
 	f.Add([]byte{3, 0, 10, 0, 0, 0, 5, 0, 6, 0, 7, 0, 8, 3}) // zero-delay timer against a cancelled event
+	for _, data := range orderCorners {
+		f.Add(data)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > 4096 {
 			data = data[:4096]

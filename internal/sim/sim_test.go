@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 	"time"
@@ -304,6 +306,27 @@ func TestSchedulerClockNeverRegresses(t *testing.T) {
 	}
 }
 
+// TestDelayPastEndOfTime: a delay that runs past the last instant of
+// virtual time is held at that instant by Timer.Reset, After and
+// AfterCall alike, so the event fires last and the clock never goes
+// back.
+func TestDelayPastEndOfTime(t *testing.T) {
+	s := NewScheduler()
+	var got []Time
+	mark := func() { got = append(got, s.Now()) }
+	s.At(Time(time.Second), func() {
+		s.NewTimer(mark).Reset(math.MaxInt64 - 1)
+		s.After(math.MaxInt64, mark)
+		s.AfterCall(math.MaxInt64, func(any) { mark() }, nil)
+		s.After(time.Second, mark)
+	})
+	s.Run()
+	want := []Time{Time(2 * time.Second), math.MaxInt64, math.MaxInt64, math.MaxInt64}
+	if !slices.Equal(got, want) {
+		t.Fatalf("fired at %v, want %v", got, want)
+	}
+}
+
 func TestAtCallOrderingWithAt(t *testing.T) {
 	// Pooled and closure events scheduled at the same instant fire in
 	// schedule order, preserving determinism across the two forms.
@@ -376,7 +399,7 @@ func TestTimerResetReusesEvent(t *testing.T) {
 	tm.Stop()
 	tm.Reset(time.Second)
 	tm.Reset(2 * time.Second)
-	if s.queue[tm.ev.index].ev != &tm.ev {
+	if s.queue.b[tm.ev.bucket][tm.ev.pos].ev != &tm.ev {
 		t.Error("the timer's heap slot does not point at its own event")
 	}
 	allocs := testing.AllocsPerRun(1000, func() {
