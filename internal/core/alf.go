@@ -265,20 +265,20 @@ type Config struct {
 	// to end.
 	Pool *buf.Pool
 
-	// encap, when non-empty, is an encapsulation prefix stamped in
-	// front of the ALF header on every data-plane wire packet the
-	// sender emits — the hook the sharded endpoint's demultiplexer
-	// (Sharded.AddFlow sets its 8-byte flow id here) uses to route
-	// packets without parsing ALF headers. The prefix is written once
-	// at stamp time into the same pooled buffer (headroom is reserved
-	// during packetization), so retransmissions of retained fragments
-	// carry it for free and the zero-copy path stays intact. The outer
-	// layer must strip the prefix before Receiver.HandlePacket; the
+	// encap, when non-empty, is an encapsulation prefix stamped in front
+	// of the ALF header on every data-plane wire packet the sender emits —
+	// the hook the sharded endpoint's demultiplexer (Sharded.AddFlow sets
+	// the flow's 8-byte label, its index in its shard's flow table, here)
+	// uses to route packets without parsing ALF headers. The prefix is
+	// written once at stamp time into the same pooled buffer (headroom is
+	// reserved during packetization), so retransmissions of retained
+	// fragments carry it for free and the zero-copy path stays intact. The
+	// outer layer must strip the prefix before Receiver.HandlePacket; the
 	// receiver adds len(encap) back per accepted packet when accounting
-	// WireBytes so the sender's feedback loop sees consistent byte
-	// counts. encap rides outside the MTU budget. Both endpoints put it
-	// in front of their control frames too (heartbeats, CTRL, FB), so
-	// the outer layer's control hooks can be one per shard.
+	// WireBytes so the sender's feedback loop sees consistent byte counts.
+	// encap rides outside the MTU budget. Both endpoints put it in front
+	// of their control frames too (heartbeats, CTRL, FB), so the outer
+	// layer's control hooks can be one per shard.
 	encap []byte
 
 	// FeedbackInterval, when non-zero, has the receiver periodically

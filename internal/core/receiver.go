@@ -92,7 +92,7 @@ func reuse[T any](free *[]T) (t T) {
 }
 
 // control empties the frame buffer and starts it with the stream's
-// encap prefix (a sharded flow's id), for a wire encoder to append a
+// encap prefix (a sharded flow's label), for a wire encoder to append a
 // control frame to.
 func (sp *spares) control(c *Config) []byte { return append(sp.frame[:0], c.encap...) }
 

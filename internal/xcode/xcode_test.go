@@ -122,6 +122,23 @@ func TestDecodeTruncated(t *testing.T) {
 	}
 }
 
+func TestPrefixedHugeCountTruncated(t *testing.T) {
+	// A count with its top bit set is negative as a 32-bit int, and
+	// four times a quarter of the range wraps; neither may get past the
+	// length checks (GOARCH=386 runs this with a 32-bit int).
+	for _, c := range []Codec{Raw{}, LWTS{}} {
+		for _, k := range []Kind{KindBytes, KindString, KindInt32, KindInt64, KindInt32s, KindSeq} {
+			for _, n := range []uint32{0x40000000, 0x40000001, 0x80000000, 0xFFFFFFFF} {
+				src := appendUint32([]byte{byte(k)}, n)
+				src = append(src, make([]byte, 16)...)
+				if _, _, err := c.DecodeValue(src); !errors.Is(err, ErrTruncated) {
+					t.Errorf("%s %v count %#x: err %v, want ErrTruncated", c.Name(), k, n, err)
+				}
+			}
+		}
+	}
+}
+
 func TestBERKnownEncodings(t *testing.T) {
 	cases := []struct {
 		v    Value
