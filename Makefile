@@ -121,7 +121,9 @@ benchmark-smoke:
 # their bounds and still deliver a valid message intact after the
 # junk; and a custody relay's frames from either side, whose store
 # must stay within its bound now and at its peak. The budget is deliberately small so check stays fast; raise
-# FUZZTIME for a real session.
+# FUZZTIME for a real session. The scheduler's fuzzer minimizes each new
+# input for 2 s at most: at the 60 s default, minimizing its long op
+# streams takes most of any session.
 FUZZTIME ?= 5s
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzPeek$$' -fuzztime $(FUZZTIME) ./internal/wire
@@ -129,7 +131,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzHandleControl$$' -fuzztime $(FUZZTIME) ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzHandleCustody$$' -fuzztime $(FUZZTIME) ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzWindow$$' -fuzztime $(FUZZTIME) ./internal/core
-	$(GO) test -run '^$$' -fuzz '^FuzzSchedulerOrder$$' -fuzztime $(FUZZTIME) ./internal/sim
+	$(GO) test -run '^$$' -fuzz '^FuzzSchedulerOrder$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 2s ./internal/sim
 	$(GO) test -run '^$$' -fuzz '^FuzzTrains$$' -fuzztime $(FUZZTIME) ./internal/udplink
 	$(GO) test -run '^$$' -fuzz '^FuzzSumKernels$$' -fuzztime $(FUZZTIME) ./internal/ilp
 	$(GO) test -run '^$$' -fuzz '^FuzzFusedDecryptCopyVerify$$' -fuzztime $(FUZZTIME) ./internal/ilp
@@ -257,10 +259,14 @@ wire-leaf:
 # machine. GOAMD64=v1 builds for the oldest amd64, where the kernel is
 # still compiled in and CPUID picks it or not at run time; the same
 # tests run built that way, so the Go around the kernel (the counter
-# rows, the lanes) is tested as the oldest amd64 compiles it.
+# rows, the lanes) is tested as the oldest amd64 compiles it. And the
+# whole suite runs as 386, where int has 32 bits, so neither a test
+# constant past int's range nor a length that wraps negative hides
+# until a 32-bit host.
 portable:
 	GOOS=linux GOARCH=arm64 $(GO) build ./...
 	GOOS=linux GOARCH=386 $(GO) build ./...
+	GOARCH=386 $(GO) test ./...
 	GOOS=darwin GOARCH=arm64 $(GO) build ./...
 	GOOS=windows GOARCH=amd64 $(GO) vet ./internal/udplink
 	GOAMD64=v1 $(GO) build ./...

@@ -202,15 +202,34 @@ const (
 // it.
 const aeadMaxADU int64 = 1 << 33
 
-// aeadNonce builds the per-ADU nonce: the stream id and the ADU name.
-// Names are sender-assigned and sequential, so (key, nonce) pairs never
-// repeat within a stream, and the stream id separates streams sharing a
-// key.
+// aeadNonce builds the per-ADU nonce: the stream id and the ADU name,
+// bytes 1-3 zero. Names are sender-assigned and sequential, so (key,
+// nonce) pairs never repeat within a stream, and the stream id separates
+// streams sharing a key.
 func aeadNonce(stream byte, name uint64) [cipher.NonceSize]byte {
 	var n [cipher.NonceSize]byte
 	n[0] = stream
 	binary.BigEndian.PutUint64(n[4:12], name)
 	return n
+}
+
+// flowKey derives flow id's stream key from its sharded endpoint's key,
+// so that no two flows share a keystream: the low byte of the id, the
+// flow's StreamID, repeats every 256 flows. The key is the first eight
+// bytes of one ChaCha20 block under the endpoint's expanded key, with id
+// where a data nonce has its ADU name and byte 1 set, which a data nonce
+// never has (aeadNonce). A cleartext flow's zero key stays zero.
+func flowKey(key uint64, id FlowID) uint64 {
+	if key == 0 {
+		return 0
+	}
+	k := cipher.ExpandKey(key)
+	var nonce [cipher.NonceSize]byte
+	nonce[1] = 1
+	binary.BigEndian.PutUint64(nonce[4:12], uint64(id))
+	var blk [cipher.BlockSize]byte
+	cipher.Block(&k, &nonce, 0, &blk)
+	return max(binary.LittleEndian.Uint64(blk[:8]), 1) // an enciphering suite's key is not zero
 }
 
 // newTagMAC derives the fragment's one-time Poly1305 key from the

@@ -1,7 +1,9 @@
 package alf_test
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"time"
 
 	"repro/internal/buf"
@@ -52,23 +54,38 @@ func ExamplePolicy() {
 // endpoint (§7, docs/SCALING.md): flows hash over per-shard
 // schedulers and trunks, workers execute the shards in parallel, and
 // the merged delivery log is deterministic — the same for any worker
-// count.
+// count. Each flow's submission goes on its shard's scheduler, and
+// each shard logs its own deliveries; a stable sort by time over the
+// logs in shard order merges them.
 func ExampleSharded() {
 	ep, _ := alf.NewSharded(alf.ShardedConfig{
-		Shards:        2,
-		Workers:       2, // execution only: results identical at any value
-		Seed:          1,
-		LogDeliveries: true,
-		Link:          netsim.LinkConfig{RateBps: 8e6, Delay: time.Millisecond},
+		Shards:  2,
+		Workers: 2, // execution only: results identical at any value
+		Seed:    1,
+		Link:    netsim.LinkConfig{RateBps: 8e6, Delay: time.Millisecond},
 	})
+	type delivery struct {
+		at    sim.Time
+		flow  alf.FlowID
+		name  uint64
+		bytes int
+	}
+	logs := make([][]delivery, 2) // each written by its shard's worker only
 	for id := alf.FlowID(0); id < 4; id++ {
 		f, _ := ep.AddFlow(id)
-		f.ScheduleSend(0, uint64(1000+id), xcode.SyntaxRaw, make([]byte, 512))
+		sh, deliver := f.Shard(), f.Receiver.OnADU
+		f.Receiver.OnADU = func(adu alf.ADU) {
+			logs[sh.Index()] = append(logs[sh.Index()], delivery{sh.Scheduler().Now(), id, adu.Name, len(adu.Data)})
+			deliver(adu)
+		}
+		sh.Scheduler().At(0, func() { f.Sender.Send(uint64(1000+id), xcode.SyntaxRaw, make([]byte, 512)) })
 	}
 	ep.Run()
-	for _, d := range ep.Deliveries() {
+	log := slices.Concat(logs...)
+	slices.SortStableFunc(log, func(a, b delivery) int { return cmp.Compare(a.at, b.at) })
+	for _, d := range log {
 		fmt.Printf("flow %d on shard %d: ADU %d, %d bytes at %v\n",
-			d.Flow, alf.ShardOf(d.Flow, 2), d.Name, d.Bytes, d.At)
+			d.flow, alf.ShardOf(d.flow, 2), d.name, d.bytes, d.at)
 	}
 	// Output:
 	// flow 0 on shard 0: ADU 0, 512 bytes at 1.554ms

@@ -566,8 +566,8 @@ type fragRef struct {
 	parity bool
 }
 
-// deferred is a sender call held for its time on a pooled event, in a
-// record spares recycles: a paced sendOut, or (pkt nil) a ScheduleSend.
+// deferred is a paced sendOut held for its time on a pooled event, in
+// a record spares recycles.
 type deferred struct {
 	s        *Sender
 	pkt      *buf.Ref
@@ -575,9 +575,6 @@ type deferred struct {
 	ref      fragRef
 	markNext uint64
 	wait     sim.Duration
-	tag      uint64
-	syntax   xcode.SyntaxID
-	data     []byte
 }
 
 // later makes d's call on s at t.
@@ -594,11 +591,7 @@ func (s *Sender) later(t sim.Time, d deferred) {
 func callDeferred(a any) {
 	d := a.(*deferred)
 	s := d.s
-	if d.pkt != nil {
-		s.sendOut(d.pkt, d.kind, d.ref, d.markNext, d.wait)
-	} else {
-		_, _ = s.Send(d.tag, d.syntax, d.data)
-	}
+	s.sendOut(d.pkt, d.kind, d.ref, d.markNext, d.wait)
 	*d = deferred{}
 	s.spare.later = append(s.spare.later, d)
 }

@@ -26,10 +26,8 @@ package alf
 // result — the determinism tests hold exactly that.
 
 import (
-	"cmp"
 	"encoding/binary"
 	"fmt"
-	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -37,7 +35,6 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/netsim"
 	"repro/internal/sim"
-	"repro/internal/xcode"
 )
 
 // FlowID names one flow of a sharded endpoint. It picks the flow's
@@ -58,14 +55,6 @@ const labelSize = 8
 func ShardOf(id FlowID, shards int) int {
 	h := uint64(id) * 0x9E3779B97F4A7C15
 	return int((h >> 32) * uint64(shards) >> 32)
-}
-
-// Delivery is one delivered ADU in a shard's delivery log.
-type Delivery struct {
-	At    sim.Time // virtual delivery time
-	Flow  FlowID
-	Name  uint64
-	Bytes int
 }
 
 // ShardedConfig parameterizes a sharded endpoint.
@@ -94,10 +83,6 @@ type ShardedConfig struct {
 	// experiment measures (docs/SCALING.md; on the wall clock, the
 	// benchmark's flows_sharded_64k workload).
 	Link netsim.LinkConfig
-	// LogDeliveries records every delivered ADU in a per-shard log
-	// (see Deliveries). Off for the million-flow benchmarks, on for
-	// the determinism tests.
-	LogDeliveries bool
 }
 
 func (c *ShardedConfig) fill() {
@@ -127,17 +112,9 @@ type Flow struct {
 // flowSlab is the most flows one allocation of a shard's slab holds.
 const flowSlab = 1024
 
-// Shard returns the flow's owning shard (for scheduling follow-on
-// work on the right scheduler).
+// Shard returns the flow's owning shard: submissions and other
+// follow-on work go on its scheduler.
 func (f *Flow) Shard() *Shard { return f.shard }
-
-// ScheduleSend schedules one ADU submission on the flow's shard at
-// virtual time at. data is captured by reference and read (copied into
-// pooled wire buffers) when the event fires, so callers may share one
-// payload across many flows but must not mutate it mid-run.
-func (f *Flow) ScheduleSend(at sim.Time, tag uint64, syntax xcode.SyntaxID, data []byte) {
-	f.Sender.later(at, deferred{tag: tag, syntax: syntax, data: data})
-}
 
 // Shard is one parallel slice of a sharded endpoint. Everything it
 // reaches — scheduler, pool arena, network, flows — is private to it.
@@ -162,7 +139,6 @@ type Shard struct {
 	deliver          func(ADU)
 	spare            spares
 
-	log  []Delivery
 	last sim.Time // most recent delivery (default OnADU handler)
 }
 
@@ -287,6 +263,7 @@ func (t *Sharded) AddFlow(id FlowID) (*Flow, error) {
 
 	cfg := t.cfg.Flow
 	cfg.StreamID = byte(id) // secondary check; the label routes
+	cfg.Key = flowKey(cfg.Key, id)
 	cfg.Pool = sh.pool
 	cfg.Metrics = nil // per-flow series would not scale; Stats aggregates flows
 	cfg.encap = f.encap[:]
@@ -298,12 +275,6 @@ func (t *Sharded) AddFlow(id FlowID) (*Flow, error) {
 		return nil, err
 	}
 	f.Sender.SendRef, f.Receiver.OnADU = sh.dataUp, sh.deliver
-	if t.cfg.LogDeliveries {
-		f.Receiver.OnADU = func(adu ADU) {
-			sh.log = append(sh.log, Delivery{At: sh.sched.Now(), Flow: f.ID, Name: adu.Name, Bytes: len(adu.Data)})
-			sh.deliver(adu)
-		}
-	}
 	sh.slab = sh.slab[:len(sh.slab)+1]
 	sh.flows = append(sh.flows, f)
 	sh.ids[id] = struct{}{}
@@ -335,18 +306,6 @@ func (t *Sharded) Run() {
 	}
 	drain()
 	wg.Wait()
-}
-
-// Deliveries merges the per-shard delivery logs (LogDeliveries) into
-// one sequence ordered by (time, shard, intra-shard order). The merge
-// is deterministic: two runs that agree per shard agree globally.
-func (t *Sharded) Deliveries() []Delivery {
-	var out []Delivery
-	for _, sh := range t.shards {
-		out = append(out, sh.log...)
-	}
-	slices.SortStableFunc(out, func(a, b Delivery) int { return cmp.Compare(a.At, b.At) })
-	return out
 }
 
 // ShardedStats aggregates every flow's endpoint counters and every

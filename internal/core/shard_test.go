@@ -2,8 +2,10 @@ package alf
 
 import (
 	"bytes"
+	"cmp"
 	"reflect"
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 	"unsafe"
@@ -36,17 +38,38 @@ func TestShardOfBalance(t *testing.T) {
 	}
 }
 
+// submit schedules one ADU submission on f's shard at virtual time at.
+// data is read when the event fires, so flows may share one payload.
+func submit(t *testing.T, f *Flow, at sim.Time, tag uint64, data []byte) {
+	f.Shard().Scheduler().At(at, func() {
+		if _, err := f.Sender.Send(tag, xcode.SyntaxRaw, data); err != nil {
+			t.Error(err)
+		}
+	})
+}
+
+// delivery is one delivered ADU in a shard's log.
+type delivery struct {
+	At    sim.Time
+	Flow  FlowID
+	Name  uint64
+	Bytes int
+}
+
 // shardedTraffic builds a sharded endpoint, schedules a fixed traffic
-// matrix, runs it to quiescence, and returns the merged delivery log
-// and aggregate stats. Everything about the run is pinned except the
-// worker count — the knob the determinism test turns.
-func shardedTraffic(t *testing.T, workers int) ([]Delivery, ShardedStats) {
+// matrix, runs it to quiescence, and returns the delivery log and
+// aggregate stats. Each shard logs its own deliveries, and the logs
+// merge by a stable sort on time taken in shard order, so the merged
+// log is ordered by (time, shard, order within the shard) and two runs
+// that agree per shard agree as a whole. Everything about the run is
+// pinned except the worker count — the knob the determinism test turns.
+func shardedTraffic(t *testing.T, workers int) ([]delivery, ShardedStats) {
 	t.Helper()
+	const shards = 4
 	ep, err := NewSharded(ShardedConfig{
-		Shards:        4,
-		Workers:       workers,
-		Seed:          42,
-		LogDeliveries: true,
+		Shards:  shards,
+		Workers: workers,
+		Seed:    42,
 		Flow: Config{
 			Policy:    SenderBuffered,
 			NackDelay: 5 * time.Millisecond,
@@ -66,15 +89,20 @@ func shardedTraffic(t *testing.T, workers int) ([]Delivery, ShardedStats) {
 	for i := range payload {
 		payload[i] = byte(i * 13)
 	}
+	logs := make([][]delivery, shards) // each written by its shard's worker only
 	for id := 0; id < flows; id++ {
 		f, err := ep.AddFlow(FlowID(id))
 		if err != nil {
 			t.Fatal(err)
 		}
+		sh, deliver := f.Shard(), f.Receiver.OnADU
+		f.Receiver.OnADU = func(adu ADU) {
+			logs[sh.Index()] = append(logs[sh.Index()], delivery{sh.Scheduler().Now(), f.ID, adu.Name, len(adu.Data)})
+			deliver(adu)
+		}
 		for k := 0; k < adus; k++ {
 			// Stagger submissions so shard queues interleave in time.
-			at := sim.Time(id*100_000 + k*3_000_000)
-			f.ScheduleSend(at, uint64(k), xcode.SyntaxRaw, payload)
+			submit(t, f, sim.Time(id*100_000+k*3_000_000), uint64(k), payload)
 		}
 	}
 	ep.Run()
@@ -86,7 +114,9 @@ func shardedTraffic(t *testing.T, workers int) ([]Delivery, ShardedStats) {
 	if st.Recv.ADUsDelivered == 0 {
 		t.Fatalf("workers=%d: nothing delivered", workers)
 	}
-	return ep.Deliveries(), st
+	log := slices.Concat(logs...)
+	slices.SortStableFunc(log, func(a, b delivery) int { return cmp.Compare(a.At, b.At) })
+	return log, st
 }
 
 // TestShardedDeterministicAcrossWorkers is the PR's §7 safety claim:
@@ -138,7 +168,7 @@ func TestShardedEncapRoundtrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		f.ScheduleSend(0, 9, xcode.SyntaxRaw, payload)
+		submit(t, f, 0, 9, payload)
 	}
 	ep.Run()
 	st := ep.Stats()
@@ -156,6 +186,53 @@ func TestShardedEncapRoundtrip(t *testing.T) {
 	}
 	if st.Send.Released != flows {
 		t.Fatalf("released %d of %d buffered ADUs", st.Send.Released, flows)
+	}
+}
+
+// TestShardFlowsDistinctKeystream: flows 1 and 257 share a StreamID
+// (the id's low byte) and the endpoint's key, yet each enciphers under
+// a key of its own, so the XOR of their first ciphertexts is not the
+// XOR of their plaintexts as it would be under one keystream, and each
+// receiver still opens its own flow's ADU.
+func TestShardFlowsDistinctKeystream(t *testing.T) {
+	for _, suite := range []CipherSuite{SuiteScramble, SuiteAEAD} {
+		ep, err := NewSharded(ShardedConfig{Flow: Config{Suite: suite, Key: 0xC0FFEE}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		plain := [2][]byte{payload(64, 1), payload(64, 40)}
+		var sent, got [2][]byte
+		for i, id := range []FlowID{1, 257} {
+			f, err := ep.AddFlow(id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			up, deliver := f.Sender.SendRef, f.Receiver.OnADU
+			f.Sender.SendRef = func(ref *buf.Ref) error {
+				if sent[i] == nil {
+					sent[i] = bytes.Clone(ref.Bytes()[labelSize+HeaderSize:][:64])
+				}
+				return up(ref)
+			}
+			f.Receiver.OnADU = func(adu ADU) {
+				got[i] = bytes.Clone(adu.Data)
+				deliver(adu)
+			}
+			submit(t, f, 0, 0, plain[i])
+		}
+		ep.Run()
+		same := true
+		for j := range sent[0] {
+			same = same && sent[0][j]^sent[1][j] == plain[0][j]^plain[1][j]
+		}
+		if same {
+			t.Errorf("%v: flows 1 and 257 encipher ADU 0 under one keystream", suite)
+		}
+		for i := range got {
+			if !bytes.Equal(got[i], plain[i]) {
+				t.Errorf("%v: flow %d delivered %x, want %x", suite, i, got[i], plain[i])
+			}
+		}
 	}
 }
 
@@ -207,10 +284,10 @@ func TestAddFlowAllocs(t *testing.T) {
 }
 
 // TestFlowRunAllocs: flows share their shard's reassembly state,
-// receive windows, worklists and control-frame buffer, and the
-// submissions come from recycled records on pooled events, so once an
-// endpoint is warm a new batch of flows runs through its first ADUs
-// allocating (next to) nothing.
+// receive windows, worklists and control-frame buffer, and events come
+// from the schedulers' freelists, so once an endpoint is warm a new
+// batch of flows runs through its first ADUs allocating (next to)
+// nothing. The submissions are built before the run that is counted.
 func TestFlowRunAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race detector instrumentation allocates")
@@ -235,7 +312,7 @@ func TestFlowRunAllocs(t *testing.T) {
 			}
 			now := f.Shard().Scheduler().Now()
 			for k := 0; k < adus; k++ {
-				f.ScheduleSend(now+sim.Time(int(id)%64*10_000+k*1_000_000), uint64(k), xcode.SyntaxRaw, data)
+				submit(t, f, now+sim.Time(int(id)%64*10_000+k*1_000_000), uint64(k), data)
 			}
 		}
 	}
@@ -316,8 +393,8 @@ func TestRecycledPartialIsClean(t *testing.T) {
 			}
 			return up(ref)
 		}
-		p.a.ScheduleSend(0, 1, xcode.SyntaxRaw, pa)
-		p.b.ScheduleSend(sim.Time(50*time.Millisecond), 2, xcode.SyntaxRaw, pb)
+		submit(t, p.a, 0, 1, pa)
+		submit(t, p.b, sim.Time(50*time.Millisecond), 2, pb)
 	}
 	ep.Run()
 	for i, p := range pairs {

@@ -40,7 +40,7 @@ func newRig(t *testing.T, linkCfg netsim.LinkConfig, codec xcode.Codec, key uint
 func ints(n int) []int32 {
 	vs := make([]int32, n)
 	for i := range vs {
-		vs[i] = int32(i*2654435761 + 12345)
+		vs[i] = int32(uint32(i)*2654435761 + 12345)
 	}
 	return vs
 }

@@ -34,17 +34,20 @@ func popReset(s *Scheduler, timers []*Timer, rng *Rand) {
 }
 
 // TestSchedulerZeroAlloc: on a warm queue of 65536 armed timers,
-// neither expiries with re-arms nor the datapath's pooled events
-// allocate, not even now and then as a bucket outgrows its array.
+// neither expiries with re-arms nor one-shot events, the datapath's
+// pooled ones or a func built once, allocate, not even now and then as
+// a bucket outgrows its array.
 func TestSchedulerZeroAlloc(t *testing.T) {
 	s, timers, rng := deepQueue()
 	count := func(any) {}
+	fn := func() {}
 	for _, c := range []struct {
 		name  string
 		cycle func()
 	}{
 		{"pop+Reset", func() { popReset(s, timers, rng) }},
 		{"AtCall+Step", func() { s.AtCall(s.Now(), count, nil); s.Step() }},
+		{"At+After+Step", func() { s.At(s.Now(), fn); s.After(0, fn); s.Step(); s.Step() }},
 	} {
 		allocs := testing.AllocsPerRun(1, func() {
 			for i := 0; i < 100000; i++ {

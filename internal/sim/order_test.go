@@ -11,8 +11,9 @@ import (
 // lockstep, comparing every observable after every op. The stream is
 // bytes so the fuzzer can mutate it.
 
-// backend is the scheduler surface the op stream exercises; handles
-// and timers are addressed by creation index so both sides agree.
+// backend is the scheduler surface the op stream exercises; timers are
+// addressed by creation index so both sides agree. One-shot events have
+// no handle: only a timer can be stopped.
 type backend interface {
 	Now() Time
 	Fired() uint64
@@ -22,35 +23,30 @@ type backend interface {
 	RunUntil(Time) error
 	Run() error
 
-	at(t Time, fn func())                 // At, handle kept
-	after(d Duration, fn func())          // After, handle kept
-	atCall(t Time, fn func(any), arg any) // pooled, no handle
+	at(t Time, fn func())
+	after(d Duration, fn func())
+	atCall(t Time, fn func(any), arg any)
+	afterCall(d Duration, fn func(any), arg any)
 	newTimer(fn func())
 	reset(k int, d Duration)
 	stop(k int)
-	cancel(h int)
-	scheduled(h int) bool
 	active(k int) bool
-	handles() int
 }
 
 // real adapts *Scheduler.
 type real struct {
 	*Scheduler
-	evs    []*Event
 	timers []*Timer
 }
 
-func (r *real) at(t Time, fn func())               { r.evs = append(r.evs, r.At(t, fn)) }
-func (r *real) after(d Duration, fn func())        { r.evs = append(r.evs, r.After(d, fn)) }
-func (r *real) atCall(t Time, fn func(any), a any) { r.AtCall(t, fn, a) }
-func (r *real) newTimer(fn func())                 { r.timers = append(r.timers, r.NewTimer(fn)) }
-func (r *real) reset(k int, d Duration)            { r.timers[k].Reset(d) }
-func (r *real) stop(k int)                         { r.timers[k].Stop() }
-func (r *real) cancel(h int)                       { r.evs[h].Cancel() }
-func (r *real) scheduled(h int) bool               { return r.evs[h].Scheduled() }
-func (r *real) active(k int) bool                  { return r.timers[k].Active() }
-func (r *real) handles() int                       { return len(r.evs) }
+func (r *real) at(t Time, fn func())                      { r.At(t, fn) }
+func (r *real) after(d Duration, fn func())               { r.After(d, fn) }
+func (r *real) atCall(t Time, fn func(any), a any)        { r.AtCall(t, fn, a) }
+func (r *real) afterCall(d Duration, fn func(any), a any) { r.AfterCall(d, fn, a) }
+func (r *real) newTimer(fn func())                        { r.timers = append(r.timers, r.NewTimer(fn)) }
+func (r *real) reset(k int, d Duration)                   { r.timers[k].Reset(d) }
+func (r *real) stop(k int)                                { r.timers[k].Stop() }
+func (r *real) active(k int) bool                         { return r.timers[k].Active() }
 
 // mItem is one model event.
 type mItem struct {
@@ -59,18 +55,16 @@ type mItem struct {
 	fn     func()
 	cancel bool
 	queued bool
-	timer  int // index into model.timers, -1 for plain events
-	handle int // index into model.evs, -1 for timers and pooled events
+	timer  int // index into model.timers, -1 for one-shot events
 }
 
-// model restates the Scheduler contract over a sorted slice: cancelled
-// items stay queued (and counted by Pending) until they reach the head.
+// model restates the Scheduler contract over a sorted slice: stopped
+// timers stay queued (and counted by Pending) until they reach the head.
 type model struct {
 	now    Time
 	seq    uint64
 	fired  uint64
 	q      []*mItem
-	evs    []*mItem
 	timers []*mItem
 }
 
@@ -153,20 +147,17 @@ func (m *model) Run() error {
 	return nil
 }
 
-func (m *model) at(t Time, fn func()) {
-	it := &mItem{fn: fn, timer: -1, handle: len(m.evs)}
-	m.evs = append(m.evs, it)
-	m.insert(it, t)
-}
-
+func (m *model) at(t Time, fn func())        { m.insert(&mItem{fn: fn, timer: -1}, t) }
 func (m *model) after(d Duration, fn func()) { m.at(m.now.Add(max(d, 0)), fn) }
 
-func (m *model) atCall(t Time, fn func(any), arg any) {
-	m.insert(&mItem{fn: func() { fn(arg) }, timer: -1, handle: -1}, t)
+func (m *model) atCall(t Time, fn func(any), arg any) { m.at(t, func() { fn(arg) }) }
+
+func (m *model) afterCall(d Duration, fn func(any), arg any) {
+	m.atCall(m.now.Add(max(d, 0)), fn, arg)
 }
 
 func (m *model) newTimer(fn func()) {
-	m.timers = append(m.timers, &mItem{fn: fn, cancel: true, timer: len(m.timers), handle: -1})
+	m.timers = append(m.timers, &mItem{fn: fn, cancel: true, timer: len(m.timers)})
 }
 
 func (m *model) reset(k int, d Duration) {
@@ -179,11 +170,8 @@ func (m *model) reset(k int, d Duration) {
 	m.insert(it, m.now.Add(max(d, 0)))
 }
 
-func (m *model) stop(k int)           { m.timers[k].cancel = true }
-func (m *model) cancel(h int)         { m.evs[h].cancel = true }
-func (m *model) scheduled(h int) bool { return !m.evs[h].cancel && m.evs[h].queued }
-func (m *model) active(k int) bool    { return !m.timers[k].cancel && m.timers[k].queued }
-func (m *model) handles() int         { return len(m.evs) }
+func (m *model) stop(k int)        { m.timers[k].cancel = true }
+func (m *model) active(k int) bool { return !m.timers[k].cancel && m.timers[k].queued }
 
 // firing is one log entry: which item ran and the clock it saw.
 type firing struct {
@@ -263,15 +251,14 @@ func (s *side) do(kind, p int) {
 	case 4:
 		b.stop(p % orderTimers)
 	case 5:
-		if n := b.handles(); n > 0 {
-			b.cancel(p % n)
-		}
+		id := s.nextID
+		s.nextID++
+		b.afterCall(s.tick(p), callArg, s.callback(id, p))
 	}
 }
 
-// runOrderOps interprets data against both sides. full compares every
-// handle and timer after every op (quadratic; for short streams).
-func runOrderOps(t *testing.T, data []byte, span int, full bool) {
+// runOrderOps interprets data against both sides.
+func runOrderOps(t *testing.T, data []byte, span int) {
 	t.Helper()
 	r := newSide(&real{Scheduler: NewScheduler()}, span)
 	mod := &model{}
@@ -290,17 +277,6 @@ func runOrderOps(t *testing.T, data []byte, span int, full bool) {
 				op, what, checked, r.log[checked:], m.log[checked:])
 		}
 		checked = len(r.log)
-		if !full {
-			return
-		}
-		if rb.handles() != mb.handles() {
-			t.Fatalf("op %d (%s): %d handles, model %d", op, what, rb.handles(), mb.handles())
-		}
-		for h := 0; h < rb.handles(); h++ {
-			if rb.scheduled(h) != mb.scheduled(h) {
-				t.Fatalf("op %d (%s): handle %d Scheduled = %v, model %v", op, what, h, rb.scheduled(h), mb.scheduled(h))
-			}
-		}
 		for k := 0; k < orderTimers; k++ {
 			if rb.active(k) != mb.active(k) {
 				t.Fatalf("op %d (%s): timer %d Active = %v, model %v", op, what, k, rb.active(k), mb.active(k))
@@ -320,7 +296,7 @@ func runOrderOps(t *testing.T, data []byte, span int, full bool) {
 				s.b.at(s.b.Now().Add(s.tick(p)), s.callback(id, p))
 			}
 		case 1, 2, 3, 4, 5:
-			what = [...]string{1: "After", 2: "AtCall", 3: "Timer.Reset", 4: "Timer.Stop", 5: "Event.Cancel"}[op]
+			what = [...]string{1: "After", 2: "AtCall", 3: "Timer.Reset", 4: "Timer.Stop", 5: "AfterCall"}[op]
 			r.do(op, p)
 			m.do(op, p)
 		case 6:
@@ -340,18 +316,11 @@ func runOrderOps(t *testing.T, data []byte, span int, full bool) {
 			_ = r.b.RunUntil(r.b.Now().Add(r.tick(p)))
 			_ = m.b.RunUntil(m.b.Now().Add(m.tick(p)))
 		case 9:
-			// Cancel whatever is at the head of the queue, through the
-			// handle its kind has (pooled events have none).
-			what = "cancel head"
-			if len(mod.q) > 0 {
-				head := mod.q[0]
-				for _, s := range []*side{r, m} {
-					if head.timer >= 0 {
-						s.b.stop(head.timer)
-					} else if head.handle >= 0 {
-						s.b.cancel(head.handle)
-					}
-				}
+			// Stop the head of the queue if it is a timer's.
+			what = "stop head"
+			if len(mod.q) > 0 && mod.q[0].timer >= 0 {
+				r.b.stop(mod.q[0].timer)
+				m.b.stop(mod.q[0].timer)
 			}
 		case 10:
 			// Re-arm a stopped timer whose slot may still be queued.
@@ -376,29 +345,32 @@ func runOrderOps(t *testing.T, data []byte, span int, full bool) {
 }
 
 // orderCorners are op streams that reach the corners of the radix queue,
-// run ahead of the random ones and seeded into the fuzzer.
+// run ahead of the random ones and seeded into the fuzzer. Op 3 with
+// parameter 16 arms timer 0 at 40 ns.
 var orderCorners = [][]byte{
-	// Run ends on a cancelled tail at 40 ns, then 50 ns and 10 ns are
-	// scheduled: unless the base went back to now, 10 ns would sort
+	// Run ends on a stopped timer's tail at 40 ns, then 50 ns and 10 ns
+	// are scheduled: unless the base went back to now, 10 ns would sort
 	// into a higher bucket than 50 ns and fire after it.
-	{0, 4, 9, 0, 11, 0, 0, 5, 0, 1, 7, 0},
-	// NextAt discards a cancelled head at 40 ns, then 10 ns is scheduled
-	// ahead of the 50 ns event left.
-	{0, 4, 0, 5, 9, 0, 6, 0, 0, 1, 7, 0, 7, 0},
-	// Events A, B and C and timer 1 all at 30 ns reach b[0] together;
-	// A's callback re-arms the timer while its slot sits between B and C.
-	{0, 9, 0, 9, 3, 13, 0, 9, 7, 0, 7, 0, 7, 0, 3, 13, 7, 0},
+	{3, 16, 9, 0, 11, 0, 0, 5, 0, 1, 7, 0},
+	// NextAt discards a stopped timer's head at 40 ns, then 10 ns is
+	// scheduled ahead of the 50 ns event left.
+	{3, 16, 0, 5, 9, 0, 6, 0, 0, 1, 7, 0, 7, 0},
+	// Events A and B, timer 1, and events C and D all at 30 ns reach
+	// b[0] together; A's callback re-arms the timer while its slot sits
+	// between B and C, and C and D must shift down into the gap: moving
+	// D into it would fire D before C.
+	{0, 9, 0, 9, 3, 13, 0, 9, 0, 9, 7, 0, 7, 0, 7, 0, 7, 0, 3, 13, 7, 0},
 }
 
 func TestSchedulerDifferential(t *testing.T) {
 	for _, data := range orderCorners {
-		runOrderOps(t, data, 6, true)
+		runOrderOps(t, data, 6)
 	}
 	rng := rand.New(rand.NewSource(1))
 	for round := 0; round < 300; round++ {
 		data := make([]byte, 2*(50+rng.Intn(400)))
 		rng.Read(data)
-		runOrderOps(t, data, 6, true)
+		runOrderOps(t, data, 6)
 	}
 }
 
@@ -415,15 +387,15 @@ func TestSchedulerDifferentialDeep(t *testing.T) {
 				data[i] = byte(rng.Intn(6)) // trade most run ops for scheduling ops
 			}
 		}
-		runOrderOps(t, data, 256, false)
+		runOrderOps(t, data, 256)
 	}
 }
 
 func FuzzSchedulerOrder(f *testing.F) {
-	f.Add([]byte{0, 0, 0, 0, 9, 0, 7, 0})                    // two ties, cancel the head, step
+	f.Add([]byte{3, 0, 0, 0, 9, 0, 7, 0})                    // a timer tied with an event: stop the head, step
 	f.Add([]byte{3, 1, 4, 1, 3, 2, 8, 5})                    // reset, stop, reset while still queued
 	f.Add([]byte{1, 13, 2, 44, 0, 200, 8, 5, 8, 5})          // callbacks that schedule from inside step
-	f.Add([]byte{3, 0, 10, 0, 0, 0, 5, 0, 6, 0, 7, 0, 8, 3}) // zero-delay timer against a cancelled event
+	f.Add([]byte{3, 0, 10, 0, 0, 0, 5, 0, 6, 0, 7, 0, 8, 3}) // a timer stopped and re-armed among zero-delay events
 	for _, data := range orderCorners {
 		f.Add(data)
 	}
@@ -431,6 +403,6 @@ func FuzzSchedulerOrder(f *testing.F) {
 		if len(data) > 4096 {
 			data = data[:4096]
 		}
-		runOrderOps(t, data, 6, true)
+		runOrderOps(t, data, 6)
 	})
 }

@@ -6,6 +6,10 @@
 // Scheduler, in the style of classic network simulators. This keeps
 // experiments fast (no wall-clock sleeps) and reproducible (a seed fully
 // determines the run).
+//
+// A one-shot event (At, After, AtCall, AfterCall) is fire-and-forget:
+// it returns no handle and cannot be cancelled. What must be stopped or
+// re-armed is a Timer.
 package sim
 
 import (
@@ -37,36 +41,25 @@ func (t Time) Seconds() float64 { return float64(t) / 1e9 }
 // String formats the virtual time like a duration, e.g. "1.5s".
 func (t Time) String() string { return Duration(t).String() }
 
-// Event is a scheduled callback. It is returned by the scheduling methods
-// so the caller can cancel it before it fires. Its firing time and
+// event is a scheduled callback: a Timer's, which Stop cancels, or a
+// one-shot one from the scheduler's freelist. Its firing time and
 // sequence number live in the queue slot, not here (see eventQueue).
-type Event struct {
+type event struct {
 	call   func(any) // called with arg; a func() rides in arg behind runFunc
 	arg    any
 	pos    int32 // index of its slot in the queue's b[bucket]; -1 while not queued
 	bucket uint8
-	cancel bool
+	cancel bool // a stopped Timer's; its slot may still be queued
 	pooled bool // recycled into the scheduler's freelist after firing
 }
 
-// Cancel prevents the event from firing. Cancelling an event that already
-// fired (or was already cancelled) is a no-op.
-func (e *Event) Cancel() {
-	if e != nil {
-		e.cancel = true
-	}
-}
-
-// Scheduled reports whether the event is still pending.
-func (e *Event) Scheduled() bool { return e != nil && !e.cancel && e.pos >= 0 }
-
 // slot is one queue entry. The (at, seq) key is stored inline so a
-// bucket is scanned without dereferencing its Events: on a queue of
+// bucket is scanned without dereferencing its events: on a queue of
 // tens of thousands of entries every such dereference is a cache miss.
 type slot struct {
 	at  Time
 	seq uint64 // tie-break so equal-time events fire in schedule order
-	ev  *Event
+	ev  *event
 }
 
 // eventQueue is a monotone radix heap of slots ordered by (at, seq).
@@ -78,13 +71,13 @@ type slot struct {
 // while b[k] is not empty. When b[0] runs dry, pop moves last to the
 // earliest slot of the lowest bucket and spreads that bucket over the
 // ones below it: a slot only ever moves down, so it moves at most as
-// many times as its time has bits. Each Event records its (bucket,
+// many times as its time has bits. Each event records its (bucket,
 // pos), which is what lets Timer.Reset re-key a pending timer in place.
 type eventQueue struct {
 	b    [64][]slot
 	mask uint64
 	head int
-	n    int // slots queued, cancelled ones included
+	n    int // slots queued, stopped timers' included
 	last Time
 }
 
@@ -154,7 +147,7 @@ func (q *eventQueue) pop() slot {
 }
 
 // remove takes e's slot out of the queue without moving last.
-func (q *eventQueue) remove(e *Event) {
+func (q *eventQueue) remove(e *event) {
 	k, i := int(e.bucket), int(e.pos)
 	q.n--
 	b := q.b[k]
@@ -193,7 +186,7 @@ type Scheduler struct {
 	queue eventQueue
 	seq   uint64
 	fired uint64
-	free  []*Event // fired pooled events awaiting reuse
+	free  []*event // fired one-shot events awaiting reuse
 }
 
 // NewScheduler returns a scheduler with the clock at zero.
@@ -203,14 +196,14 @@ func NewScheduler() *Scheduler { return &Scheduler{} }
 func (s *Scheduler) Now() Time { return s.now }
 
 // Pending returns the number of events waiting to fire (including
-// cancelled events that have not yet been discarded).
+// stopped timers whose slots have not yet been discarded).
 func (s *Scheduler) Pending() int { return s.queue.n }
 
 // Fired returns the total number of callbacks executed so far.
 func (s *Scheduler) Fired() uint64 { return s.fired }
 
 // NextAt returns the timestamp of the earliest pending event and
-// whether one exists. Cancelled events at the head of the queue are
+// whether one exists. Stopped timers at the head of the queue are
 // discarded on the way, so a false/ok answer means the queue is truly
 // idle. Real-time drivers (internal/udplink) use this to sleep exactly
 // until the virtual schedule needs the CPU again.
@@ -225,18 +218,16 @@ func (s *Scheduler) NextAt() (Time, bool) {
 	return 0, false
 }
 
-// At schedules fn to run at absolute virtual time t. Scheduling in the
-// past (t < Now) panics: it is always a logic error in a simulation.
-func (s *Scheduler) At(t Time, fn func()) *Event {
-	e := &Event{call: runFunc, arg: fn, pos: -1}
-	s.schedule(t, e)
-	return e
-}
+// At schedules fn to run at absolute virtual time t: AtCall with fn as
+// its argument, so a func built once schedules without allocating.
+// Scheduling in the past (t < Now) panics: it is always a logic error
+// in a simulation.
+func (s *Scheduler) At(t Time, fn func()) { s.AtCall(t, runFunc, fn) }
 
 // schedule queues e at t under the next sequence number. A queued e
 // keeps its slot, re-keyed in place, when t leaves it in the same
 // bucket, and moves to t's bucket otherwise.
-func (s *Scheduler) schedule(t Time, e *Event) {
+func (s *Scheduler) schedule(t Time, e *event) {
 	if t < s.now {
 		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, s.now))
 	}
@@ -255,7 +246,7 @@ func (s *Scheduler) schedule(t Time, e *Event) {
 }
 
 // After schedules fn to run d from now. Negative d is treated as zero.
-func (s *Scheduler) After(d Duration, fn func()) *Event { return s.At(s.due(d), fn) }
+func (s *Scheduler) After(d Duration, fn func()) { s.At(s.due(d), fn) }
 
 // due returns the instant d from now: negative d counts as zero, and an
 // instant past the end of virtual time is held at its last one.
@@ -267,18 +258,17 @@ func (s *Scheduler) due(d Duration) Time {
 }
 
 // AtCall schedules fn(arg) at absolute virtual time t on a pooled,
-// fire-and-forget event: no handle is returned (the event cannot be
-// cancelled) and the Event struct is recycled after firing, so the
-// steady-state datapath schedules without allocating. Unlike a closure
-// passed to At, fn should be a static function with its state in arg.
+// fire-and-forget event, recycled after firing, so the steady-state
+// datapath schedules without allocating. With fn a static function and
+// its state in arg, nothing is built per call either.
 func (s *Scheduler) AtCall(t Time, fn func(any), arg any) {
-	var e *Event
+	var e *event
 	if n := len(s.free); n > 0 {
 		e = s.free[n-1]
 		s.free[n-1] = nil
 		s.free = s.free[:n-1]
 	} else {
-		e = &Event{pos: -1, pooled: true}
+		e = &event{pos: -1, pooled: true}
 	}
 	e.call, e.arg = fn, arg
 	s.schedule(t, e)
@@ -323,8 +313,8 @@ func (s *Scheduler) Step() bool {
 	return false
 }
 
-// step pops the earliest slot and runs it unless it was cancelled,
-// reporting whether it ran.
+// step pops the earliest slot and runs it unless it is a stopped
+// timer's, reporting whether it ran.
 func (s *Scheduler) step() bool {
 	top := s.queue.pop()
 	e := top.ev
@@ -357,8 +347,8 @@ func runFunc(fn any) { fn.(func())() }
 // false stops the recurrence and releases its event. Non-positive d
 // panics — a zero-period recurring event would freeze virtual time.
 //
-// The recurrence owns one Event struct for its whole life (re-armed
-// like a Timer), so a long-running periodic task — a telemetry
+// The recurrence owns one Timer for its whole life, re-armed at
+// each firing, so a long-running periodic task — a telemetry
 // sampling tick, say — costs no allocation per firing. Because fn
 // decides continuation each firing, callers must bound the series
 // (by horizon, by Pending(), or both) or it will keep the queue
@@ -377,13 +367,14 @@ func (s *Scheduler) Every(d Duration, fn func() bool) {
 }
 
 // Timer is a restartable one-shot timer bound to a scheduler, in the
-// mould of time.Timer but on virtual time. The zero value is unusable;
-// create timers with NewTimer or InitTimer. A timer holds its Event by
-// value for its whole life (its queue slot points into the Timer), so
-// re-arming one costs no allocation.
+// mould of time.Timer but on virtual time, and the only event that can
+// be stopped or re-armed. The zero value is unusable; create timers
+// with NewTimer or InitTimer. A timer holds its event by value for its
+// whole life (its queue slot points into the Timer), so re-arming one
+// costs no allocation.
 type Timer struct {
 	s  *Scheduler
-	ev Event
+	ev event
 }
 
 // NewTimer returns a stopped timer that will invoke fn when it expires.
@@ -398,7 +389,7 @@ func (s *Scheduler) NewTimer(fn func()) *Timer {
 // At's. With fn a static function and t inside arg's state, a timer
 // costs no allocation of its own.
 func (s *Scheduler) InitTimer(t *Timer, fn func(any), arg any) {
-	*t = Timer{s: s, ev: Event{call: fn, arg: arg, pos: -1, cancel: true}}
+	*t = Timer{s: s, ev: event{call: fn, arg: arg, pos: -1, cancel: true}}
 }
 
 // Reset (re)arms the timer to fire d from now, cancelling any pending
@@ -412,10 +403,10 @@ func (t *Timer) Reset(d Duration) {
 }
 
 // Stop disarms the timer. Stopping a stopped timer is a no-op.
-func (t *Timer) Stop() { t.ev.Cancel() }
+func (t *Timer) Stop() { t.ev.cancel = true }
 
 // Active reports whether the timer is armed.
-func (t *Timer) Active() bool { return t.ev.Scheduled() }
+func (t *Timer) Active() bool { return !t.ev.cancel && t.ev.pos >= 0 }
 
 // When returns the instant the timer fires, and false when it is
 // stopped.

@@ -67,29 +67,6 @@ func TestSchedulerNestedScheduling(t *testing.T) {
 	}
 }
 
-func TestEventCancel(t *testing.T) {
-	s := NewScheduler()
-	fired := false
-	e := s.After(time.Second, func() { fired = true })
-	if !e.Scheduled() {
-		t.Fatal("event should be scheduled")
-	}
-	e.Cancel()
-	if e.Scheduled() {
-		t.Fatal("cancelled event reports scheduled")
-	}
-	if err := s.Run(); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	if fired {
-		t.Error("cancelled event fired")
-	}
-	// Double-cancel and nil-cancel must not panic.
-	e.Cancel()
-	var nilEv *Event
-	nilEv.Cancel()
-}
-
 func TestRunUntil(t *testing.T) {
 	s := NewScheduler()
 	var got []int
@@ -156,14 +133,15 @@ func TestNegativeAfterClamped(t *testing.T) {
 
 func TestStep(t *testing.T) {
 	s := NewScheduler()
-	a := s.After(time.Second, func() {})
+	a := s.NewTimer(func() {})
+	a.Reset(time.Second)
 	s.After(2*time.Second, func() {})
-	a.Cancel()
+	a.Stop()
 	if !s.Step() {
 		t.Fatal("Step should run the surviving event")
 	}
 	if s.Now() != Time(2*time.Second) {
-		t.Errorf("clock = %v, want 2s (skipped cancelled event)", s.Now())
+		t.Errorf("clock = %v, want 2s (skipped stopped timer)", s.Now())
 	}
 	if s.Step() {
 		t.Error("Step on empty queue reported work")

@@ -33,7 +33,7 @@ func BenchmarkSampleTick(b *testing.B) {
 		}
 		reg.Histogram("bench.lat_ns", shard).Observe(int64(1000 * (i + 1)))
 	}
-	r := New(Config{Interval: time.Millisecond, Capacity: 512})
+	r := New(Config{Interval: time.Millisecond})
 	r.Bind(sim.NewScheduler(), reg, 0)
 	b.ReportAllocs()
 	b.ResetTimer()

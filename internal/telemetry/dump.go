@@ -40,7 +40,7 @@ func (r *Recorder) Dump() *Dump {
 	d.NowNS = int64(r.lastAt)
 	d.IntervalNS = int64(r.cfg.Interval)
 	d.Ticks = r.ticks
-	d.Capacity = r.cfg.Capacity
+	d.Capacity = capacity
 	w := r.window()
 	d.TimesNS = make([]int64, w)
 	for i := 0; i < w; i++ {

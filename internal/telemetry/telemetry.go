@@ -82,7 +82,7 @@ type ring struct {
 	n   int     // total samples ever pushed
 }
 
-func newRing(capacity int) ring { return ring{buf: make([]int64, capacity)} }
+func newRing() ring { return ring{buf: make([]int64, capacity)} }
 
 func (r *ring) push(v int64) {
 	r.buf[r.n%len(r.buf)] = v
@@ -137,18 +137,18 @@ func (s *Series) Last() int64 {
 	return 0
 }
 
+// capacity is the per-series ring size in samples, and maxIncidents
+// bounds the incident log: when full the oldest incidents are dropped,
+// keeping the ones nearest the crash.
+const capacity, maxIncidents = 512, 512
+
 // Config parameterizes a Recorder. The zero value is usable: every
 // field has a default.
 type Config struct {
 	// Interval is the virtual-time sampling period (default 100ms).
 	// Multi-hour soaks want seconds; short overload runs want tens of
-	// milliseconds. Capacity x Interval is the recorded window.
+	// milliseconds. The recorded window is capacity (512) intervals.
 	Interval sim.Duration
-	// Capacity is the per-series ring size in samples (default 512).
-	Capacity int
-	// MaxIncidents bounds the incident log (default 512); when full the
-	// oldest incidents are dropped, keeping the ones nearest the crash.
-	MaxIncidents int
 	// Detectors are evaluated, in order, at the end of every sampling
 	// tick. Detector state is per-recorder: do not share constructed
 	// detectors between recorders.
@@ -194,15 +194,9 @@ func New(cfg Config) *Recorder {
 	if cfg.Interval <= 0 {
 		cfg.Interval = 100 * time.Millisecond
 	}
-	if cfg.Capacity <= 0 {
-		cfg.Capacity = 512
-	}
-	if cfg.MaxIncidents <= 0 {
-		cfg.MaxIncidents = 512
-	}
 	return &Recorder{
 		cfg:    cfg,
-		times:  newRing(cfg.Capacity),
+		times:  newRing(),
 		series: make(map[string]*Series),
 		hists:  make(map[string]*histState),
 		firing: make(map[string]bool),
@@ -351,7 +345,7 @@ func (r *Recorder) seriesFor(id string, kind SampleKind) *Series {
 	if s, ok := r.series[id]; ok {
 		return s
 	}
-	s := &Series{ID: id, Kind: kind, ring: newRing(r.cfg.Capacity)}
+	s := &Series{ID: id, Kind: kind, ring: newRing()}
 	r.series[id] = s
 	r.dirty = true
 	return s
@@ -483,8 +477,8 @@ func (r *Recorder) Note(detector, series, format string, args ...any) {
 }
 
 func (r *Recorder) addIncident(inc Incident) {
-	if len(r.incidents) >= r.cfg.MaxIncidents {
-		drop := len(r.incidents) - r.cfg.MaxIncidents + 1
+	if len(r.incidents) >= maxIncidents {
+		drop := len(r.incidents) - maxIncidents + 1
 		r.incidents = append(r.incidents[:0], r.incidents[drop:]...)
 		r.incidentsDropped += drop
 	}

@@ -3,6 +3,7 @@ package telemetry
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -42,7 +43,7 @@ func buildRun() (*sim.Scheduler, *metrics.Registry) {
 
 func TestRecorderSamplesKinds(t *testing.T) {
 	s, reg := buildRun()
-	rec := New(Config{Interval: 200 * time.Millisecond, Capacity: 16})
+	rec := New(Config{Interval: 200 * time.Millisecond})
 	rec.Bind(s, reg, sim.Time(time.Second))
 	if err := s.Run(); err != nil {
 		t.Fatal(err)
@@ -105,26 +106,28 @@ func TestRecorderSamplesKinds(t *testing.T) {
 	}
 }
 
+// TestRecorderRingWrapKeepsTail: 1000 ticks of 1 ms overrun the
+// 512-sample rings, which keep the newest 512: 489 ms to 1 s.
 func TestRecorderRingWrapKeepsTail(t *testing.T) {
 	s, reg := buildRun()
-	rec := New(Config{Interval: 100 * time.Millisecond, Capacity: 4})
+	rec := New(Config{Interval: time.Millisecond})
 	rec.Bind(s, reg, sim.Time(time.Second))
 	if err := s.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if rec.Ticks() != 10 {
-		t.Fatalf("ticks = %d, want 10", rec.Ticks())
+	if rec.Ticks() != 1000 {
+		t.Fatalf("ticks = %d, want 1000", rec.Ticks())
 	}
 	times := rec.Dump().TimesNS
-	if len(times) != 4 {
-		t.Fatalf("retained %d times, want 4", len(times))
+	if len(times) != capacity {
+		t.Fatalf("retained %d times, want %d", len(times), capacity)
 	}
-	if times[0] != int64(700*time.Millisecond) || times[3] != int64(time.Second) {
-		t.Errorf("retained window %v..%v, want 700ms..1s", times[0], times[3])
+	if times[0] != int64(489*time.Millisecond) || times[capacity-1] != int64(time.Second) {
+		t.Errorf("retained window %v..%v, want 489ms..1s", times[0], times[capacity-1])
 	}
 	gs := rec.Series("run.depth")
-	if gs.Len() != 4 || gs.At(0) != 7 || gs.Last() != 10 {
-		t.Errorf("gauge window len=%d first=%d last=%d, want 4/7/10", gs.Len(), gs.At(0), gs.Last())
+	if gs.Len() != capacity || gs.At(0) != 4 || gs.Last() != 10 {
+		t.Errorf("gauge window len=%d first=%d last=%d, want %d/4/10", gs.Len(), gs.At(0), gs.Last(), capacity)
 	}
 }
 
@@ -162,7 +165,7 @@ func TestSeriesBornMidRunAligns(t *testing.T) {
 		reg.GaugeFunc("late", func() int64 { return 9 })
 	})
 	s.At(sim.Time(time.Second), func() {})
-	rec := New(Config{Interval: 100 * time.Millisecond, Capacity: 32})
+	rec := New(Config{Interval: 100 * time.Millisecond})
 	rec.Bind(s, reg, sim.Time(time.Second))
 	if err := s.Run(); err != nil {
 		t.Fatal(err)
@@ -266,22 +269,22 @@ func TestRateCollapseArming(t *testing.T) {
 }
 
 func TestNoteAndIncidentCap(t *testing.T) {
-	rec := New(Config{MaxIncidents: 3})
-	for i := 0; i < 5; i++ {
+	rec := New(Config{})
+	for i := 0; i < maxIncidents+2; i++ {
 		rec.Note("soak", "", "violation %d", i)
 	}
 	incs := rec.Incidents()
-	if len(incs) != 3 || rec.incidentsDropped != 2 {
-		t.Fatalf("cap kept %d dropped %d, want 3/2", len(incs), rec.incidentsDropped)
+	if len(incs) != maxIncidents || rec.incidentsDropped != 2 {
+		t.Fatalf("cap kept %d dropped %d, want %d/2", len(incs), rec.incidentsDropped, maxIncidents)
 	}
-	if incs[0].Message != "violation 2" || incs[2].Message != "violation 4" {
-		t.Errorf("cap dropped the wrong end: %+v", incs)
+	if incs[0].Message != "violation 2" || incs[maxIncidents-1].Message != fmt.Sprintf("violation %d", maxIncidents+1) {
+		t.Errorf("cap dropped the wrong end: first %q, last %q", incs[0].Message, incs[maxIncidents-1].Message)
 	}
 }
 
 func TestDumpJSONRoundTrip(t *testing.T) {
 	s, reg := buildRun()
-	rec := New(Config{Interval: 200 * time.Millisecond, Capacity: 8})
+	rec := New(Config{Interval: 200 * time.Millisecond})
 	rec.Bind(s, reg, sim.Time(time.Second))
 	if err := s.Run(); err != nil {
 		t.Fatal(err)

@@ -1,12 +1,15 @@
 package wire
 
 import (
+	"encoding/binary"
 	"errors"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
 
+	"repro/internal/checksum"
 	"repro/internal/xcode"
 )
 
@@ -32,6 +35,11 @@ func otp(h OTPHeader) []byte {
 	return seg
 }
 
+// topLen is the longest ADU the boundary cases put on the wire: the
+// length field's top bit where int has 64 bits, and where it has 32 the
+// largest int a fragment offset (a multiple of 8) can end at.
+const topLen = min(1<<31, math.MaxInt&^7)
+
 // TestRoundTripBoundaries: Parse(Put(x)) == x for every frame type at
 // the sizes where a length field or a count is at an edge.
 func TestRoundTripBoundaries(t *testing.T) {
@@ -40,7 +48,7 @@ func TestRoundTripBoundaries(t *testing.T) {
 		{Stream: 9, Name: 1 << 40, Tag: ^uint64(0), Syntax: xcode.SyntaxXDR, Flags: FlagEnciphered,
 			TotalLen: 1 << 20, FragOff: 4096, FragLen: 1024, ADUCheck: 0xBEEF},
 		{Flags: FlagAEAD | FlagCritical, TotalLen: 0, FragLen: 0},
-		{Flags: FlagAEAD | FlagParity, TotalLen: 1 << 31, FragOff: 1<<31 - 0xFFF8, FragLen: 0xFFF8},
+		{Flags: FlagAEAD | FlagParity, TotalLen: topLen, FragOff: topLen - 0xFFF8, FragLen: 0xFFF8},
 		{Flags: FlagParity, TotalLen: 0xFFF8, FragLen: 0xFFF8},
 	} {
 		pkt := data(h)
@@ -57,6 +65,16 @@ func TestRoundTripBoundaries(t *testing.T) {
 				t.Errorf("fragment missing a trailer byte parsed: %v", err)
 			}
 		}
+	}
+	// The length field's top bit set: where int has 32 bits that is no
+	// length, and the header is refused rather than read as a negative.
+	pkt := data(Header{})
+	binary.BigEndian.PutUint32(pkt[20:24], 1<<31)
+	pkt[32], pkt[33] = 0, 0
+	binary.BigEndian.PutUint16(pkt[32:34], checksum.Sum16(pkt[:HeaderSize]))
+	const wide = math.MaxInt >= 1<<31
+	if h, err := ParseHeader(pkt); (err == nil) != wide || wide && uint64(h.TotalLen) != 1<<31 {
+		t.Errorf("header with length 1<<31: %+v, %v", h, err)
 	}
 	for _, n := range []int{0, 1, MaxNames} {
 		c := Control{Stream: 3, Cum: 1 << 50, Nacks: seq(n)}
