@@ -1,15 +1,17 @@
 # Standard loops for the alfnet reproduction. Everything is stdlib Go
 # but one assembly file (internal/cipher/wide_amd64.s, the AVX-512 and
 # AVX2 ChaCha20 keystream kernels, which fold Poly1305 blocks on the
-# integer ports while they run); no generated code, and two build tags: `timing`
+# integer ports while they run); no generated code, and three build tags: `timing`
 # holds the tests that compare wall-clock measurements (see the timing
-# target), and `purego` builds without the assembly, so that the path
+# target), `purego` builds without the assembly, so that the path
 # every other architecture takes can be built and tested on amd64 (see
-# the portable target).
+# the portable target), and `nonceledger` builds core with the nonce
+# ledger, which fails a seal that reuses a keystream position for other
+# bytes (see the ledger target).
 
 GO ?= go
 
-.PHONY: build test timing race vet fmt lint loc bench split benchmark benchmark-smoke fuzz soak soak-dtn soak-udp alloc-guard bce-guard wire-leaf portable check
+.PHONY: build test timing race vet fmt lint loc bench split benchmark benchmark-smoke fuzz fuzz386 soak soak-dtn soak-udp ledger alloc-guard bce-guard wire-leaf portable check
 
 build:
 	$(GO) build ./...
@@ -144,6 +146,33 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzCell$$' -fuzztime $(FUZZTIME) ./internal/atm
 	$(GO) test -run '^$$' -fuzz '^FuzzHandleSegment$$' -fuzztime $(FUZZTIME) ./internal/otp
 	$(GO) test -run '^$$' -fuzz '^FuzzRelay$$' -fuzztime $(FUZZTIME) ./internal/relay
+	$(MAKE) fuzz386
+
+# Each network decoder's fuzz target again as GOARCH=386, where int has
+# 32 bits, so that a length or count that wraps there is found by
+# the fuzzer and not by a 32-bit host. The fuzzer cannot instrument 386
+# builds for coverage, so these passes mutate blindly, but they run:
+# FuzzPeek makes some 300 000 executions in 3 s.
+FUZZ386TIME ?= 3s
+fuzz386:
+	GOARCH=386 $(GO) test -run '^$$' -fuzz '^FuzzPeek$$' -fuzztime $(FUZZ386TIME) ./internal/wire
+	GOARCH=386 $(GO) test -run '^$$' -fuzz '^FuzzHandlePacket$$' -fuzztime $(FUZZ386TIME) ./internal/core
+	GOARCH=386 $(GO) test -run '^$$' -fuzz '^FuzzHandleControl$$' -fuzztime $(FUZZ386TIME) ./internal/core
+	GOARCH=386 $(GO) test -run '^$$' -fuzz '^FuzzHandleCustody$$' -fuzztime $(FUZZ386TIME) ./internal/core
+	GOARCH=386 $(GO) test -run '^$$' -fuzz '^FuzzCodecs$$' -fuzztime $(FUZZ386TIME) ./internal/xcode
+	GOARCH=386 $(GO) test -run '^$$' -fuzz '^FuzzSession$$' -fuzztime $(FUZZ386TIME) ./internal/session
+	GOARCH=386 $(GO) test -run '^$$' -fuzz '^FuzzCell$$' -fuzztime $(FUZZ386TIME) ./internal/atm
+	GOARCH=386 $(GO) test -run '^$$' -fuzz '^FuzzHandleSegment$$' -fuzztime $(FUZZ386TIME) ./internal/otp
+	GOARCH=386 $(GO) test -run '^$$' -fuzz '^FuzzRelay$$' -fuzztime $(FUZZ386TIME) ./internal/relay
+
+# The nonce ledger (internal/core/ledger_on.go): core's tests, the
+# shard plane's included, and every soak family, built so that each seal
+# records its keystream position (key fingerprint, nonce, counter
+# domain, offset) and a hash of the bytes sealed there, and a seal of
+# other bytes at a recorded position panics. The tests that count
+# allocations are skipped here, as under -race: the ledger allocates.
+ledger:
+	$(GO) test -count=1 -tags nonceledger -skip 'Allocs|ZeroAlloc|NilRegistryBindsNothing' ./internal/core ./internal/faults/soak
 
 # One seeded chaos pass: every scenario x policy plus the blackout
 # shed/report assertions, and the overload family (closed-loop passes,
@@ -273,4 +302,4 @@ portable:
 	GOAMD64=v1 $(GO) test ./internal/cipher ./internal/ilp ./internal/core
 	$(GO) test -tags purego ./internal/cipher ./internal/ilp ./internal/core
 
-check: fmt build vet wire-leaf portable test timing race fuzz soak soak-dtn soak-udp alloc-guard bce-guard benchmark-smoke
+check: fmt build vet wire-leaf portable test timing race fuzz soak soak-dtn soak-udp ledger alloc-guard bce-guard benchmark-smoke

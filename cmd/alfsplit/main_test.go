@@ -63,6 +63,8 @@ func TestClassify(t *testing.T) {
 		"repro/internal/cipher.Blocks":                                 "keystream kernel",
 		"repro/internal/cipher.(*MAC).block":                           "Poly1305 in Go",
 		"repro/internal/cipher.(*Chain).finish":                        "Poly1305 in Go",
+		"repro/internal/cipher.(*Chain).MAC":                           "Poly1305 in Go",
+		"repro/internal/cipher.(*MAC).Init":                            "Poly1305 in Go",
 		"repro/internal/cipher.Block":                                  "tag key / Block",
 		"repro/internal/cipher.xor3":                                   "XOR",
 		"crypto/internal/fips140/subtle.xorBytes":                      "XOR",

@@ -27,7 +27,7 @@ func BenchmarkKeystreamWide(b *testing.B) {
 	b.SetBytes(wideSize)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		keystream(&key, &nonce, seq(uint32(i)), &ks, Lanes, nil, nil)
+		keystream(&key, &nonce, seq(uint32(i)), 0, ks[:], nil, Lanes, nil, nil, nil)
 	}
 }
 
@@ -47,7 +47,7 @@ func BenchmarkKeystreamMAC(b *testing.B) {
 			b.SetBytes(wideSize)
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				keystream(&key, &nonce, seq(uint32(i)), &ks, Lanes, &mac, msg[:nblk*TagSize])
+				keystream(&key, &nonce, &laneRow, uint32(i), ks[:], ks[:], Lanes, nil, &mac, msg[:nblk*TagSize])
 			}
 		})
 	}

@@ -8,18 +8,19 @@
 // accumulation into one loop over the payload, which internal/ilp's
 // AEAD kernels are (see ilp.FusedEncryptCopyMAC).
 //
-// Every payload byte crosses that one loop (wide.go), which takes the
-// keystream sixteen blocks at a time into a buffer and XORs the buffer
-// against the payload. Everything is Go but one file: on amd64 those
-// blocks come from an assembly kernel (wide_amd64.s) — sixteen lanes
-// with AVX-512F, eight per call with AVX2 — the only hand-coded loops in
-// the tree, which also fold whole Poly1305 blocks into a MAC, two per
-// step, on the integer ports while their rounds run on the vector
-// ports. A kernel reads the key, the nonce and a row of counters, lays
-// out its own initial state from them, and reads blocks Go cut from a
-// checked slice and the MAC's limbs, so the XOR, partial blocks, every
-// bounds check and every tag verdict stay in Go; a Chain carries the
-// end of one sealed message into the call that seals the next. The
+// Every payload byte crosses that one loop (wide.go), which hands the
+// payload to a keystream call sixteen blocks at a time. Everything is
+// Go but one file: on amd64 the call is an assembly kernel
+// (wide_amd64.s) — sixteen lanes with AVX-512F, eight per call with
+// AVX2 — the only hand-coded loops in the tree, which XORs its whole
+// blocks from the source straight into the destination and also folds
+// every whole Poly1305 block it is handed into a MAC, two per step, on
+// the integer ports while its rounds run on the vector ports. A kernel
+// reads the key, the nonce and a row of counters, lays out its own
+// initial state from them, and reads blocks Go cut from checked slices
+// and the MAC's limbs, so partial blocks, every bounds check and every
+// tag verdict stay in Go; a Chain carries the end of one sealed message
+// into the call that seals the next. The
 // counters are the caller's: the payload loop passes sixteen in a row,
 // and Blocks any sixteen, so that the blocks a message needs one of
 // each — a one-time MAC key, the head of a run that starts mid-block —

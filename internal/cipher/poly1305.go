@@ -30,11 +30,18 @@ type MAC struct {
 // ChaCha20 block counter (see TagKey).
 func NewMAC(key *[KeySize]byte) MAC {
 	var m MAC
+	m.Init(key)
+	return m
+}
+
+// Init keys m as NewMAC keys a new MAC, in place: a MAC that lives in a
+// struct of its caller's is made ready without its state being copied.
+func (m *MAC) Init(key *[KeySize]byte) {
 	m.r0 = binary.LittleEndian.Uint64(key[0:8]) & 0x0FFFFFFC0FFFFFFF
 	m.r1 = binary.LittleEndian.Uint64(key[8:16]) & 0x0FFFFFFC0FFFFFFC
 	m.s0 = binary.LittleEndian.Uint64(key[16:24])
 	m.s1 = binary.LittleEndian.Uint64(key[24:32])
-	return m
+	m.h0, m.h1, m.h2, m.n = 0, 0, 0, 0
 }
 
 // block folds one 16-byte block (m0,m1 little-endian) into h. hibit is

@@ -14,18 +14,24 @@ import (
 // caller's; with AVX2 only, keystream8mac makes eight and two calls
 // answer a row of sixteen. The payload passes ctr … ctr+15, and Blocks
 // whatever counters a caller needs one block each of (tag keys, heads).
-// Poly1305 wants the other half of the machine, a chain of 64-bit
-// multiplies on the integer ports the rounds barely use, so the same
-// call folds up to foldMax whole 16-byte blocks into a MAC between its
-// rounds, two per step: h = (h + m1)·r² + m2·r, one reduction per pair,
-// which halves the chain each block waits on. A kernel reads the key,
-// the nonce, the counters, those blocks and the MAC's limbs and writes
-// one fixed-size buffer and the limbs; every slice and bounds check, the
-// XOR, partial blocks, an odd last block and every tag are the Go below.
-// keystream is the one place that picks a kernel or Block: everywhere
-// else — other architectures, amd64 without AVX2, -tags purego — kernel
-// is scalar, and it makes the same blocks with Block and folds with
-// MAC.Update, the oracle the tests hold every kernel against.
+// A call XORs its whole blocks from the source straight into the
+// destination, so the payload's keystream never passes through memory;
+// only a part block's comes back, for Go to XOR. Poly1305 wants the
+// other half of the machine, a chain of 64-bit multiplies on the
+// integer ports the rounds barely use, so the same call folds every
+// whole 16-byte block it is handed, up to foldMax, into a MAC between
+// its rounds, two per step: h = (h + m1)·r² + m2·r, one reduction per
+// pair, which halves the chain each block waits on; an odd last block
+// is one MAC.block step after the rounds. A kernel reads the key, the
+// nonce, the counters, the source, those blocks and the MAC's limbs
+// and writes the destination, a part block's keystream and the limbs;
+// every slice and bounds check, a run's mid-block head and a part
+// block's XOR, the bytes of a last part Poly1305 block, and every tag
+// are the Go below. keystream is the one place that picks a kernel or
+// Block: everywhere else — other architectures, amd64 without AVX2,
+// -tags purego — kernel is scalar, and it makes the same blocks with
+// Block and folds with MAC.Update, the oracle the tests hold every
+// kernel against.
 
 // Lanes is how many blocks one kernel call makes, and so how many
 // counters one Blocks call takes.
@@ -39,8 +45,11 @@ const (
 	wideMin = 2
 	// foldMax is how many Poly1305 blocks one call can fold: a pair in
 	// each of four slots per double round. xorWide never asks for more
-	// than a chunk's 64.
+	// than a chunk's 64 and a head's 3.
 	foldMax = 80
+	// foldMin is the shortest fold worth a kernel call of its own, with
+	// no lanes to make beside it.
+	foldMin = wideSize / 2
 )
 
 // The keystream kernels, from the one keystream prefers down.
@@ -54,36 +63,71 @@ const (
 // tests assign it, to run every kernel the CPU has on one machine.
 var kernel = detect()
 
-// keystream writes the nb <= Lanes blocks at counters ctrs[0], …,
-// ctrs[nb-1] to ks[:nb*BlockSize], and folds msg, whole 16-byte blocks,
-// into mac, which must be at a block boundary. A kernel may write more
-// of ks than nb blocks.
-func keystream(key *Key, nonce *[NonceSize]byte, ctrs *[Lanes]uint32, ks *[wideSize]byte, nb int, mac *MAC, msg []byte) {
-	if kernel == scalar || nb < wideMin {
-		for b := 0; b < nb; b++ {
-			Block(key, nonce, ctrs[b], (*[BlockSize]byte)(ks[b*BlockSize:]))
+// laneRow is the payload loop's counter row: lane i of a call at add
+// makes block add + i, so one row serves every call.
+var laneRow = [Lanes]uint32{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15}
+
+// The key and nonce of a fold-only call, whose blocks nobody reads.
+var (
+	foldKey   Key
+	foldNonce [NonceSize]byte
+)
+
+// keystream runs one call's lanes: lane i makes the block of (key,
+// nonce) at counter ctrs[i] + add. With a source, the blocks of lanes
+// 0 to nx-1 are XORed from src into dst, 64 bytes each, and lane nx's
+// block is written to tail unless tail is nil: a run of whole blocks,
+// and the keystream of the part block after it. With src nil the blocks
+// of lanes 0 to nx-1 are written to dst, which must have room for Lanes
+// of them (a kernel writes them all), and with dst nil too none is. On
+// the side it folds msg, whole 16-byte blocks, at most foldMax of them,
+// into mac.
+func keystream(key *Key, nonce *[NonceSize]byte, ctrs *[Lanes]uint32, add uint32, dst, src []byte, nx int, tail *[BlockSize]byte, mac *MAC, msg []byte) {
+	nb := nx
+	if tail != nil {
+		nb++
+	}
+	// A MAC with a part block buffered cannot take whole blocks, and a
+	// short fold with no lanes to hide behind is cheaper in Go.
+	if len(msg) > 0 && (kernel == scalar || mac.n != 0 || nb < wideMin && len(msg) < foldMin) {
+		mac.Update(msg)
+		msg = nil
+	}
+	if kernel == scalar || nb < wideMin && len(msg) == 0 {
+		var blk [BlockSize]byte
+		for b := 0; b < nx; b++ {
+			d := (*[BlockSize]byte)(dst[b*BlockSize:])
+			if src == nil {
+				Block(key, nonce, ctrs[b]+add, d)
+				continue
+			}
+			Block(key, nonce, ctrs[b]+add, &blk)
+			subtle.XORBytes(d[:], src[b*BlockSize:(b+1)*BlockSize], blk[:])
 		}
-		if len(msg) > 0 {
-			mac.Update(msg)
+		if tail != nil {
+			Block(key, nonce, ctrs[nx]+add, tail)
 		}
 		return
 	}
 	if len(msg) > foldMax*TagSize || len(msg)%TagSize != 0 {
 		panic("cipher: a kernel call folds at most foldMax whole blocks")
 	}
-	np, p := len(msg)/(2*TagSize), unsafe.SliceData(msg)
+	nblk, p := len(msg)/TagSize, unsafe.SliceData(msg)
+	d, s := unsafe.SliceData(dst), unsafe.SliceData(src)
 	switch {
 	case kernel == avx512:
-		keystream16mac(key, nonce, ctrs, ks, mac, p, np)
+		keystream16mac(key, nonce, ctrs, add, d, s, nx, tail, mac, p, nblk)
 	case nb <= Lanes/2:
-		keystream8mac(key, nonce, (*[Lanes / 2]uint32)(ctrs[:]), (*[wideSize / 2]byte)(ks[:]), mac, p, np)
+		keystream8mac(key, nonce, (*[Lanes / 2]uint32)(ctrs[:]), add, d, s, nx, tail, mac, p, nblk)
 	default:
-		h := np / 2
-		keystream8mac(key, nonce, (*[Lanes / 2]uint32)(ctrs[:]), (*[wideSize / 2]byte)(ks[:]), mac, p, h)
-		keystream8mac(key, nonce, (*[Lanes / 2]uint32)(ctrs[Lanes/2:]), (*[wideSize / 2]byte)(ks[wideSize/2:]), mac, unsafe.SliceData(msg[2*TagSize*h:]), np-h)
-	}
-	if len(msg)%(2*TagSize) != 0 {
-		mac.Update(msg[len(msg)-TagSize:])
+		// The first call takes eight whole blocks and the whole fold,
+		// which its forty pair slots hold: opening in place, the second
+		// half of a fold may lie in bytes the first call deciphers.
+		keystream8mac(key, nonce, (*[Lanes / 2]uint32)(ctrs[:]), add, d, s, Lanes/2, nil, mac, p, nblk)
+		if src != nil {
+			s = &src[wideSize/2]
+		}
+		keystream8mac(key, nonce, (*[Lanes / 2]uint32)(ctrs[Lanes/2:]), add, &dst[wideSize/2], s, nx-Lanes/2, tail, nil, nil, 0)
 	}
 }
 
@@ -94,20 +138,21 @@ func keystream(key *Key, nonce *[NonceSize]byte, ctrs *[Lanes]uint32, ks *[wideS
 // From wideMin blocks up, where there is a kernel, that is one call of
 // it: a caller that needs many one-off blocks (one-time MAC keys, heads
 // for XORKeyStreamMAC) gathers their counters and makes them sixteen at
-// a time.
+// a time. It is the kernels' one caller that wants raw keystream.
 func Blocks(key *Key, nonce *[NonceSize]byte, ctrs *[Lanes]uint32, n int, out *[Lanes * BlockSize]byte) {
-	keystream(key, nonce, ctrs, out, n, nil, nil)
+	keystream(key, nonce, ctrs, 0, out[:], nil, n, nil, nil, nil)
 }
 
 // absorb takes msg into mac as MAC.Update does. Where there is a kernel,
-// the whole pairs of a long msg fold in a call of it whose keystream
-// nobody reads: sixty-four blocks take about as long there as twenty
-// through MAC.Update. That is how a seal's last chunk, and a chain's, is
-// folded once there is no next call to ride in.
+// the whole blocks of a msg of foldMin bytes or more fold in a call of
+// it that makes keystream nobody reads and writes nothing: sixty-four
+// blocks take about as long there as twenty through MAC.Update. That is
+// how a seal's last chunk, and a chain's, is folded once there is no
+// next call to ride in.
 func absorb(mac *MAC, msg []byte) {
-	if k := len(msg) &^ (2*TagSize - 1); kernel != scalar && mac.n == 0 && k >= wideSize/2 {
-		var ks [wideSize]byte
-		keystream(&Key{}, &[NonceSize]byte{}, &[Lanes]uint32{}, &ks, wideMin, mac, msg[:k])
+	for len(msg) >= foldMin {
+		k := min(len(msg), foldMax*TagSize) &^ (TagSize - 1)
+		keystream(&foldKey, &foldNonce, &laneRow, 0, nil, nil, 0, nil, mac, msg[:k])
 		msg = msg[k:]
 	}
 	mac.Update(msg)
@@ -116,99 +161,122 @@ func absorb(mac *MAC, msg []byte) {
 // xorWide is the loop under XORKeyStream and XORKeyStreamMAC: dst = src
 // XOR the keystream that starts at byte skip of block ctr, and, with a
 // mac, the ciphertext — dst if seal, else src — absorbed into it. Per
-// chunk of up to 1 KiB that is one keystream call and one XOR of its
-// output against the source, and the call folds one chunk of ciphertext
-// on the side. Opening, that is the chunk the call deciphers, folded
-// before the XOR so that dst may be src. Sealing, the ciphertext exists
-// only after the XOR, so each call folds the chunk the call before it
-// enciphered; the last chunk is folded here (absorb), or, with a chain
-// ch, left to it (Chain.Sum) and folded by the first call of the next
-// message sealed through ch — whose own first call has nothing of its
-// own to fold. Whatever is not a whole block at a block boundary of the
-// MAC goes through MAC.Update. Being fed from a buffer the loop is not
-// tied to block boundaries either: it consumes all of src, so a
-// fragment's tail costs a lane of a call that was being made anyway and
-// not a Block of its own. len(dst) >= len(src), and dst and src are
-// the same bytes or disjoint; ch is nil unless sealing; head, if not
-// nil, is block ctr, made ahead of time.
+// chunk of up to 1 KiB that is one keystream call, which XORs the
+// chunk's whole blocks from src into dst and hands back the keystream of
+// a part block at its end, and which folds whole Poly1305 blocks of
+// ciphertext on the side. Opening, a call folds the ciphertext up to
+// the end of the chunk it deciphers, before the XOR, so that dst may be
+// src. Sealing, the ciphertext exists only after the XOR, so a call
+// folds what the calls before it enciphered; what is left at the end is
+// folded here (absorb), or, with a chain ch, left to it (Chain.Sum) and
+// folded by the first call of the next message sealed through ch — whose
+// own first call has the chain's end to fold instead. What is not a
+// whole block at the end goes through MAC.Update. Being fed from a
+// buffer the loop is not tied to block boundaries either: it consumes
+// all of src, so a fragment's tail costs a lane of a call that was being
+// made anyway and not a Block of its own. len(dst) >= len(src), and dst
+// and src are the same bytes or disjoint; ch is nil unless sealing;
+// head, if not nil, is block ctr, made ahead of time.
 func xorWide(key *Key, nonce *[NonceSize]byte, ctr uint32, skip int, dst, src []byte, mac *MAC, ch *Chain, head *[BlockSize]byte, seal bool) {
-	var ks [wideSize]byte
-	// A MAC'd run that starts mid-block takes its head from one block of
-	// its own, with the MAC fed by MAC.Update. Left to the first call, the
-	// skip shifts every chunk boundary: a 1 008-byte fragment at skip 48,
-	// 32 or 16, as SuiteAEAD lays them out, spans 17 blocks and would be
-	// calls of 16 and 1, the last of them one Block that folds the 976
-	// bytes before it in Go with no rounds to hide them behind. Peeled,
-	// it is 1 and 16, every chunk after the head folds inside a kernel
-	// call, and a chain's end still rides in the first one. The head block
+	n := len(src)
+	if mac != nil && !seal && skip%TagSize != 0 && n > BlockSize-skip+wideSize && unsafe.SliceData(dst) == unsafe.SliceData(src) {
+		// Opening in place, a Poly1305 block would straddle two calls,
+		// the first of which deciphers its start: the MAC takes the
+		// message first, in Go. core opens into its reassembly buffer,
+		// never in place, and never comes here.
+		mac.Update(src)
+		mac = nil
+	}
+	// A run that starts mid-block takes its head from one block of its
+	// own, so that every call after it XORs whole blocks from a block
+	// boundary; a 1 008-byte fragment at skip 48, 32 or 16, as SuiteAEAD
+	// lays them out, is a head and one call of 16 lanes. The head block
 	// is the caller's if it made it, in a lane of a Blocks call beside
-	// others, and one Block here if not. Without a MAC there is nothing to
-	// fold, and the first call takes the skip.
-	if mac != nil && skip != 0 {
-		m := min(BlockSize-skip, len(src))
-		s, d := src[:m:m], dst[:m:m]
+	// others, and one Block here if not. The head is XORed after the
+	// first call, and its ciphertext joins the MAC's fold: opening, in
+	// that call, with the chunk after it; sealing, in the call after
+	// that, or in the chain.
+	pos := 0
+	if skip != 0 && n > 0 {
+		pos = min(BlockSize-skip, n)
 		if head == nil {
-			head = (*[BlockSize]byte)(ks[:BlockSize])
+			head = new([BlockSize]byte)
 			Block(key, nonce, ctr, head)
 		}
-		if !seal {
-			mac.Update(s)
-		}
-		subtle.XORBytes(d, s, head[skip:skip+m])
-		if seal {
-			mac.Update(d)
-		}
 		ctr++
-		src, dst, skip = src[m:], dst[m:], 0
 	}
-	if len(src) == 0 {
-		return // a chain is consumed by a call, and there is none to make
+	hd := pos // head bytes not yet XORed
+	open := mac != nil && !seal
+	if open && pos == n {
+		mac.Update(src) // no call to fold in
+		mac, open = nil, false
 	}
-	// The next call folds fold into into.
-	var fold []byte
+	var msg []byte // the ciphertext, which mac absorbs
+	if mac != nil {
+		msg = src
+		if seal {
+			msg = dst[:n]
+		}
+	}
+	// Opening, the ciphertext of a part Poly1305 block at the end is kept
+	// for MAC.Update at the end, as a kernel call may decipher it in
+	// place first.
+	var last [TagSize]byte
+	if open {
+		copy(last[:], msg[n&^(TagSize-1):])
+	}
+	// The next call folds fold into into: first the chain's end, if it
+	// holds one, and then mac's message, from done on.
 	var into *MAC
+	var fold []byte
 	chained := ch != nil && ch.tag != nil
 	if chained {
-		fold, into = ch.msg, &ch.mac
+		into, fold = ch.mac, ch.msg[:len(ch.msg)&^(TagSize-1)]
 	}
-	var ctrs [Lanes]uint32
-	for len(src) > 0 {
-		for b := range ctrs {
-			ctrs[b] = ctr + uint32(b)
+	done := 0
+	var tail [BlockSize]byte
+	for {
+		m := min(wideSize, n-pos)
+		if m > 0 {
+			if mac != nil && !chained {
+				end := pos - hd // sealing, the ciphertext so far
+				if open {
+					end = pos + m
+				}
+				into, fold = mac, msg[done:end&^(TagSize-1)]
+				done += len(fold)
+			}
+			s, d := src[pos:pos+m:pos+m], dst[pos:pos+m:pos+m]
+			nx, t := m/BlockSize, (*[BlockSize]byte)(nil)
+			if m%BlockSize != 0 {
+				t = &tail
+			}
+			keystream(key, nonce, &laneRow, ctr, d, s, nx, t, into, fold)
+			if t != nil {
+				subtle.XORBytes(d[nx*BlockSize:], s[nx*BlockSize:], t[:])
+			}
 		}
-		m := wideSize - skip
-		if m > len(src) {
-			m = len(src)
+		if hd > 0 {
+			subtle.XORBytes(dst[:hd], src[:hd], head[skip:skip+hd])
+			hd = 0
 		}
-		s, d := src[:m:m], dst[:m:m]
-		if mac != nil && !seal {
-			fold, into = s, mac
-		}
-		k := len(fold) &^ (TagSize - 1)
-		if into != nil && into.n != 0 {
-			k = 0
-		}
-		keystream(key, nonce, &ctrs, &ks, (skip+m+BlockSize-1)/BlockSize, into, fold[:k])
-		if chained {
-			ch.finish(fold[k:])
+		if chained && m > 0 {
+			ch.finish(ch.msg[len(fold):])
 			chained = false
-		} else if into != nil {
-			into.Update(fold[k:])
 		}
-		subtle.XORBytes(d, s, ks[skip:skip+m])
-		if mac != nil && seal {
-			fold, into = d, mac
+		if pos += m; pos >= n {
+			break
 		}
 		ctr += Lanes
-		src, dst = src[m:], dst[m:]
-		skip = 0
 	}
-	if mac != nil && seal {
-		if ch != nil {
-			ch.held = len(fold)
-			return
-		}
-		absorb(mac, fold)
+	switch {
+	case mac == nil:
+	case open:
+		mac.Update(last[:n&(TagSize-1)])
+	case ch != nil && !chained:
+		ch.held = n - done
+	default:
+		absorb(mac, msg[done:]) // a chain no call consumed keeps its own end
 	}
 }
 
@@ -217,25 +285,39 @@ func xorWide(key *Key, nonce *[NonceSize]byte, ctr uint32, skip int, dst, src []
 // the shadow of the next fragment's keystream instead of alone. A tag
 // sealed through a chain is only written once that call or Flush has
 // run, so whoever seals a run of fragments through one chain flushes it
-// before any of their tags is read. The zero Chain is empty and ready.
+// before any of their tags is read. The chain keeps the MAC of the
+// message it holds by pointer, and owns two MACs for its messages to
+// take (MAC), so that no MAC state is copied on the way. The zero Chain
+// is empty and ready.
 type Chain struct {
-	mac  MAC    // the MAC whose message ends in msg
+	macs [2]MAC // the MACs MAC hands out
+	mac  *MAC   // the MAC whose message ends in msg
 	msg  []byte // the end of that message, not yet folded in
 	tag  []byte // where its tag goes; nil while the chain is empty
 	held int    // bytes the last seal left for the chain, until Sum
 }
 
+// MAC returns a MAC for the next message sealed through c, to be keyed
+// with MAC.Init: one of the chain's own, never the one it holds.
+func (c *Chain) MAC() *MAC {
+	if c.mac == &c.macs[0] {
+		return &c.macs[1]
+	}
+	return &c.macs[0]
+}
+
 // Sum writes mac's tag into tag: at once, or, if the seal of ct (the
 // whole message mac has absorbed but for its end) left its last chunk
 // for the chain, when the chain's next kernel call or Flush folds that
-// chunk in. The chain must be empty or have been consumed by that seal.
-// A nil chain is mac.Sum.
+// chunk in. Until then the chain holds mac by pointer, so mac is
+// c.MAC()'s or another that nobody touches meanwhile. The chain must be
+// empty or have been consumed by that seal. A nil chain is mac.Sum.
 func (c *Chain) Sum(mac *MAC, ct, tag []byte) {
 	if c == nil || c.held == 0 {
 		mac.Sum(tag)
 		return
 	}
-	c.mac, c.msg, c.tag, c.held = *mac, ct[len(ct)-c.held:], tag, 0
+	c.mac, c.msg, c.tag, c.held = mac, ct[len(ct)-c.held:], tag, 0
 }
 
 // Flush folds in what the chain holds and writes its tag, leaving the
@@ -251,7 +333,7 @@ func (c *Chain) Flush() {
 // and empties the chain, so that nothing it pointed into is written
 // again.
 func (c *Chain) finish(tail []byte) {
-	absorb(&c.mac, tail)
+	absorb(c.mac, tail)
 	c.mac.Sum(c.tag)
-	*c = Chain{}
+	c.mac, c.msg, c.tag = nil, nil, nil
 }

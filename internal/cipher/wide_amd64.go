@@ -3,18 +3,21 @@
 package cipher
 
 // keystream16mac runs the sixteen ChaCha20 blocks of (key, nonce) at
-// counters ctrs[0], …, ctrs[15] (wide_amd64.s) into out, in lane order,
-// and folds npair <= 40 pairs of whole Poly1305 blocks at msg into mac
-// on the side. It builds the initial state from key, nonce and ctrs
-// itself. It needs AVX-512F.
+// counters ctrs[i] + add (wide_amd64.s). With a source it XORs the
+// first nx of them from src into dst, 64 bytes each, and writes block
+// nx to tail unless tail is nil; with src nil it writes all sixteen to
+// dst, in lane order, or, with dst nil too, none. On the side it folds
+// the nblk <= foldMax whole Poly1305 blocks at msg into mac: the pairs
+// between its rounds, an odd last block after them. It builds the
+// initial state from key, nonce and ctrs itself. It needs AVX-512F.
 //
 //go:noescape
-func keystream16mac(key *Key, nonce *[NonceSize]byte, ctrs *[Lanes]uint32, out *[wideSize]byte, mac *MAC, msg *byte, npair int)
+func keystream16mac(key *Key, nonce *[NonceSize]byte, ctrs *[Lanes]uint32, add uint32, dst, src *byte, nx int, tail *[BlockSize]byte, mac *MAC, msg *byte, nblk int)
 
 // keystream8mac is keystream16mac at eight blocks, on AVX2.
 //
 //go:noescape
-func keystream8mac(key *Key, nonce *[NonceSize]byte, ctrs *[Lanes / 2]uint32, out *[wideSize / 2]byte, mac *MAC, msg *byte, npair int)
+func keystream8mac(key *Key, nonce *[NonceSize]byte, ctrs *[Lanes / 2]uint32, add uint32, dst, src *byte, nx int, tail *[BlockSize]byte, mac *MAC, msg *byte, nblk int)
 
 func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
 

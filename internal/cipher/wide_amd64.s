@@ -48,12 +48,32 @@ GLOBL rol8<>(SB), RODATA|NOPTR, $32
 
 // A quad holds rows, the keystream wants blocks: the low halves of
 // A, B, C, D are the first block's 64 bytes, the high halves the
-// second's.
+// second's. STORE2 writes both blocks out at off in DI.
 #define STORE2(A, B, C, D, T, off) \
 	VPERM2I128 $0x20, B, A, T; VMOVDQU T, (off+0)(DI); \
 	VPERM2I128 $0x20, D, C, T; VMOVDQU T, (off+32)(DI); \
 	VPERM2I128 $0x31, B, A, T; VMOVDQU T, (off+64)(DI); \
 	VPERM2I128 $0x31, D, C, T; VMOVDQU T, (off+96)(DI)
+
+// XOR2 takes the quad's blocks b and b+1 to the payload: each block
+// whose index is below CX, the count of whole blocks, is XORed with
+// its 64 bytes of the source (SI) into the destination (DI); the first
+// that is not goes to the tail instead, at l0 or l1.
+#define XOR2(A, B, C, D, T, b, l0, l1) \
+	CMPQ CX, $(b); JLS l0; \
+	VPERM2I128 $0x20, B, A, T; VPXOR (64*b)(SI), T, T; VMOVDQU T, (64*b)(DI); \
+	VPERM2I128 $0x20, D, C, T; VPXOR (64*b+32)(SI), T, T; VMOVDQU T, (64*b+32)(DI); \
+	CMPQ CX, $(b+1); JLS l1; \
+	VPERM2I128 $0x31, B, A, T; VPXOR (64*b+64)(SI), T, T; VMOVDQU T, (64*b+64)(DI); \
+	VPERM2I128 $0x31, D, C, T; VPXOR (64*b+96)(SI), T, T; VMOVDQU T, (64*b+96)(DI)
+
+// TAIL2 writes the quad's first (sel $0x20) or second ($0x31) block to
+// the tail (R8), if there is one, and leaves for done.
+#define TAIL2(A, B, C, D, T, sel, done) \
+	TESTQ R8, R8; JZ done; \
+	VPERM2I128 sel, B, A, T; VMOVDQU T, 0(R8); \
+	VPERM2I128 sel, D, C, T; VMOVDQU T, 32(R8); \
+	JMP done
 
 // The Poly1305 side, on the integer ports while the vector ports run
 // the rounds around it. h is R8, R9, R10 and r is R11, R12, as the
@@ -121,6 +141,22 @@ GLOBL rol8<>(SB), RODATA|NOPTR, $32
 	LEAQ 32(SI), SI; DECQ DI; \
 skip:
 
+// ONE folds the one block at SI: h = (h + m)·r, which is MAC.block
+// step for step — the same columns t0-t3 (BX, CX, R13, R14) and the
+// same reduction — so it leaves the limbs MAC.block would. It is how a
+// call folds the odd last block of its message, after the pairs.
+#define ONE \
+	ADDQ 0(SI), R8; ADCQ 8(SI), R9; ADCQ $1, R10; \
+	MOVQ R8, AX; MULQ R11; MOVQ AX, BX; MOVQ DX, CX; \
+	MOVQ R9, AX; MULQ R11; ADDQ AX, CX; ADCQ $0, DX; MOVQ DX, R13; \
+	MOVQ R8, AX; MULQ R12; MOVQ $0, R14; ADDQ AX, CX; ADCQ DX, R13; ADCQ $0, R14; \
+	MOVQ R9, AX; MULQ R12; ADDQ AX, R13; ADCQ DX, R14; \
+	MOVQ R10, AX; IMULQ R11, AX; ADDQ AX, R13; ADCQ $0, R14; \
+	MOVQ R10, AX; IMULQ R12, AX; ADDQ AX, R14; \
+	MOVQ BX, R8; MOVQ CX, R9; MOVQ R13, R10; ANDQ $3, R10; ANDQ $-4, R13; \
+	ADDQ R13, R8; ADCQ R14, R9; ADCQ $0, R10; \
+	SHRQ $2, R14, R13; SHRQ $2, R14; ADDQ R13, R8; ADCQ R14, R9; ADCQ $0, R10
+
 // The ChaCha20 constants, "expand 32-byte k", as a row of two blocks.
 DATA sigma<>+0x00(SB)/8, $0x3320646e61707865
 DATA sigma<>+0x08(SB)/8, $0x6b20657479622d32
@@ -128,25 +164,31 @@ DATA sigma<>+0x10(SB)/8, $0x3320646e61707865
 DATA sigma<>+0x18(SB)/8, $0x6b20657479622d32
 GLOBL sigma<>(SB), RODATA|NOPTR, $32
 
-// func keystream8mac(key *Key, nonce *[12]byte, ctrs *[8]uint32, out *[512]byte, mac *MAC, msg *byte, npair int)
+// func keystream8mac(key *Key, nonce *[12]byte, ctrs *[8]uint32, add uint32, dst, src *byte, nx int, tail *[64]byte, mac *MAC, msg *byte, nblk int)
 //
-// Block i of out is the ChaCha20 block of (key, nonce) at counter
-// ctrs[i]. The kernel lays out the initial state itself, as rows of two
-// blocks: the constants, key words 0-3, key words 4-7 — each the same
-// in both halves — and per quad the counter‖nonce row of its two
-// blocks, counters 2q and 2q+1. Quad q (registers Yq, Y4+q, Y8+q, Y12+q)
-// makes blocks 2q and 2q+1 of out. The rows but the constants are kept
-// in the frame for the final add. Four times per double round it also
-// folds the next of the npair <= 40 pairs of whole Poly1305 blocks at
-// msg into mac, whose r0, r1 (offsets 0, 8) it reads and h0, h1, h2
-// (32, 40, 48) it reads and writes; with npair = 0 mac and msg are not
+// Lane i makes the ChaCha20 block of (key, nonce) at counter
+// ctrs[i] + add. With a source, the blocks of lanes 0 to nx-1 are XORed
+// from src into dst, 64 bytes each, and lane nx's block is written to
+// tail if tail is not nil: a run of whole blocks, and the keystream of
+// the part block after it. With src nil, all eight blocks are written
+// to dst in lane order, or, with dst nil too, none is. The kernel lays
+// out the initial state itself, as rows of two blocks: the constants,
+// key words 0-3, key words 4-7 — each the same in both halves — and
+// per quad the counter‖nonce row of its two blocks, lanes 2q and 2q+1.
+// Quad q (registers Yq, Y4+q, Y8+q, Y12+q) makes lanes 2q and 2q+1.
+// The rows but the constants are kept in the frame for the final add.
+// Four times per double round it also folds the next of the nblk/2 <=
+// 40 pairs of whole Poly1305 blocks at msg into mac, and, if nblk is
+// odd, the last block after the rounds (ONE), so that every block it is
+// handed is folded; mac's r0, r1 (offsets 0, 8) are read and h0, h1, h2
+// (32, 40, 48) read and written, and with nblk = 0 mac and msg are not
 // touched. It reads the key's eight words (Key.k, at offset 0), the
-// nonce's twelve bytes and the eight counters, and nothing else is read
-// or written.
+// nonce's twelve bytes, the eight counters and nx blocks of src, writes
+// nx blocks of dst and the tail, and nothing else.
 //
 // Frame: 0 scratch for a parked row, 32 and 64 the key rows, 96-223 the
 // four counter rows, 224 the double-round count, 232 the fold's (PAIR).
-TEXT ·keystream8mac(SB), NOSPLIT, $312-56
+TEXT ·keystream8mac(SB), NOSPLIT, $312-88
 	// Counter rows: the nonce in words 1-3 of each half, blended with a
 	// pair of counters zero-extended to qwords and spread so that one
 	// lands in word 0 of each half.
@@ -156,8 +198,13 @@ TEXT ·keystream8mac(SB), NOSPLIT, $312-56
 	VPINSRD $2, 8(BX), X12, X12
 	VPSLLDQ $4, X12, X12
 	VINSERTI128 $1, X12, Y12, Y12
-	VPMOVZXDQ 0(CX), Y0
-	VPMOVZXDQ 16(CX), Y1
+	MOVL add+24(FP), AX
+	VMOVD AX, X1
+	VPBROADCASTD X1, Y1
+	VPADDD 0(CX), Y1, Y1
+	VPMOVZXDQ X1, Y0
+	VEXTRACTI128 $1, Y1, X1
+	VPMOVZXDQ X1, Y1
 	VPERMQ $0xFA, Y0, Y13
 	VPERMQ $0x50, Y1, Y14
 	VPERMQ $0xFA, Y1, Y15
@@ -187,11 +234,13 @@ TEXT ·keystream8mac(SB), NOSPLIT, $312-56
 	VMOVDQA Y8, Y10
 	VMOVDQA Y8, Y11
 	MOVQ $10, 224(SP)
-	MOVQ npair+48(FP), DI
+	MOVQ nblk+80(FP), DI
 	TESTQ DI, DI
 	JZ rounds
-	MOVQ mac+32(FP), AX; MOVQ msg+40(FP), SI
+	MOVQ mac+64(FP), AX; MOVQ msg+72(FP), SI
 	MOVQ 0(AX), R11; MOVQ 8(AX), R12; MOVQ 32(AX), R8; MOVQ 40(AX), R9; MOVQ 48(AX), R10
+	SHRQ $1, DI
+	JZ rounds
 	POWERS(232)
 
 rounds:
@@ -206,13 +255,18 @@ rounds:
 	DECQ 224(SP)
 	JNZ rounds
 
-	CMPQ npair+48(FP), $0
-	JEQ sum
-	MOVQ mac+32(FP), AX
+	MOVQ nblk+80(FP), AX
+	TESTQ AX, AX
+	JZ sum
+	TESTQ $1, AX
+	JZ limbs
+	ONE
+
+limbs:
+	MOVQ mac+64(FP), AX
 	MOVQ R8, 32(AX); MOVQ R9, 40(AX); MOVQ R10, 48(AX)
 
 sum:
-	MOVQ out+24(FP), DI
 	VPADDD sigma<>(SB), Y0, Y0
 	VPADDD sigma<>(SB), Y1, Y1
 	VPADDD sigma<>(SB), Y2, Y2
@@ -230,12 +284,41 @@ sum:
 	VPADDD 160(SP), Y14, Y14
 	VPADDD 192(SP), Y15, Y15
 
+	MOVQ dst+32(FP), DI
+	MOVQ src+40(FP), SI
+	TESTQ SI, SI
+	JNZ xor
+	TESTQ DI, DI
+	JZ done
 	VMOVDQU Y15, 0(SP)
 	STORE2(Y0, Y4, Y8, Y12, Y15, 0)
 	STORE2(Y1, Y5, Y9, Y13, Y15, 128)
 	STORE2(Y2, Y6, Y10, Y14, Y15, 256)
 	VMOVDQU 0(SP), Y15
 	STORE2(Y3, Y7, Y11, Y15, Y0, 384)
+	JMP done
+
+xor:
+	MOVQ nx+48(FP), CX
+	MOVQ tail+56(FP), R8
+	VMOVDQU Y15, 0(SP)
+	XOR2(Y0, Y4, Y8, Y12, Y15, 0, tail0, tail1)
+	XOR2(Y1, Y5, Y9, Y13, Y15, 2, tail2, tail3)
+	XOR2(Y2, Y6, Y10, Y14, Y15, 4, tail4, tail5)
+	VMOVDQU 0(SP), Y15
+	XOR2(Y3, Y7, Y11, Y15, Y0, 6, tail6, tail7)
+	JMP done
+
+tail0: TAIL2(Y0, Y4, Y8, Y12, Y15, $0x20, done)
+tail1: TAIL2(Y0, Y4, Y8, Y12, Y15, $0x31, done)
+tail2: TAIL2(Y1, Y5, Y9, Y13, Y15, $0x20, done)
+tail3: TAIL2(Y1, Y5, Y9, Y13, Y15, $0x31, done)
+tail4: TAIL2(Y2, Y6, Y10, Y14, Y15, $0x20, done)
+tail5: TAIL2(Y2, Y6, Y10, Y14, Y15, $0x31, done)
+tail6: TAIL2(Y3, Y7, Y11, Y15, Y0, $0x20, done)
+tail7: TAIL2(Y3, Y7, Y11, Y15, Y0, $0x31, done)
+
+done:
 	VZEROUPPER
 	RET
 
@@ -260,45 +343,63 @@ sum:
 
 // TRANS4 takes the four registers holding blocks 4j+k (words 0-3, 4-7,
 // 8-11, 12-15 in A, B, C, D, lane j) to the four blocks themselves, by
-// a 4×4 transpose of 128-bit lanes, and stores block 4j+k at its place
-// in out (DI), off = 64k.
-#define TRANS4(A, B, C, D, off) \
+// a 4×4 transpose of 128-bit lanes: after it A holds block k, B block
+// 4+k, C block 8+k and D block 12+k, so that once all four have run,
+// register Zb holds block b.
+#define TRANS4(A, B, C, D) \
 	VSHUFI32X4 $0x44, B, A, Z16; VSHUFI32X4 $0xEE, B, A, Z17; \
 	VSHUFI32X4 $0x44, D, C, Z18; VSHUFI32X4 $0xEE, D, C, Z19; \
 	VSHUFI32X4 $0x88, Z18, Z16, A; VSHUFI32X4 $0xDD, Z18, Z16, B; \
-	VSHUFI32X4 $0x88, Z19, Z17, C; VSHUFI32X4 $0xDD, Z19, Z17, D; \
-	VMOVDQU64 A, (off+0)(DI); VMOVDQU64 B, (off+256)(DI); \
-	VMOVDQU64 C, (off+512)(DI); VMOVDQU64 D, (off+768)(DI)
+	VSHUFI32X4 $0x88, Z19, Z17, C; VSHUFI32X4 $0xDD, Z19, Z17, D
 
-// func keystream16mac(key *Key, nonce *[12]byte, ctrs *[16]uint32, out *[1024]byte, mac *MAC, msg *byte, npair int)
+// XOR16 takes block b, in Z, to the payload: if its index is below CX,
+// the count of whole blocks, it is XORed with its 64 bytes of the
+// source (SI) into the destination (DI); else it goes to the tail at l.
+#define XOR16(Z, b, l) \
+	CMPQ CX, $(b); JLS l; \
+	VPXORD (64*b)(SI), Z, Z; VMOVDQU64 Z, (64*b)(DI)
+
+// TAIL16 writes block Z to the tail (R8), if there is one, and leaves.
+#define TAIL16(Z) \
+	TESTQ R8, R8; JZ done16; \
+	VMOVDQU64 Z, 0(R8); \
+	JMP done16
+
+// func keystream16mac(key *Key, nonce *[12]byte, ctrs *[16]uint32, add uint32, dst, src *byte, nx int, tail *[64]byte, mac *MAC, msg *byte, nblk int)
 //
-// keystream8mac's contract at sixteen blocks, on AVX-512F: block i of
-// out is the ChaCha20 block of (key, nonce) at counter ctrs[i], and
-// four times per double round the next of the npair <= 40 pairs of
-// whole Poly1305 blocks at msg folds into mac. The initial state is
-// Z16-Z31, each word broadcast to every lane but the counters, one per
-// lane; the rounds run in Z0-Z15, so nothing spills.
+// keystream8mac's contract at sixteen lanes, on AVX-512F: lane i makes
+// the ChaCha20 block of (key, nonce) at counter ctrs[i] + add; with a
+// source, lanes 0 to nx-1 are XORed from src into dst and lane nx goes
+// to tail if tail is not nil; with src nil all sixteen blocks are
+// written to dst, or, with dst nil too, none is; and the nblk blocks at
+// msg fold into mac, the pairs four times per double round and an odd
+// last block after the rounds. The initial state is Z16-Z31, each word
+// broadcast to every lane but the counters, one per lane; the rounds
+// run in Z0-Z15, so nothing spills.
 //
 // Frame: 0 the fold's (PAIR), 80 the double-round count.
-TEXT ·keystream16mac(SB), NOSPLIT, $88-56
+TEXT ·keystream16mac(SB), NOSPLIT, $88-88
 	MOVQ key+0(FP), AX
 	MOVQ nonce+8(FP), BX
 	MOVQ ctrs+16(FP), CX
 	VPBROADCASTD sigma<>+0(SB), Z16; VPBROADCASTD sigma<>+4(SB), Z17; VPBROADCASTD sigma<>+8(SB), Z18; VPBROADCASTD sigma<>+12(SB), Z19
 	VPBROADCASTD 0(AX), Z20; VPBROADCASTD 4(AX), Z21; VPBROADCASTD 8(AX), Z22; VPBROADCASTD 12(AX), Z23
 	VPBROADCASTD 16(AX), Z24; VPBROADCASTD 20(AX), Z25; VPBROADCASTD 24(AX), Z26; VPBROADCASTD 28(AX), Z27
-	VMOVDQU32 0(CX), Z28; VPBROADCASTD 0(BX), Z29; VPBROADCASTD 4(BX), Z30; VPBROADCASTD 8(BX), Z31
+	MOVL add+24(FP), DX; VPBROADCASTD DX, Z28; VPADDD 0(CX), Z28, Z28
+	VPBROADCASTD 0(BX), Z29; VPBROADCASTD 4(BX), Z30; VPBROADCASTD 8(BX), Z31
 	VMOVDQA64 Z16, Z0; VMOVDQA64 Z17, Z1; VMOVDQA64 Z18, Z2; VMOVDQA64 Z19, Z3
 	VMOVDQA64 Z20, Z4; VMOVDQA64 Z21, Z5; VMOVDQA64 Z22, Z6; VMOVDQA64 Z23, Z7
 	VMOVDQA64 Z24, Z8; VMOVDQA64 Z25, Z9; VMOVDQA64 Z26, Z10; VMOVDQA64 Z27, Z11
 	VMOVDQA64 Z28, Z12; VMOVDQA64 Z29, Z13; VMOVDQA64 Z30, Z14; VMOVDQA64 Z31, Z15
 
 	MOVQ $10, 80(SP)
-	MOVQ npair+48(FP), DI
+	MOVQ nblk+80(FP), DI
 	TESTQ DI, DI
 	JZ rounds16
-	MOVQ mac+32(FP), AX; MOVQ msg+40(FP), SI
+	MOVQ mac+64(FP), AX; MOVQ msg+72(FP), SI
 	MOVQ 0(AX), R11; MOVQ 8(AX), R12; MOVQ 32(AX), R8; MOVQ 40(AX), R9; MOVQ 48(AX), R10
+	SHRQ $1, DI
+	JZ rounds16
 	POWERS(0)
 
 rounds16:
@@ -313,9 +414,15 @@ rounds16:
 	DECQ 80(SP)
 	JNZ rounds16
 
-	CMPQ npair+48(FP), $0
-	JEQ sum16
-	MOVQ mac+32(FP), AX
+	MOVQ nblk+80(FP), AX
+	TESTQ AX, AX
+	JZ sum16
+	TESTQ $1, AX
+	JZ limbs16
+	ONE
+
+limbs16:
+	MOVQ mac+64(FP), AX
 	MOVQ R8, 32(AX); MOVQ R9, 40(AX); MOVQ R10, 48(AX)
 
 sum16:
@@ -332,11 +439,50 @@ sum16:
 	UNPK2(Z20, Z21, Z22, Z23, Z4, Z5, Z6, Z7)
 	UNPK2(Z24, Z25, Z26, Z27, Z8, Z9, Z10, Z11)
 	UNPK2(Z28, Z29, Z30, Z31, Z12, Z13, Z14, Z15)
-	MOVQ out+24(FP), DI
-	TRANS4(Z0, Z4, Z8, Z12, 0)
-	TRANS4(Z1, Z5, Z9, Z13, 64)
-	TRANS4(Z2, Z6, Z10, Z14, 128)
-	TRANS4(Z3, Z7, Z11, Z15, 192)
+	TRANS4(Z0, Z4, Z8, Z12)
+	TRANS4(Z1, Z5, Z9, Z13)
+	TRANS4(Z2, Z6, Z10, Z14)
+	TRANS4(Z3, Z7, Z11, Z15)
+
+	MOVQ dst+32(FP), DI
+	MOVQ src+40(FP), SI
+	TESTQ SI, SI
+	JNZ xor16
+	TESTQ DI, DI
+	JZ done16
+	VMOVDQU64 Z0, 0(DI); VMOVDQU64 Z1, 64(DI); VMOVDQU64 Z2, 128(DI); VMOVDQU64 Z3, 192(DI)
+	VMOVDQU64 Z4, 256(DI); VMOVDQU64 Z5, 320(DI); VMOVDQU64 Z6, 384(DI); VMOVDQU64 Z7, 448(DI)
+	VMOVDQU64 Z8, 512(DI); VMOVDQU64 Z9, 576(DI); VMOVDQU64 Z10, 640(DI); VMOVDQU64 Z11, 704(DI)
+	VMOVDQU64 Z12, 768(DI); VMOVDQU64 Z13, 832(DI); VMOVDQU64 Z14, 896(DI); VMOVDQU64 Z15, 960(DI)
+	JMP done16
+
+xor16:
+	MOVQ nx+48(FP), CX
+	MOVQ tail+56(FP), R8
+	XOR16(Z0, 0, tail16_0); XOR16(Z1, 1, tail16_1); XOR16(Z2, 2, tail16_2); XOR16(Z3, 3, tail16_3)
+	XOR16(Z4, 4, tail16_4); XOR16(Z5, 5, tail16_5); XOR16(Z6, 6, tail16_6); XOR16(Z7, 7, tail16_7)
+	XOR16(Z8, 8, tail16_8); XOR16(Z9, 9, tail16_9); XOR16(Z10, 10, tail16_10); XOR16(Z11, 11, tail16_11)
+	XOR16(Z12, 12, tail16_12); XOR16(Z13, 13, tail16_13); XOR16(Z14, 14, tail16_14); XOR16(Z15, 15, tail16_15)
+	JMP done16
+
+tail16_0: TAIL16(Z0)
+tail16_1: TAIL16(Z1)
+tail16_2: TAIL16(Z2)
+tail16_3: TAIL16(Z3)
+tail16_4: TAIL16(Z4)
+tail16_5: TAIL16(Z5)
+tail16_6: TAIL16(Z6)
+tail16_7: TAIL16(Z7)
+tail16_8: TAIL16(Z8)
+tail16_9: TAIL16(Z9)
+tail16_10: TAIL16(Z10)
+tail16_11: TAIL16(Z11)
+tail16_12: TAIL16(Z12)
+tail16_13: TAIL16(Z13)
+tail16_14: TAIL16(Z14)
+tail16_15: TAIL16(Z15)
+
+done16:
 	VZEROUPPER
 	RET
 

@@ -6,10 +6,10 @@ package cipher
 // folds with MAC.Update.
 func detect() int { return scalar }
 
-func keystream16mac(*Key, *[NonceSize]byte, *[Lanes]uint32, *[wideSize]byte, *MAC, *byte, int) {
+func keystream16mac(*Key, *[NonceSize]byte, *[Lanes]uint32, uint32, *byte, *byte, int, *[BlockSize]byte, *MAC, *byte, int) {
 	panic("cipher: keystream16mac without a kernel")
 }
 
-func keystream8mac(*Key, *[NonceSize]byte, *[Lanes / 2]uint32, *[wideSize / 2]byte, *MAC, *byte, int) {
+func keystream8mac(*Key, *[NonceSize]byte, *[Lanes / 2]uint32, uint32, *byte, *byte, int, *[BlockSize]byte, *MAC, *byte, int) {
 	panic("cipher: keystream8mac without a kernel")
 }

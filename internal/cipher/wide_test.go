@@ -131,7 +131,7 @@ func TestKeystreamWideMatchesBlock(t *testing.T) {
 		for _, ctr := range ctrs {
 			for nb := 0; nb <= Lanes; nb++ {
 				var ks [wideSize]byte
-				keystream(&key, &nonce, seq(ctr), &ks, nb, nil, nil)
+				keystream(&key, &nonce, seq(ctr), 0, ks[:], nil, nb, nil, nil, nil)
 				want := blockStream(&key, &nonce, ctr, nb*BlockSize)
 				for lane := 0; lane < nb; lane++ {
 					if !bytes.Equal(ks[lane*BlockSize:(lane+1)*BlockSize], want[lane*BlockSize:(lane+1)*BlockSize]) {
@@ -159,7 +159,7 @@ func TestRFC8439VectorsFromKeystream(t *testing.T) {
 			b5 12 9c d1 de 16 4e b9 cb d0 83 e8 a2 50 3c 4e`)
 		var ks [wideSize]byte
 		for lane := 0; lane < Lanes; lane++ {
-			keystream(&key, &nonce, seq(1-uint32(lane)), &ks, Lanes, nil, nil)
+			keystream(&key, &nonce, seq(1-uint32(lane)), 0, ks[:], nil, Lanes, nil, nil, nil)
 			if !bytes.Equal(ks[lane*BlockSize:(lane+1)*BlockSize], wantBlock) {
 				t.Fatalf("§2.3.2: lane %d of the call at counter %#x is not the RFC block", lane, 1-uint32(lane))
 			}
@@ -201,7 +201,7 @@ func TestRFC8439VectorsFromKeystream(t *testing.T) {
 		if !bytes.Equal(wantBox[len(sunscreen):], wantTag) {
 			t.Fatal("§2.8.2: Seal does not produce the RFC tag")
 		}
-		keystream(&key, &nonce, seq(0), &ks, Lanes, nil, nil)
+		keystream(&key, &nonce, seq(0), 0, ks[:], nil, Lanes, nil, nil, nil)
 		ct := make([]byte, len(sunscreen))
 		for i := range ct {
 			ct[i] = sunscreen[i] ^ ks[BlockSize+i]
@@ -300,25 +300,196 @@ func TestWideLoopsMatchBlock(t *testing.T) {
 	})
 }
 
+// One call's lanes under the kernel contract, against Block: with a
+// source, lanes 0 to nx-1 are src XOR their block in dst and nothing
+// past them is written, and lane nx's block, asked for, is the tail;
+// with neither source nor destination nothing is written at all. For
+// every nx, with and without a tail, in place and not, at counters that
+// wrap inside the call, with lane i at add + i as the payload loop runs
+// them and at free counters as Blocks takes them.
+func TestKeystreamXORsWholeBlocks(t *testing.T) {
+	key := ExpandKey(0x7A11)
+	nonce := [NonceSize]byte{4: 0x44, 11: 0xBB}
+	src := make([]byte, wideSize)
+	for i := range src {
+		src[i] = byte(i*29 + 3)
+	}
+	free := [Lanes]uint32{9, 1 << 30, 0xffffffff, 0, 7, 7, 1<<30 + 126, 2, 0x80000000, 5, 3, 1, 0xfffffffe, 17, 6, 4}
+	eachKernel(t, func(t *testing.T) {
+		for _, row := range []struct {
+			ctrs *[Lanes]uint32
+			add  uint32
+		}{{&laneRow, 1}, {&laneRow, 0xfffffff8}, {&free, 0}, {&free, 0x10}} {
+			for nx := 0; nx <= Lanes; nx++ {
+				for _, withTail := range []bool{false, true} {
+					if withTail && nx == Lanes {
+						continue
+					}
+					for _, inPlace := range []bool{false, true} {
+						dst := bytes.Repeat([]byte{0xA5}, wideSize)
+						in := src
+						if inPlace {
+							copy(dst, src)
+							in = dst
+						}
+						var tail *[BlockSize]byte
+						if withTail {
+							tail = new([BlockSize]byte)
+						}
+						keystream(&key, &nonce, row.ctrs, row.add, dst, in, nx, tail, nil, nil)
+						for b := 0; b < Lanes; b++ {
+							var blk [BlockSize]byte
+							Block(&key, &nonce, row.ctrs[b]+row.add, &blk)
+							got := dst[b*BlockSize : (b+1)*BlockSize]
+							for i := range got {
+								want := byte(0xA5)
+								switch {
+								case b < nx:
+									want = src[b*BlockSize+i] ^ blk[i]
+								case inPlace:
+									want = src[b*BlockSize+i]
+								}
+								if got[i] != want {
+									t.Fatalf("add=%#x nx=%d tail=%v in place=%v: byte %d of lane %d is %#x, want %#x", row.add, nx, withTail, inPlace, i, b, got[i], want)
+								}
+							}
+							if withTail && b == nx && !bytes.Equal(tail[:], blk[:]) {
+								t.Fatalf("add=%#x nx=%d in place=%v: the tail is not lane %d's block", row.add, nx, inPlace, nx)
+							}
+						}
+					}
+				}
+			}
+			mac := MAC{r0: 0x0123456709ABCDEF & 0x0FFFFFFC0FFFFFFF, r1: 0x0FEDCBA987654321 & 0x0FFFFFFC0FFFFFFC}
+			ref := mac
+			foldRef(&ref, src[:foldMin+TagSize])
+			keystream(&key, &nonce, row.ctrs, row.add, nil, nil, 0, nil, &mac, src[:foldMin+TagSize])
+			if !macMatches(&mac, &ref, foldMin/TagSize+1) {
+				t.Fatal("a fold-only call did not fold its message")
+			}
+		}
+	})
+}
+
+// The payload loop against the scalar reference at the skips SuiteAEAD
+// lays fragments out at, for every length up to two chunks and more:
+// the ciphertext is src XOR the Block keystream and the tag MAC.Update's
+// over it, sealing and opening, in place and into another buffer. And
+// runs of fragments, each at the next offset, sealed through one chain
+// with the chain's own MACs, the last flushed: every fragment's tag is
+// MAC.Update's over its own ciphertext, however its end was folded.
+func TestWideLoopsEveryLength(t *testing.T) {
+	key := ExpandKey(0xC0DE)
+	nonce := [NonceSize]byte{1, 2, 3}
+	const maxLen = 2100
+	src := make([]byte, maxLen)
+	for i := range src {
+		src[i] = byte(i*13 + i>>8)
+	}
+	var otk [KeySize]byte
+	TagKey(&key, &nonce, 1<<30, &otk)
+	eachKernel(t, func(t *testing.T) {
+		buf, out := make([]byte, maxLen), make([]byte, maxLen)
+		for _, skip := range []int{0, 16, 32, 48} {
+			ks := blockStream(&key, &nonce, 1, skip+maxLen)[skip:]
+			ct := make([]byte, maxLen)
+			for i := range ct {
+				ct[i] = src[i] ^ ks[i]
+			}
+			run := NewMAC(&otk)
+			for n := 0; n <= maxLen; n++ {
+				if n > 0 {
+					run.Update(ct[n-1 : n])
+				}
+				ref := run
+				var want [TagSize]byte
+				ref.Sum(want[:])
+				for _, inPlace := range []bool{false, true} {
+					copy(buf, src[:n])
+					d := out[:n]
+					if inPlace {
+						d = buf[:n]
+					}
+					seal := NewMAC(&otk)
+					xorWide(&key, &nonce, 1, skip, d, buf[:n], &seal, nil, nil, true)
+					if !bytes.Equal(d, ct[:n]) || !seal.Verify(want[:]) {
+						t.Fatalf("seal skip=%d n=%d in place=%v: wrong ciphertext or tag", skip, n, inPlace)
+					}
+					copy(buf, ct[:n])
+					d = out[:n]
+					if inPlace {
+						d = buf[:n]
+					}
+					open := NewMAC(&otk)
+					xorWide(&key, &nonce, 1, skip, d, buf[:n], &open, nil, nil, false)
+					if !bytes.Equal(d, src[:n]) || !open.Verify(want[:]) {
+						t.Fatalf("open skip=%d n=%d in place=%v: wrong plaintext or tag", skip, n, inPlace)
+					}
+				}
+			}
+		}
+		for _, frag := range []int{16, 48, 1008, 1024, 1040, 2064} {
+			const frags = 4
+			ks := blockStream(&key, &nonce, 1, frags*frag)
+			pt := make([]byte, frags*frag)
+			for i := range pt {
+				pt[i] = byte(i*7 + 1)
+			}
+			var ch Chain
+			ct := make([]byte, frags*frag)
+			tags := make([]byte, frags*TagSize)
+			for k := 0; k < frags; k++ {
+				off := k * frag
+				otk[0] = byte(k)
+				mac := ch.MAC()
+				mac.Init(&otk)
+				xorWide(&key, &nonce, PayloadCounter(off), off%BlockSize, ct[off:off+frag], pt[off:off+frag], mac, &ch, nil, true)
+				ch.Sum(mac, ct[off:off+frag], tags[k*TagSize:(k+1)*TagSize])
+			}
+			ch.Flush()
+			for k := 0; k < frags; k++ {
+				off := k * frag
+				for i := off; i < off+frag; i++ {
+					if ct[i] != pt[i]^ks[i] {
+						t.Fatalf("chained frag=%d: fragment %d byte %d is not src XOR Block keystream", frag, k, i-off)
+					}
+				}
+				otk[0] = byte(k)
+				ref := NewMAC(&otk)
+				ref.Update(ct[off : off+frag])
+				if !ref.Verify(tags[k*TagSize : (k+1)*TagSize]) {
+					t.Fatalf("chained frag=%d: fragment %d has the wrong tag", frag, k)
+				}
+			}
+		}
+	})
+}
+
 // A MAC'd run that starts mid-block takes its head from a block of its
-// own, so that every chunk after it starts on a block boundary: a
+// own, so that every call after it starts on a block boundary: a
 // fragment laid out as SuiteAEAD lays them out, 1 008 bytes at skip 48,
-// 32 or 16, is calls of 1 and 16 blocks and not 16 and 1. Sealed
-// through a chain, what the chain is left to fold shows which: the
-// whole last call's bytes, not a one-block tail. The last call's bytes
-// are what is left after the head and the whole chunks before it.
+// 32 or 16, is a head and one call of 16 lanes, and not calls of 16 and
+// 1. Sealed through a chain, what the chain is left to fold shows it:
+// the one call has no ciphertext of the fragment's to fold yet (the head
+// is XORed after it), so the chain is left the whole fragment, head and
+// all — into an empty chain, and into one that holds a message, which
+// the call folds instead. Calls of 16 and 1 would leave it one block.
 func TestMidBlockHeadIsPeeled(t *testing.T) {
 	key := ExpandKey(0x9EE1)
 	var nonce [NonceSize]byte
 	var otk [KeySize]byte
 	buf := make([]byte, 1008)
 	for _, skip := range []int{16, 32, 48} {
-		mac := NewMAC(&otk)
 		var ch Chain
-		xorWide(&key, &nonce, 1, skip, buf, buf, &mac, &ch, nil, true)
-		rest := len(buf) - (BlockSize - skip)
-		if want := rest - (rest-1)/wideSize*wideSize; ch.held != want {
-			t.Errorf("skip=%d: the chain holds %d bytes, want the %d of the last call", skip, ch.held, want)
+		for _, behind := range []string{"empty", "holding a message"} {
+			mac := ch.MAC()
+			mac.Init(&otk)
+			xorWide(&key, &nonce, 1, skip, buf, buf, mac, &ch, nil, true)
+			if ch.held != len(buf) {
+				t.Errorf("skip=%d, chain %s: the chain holds %d bytes, want the fragment's %d", skip, behind, ch.held, len(buf))
+			}
+			var tag [TagSize]byte
+			ch.Sum(mac, buf, tag[:])
 		}
 	}
 }
@@ -334,11 +505,11 @@ func TestKeystreamPicksKernel(t *testing.T) {
 		key := ExpandKey(1)
 		var nonce [NonceSize]byte
 		var ks [wideSize]byte
-		var mac MAC
 		for nb := 1; nb <= Lanes; nb++ {
+			var mac MAC
 			ran := func() (panicked bool) {
 				defer func() { panicked = recover() != nil }()
-				keystream(&key, &nonce, seq(0), &ks, nb, &mac, make([]byte, 8))
+				keystream(&key, &nonce, seq(0), 0, ks[:], nil, nb, nil, &mac, make([]byte, 8))
 				return false
 			}()
 			if want := kernel != scalar && nb >= wideMin; ran != want {
@@ -404,14 +575,16 @@ func macMatches(mac, ref *MAC, nblk int) bool {
 }
 
 // The MAC side of a keystream call against MAC.block, for every number
-// of blocks one call can fold, in a call of sixteen lanes and one of
-// two (one AVX2 call instead of two): it leaves the value that many
-// blocks leave, and the keystream does not depend on it. The inputs sit
+// of blocks one call can fold, odd counts too, in a call of sixteen
+// lanes and one of two (one AVX2 call instead of two), writing its
+// blocks out and XORing them into a destination: it leaves the value
+// that many blocks leave, and the keystream does not depend on it. The inputs sit
 // at the edges of the arithmetic — all-ones blocks, an accumulator just
 // below p or with every limb full, the largest r clamping allows — so
 // that the pair step's full 130-bit r² and its carries are all driven
 // to their widest, and the message is at an even and an odd address.
 func TestKeystreamMACMatchesBlock(t *testing.T) {
+	var zeros [wideSize]byte
 	const rMax0, rMax1 = 0x0FFFFFFC0FFFFFFF, 0x0FFFFFFC0FFFFFFC
 	const pLo, pMid, pHi = 0xFFFFFFFFFFFFFFFB, 0xFFFFFFFFFFFFFFFF, 3 // p = 2^130 - 5
 	accs := []struct {
@@ -447,13 +620,26 @@ func TestKeystreamMACMatchesBlock(t *testing.T) {
 							ref := mac
 							foldRef(&ref, msg[:nblk*TagSize])
 							var ks [wideSize]byte
-							keystream(&key, &nonce, seq(ctr), &ks, nb, &mac, msg[:nblk*TagSize])
+							keystream(&key, &nonce, seq(ctr), 0, ks[:], nil, nb, nil, &mac, msg[:nblk*TagSize])
 							if !macMatches(&mac, &ref, nblk) {
 								t.Fatalf("ones=%v at=%d %s nb=%d nblk=%d: h = %#x %#x %#x, MAC.block leaves %#x %#x %#x",
 									ones, at, a.name, nb, nblk, mac.h0, mac.h1, mac.h2, ref.h0, ref.h1, ref.h2)
 							}
 							if !bytes.Equal(ks[:nb*BlockSize], want[:nb*BlockSize]) {
 								t.Fatalf("ones=%v at=%d %s nb=%d nblk=%d: the keystream changed with the MAC work", ones, at, a.name, nb, nblk)
+							}
+							// The same fold beside an XOR of nb-1 whole
+							// blocks of zeros and a tail.
+							mac = MAC{r0: a.r0, r1: a.r1, h0: a.h0, h1: a.h1, h2: a.h2}
+							var xd [wideSize]byte
+							var tail [BlockSize]byte
+							keystream(&key, &nonce, &laneRow, ctr, xd[:], zeros[:], nb-1, &tail, &mac, msg[:nblk*TagSize])
+							if !macMatches(&mac, &ref, nblk) {
+								t.Fatalf("XOR ones=%v at=%d %s nb=%d nblk=%d: h = %#x %#x %#x, MAC.block leaves %#x %#x %#x",
+									ones, at, a.name, nb, nblk, mac.h0, mac.h1, mac.h2, ref.h0, ref.h1, ref.h2)
+							}
+							if !bytes.Equal(xd[:(nb-1)*BlockSize], want[:(nb-1)*BlockSize]) || !bytes.Equal(tail[:], want[(nb-1)*BlockSize:nb*BlockSize]) {
+								t.Fatalf("XOR ones=%v at=%d %s nb=%d nblk=%d: the keystream changed with the MAC work", ones, at, a.name, nb, nblk)
 							}
 						}
 					}
@@ -479,7 +665,7 @@ func TestKeystreamMACPairCarry(t *testing.T) {
 		ref := mac
 		foldRef(&ref, msg)
 		var ks [wideSize]byte
-		keystream(&key, &nonce, seq(0), &ks, Lanes, &mac, msg)
+		keystream(&key, &nonce, seq(0), 0, ks[:], nil, Lanes, nil, &mac, msg)
 		if !macMatches(&mac, &ref, 2) {
 			t.Fatalf("h = %#x %#x %#x, MAC.block leaves %#x %#x %#x", mac.h0, mac.h1, mac.h2, ref.h0, ref.h1, ref.h2)
 		}
@@ -487,13 +673,17 @@ func TestKeystreamMACPairCarry(t *testing.T) {
 }
 
 // FuzzPolyKernel holds the MAC side of a keystream call against
-// MAC.block over any message, block count up to foldMax, clamped r and
-// accumulator a block can be handed (h2 <= 5), at any address, on every
-// kernel.
+// MAC.block over any message, block count up to foldMax (an odd count's
+// last block is the kernel's one-block step), clamped r and accumulator
+// a block can be handed (h2 <= 5), at any address, beside a write-out of
+// sixteen blocks or (the accumulator byte's top bit) an in-place XOR of
+// any number of whole blocks and a tail, on every kernel.
 func FuzzPolyKernel(f *testing.F) {
 	f.Add(bytes.Repeat([]byte{0xff}, foldMax*TagSize), uint8(foldMax), ^uint64(0), ^uint64(0), uint64(0xFFFFFFFFFFFFFFFA), ^uint64(0), uint8(3))
 	f.Add(bytes.Repeat([]byte{0xff}, foldMax*TagSize), uint8(foldMax-1), ^uint64(0), uint64(0x0A3D70A0E1FFFFFC), ^uint64(0), ^uint64(0), uint8(0x74))
 	f.Add([]byte("sixteen bytes..!"), uint8(1), uint64(1), uint64(0), uint64(0), uint64(0), uint8(0x15))
+	f.Add(bytes.Repeat([]byte{0xff}, 63*TagSize), uint8(63), ^uint64(0), ^uint64(0), ^uint64(0), uint64(15), uint8(0x84))
+	f.Add(bytes.Repeat([]byte{0x5a}, 67*TagSize), uint8(67), uint64(0x0FFFFFFC0FFFFFFF), uint64(0x0FFFFFFC0FFFFFFC), uint64(1), uint64(2), uint8(0xF5))
 	f.Fuzz(func(t *testing.T, data []byte, nblk uint8, r0, r1, h0, h1 uint64, h2 uint8) {
 		n := int(nblk) % (foldMax + 1)
 		if n*TagSize > len(data) {
@@ -511,7 +701,13 @@ func FuzzPolyKernel(f *testing.F) {
 		eachKernel(t, func(t *testing.T) {
 			mac := in
 			var ks [wideSize]byte
-			keystream(&key, &nonce, seq(uint32(h0)), &ks, Lanes, &mac, msg)
+			if h2&0x80 != 0 {
+				// Beside an XOR of whole blocks and a tail, in place.
+				var tail [BlockSize]byte
+				keystream(&key, &nonce, &laneRow, uint32(h0), ks[:], ks[:], int(h1%Lanes), &tail, &mac, msg)
+			} else {
+				keystream(&key, &nonce, seq(uint32(h0)), 0, ks[:], nil, Lanes, nil, &mac, msg)
+			}
 			if !macMatches(&mac, &ref, n) {
 				t.Fatalf("nblk=%d: h = %#x %#x %#x, MAC.block leaves %#x %#x %#x", n, mac.h0, mac.h1, mac.h2, ref.h0, ref.h1, ref.h2)
 			}
@@ -523,9 +719,11 @@ func FuzzPolyKernel(f *testing.F) {
 // scalar Block over any key, nonce, first counter, byte offset, length
 // and split point: the stream XORed in two calls must be the stream XORed in one, and both
 // src XOR the Block keystream; with a MAC the loop must leave that
-// ciphertext and the MAC.Update tag over it, sealing and opening; and,
-// chained, the two sides of the split sealed as two messages through
-// one Chain must each get the MAC.Update tag over their own ciphertext.
+// ciphertext and the MAC.Update tag over it, sealing, and opening in
+// place and into another buffer; and, chained, the two sides of the
+// split sealed as two messages through one Chain, each with a MAC the
+// chain hands out, must each get the MAC.Update tag over their own
+// ciphertext.
 // Given a row, it runs free counters too: row's bytes, four to a
 // counter, are up to Lanes counters, one of them (picked by the row's
 // first byte) replaced by the run's first counter; every lane of a
@@ -614,9 +812,15 @@ func FuzzKeystreamWide(f *testing.F) {
 			if !bytes.Equal(one, want) || !seal.Verify(tag[:]) {
 				t.Fatal("seal: wrong ciphertext or tag")
 			}
+			ctCopy := append([]byte(nil), one...)
 			xorWide(&key, &nonce, ctr, skip, one, one, &open, nil, head, false)
 			if !bytes.Equal(one, src) || !open.Verify(tag[:]) {
 				t.Fatal("open in place: wrong plaintext or tag")
+			}
+			open = NewMAC(&otk)
+			xorWide(&key, &nonce, ctr, skip, two, ctCopy, &open, nil, head, false)
+			if !bytes.Equal(two, src) || !open.Verify(tag[:]) {
+				t.Fatal("open into another buffer: wrong plaintext or tag")
 			}
 			if !chained {
 				return
@@ -624,14 +828,20 @@ func FuzzKeystreamWide(f *testing.F) {
 
 			otkB := otk
 			otkB[0] ^= 1
-			macA, macB := NewMAC(&otk), NewMAC(&otkB)
 			var ch Chain
+			macA := ch.MAC()
+			macA.Init(&otk)
 			var tagA, tagB [TagSize]byte
 			ct := make([]byte, n)
-			xorWide(&key, &nonce, ctr, skip, ct[:cut], src[:cut], &macA, &ch, head, true)
-			ch.Sum(&macA, ct[:cut], tagA[:])
-			xorWide(&key, &nonce, ctr+uint32(at/BlockSize), at%BlockSize, ct[cut:], src[cut:], &macB, &ch, nil, true)
-			ch.Sum(&macB, ct[cut:], tagB[:])
+			xorWide(&key, &nonce, ctr, skip, ct[:cut], src[:cut], macA, &ch, head, true)
+			ch.Sum(macA, ct[:cut], tagA[:])
+			macB := ch.MAC()
+			if macB == macA && ch.tag != nil {
+				t.Fatal("the chain handed out the MAC it holds")
+			}
+			macB.Init(&otkB)
+			xorWide(&key, &nonce, ctr+uint32(at/BlockSize), at%BlockSize, ct[cut:], src[cut:], macB, &ch, nil, true)
+			ch.Sum(macB, ct[cut:], tagB[:])
 			ch.Flush()
 			refA, refB := NewMAC(&otk), NewMAC(&otkB)
 			refA.Update(want[:cut])

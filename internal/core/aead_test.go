@@ -434,7 +434,7 @@ func capturingSender(t *testing.T, cfg Config, pkts *[][]byte) *Sender {
 	return snd
 }
 
-// Every tag the sender emits is the one a fresh MAC gives — newTagMAC
+// Every tag the sender emits is the one a fresh MAC gives — initTagMAC
 // at the fragment's counter, Update over its ciphertext, Sum — whether
 // its last chunk was folded by its own kernel calls, carried by the
 // sender's chain into the next fragment's first call, or left to the
@@ -475,7 +475,8 @@ func TestSealChainTags(t *testing.T) {
 					ctr = tagCtrParity
 				}
 				ct := pkt[HeaderSize : HeaderSize+h.FragLen]
-				mac := newTagMAC(&snd.cfg.aeadKey, &nonce, ctr+uint32(h.FragOff/8))
+				var mac cipher.MAC
+				initTagMAC(&mac, &snd.cfg.aeadKey, &nonce, ctr+uint32(h.FragOff/8))
 				mac.Update(ct)
 				if !mac.Verify(pkt[HeaderSize+h.FragLen:]) {
 					t.Fatalf("fec=%d %s of ADU %d (%d bytes): wrong tag on fragment off=%d len=%d parity=%v",

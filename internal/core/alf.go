@@ -322,6 +322,9 @@ type Config struct {
 	// per-fragment path neither looks a suite up nor re-expands a key.
 	suite   *suiteOps
 	aeadKey cipher.Key
+	// ledger is the test build's nonce ledger (-tags nonceledger), one
+	// per lone sender and one per sharded endpoint; otherwise nothing.
+	ledger ledger
 
 	// RecoveryFrac caps recovery traffic: retransmissions (SenderBuffered
 	// resends and AppRecompute regenerations) may consume at most this

@@ -109,6 +109,7 @@ var suites = [...]suiteOps{
 		flags:    wire.FlagEnciphered,
 		aduCheck: true,
 		seal: func(c *Config, _ *sealState, name uint64, off, _ int, dst, src []byte) uint64 {
+			c.ledger.seal(c.Key^name, &[cipher.NonceSize]byte{}, 0, off, src)
 			return ilp.FusedEncryptCopySum(dst, src, c.Key^name, off)
 		},
 		open: func(c *Config, _ *runLanes, name uint64, off, _ int, dst, src, _ []byte) (uint64, bool) {
@@ -135,13 +136,17 @@ var suites = [...]suiteOps{
 		chained: true,
 		seal: func(c *Config, st *sealState, name uint64, off, total int, dst, src []byte) uint64 {
 			nonce := aeadNonce(c.StreamID, name)
-			mac, head := st.lanes.dataMAC(c, &nonce, name, off, total)
-			ilp.FusedSeal(dst, src, &c.aeadKey, &nonce, off, &mac, &st.chain, head)
+			c.ledger.seal(keyPrint(&c.aeadKey), &nonce, tagCtrData, off, src)
+			mac := st.chain.MAC()
+			head := st.lanes.dataMAC(c, &nonce, name, off, total, mac)
+			ilp.FusedSeal(dst, src, &c.aeadKey, &nonce, off, mac, &st.chain, head)
 			return 0
 		},
 		sealParity: func(c *Config, name uint64, off int, blob []byte, n int) {
 			nonce := aeadNonce(c.StreamID, name)
-			mac := newTagMAC(&c.aeadKey, &nonce, tagCtrParity+uint32(off/8))
+			c.ledger.seal(keyPrint(&c.aeadKey), &nonce, tagCtrParity, off, blob[:n])
+			var mac cipher.MAC
+			initTagMAC(&mac, &c.aeadKey, &nonce, tagCtrParity+uint32(off/8))
 			mac.Update(blob[:n])
 			mac.Sum(blob[n : n+wire.TagSize])
 		},
@@ -155,13 +160,14 @@ var suites = [...]suiteOps{
 				ilp.FusedDecryptCopyVerify(dst, src, &c.aeadKey, &nonce, off, nil)
 				return 0, true
 			}
-			mac, head := l.dataMAC(c, &nonce, name, off, total)
-			ilp.FusedOpen(dst, src, &c.aeadKey, &nonce, off, &mac, head)
-			return 0, mac.Verify(tag)
+			head := l.dataMAC(c, &nonce, name, off, total, &l.mac)
+			ilp.FusedOpen(dst, src, &c.aeadKey, &nonce, off, &l.mac, head)
+			return 0, l.mac.Verify(tag)
 		},
 		openParity: func(c *Config, name uint64, off int, blob, tag []byte) bool {
 			nonce := aeadNonce(c.StreamID, name)
-			mac := newTagMAC(&c.aeadKey, &nonce, tagCtrParity+uint32(off/8))
+			var mac cipher.MAC
+			initTagMAC(&mac, &c.aeadKey, &nonce, tagCtrParity+uint32(off/8))
 			mac.Update(blob)
 			return mac.Verify(tag)
 		},
@@ -232,15 +238,14 @@ func flowKey(key uint64, id FlowID) uint64 {
 	return max(binary.LittleEndian.Uint64(blk[:8]), 1) // an enciphering suite's key is not zero
 }
 
-// newTagMAC derives the fragment's one-time Poly1305 key from the
-// ChaCha20 block at the given counter (RFC 8439 §2.6 shape, one key per
-// fragment instead of per message) and returns a ready accumulator.
-// Everything stays on the stack: the per-fragment hot path allocates
-// nothing.
-func newTagMAC(key *cipher.Key, nonce *[cipher.NonceSize]byte, ctr uint32) cipher.MAC {
+// initTagMAC keys mac with the fragment's one-time Poly1305 key, from
+// the ChaCha20 block at the given counter (RFC 8439 §2.6 shape, one key
+// per fragment instead of per message), a ready accumulator. Everything
+// stays on the stack: the per-fragment hot path allocates nothing.
+func initTagMAC(mac *cipher.MAC, key *cipher.Key, nonce *[cipher.NonceSize]byte, ctr uint32) {
 	var otk [32]byte
 	cipher.TagKey(key, nonce, ctr, &otk)
-	return cipher.NewMAC(&otk)
+	mac.Init(&otk)
 }
 
 // runLanes holds the one-off ChaCha20 blocks a run of fragments needs
@@ -264,17 +269,18 @@ type runLanes struct {
 	n         int                 // fragments the lanes cover; 0 while empty
 	key, head [cipher.Lanes]uint8 // fragment i's tag-key lane; its head lane or noHead
 	ks        [2][cipher.Lanes * cipher.BlockSize]byte
+	mac       cipher.MAC // the receiver's: the MAC of the fragment it opens
 }
 
 const noHead = 0xff
 
-// dataMAC returns the data-tag MAC of the fragment of ADU name at off,
-// in an ADU of total bytes, and its head block (nil if it starts on a
-// block boundary), filling l with the fragment's run first unless it
-// holds it. A fragment at an offset that is not a whole number of
-// fragments makes both with Block instead, as does one whose header puts
-// it past the fragments its run's fill covered (at the ADU's end).
-func (l *runLanes) dataMAC(c *Config, nonce *[cipher.NonceSize]byte, name uint64, off, total int) (cipher.MAC, *[cipher.BlockSize]byte) {
+// dataMAC keys mac as the data-tag MAC of the fragment of ADU name at
+// off, in an ADU of total bytes, and returns its head block (nil if it
+// starts on a block boundary), filling l with the fragment's run first
+// unless it holds it. A fragment at an offset that is not a whole number
+// of fragments makes both with Block instead, as does one whose header
+// puts it past the fragments its run's fill covered (at the ADU's end).
+func (l *runLanes) dataMAC(c *Config, nonce *[cipher.NonceSize]byte, name uint64, off, total int, mac *cipher.MAC) *[cipher.BlockSize]byte {
 	fp := c.fragPayload()
 	if off%fp == 0 {
 		run, i := off/fp/cipher.Lanes, off/fp%cipher.Lanes
@@ -286,10 +292,12 @@ func (l *runLanes) dataMAC(c *Config, nonce *[cipher.NonceSize]byte, name uint64
 			if h := l.head[i]; h != noHead {
 				head = l.lane(h)
 			}
-			return cipher.NewMAC((*[cipher.KeySize]byte)(l.lane(l.key[i])[:cipher.KeySize])), head
+			mac.Init((*[cipher.KeySize]byte)(l.lane(l.key[i])[:cipher.KeySize]))
+			return head
 		}
 	}
-	return newTagMAC(&c.aeadKey, nonce, tagCtrData+uint32(off/8)), nil
+	initTagMAC(mac, &c.aeadKey, nonce, tagCtrData+uint32(off/8))
+	return nil
 }
 
 // fill makes the lanes of run of ADU name: fragment i of the run, at
@@ -331,6 +339,13 @@ func (l *runLanes) lane(i uint8) *[cipher.BlockSize]byte {
 // pointer: the chain its fragments are sealed through, and its lanes.
 type sealState struct {
 	chain cipher.Chain
+	lanes runLanes
+}
+
+// flowCrypto is a sharded flow's sealState and its receiver's lanes in
+// one allocation, so that an enciphering flow costs AddFlow one.
+type flowCrypto struct {
+	seal  sealState
 	lanes runLanes
 }
 

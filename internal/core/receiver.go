@@ -181,7 +181,7 @@ func (r *Receiver) init(sched *sim.Scheduler, send func([]byte) error, cfg Confi
 		return err
 	}
 	r.cfg, r.sched, r.send, r.scan, r.spare = cfg, sched, send, scan, sp
-	if cfg.suite.chained {
+	if cfg.suite.chained && r.lanes == nil {
 		r.lanes = new(runLanes)
 	}
 	sched.InitTimer(scan, onScan, r)

@@ -211,7 +211,8 @@ func (s *Sender) init(sched *sim.Scheduler, send func([]byte) error, cfg Config,
 		return err
 	}
 	s.cfg, s.sched, s.send, s.hb, s.spare = cfg, sched, send, hb, sp
-	if cfg.suite.chained {
+	s.cfg.ledger = cfg.ledger.orNew()
+	if cfg.suite.chained && s.crypto == nil {
 		s.crypto = new(sealState)
 	}
 	sched.InitTimer(hb, onHeartbeat, s)

@@ -198,6 +198,7 @@ func NewSharded(cfg ShardedConfig) (*Sharded, error) {
 		return nil, fmt.Errorf("%w: Flow.Tracer is not shard-safe with Workers > 1", ErrConfig)
 	}
 	cfg.fill()
+	cfg.Flow.ledger = cfg.Flow.ledger.orNew() // the flows share one
 	t := &Sharded{cfg: cfg}
 	for i := 0; i < cfg.Shards; i++ {
 		sh := &Shard{
@@ -268,6 +269,10 @@ func (t *Sharded) AddFlow(id FlowID) (*Flow, error) {
 	cfg.Metrics = nil // per-flow series would not scale; Stats aggregates flows
 	cfg.encap = f.encap[:]
 
+	if suites[cfg.Suite].chained {
+		fc := new(flowCrypto)
+		f.Sender.crypto, f.Receiver.lanes = &fc.seal, &fc.lanes
+	}
 	if err := f.Sender.init(sh.sched, sh.ctrlUp, cfg, &f.hb, &sh.spare); err != nil {
 		return nil, err
 	}

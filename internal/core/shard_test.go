@@ -255,6 +255,45 @@ func TestReceiverSizeClass(t *testing.T) {
 	}
 }
 
+// Every flow of a sharded endpoint seals under its own keystream, which
+// the nonce ledger (make ledger) checks at every seal: its flows share
+// one ledger, so two of them sealing other bytes at the same position of
+// one keystream panic here, whatever they deliver. Three hundred flows,
+// which take every StreamID more than once, each send one ADU of bytes
+// of their own under both enciphering suites, and each must deliver it.
+func TestShardFlowsSealUnderTheLedger(t *testing.T) {
+	for _, suite := range []CipherSuite{SuiteScramble, SuiteAEAD} {
+		ep, err := NewSharded(ShardedConfig{Shards: 2, Workers: 2, Flow: Config{Suite: suite, Key: 0xC0FFEE, Policy: NoRetransmit}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		const flows = 300
+		var got [flows]int // each written by its flow's shard only
+		for id := 0; id < flows; id++ {
+			f, err := ep.AddFlow(FlowID(id))
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := payload(100, 7)
+			want[0], want[1] = byte(id>>8), byte(id)
+			deliver := f.Receiver.OnADU
+			f.Receiver.OnADU = func(adu ADU) {
+				if bytes.Equal(adu.Data, want) {
+					got[id]++
+				}
+				deliver(adu)
+			}
+			submit(t, f, 0, 0, want)
+		}
+		ep.Run()
+		for id, n := range got {
+			if n != 1 {
+				t.Fatalf("%v: flow %d delivered its ADU %d times", suite, id, n)
+			}
+		}
+	}
+}
+
 // TestAddFlowAllocs pins what a flow costs to build, the set-up of
 // flows_sharded_64k: a slot of its shard's slab, which holds the Flow
 // with its Sender, Receiver and their heartbeat and scan timers inside,
@@ -262,24 +301,31 @@ func TestReceiverSizeClass(t *testing.T) {
 // shard's, and the timers call static functions, so no flow has a
 // closure. Without an ADUDeadline or a FeedbackInterval there is no
 // retire or feedback timer. The slab's chunks and the flow table's
-// growth round away over many flows.
+// growth round away over many flows. An enciphering flow's sender chain
+// and receiver lanes are one more allocation between them (flowCrypto).
 func TestAddFlowAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race detector instrumentation allocates")
 	}
-	ep, err := NewSharded(ShardedConfig{Shards: 4, Flow: Config{Policy: NoRetransmit}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	id := FlowID(0)
-	allocs := testing.AllocsPerRun(4096, func() {
-		if _, err := ep.AddFlow(id); err != nil {
+	for _, suite := range []CipherSuite{SuiteNone, SuiteAEAD} {
+		cfg := Config{Policy: NoRetransmit, Suite: suite}
+		if suite != SuiteNone {
+			cfg.Key = 0xC0FFEE
+		}
+		ep, err := NewSharded(ShardedConfig{Shards: 4, Flow: cfg})
+		if err != nil {
 			t.Fatal(err)
 		}
-		id++
-	})
-	if allocs > 1 {
-		t.Errorf("AddFlow: %.2f allocs per flow, want <= 1", allocs)
+		id := FlowID(0)
+		allocs := testing.AllocsPerRun(4096, func() {
+			if _, err := ep.AddFlow(id); err != nil {
+				t.Fatal(err)
+			}
+			id++
+		})
+		if allocs > 1 {
+			t.Errorf("AddFlow under %v: %.2f allocs per flow, want <= 1", suite, allocs)
+		}
 	}
 }
 

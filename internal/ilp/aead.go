@@ -18,9 +18,10 @@ import "repro/internal/cipher"
 // The layered contrast (the tests' Staged* references, EXPERIMENTS C1)
 // is the same primitives with one full memory pass per layer — copy
 // across the layer boundary, then encrypt, then MAC. With a keystream
-// kernel the fused pass has each call fold a chunk of ciphertext on the
-// integer ports while it makes keystream on the vector ports, and the
-// staged one pays for its Poly1305 pass in Go after the keystream. In
+// kernel the fused pass has each call read the source, write the
+// destination and fold a chunk of ciphertext on the integer ports while
+// it makes keystream on the vector ports, and the staged one pays for
+// its Poly1305 pass in Go after the keystream. In
 // pure Go both make the keystream with cipher.Block and fold with
 // MAC.Update, so there the two differ by schedule — one pass over the
 // bytes or three — and not by kernel.

@@ -114,11 +114,15 @@ func TestAEADKernelAlignmentPanics(t *testing.T) {
 // FuzzFusedDecryptCopyVerify cross-checks the fused one-pass kernel
 // against the staged layered path on random payloads, offsets, and
 // corruption, on every keystream kernel the CPU has: both must agree on
-// plaintext, tag, and accept/reject.
+// plaintext, tag, and accept/reject, opened into another buffer and in
+// place; and the payload sealed as two fragments through one chain must
+// carry the staged ciphertext and tags.
 func FuzzFusedDecryptCopyVerify(f *testing.F) {
 	f.Add([]byte("seed payload"), uint16(0), uint64(1), false)
 	f.Add(make([]byte, 200), uint16(64), uint64(0xABCDEF), true)
 	f.Add([]byte{1}, uint16(8), uint64(42), false)
+	f.Add(make([]byte, 3000), uint16(1016), uint64(7), false)
+	f.Add(make([]byte, 2016), uint16(3024), uint64(9), false)
 	f.Fuzz(func(t *testing.T, data []byte, off16 uint16, seed uint64, corrupt bool) {
 		if len(data) > 4096 {
 			data = data[:4096]
@@ -176,6 +180,42 @@ func FuzzFusedDecryptCopyVerify(f *testing.F) {
 			}
 			if wantOK && !bytes.Equal(fpt, data) {
 				t.Fatal("plaintext does not round-trip")
+			}
+
+			// Opened in place, where a kernel call folds bytes it then
+			// deciphers over, the verdict and the plaintext are the same.
+			ipt := append([]byte(nil), ct...)
+			imac := newTagMAC(&key, &nonce, 0x40000000+uint32(off/8))
+			FusedDecryptCopyVerify(ipt, ipt, &key, &nonce, off, &imac)
+			if imac.Verify(tag[:]) != fok || !bytes.Equal(ipt, fpt) {
+				t.Fatal("opened in place: another verdict or plaintext")
+			}
+
+			// Sealed as two fragments through one chain, with the chain's
+			// MACs, each tag is the staged one over its own ciphertext.
+			if corrupt {
+				return
+			}
+			cut := len(data) / 2 &^ 7
+			var ch cipher.Chain
+			box := make([]byte, len(data)+2*cipher.TagSize)
+			for i, r := range [][2]int{{0, cut}, {cut, len(data)}} {
+				var otk [cipher.KeySize]byte
+				cipher.TagKey(&key, &nonce, 0x40000000+uint32((off+r[0])/8), &otk)
+				mac := ch.MAC()
+				mac.Init(&otk)
+				at := r[0] + i*cipher.TagSize
+				FusedSeal(box[at:at+r[1]-r[0]+cipher.TagSize], data[r[0]:r[1]], &key, &nonce, off+r[0], mac, &ch, nil)
+			}
+			ch.Flush()
+			for i, r := range [][2]int{{0, cut}, {cut, len(data)}} {
+				at := r[0] + i*cipher.TagSize
+				smac := newTagMAC(&key, &nonce, 0x40000000+uint32((off+r[0])/8))
+				sct := make([]byte, r[1]-r[0])
+				StagedEncryptCopyMAC(sct, data[r[0]:r[1]], &key, &nonce, off+r[0], &smac)
+				if !bytes.Equal(box[at:at+len(sct)], sct) || !smac.Verify(box[at+len(sct):at+len(sct)+cipher.TagSize]) {
+					t.Fatalf("chained fragment %d: another ciphertext or tag than staged", i)
+				}
 			}
 		})
 	})

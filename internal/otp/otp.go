@@ -491,8 +491,10 @@ func (c *Conn) handleData(seq int64, payload []byte) {
 			return
 		}
 		// Both bounds: segments that overlap one another each fit the
-		// window, yet together they could hold many times it.
-		if int(seq-c.rcvNxt)+len(payload) > c.cfg.RecvWindow || c.oooBytes+len(payload) > c.cfg.RecvWindow {
+		// window, yet together they could hold many times it. The distance
+		// stays 64-bit: where int has 32, one of 2^31 or more would wrap
+		// negative and pass.
+		if seq-c.rcvNxt+int64(len(payload)) > int64(c.cfg.RecvWindow) || c.oooBytes+len(payload) > c.cfg.RecvWindow {
 			c.Stats.WindowDrops++
 			return
 		}

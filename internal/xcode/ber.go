@@ -129,8 +129,11 @@ func ParseBERHeader(src []byte) (tag byte, length, hdr int, err error) {
 	for i := 0; i < n; i++ {
 		length = length<<8 | int(src[2+i])
 	}
-	if length < 0 {
-		return 0, 0, 0, fmt.Errorf("%w: negative", ErrBadLength)
+	// Where int has 32 bits, four octets can make a length that is
+	// negative, or one whose sum with the header is: a caller's
+	// hdr+length bound would wrap.
+	if length < 0 || length > math.MaxInt-(2+n) {
+		return 0, 0, 0, fmt.Errorf("%w: %d does not fit an int with the header", ErrBadLength, length)
 	}
 	return tag, length, 2 + n, nil
 }
