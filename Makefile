@@ -153,23 +153,23 @@ fuzz:
 # the fuzzer and not by a 32-bit host. The fuzzer cannot instrument 386
 # builds for coverage, so these passes mutate blindly, but they run:
 # FuzzPeek makes some 300 000 executions in 3 s.
-FUZZ386TIME ?= 3s
 fuzz386:
-	GOARCH=386 $(GO) test -run '^$$' -fuzz '^FuzzPeek$$' -fuzztime $(FUZZ386TIME) ./internal/wire
-	GOARCH=386 $(GO) test -run '^$$' -fuzz '^FuzzHandlePacket$$' -fuzztime $(FUZZ386TIME) ./internal/core
-	GOARCH=386 $(GO) test -run '^$$' -fuzz '^FuzzHandleControl$$' -fuzztime $(FUZZ386TIME) ./internal/core
-	GOARCH=386 $(GO) test -run '^$$' -fuzz '^FuzzHandleCustody$$' -fuzztime $(FUZZ386TIME) ./internal/core
-	GOARCH=386 $(GO) test -run '^$$' -fuzz '^FuzzCodecs$$' -fuzztime $(FUZZ386TIME) ./internal/xcode
-	GOARCH=386 $(GO) test -run '^$$' -fuzz '^FuzzSession$$' -fuzztime $(FUZZ386TIME) ./internal/session
-	GOARCH=386 $(GO) test -run '^$$' -fuzz '^FuzzCell$$' -fuzztime $(FUZZ386TIME) ./internal/atm
-	GOARCH=386 $(GO) test -run '^$$' -fuzz '^FuzzHandleSegment$$' -fuzztime $(FUZZ386TIME) ./internal/otp
-	GOARCH=386 $(GO) test -run '^$$' -fuzz '^FuzzRelay$$' -fuzztime $(FUZZ386TIME) ./internal/relay
+	GOARCH=386 $(GO) test -run '^$$' -fuzz '^FuzzPeek$$' -fuzztime 3s ./internal/wire
+	GOARCH=386 $(GO) test -run '^$$' -fuzz '^FuzzHandlePacket$$' -fuzztime 3s ./internal/core
+	GOARCH=386 $(GO) test -run '^$$' -fuzz '^FuzzHandleControl$$' -fuzztime 3s ./internal/core
+	GOARCH=386 $(GO) test -run '^$$' -fuzz '^FuzzHandleCustody$$' -fuzztime 3s ./internal/core
+	GOARCH=386 $(GO) test -run '^$$' -fuzz '^FuzzCodecs$$' -fuzztime 3s ./internal/xcode
+	GOARCH=386 $(GO) test -run '^$$' -fuzz '^FuzzSession$$' -fuzztime 3s ./internal/session
+	GOARCH=386 $(GO) test -run '^$$' -fuzz '^FuzzCell$$' -fuzztime 3s ./internal/atm
+	GOARCH=386 $(GO) test -run '^$$' -fuzz '^FuzzHandleSegment$$' -fuzztime 3s ./internal/otp
+	GOARCH=386 $(GO) test -run '^$$' -fuzz '^FuzzRelay$$' -fuzztime 3s ./internal/relay
 
 # The nonce ledger (internal/core/ledger_on.go): core's tests, the
 # shard plane's included, and every soak family, built so that each seal
-# records its keystream position (key fingerprint, nonce, counter
-# domain, offset) and a hash of the bytes sealed there, and a seal of
-# other bytes at a recorded position panics. The tests that count
+# records the bytes each keystream position enciphered (per key
+# fingerprint and nonce) and a hash of what its tag key (per counter
+# domain and offset) authenticated, and a seal that reuses either for
+# other bytes panics. The tests that count
 # allocations are skipped here, as under -race: the ledger allocates.
 ledger:
 	$(GO) test -count=1 -tags nonceledger -skip 'Allocs|ZeroAlloc|NilRegistryBindsNothing' ./internal/core ./internal/faults/soak

@@ -27,7 +27,7 @@ func BenchmarkKeystreamWide(b *testing.B) {
 	b.SetBytes(wideSize)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		keystream(&key, &nonce, seq(uint32(i)), 0, ks[:], nil, Lanes, nil, nil, nil)
+		keystream(&key, &nonce, seq(uint32(i)), 0, ks[:], zeros[:], Lanes, nil, nil, nil)
 	}
 }
 

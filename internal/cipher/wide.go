@@ -67,21 +67,20 @@ var kernel = detect()
 // makes block add + i, so one row serves every call.
 var laneRow = [Lanes]uint32{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15}
 
-// The key and nonce of a fold-only call, whose blocks nobody reads.
+// The key and nonce of a fold-only call, whose blocks nobody reads, and
+// the source Blocks XORs its blocks with.
 var (
 	foldKey   Key
 	foldNonce [NonceSize]byte
+	zeros     [wideSize]byte
 )
 
 // keystream runs one call's lanes: lane i makes the block of (key,
-// nonce) at counter ctrs[i] + add. With a source, the blocks of lanes
-// 0 to nx-1 are XORed from src into dst, 64 bytes each, and lane nx's
-// block is written to tail unless tail is nil: a run of whole blocks,
-// and the keystream of the part block after it. With src nil the blocks
-// of lanes 0 to nx-1 are written to dst, which must have room for Lanes
-// of them (a kernel writes them all), and with dst nil too none is. On
-// the side it folds msg, whole 16-byte blocks, at most foldMax of them,
-// into mac.
+// nonce) at counter ctrs[i] + add. The blocks of lanes 0 to nx-1 are
+// XORed from src into dst, 64 bytes each, and lane nx's block is
+// written to tail unless tail is nil: a run of whole blocks, and the
+// keystream of the part block after it. On the side it folds msg, whole
+// 16-byte blocks, at most foldMax of them, into mac.
 func keystream(key *Key, nonce *[NonceSize]byte, ctrs *[Lanes]uint32, add uint32, dst, src []byte, nx int, tail *[BlockSize]byte, mac *MAC, msg []byte) {
 	nb := nx
 	if tail != nil {
@@ -96,13 +95,8 @@ func keystream(key *Key, nonce *[NonceSize]byte, ctrs *[Lanes]uint32, add uint32
 	if kernel == scalar || nb < wideMin && len(msg) == 0 {
 		var blk [BlockSize]byte
 		for b := 0; b < nx; b++ {
-			d := (*[BlockSize]byte)(dst[b*BlockSize:])
-			if src == nil {
-				Block(key, nonce, ctrs[b]+add, d)
-				continue
-			}
 			Block(key, nonce, ctrs[b]+add, &blk)
-			subtle.XORBytes(d[:], src[b*BlockSize:(b+1)*BlockSize], blk[:])
+			subtle.XORBytes(dst[b*BlockSize:(b+1)*BlockSize], src[b*BlockSize:(b+1)*BlockSize], blk[:])
 		}
 		if tail != nil {
 			Block(key, nonce, ctrs[nx]+add, tail)
@@ -120,32 +114,33 @@ func keystream(key *Key, nonce *[NonceSize]byte, ctrs *[Lanes]uint32, add uint32
 	case nb <= Lanes/2:
 		keystream8mac(key, nonce, (*[Lanes / 2]uint32)(ctrs[:]), add, d, s, nx, tail, mac, p, nblk)
 	default:
-		// The first call takes eight whole blocks and the whole fold,
-		// which its forty pair slots hold: opening in place, the second
-		// half of a fold may lie in bytes the first call deciphers.
-		keystream8mac(key, nonce, (*[Lanes / 2]uint32)(ctrs[:]), add, d, s, Lanes/2, nil, mac, p, nblk)
-		if src != nil {
-			s = &src[wideSize/2]
+		// Two calls to a row, each folding half. Opening in place, the
+		// second half may lie in the bytes the first call deciphers, o
+		// bytes into msg on: the first then folds up to their end.
+		h := nblk / 2
+		if o := int(uintptr(unsafe.Pointer(&dst[wideSize/2])) - uintptr(unsafe.Pointer(p))); o > h*TagSize && o-wideSize/2 < len(msg) {
+			h = min((o+TagSize-1)/TagSize, nblk)
 		}
-		keystream8mac(key, nonce, (*[Lanes / 2]uint32)(ctrs[Lanes/2:]), add, &dst[wideSize/2], s, nx-Lanes/2, tail, nil, nil, 0)
+		keystream8mac(key, nonce, (*[Lanes / 2]uint32)(ctrs[:]), add, d, s, Lanes/2, nil, mac, p, h)
+		keystream8mac(key, nonce, (*[Lanes / 2]uint32)(ctrs[Lanes/2:]), add, &dst[wideSize/2], &src[wideSize/2], nx-Lanes/2, tail, mac, unsafe.SliceData(msg[h*TagSize:]), nblk-h)
 	}
 }
 
 // Blocks writes the ChaCha20 blocks of (key, nonce) at counters ctrs[0],
 // …, ctrs[n-1] — any counters, in any order, repeated or not — to out,
 // block i at out[i*BlockSize:], each the bytes Block writes for its
-// counter; n <= Lanes, and what out holds past block n-1 is unspecified.
-// From wideMin blocks up, where there is a kernel, that is one call of
-// it: a caller that needs many one-off blocks (one-time MAC keys, heads
-// for XORKeyStreamMAC) gathers their counters and makes them sixteen at
-// a time. It is the kernels' one caller that wants raw keystream.
+// counter; n <= Lanes, and out past block n-1 is left as it was. From
+// wideMin blocks up, where there is a kernel, that is one call of it,
+// XORing the blocks into zeros: a caller that needs many one-off blocks
+// (one-time MAC keys, heads for XORKeyStreamMAC) gathers their counters
+// and makes them sixteen at a time.
 func Blocks(key *Key, nonce *[NonceSize]byte, ctrs *[Lanes]uint32, n int, out *[Lanes * BlockSize]byte) {
-	keystream(key, nonce, ctrs, 0, out[:], nil, n, nil, nil, nil)
+	keystream(key, nonce, ctrs, 0, out[:], zeros[:], n, nil, nil, nil)
 }
 
 // absorb takes msg into mac as MAC.Update does. Where there is a kernel,
 // the whole blocks of a msg of foldMin bytes or more fold in a call of
-// it that makes keystream nobody reads and writes nothing: sixty-four
+// it with no blocks to XOR, whose keystream nobody reads: sixty-four
 // blocks take about as long there as twenty through MAC.Update. That is
 // how a seal's last chunk, and a chain's, is folded once there is no
 // next call to ride in.

@@ -3,10 +3,10 @@
 package cipher
 
 // keystream16mac runs the sixteen ChaCha20 blocks of (key, nonce) at
-// counters ctrs[i] + add (wide_amd64.s). With a source it XORs the
-// first nx of them from src into dst, 64 bytes each, and writes block
-// nx to tail unless tail is nil; with src nil it writes all sixteen to
-// dst, in lane order, or, with dst nil too, none. On the side it folds
+// counters ctrs[i] + add (wide_amd64.s). It XORs the first nx of them
+// from src into dst, 64 bytes each, and writes block nx to tail unless
+// tail is nil; with nx = 0 and no tail it touches neither src nor dst.
+// On the side it folds
 // the nblk <= foldMax whole Poly1305 blocks at msg into mac: the pairs
 // between its rounds, an odd last block after them. It builds the
 // initial state from key, nonce and ctrs itself. It needs AVX-512F.

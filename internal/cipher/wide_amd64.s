@@ -48,14 +48,7 @@ GLOBL rol8<>(SB), RODATA|NOPTR, $32
 
 // A quad holds rows, the keystream wants blocks: the low halves of
 // A, B, C, D are the first block's 64 bytes, the high halves the
-// second's. STORE2 writes both blocks out at off in DI.
-#define STORE2(A, B, C, D, T, off) \
-	VPERM2I128 $0x20, B, A, T; VMOVDQU T, (off+0)(DI); \
-	VPERM2I128 $0x20, D, C, T; VMOVDQU T, (off+32)(DI); \
-	VPERM2I128 $0x31, B, A, T; VMOVDQU T, (off+64)(DI); \
-	VPERM2I128 $0x31, D, C, T; VMOVDQU T, (off+96)(DI)
-
-// XOR2 takes the quad's blocks b and b+1 to the payload: each block
+// second's. XOR2 takes the quad's blocks b and b+1 to the payload: each block
 // whose index is below CX, the count of whole blocks, is XORed with
 // its 64 bytes of the source (SI) into the destination (DI); the first
 // that is not goes to the tail instead, at l0 or l1.
@@ -167,14 +160,14 @@ GLOBL sigma<>(SB), RODATA|NOPTR, $32
 // func keystream8mac(key *Key, nonce *[12]byte, ctrs *[8]uint32, add uint32, dst, src *byte, nx int, tail *[64]byte, mac *MAC, msg *byte, nblk int)
 //
 // Lane i makes the ChaCha20 block of (key, nonce) at counter
-// ctrs[i] + add. With a source, the blocks of lanes 0 to nx-1 are XORed
-// from src into dst, 64 bytes each, and lane nx's block is written to
-// tail if tail is not nil: a run of whole blocks, and the keystream of
-// the part block after it. With src nil, all eight blocks are written
-// to dst in lane order, or, with dst nil too, none is. The kernel lays
-// out the initial state itself, as rows of two blocks: the constants,
-// key words 0-3, key words 4-7 — each the same in both halves — and
-// per quad the counter‖nonce row of its two blocks, lanes 2q and 2q+1.
+// ctrs[i] + add. The blocks of lanes 0 to nx-1 are XORed from src into
+// dst, 64 bytes each, and lane nx's block is written to tail if tail is
+// not nil: a run of whole blocks, and the keystream of the part block
+// after it. With nx = 0 and no tail, src and dst are not touched. The
+// kernel lays out the initial state itself, as rows of two blocks: the
+// constants, key words 0-3, key words 4-7 — each the same in both
+// halves — and per quad the counter‖nonce row of its two blocks, lanes
+// 2q and 2q+1.
 // Quad q (registers Yq, Y4+q, Y8+q, Y12+q) makes lanes 2q and 2q+1.
 // The rows but the constants are kept in the frame for the final add.
 // Four times per double round it also folds the next of the nblk/2 <=
@@ -286,19 +279,6 @@ sum:
 
 	MOVQ dst+32(FP), DI
 	MOVQ src+40(FP), SI
-	TESTQ SI, SI
-	JNZ xor
-	TESTQ DI, DI
-	JZ done
-	VMOVDQU Y15, 0(SP)
-	STORE2(Y0, Y4, Y8, Y12, Y15, 0)
-	STORE2(Y1, Y5, Y9, Y13, Y15, 128)
-	STORE2(Y2, Y6, Y10, Y14, Y15, 256)
-	VMOVDQU 0(SP), Y15
-	STORE2(Y3, Y7, Y11, Y15, Y0, 384)
-	JMP done
-
-xor:
 	MOVQ nx+48(FP), CX
 	MOVQ tail+56(FP), R8
 	VMOVDQU Y15, 0(SP)
@@ -332,7 +312,7 @@ done:
 	VPADDD B, A, A; VPXORD A, D, D; VPROLD $8, D, D; \
 	VPADDD D, C, C; VPXORD C, B, B; VPROLD $7, B, B
 
-// The write-out transposes words back into blocks. UNPK interleaves the
+// The XOR transposes words back into blocks first. UNPK interleaves the
 // dwords of words w and w+1 (block 4j and 4j+1 in L, 4j+2 and 4j+3 in
 // H, within 128-bit lane j); UNPK2 then the qwords of w and w+2, which
 // leaves words 4g…4g+3 of block 4j+k in lane j of the k-th output.
@@ -368,10 +348,9 @@ done:
 // func keystream16mac(key *Key, nonce *[12]byte, ctrs *[16]uint32, add uint32, dst, src *byte, nx int, tail *[64]byte, mac *MAC, msg *byte, nblk int)
 //
 // keystream8mac's contract at sixteen lanes, on AVX-512F: lane i makes
-// the ChaCha20 block of (key, nonce) at counter ctrs[i] + add; with a
-// source, lanes 0 to nx-1 are XORed from src into dst and lane nx goes
-// to tail if tail is not nil; with src nil all sixteen blocks are
-// written to dst, or, with dst nil too, none is; and the nblk blocks at
+// the ChaCha20 block of (key, nonce) at counter ctrs[i] + add; lanes 0
+// to nx-1 are XORed from src into dst and lane nx goes to tail if tail
+// is not nil; and the nblk blocks at
 // msg fold into mac, the pairs four times per double round and an odd
 // last block after the rounds. The initial state is Z16-Z31, each word
 // broadcast to every lane but the counters, one per lane; the rounds
@@ -446,17 +425,6 @@ sum16:
 
 	MOVQ dst+32(FP), DI
 	MOVQ src+40(FP), SI
-	TESTQ SI, SI
-	JNZ xor16
-	TESTQ DI, DI
-	JZ done16
-	VMOVDQU64 Z0, 0(DI); VMOVDQU64 Z1, 64(DI); VMOVDQU64 Z2, 128(DI); VMOVDQU64 Z3, 192(DI)
-	VMOVDQU64 Z4, 256(DI); VMOVDQU64 Z5, 320(DI); VMOVDQU64 Z6, 384(DI); VMOVDQU64 Z7, 448(DI)
-	VMOVDQU64 Z8, 512(DI); VMOVDQU64 Z9, 576(DI); VMOVDQU64 Z10, 640(DI); VMOVDQU64 Z11, 704(DI)
-	VMOVDQU64 Z12, 768(DI); VMOVDQU64 Z13, 832(DI); VMOVDQU64 Z14, 896(DI); VMOVDQU64 Z15, 960(DI)
-	JMP done16
-
-xor16:
 	MOVQ nx+48(FP), CX
 	MOVQ tail+56(FP), R8
 	XOR16(Z0, 0, tail16_0); XOR16(Z1, 1, tail16_1); XOR16(Z2, 2, tail16_2); XOR16(Z3, 3, tail16_3)

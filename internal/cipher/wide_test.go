@@ -131,7 +131,7 @@ func TestKeystreamWideMatchesBlock(t *testing.T) {
 		for _, ctr := range ctrs {
 			for nb := 0; nb <= Lanes; nb++ {
 				var ks [wideSize]byte
-				keystream(&key, &nonce, seq(ctr), 0, ks[:], nil, nb, nil, nil, nil)
+				keystream(&key, &nonce, seq(ctr), 0, ks[:], zeros[:], nb, nil, nil, nil)
 				want := blockStream(&key, &nonce, ctr, nb*BlockSize)
 				for lane := 0; lane < nb; lane++ {
 					if !bytes.Equal(ks[lane*BlockSize:(lane+1)*BlockSize], want[lane*BlockSize:(lane+1)*BlockSize]) {
@@ -159,7 +159,7 @@ func TestRFC8439VectorsFromKeystream(t *testing.T) {
 			b5 12 9c d1 de 16 4e b9 cb d0 83 e8 a2 50 3c 4e`)
 		var ks [wideSize]byte
 		for lane := 0; lane < Lanes; lane++ {
-			keystream(&key, &nonce, seq(1-uint32(lane)), 0, ks[:], nil, Lanes, nil, nil, nil)
+			keystream(&key, &nonce, seq(1-uint32(lane)), 0, ks[:], zeros[:], Lanes, nil, nil, nil)
 			if !bytes.Equal(ks[lane*BlockSize:(lane+1)*BlockSize], wantBlock) {
 				t.Fatalf("§2.3.2: lane %d of the call at counter %#x is not the RFC block", lane, 1-uint32(lane))
 			}
@@ -201,7 +201,7 @@ func TestRFC8439VectorsFromKeystream(t *testing.T) {
 		if !bytes.Equal(wantBox[len(sunscreen):], wantTag) {
 			t.Fatal("§2.8.2: Seal does not produce the RFC tag")
 		}
-		keystream(&key, &nonce, seq(0), 0, ks[:], nil, Lanes, nil, nil, nil)
+		keystream(&key, &nonce, seq(0), 0, ks[:], zeros[:], Lanes, nil, nil, nil)
 		ct := make([]byte, len(sunscreen))
 		for i := range ct {
 			ct[i] = sunscreen[i] ^ ks[BlockSize+i]
@@ -300,10 +300,10 @@ func TestWideLoopsMatchBlock(t *testing.T) {
 	})
 }
 
-// One call's lanes under the kernel contract, against Block: with a
-// source, lanes 0 to nx-1 are src XOR their block in dst and nothing
-// past them is written, and lane nx's block, asked for, is the tail;
-// with neither source nor destination nothing is written at all. For
+// One call's lanes under the kernel contract, against Block: lanes 0
+// to nx-1 are src XOR their block in dst and nothing past them is
+// written, and lane nx's block, asked for, is the tail; a fold-only
+// call, with neither source nor destination, only folds. For
 // every nx, with and without a tail, in place and not, at counters that
 // wrap inside the call, with lane i at add + i as the payload loop runs
 // them and at free counters as Blocks takes them.
@@ -509,7 +509,7 @@ func TestKeystreamPicksKernel(t *testing.T) {
 			var mac MAC
 			ran := func() (panicked bool) {
 				defer func() { panicked = recover() != nil }()
-				keystream(&key, &nonce, seq(0), 0, ks[:], nil, nb, nil, &mac, make([]byte, 8))
+				keystream(&key, &nonce, seq(0), 0, ks[:], zeros[:], nb, nil, &mac, make([]byte, 8))
 				return false
 			}()
 			if want := kernel != scalar && nb >= wideMin; ran != want {
@@ -576,15 +576,14 @@ func macMatches(mac, ref *MAC, nblk int) bool {
 
 // The MAC side of a keystream call against MAC.block, for every number
 // of blocks one call can fold, odd counts too, in a call of sixteen
-// lanes and one of two (one AVX2 call instead of two), writing its
-// blocks out and XORing them into a destination: it leaves the value
-// that many blocks leave, and the keystream does not depend on it. The inputs sit
+// lanes and one of two (one AVX2 call instead of two), XORing all its
+// blocks and all but a tail: it leaves the value that many blocks
+// leave, and the keystream does not depend on it. The inputs sit
 // at the edges of the arithmetic — all-ones blocks, an accumulator just
 // below p or with every limb full, the largest r clamping allows — so
 // that the pair step's full 130-bit r² and its carries are all driven
 // to their widest, and the message is at an even and an odd address.
 func TestKeystreamMACMatchesBlock(t *testing.T) {
-	var zeros [wideSize]byte
 	const rMax0, rMax1 = 0x0FFFFFFC0FFFFFFF, 0x0FFFFFFC0FFFFFFC
 	const pLo, pMid, pHi = 0xFFFFFFFFFFFFFFFB, 0xFFFFFFFFFFFFFFFF, 3 // p = 2^130 - 5
 	accs := []struct {
@@ -620,7 +619,7 @@ func TestKeystreamMACMatchesBlock(t *testing.T) {
 							ref := mac
 							foldRef(&ref, msg[:nblk*TagSize])
 							var ks [wideSize]byte
-							keystream(&key, &nonce, seq(ctr), 0, ks[:], nil, nb, nil, &mac, msg[:nblk*TagSize])
+							keystream(&key, &nonce, seq(ctr), 0, ks[:], zeros[:], nb, nil, &mac, msg[:nblk*TagSize])
 							if !macMatches(&mac, &ref, nblk) {
 								t.Fatalf("ones=%v at=%d %s nb=%d nblk=%d: h = %#x %#x %#x, MAC.block leaves %#x %#x %#x",
 									ones, at, a.name, nb, nblk, mac.h0, mac.h1, mac.h2, ref.h0, ref.h1, ref.h2)
@@ -665,7 +664,7 @@ func TestKeystreamMACPairCarry(t *testing.T) {
 		ref := mac
 		foldRef(&ref, msg)
 		var ks [wideSize]byte
-		keystream(&key, &nonce, seq(0), 0, ks[:], nil, Lanes, nil, &mac, msg)
+		keystream(&key, &nonce, seq(0), 0, ks[:], zeros[:], Lanes, nil, &mac, msg)
 		if !macMatches(&mac, &ref, 2) {
 			t.Fatalf("h = %#x %#x %#x, MAC.block leaves %#x %#x %#x", mac.h0, mac.h1, mac.h2, ref.h0, ref.h1, ref.h2)
 		}
@@ -675,9 +674,9 @@ func TestKeystreamMACPairCarry(t *testing.T) {
 // FuzzPolyKernel holds the MAC side of a keystream call against
 // MAC.block over any message, block count up to foldMax (an odd count's
 // last block is the kernel's one-block step), clamped r and accumulator
-// a block can be handed (h2 <= 5), at any address, beside a write-out of
-// sixteen blocks or (the accumulator byte's top bit) an in-place XOR of
-// any number of whole blocks and a tail, on every kernel.
+// a block can be handed (h2 <= 5), at any address, beside an XOR of
+// sixteen blocks into zeros or (the accumulator byte's top bit) an
+// in-place XOR of any number of whole blocks and a tail, on every kernel.
 func FuzzPolyKernel(f *testing.F) {
 	f.Add(bytes.Repeat([]byte{0xff}, foldMax*TagSize), uint8(foldMax), ^uint64(0), ^uint64(0), uint64(0xFFFFFFFFFFFFFFFA), ^uint64(0), uint8(3))
 	f.Add(bytes.Repeat([]byte{0xff}, foldMax*TagSize), uint8(foldMax-1), ^uint64(0), uint64(0x0A3D70A0E1FFFFFC), ^uint64(0), ^uint64(0), uint8(0x74))
@@ -706,7 +705,7 @@ func FuzzPolyKernel(f *testing.F) {
 				var tail [BlockSize]byte
 				keystream(&key, &nonce, &laneRow, uint32(h0), ks[:], ks[:], int(h1%Lanes), &tail, &mac, msg)
 			} else {
-				keystream(&key, &nonce, seq(uint32(h0)), 0, ks[:], nil, Lanes, nil, &mac, msg)
+				keystream(&key, &nonce, seq(uint32(h0)), 0, ks[:], zeros[:], Lanes, nil, &mac, msg)
 			}
 			if !macMatches(&mac, &ref, n) {
 				t.Fatalf("nblk=%d: h = %#x %#x %#x, MAC.block leaves %#x %#x %#x", n, mac.h0, mac.h1, mac.h2, ref.h0, ref.h1, ref.h2)

@@ -67,13 +67,13 @@ func BenchmarkOpenADU(b *testing.B) {
 	frag := cfg.fragPayload()
 	b.SetBytes(benchADUBytes)
 	b.ReportAllocs()
-	l := new(runLanes)
+	st := new(openState)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		l.n = 0 // a new ADU's lanes each time, not the last one's
+		st.lanes.n = 0 // a new ADU's lanes each time, not the last one's
 		for k, off := 0, 0; off < len(data); k, off = k+1, off+frag {
 			n := min(frag, len(data)-off)
-			if _, ok := cfg.suite.open(cfg, l, 1, off, len(data), out[off:off+n], frags[k][:n], frags[k][n:n+cipher.TagSize]); !ok {
+			if _, ok := cfg.suite.open(cfg, st, 1, off, len(data), out[off:off+n], frags[k][:n], frags[k][n:n+cipher.TagSize]); !ok {
 				b.Fatalf("fragment %d does not verify", k)
 			}
 		}

@@ -63,7 +63,7 @@ type suiteOps struct {
 	// MAC's last chunk rides in the kernel call that seals the next
 	// fragment, and packetize flushes the chain before it stamps. Both
 	// ends of such a suite also keep a runLanes, whose blocks seal and
-	// open take their tag keys and heads from.
+	// open take their tag keys and heads from (sealState, openState).
 	chained bool
 	// seal is the sender's fused pass over one fragment of an ADU of
 	// total bytes: src is plaintext, dst receives len(src) wire bytes
@@ -81,9 +81,9 @@ type suiteOps struct {
 	// the fragment's trailer, verifies. A nil tag means src was rebuilt
 	// from FEC parity: there is no trailer, and nothing to verify — the
 	// parity blob and every surviving member were verified on arrival
-	// and XOR is the only arithmetic between them. l is the receiver's
-	// lanes, nil unless the suite is chained.
-	open func(c *Config, l *runLanes, name uint64, off, total int, dst, src, tag []byte) (uint64, bool)
+	// and XOR is the only arithmetic between them. st is the receiver's
+	// lanes and MAC, nil unless the suite is chained.
+	open func(c *Config, st *openState, name uint64, off, total int, dst, src, tag []byte) (uint64, bool)
 	// openParity verifies a parity blob's trailer.
 	openParity func(c *Config, name uint64, off int, blob, tag []byte) bool
 	// rekey XORs the keystream for ADU offsets [off, off+len(b)) into
@@ -100,7 +100,7 @@ var suites = [...]suiteOps{
 		seal: func(_ *Config, _ *sealState, _ uint64, _, _ int, dst, src []byte) uint64 {
 			return ilp.FusedCopySum(dst, src)
 		},
-		open: func(_ *Config, _ *runLanes, _ uint64, _, _ int, dst, src, _ []byte) (uint64, bool) {
+		open: func(_ *Config, _ *openState, _ uint64, _, _ int, dst, src, _ []byte) (uint64, bool) {
 			return ilp.FusedCopySum(dst, src), true
 		},
 		rekey: func(*Config, uint64, int, []byte) {},
@@ -109,10 +109,10 @@ var suites = [...]suiteOps{
 		flags:    wire.FlagEnciphered,
 		aduCheck: true,
 		seal: func(c *Config, _ *sealState, name uint64, off, _ int, dst, src []byte) uint64 {
-			c.ledger.seal(c.Key^name, &[cipher.NonceSize]byte{}, 0, off, src)
+			c.ledger.stream(c.Key^name, &[cipher.NonceSize]byte{}, off, src)
 			return ilp.FusedEncryptCopySum(dst, src, c.Key^name, off)
 		},
-		open: func(c *Config, _ *runLanes, name uint64, off, _ int, dst, src, _ []byte) (uint64, bool) {
+		open: func(c *Config, _ *openState, name uint64, off, _ int, dst, src, _ []byte) (uint64, bool) {
 			return ilp.FusedDecryptCopySum(dst, src, c.Key^name, off), true
 		},
 		rekey: func(c *Config, name uint64, off int, b []byte) {
@@ -136,7 +136,8 @@ var suites = [...]suiteOps{
 		chained: true,
 		seal: func(c *Config, st *sealState, name uint64, off, total int, dst, src []byte) uint64 {
 			nonce := aeadNonce(c.StreamID, name)
-			c.ledger.seal(keyPrint(&c.aeadKey), &nonce, tagCtrData, off, src)
+			c.ledger.tag(keyPrint(&c.aeadKey), &nonce, tagCtrData, off, src)
+			c.ledger.stream(keyPrint(&c.aeadKey), &nonce, off, src)
 			mac := st.chain.MAC()
 			head := st.lanes.dataMAC(c, &nonce, name, off, total, mac)
 			ilp.FusedSeal(dst, src, &c.aeadKey, &nonce, off, mac, &st.chain, head)
@@ -144,7 +145,7 @@ var suites = [...]suiteOps{
 		},
 		sealParity: func(c *Config, name uint64, off int, blob []byte, n int) {
 			nonce := aeadNonce(c.StreamID, name)
-			c.ledger.seal(keyPrint(&c.aeadKey), &nonce, tagCtrParity, off, blob[:n])
+			c.ledger.tag(keyPrint(&c.aeadKey), &nonce, tagCtrParity, off, blob[:n])
 			var mac cipher.MAC
 			initTagMAC(&mac, &c.aeadKey, &nonce, tagCtrParity+uint32(off/8))
 			mac.Update(blob[:n])
@@ -154,15 +155,15 @@ var suites = [...]suiteOps{
 		// verdict, which is safe because the caller accounts the range
 		// as received only on success — a forged fragment leaves no
 		// trace and the range stays recoverable.
-		open: func(c *Config, l *runLanes, name uint64, off, total int, dst, src, tag []byte) (uint64, bool) {
+		open: func(c *Config, st *openState, name uint64, off, total int, dst, src, tag []byte) (uint64, bool) {
 			nonce := aeadNonce(c.StreamID, name)
 			if tag == nil {
 				ilp.FusedDecryptCopyVerify(dst, src, &c.aeadKey, &nonce, off, nil)
 				return 0, true
 			}
-			head := l.dataMAC(c, &nonce, name, off, total, &l.mac)
-			ilp.FusedOpen(dst, src, &c.aeadKey, &nonce, off, &l.mac, head)
-			return 0, l.mac.Verify(tag)
+			head := st.lanes.dataMAC(c, &nonce, name, off, total, &st.mac)
+			ilp.FusedOpen(dst, src, &c.aeadKey, &nonce, off, &st.mac, head)
+			return 0, st.mac.Verify(tag)
 		},
 		openParity: func(c *Config, name uint64, off int, blob, tag []byte) bool {
 			nonce := aeadNonce(c.StreamID, name)
@@ -269,7 +270,6 @@ type runLanes struct {
 	n         int                 // fragments the lanes cover; 0 while empty
 	key, head [cipher.Lanes]uint8 // fragment i's tag-key lane; its head lane or noHead
 	ks        [2][cipher.Lanes * cipher.BlockSize]byte
-	mac       cipher.MAC // the receiver's: the MAC of the fragment it opens
 }
 
 const noHead = 0xff
@@ -342,11 +342,18 @@ type sealState struct {
 	lanes runLanes
 }
 
-// flowCrypto is a sharded flow's sealState and its receiver's lanes in
-// one allocation, so that an enciphering flow costs AddFlow one.
-type flowCrypto struct {
-	seal  sealState
+// openState is the receiver's counterpart: its lanes, and the MAC of
+// the fragment it opens, keyed in place.
+type openState struct {
 	lanes runLanes
+	mac   cipher.MAC
+}
+
+// flowCrypto is a sharded flow's sealState and its receiver's openState
+// in one allocation, so that an enciphering flow costs AddFlow one.
+type flowCrypto struct {
+	seal sealState
+	open openState
 }
 
 // flush writes the tag the chain still holds. A sender of a suite

@@ -154,10 +154,11 @@ type Receiver struct {
 
 	Stats ReceiverStats
 
-	// lanes are the tag keys and heads of the last run of fragments
-	// opened (suiteOps.chained); nil under a suite without a tag. Last,
-	// so that no field a cleartext stream touches moves for it.
-	lanes *runLanes
+	// crypto holds the tag keys and heads of the last run of fragments
+	// opened and the MAC that opens them (suiteOps.chained); nil under a
+	// suite without a tag. Last, so that no field a cleartext stream
+	// touches moves for it.
+	crypto *openState
 	// repair estimates the NACK-to-resend round trip; nil until one is
 	// measured, so a stream that never loses anything carries none.
 	repair *sim.RTT
@@ -181,8 +182,8 @@ func (r *Receiver) init(sched *sim.Scheduler, send func([]byte) error, cfg Confi
 		return err
 	}
 	r.cfg, r.sched, r.send, r.scan, r.spare = cfg, sched, send, scan, sp
-	if cfg.suite.chained && r.lanes == nil {
-		r.lanes = new(runLanes)
+	if cfg.suite.chained && r.crypto == nil {
+		r.crypto = new(openState)
 	}
 	sched.InitTimer(scan, onScan, r)
 	if cfg.FeedbackInterval > 0 {
@@ -365,7 +366,7 @@ func (r *Receiver) putPartial(p *partial) {
 // verifies the fragment's tag — fused (§6). The range is accounted as
 // received only when that succeeds.
 func (r *Receiver) place(name uint64, p *partial, off int, payload, tag []byte) bool {
-	sum, ok := r.cfg.suite.open(&r.cfg, r.lanes, name, off, p.total, p.buf[off:off+len(payload)], payload, tag)
+	sum, ok := r.cfg.suite.open(&r.cfg, r.crypto, name, off, p.total, p.buf[off:off+len(payload)], payload, tag)
 	if !ok {
 		return false
 	}
@@ -384,7 +385,7 @@ func (r *Receiver) authentic(name uint64, p *partial, off int, payload, tag []by
 		return true
 	}
 	scratch := r.cfg.Pool.Get(len(payload))
-	_, ok := r.cfg.suite.open(&r.cfg, r.lanes, name, off, p.total, scratch.Bytes(), payload, tag)
+	_, ok := r.cfg.suite.open(&r.cfg, r.crypto, name, off, p.total, scratch.Bytes(), payload, tag)
 	scratch.Release()
 	return ok
 }

@@ -271,7 +271,7 @@ func (t *Sharded) AddFlow(id FlowID) (*Flow, error) {
 
 	if suites[cfg.Suite].chained {
 		fc := new(flowCrypto)
-		f.Sender.crypto, f.Receiver.lanes = &fc.seal, &fc.lanes
+		f.Sender.crypto, f.Receiver.crypto = &fc.seal, &fc.open
 	}
 	if err := f.Sender.init(sh.sched, sh.ctrlUp, cfg, &f.hb, &sh.spare); err != nil {
 		return nil, err

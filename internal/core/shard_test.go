@@ -247,7 +247,7 @@ func TestSenderSizeClass(t *testing.T) {
 }
 
 // A Receiver is per-flow state too, in the 704-byte class with no room
-// to spare: what only a suite with a tag needs (its lanes) sits behind a
+// to spare: what only a suite with a tag needs (its lanes and MAC) sits behind a
 // pointer that is nil for the rest.
 func TestReceiverSizeClass(t *testing.T) {
 	if n := unsafe.Sizeof(Receiver{}); n+8 > 704 {
