@@ -1,23 +1,32 @@
 # Standard loops for the alfnet reproduction. Everything is stdlib Go
 # but one assembly file (internal/cipher/wide_amd64.s, the AVX-512 and
-# AVX2 ChaCha20 keystream kernels, which fold Poly1305 blocks on the
-# integer ports while they run); no generated code, and three build tags: `timing`
+# AVX2 ChaCha20 keystream kernels, which fold Poly1305 blocks while they
+# run: on the vector unit where the CPU has AVX-512 IFMA, else on the
+# integer ports); no generated code, and four build tags: `timing`
 # holds the tests that compare wall-clock measurements (see the timing
 # target), `purego` builds without the assembly, so that the path
 # every other architecture takes can be built and tested on amd64 (see
-# the portable target), and `nonceledger` builds core with the nonce
+# the portable target), `nonceledger` builds core with the nonce
 # ledger, which fails a seal that reuses a keystream position for other
-# bytes (see the ledger target).
+# bytes (see the ledger target), and `mutants` holds the mutant
+# catalogue (see the mutants target).
 
 GO ?= go
 
-.PHONY: build test timing race vet fmt lint loc bench split benchmark benchmark-smoke fuzz fuzz386 soak soak-dtn soak-udp ledger alloc-guard bce-guard wire-leaf portable check
+.PHONY: build test mutants timing race vet fmt lint loc bench split benchmark benchmark-smoke fuzz fuzz386 soak soak-dtn soak-udp ledger alloc-guard bce-guard wire-leaf portable check
 
 build:
 	$(GO) build ./...
 
 test:
 	$(GO) test ./...
+
+# The mutant catalogue (mutants_test.go, behind the `mutants` tag): each
+# row edits one line of the source in a copy of the module and requires
+# the tests it names to fail there. A row whose edit is in an assembly
+# kernel this CPU lacks is skipped. About 10 s.
+mutants:
+	$(GO) test -count=1 -tags mutants -run '^TestMutants$$' -v .
 
 # Every assertion that one wall-clock measurement beats another — the
 # fused-versus-layered margins of E2/E4/E6, the saturated tracer's cost
@@ -123,29 +132,31 @@ benchmark-smoke:
 # their bounds and still deliver a valid message intact after the
 # junk; and a custody relay's frames from either side, whose store
 # must stay within its bound now and at its peak. The budget is deliberately small so check stays fast; raise
-# FUZZTIME for a real session. The scheduler's fuzzer minimizes each new
-# input for 2 s at most: at the 60 s default, minimizing its long op
-# streams takes most of any session.
+# FUZZTIME for a real session. Every fuzzer minimizes each new input for
+# 2 s at most (FUZZMIN): at the 60 s default, minimizing takes most of
+# a short run (FuzzStdlibOracle made 647 executions in 10 s uncapped,
+# 1 576 capped).
 FUZZTIME ?= 5s
+FUZZMIN = -fuzzminimizetime 2s
 fuzz:
-	$(GO) test -run '^$$' -fuzz '^FuzzPeek$$' -fuzztime $(FUZZTIME) ./internal/wire
-	$(GO) test -run '^$$' -fuzz '^FuzzHandlePacket$$' -fuzztime $(FUZZTIME) ./internal/core
-	$(GO) test -run '^$$' -fuzz '^FuzzHandleControl$$' -fuzztime $(FUZZTIME) ./internal/core
-	$(GO) test -run '^$$' -fuzz '^FuzzHandleCustody$$' -fuzztime $(FUZZTIME) ./internal/core
-	$(GO) test -run '^$$' -fuzz '^FuzzWindow$$' -fuzztime $(FUZZTIME) ./internal/core
-	$(GO) test -run '^$$' -fuzz '^FuzzSchedulerOrder$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 2s ./internal/sim
-	$(GO) test -run '^$$' -fuzz '^FuzzTrains$$' -fuzztime $(FUZZTIME) ./internal/udplink
-	$(GO) test -run '^$$' -fuzz '^FuzzSumKernels$$' -fuzztime $(FUZZTIME) ./internal/ilp
-	$(GO) test -run '^$$' -fuzz '^FuzzFusedDecryptCopyVerify$$' -fuzztime $(FUZZTIME) ./internal/ilp
-	$(GO) test -run '^$$' -fuzz '^FuzzDecodeBERInt32sInto$$' -fuzztime $(FUZZTIME) ./internal/ilp
-	$(GO) test -run '^$$' -fuzz '^FuzzKeystreamWide$$' -fuzztime $(FUZZTIME) ./internal/cipher
-	$(GO) test -run '^$$' -fuzz '^FuzzPolyKernel$$' -fuzztime $(FUZZTIME) ./internal/cipher
-	$(GO) test -run '^$$' -fuzz '^FuzzStdlibOracle$$' -fuzztime $(FUZZTIME) ./internal/cipher
-	$(GO) test -run '^$$' -fuzz '^FuzzCodecs$$' -fuzztime $(FUZZTIME) ./internal/xcode
-	$(GO) test -run '^$$' -fuzz '^FuzzSession$$' -fuzztime $(FUZZTIME) ./internal/session
-	$(GO) test -run '^$$' -fuzz '^FuzzCell$$' -fuzztime $(FUZZTIME) ./internal/atm
-	$(GO) test -run '^$$' -fuzz '^FuzzHandleSegment$$' -fuzztime $(FUZZTIME) ./internal/otp
-	$(GO) test -run '^$$' -fuzz '^FuzzRelay$$' -fuzztime $(FUZZTIME) ./internal/relay
+	$(GO) test -run '^$$' -fuzz '^FuzzPeek$$' -fuzztime $(FUZZTIME) $(FUZZMIN) ./internal/wire
+	$(GO) test -run '^$$' -fuzz '^FuzzHandlePacket$$' -fuzztime $(FUZZTIME) $(FUZZMIN) ./internal/core
+	$(GO) test -run '^$$' -fuzz '^FuzzHandleControl$$' -fuzztime $(FUZZTIME) $(FUZZMIN) ./internal/core
+	$(GO) test -run '^$$' -fuzz '^FuzzHandleCustody$$' -fuzztime $(FUZZTIME) $(FUZZMIN) ./internal/core
+	$(GO) test -run '^$$' -fuzz '^FuzzWindow$$' -fuzztime $(FUZZTIME) $(FUZZMIN) ./internal/core
+	$(GO) test -run '^$$' -fuzz '^FuzzSchedulerOrder$$' -fuzztime $(FUZZTIME) $(FUZZMIN) ./internal/sim
+	$(GO) test -run '^$$' -fuzz '^FuzzTrains$$' -fuzztime $(FUZZTIME) $(FUZZMIN) ./internal/udplink
+	$(GO) test -run '^$$' -fuzz '^FuzzSumKernels$$' -fuzztime $(FUZZTIME) $(FUZZMIN) ./internal/ilp
+	$(GO) test -run '^$$' -fuzz '^FuzzFusedDecryptCopyVerify$$' -fuzztime $(FUZZTIME) $(FUZZMIN) ./internal/ilp
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeBERInt32sInto$$' -fuzztime $(FUZZTIME) $(FUZZMIN) ./internal/ilp
+	$(GO) test -run '^$$' -fuzz '^FuzzKeystreamWide$$' -fuzztime $(FUZZTIME) $(FUZZMIN) ./internal/cipher
+	$(GO) test -run '^$$' -fuzz '^FuzzPolyKernel$$' -fuzztime $(FUZZTIME) $(FUZZMIN) ./internal/cipher
+	$(GO) test -run '^$$' -fuzz '^FuzzStdlibOracle$$' -fuzztime $(FUZZTIME) $(FUZZMIN) ./internal/cipher
+	$(GO) test -run '^$$' -fuzz '^FuzzCodecs$$' -fuzztime $(FUZZTIME) $(FUZZMIN) ./internal/xcode
+	$(GO) test -run '^$$' -fuzz '^FuzzSession$$' -fuzztime $(FUZZTIME) $(FUZZMIN) ./internal/session
+	$(GO) test -run '^$$' -fuzz '^FuzzCell$$' -fuzztime $(FUZZTIME) $(FUZZMIN) ./internal/atm
+	$(GO) test -run '^$$' -fuzz '^FuzzHandleSegment$$' -fuzztime $(FUZZTIME) $(FUZZMIN) ./internal/otp
+	$(GO) test -run '^$$' -fuzz '^FuzzRelay$$' -fuzztime $(FUZZTIME) $(FUZZMIN) ./internal/relay
 	$(MAKE) fuzz386
 
 # Each network decoder's fuzz target again as GOARCH=386, where int has
@@ -154,15 +165,15 @@ fuzz:
 # builds for coverage, so these passes mutate blindly, but they run:
 # FuzzPeek makes some 300 000 executions in 3 s.
 fuzz386:
-	GOARCH=386 $(GO) test -run '^$$' -fuzz '^FuzzPeek$$' -fuzztime 3s ./internal/wire
-	GOARCH=386 $(GO) test -run '^$$' -fuzz '^FuzzHandlePacket$$' -fuzztime 3s ./internal/core
-	GOARCH=386 $(GO) test -run '^$$' -fuzz '^FuzzHandleControl$$' -fuzztime 3s ./internal/core
-	GOARCH=386 $(GO) test -run '^$$' -fuzz '^FuzzHandleCustody$$' -fuzztime 3s ./internal/core
-	GOARCH=386 $(GO) test -run '^$$' -fuzz '^FuzzCodecs$$' -fuzztime 3s ./internal/xcode
-	GOARCH=386 $(GO) test -run '^$$' -fuzz '^FuzzSession$$' -fuzztime 3s ./internal/session
-	GOARCH=386 $(GO) test -run '^$$' -fuzz '^FuzzCell$$' -fuzztime 3s ./internal/atm
-	GOARCH=386 $(GO) test -run '^$$' -fuzz '^FuzzHandleSegment$$' -fuzztime 3s ./internal/otp
-	GOARCH=386 $(GO) test -run '^$$' -fuzz '^FuzzRelay$$' -fuzztime 3s ./internal/relay
+	GOARCH=386 $(GO) test -run '^$$' -fuzz '^FuzzPeek$$' -fuzztime 3s $(FUZZMIN) ./internal/wire
+	GOARCH=386 $(GO) test -run '^$$' -fuzz '^FuzzHandlePacket$$' -fuzztime 3s $(FUZZMIN) ./internal/core
+	GOARCH=386 $(GO) test -run '^$$' -fuzz '^FuzzHandleControl$$' -fuzztime 3s $(FUZZMIN) ./internal/core
+	GOARCH=386 $(GO) test -run '^$$' -fuzz '^FuzzHandleCustody$$' -fuzztime 3s $(FUZZMIN) ./internal/core
+	GOARCH=386 $(GO) test -run '^$$' -fuzz '^FuzzCodecs$$' -fuzztime 3s $(FUZZMIN) ./internal/xcode
+	GOARCH=386 $(GO) test -run '^$$' -fuzz '^FuzzSession$$' -fuzztime 3s $(FUZZMIN) ./internal/session
+	GOARCH=386 $(GO) test -run '^$$' -fuzz '^FuzzCell$$' -fuzztime 3s $(FUZZMIN) ./internal/atm
+	GOARCH=386 $(GO) test -run '^$$' -fuzz '^FuzzHandleSegment$$' -fuzztime 3s $(FUZZMIN) ./internal/otp
+	GOARCH=386 $(GO) test -run '^$$' -fuzz '^FuzzRelay$$' -fuzztime 3s $(FUZZMIN) ./internal/relay
 
 # The nonce ledger (internal/core/ledger_on.go): core's tests, the
 # shard plane's included, and every soak family, built so that each seal
@@ -302,4 +313,4 @@ portable:
 	GOAMD64=v1 $(GO) test ./internal/cipher ./internal/ilp ./internal/core
 	$(GO) test -tags purego ./internal/cipher ./internal/ilp ./internal/core
 
-check: fmt build vet wire-leaf portable test timing race fuzz soak soak-dtn soak-udp ledger alloc-guard bce-guard benchmark-smoke
+check: fmt build vet wire-leaf portable test mutants timing race fuzz soak soak-dtn soak-udp ledger alloc-guard bce-guard benchmark-smoke

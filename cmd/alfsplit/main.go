@@ -50,8 +50,9 @@ var table = []struct {
 	re     *regexp.Regexp
 	bucket string
 }{
-	// The AVX-512 and AVX2 kernels (keystream8 before the AVX2 one folded
-	// Poly1305 too), which XOR the payload's whole blocks and fold every
+	// The AVX-512 kernels, with the fold on IFMA or on the integer ports,
+	// and the AVX2 one (keystream8 before the AVX2 one folded Poly1305
+	// too), which XOR the payload's whole blocks and fold every
 	// whole MAC block they are handed, the Go that picks one and walks
 	// the chunks, absorb, which folds a seal's last chunk in a fold-only
 	// call, and Blocks, which makes one-off blocks (tag keys, heads) in
@@ -59,7 +60,7 @@ var table = []struct {
 	// keystream is made by Block and lands in "tag key / Block", and every
 	// MAC block in "Poly1305 in Go", as do keying a MAC and a chain
 	// handing one out.
-	{regexp.MustCompile(`^repro/internal/cipher\.(keystream16mac|keystream8mac|keystream8|keystream|xorWide|absorb|Blocks)$`), "keystream kernel"},
+	{regexp.MustCompile(`^repro/internal/cipher\.(keystream16ifma|keystream16mac|keystream8mac|keystream8|keystream|xorWide|absorb|Blocks)$`), "keystream kernel"},
 	{regexp.MustCompile(`^repro/internal/cipher\.(\(\*MAC\)\.|\(\*Chain\)\.|NewMAC$)`), "Poly1305 in Go"},
 	{regexp.MustCompile(`^repro/internal/cipher\.(Block|TagKey)$`), "tag key / Block"},
 	// The keystream XOR is the standard library's (cipher.xor3 before it).

@@ -55,6 +55,7 @@ func TestSplitFixtures(t *testing.T) {
 // included; anything it does not name is "other".
 func TestClassify(t *testing.T) {
 	for fn, want := range map[string]string{
+		"repro/internal/cipher.keystream16ifma":                        "keystream kernel",
 		"repro/internal/cipher.keystream16mac":                         "keystream kernel",
 		"repro/internal/cipher.keystream8mac":                          "keystream kernel",
 		"repro/internal/cipher.absorb":                                 "keystream kernel",

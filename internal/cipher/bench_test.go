@@ -31,25 +31,32 @@ func BenchmarkKeystreamWide(b *testing.B) {
 	}
 }
 
-// BenchmarkKeystreamMAC is the same call folding 0 and 64 Poly1305
-// blocks (one 1 KiB chunk) on the side. The difference between the
-// two, against 64 blocks through MAC.block (BenchmarkPoly1305_4KB / 4),
+// BenchmarkKeystreamMAC is the same call folding 0, 8, 63, 64 and 80
+// Poly1305 blocks on the side, on each kernel this CPU has: 63 is a
+// 1 008-byte fragment's call, 64 a whole 1 KiB chunk's, 8 a short last
+// one's, 80 the most a call folds. Each count's time less /0's, against
+// as many blocks through MAC.block (BenchmarkPoly1305_4KB / 4 per 64),
 // is how much of the MAC the keystream hides.
 func BenchmarkKeystreamMAC(b *testing.B) {
 	key := ExpandKey(1)
 	var nonce [NonceSize]byte
 	var otk [KeySize]byte
-	msg := make([]byte, wideSize)
-	for _, nblk := range []int{0, 64} {
-		b.Run(strconv.Itoa(nblk), func(b *testing.B) {
-			mac := NewMAC(&otk)
-			var ks [wideSize]byte
-			b.SetBytes(wideSize)
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				keystream(&key, &nonce, &laneRow, uint32(i), ks[:], ks[:], Lanes, nil, &mac, msg[:nblk*TagSize])
-			}
-		})
+	msg := make([]byte, foldMax*TagSize)
+	have := kernel
+	for k := have; k >= scalar; k-- {
+		for _, nblk := range []int{0, 8, 63, 64, 80} {
+			b.Run(kernelNames[k]+"/"+strconv.Itoa(nblk), func(b *testing.B) {
+				kernel = k
+				defer func() { kernel = have }()
+				mac := NewMAC(&otk)
+				var ks [wideSize]byte
+				b.SetBytes(wideSize)
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					keystream(&key, &nonce, &laneRow, uint32(i), ks[:], ks[:], Lanes, nil, &mac, msg[:nblk*TagSize])
+				}
+			})
+		}
 	}
 }
 

@@ -9,21 +9,23 @@ import (
 // crosses xorWide, on every build. ChaCha20 is a network of 32-bit
 // adds, xors and rotates over sixteen words, which scalar Go runs one
 // word at a time and a vector unit one word of many blocks at a time.
-// On amd64 with AVX-512F keystream16mac (wide_amd64.s) makes sixteen
-// blocks per call that way, one per lane, each at a counter of the
-// caller's; with AVX2 only, keystream8mac makes eight and two calls
+// On amd64 with AVX-512F keystream16mac or keystream16ifma
+// (wide_amd64.s) makes sixteen blocks per call that way, one per lane,
+// each at a counter of the caller's; with AVX2 only, keystream8mac makes eight and two calls
 // answer a row of sixteen. The payload passes ctr … ctr+15, and Blocks
 // whatever counters a caller needs one block each of (tag keys, heads).
 // A call XORs its whole blocks from the source straight into the
 // destination, so the payload's keystream never passes through memory;
-// only a part block's comes back, for Go to XOR. Poly1305 wants the
-// other half of the machine, a chain of 64-bit multiplies on the
-// integer ports the rounds barely use, so the same call folds every
-// whole 16-byte block it is handed, up to foldMax, into a MAC between
-// its rounds, two per step: h = (h + m1)·r² + m2·r, one reduction per
-// pair, which halves the chain each block waits on; an odd last block
-// is one MAC.block step after the rounds. A kernel reads the key, the
-// nonce, the counters, the source, those blocks and the MAC's limbs
+// only a part block's comes back, for Go to XOR. The same call folds
+// every whole 16-byte Poly1305 block it is handed, up to foldMax, into a
+// MAC between its rounds. With AVX-512 IFMA (keystream16ifma) the fold
+// is on the vector unit, eight blocks per step in eight 64-bit lanes of
+// radix 2^44, at about five vector instructions a block against the
+// scalar step's forty-odd. Without it (AVX-512F alone, AVX2) the fold is
+// a chain of 64-bit multiplies on the integer ports, two blocks per
+// step: h = (h + m1)·r² + m2·r, one reduction per pair, and an odd last
+// block is one MAC.block step after the rounds. A kernel reads the key,
+// the nonce, the counters, the source, those blocks and the MAC's limbs
 // and writes the destination, a part block's keystream and the limbs;
 // every slice and bounds check, a run's mid-block head and a part
 // block's XOR, the bytes of a last part Poly1305 block, and every tag
@@ -54,9 +56,10 @@ const (
 
 // The keystream kernels, from the one keystream prefers down.
 const (
-	scalar = iota // Block, and MAC.Update
-	avx2          // keystream8mac, two calls to a row of Lanes
-	avx512        // keystream16mac
+	scalar     = iota // Block, and MAC.Update
+	avx2              // keystream8mac, two calls to a row of Lanes
+	avx512            // keystream16mac, the fold on the integer ports
+	avx512ifma        // keystream16ifma, the fold on the vector unit
 )
 
 // kernel is the best of them this CPU has, picked once at start; only
@@ -109,6 +112,8 @@ func keystream(key *Key, nonce *[NonceSize]byte, ctrs *[Lanes]uint32, add uint32
 	nblk, p := len(msg)/TagSize, unsafe.SliceData(msg)
 	d, s := unsafe.SliceData(dst), unsafe.SliceData(src)
 	switch {
+	case kernel == avx512ifma:
+		keystream16ifma(key, nonce, ctrs, add, d, s, nx, tail, mac, p, nblk)
 	case kernel == avx512:
 		keystream16mac(key, nonce, ctrs, add, d, s, nx, tail, mac, p, nblk)
 	case nb <= Lanes/2:

@@ -10,6 +10,10 @@ func keystream16mac(*Key, *[NonceSize]byte, *[Lanes]uint32, uint32, *byte, *byte
 	panic("cipher: keystream16mac without a kernel")
 }
 
+func keystream16ifma(*Key, *[NonceSize]byte, *[Lanes]uint32, uint32, *byte, *byte, int, *[BlockSize]byte, *MAC, *byte, int) {
+	panic("cipher: keystream16ifma without a kernel")
+}
+
 func keystream8mac(*Key, *[NonceSize]byte, *[Lanes / 2]uint32, uint32, *byte, *byte, int, *[BlockSize]byte, *MAC, *byte, int) {
 	panic("cipher: keystream8mac without a kernel")
 }

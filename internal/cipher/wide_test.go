@@ -9,16 +9,17 @@ import (
 )
 
 // kernelNames names the keystream kernels in subtests and logs.
-var kernelNames = [...]string{scalar: "scalar", avx2: "avx2", avx512: "avx512"}
+var kernelNames = [...]string{scalar: "scalar", avx2: "avx2", avx512: "avx512", avx512ifma: "avx512ifma"}
 
-// eachKernel runs f once per keystream kernel, best first — AVX-512,
-// AVX2, then Block with MAC.Update — with keystream held to it, so one
-// machine tests every kernel it has against the same oracle. A kernel
-// this CPU or build lacks is skipped, and the skip says why: a runner
-// without AVX-512 reports its avx512 runs as skipped, not as passed.
+// eachKernel runs f once per keystream kernel, best first — AVX-512
+// with the IFMA fold, AVX-512 with the pair fold, AVX2, then Block with
+// MAC.Update — with keystream held to it, so one machine tests every
+// kernel it has against the same oracle. A kernel this CPU or build
+// lacks is skipped, and the skip says why: a runner without AVX-512
+// reports its avx512 runs as skipped, not as passed.
 func eachKernel(t *testing.T, f func(t *testing.T)) {
 	have := detect()
-	for k := avx512; k >= scalar; k-- {
+	for k := avx512ifma; k >= scalar; k-- {
 		t.Run(kernelNames[k], func(t *testing.T) {
 			if k > have {
 				t.Skipf("no %s kernel here: the best this CPU and build have is %s", kernelNames[k], kernelNames[have])

@@ -15,8 +15,8 @@ import (
 // starts mid-block, a tail that ends mid-lane — the ciphertext is src
 // XOR that keystream and the tag is that MAC over the ciphertext.
 
-// cipherKernel is internal/cipher's pick of keystream kernel (2 AVX-512,
-// 1 AVX2, 0 Block and MAC.Update), reached by its symbol so that these
+// cipherKernel is internal/cipher's pick of keystream kernel (3 AVX-512
+// with IFMA, 2 AVX-512, 1 AVX2, 0 Block and MAC.Update), reached by its symbol so that these
 // tests run every kernel the CPU has without the package exporting a
 // switch. It holds the best of them whenever no test has it.
 //
@@ -27,7 +27,7 @@ var cipherKernel int
 // internal/cipher's own tests do; a kernel this CPU or build lacks is
 // skipped, and the skip says why.
 func eachKernel(t *testing.T, f func(t *testing.T)) {
-	names := [...]string{"scalar", "avx2", "avx512"}
+	names := [...]string{"scalar", "avx2", "avx512", "avx512ifma"}
 	have := cipherKernel
 	for k := len(names) - 1; k >= 0; k-- {
 		t.Run(names[k], func(t *testing.T) {
