@@ -1,8 +1,10 @@
 # Standard loops for the alfnet reproduction. Everything is stdlib Go
-# but one assembly file (internal/cipher/wide_amd64.s, the AVX-512 and
-# AVX2 ChaCha20 keystream kernels, which fold Poly1305 blocks while they
-# run: on the vector unit where the CPU has AVX-512 IFMA, else on the
-# integer ports); no generated code, and four build tags: `timing`
+# but three assembly files (internal/cipher/wide_amd64.s, the AVX-512
+# and AVX2 ChaCha20 keystream kernels, which fold Poly1305 blocks while
+# they run: on the vector unit where the CPU has AVX-512 IFMA, else on
+# the integer ports; internal/checksum/sum_amd64.s, the AVX2 copy and
+# checksum loop; internal/cpu's CPUID probe); no generated code, and
+# four build tags: `timing`
 # holds the tests that compare wall-clock measurements (see the timing
 # target), `purego` builds without the assembly, so that the path
 # every other architecture takes can be built and tested on amd64 (see
@@ -293,7 +295,8 @@ wire-leaf:
 # architecture, a linux without the batch path (and with a 32-bit int),
 # a non-linux unix, and windows. Standard library only, so this works
 # offline. internal/cipher picks its keystream the same way (the AVX2
-# kernel against pure Go), and there cross-compiling is not enough: the
+# kernel against pure Go), as does internal/checksum its copy and
+# checksum loop, and there cross-compiling is not enough: the
 # pure-Go path is the one every other architecture runs, so the packages
 # it sits under are tested with the assembly tagged out, on this
 # machine. GOAMD64=v1 builds for the oldest amd64, where the kernel is
@@ -310,7 +313,7 @@ portable:
 	GOOS=darwin GOARCH=arm64 $(GO) build ./...
 	GOOS=windows GOARCH=amd64 $(GO) vet ./internal/udplink
 	GOAMD64=v1 $(GO) build ./...
-	GOAMD64=v1 $(GO) test ./internal/cipher ./internal/ilp ./internal/core
-	$(GO) test -tags purego ./internal/cipher ./internal/ilp ./internal/core
+	GOAMD64=v1 $(GO) test ./internal/cipher ./internal/checksum ./internal/ilp ./internal/core
+	$(GO) test -tags purego ./internal/cipher ./internal/checksum ./internal/ilp ./internal/core
 
 check: fmt build vet wire-leaf portable test mutants timing race fuzz soak soak-dtn soak-udp ledger alloc-guard bce-guard benchmark-smoke

@@ -72,6 +72,9 @@ func TestClassify(t *testing.T) {
 		"crypto/subtle.XORBytes":                                       "XOR",
 		"repro/internal/ilp.XORWords":                                  "XOR",
 		"repro/internal/ilp.FusedCopySum":                              "checksum + copy",
+		"repro/internal/checksum.copySumAVX2":                          "checksum + copy",
+		"repro/internal/checksum.sumAVX2":                              "checksum + copy",
+		"repro/internal/checksum.copyAVX2":                             "checksum + copy",
 		"runtime.memmove":                                              "checksum + copy",
 		"repro/internal/ilp.FusedSeal":                                 "packetize / placement",
 		"repro/internal/core.(*window[go.shape.struct { p *int }]).at": "packetize / placement",

@@ -10,12 +10,64 @@
 // (C); and carries out of the top may be deferred, here by counting
 // them (math/bits.Add64) and adding the count back in after the loop
 // (Wide). All functions are allocation-free.
+//
+// The Table 1 manipulations — checksum, copy and checksum fused, and
+// copy — have one hand-coded loop on amd64 with AVX2 (sum_amd64.s),
+// which sums the words and their high halves in vector lanes and hands
+// back a Wide whose Sum is the Go loops', so every partial sum is the
+// same bit for bit. Accumulate hands it its whole 64-byte windows; internal/ilp's
+// FusedCopySum and WordCopy their whole 8-byte words through
+// CopySumWords and CopyWords. Where it is missing, those hand the
+// caller back nothing done, and the caller's Go loop takes the bytes.
 package checksum
 
 import (
 	"encoding/binary"
 	"math/bits"
+
+	"repro/internal/cpu"
 )
+
+// vector says the vector loop runs here: AVX2 with its registers saved,
+// read once at start. Only tests assign it, to run both arms on one
+// machine.
+var vector = cpu.AVX2
+
+// maxRun is the longest run the vector loop takes: past 2^35 bytes its
+// totals could wrap, and the Go loops take the whole run instead.
+const maxRun = 1 << 34
+
+// CopySumWords copies the whole 8-byte words at the start of src to dst
+// with the vector loop and returns their sum and how many bytes that
+// was: len(src) &^ 7, or none where there is no vector loop. The
+// caller's Go loop goes on from there, adding to the Wide returned.
+// len(dst) >= len(src).
+func CopySumWords(dst, src []byte) (Wide, int) { return words(dst[:len(src)], src, true) }
+
+// CopyWords is CopySumWords without the sum, over the shorter of dst
+// and src.
+func CopyWords(dst, src []byte) int {
+	n := min(len(dst), len(src))
+	_, n = words(dst[:n], src[:n], false)
+	return n
+}
+
+// words runs one form of the vector loop over the whole 8-byte words of
+// src: the sum form if dst is nil, else the copy and sum form or, if
+// not sum, the copy form.
+func words(dst, src []byte, sum bool) (Wide, int) {
+	n := len(src) &^ 7
+	switch {
+	case !vector || n == 0 || uint64(n) > maxRun:
+		return Wide{}, 0
+	case dst == nil:
+		return Wide{sum: sumAVX2(&src[0], n)}, n
+	case sum:
+		return Wide{sum: copySumAVX2(&dst[0], &src[0], n)}, n
+	}
+	copyAVX2(&dst[0], &src[0], n)
+	return Wide{}, n
+}
 
 // Sum16 computes the Internet checksum (RFC 1071 style: 16-bit one's
 // complement of the one's-complement sum) over data. The returned value
@@ -36,15 +88,14 @@ func Verify16(data []byte) bool {
 // 16-bit words with an implicit zero pad on odd length (so only the
 // final chunk of a chained computation may have odd length).
 //
-// Full 64-byte windows go through the word-wide accumulator. What is
-// left, and anything shorter (a header, a BER element, the last bytes of
-// a fragment), is under 64 bytes, too little to repay a fold and a swap:
-// it is loaded big-endian and added as 32-bit halves, which sixteen of
-// cannot carry.
+// Full 64-byte windows go through the word-wide accumulator, the vector
+// loop's or the Go one below. What is left, and anything shorter (a
+// header, a BER element, the last bytes of a fragment), is under 64
+// bytes, too little to repay a fold and a swap: it is loaded big-endian
+// and added as 32-bit halves, which sixteen of cannot carry.
 func Accumulate(sum uint64, data []byte) uint64 {
 	if n := len(data); n >= 64 {
-		var acc Wide
-		i := 0
+		acc, i := words(nil, data[:n&^63], true)
 		for ; n-i >= 64; i += 64 {
 			a := data[i : i+64 : i+64]
 			acc = acc.Add4(binary.LittleEndian.Uint64(a[0:]), binary.LittleEndian.Uint64(a[8:]),

@@ -31,12 +31,14 @@ func BenchmarkKeystreamWide(b *testing.B) {
 	}
 }
 
-// BenchmarkKeystreamMAC is the same call folding 0, 8, 63, 64 and 80
-// Poly1305 blocks on the side, on each kernel this CPU has: 63 is a
-// 1 008-byte fragment's call, 64 a whole 1 KiB chunk's, 8 a short last
-// one's, 80 the most a call folds. Each count's time less /0's, against
-// as many blocks through MAC.block (BenchmarkPoly1305_4KB / 4 per 64),
-// is how much of the MAC the keystream hides.
+// BenchmarkKeystreamMAC is the same call folding 0 to 80 Poly1305
+// blocks on the side, on each kernel this CPU has: 63 is a 1 008-byte
+// fragment's call, 64 a whole 1 KiB chunk's, 8 a short last one's, 80
+// the most a call folds, and 8 to 32 span the point (ifmaMin) below
+// which keystream16mac's fold beats keystream16ifma's. Each count's time
+// less /0's, against as many blocks through MAC.block
+// (BenchmarkPoly1305_4KB / 4 per 64), is how much of the MAC the
+// keystream hides.
 func BenchmarkKeystreamMAC(b *testing.B) {
 	key := ExpandKey(1)
 	var nonce [NonceSize]byte
@@ -44,7 +46,7 @@ func BenchmarkKeystreamMAC(b *testing.B) {
 	msg := make([]byte, foldMax*TagSize)
 	have := kernel
 	for k := have; k >= scalar; k-- {
-		for _, nblk := range []int{0, 8, 63, 64, 80} {
+		for _, nblk := range []int{0, 8, 12, 16, 24, 32, 63, 64, 80} {
 			b.Run(kernelNames[k]+"/"+strconv.Itoa(nblk), func(b *testing.B) {
 				kernel = k
 				defer func() { kernel = have }()

@@ -3,6 +3,8 @@ package cipher
 import (
 	"crypto/subtle"
 	"unsafe"
+
+	"repro/internal/cpu"
 )
 
 // The keystream loop. Every payload byte, sealed, opened or neither,
@@ -18,12 +20,13 @@ import (
 // destination, so the payload's keystream never passes through memory;
 // only a part block's comes back, for Go to XOR. The same call folds
 // every whole 16-byte Poly1305 block it is handed, up to foldMax, into a
-// MAC between its rounds. With AVX-512 IFMA (keystream16ifma) the fold
-// is on the vector unit, eight blocks per step in eight 64-bit lanes of
-// radix 2^44, at about five vector instructions a block against the
-// scalar step's forty-odd. Without it (AVX-512F alone, AVX2) the fold is
-// a chain of 64-bit multiplies on the integer ports, two blocks per
-// step: h = (h + m1)·r² + m2·r, one reduction per pair, and an odd last
+// MAC between its rounds. With AVX-512 IFMA (keystream16ifma) a fold of
+// ifmaMin blocks or more is on the vector unit, eight blocks per step in
+// eight 64-bit lanes of radix 2^44, at about five vector instructions a
+// block against the scalar step's forty-odd. Without it (AVX-512F alone,
+// AVX2), or on a shorter fold, the fold is a chain of 64-bit multiplies
+// on the integer ports, two blocks per step: h = (h + m1)·r² + m2·r,
+// one reduction per pair, and an odd last
 // block is one MAC.block step after the rounds. A kernel reads the key,
 // the nonce, the counters, the source, those blocks and the MAC's limbs
 // and writes the destination, a part block's keystream and the limbs;
@@ -52,6 +55,9 @@ const (
 	// foldMin is the shortest fold worth a kernel call of its own, with
 	// no lanes to make beside it.
 	foldMin = wideSize / 2
+	// ifmaMin is the shortest fold keystream16ifma takes: below it the
+	// pair fold is cheaper (BenchmarkKeystreamMAC).
+	ifmaMin = 12
 )
 
 // The keystream kernels, from the one keystream prefers down.
@@ -65,6 +71,19 @@ const (
 // kernel is the best of them this CPU has, picked once at start; only
 // tests assign it, to run every kernel the CPU has on one machine.
 var kernel = detect()
+
+// detect picks by what internal/cpu read.
+func detect() int {
+	switch {
+	case cpu.AVX512IFMA:
+		return avx512ifma
+	case cpu.AVX512F:
+		return avx512
+	case cpu.AVX2:
+		return avx2
+	}
+	return scalar
+}
 
 // laneRow is the payload loop's counter row: lane i of a call at add
 // makes block add + i, so one row serves every call.
@@ -111,10 +130,10 @@ func keystream(key *Key, nonce *[NonceSize]byte, ctrs *[Lanes]uint32, add uint32
 	}
 	nblk, p := len(msg)/TagSize, unsafe.SliceData(msg)
 	d, s := unsafe.SliceData(dst), unsafe.SliceData(src)
-	switch {
-	case kernel == avx512ifma:
+	switch k := kernelFor(nblk); {
+	case k == avx512ifma:
 		keystream16ifma(key, nonce, ctrs, add, d, s, nx, tail, mac, p, nblk)
-	case kernel == avx512:
+	case k == avx512:
 		keystream16mac(key, nonce, ctrs, add, d, s, nx, tail, mac, p, nblk)
 	case nb <= Lanes/2:
 		keystream8mac(key, nonce, (*[Lanes / 2]uint32)(ctrs[:]), add, d, s, nx, tail, mac, p, nblk)
@@ -129,6 +148,14 @@ func keystream(key *Key, nonce *[NonceSize]byte, ctrs *[Lanes]uint32, add uint32
 		keystream8mac(key, nonce, (*[Lanes / 2]uint32)(ctrs[:]), add, d, s, Lanes/2, nil, mac, p, h)
 		keystream8mac(key, nonce, (*[Lanes / 2]uint32)(ctrs[Lanes/2:]), add, &dst[wideSize/2], &src[wideSize/2], nx-Lanes/2, tail, mac, unsafe.SliceData(msg[h*TagSize:]), nblk-h)
 	}
+}
+
+// kernelFor is the kernel a call folding nblk blocks runs.
+func kernelFor(nblk int) int {
+	if kernel == avx512ifma && nblk < ifmaMin {
+		return avx512
+	}
+	return kernel
 }
 
 // Blocks writes the ChaCha20 blocks of (key, nonce) at counters ctrs[0],

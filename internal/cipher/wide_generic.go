@@ -2,18 +2,15 @@
 
 package cipher
 
-// No kernel on this build: keystream makes its blocks with Block and
-// folds with MAC.Update.
-func detect() int { return scalar }
-
+// No kernel on this build: internal/cpu reports no extension, so
+// detect picks scalar, and keystream makes its blocks with Block and
+// folds with MAC.Update. These are never called.
 func keystream16mac(*Key, *[NonceSize]byte, *[Lanes]uint32, uint32, *byte, *byte, int, *[BlockSize]byte, *MAC, *byte, int) {
-	panic("cipher: keystream16mac without a kernel")
+	panic("cipher: no kernel")
 }
-
 func keystream16ifma(*Key, *[NonceSize]byte, *[Lanes]uint32, uint32, *byte, *byte, int, *[BlockSize]byte, *MAC, *byte, int) {
-	panic("cipher: keystream16ifma without a kernel")
+	panic("cipher: no kernel")
 }
-
 func keystream8mac(*Key, *[NonceSize]byte, *[Lanes / 2]uint32, uint32, *byte, *byte, int, *[BlockSize]byte, *MAC, *byte, int) {
-	panic("cipher: keystream8mac without a kernel")
+	panic("cipher: no kernel")
 }

@@ -520,6 +520,24 @@ func TestKeystreamPicksKernel(t *testing.T) {
 	})
 }
 
+// On an IFMA host a call folding fewer than ifmaMin blocks, or none,
+// runs keystream16mac, whose pair fold is the cheaper there, and one
+// folding ifmaMin or more keystream16ifma; every other kernel runs
+// itself at every count.
+func TestShortFoldsSkipIFMA(t *testing.T) {
+	eachKernel(t, func(t *testing.T) {
+		for _, nblk := range []int{0, 1, ifmaMin - 1, ifmaMin, 63, foldMax} {
+			want := kernel
+			if kernel == avx512ifma && nblk < ifmaMin {
+				want = avx512
+			}
+			if got := kernelFor(nblk); got != want {
+				t.Errorf("a fold of %d blocks runs %s, want %s", nblk, kernelNames[got], kernelNames[want])
+			}
+		}
+	})
+}
+
 // The kernels fold Poly1305 blocks into a MAC by the field offsets they
 // were written against (wide_amd64.s): a field moved or resized must
 // fail here, not as a wrong tag.

@@ -11,8 +11,10 @@
 //     EncodeBERInt32sChecksum, ...): the "hand coded unrolled loop" of
 //     the paper's §4 measurements. The checksum in them is RFC 1071's
 //     wide-word form (checksum.Wide): little-endian 64-bit words summed
-//     by add-with-carry, folded and byte-swapped once after the loop,
-//     so that a fused word costs a load, a store and one add.
+//     by add-with-carry, folded and byte-swapped once after the loop.
+//     On amd64 with AVX2, FusedCopySum and WordCopy hand their whole
+//     words to internal/checksum's vector loop, the body Accumulate
+//     sums with too, which arrives at the same Wide.
 //     EncodeBERInt32sChecksum's unfused control arm in E5 is the
 //     codec's own xcode.AppendBERInt32s.
 //   - A generic stage pipeline (FusedPath) that applies any stage list
@@ -42,18 +44,21 @@ import (
 // loads or stores in bounds from that one check (make bce-guard pins
 // the count). The kernels that checksum add the window to a
 // checksum.Wide, four words to a carry chain. A word loop and a byte
-// tail finish what is under 64 bytes.
+// tail finish what is under 64 bytes. WordCopy and FusedCopySum start
+// them where checksum's vector loop stopped: past every whole word, or
+// at 0 without it.
 
-// WordCopy copies src into dst with an explicit 8-byte word loop,
-// unrolled eight words at a time — the baseline "copy" manipulation of
-// Table 1. It copies min(len(dst), len(src)) bytes and returns the
-// count. (The Go built-in copy is an optimized memmove; WordCopy exists
-// so that copy, checksum, and their fusion all use the same loop
-// discipline and the comparison isolates memory passes, not SIMD.)
+// WordCopy copies src into dst with an explicit word loop — the
+// baseline "copy" manipulation of Table 1. It copies min(len(dst),
+// len(src)) bytes and returns the count. (The Go built-in copy is an
+// optimized memmove; WordCopy exists so that copy, checksum, and their
+// fusion all run one loop discipline — checksum's AVX2 body on amd64,
+// the Go loops below elsewhere — and the comparison isolates memory
+// passes, not SIMD.)
 func WordCopy(dst, src []byte) int {
 	n := min(len(dst), len(src))
 	dst, src = dst[:n:n], src[:n:n]
-	i := 0
+	i := checksum.CopyWords(dst, src)
 	for ; n-i >= 64; i += 64 {
 		a, d := src[i:i+64:i+64], dst[i:i+64:i+64]
 		binary.LittleEndian.PutUint64(d[0:], binary.LittleEndian.Uint64(a[0:]))
@@ -124,10 +129,9 @@ func SeparateCopyThenChecksum(dst, src []byte) uint16 {
 // paper's two-stage receive processing). FinishSum of it is §4's fused
 // copy+checksum in one pass. len(dst) must be >= len(src).
 func FusedCopySum(dst, src []byte) uint64 {
-	var acc checksum.Wide
 	n := len(src)
 	dst, src = dst[:n:n], src[:n:n]
-	i := 0
+	acc, i := checksum.CopySumWords(dst, src)
 	for ; n-i >= 64; i += 64 {
 		a, d := src[i:i+64:i+64], dst[i:i+64:i+64]
 		w0, w1 := binary.LittleEndian.Uint64(a[0:]), binary.LittleEndian.Uint64(a[8:])

@@ -735,8 +735,8 @@ func (l *Link) lost(rnd *sim.Rand) bool {
 }
 
 // corrupt flips one to three bits of the payload. A shared buffer
-// (sender retention for retransmit, a duplicate in flight, a router
-// hand-off) is cloned first — copy-on-write — so the damage stays
+// (sender retention for retransmit, a duplicate in flight, a relay's
+// custody) is cloned first — copy-on-write — so the damage stays
 // confined to this packet.
 func (l *Link) corrupt(pkt *Packet, rnd *sim.Rand) {
 	if len(pkt.Payload) == 0 {
@@ -783,14 +783,16 @@ func (r *Router) AddRoute(dst *Node, out *Link) { r.routes[dst.id] = out }
 func (r *Router) forward(p *Packet) {
 	// The packet's To field carries the final destination (set by
 	// SendVia or a previous router hop), so multi-hop routes chain
-	// naturally. The payload is forwarded by reference — the next hop
-	// retains the same buffer, so a multi-hop path copies zero times.
+	// naturally. The packet's own reference moves to the next hop, which
+	// consumes it on every path, so a multi-hop path copies zero times.
 	out, ok := r.routes[p.To]
 	if !ok {
 		r.Unrouted++
 		return
 	}
-	_ = out.sendRef(p.ref.Retain(), p.To)
+	ref := p.ref
+	p.ref = nil // nothing left for deliverCB's putPacket to release
+	_ = out.sendRef(ref, p.To)
 }
 
 // SendVia sends payload to final destination dst through a first-hop

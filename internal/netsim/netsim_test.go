@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/buf"
 	"repro/internal/sim"
 	"repro/internal/tracing"
 )
@@ -345,6 +346,41 @@ func TestRouterMultiHop(t *testing.T) {
 	s.Run()
 	if !got {
 		t.Error("packet did not traverse two routers")
+	}
+}
+
+// The router moves the packet's one reference on to the next hop: the
+// buffer it queues there is not shared, the delivery that called it has
+// nothing left to release, and the path ends with the buffer back in
+// the pool, taken once and put once.
+func TestRouterHandsBufferOn(t *testing.T) {
+	s := sim.NewScheduler()
+	n := New(s, 1)
+	pool := buf.NewPool()
+	n.SetPool(pool)
+	src, dst := n.NewNode("src"), n.NewNode("dst")
+	r := n.NewRouter("r")
+	up := n.NewLink(src, r.Node, LinkConfig{})
+	r.AddRoute(dst, n.NewLink(r.Node, dst, LinkConfig{}))
+	var ref *buf.Ref
+	r.Node.SetHandler(func(p *Packet) {
+		ref = p.ref
+		r.forward(p)
+		if p.ref != nil || ref.Shared() {
+			t.Error("the router kept a reference to the buffer it forwarded")
+		}
+	})
+	dst.SetHandler(func(p *Packet) {
+		if p.ref != ref {
+			t.Error("the next hop got another buffer")
+		}
+	})
+	if err := SendVia(up, dst, []byte("x")); err != nil {
+		t.Fatal(err)
+	}
+	s.Run()
+	if st := pool.Stats(); st.Gets != 1 || st.Puts != 1 {
+		t.Errorf("pool gets %d, puts %d; want 1 and 1", st.Gets, st.Puts)
 	}
 }
 

@@ -52,6 +52,14 @@ var mutants = []mutant{
 	{name: "pair message carry dropped", file: "internal/cipher/wide_amd64.s",
 		old: "ADCQ $1, R10; XORL R14, R14", new: "ADDQ $1, R10; XORL R14, R14",
 		pkg: "./internal/cipher", run: "^TestKeystreamMACMatchesBlock$", cpu: "avx2"},
+	// The AVX2 copy and checksum loop under Accumulate, FusedCopySum and
+	// WordCopy.
+	{name: "vector sum without its high halves", file: "internal/checksum/sum_amd64.s",
+		old: "VPADDQ Y, LO, LO; VPADDQ T, HI, HI", new: "VPADDQ Y, LO, LO",
+		pkg: "./internal/ilp", run: "^TestSumArmsAgree$", cpu: "avx2"},
+	{name: "vector loop skips its last 8 bytes", file: "internal/checksum/sum_amd64.s",
+		old: "TESTQ $8, CX; JZ done;", new: "JMP done;",
+		pkg: "./internal/ilp", run: "^TestSumArmsAgree$", cpu: "avx2"},
 	// A sharded flow's keystream is its own (ROADMAP 23).
 	{name: "flowKey dropped from AddFlow", file: "internal/core/shard.go",
 		old: "\tcfg.Key = flowKey(cfg.Key, id)\n", new: "\n",
