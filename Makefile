@@ -55,17 +55,20 @@ loc:
 # lock (registration against Snapshot) and the histograms' atomics
 # (Observe from many goroutines) — counts are Stats fields and levels
 # GaugeFuncs, both single-goroutine — parallel hosts the worker-pool
-# dispatch experiment, buf's refcounts are atomic by contract, and the
-# sharded endpoint (core's Sharded.Run + the experiments flow-scale
-# sweep) drains per-shard schedulers from a worker pool — its
-# determinism and near-linear-scaling tests must hold under -race.
-# telemetry rides along: the flight recorder samples the same registry
-# the workers write. The real-socket soak family runs udplink's reader
-# goroutines against its loop, so it rides along too.
+# dispatch experiment, and the sharded endpoint (core's Sharded.Run +
+# the experiments flow-scale sweep) drains per-shard schedulers, each
+# with its own buf pool, from a worker pool — its determinism and
+# near-linear-scaling tests must hold under -race. A buf pool has one
+# owner and no lock, so the one flow of buffers between goroutines,
+# udplink's receive ring (reader to loop and back), is raced by
+# udplink's tests, the real-socket soak family and one short pass of
+# the benchmark's UDP rig. telemetry rides along: the flight recorder
+# samples the same registry the workers write.
 race:
 	$(GO) test -race ./internal/metrics ./internal/core ./internal/otp ./internal/parallel ./internal/buf ./internal/netsim ./internal/sim ./internal/telemetry ./internal/udplink
 	$(GO) test -race -run 'FlowScale' ./internal/experiments
 	$(GO) test -race -run 'UDP' ./internal/faults/soak
+	$(GO) run -race ./benchmark -workloads udp_clear_256,udp_aead_8k_loss2 -reps 1 -rep-seconds 0.5 -trace 0
 
 vet:
 	$(GO) vet ./...
@@ -78,8 +81,10 @@ bench:
 	$(GO) test -run '^$$' -bench . -benchmem ./...
 
 # Where the CPU goes, as one table says it: core's steady-state
-# datapath benches, cleartext and AEAD, the real-socket soak family's
-# AEAD transfer over loopback sockets, and the 64k-flow shard plane on
+# datapath benches, cleartext and AEAD, its path with the network
+# removed (ReceivePath; with SendSteadyState, EXPERIMENTS F1's
+# whole-datapath row), the real-socket soak family's AEAD transfer
+# over loopback sockets, and the 64k-flow shard plane on
 # two workers (flows_sharded_64k's run), each profiled and its leaf
 # functions bucketed by cmd/alfsplit (keystream kernel, Poly1305 in Go,
 # tag key / Block, XOR, checksum + copy, packetize / placement, pool,
@@ -90,7 +95,7 @@ bench:
 SPLITTIME ?= 3s
 split:
 	@d=$$(mktemp -d) && trap 'rm -rf $$d' EXIT && \
-	for pb in internal/core:SendSteadyState internal/core:SendSteadyStateAEAD internal/faults/soak:UDPLoopback .:FlowScale/workers=2; do \
+	for pb in internal/core:SendSteadyState internal/core:SendSteadyStateAEAD internal/core:ReceivePath internal/faults/soak:UDPLoopback .:FlowScale/workers=2; do \
 		p=$${pb%%:*} b=$${pb#*:} && f=$$(echo $$b | tr /= __) && \
 		$(GO) test -run '^$$' -bench "^Benchmark$$b\$$" -benchtime $(SPLITTIME) -o $$d/$$f.test -cpuprofile $$d/$$f.prof ./$$p | grep '^Benchmark' && \
 		$(GO) tool pprof -top -noinlines -nodefraction=0 $$d/$$f.test $$d/$$f.prof 2>/dev/null | $(GO) run ./cmd/alfsplit || exit 1; \

@@ -80,6 +80,7 @@ func TestClassify(t *testing.T) {
 		"repro/internal/core.(*window[go.shape.struct { p *int }]).at": "packetize / placement",
 		"repro/internal/buf.(*Pool).GetHeadroom":                       "pool",
 		"repro/internal/netsim.deliverCB":                              "scheduler",
+		"repro/internal/netsim.onDepart":                               "scheduler",
 		"repro/internal/udplink.(*mmsgIO).send":                        "syscall / udplink",
 		"internal/runtime/syscall.Syscall6":                            "syscall / udplink",
 		"syscall.RawSyscall6":                                          "syscall / udplink",

@@ -27,16 +27,15 @@
 //     holder that must mutate (e.g. netsim's bit-error impairment)
 //     clones first (copy-on-write).
 //
-// Counts are atomic and the pool is mutex-guarded, so refs may be
-// retained and released across goroutines, but a single Ref's view
-// (Prepend/Trim) must not be reshaped concurrently.
+// A Pool and its Refs belong to one goroutine, the one that runs their
+// scheduler: nothing here takes a lock or an atomic, so a Ref crosses
+// goroutines only by a hand-off that orders the two sides (a channel, a
+// WaitGroup). Concurrent schedulers each take a pool from NewPool.
 package buf
 
 import (
 	"fmt"
 	"math/bits"
-	"sync"
-	"sync/atomic"
 )
 
 // Size classes are powers of two from minClass to maxClass; larger
@@ -71,10 +70,9 @@ type Stats struct {
 }
 
 // Pool hands out refcounted slab buffers by size class. The zero value
-// is not usable; create pools with NewPool. Pools are safe for
-// concurrent use.
+// is not usable; create pools with NewPool. Pools are not safe for
+// concurrent use (see the package doc).
 type Pool struct {
-	mu      sync.Mutex
 	classes [numClasses][]*Ref
 	free    []*Ref // Ref structs whose slabs were unpooled
 	stats   Stats
@@ -83,18 +81,16 @@ type Pool struct {
 // Default is the process-wide pool the transport layers fall back to
 // when no explicit pool is configured. Sharing one pool closes the
 // recycling loop end to end: a fragment slab released by the network
-// after delivery is the next fragment the sender gets.
+// after delivery is the next fragment the sender gets. It serves one
+// goroutine at a time: concurrent schedulers, such as shards, each take
+// a pool from NewPool.
 var Default = NewPool()
 
 // NewPool returns an empty pool.
 func NewPool() *Pool { return &Pool{} }
 
 // Stats returns a snapshot of the pool counters.
-func (p *Pool) Stats() Stats {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.stats
-}
+func (p *Pool) Stats() Stats { return p.stats }
 
 // Get returns a Ref viewing n bytes with no headroom and a reference
 // count of 1. The bytes are not zeroed.
@@ -109,7 +105,6 @@ func (p *Pool) GetHeadroom(n, headroom int) *Ref {
 	}
 	need := n + headroom
 	c := classFor(need)
-	p.mu.Lock()
 	p.stats.Gets++
 	var r *Ref
 	if c >= 0 {
@@ -136,9 +131,7 @@ func (p *Pool) GetHeadroom(n, headroom int) *Ref {
 		p.stats.Unpooled++
 		r.slab = make([]byte, need)
 	}
-	p.mu.Unlock()
-	r.off, r.n = headroom, n
-	r.refs.Store(1)
+	r.off, r.n, r.refs = headroom, n, 1
 	return r
 }
 
@@ -148,7 +141,6 @@ func (p *Pool) put(r *Ref) {
 	if c >= 0 && len(r.slab) != 1<<(uint(c)+minClassBits) {
 		c = -1 // unpooled exact-size slab; drop it
 	}
-	p.mu.Lock()
 	p.stats.Puts++
 	if c >= 0 {
 		p.classes[c] = append(p.classes[c], r)
@@ -156,7 +148,6 @@ func (p *Pool) put(r *Ref) {
 		r.slab = nil
 		p.free = append(p.free, r)
 	}
-	p.mu.Unlock()
 }
 
 // Ref is one counted reference to a pooled slab, exposing a
@@ -166,7 +157,7 @@ type Ref struct {
 	slab []byte
 	off  int
 	n    int
-	refs atomic.Int32
+	refs int32
 }
 
 // Bytes returns the current view. The slice is valid until the last
@@ -182,11 +173,11 @@ func (r *Ref) Headroom() int { return r.off }
 
 // Shared reports whether more than one reference is outstanding.
 // Holders must treat a shared ref's bytes as immutable.
-func (r *Ref) Shared() bool { return r.refs.Load() > 1 }
+func (r *Ref) Shared() bool { return r.refs > 1 }
 
 // Retain adds a reference and returns r for chaining.
 func (r *Ref) Retain() *Ref {
-	if r.refs.Add(1) <= 1 {
+	if r.refs++; r.refs <= 1 {
 		panic("buf: Retain of released ref")
 	}
 	return r
@@ -195,7 +186,8 @@ func (r *Ref) Retain() *Ref {
 // Release drops one reference. The last release returns the slab to
 // the pool; using the view after that is a use-after-free.
 func (r *Ref) Release() {
-	switch left := r.refs.Add(-1); {
+	r.refs--
+	switch left := r.refs; {
 	case left == 0:
 		r.pool.put(r)
 	case left < 0:
@@ -214,15 +206,6 @@ func (r *Ref) Prepend(k int) []byte {
 	r.off -= k
 	r.n += k
 	return r.slab[r.off : r.off+k]
-}
-
-// Trim shrinks the view to its first n bytes. It panics when n exceeds
-// the current length.
-func (r *Ref) Trim(n int) {
-	if n < 0 || n > r.n {
-		panic(fmt.Sprintf("buf: Trim(%d) of %d-byte view", n, r.n))
-	}
-	r.n = n
 }
 
 // Clone returns an independent count-1 copy of the view taken from the

@@ -2,7 +2,6 @@ package buf
 
 import (
 	"bytes"
-	"sync"
 	"testing"
 )
 
@@ -82,21 +81,6 @@ func TestHeadroomPrepend(t *testing.T) {
 	}
 }
 
-func TestTrim(t *testing.T) {
-	p := NewPool()
-	r := p.Get(64)
-	r.Trim(10)
-	if r.Len() != 10 {
-		t.Fatalf("Len = %d", r.Len())
-	}
-	defer func() {
-		if recover() == nil {
-			t.Error("Trim beyond view did not panic")
-		}
-	}()
-	r.Trim(11)
-}
-
 func TestCloneIsIndependent(t *testing.T) {
 	p := NewPool()
 	r := p.GetHeadroom(16, 4)
@@ -144,29 +128,6 @@ func TestReleasePanicsOnDouble(t *testing.T) {
 		}
 	}()
 	r.Release()
-}
-
-func TestConcurrentRetainRelease(t *testing.T) {
-	p := NewPool()
-	const workers = 8
-	r := p.Get(128)
-	for i := 0; i < workers; i++ {
-		r.Retain()
-	}
-	var wg sync.WaitGroup
-	for i := 0; i < workers; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			_ = r.Bytes()[0]
-			r.Release()
-		}()
-	}
-	wg.Wait()
-	r.Release()
-	if st := p.Stats(); st.Puts != 1 {
-		t.Errorf("Puts = %d", st.Puts)
-	}
 }
 
 func TestSteadyStateZeroAlloc(t *testing.T) {

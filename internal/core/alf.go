@@ -125,7 +125,8 @@ type ADU struct {
 // (and anything aliasing it) is invalid afterwards. Optional: an ADU
 // that is never released is simply garbage-collected like any slice,
 // but a steady-state consumer that releases keeps the datapath
-// allocation-free. Releasing twice is a no-op.
+// allocation-free. Releasing twice is a no-op. Release on the goroutine
+// that runs the receiver's scheduler, which owns the pool (internal/buf).
 func (a *ADU) Release() {
 	if a.ref != nil {
 		a.ref.Release()

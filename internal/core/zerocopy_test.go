@@ -25,6 +25,38 @@ func TestSendSteadyStateZeroAlloc(t *testing.T) {
 	}
 }
 
+// TestTwoHopEventsPerADU pins the control work one 8 KiB ADU (eight
+// 1 024-byte fragments) costs in steady state over the zero-delay
+// two-hop route, in exact counts: four scheduler events (each hop's
+// departure timer and delivery timer fire once for the whole burst,
+// not once a packet) and nine pool hand-outs (the fragments and the
+// reassembly buffer; the router hands each fragment's buffer on).
+func TestTwoHopEventsPerADU(t *testing.T) {
+	const adus = 16
+	pool := buf.NewPool()
+	p := newRoutedPair(t, netsim.LinkConfig{}, Config{Policy: NoRetransmit, Pool: pool}, 1)
+	p.net.SetPool(pool)
+	p.rcv.OnADU = func(adu ADU) { adu.Release() }
+	data := make([]byte, benchADUBytes)
+	send := func(name uint64) {
+		if _, err := p.snd.Send(name, xcode.SyntaxRaw, data); err != nil {
+			t.Fatal(err)
+		}
+		_ = p.sched.RunUntil(p.sched.Now())
+	}
+	send(0) // warm up
+	fired, gets := p.sched.Fired(), pool.Stats().Gets
+	for i := uint64(1); i <= adus; i++ {
+		send(i)
+	}
+	if n := (p.sched.Fired() - fired) / adus; n != 4 {
+		t.Errorf("%d scheduler events per ADU, want 4", n)
+	}
+	if n := (pool.Stats().Gets - gets) / adus; n != 9 {
+		t.Errorf("%d pool gets per ADU, want 9", n)
+	}
+}
+
 // TestPacedSendZeroAlloc: a paced stream holds each fragment until its
 // time on a pooled event with a recycled record, so its steady state
 // allocates no more than an unpaced one.

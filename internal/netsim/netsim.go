@@ -18,6 +18,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/buf"
 	"repro/internal/metrics"
@@ -48,11 +49,8 @@ type Packet struct {
 	ref   *buf.Ref // counted payload buffer; nil only transiently
 	link  *Link    // owning link while queued/in flight
 	delay sim.Duration
-	due   sim.Time // delivery time while in the link's transit FIFO
-	// shed marks a queued packet dropped by a QueueLimit shrink while
-	// its (uncancellable, pooled) departure event was already scheduled;
-	// departCB discards it instead of delivering.
-	shed bool
+	due   sim.Time // departure time while in the link's queue, delivery time while in its transit FIFO
+	shed  bool     // dropped by a QueueLimit shrink while queued; onDepart discards it at the head
 }
 
 // Retain returns an additional counted reference to the packet's
@@ -149,17 +147,9 @@ func (n *Network) Links() []*Link { return n.links }
 // groups, in either direction — the cut set a partition must sever to
 // separate groups a and b.
 func (n *Network) LinksBetween(a, b []*Node) []*Link {
-	in := func(set []*Node, nd *Node) bool {
-		for _, s := range set {
-			if s == nd {
-				return true
-			}
-		}
-		return false
-	}
 	var cut []*Link
 	for _, l := range n.links {
-		if (in(a, l.from) && in(b, l.to)) || (in(b, l.from) && in(a, l.to)) {
+		if slices.Contains(a, l.from) && slices.Contains(b, l.to) || slices.Contains(b, l.from) && slices.Contains(a, l.to) {
 			cut = append(cut, l)
 		}
 	}
@@ -336,8 +326,9 @@ type Link struct {
 
 	busyUntil sim.Time
 	queued    int
-	q         pktFIFO // committed to serialization, in departure order (queued plus shed)
-	inBad     bool    // Gilbert–Elliott state
+	q         pktFIFO   // committed to serialization, in departure order (queued plus shed)
+	depTimer  sim.Timer // armed for the departure of q's head (onDepart)
+	inBad     bool      // Gilbert–Elliott state
 	down      bool
 	held      []*Packet // parked by HoldOnDown, FIFO
 
@@ -364,6 +355,7 @@ func (n *Network) NewLink(from, to *Node, cfg LinkConfig) *Link {
 	}
 	l := &Link{net: n, from: from, to: to, cfg: cfg,
 		label: fmt.Sprintf("net/%s->%s/%d", from.name, to.name, len(n.links))}
+	n.Sched.InitTimer(&l.depTimer, onDepart, l)
 	l.delTimer = n.Sched.NewTimer(l.onDeliver)
 	n.links = append(n.links, l)
 	if n.metrics != nil {
@@ -429,13 +421,12 @@ func (l *Link) UpdateConfig(cfg LinkConfig) {
 
 // shrinkToLimit enforces a lowered QueueLimit over the live backlog.
 // Held packets (not yet committed to serialization) are freed outright.
-// Committed packets already have pooled departure events scheduled that
-// cannot be cancelled safely, so they are marked shed and discarded by
-// departCB when the event fires; their accounting (queued, stats,
-// trace) settles here, immediately. Serialization time the shed
-// packets had claimed is not reclaimed — the link behaves as if the
-// drop happened at the transmitter's output, after the bytes crossed
-// the wire-side queue.
+// Committed ones keep their places in the departure queue, which later
+// packets' times were set behind: they are marked shed and dropped by
+// onDepart at its head, their accounting (queued, stats, trace) settled
+// here, at once. The serialization time they had claimed is not
+// reclaimed — the link behaves as if the drop happened at the
+// transmitter's output, after the bytes crossed the wire-side queue.
 func (l *Link) shrinkToLimit() {
 	limit := l.cfg.QueueLimit
 	if limit <= 0 {
@@ -567,24 +558,24 @@ func (l *Link) sendRef(ref *buf.Ref, finalTo NodeID) error {
 	return nil
 }
 
-// departCB pops a serialized packet off its link's queue. Static so
-// enqueue schedules it on a pooled event without a closure allocation.
-// Departure times never decrease along the queue and equal times fire
-// in schedule order, so the departing packet is always the queue's head.
-func departCB(arg any) {
-	pkt := arg.(*Packet)
-	l := pkt.link
-	if l.q.pop() != pkt {
-		panic("netsim: departure out of queue order")
+// onDepart drains the head of a link's departure queue: every packet
+// whose serialization has ended, in queue order, then re-arms for the
+// next. Departure times never decrease along the queue, so one timer
+// per link serves it, as delTimer serves the transit FIFO.
+func onDepart(arg any) {
+	l := arg.(*Link)
+	now := l.net.Sched.Now()
+	for l.q.len() > 0 && l.q.live()[0].due <= now {
+		if pkt := l.q.pop(); pkt.shed {
+			l.net.putPacket(pkt) // its accounting and drop event settled at shrink time
+		} else {
+			l.queued--
+			l.depart(pkt)
+		}
 	}
-	if pkt.shed {
-		// Dropped by a QueueLimit shrink while waiting; the queue
-		// accounting and the drop event were settled at shrink time.
-		l.net.putPacket(pkt)
-		return
+	if l.q.len() > 0 {
+		l.depTimer.Reset(l.q.live()[0].due.Sub(now))
 	}
-	l.queued--
-	l.depart(pkt)
 }
 
 // enqueue commits pkt to serialization: it departs when the link has
@@ -601,9 +592,11 @@ func (l *Link) enqueue(pkt *Packet) {
 	txEnd := start.Add(l.serialization(len(pkt.Payload)))
 	l.net.tracer.PacketQueued(l.label, pkt.Payload, start.Sub(now), txEnd.Sub(start))
 	l.busyUntil = txEnd
-	pkt.link = l
+	pkt.link, pkt.due = l, txEnd
 	l.q.push(pkt)
-	l.net.Sched.AtCall(txEnd, departCB, pkt)
+	if !l.depTimer.Active() {
+		l.depTimer.Reset(txEnd.Sub(now))
+	}
 }
 
 // hold parks pkt until the link comes back up (HoldOnDown).
@@ -666,7 +659,7 @@ func (l *Link) depart(pkt *Packet) {
 }
 
 // deliverCB hands a packet to its destination node, then recycles it.
-// Static so schedDeliver uses a pooled event (see departCB).
+// Static so schedDeliver's out-of-order deliveries take a pooled event.
 func deliverCB(arg any) {
 	pkt := arg.(*Packet)
 	l := pkt.link
@@ -762,14 +755,14 @@ func (l *Link) corrupt(pkt *Packet, rnd *sim.Rand) {
 // forwards the payload unchanged onto the configured output link.
 type Router struct {
 	Node   *Node
-	routes map[NodeID]*Link
+	routes []*Link // by destination NodeID; nil where there is no route
 	// Unrouted counts packets with no matching route.
 	Unrouted int64
 }
 
 // NewRouter creates a router node.
 func (n *Network) NewRouter(name string) *Router {
-	r := &Router{routes: make(map[NodeID]*Link)}
+	r := &Router{}
 	r.Node = n.NewNode(name)
 	r.Node.SetHandler(r.forward)
 	return r
@@ -778,15 +771,23 @@ func (n *Network) NewRouter(name string) *Router {
 // AddRoute forwards packets destined (after this hop) for dst onto out.
 // The out link's To node need not be dst: multi-hop routes chain
 // routers.
-func (r *Router) AddRoute(dst *Node, out *Link) { r.routes[dst.id] = out }
+func (r *Router) AddRoute(dst *Node, out *Link) {
+	if n := int(dst.id) + 1; n > len(r.routes) {
+		r.routes = append(r.routes, make([]*Link, n-len(r.routes))...)
+	}
+	r.routes[dst.id] = out
+}
 
 func (r *Router) forward(p *Packet) {
 	// The packet's To field carries the final destination (set by
 	// SendVia or a previous router hop), so multi-hop routes chain
 	// naturally. The packet's own reference moves to the next hop, which
 	// consumes it on every path, so a multi-hop path copies zero times.
-	out, ok := r.routes[p.To]
-	if !ok {
+	var out *Link
+	if int(p.To) < len(r.routes) {
+		out = r.routes[p.To]
+	}
+	if out == nil {
 		r.Unrouted++
 		return
 	}

@@ -57,8 +57,7 @@ const groBufSize = 1 << 16
 // what is read-only.
 type mmsgIO struct {
 	rc    syscall.RawConn
-	cfg   *Config
-	st    *counters
+	l     *Link      // its stats and receive ring
 	lossy *LossyConn // if the conn was wrapped in one: its drops are applied to the send queue
 
 	// peer is the destination of every send and the only accepted
@@ -76,7 +75,7 @@ type mmsgIO struct {
 	rxIovs  []syscall.Iovec
 	rxNames []syscall.RawSockaddrInet6
 	rxCtl   []cmsg     // rxCtl[i] receives rxHdrs[i]'s UDP_GRO message
-	rxRefs  []*buf.Ref // rxRefs[i] backs rxIovs[i]; nil once handed to the caller
+	rxRefs  []*buf.Ref // rxRefs[i], a ring buffer, backs rxIovs[i]; nil once handed to the caller
 	rxN     int        // what the last recvmmsg returned
 	rxErr   syscall.Errno
 	rxFn    func(fd uintptr) bool
@@ -98,8 +97,8 @@ type mmsgIO struct {
 // newMmsgIO returns the batch sockIO for conn, or nil if conn is not a
 // UDP socket (possibly inside a LossyConn) whose peer it can address:
 // the caller then takes the portable path.
-func newMmsgIO(conn net.PacketConn, peer net.Addr, cfg *Config, st *counters) sockIO {
-	m := &mmsgIO{cfg: cfg, st: st, maxSegs: maxTrainSegs}
+func newMmsgIO(conn net.PacketConn, peer net.Addr, l *Link) sockIO {
+	m := &mmsgIO{l: l, maxSegs: maxTrainSegs}
 	if lc, ok := conn.(*LossyConn); ok {
 		m.lossy, conn = lc, lc.PacketConn
 	}
@@ -163,7 +162,9 @@ func newMmsgIO(conn net.PacketConn, peer net.Addr, cfg *Config, st *counters) so
 	if cerr := m.rc.Control(func(fd uintptr) { err = syscall.SetsockoptInt(int(fd), solUDP, udpGRO, 1) }); cerr != nil {
 		return nil
 	}
-	m.gro = err == nil
+	if m.gro = err == nil; m.gro {
+		l.rxSize = groBufSize
+	}
 	return m
 }
 
@@ -171,7 +172,7 @@ func newMmsgIO(conn net.PacketConn, peer net.Addr, cfg *Config, st *counters) so
 // the socket is readable, then the poller calls it again.
 func (m *mmsgIO) recvmmsg(fd uintptr) bool {
 	for {
-		m.st.rxCalls.Add(1)
+		m.l.stats.rxCalls.Add(1)
 		n, _, e := syscall.Syscall6(sysRecvmmsg, fd, uintptr(unsafe.Pointer(&m.rxHdrs[0])), uintptr(len(m.rxHdrs)), syscall.MSG_DONTWAIT, 0, 0)
 		switch e {
 		case 0:
@@ -195,7 +196,9 @@ func (m *mmsgIO) recv(in []arrival) (int, error) {
 	for {
 		for i := range m.rxHdrs {
 			if m.rxRefs[i] == nil {
-				m.rxRefs[i] = m.cfg.Pool.Get(size)
+				if m.rxRefs[i] = m.l.take(); m.rxRefs[i] == nil {
+					return 0, net.ErrClosed // the clock stopped
+				}
 				m.rxIovs[i].Base = unsafe.SliceData(m.rxRefs[i].Bytes())
 				m.rxIovs[i].SetLen(size)
 			}
@@ -209,7 +212,7 @@ func (m *mmsgIO) recv(in []arrival) (int, error) {
 		if m.rxErr != 0 {
 			return 0, os.NewSyscallError("recvmmsg", m.rxErr)
 		}
-		m.st.rxMsgs.Add(int64(m.rxN))
+		m.l.stats.rxMsgs.Add(int64(m.rxN))
 		got, dropped := 0, 0
 		for i := 0; i < m.rxN; i++ {
 			n := int(m.rxHdrs[i].n)
@@ -221,12 +224,11 @@ func (m *mmsgIO) recv(in []arrival) (int, error) {
 				dropped += datagrams(n, seg)
 				continue // the buffer stays for the next call
 			}
-			m.rxRefs[i].Trim(n)
-			in[got] = arrival{ref: m.rxRefs[i], seg: seg}
+			in[got] = arrival{ref: m.rxRefs[i], n: n, seg: seg}
 			m.rxRefs[i] = nil
 			got++
 		}
-		m.st.dropped.Add(int64(dropped))
+		m.l.stats.dropped.Add(int64(dropped))
 		if got > 0 {
 			return got, nil
 		}
@@ -244,16 +246,6 @@ func (m *mmsgIO) segLen(i, n int) int {
 		}
 	}
 	return n
-}
-
-// release gives the posted receive buffers back to the pool.
-func (m *mmsgIO) release() {
-	for i, ref := range m.rxRefs {
-		if ref != nil {
-			ref.Release()
-			m.rxRefs[i] = nil
-		}
-	}
 }
 
 // fromPeer reports whether a received message's source, as the kernel
@@ -275,12 +267,12 @@ func (m *mmsgIO) fromPeer(name *syscall.RawSockaddrInet6) bool {
 // for send to break it up.
 func (m *mmsgIO) sendmmsg(fd uintptr) bool {
 	for m.txOff < m.txEnd {
-		m.st.txCalls.Add(1)
+		m.l.stats.txCalls.Add(1)
 		n, _, e := syscall.Syscall6(sysSendmmsg, fd, uintptr(unsafe.Pointer(&m.txHdrs[m.txOff])), uintptr(m.txEnd-m.txOff), syscall.MSG_DONTWAIT, 0, 0)
 		switch e {
 		case 0:
 			m.txOff += int(n)
-			m.st.txMsgs.Add(int64(n))
+			m.l.stats.txMsgs.Add(int64(n))
 		case syscall.EAGAIN:
 			return false
 		case syscall.EINTR:
@@ -357,6 +349,6 @@ func (m *mmsgIO) send(out []*buf.Ref) {
 			}
 		}
 	}
-	m.st.sendErrs.Add(int64(m.txErrs))
-	m.st.sent.Add(int64(len(out) - m.txErrs))
+	m.l.stats.sendErrs.Add(int64(m.txErrs))
+	m.l.stats.sent.Add(int64(len(out) - m.txErrs))
 }

@@ -103,11 +103,15 @@ func TestNoGRO(t *testing.T) {
 	ca, cb := listen(t), listen(t)
 	la := clk.NewLink(ca, cb.LocalAddr())
 	// NewLink, for a socket whose UDP_GRO failed.
-	lb := &Link{clk: clk}
-	io := newMmsgIO(cb, ca.LocalAddr(), &clk.cfg, &lb.stats).(*mmsgIO)
+	lb := &Link{clk: clk, rx: make(chan *buf.Ref, ringDepth)}
+	io := newMmsgIO(cb, ca.LocalAddr(), lb).(*mmsgIO)
 	setsockopt(cb, solUDP, udpGRO, 0)
 	io.gro = false
 	lb.io = io
+	for range ringDepth {
+		lb.bufs = append(lb.bufs, pool.Get(maxDatagram))
+		lb.rx <- lb.bufs[len(lb.bufs)-1]
+	}
 	clk.links = append(clk.links, lb)
 	go lb.readLoop()
 

@@ -6,4 +6,4 @@ import "net"
 
 // newMmsgIO has no batch system calls to offer here: every link takes
 // the portable path.
-func newMmsgIO(net.PacketConn, net.Addr, *Config, *counters) sockIO { return nil }
+func newMmsgIO(net.PacketConn, net.Addr, *Link) sockIO { return nil }

@@ -367,10 +367,53 @@ func TestLinkDropsTrains(t *testing.T) {
 	}
 }
 
-// TestReaderExitReleasesBuffers: once the clock has stopped and the
-// sockets are closed, the readers have given back every buffer they
-// held, posted for the next receive or taken and not yet delivered:
-// the pool has had as many buffers returned as it handed out.
+// TestReceiveRingRecycles drives the one flow of buffers between
+// goroutines, the receive ring (the reader reads into a buffer, the
+// loop dispatches it and puts it back), around many times on each
+// path, under -race in `make race`: every datagram arrives intact, and
+// the pool hands out nothing for receiving beyond the rings NewLink
+// filled.
+func TestReceiveRingRecycles(t *testing.T) {
+	for _, path := range bothPaths {
+		t.Run(path.name, func(t *testing.T) {
+			const rounds, perRound = 10, 100
+			pool := buf.NewPool()
+			sched := sim.NewScheduler()
+			clk := NewClock(sched, Config{Pool: pool})
+			defer clk.Stop()
+			ca, cb := listen(t), listen(t)
+			la := clk.NewLink(path.wrap(ca), cb.LocalAddr())
+			lb := clk.NewLink(path.wrap(cb), ca.LocalAddr())
+			got := 0
+			lb.SetHandler(func(p []byte) {
+				if len(p) != 64+got%3 || !bytes.Equal(p, bytes.Repeat([]byte{byte(got)}, len(p))) {
+					t.Errorf("datagram %d: %d bytes %x", got, len(p), p[:min(len(p), 8)])
+				}
+				got++
+			})
+			for r := 0; r < rounds; r++ {
+				sched.After(0, func() {
+					for i := r * perRound; i < (r+1)*perRound; i++ {
+						ref := pool.Get(64 + i%3)
+						copy(ref.Bytes(), bytes.Repeat([]byte{byte(i)}, ref.Len()))
+						_ = la.SendRef(ref)
+					}
+				})
+				runUntil(t, clk, "a round", func() bool { return got == (r+1)*perRound })
+			}
+			if gets := pool.Stats().Gets; gets != 2*ringDepth+rounds*perRound {
+				t.Errorf("the pool handed out %d buffers, want %d for the rings and %d for the sends", gets, 2*ringDepth, rounds*perRound)
+			}
+		})
+	}
+}
+
+// TestReaderExitReleasesBuffers: once the sockets are closed and the
+// readers have exited, the loop gives every buffer of their rings back
+// to the pool, wherever a reader left it (posted for the next receive,
+// or taken and not yet delivered): the pool has had as many buffers
+// returned as it handed out. The pool is read on the loop goroutine,
+// its owner.
 func TestReaderExitReleasesBuffers(t *testing.T) {
 	for _, path := range bothPaths {
 		t.Run(path.name, func(t *testing.T) {
@@ -378,6 +421,7 @@ func TestReaderExitReleasesBuffers(t *testing.T) {
 			pool := buf.NewPool()
 			sched := sim.NewScheduler()
 			clk := NewClock(sched, Config{Pool: pool})
+			defer clk.Stop()
 			ca, cb := listen(t), listen(t)
 			la := clk.NewLink(path.wrap(ca), cb.LocalAddr())
 			lb := clk.NewLink(path.wrap(cb), ca.LocalAddr())
@@ -390,16 +434,16 @@ func TestReaderExitReleasesBuffers(t *testing.T) {
 				}
 			})
 			runUntil(t, clk, "the echoes", func() bool { return echoed == n })
-			clk.Stop()
 			ca.Close()
 			cb.Close()
-			deadline := time.Now().Add(10 * time.Second)
-			for st := pool.Stats(); st.Gets != st.Puts; st = pool.Stats() {
-				if time.Now().After(deadline) {
+			var st buf.Stats
+			start := time.Now()
+			clk.Run(func() bool {
+				if st = pool.Stats(); time.Since(start) > 10*time.Second {
 					t.Fatalf("the pool handed out %d buffers and got %d back", st.Gets, st.Puts)
 				}
-				time.Sleep(time.Millisecond)
-			}
+				return st.Gets == st.Puts
+			})
 		})
 	}
 }

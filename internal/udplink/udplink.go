@@ -36,8 +36,8 @@
 //   - Everything protocol-visible stays single-threaded: handlers,
 //     timers, and sends all run on the Clock's loop goroutine, the
 //     same discipline the simulator enforces, so the endpoints need no
-//     locks. Reader goroutines only move pooled buffers into the
-//     loop's inbox (the pool and refcounts are concurrency-safe).
+//     locks. So is the pool: reader goroutines only read into their
+//     link's receive ring (Link.rx) and hand what they read to the loop.
 package udplink
 
 import (
@@ -52,8 +52,7 @@ import (
 
 // inboxDepth is the arrival channel depth shared by all links. A slot
 // holds one message, a datagram or a train, in the buffer it was read
-// into, so receive memory queued for the loop is at most 512 x 64 KiB
-// (32 MiB) whatever it holds. A full inbox applies backpressure to
+// into. A full inbox, or an empty receive ring, applies backpressure to
 // readers.
 const inboxDepth = 512
 
@@ -67,13 +66,15 @@ const inboxDepth = 512
 // (trains of up to 64 datagrams) one system call reads or writes on the
 // batch path. A flush of more than that takes several calls. The
 // portable path moves one datagram per call. A reader keeps batch
-// receive buffers posted, so a batch-path link holds batch x 64 KiB of
-// pool memory (2 MiB) while its socket is open; a peer that does not
-// send trains fills each with one datagram, which is why the vector
-// stays this long.
+// receive buffers posted, and as many more can be in the inbox or
+// being dispatched, so a batch-path link's ring of ringDepth buffers
+// holds 4 MiB of pool memory while its socket is open; a peer that
+// does not send trains fills each with one datagram, which is why the
+// vector stays this long.
 const (
 	maxDatagram = 2048
 	batch       = 32
+	ringDepth   = 2 * batch
 )
 
 // Config parameterizes a Clock. Zero fields take defaults.
@@ -81,9 +82,9 @@ type Config struct {
 	// MaxIdle caps how long the loop sleeps when the scheduler is idle
 	// and no datagrams arrive (default 50 ms).
 	MaxIdle time.Duration
-	// Pool supplies receive buffers (default buf.Default, shared with
-	// the endpoints so the recycling loop closes across the socket
-	// boundary too).
+	// Pool supplies the links' receive rings and Send's copies
+	// (default buf.Default). Like the endpoints' pool it belongs to the
+	// loop goroutine, which NewLink must also run on.
 	Pool *buf.Pool
 }
 
@@ -101,7 +102,8 @@ func (c *Config) fill() {
 // to back in one buffer.
 type arrival struct {
 	link *Link
-	ref  *buf.Ref // trimmed to the message
+	ref  *buf.Ref // a ring buffer, its view untrimmed; nil in a reader's last
+	n    int      // the message's length
 	seg  int      // each datagram's length, but for the last, which is what is left
 }
 
@@ -138,9 +140,13 @@ func NewClock(sched *sim.Scheduler, cfg Config) *Clock {
 // calls where the platform and the conn allow them, the portable
 // per-datagram calls otherwise.
 func (c *Clock) NewLink(conn net.PacketConn, peer net.Addr) *Link {
-	l := &Link{clk: c}
-	if l.io = newMmsgIO(conn, peer, &c.cfg, &l.stats); l.io == nil {
-		l.io = &connIO{conn: conn, peer: peer, cfg: &c.cfg, st: &l.stats}
+	l := &Link{clk: c, rx: make(chan *buf.Ref, ringDepth), rxSize: maxDatagram + 1}
+	if l.io = newMmsgIO(conn, peer, l); l.io == nil {
+		l.io = &connIO{conn: conn, peer: peer, l: l}
+	}
+	for range ringDepth {
+		l.bufs = append(l.bufs, c.cfg.Pool.Get(l.rxSize))
+		l.rx <- l.bufs[len(l.bufs)-1]
 	}
 	c.links = append(c.links, l)
 	go l.readLoop()
@@ -204,11 +210,18 @@ func (c *Clock) Run(done func() bool) {
 }
 
 // dispatch hands each datagram of one message to its link's handler,
-// in order, and recycles the buffer. A datagram's slice ends where the
-// next datagram starts, capacity included, so a handler that appends to
-// it gets a copy and leaves the neighbour alone.
+// in order, and puts the buffer back in the ring (a reader's last
+// arrival gives the ring back to the pool). A datagram's slice ends
+// where the next starts, capacity included, so a handler that appends
+// to it gets a copy and leaves the neighbour alone.
 func (c *Clock) dispatch(a arrival) {
-	b, h := a.ref.Bytes(), a.link.handler
+	if a.ref == nil {
+		for _, ref := range a.link.bufs {
+			ref.Release()
+		}
+		return
+	}
+	b, h := a.ref.Bytes()[:a.n], a.link.handler
 	a.link.stats.recvd.Add(int64(datagrams(len(b), a.seg)))
 	for {
 		k := len(b)
@@ -222,7 +235,7 @@ func (c *Clock) dispatch(a arrival) {
 			break
 		}
 	}
-	a.ref.Release()
+	a.link.rx <- a.ref
 }
 
 // flushAll writes every link's queued sends.
@@ -237,14 +250,11 @@ func (c *Clock) flushAll() {
 // address other than the peer is dropped and counted, never returned.
 type sockIO interface {
 	// recv blocks until at least one message from the peer is readable,
-	// then takes up to batch of them into pooled buffers, each
-	// trimmed to its message, that the caller comes to own. It fills in
-	// each arrival's ref and seg; in has room for batch. It is
-	// called from the reader goroutine only.
+	// then takes up to batch of them into ring buffers that the caller
+	// comes to own. It fills in each arrival's ref, n and seg; in has
+	// room for batch. It is called from the reader goroutine only, and
+	// fails with net.ErrClosed if the clock stops while it waits for one.
 	recv(in []arrival) (int, error)
-	// release returns to the pool the receive buffers recv holds for
-	// its next call. The reader goroutine calls it as it exits.
-	release()
 	// send writes the datagrams to the peer, in order. A datagram that
 	// cannot be written is counted and skipped; the caller keeps its
 	// references. It is called from the loop goroutine only.
@@ -268,38 +278,29 @@ type counters struct {
 type connIO struct {
 	conn net.PacketConn
 	peer net.Addr
-	cfg  *Config
-	st   *counters
+	l    *Link
 	buf  *buf.Ref // the next read's buffer, kept across failed and dropped reads
 }
 
 func (c *connIO) recv(in []arrival) (int, error) {
 	for {
 		if c.buf == nil {
-			// One byte more than the longest datagram accepted, so that a
-			// longer one shows as such instead of arriving clipped.
-			c.buf = c.cfg.Pool.Get(maxDatagram + 1)
+			if c.buf = c.l.take(); c.buf == nil {
+				return 0, net.ErrClosed
+			}
 		}
-		c.st.rxCalls.Add(1)
+		c.l.stats.rxCalls.Add(1)
 		n, from, err := c.conn.ReadFrom(c.buf.Bytes())
 		if err != nil {
 			return 0, err
 		}
-		c.st.rxMsgs.Add(1)
+		c.l.stats.rxMsgs.Add(1)
 		if n > maxDatagram || !sameAddr(from, c.peer) {
-			c.st.dropped.Add(1)
+			c.l.stats.dropped.Add(1)
 			continue
 		}
-		c.buf.Trim(n)
-		in[0], c.buf = arrival{ref: c.buf, seg: n}, nil
+		in[0], c.buf = arrival{ref: c.buf, n: n, seg: n}, nil
 		return 1, nil
-	}
-}
-
-func (c *connIO) release() {
-	if c.buf != nil {
-		c.buf.Release()
-		c.buf = nil
 	}
 }
 
@@ -310,10 +311,10 @@ func (c *connIO) send(out []*buf.Ref) {
 			errs++
 		}
 	}
-	c.st.txCalls.Add(int64(len(out)))
-	c.st.txMsgs.Add(int64(len(out) - errs))
-	c.st.sendErrs.Add(int64(errs))
-	c.st.sent.Add(int64(len(out) - errs))
+	c.l.stats.txCalls.Add(int64(len(out)))
+	c.l.stats.txMsgs.Add(int64(len(out) - errs))
+	c.l.stats.sendErrs.Add(int64(errs))
+	c.l.stats.sent.Add(int64(len(out) - errs))
 }
 
 // sameAddr reports whether a datagram's source is the link's peer.
@@ -335,6 +336,14 @@ type Link struct {
 	clk     *Clock
 	io      sockIO
 	handler func([]byte)
+
+	// rx is the receive ring, after a NIC's: bufs go round in it between
+	// the reader, which reads into them (take), and the loop, which
+	// dispatches them and puts them back, so the reader never touches
+	// the pool. It has room for all of them, so no put blocks.
+	rx     chan *buf.Ref
+	bufs   []*buf.Ref
+	rxSize int // maxDatagram+1, so that a longer datagram shows as such instead of clipped; groBufSize with UDP_GRO
 
 	// out is the batched send queue, owned by the loop goroutine: the
 	// endpoints send from timer callbacks and handlers (both on the
@@ -423,12 +432,13 @@ const (
 
 // readLoop is the per-socket reader: it moves what sockIO.recv takes
 // from the socket into the loop's inbox. Exits when the socket closes
-// or the clock stops. A UDP socket surfaces transient errors
+// or the clock stops, and then tells a running loop, which gives the
+// link's buffers back to the pool. A UDP socket surfaces transient errors
 // (connection-refused from ICMP) that clear on their own, so any other
 // error keeps the reader alive; consecutive ones back off, so an error
 // that does not clear cannot spin the reader.
 func (l *Link) readLoop() {
-	defer l.io.release()
+	defer l.deliver(arrival{link: l})
 	in := make([]arrival, batch)
 	fails := 0 // consecutive failed receives
 	for {
@@ -446,9 +456,6 @@ func (l *Link) readLoop() {
 		for i := range in[:n] {
 			in[i].link = l
 			if !l.deliver(in[i]) {
-				for _, a := range in[i+1 : n] {
-					a.ref.Release()
-				}
 				return
 			}
 		}
@@ -462,8 +469,22 @@ func (l *Link) deliver(a arrival) bool {
 	case l.clk.inbox <- a:
 		return true
 	case <-l.clk.stopc:
-		a.ref.Release()
 		return false
+	}
+}
+
+// take returns a buffer from the ring, waiting for the loop to put one
+// back, or nil once the clock has stopped. The reader is the ring's only
+// taker, so a ring that is not empty stays so until it takes.
+func (l *Link) take() *buf.Ref {
+	if len(l.rx) > 0 {
+		return <-l.rx
+	}
+	select {
+	case ref := <-l.rx:
+		return ref
+	case <-l.clk.stopc:
+		return nil
 	}
 }
 

@@ -64,6 +64,13 @@ var mutants = []mutant{
 	{name: "flowKey dropped from AddFlow", file: "internal/core/shard.go",
 		old: "\tcfg.Key = flowKey(cfg.Key, id)\n", new: "\n",
 		pkg: "./internal/core", run: "^TestShardFlowsDistinctKeystream$", tags: "nonceledger"},
+	// The pool's one-owner counts and netsim's departure timer (item 26).
+	{name: "ref returned to the pool while still held", file: "internal/buf/buf.go",
+		old: "case left == 0:", new: "case left <= 1:",
+		pkg: "./internal/buf", run: "^TestRetainDelaysRecycle$"},
+	{name: "departure drained before its txEnd", file: "internal/netsim/netsim.go",
+		old: "for l.q.len() > 0 && l.q.live()[0].due <= now {", new: "for l.q.len() > 0 {",
+		pkg: "./internal/netsim", run: "^TestBackToBackPacketsQueue$"},
 	// A count past 2^31 is negative where int has 32 bits (ROADMAP 24).
 	{name: "raw seq count not checked for n < 0", file: "internal/xcode/rawlwts.go",
 		old: "if n < 0 || n > len(src) {", new: "if n > len(src) {",
