@@ -81,6 +81,8 @@ func TestClassify(t *testing.T) {
 		"repro/internal/buf.(*Pool).GetHeadroom":                       "pool",
 		"repro/internal/netsim.deliverCB":                              "scheduler",
 		"repro/internal/netsim.onDepart":                               "scheduler",
+		"repro/internal/netsim.(*Link).admit":                          "scheduler",
+		"repro/internal/wire.headerSum":                                "packetize / placement",
 		"repro/internal/udplink.(*mmsgIO).send":                        "syscall / udplink",
 		"internal/runtime/syscall.Syscall6":                            "syscall / udplink",
 		"syscall.RawSyscall6":                                          "syscall / udplink",

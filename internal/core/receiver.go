@@ -39,10 +39,10 @@ type ReceiverStats struct {
 	DeliveredBytes int64 `metric:"delivered_bytes"` // verified ADU payload handed to the application
 }
 
-// partial is an ADU under reassembly. The struct (with its maps) and
-// the pooled reassembly buffer are both recycled: the struct when the
-// ADU settles, the buffer when the delivered ADU is Released (or
-// immediately, on checksum failure or give-up).
+// partial is an ADU under reassembly. The struct (with its slices and
+// map) and the pooled reassembly buffer are both recycled: the struct
+// when the ADU settles, the buffer when the delivered ADU is Released
+// (or immediately, on checksum failure or give-up).
 type partial struct {
 	tag      uint64
 	syntax   xcode.SyntaxID
@@ -50,12 +50,17 @@ type partial struct {
 	total    int
 	ref      *buf.Ref // pooled reassembly buffer; buf aliases it
 	buf      []byte
-	got      map[int]int      // data fragment offset -> length (duplicate detection)
+	got      []uint64         // a bit per data fragment placed, by off/8 (wire.ParseHeader takes only 8-aligned offsets)
+	lens     []uint16         // by off/8, each placed fragment's length, for FEC reconstruction only
 	parities map[int]*buf.Ref // FEC group start offset -> pooled parity payload
 	gotBytes int
 	sum      uint64 // accumulated plaintext partial checksum
 	untimed  bool   // a resend's round trip was sampled, or an earlier request makes any sample ambiguous
 }
+
+// has and mark read and set got's bit for the data fragment at off.
+func (p *partial) has(off int) bool { return p.got[off>>9]&(1<<(off>>3&63)) != 0 }
+func (p *partial) mark(off int)     { p.got[off>>9] |= 1 << (off >> 3 & 63) }
 
 // slot is everything the receiver knows about one name at or above the
 // settled frontier: a wholly unseen gap (p nil — detected via the
@@ -289,7 +294,7 @@ func (r *Receiver) HandlePacket(pkt []byte) error {
 		return nil
 	}
 
-	if _, dup := p.got[h.FragOff]; dup {
+	if p.has(h.FragOff) {
 		r.Stats.DupFragments++
 		// Karn's rule: only an ADU requested once times its repair, and
 		// only by a duplicate, which cannot be an original still in
@@ -327,11 +332,11 @@ func (r *Receiver) HandlePacket(pkt []byte) error {
 }
 
 // getPartial returns reassembly state for a new ADU: a recycled struct
-// (maps cleared on recycle) around a pooled buffer sized to the ADU.
+// (its map cleared on recycle) around a pooled buffer sized to the ADU.
 func (r *Receiver) getPartial(h *wire.Header) *partial {
 	p := reuse(&r.spare.parts)
 	if p == nil {
-		p = &partial{got: make(map[int]int)}
+		p = new(partial)
 	}
 	ref := r.cfg.Pool.Get(h.TotalLen)
 	*p = partial{
@@ -341,8 +346,12 @@ func (r *Receiver) getPartial(h *wire.Header) *partial {
 		total:    h.TotalLen,
 		ref:      ref,
 		buf:      ref.Bytes(),
-		got:      p.got,
+		got:      append(p.got[:0], make([]uint64, h.TotalLen>>9+1)...), // zeroed, for offsets 0, 8, ..., TotalLen
+		lens:     p.lens,
 		parities: p.parities,
+	}
+	if r.cfg.FECGroup > 0 {
+		p.lens = append(p.lens[:0], make([]uint16, h.TotalLen>>3+1)...)
 	}
 	return p
 }
@@ -351,7 +360,6 @@ func (r *Receiver) getPartial(h *wire.Header) *partial {
 // has already released or handed off p.ref; held parity buffers are
 // returned to the pool here.
 func (r *Receiver) putPartial(p *partial) {
-	clear(p.got)
 	for off, parity := range p.parities {
 		parity.Release()
 		delete(p.parities, off)
@@ -371,7 +379,10 @@ func (r *Receiver) place(name uint64, p *partial, off int, payload, tag []byte) 
 		return false
 	}
 	p.sum += sum
-	p.got[off] = len(payload)
+	p.mark(off)
+	if r.cfg.FECGroup > 0 {
+		p.lens[off>>3] = uint16(len(payload))
+	}
 	p.gotBytes += len(payload)
 	r.Stats.ILPPassBytes += int64(len(payload))
 	return true
@@ -429,7 +440,7 @@ func (r *Receiver) tryReconstruct(name uint64, p *partial, gs int) {
 	fp := r.cfg.fragPayload()
 	missingOff := -1
 	for off := gs; off < p.total && off < gs+r.cfg.FECGroup*fp; off += fp {
-		if _, have := p.got[off]; !have {
+		if !p.has(off) {
 			if missingOff >= 0 {
 				return // two or more missing: XOR parity cannot help
 			}
@@ -455,10 +466,10 @@ func (r *Receiver) tryReconstruct(name uint64, p *partial, gs int) {
 	rb := recon.Bytes()
 	ilp.WordCopy(rb, parity.Bytes())
 	for off := gs; off < p.total && off < gs+r.cfg.FECGroup*fp; off += fp {
-		n, have := p.got[off]
-		if !have {
+		if !p.has(off) {
 			continue
 		}
+		n := min(int(p.lens[off>>3]), len(rb)) // another sender's member may outrun the parity
 		ilp.XORWords(rb, p.buf[off:off+n])
 		r.cfg.suite.rekey(&r.cfg, name, off, rb[:n])
 	}

@@ -437,7 +437,7 @@ func (s *Sender) SendClass(tag uint64, syntax xcode.SyntaxID, data []byte, class
 
 // packetize runs the single fused pass over data: each fragment's wire
 // payload is sealed by the stream's cipher suite straight into a pooled
-// buffer with HeaderSize headroom (and the suite's trailer behind it)
+// buffer with header headroom (and the suite's trailer behind it)
 // while the plaintext checksum accumulates, and FEC parity — the XOR of
 // the group's wire payloads, trailers excluded — accumulates word-wise
 // into its own pooled buffer. Fragment offsets are 8-aligned, so the
@@ -456,7 +456,8 @@ func (s *Sender) packetize(name uint64, data []byte, frags []wireFrag) ([]wireFr
 		parityLen int      // blob length (first, longest fragment of the group)
 		inGroup   int      // data fragments accumulated
 	)
-	headroom := HeaderSize + len(s.cfg.encap)
+	// Rounded up so that payloads start 32-byte aligned, at both ends.
+	headroom := (HeaderSize + len(s.cfg.encap) + 31) &^ 31
 	for off, last := 0, false; !last; {
 		n := min(len(data)-off, frag)
 		ref := s.cfg.Pool.GetHeadroom(n+trailer, headroom)

@@ -10,12 +10,14 @@ import (
 )
 
 // TestPktFIFO drives random pushes and pops against a plain slice and
-// checks the backing array stops growing once the depth does.
+// checks the ring stops growing once the depth does: it ends the
+// smallest power of two, eight at least, that holds the deepest queue.
 func TestPktFIFO(t *testing.T) {
 	var f pktFIFO
 	var model []*Packet
 	rng := rand.New(rand.NewSource(1))
 	const maxDepth = 100
+	deepest := 0
 	for i := 0; i < 100000; i++ {
 		if len(model) > 0 && (len(model) == maxDepth || rng.Intn(2) == 0) {
 			if got := f.pop(); got != model[0] {
@@ -27,16 +29,23 @@ func TestPktFIFO(t *testing.T) {
 			f.push(p)
 			model = append(model, p)
 		}
+		deepest = max(deepest, len(model))
 		if f.len() != len(model) {
 			t.Fatalf("op %d: len = %d, want %d", i, f.len(), len(model))
 		}
-		if live := f.live(); len(live) > 0 && live[0] != model[0] {
+		if len(model) > 0 && f.peek() != model[0] {
 			t.Fatalf("op %d: head is not the oldest packet", i)
 		}
+		if len(model) > 0 && f.at(len(model)-1) != model[len(model)-1] {
+			t.Fatalf("op %d: tail is not the newest packet", i)
+		}
 	}
-	// Live window plus an equally long dead prefix, rounded up by append.
-	if cap(f.buf) > 4*maxDepth {
-		t.Errorf("backing array grew to %d for a depth of at most %d", cap(f.buf), maxDepth)
+	want := 8
+	for want < deepest {
+		want *= 2
+	}
+	if len(f.buf) != want {
+		t.Errorf("ring grew to %d for a depth of at most %d, want %d", len(f.buf), deepest, want)
 	}
 }
 
@@ -109,8 +118,8 @@ func TestHoldOnDownReenqueueOrder(t *testing.T) {
 
 // TestQueueCompactsUnderStandingBacklog passes many times the backlog
 // through a link that never drains, so the queue's head index wraps
-// through compaction repeatedly; order holds and the backing array
-// stays proportional to the backlog.
+// round the ring repeatedly; order holds and the ring stays
+// proportional to the backlog.
 func TestQueueCompactsUnderStandingBacklog(t *testing.T) {
 	s, _, _, b, l := pair(t, LinkConfig{RateBps: 8e6}, 1)
 	const backlog = 64
@@ -136,8 +145,8 @@ func TestQueueCompactsUnderStandingBacklog(t *testing.T) {
 			t.Fatalf("step %d: backlog %d, want %d", i, l.QueueLen(), backlog)
 		}
 	}
-	if c := cap(l.q.buf); c > 4*backlog {
-		t.Errorf("queue backing array grew to %d for a backlog of %d", c, backlog)
+	if c := len(l.q.buf); c > 2*backlog {
+		t.Errorf("queue ring grew to %d for a backlog of %d", c, backlog)
 	}
 	s.Run()
 	if want != next {

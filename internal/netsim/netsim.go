@@ -35,8 +35,8 @@ type NodeID uint16
 // not mutate it or retain the slice (or the *Packet) past their return
 // — copy what must outlive the call. Sends via Send copy the caller's
 // slice once into the pool; SendRef hands a buffer over with no copy at
-// all, and routers forward by reference, so a multi-hop path touches
-// the payload bytes zero times.
+// all, and routers hand the packet itself on, so a multi-hop path
+// touches the payload bytes zero times.
 type Packet struct {
 	From, To NodeID
 	Payload  []byte
@@ -87,24 +87,21 @@ type Network struct {
 // private pool to assert recycling.
 func (n *Network) SetPool(p *buf.Pool) { n.pool = p }
 
-// getPacket returns a zeroed Packet, reusing a delivered one.
+// getPacket returns a Packet with no reference, reusing a delivered one.
 func (n *Network) getPacket() *Packet {
 	if ln := len(n.freePkt); ln > 0 {
 		p := n.freePkt[ln-1]
-		n.freePkt[ln-1] = nil
 		n.freePkt = n.freePkt[:ln-1]
 		return p
 	}
 	return &Packet{}
 }
 
-// putPacket releases the packet's payload reference and recycles the
-// struct.
+// putPacket releases the packet's payload and recycles the struct,
+// clearing only what holds a reference or state.
 func (n *Network) putPacket(p *Packet) {
-	if p.ref != nil {
-		p.ref.Release()
-	}
-	*p = Packet{}
+	p.ref.Release()
+	p.ref, p.link, p.Payload, p.Corrupted, p.shed = nil, nil, nil, false, false
 	n.freePkt = append(n.freePkt, p)
 }
 
@@ -172,6 +169,7 @@ type Node struct {
 	id      NodeID
 	name    string
 	handler Handler
+	router  *Router // a router's node forwards instead
 	Stats   NodeStats
 }
 
@@ -191,15 +189,6 @@ func (nd *Node) Name() string { return nd.name }
 
 // SetHandler installs the function that receives arriving packets.
 func (nd *Node) SetHandler(h Handler) { nd.handler = h }
-
-func (nd *Node) deliver(p *Packet) {
-	if nd.handler == nil {
-		nd.Stats.Undelivered++
-		nd.Stats.UndeliveredBytes += int64(len(p.Payload))
-		return
-	}
-	nd.handler(p)
-}
 
 // DownPolicy selects what happens to packets a link is holding (queued
 // for serialization) or receiving while the link is administratively
@@ -284,35 +273,38 @@ type LinkStats struct {
 	MaxQueue       int64 `metric:"queue_max,gauge,max"` // high-water queue depth (packets awaiting serialization)
 }
 
-// pktFIFO is a queue of packets in a slice with a head index. pop
-// compacts in place once the dead prefix is at least as long as the
-// live window, so push and pop are O(1) amortized at any depth and a
-// queue in steady state reuses its backing array.
+// pktFIFO is a queue of packets in a ring whose length is zero or a
+// power of two, so push and pop are O(1) with no compaction.
 type pktFIFO struct {
 	buf  []*Packet
-	head int
+	head int // index of the oldest packet
+	n    int // packets queued
 }
 
-func (f *pktFIFO) len() int { return len(f.buf) - f.head }
+// len, peek and at return the count, the oldest packet and the i-th
+// oldest, 0 <= i < len().
+func (f *pktFIFO) len() int         { return f.n }
+func (f *pktFIFO) peek() *Packet    { return f.buf[f.head] }
+func (f *pktFIFO) at(i int) *Packet { return f.buf[(f.head+i)&(len(f.buf)-1)] }
 
-// live returns the queued packets, oldest first. The slice aliases the
-// queue and is invalidated by the next push or pop.
-func (f *pktFIFO) live() []*Packet { return f.buf[f.head:] }
-
-func (f *pktFIFO) push(p *Packet) { f.buf = append(f.buf, p) }
+func (f *pktFIFO) push(p *Packet) {
+	if f.n == len(f.buf) {
+		ring := make([]*Packet, max(2*len(f.buf), 8))
+		k := copy(ring, f.buf[f.head:])
+		copy(ring[k:], f.buf[:f.head])
+		f.buf, f.head = ring, 0
+	}
+	f.buf[(f.head+f.n)&(len(f.buf)-1)] = p
+	f.n++
+}
 
 // pop removes and returns the oldest packet; the queue must not be
 // empty.
 func (f *pktFIFO) pop() *Packet {
 	p := f.buf[f.head]
 	f.buf[f.head] = nil
-	f.head++
-	if f.head*2 >= len(f.buf) {
-		n := copy(f.buf, f.buf[f.head:])
-		clear(f.buf[n:])
-		f.buf = f.buf[:n]
-		f.head = 0
-	}
+	f.head = (f.head + 1) & (len(f.buf) - 1)
+	f.n--
 	return p
 }
 
@@ -332,17 +324,11 @@ type Link struct {
 	down      bool
 	held      []*Packet // parked by HoldOnDown, FIFO
 
-	// In-flight pipe: packets past serialization, awaiting delivery.
-	// Constant-delay deliveries fire in depart order, so the pipe is a
-	// FIFO serviced by one timer per link and the scheduler heap stays
-	// O(links) no matter how deep the pipe is — a gigabyte-BDP
-	// interplanetary link holds hundreds of thousands of packets in
-	// flight, and a per-packet heap entry for each would dominate the
-	// simulation. Non-monotone deliveries (reorder extra delay, a
-	// config change that shortened Delay mid-flight) fall back to
-	// per-packet events.
+	// In-flight pipe: packets past serialization, awaiting delivery in
+	// depart order, served by one timer, so the scheduler's heap stays
+	// O(links) however deep the pipe (a gigabyte-BDP interplanetary link
+	// holds hundreds of thousands of packets in flight).
 	transit  pktFIFO
-	lastDue  sim.Time
 	delTimer *sim.Timer
 
 	Stats LinkStats
@@ -441,9 +427,8 @@ func (l *Link) shrinkToLimit() {
 		l.net.tracer.PacketDropped(l.label, "shrink", pkt.Payload)
 		l.net.putPacket(pkt)
 	}
-	q := l.q.live()
-	for i := len(q) - 1; i >= 0 && l.queued+len(l.held) > limit; i-- {
-		pkt := q[i]
+	for i := l.q.len() - 1; i >= 0 && l.queued+len(l.held) > limit; i-- {
+		pkt := l.q.at(i)
 		if pkt.shed {
 			continue
 		}
@@ -499,57 +484,39 @@ func (l *Link) QueueLen() int { return l.queued }
 // It returns ErrTooBig for oversize payloads; queue overflow is not an
 // error (the packet is silently dropped and counted), matching real
 // datagram semantics.
-func (l *Link) Send(payload []byte) error {
-	return l.send(payload, l.to.id)
-}
+func (l *Link) Send(payload []byte) error { return SendVia(l, l.to, payload) }
 
 // SendRef enqueues a pooled buffer with no copy. The caller's
 // reference count transfers to the link — including on drop and error
 // returns — so a caller that needs the buffer afterwards must Retain
 // before sending. The bytes must not be mutated once sent (the buffer
 // may be shared; see Packet).
-func (l *Link) SendRef(ref *buf.Ref) error {
-	return l.sendRef(ref, l.to.id)
-}
+func (l *Link) SendRef(ref *buf.Ref) error { return SendRefVia(l, l.to, ref) }
 
-// send is the copying transmission path: one copy, caller's slice to
-// pooled buffer. finalTo is the ultimate destination recorded in the
-// packet, which routers use to select the next hop (it may differ from
-// l.to when the packet is mid-route).
-func (l *Link) send(payload []byte, finalTo NodeID) error {
+// admit is the one entry to the link for a packet, sent or routed. It
+// owns pkt on every path, and recycles it on a rejection or a drop.
+func (l *Link) admit(pkt *Packet) error {
+	payload := pkt.Payload
 	if l.cfg.MTU > 0 && len(payload) > l.cfg.MTU {
 		l.Stats.Rejected++
-		return fmt.Errorf("%w: %d > %d", ErrTooBig, len(payload), l.cfg.MTU)
-	}
-	ref := l.net.pool.Get(len(payload))
-	copy(ref.Bytes(), payload)
-	return l.sendRef(ref, finalTo)
-}
-
-// sendRef is the common transmission path; it owns ref's count.
-func (l *Link) sendRef(ref *buf.Ref, finalTo NodeID) error {
-	payload := ref.Bytes()
-	if l.cfg.MTU > 0 && len(payload) > l.cfg.MTU {
-		l.Stats.Rejected++
-		ref.Release()
+		l.net.putPacket(pkt)
 		return fmt.Errorf("%w: %d > %d", ErrTooBig, len(payload), l.cfg.MTU)
 	}
 	if l.down && l.cfg.OnDown == DropOnDown {
 		l.Stats.DownDrops++
 		l.net.tracer.PacketDropped(l.label, "down", payload)
-		ref.Release()
+		l.net.putPacket(pkt)
 		return nil
 	}
 	if l.cfg.QueueLimit > 0 && l.queued+len(l.held) >= l.cfg.QueueLimit {
 		l.Stats.QueueDrops++
 		l.net.tracer.PacketDropped(l.label, "queue", payload)
-		ref.Release()
+		l.net.putPacket(pkt)
 		return nil
 	}
 	l.Stats.Sent++
 	l.Stats.SentBytes += int64(len(payload))
-	pkt := l.net.getPacket()
-	pkt.From, pkt.To, pkt.Payload, pkt.ref, pkt.link = l.from.id, finalTo, payload, ref, l
+	pkt.From, pkt.link = l.from.id, l
 	if l.down {
 		l.hold(pkt)
 		return nil
@@ -565,7 +532,7 @@ func (l *Link) sendRef(ref *buf.Ref, finalTo NodeID) error {
 func onDepart(arg any) {
 	l := arg.(*Link)
 	now := l.net.Sched.Now()
-	for l.q.len() > 0 && l.q.live()[0].due <= now {
+	for l.q.len() > 0 && l.q.peek().due <= now {
 		if pkt := l.q.pop(); pkt.shed {
 			l.net.putPacket(pkt) // its accounting and drop event settled at shrink time
 		} else {
@@ -574,7 +541,7 @@ func onDepart(arg any) {
 		}
 	}
 	if l.q.len() > 0 {
-		l.depTimer.Reset(l.q.live()[0].due.Sub(now))
+		l.depTimer.Reset(l.q.peek().due.Sub(now))
 	}
 }
 
@@ -650,30 +617,38 @@ func (l *Link) depart(pkt *Packet) {
 		// deliveries read it immutably. (pkt's own delivery has not fired
 		// yet — the scheduler is single-threaded — so the retain is safe.)
 		dup := l.net.getPacket()
-		dup.From, dup.To, dup.Corrupted = pkt.From, pkt.To, pkt.Corrupted
+		*dup = *pkt
 		dup.ref = pkt.ref.Retain()
-		dup.Payload, dup.link = pkt.Payload, l
 		l.Stats.Dups++
 		l.schedDeliver(dup, l.cfg.Delay)
 	}
 }
 
-// deliverCB hands a packet to its destination node, then recycles it.
-// Static so schedDeliver's out-of-order deliveries take a pooled event.
+// deliverCB hands a packet to its node's router or handler. Static so
+// schedDeliver's out-of-order deliveries take a pooled event.
 func deliverCB(arg any) {
 	pkt := arg.(*Packet)
-	l := pkt.link
+	l, to := pkt.link, pkt.link.to
 	l.Stats.Delivered++
 	l.Stats.DeliveredBytes += int64(len(pkt.Payload))
 	l.net.tracer.PacketDelivered(l.label, pkt.Payload, pkt.delay)
-	l.to.deliver(pkt)
+	switch {
+	case to.router != nil:
+		to.router.forward(pkt)
+		return
+	case to.handler != nil:
+		to.handler(pkt)
+	default:
+		to.Stats.Undelivered++
+		to.Stats.UndeliveredBytes += int64(len(pkt.Payload))
+	}
 	l.net.putPacket(pkt)
 }
 
 func (l *Link) schedDeliver(pkt *Packet, delay sim.Duration) {
 	pkt.link, pkt.delay = l, delay
 	due := l.net.Sched.Now().Add(delay)
-	if l.transit.len() > 0 && due < l.lastDue {
+	if n := l.transit.len(); n > 0 && due < l.transit.at(n-1).due {
 		// Out of order with the pipe (reorder extra delay, or the
 		// configured Delay shrank under in-flight traffic): a
 		// per-packet event preserves its earlier arrival.
@@ -681,25 +656,22 @@ func (l *Link) schedDeliver(pkt *Packet, delay sim.Duration) {
 		return
 	}
 	pkt.due = due
-	l.lastDue = due
 	l.transit.push(pkt)
 	if !l.delTimer.Active() {
 		l.delTimer.Reset(delay)
 	}
 }
 
-// onDeliver drains the head of the in-flight FIFO: every packet whose
-// delivery time has arrived, in depart order, then re-arms for the
-// next. Handlers may send on this same link during the loop; the
-// bounds are re-read every iteration so their packets just extend the
-// pipe.
+// onDeliver drains the head of the in-flight FIFO as onDepart drains
+// the departure queue. Handlers may send on this same link during the
+// loop: their packets just extend the pipe.
 func (l *Link) onDeliver() {
 	now := l.net.Sched.Now()
-	for l.transit.len() > 0 && l.transit.live()[0].due <= now {
+	for l.transit.len() > 0 && l.transit.peek().due <= now {
 		deliverCB(l.transit.pop())
 	}
 	if l.transit.len() > 0 {
-		l.delTimer.Reset(l.transit.live()[0].due.Sub(now))
+		l.delTimer.Reset(l.transit.peek().due.Sub(now))
 	}
 }
 
@@ -750,9 +722,8 @@ func (l *Link) corrupt(pkt *Packet, rnd *sim.Rand) {
 }
 
 // Router builds a node that forwards packets toward destinations over
-// per-destination output links, modeling a shared bottleneck. Routes are
-// matched on the packet's To field after re-addressing: the router
-// forwards the payload unchanged onto the configured output link.
+// per-destination output links, modeling a shared bottleneck: it hands
+// each packet itself on by its To field. Its node takes no handler.
 type Router struct {
 	Node   *Node
 	routes []*Link // by destination NodeID; nil where there is no route
@@ -762,15 +733,13 @@ type Router struct {
 
 // NewRouter creates a router node.
 func (n *Network) NewRouter(name string) *Router {
-	r := &Router{}
-	r.Node = n.NewNode(name)
-	r.Node.SetHandler(r.forward)
+	r := &Router{Node: n.NewNode(name)}
+	r.Node.router = r
 	return r
 }
 
-// AddRoute forwards packets destined (after this hop) for dst onto out.
-// The out link's To node need not be dst: multi-hop routes chain
-// routers.
+// AddRoute forwards packets destined (after this hop) for dst onto out,
+// whose To node need not be dst: multi-hop routes chain routers.
 func (r *Router) AddRoute(dst *Node, out *Link) {
 	if n := int(dst.id) + 1; n > len(r.routes) {
 		r.routes = append(r.routes, make([]*Link, n-len(r.routes))...)
@@ -778,22 +747,20 @@ func (r *Router) AddRoute(dst *Node, out *Link) {
 	r.routes[dst.id] = out
 }
 
+// forward hands the packet itself on toward its To field, the final
+// destination (set by SendVia), so multi-hop routes chain.
 func (r *Router) forward(p *Packet) {
-	// The packet's To field carries the final destination (set by
-	// SendVia or a previous router hop), so multi-hop routes chain
-	// naturally. The packet's own reference moves to the next hop, which
-	// consumes it on every path, so a multi-hop path copies zero times.
 	var out *Link
 	if int(p.To) < len(r.routes) {
 		out = r.routes[p.To]
 	}
 	if out == nil {
 		r.Unrouted++
+		r.Node.net.putPacket(p)
 		return
 	}
-	ref := p.ref
-	p.ref = nil // nothing left for deliverCB's putPacket to release
-	_ = out.sendRef(ref, p.To)
+	p.Corrupted = false
+	_ = out.admit(p)
 }
 
 // SendVia sends payload to final destination dst through a first-hop
@@ -801,11 +768,15 @@ func (r *Router) forward(p *Packet) {
 // destination so each router on the path can look up its route. The
 // payload is copied once into a pooled buffer.
 func SendVia(first *Link, dst *Node, payload []byte) error {
-	return first.send(payload, dst.id)
+	ref := first.net.pool.Get(len(payload))
+	copy(ref.Bytes(), payload)
+	return SendRefVia(first, dst, ref)
 }
 
 // SendRefVia is SendVia for a pooled buffer: no copy, the caller's
 // reference transfers to the network (see Link.SendRef).
 func SendRefVia(first *Link, dst *Node, ref *buf.Ref) error {
-	return first.sendRef(ref, dst.id)
+	pkt := first.net.getPacket()
+	pkt.To, pkt.Payload, pkt.ref = dst.id, ref.Bytes(), ref
+	return first.admit(pkt)
 }

@@ -349,10 +349,11 @@ func TestRouterMultiHop(t *testing.T) {
 	}
 }
 
-// The router moves the packet's one reference on to the next hop: the
-// buffer it queues there is not shared, the delivery that called it has
-// nothing left to release, and the path ends with the buffer back in
-// the pool, taken once and put once.
+// The router hands the delivered packet itself on to the next hop: the
+// far node's handler sees the *Packet the first hop carried, with the
+// same unshared buffer, and with Corrupted reset, since damage is the
+// first hop's. The path ends with the buffer back in the pool, taken
+// once and put once.
 func TestRouterHandsBufferOn(t *testing.T) {
 	s := sim.NewScheduler()
 	n := New(s, 1)
@@ -360,27 +361,74 @@ func TestRouterHandsBufferOn(t *testing.T) {
 	n.SetPool(pool)
 	src, dst := n.NewNode("src"), n.NewNode("dst")
 	r := n.NewRouter("r")
-	up := n.NewLink(src, r.Node, LinkConfig{})
+	up := n.NewLink(src, r.Node, LinkConfig{BitErrorRate: 1})
 	r.AddRoute(dst, n.NewLink(r.Node, dst, LinkConfig{}))
-	var ref *buf.Ref
-	r.Node.SetHandler(func(p *Packet) {
-		ref = p.ref
-		r.forward(p)
-		if p.ref != nil || ref.Shared() {
-			t.Error("the router kept a reference to the buffer it forwarded")
-		}
-	})
-	dst.SetHandler(func(p *Packet) {
-		if p.ref != ref {
-			t.Error("the next hop got another buffer")
-		}
-	})
-	if err := SendVia(up, dst, []byte("x")); err != nil {
+	if err := SendVia(up, dst, []byte("hello")); err != nil {
 		t.Fatal(err)
 	}
+	carried := up.q.peek()
+	ref := carried.ref
+	got := 0
+	dst.SetHandler(func(p *Packet) {
+		got++
+		if p != carried || p.ref != ref || ref.Shared() {
+			t.Error("the next hop got another packet or buffer")
+		}
+		if p.Corrupted || p.From != r.Node.id {
+			t.Errorf("forwarded packet: Corrupted %v, From %d; want false, %d", p.Corrupted, p.From, r.Node.id)
+		}
+	})
 	s.Run()
+	if got != 1 || up.Stats.Corrupted != 1 {
+		t.Fatalf("delivered %d, corrupted %d; want 1 and 1", got, up.Stats.Corrupted)
+	}
 	if st := pool.Stats(); st.Gets != 1 || st.Puts != 1 {
 		t.Errorf("pool gets %d, puts %d; want 1 and 1", st.Gets, st.Puts)
+	}
+}
+
+// A routed packet dropped at the router — no route, the next hop down,
+// its queue full, or too big for it — has its buffer released exactly
+// once: the pool has as many back as it handed out.
+func TestRouterDropsReleaseOnce(t *testing.T) {
+	for _, c := range []struct {
+		name  string
+		cfg   LinkConfig
+		down  bool
+		route bool
+		count func(*Link, *Router) int64
+	}{
+		{"unrouted", LinkConfig{}, false, false, func(_ *Link, r *Router) int64 { return r.Unrouted }},
+		{"down", LinkConfig{}, true, true, func(l *Link, _ *Router) int64 { return l.Stats.DownDrops }},
+		{"queue", LinkConfig{RateBps: 1e3, QueueLimit: 1}, false, true, func(l *Link, _ *Router) int64 { return l.Stats.QueueDrops }},
+		{"mtu", LinkConfig{MTU: 4}, false, true, func(l *Link, _ *Router) int64 { return l.Stats.Rejected }},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			s := sim.NewScheduler()
+			n := New(s, 1)
+			pool := buf.NewPool()
+			n.SetPool(pool)
+			src, dst := n.NewNode("src"), n.NewNode("dst")
+			r := n.NewRouter("r")
+			up := n.NewLink(src, r.Node, LinkConfig{})
+			out := n.NewLink(r.Node, dst, c.cfg)
+			if c.route {
+				r.AddRoute(dst, out)
+			}
+			out.SetDown(c.down)
+			for i := 0; i < 3; i++ {
+				if err := SendVia(up, dst, []byte("hello")); err != nil {
+					t.Fatal(err)
+				}
+			}
+			s.Run()
+			if got := c.count(out, r); got < 1 {
+				t.Errorf("no %s drop counted", c.name)
+			}
+			if st := pool.Stats(); st.Gets != 3 || st.Puts != 3 {
+				t.Errorf("pool gets %d, puts %d; want 3 and 3", st.Gets, st.Puts)
+			}
+		})
 	}
 }
 

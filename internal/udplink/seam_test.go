@@ -371,8 +371,8 @@ func TestLinkDropsTrains(t *testing.T) {
 // goroutines, the receive ring (the reader reads into a buffer, the
 // loop dispatches it and puts it back), around many times on each
 // path, under -race in `make race`: every datagram arrives intact, and
-// the pool hands out nothing for receiving beyond the rings NewLink
-// filled.
+// the pool hands out nothing for receiving beyond the rings, which start
+// at batch buffers and grow to ringDepth at most.
 func TestReceiveRingRecycles(t *testing.T) {
 	for _, path := range bothPaths {
 		t.Run(path.name, func(t *testing.T) {
@@ -401,8 +401,8 @@ func TestReceiveRingRecycles(t *testing.T) {
 				})
 				runUntil(t, clk, "a round", func() bool { return got == (r+1)*perRound })
 			}
-			if gets := pool.Stats().Gets; gets != 2*ringDepth+rounds*perRound {
-				t.Errorf("the pool handed out %d buffers, want %d for the rings and %d for the sends", gets, 2*ringDepth, rounds*perRound)
+			if rings := pool.Stats().Gets - rounds*perRound; rings < 2*batch || rings > 2*ringDepth {
+				t.Errorf("the pool handed out %d buffers for the rings, want %d to %d", rings, 2*batch, 2*ringDepth)
 			}
 		})
 	}

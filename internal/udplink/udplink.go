@@ -66,11 +66,11 @@ const inboxDepth = 512
 // (trains of up to 64 datagrams) one system call reads or writes on the
 // batch path. A flush of more than that takes several calls. The
 // portable path moves one datagram per call. A reader keeps batch
-// receive buffers posted, and as many more can be in the inbox or
-// being dispatched, so a batch-path link's ring of ringDepth buffers
-// holds 4 MiB of pool memory while its socket is open; a peer that
-// does not send trains fills each with one datagram, which is why the
-// vector stays this long.
+// receive buffers posted, and as many more can be in the inbox or being
+// dispatched, so a link's ring starts at batch buffers and grows, when
+// the reader runs dry, to ringDepth: 4 MiB of pool memory on the batch
+// path; a peer that does not send trains fills each with one datagram,
+// which is why the vector stays this long.
 const (
 	maxDatagram = 2048
 	batch       = 32
@@ -144,7 +144,7 @@ func (c *Clock) NewLink(conn net.PacketConn, peer net.Addr) *Link {
 	if l.io = newMmsgIO(conn, peer, l); l.io == nil {
 		l.io = &connIO{conn: conn, peer: peer, l: l}
 	}
-	for range ringDepth {
+	for range batch {
 		l.bufs = append(l.bufs, c.cfg.Pool.Get(l.rxSize))
 		l.rx <- l.bufs[len(l.bufs)-1]
 	}
@@ -210,10 +210,11 @@ func (c *Clock) Run(done func() bool) {
 }
 
 // dispatch hands each datagram of one message to its link's handler,
-// in order, and puts the buffer back in the ring (a reader's last
-// arrival gives the ring back to the pool). A datagram's slice ends
-// where the next starts, capacity included, so a handler that appends
-// to it gets a copy and leaves the neighbour alone.
+// in order, and puts the buffer back in the ring, and one more if it
+// was empty (a reader's last arrival gives the ring back to the pool).
+// A datagram's slice ends where the next starts, capacity included, so
+// a handler that appends to it gets a copy and leaves the neighbour
+// alone.
 func (c *Clock) dispatch(a arrival) {
 	if a.ref == nil {
 		for _, ref := range a.link.bufs {
@@ -234,6 +235,10 @@ func (c *Clock) dispatch(a arrival) {
 		if b = b[k:]; len(b) == 0 {
 			break
 		}
+	}
+	if l := a.link; len(l.rx) == 0 && len(l.bufs) < ringDepth {
+		l.bufs = append(l.bufs, c.cfg.Pool.Get(l.rxSize)) // the reader ran dry
+		l.rx <- l.bufs[len(l.bufs)-1]
 	}
 	a.link.rx <- a.ref
 }

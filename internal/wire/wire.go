@@ -199,8 +199,20 @@ func PutHeader(buf []byte, h *Header) {
 	binary.BigEndian.PutUint32(buf[24:28], uint32(h.FragOff))
 	binary.BigEndian.PutUint16(buf[28:30], uint16(h.FragLen))
 	binary.BigEndian.PutUint16(buf[30:32], h.ADUCheck)
-	buf[32], buf[33] = 0, 0
-	binary.BigEndian.PutUint16(buf[32:34], checksum.Sum16(buf[:HeaderSize]))
+	// Summed from the fields, since loads of the bytes just stored would
+	// wait for the stores: 16-bit words add up as the 32-bit halves do.
+	binary.BigEndian.PutUint16(buf[32:34], ^checksum.Fold(uint64(TypeData)<<8+uint64(h.Stream)+
+		h.Name>>32+h.Name&0xffffffff+h.Tag>>32+h.Tag&0xffffffff+uint64(h.Syntax)<<8+uint64(h.Flags)+
+		uint64(uint32(h.TotalLen))+uint64(uint32(h.FragOff))+uint64(uint16(h.FragLen))+uint64(h.ADUCheck)))
+}
+
+// headerSum is Fold(Accumulate) of a DATA header, summed as the fixed
+// shape it is: four little-endian words and a half-word in a Wide.
+func headerSum(b []byte) uint16 {
+	b = b[:HeaderSize:HeaderSize]
+	acc := checksum.Wide{}.Add4(binary.LittleEndian.Uint64(b[0:]), binary.LittleEndian.Uint64(b[8:]),
+		binary.LittleEndian.Uint64(b[16:]), binary.LittleEndian.Uint64(b[24:]))
+	return uint16(acc.Add(uint64(binary.LittleEndian.Uint16(b[32:]))).Sum())
 }
 
 // ParseHeader decodes and verifies a DATA fragment header: checksum,
@@ -227,7 +239,7 @@ func checkHeader(pkt []byte) (Header, string) {
 	if len(pkt) < HeaderSize {
 		return Header{}, "short packet"
 	}
-	if !checksum.Verify16(pkt[:HeaderSize]) {
+	if headerSum(pkt) != 0xffff {
 		return Header{}, "header checksum"
 	}
 	if Type(pkt[0]) != TypeData {

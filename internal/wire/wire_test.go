@@ -1,10 +1,13 @@
 package wire
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"math"
+	"math/rand"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -180,6 +183,67 @@ func TestParseHeaderRejects(t *testing.T) {
 	seg[OTPHeaderSize] ^= 1
 	if h, err := ParseOTP(seg); err != ErrOTPChecksum || h.Conn != 9 {
 		t.Errorf("damaged segment: conn %d, err = %v", h.Conn, err)
+	}
+}
+
+// The fixed-width header sums are the general one, bit for bit:
+// headerSum folds to ^Sum16, and says valid exactly where Verify16 does,
+// for random headers, all-ones words, words whose sum carries out of
+// bit 63 many times over, and every header with its checksum stamped;
+// and PutHeader, which sums the fields, stamps what Sum16 of the bytes
+// it wrote gives, for random fields and all-ones ones.
+func TestHeaderSumMatchesSum16(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	ones := Header{Stream: 0xff, Name: math.MaxUint64, Tag: math.MaxUint64, Syntax: 0xff, Flags: 0xff,
+		TotalLen: -1, FragOff: -1, FragLen: 0xffff, ADUCheck: 0xffff}
+	for i := range 10001 {
+		h := ones
+		if i > 0 {
+			h = Header{Stream: byte(rng.Uint32()), Name: rng.Uint64(), Tag: rng.Uint64(), Syntax: xcode.SyntaxID(rng.Uint32()),
+				Flags: Flags(rng.Uint32()), TotalLen: int(rng.Int31()), FragOff: int(rng.Int31()), FragLen: rng.Intn(1 << 16),
+				ADUCheck: uint16(rng.Uint32())}
+		}
+		b := make([]byte, HeaderSize)
+		PutHeader(b, &h)
+		want := slices.Clone(b)
+		want[32], want[33] = 0, 0
+		binary.BigEndian.PutUint16(want[32:], checksum.Sum16(want))
+		if !bytes.Equal(b, want) {
+			t.Fatalf("%+v: PutHeader wrote %x, want %x", h, b, want)
+		}
+	}
+	var cases [][]byte
+	for _, w := range []uint64{0, 1, 0xff, 0x8000000000000000, 0xfffffffffffffffe, math.MaxUint64} {
+		b := make([]byte, HeaderSize)
+		for i := 0; i+8 <= HeaderSize; i += 8 {
+			binary.LittleEndian.PutUint64(b[i:], w)
+		}
+		binary.LittleEndian.PutUint16(b[32:], uint16(w))
+		cases = append(cases, b)
+	}
+	for range 10000 {
+		b := make([]byte, HeaderSize)
+		rng.Read(b)
+		if rng.Intn(4) == 0 {
+			for i := range b[:32] {
+				b[i] |= 0x80 // every word's top bit set: each add carries
+			}
+		}
+		cases = append(cases, b)
+	}
+	for _, b := range cases {
+		if got, want := headerSum(b), ^checksum.Sum16(b); got != want {
+			t.Fatalf("header %x: sum %#04x, want %#04x", b, got, want)
+		}
+		if (headerSum(b) == 0xffff) != checksum.Verify16(b) {
+			t.Fatalf("header %x: verdict differs from Verify16", b)
+		}
+		h := b[:HeaderSize:HeaderSize]
+		h[32], h[33] = 0, 0
+		binary.BigEndian.PutUint16(h[32:], ^headerSum(h))
+		if !checksum.Verify16(h) || headerSum(h) != 0xffff {
+			t.Fatalf("header %x: its stamped checksum does not verify", h)
+		}
 	}
 }
 

@@ -69,8 +69,18 @@ var mutants = []mutant{
 		old: "case left == 0:", new: "case left <= 1:",
 		pkg: "./internal/buf", run: "^TestRetainDelaysRecycle$"},
 	{name: "departure drained before its txEnd", file: "internal/netsim/netsim.go",
-		old: "for l.q.len() > 0 && l.q.live()[0].due <= now {", new: "for l.q.len() > 0 {",
+		old: "for l.q.len() > 0 && l.q.peek().due <= now {", new: "for l.q.len() > 0 {",
 		pkg: "./internal/netsim", run: "^TestBackToBackPacketsQueue$"},
+	// Per-fragment control without maps, copies or re-zeroing (item 26).
+	{name: "placement bit one off", file: "internal/core/receiver.go",
+		old: "p.got[off>>9] |= 1 << (off >> 3 & 63)", new: "p.got[off>>9] |= 2 << (off >> 3 & 63)",
+		pkg: "./internal/core", run: "^TestPlacementMatchesModel$"},
+	{name: "ring pop without its wrap mask", file: "internal/netsim/netsim.go",
+		old: "f.head = (f.head + 1) & (len(f.buf) - 1)", new: "f.head = f.head + 1",
+		pkg: "./internal/netsim", run: "^TestPktFIFO$"},
+	{name: "routed packet keeps Corrupted", file: "internal/netsim/netsim.go",
+		old: "\tp.Corrupted = false\n\t_ = out.admit(p)", new: "\t_ = out.admit(p)",
+		pkg: "./internal/netsim", run: "^TestRouterHandsBufferOn$"},
 	// A count past 2^31 is negative where int has 32 bits (ROADMAP 24).
 	{name: "raw seq count not checked for n < 0", file: "internal/xcode/rawlwts.go",
 		old: "if n < 0 || n > len(src) {", new: "if n > len(src) {",
