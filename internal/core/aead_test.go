@@ -434,12 +434,12 @@ func capturingSender(t *testing.T, cfg Config, pkts *[][]byte) *Sender {
 	return snd
 }
 
-// Every tag the sender emits is the one a fresh MAC gives — initTagMAC
-// at the fragment's counter, Update over its ciphertext, Sum — whether
-// its last chunk was folded by its own kernel calls, carried by the
-// sender's chain into the next fragment's first call, or left to the
-// flush after the last fragment, and whichever lane of its run's calls
-// its tag key and head came from. Every data fragment's ciphertext is
+// Every tag the sender emits is the one a fresh MAC gives — keyed by
+// cipher.TagKey at the fragment's counter, Update over its ciphertext,
+// Sum — whether its last chunk was folded by its own kernel calls,
+// carried by the sender's chain into the next fragment's first call, or
+// left to the flush after the last fragment, and whichever lane of its
+// run's calls its tag key and head came from. Every data fragment's ciphertext is
 // also the plaintext under the keystream cipher.XORKeyStream makes,
 // which knows nothing of lanes or heads. ADU lengths run over every byte
 // count from 0 to three fragments and 64 bytes, and then on past the
@@ -475,8 +475,9 @@ func TestSealChainTags(t *testing.T) {
 					ctr = tagCtrParity
 				}
 				ct := pkt[HeaderSize : HeaderSize+h.FragLen]
-				var mac cipher.MAC
-				initTagMAC(&mac, &snd.cfg.aeadKey, &nonce, ctr+uint32(h.FragOff/8))
+				var otk [32]byte
+				cipher.TagKey(&snd.cfg.aeadKey, &nonce, ctr+uint32(h.FragOff/8), &otk)
+				mac := cipher.NewMAC(&otk)
 				mac.Update(ct)
 				if !mac.Verify(pkt[HeaderSize+h.FragLen:]) {
 					t.Fatalf("fec=%d %s of ADU %d (%d bytes): wrong tag on fragment off=%d len=%d parity=%v",
@@ -528,11 +529,13 @@ func TestSealChainTags(t *testing.T) {
 // delivered interleaved fragment by fragment, the second in reverse,
 // with duplicates and a whole resend mixed in; and then an
 // ADU from a sender of the same stream whose fragments are half the
-// receiver's, so that every other one starts at an offset that is no
-// whole number of the receiver's fragments and opens the scalar way.
+// receiver's, so that none of them lies on the receiver's grid: every
+// other one starts at an offset that is no whole number of the
+// receiver's fragments, and the rest are too short for theirs.
 // The resend is of the second ADU, two thirds of the way into it, so it
-// both completes that ADU and duplicates what came before. Every ADU
-// arrives intact, and no tag fails.
+// both completes that ADU and duplicates what came before. Every ADU of
+// the receiver's grid arrives intact, every fragment of the other is
+// refused as inconsistent, and no tag fails.
 func TestReceiverLanesAnyOrder(t *testing.T) {
 	cfg := aeadCfg()
 	cfg.Policy = SenderBuffered
@@ -570,22 +573,21 @@ func TestReceiverLanesAnyOrder(t *testing.T) {
 	}
 	order = append(order, adus[1][0], adus[2][len(adus[2])-1]) // late duplicates
 
-	// The other sender makes names 0-2 too; its name 3 is what it sends.
+	// The other sender makes names 0-2 too; its name 3 is what it sends,
+	// twenty fragments, the last of them 96 bytes at an odd one's offset.
 	half := cfg
 	half.MTU = HeaderSize + frag/2 + wire.TagSize
 	var other [][]byte
 	osnd := capturingSender(t, half, &other)
-	datas = append(datas, payload(9*frag+200, 0x5A))
 	for name := 0; name < 4; name++ {
 		other = other[:0]
-		if _, err := osnd.Send(uint64(name), xcode.SyntaxRaw, datas[3]); err != nil {
+		if _, err := osnd.Send(uint64(name), xcode.SyntaxRaw, payload(9*frag+600, 0x5A)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if osnd.cfg.fragPayload() != frag/2 || len(other) < 19 {
+	if osnd.cfg.fragPayload() != frag/2 || len(other) != 20 {
 		t.Fatalf("the other sender's fragments are %d bytes, %d of them", osnd.cfg.fragPayload(), len(other))
 	}
-	order = append(order, other...)
 
 	rcv, err := NewReceiver(sim.NewScheduler(), nil, cfg)
 	if err != nil {
@@ -601,8 +603,14 @@ func TestReceiverLanesAnyOrder(t *testing.T) {
 			t.Fatalf("packet %d of %d refused: %v", i, len(order), err)
 		}
 	}
-	if rcv.Stats.AuthFails != 0 || len(got) != len(datas) {
-		t.Fatalf("%d ADUs delivered of %d, %d tags failed", len(got), len(datas), rcv.Stats.AuthFails)
+	for i, p := range other {
+		if err := rcv.HandlePacket(p); !errors.Is(err, ErrInconsistent) {
+			t.Fatalf("the other sender's fragment %d: %v, want ErrInconsistent", i, err)
+		}
+	}
+	if rcv.Stats.AuthFails != 0 || len(got) != len(datas) || rcv.Stats.Inconsistent != int64(len(other)) {
+		t.Fatalf("%d ADUs delivered of %d, %d tags failed, %d fragments refused as inconsistent",
+			len(got), len(datas), rcv.Stats.AuthFails, rcv.Stats.Inconsistent)
 	}
 	for name, want := range datas {
 		if !bytes.Equal(got[uint64(name)], want) {

@@ -137,12 +137,14 @@ func (a *ADU) Release() {
 
 // Errors. Test with errors.Is.
 var (
-	ErrADUTooLarge  = errors.New("alf: ADU exceeds MaxADU")
-	ErrBufferLimit  = errors.New("alf: sender retention buffer full")
-	ErrBadHeader    = wire.ErrBadHeader
-	ErrWrongStream  = errors.New("alf: fragment for another stream")
-	ErrMTUTooSmall  = errors.New("alf: MTU leaves no fragment payload")
-	ErrInconsistent = errors.New("alf: fragment disagrees with earlier fragments of the same ADU")
+	ErrADUTooLarge = errors.New("alf: ADU exceeds MaxADU")
+	ErrBufferLimit = errors.New("alf: sender retention buffer full")
+	ErrBadHeader   = wire.ErrBadHeader
+	ErrWrongStream = errors.New("alf: fragment for another stream")
+	ErrMTUTooSmall = errors.New("alf: MTU leaves no fragment payload")
+	// ErrInconsistent refuses, before it makes any state, a fragment off
+	// the stream's grid (Config) or at odds with earlier ones of its ADU.
+	ErrInconsistent = errors.New("alf: fragment off the stream's grid or disagreeing with earlier fragments of the same ADU")
 	// ErrConfig wraps every constructor-time configuration rejection,
 	// and SendClass's refusal of a sender whose SendRef is not set; the
 	// message names the offending field and value.
@@ -165,14 +167,18 @@ var (
 // astronomically large gap.
 const nameWindow = 1 << 20
 
-// Config parameterizes one stream. The same Config should be given to
-// both ends. Zero fields take defaults.
+// Config parameterizes one stream. Give both ends the same Config; MTU
+// and FECGroup they must share, as they fix the stream's grid: fragment
+// k of an ADU is the k-th fragment payload's worth (MTU), a parity
+// starts its FEC group, and a receiver refuses a fragment off the grid
+// (ErrInconsistent). Zero fields take defaults.
 type Config struct {
 	// StreamID demultiplexes streams sharing a node.
 	StreamID byte
 	// MTU is the maximum wire fragment size including the ALF header
-	// (default 1024+HeaderSize). The fragment payload is
-	// (MTU-HeaderSize) rounded down to a multiple of 8.
+	// (default 1024+HeaderSize). The fragment payload is MTU less
+	// HeaderSize and the suite's tag (wire.TagSize under SuiteAEAD),
+	// rounded down to a multiple of 8.
 	MTU int
 	// RateBps paces fragment emission (0 = unpaced). Rate negotiation
 	// is out-of-band by design (§3): call Sender.SetRate at any time.

@@ -146,9 +146,7 @@ var suites = [...]suiteOps{
 		sealParity: func(c *Config, name uint64, off int, blob []byte, n int) {
 			nonce := aeadNonce(c.StreamID, name)
 			c.ledger.tag(keyPrint(&c.aeadKey), &nonce, tagCtrParity, off, blob[:n])
-			var mac cipher.MAC
-			initTagMAC(&mac, &c.aeadKey, &nonce, tagCtrParity+uint32(off/8))
-			mac.Update(blob[:n])
+			mac := parityMAC(c, &nonce, off, blob[:n])
 			mac.Sum(blob[n : n+wire.TagSize])
 		},
 		// The plaintext lands in the reassembly buffer before the
@@ -167,9 +165,7 @@ var suites = [...]suiteOps{
 		},
 		openParity: func(c *Config, name uint64, off int, blob, tag []byte) bool {
 			nonce := aeadNonce(c.StreamID, name)
-			var mac cipher.MAC
-			initTagMAC(&mac, &c.aeadKey, &nonce, tagCtrParity+uint32(off/8))
-			mac.Update(blob)
+			mac := parityMAC(c, &nonce, off, blob)
 			return mac.Verify(tag)
 		},
 		rekey: func(c *Config, name uint64, off int, b []byte) {
@@ -194,11 +190,10 @@ var suites = [...]suiteOps{
 // comes sixteen blocks to a kernel call in the keystream loop; its data
 // tag key, and its head — the payload block it starts in, if it starts
 // mid-block — are lanes of its run's kernel calls (runLanes), at both
-// ends. Three stay out of the lanes and scalar: a data fragment at an
-// offset that is not a whole number of the receiver's fragments (a
-// sender with another MTU) makes its tag key and head one Block each, as
-// does a parity tag's key (one per FEC group), and FEC reconstruction's
-// rekey is the plain keystream loop, with no MAC and so no head.
+// ends, since every data fragment a receiver opens is on the stream's
+// grid. Two stay out of the lanes and scalar: a parity tag's key (one
+// Block per FEC group), and FEC reconstruction's rekey, the plain
+// keystream loop, with no MAC and so no head.
 const (
 	tagCtrData   = 1 << 30
 	tagCtrParity = 1 << 31
@@ -239,14 +234,15 @@ func flowKey(key uint64, id FlowID) uint64 {
 	return max(binary.LittleEndian.Uint64(blk[:8]), 1) // an enciphering suite's key is not zero
 }
 
-// initTagMAC keys mac with the fragment's one-time Poly1305 key, from
-// the ChaCha20 block at the given counter (RFC 8439 §2.6 shape, one key
-// per fragment instead of per message), a ready accumulator. Everything
-// stays on the stack: the per-fragment hot path allocates nothing.
-func initTagMAC(mac *cipher.MAC, key *cipher.Key, nonce *[cipher.NonceSize]byte, ctr uint32) {
+// parityMAC returns the Poly1305 MAC of the parity blob of ADU name at
+// off, fed the blob, its one-time key the ChaCha20 block at counter
+// tagCtrParity + off/8 (RFC 8439 §2.6 shape, one key per blob).
+func parityMAC(c *Config, nonce *[cipher.NonceSize]byte, off int, blob []byte) (mac cipher.MAC) {
 	var otk [32]byte
-	cipher.TagKey(key, nonce, ctr, &otk)
+	cipher.TagKey(&c.aeadKey, nonce, tagCtrParity+uint32(off/8), &otk)
 	mac.Init(&otk)
+	mac.Update(blob)
+	return mac
 }
 
 // runLanes holds the one-off ChaCha20 blocks a run of fragments needs
@@ -262,8 +258,9 @@ func initTagMAC(mac *cipher.MAC, key *cipher.Key, nonce *[cipher.NonceSize]byte,
 // fills it at each run's first fragment, the receiver at the first
 // fragment it sees of a run, and the rest of the run finds its lanes
 // there. A receiver whose fragments arrive in any other order refills
-// it, which costs one fill per fragment at most, as a fill covers at
-// most cipher.Lanes fragments whatever a header claims.
+// it, which costs one fill per fragment at most. A fragment's lanes
+// depend on its name and offset alone, so a fill covers every fragment
+// of its run on the grid that its ADU's length holds.
 type runLanes struct {
 	name      uint64
 	run       int
@@ -275,28 +272,19 @@ type runLanes struct {
 const noHead = 0xff
 
 // dataMAC keys mac as the data-tag MAC of the fragment of ADU name at
-// off, in an ADU of total bytes, and returns its head block (nil if it
-// starts on a block boundary), filling l with the fragment's run first
-// unless it holds it. A fragment at an offset that is not a whole number
-// of fragments makes both with Block instead, as does one whose header
-// puts it past the fragments its run's fill covered (at the ADU's end).
+// off, on the grid of an ADU of total bytes, and returns its head block
+// (nil if it starts on a block boundary), filling l with the fragment's
+// run first unless it holds the fragment.
 func (l *runLanes) dataMAC(c *Config, nonce *[cipher.NonceSize]byte, name uint64, off, total int, mac *cipher.MAC) *[cipher.BlockSize]byte {
 	fp := c.fragPayload()
-	if off%fp == 0 {
-		run, i := off/fp/cipher.Lanes, off/fp%cipher.Lanes
-		if l.n == 0 || l.name != name || l.run != run {
-			l.fill(c, nonce, name, run, total)
-		}
-		if i < l.n {
-			var head *[cipher.BlockSize]byte
-			if h := l.head[i]; h != noHead {
-				head = l.lane(h)
-			}
-			mac.Init((*[cipher.KeySize]byte)(l.lane(l.key[i])[:cipher.KeySize]))
-			return head
-		}
+	run, i := off/fp/cipher.Lanes, off/fp%cipher.Lanes
+	if l.n <= i || l.name != name || l.run != run {
+		l.fill(c, nonce, name, run, total)
 	}
-	initTagMAC(mac, &c.aeadKey, nonce, tagCtrData+uint32(off/8))
+	mac.Init((*[cipher.KeySize]byte)(l.lane(l.key[i])[:cipher.KeySize]))
+	if h := l.head[i]; h != noHead {
+		return l.lane(h)
+	}
 	return nil
 }
 

@@ -159,7 +159,8 @@ func TestReceiverMemoryBounded(t *testing.T) {
 }
 
 // TestInconsistentFragmentsRejected: fragments that disagree about the
-// ADU's shape must not corrupt reassembly.
+// ADU's shape, or lie off the stream's grid of 1 024-byte fragments,
+// must not corrupt reassembly.
 func TestInconsistentFragmentsRejected(t *testing.T) {
 	s := sim.NewScheduler()
 	rcv, _ := NewReceiver(s, nil, Config{})
@@ -170,17 +171,20 @@ func TestInconsistentFragmentsRejected(t *testing.T) {
 		wire.PutHeader(pkt, &h)
 		return pkt
 	}
-	if err := rcv.HandlePacket(mk(1000, 0, 100, 1)); err != nil {
+	if err := rcv.HandlePacket(mk(3000, 0, 1024, 1)); err != nil {
 		t.Fatal(err)
 	}
-	if err := rcv.HandlePacket(mk(2000, 104, 100, 1)); err == nil {
+	if err := rcv.HandlePacket(mk(4000, 1024, 1024, 1)); err == nil {
 		t.Error("total-length contradiction accepted")
 	}
-	if err := rcv.HandlePacket(mk(1000, 104, 100, 2)); err == nil {
+	if err := rcv.HandlePacket(mk(3000, 1024, 1024, 2)); err == nil {
 		t.Error("tag contradiction accepted")
 	}
-	if rcv.Stats.Inconsistent != 2 {
-		t.Errorf("Inconsistent = %d", rcv.Stats.Inconsistent)
+	if err := rcv.HandlePacket(mk(3000, 104, 100, 1)); err == nil {
+		t.Error("fragment off the grid accepted")
+	}
+	if rcv.Stats.Inconsistent != 3 || rcv.Stats.Fragments != 1 {
+		t.Errorf("Inconsistent = %d, Fragments = %d", rcv.Stats.Inconsistent, rcv.Stats.Fragments)
 	}
 }
 
@@ -211,6 +215,10 @@ func TestNameWindowRejectsImplausibleNames(t *testing.T) {
 	}
 }
 
+// corpusCfg is the stream of corpusPackets and of FuzzHandlePacket's
+// cleartext arm: 128-byte fragments in FEC groups of two.
+func corpusCfg() Config { return Config{MTU: 128 + HeaderSize, FECGroup: 2, MaxADU: 1 << 16} }
+
 // corpusPackets captures one real wire exchange as fuzz seeds: data
 // fragments, a heartbeat, and a control message.
 func corpusPackets() [][]byte {
@@ -219,7 +227,7 @@ func corpusPackets() [][]byte {
 	snd, _ := testSender(s, func(p []byte) error {
 		pkts = append(pkts, append([]byte(nil), p...))
 		return nil
-	}, Config{MTU: 128 + HeaderSize, FECGroup: 2})
+	}, corpusCfg())
 	snd.Send(3, xcode.SyntaxRaw, payload(300, 9))
 	pkts = append(pkts,
 		wire.EncodeHeartbeat(nil, 0, 4),
@@ -269,14 +277,35 @@ func FuzzHandlePacket(f *testing.F) {
 		f.Add(pkt, false)
 	}
 	f.Add([]byte{}, false)
+	// Off corpusCfg's grid: a fragment at half a fragment's offset, and a
+	// parity at a fragment that starts no FEC group.
+	for _, h := range []wire.Header{
+		{Name: 3, TotalLen: 300, FragOff: 64, FragLen: 128},
+		{Name: 3, Flags: wire.FlagParity, TotalLen: 300, FragOff: 128, FragLen: 128},
+	} {
+		pkt := make([]byte, HeaderSize+h.FragLen)
+		wire.PutHeader(pkt, &h)
+		f.Add(pkt, false)
+	}
 	data, sealed := aeadFuzzADU()
 	for _, pkt := range sealed {
 		f.Add(pkt, true)
 	}
 	f.Add(sealed[1][:len(sealed[1])-1], true)
+	// A sealed fragment of the same ADU from a sender of half the
+	// fragment size: genuine, and off the grid.
+	half := aeadFuzzCfg()
+	half.MTU = HeaderSize + 504 + wire.TagSize
+	var halves [][]byte
+	hs, _ := testSender(sim.NewScheduler(), func(p []byte) error {
+		halves = append(halves, append([]byte(nil), p...))
+		return nil
+	}, half)
+	hs.Send(1, xcode.SyntaxRaw, data)
+	f.Add(halves[1], true) // at offset 504
 	f.Fuzz(func(t *testing.T, pkt []byte, aead bool) {
 		s := sim.NewScheduler()
-		cfg := Config{MaxADU: 1 << 16, FECGroup: 4}
+		cfg := corpusCfg()
 		var genuine [][]byte // read only: a receiver never writes a packet
 		if aead {
 			cfg, genuine = aeadFuzzCfg(), sealed

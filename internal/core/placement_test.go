@@ -1,6 +1,7 @@
 package alf
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"slices"
@@ -12,23 +13,24 @@ import (
 	"repro/internal/xcode"
 )
 
-// modelADU is an ADU under reassembly in placeModel: the map from
-// fragment offset to length that the receiver kept before its bitset,
-// and FEC parities by offset.
+// modelADU is an ADU under reassembly in placeModel: the set of
+// fragment offsets placed, and FEC parities by offset. A fragment's
+// length is the grid's, so neither keeps one.
 type modelADU struct {
 	total    int
 	check    uint16
 	buf      []byte
-	got      map[int]int
+	got      map[int]bool
 	parities map[int][]byte
 	gotBytes int
 	sum      uint64
 }
 
 // placeModel is the receiver's data path for one cleartext stream under
-// NoRetransmit, written out plainly: late and duplicate filtering,
-// placement, FEC parity and reconstruction, completion and its
-// checksum, and a scan that gives up every unsettled name.
+// NoRetransmit, written out plainly: late filtering, refusal of what is
+// off the grid, duplicate filtering, placement, FEC parity and
+// reconstruction, completion and its checksum, and a scan that gives up
+// every unsettled name.
 type placeModel struct {
 	group, frag int // the receiver's FECGroup and fragment payload
 	cum, top    uint64
@@ -49,15 +51,21 @@ func (m *placeModel) handle(pkt []byte) {
 		m.stats.LateFragments++
 		return
 	}
+	parity := h.Flags&wire.FlagParity != 0
+	if h.FragOff%m.frag != 0 || h.FragLen != m.length(h.TotalLen, h.FragOff) || h.FragOff > 0 && h.FragOff == h.TotalLen ||
+		parity && (m.group == 0 || h.FragOff%(m.group*m.frag) != 0) {
+		m.stats.Inconsistent++
+		return
+	}
 	m.top = max(m.top, h.Name+1)
 	a := m.parts[h.Name]
 	if a == nil {
 		a = &modelADU{total: h.TotalLen, check: h.ADUCheck, buf: make([]byte, h.TotalLen),
-			got: map[int]int{}, parities: map[int][]byte{}}
+			got: map[int]bool{}, parities: map[int][]byte{}}
 		m.parts[h.Name] = a
 	}
 	payload := pkt[HeaderSize : HeaderSize+h.FragLen]
-	if h.Flags&wire.FlagParity != 0 {
+	if parity {
 		if _, dup := a.parities[h.FragOff]; dup {
 			m.stats.DupFragments++
 		} else {
@@ -66,7 +74,7 @@ func (m *placeModel) handle(pkt []byte) {
 			m.reconstruct(a, h.FragOff)
 		}
 	} else {
-		if _, dup := a.got[h.FragOff]; dup {
+		if a.got[h.FragOff] {
 			m.stats.DupFragments++
 			return
 		}
@@ -82,9 +90,13 @@ func (m *placeModel) handle(pkt []byte) {
 	}
 }
 
+// length is the grid's length of the fragment at off of an ADU of
+// total bytes.
+func (m *placeModel) length(total, off int) int { return min(m.frag, total-off) }
+
 func (m *placeModel) place(a *modelADU, off int, payload []byte) {
 	a.sum += ilp.FusedCopySum(a.buf[off:off+len(payload)], payload)
-	a.got[off] = len(payload)
+	a.got[off] = true
 	a.gotBytes += len(payload)
 	m.stats.ILPPassBytes += int64(len(payload))
 }
@@ -96,7 +108,7 @@ func (m *placeModel) reconstruct(a *modelADU, gs int) {
 	}
 	missing := -1
 	for off := gs; off < a.total && off < gs+m.group*m.frag; off += m.frag {
-		if _, have := a.got[off]; !have {
+		if !a.got[off] {
 			if missing >= 0 {
 				return
 			}
@@ -106,21 +118,16 @@ func (m *placeModel) reconstruct(a *modelADU, gs int) {
 	if missing < 0 {
 		return
 	}
-	n := min(a.total-missing, m.frag)
-	if n > len(parity) {
-		m.stats.Inconsistent++
-		return
-	}
 	recon := slices.Clone(parity)
 	for off := gs; off < a.total && off < gs+m.group*m.frag; off += m.frag {
-		if k, have := a.got[off]; have {
-			for i := range min(k, len(recon)) {
+		if a.got[off] {
+			for i := range m.length(a.total, off) {
 				recon[i] ^= a.buf[off+i]
 			}
 		}
 	}
 	m.stats.FECRecovered++
-	m.place(a, missing, recon[:n])
+	m.place(a, missing, recon[:m.length(a.total, missing)])
 }
 
 func (m *placeModel) complete(name uint64, a *modelADU) {
@@ -166,9 +173,12 @@ func (m *placeModel) scan() {
 // The fragments come from two senders of the same ADUs, one with the
 // receiver's MTU and one with another, with and without FEC parity,
 // zero-length ADUs among them; a sequence repeats, drops and reorders
-// them, and now and then lets a scan give up what is unsettled.
+// them, and now and then lets a scan give up what is unsettled. The
+// other sender's fragments are refused where they leave the receiver's
+// grid, so no ADU completes with a hole in it: no checksum fails.
 func TestPlacementMatchesModel(t *testing.T) {
 	const frag = 256
+	var checksumFails, inconsistent int64
 	for _, c := range []struct {
 		group, otherFrag int
 	}{{0, 128}, {0, 200}, {2, 128}, {4, 128}, {3, 200}, {4, 256}} {
@@ -227,10 +237,110 @@ func TestPlacementMatchesModel(t *testing.T) {
 				total.ADUsDelivered += m.stats.ADUsDelivered
 				total.ADUsLost += m.stats.ADUsLost
 				total.FECRecovered += m.stats.FECRecovered
+				checksumFails += m.stats.ChecksumFails
+				inconsistent += m.stats.Inconsistent
 			}
 			if total.DupFragments == 0 || total.LateFragments == 0 || total.ADUsDelivered == 0 || total.ADUsLost == 0 ||
 				c.group > 0 && total.FECRecovered == 0 {
 				t.Errorf("the sequences left a path untried: %+v", total)
+			}
+		})
+	}
+	if checksumFails != 0 || inconsistent == 0 {
+		t.Errorf("%d checksums failed over every case, and %d fragments were refused off the grid; want 0 and some",
+			checksumFails, inconsistent)
+	}
+}
+
+// TestOffGridNeverDelivers feeds a receiver fragments of one ADU from
+// two genuine senders of its stream, one on its grid and one off it,
+// and then the genuine fragment that completes the ADU. Each fragment
+// off the grid is refused as inconsistent before it makes any state:
+// none takes part in a delivery, which the genuine fragments then make
+// intact. The arms are the AEAD case, where three fragments that cover
+// 384 of 512 bytes would pass for the whole ADU since no checksum
+// follows the tags; a cleartext one whose off-grid tail has the very
+// length the grid gives there, so only its offset shows it; and a
+// parity of a sender with another FEC group, at an offset that starts
+// none of the receiver's groups.
+func TestOffGridNeverDelivers(t *testing.T) {
+	const frag = 256
+	// fragment returns the packet of pkts at off, a parity or not.
+	fragment := func(t *testing.T, pkts [][]byte, off int, parity bool) []byte {
+		for _, p := range pkts {
+			h, err := wire.ParseHeader(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if h.FragOff == off && (h.Flags&wire.FlagParity != 0) == parity {
+				return p
+			}
+		}
+		t.Fatalf("no fragment at %d (parity %v)", off, parity)
+		return nil
+	}
+	aead := aeadCfg()
+	aead.MTU = HeaderSize + frag + wire.TagSize
+	plain := Config{MTU: HeaderSize + frag}
+	fec := Config{MTU: HeaderSize + frag, FECGroup: 2}
+	for _, c := range []struct {
+		name         string
+		cfg          Config
+		other        func(Config) Config
+		n            int
+		mine, theirs []int // the fragments fed: own data offsets first, then the other sender's
+		parity       bool  // the other sender's are parities
+	}{
+		{"aead", aead, func(c Config) Config { c.MTU = HeaderSize + frag/2 + wire.TagSize; return c },
+			512, []int{0}, []int{128, 256}, false},
+		{"none", plain, func(c Config) Config { c.MTU = HeaderSize + frag/2; return c },
+			400, []int{0}, []int{128, 384}, false},
+		{"parity", fec, func(c Config) Config { c.FECGroup = 1; return c },
+			4 * frag, []int{0, 2 * frag, 3 * frag}, []int{frag}, true},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			data := payload(c.n, 0x3C)
+			var mine, theirs [][]byte
+			for _, s := range []struct {
+				cfg  Config
+				pkts *[][]byte
+			}{{c.cfg, &mine}, {c.other(c.cfg), &theirs}} {
+				if _, err := capturingSender(t, s.cfg, s.pkts).Send(0, xcode.SyntaxRaw, data); err != nil {
+					t.Fatal(err)
+				}
+			}
+			rcv, err := NewReceiver(sim.NewScheduler(), nil, c.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var got [][]byte
+			rcv.OnADU = func(a ADU) {
+				got = append(got, slices.Clone(a.Data))
+				a.Release()
+			}
+			for _, off := range c.mine {
+				if err := rcv.HandlePacket(fragment(t, mine, off, false)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for _, off := range c.theirs {
+				_ = rcv.HandlePacket(fragment(t, theirs, off, c.parity))
+			}
+			if len(got) != 0 || rcv.Stats.Inconsistent != int64(len(c.theirs)) || rcv.Stats.AuthFails != 0 || rcv.Stats.ChecksumFails != 0 {
+				t.Fatalf("%d ADUs delivered, %d fragments refused as inconsistent of %d off the grid, %d tags and %d checksums failed",
+					len(got), rcv.Stats.Inconsistent, len(c.theirs), rcv.Stats.AuthFails, rcv.Stats.ChecksumFails)
+			}
+			// What completes the ADU: the on-grid sender's second data
+			// fragment, or its parity of the group that lacks one.
+			last := fragment(t, mine, frag, false)
+			if c.parity {
+				last = fragment(t, mine, 0, true)
+			}
+			if err := rcv.HandlePacket(last); err != nil {
+				t.Fatal(err)
+			}
+			if len(got) != 1 || !bytes.Equal(got[0], data) {
+				t.Fatalf("%d ADUs delivered, want the ADU intact", len(got))
 			}
 		})
 	}

@@ -39,10 +39,10 @@ type ReceiverStats struct {
 	DeliveredBytes int64 `metric:"delivered_bytes"` // verified ADU payload handed to the application
 }
 
-// partial is an ADU under reassembly. The struct (with its slices and
-// map) and the pooled reassembly buffer are both recycled: the struct
-// when the ADU settles, the buffer when the delivered ADU is Released
-// (or immediately, on checksum failure or give-up).
+// partial is an ADU under reassembly. The struct (with its slices) and
+// the pooled reassembly buffer are both recycled: the struct when the
+// ADU settles, the buffer when the delivered ADU is Released (or
+// immediately, on checksum failure or give-up).
 type partial struct {
 	tag      uint64
 	syntax   xcode.SyntaxID
@@ -50,17 +50,16 @@ type partial struct {
 	total    int
 	ref      *buf.Ref // pooled reassembly buffer; buf aliases it
 	buf      []byte
-	got      []uint64         // a bit per data fragment placed, by off/8 (wire.ParseHeader takes only 8-aligned offsets)
-	lens     []uint16         // by off/8, each placed fragment's length, for FEC reconstruction only
-	parities map[int]*buf.Ref // FEC group start offset -> pooled parity payload
+	got      []uint64   // a bit per data fragment placed, by its index k on the grid (at k·fp)
+	parities []*buf.Ref // by FEC group, the pooled parity payload held; empty without FEC
 	gotBytes int
 	sum      uint64 // accumulated plaintext partial checksum
 	untimed  bool   // a resend's round trip was sampled, or an earlier request makes any sample ambiguous
 }
 
-// has and mark read and set got's bit for the data fragment at off.
-func (p *partial) has(off int) bool { return p.got[off>>9]&(1<<(off>>3&63)) != 0 }
-func (p *partial) mark(off int)     { p.got[off>>9] |= 1 << (off >> 3 & 63) }
+// has and mark read and set got's bit for data fragment k.
+func (p *partial) has(k int) bool { return p.got[k>>6]&(1<<(k&63)) != 0 }
+func (p *partial) mark(k int)     { p.got[k>>6] |= 1 << (k & 63) }
 
 // slot is everything the receiver knows about one name at or above the
 // settled frontier: a wholly unseen gap (p nil — detected via the
@@ -260,6 +259,18 @@ func (r *Receiver) HandlePacket(pkt []byte) error {
 		r.Stats.TooLarge++
 		return ErrADUTooLarge
 	}
+	// A fragment off the grid both ends share (Config: fragment k starts
+	// at k·fp and runs fp bytes or to the ADU's end, a parity starts its
+	// FEC group), or at odds with its ADU's earlier ones, could leave
+	// holes that the byte count takes for data.
+	fp, parity := r.cfg.fragPayload(), h.Flags&wire.FlagParity != 0
+	k := h.FragOff / fp
+	if h.FragOff != k*fp || h.FragLen != min(fp, h.TotalLen-h.FragOff) || h.FragLen == 0 && h.FragOff > 0 ||
+		parity && (r.cfg.FECGroup == 0 || k%r.cfg.FECGroup != 0) ||
+		sl != nil && sl.p != nil && (sl.p.total != h.TotalLen || sl.p.tag != h.Tag || sl.p.check != h.ADUCheck) {
+		r.Stats.Inconsistent++
+		return ErrInconsistent
+	}
 
 	if sl == nil {
 		r.noteGapsUpTo(h.Name + 1)
@@ -269,32 +280,29 @@ func (r *Receiver) HandlePacket(pkt []byte) error {
 	if p == nil {
 		// The first fragment ends the name's time as a gap, and its
 		// recovery starts over from now.
-		p = r.getPartial(&h)
+		p = r.getPartial(&h, fp)
 		p.untimed = sl.nacks > 0 // a resend of a gap's earlier requests may still be on its way
 		*sl = slot{p: p, since: r.sched.Now()}
 		r.missing--
 		r.pending++
 		r.armScan()
-	} else if p.total != h.TotalLen || p.tag != h.Tag || p.check != h.ADUCheck {
-		r.Stats.Inconsistent++
-		return ErrInconsistent
 	}
 	payload := pkt[HeaderSize : HeaderSize+h.FragLen]
 	tag := pkt[HeaderSize+h.FragLen : HeaderSize+h.FragLen+h.Flags.Trailer()]
 
-	if h.Flags&wire.FlagParity != 0 {
+	if parity {
 		if len(tag) > 0 && !ops.openParity(&r.cfg, h.Name, h.FragOff, payload, tag) {
 			r.Stats.AuthFails++
 			return ErrAuthFail
 		}
-		r.handleParity(&h, p, payload)
+		r.handleParity(&h, p, k/r.cfg.FECGroup, payload)
 		if p.gotBytes >= p.total {
 			r.complete(h.Name, sl)
 		}
 		return nil
 	}
 
-	if p.has(h.FragOff) {
+	if p.has(k) {
 		r.Stats.DupFragments++
 		// Karn's rule: only an ADU requested once times its repair, and
 		// only by a duplicate, which cannot be an original still in
@@ -308,7 +316,7 @@ func (r *Receiver) HandlePacket(pkt []byte) error {
 		}
 		return nil
 	}
-	if !r.place(h.Name, p, h.FragOff, payload, tag) {
+	if !r.place(h.Name, p, k, payload, tag) {
 		// A fragment that fails authentication is a lost fragment: its
 		// range stays unaccounted (the plaintext bytes written into the
 		// reassembly buffer are dead until a verified copy overwrites
@@ -322,8 +330,8 @@ func (r *Receiver) HandlePacket(pkt []byte) error {
 
 	// A newly placed fragment may make an FEC group reconstructible
 	// (all-but-one present, parity held).
-	if len(p.parities) > 0 {
-		r.tryReconstruct(h.Name, p, r.groupStart(h.FragOff))
+	if r.cfg.FECGroup > 0 {
+		r.tryReconstruct(h.Name, p, k/r.cfg.FECGroup)
 	}
 	if p.gotBytes >= p.total {
 		r.complete(h.Name, sl)
@@ -331,9 +339,9 @@ func (r *Receiver) HandlePacket(pkt []byte) error {
 	return nil
 }
 
-// getPartial returns reassembly state for a new ADU: a recycled struct
-// (its map cleared on recycle) around a pooled buffer sized to the ADU.
-func (r *Receiver) getPartial(h *wire.Header) *partial {
+// getPartial returns reassembly state for a new ADU of fragments of fp
+// bytes: a recycled struct around a pooled buffer sized to the ADU.
+func (r *Receiver) getPartial(h *wire.Header, fp int) *partial {
 	p := reuse(&r.spare.parts)
 	if p == nil {
 		p = new(partial)
@@ -346,12 +354,11 @@ func (r *Receiver) getPartial(h *wire.Header) *partial {
 		total:    h.TotalLen,
 		ref:      ref,
 		buf:      ref.Bytes(),
-		got:      append(p.got[:0], make([]uint64, h.TotalLen>>9+1)...), // zeroed, for offsets 0, 8, ..., TotalLen
-		lens:     p.lens,
-		parities: p.parities,
+		got:      append(p.got[:0], make([]uint64, h.TotalLen/fp>>6+1)...), // zeroed, for fragments 0 to TotalLen/fp
+		parities: p.parities[:0],
 	}
 	if r.cfg.FECGroup > 0 {
-		p.lens = append(p.lens[:0], make([]uint16, h.TotalLen>>3+1)...)
+		p.parities = append(p.parities, make([]*buf.Ref, h.TotalLen/fp/r.cfg.FECGroup+1)...)
 	}
 	return p
 }
@@ -360,9 +367,10 @@ func (r *Receiver) getPartial(h *wire.Header) *partial {
 // has already released or handed off p.ref; held parity buffers are
 // returned to the pool here.
 func (r *Receiver) putPartial(p *partial) {
-	for off, parity := range p.parities {
-		parity.Release()
-		delete(p.parities, off)
+	for _, parity := range p.parities {
+		if parity != nil {
+			parity.Release()
+		}
 	}
 	p.ref, p.buf = nil, nil
 	r.spare.parts = append(r.spare.parts, p)
@@ -373,16 +381,14 @@ func (r *Receiver) putPartial(p *partial) {
 // reassembly buffer, deciphers it, and extends the ADU checksum or
 // verifies the fragment's tag — fused (§6). The range is accounted as
 // received only when that succeeds.
-func (r *Receiver) place(name uint64, p *partial, off int, payload, tag []byte) bool {
+func (r *Receiver) place(name uint64, p *partial, k int, payload, tag []byte) bool {
+	off := k * r.cfg.fragPayload()
 	sum, ok := r.cfg.suite.open(&r.cfg, r.crypto, name, off, p.total, p.buf[off:off+len(payload)], payload, tag)
 	if !ok {
 		return false
 	}
 	p.sum += sum
-	p.mark(off)
-	if r.cfg.FECGroup > 0 {
-		p.lens[off>>3] = uint16(len(payload))
-	}
+	p.mark(k)
 	p.gotBytes += len(payload)
 	r.Stats.ILPPassBytes += int64(len(payload))
 	return true
@@ -401,60 +407,44 @@ func (r *Receiver) authentic(name uint64, p *partial, off int, payload, tag []by
 	return ok
 }
 
-// groupStart returns the FEC group start offset for a fragment offset.
-func (r *Receiver) groupStart(off int) int {
-	group := r.cfg.FECGroup * r.cfg.fragPayload()
-	if group <= 0 {
-		return 0
-	}
-	return off / group * group
-}
-
-// handleParity stores an FEC parity fragment (in a pooled buffer) and
-// attempts recovery.
-func (r *Receiver) handleParity(h *wire.Header, p *partial, payload []byte) {
-	if p.parities == nil {
-		p.parities = make(map[int]*buf.Ref)
-	}
-	if _, dup := p.parities[h.FragOff]; dup {
+// handleParity stores the parity fragment of FEC group g (in a pooled
+// buffer) and attempts recovery.
+func (r *Receiver) handleParity(h *wire.Header, p *partial, g int, payload []byte) {
+	if p.parities[g] != nil {
 		r.Stats.DupFragments++
 		return
 	}
 	pr := r.cfg.Pool.Get(len(payload))
 	copy(pr.Bytes(), payload)
-	p.parities[h.FragOff] = pr
+	p.parities[g] = pr
 	r.Stats.ParityFrags++
 	r.cfg.Tracer.Emit(tracing.ParityRX, r.cfg.StreamID, h.Name, int64(h.FragOff), h.FragLen, 0)
-	r.tryReconstruct(h.Name, p, h.FragOff)
+	r.tryReconstruct(h.Name, p, g)
 }
 
-// tryReconstruct rebuilds the single missing data fragment of the FEC
-// group starting at gs, if its parity is held and exactly one fragment
-// is absent. Reconstruction recovers the wire (enciphered) bytes, so
-// the rebuilt fragment flows through the same fused stage-one pass.
-func (r *Receiver) tryReconstruct(name uint64, p *partial, gs int) {
-	parity, ok := p.parities[gs]
-	if !ok || r.cfg.FECGroup <= 0 {
+// tryReconstruct rebuilds the single missing data fragment of FEC group
+// g, if its parity is held and exactly one fragment is absent; each
+// member's length is the grid's. Reconstruction recovers the wire
+// (enciphered) bytes, so the rebuilt fragment flows through the same
+// fused stage-one pass.
+func (r *Receiver) tryReconstruct(name uint64, p *partial, g int) {
+	parity := p.parities[g]
+	if parity == nil {
 		return
 	}
 	fp := r.cfg.fragPayload()
-	missingOff := -1
-	for off := gs; off < p.total && off < gs+r.cfg.FECGroup*fp; off += fp {
-		if !p.has(off) {
-			if missingOff >= 0 {
+	first, end := g*r.cfg.FECGroup, (g+1)*r.cfg.FECGroup
+	missing := -1
+	for k := first; k < end && k*fp < p.total; k++ {
+		if !p.has(k) {
+			if missing >= 0 {
 				return // two or more missing: XOR parity cannot help
 			}
-			missingOff = off
+			missing = k
 		}
 	}
-	if missingOff < 0 {
+	if missing < 0 {
 		return // group complete; parity unneeded
-	}
-	missingLen := min(p.total-missingOff, fp)
-	if missingLen > parity.Len() {
-		// A malformed parity shorter than the fragment it must rebuild.
-		r.Stats.Inconsistent++
-		return
 	}
 	// recon = parity XOR (wire bytes of every present fragment in the
 	// group), accumulated word-wise. p.buf holds plaintext, so fold the
@@ -465,16 +455,16 @@ func (r *Receiver) tryReconstruct(name uint64, p *partial, gs int) {
 	recon := r.cfg.Pool.Get(parity.Len())
 	rb := recon.Bytes()
 	ilp.WordCopy(rb, parity.Bytes())
-	for off := gs; off < p.total && off < gs+r.cfg.FECGroup*fp; off += fp {
-		if !p.has(off) {
+	for k := first; k < end && k*fp < p.total; k++ {
+		if !p.has(k) {
 			continue
 		}
-		n := min(int(p.lens[off>>3]), len(rb)) // another sender's member may outrun the parity
+		off, n := k*fp, min(fp, p.total-k*fp)
 		ilp.XORWords(rb, p.buf[off:off+n])
 		r.cfg.suite.rekey(&r.cfg, name, off, rb[:n])
 	}
 	r.Stats.FECRecovered++
-	r.place(name, p, missingOff, rb[:missingLen], nil)
+	r.place(name, p, missing, rb[:min(fp, p.total-missing*fp)], nil)
 	recon.Release()
 }
 

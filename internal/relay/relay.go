@@ -159,16 +159,30 @@ type key struct {
 
 // entry is one ADU's custody state: the stamped wire packets
 // themselves, retained by reference (re-origination re-emits the same
-// buffers, so custody costs no copies).
+// buffers, so custody costs no copies), and the byte range each covers.
 type entry struct {
 	frags    []*buf.Ref
-	offs     []int
+	spans    []span
 	gotBytes int
 	totalLen int
 	wire     int // stored wire bytes (storage accounting)
 	critical bool
 	complete bool
 	acked    bool
+}
+
+// span is one stored fragment's byte range within its ADU.
+type span struct{ off, n int }
+
+// overlaps reports whether [off, off+n) is held already, or overlaps a
+// range held: counted twice, its bytes would pass for data it lacks.
+func (e *entry) overlaps(off, n int) bool {
+	for _, s := range e.spans {
+		if s.off == off || s.off < off+n && off < s.off+s.n {
+			return true
+		}
+	}
+	return false
 }
 
 func (e *entry) release() {
@@ -297,27 +311,28 @@ func (r *Relay) handleData(p *netsim.Packet) {
 	if _, gone := r.evicted[k]; gone {
 		return // previously evicted or claimed downstream; do not flap
 	}
+	// Custody holds only fragments that tile their ADU; the receiver
+	// decides on the rest.
 	e := r.store[k]
-	if e == nil {
+	switch {
+	case e == nil:
 		if !r.admit(k, len(p.Payload)) {
 			return
 		}
 		e = &entry{totalLen: h.TotalLen, critical: h.Flags&wire.FlagCritical != 0}
 		r.store[k] = e
 		r.order = append(r.order, k)
-	} else {
-		for _, off := range e.offs {
-			if off == h.FragOff {
-				r.Stats.DupFrags++
-				return
-			}
-		}
-		if !r.admit(k, len(p.Payload)) {
-			return
-		}
+	case h.TotalLen != e.totalLen:
+		r.Stats.BadFrames++
+		return
+	case e.overlaps(h.FragOff, h.FragLen):
+		r.Stats.DupFrags++
+		return
+	case !r.admit(k, len(p.Payload)):
+		return
 	}
 	e.frags = append(e.frags, p.Retain())
-	e.offs = append(e.offs, h.FragOff)
+	e.spans = append(e.spans, span{h.FragOff, h.FragLen})
 	e.gotBytes += h.FragLen
 	e.wire += len(p.Payload)
 	r.stored += len(p.Payload)

@@ -10,6 +10,7 @@ import (
 	"repro/internal/netsim"
 	"repro/internal/relay"
 	"repro/internal/sim"
+	"repro/internal/wire"
 	"repro/internal/xcode"
 )
 
@@ -294,5 +295,57 @@ func TestConfigValidate(t *testing.T) {
 	}
 	if err := (&relay.Config{CustodyTimer: time.Second}).Validate(); err != nil {
 		t.Fatalf("minimal valid config rejected: %v", err)
+	}
+}
+
+// TestCustodyOnlyFromTilingFragments: the relay counts an ADU complete
+// only when the fragments it holds tile it. Fragments (0,256),
+// (128,128) and (256,128) of a 512-byte ADU sum to 512 bytes but leave
+// 384-511 uncovered; the second overlaps the first, so custody keeps
+// only the first and third, acknowledges nothing, and the source keeps
+// its copy. A fragment that gives the ADU another length is not kept
+// either. Every one still goes downstream, where the receiver decides.
+// The fragment that fills the hole completes custody, and one custody
+// ack reaches the source.
+func TestCustodyOnlyFromTilingFragments(t *testing.T) {
+	s := sim.NewScheduler()
+	net := netsim.New(s, 1)
+	src, rly, dst := net.NewNode("src"), net.NewNode("rly"), net.NewNode("dst")
+	link := netsim.LinkConfig{RateBps: 100e6, Delay: time.Millisecond}
+	su, us := net.NewDuplex(src, rly, link)
+	rd, _ := net.NewDuplex(rly, dst, link)
+	r, err := relay.New(s, rly, us, rd, relay.Config{CustodyTimer: 5 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	acks := 0
+	src.SetHandler(func(p *netsim.Packet) {
+		if wire.TypeOf(p.Payload) == wire.TypeCA {
+			acks++
+		}
+	})
+	frag := func(total, off, n int) []byte {
+		h := wire.Header{Stream: 1, Name: 0, TotalLen: total, FragOff: off, FragLen: n}
+		pkt := make([]byte, wire.HeaderSize+n)
+		wire.PutHeader(pkt, &h)
+		return pkt
+	}
+	for _, f := range [][]byte{frag(512, 0, 256), frag(512, 128, 128), frag(512, 256, 128), frag(1024, 512, 128)} {
+		if err := su.Send(f); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s.RunFor(time.Second)
+	if r.Stats.ADUsComplete != 0 || acks != 0 || r.Stats.DupFrags != 1 || r.Stats.BadFrames != 1 ||
+		r.Stats.StoredFrags != 2 || r.Stats.FwdFragments != 4 {
+		t.Fatalf("complete %d, custody acks at the source %d, dups %d, bad %d, stored %d, forwarded %d; want 0, 0, 1, 1, 2, 4",
+			r.Stats.ADUsComplete, acks, r.Stats.DupFrags, r.Stats.BadFrames, r.Stats.StoredFrags, r.Stats.FwdFragments)
+	}
+	if err := su.Send(frag(512, 384, 128)); err != nil {
+		t.Fatal(err)
+	}
+	s.RunFor(time.Second)
+	if r.Stats.ADUsComplete != 1 || acks != 1 {
+		t.Fatalf("after the tail: complete %d, custody acks at the source %d; want 1 and 1", r.Stats.ADUsComplete, acks)
 	}
 }

@@ -73,7 +73,7 @@ var mutants = []mutant{
 		pkg: "./internal/netsim", run: "^TestBackToBackPacketsQueue$"},
 	// Per-fragment control without maps, copies or re-zeroing (item 26).
 	{name: "placement bit one off", file: "internal/core/receiver.go",
-		old: "p.got[off>>9] |= 1 << (off >> 3 & 63)", new: "p.got[off>>9] |= 2 << (off >> 3 & 63)",
+		old: "p.got[k>>6] |= 1 << (k & 63)", new: "p.got[k>>6] |= 2 << (k & 63)",
 		pkg: "./internal/core", run: "^TestPlacementMatchesModel$"},
 	{name: "ring pop without its wrap mask", file: "internal/netsim/netsim.go",
 		old: "f.head = (f.head + 1) & (len(f.buf) - 1)", new: "f.head = f.head + 1",
@@ -81,6 +81,14 @@ var mutants = []mutant{
 	{name: "routed packet keeps Corrupted", file: "internal/netsim/netsim.go",
 		old: "\tp.Corrupted = false\n\t_ = out.admit(p)", new: "\t_ = out.admit(p)",
 		pkg: "./internal/netsim", run: "^TestRouterHandsBufferOn$"},
+	// One fragment grid per stream, and custody only of fragments that
+	// tile their ADU.
+	{name: "grid check dropped", file: "internal/core/receiver.go",
+		old: "if h.FragOff != k*fp || h.FragLen", new: "if h.FragLen",
+		pkg: "./internal/core", run: "^TestOffGridNeverDelivers$"},
+	{name: "relay overlap check dropped", file: "internal/relay/relay.go",
+		old: "if s.off == off || s.off < off+n && off < s.off+s.n {", new: "if s.off == off {",
+		pkg: "./internal/relay", run: "^TestCustodyOnlyFromTilingFragments$"},
 	// A count past 2^31 is negative where int has 32 bits (ROADMAP 24).
 	{name: "raw seq count not checked for n < 0", file: "internal/xcode/rawlwts.go",
 		old: "if n < 0 || n > len(src) {", new: "if n > len(src) {",

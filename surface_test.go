@@ -1,9 +1,10 @@
 package repro
 
 // The tree's surface, checked by type. TestSurface type-checks every
-// package of the module with go/types and fails on two kinds of dead
-// surface in internal/...: an exported name that no non-test code uses,
-// and an exported field of a …Config struct that no non-test code sets.
+// package of the module with go/types and fails on three kinds of dead
+// code in internal/...: an exported name that no non-test code uses, an
+// unexported top-level name or method that no non-test code uses, and
+// an exported field of a …Config struct that no non-test code sets.
 // TestLoc counts lines for ROADMAP's two yardsticks and holds them to
 // ceilings; `make loc` prints its table.
 //
@@ -98,7 +99,7 @@ var surfaceKeep = map[string]string{
 // down: non-test lines outside benchmark/, and those of the planes that
 // watch the protocol.
 const (
-	locCeiling           = 21884
+	locCeiling           = 21883
 	observabilityCeiling = 3034
 )
 
@@ -283,7 +284,8 @@ func origin(o types.Object) types.Object {
 var asmName = regexp.MustCompile(`\x{00B7}(\w+)`)
 
 // surfaceFindings returns every finding, keyed as surfaceKeep is, with
-// the number of exported names and of exported …Config fields it judged.
+// the number of names (top-level and methods, exported or not) and of
+// exported …Config fields it judged.
 func surfaceFindings(pkgs []*srcPkg) (found map[string]string, nnames, nfields int) {
 	used := map[types.Object]bool{} // what a non-test identifier resolves to
 	spelled := map[string]bool{}    // "dir.Name" and ".Name" spelled by sources outside the host build
@@ -379,11 +381,9 @@ func surfaceFindings(pkgs []*srcPkg) (found map[string]string, nnames, nfields i
 		scope := p.types.Scope()
 		for _, name := range scope.Names() {
 			o := scope.Lookup(name)
-			if o.Exported() {
-				nnames++
-				if !used[o] && !spelled[p.dir+"."+name] {
-					found[key+name] = "exported name that no non-test code resolves to"
-				}
+			nnames++
+			if !used[o] && !spelled[p.dir+"."+name] {
+				found[key+name] = visibility(o) + " name that no non-test code resolves to"
 			}
 			tn, ok := o.(*types.TypeName)
 			if !ok || tn.IsAlias() {
@@ -392,12 +392,9 @@ func surfaceFindings(pkgs []*srcPkg) (found map[string]string, nnames, nfields i
 			named := tn.Type().(*types.Named)
 			for i := 0; i < named.NumMethods(); i++ {
 				m := named.Method(i)
-				if !m.Exported() {
-					continue
-				}
 				nnames++
 				if !used[m] && !spelled["."+m.Name()] && !implements(m) {
-					found[key+name+"."+m.Name()] = "exported method that no non-test call resolves to and no interface carries"
+					found[key+name+"."+m.Name()] = visibility(m) + " method that no non-test call resolves to and no interface carries"
 				}
 			}
 			st, ok := named.Underlying().(*types.Struct)
@@ -417,6 +414,14 @@ func surfaceFindings(pkgs []*srcPkg) (found map[string]string, nnames, nfields i
 		}
 	}
 	return found, nnames, nfields
+}
+
+// visibility says whether o is exported, for a finding's text.
+func visibility(o types.Object) string {
+	if o.Exported() {
+		return "exported"
+	}
+	return "unexported"
 }
 
 // declared adds to skip the identifiers of f that are not uses of a
@@ -557,7 +562,7 @@ func TestSurface(t *testing.T) {
 	start := time.Now()
 	pkgs := loadTree(t)
 	found, nnames, nfields := surfaceFindings(pkgs)
-	t.Logf("%d packages type-checked in %v; %d exported names and %d exported …Config fields in internal/... judged; %d surfaceKeep entries",
+	t.Logf("%d packages type-checked in %v; %d names and methods and %d exported …Config fields in internal/... judged; %d surfaceKeep entries",
 		len(pkgs), time.Since(start).Round(time.Millisecond), nnames, nfields, len(surfaceKeep))
 	var keys []string
 	for k := range found {
