@@ -17,10 +17,9 @@ func BenchmarkSendSteadyStateAEAD(b *testing.B) {
 // suite into one buffer per fragment, payload and tag, through st's
 // chain and lanes.
 func sealedADU(cfg *Config, st *sealState, name uint64, data []byte, frags [][]byte) {
-	frag := cfg.fragPayload()
-	for k, off := 0, 0; off < len(data); k, off = k+1, off+frag {
-		n := min(frag, len(data)-off)
-		cfg.suite.seal(cfg, st, name, off, len(data), frags[k][:n+cipher.TagSize], data[off:off+n])
+	for k := range frags {
+		off, n := cfg.grid.frag(k, len(data))
+		cfg.suite.seal(cfg, st, name, k, len(data), frags[k][:n+cipher.TagSize], data[off:off+n])
 	}
 	st.flush()
 }
@@ -36,10 +35,9 @@ func aeadADU() (*Config, []byte, [][]byte) {
 	for i := range data {
 		data[i] = byte(i)
 	}
-	frag := cfg.fragPayload()
-	var frags [][]byte
-	for off := 0; off < len(data); off += frag {
-		frags = append(frags, make([]byte, frag+cipher.TagSize))
+	frags := make([][]byte, cfg.grid.frags(len(data)))
+	for k := range frags {
+		frags[k] = make([]byte, cfg.grid.fp+cipher.TagSize)
 	}
 	return cfg, data, frags
 }
@@ -64,16 +62,15 @@ func BenchmarkOpenADU(b *testing.B) {
 	cfg, data, frags := aeadADU()
 	sealedADU(cfg, new(sealState), 1, data, frags)
 	out := make([]byte, len(data))
-	frag := cfg.fragPayload()
 	b.SetBytes(benchADUBytes)
 	b.ReportAllocs()
 	st := new(openState)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		st.lanes.n = 0 // a new ADU's lanes each time, not the last one's
-		for k, off := 0, 0; off < len(data); k, off = k+1, off+frag {
-			n := min(frag, len(data)-off)
-			if _, ok := cfg.suite.open(cfg, st, 1, off, len(data), out[off:off+n], frags[k][:n], frags[k][n:n+cipher.TagSize]); !ok {
+		for k := range frags {
+			off, n := cfg.grid.frag(k, len(data))
+			if _, ok := cfg.suite.open(cfg, st, 1, k, len(data), out[off:off+n], frags[k][:n], frags[k][n:n+cipher.TagSize]); !ok {
 				b.Fatalf("fragment %d does not verify", k)
 			}
 		}

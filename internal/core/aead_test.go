@@ -456,7 +456,7 @@ func TestSealChainTags(t *testing.T) {
 		cfg.Policy = SenderBuffered
 		var pkts [][]byte
 		snd := capturingSender(t, cfg, &pkts)
-		frag := snd.cfg.fragPayload()
+		frag := snd.cfg.grid.fp
 		data := payload(17*frag, 0x3C)
 		check := func(what string, name uint64) {
 			t.Helper()
@@ -541,7 +541,7 @@ func TestReceiverLanesAnyOrder(t *testing.T) {
 	cfg.Policy = SenderBuffered
 	var pkts [][]byte
 	snd := capturingSender(t, cfg, &pkts)
-	frag := snd.cfg.fragPayload()
+	frag := snd.cfg.grid.fp
 	sizes := []int{frag - 8, 8*frag + 128, 17*frag - 40}
 	var datas [][]byte
 	var adus [][][]byte
@@ -585,8 +585,8 @@ func TestReceiverLanesAnyOrder(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if osnd.cfg.fragPayload() != frag/2 || len(other) != 20 {
-		t.Fatalf("the other sender's fragments are %d bytes, %d of them", osnd.cfg.fragPayload(), len(other))
+	if osnd.cfg.grid.fp != frag/2 || len(other) != 20 {
+		t.Fatalf("the other sender's fragments are %d bytes, %d of them", osnd.cfg.grid.fp, len(other))
 	}
 
 	rcv, err := NewReceiver(sim.NewScheduler(), nil, cfg)
@@ -638,7 +638,7 @@ func TestAEADNegativeVectors(t *testing.T) {
 	cfg.Policy = NoRetransmit
 	var pkts [][]byte
 	snd := capturingSender(t, cfg, &pkts)
-	frag := snd.cfg.fragPayload()
+	frag := snd.cfg.grid.fp
 	data := payload(3*frag, 0x77)
 	if _, err := snd.Send(0, xcode.SyntaxRaw, data); err != nil {
 		t.Fatal(err)

@@ -324,11 +324,13 @@ type Config struct {
 	// default because releasing before end-to-end confirmation is a
 	// semantic change the application must ask for.
 	Custody bool
-	// suite is Suite's row of the cipher-suite table (crypto.go) and
-	// aeadKey the ChaCha20 key expanded from Key; prepare sets both, so the
-	// per-fragment path neither looks a suite up nor re-expands a key.
+	// suite is Suite's row of the cipher-suite table (crypto.go), aeadKey
+	// the ChaCha20 key expanded from Key and grid the fragment geometry;
+	// prepare sets all three, so the per-fragment path neither looks a
+	// suite up, re-expands a key nor re-derives the grid.
 	suite   *suiteOps
 	aeadKey cipher.Key
+	grid    grid
 	// ledger is the test build's nonce ledger (-tags nonceledger), one
 	// per lone sender and one per sharded endpoint; otherwise nothing.
 	ledger ledger
@@ -406,13 +408,8 @@ func (c *Config) Validate() error {
 				ErrConfig)
 		}
 	}
-	if wr, ok := c.Controller.(*WindowedRate); ok {
-		if wr.Window < 0 {
-			return fmt.Errorf("%w: WindowedRate.Window %d is negative", ErrConfig, wr.Window)
-		}
-		if wr.StaleAfter < 0 {
-			return fmt.Errorf("%w: WindowedRate.StaleAfter %v is negative", ErrConfig, wr.StaleAfter)
-		}
+	if wr, ok := c.Controller.(*WindowedRate); ok && wr.StaleAfter < 0 {
+		return fmt.Errorf("%w: WindowedRate.StaleAfter %v is negative", ErrConfig, wr.StaleAfter)
 	}
 	if int(c.Suite) >= len(suites) {
 		return fmt.Errorf("%w: unknown cipher suite %d", ErrConfig, c.Suite)
@@ -484,16 +481,61 @@ func (c *Config) prepare() error {
 	if c.ShedLossFrac == 0 {
 		c.ShedLossFrac = 0.25
 	}
-	if c.fragPayload() < 8 {
+	// Capped at what the 16-bit wire length field carries.
+	fp := min((c.MTU-HeaderSize-c.suite.flags.Trailer())&^7, 0xFFF8)
+	if fp < 8 {
 		return fmt.Errorf("%w: MTU %d", ErrMTUTooSmall, c.MTU)
 	}
+	c.grid = grid{fp: fp, group: c.FECGroup, over: len(c.encap) + HeaderSize + c.suite.flags.Trailer()}
 	return nil
 }
 
-// fragPayload returns the usable payload bytes per fragment: the MTU
-// minus the header and the suite's per-fragment trailer, rounded down
-// to a multiple of 8 (the fused-kernel alignment unit) and capped at
-// what the 16-bit wire length field can carry.
-func (c *Config) fragPayload() int {
-	return min((c.MTU-HeaderSize-c.suite.flags.Trailer())&^7, 0xFFF8)
+// grid is a stream's fragment geometry, which prepare derives once and
+// both ends must share. Fragment k of an ADU starts at k·fp and runs fp
+// bytes or to the ADU's end (an empty ADU is one empty fragment); group
+// fragments from a multiple of group are an FEC group, whose parity
+// starts it and is as long as its first member.
+type grid struct {
+	fp    int // fragment payload
+	group int // FECGroup: fragments per parity, 0 without FEC
+	over  int // the bytes a packet puts on the wire besides its payload: encap prefix, header, trailer
+}
+
+// frag returns fragment k's offset and length in an ADU of total bytes.
+func (g *grid) frag(k, total int) (off, n int) {
+	off = k * g.fp
+	return off, min(g.fp, total-off)
+}
+
+// frags returns how many data fragments an ADU of total bytes has.
+func (g *grid) frags(total int) int { return max((total+g.fp-1)/g.fp, 1) }
+
+// groups returns how many FEC groups, and so parities, an ADU of total
+// bytes has: none without FEC.
+func (g *grid) groups(total int) int {
+	if g.group == 0 {
+		return 0
+	}
+	return (g.frags(total) + g.group - 1) / g.group
+}
+
+// at is the receiver's test of a fragment at off of n bytes in an ADU of
+// total bytes: whether it is fragment k of the grid, or, a parity, the
+// one that starts k's group.
+func (g *grid) at(off, n, total int, parity bool) (k int, ok bool) {
+	k = off / g.fp
+	return k, off == k*g.fp && n == min(g.fp, total-off) && (n > 0 || off == 0) &&
+		(!parity || g.group > 0 && k%g.group == 0)
+}
+
+// wire returns the bytes an ADU of total bytes puts on the wire: every
+// data fragment and parity with what each packet adds to its payload.
+func (g *grid) wire(total int) int {
+	f, p := g.frags(total), g.groups(total)
+	n := total + (f+p)*g.over
+	if p > 0 { // a parity is as long as its group's first member: fp, but for the last group's
+		_, first := g.frag((p-1)*g.group, total)
+		n += (p-1)*g.fp + first
+	}
+	return n
 }

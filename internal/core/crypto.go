@@ -46,7 +46,8 @@ func (cs CipherSuite) String() string {
 // datapath knows about a CipherSuite. prepare resolves Config.Suite to its
 // row once, and the sender's packetize loop and the receiver's place
 // call go through it, so neither names a suite. Every function takes
-// the ADU's name and the fragment's byte offset within the ADU: each
+// the ADU's name and where the fragment lies in the ADU, a data fragment
+// by its index k on the grid and a parity by its byte offset: each
 // suite's keystream is addressed by (key, name, offset), which is what
 // lets fragments be sealed and opened in any order.
 type suiteOps struct {
@@ -65,17 +66,17 @@ type suiteOps struct {
 	// ends of such a suite also keep a runLanes, whose blocks seal and
 	// open take their tag keys and heads from (sealState, openState).
 	chained bool
-	// seal is the sender's fused pass over one fragment of an ADU of
+	// seal is the sender's fused pass over fragment k of an ADU of
 	// total bytes: src is plaintext, dst receives len(src) wire bytes
 	// followed by the trailer. It returns the fragment's partial
 	// plaintext checksum. st is the sender's chain and lanes, nil unless
 	// the suite is chained.
-	seal func(c *Config, st *sealState, name uint64, off, total int, dst, src []byte) uint64
+	seal func(c *Config, st *sealState, name uint64, k, total int, dst, src []byte) uint64
 	// sealParity fills the trailer of an FEC parity blob whose payload
 	// (the XOR of its group's wire payloads) is blob[:n]. Like
 	// openParity it is nil, and never called, when there is no trailer.
 	sealParity func(c *Config, name uint64, off int, blob []byte, n int)
-	// open is the receiver's fused pass: src is a fragment's wire
+	// open is the receiver's fused pass: src is fragment k's wire
 	// payload, dst its place in the reassembly buffer of an ADU of total
 	// bytes. It returns the partial plaintext checksum and whether tag,
 	// the fragment's trailer, verifies. A nil tag means src was rebuilt
@@ -83,7 +84,7 @@ type suiteOps struct {
 	// parity blob and every surviving member were verified on arrival
 	// and XOR is the only arithmetic between them. st is the receiver's
 	// lanes and MAC, nil unless the suite is chained.
-	open func(c *Config, st *openState, name uint64, off, total int, dst, src, tag []byte) (uint64, bool)
+	open func(c *Config, st *openState, name uint64, k, total int, dst, src, tag []byte) (uint64, bool)
 	// openParity verifies a parity blob's trailer.
 	openParity func(c *Config, name uint64, off int, blob, tag []byte) bool
 	// rekey XORs the keystream for ADU offsets [off, off+len(b)) into
@@ -108,11 +109,13 @@ var suites = [...]suiteOps{
 	SuiteScramble: {
 		flags:    wire.FlagEnciphered,
 		aduCheck: true,
-		seal: func(c *Config, _ *sealState, name uint64, off, _ int, dst, src []byte) uint64 {
+		seal: func(c *Config, _ *sealState, name uint64, k, total int, dst, src []byte) uint64 {
+			off, _ := c.grid.frag(k, total)
 			c.ledger.stream(c.Key^name, &[cipher.NonceSize]byte{}, off, src)
 			return ilp.FusedEncryptCopySum(dst, src, c.Key^name, off)
 		},
-		open: func(c *Config, _ *openState, name uint64, off, _ int, dst, src, _ []byte) (uint64, bool) {
+		open: func(c *Config, _ *openState, name uint64, k, total int, dst, src, _ []byte) (uint64, bool) {
+			off, _ := c.grid.frag(k, total)
 			return ilp.FusedDecryptCopySum(dst, src, c.Key^name, off), true
 		},
 		rekey: func(c *Config, name uint64, off int, b []byte) {
@@ -134,12 +137,13 @@ var suites = [...]suiteOps{
 	SuiteAEAD: {
 		flags:   wire.FlagAEAD,
 		chained: true,
-		seal: func(c *Config, st *sealState, name uint64, off, total int, dst, src []byte) uint64 {
+		seal: func(c *Config, st *sealState, name uint64, k, total int, dst, src []byte) uint64 {
 			nonce := aeadNonce(c.StreamID, name)
+			off, _ := c.grid.frag(k, total)
 			c.ledger.tag(keyPrint(&c.aeadKey), &nonce, tagCtrData, off, src)
 			c.ledger.stream(keyPrint(&c.aeadKey), &nonce, off, src)
 			mac := st.chain.MAC()
-			head := st.lanes.dataMAC(c, &nonce, name, off, total, mac)
+			head := st.lanes.dataMAC(c, &nonce, name, k, total, mac)
 			ilp.FusedSeal(dst, src, &c.aeadKey, &nonce, off, mac, &st.chain, head)
 			return 0
 		},
@@ -153,13 +157,14 @@ var suites = [...]suiteOps{
 		// verdict, which is safe because the caller accounts the range
 		// as received only on success — a forged fragment leaves no
 		// trace and the range stays recoverable.
-		open: func(c *Config, st *openState, name uint64, off, total int, dst, src, tag []byte) (uint64, bool) {
+		open: func(c *Config, st *openState, name uint64, k, total int, dst, src, tag []byte) (uint64, bool) {
 			nonce := aeadNonce(c.StreamID, name)
+			off, _ := c.grid.frag(k, total)
 			if tag == nil {
 				ilp.FusedDecryptCopyVerify(dst, src, &c.aeadKey, &nonce, off, nil)
 				return 0, true
 			}
-			head := st.lanes.dataMAC(c, &nonce, name, off, total, &st.mac)
+			head := st.lanes.dataMAC(c, &nonce, name, k, total, &st.mac)
 			ilp.FusedOpen(dst, src, &c.aeadKey, &nonce, off, &st.mac, head)
 			return 0, st.mac.Verify(tag)
 		},
@@ -271,13 +276,12 @@ type runLanes struct {
 
 const noHead = 0xff
 
-// dataMAC keys mac as the data-tag MAC of the fragment of ADU name at
-// off, on the grid of an ADU of total bytes, and returns its head block
-// (nil if it starts on a block boundary), filling l with the fragment's
-// run first unless it holds the fragment.
-func (l *runLanes) dataMAC(c *Config, nonce *[cipher.NonceSize]byte, name uint64, off, total int, mac *cipher.MAC) *[cipher.BlockSize]byte {
-	fp := c.fragPayload()
-	run, i := off/fp/cipher.Lanes, off/fp%cipher.Lanes
+// dataMAC keys mac as the data-tag MAC of fragment k of ADU name, an
+// ADU of total bytes, and returns its head block (nil if it starts on a
+// block boundary), filling l with the fragment's run first unless it
+// holds the fragment.
+func (l *runLanes) dataMAC(c *Config, nonce *[cipher.NonceSize]byte, name uint64, k, total int, mac *cipher.MAC) *[cipher.BlockSize]byte {
+	run, i := k/cipher.Lanes, k%cipher.Lanes
 	if l.n <= i || l.name != name || l.run != run {
 		l.fill(c, nonce, name, run, total)
 	}
@@ -291,15 +295,14 @@ func (l *runLanes) dataMAC(c *Config, nonce *[cipher.NonceSize]byte, name uint64
 // fill makes the lanes of run of ADU name: fragment i of the run, at
 // off, takes a lane at counter tagCtrData + off/8 and, if off is not on
 // a block boundary, the next at the payload counter of off. The run
-// holds every fragment the sender makes of an ADU of total bytes — the
-// first always, the others while they start inside it.
+// holds every fragment of an ADU of total bytes on the grid — the first
+// always, the others while they start inside it.
 func (l *runLanes) fill(c *Config, nonce *[cipher.NonceSize]byte, name uint64, run, total int) {
-	fp := c.fragPayload()
 	var ctrs [2][cipher.Lanes]uint32
 	lanes := 0
 	l.name, l.run, l.n = name, run, 0
 	for i := 0; i < cipher.Lanes; i++ {
-		off := (run*cipher.Lanes + i) * fp
+		off, _ := c.grid.frag(run*cipher.Lanes+i, total)
 		if i > 0 && off >= total {
 			break
 		}

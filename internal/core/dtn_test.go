@@ -66,11 +66,11 @@ func TestWindowedRateStaleHoldsThroughBlackout(t *testing.T) {
 	}
 }
 
-// TestWindowedRateProbeCadence: every ProbeEvery-th fresh sample pays
+// TestWindowedRateProbeCadence: every windowProbeEvery-th fresh sample pays
 // the probe gain, because the model can only learn a faster path by
 // offering one.
 func TestWindowedRateProbeCadence(t *testing.T) {
-	w := &WindowedRate{} // defaults: Gain 1.0, ProbeGain 1.25, ProbeEvery 6
+	w := &WindowedRate{} // probes at 1.25 every 6th fresh sample
 	cur := 1e6
 	for i := 1; i <= 5; i++ {
 		cur = w.OnFeedback(cur, sample(8e6))
@@ -117,9 +117,6 @@ func TestValidateDTNFields(t *testing.T) {
 		name string
 		mut  func(*Config)
 	}{
-		{"negative WindowedRate.Window", func(c *Config) {
-			c.Controller = &WindowedRate{Window: -1}
-		}},
 		{"negative WindowedRate.StaleAfter", func(c *Config) {
 			c.Controller = &WindowedRate{StaleAfter: -time.Second}
 		}},

@@ -25,7 +25,7 @@ func newEvidencePair(t *testing.T, cfg Config) *evidencePair {
 	t.Helper()
 	cfg.NackDelay, cfg.NackInterval = 20*time.Millisecond, 20*time.Millisecond
 	e := &evidencePair{pair: newPair(t, netsim.LinkConfig{Delay: 500 * time.Microsecond}, cfg, 1), t: t, at: map[uint64]sim.Time{}}
-	e.fp = e.rcv.cfg.fragPayload()
+	e.fp = e.rcv.cfg.grid.fp
 	reinstallReceiver(e.pair, func(pkt []byte) {
 		if h, err := wire.ParseHeader(pkt); err == nil && e.drop != nil && e.drop(&h, pkt) {
 			return

@@ -67,7 +67,7 @@ type RateSample struct {
 	// LossFrac is 1 - RecvBytes/SentBytes clamped to [0, 1]: the
 	// fraction of offered wire volume the path failed to deliver.
 	// In-flight data skews a single sample; controllers should treat
-	// small values as noise (see AIMD.LossThreshold).
+	// small values as noise (see aimdLossThreshold).
 	LossFrac float64
 	// Backlog is the sender's current pacer backlog: how far in the
 	// future the next fragment would be scheduled.
@@ -85,10 +85,10 @@ type RateController interface {
 }
 
 // AIMD is a loss-driven additive-increase / multiplicative-decrease
-// controller: when an interval's loss fraction crosses LossThreshold
-// the rate is multiplied by Backoff, otherwise it grows by ProbeBps.
-// The result is clamped to [Floor, Ceil]. Zero fields take the listed
-// defaults, so AIMD{} is usable as-is.
+// controller: when an interval's loss fraction crosses
+// aimdLossThreshold the rate is multiplied by aimdBackoff, otherwise it
+// grows by ProbeBps. The result is clamped to [Floor, Ceil]. Zero
+// fields take the listed defaults, so AIMD{} is usable as-is.
 type AIMD struct {
 	// Floor is the minimum rate (default 128 kb/s). The floor keeps
 	// the control loop alive: a stream paced to zero would never probe
@@ -98,17 +98,18 @@ type AIMD struct {
 	// application's offered rate — there is no point pacing faster
 	// than data is produced.
 	Ceil float64
-	// Backoff is the multiplicative decrease factor in (0, 1)
-	// (default 0.5).
-	Backoff float64
 	// ProbeBps is the additive probe per loss-free report
 	// (default 100 kb/s).
 	ProbeBps float64
-	// LossThreshold is the loss fraction above which a report counts
-	// as congestion (default 0.02). Below it, residual line loss and
-	// in-flight skew are treated as noise.
-	LossThreshold float64
 }
+
+// AIMD's fixed parameters: the multiplicative decrease, and the loss
+// fraction above which a report counts as congestion. Below it, residual
+// line loss and in-flight skew are treated as noise.
+const (
+	aimdBackoff       = 0.5
+	aimdLossThreshold = 0.02
+)
 
 // WindowedRate is a model-based controller for paths where feedback
 // ages faster than it travels: it paces from a windowed maximum of
@@ -118,10 +119,13 @@ type AIMD struct {
 // minutes ago, and one blackout-spanning report (huge apparent loss)
 // triggers a multiplicative backoff that then needs hours of additive
 // probing to undo. WindowedRate instead keeps a short window of
-// delivery-rate samples (RecvBytes over the report interval — what
-// the path demonstrably carried) and paces at a gain over the window
-// maximum, BBR-style. Reports whose interval exceeds StaleAfter are
-// treated as describing an outage, not the path: they are excluded
+// windowSamples delivery-rate samples (RecvBytes over the report
+// interval — what the path demonstrably carried) and paces at their
+// maximum, BBR-style, so one slow interval never drags the pace down;
+// every windowProbeEvery-th fresh sample it offers windowProbeGain
+// times that, since the model can only learn a higher delivery rate by
+// occasionally offering one. Reports whose interval exceeds StaleAfter
+// are treated as describing an outage, not the path: they are excluded
 // from the model, so the estimate holds through a blackout and
 // transmission resumes at the pre-blackout rate the moment the link
 // heals. Zero fields take the listed defaults, so WindowedRate{} is
@@ -132,30 +136,25 @@ type WindowedRate struct {
 	Floor float64
 	// Ceil is the maximum rate (default: unbounded).
 	Ceil float64
-	// Window is how many fresh delivery samples the model keeps
-	// (default 8, max 32). The estimate is the maximum over the
-	// window, so one slow interval never drags the pace down.
-	Window int
-	// Gain scales the windowed estimate into a pacing rate
-	// (default 1.0).
-	Gain float64
-	// ProbeGain replaces Gain on every ProbeEvery-th fresh sample
-	// (default 1.25): the model can only learn a higher delivery rate
-	// by occasionally offering one.
-	ProbeGain float64
-	// ProbeEvery is the probe cadence in fresh samples (default 6).
-	ProbeEvery int
 	// StaleAfter is the report-interval age beyond which a sample is
 	// excluded from the model (default 0 = never stale). Set it to a
 	// few feedback intervals: anything longer means reports stopped
 	// flowing — a blackout, not a slower path.
 	StaleAfter sim.Duration
 
-	window [32]float64 // delivery-rate ring, model state
-	n      int         // samples stored (<= effective Window)
-	head   int         // next ring slot
-	fresh  int         // fresh samples seen, drives the probe cadence
+	window [windowSamples]float64 // delivery-rate ring, model state
+	n      int                    // samples stored
+	head   int                    // next ring slot
+	fresh  int                    // fresh samples seen, drives the probe cadence
 }
+
+// WindowedRate's fixed parameters: the samples its window keeps, and
+// its probe's gain and cadence in fresh samples.
+const (
+	windowSamples    = 8
+	windowProbeGain  = 1.25
+	windowProbeEvery = 6
+)
 
 // OnFeedback folds one report into the delivery model and returns the
 // paced rate. It never allocates.
@@ -163,18 +162,13 @@ func (w *WindowedRate) OnFeedback(cur float64, s RateSample) float64 {
 	if s.Interval <= 0 {
 		return cur
 	}
-	size := w.Window
-	if size <= 0 {
-		size = 8
-	}
-	size = min(size, len(w.window))
 	stale := w.StaleAfter > 0 && s.Interval > w.StaleAfter
 	if !stale {
 		// Delivery rate the path demonstrated over this interval.
 		rate := float64(s.RecvBytes) * 8 / s.Interval.Seconds()
 		w.window[w.head] = rate
-		w.head = (w.head + 1) % size
-		if w.n < size {
+		w.head = (w.head + 1) % windowSamples
+		if w.n < windowSamples {
 			w.n++
 		}
 		w.fresh++
@@ -188,22 +182,10 @@ func (w *WindowedRate) OnFeedback(cur float64, s RateSample) float64 {
 		// current rate rather than guess.
 		return cur
 	}
-	gain := w.Gain
-	if gain <= 0 {
-		gain = 1.0
+	if !stale && w.fresh%windowProbeEvery == 0 {
+		est *= windowProbeGain
 	}
-	probeEvery := w.ProbeEvery
-	if probeEvery <= 0 {
-		probeEvery = 6
-	}
-	if !stale && w.fresh%probeEvery == 0 {
-		probe := w.ProbeGain
-		if probe <= 0 {
-			probe = 1.25
-		}
-		gain = probe
-	}
-	return clampRate(gain*est, w.Floor, w.Ceil)
+	return clampRate(est, w.Floor, w.Ceil)
 }
 
 // clampRate holds a controller's next rate to [floor, ceil]: floor
@@ -221,21 +203,13 @@ func clampRate(next, floor, ceil float64) float64 {
 
 // OnFeedback applies one AIMD step.
 func (a *AIMD) OnFeedback(cur float64, s RateSample) float64 {
-	backoff := a.Backoff
-	if backoff <= 0 || backoff >= 1 {
-		backoff = 0.5
-	}
 	probe := a.ProbeBps
 	if probe <= 0 {
 		probe = 100e3
 	}
-	thresh := a.LossThreshold
-	if thresh <= 0 {
-		thresh = 0.02
-	}
 	next := cur + probe
-	if s.LossFrac > thresh {
-		next = cur * backoff
+	if s.LossFrac > aimdLossThreshold {
+		next = cur * aimdBackoff
 	}
 	return clampRate(next, a.Floor, a.Ceil)
 }

@@ -36,12 +36,12 @@ func TestFeedbackWireRoundtrip(t *testing.T) {
 }
 
 func TestAIMDSteps(t *testing.T) {
-	a := &AIMD{Floor: 1e5, Ceil: 1e6, Backoff: 0.5, ProbeBps: 5e4, LossThreshold: 0.05}
-	if got := a.OnFeedback(4e5, RateSample{LossFrac: 0.10}); got != 2e5 {
+	a := &AIMD{Floor: 1e5, Ceil: 1e6, ProbeBps: 5e4}
+	if got := a.OnFeedback(4e5, RateSample{LossFrac: 0.03}); got != 2e5 {
 		t.Errorf("lossy backoff: %v, want 2e5", got)
 	}
-	if got := a.OnFeedback(4e5, RateSample{LossFrac: 0.01}); got != 4.5e5 {
-		t.Errorf("clean probe: %v, want 4.5e5", got)
+	if got := a.OnFeedback(4e5, RateSample{LossFrac: 0.02}); got != 4.5e5 {
+		t.Errorf("clean probe at the threshold: %v, want 4.5e5", got)
 	}
 	if got := a.OnFeedback(1.2e5, RateSample{LossFrac: 1}); got != 1e5 {
 		t.Errorf("floor clamp: %v, want 1e5", got)
@@ -259,6 +259,39 @@ func TestRecoveryBandwidthCap(t *testing.T) {
 	if snd.Stats.ResentADUs != 3 {
 		t.Errorf("refilled bucket still suppressing: resent=%d suppressed=%d",
 			snd.Stats.ResentADUs, snd.Stats.RetxSuppressed)
+	}
+}
+
+// TestRecoveryChargeIsWireBytes: a resend debits the recovery bucket
+// exactly the wire bytes it adds to Stats.WireBytes, whatever it is made
+// of: a retained ADU of five fragments and two FEC parities, the second
+// shorter than the first, each with its header and tag; or an ADU of
+// three fragments the application recomputes.
+func TestRecoveryChargeIsWireBytes(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		cfg   Config
+		frags int // data fragments, the last of 100 bytes
+	}{
+		{"sender-buffered, FECGroup 4", Config{Policy: SenderBuffered, FECGroup: 4, Suite: SuiteAEAD, Key: 7}, 5},
+		{"app-recompute", Config{Policy: AppRecompute}, 3},
+	} {
+		tc.cfg.RateBps, tc.cfg.RecoveryFrac = 1e8, 1
+		snd, err := testSender(sim.NewScheduler(), func([]byte) error { return nil }, tc.cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		data := payload((tc.frags-1)*snd.cfg.grid.fp+100, 3)
+		snd.OnResend = func(uint64) (uint64, xcode.SyntaxID, []byte, bool) { return 0, xcode.SyntaxRaw, data, true }
+		if _, err := snd.Send(0, xcode.SyntaxRaw, data); err != nil {
+			t.Fatal(err)
+		}
+		before := snd.Stats.WireBytes
+		snd.resend(0)
+		sent, debit := snd.Stats.WireBytes-before, 1e8/8-snd.retxTokens
+		if sent == 0 || debit != float64(sent) {
+			t.Errorf("%s: the resend sent %d wire bytes and debited %v", tc.name, sent, debit)
+		}
 	}
 }
 

@@ -259,15 +259,11 @@ func (r *Receiver) HandlePacket(pkt []byte) error {
 		r.Stats.TooLarge++
 		return ErrADUTooLarge
 	}
-	// A fragment off the grid both ends share (Config: fragment k starts
-	// at k·fp and runs fp bytes or to the ADU's end, a parity starts its
-	// FEC group), or at odds with its ADU's earlier ones, could leave
-	// holes that the byte count takes for data.
-	fp, parity := r.cfg.fragPayload(), h.Flags&wire.FlagParity != 0
-	k := h.FragOff / fp
-	if h.FragOff != k*fp || h.FragLen != min(fp, h.TotalLen-h.FragOff) || h.FragLen == 0 && h.FragOff > 0 ||
-		parity && (r.cfg.FECGroup == 0 || k%r.cfg.FECGroup != 0) ||
-		sl != nil && sl.p != nil && (sl.p.total != h.TotalLen || sl.p.tag != h.Tag || sl.p.check != h.ADUCheck) {
+	// A fragment off the grid both ends share, or at odds with its ADU's
+	// earlier ones, could leave holes that the byte count takes for data.
+	parity := h.Flags&wire.FlagParity != 0
+	k, on := r.cfg.grid.at(h.FragOff, h.FragLen, h.TotalLen, parity)
+	if !on || sl != nil && sl.p != nil && (sl.p.total != h.TotalLen || sl.p.tag != h.Tag || sl.p.check != h.ADUCheck) {
 		r.Stats.Inconsistent++
 		return ErrInconsistent
 	}
@@ -280,7 +276,7 @@ func (r *Receiver) HandlePacket(pkt []byte) error {
 	if p == nil {
 		// The first fragment ends the name's time as a gap, and its
 		// recovery starts over from now.
-		p = r.getPartial(&h, fp)
+		p = r.getPartial(&h)
 		p.untimed = sl.nacks > 0 // a resend of a gap's earlier requests may still be on its way
 		*sl = slot{p: p, since: r.sched.Now()}
 		r.missing--
@@ -295,7 +291,7 @@ func (r *Receiver) HandlePacket(pkt []byte) error {
 			r.Stats.AuthFails++
 			return ErrAuthFail
 		}
-		r.handleParity(&h, p, k/r.cfg.FECGroup, payload)
+		r.handleParity(&h, p, k, payload)
 		if p.gotBytes >= p.total {
 			r.complete(h.Name, sl)
 		}
@@ -307,7 +303,7 @@ func (r *Receiver) HandlePacket(pkt []byte) error {
 		// Karn's rule: only an ADU requested once times its repair, and
 		// only by a duplicate, which cannot be an original still in
 		// flight. A forged one must not shorten the timer.
-		if sl.nacks == 1 && !p.untimed && r.authentic(h.Name, p, h.FragOff, payload, tag) {
+		if sl.nacks == 1 && !p.untimed && r.authentic(h.Name, p, k, payload, tag) {
 			p.untimed = true
 			if r.repair == nil {
 				r.repair = new(sim.RTT)
@@ -330,8 +326,8 @@ func (r *Receiver) HandlePacket(pkt []byte) error {
 
 	// A newly placed fragment may make an FEC group reconstructible
 	// (all-but-one present, parity held).
-	if r.cfg.FECGroup > 0 {
-		r.tryReconstruct(h.Name, p, k/r.cfg.FECGroup)
+	if r.cfg.grid.group > 0 {
+		r.tryReconstruct(h.Name, p, k/r.cfg.grid.group)
 	}
 	if p.gotBytes >= p.total {
 		r.complete(h.Name, sl)
@@ -339,9 +335,9 @@ func (r *Receiver) HandlePacket(pkt []byte) error {
 	return nil
 }
 
-// getPartial returns reassembly state for a new ADU of fragments of fp
-// bytes: a recycled struct around a pooled buffer sized to the ADU.
-func (r *Receiver) getPartial(h *wire.Header, fp int) *partial {
+// getPartial returns reassembly state for a new ADU: a recycled struct
+// around a pooled buffer sized to the ADU.
+func (r *Receiver) getPartial(h *wire.Header) *partial {
 	p := reuse(&r.spare.parts)
 	if p == nil {
 		p = new(partial)
@@ -354,11 +350,8 @@ func (r *Receiver) getPartial(h *wire.Header, fp int) *partial {
 		total:    h.TotalLen,
 		ref:      ref,
 		buf:      ref.Bytes(),
-		got:      append(p.got[:0], make([]uint64, h.TotalLen/fp>>6+1)...), // zeroed, for fragments 0 to TotalLen/fp
-		parities: p.parities[:0],
-	}
-	if r.cfg.FECGroup > 0 {
-		p.parities = append(p.parities, make([]*buf.Ref, h.TotalLen/fp/r.cfg.FECGroup+1)...)
+		got:      append(p.got[:0], make([]uint64, (r.cfg.grid.frags(h.TotalLen)+63)>>6)...), // zeroed
+		parities: append(p.parities[:0], make([]*buf.Ref, r.cfg.grid.groups(h.TotalLen))...),
 	}
 	return p
 }
@@ -382,8 +375,8 @@ func (r *Receiver) putPartial(p *partial) {
 // verifies the fragment's tag — fused (§6). The range is accounted as
 // received only when that succeeds.
 func (r *Receiver) place(name uint64, p *partial, k int, payload, tag []byte) bool {
-	off := k * r.cfg.fragPayload()
-	sum, ok := r.cfg.suite.open(&r.cfg, r.crypto, name, off, p.total, p.buf[off:off+len(payload)], payload, tag)
+	off, n := r.cfg.grid.frag(k, p.total)
+	sum, ok := r.cfg.suite.open(&r.cfg, r.crypto, name, k, p.total, p.buf[off:off+n], payload, tag)
 	if !ok {
 		return false
 	}
@@ -394,22 +387,23 @@ func (r *Receiver) place(name uint64, p *partial, k int, payload, tag []byte) bo
 	return true
 }
 
-// authentic reports whether a duplicate fragment's tag verifies. It
+// authentic reports whether duplicate fragment k's tag verifies. It
 // opens into a scratch buffer: the verified copy already placed stays
 // as it is.
-func (r *Receiver) authentic(name uint64, p *partial, off int, payload, tag []byte) bool {
+func (r *Receiver) authentic(name uint64, p *partial, k int, payload, tag []byte) bool {
 	if len(tag) == 0 {
 		return true
 	}
 	scratch := r.cfg.Pool.Get(len(payload))
-	_, ok := r.cfg.suite.open(&r.cfg, r.crypto, name, off, p.total, scratch.Bytes(), payload, tag)
+	_, ok := r.cfg.suite.open(&r.cfg, r.crypto, name, k, p.total, scratch.Bytes(), payload, tag)
 	scratch.Release()
 	return ok
 }
 
-// handleParity stores the parity fragment of FEC group g (in a pooled
-// buffer) and attempts recovery.
-func (r *Receiver) handleParity(h *wire.Header, p *partial, g int, payload []byte) {
+// handleParity stores the parity fragment that starts fragment k's FEC
+// group (in a pooled buffer) and attempts recovery.
+func (r *Receiver) handleParity(h *wire.Header, p *partial, k int, payload []byte) {
+	g := k / r.cfg.grid.group
 	if p.parities[g] != nil {
 		r.Stats.DupFragments++
 		return
@@ -426,16 +420,17 @@ func (r *Receiver) handleParity(h *wire.Header, p *partial, g int, payload []byt
 // g, if its parity is held and exactly one fragment is absent; each
 // member's length is the grid's. Reconstruction recovers the wire
 // (enciphered) bytes, so the rebuilt fragment flows through the same
-// fused stage-one pass.
+// fused stage-one pass. A complete ADU, an empty one included, has
+// nothing to rebuild.
 func (r *Receiver) tryReconstruct(name uint64, p *partial, g int) {
 	parity := p.parities[g]
-	if parity == nil {
+	if parity == nil || p.gotBytes >= p.total {
 		return
 	}
-	fp := r.cfg.fragPayload()
-	first, end := g*r.cfg.FECGroup, (g+1)*r.cfg.FECGroup
+	gr := &r.cfg.grid
+	first, end := g*gr.group, min((g+1)*gr.group, gr.frags(p.total))
 	missing := -1
-	for k := first; k < end && k*fp < p.total; k++ {
+	for k := first; k < end; k++ {
 		if !p.has(k) {
 			if missing >= 0 {
 				return // two or more missing: XOR parity cannot help
@@ -455,16 +450,17 @@ func (r *Receiver) tryReconstruct(name uint64, p *partial, g int) {
 	recon := r.cfg.Pool.Get(parity.Len())
 	rb := recon.Bytes()
 	ilp.WordCopy(rb, parity.Bytes())
-	for k := first; k < end && k*fp < p.total; k++ {
+	for k := first; k < end; k++ {
 		if !p.has(k) {
 			continue
 		}
-		off, n := k*fp, min(fp, p.total-k*fp)
+		off, n := gr.frag(k, p.total)
 		ilp.XORWords(rb, p.buf[off:off+n])
 		r.cfg.suite.rekey(&r.cfg, name, off, rb[:n])
 	}
 	r.Stats.FECRecovered++
-	r.place(name, p, missing, rb[:min(fp, p.total-missing*fp)], nil)
+	_, n := gr.frag(missing, p.total)
+	r.place(name, p, missing, rb[:n], nil)
 	recon.Release()
 }
 

@@ -44,7 +44,8 @@ type SenderStats struct {
 
 // wireFrag is one stamped wire packet (header + fragment payload) in a
 // pooled buffer, plus the fragment coordinates the tracer and stats
-// need at emission time.
+// need at emission time (the trace event fires when the packet reaches
+// the wire, so a paced fragment records its pacer wait).
 type wireFrag struct {
 	ref    *buf.Ref // header+payload view; holder owns one count
 	off, n int      // fragment offset and payload length within the ADU
@@ -447,41 +448,31 @@ func (s *Sender) SendClass(tag uint64, syntax xcode.SyntaxID, data []byte, class
 // a suite without one). A tag the sender's chain still holds is written
 // by the flush after the loop, so every trailer is final by stamp time.
 func (s *Sender) packetize(name uint64, data []byte, frags []wireFrag) ([]wireFrag, uint16) {
-	frag := s.cfg.fragPayload()
-	ops, trailer := s.cfg.suite, s.cfg.suite.flags.Trailer()
-	var (
-		sum       uint64
-		parity    *buf.Ref // XOR accumulator for the current group
-		parityOff int      // group start offset
-		parityLen int      // blob length (first, longest fragment of the group)
-		inGroup   int      // data fragments accumulated
-	)
+	g, ops, trailer := &s.cfg.grid, s.cfg.suite, s.cfg.suite.flags.Trailer()
+	var sum uint64
+	var parity wireFrag // the current group's XOR accumulator, at its first member's offset and length
 	// Rounded up so that payloads start 32-byte aligned, at both ends.
 	headroom := (HeaderSize + len(s.cfg.encap) + 31) &^ 31
-	for off, last := 0, false; !last; {
-		n := min(len(data)-off, frag)
+	for k, nk := 0, g.frags(len(data)); k < nk; k++ {
+		off, n := g.frag(k, len(data))
 		ref := s.cfg.Pool.GetHeadroom(n+trailer, headroom)
 		w := ref.Bytes()
-		sum += ops.seal(&s.cfg, s.crypto, name, off, len(data), w, data[off:off+n])
+		sum += ops.seal(&s.cfg, s.crypto, name, k, len(data), w, data[off:off+n])
 		frags = append(frags, wireFrag{ref: ref, off: off, n: n})
-		if s.cfg.FECGroup > 0 {
-			if inGroup == 0 {
-				parityOff, parityLen = off, n
-				parity = s.cfg.Pool.GetHeadroom(n+trailer, headroom)
-				ilp.WordCopy(parity.Bytes()[:n], w[:n])
-			} else {
-				ilp.XORWords(parity.Bytes()[:parityLen], w[:n])
-			}
-			inGroup++
+		switch {
+		case g.group == 0:
+			continue
+		case k%g.group == 0:
+			parity = wireFrag{ref: s.cfg.Pool.GetHeadroom(n+trailer, headroom), off: off, n: n, parity: true}
+			ilp.WordCopy(parity.ref.Bytes()[:n], w[:n])
+		default:
+			ilp.XORWords(parity.ref.Bytes()[:parity.n], w[:n])
 		}
-		off += n
-		last = off >= len(data)
-		if inGroup > 0 && (inGroup == s.cfg.FECGroup || last) {
+		if (k+1)%g.group == 0 || k+1 == nk {
 			if trailer > 0 {
-				ops.sealParity(&s.cfg, name, parityOff, parity.Bytes(), parityLen)
+				ops.sealParity(&s.cfg, name, parity.off, parity.ref.Bytes(), parity.n)
 			}
-			frags = append(frags, wireFrag{ref: parity, off: parityOff, n: parityLen, parity: true})
-			inGroup = 0
+			frags = append(frags, parity)
 		}
 	}
 	s.crypto.flush()
@@ -542,11 +533,10 @@ func (s *Sender) emitFrags(name uint64, frags []wireFrag, isResend, retain bool)
 		if i == lastData {
 			markNext = name + 1 // final fragment: the ADU is fully emitted
 		}
-		ref := f.ref
 		if retain {
-			ref = ref.Retain()
+			f.ref = f.ref.Retain()
 		}
-		s.emit(ref, isResend, markNext, fragRef{name: name, off: f.off, n: f.n, parity: f.parity})
+		s.emit(name, f, isResend, markNext)
 		switch {
 		case f.parity:
 			s.Stats.ParityFrags++
@@ -559,22 +549,13 @@ func (s *Sender) emitFrags(name uint64, frags []wireFrag, isResend, retain bool)
 	}
 }
 
-// fragRef identifies the fragment inside an emitted packet for the
-// tracer (the trace event fires when the packet actually reaches the
-// wire, so a paced fragment records its pacer wait).
-type fragRef struct {
-	name   uint64
-	off, n int
-	parity bool
-}
-
 // deferred is a paced sendOut held for its time on a pooled event, in
 // a record spares recycles.
 type deferred struct {
 	s        *Sender
-	pkt      *buf.Ref
+	name     uint64
+	f        wireFrag
 	kind     tracing.Kind
-	ref      fragRef
 	markNext uint64
 	wait     sim.Duration
 }
@@ -593,49 +574,50 @@ func (s *Sender) later(t sim.Time, d deferred) {
 func callDeferred(a any) {
 	d := a.(*deferred)
 	s := d.s
-	s.sendOut(d.pkt, d.kind, d.ref, d.markNext, d.wait)
+	s.sendOut(d.name, d.f, d.kind, d.markNext, d.wait)
 	*d = deferred{}
 	s.spare.later = append(s.spare.later, d)
 }
 
-// sendOut is the one step by which a packet leaves the sender, now or
-// at its paced time: the trace event (wait is the pacer's hold), the
-// wire-byte count, the packet itself by reference — the count passes
-// to SendRef — and the emitted-extent watermark the heartbeat declares.
-func (s *Sender) sendOut(pkt *buf.Ref, kind tracing.Kind, ref fragRef, markNext uint64, wait sim.Duration) {
-	s.cfg.Tracer.Emit(kind, s.cfg.StreamID, ref.name, int64(ref.off), ref.n, wait)
-	s.Stats.WireBytes += int64(pkt.Len())
-	_ = s.SendRef(pkt) // a refused packet is a loss, which recovery repairs
+// sendOut is the one step by which fragment f of ADU name leaves the
+// sender, now or at its paced time: the trace event (wait is the pacer's
+// hold), the wire-byte count, the packet itself by reference — the count
+// passes to SendRef — and the emitted-extent watermark the heartbeat
+// declares.
+func (s *Sender) sendOut(name uint64, f wireFrag, kind tracing.Kind, markNext uint64, wait sim.Duration) {
+	s.cfg.Tracer.Emit(kind, s.cfg.StreamID, name, int64(f.off), f.n, wait)
+	s.Stats.WireBytes += int64(f.ref.Len())
+	_ = s.SendRef(f.ref) // a refused packet is a loss, which recovery repairs
 	if markNext > s.emittedNext {
 		s.emittedNext = markNext
 	}
 }
 
-// emit sends one packet now or at the paced time, consuming the
-// caller's reference. Recovery traffic (priority) bypasses the pacer:
+// emit sends fragment f of ADU name now or at the paced time, consuming
+// the caller's reference to its packet. Recovery traffic (priority) bypasses the pacer:
 // a retransmission that queues behind the rest of a long paced stream
 // re-creates exactly the head-of-line latency ALF exists to remove,
 // and its volume is bounded by the receiver's NACK backoff.
-func (s *Sender) emit(pkt *buf.Ref, priority bool, markNext uint64, ref fragRef) {
+func (s *Sender) emit(name uint64, f wireFrag, priority bool, markNext uint64) {
 	kind := tracing.FragTX
 	switch {
-	case ref.parity:
+	case f.parity:
 		kind = tracing.ParityTX
 	case priority:
 		kind = tracing.FragRetx
 	}
 	if s.cfg.RateBps <= 0 || priority {
-		s.sendOut(pkt, kind, ref, markNext, 0)
+		s.sendOut(name, f, kind, markNext, 0)
 		return
 	}
-	tx := sim.Duration(float64(pkt.Len()*8) / s.cfg.RateBps * 1e9)
+	tx := sim.Duration(float64(f.ref.Len()*8) / s.cfg.RateBps * 1e9)
 	at := max(s.sched.Now(), s.pacerFree)
 	s.pacerFree = at.Add(tx)
 	if at == s.sched.Now() {
-		s.sendOut(pkt, kind, ref, markNext, 0)
+		s.sendOut(name, f, kind, markNext, 0)
 		return
 	}
-	s.later(at, deferred{pkt: pkt, kind: kind, ref: ref, markNext: markNext, wait: at.Sub(s.sched.Now())})
+	s.later(at, deferred{name: name, f: f, kind: kind, markNext: markNext, wait: at.Sub(s.sched.Now())})
 }
 
 // HandleControl processes a message from the receiver on the control
@@ -855,8 +837,7 @@ func (s *Sender) resend(name uint64) {
 			s.Stats.UnfilledNacks++
 			return
 		}
-		wireLen := saved.wireLen + len(saved.frags)*(HeaderSize+s.cfg.suite.flags.Trailer())
-		if !s.allowRecovery(wireLen, saved.class) {
+		if !s.allowRecovery(s.cfg.grid.wire(saved.wireLen), saved.class) {
 			return
 		}
 		s.Stats.ResentADUs++
@@ -873,7 +854,7 @@ func (s *Sender) resend(name uint64) {
 			s.Stats.UnfilledNacks++
 			return
 		}
-		if !s.allowRecovery(len(data)+HeaderSize, Standard) {
+		if !s.allowRecovery(s.cfg.grid.wire(len(data)), Standard) {
 			return
 		}
 		s.Stats.RecomputeADUs++

@@ -139,9 +139,9 @@ const (
 	// FlagEnciphered marks a payload under the scramble keystream.
 	FlagEnciphered Flags = 1 << 0
 	// FlagParity marks a forward-error-correction fragment: its payload
-	// is the XOR of the data fragments whose offsets lie in
-	// [FragOff, FragOff + FECGroup*fragPayload), each zero-padded to
-	// the parity's FragLen. TotalLen and the ADU checksum describe the
+	// is the XOR of the data fragments of the FEC group it starts on the
+	// stream's fragment grid (FECGroup fragments from FragOff), each
+	// zero-padded to the parity's FragLen. TotalLen and the ADU checksum describe the
 	// ADU as usual so a parity fragment can also create the reassembly
 	// state.
 	FlagParity Flags = 1 << 1

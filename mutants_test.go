@@ -83,12 +83,23 @@ var mutants = []mutant{
 		pkg: "./internal/netsim", run: "^TestRouterHandsBufferOn$"},
 	// One fragment grid per stream, and custody only of fragments that
 	// tile their ADU.
-	{name: "grid check dropped", file: "internal/core/receiver.go",
-		old: "if h.FragOff != k*fp || h.FragLen", new: "if h.FragLen",
+	{name: "grid check dropped", file: "internal/core/alf.go",
+		old: "return k, off == k*g.fp && n ==", new: "return k, n ==",
 		pkg: "./internal/core", run: "^TestOffGridNeverDelivers$"},
 	{name: "relay overlap check dropped", file: "internal/relay/relay.go",
 		old: "if s.off == off || s.off < off+n && off < s.off+s.n {", new: "if s.off == off {",
 		pkg: "./internal/relay", run: "^TestCustodyOnlyFromTilingFragments$"},
+	// One grid value per stream: the receiver's test, the lanes found by
+	// fragment index, and the recovery charge of an ADU's wire size.
+	{name: "grid accepts a full-fp last fragment", file: "internal/core/alf.go",
+		old: "n == min(g.fp, total-off)", new: "n == g.fp",
+		pkg: "./internal/core", run: "^TestPlacementMatchesModel$"},
+	{name: "dataMAC lane from k+1", file: "internal/core/crypto.go",
+		old: "run, i := k/cipher.Lanes, k%cipher.Lanes", new: "run, i := k/cipher.Lanes, (k+1)%cipher.Lanes",
+		pkg: "./internal/core", run: "^TestSealChainTags$"},
+	{name: "recovery charge without parity payload", file: "internal/core/alf.go",
+		old: "if p > 0 {", new: "if p < 0 {",
+		pkg: "./internal/core", run: "^TestRecoveryChargeIsWireBytes$"},
 	// A count past 2^31 is negative where int has 32 bits (ROADMAP 24).
 	{name: "raw seq count not checked for n < 0", file: "internal/xcode/rawlwts.go",
 		old: "if n < 0 || n > len(src) {", new: "if n > len(src) {",
