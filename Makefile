@@ -242,9 +242,11 @@ lint: vet
 # OTP connection and a duplex link built without a registry stay under
 # a fixed allocation count (NilRegistryBindsNothing: 6 for the pair),
 # so metric bindings cannot creep back into per-flow state; a sharded
-# flow costs at most one allocation to add (AddFlowAllocs, the set-up of
-# flows_sharded_64k: a slab slot), a warm endpoint's new flows at most
-# 0.05 per delivered ADU to run (FlowRunAllocs), a paced stream none
+# flow costs at most 0.05 allocations to add (AddFlowAllocs, the set-up
+# of flows_sharded_64k: a share of a slab chunk), an AEAD one no more
+# than 64 bytes over a cleartext one, a warm endpoint's new flows,
+# cleartext or AEAD, at most 0.05 per delivered ADU to run
+# (FlowRunAllocs), a paced stream none
 # more than an unpaced one (PacedSendZeroAlloc), and summing a flow's
 # counters into Sharded.Stats none (metrics' AddStatsZeroAlloc); the
 # reassembly state the flows share comes back clean

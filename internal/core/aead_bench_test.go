@@ -16,7 +16,7 @@ func BenchmarkSendSteadyStateAEAD(b *testing.B) {
 // bytes: eight fragments and a 128-byte ninth), sealed by the AEAD
 // suite into one buffer per fragment, payload and tag, through st's
 // chain and lanes.
-func sealedADU(cfg *Config, st *sealState, name uint64, data []byte, frags [][]byte) {
+func sealedADU(cfg *Config, st *aeadScratch, name uint64, data []byte, frags [][]byte) {
 	for k := range frags {
 		off, n := cfg.grid.frag(k, len(data))
 		cfg.suite.seal(cfg, st, name, k, len(data), frags[k][:n+cipher.TagSize], data[off:off+n])
@@ -49,7 +49,7 @@ func aeadADU() (*Config, []byte, [][]byte) {
 // ADU is a new name, so each takes its lanes anew, as in a stream.
 func BenchmarkSealADU(b *testing.B) {
 	cfg, data, frags := aeadADU()
-	st := new(sealState)
+	st := new(aeadScratch)
 	b.SetBytes(benchADUBytes)
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -60,11 +60,11 @@ func BenchmarkSealADU(b *testing.B) {
 
 func BenchmarkOpenADU(b *testing.B) {
 	cfg, data, frags := aeadADU()
-	sealedADU(cfg, new(sealState), 1, data, frags)
+	sealedADU(cfg, new(aeadScratch), 1, data, frags)
 	out := make([]byte, len(data))
 	b.SetBytes(benchADUBytes)
 	b.ReportAllocs()
-	st := new(openState)
+	st := new(aeadScratch)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		st.lanes.n = 0 // a new ADU's lanes each time, not the last one's

@@ -63,15 +63,16 @@ type suiteOps struct {
 	// sender's cipher.Chain, which a sender of the suite then owns: the
 	// MAC's last chunk rides in the kernel call that seals the next
 	// fragment, and packetize flushes the chain before it stamps. Both
-	// ends of such a suite also keep a runLanes, whose blocks seal and
-	// open take their tag keys and heads from (sealState, openState).
+	// ends of such a suite also take a runLanes, whose blocks seal and
+	// open take their tag keys and heads from. The chain, the lanes and
+	// the receiver's MAC are the endpoint's spares' (aeadScratch).
 	chained bool
 	// seal is the sender's fused pass over fragment k of an ADU of
 	// total bytes: src is plaintext, dst receives len(src) wire bytes
 	// followed by the trailer. It returns the fragment's partial
-	// plaintext checksum. st is the sender's chain and lanes, nil unless
-	// the suite is chained.
-	seal func(c *Config, st *sealState, name uint64, k, total int, dst, src []byte) uint64
+	// plaintext checksum. st is the sender's scratch, nil unless the
+	// suite is chained.
+	seal func(c *Config, st *aeadScratch, name uint64, k, total int, dst, src []byte) uint64
 	// sealParity fills the trailer of an FEC parity blob whose payload
 	// (the XOR of its group's wire payloads) is blob[:n]. Like
 	// openParity it is nil, and never called, when there is no trailer.
@@ -83,8 +84,8 @@ type suiteOps struct {
 	// from FEC parity: there is no trailer, and nothing to verify — the
 	// parity blob and every surviving member were verified on arrival
 	// and XOR is the only arithmetic between them. st is the receiver's
-	// lanes and MAC, nil unless the suite is chained.
-	open func(c *Config, st *openState, name uint64, k, total int, dst, src, tag []byte) (uint64, bool)
+	// scratch, nil unless the suite is chained.
+	open func(c *Config, st *aeadScratch, name uint64, k, total int, dst, src, tag []byte) (uint64, bool)
 	// openParity verifies a parity blob's trailer.
 	openParity func(c *Config, name uint64, off int, blob, tag []byte) bool
 	// rekey XORs the keystream for ADU offsets [off, off+len(b)) into
@@ -98,10 +99,10 @@ type suiteOps struct {
 var suites = [...]suiteOps{
 	SuiteNone: {
 		aduCheck: true,
-		seal: func(_ *Config, _ *sealState, _ uint64, _, _ int, dst, src []byte) uint64 {
+		seal: func(_ *Config, _ *aeadScratch, _ uint64, _, _ int, dst, src []byte) uint64 {
 			return ilp.FusedCopySum(dst, src)
 		},
-		open: func(_ *Config, _ *openState, _ uint64, _, _ int, dst, src, _ []byte) (uint64, bool) {
+		open: func(_ *Config, _ *aeadScratch, _ uint64, _, _ int, dst, src, _ []byte) (uint64, bool) {
 			return ilp.FusedCopySum(dst, src), true
 		},
 		rekey: func(*Config, uint64, int, []byte) {},
@@ -109,12 +110,12 @@ var suites = [...]suiteOps{
 	SuiteScramble: {
 		flags:    wire.FlagEnciphered,
 		aduCheck: true,
-		seal: func(c *Config, _ *sealState, name uint64, k, total int, dst, src []byte) uint64 {
+		seal: func(c *Config, _ *aeadScratch, name uint64, k, total int, dst, src []byte) uint64 {
 			off, _ := c.grid.frag(k, total)
 			c.ledger.stream(c.Key^name, &[cipher.NonceSize]byte{}, off, src)
 			return ilp.FusedEncryptCopySum(dst, src, c.Key^name, off)
 		},
-		open: func(c *Config, _ *openState, name uint64, k, total int, dst, src, _ []byte) (uint64, bool) {
+		open: func(c *Config, _ *aeadScratch, name uint64, k, total int, dst, src, _ []byte) (uint64, bool) {
 			off, _ := c.grid.frag(k, total)
 			return ilp.FusedDecryptCopySum(dst, src, c.Key^name, off), true
 		},
@@ -137,7 +138,7 @@ var suites = [...]suiteOps{
 	SuiteAEAD: {
 		flags:   wire.FlagAEAD,
 		chained: true,
-		seal: func(c *Config, st *sealState, name uint64, k, total int, dst, src []byte) uint64 {
+		seal: func(c *Config, st *aeadScratch, name uint64, k, total int, dst, src []byte) uint64 {
 			nonce := aeadNonce(c.StreamID, name)
 			off, _ := c.grid.frag(k, total)
 			c.ledger.tag(keyPrint(&c.aeadKey), &nonce, tagCtrData, off, src)
@@ -157,7 +158,7 @@ var suites = [...]suiteOps{
 		// verdict, which is safe because the caller accounts the range
 		// as received only on success — a forged fragment leaves no
 		// trace and the range stays recoverable.
-		open: func(c *Config, st *openState, name uint64, k, total int, dst, src, tag []byte) (uint64, bool) {
+		open: func(c *Config, st *aeadScratch, name uint64, k, total int, dst, src, tag []byte) (uint64, bool) {
 			nonce := aeadNonce(c.StreamID, name)
 			off, _ := c.grid.frag(k, total)
 			if tag == nil {
@@ -259,14 +260,17 @@ func parityMAC(c *Config, nonce *[cipher.NonceSize]byte, off int, blob []byte) (
 // fragments is one run of nine needing 9 + 6 lanes, one call where it
 // took 15 Blocks.
 //
-// Both ends keep one for the (name, run) they last needed: the sender
-// fills it at each run's first fragment, the receiver at the first
-// fragment it sees of a run, and the rest of the run finds its lanes
-// there. A receiver whose fragments arrive in any other order refills
-// it, which costs one fill per fragment at most. A fragment's lanes
-// depend on its name and offset alone, so a fill covers every fragment
-// of its run on the grid that its ADU's length holds.
+// It holds the (owner, name, run) last needed, its owner the *Config of
+// the end that filled it: the sender fills it at each run's first
+// fragment, the receiver at the first fragment it sees of a run, and
+// the rest of the run finds its lanes there. The endpoints of a shard
+// share one (aeadScratch), so a fragment of another owner, or of
+// another run, refills it: one fill per fragment at most. A fragment's
+// lanes depend on its owner's key, its name and its offset alone, so a
+// fill covers every fragment of its run on the grid that its ADU's
+// length holds.
 type runLanes struct {
+	owner     *Config
 	name      uint64
 	run       int
 	n         int                 // fragments the lanes cover; 0 while empty
@@ -279,10 +283,10 @@ const noHead = 0xff
 // dataMAC keys mac as the data-tag MAC of fragment k of ADU name, an
 // ADU of total bytes, and returns its head block (nil if it starts on a
 // block boundary), filling l with the fragment's run first unless it
-// holds the fragment.
+// holds the fragment for c.
 func (l *runLanes) dataMAC(c *Config, nonce *[cipher.NonceSize]byte, name uint64, k, total int, mac *cipher.MAC) *[cipher.BlockSize]byte {
 	run, i := k/cipher.Lanes, k%cipher.Lanes
-	if l.n <= i || l.name != name || l.run != run {
+	if l.n <= i || l.owner != c || l.name != name || l.run != run {
 		l.fill(c, nonce, name, run, total)
 	}
 	mac.Init((*[cipher.KeySize]byte)(l.lane(l.key[i])[:cipher.KeySize]))
@@ -300,7 +304,7 @@ func (l *runLanes) dataMAC(c *Config, nonce *[cipher.NonceSize]byte, name uint64
 func (l *runLanes) fill(c *Config, nonce *[cipher.NonceSize]byte, name uint64, run, total int) {
 	var ctrs [2][cipher.Lanes]uint32
 	lanes := 0
-	l.name, l.run, l.n = name, run, 0
+	l.owner, l.name, l.run, l.n = c, name, run, 0
 	for i := 0; i < cipher.Lanes; i++ {
 		off, _ := c.grid.frag(run*cipher.Lanes+i, total)
 		if i > 0 && off >= total {
@@ -326,30 +330,22 @@ func (l *runLanes) lane(i uint8) *[cipher.BlockSize]byte {
 	return (*[cipher.BlockSize]byte)(l.ks[i/cipher.Lanes][int(i%cipher.Lanes)*cipher.BlockSize:])
 }
 
-// sealState is what a sender of a chained suite keeps behind its one
-// pointer: the chain its fragments are sealed through, and its lanes.
-type sealState struct {
+// aeadScratch is what a chained suite's seal and open need only for
+// the call: the chain a sender's fragments are sealed through, which
+// packetize flushes before it returns; the MAC a receiver opens a
+// fragment with, keyed afresh each time; and the lanes of the last run
+// either end needed, a cache that records its owner. An endpoint's
+// spares holds one, made by the first endpoint of a chained suite to
+// take it, so a shard's flows share theirs.
+type aeadScratch struct {
 	chain cipher.Chain
-	lanes runLanes
-}
-
-// openState is the receiver's counterpart: its lanes, and the MAC of
-// the fragment it opens, keyed in place.
-type openState struct {
-	lanes runLanes
 	mac   cipher.MAC
+	lanes runLanes
 }
 
-// flowCrypto is a sharded flow's sealState and its receiver's openState
-// in one allocation, so that an enciphering flow costs AddFlow one.
-type flowCrypto struct {
-	seal sealState
-	open openState
-}
-
-// flush writes the tag the chain still holds. A sender of a suite
-// without a chain has a nil sealState and nothing to flush.
-func (st *sealState) flush() {
+// flush writes the tag the chain still holds. Under a suite without a
+// chain there is no scratch and nothing to flush.
+func (st *aeadScratch) flush() {
 	if st != nil {
 		st.chain.Flush()
 	}

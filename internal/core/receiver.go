@@ -78,12 +78,13 @@ type slot struct {
 // of it held past the call or ADU using it: a shard's flows share one,
 // so a warm shard's new flow allocates nothing; a lone endpoint has its own.
 type spares struct {
-	parts []*partial  // settled reassembly structs, maps kept
-	rings [][]slot    // receive windows left empty
-	nacks []uint64    // onScan's NACK list
-	frags []wireFrag  // the sender's packetization worklist
-	later []*deferred // the sender's fired deferred-call records
-	frame []byte      // the last control frame sent; every send copies it
+	parts []*partial   // settled reassembly structs, maps kept
+	rings [][]slot     // receive windows left empty
+	nacks []uint64     // onScan's NACK list
+	frags []wireFrag   // the sender's packetization worklist
+	later []*deferred  // the sender's fired deferred-call records
+	frame []byte       // the last control frame sent; every send copies it
+	aead  *aeadScratch // a chained suite's chain, MAC and lanes; nil under the others
 }
 
 // reuse takes the most recently freed entry of a free list, or the
@@ -158,11 +159,6 @@ type Receiver struct {
 
 	Stats ReceiverStats
 
-	// crypto holds the tag keys and heads of the last run of fragments
-	// opened and the MAC that opens them (suiteOps.chained); nil under a
-	// suite without a tag. Last, so that no field a cleartext stream
-	// touches moves for it.
-	crypto *openState
 	// repair estimates the NACK-to-resend round trip; nil until one is
 	// measured, so a stream that never loses anything carries none.
 	repair *sim.RTT
@@ -186,8 +182,8 @@ func (r *Receiver) init(sched *sim.Scheduler, send func([]byte) error, cfg Confi
 		return err
 	}
 	r.cfg, r.sched, r.send, r.scan, r.spare = cfg, sched, send, scan, sp
-	if cfg.suite.chained && r.crypto == nil {
-		r.crypto = new(openState)
+	if cfg.suite.chained && sp.aead == nil {
+		sp.aead = new(aeadScratch)
 	}
 	sched.InitTimer(scan, onScan, r)
 	if cfg.FeedbackInterval > 0 {
@@ -376,7 +372,7 @@ func (r *Receiver) putPartial(p *partial) {
 // received only when that succeeds.
 func (r *Receiver) place(name uint64, p *partial, k int, payload, tag []byte) bool {
 	off, n := r.cfg.grid.frag(k, p.total)
-	sum, ok := r.cfg.suite.open(&r.cfg, r.crypto, name, k, p.total, p.buf[off:off+n], payload, tag)
+	sum, ok := r.cfg.suite.open(&r.cfg, r.spare.aead, name, k, p.total, p.buf[off:off+n], payload, tag)
 	if !ok {
 		return false
 	}
@@ -395,7 +391,7 @@ func (r *Receiver) authentic(name uint64, p *partial, k int, payload, tag []byte
 		return true
 	}
 	scratch := r.cfg.Pool.Get(len(payload))
-	_, ok := r.cfg.suite.open(&r.cfg, r.crypto, name, k, p.total, scratch.Bytes(), payload, tag)
+	_, ok := r.cfg.suite.open(&r.cfg, r.spare.aead, name, k, p.total, scratch.Bytes(), payload, tag)
 	scratch.Release()
 	return ok
 }

@@ -112,13 +112,10 @@ type Sender struct {
 	// releases the ref when done.
 	SendRef func(*buf.Ref) error
 
-	// spare holds the packetization worklist and the deferred-call
-	// records, reused across Sends so the steady state does not allocate.
+	// spare holds the packetization worklist, the deferred-call records
+	// and a chained suite's seal scratch, reused across Sends so the
+	// steady state does not allocate.
 	spare *spares
-	// crypto is the chain that carries a sealed fragment's last chunk
-	// into the next one's kernel call, and the lanes its tag keys and
-	// heads come from (suiteOps.chained); nil under a suite without a tag.
-	crypto *sealState
 
 	// OnResend supplies ADU payloads under the AppRecompute policy: the
 	// application regenerates the data (and its tag and syntax) for a
@@ -213,8 +210,8 @@ func (s *Sender) init(sched *sim.Scheduler, send func([]byte) error, cfg Config,
 	}
 	s.cfg, s.sched, s.send, s.hb, s.spare = cfg, sched, send, hb, sp
 	s.cfg.ledger = cfg.ledger.orNew()
-	if cfg.suite.chained && s.crypto == nil {
-		s.crypto = new(sealState)
+	if cfg.suite.chained && sp.aead == nil {
+		sp.aead = new(aeadScratch)
 	}
 	sched.InitTimer(hb, onHeartbeat, s)
 	if cfg.ADUDeadline > 0 {
@@ -457,7 +454,7 @@ func (s *Sender) packetize(name uint64, data []byte, frags []wireFrag) ([]wireFr
 		off, n := g.frag(k, len(data))
 		ref := s.cfg.Pool.GetHeadroom(n+trailer, headroom)
 		w := ref.Bytes()
-		sum += ops.seal(&s.cfg, s.crypto, name, k, len(data), w, data[off:off+n])
+		sum += ops.seal(&s.cfg, s.spare.aead, name, k, len(data), w, data[off:off+n])
 		frags = append(frags, wireFrag{ref: ref, off: off, n: n})
 		switch {
 		case g.group == 0:
@@ -475,7 +472,7 @@ func (s *Sender) packetize(name uint64, data []byte, frags []wireFrag) ([]wireFr
 			frags = append(frags, parity)
 		}
 	}
-	s.crypto.flush()
+	s.spare.aead.flush()
 	if !ops.aduCheck {
 		return frags, 0
 	}

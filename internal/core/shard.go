@@ -269,10 +269,6 @@ func (t *Sharded) AddFlow(id FlowID) (*Flow, error) {
 	cfg.Metrics = nil // per-flow series would not scale; Stats aggregates flows
 	cfg.encap = f.encap[:]
 
-	if suites[cfg.Suite].chained {
-		fc := new(flowCrypto)
-		f.Sender.crypto, f.Receiver.crypto = &fc.seal, &fc.open
-	}
 	if err := f.Sender.init(sh.sched, sh.ctrlUp, cfg, &f.hb, &sh.spare); err != nil {
 		return nil, err
 	}

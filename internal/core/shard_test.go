@@ -239,16 +239,18 @@ func TestShardFlowsDistinctKeystream(t *testing.T) {
 // A Sender is per-flow state, and the shard plane makes 65 536 of them
 // in flows_sharded_64k. The runtime puts a pointerful object over 512
 // bytes in the smallest size class that holds it and an 8-byte header:
-// 768 bytes now, 896 past it, which would be 128 bytes more per flow.
+// 768 bytes now (744 and the header), 896 past it, which would be 128
+// bytes more per flow.
 func TestSenderSizeClass(t *testing.T) {
 	if n := unsafe.Sizeof(Sender{}); n+8 > 768 {
 		t.Fatalf("Sender is %d bytes: with its allocation header it no longer fits the 768-byte size class", n)
 	}
 }
 
-// A Receiver is per-flow state too, in the 704-byte class with no room
-// to spare: what only a suite with a tag needs (its lanes and MAC) sits behind a
-// pointer that is nil for the rest.
+// A Receiver is per-flow state too, in the 704-byte class. Neither
+// endpoint holds any crypto state: what a suite with a tag needs only
+// for a call (the chain, the MAC and the lanes) is in the spares its
+// shard's flows share.
 func TestReceiverSizeClass(t *testing.T) {
 	if n := unsafe.Sizeof(Receiver{}); n+8 > 704 {
 		t.Fatalf("Receiver is %d bytes: with its allocation header it no longer fits the 704-byte size class", n)
@@ -261,6 +263,9 @@ func TestReceiverSizeClass(t *testing.T) {
 // one keystream panic here, whatever they deliver. Three hundred flows,
 // which take every StreamID more than once, each send one ADU of bytes
 // of their own under both enciphering suites, and each must deliver it.
+// The ADUs are three fragments long, so under SuiteAEAD every flow's
+// seal runs through its shard's shared chain and lanes across fragment
+// and run boundaries alike.
 func TestShardFlowsSealUnderTheLedger(t *testing.T) {
 	for _, suite := range []CipherSuite{SuiteScramble, SuiteAEAD} {
 		ep, err := NewSharded(ShardedConfig{Shards: 2, Workers: 2, Flow: Config{Suite: suite, Key: 0xC0FFEE, Policy: NoRetransmit}})
@@ -274,8 +279,11 @@ func TestShardFlowsSealUnderTheLedger(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			want := payload(100, 7)
+			want := payload(2500, 7)
 			want[0], want[1] = byte(id>>8), byte(id)
+			if n := f.Sender.cfg.grid.frags(len(want)); n != 3 {
+				t.Fatalf("%v: the ADU is %d fragments, want 3", suite, n)
+			}
 			deliver := f.Receiver.OnADU
 			f.Receiver.OnADU = func(adu ADU) {
 				if bytes.Equal(adu.Data, want) {
@@ -294,6 +302,105 @@ func TestShardFlowsSealUnderTheLedger(t *testing.T) {
 	}
 }
 
+// The flows of a shard share one runLanes, so its fill must be its
+// owner's. Three AEAD flows of one shard each send name 0, an ADU of the
+// same ten fragments (two runs, fragments starting mid-block), one after
+// the other: every packet each emits is, once the label is stripped, the
+// one a lone Sender emits under that flow's Config, its key
+// flowKey(key, id). A fill that ignored its owner would hand the second
+// flow the first's tag keys and heads.
+func TestShardLanesSealAsLone(t *testing.T) {
+	tmpl := Config{Suite: SuiteAEAD, Key: 0xC0FFEE, Policy: NoRetransmit, FECGroup: 4}
+	ep, err := NewSharded(ShardedConfig{Flow: tmpl})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for id := FlowID(1); id <= 3; id++ {
+		f, err := ep.AddFlow(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got [][]byte
+		up := f.Sender.SendRef
+		f.Sender.SendRef = func(ref *buf.Ref) error {
+			got = append(got, bytes.Clone(ref.Bytes()[labelSize:]))
+			return up(ref)
+		}
+		data := payload(9*f.Sender.cfg.grid.fp+200, byte(id))
+		if _, err := f.Sender.Send(0, xcode.SyntaxRaw, data); err != nil {
+			t.Fatal(err)
+		}
+		cfg := tmpl
+		cfg.StreamID, cfg.Key = byte(id), flowKey(tmpl.Key, id)
+		var want [][]byte
+		lone := capturingSender(t, cfg, &want)
+		if _, err := lone.Send(0, xcode.SyntaxRaw, data); err != nil {
+			t.Fatal(err)
+		}
+		if len(got) != len(want) {
+			t.Fatalf("flow %d emitted %d packets, a lone sender %d", id, len(got), len(want))
+		}
+		for i := range got {
+			if !bytes.Equal(got[i], want[i]) {
+				t.Fatalf("flow %d: packet %d is not the lone sender's", id, i)
+			}
+		}
+	}
+	ep.Run()
+}
+
+// The receiving half of TestShardLanesSealAsLone: lone senders of three
+// flows of one shard seal name 0, ten fragments each, and the shard's
+// receivers take them interleaved (A k0, B k0, C k0, A k1, ...), so
+// every fragment finds the shared lanes filled for another flow. Each
+// ADU arrives intact and no tag fails. A sender and a receiver that both
+// ignored the owner would agree on the wrong keys, which is why each
+// half has its own test.
+func TestShardLanesOpenInterleaved(t *testing.T) {
+	tmpl := Config{Suite: SuiteAEAD, Key: 0xC0FFEE, Policy: NoRetransmit}
+	ep, err := NewSharded(ShardedConfig{Flow: tmpl})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var flows []*Flow
+	var pkts [][][]byte
+	got := map[FlowID][]byte{}
+	for id := FlowID(1); id <= 3; id++ {
+		f, err := ep.AddFlow(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		f.Receiver.OnADU = func(adu ADU) {
+			got[id] = bytes.Clone(adu.Data)
+			adu.Release()
+		}
+		cfg := tmpl
+		cfg.StreamID, cfg.Key = byte(id), flowKey(tmpl.Key, id)
+		var sealed [][]byte
+		lone := capturingSender(t, cfg, &sealed)
+		if _, err := lone.Send(0, xcode.SyntaxRaw, payload(9*lone.cfg.grid.fp+200, byte(id))); err != nil {
+			t.Fatal(err)
+		}
+		flows, pkts = append(flows, f), append(pkts, sealed)
+	}
+	for k := range pkts[0] {
+		for i, f := range flows {
+			if err := f.Receiver.HandlePacket(pkts[i][k]); err != nil {
+				t.Fatalf("flow %d fragment %d: %v", f.ID, k, err)
+			}
+		}
+	}
+	for _, f := range flows {
+		if want := payload(9*f.Receiver.cfg.grid.fp+200, byte(f.ID)); !bytes.Equal(got[f.ID], want) {
+			t.Errorf("flow %d: delivered %d bytes, want its own %d", f.ID, len(got[f.ID]), len(want))
+		}
+		if n := f.Receiver.Stats.AuthFails; n != 0 {
+			t.Errorf("flow %d: %d tags failed", f.ID, n)
+		}
+	}
+	ep.Run()
+}
+
 // TestAddFlowAllocs pins what a flow costs to build, the set-up of
 // flows_sharded_64k: a slot of its shard's slab, which holds the Flow
 // with its Sender, Receiver and their heartbeat and scan timers inside,
@@ -301,13 +408,15 @@ func TestShardFlowsSealUnderTheLedger(t *testing.T) {
 // shard's, and the timers call static functions, so no flow has a
 // closure. Without an ADUDeadline or a FeedbackInterval there is no
 // retire or feedback timer. The slab's chunks and the flow table's
-// growth round away over many flows. An enciphering flow's sender chain
-// and receiver lanes are one more allocation between them (flowCrypto).
+// growth round away over many flows. An enciphering flow costs no more
+// than a cleartext one, in allocations or in bytes: its chain, MAC and
+// lanes are its shard's, made once (spares).
 func TestAddFlowAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race detector instrumentation allocates")
 	}
-	for _, suite := range []CipherSuite{SuiteNone, SuiteAEAD} {
+	const flows = 16384
+	perFlow := func(suite CipherSuite) (allocs, bytes float64) {
 		cfg := Config{Policy: NoRetransmit, Suite: suite}
 		if suite != SuiteNone {
 			cfg.Key = 0xC0FFEE
@@ -316,66 +425,90 @@ func TestAddFlowAllocs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		id := FlowID(0)
-		allocs := testing.AllocsPerRun(4096, func() {
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		for id := FlowID(0); id < flows; id++ {
 			if _, err := ep.AddFlow(id); err != nil {
 				t.Fatal(err)
 			}
-			id++
-		})
-		if allocs > 1 {
-			t.Errorf("AddFlow under %v: %.2f allocs per flow, want <= 1", suite, allocs)
 		}
+		runtime.ReadMemStats(&m1)
+		return float64(m1.Mallocs-m0.Mallocs) / flows, float64(m1.TotalAlloc-m0.TotalAlloc) / flows
+	}
+	clearAllocs, clearBytes := perFlow(SuiteNone)
+	aeadAllocs, aeadBytes := perFlow(SuiteAEAD)
+	t.Logf("per flow: cleartext %.3f allocs, %.0f B; AEAD %.3f allocs, %.0f B", clearAllocs, clearBytes, aeadAllocs, aeadBytes)
+	for suite, allocs := range map[CipherSuite]float64{SuiteNone: clearAllocs, SuiteAEAD: aeadAllocs} {
+		if allocs > 0.05 {
+			t.Errorf("AddFlow under %v: %.3f allocs per flow, want <= 0.05", suite, allocs)
+		}
+	}
+	if aeadBytes > clearBytes+64 {
+		t.Errorf("AddFlow under SuiteAEAD: %.0f B per flow, more than 64 B over a cleartext flow's %.0f", aeadBytes, clearBytes)
 	}
 }
 
 // TestFlowRunAllocs: flows share their shard's reassembly state,
-// receive windows, worklists and control-frame buffer, and events come
-// from the schedulers' freelists, so once an endpoint is warm a new
-// batch of flows runs through its first ADUs allocating (next to)
-// nothing. The submissions are built before the run that is counted.
+// receive windows, worklists, control-frame buffer and, under SuiteAEAD,
+// the seal and open scratch, and events come from the schedulers'
+// freelists, so once an endpoint is warm a new batch of flows runs
+// through its first ADUs allocating (next to) nothing: one-fragment
+// cleartext ADUs, and AEAD ADUs of three fragments, whose seals cross
+// the shared chain and whose opens refill the shared lanes. The
+// submissions are built before the run that is counted.
 func TestFlowRunAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race detector instrumentation allocates")
 	}
-	ep, err := NewSharded(ShardedConfig{
-		Shards:  2,
-		Workers: 2,
-		Seed:    5,
-		Flow:    Config{Policy: NoRetransmit},
-		Link:    netsim.LinkConfig{RateBps: 1e9, Delay: 200 * time.Microsecond},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	data := payload(512, 7)
-	const flows, adus = 512, 4
-	batch := func(first FlowID) {
-		for id := first; id < first+flows; id++ {
-			f, err := ep.AddFlow(id)
-			if err != nil {
-				t.Fatal(err)
-			}
-			now := f.Shard().Scheduler().Now()
-			for k := 0; k < adus; k++ {
-				submit(t, f, now+sim.Time(int(id)%64*10_000+k*1_000_000), uint64(k), data)
+	for _, arm := range []struct {
+		cfg         Config
+		size, frags int
+	}{
+		{Config{Policy: NoRetransmit}, 512, 1},
+		{Config{Policy: NoRetransmit, Suite: SuiteAEAD, Key: 0xC0FFEE}, 2500, 3},
+	} {
+		ep, err := NewSharded(ShardedConfig{
+			Shards:  2,
+			Workers: 2,
+			Seed:    5,
+			Flow:    arm.cfg,
+			Link:    netsim.LinkConfig{RateBps: 1e9, Delay: 200 * time.Microsecond},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		suite, data := arm.cfg.Suite, payload(arm.size, 7)
+		const flows, adus = 512, 4
+		batch := func(first FlowID) {
+			for id := first; id < first+flows; id++ {
+				f, err := ep.AddFlow(id)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if n := f.Sender.cfg.grid.frags(len(data)); n != arm.frags {
+					t.Fatalf("%v: an ADU is %d fragments, want %d", suite, n, arm.frags)
+				}
+				now := f.Shard().Scheduler().Now()
+				for k := 0; k < adus; k++ {
+					submit(t, f, now+sim.Time(int(id)%64*10_000+k*1_000_000), uint64(k), data)
+				}
 			}
 		}
-	}
-	batch(0)
-	ep.Run() // warms the pools, the event and record free lists, the spares
-	batch(flows)
-	before := ep.Stats().Recv.ADUsDelivered
-	var m0, m1 runtime.MemStats
-	runtime.ReadMemStats(&m0)
-	ep.Run()
-	runtime.ReadMemStats(&m1)
-	delivered := ep.Stats().Recv.ADUsDelivered - before
-	if delivered != flows*adus {
-		t.Fatalf("second batch delivered %d of %d ADUs", delivered, flows*adus)
-	}
-	if per := float64(m1.Mallocs-m0.Mallocs) / float64(delivered); per > 0.05 {
-		t.Errorf("Run over a warm endpoint: %.3f allocs per delivered ADU, want <= 0.05", per)
+		batch(0)
+		ep.Run() // warms the pools, the event and record free lists, the spares
+		batch(flows)
+		before := ep.Stats().Recv.ADUsDelivered
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		ep.Run()
+		runtime.ReadMemStats(&m1)
+		delivered := ep.Stats().Recv.ADUsDelivered - before
+		if delivered != flows*adus {
+			t.Fatalf("%v: second batch delivered %d of %d ADUs", suite, delivered, flows*adus)
+		}
+		if per := float64(m1.Mallocs-m0.Mallocs) / float64(delivered); per > 0.05 {
+			t.Errorf("%v: Run over a warm endpoint: %.3f allocs per delivered ADU, want <= 0.05", suite, per)
+		}
 	}
 }
 

@@ -2,6 +2,7 @@ package soak
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 )
@@ -44,7 +45,8 @@ func TestDTNCustodySurvivesConjunction(t *testing.T) {
 // and the terrestrial AIMD controller must demonstrably fail —
 // sender retention expires during blackout-spanning recovery loops and
 // Critical ADUs die. This is the contrast that justifies the custody
-// plane.
+// plane. Each Critical loss is a violation of its own, so the verdict
+// names every one the counter counts.
 func TestDTNEndToEndCollapses(t *testing.T) {
 	res, err := RunDTN(DTNConfig{Seed: 1, Mode: "aimd"})
 	if err != nil {
@@ -55,6 +57,15 @@ func TestDTNEndToEndCollapses(t *testing.T) {
 	}
 	if res.CriticalLost == 0 {
 		t.Error("end-to-end run lost no Critical ADUs; custody shows no contrast")
+	}
+	flagged := 0
+	for _, v := range res.Violations {
+		if strings.Contains(v, "Critical ADU") && strings.HasSuffix(v, "lost across the blackout") {
+			flagged++
+		}
+	}
+	if flagged != res.CriticalLost {
+		t.Errorf("%d violations name a lost Critical ADU, want one for each of the %d lost", flagged, res.CriticalLost)
 	}
 	if res.DeadlineDrops == 0 {
 		t.Error("no retention deadline expired; the blackout never stressed the sender")

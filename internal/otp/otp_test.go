@@ -193,36 +193,44 @@ func TestEverythingAtOnce(t *testing.T) {
 }
 
 func TestHeadOfLineBlocking(t *testing.T) {
-	// The paper's stall: drop exactly one segment; everything behind it
-	// must wait about an RTO before any delivery past the gap.
+	// The paper's stall: drop exactly one segment, the first; everything
+	// behind it must wait for its retransmission, about an RTO, before
+	// any delivery, and then the whole stream arrives in order.
+	const rto = 100 * time.Millisecond
 	p := newPair(t, netsim.LinkConfig{Delay: time.Millisecond},
-		Config{MSS: 1000, InitialRTO: 100 * time.Millisecond}, 1)
+		Config{MSS: 1000, InitialRTO: rto}, 1)
 	s, sender, receiver := p.sched, p.sender, p.receiver
 
-	dropNext := false
 	dropped := 0
 	p.ab.To().SetHandler(func(pk *netsim.Packet) {
-		if dropNext && pk.Payload[0]&wire.OTPData != 0 && dropped == 0 {
+		if pk.Payload[0]&wire.OTPData != 0 && dropped == 0 {
 			dropped++
-			return // swallow one data segment
+			return // swallow the first data segment
 		}
 		receiver.HandleSegment(pk.Payload)
 	})
 
-	var deliveries []sim.Time
-	receiver.OnData = func(d []byte) { deliveries = append(deliveries, s.Now()) }
-
-	sender.Send(pattern(5000)) // segments 1..5
-	dropNext = true
-	// Segment 1 goes out during Send... drop the *second* transmission:
-	// easier: drop the first data segment after enabling, which is seg 2+
-	// queued by window; but all 5 were pumped synchronously. Instead drop
-	// on retransmission path: simpler variant below.
-	s.Run()
-	if dropped == 0 {
-		t.Skip("drop hook missed the window; covered by TestHOLStallDuration")
+	var got []byte
+	var first sim.Time
+	receiver.OnData = func(d []byte) {
+		if got == nil {
+			first = s.Now()
+		}
+		got = append(got, d...)
 	}
-	_ = deliveries
+
+	data := pattern(5000) // segments 1..5
+	sender.Send(data)
+	s.Run()
+	if dropped != 1 {
+		t.Fatalf("dropped %d data segments, want 1", dropped)
+	}
+	if first < sim.Time(0).Add(rto) {
+		t.Errorf("first delivery at %v, before the %v RTO the lost head segment needs", first, rto)
+	}
+	if !bytes.Equal(got, data) {
+		t.Errorf("delivered %d bytes, want all %d in order", len(got), len(data))
+	}
 }
 
 func TestHOLStallDuration(t *testing.T) {

@@ -100,6 +100,30 @@ var mutants = []mutant{
 	{name: "recovery charge without parity payload", file: "internal/core/alf.go",
 		old: "if p > 0 {", new: "if p < 0 {",
 		pkg: "./internal/core", run: "^TestRecoveryChargeIsWireBytes$"},
+	// The lanes a shard's flows share are a cache keyed by owner: each
+	// half of a flow needs its own test, since a sender and a receiver
+	// that both ignored the owner would agree on the wrong keys.
+	{name: "lanes cache ignores its owner", file: "internal/core/crypto.go",
+		old: "l.n <= i || l.owner != c || l.name != name", new: "l.n <= i || l.name != name",
+		pkg: "./internal/core", run: "^TestShardLanes(SealAsLone|OpenInterleaved)$"},
+	// The soak families' exactly-once account and end-state checks, and
+	// the receiver's one delivery per ADU.
+	{name: "accepted submission not recorded", file: "internal/faults/soak/ledger.go",
+		old: "\t\tl.accept(name, k)\n", new: "\t\t_ = name\n",
+		pkg: "./internal/faults/soak", run: "^TestScenarioMatrix$"},
+	{name: "lost Critical ADU never flagged", file: "internal/faults/soak/ledger.go",
+		old: "\t\t\tl.v.violatef(\"%sCritical ADU %d lost %s\", l.prefix, name, where)\n", new: "",
+		pkg: "./internal/faults/soak", run: "^TestDTNEndToEndCollapses$"},
+	{name: "finish skips the quiescence check", file: "internal/faults/soak/ledger.go",
+		old: "\tr.v.quiesced(r.net.Links(), r.streams...)\n", new: "",
+		pkg: "./internal/faults/soak", run: "^TestFinishCatchesRetainedADU$"},
+	{name: "ADU delivered twice", file: "internal/core/receiver.go",
+		old: "\t\tr.OnADU(adu)\n\t} else {", new: "\t\tr.OnADU(adu)\n\t\tr.OnADU(adu)\n\t} else {",
+		pkg: "./internal/core", run: "^TestPlacementMatchesModel$"},
+	// The AVX2 row's fold split, opening in place.
+	{name: "avx2 fold split rounded down", file: "internal/cipher/wide.go",
+		old: "h = min((o+TagSize-1)/TagSize, nblk)", new: "h = min(o/TagSize, nblk)",
+		pkg: "./internal/cipher", run: "^TestWideLoopsMatchBlock$/^avx2$", cpu: "avx2"},
 	// A count past 2^31 is negative where int has 32 bits (ROADMAP 24).
 	{name: "raw seq count not checked for n < 0", file: "internal/xcode/rawlwts.go",
 		old: "if n < 0 || n > len(src) {", new: "if n > len(src) {",
